@@ -1,19 +1,22 @@
 // Recast reinterpretation: the theorist's use case from §2.3-2.4.
 //
 // An experiment subscribes its preserved high-mass dimuon search to a
-// RECAST service. A theorist submits a Z′ model over HTTP; the experiment
-// approves; the request is processed twice — once by the heavyweight
-// full-simulation back end and once by the RIVET bridge — and the limits
-// and costs of the two tiers are compared (the DASPOS interoperability
-// project from the paper's conclusions).
+// RECAST service. A theorist submits a Z′ model through the service's one
+// front door — recast.Server over HTTP, journaling to a throwaway
+// directory; the experiment approves, which queues the work; the theorist
+// polls for the numbers. The same model then runs in-process on the RIVET
+// bridge, and the limits and costs of the two tiers are compared (the
+// DASPOS interoperability project from the paper's conclusions).
 //
 // Run with: go run ./examples/recast_reinterpret
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
+	"os"
 	"time"
 
 	"daspos/internal/bridge"
@@ -55,7 +58,18 @@ func main() {
 		Det: det, CondDB: db, Tag: "prod", Run: 1, LuminosityPb: 20000,
 	})
 	mustSubscribe(fullSvc, record)
-	srv := httptest.NewServer(fullSvc.Handler())
+	journalDir, err := os.MkdirTemp("", "recast-example-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(journalDir)
+	front, err := recast.NewServer(context.Background(), fullSvc, recast.ServerConfig{JournalDir: journalDir})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer front.Close()
+	front.Start()
+	srv := httptest.NewServer(front.Handler())
 	defer srv.Close()
 
 	theorist := &recast.Client{BaseURL: srv.URL}
@@ -69,9 +83,16 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	done, err := experiment.ProcessRequest(req.ID)
+	done, err := theorist.Get(req.ID)
+	for err == nil && done.Status == recast.StatusApproved {
+		time.Sleep(5 * time.Millisecond)
+		done, err = theorist.Get(req.ID)
+	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	if done.Status != recast.StatusDone {
+		log.Fatalf("request %s ended %s: %s", done.ID, done.Status, done.Reason)
 	}
 	fullDur := time.Since(t0)
 	printResult(done.Result, fullDur)

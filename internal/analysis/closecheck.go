@@ -26,6 +26,7 @@ var CloseCheck = &Analyzer{
 		return matchPath(
 			"internal/datamodel",
 			"internal/cas",
+			"internal/journal",
 			"internal/checkpoint",
 			"internal/archive",
 			"internal/workflow",

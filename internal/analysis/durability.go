@@ -5,11 +5,11 @@ import (
 	"go/token"
 )
 
-// Durability enforces the commit ordering that makes the checkpoint
-// ledger and the content-addressed stores crash-safe: a rename is only an
-// atomic commit point if the payload was fsynced first, and a journal
-// append only announces state that is already durable if the append is
-// fsynced in the same operation. The analyzer is per-function and
+// Durability enforces the commit ordering that makes the journal, the
+// checkpoint ledger's object store and the content-addressed stores
+// crash-safe: a rename is only an atomic commit point if the payload was
+// fsynced first, and a journal append only announces state that is
+// already durable if the append is fsynced in the same operation. The analyzer is per-function and
 // order-sensitive: it flags os.Rename calls with no earlier Sync in the
 // function, and os.File writes in functions that never Sync at all.
 var Durability = &Analyzer{
@@ -18,9 +18,9 @@ var Durability = &Analyzer{
 	Why:      "a crash between write and fsync loses bytes the journal already announced; the checkpoint recovery proof assumes rename commits only durable payloads",
 	Suppress: "fsync-ok",
 	Match: matchPath(
+		"internal/journal",
 		"internal/checkpoint",
 		"internal/cas",
-		"internal/recast",
 	),
 	Run: runDurability,
 }

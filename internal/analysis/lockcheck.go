@@ -27,9 +27,10 @@ import (
 //   - a write Lock on a sync.RWMutex in a provably read-only accessor,
 //     which serializes readers that RLock would let through.
 //
-// A deliberate blocking section — the recast queue journals under its
-// mutex because the write-ahead line must be durable before the state
-// mutates — is annotated //daspos:lock-ok with its justification.
+// A deliberate blocking section — package journal writes and fsyncs
+// under its mutex because a record must be durable before the next
+// appender interleaves — is annotated //daspos:lock-ok with its
+// justification.
 var LockCheck = &Analyzer{
 	Name:     "lockcheck",
 	Doc:      "no blocking operations while a mutex is held; unlock on every return path; RLock for read-only accessors",
@@ -38,6 +39,7 @@ var LockCheck = &Analyzer{
 	Match: matchPath(
 		"internal/queryserve",
 		"internal/recast",
+		"internal/journal",
 		"internal/cluster",
 		"internal/node",
 		"internal/catalog",

@@ -17,12 +17,10 @@
 //  2. only then is the journal record describing it appended and the
 //     journal fsynced.
 //
-// Replay therefore never trusts a record whose payload could be missing,
-// and a journal line cut short by the crash (no trailing newline) is
-// dropped and truncated away on the next Open — exactly the recovery
-// discipline of the recast request journal, promoted to whole pipeline
-// runs. A malformed record in the middle of the journal, by contrast, is
-// real corruption and fails Open loudly.
+// Replay therefore never trusts a record whose payload could be missing.
+// The journal itself — replay, the torn-tail policy, the fsynced append
+// and its kill points — is package journal's, shared with the RECAST
+// request ledger and work queue.
 //
 // Steps are keyed by StepKey over (step name, config digest, input
 // digests), so a resumed run only skips a step when the same code
@@ -32,14 +30,14 @@
 package checkpoint
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"daspos/internal/journal"
 )
 
 // StepState is a step's recorded lifecycle position.
@@ -113,12 +111,11 @@ func StepKey(step, configDigest string, inputDigests []string) string {
 // concurrent readers of the replayed state; appends are serialized.
 type Ledger struct {
 	dir     string
-	journal *os.File
+	journal *journal.Journal
 
 	mu    sync.Mutex
 	steps map[string]*StepInfo
 	order []string // keys in first-seen order, for status reports
-	kill  func(point string)
 }
 
 const (
@@ -126,10 +123,9 @@ const (
 	objectsName = "objects"
 )
 
-// Open creates or recovers the ledger in dir. Recovery replays the
-// journal, drops a crash-torn final record (truncating the file back to
-// its last durable line so later appends start clean), removes stale
-// temp objects, and fails on mid-stream corruption.
+// Open creates or recovers the ledger in dir: it removes stale temp
+// objects and replays the journal (see package journal for what a torn
+// tail and a corrupt line do).
 func Open(dir string) (*Ledger, error) {
 	objDir := filepath.Join(dir, objectsName)
 	if err := os.MkdirAll(objDir, 0o755); err != nil {
@@ -142,97 +138,34 @@ func Open(dir string) (*Ledger, error) {
 			os.Remove(p)
 		}
 	}
-
-	path := filepath.Join(dir, journalName)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("checkpoint: reading journal: %w", err)
-	}
 	l := &Ledger{dir: dir, steps: make(map[string]*StepInfo)}
-	valid, err := l.replay(data)
+	j, err := journal.Open(filepath.Join(dir, journalName), l.apply)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if valid < int64(len(data)) {
-		// Torn tail: cut the journal back to its last durable record so
-		// the next append does not concatenate onto a partial line.
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, fmt.Errorf("checkpoint: truncating torn journal tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: opening journal: %w", err)
-	}
-	l.journal = f
+	l.journal = j
 	return l, nil
 }
 
 // Close releases the journal handle. The ledger directory remains valid
 // for a later Open.
-func (l *Ledger) Close() error {
-	if l.journal == nil {
-		return nil
-	}
-	err := l.journal.Close()
-	l.journal = nil
-	return err
-}
+func (l *Ledger) Close() error { return l.journal.Close() }
 
 // Dir returns the checkpoint directory.
 func (l *Ledger) Dir() string { return l.dir }
 
 // SetKill installs a fault hook invoked at every instrumented instruction
-// of the commit protocol (see the "journal.*" and "object.*" point names
-// in this file). The chaos tests arm it with faults.Killer to die at a
-// seeded instruction; production runs leave it nil.
-func (l *Ledger) SetKill(fn func(point string)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.kill = fn
-}
+// of the commit protocol: the journal's "journal.*" points and the
+// "object.*" points in this file. The chaos tests arm it with
+// faults.Killer to die at a seeded instruction; production runs leave it
+// nil.
+func (l *Ledger) SetKill(fn func(point string)) { l.journal.SetKill(fn) }
 
-func (l *Ledger) killPoint(point string) {
-	l.mu.Lock()
-	fn := l.kill
-	l.mu.Unlock()
-	if fn != nil {
-		fn(point)
-	}
-}
-
-// replay applies journal bytes to the in-memory state and returns the
-// byte length of the valid prefix. A partial final line (no newline) is
-// tolerated as a crash tear; a malformed complete line is corruption.
-func (l *Ledger) replay(data []byte) (int64, error) {
-	var offset int64
-	lineNo := 0
-	for int(offset) < len(data) {
-		nl := bytes.IndexByte(data[offset:], '\n')
-		if nl < 0 {
-			// Torn tail — the crash interrupted the final append.
-			return offset, nil
-		}
-		lineNo++
-		line := bytes.TrimSpace(data[offset : offset+int64(nl)])
-		if len(line) > 0 {
-			var rec journalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return 0, fmt.Errorf("checkpoint: journal line %d corrupt: %w", lineNo, err)
-			}
-			if err := l.apply(rec, lineNo); err != nil {
-				return 0, err
-			}
-		}
-		offset += int64(nl) + 1
-	}
-	return offset, nil
-}
-
-// apply folds one replayed record into the step table.
-func (l *Ledger) apply(rec journalRecord, lineNo int) error {
+// apply folds one journal record into the step table: every replayed
+// line at Open, and every appended record once it is durable.
+func (l *Ledger) apply(rec journalRecord) error {
 	if rec.Key == "" || rec.Step == "" {
-		return fmt.Errorf("checkpoint: journal line %d: record without step/key", lineNo)
+		return fmt.Errorf("checkpoint: record without step/key")
 	}
 	info := l.steps[rec.Key]
 	if info == nil {
@@ -249,51 +182,32 @@ func (l *Ledger) apply(rec journalRecord, lineNo int) error {
 		info.External = nil
 	case "artifact":
 		if rec.Artifact == nil {
-			return fmt.Errorf("checkpoint: journal line %d: artifact record without artifact", lineNo)
+			return fmt.Errorf("checkpoint: artifact record without artifact")
 		}
 		info.Artifacts = append(info.Artifacts, *rec.Artifact)
 	case "done":
 		info.State = StepDone
 		info.External = rec.External
 	default:
-		return fmt.Errorf("checkpoint: journal line %d: unknown kind %q", lineNo, rec.Kind)
+		return fmt.Errorf("checkpoint: unknown record kind %q", rec.Kind)
 	}
 	return nil
 }
 
-// appendRecord durably appends one journal line: write, then fsync, then
-// (only after durability) the in-memory state update. The write is split
-// so an injected kill can model a torn record.
-func (l *Ledger) appendRecord(rec journalRecord) error {
-	if l.journal == nil {
-		return fmt.Errorf("checkpoint: ledger is closed")
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding journal record: %w", err)
-	}
-	line = append(line, '\n')
-	l.killPoint("journal.append")
-	half := len(line) / 2
-	if _, err := l.journal.Write(line[:half]); err != nil {
-		return fmt.Errorf("checkpoint: journal append: %w", err)
-	}
-	l.killPoint("journal.torn")
-	if _, err := l.journal.Write(line[half:]); err != nil {
-		return fmt.Errorf("checkpoint: journal append: %w", err)
-	}
-	l.killPoint("journal.sync")
-	if err := l.journal.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: journal fsync: %w", err)
+// record journals one record and, once it is durable, folds it into the
+// step table.
+func (l *Ledger) record(rec journalRecord) error {
+	if err := l.journal.Append(rec); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.apply(rec, -1)
+	return l.apply(rec)
 }
 
 // Start records that a step execution began.
 func (l *Ledger) Start(step, key string) error {
-	return l.appendRecord(journalRecord{Kind: "start", Step: step, Key: key})
+	return l.record(journalRecord{Kind: "start", Step: step, Key: key})
 }
 
 // Commit durably stores one artifact payload and journals it. The digest
@@ -313,7 +227,7 @@ func (l *Ledger) Commit(step, key string, rec ArtifactRecord, data []byte) (Arti
 	if err := l.writeObject(digest, data); err != nil {
 		return rec, err
 	}
-	if err := l.appendRecord(journalRecord{Kind: "artifact", Step: step, Key: key, Artifact: &rec}); err != nil {
+	if err := l.record(journalRecord{Kind: "artifact", Step: step, Key: key, Artifact: &rec}); err != nil {
 		return rec, err
 	}
 	return rec, nil
@@ -322,7 +236,7 @@ func (l *Ledger) Commit(step, key string, rec ArtifactRecord, data []byte) (Arti
 // Done records that every artifact of the step is committed, with the
 // step's external-dependency census for provenance on resume.
 func (l *Ledger) Done(step, key string, external []string) error {
-	return l.appendRecord(journalRecord{Kind: "done", Step: step, Key: key, External: external})
+	return l.record(journalRecord{Kind: "done", Step: step, Key: key, External: external})
 }
 
 // writeObject commits a payload to objects/<digest> with the
@@ -338,7 +252,7 @@ func (l *Ledger) writeObject(digest string, data []byte) error {
 		}
 		// Damaged object under a valid name: fall through and rewrite.
 	}
-	l.killPoint("object.create")
+	l.journal.Kill("object.create")
 	tmp, err := os.CreateTemp(objDir, "tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: creating temp object: %w", err)
@@ -353,11 +267,11 @@ func (l *Ledger) writeObject(digest string, data []byte) error {
 	if _, err := tmp.Write(data[:half]); err != nil {
 		return fmt.Errorf("checkpoint: writing object: %w", err)
 	}
-	l.killPoint("object.torn")
+	l.journal.Kill("object.torn")
 	if _, err := tmp.Write(data[half:]); err != nil {
 		return fmt.Errorf("checkpoint: writing object: %w", err)
 	}
-	l.killPoint("object.sync")
+	l.journal.Kill("object.sync")
 	if err := tmp.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: fsync object: %w", err)
 	}
@@ -366,7 +280,7 @@ func (l *Ledger) writeObject(digest string, data []byte) error {
 		return fmt.Errorf("checkpoint: closing object: %w", err)
 	}
 	tmp = nil
-	l.killPoint("object.rename")
+	l.journal.Kill("object.rename")
 	if err := os.Rename(name, final); err != nil {
 		os.Remove(name)
 		return fmt.Errorf("checkpoint: committing object: %w", err)
@@ -374,7 +288,7 @@ func (l *Ledger) writeObject(digest string, data []byte) error {
 	if err := syncDir(objDir); err != nil {
 		return err
 	}
-	l.killPoint("object.durable")
+	l.journal.Kill("object.durable")
 	return nil
 }
 
@@ -468,6 +382,4 @@ func (l *Ledger) ObjectPath(digest string) string {
 
 // JournalPath returns the journal file location — exposed for the chaos
 // tests that tear its final record.
-func (l *Ledger) JournalPath() string {
-	return filepath.Join(l.dir, journalName)
-}
+func (l *Ledger) JournalPath() string { return l.journal.Path() }

@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,6 +102,9 @@ func TestStepKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestTornFinalRecordDroppedAndTruncated and TestMidStreamCorruptionRejected
+// prove the ledger is wired to package journal, whose own tests cover the
+// torn-tail and corruption policy in full (truncation, re-append, reopen).
 func TestTornFinalRecordDroppedAndTruncated(t *testing.T) {
 	dir := t.TempDir()
 	l := openLedger(t, dir)
@@ -124,16 +129,6 @@ func TestTornFinalRecordDroppedAndTruncated(t *testing.T) {
 	}
 	if info, _ := re.Lookup(k1); info.State != StepDone {
 		t.Fatalf("reco lost to tear: %v", info.State)
-	}
-	// The torn tail was truncated away, so new appends start on a clean
-	// line and a further reopen replays without complaint.
-	if err := re.Done("slim", k2, nil); err != nil {
-		t.Fatal(err)
-	}
-	re.Close()
-	re2 := openLedger(t, dir)
-	if info, _ := re2.Lookup(k2); info.State != StepDone {
-		t.Fatalf("slim after re-append: %v, want done", info.State)
 	}
 }
 
@@ -271,5 +266,55 @@ func TestStaleTempObjectsCleanedOnOpen(t *testing.T) {
 	openLedger(t, dir)
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale temp object survived open: %v", err)
+	}
+}
+
+// TestParentLedgerReopensUnchanged replays a ledger written by the commit
+// before the journal moved onto package journal (a `daspos-pipeline
+// -events 5 -checkpoint-dir` run) and demands the state that commit
+// itself recovered from it (status.golden.json, dumped by its code), with
+// every recorded artifact still passing fixity.
+func TestParentLedgerReopensUnchanged(t *testing.T) {
+	src := filepath.Join("testdata", "parent_ledger")
+	dir := t.TempDir()
+	files, err := filepath.Glob(filepath.Join(src, objectsName, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, objectsName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range append(files, filepath.Join(src, journalName)) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(src, f)
+		if err := os.WriteFile(filepath.Join(dir, rel), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := openLedger(t, dir)
+	got, err := json.MarshalIndent(l.Status(), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(src, "status.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.TrimSpace(want)) {
+		t.Fatalf("ledger recovered from the parent's journal.log:\n%s\nwant:\n%s", got, want)
+	}
+	for _, info := range l.Status() {
+		if err := l.Verify(info.Key); err != nil {
+			t.Errorf("step %s: %v", info.Step, err)
+		}
+	}
+	// The reopen left the parent's bytes alone.
+	a, _ := os.ReadFile(filepath.Join(src, journalName))
+	b, _ := os.ReadFile(l.JournalPath())
+	if !bytes.Equal(a, b) {
+		t.Fatal("reopen rewrote an intact journal")
 	}
 }

@@ -1,10 +1,11 @@
 package recast
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,19 +90,41 @@ func submitApproved(t testing.TB, svc *Service, n int) []string {
 	return ids
 }
 
+// submitAccepted submits n distinct models through the front door of an
+// auto-approving server and returns the accepted IDs.
+func submitAccepted(t *testing.T, srv *Server, n int) []string {
+	t.Helper()
+	h := srv.Handler()
+	ids := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		// Distinct seeds: identical models would be answered by dedup.
+		w := postSubmit(t, h, fmt.Sprintf("theorist-%d", i), uint64(1000+i), "")
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, w.Code, w.Body)
+		}
+		var req Request
+		if err := json.Unmarshal(w.Body.Bytes(), &req); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, req.ID)
+	}
+	return ids
+}
+
+// unbreakable keeps the circuit breaker out of a drill that is about the
+// retry schedule.
+var unbreakable = resilience.BreakerConfig{FailureThreshold: 1 << 30}
+
 func TestChaosQueueEveryRequestReachesTerminalState(t *testing.T) {
 	const requests = 40
 	inj := faults.NewInjector(0x5EC457).WithErrorRate(0.3)
 	svc, _ := newStubService(t, inj)
-	ids := submitApproved(t, svc, requests)
-
-	q := NewQueueWith(context.Background(), svc, QueueConfig{Workers: 4, Policy: fastPolicy()})
+	srv := serveService(t, svc, ServerConfig{Workers: 4, AutoApprove: true, Breaker: unbreakable})
+	ids := submitAccepted(t, srv, requests)
+	srv.Start()
 	for _, id := range ids {
-		if !q.Enqueue(id) {
-			t.Fatalf("enqueue %s refused", id)
-		}
+		waitTerminal(t, svc, id)
 	}
-	q.Wait()
 
 	var done, failed int
 	for _, id := range ids {
@@ -205,27 +228,30 @@ func (permanentBackend) Process(context.Context, ModelSpec, *leshouches.Analysis
 }
 
 func TestQueueCancellationLeavesWorkInFlight(t *testing.T) {
-	inj := faults.NewInjector(2)
-	svc, _ := newStubService(t, inj)
-	ids := submitApproved(t, svc, 8)
-
+	svc, _ := newStubService(t, nil)
 	// A back end that blocks until cancelled, so every picked-up job is
 	// mid-attempt when the pool dies.
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	blocking := &blockingBackend{release: ctx.Done()}
 	svc.backend = blocking
 
-	q := NewQueueWith(ctx, svc, QueueConfig{Workers: 2, Policy: fastPolicy()})
-	for _, id := range ids {
-		q.Enqueue(id)
+	dir := t.TempDir()
+	cfg := ServerConfig{JournalDir: dir, Workers: 2, AutoApprove: true, Policy: fastPolicy()}
+	srv, err := NewServer(ctx, svc, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ids := submitAccepted(t, srv, 8)
+	srv.Start()
 	blocking.waitStarted(2)
 	cancel()
-	results := q.Wait()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Every request is either still approved (in flight or never picked
-	// up) — never half-transitioned — and the queue reports the
-	// cancellation.
+	// Every request is still approved — in flight or never picked up,
+	// never half-transitioned — and the journals hand all of it back.
 	for _, id := range ids {
 		req, err := svc.Get(id)
 		if err != nil {
@@ -235,14 +261,16 @@ func TestQueueCancellationLeavesWorkInFlight(t *testing.T) {
 			t.Errorf("%s left in %s after cancellation, want approved", id, req.Status)
 		}
 	}
-	var cancelled int
-	for _, err := range results {
-		if errors.Is(err, context.Canceled) {
-			cancelled++
-		}
+	restored, _ := newStubService(t, nil)
+	re := serveService(t, restored, cfg)
+	if st := re.Queue().Stats(); st.Queued != len(ids) || st.Claimed != 0 {
+		t.Fatalf("recovered queue: %+v, want all %d queued", st, len(ids))
 	}
-	if cancelled == 0 {
-		t.Fatal("no job reported the cancellation")
+	re.Start()
+	for _, id := range ids {
+		if got := waitTerminal(t, restored, id); got.Status != StatusDone {
+			t.Errorf("recovered %s ended %s", id, got.Status)
+		}
 	}
 }
 
@@ -279,12 +307,11 @@ func (b *blockingBackend) waitStarted(n int) {
 func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	inj := faults.NewInjector(3)
 	svc, _ := newStubService(t, inj)
-	var journal bytes.Buffer
-	svc.SetJournal(&journal)
-
-	ids := submitApproved(t, svc, 5)
+	cfg := ServerConfig{JournalDir: t.TempDir(), AutoApprove: true, Breaker: unbreakable}
+	srv := serveService(t, svc, cfg)
+	ids := submitAccepted(t, srv, 5)
 	// Two complete, one dead-letters, two stay in flight — then the
-	// process "crashes" with the journal as the only survivor.
+	// process "crashes" with the journals as the only survivors.
 	if _, err := svc.Process(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -298,21 +325,25 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	if err := svc.JournalErr(); err != nil {
 		t.Fatal(err)
 	}
-
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// Crash-truncated tail: the final line is cut mid-write.
-	data := journal.Bytes()
-	truncated := append(append([]byte(nil), data...), []byte(`{"id":"req-0000`)...)
+	f, err := os.OpenFile(filepath.Join(cfg.JournalDir, "requests.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":"req-0000`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	restored, _ := newStubService(t, faults.NewInjector(4))
-	inflight, err := restored.ReplayJournal(bytes.NewReader(truncated))
-	if err != nil {
-		t.Fatalf("replay rejected a crash-truncated journal: %v", err)
-	}
-	if len(inflight) != 2 || inflight[0] != ids[3] || inflight[1] != ids[4] {
-		t.Fatalf("inflight = %v, want [%s %s]", inflight, ids[3], ids[4])
-	}
-
-	// Terminal states and histories survived.
+	re := serveService(t, restored, cfg)
+	// Terminal states and histories survived, and the queue entries the
+	// crash left open behind them are closed out.
 	for _, id := range ids[:2] {
 		req, err := restored.Get(id)
 		if err != nil {
@@ -329,21 +360,14 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	if dead.Status != StatusFailed || len(dead.Attempts) != fastPolicy().MaxAttempts {
 		t.Fatalf("dead letter lost history: status=%s attempts=%d", dead.Status, len(dead.Attempts))
 	}
-
-	// The recovered in-flight work re-enqueues and completes.
-	q := NewQueueWith(context.Background(), restored, QueueConfig{Workers: 2, Policy: fastPolicy()})
-	for _, id := range inflight {
-		if !q.Enqueue(id) {
-			t.Fatalf("re-enqueue %s refused", id)
-		}
+	if st := re.Queue().Stats(); st.Queued != 2 || st.Terminal != 3 {
+		t.Fatalf("recovered queue: %+v, want exactly the two in-flight requests queued", st)
 	}
-	q.Wait()
-	for _, id := range inflight {
-		req, err := restored.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if req.Status != StatusDone {
+
+	// The recovered in-flight work completes.
+	re.Start()
+	for _, id := range ids[3:] {
+		if req := waitTerminal(t, restored, id); req.Status != StatusDone {
 			t.Fatalf("recovered %s ended %s, want done", id, req.Status)
 		}
 	}
@@ -360,17 +384,17 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	}
 }
 
-func TestReplayJournalRejectsMidStreamCorruption(t *testing.T) {
-	svc, _ := newStubService(t, nil)
-	var journal bytes.Buffer
-	svc.SetJournal(&journal)
-	submitApproved(t, svc, 2)
+// The next two prove the request ledger is wired to package journal,
+// whose own tests cover the torn-tail and corruption policy in full.
 
-	lines := strings.SplitAfter(journal.String(), "\n")
-	// Corrupt a line that is NOT the last — real damage, not a crash tail.
-	corrupted := "{broken json\n" + strings.Join(lines[1:], "")
-	restored, _ := newStubService(t, nil)
-	if _, err := restored.ReplayJournal(strings.NewReader(corrupted)); err == nil {
+func TestReplayJournalRejectsMidStreamCorruption(t *testing.T) {
+	dir := t.TempDir()
+	log := "{broken json\n" + `{"id":"req-000001","status":"submitted"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "requests.log"), []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, _ := newStubService(t, nil)
+	if _, err := NewServer(context.Background(), svc, ServerConfig{JournalDir: dir}); err == nil {
 		t.Fatal("mid-stream corruption accepted")
 	}
 }
@@ -405,54 +429,32 @@ func BenchmarkRecastRetryOverhead(b *testing.B) {
 }
 
 func TestReplayJournalDropsTornFinalRecord(t *testing.T) {
-	// Unlike the synthetic partial line in the crash test above, this tears
-	// the journal's real final record — the tail a crash mid-append leaves —
-	// with the same fault primitive the checkpoint crash-storm uses. Replay
-	// must drop the torn record, reverting that request to its previous
-	// journaled state, and keep everything before it.
 	svc, _ := newStubService(t, nil)
-	var journal bytes.Buffer
-	svc.SetJournal(&journal)
-	ids := submitApproved(t, svc, 3)
+	cfg := ServerConfig{JournalDir: t.TempDir(), AutoApprove: true}
+	srv := serveService(t, svc, cfg)
+	ids := submitAccepted(t, srv, 3)
 	if _, err := svc.Process(ids[0]); err != nil {
 		t.Fatal(err)
 	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// The final record is ids[0]'s "done" snapshot. Tear it mid-write.
-	path := filepath.Join(t.TempDir(), "journal.log")
-	if err := os.WriteFile(path, journal.Bytes(), 0o644); err != nil {
+	if err := faults.TearFinalRecord(filepath.Join(cfg.JournalDir, "requests.log")); err != nil {
 		t.Fatal(err)
 	}
-	if err := faults.TearFinalRecord(path); err != nil {
-		t.Fatal(err)
-	}
-	torn, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(torn) >= journal.Len() {
-		t.Fatal("tear removed nothing")
-	}
-
 	restored, _ := newStubService(t, nil)
-	inflight, err := restored.ReplayJournal(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatalf("replay rejected a torn final record: %v", err)
+	re := serveService(t, restored, cfg)
+	// ids[0] reverted to its last intact snapshot (approved) — losing the
+	// torn completion is safe because re-processing is idempotent; losing
+	// earlier records is not.
+	if req, err := restored.Get(ids[0]); err != nil || req.Status != StatusApproved {
+		t.Fatalf("torn completion applied: %+v %v, want approved", req, err)
 	}
-	// ids[0] reverted to its last intact snapshot (approved), so all three
-	// requests are back in flight — losing the torn completion is safe
-	// because re-processing is idempotent; losing earlier records is not.
-	if len(inflight) != 3 {
-		t.Fatalf("inflight = %v, want all three requests", inflight)
-	}
-	req, err := restored.Get(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Status != StatusApproved {
-		t.Fatalf("torn completion applied: status=%s, want approved", req.Status)
-	}
-	// The survivor replays onward: reprocessing completes normally.
-	if _, err := restored.Process(ids[0]); err != nil {
-		t.Fatal(err)
+	re.Start()
+	for _, id := range ids {
+		if req := waitTerminal(t, restored, id); req.Status != StatusDone {
+			t.Fatalf("%s ended %s after the tear", id, req.Status)
+		}
 	}
 }

@@ -4,46 +4,26 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"daspos/internal/resilience"
 )
 
-// The HTTP front end. Routes:
-//
-//	GET  /analyses                  public catalogue
-//	POST /requests                  submit {analysis, requester, motivation, model}
-//	GET  /requests/{id}             request status and (when done) result
-//	POST /requests/{id}/approve     experiment role
-//	POST /requests/{id}/reject      experiment role, body {reason}
-//	POST /requests/{id}/process     experiment role; runs the back end
-//
-// Experiment-internal routes require the header "X-Recast-Role: experiment"
-// — a stand-in for the experiment's real authentication, keeping the
-// "closed system" boundary visible in the API.
+// The HTTP pieces the one front door (Server.Handler, server.go) and its
+// Go client share. Experiment-internal routes require the header
+// "X-Recast-Role: experiment" — a stand-in for the experiment's real
+// authentication, keeping the "closed system" boundary visible in the API.
 
 // roleHeader gates experiment-internal endpoints.
 const (
 	roleHeader     = "X-Recast-Role"
 	roleExperiment = "experiment"
 )
-
-// Handler returns the front end as an http.Handler.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /analyses", s.handleAnalyses)
-	mux.HandleFunc("POST /requests", s.handleSubmit)
-	mux.HandleFunc("GET /requests/{id}", s.handleGet)
-	mux.HandleFunc("POST /requests/{id}/approve", s.experimentOnly(s.handleApprove))
-	mux.HandleFunc("POST /requests/{id}/reject", s.experimentOnly(s.handleReject))
-	mux.HandleFunc("POST /requests/{id}/process", s.experimentOnly(s.handleProcess))
-	return mux
-}
 
 func (s *Service) experimentOnly(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -79,38 +59,12 @@ type submitBody struct {
 	Model      ModelSpec `json:"model"`
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var body submitBody
-	// MaxBytesReader (not a bare LimitReader) closes the connection on
-	// an oversized body, so a tenant cannot stream an unbounded payload
-	// into the decoder and keep the connection serviceable.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
-		return
-	}
-	req, err := s.Submit(body.Analysis, body.Requester, body.Motivation, body.Model)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusCreated, req)
-}
-
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	req, err := s.Get(r.PathValue("id"))
 	if err != nil {
 		httpError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, req)
-}
-
-func (s *Service) handleApprove(w http.ResponseWriter, r *http.Request) {
-	if err := s.Approve(r.PathValue("id")); err != nil {
-		httpError(w, statusFor(err), err.Error())
-		return
-	}
-	req, _ := s.Get(r.PathValue("id"))
 	writeJSON(w, http.StatusOK, req)
 }
 
@@ -127,27 +81,14 @@ func (s *Service) handleReject(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, req)
 }
 
-func (s *Service) handleProcess(w http.ResponseWriter, r *http.Request) {
-	req, err := s.Process(r.PathValue("id"))
-	if err != nil {
-		// A failed back end still updated the request; report both.
-		code := statusFor(err)
-		if req != nil {
-			writeJSON(w, code, req)
-			return
-		}
-		httpError(w, code, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, req)
-}
-
+// statusFor maps a ledger error to its HTTP status: an unknown request is
+// 404, a transition the request's state forbids is 409, and anything else
+// (a journal that cannot record the mutation) is the server's fault.
 func statusFor(err error) int {
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "no such request"):
+	case errors.Is(err, ErrNoRequest):
 		return http.StatusNotFound
-	case strings.Contains(msg, "wrong state"), strings.Contains(msg, "not approved"):
+	case errors.Is(err, ErrWrongState), errors.Is(err, ErrNotApproved):
 		return http.StatusConflict
 	default:
 		return http.StatusInternalServerError
@@ -397,19 +338,4 @@ func (c *Client) Reject(id, reason string) error {
 // RejectCtx is Reject under a caller-supplied context.
 func (c *Client) RejectCtx(ctx context.Context, id, reason string) error {
 	return c.do(ctx, http.MethodPost, "/requests/"+id+"/reject", map[string]string{"reason": reason}, nil)
-}
-
-// ProcessRequest triggers back-end processing (experiment role) and
-// returns the completed request.
-func (c *Client) ProcessRequest(id string) (*Request, error) {
-	return c.ProcessRequestCtx(context.Background(), id)
-}
-
-// ProcessRequestCtx is ProcessRequest under a caller-supplied context.
-func (c *Client) ProcessRequestCtx(ctx context.Context, id string) (*Request, error) {
-	var out Request
-	if err := c.do(ctx, http.MethodPost, "/requests/"+id+"/process", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }

@@ -1,64 +1,89 @@
 package recast
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
 	"strings"
+
+	"daspos/internal/journal"
 )
 
-// Request-ledger persistence: the service's archival record. Requests,
-// approvals, rejections, and results survive a restart; subscriptions are
-// code-backed (the experiment re-registers its preserved analyses at
-// startup), so only the ledger serializes.
+// The request ledger's persistence: requests.log, a journal (package
+// journal) of request snapshots, one record per mutation — submit,
+// approve, reject, attempt, terminal transition. Replay is last-write-wins
+// per request ID. Subscriptions are code-backed (the experiment
+// re-registers its preserved analyses at startup), so only requests
+// serialize. A Service that no Server opened a journal for keeps its
+// ledger in memory only — the in-process demo, scan and back-end tests.
 
-// DumpRequests writes the full request ledger as JSON.
-func (s *Service) DumpRequests(w io.Writer) error {
-	reqs := s.List()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(reqs)
-}
-
-// LoadRequests restores a dumped ledger into an empty service. It fails if
-// the service already holds requests (the ledger is the source of truth,
-// not a merge input), if IDs collide, or if any request references an
-// unknown status.
-func (s *Service) LoadRequests(r io.Reader) error {
-	var reqs []*Request
-	if err := json.NewDecoder(r).Decode(&reqs); err != nil {
-		return fmt.Errorf("recast: parsing request ledger: %w", err)
-	}
+// openJournal recovers the request ledger from path into an empty service
+// and journals every later mutation there.
+func (s *Service) openJournal(path string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.requests) > 0 {
 		return fmt.Errorf("recast: service already holds %d requests", len(s.requests))
 	}
-	maxID := 0
-	seen := make(map[string]bool, len(reqs))
-	for _, req := range reqs {
-		if req.ID == "" || seen[req.ID] {
-			return fmt.Errorf("recast: ledger has missing or duplicate ID %q", req.ID)
-		}
-		switch req.Status {
-		case StatusSubmitted, StatusApproved, StatusRejected, StatusDone, StatusFailed:
-		default:
-			return fmt.Errorf("recast: ledger request %s has unknown status %q", req.ID, req.Status)
-		}
-		seen[req.ID] = true
-		if n, ok := parseRequestID(req.ID); ok && n > maxID {
-			maxID = n
-		}
+	j, err := journal.Open(path, s.replayLocked)
+	if err != nil {
+		return fmt.Errorf("recast: request ledger: %w", err)
 	}
-	for _, req := range reqs {
-		cp := cloneRequest(req)
-		s.requests[cp.ID] = cp
-	}
-	s.nextID = maxID
+	s.journal, s.journalErr = j, nil
 	return nil
+}
+
+// replayLocked installs one replayed snapshot, superseding any earlier one
+// of the same request, and keeps the ID sequence ahead of every ID seen.
+func (s *Service) replayLocked(req Request) error {
+	if req.ID == "" {
+		return fmt.Errorf("recast: request without ID")
+	}
+	switch req.Status {
+	case StatusSubmitted, StatusApproved, StatusRejected, StatusDone, StatusFailed:
+	default:
+		return fmt.Errorf("recast: request %s has unknown status %q", req.ID, req.Status)
+	}
+	s.requests[req.ID] = &req
+	if n, ok := parseRequestID(req.ID); ok && n > s.nextID {
+		s.nextID = n
+	}
+	return nil
+}
+
+// closeJournal releases requests.log; mutations after it fail rather than
+// go unrecorded.
+func (s *Service) closeJournal() error {
+	s.mu.Lock()
+	j := s.journal
+	s.mu.Unlock()
+	if j == nil {
+		return nil
+	}
+	return j.Close()
+}
+
+// commitLocked journals a request's next snapshot and, once it is durable,
+// installs it — the ledger never acknowledges what is not on disk. Callers
+// hold s.mu and pass a snapshot nothing else references.
+func (s *Service) commitLocked(next *Request) error {
+	if s.journal != nil {
+		if err := s.journal.Append(next); err != nil {
+			if s.journalErr == nil {
+				s.journalErr = err
+			}
+			return fmt.Errorf("%w: %w", ErrJournal, err)
+		}
+	}
+	s.requests[next.ID] = next
+	return nil
+}
+
+// JournalErr returns the first request-journal write failure, if any —
+// what turns ServerStatus.JournalOK false.
+func (s *Service) JournalErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.journalErr
 }
 
 // parseRequestID extracts the sequence number from "req-NNNNNN".
@@ -72,115 +97,4 @@ func parseRequestID(id string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// Crash-safe journaling. The ledger dump above is a checkpoint: it
-// captures the service at one instant, and everything after is lost with
-// the process. The journal closes that gap — an append-only stream of
-// request snapshots, one JSON line per mutation (submit, approve, reject,
-// attempt, terminal transition). Replay is last-write-wins per request, so
-// a journal truncated mid-line by a crash still restores every completed
-// write, and requests that were approved but unfinished when the worker
-// pool died come back as in-flight work to re-enqueue.
-
-// AppendJournal writes one request snapshot as a journal line.
-func AppendJournal(w io.Writer, req *Request) error {
-	line, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	_, err = w.Write(line)
-	return err
-}
-
-// SetJournal installs an append-only journal sink: every subsequent
-// request mutation appends one snapshot line. Pass nil to stop journaling.
-// The caller owns the writer's durability (flushing, fsync).
-func (s *Service) SetJournal(w io.Writer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journal = w
-	s.journalErr = nil
-}
-
-// JournalErr returns the first journal write failure since SetJournal, if
-// any. Journaling is best-effort on the hot path; operators poll this.
-func (s *Service) JournalErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalErr
-}
-
-// appendJournalLocked journals one request mutation; callers hold s.mu.
-func (s *Service) appendJournalLocked(req *Request) {
-	if s.journal == nil {
-		return
-	}
-	if err := AppendJournal(s.journal, req); err != nil && s.journalErr == nil {
-		s.journalErr = err
-	}
-}
-
-// ReplayJournal restores a journal into an empty service and returns the
-// IDs that were still in flight (approved, not yet terminal) when the
-// journal ended — the work a restarted pool re-enqueues. A final line cut
-// short by the crash is tolerated; any other malformed input is an error.
-func (s *Service) ReplayJournal(r io.Reader) (inflight []string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.requests) > 0 {
-		return nil, fmt.Errorf("recast: service already holds %d requests", len(s.requests))
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	latest := make(map[string]*Request)
-	var lineNo int
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
-		if pendingErr != nil {
-			// A malformed line followed by more data is real corruption,
-			// not a crash-truncated tail.
-			return nil, pendingErr
-		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var req Request
-		if jerr := json.Unmarshal([]byte(line), &req); jerr != nil {
-			pendingErr = fmt.Errorf("recast: journal line %d: %w", lineNo, jerr)
-			continue
-		}
-		if req.ID == "" {
-			return nil, fmt.Errorf("recast: journal line %d: request without ID", lineNo)
-		}
-		switch req.Status {
-		case StatusSubmitted, StatusApproved, StatusRejected, StatusDone, StatusFailed:
-		default:
-			return nil, fmt.Errorf("recast: journal line %d: unknown status %q", lineNo, req.Status)
-		}
-		latest[req.ID] = &req
-	}
-	if serr := sc.Err(); serr != nil {
-		return nil, fmt.Errorf("recast: reading journal: %w", serr)
-	}
-	maxID := 0
-	ids := make([]string, 0, len(latest))
-	for id, req := range latest {
-		s.requests[id] = cloneRequest(req)
-		if n, ok := parseRequestID(id); ok && n > maxID {
-			maxID = n
-		}
-		ids = append(ids, id)
-	}
-	s.nextID = maxID
-	sort.Strings(ids)
-	for _, id := range ids {
-		if s.requests[id].Status == StatusApproved {
-			inflight = append(inflight, id)
-		}
-	}
-	return inflight, nil
 }

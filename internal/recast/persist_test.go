@@ -2,12 +2,20 @@ package recast
 
 import (
 	"bytes"
-	"strings"
+	"context"
+	"encoding/json"
+	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"daspos/internal/faults"
 )
 
 func TestLedgerRoundTrip(t *testing.T) {
+	cfg := ServerConfig{JournalDir: t.TempDir()}
 	svc := newFullSimService(t)
+	srv := serveService(t, svc, cfg)
 	// One request in each interesting state.
 	done, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "a", "", validModel())
 	_ = svc.Approve(done.ID)
@@ -17,18 +25,14 @@ func TestLedgerRoundTrip(t *testing.T) {
 	rejected, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "b", "", validModel())
 	_ = svc.Reject(rejected.ID, "duplicate of published limits")
 	pending, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "c", "", validModel())
-
-	var buf bytes.Buffer
-	if err := svc.DumpRequests(&buf); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh service after restart: the experiment re-subscribes, then
-	// loads the ledger.
+	// the front door replays the ledger.
 	restarted := newFullSimService(t)
-	if err := restarted.LoadRequests(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
+	serveService(t, restarted, cfg)
 	got, err := restarted.Get(done.ID)
 	if err != nil || got.Status != StatusDone || got.Result == nil {
 		t.Fatalf("done request after restart: %+v %v", got, err)
@@ -53,33 +57,184 @@ func TestLedgerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.ID == done.ID || fresh.ID == rejected.ID || fresh.ID == pending.ID {
-		t.Fatalf("ID collision after restart: %s", fresh.ID)
-	}
 	if fresh.ID != "req-000004" {
 		t.Fatalf("sequence not resumed: %s", fresh.ID)
 	}
 }
 
-func TestLoadRequestsValidation(t *testing.T) {
-	svc := newFullSimService(t)
-	if err := svc.LoadRequests(strings.NewReader("{bad")); err == nil {
-		t.Fatal("garbage ledger loaded")
+// TestRequestJournalReplayValidation pins what replay refuses: a record
+// without an ID or with a status the state machine does not know, and a
+// service that already holds requests. A repeated ID is not an error —
+// the journal is a stream of snapshots and the last one wins.
+func TestRequestJournalReplayValidation(t *testing.T) {
+	open := func(log string) (*Service, error) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "requests.log"), []byte(log), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		svc, _ := newStubService(t, nil)
+		srv, err := NewServer(context.Background(), svc, ServerConfig{JournalDir: dir})
+		if err == nil {
+			t.Cleanup(func() { srv.Close() })
+		}
+		return svc, err
 	}
-	if err := svc.LoadRequests(strings.NewReader(`[{"id":"req-000001","status":"warp"}]`)); err == nil {
-		t.Fatal("unknown status loaded")
+	if _, err := open(`{"id":"req-000001","status":"warp"}` + "\n"); err == nil {
+		t.Fatal("unknown status replayed")
 	}
-	if err := svc.LoadRequests(strings.NewReader(`[{"id":"","status":"submitted"}]`)); err == nil {
-		t.Fatal("empty ID loaded")
+	if _, err := open(`{"id":"","status":"submitted"}` + "\n"); err == nil {
+		t.Fatal("empty ID replayed")
 	}
-	if err := svc.LoadRequests(strings.NewReader(`[{"id":"req-000001","status":"submitted"},{"id":"req-000001","status":"submitted"}]`)); err == nil {
-		t.Fatal("duplicate IDs loaded")
-	}
-	// Non-empty service refuses a load.
-	if _, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", validModel()); err != nil {
+	svc, err := open(`{"id":"req-000007","status":"submitted"}` + "\n" + `{"id":"req-000007","status":"rejected","reason":"r"}` + "\n")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.LoadRequests(strings.NewReader(`[]`)); err == nil {
-		t.Fatal("load into non-empty service accepted")
+	if got := svc.List(); len(got) != 1 || got[0].Status != StatusRejected {
+		t.Fatalf("last snapshot did not win: %+v", got)
+	}
+	// A service that already holds requests refuses a second ledger.
+	if _, err := NewServer(context.Background(), svc, ServerConfig{JournalDir: t.TempDir()}); err == nil {
+		t.Fatal("ledger opened into a non-empty service")
+	}
+}
+
+// TestServerReopensAfterTornRequestLog is the regression test for the
+// concatenated-tail defect: requests.log used to be reopened for append
+// without cutting a torn final line away, so the next acknowledged
+// request was glued onto the partial one and the restart after that
+// failed on a corrupt line — every acknowledged request unreachable.
+func TestServerReopensAfterTornRequestLog(t *testing.T) {
+	cfg := ServerConfig{JournalDir: t.TempDir(), AutoApprove: true}
+	reopen := func() (*Server, *Service) {
+		svc, _ := newStubService(t, nil)
+		return serveService(t, svc, cfg), svc
+	}
+	srv, _ := reopen()
+	ids := submitAccepted(t, srv, 3)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The final record is ids[2]'s "approved" snapshot: the tear reverts
+	// that one request to submitted; every other record is untorn.
+	if err := faults.TearFinalRecord(filepath.Join(cfg.JournalDir, "requests.log")); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, _ = reopen()
+	for i := 0; i < 2; i++ {
+		w := postSubmit(t, srv.Handler(), "late", uint64(2000+i), "")
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("submit %d after the tear: %d %s", i, w.Code, w.Body)
+		}
+		var req Request
+		if err := json.Unmarshal(w.Body.Bytes(), &req); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, req.ID)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The third open is the one that used to fail on the glued line.
+	srv, svc := reopen()
+	srv.Start()
+	if got := len(svc.List()); got != len(ids) {
+		t.Fatalf("%d requests after the third open, want %d", got, len(ids))
+	}
+	for i, id := range ids {
+		if i == 2 {
+			// Its approval was the torn record: it is back to submitted,
+			// waiting for the experiment, not lost.
+			if req, err := svc.Get(id); err != nil || req.Status != StatusSubmitted {
+				t.Fatalf("torn approval: %+v %v, want submitted", req, err)
+			}
+			continue
+		}
+		if req := waitTerminal(t, svc, id); req.Status != StatusDone {
+			t.Fatalf("%s ended %s", id, req.Status)
+		}
+	}
+}
+
+// TestSubmitWithClosedJournalIsRefused: the ledger journals before it
+// applies, so a request that cannot reach the disk is neither
+// acknowledged nor remembered.
+func TestSubmitWithClosedJournalIsRefused(t *testing.T) {
+	srv, _ := newTestServer(t, ServerConfig{AutoApprove: true})
+	if err := srv.Service().closeJournal(); err != nil {
+		t.Fatal(err)
+	}
+	w := postSubmit(t, srv.Handler(), "alice", 1, "")
+	if w.Code < 500 {
+		t.Fatalf("submit with the request journal closed: %d %s, want 5xx", w.Code, w.Body)
+	}
+	if got := srv.Service().List(); len(got) != 0 {
+		t.Fatalf("unjournaled request kept in the ledger: %+v", got)
+	}
+	if srv.Status().JournalOK {
+		t.Fatal("status still reports the journal healthy")
+	}
+}
+
+// TestParentJournalsReopenUnchanged replays journals written by the commit
+// before the journals moved onto package journal — a `daspos-recast serve`
+// run with manual approvals, then an auto-approving run killed with
+// SIGKILL mid-request — and demands the state that commit itself
+// recovered from them (the *.golden.json files, dumped by its code).
+func TestParentJournalsReopenUnchanged(t *testing.T) {
+	src := filepath.Join("testdata", "parent_journals")
+	dir := t.TempDir()
+	for _, name := range []string{"requests.log", filepath.Join("queue", "queue.log")} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.TrimSpace(data)
+	}
+
+	svc, _ := newStubService(t, nil)
+	if err := svc.openJournal(filepath.Join(dir, "requests.log")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(svc.List(), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := golden("requests.golden.json"); !bytes.Equal(got, want) {
+		t.Fatalf("request ledger recovered from the parent's requests.log:\n%s\nwant:\n%s", got, want)
+	}
+	if err := svc.closeJournal(); err != nil {
+		t.Fatal(err)
+	}
+	q := openTestQueue(t, filepath.Join(dir, "queue"), nil)
+	if got, want := q.StateSnapshot(), golden("queue.golden.json"); !bytes.Equal(got, want) {
+		t.Fatalf("queue recovered from the parent's queue.log:\n%s\nwant:\n%s", got, want)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// And the front door serves from them: the two requests the SIGKILL
+	// left in flight complete.
+	served, _ := newStubService(t, nil)
+	srv := serveService(t, served, ServerConfig{JournalDir: dir})
+	srv.Start()
+	for _, id := range []string{"req-000006", "req-000007"} {
+		if req := waitTerminal(t, served, id); req.Status != StatusDone {
+			t.Fatalf("%s ended %s", id, req.Status)
+		}
 	}
 }

@@ -1,23 +1,22 @@
 package recast
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"daspos/internal/journal"
 )
 
 // PQueue is the crash-safe multi-tenant work queue behind the RECAST
-// front door. Accepted work lives in an append-only journal with the
-// same durability discipline as the checkpoint ledger: every mutation
-// (enqueue, claim, complete) is one fsynced JSON line, a crash-torn
-// final line is dropped and truncated away on reopen, and claimed-but-
-// unfinished entries are handed back to the queue on recovery — an
-// accepted request is never lost to a process death.
+// front door. Accepted work lives in a journal (package journal): every
+// mutation (enqueue, claim, complete) is one durable record, folded into
+// memory only after it is on disk, and claimed-but-unfinished entries
+// are handed back to the queue on recovery — an accepted request is
+// never lost to a process death.
 //
 // Scheduling is weighted fair queuing over tenants: each tenant carries
 // a virtual time that advances by 1/weight per claim, and Claim always
@@ -26,8 +25,7 @@ import (
 // everyone else's share is untouched.
 type PQueue struct {
 	ctx     context.Context
-	dir     string
-	journal *os.File
+	journal *journal.Journal
 
 	mu      sync.Mutex
 	entries map[string]*QueueEntry
@@ -36,7 +34,6 @@ type PQueue struct {
 	vtime   map[string]float64
 	weights map[string]float64
 	seq     uint64
-	kill    func(point string)
 
 	// ready pulses when work becomes claimable; workers select on it.
 	ready chan struct{}
@@ -90,22 +87,12 @@ type PQueueOptions struct {
 
 const queueJournalName = "queue.log"
 
-// OpenPQueue creates or recovers the queue journal in dir. Recovery
-// replays every durable line, truncates a crash-torn tail, and returns
+// OpenPQueue creates or recovers the queue journal in dir and returns
 // claimed-but-unfinished entries to the queue (their claimer died with
 // the process).
 func OpenPQueue(ctx context.Context, dir string, opt PQueueOptions) (*PQueue, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("recast: creating queue dir: %w", err)
-	}
-	path := filepath.Join(dir, queueJournalName)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("recast: reading queue journal: %w", err)
-	}
 	q := &PQueue{
 		ctx:     ctx,
-		dir:     dir,
 		entries: make(map[string]*QueueEntry),
 		pending: make(map[string][]string),
 		vtime:   make(map[string]float64),
@@ -117,25 +104,16 @@ func OpenPQueue(ctx context.Context, dir string, opt PQueueOptions) (*PQueue, er
 			q.weights[t] = w
 		}
 	}
-	valid, err := q.replay(data)
+	j, err := journal.Open(filepath.Join(dir, queueJournalName), q.applyLocked)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("recast: queue: %w", err)
 	}
-	if valid < int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, fmt.Errorf("recast: truncating torn queue journal: %w", err)
-		}
-	}
+	q.journal = j
 	// Orphaned claims: the worker died with the process. Hand the work
 	// back, preserving tenant FIFO order by seq. In-memory only — the
 	// journal already proves the entry was accepted, and the next claim
 	// re-journals its own line.
 	q.requeueOrphansLocked()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("recast: opening queue journal: %w", err)
-	}
-	q.journal = f
 	for _, ids := range q.pending {
 		if len(ids) > 0 {
 			q.signalLocked()
@@ -147,73 +125,23 @@ func OpenPQueue(ctx context.Context, dir string, opt PQueueOptions) (*PQueue, er
 
 // Close releases the journal handle; the directory stays valid for a
 // later OpenPQueue.
-func (q *PQueue) Close() error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.journal == nil {
-		return nil
-	}
-	err := q.journal.Close() //daspos:lock-ok — q.mu excludes in-flight appendLocked writers while the handle dies
-	q.journal = nil
-	return err
-}
+func (q *PQueue) Close() error { return q.journal.Close() }
 
 // JournalPath returns the journal file location — exposed for the chaos
 // tests that tear its final record.
-func (q *PQueue) JournalPath() string {
-	return filepath.Join(q.dir, queueJournalName)
-}
+func (q *PQueue) JournalPath() string { return q.journal.Path() }
 
-// SetKill installs the fault hook invoked at each instrumented
-// instruction of the append protocol ("queue.append", "queue.torn",
-// "queue.sync"). Chaos tests arm it with faults.Killer; production
-// leaves it nil.
-func (q *PQueue) SetKill(fn func(point string)) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.kill = fn
-}
-
-func (q *PQueue) killPoint(point string) {
-	if q.kill != nil {
-		q.kill(point)
-	}
-}
-
-// replay folds journal bytes into memory and returns the byte length of
-// the valid prefix (a partial final line is a crash tear; a malformed
-// complete line is corruption).
-func (q *PQueue) replay(data []byte) (int64, error) {
-	var offset int64
-	lineNo := 0
-	for int(offset) < len(data) {
-		nl := bytes.IndexByte(data[offset:], '\n')
-		if nl < 0 {
-			return offset, nil
-		}
-		lineNo++
-		line := bytes.TrimSpace(data[offset : offset+int64(nl)])
-		if len(line) > 0 {
-			var rec queueRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return 0, fmt.Errorf("recast: queue journal line %d corrupt: %w", lineNo, err)
-			}
-			if err := q.applyLocked(rec, lineNo); err != nil {
-				return 0, err
-			}
-		}
-		offset += int64(nl) + 1
-	}
-	return offset, nil
-}
+// SetKill installs the fault hook invoked at the journal's kill points.
+// Chaos tests arm it with faults.Killer; production leaves it nil.
+func (q *PQueue) SetKill(fn func(point string)) { q.journal.SetKill(fn) }
 
 // applyLocked folds one record into the state tables. Callers hold mu
 // (or, during Open, have exclusive access).
-func (q *PQueue) applyLocked(rec queueRecord, lineNo int) error {
+func (q *PQueue) applyLocked(rec queueRecord) error {
 	switch rec.Op {
 	case "enqueue":
 		if rec.Entry == nil || rec.Entry.ID == "" {
-			return fmt.Errorf("recast: queue journal line %d: enqueue without entry", lineNo)
+			return fmt.Errorf("recast: enqueue without entry")
 		}
 		e := *rec.Entry
 		e.State = EntryQueued
@@ -225,7 +153,7 @@ func (q *PQueue) applyLocked(rec queueRecord, lineNo int) error {
 	case "claim":
 		e, ok := q.entries[rec.ID]
 		if !ok {
-			return fmt.Errorf("recast: queue journal line %d: claim of unknown entry %s", lineNo, rec.ID)
+			return fmt.Errorf("recast: claim of unknown entry %s", rec.ID)
 		}
 		q.removePendingLocked(e)
 		// A repeated claim line means a crash orphaned the first claim
@@ -238,13 +166,13 @@ func (q *PQueue) applyLocked(rec queueRecord, lineNo int) error {
 	case "complete":
 		e, ok := q.entries[rec.ID]
 		if !ok {
-			return fmt.Errorf("recast: queue journal line %d: complete of unknown entry %s", lineNo, rec.ID)
+			return fmt.Errorf("recast: complete of unknown entry %s", rec.ID)
 		}
 		q.removePendingLocked(e)
 		e.State = rec.State
 		e.DedupOf = rec.DedupOf
 	default:
-		return fmt.Errorf("recast: queue journal line %d: unknown op %q", lineNo, rec.Op)
+		return fmt.Errorf("recast: unknown queue op %q", rec.Op)
 	}
 	return nil
 }
@@ -295,32 +223,13 @@ func (q *PQueue) requeueOrphansLocked() {
 	}
 }
 
-// appendLocked durably appends one journal line: write (split, so an
-// injected kill can model a torn record), fsync, then the in-memory
-// update — state never runs ahead of the disk.
-func (q *PQueue) appendLocked(rec queueRecord) error {
-	if q.journal == nil {
-		return fmt.Errorf("recast: queue is closed")
+// commitLocked journals one record and, once it is durable, folds it into
+// memory — state never runs ahead of the disk.
+func (q *PQueue) commitLocked(rec queueRecord) error {
+	if err := q.journal.Append(rec); err != nil {
+		return fmt.Errorf("recast: queue: %w", err)
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("recast: encoding queue record: %w", err)
-	}
-	line = append(line, '\n')
-	q.killPoint("queue.append")
-	half := len(line) / 2
-	if _, err := q.journal.Write(line[:half]); err != nil {
-		return fmt.Errorf("recast: queue journal append: %w", err)
-	}
-	q.killPoint("queue.torn")
-	if _, err := q.journal.Write(line[half:]); err != nil {
-		return fmt.Errorf("recast: queue journal append: %w", err)
-	}
-	q.killPoint("queue.sync")
-	if err := q.journal.Sync(); err != nil {
-		return fmt.Errorf("recast: queue journal fsync: %w", err)
-	}
-	return q.applyLocked(rec, -1)
+	return q.applyLocked(rec)
 }
 
 // Enqueue accepts one unit of work. Idempotent per ID: re-enqueueing an
@@ -339,7 +248,7 @@ func (q *PQueue) Enqueue(e QueueEntry) error {
 	q.seq++
 	e.Seq = q.seq
 	e.State = EntryQueued
-	if err := q.appendLocked(queueRecord{Op: "enqueue", ID: e.ID, Entry: &e}); err != nil {
+	if err := q.commitLocked(queueRecord{Op: "enqueue", ID: e.ID, Entry: &e}); err != nil {
 		return err
 	}
 	q.signalLocked()
@@ -379,7 +288,7 @@ func (q *PQueue) Claim() (e QueueEntry, ok bool, err error) {
 		return QueueEntry{}, false, nil
 	}
 	id := q.pending[tenant][0]
-	if err := q.appendLocked(queueRecord{Op: "claim", ID: id}); err != nil {
+	if err := q.commitLocked(queueRecord{Op: "claim", ID: id}); err != nil {
 		return QueueEntry{}, false, err
 	}
 	return *q.entries[id], true, nil
@@ -404,7 +313,7 @@ func (q *PQueue) Complete(id, state, dedupOf string) error {
 	if e.State != EntryQueued && e.State != EntryClaimed {
 		return nil
 	}
-	return q.appendLocked(queueRecord{Op: "complete", ID: id, State: state, DedupOf: dedupOf})
+	return q.commitLocked(queueRecord{Op: "complete", ID: id, State: state, DedupOf: dedupOf})
 }
 
 // Get returns a copy of an entry.

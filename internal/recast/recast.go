@@ -31,6 +31,7 @@ import (
 	"daspos/internal/detector"
 	"daspos/internal/eventflow"
 	"daspos/internal/generator"
+	"daspos/internal/journal"
 	"daspos/internal/leshouches"
 	"daspos/internal/rawdata"
 	"daspos/internal/reco"
@@ -217,6 +218,9 @@ var (
 	ErrNoAnalysis  = errors.New("recast: analysis not subscribed")
 	ErrNotApproved = errors.New("recast: request not approved")
 	ErrWrongState  = errors.New("recast: request in wrong state")
+	// ErrJournal wraps a request-journal write failure: the mutation was
+	// not applied, because it could not be made durable.
+	ErrJournal = errors.New("recast: request journal write failed")
 )
 
 // Service is the front-end state machine. Safe for concurrent use.
@@ -227,9 +231,10 @@ type Service struct {
 	subs     map[string]Subscription
 	requests map[string]*Request
 	nextID   int
-	// journal, when set, receives an append-only record of every request
-	// mutation (see persist.go); journalErr keeps the first write failure.
-	journal    io.Writer
+	// journal, once a Server opened it, records every request mutation
+	// before it is applied (see persist.go); journalErr keeps the first
+	// write failure.
+	journal    *journal.Journal
 	journalErr error
 }
 
@@ -290,17 +295,18 @@ func (s *Service) Submit(analysis, requester, motivation string, model ModelSpec
 	if _, ok := s.subs[analysis]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoAnalysis, analysis)
 	}
-	s.nextID++
 	req := &Request{
-		ID:         fmt.Sprintf("req-%06d", s.nextID),
+		ID:         fmt.Sprintf("req-%06d", s.nextID+1),
 		Analysis:   analysis,
 		Requester:  requester,
 		Motivation: motivation,
 		Model:      model,
 		Status:     StatusSubmitted,
 	}
-	s.requests[req.ID] = req
-	s.appendJournalLocked(req)
+	if err := s.commitLocked(req); err != nil {
+		return nil, err
+	}
+	s.nextID++
 	return cloneRequest(req), nil
 }
 
@@ -348,16 +354,16 @@ func (s *Service) transition(id string, from, to Status, reason string) error {
 	if req.Status != from {
 		return fmt.Errorf("%w: %s is %s", ErrWrongState, id, req.Status)
 	}
-	req.Status = to
-	req.Reason = reason
-	s.appendJournalLocked(req)
-	return nil
+	next := *req
+	next.Status, next.Reason = to, reason
+	return s.commitLocked(&next)
 }
 
 // gateError reports whether the error is a front-door rejection (missing
-// or not-approved request) rather than a back-end failure.
+// or not-approved request, or a ledger that cannot record the outcome)
+// rather than a back-end failure: the request stays as it was.
 func gateError(err error) bool {
-	return errors.Is(err, ErrNoRequest) || errors.Is(err, ErrNotApproved)
+	return errors.Is(err, ErrNoRequest) || errors.Is(err, ErrNotApproved) || errors.Is(err, ErrJournal)
 }
 
 // processOnce runs one back-end attempt for an approved request and
@@ -384,13 +390,17 @@ func (s *Service) processOnce(ctx context.Context, id string) (*Result, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	at := Attempt{N: len(req.Attempts) + 1}
+	next := *s.requests[id]
+	at := Attempt{N: len(next.Attempts) + 1}
 	if err != nil {
 		at.Error = err.Error()
 		at.Class = resilience.Classify(err).String()
 	}
-	req.Attempts = append(req.Attempts, at)
-	s.appendJournalLocked(req)
+	// A fresh slice: the snapshot being replaced keeps its own history.
+	next.Attempts = append(append([]Attempt(nil), next.Attempts...), at)
+	if jerr := s.commitLocked(&next); jerr != nil {
+		return nil, jerr
+	}
 	return res, err
 }
 
@@ -402,22 +412,22 @@ func (s *Service) finish(id string, res *Result, err error) (*Request, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoRequest, id)
 	}
+	next := *req
 	if err != nil {
-		req.Status = StatusFailed
-		req.Reason = err.Error()
-		s.appendJournalLocked(req)
-		return cloneRequest(req), err
+		next.Status, next.Reason = StatusFailed, err.Error()
+	} else {
+		next.Status, next.Result = StatusDone, res
 	}
-	req.Status = StatusDone
-	req.Result = res
-	s.appendJournalLocked(req)
-	return cloneRequest(req), nil
+	if jerr := s.commitLocked(&next); jerr != nil {
+		return nil, jerr
+	}
+	return cloneRequest(&next), err
 }
 
 // Process runs the back end once for an approved request and stores the
-// result; any failure is terminal. Processing is synchronous; the HTTP
-// layer exposes it behind the experiment role, and the Queue type runs it
-// from workers (with a retry policy — see ProcessWithPolicy).
+// result; any failure is terminal. Processing is synchronous — the
+// in-process path of the demo and the mass scan; the Server's workers
+// run ProcessWithPolicy.
 func (s *Service) Process(id string) (*Request, error) {
 	res, err := s.processOnce(context.Background(), id)
 	if err != nil && gateError(err) {
@@ -482,11 +492,12 @@ func (s *Service) CompleteFromArchive(id, primaryID string) (*Request, error) {
 	}
 	rc := *primary.Result
 	rc.CutFlow = append([]int(nil), primary.Result.CutFlow...)
-	req.Status = StatusDone
-	req.Result = &rc
-	req.DedupOf = primaryID
-	s.appendJournalLocked(req)
-	return cloneRequest(req), nil
+	next := *req
+	next.Status, next.Result, next.DedupOf = StatusDone, &rc, primaryID
+	if err := s.commitLocked(&next); err != nil {
+		return nil, err
+	}
+	return cloneRequest(&next), nil
 }
 
 // Expire dead-letters an approved request whose deadline passed before a

@@ -1,9 +1,13 @@
 package recast
 
 import (
+	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"daspos/internal/conditions"
 	"daspos/internal/datamodel"
@@ -192,13 +196,20 @@ func TestFullSimAcceptanceScalesWithMass(t *testing.T) {
 	}
 }
 
-func TestHTTPRoundTrip(t *testing.T) {
-	svc := newFullSimService(t)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+// serveHTTP puts svc behind the one front door — a Server over a journal
+// directory, workers running — and returns it with a requester's and the
+// experiment's client.
+func serveHTTP(t *testing.T, svc *Service, cfg ServerConfig) (srv *Server, theorist, experiment *Client) {
+	t.Helper()
+	srv = serveService(t, svc, cfg)
+	srv.Start()
+	hts := httptest.NewServer(srv.Handler())
+	t.Cleanup(hts.Close)
+	return srv, &Client{BaseURL: hts.URL}, &Client{BaseURL: hts.URL, Experiment: true}
+}
 
-	theorist := &Client{BaseURL: srv.URL}
-	experiment := &Client{BaseURL: srv.URL, Experiment: true}
+func TestHTTPRoundTrip(t *testing.T) {
+	srv, theorist, experiment := serveHTTP(t, newFullSimService(t), ServerConfig{})
 
 	infos, err := theorist.Analyses()
 	if err != nil || len(infos) != 1 {
@@ -212,13 +223,14 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if err := theorist.Approve(req.ID); err == nil || !strings.Contains(err.Error(), "experiment role") {
 		t.Fatalf("role gate breached: %v", err)
 	}
+	// Approval is what queues the work; nothing ran before it.
+	if got, _ := theorist.Get(req.ID); got.Status != StatusSubmitted {
+		t.Fatalf("unapproved request is %s", got.Status)
+	}
 	if err := experiment.Approve(req.ID); err != nil {
 		t.Fatal(err)
 	}
-	done, err := experiment.ProcessRequest(req.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	done := waitTerminal(t, srv.Service(), req.ID)
 	if done.Status != StatusDone || done.Result == nil {
 		t.Fatalf("done: %+v", done)
 	}
@@ -228,61 +240,100 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if polled.Result.Acceptance != done.Result.Acceptance {
-		t.Fatal("result mismatch between poll and process")
+		t.Fatal("result mismatch between poll and ledger")
 	}
 }
 
+// TestHTTPErrors pins the status code of every way a call can be wrong:
+// unknown request 404, a transition the state forbids 409, a bad
+// submission 400, the wrong role 403, a ledger that cannot record 500.
 func TestHTTPErrors(t *testing.T) {
-	svc := newFullSimService(t)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	c := &Client{BaseURL: srv.URL, Experiment: true}
-	if _, err := c.Get("req-000042"); err == nil {
-		t.Fatal("phantom request fetched")
+	srv, theorist, experiment := serveHTTP(t, newFullSimService(t), ServerConfig{})
+	pending, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := c.Approve("req-000042"); err == nil {
-		t.Fatal("phantom approval")
+	rejected, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.Submit("GHOST", "x", "", validModel()); err == nil {
-		t.Fatal("unsubscribed submit accepted")
+	if err := experiment.Reject(rejected.ID, "covered"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.ProcessRequest("req-000042"); err == nil {
-		t.Fatal("phantom process")
+	cases := []struct {
+		name string
+		call func() error
+		want int
+	}{
+		{"get unknown", func() error { _, err := theorist.Get("req-000042"); return err }, http.StatusNotFound},
+		{"approve unknown", func() error { return experiment.Approve("req-000042") }, http.StatusNotFound},
+		{"reject unknown", func() error { return experiment.Reject("req-000042", "") }, http.StatusNotFound},
+		{"approve rejected", func() error { return experiment.Approve(rejected.ID) }, http.StatusConflict},
+		{"reject rejected", func() error { return experiment.Reject(rejected.ID, "again") }, http.StatusConflict},
+		{"approve without role", func() error { return theorist.Approve(pending.ID) }, http.StatusForbidden},
+		{"submit unsubscribed", func() error { _, err := theorist.Submit("GHOST", "x", "", validModel()); return err }, http.StatusBadRequest},
+		{"process is not a route", func() error {
+			return experiment.do(context.Background(), http.MethodPost, "/requests/"+pending.ID+"/process", nil, nil)
+		}, http.StatusNotFound},
+		// Last: closing the request journal makes every mutation a 500.
+		{"approve unrecordable", func() error {
+			if err := srv.Service().closeJournal(); err != nil {
+				t.Fatal(err)
+			}
+			return experiment.Approve(pending.ID)
+		}, http.StatusInternalServerError},
+		{"reject unrecordable", func() error { return experiment.Reject(pending.ID, "") }, http.StatusInternalServerError},
+	}
+	for _, tc := range cases {
+		err := tc.call()
+		var herr *HTTPError
+		if !errors.As(err, &herr) || herr.Status != tc.want {
+			t.Errorf("%s: %v, want HTTP %d", tc.name, err, tc.want)
+		}
+	}
+	if got, _ := srv.Service().Get(pending.ID); got.Status != StatusSubmitted {
+		t.Fatalf("unrecordable transitions moved the request to %s", got.Status)
 	}
 }
 
 func TestQueueProcessesApprovedRequests(t *testing.T) {
-	svc := newFullSimService(t)
-	q := NewQueue(svc, 2)
+	srv, theorist, experiment := serveHTTP(t, newFullSimService(t), ServerConfig{Workers: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
 		m := validModel()
 		m.Seed = uint64(i)
 		m.Events = 15
-		req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", m)
+		req, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.Approve(req.ID); err != nil {
+		if err := experiment.Approve(req.ID); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, req.ID)
-		if !q.Enqueue(req.ID) {
-			t.Fatal("enqueue refused")
-		}
 	}
-	errs := q.Wait()
 	for _, id := range ids {
-		if errs[id] != nil {
-			t.Fatalf("request %s failed: %v", id, errs[id])
-		}
-		got, _ := svc.Get(id)
-		if got.Status != StatusDone {
-			t.Fatalf("request %s status %s", id, got.Status)
+		if got := waitTerminal(t, srv.Service(), id); got.Status != StatusDone {
+			t.Fatalf("request %s ended %s: %s", id, got.Status, got.Reason)
 		}
 	}
-	if q.Enqueue("late") {
-		t.Fatal("enqueue after Wait accepted")
+	// The queue closes each entry just after the ledger records the result.
+	for deadline := time.Now().Add(5 * time.Second); srv.Queue().Stats().Terminal != len(ids); {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never closed out its entries: %+v", srv.Queue().Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A closed front door takes no more work.
+	late, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := experiment.Approve(late.ID); err == nil {
+		t.Fatal("approval after Close accepted")
 	}
 }
 

@@ -3,9 +3,9 @@ package recast
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -22,8 +22,8 @@ import (
 // keyed by (model, chain config), and a breaker-gated back end whose
 // brown-outs degrade intake instead of collapsing it.
 //
-// Two journals make acceptance durable: requests.log (request snapshots,
-// fsynced per line) records what each request *is*, and queue/queue.log
+// Two journals (package journal) make acceptance durable: requests.log
+// (request snapshots) records what each request *is*, and queue/queue.log
 // records what the scheduler owes. Recovery replays both and reconciles:
 // approved requests missing from the queue are re-enqueued, queue
 // entries whose request already finished are closed out. An accepted
@@ -38,8 +38,6 @@ type Server struct {
 	wg      sync.WaitGroup
 	breaker *resilience.Breaker
 	now     func() time.Time
-
-	reqLog *syncWriter
 
 	mu      sync.Mutex
 	buckets map[string]*resilience.TokenBucket
@@ -90,6 +88,18 @@ type ServerConfig struct {
 	Now func() time.Time
 }
 
+// DefaultQueuePolicy is the per-request retry schedule the workers run
+// under: a few capped, jittered attempts. Only transient failures retry;
+// physics or validation errors dead-letter on the first strike.
+func DefaultQueuePolicy() resilience.Policy {
+	return resilience.Policy{
+		MaxAttempts: 4,
+		BaseDelay:   10 * time.Millisecond,
+		MaxDelay:    500 * time.Millisecond,
+		Jitter:      0.2,
+	}
+}
+
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Workers < 1 {
 		c.Workers = 2
@@ -126,29 +136,6 @@ type TenantStatus struct {
 // HTTP hop, as relative milliseconds (clock-skew tolerant).
 const BudgetHeader = "X-Recast-Budget-Ms"
 
-// syncWriter appends to a file with an fsync per write, so the request
-// journal can never lag the queue journal across a crash.
-type syncWriter struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-func (w *syncWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n, err := w.f.Write(p) //daspos:lock-ok — write-ahead journal: the record must be durable before the next writer interleaves
-	if err != nil {
-		return n, err
-	}
-	return n, w.f.Sync() //daspos:lock-ok — the fsync is the write barrier the journal exists for; convoying here is the contract
-}
-
-func (w *syncWriter) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close() //daspos:lock-ok — w.mu excludes concurrent Writes while the handle dies
-}
-
 // NewServer builds the front door over a prepared Service (subscriptions
 // registered, no requests yet), recovering both journals from
 // cfg.JournalDir and reconciling them. Start launches the workers.
@@ -157,33 +144,13 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 	if cfg.JournalDir == "" {
 		return nil, fmt.Errorf("recast: server needs a journal directory")
 	}
-	if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
-		return nil, fmt.Errorf("recast: creating journal dir: %w", err)
+	if err := svc.openJournal(filepath.Join(cfg.JournalDir, "requests.log")); err != nil {
+		return nil, err
 	}
-
-	// Recover the request ledger: replay, then reattach as the journal
-	// sink (fsync per line) so new mutations append durably.
-	reqPath := filepath.Join(cfg.JournalDir, "requests.log")
-	if f, err := os.Open(reqPath); err == nil {
-		_, rerr := svc.ReplayJournal(f)
-		f.Close() //daspos:close-ok — read-only replay handle, nothing buffered
-		if rerr != nil {
-			return nil, fmt.Errorf("recast: replaying request journal: %w", rerr)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("recast: opening request journal: %w", err)
-	}
-	rf, err := os.OpenFile(reqPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("recast: opening request journal for append: %w", err)
-	}
-	reqLog := &syncWriter{f: rf}
-	svc.SetJournal(reqLog)
-
 	pq, err := OpenPQueue(ctx, filepath.Join(cfg.JournalDir, "queue"),
 		PQueueOptions{Weights: cfg.TenantWeights})
 	if err != nil {
-		reqLog.Close() //daspos:close-ok — error path, the open error wins
+		svc.closeJournal()
 		return nil, err
 	}
 
@@ -193,7 +160,6 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 		ctx: sctx, cancel: cancel,
 		breaker:   resilience.NewBreaker(cfg.Breaker),
 		now:       cfg.Now,
-		reqLog:    reqLog,
 		buckets:   make(map[string]*resilience.TokenBucket),
 		dedupDone: make(map[string]string),
 		tenants:   make(map[string]*TenantStatus),
@@ -212,9 +178,7 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 		s.breaker = svc.backend.(*GatedBackend).Breaker
 	}
 	if err := s.reconcile(); err != nil {
-		s.pq.Close()
-		reqLog.Close() //daspos:close-ok — error path, the reconcile error wins
-		cancel()
+		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -293,8 +257,7 @@ func (s *Server) Close() error {
 	s.cancel()
 	s.wg.Wait()
 	err := s.pq.Close()
-	s.svc.SetJournal(nil)
-	if cerr := s.reqLog.Close(); err == nil {
+	if cerr := s.svc.closeJournal(); err == nil {
 		err = cerr
 	}
 	return err
@@ -400,9 +363,10 @@ func (s *Server) handle(e QueueEntry) {
 		s.mu.Lock()
 		s.failed++
 		s.mu.Unlock()
-	case s.ctx.Err() != nil:
-		// Shutdown: the claim stays open in the journal; recovery hands
-		// the entry back to the queue.
+	case s.ctx.Err() != nil, errors.Is(err, ErrJournal):
+		// Shutdown, or a request ledger that cannot record the outcome:
+		// the claim stays open in the journal; recovery hands the entry
+		// back to the queue.
 		return
 	case ctx.Err() != nil:
 		// The request's own deadline died mid-processing.
@@ -419,8 +383,11 @@ func (s *Server) handle(e QueueEntry) {
 
 func (s *Server) expire(id, reason string) {
 	// The request may legitimately be past "approved" (a dedup race);
-	// Expire's state check keeps the ledger honest either way.
-	_ = s.svc.Expire(id, reason)
+	// Expire's state check keeps the ledger honest either way. Only an
+	// expiry the ledger could not record leaves the claim open.
+	if err := s.svc.Expire(id, reason); errors.Is(err, ErrJournal) {
+		return
+	}
 	s.completeEntry(id, EntryExpired, "")
 	s.mu.Lock()
 	s.expired++
@@ -537,9 +504,17 @@ func (s *Server) admit(tenant string, budget time.Duration) *admissionError {
 	return nil
 }
 
-// Handler returns the multi-tenant front end: the Service's routes with
-// the submission path behind admission control, enqueueing into the
-// fair queue, plus GET /status.
+// Handler returns the front end — the one way into the service over HTTP:
+//
+//	GET  /analyses                  public catalogue
+//	POST /requests                  submit {analysis, requester, motivation, model};
+//	                                behind admission control, 202 when auto-approved
+//	GET  /requests/{id}             request status and (when done) result
+//	GET  /status                    queue, breaker and per-tenant census
+//	POST /requests/{id}/approve     experiment role; enqueues the work
+//	POST /requests/{id}/reject      experiment role, body {reason}
+//
+// Processing is never a route: approved work runs from the fair queue.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /analyses", s.svc.handleAnalyses)
@@ -601,7 +576,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	req, err := s.svc.Submit(body.Analysis, body.Requester, body.Motivation, body.Model)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		code := http.StatusBadRequest
+		if errors.Is(err, ErrJournal) {
+			code = http.StatusInternalServerError
+		}
+		httpError(w, code, err.Error())
 		return
 	}
 	s.mu.Lock()

@@ -37,6 +37,13 @@ func (c *serverClock) advance(d time.Duration) {
 func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *flakyStub) {
 	t.Helper()
 	svc, stub := newStubService(t, nil)
+	return serveService(t, svc, cfg), stub
+}
+
+// serveService opens a Server over svc, journaling to cfg.JournalDir (a
+// fresh temp directory when empty) under the sleepless retry policy.
+func serveService(t *testing.T, svc *Service, cfg ServerConfig) *Server {
+	t.Helper()
 	if cfg.JournalDir == "" {
 		cfg.JournalDir = t.TempDir()
 	}
@@ -48,7 +55,7 @@ func newTestServer(t *testing.T, cfg ServerConfig) (*Server, *flakyStub) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv, stub
+	return srv
 }
 
 func postSubmit(t *testing.T, h http.Handler, tenant string, seed uint64, budget string) *httptest.ResponseRecorder {
