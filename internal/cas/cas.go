@@ -257,59 +257,6 @@ func EncodeBlob(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBlob decodes a marker-framed stored blob and fixity-checks the
-// payload against its content address, returning the logical bytes. It is
-// the single verification primitive every trust boundary shares: the local
-// Store on read, a storage node on ingest (rejecting corrupt-on-the-wire
-// writes), and a cluster client on replica reads (so one lying replica
-// cannot poison a quorum).
-func DecodeBlob(digest string, comp []byte) ([]byte, error) {
-	if len(comp) == 0 {
-		return nil, &CorruptError{Digest: digest, Expected: digest, Cause: fmt.Errorf("empty stored blob")}
-	}
-	var data []byte
-	var derr error
-	if comp[0] == blobChunked {
-		data, derr = decodeChunked(comp[1:])
-	} else {
-		data, derr = decodeFramed(comp)
-	}
-	if derr != nil {
-		return nil, &CorruptError{Digest: digest, Expected: digest, Cause: derr}
-	}
-	if actual := Digest(data); actual != digest {
-		return nil, &CorruptError{Digest: digest, Expected: digest, Actual: actual}
-	}
-	return data, nil
-}
-
-// decodeFramed decodes a flat (raw or deflate) marker-framed blob without
-// any fixity check — the shared inner decode for DecodeBlob and for each
-// chunk of the chunked form.
-func decodeFramed(comp []byte) ([]byte, error) {
-	if len(comp) == 0 {
-		return nil, fmt.Errorf("empty stored blob")
-	}
-	switch comp[0] {
-	case blobRaw:
-		// Copy: backends may return their stored slice, and callers own
-		// the payload they get back.
-		return append([]byte(nil), comp[1:]...), nil
-	case blobDeflate:
-		zr := flate.NewReader(bytes.NewReader(comp[1:]))
-		data, derr := io.ReadAll(zr)
-		if derr != nil {
-			return nil, derr
-		}
-		if cerr := zr.Close(); cerr != nil {
-			return nil, cerr
-		}
-		return data, nil
-	default:
-		return nil, fmt.Errorf("unknown blob encoding 0x%02x", comp[0])
-	}
-}
-
 // decodeVerified decodes the marker-framed blob and fixity-checks one
 // backend read.
 func decodeVerified(b Backend, digest string) (data, comp []byte, logical int64, err error) {
@@ -355,6 +302,16 @@ func (s *Store) Get(digest string) ([]byte, error) {
 func (s *Store) GetPrimary(digest string) ([]byte, error) {
 	data, _, _, err := decodeVerified(s.backend, digest)
 	return data, err
+}
+
+// verifyPrimary is GetPrimary for an audit: the verdict without the payload.
+func (s *Store) verifyPrimary(digest string) error {
+	comp, _, err := s.backend.GetBlob(digest)
+	if err != nil {
+		return err
+	}
+	_, err = VerifyBlob(digest, comp)
+	return err
 }
 
 // Has reports whether the digest is stored in the primary.
@@ -418,7 +375,7 @@ func (s *Store) VerifyAllWorkers(workers int) []string {
 	if workers <= 1 {
 		var bad []string
 		for _, d := range digests {
-			if _, err := s.GetPrimary(d); err != nil {
+			if s.verifyPrimary(d) != nil {
 				bad = append(bad, d)
 			}
 		}
@@ -435,7 +392,7 @@ func (s *Store) VerifyAllWorkers(workers int) []string {
 		go func() {
 			defer wg.Done()
 			for d := range next {
-				if _, err := s.GetPrimary(d); err != nil {
+				if s.verifyPrimary(d) != nil {
 					mu.Lock()
 					bad = append(bad, d)
 					mu.Unlock()

@@ -1,7 +1,6 @@
 package cas
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -138,69 +137,4 @@ func encodeChunked(data []byte, workers int) ([]byte, error) {
 		out = append(out, encs[i].blob...)
 	}
 	return out, nil
-}
-
-// decodeChunked reassembles a chunked stored body (the bytes after the
-// marker), verifying each chunk against its recorded digest. The caller
-// (DecodeBlob) still fixity-checks the reassembled payload against the
-// logical address, so a forged-but-consistent chunk list cannot spoof a
-// blob.
-func decodeChunked(body []byte) ([]byte, error) {
-	rd := bytes.NewReader(body)
-	logical, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("chunked header: %w", err)
-	}
-	cs, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("chunked header: %w", err)
-	}
-	nChunks, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("chunked header: %w", err)
-	}
-	if cs == 0 || nChunks == 0 || logical > uint64(len(body))*64+uint64(cs)*nChunks {
-		return nil, fmt.Errorf("chunked header implausible: logical=%d chunkSize=%d chunks=%d", logical, cs, nChunks)
-	}
-	if want := (logical + cs - 1) / cs; want != nChunks {
-		return nil, fmt.Errorf("chunked header inconsistent: %d bytes in %d-byte chunks needs %d chunks, header says %d",
-			logical, cs, want, nChunks)
-	}
-
-	payload := make([]byte, 0, logical)
-	var sum [sha256.Size]byte
-	for i := uint64(0); i < nChunks; i++ {
-		pos := len(body) - rd.Len()
-		if rd.Len() < sha256.Size {
-			return nil, fmt.Errorf("chunk %d: truncated digest", i)
-		}
-		copy(sum[:], body[pos:pos+sha256.Size])
-		rd.Seek(int64(sha256.Size), 1)
-		encLen, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, fmt.Errorf("chunk %d: length: %w", i, err)
-		}
-		pos = len(body) - rd.Len()
-		if uint64(rd.Len()) < encLen {
-			return nil, fmt.Errorf("chunk %d: truncated body (%d of %d bytes)", i, rd.Len(), encLen)
-		}
-		enc := body[pos : pos+int(encLen)]
-		rd.Seek(int64(encLen), 1)
-
-		chunk, err := decodeFramed(enc)
-		if err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", i, err)
-		}
-		if got := sha256.Sum256(chunk); got != sum {
-			return nil, fmt.Errorf("chunk %d: content hashes to %x, recorded %x", i, got, sum)
-		}
-		payload = append(payload, chunk...)
-	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("chunked blob has %d trailing bytes", rd.Len())
-	}
-	if uint64(len(payload)) != logical {
-		return nil, fmt.Errorf("chunked blob reassembles to %d bytes, header says %d", len(payload), logical)
-	}
-	return payload, nil
 }

@@ -1,0 +1,516 @@
+package cas
+
+import (
+	"bytes"
+	"compress/flate"
+	"fmt"
+	"io"
+	"math/bits"
+	"math/rand"
+	"testing"
+
+	"daspos/internal/conditions"
+	"daspos/internal/datamodel"
+	"daspos/internal/detector"
+	"daspos/internal/generator"
+	"daspos/internal/rawdata"
+	"daspos/internal/reco"
+	"daspos/internal/sim"
+)
+
+// The kernel's tests are differential: compress/flate's decoder is the
+// reference, and the kernel must agree with it on every input — error
+// versus success, every output byte, and how much trailing input is
+// ignored.
+
+// bitWriter packs a DEFLATE stream by hand, for streams no encoder emits.
+type bitWriter struct {
+	out []byte
+	n   uint // bits used in the last byte
+}
+
+// bits appends the low n bits of v, least significant first (header fields
+// and extra bits).
+func (w *bitWriter) bits(v uint32, n uint) {
+	for i := uint(0); i < n; i++ {
+		if w.n == 0 {
+			w.out = append(w.out, 0)
+		}
+		w.out[len(w.out)-1] |= byte(v>>i&1) << w.n
+		w.n = (w.n + 1) & 7
+	}
+}
+
+// code appends an n-bit Huffman code, most significant bit first.
+func (w *bitWriter) code(c uint32, n uint) {
+	w.bits(uint32(bits.Reverse32(c)>>(32-n)), n)
+}
+
+// canonical assigns canonical Huffman codes to a list of code lengths.
+func canonical(lens []uint8) []uint32 {
+	var count, next [17]uint32
+	for _, l := range lens {
+		count[l]++
+	}
+	count[0] = 0
+	code := uint32(0)
+	for l := 1; l <= 15; l++ {
+		code = (code + count[l-1]) << 1
+		next[l] = code
+	}
+	codes := make([]uint32, len(lens))
+	for s, l := range lens {
+		if l != 0 {
+			codes[s] = next[l]
+			next[l]++
+		}
+	}
+	return codes
+}
+
+// testPreLens is a complete code over all 19 code-length symbols, so a
+// test can spell any sequence of lengths and repeats: 13 codes of four
+// bits, six of five.
+var testPreLens = func() []uint8 {
+	l := make([]uint8, 19)
+	for s := range l {
+		l[s] = 4
+		if s >= 13 {
+			l[s] = 5
+		}
+	}
+	return l
+}()
+
+// dynamicHeader starts a final dynamic block whose literal/length and
+// distance code lengths are spelled out one by one (no repeat codes), and
+// returns the two codes for the caller to write symbols with.
+func (w *bitWriter) dynamicHeader(litLens, distLens []uint8) (lit, dist []uint32) {
+	w.bits(1, 1) // final
+	w.bits(2, 2) // dynamic
+	w.bits(uint32(len(litLens)-257), 5)
+	w.bits(uint32(len(distLens)-1), 5)
+	w.bits(19-4, 4)
+	for _, s := range codeOrder {
+		w.bits(uint32(testPreLens[s]), 3)
+	}
+	pre := canonical(testPreLens)
+	for _, l := range append(append([]uint8(nil), litLens...), distLens...) {
+		w.code(pre[l], uint(testPreLens[l]))
+	}
+	return canonical(litLens), canonical(distLens)
+}
+
+// fixedLit writes one literal/length symbol of the fixed code.
+func (w *bitWriter) fixedLit(s uint32) {
+	switch {
+	case s < 144:
+		w.code(0x30+s, 8)
+	case s < 256:
+		w.code(0x190+s-144, 9)
+	case s < 280:
+		w.code(s-256, 7)
+	default:
+		w.code(0xc0+s-280, 8)
+	}
+}
+
+func deflateAt(t testing.TB, level int, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, err := flate.NewWriter(&buf, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// litLensFor returns nlit literal/length code lengths, zero but for the
+// given symbol:length pairs.
+func litLensFor(nlit int, pairs ...int) []uint8 {
+	l := make([]uint8, nlit)
+	for i := 0; i < len(pairs); i += 2 {
+		l[pairs[i]] = uint8(pairs[i+1])
+	}
+	return l
+}
+
+// namedStreams are the hand-built corner cases, valid and invalid; the
+// reference decides which is which.
+func namedStreams(t testing.TB) map[string][]byte {
+	text := bytes.Repeat([]byte("selection muon electron jet vertex trigger 12345\n"), 40)
+	m := map[string][]byte{
+		"empty-input":         {},
+		"stored":              deflateAt(t, flate.NoCompression, text),
+		"stored-empty":        deflateAt(t, flate.NoCompression, nil),
+		"huffman-only":        deflateAt(t, flate.HuffmanOnly, text),
+		"dynamic":             deflateAt(t, flate.BestCompression, text),
+		"fixed":               deflateAt(t, flate.BestSpeed, []byte("abcabcabcabc")),
+		"reserved-blocktype":  {0x07},
+		"stored-len-mismatch": {0x01, 0x05, 0x00, 0x00, 0x00, 'h', 'e', 'l', 'l', 'o'},
+		"stored-truncated":    {0x01, 0x05, 0x00, 0xfa, 0xff, 'h', 'e'},
+	}
+
+	// Fixed block: 'a', then a match of length 3 at the given distance.
+	fixedMatch := func(dist uint32) []byte {
+		var w bitWriter
+		w.bits(1, 1)
+		w.bits(1, 2)
+		w.fixedLit('a')
+		w.fixedLit(257)   // length 3
+		w.code(dist-1, 5) // distances 1..4 are symbols 0..3
+		w.fixedLit(256)
+		return w.out
+	}
+	m["fixed-overlapping-match"] = fixedMatch(1)
+	m["distance-one-past-start"] = fixedMatch(2)
+	for _, s := range []uint32{286, 287} {
+		var w bitWriter
+		w.bits(1, 1)
+		w.bits(1, 2)
+		w.fixedLit(s)
+		w.code(0, 5)
+		w.fixedLit(256)
+		m[fmt.Sprintf("fixed-length-symbol-%d", s)] = w.out
+	}
+	for _, s := range []uint32{30, 31} {
+		var w bitWriter
+		w.bits(1, 1)
+		w.bits(1, 2)
+		w.fixedLit('a')
+		w.fixedLit(257)
+		w.code(s, 5)
+		w.fixedLit(256)
+		m[fmt.Sprintf("fixed-distance-symbol-%d", s)] = w.out
+	}
+
+	// A distance tree of one one-bit code: zlib and compress/flate accept
+	// it, and the bit pattern it does not own is an error only when used.
+	for name, distBit := range map[string]uint32{"single-code-distance-tree": 0, "single-code-distance-tree-unowned": 1} {
+		var w bitWriter
+		lit, _ := w.dynamicHeader(litLensFor(258, 'a', 2, 256, 2, 257, 1), []uint8{1})
+		w.code(lit['a'], 2)
+		w.code(lit[257], 1)
+		w.bits(distBit, 1)
+		w.code(lit[256], 2)
+		m[name] = w.out
+	}
+	{
+		// The same degenerate shape for the literal/length tree: only an
+		// end-of-block code.
+		var w bitWriter
+		w.dynamicHeader(litLensFor(257, 256, 1), []uint8{0})
+		w.bits(0, 1)
+		m["single-code-literal-tree"] = w.out
+	}
+	{
+		var w bitWriter
+		w.dynamicHeader(litLensFor(257), []uint8{0})
+		w.bits(0, 8)
+		m["empty-literal-tree"] = w.out
+	}
+	{
+		var w bitWriter
+		lit, _ := w.dynamicHeader(litLensFor(257, 'a', 1, 'b', 1), []uint8{0})
+		for i := 0; i < 64; i++ {
+			w.code(lit['a'+uint32(i&1)], 1)
+		}
+		m["no-end-of-block-code"] = w.out
+	}
+	{
+		var w bitWriter
+		w.dynamicHeader(litLensFor(257, 'a', 1, 'b', 1, 256, 1), []uint8{0})
+		w.bits(0, 8)
+		m["oversubscribed-literal-tree"] = w.out
+	}
+	{
+		var w bitWriter
+		w.dynamicHeader(litLensFor(257, 'a', 2, 256, 2), []uint8{0})
+		w.bits(0, 8)
+		m["incomplete-literal-tree"] = w.out
+	}
+	{
+		// Codes of every length up to 15, so both tables need sub-tables.
+		lens := litLensFor(286, 256, 15, 285, 15)
+		for l := 1; l <= 14; l++ {
+			lens['a'+l] = uint8(l)
+		}
+		dlens := make([]uint8, 30)
+		dlens[0], dlens[29] = 15, 15
+		for l := 1; l <= 14; l++ {
+			dlens[l] = uint8(l)
+		}
+		var w bitWriter
+		lit, dist := w.dynamicHeader(lens, dlens)
+		for l := 1; l <= 14; l++ {
+			w.code(lit['a'+l], uint(l))
+		}
+		for _, ds := range []int{0, 1, 7, 14} {
+			w.code(lit[285], 15) // length 258
+			w.code(dist[ds], uint(dlens[ds]))
+			if ds >= 4 {
+				w.bits(1, uint(ds-2)/2)
+			}
+		}
+		w.code(lit[256], 15)
+		m["fifteen-bit-codes"] = w.out
+	}
+	for name, field := range map[string][2]uint32{"hlit-287": {30, 0}, "hlit-288": {31, 0}, "hdist-31": {0, 30}, "hdist-32": {0, 31}} {
+		var w bitWriter
+		w.bits(1, 1)
+		w.bits(2, 2)
+		w.bits(field[0], 5)
+		w.bits(field[1], 5)
+		w.bits(0, 4)
+		w.bits(0, 64)
+		m[name] = w.out
+	}
+	{
+		// Code-length code {0: one bit, 16: one bit}; the first symbol is
+		// 16, "repeat the previous length", with nothing before it.
+		var w bitWriter
+		w.bits(1, 1)
+		w.bits(2, 2)
+		w.bits(0, 5)
+		w.bits(0, 5)
+		w.bits(0, 4) // four code-length code lengths: 16, 17, 18, 0
+		w.bits(1, 3)
+		w.bits(0, 3)
+		w.bits(0, 3)
+		w.bits(1, 3)
+		w.bits(1, 1) // symbol 16
+		w.bits(0, 2)
+		w.bits(0, 64)
+		m["repeat-with-no-previous-length"] = w.out
+	}
+	{
+		// The repeat that runs past HLIT+HDIST.
+		var w bitWriter
+		w.bits(1, 1)
+		w.bits(2, 2)
+		w.bits(0, 5)
+		w.bits(0, 5)
+		w.bits(0, 4) // 16, 17, 18, 0 → {18: one bit, 0: one bit}
+		w.bits(0, 3)
+		w.bits(0, 3)
+		w.bits(1, 3)
+		w.bits(1, 3)
+		for i := 0; i < 3; i++ {
+			w.bits(1, 1) // symbol 18
+			w.bits(127, 7)
+		}
+		w.bits(0, 64)
+		m["repeat-past-the-end"] = w.out
+	}
+	return m
+}
+
+// referenceInflate is compress/flate: the output, how many input bytes it
+// consumed, and whether it failed.
+func referenceInflate(src []byte) (out []byte, consumed int, err error) {
+	rd := bytes.NewReader(src)
+	zr := flate.NewReader(rd)
+	out, err = io.ReadAll(zr)
+	return out, len(src) - rd.Len(), err
+}
+
+// checkInflate holds the kernel to the reference on one input.
+func checkInflate(t testing.TB, d *inflater, src []byte) {
+	t.Helper()
+	want, consumed, werr := referenceInflate(src)
+
+	// With room to spare the kernel must reach the reference's verdict;
+	// fastOutMargin of slack also sends it through the unchecked loop.
+	dst := make([]byte, len(want)+2*fastOutMargin)
+	n, err := d.inflate(dst, src)
+	if werr != nil {
+		if err == nil {
+			t.Fatalf("reference fails (%v) after %d bytes; kernel succeeds with %d", werr, len(want), n)
+		}
+		if err == errDstFull {
+			t.Fatalf("reference fails (%v) after %d bytes; kernel wants more than %d bytes of room", werr, len(want), len(dst))
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("reference inflates to %d bytes; kernel fails: %v", len(want), err)
+	}
+	if !bytes.Equal(dst[:n], want) {
+		t.Fatalf("kernel output differs from the reference (%d vs %d bytes)", n, len(want))
+	}
+
+	// A destination of exactly the right size is enough (this is also the
+	// checked loop on its own), one byte fewer is errDstFull.
+	exact := make([]byte, len(want))
+	if n, err := d.inflate(exact, src); err != nil || !bytes.Equal(exact[:n], want) {
+		t.Fatalf("exact-fit destination: n=%d err=%v", n, err)
+	}
+	if len(want) > 0 {
+		if _, err := d.inflate(exact[:len(want)-1], src); err != errDstFull {
+			t.Fatalf("destination one byte short: err=%v, want errDstFull", err)
+		}
+	}
+
+	// The same trailing input is ignored: the bytes the reference consumed
+	// are enough, and one fewer is not.
+	if n, err := d.inflate(dst, src[:consumed]); err != nil || !bytes.Equal(dst[:n], want) {
+		t.Fatalf("input cut to the %d bytes the reference consumed: n=%d err=%v", consumed, n, err)
+	}
+	if consumed > 0 {
+		if _, err := d.inflate(dst, src[:consumed-1]); err == nil {
+			t.Fatalf("input cut one byte short of the %d the reference consumed: kernel succeeds", consumed)
+		}
+	}
+}
+
+func FuzzInflateMatchesFlate(f *testing.F) {
+	for _, s := range namedStreams(f) {
+		f.Add(s)
+	}
+	rng := rand.New(rand.NewSource(3))
+	noise := make([]byte, 4096)
+	rng.Read(noise)
+	for _, level := range []int{flate.BestSpeed, flate.DefaultCompression, flate.HuffmanOnly, flate.NoCompression} {
+		f.Add(deflateAt(f, level, compressiblePayload(5000)))
+		f.Add(deflateAt(f, level, noise))
+	}
+	d := new(inflater)
+	f.Fuzz(func(t *testing.T, src []byte) {
+		checkInflate(t, d, src)
+	})
+}
+
+func TestInflateNamedStreams(t *testing.T) {
+	d, streams := new(inflater), namedStreams(t)
+	for name, s := range streams {
+		t.Run(name, func(t *testing.T) {
+			checkInflate(t, d, s)
+			// Every proper prefix too: a cut lands in every field.
+			for cut := 0; cut < len(s); cut++ {
+				checkInflate(t, d, s[:cut])
+			}
+		})
+	}
+	// The named streams must include both verdicts, or the table proves
+	// less than it says.
+	for name, wantErr := range map[string]bool{
+		"single-code-distance-tree": false, "single-code-literal-tree": false,
+		"fixed-overlapping-match": false, "fifteen-bit-codes": false, "stored-empty": false,
+		"single-code-distance-tree-unowned": true, "no-end-of-block-code": true,
+		"distance-one-past-start": true, "hlit-287": true, "hdist-31": true,
+		"repeat-with-no-previous-length": true, "empty-input": true,
+	} {
+		if _, _, err := referenceInflate(streams[name]); (err != nil) != wantErr {
+			t.Errorf("%s: reference err=%v, want error %v", name, err, wantErr)
+		}
+	}
+}
+
+// tierPackageFiles generates the files of a small tier package — RAW banks
+// and the RECO event file they reconstruct to, plus their JSON sidecar —
+// with the byte statistics of the real tiers.
+func tierPackageFiles(t testing.TB) map[string][]byte {
+	t.Helper()
+	const seed, events = 17, 60
+	det := detector.Standard()
+	db := conditions.NewDB()
+	if err := conditions.SeedStandard(db, "t", 1, 10, 10, seed); err != nil {
+		t.Fatal(err)
+	}
+	full, rec, cond := sim.NewFullSim(det, seed), reco.New(det), db.Snapshot("t", 1)
+	gen := generator.NewDrellYanZ(generator.DefaultConfig(seed))
+	var raws []*rawdata.Event
+	var recos []*datamodel.Event
+	for i := 0; i < events; i++ {
+		raw := rawdata.Digitize(1, full.Simulate(gen.Generate()))
+		ev, err := rec.Reconstruct(raw, cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws, recos = append(raws, raw), append(recos, ev)
+	}
+	var rawBuf, recoBuf bytes.Buffer
+	if err := rawdata.WriteFile(&rawBuf, raws); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := datamodel.WriteEvents(&recoBuf, datamodel.TierRECO, recos); err != nil {
+		t.Fatal(err)
+	}
+	sidecar := fmt.Sprintf(`{"events":%d,"raw_bytes":%d,"reco_bytes":%d,"conditions":"t"}`, events, rawBuf.Len(), recoBuf.Len())
+	return map[string][]byte{"raw.banks": rawBuf.Bytes(), "reco.edm": recoBuf.Bytes(), "provenance.json": []byte(sidecar)}
+}
+
+// capsulePackageFiles is six small files of seeded analysis-like text.
+func capsulePackageFiles() map[string][]byte {
+	rng := rand.New(rand.NewSource(29))
+	files := make(map[string][]byte)
+	for f := 0; f < 6; f++ {
+		files[fmt.Sprintf("capsule/part-%d.txt", f)] = seededText(rng, 1<<10+rng.Intn(39<<10))
+	}
+	return files
+}
+
+func TestInflatePackageFiles(t *testing.T) {
+	files := tierPackageFiles(t)
+	for name, data := range capsulePackageFiles() {
+		files[name] = data
+	}
+	levels := map[string]int{"BestSpeed": flate.BestSpeed, "DefaultCompression": flate.DefaultCompression,
+		"BestCompression": flate.BestCompression, "HuffmanOnly": flate.HuffmanOnly, "NoCompression": flate.NoCompression}
+	d := new(inflater)
+	for name, data := range files {
+		for lname, level := range levels {
+			t.Run(name+"/"+lname, func(t *testing.T) {
+				for _, cut := range []int{len(data), 0, 1, 1000, 65536} {
+					if cut <= len(data) {
+						checkInflate(t, d, deflateAt(t, level, data[:cut]))
+					}
+				}
+				// A truncated stream, not just a stream of truncated data.
+				z := deflateAt(t, level, data)
+				for _, cut := range []int{0, 1, 1000, 65536} {
+					if cut < len(z) {
+						checkInflate(t, d, z[:cut])
+					}
+				}
+			})
+		}
+	}
+}
+
+var benchSink int
+
+// BenchmarkInflate is the kernel against the reference on a tier file at
+// the level the store writes.
+func BenchmarkInflate(b *testing.B) {
+	raw := tierPackageFiles(b)["raw.banks"]
+	z := deflateAt(b, flate.BestSpeed, raw)
+	b.Run("kernel", func(b *testing.B) {
+		d, dst := new(inflater), make([]byte, len(raw))
+		b.SetBytes(int64(len(raw)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n, err := d.inflate(dst, z)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = n
+		}
+	})
+	b.Run("compress-flate", func(b *testing.B) {
+		b.SetBytes(int64(len(raw)))
+		for i := 0; i < b.N; i++ {
+			out, err := io.ReadAll(flate.NewReader(bytes.NewReader(z)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = len(out)
+		}
+	})
+}

@@ -245,7 +245,11 @@ func (c *Client) once(ctx context.Context, nc *nodeConn, method, path string, q 
 		return callResult{}, resilience.MarkTransient(fmt.Errorf("cluster: node %s unreachable: %w", nc.id, err))
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	size := resp.ContentLength
+	if method == http.MethodHead {
+		size = 0 // the length is the blob's; the body is empty
+	}
+	data, err := node.ReadBody(resp.Body, size)
 	if err != nil {
 		return callResult{}, resilience.MarkTransient(fmt.Errorf("cluster: node %s: reading response: %w", nc.id, err))
 	}
@@ -314,7 +318,7 @@ func (c *Client) getFrom(ctx context.Context, nc *nodeConn, digest string) (comp
 	if perr != nil {
 		return nil, 0, resilience.MarkTransient(fmt.Errorf("cluster: node %s: get %s: bad %s header: %w", nc.id, short(digest), node.LogicalHeader, perr))
 	}
-	if _, derr := cas.DecodeBlob(digest, res.body); derr != nil {
+	if _, derr := cas.VerifyBlob(digest, res.body); derr != nil {
 		return nil, 0, derr
 	}
 	return res.body, logical, nil

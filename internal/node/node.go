@@ -25,6 +25,7 @@
 package node
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,6 +44,24 @@ const LogicalHeader = "X-Daspos-Logical"
 // maxBlobBytes bounds one blob body; a put larger than this is rejected
 // rather than ballooning node memory.
 const maxBlobBytes = 1 << 30
+
+// presizeCap bounds the buffer ReadBody reserves on a Content-Length's
+// word. The blobs of a tier package are a few MiB stored, so they fit.
+const presizeCap = 4 << 20
+
+// ReadBody reads a message body to EOF like io.ReadAll, but starts from a
+// buffer sized by the declared Content-Length, so a body of known size is
+// read without regrowing and recopying. The declaration is trusted only up
+// to presizeCap: past it, and when the length is unknown (negative, as for
+// chunked transfer-encoding), the buffer grows as bytes actually arrive —
+// a lying header reserves no memory.
+func ReadBody(r io.Reader, contentLength int64) ([]byte, error) {
+	// bytes.MinRead to spare, so the read that reports EOF does not grow it.
+	size := min(max(contentLength, 0), presizeCap) + bytes.MinRead
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
 
 // Node is one storage node: a raw blob backend plus the HTTP surface the
 // cluster speaks to it.
@@ -164,9 +183,10 @@ func (n *Node) handleDigests(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePut ingests one blob. The body is the marker-framed stored form;
-// the node decodes and rehashes it before acknowledging, so a payload
-// corrupted on the wire (or by a lying client) is refused with 422 instead
-// of poisoning the replica set.
+// the node fixity-checks it (cas.VerifyBlob: every check, no payload
+// materialised) before acknowledging, so a payload corrupted on the wire
+// (or by a lying client) is refused with 422 instead of poisoning the
+// replica set.
 func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !validDigest(digest) {
@@ -178,12 +198,12 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "node: missing or bad "+LogicalHeader+" header", http.StatusBadRequest)
 		return
 	}
-	comp, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
+	comp, err := ReadBody(http.MaxBytesReader(w, r.Body, maxBlobBytes), r.ContentLength)
 	if err != nil {
 		http.Error(w, "node: reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if _, derr := cas.DecodeBlob(digest, comp); derr != nil {
+	if _, derr := cas.VerifyBlob(digest, comp); derr != nil {
 		http.Error(w, "node: refused: "+derr.Error(), http.StatusUnprocessableEntity)
 		return
 	}
@@ -231,7 +251,7 @@ func (n *Node) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleVerify runs the node-local fixity check: decode and rehash where
+// handleVerify runs the node-local fixity check: inflate and rehash where
 // the bytes live, shipping only the verdict.
 func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
@@ -249,7 +269,7 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := VerifyResult{Digest: digest, OK: true}
-	if _, derr := cas.DecodeBlob(digest, comp); derr != nil {
+	if _, derr := cas.VerifyBlob(digest, comp); derr != nil {
 		res.OK = false
 		res.Error = derr.Error()
 	}

@@ -2,7 +2,9 @@
 # verify.sh — the full pre-merge gate: build, vet, and the test suite under
 # the race detector. The resilience layer is concurrency-heavy (worker
 # pools, circuit breakers, shared fault injectors), so -race is not
-# optional here.
+# optional here. The run includes the fixity kernel's differential tests
+# and the seed corpora of its fuzz targets (FuzzInflateMatchesFlate,
+# FuzzVerifyMatchesDecode, FuzzNodePut); CI's chaos job fuzzes them for real.
 set -eu
 cd "$(dirname "$0")/.."
 
