@@ -12,6 +12,7 @@ package detector
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LayerKind classifies detector layers.
@@ -80,6 +81,9 @@ type Layer struct {
 // Channels returns the layer's total channel count.
 func (l *Layer) Channels() int { return l.NPhi * l.NZ }
 
+// PhiPitch returns the azimuthal width of one channel in radians.
+func (l *Layer) PhiPitch() float64 { return 2 * math.Pi / float64(l.NPhi) }
+
 // Sensitive reports whether the layer records hits (everything except the
 // beam pipe).
 func (l *Layer) Sensitive() bool { return l.Kind != KindBeamPipe }
@@ -128,12 +132,44 @@ type Detector struct {
 	BField float64
 	// EtaMax is the tracking acceptance limit.
 	EtaMax float64
-	// Layers are ordered by increasing radius.
+	// Layers are ordered by increasing radius. Call Validate again after
+	// changing them: it rebuilds the layer lists below.
 	Layers []Layer
+
+	// lists holds the per-kind layer indices the event kernels ask for on
+	// every particle and every event, built once by Validate.
+	lists layerLists
 }
 
-// Validate checks the structural invariants: ordered radii, unique names,
-// positive segmentation on sensitive layers.
+// layerLists are the layer indices by kind, and the silicon (pixel + strip)
+// layers as one list. Each list is clipped to its length, so an append by a
+// caller reallocates instead of growing into memory the detector owns.
+type layerLists struct {
+	built   bool
+	byKind  [KindMuon + 1][]int
+	tracker []int
+}
+
+func (d *Detector) buildLists() {
+	lists := layerLists{built: true}
+	for i, l := range d.Layers {
+		lists.byKind[l.Kind] = append(lists.byKind[l.Kind], i)
+		if l.Kind == KindPixel || l.Kind == KindStrip {
+			lists.tracker = append(lists.tracker, i)
+		}
+	}
+	for k := range lists.byKind {
+		lists.byKind[k] = slices.Clip(lists.byKind[k])
+	}
+	lists.tracker = slices.Clip(lists.tracker)
+	d.lists = lists
+}
+
+// Validate checks the structural invariants — ordered radii, unique names,
+// known kinds, positive segmentation on sensitive layers — and builds the
+// layer lists TrackerLayers and LayersOf hand out. Standard, ReadXML and
+// ReadJSON return validated detectors; a Detector assembled by hand must
+// pass through here before those two are called.
 func (d *Detector) Validate() error {
 	if d.Name == "" {
 		return fmt.Errorf("detector: empty name")
@@ -149,6 +185,9 @@ func (d *Detector) Validate() error {
 			return fmt.Errorf("detector: duplicate layer name %q", l.Name)
 		}
 		seen[l.Name] = true
+		if l.Kind < KindBeamPipe || l.Kind > KindMuon {
+			return fmt.Errorf("detector: layer %q has unknown kind %d", l.Name, int(l.Kind))
+		}
 		if l.Sensitive() && (l.NPhi <= 0 || l.NZ <= 0) {
 			return fmt.Errorf("detector: sensitive layer %q has no channels", l.Name)
 		}
@@ -156,6 +195,7 @@ func (d *Detector) Validate() error {
 			return fmt.Errorf("detector: layer %q efficiency %v out of [0,1]", l.Name, l.Efficiency)
 		}
 	}
+	d.buildLists()
 	return nil
 }
 
@@ -173,26 +213,26 @@ func (d *Detector) LayerByName(name string) *Layer {
 }
 
 // TrackerLayers returns the indices of silicon layers (pixel + strip), the
-// surfaces the track finder consumes.
-func (d *Detector) TrackerLayers() []int {
-	var out []int
-	for i, l := range d.Layers {
-		if l.Kind == KindPixel || l.Kind == KindStrip {
-			out = append(out, i)
-		}
+// surfaces the track finder consumes. The slice is a read-only view of the
+// detector's own list: it costs nothing to ask for, and must not be
+// written through.
+func (d *Detector) TrackerLayers() []int { return d.validated().tracker }
+
+// LayersOf returns the indices of layers of the given kind, as a read-only
+// view like TrackerLayers.
+func (d *Detector) LayersOf(kind LayerKind) []int {
+	l := d.validated()
+	if kind < 0 || int(kind) >= len(l.byKind) {
+		return nil
 	}
-	return out
+	return l.byKind[kind]
 }
 
-// LayersOf returns the indices of layers of the given kind.
-func (d *Detector) LayersOf(kind LayerKind) []int {
-	var out []int
-	for i, l := range d.Layers {
-		if l.Kind == kind {
-			out = append(out, i)
-		}
+func (d *Detector) validated() *layerLists {
+	if !d.lists.built {
+		panic("detector: layer lists read before Validate")
 	}
-	return out
+	return &d.lists
 }
 
 // TotalChannels returns the detector's full channel count, the scale factor

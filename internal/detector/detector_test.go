@@ -226,3 +226,76 @@ func BenchmarkCellOf(b *testing.B) {
 		_, _, _ = l.CellOf(1.2, 100)
 	}
 }
+
+func TestLayerListsDoNotAllocate(t *testing.T) {
+	d := Standard()
+	n := 0
+	if got := testing.AllocsPerRun(100, func() {
+		n += len(d.TrackerLayers()) + len(d.LayersOf(KindMuon)) + len(d.LayersOf(KindECal))
+	}); got != 0 {
+		t.Fatalf("layer lists: %v allocations per call, want 0", got)
+	}
+	if n == 0 {
+		t.Fatal("layer lists empty")
+	}
+}
+
+func TestLayerListViewsAreCapped(t *testing.T) {
+	d := Standard()
+	// Appending to a view must reallocate, not grow into memory the
+	// detector still owns.
+	for k := KindBeamPipe; k <= KindMuon; k++ {
+		_ = append(d.LayersOf(k), -1)
+	}
+	_ = append(d.TrackerLayers(), -1)
+	if v := d.TrackerLayers(); cap(v) != len(v) {
+		t.Errorf("TrackerLayers() has %d spare slots a caller could write into", cap(v)-len(v))
+	}
+	want := map[LayerKind][]int{
+		KindBeamPipe: {0}, KindPixel: {1, 2, 3}, KindStrip: {4, 5, 6, 7, 8, 9},
+		KindECal: {10}, KindHCal: {11}, KindMuon: {12, 13},
+	}
+	for k, w := range want {
+		if got := d.LayersOf(k); !equalInts(got, w) {
+			t.Errorf("LayersOf(%v) = %v after appends to the views, want %v", k, got, w)
+		}
+	}
+	if got := d.TrackerLayers(); !equalInts(got, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		t.Errorf("TrackerLayers() = %v after appends to the views", got)
+	}
+	if d.LayersOf(LayerKind(99)) != nil || d.LayersOf(LayerKind(-1)) != nil {
+		t.Error("an unknown kind has layers")
+	}
+}
+
+func TestValidateRebuildsLayerLists(t *testing.T) {
+	d := Standard()
+	d.Layers = d.Layers[:5]
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.TrackerLayers(); !equalInts(got, []int{1, 2, 3, 4}) {
+		t.Fatalf("TrackerLayers() = %v after truncating to five layers", got)
+	}
+	if len(d.LayersOf(KindMuon)) != 0 {
+		t.Fatal("muon layers survived their removal")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an unvalidated detector handed out layer lists")
+		}
+	}()
+	(&Detector{Name: "bare", Layers: d.Layers}).TrackerLayers()
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

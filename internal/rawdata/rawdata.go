@@ -17,7 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"daspos/internal/detector"
 	"daspos/internal/sim"
@@ -90,50 +90,82 @@ func EncodeEnergy(gev float64) uint16 {
 // DecodeEnergy converts ADC counts back to GeV.
 func DecodeEnergy(adc uint16) float64 { return float64(adc) * caloGeVPerCount }
 
+// hitADC is the nominal charge over threshold a tracker or muon crossing
+// records.
+const hitADC = 64
+
 // Digitize converts a simulated event into a raw event for the given run.
 // Words within each bank are sorted by channel, as a real event builder
 // would emit them; duplicate channels (pileup pile-on, noise on a hit
 // channel) are merged by summing ADC.
+//
+// Every reading is packed as channel<<32|adc into one scratch slice cut
+// into a segment per partition; sorting a segment brings a channel's
+// readings together, and one pass sums and saturates them into a bank of
+// exactly the size needed.
 func Digitize(run uint32, se *sim.Event) *Event {
-	ev := &Event{Run: run, Number: uint64(se.Number)}
-	tracker := make(map[detector.ChannelID]uint32)
-	ecal := make(map[detector.ChannelID]uint32)
-	hcal := make(map[detector.ChannelID]uint32)
-	muon := make(map[detector.ChannelID]uint32)
-	for _, h := range se.TrackerHits {
-		tracker[h.Channel] += 64 // nominal charge over threshold
+	nTrk, nCalo := len(se.TrackerHits), len(se.Deposits)
+	keys := make([]uint64, nTrk+nCalo+len(se.MuonHits))
+	tracker, calo, muon := keys[:nTrk], keys[nTrk:nTrk+nCalo], keys[nTrk+nCalo:]
+	for i, h := range se.TrackerHits {
+		tracker[i] = uint64(h.Channel)<<32 | hitADC
 	}
-	for _, h := range se.MuonHits {
-		muon[h.Channel] += 64
+	for i, h := range se.MuonHits {
+		muon[i] = uint64(h.Channel)<<32 | hitADC
 	}
+	// The calorimeter segment fills from both ends: electromagnetic cells
+	// from the front, hadronic from the back. A deposit below half a count
+	// reads zero and adds nothing to any sum, so it is dropped here.
+	nEM, firstHad := 0, nCalo
 	for _, d := range se.Deposits {
-		m := hcal
-		if d.EM {
-			m = ecal
+		adc := EncodeEnergy(d.Energy)
+		if adc == 0 {
+			continue
 		}
-		m[d.Channel] += uint32(EncodeEnergy(d.Energy))
+		key := uint64(d.Channel)<<32 | uint64(adc)
+		if d.EM {
+			calo[nEM] = key
+			nEM++
+		} else {
+			firstHad--
+			calo[firstHad] = key
+		}
 	}
-	ev.Banks = []Bank{
-		bankFrom(PartTracker, tracker),
-		bankFrom(PartECal, ecal),
-		bankFrom(PartHCal, hcal),
-		bankFrom(PartMuon, muon),
-	}
-	return ev
+	return &Event{Run: run, Number: uint64(se.Number), Banks: []Bank{
+		mergeBank(PartTracker, tracker),
+		mergeBank(PartECal, calo[:nEM]),
+		mergeBank(PartHCal, calo[firstHad:]),
+		mergeBank(PartMuon, muon),
+	}}
 }
 
-func bankFrom(p Partition, m map[detector.ChannelID]uint32) Bank {
-	words := make([]Word, 0, len(m))
-	for ch, adc := range m {
+// mergeBank sorts packed readings and folds each channel's run into one
+// word. A channel's counts are summed in full and the sum is clipped to
+// the 16-bit ceiling afterwards, so the order its readings arrived in
+// cannot matter.
+func mergeBank(p Partition, keys []uint64) Bank {
+	slices.Sort(keys)
+	channels := 0
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			channels++
+		}
+	}
+	words := make([]Word, 0, channels)
+	for i := 0; i < len(keys); {
+		ch := keys[i] >> 32
+		var adc uint32
+		for ; i < len(keys) && keys[i]>>32 == ch; i++ {
+			adc += uint32(keys[i])
+		}
 		if adc > math.MaxUint16 {
 			adc = math.MaxUint16
 		}
 		if adc == 0 {
 			continue
 		}
-		words = append(words, Word{Channel: ch, ADC: uint16(adc)})
+		words = append(words, Word{Channel: detector.ChannelID(ch), ADC: uint16(adc)})
 	}
-	sort.Slice(words, func(i, j int) bool { return words[i].Channel < words[j].Channel })
 	return Bank{Partition: p, Words: words}
 }
 
@@ -150,9 +182,9 @@ func (e *Event) Bank(p Partition) *Bank {
 // SizeBytes returns the encoded size of the event, the quantity the
 // tier-reduction experiment tracks.
 func (e *Event) SizeBytes() int {
-	n := 4 + 4 + 8 + 2 // magic, run, number, nbanks
+	n := eventHeaderLen
 	for _, b := range e.Banks {
-		n += 2 + 4 + len(b.Words)*6 + 4 // partition, count, words, crc
+		n += bankHeaderLen + len(b.Words)*wordLen + crcLen
 	}
 	return n
 }
@@ -170,85 +202,102 @@ const eventMagic = 0xDA5B05E1
 // ErrCorrupt is wrapped by all decoding errors.
 var ErrCorrupt = errors.New("rawdata: corrupt stream")
 
-// WriteEvent encodes one event to w.
+// WriteEvent encodes one event to w in a single Write.
 func WriteEvent(w io.Writer, e *Event) error {
-	hdr := make([]byte, 18)
-	binary.LittleEndian.PutUint32(hdr[0:], eventMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], e.Run)
-	binary.LittleEndian.PutUint64(hdr[8:], e.Number)
-	binary.LittleEndian.PutUint16(hdr[16:], uint16(len(e.Banks)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	for _, b := range e.Banks {
-		body := make([]byte, 6+len(b.Words)*6)
-		binary.LittleEndian.PutUint16(body[0:], uint16(b.Partition))
-		binary.LittleEndian.PutUint32(body[2:], uint32(len(b.Words)))
-		for i, wd := range b.Words {
-			off := 6 + i*6
-			binary.LittleEndian.PutUint32(body[off:], uint32(wd.Channel))
-			binary.LittleEndian.PutUint16(body[off+4:], wd.ADC)
-		}
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-		if _, err := w.Write(crc[:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(appendEvent(make([]byte, 0, e.SizeBytes()), e))
+	return err
 }
+
+// appendEvent appends the encoding of e to buf.
+func appendEvent(buf []byte, e *Event) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, eventMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, e.Run)
+	buf = binary.LittleEndian.AppendUint64(buf, e.Number)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Banks)))
+	for _, b := range e.Banks {
+		body := len(buf)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(b.Partition))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Words)))
+		for _, wd := range b.Words {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(wd.Channel))
+			buf = binary.LittleEndian.AppendUint16(buf, wd.ADC)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
+	}
+	return buf
+}
+
+// Sizes of the framing's fixed parts, and the step in which a bank body is
+// read: a header is believed one step at a time, so a stream that claims a
+// huge bank and then ends costs one step of memory, not the claim.
+const (
+	eventHeaderLen = 4 + 4 + 8 + 2 // magic, run, number, nbanks
+	bankHeaderLen  = 2 + 4         // partition, nwords
+	wordLen        = 4 + 2         // channel, adc
+	crcLen         = 4
+	readStep       = 64 << 10
+)
 
 // ReadEvent decodes one event from r, returning io.EOF at a clean end of
 // stream.
-func ReadEvent(r io.Reader) (*Event, error) {
-	hdr := make([]byte, 18)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+func ReadEvent(r io.Reader) (*Event, error) { return NewReader(r).Read() }
+
+// Read decodes the next event, or io.EOF. Bytes are staged in the reader's
+// buffer, which grows only as far as bytes actually arrive.
+func (in *Reader) Read() (*Event, error) {
+	r := in.r
+	buf := slices.Grow(in.buf[:0], eventHeaderLen)[:eventHeaderLen]
+	defer func() { in.buf = buf }()
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: truncated header: %w", ErrCorrupt, err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != eventMagic {
+	if binary.LittleEndian.Uint32(buf[0:]) != eventMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	e := &Event{
-		Run:    binary.LittleEndian.Uint32(hdr[4:]),
-		Number: binary.LittleEndian.Uint64(hdr[8:]),
+		Run:    binary.LittleEndian.Uint32(buf[4:]),
+		Number: binary.LittleEndian.Uint64(buf[8:]),
 	}
-	nbanks := int(binary.LittleEndian.Uint16(hdr[16:]))
+	nbanks := int(binary.LittleEndian.Uint16(buf[16:]))
 	for i := 0; i < nbanks; i++ {
-		bh := make([]byte, 6)
-		if _, err := io.ReadFull(r, bh); err != nil {
+		buf = slices.Grow(buf[:0], bankHeaderLen)[:bankHeaderLen]
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("%w: truncated bank header: %w", ErrCorrupt, err)
 		}
-		nwords := int(binary.LittleEndian.Uint32(bh[2:]))
+		nwords := int(binary.LittleEndian.Uint32(buf[2:]))
 		if nwords > 1<<24 {
 			return nil, fmt.Errorf("%w: unreasonable bank size %d", ErrCorrupt, nwords)
 		}
-		body := make([]byte, 6+nwords*6)
-		copy(body, bh)
-		if _, err := io.ReadFull(r, body[6:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated bank body: %w", ErrCorrupt, err)
+		for want := bankHeaderLen + nwords*wordLen; len(buf) < want; {
+			have := len(buf)
+			step := min(want-have, readStep)
+			buf = slices.Grow(buf, step)[:have+step]
+			if _, err := io.ReadFull(r, buf[have:]); err != nil {
+				if err == io.EOF && have > bankHeaderLen {
+					err = io.ErrUnexpectedEOF // the body had begun
+				}
+				return nil, fmt.Errorf("%w: truncated bank body: %w", ErrCorrupt, err)
+			}
 		}
-		var crc [4]byte
+		var crc [crcLen]byte
 		if _, err := io.ReadFull(r, crc[:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated bank crc: %w", ErrCorrupt, err)
 		}
-		if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(body) {
+		if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(buf) {
 			return nil, fmt.Errorf("%w: bank %d crc mismatch", ErrCorrupt, i)
 		}
 		b := Bank{
-			Partition: Partition(binary.LittleEndian.Uint16(body[0:])),
+			Partition: Partition(binary.LittleEndian.Uint16(buf[0:])),
 			Words:     make([]Word, nwords),
 		}
-		for j := 0; j < nwords; j++ {
-			off := 6 + j*6
+		for j := range b.Words {
+			off := bankHeaderLen + j*wordLen
 			b.Words[j] = Word{
-				Channel: detector.ChannelID(binary.LittleEndian.Uint32(body[off:])),
-				ADC:     binary.LittleEndian.Uint16(body[off+4:]),
+				Channel: detector.ChannelID(binary.LittleEndian.Uint32(buf[off:])),
+				ADC:     binary.LittleEndian.Uint16(buf[off+4:]),
 			}
 		}
 		e.Banks = append(e.Banks, b)
@@ -269,8 +318,9 @@ func DigitizeFunc(run uint32) func(*sim.Event) (*Event, bool, error) {
 // event-builder end of a streaming pipeline, where a whole-run []*Event
 // slice never exists.
 type Writer struct {
-	w io.Writer
-	n int
+	w   io.Writer
+	n   int
+	buf []byte // the last event's encoding, reused for the next
 }
 
 // NewWriter returns a streaming raw-event writer over w.
@@ -278,7 +328,8 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // Write appends one event to the stream.
 func (w *Writer) Write(e *Event) error {
-	if err := WriteEvent(w.w, e); err != nil {
+	w.buf = appendEvent(w.buf[:0], e)
+	if _, err := w.w.Write(w.buf); err != nil {
 		return err
 	}
 	w.n++
@@ -291,19 +342,18 @@ func (w *Writer) Count() int { return w.n }
 // Reader streams raw events off an io.Reader; Read returns io.EOF at a
 // clean end of stream. It is the raw tier's streaming source.
 type Reader struct {
-	r io.Reader
+	r   io.Reader
+	buf []byte // staging for one bank at a time, reused across events
 }
 
 // NewReader returns a streaming raw-event reader over r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// Read decodes the next event, or io.EOF.
-func (r *Reader) Read() (*Event, error) { return ReadEvent(r.r) }
-
 // WriteFile encodes a sequence of events.
 func WriteFile(w io.Writer, events []*Event) error {
+	out := NewWriter(w)
 	for _, e := range events {
-		if err := WriteEvent(w, e); err != nil {
+		if err := out.Write(e); err != nil {
 			return err
 		}
 	}
@@ -313,8 +363,9 @@ func WriteFile(w io.Writer, events []*Event) error {
 // ReadFile decodes all events from r.
 func ReadFile(r io.Reader) ([]*Event, error) {
 	var out []*Event
+	in := NewReader(r)
 	for {
-		e, err := ReadEvent(r)
+		e, err := in.Read()
 		if err == io.EOF {
 			return out, nil
 		}

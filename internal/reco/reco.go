@@ -17,6 +17,7 @@ package reco
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"daspos/internal/conditions"
@@ -95,13 +96,19 @@ type Reconstructor struct {
 	scrTrackerHits []hit
 	scrMuonHits    []hit
 	scrCells       []cell
-	scrByLayer     map[int][]*hit
+	scrLayers      []layerHits // by layer number
+	scrSeedWin     []int32     // second-seed-hit candidates
+	scrFollowWin   []int32     // followSeed's per-layer candidates
+	scrCollected   []*hit
+	scrTracks      trackSorter
+	scrVertices    vertexSorter
+	scrClusters    []datamodel.Cluster
+	scrCandidates  []datamodel.Candidate
+	scrByEnergy    indexSorter
 	scrZs          []float64
-	scrIdx         []int
 	scrUsedTrack   []bool
 	scrUsedCluster []bool
 	scrTaken       []bool
-	scrRemaining   []int
 
 	// Columnar kinematics for the pair loops: track momenta and cluster
 	// vectors with pt/η/φ derived once per event instead of once per pair.
@@ -162,7 +169,19 @@ func ParallelStage(det *detector.Detector, cfg Config, cond Source) func(worker 
 type hit struct {
 	layer     int
 	r, phi, z float64
-	used      bool
+	// cell is the azimuthal channel the hit sits in, reduced into the
+	// layer's [0, NPhi): the key of the track finder's φ index.
+	cell int32
+	used bool
+}
+
+// layerHits indexes one layer's hits for the track finder. bank lists
+// their positions in the event's hit slice in bank order, the order every
+// search visits candidates in; keys holds cell<<32|position sorted
+// ascending, so the hits of a range of φ cells are one binary-searched run.
+type layerHits struct {
+	bank []int32
+	keys []uint64
 }
 
 // cell is an unpacked calorimeter reading.
@@ -233,8 +252,13 @@ func (r *Reconstructor) unpackHits(scratch *[]hit, bank *rawdata.Bank) []hit {
 			continue
 		}
 		l := r.det.Layer(li)
-		phi, z := l.CellCenter(w.Channel.IPhi(), w.Channel.IZ())
-		hits = append(hits, hit{layer: li, r: l.Radius, phi: phi, z: z})
+		iphi := w.Channel.IPhi()
+		phi, z := l.CellCenter(iphi, w.Channel.IZ())
+		h := hit{layer: li, r: l.Radius, phi: phi, z: z}
+		if l.NPhi > 0 { // the beam pipe has no cells, and is never searched
+			h.cell = int32(iphi % l.NPhi)
+		}
+		hits = append(hits, h)
 	}
 	return hits
 }
@@ -283,73 +307,187 @@ func (r *Reconstructor) unpackCells(raw *rawdata.Event, ecalScale, hcalScale flo
 // coarsely over the metre-scale lever arm to the outer strips. Seeds are
 // tried from several inner-layer pairs so a single missing pixel hit does
 // not kill the track.
+//
+// Every search for a partner hit goes through phiWindow, which narrows a
+// layer to the φ cells the acceptance test could possibly pass and hands
+// the survivors back in bank order. The tests themselves are the ones a
+// scan of the whole layer would apply, so the first hit to pass, and the
+// winner of every tie, is the hit the scan would have found.
 func (r *Reconstructor) findTracks(hits []hit) []datamodel.Track {
 	trackerLayers := r.det.TrackerLayers()
 	if len(trackerLayers) < 3 {
 		return nil
 	}
-	if r.scrByLayer == nil {
-		r.scrByLayer = make(map[int][]*hit)
-	}
-	byLayer := r.scrByLayer
-	for k := range byLayer {
-		byLayer[k] = byLayer[k][:0]
-	}
-	for i := range hits {
-		byLayer[hits[i].layer] = append(byLayer[hits[i].layer], &hits[i])
-	}
-	seedPairs := [][2]int{
+	r.indexHits(hits, trackerLayers)
+	// Reject pairs more bent than the lowest-pT track of interest.
+	maxBend := 0.3 * r.det.BField / (2000 * 0.8 * r.cfg.MinTrackPt)
+	seedPairs := [3][2]int{
 		{trackerLayers[0], trackerLayers[1]},
 		{trackerLayers[0], trackerLayers[2]},
 		{trackerLayers[1], trackerLayers[2]},
 	}
-	var tracks []datamodel.Track
+	tracks := r.scrTracks.tracks[:0]
 	for _, pair := range seedPairs {
-		for _, h1 := range byLayer[pair[0]] {
+		dr := r.det.Layer(pair[1]).Radius - r.det.Layer(pair[0]).Radius
+		if dr <= 0 {
+			continue
+		}
+		for _, p1 := range r.scrLayers[pair[0]].bank {
+			h1 := &hits[p1]
 			if h1.used {
 				continue
 			}
-			for _, h2 := range byLayer[pair[1]] {
-				if h2.used || h1.used {
+			for _, p2 := range r.phiWindow(&r.scrSeedWin, pair[1], h1.phi, maxBend*dr) {
+				h2 := &hits[p2]
+				if h2.used || math.Abs(wrapPhi(h2.phi-h1.phi)/dr) > maxBend {
 					continue
 				}
-				if collected, ok := r.followSeed(trackerLayers, byLayer, h1, h2); ok {
-					if trk, ok := r.fitTrack(collected); ok {
-						tracks = append(tracks, trk)
-						for _, h := range collected {
-							h.used = true
-						}
-						break // h1 consumed; next seed hit
+				collected, fit, ok := r.followSeed(trackerLayers, hits, h1, h2)
+				if !ok {
+					continue
+				}
+				if trk, ok := r.fitTrack(collected, &fit); ok {
+					tracks = append(tracks, trk)
+					for _, h := range collected {
+						h.used = true
 					}
+					break // h1 consumed; next seed hit
 				}
 			}
 		}
 	}
-	sort.Slice(tracks, func(i, j int) bool { return tracks[i].P.Pt() > tracks[j].P.Pt() })
-	return tracks
+	r.scrTracks.tracks = tracks
+	sort.Sort(&r.scrTracks)
+	return cloneOrNil(tracks)
+}
+
+// indexHits files the event's hits under their layers and sorts each
+// tracker layer's φ index.
+func (r *Reconstructor) indexHits(hits []hit, trackerLayers []int) {
+	if len(r.scrLayers) != len(r.det.Layers) {
+		r.scrLayers = make([]layerHits, len(r.det.Layers))
+	}
+	layers := r.scrLayers
+	for i := range layers {
+		layers[i].bank = layers[i].bank[:0]
+		layers[i].keys = layers[i].keys[:0]
+	}
+	for i := range hits {
+		lh := &layers[hits[i].layer]
+		lh.bank = append(lh.bank, int32(i))
+		lh.keys = append(lh.keys, uint64(hits[i].cell)<<32|uint64(i))
+	}
+	for _, li := range trackerLayers {
+		slices.Sort(layers[li].keys)
+	}
+	if cap(r.scrCollected) < len(trackerLayers) {
+		r.scrCollected = make([]*hit, 0, len(trackerLayers))
+	}
+}
+
+// phiWindow returns the positions of the hits on layer li that can lie
+// within halfWidth radians of phi, in bank order. It may return more than
+// those — the whole layer, when the window wraps onto itself or its centre
+// is not a number — but never fewer: a hit in cell i is at least
+// (d − ½) pitches from anything in a cell d cells away, so no cell further
+// than ⌈halfWidth/pitch⌉ from phi's own can matter, and the two cells
+// added on either side are margin for the rounding in locating that one.
+// The result aliases either the layer's own list or *scratch and is valid
+// until the next call with the same scratch.
+func (r *Reconstructor) phiWindow(scratch *[]int32, li int, phi, halfWidth float64) []int32 {
+	lh := &r.scrLayers[li]
+	if len(lh.keys) == 0 {
+		return nil
+	}
+	l := r.det.Layer(li)
+	n := l.NPhi
+	pitch := l.PhiPitch()
+	w := math.Ceil(halfWidth/pitch) + 2
+	// Predictions sit within a turn of the principal range; anything else
+	// takes the slow way round.
+	norm := phi
+	if norm < 0 {
+		norm += 2 * math.Pi
+	}
+	if !(norm >= 0 && norm < 2*math.Pi) {
+		if norm = math.Mod(phi, 2*math.Pi); norm < 0 {
+			norm += 2 * math.Pi
+		}
+	}
+	// Written so that a NaN on either side selects the whole layer.
+	if !(2*w+1 < float64(n)) || !(norm >= 0) {
+		return lh.bank
+	}
+	if w < 0 {
+		w = 0
+	}
+	centre := min(int(norm/pitch), n-1)
+	lo, hi := centre-int(w), centre+int(w)
+	out := (*scratch)[:0]
+	switch {
+	case lo < 0:
+		out = appendCells(out, lh.keys, 0, hi)
+		out = appendCells(out, lh.keys, lo+n, n-1)
+	case hi >= n:
+		out = appendCells(out, lh.keys, 0, hi-n)
+		out = appendCells(out, lh.keys, lo, n-1)
+	default:
+		out = appendCells(out, lh.keys, lo, hi)
+	}
+	// Index order is (cell, position); the searches want position alone.
+	if len(out) > 1 {
+		slices.Sort(out)
+	}
+	*scratch = out
+	return out
+}
+
+// appendCells appends the positions of the hits whose cell is in [lo, hi].
+func appendCells(dst []int32, keys []uint64, lo, hi int) []int32 {
+	// First key not below lo<<32, by hand: this runs a thousand times an
+	// event and the generic search costs twice the loop.
+	target := uint64(lo) << 32
+	from, to := 0, len(keys)
+	for from < to {
+		mid := int(uint(from+to) >> 1)
+		if keys[mid] < target {
+			from = mid + 1
+		} else {
+			to = mid
+		}
+	}
+	for _, k := range keys[from:] {
+		if k>>32 > uint64(hi) {
+			break
+		}
+		dst = append(dst, int32(uint32(k)))
+	}
+	return dst
 }
 
 // followSeed grows a seed pair into a hit collection by predicting each
-// further layer from a running least-squares refit.
-func (r *Reconstructor) followSeed(trackerLayers []int, byLayer map[int][]*hit, h1, h2 *hit) ([]*hit, bool) {
-	dr := h2.r - h1.r
-	if dr <= 0 {
-		return nil, false
-	}
-	dphi := wrapPhi(h2.phi - h1.phi)
-	// Reject pairs more bent than the lowest-pT track of interest.
-	if math.Abs(dphi/dr) > 0.3*r.det.BField/(2000*0.8*r.cfg.MinTrackPt) {
-		return nil, false
-	}
-	collected := []*hit{h1, h2}
-	haveLayer := map[int]bool{h1.layer: true, h2.layer: true}
-	for _, li := range trackerLayers {
-		if haveLayer[li] {
+// further layer from a running least-squares refit. The returned slice is
+// the reconstructor's scratch (indexHits sized it for one hit per tracker
+// layer, which is all a seed can collect), good until the next call.
+func (r *Reconstructor) followSeed(trackerLayers []int, hits []hit, h1, h2 *hit) ([]*hit, lineFit, bool) {
+	collected := append(r.scrCollected[:0], h1, h2)
+	fit := lineFit{ref: h1.phi}
+	fit.add(h1)
+	fit.add(h2)
+	// ChannelID carries six layer bits, so one word marks the layers held.
+	have := uint64(1)<<uint(h1.layer) | uint64(1)<<uint(h2.layer)
+	for i, li := range trackerLayers {
+		if have&(1<<uint(li)) != 0 {
 			continue
 		}
-		phi0, k, z0, zSlope, ok := fitLine(collected)
+		// Even a hit on every layer still to come would leave the seed
+		// short: the answer is already no.
+		if len(collected)+len(trackerLayers)-i < r.cfg.MinLayers {
+			return nil, fit, false
+		}
+		phi0, k, z0, zSlope, ok := fit.solve()
 		if !ok {
-			return nil, false
+			return nil, fit, false
 		}
 		l := r.det.Layer(li)
 		predPhi := phi0 - k*l.Radius
@@ -360,7 +498,8 @@ func (r *Reconstructor) followSeed(trackerLayers []int, byLayer map[int][]*hit, 
 		tol := r.cfg.SeedPhiTolerance * (1 + (l.Radius-outermost)/200)
 		var best *hit
 		bestD := tol
-		for _, h := range byLayer[li] {
+		for _, p := range r.phiWindow(&r.scrFollowWin, li, predPhi, tol) {
+			h := &hits[p]
 			if h.used {
 				continue
 			}
@@ -371,45 +510,57 @@ func (r *Reconstructor) followSeed(trackerLayers []int, byLayer map[int][]*hit, 
 		}
 		if best != nil {
 			collected = append(collected, best)
-			haveLayer[li] = true
+			fit.add(best)
+			have |= 1 << uint(li)
 		}
 	}
 	if len(collected) < r.cfg.MinLayers {
-		return nil, false
+		return nil, fit, false
 	}
-	return collected, true
+	return collected, fit, true
 }
 
-// fitLine least-squares fits φ(r) = φ0 − k·r and z(r) = z0 + s·r over hits.
-func fitLine(hs []*hit) (phi0, k, z0, zSlope float64, ok bool) {
-	n := float64(len(hs))
-	ref := hs[0].phi
-	var sr, srr, sphi, srphi, sz, srz float64
-	for _, h := range hs {
-		phi := ref + wrapPhi(h.phi-ref)
-		sr += h.r
-		srr += h.r * h.r
-		sphi += phi
-		srphi += h.r * phi
-		sz += h.z
-		srz += h.r * h.z
-	}
-	det := n*srr - sr*sr
+// lineFit holds the sums of a least-squares fit of φ(r) = φ0 − k·r and
+// z(r) = z0 + s·r. Hits are only ever appended to a seed, and a float sum
+// taken left to right over a list does not change when the list grows, so
+// adding each hit once gives every refit the sums a fresh pass over the
+// whole collection would.
+type lineFit struct {
+	// ref is the first hit's azimuth; every other is unwrapped onto its
+	// branch before it is summed.
+	ref                           float64
+	n                             float64
+	sr, srr, sphi, srphi, sz, srz float64
+}
+
+func (f *lineFit) add(h *hit) {
+	phi := f.ref + wrapPhi(h.phi-f.ref)
+	f.n++
+	f.sr += h.r
+	f.srr += h.r * h.r
+	f.sphi += phi
+	f.srphi += h.r * phi
+	f.sz += h.z
+	f.srz += h.r * h.z
+}
+
+func (f *lineFit) solve() (phi0, k, z0, zSlope float64, ok bool) {
+	det := f.n*f.srr - f.sr*f.sr
 	if det == 0 {
 		return 0, 0, 0, 0, false
 	}
-	slopePhi := (n*srphi - sr*sphi) / det
-	phi0 = (sphi*srr - sr*srphi) / det
+	slopePhi := (f.n*f.srphi - f.sr*f.sphi) / det
+	phi0 = (f.sphi*f.srr - f.sr*f.srphi) / det
 	k = -slopePhi
-	zSlope = (n*srz - sr*sz) / det
-	z0 = (sz*srr - sr*srz) / det
+	zSlope = (f.n*f.srz - f.sr*f.sz) / det
+	z0 = (f.sz*f.srr - f.sr*f.srz) / det
 	return phi0, k, z0, zSlope, true
 }
 
 // fitTrack converts the final line fit over the collected hits into a
 // measured track.
-func (r *Reconstructor) fitTrack(hs []*hit) (datamodel.Track, bool) {
-	phi0, k, z0, zSlope, ok := fitLine(hs)
+func (r *Reconstructor) fitTrack(hs []*hit, fit *lineFit) (datamodel.Track, bool) {
+	phi0, k, z0, zSlope, ok := fit.solve()
 	if !ok {
 		return datamodel.Track{}, false
 	}
@@ -455,7 +606,7 @@ func (r *Reconstructor) findVertices(tracks []datamodel.Track) []datamodel.Verte
 	}
 	r.scrZs = zs
 	sort.Float64s(zs)
-	var vertices []datamodel.VertexFit
+	vertices := r.scrVertices.vertices[:0]
 	i := 0
 	for i < len(zs) {
 		j := i
@@ -477,19 +628,21 @@ func (r *Reconstructor) findVertices(tracks []datamodel.Track) []datamodel.Verte
 		}
 		i = j
 	}
-	sort.Slice(vertices, func(a, b int) bool { return vertices[a].NTracks > vertices[b].NTracks })
-	return vertices
+	r.scrVertices.vertices = vertices
+	sort.Sort(&r.scrVertices)
+	return cloneOrNil(vertices)
 }
 
 // cluster groups calorimeter cells around local maxima.
 func (r *Reconstructor) cluster(cells []cell) []datamodel.Cluster {
-	idx := growInts(&r.scrIdx, len(cells))
-	for i := range idx {
-		idx[i] = i
+	byE := &r.scrByEnergy
+	byE.reset()
+	for i := range cells {
+		byE.add(i, cells[i].e)
 	}
-	sort.Slice(idx, func(a, b int) bool { return cells[idx[a]].e > cells[idx[b]].e })
-	var clusters []datamodel.Cluster
-	for _, i := range idx {
+	sort.Sort(byE)
+	clusters := r.scrClusters[:0]
+	for _, i := range byE.idx {
 		seed := &cells[i]
 		if seed.used || seed.e < r.cfg.ClusterSeedE {
 			continue
@@ -515,7 +668,8 @@ func (r *Reconstructor) cluster(cells []cell) []datamodel.Cluster {
 			EM: seed.em, NCells: nCells,
 		})
 	}
-	return clusters
+	r.scrClusters = clusters
+	return cloneOrNil(clusters)
 }
 
 // buildCandidates refines tracks and clusters into candidate physics
@@ -532,6 +686,7 @@ func (r *Reconstructor) cluster(cells []cell) []datamodel.Cluster {
 func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 	usedTrack := growBools(&r.scrUsedTrack, len(out.Tracks))
 	usedCluster := growBools(&r.scrUsedCluster, len(out.Clusters))
+	cands := r.scrCandidates[:0]
 
 	tk := &r.trackKin
 	tk.Reset()
@@ -575,7 +730,7 @@ func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 			continue
 		}
 		usedTrack[ti] = true
-		out.Candidates = append(out.Candidates, datamodel.Candidate{
+		cands = append(cands, datamodel.Candidate{
 			Type:   datamodel.ObjMuon,
 			P:      fourvec.PtEtaPhiM(tk.Pt(ti), trkEta, trkPhi, 0.10566),
 			Charge: t.Charge, Quality: qualityFromChi2(t.Chi2),
@@ -606,7 +761,7 @@ func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 			if eOverP > 0.7 && eOverP < 1.5 {
 				usedTrack[bestTrack] = true
 				usedCluster[ci] = true
-				out.Candidates = append(out.Candidates, datamodel.Candidate{
+				cands = append(cands, datamodel.Candidate{
 					Type: datamodel.ObjElectron, P: cv, Charge: t.Charge,
 					Quality:   qualityFromChi2(t.Chi2),
 					Isolation: r.trackIsolation(tk, bestTrack),
@@ -616,7 +771,7 @@ func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 		}
 		if c.E > 5 {
 			usedCluster[ci] = true
-			out.Candidates = append(out.Candidates, datamodel.Candidate{
+			cands = append(cands, datamodel.Candidate{
 				Type: datamodel.ObjPhoton, P: cv, Quality: 0.9,
 			})
 		}
@@ -624,16 +779,15 @@ func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 
 	// Jets: greedy cones over remaining clusters, on the cached cluster
 	// columns.
-	remaining := r.scrRemaining[:0]
+	byE := &r.scrByEnergy
+	byE.reset()
 	for ci := range out.Clusters {
 		if !usedCluster[ci] {
-			remaining = append(remaining, ci)
+			byE.add(ci, out.Clusters[ci].E)
 		}
 	}
-	r.scrRemaining = remaining
-	sort.Slice(remaining, func(a, b int) bool {
-		return out.Clusters[remaining[a]].E > out.Clusters[remaining[b]].E
-	})
+	sort.Sort(byE)
+	remaining := byE.idx
 	taken := growBools(&r.scrTaken, len(out.Clusters))
 	for _, seedIdx := range remaining {
 		if taken[seedIdx] {
@@ -652,11 +806,13 @@ func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 			}
 		}
 		if jetP.Pt() >= r.cfg.JetMinPt {
-			out.Candidates = append(out.Candidates, datamodel.Candidate{
+			cands = append(cands, datamodel.Candidate{
 				Type: datamodel.ObjJet, P: jetP, Quality: 0.8,
 			})
 		}
 	}
+	r.scrCandidates = cands
+	out.Candidates = cloneOrNil(cands)
 }
 
 // computeMET sums the calibrated calorimeter cells and corrects for muons,
@@ -700,13 +856,55 @@ func (r *Reconstructor) trackIsolation(kin *fourvec.Slab, self int) float64 {
 	return iso
 }
 
-// growInts resizes an int scratch slice to n, reusing capacity.
-func growInts(scr *[]int, n int) []int {
-	if cap(*scr) < n {
-		*scr = make([]int, n)
+// The sorts in this file run through sort.Sort on values the reconstructor
+// owns. sort.Slice is the same algorithm making the same comparisons, so
+// the order among equal keys is the one it gave, without its per-call
+// closure and reflection swapper.
+
+// trackSorter orders tracks by falling pT.
+type trackSorter struct{ tracks []datamodel.Track }
+
+func (s *trackSorter) Len() int           { return len(s.tracks) }
+func (s *trackSorter) Less(i, j int) bool { return s.tracks[i].P.Pt() > s.tracks[j].P.Pt() }
+func (s *trackSorter) Swap(i, j int)      { s.tracks[i], s.tracks[j] = s.tracks[j], s.tracks[i] }
+
+// vertexSorter orders vertices by falling track count.
+type vertexSorter struct{ vertices []datamodel.VertexFit }
+
+func (s *vertexSorter) Len() int           { return len(s.vertices) }
+func (s *vertexSorter) Less(i, j int) bool { return s.vertices[i].NTracks > s.vertices[j].NTracks }
+func (s *vertexSorter) Swap(i, j int) {
+	s.vertices[i], s.vertices[j] = s.vertices[j], s.vertices[i]
+}
+
+// indexSorter orders indices into some other slice by the falling energy
+// of what they point at.
+type indexSorter struct {
+	idx []int
+	e   []float64 // e[k] is the energy behind idx[k]
+}
+
+func (s *indexSorter) reset() { s.idx, s.e = s.idx[:0], s.e[:0] }
+
+func (s *indexSorter) add(i int, e float64) {
+	s.idx = append(s.idx, i)
+	s.e = append(s.e, e)
+}
+
+func (s *indexSorter) Len() int           { return len(s.idx) }
+func (s *indexSorter) Less(i, j int) bool { return s.e[i] > s.e[j] }
+func (s *indexSorter) Swap(i, j int) {
+	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
+	s.e[i], s.e[j] = s.e[j], s.e[i]
+}
+
+// cloneOrNil copies scratch into a slice of exactly its length for the
+// output event, or returns nil for nothing.
+func cloneOrNil[T any](scratch []T) []T {
+	if len(scratch) == 0 {
+		return nil
 	}
-	*scr = (*scr)[:n]
-	return *scr
+	return slices.Clone(scratch)
 }
 
 // growBools resizes a bool scratch slice to n and clears it.

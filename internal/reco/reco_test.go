@@ -388,3 +388,28 @@ func TestFoldersMatchTouched(t *testing.T) {
 		}
 	}
 }
+
+func TestReconstructAllocs(t *testing.T) {
+	c := newChain(t, 1)
+	g := generator.NewQCDDijet(generator.DefaultConfig(1))
+	raws := make([]*rawdata.Event, 16)
+	for i := range raws {
+		raws[i] = rawdata.Digitize(1, c.full.Simulate(g.Generate()))
+	}
+	i := 0
+	next := func() {
+		if _, err := c.rec.Reconstruct(raws[i%len(raws)], c.cond); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	// Two passes over the sample bring every scratch slice to its working
+	// size; after that a call allocates what it returns and nothing else:
+	// the event and its track, vertex, cluster and candidate slices.
+	for range 2 * len(raws) {
+		next()
+	}
+	if got := testing.AllocsPerRun(4*len(raws), next); got > 5 {
+		t.Fatalf("Reconstruct: %v allocations per event on a warm reconstructor, want at most 5", got)
+	}
+}

@@ -55,6 +55,9 @@ type FullSim struct {
 	det  *detector.Detector
 	seed uint64
 	rng  *xrand.Rand
+	// noiseHits and noiseDeposits are the mean noise readings per event in
+	// the silicon and in the calorimeters, for sizing an event's slices.
+	noiseHits, noiseDeposits float64
 	// Version is recorded in provenance when simulation runs inside a
 	// preserved workflow.
 	Version string
@@ -63,7 +66,18 @@ type FullSim struct {
 // NewFullSim returns a full simulation over the given geometry, with its
 // own deterministic random stream.
 func NewFullSim(det *detector.Detector, seed uint64) *FullSim {
-	return &FullSim{det: det, seed: seed, rng: xrand.New(seed ^ 0xf0115e), Version: "fullsim-1.4.0"}
+	s := &FullSim{det: det, seed: seed, rng: xrand.New(seed ^ 0xf0115e), Version: "fullsim-1.4.0"}
+	for i := range det.Layers {
+		l := &det.Layers[i]
+		mean := l.NoiseOccupancy * float64(l.Channels())
+		switch l.Kind {
+		case detector.KindPixel, detector.KindStrip:
+			s.noiseHits += mean
+		case detector.KindECal, detector.KindHCal:
+			s.noiseDeposits += mean
+		}
+	}
+	return s
 }
 
 // Detector returns the geometry the simulation runs over.
@@ -101,6 +115,7 @@ func (s *FullSim) simulate(ev *hepmc.Event, rng *xrand.Rand) *Event {
 		v := ev.Vertices[0]
 		out.BeamspotX, out.BeamspotY, out.BeamspotZ = v.X, v.Y, v.Z
 	}
+	s.presize(out, ev)
 	for _, p := range ev.Particles {
 		if !p.IsFinal() || units.IsNeutrino(p.PDG) {
 			continue
@@ -113,6 +128,28 @@ func (s *FullSim) simulate(ev *hepmc.Event, rng *xrand.Rand) *Event {
 	}
 	s.addNoise(rng, out)
 	return out
+}
+
+// presize gives the event's hit and deposit slices room for what its
+// particles can leave — a hit per silicon layer for each charged one, two
+// deposits for each visible one — plus the mean noise and three standard
+// deviations of it. The estimate runs high, since acceptance is not
+// applied, and a busier event than it allows for simply grows the slice.
+func (s *FullSim) presize(out *Event, ev *hepmc.Event) {
+	visible, charged := 0, 0
+	for i := range ev.Particles {
+		p := &ev.Particles[i]
+		if !p.IsFinal() || units.IsNeutrino(p.PDG) {
+			continue
+		}
+		visible++
+		if units.Charge(p.PDG) != 0 {
+			charged++
+		}
+	}
+	withNoise := func(n int, mean float64) int { return n + int(mean+3*math.Sqrt(mean)) + 1 }
+	out.TrackerHits = make([]Hit, 0, withNoise(charged*len(s.det.TrackerLayers()), s.noiseHits))
+	out.Deposits = make([]CaloDeposit, 0, withNoise(2*visible, s.noiseDeposits))
 }
 
 // partKin caches one particle's derived kinematics for the layer loops:

@@ -165,6 +165,48 @@ type Trigger struct {
 	// Counts accumulates per-item post-prescale accepts for rate tables.
 	counts    []int
 	evaluated int
+
+	// towers holds, per layer, what a deposit's channel address alone
+	// decides; a layer's entry is filled when its first deposit arrives.
+	towers []towerMap
+	// Per-event scratch for muonStubs.
+	innerHits, outerHits []sim.Hit
+	usedOuter            []bool
+	stubs                []float64
+}
+
+// The L1 jet window: ~0.5 rad in φ, ~1 unit of η equivalent in z.
+const (
+	nPhiRegions = 12
+	nZRegions   = 10
+)
+
+// towerMap is one layer's channel grid seen from the trigger: the factor
+// that turns a deposit's energy into transverse energy, by z index, and the
+// jet region a cell falls in, by z and by φ index. Each entry is computed
+// from the cell centre exactly as a deposit-by-deposit evaluation would.
+type towerMap struct {
+	sinTheta  []float64
+	zRegion   []uint8
+	phiRegion []uint8
+}
+
+func newTowerMap(l *detector.Layer) towerMap {
+	m := towerMap{
+		sinTheta:  make([]float64, l.NZ),
+		zRegion:   make([]uint8, l.NZ),
+		phiRegion: make([]uint8, l.NPhi),
+	}
+	for iz := range m.sinTheta {
+		_, z := l.CellCenter(0, iz)
+		m.sinTheta[iz] = math.Sin(math.Atan2(l.Radius, z))
+		m.zRegion[iz] = uint8((z + l.HalfLengthZ) / (2 * l.HalfLengthZ) * nZRegions)
+	}
+	for iphi := range m.phiRegion {
+		phi, _ := l.CellCenter(iphi, 0)
+		m.phiRegion[iphi] = uint8((phi + math.Pi) / (2 * math.Pi) * nPhiRegions)
+	}
+	return m
 }
 
 // New returns a trigger for the menu over the given geometry. It panics on
@@ -177,6 +219,7 @@ func New(menu *Menu, det *detector.Detector) *Trigger {
 		menu: menu, det: det,
 		counters: make([]int, len(menu.Items)),
 		counts:   make([]int, len(menu.Items)),
+		towers:   make([]towerMap, len(det.Layers)),
 	}
 }
 
@@ -239,7 +282,7 @@ func (t *Trigger) muonStubs(se *sim.Event) []float64 {
 	inner, outer := muonLayers[0], muonLayers[1]
 	rIn := t.det.Layer(inner).Radius
 	rOut := t.det.Layer(outer).Radius
-	var innerHits, outerHits []sim.Hit
+	innerHits, outerHits := t.innerHits[:0], t.outerHits[:0]
 	for _, h := range se.MuonHits {
 		switch h.Channel.Layer() {
 		case inner:
@@ -248,9 +291,11 @@ func (t *Trigger) muonStubs(se *sim.Event) []float64 {
 			outerHits = append(outerHits, h)
 		}
 	}
+	t.innerHits, t.outerHits = innerHits, outerHits
 	bendScale := 0.3 * t.det.BField * (rOut - rIn) / 2000 // GeV·rad
-	var stubs []float64
-	used := make([]bool, len(outerHits))
+	stubs := t.stubs[:0]
+	used := append(t.usedOuter[:0], make([]bool, len(outerHits))...)
+	t.usedOuter = used
 	for _, hi := range innerHits {
 		bestJ, bestDPhi := -1, 0.3
 		for j, ho := range outerHits {
@@ -279,41 +324,43 @@ func (t *Trigger) muonStubs(se *sim.Event) []float64 {
 		}
 		stubs = append(stubs, pt)
 	}
+	t.stubs = stubs
 	return stubs
 }
 
 // caloQuantities returns the highest ECal tower ET, the highest ET summed
-// into a coarse jet region (the L1 jet window: ~0.5 rad in φ, ~1 unit of η
-// equivalent in z), and the scalar ET sum.
+// into a coarse jet region, and the scalar ET sum. Regions are summed in
+// deposit order into a fixed grid; the extra row and column take a cell
+// centre that sits exactly on the closed upper edge (φ = π). A deposit
+// addressed outside its layer's channel grid belongs to no tower and is
+// ignored, like one addressed outside the detector.
 func (t *Trigger) caloQuantities(se *sim.Event) (emMax, jetMax, sumEt float64) {
-	const (
-		nPhiRegions = 12
-		nZRegions   = 10
-	)
-	type regionKey struct{ iphi, iz int }
-	regions := make(map[regionKey]float64)
+	var regions [nPhiRegions + 1][nZRegions + 1]float64
 	for _, dep := range se.Deposits {
 		li := dep.Channel.Layer()
-		if li < 0 || li >= len(t.det.Layers) {
+		if li >= len(t.towers) {
 			continue
 		}
-		l := t.det.Layer(li)
-		phi, z := l.CellCenter(dep.Channel.IPhi(), dep.Channel.IZ())
-		theta := math.Atan2(l.Radius, z)
-		et := dep.Energy * math.Sin(theta)
+		m := &t.towers[li]
+		if m.sinTheta == nil {
+			*m = newTowerMap(t.det.Layer(li))
+		}
+		iphi, iz := dep.Channel.IPhi(), dep.Channel.IZ()
+		if iphi >= len(m.phiRegion) || iz >= len(m.zRegion) {
+			continue
+		}
+		et := dep.Energy * m.sinTheta[iz]
 		sumEt += et
 		if dep.EM && et > emMax {
 			emMax = et
 		}
-		key := regionKey{
-			iphi: int((phi + math.Pi) / (2 * math.Pi) * nPhiRegions),
-			iz:   int((z + l.HalfLengthZ) / (2 * l.HalfLengthZ) * nZRegions),
-		}
-		regions[key] += et
+		regions[m.phiRegion[iphi]][m.zRegion[iz]] += et
 	}
-	for _, et := range regions {
-		if et > jetMax {
-			jetMax = et
+	for i := range regions {
+		for _, et := range regions[i] {
+			if et > jetMax {
+				jetMax = et
+			}
 		}
 	}
 	return emMax, jetMax, sumEt

@@ -142,10 +142,17 @@ func Mass(pdg int) float64 {
 	return p.Mass
 }
 
-// Charge returns the electric charge for a code in units of e.
+// Charge returns the electric charge for a code in units of e. It reads
+// the table directly: the simulation asks for every particle of every
+// event, and Lookup would build an antiparticle's name each time.
 func Charge(pdg int) float64 {
-	p, _ := Lookup(pdg)
-	return p.Charge
+	if pdg < 0 {
+		if p, ok := table[-pdg]; ok {
+			return -p.Charge
+		}
+		return 0
+	}
+	return table[pdg].Charge
 }
 
 // Name returns the human-readable species name for a code.

@@ -32,6 +32,10 @@ type streamChain struct {
 	det  *detector.Detector
 	snap reco.Source
 	seed uint64
+	// proc and pileup choose the generated sample; newStreamChain sets the
+	// clean Drell-Yan sample the determinism tests were written against.
+	proc   int
+	pileup float64
 }
 
 func newStreamChain(t testing.TB, seed uint64) *streamChain {
@@ -41,7 +45,18 @@ func newStreamChain(t testing.TB, seed uint64) *streamChain {
 	if err := conditions.SeedStandard(db, "t", 1, 100, 10, seed); err != nil {
 		t.Fatal(err)
 	}
-	return &streamChain{det: det, snap: db.Snapshot("t", 1), seed: seed}
+	return &streamChain{det: det, snap: db.Snapshot("t", 1), seed: seed, proc: generator.ProcDrellYanZ}
+}
+
+func (c *streamChain) generator(t testing.TB) generator.Generator {
+	t.Helper()
+	cfg := generator.DefaultConfig(c.seed)
+	cfg.PileupMu = c.pileup
+	gen, err := generator.New(c.proc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
 }
 
 func prodTrain() skim.Train {
@@ -68,10 +83,7 @@ func prodTrain() skim.Train {
 func runStreaming(t testing.TB, c *streamChain, events, workers, batchSize int) map[string][]byte {
 	t.Helper()
 	opts := eventflow.Options{BatchSize: batchSize}
-	gen, err := generator.New(generator.ProcDrellYanZ, generator.DefaultConfig(c.seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := c.generator(t)
 	full := sim.NewFullSim(c.det, c.seed)
 	trg := trigger.New(trigger.StandardMenu(), c.det)
 
@@ -183,10 +195,7 @@ func runStreaming(t testing.TB, c *streamChain, events, workers, batchSize int) 
 // no goroutines — as the semantic reference the pipeline must match.
 func runSequential(t testing.TB, c *streamChain, events int) map[string][]byte {
 	t.Helper()
-	gen, err := generator.New(generator.ProcDrellYanZ, generator.DefaultConfig(c.seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	gen := c.generator(t)
 	full := sim.NewFullSim(c.det, c.seed)
 	trg := trigger.New(trigger.StandardMenu(), c.det)
 
