@@ -96,7 +96,7 @@ func TestClusterChaosE2E(t *testing.T) {
 		hosts   []string
 	)
 	for i := 0; i < 5; i++ {
-		nd := node.New(fmt.Sprintf("site-%d", i), cas.NewMemBackend())
+		nd := node.New(fmt.Sprintf("site-%d", i), cas.NewShardedBackend(1))
 		srv := httptest.NewServer(nd.Handler())
 		t.Cleanup(srv.Close)
 		nodes = append(nodes, nd)
@@ -120,12 +120,20 @@ func TestClusterChaosE2E(t *testing.T) {
 	// wire answers 503, and some blob reads flip bits in flight. The
 	// retry/quorum machinery must absorb all of it.
 	inj.WithErrorRate(0.30).WithCorruptRate(0.05)
-	if n, err := archive.ReplicateCtx(ctx, remote, baseline, resilience.Policy{
-		MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Jitter: 0.2,
-	}); err != nil {
-		t.Fatalf("replicating into cluster under faults: %v (copied %d)", err, n)
-	} else if n != len(ids) {
-		t.Fatalf("replicated %d packages, want %d", n, len(ids))
+	load := resilience.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond, Jitter: 0.2}
+	for i, c := range corpus {
+		var id string
+		err := resilience.Retry(ctx, load, func(context.Context) (err error) {
+			id, err = remote.Ingest(c.meta, c.files)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("ingesting %q into the cluster under faults: %v", c.meta.Title, err)
+		}
+		// IDs are content addresses: the fleet's equal the baseline's.
+		if id != ids[i] {
+			t.Fatalf("package %q: cluster ID %s, baseline %s", c.meta.Title, id, ids[i])
+		}
 	}
 
 	// --- chaos proper ---
@@ -168,7 +176,7 @@ func TestClusterChaosE2E(t *testing.T) {
 	// new address. Placement is unchanged (same ID on the ring), so
 	// anti-entropy re-replicates everything it owned.
 	cl.RemoveNode("site-2")
-	rebuilt := node.New("site-2", cas.NewMemBackend())
+	rebuilt := node.New("site-2", cas.NewShardedBackend(1))
 	srv := httptest.NewServer(rebuilt.Handler())
 	t.Cleanup(srv.Close)
 	nodes[2] = rebuilt

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	daspos-node -id site-a -listen :7701 [-shards 8]
+//	daspos-node -id site-a -listen :7701
 //
 // The node stores blobs in memory, sharded for concurrent access; it is a
 // replication endpoint, not an archive of record — durability comes from
@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"daspos/internal/cas"
 	"daspos/internal/node"
 )
 
@@ -35,7 +34,6 @@ func main() {
 	log.SetPrefix("daspos-node: ")
 	id := flag.String("id", "", "node identity within the cluster (required)")
 	listen := flag.String("listen", ":7701", "listen address")
-	shards := flag.Int("shards", 0, "backend shard count (0 = GOMAXPROCS-derived)")
 	flag.Parse()
 	if *id == "" {
 		log.Print("missing required -id")
@@ -43,7 +41,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	n := node.New(*id, cas.NewShardedBackend(*shards))
+	n := node.New(*id, nil)
 	srv := &http.Server{
 		Addr:              *listen,
 		Handler:           n.Handler(),

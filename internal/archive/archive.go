@@ -91,8 +91,8 @@ var (
 
 // Archive is the package store. It is safe for concurrent use: the
 // package index is mutex-guarded and the blob store underneath is
-// concurrency-safe, so parallel ingest, replication, and fixity sweeps
-// can share one archive.
+// concurrency-safe, so parallel ingest and fixity sweeps can share one
+// archive.
 type Archive struct {
 	blobs *cas.Store
 
@@ -100,16 +100,15 @@ type Archive struct {
 	packages map[string]*Package
 }
 
-// New returns an empty archive over an in-memory blob store. The store's
-// backend is sharded so parallel ingest, replication, and fixity sweeps
-// do not serialize on a single lock.
+// New returns an empty archive over an in-memory blob store.
 func New() *Archive {
-	return NewWithStore(cas.NewStoreWith(cas.NewShardedBackend(0)))
+	return NewWithStore(cas.NewStore())
 }
 
 // NewWithStore returns an empty archive over a caller-supplied blob store
-// — the hook for alternative or fault-injected backends (chaos tests wrap
-// the store's backend through internal/faults).
+// — a store over a cluster.Client makes it the preservation network's
+// archive, and chaos tests wrap the store's backend through
+// internal/faults.
 func NewWithStore(blobs *cas.Store) *Archive {
 	return &Archive{blobs: blobs, packages: make(map[string]*Package)}
 }
@@ -148,28 +147,30 @@ func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error)
 			return "", fmt.Errorf("archive: metadata references %q which is not in the payload", special)
 		}
 	}
-	manifest, err := json.Marshal(pkg)
+	id, err := packageID(pkg)
 	if err != nil {
 		return "", err
 	}
-	id := cas.Digest(manifest)
 	pkg.Metadata.ID = id
-	if !a.adopt(pkg) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if _, dup := a.packages[id]; dup {
 		return "", fmt.Errorf("archive: identical package already ingested (%s)", id)
 	}
+	a.packages[id] = pkg
 	return id, nil
 }
 
-// adopt registers an already-built package under its ID, reporting whether
-// it was new. The single write path into the package index.
-func (a *Archive) adopt(pkg *Package) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, dup := a.packages[pkg.Metadata.ID]; dup {
-		return false
+// packageID is the content address of a package: the digest of its
+// manifest marshalled with the ID field empty.
+func packageID(pkg *Package) (string, error) {
+	unsigned := *pkg
+	unsigned.Metadata.ID = ""
+	manifest, err := json.Marshal(&unsigned)
+	if err != nil {
+		return "", err
 	}
-	a.packages[pkg.Metadata.ID] = pkg
-	return true
+	return cas.Digest(manifest), nil
 }
 
 // Get returns the package with the given ID.
@@ -197,18 +198,19 @@ func (a *Archive) Fetch(id, path string) ([]byte, error) {
 	return data, nil
 }
 
-// VerifyPackage fixity-checks every file of a package.
+// VerifyPackage fixity-checks every file of a package, without
+// materialising any of them.
 func (a *Archive) VerifyPackage(id string) error {
 	pkg, ok := a.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoPackage, id)
 	}
 	for _, f := range pkg.Files {
-		data, err := a.blobs.Get(f.Digest)
+		logical, err := a.blobs.Verify(f.Digest)
 		if err != nil {
 			return fmt.Errorf("archive: package %s file %s: %w", id, f.Path, err)
 		}
-		if int64(len(data)) != f.Size {
+		if logical != f.Size {
 			return fmt.Errorf("archive: package %s file %s: size drift", id, f.Path)
 		}
 	}
@@ -242,19 +244,6 @@ func (a *Archive) VerifyAllWorkers(ctx context.Context, workers int) VerifyRepor
 	}
 	if workers > len(ids) {
 		workers = len(ids)
-	}
-	if workers <= 1 {
-		for _, id := range ids {
-			if ctx.Err() != nil {
-				return rep
-			}
-			if err := a.VerifyPackage(id); err != nil {
-				rep.Damaged[id] = err.Error()
-			} else {
-				rep.Healthy++
-			}
-		}
-		return rep
 	}
 	var (
 		mu sync.Mutex
@@ -381,8 +370,8 @@ func ReadFrom(r io.Reader) (*Archive, error) {
 	if headLen <= 0 || headLen > 1<<30 {
 		return nil, fmt.Errorf("archive: implausible index length %d", headLen)
 	}
-	head := make([]byte, headLen)
-	if _, err := io.ReadFull(r, head); err != nil {
+	head, err := cas.ReadN(r, int64(headLen))
+	if err != nil {
 		return nil, fmt.Errorf("archive: reading index: %w", err)
 	}
 	var idx persisted
@@ -395,10 +384,19 @@ func ReadFrom(r io.Reader) (*Archive, error) {
 	}
 	a := &Archive{blobs: blobs, packages: make(map[string]*Package, len(idx.Packages))}
 	for _, pkg := range idx.Packages {
-		if pkg.Metadata.ID == "" {
-			return nil, fmt.Errorf("archive: loaded package without ID")
+		if pkg == nil {
+			return nil, fmt.Errorf("archive: null package in index")
 		}
-		a.packages[pkg.Metadata.ID] = pkg
+		// Blob fixity does not cover the index: the ID does, so it is
+		// recomputed rather than believed.
+		id, err := packageID(pkg)
+		if err != nil {
+			return nil, err
+		}
+		if id != pkg.Metadata.ID {
+			return nil, fmt.Errorf("archive: package %q (%q) does not match its ID: metadata altered", pkg.Metadata.ID, pkg.Metadata.Title)
+		}
+		a.packages[id] = pkg
 	}
 	rep := a.VerifyAll()
 	if len(rep.Damaged) > 0 {

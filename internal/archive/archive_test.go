@@ -2,10 +2,14 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"daspos/internal/cas"
 	"daspos/internal/datamodel"
 )
 
@@ -122,6 +126,65 @@ func TestVerifyDetectsBitRot(t *testing.T) {
 	}
 }
 
+// TestVerifyReportsSizeDriftAndBitRot pins what the audit checks now that
+// it asks the store for a verdict instead of the payload: a manifest whose
+// recorded size no longer matches the blob, and a blob that no longer
+// matches its digest, are two different findings and both are reported.
+func TestVerifyReportsSizeDriftAndBitRot(t *testing.T) {
+	a, ids := manyPackageArchive(t, 3)
+	drifted, _ := a.Get(ids[0])
+	drifted.Files[0].Size++
+	rotted, _ := a.Get(ids[1])
+	if err := a.CorruptBlob(rotted.Files[0].Digest); err != nil {
+		t.Fatal(err)
+	}
+	rep := a.VerifyAll()
+	if rep.Healthy != 1 || len(rep.Damaged) != 2 {
+		t.Fatalf("report: %+v", rep)
+	}
+	if got := rep.Damaged[ids[0]]; !strings.Contains(got, "size drift") {
+		t.Fatalf("size-drifted manifest reported as %q", got)
+	}
+	if err := a.VerifyPackage(ids[1]); !errors.Is(err, cas.ErrCorrupt) {
+		t.Fatalf("bit-rotted blob reported as %v", err)
+	}
+}
+
+func manyPackageArchive(t *testing.T, n int) (*Archive, []string) {
+	t.Helper()
+	a := New()
+	var ids []string
+	for i := 0; i < n; i++ {
+		m := sampleMeta()
+		m.Title = fmt.Sprintf("capsule %02d", i)
+		m.EnvManifest, m.Provenance = "", ""
+		id, err := a.Ingest(m, map[string][]byte{
+			"events.json": bytes.Repeat([]byte(fmt.Sprintf("evt-%02d ", i)), 2000),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	return a, ids
+}
+
+func TestParallelVerifyAllFindsDamage(t *testing.T) {
+	a, ids := manyPackageArchive(t, 10)
+	victim := ids[4]
+	pkg, _ := a.Get(victim)
+	if err := a.CorruptBlob(pkg.Files[0].Digest); err != nil {
+		t.Fatal(err)
+	}
+	rep := a.VerifyAllWorkers(context.Background(), 8)
+	if rep.Packages != 10 || rep.Healthy != 9 {
+		t.Fatalf("report: %+v", rep)
+	}
+	if _, ok := rep.Damaged[victim]; !ok {
+		t.Fatalf("damaged map %v missing %s", rep.Damaged, victim)
+	}
+}
+
 func TestDeduplicationAcrossPackages(t *testing.T) {
 	a := New()
 	if _, err := a.Ingest(sampleMeta(), sampleFiles()); err != nil {
@@ -203,6 +266,43 @@ func TestReadFromRejectsDamage(t *testing.T) {
 	}
 	if _, err := ReadFrom(strings.NewReader("5\n{bad}")); err == nil {
 		t.Fatal("bad index loaded")
+	}
+}
+
+// TestReadFromRejectsAlteredMetadata: blob fixity says nothing about the
+// index, so a byte flipped in a title, tag or keyword is caught by
+// recomputing the package ID the way Ingest assigned it.
+func TestReadFromRejectsAlteredMetadata(t *testing.T) {
+	a := New()
+	id, _ := a.Ingest(sampleMeta(), sampleFiles())
+	var buf bytes.Buffer
+	if err := a.Persist(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"W+MET search", "data-v3", "w-boson"} {
+		edited := bytes.Replace(buf.Bytes(), []byte(field), []byte("X"+field[1:]), 1)
+		if bytes.Equal(edited, buf.Bytes()) {
+			t.Fatalf("%q not found in the persisted index", field)
+		}
+		_, err := ReadFrom(bytes.NewReader(edited))
+		if err == nil || !strings.Contains(err.Error(), id) {
+			t.Fatalf("index with %q altered: err = %v, want one naming %s", field, err, id)
+		}
+	}
+}
+
+// TestReadFromLengthFieldReservesNoMemory: the index length is read from
+// the file before any of the index arrives.
+func TestReadFromLengthFieldReservesNoMemory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrom(strings.NewReader("1073741824\n{\"packages\":["))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated index loaded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("a 26-byte file allocated %d bytes", grew)
 	}
 }
 

@@ -1,11 +1,5 @@
 package cas
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
-
 // Backend is the raw blob storage beneath a Store: digest → compressed
 // bytes plus the logical (uncompressed) size. Splitting storage from the
 // Store's compress/verify logic lets deployments swap media (memory today,
@@ -29,87 +23,8 @@ type Backend interface {
 	Digests() []string
 }
 
-// MemBackend is the in-memory Backend: the seed deployment's storage and
-// the reference implementation for the interface contract.
-type MemBackend struct {
-	mu      sync.RWMutex
-	blobs   map[string][]byte
-	logical map[string]int64
-}
-
-// NewMemBackend returns an empty in-memory backend.
-func NewMemBackend() *MemBackend {
-	return &MemBackend{blobs: make(map[string][]byte), logical: make(map[string]int64)}
-}
-
-// PutBlob implements Backend. The bytes are copied, so callers may reuse
-// the slice.
-func (m *MemBackend) PutBlob(digest string, comp []byte, logical int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.blobs[digest] = append([]byte(nil), comp...)
-	m.logical[digest] = logical
-	return nil
-}
-
-// GetBlob implements Backend. The returned slice is the stored one; the
-// Store treats it as read-only (Corrupt mutates it deliberately).
-func (m *MemBackend) GetBlob(digest string) ([]byte, int64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	comp, ok := m.blobs[digest]
-	if !ok {
-		return nil, 0, &NotFoundError{Digest: digest}
-	}
-	return comp, m.logical[digest], nil
-}
-
-// HasBlob implements Backend.
-func (m *MemBackend) HasBlob(digest string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.blobs[digest]
-	return ok
-}
-
-// DeleteBlob implements Backend.
-func (m *MemBackend) DeleteBlob(digest string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.blobs, digest)
-	delete(m.logical, digest)
-}
-
-// Digests implements Backend.
-func (m *MemBackend) Digests() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.blobs))
-	for d := range m.blobs {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Corrupter is the optional backend capability of flipping stored bits —
 // the fault-injection hook disaster-recovery tests drive.
 type Corrupter interface {
 	CorruptBlob(digest string) error
-}
-
-// CorruptBlob flips a byte of the stored compressed blob — the bit-rot
-// hook behind Store.Corrupt.
-func (m *MemBackend) CorruptBlob(digest string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.blobs[digest]
-	if !ok {
-		return &NotFoundError{Digest: digest}
-	}
-	if len(b) == 0 {
-		return fmt.Errorf("cas: blob %s empty", digest)
-	}
-	b[len(b)/2] ^= 0xFF
-	return nil
 }

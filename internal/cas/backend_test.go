@@ -50,90 +50,3 @@ func TestNotFoundErrorTyped(t *testing.T) {
 		t.Fatalf("NotFoundError digest = %q", nf.Digest)
 	}
 }
-
-// seedReplica stores the same payloads in a primary store and a replica
-// backend, returning both plus the digests.
-func seedReplica(t *testing.T, payloads ...string) (*Store, Backend, []string) {
-	t.Helper()
-	primary := NewStore()
-	replicaStore := NewStoreWith(NewMemBackend())
-	var digests []string
-	for _, p := range payloads {
-		d, err := primary.Put([]byte(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := replicaStore.Put([]byte(p)); err != nil {
-			t.Fatal(err)
-		}
-		digests = append(digests, d)
-	}
-	return primary, replicaStore.backend, digests
-}
-
-func TestGetFallsBackToReplicaOnCorruption(t *testing.T) {
-	primary, replica, digests := seedReplica(t, "calibration constants", "trigger menu")
-	primary.SetReplica(replica)
-	if err := primary.Corrupt(digests[0]); err != nil {
-		t.Fatal(err)
-	}
-	data, err := primary.Get(digests[0])
-	if err != nil {
-		t.Fatalf("replica fallback failed: %v", err)
-	}
-	if string(data) != "calibration constants" {
-		t.Fatalf("replica served wrong bytes: %q", data)
-	}
-	// The read healed the primary: a primary-only audit is clean again.
-	if bad := primary.VerifyAll(); len(bad) != 0 {
-		t.Fatalf("primary not healed after replica read: %v", bad)
-	}
-}
-
-func TestGetFallsBackToReplicaOnLoss(t *testing.T) {
-	primary, replica, digests := seedReplica(t, "raw bank 7")
-	primary.SetReplica(replica)
-	primary.Delete(digests[0])
-	data, err := primary.Get(digests[0])
-	if err != nil {
-		t.Fatalf("replica fallback after loss failed: %v", err)
-	}
-	if string(data) != "raw bank 7" {
-		t.Fatalf("replica served wrong bytes: %q", data)
-	}
-	if !primary.Has(digests[0]) {
-		t.Fatal("lost blob not restored to primary")
-	}
-}
-
-func TestGetReportsPrimaryErrorWhenReplicaAlsoBad(t *testing.T) {
-	primary, replica, digests := seedReplica(t, "both copies rot")
-	primary.SetReplica(replica)
-	if err := primary.Corrupt(digests[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the replica copy too.
-	rc, ok := replica.(Corrupter)
-	if !ok {
-		t.Fatal("replica backend cannot inject corruption")
-	}
-	if err := rc.CorruptBlob(digests[0]); err != nil {
-		t.Fatal(err)
-	}
-	_, err := primary.Get(digests[0])
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("double corruption should surface ErrCorrupt, got %v", err)
-	}
-}
-
-func TestVerifyAllBypassesReplica(t *testing.T) {
-	primary, replica, digests := seedReplica(t, "audit me")
-	primary.SetReplica(replica)
-	if err := primary.Corrupt(digests[0]); err != nil {
-		t.Fatal(err)
-	}
-	bad := primary.VerifyAll()
-	if len(bad) != 1 || bad[0] != digests[0] {
-		t.Fatalf("audit masked primary damage: %v", bad)
-	}
-}

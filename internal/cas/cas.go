@@ -7,11 +7,9 @@
 // packages are stored once.
 //
 // Storage is pluggable through the Backend interface; the Store layers
-// compression, fixity verification, and (optionally) replica fallback on
-// top: when the primary backend loses or corrupts a blob and a replica is
-// attached, Get transparently serves the replica's verified copy and heals
-// the primary — the self-repairing archive the Appendix-A level-5
-// disaster-recovery rating calls for.
+// compression and fixity verification on top. A Store holds one copy:
+// second copies, fallback reads and healing belong to internal/cluster,
+// which is itself a Backend.
 package cas
 
 import (
@@ -46,10 +44,10 @@ func (e *NotFoundError) Error() string { return fmt.Sprintf("cas: blob not found
 func (e *NotFoundError) Unwrap() error { return ErrNotFound }
 
 // CorruptError reports a fixity failure with enough detail for resilience
-// policies and archive.Repair to branch on: the digest that was requested
-// (Expected), what the stored bytes actually hash to (Actual, empty when
-// the blob would not even decompress), and the underlying decode error, if
-// any. It wraps ErrCorrupt, so errors.Is(err, ErrCorrupt) holds.
+// policies and cluster read-repair to branch on: the digest that was
+// requested (Expected), what the stored bytes actually hash to (Actual,
+// empty when the blob would not even decompress), and the underlying decode
+// error, if any. It wraps ErrCorrupt, so errors.Is(err, ErrCorrupt) holds.
 type CorruptError struct {
 	// Digest is the content address that was requested.
 	Digest string
@@ -90,23 +88,16 @@ func Digest(data []byte) string {
 
 // Store is a content-addressed blob store over a pluggable Backend, safe
 // for concurrent use. Persist and Load move the whole store to and from a
-// stream. An optional replica backend turns Get into a self-healing read
-// path.
+// stream.
 type Store struct {
 	backend Backend
-	replica Backend
 }
 
 // NewStore returns an empty store over an in-memory backend.
-func NewStore() *Store { return NewStoreWith(NewMemBackend()) }
+func NewStore() *Store { return NewStoreWith(NewShardedBackend(0)) }
 
 // NewStoreWith returns a store over the given backend.
 func NewStoreWith(b Backend) *Store { return &Store{backend: b} }
-
-// SetReplica attaches a replica backend: when the primary read path fails
-// (lost or corrupt blob, transient backend fault), Get serves the
-// replica's verified bytes and writes them back to the primary.
-func (s *Store) SetReplica(b Backend) { s.replica = b }
 
 // Stored blobs are framed with a one-byte encoding marker so the store
 // can skip deflate for payloads it cannot shrink (already-compressed or
@@ -257,71 +248,35 @@ func EncodeBlob(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// decodeVerified decodes the marker-framed blob and fixity-checks one
-// backend read.
-func decodeVerified(b Backend, digest string) (data, comp []byte, logical int64, err error) {
-	comp, logical, err = b.GetBlob(digest)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, nil, 0, err
-		}
-		return nil, nil, 0, fmt.Errorf("cas: reading %s: %w", digest, err)
-	}
-	data, err = DecodeBlob(digest, comp)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return data, comp, logical, nil
-}
-
-// Get retrieves and fixity-checks a payload. With a replica attached, any
-// primary failure falls through to the replica's verified copy, and a good
-// replica read repairs the primary in place.
+// Get retrieves and fixity-checks a payload.
 func (s *Store) Get(digest string) ([]byte, error) {
-	data, _, _, err := decodeVerified(s.backend, digest)
-	if err == nil {
-		return data, nil
-	}
-	if s.replica == nil {
-		return nil, err
-	}
-	rdata, rcomp, rlogical, rerr := decodeVerified(s.replica, digest)
-	if rerr != nil {
-		// The replica could not help; report the primary failure.
-		return nil, err
-	}
-	// Self-heal: write the replica's verified bytes back to the primary.
-	// Best-effort — a failed heal still serves the read.
-	_ = s.backend.PutBlob(digest, rcomp, rlogical)
-	return rdata, nil
-}
-
-// GetPrimary retrieves a payload from the primary backend only — no
-// replica fallback. Audits use it so a healthy replica cannot mask
-// primary damage.
-func (s *Store) GetPrimary(digest string) ([]byte, error) {
-	data, _, _, err := decodeVerified(s.backend, digest)
-	return data, err
-}
-
-// verifyPrimary is GetPrimary for an audit: the verdict without the payload.
-func (s *Store) verifyPrimary(digest string) error {
 	comp, _, err := s.backend.GetBlob(digest)
 	if err != nil {
-		return err
+		if errors.Is(err, ErrNotFound) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("cas: reading %s: %w", digest, err)
 	}
-	_, err = VerifyBlob(digest, comp)
-	return err
+	return DecodeBlob(digest, comp)
 }
 
-// Has reports whether the digest is stored in the primary.
+// Verify is Get for an audit: the verdict and the payload's logical
+// length, without the payload.
+func (s *Store) Verify(digest string) (logical int64, err error) {
+	comp, _, err := s.backend.GetBlob(digest)
+	if err != nil {
+		return 0, err
+	}
+	return VerifyBlob(digest, comp)
+}
+
+// Has reports whether the digest is stored.
 func (s *Store) Has(digest string) bool { return s.backend.HasBlob(digest) }
 
-// Delete removes a blob from the primary. Deleting an absent digest is a
-// no-op.
+// Delete removes a blob. Deleting an absent digest is a no-op.
 func (s *Store) Delete(digest string) { s.backend.DeleteBlob(digest) }
 
-// Digests returns the sorted list of digests in the primary.
+// Digests returns the sorted list of stored digests.
 func (s *Store) Digests() []string { return s.backend.Digests() }
 
 // Stats summarizes storage consumption.
@@ -354,11 +309,9 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// VerifyAll fixity-checks every primary blob and returns the digests that
-// failed, sorted. It deliberately bypasses replica fallback: an audit must
-// see primary damage even when reads would be served transparently. The
-// sweep fans out across GOMAXPROCS workers — decompress-and-rehash is CPU
-// bound, so archive-scale audits scale with cores.
+// VerifyAll fixity-checks every blob and returns the digests that failed,
+// sorted. The sweep fans out across GOMAXPROCS workers — decompress-and-
+// rehash is CPU bound, so archive-scale audits scale with cores.
 func (s *Store) VerifyAll() []string {
 	return s.VerifyAllWorkers(runtime.GOMAXPROCS(0))
 }
@@ -372,15 +325,6 @@ func (s *Store) VerifyAllWorkers(workers int) []string {
 	if workers > len(digests) {
 		workers = len(digests)
 	}
-	if workers <= 1 {
-		var bad []string
-		for _, d := range digests {
-			if s.verifyPrimary(d) != nil {
-				bad = append(bad, d)
-			}
-		}
-		return bad
-	}
 	var (
 		mu   sync.Mutex
 		bad  []string
@@ -392,7 +336,7 @@ func (s *Store) VerifyAllWorkers(workers int) []string {
 		go func() {
 			defer wg.Done()
 			for d := range next {
-				if s.verifyPrimary(d) != nil {
+				if _, err := s.Verify(d); err != nil {
 					mu.Lock()
 					bad = append(bad, d)
 					mu.Unlock()
@@ -411,7 +355,7 @@ func (s *Store) VerifyAllWorkers(workers int) []string {
 
 // Corrupt flips a byte inside a stored blob — a fault-injection hook for
 // testing fixity detection (bit rot on archival media). It requires a
-// backend that supports corruption (MemBackend does).
+// backend that supports corruption (ShardedBackend does).
 func (s *Store) Corrupt(digest string) error {
 	c, ok := s.backend.(Corrupter)
 	if !ok {
@@ -443,6 +387,21 @@ func (s *Store) Persist(w io.Writer) error {
 	return nil
 }
 
+// presizeCap bounds the buffer ReadN reserves on a length field's word.
+const presizeCap = 1 << 20
+
+// ReadN reads exactly n bytes of a length-prefixed field. The length comes
+// from the stream and is trusted only up to presizeCap: past it the buffer
+// grows as bytes actually arrive, so a lying header reserves no memory.
+func ReadN(r io.Reader, n int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, presizeCap)+bytes.MinRead))
+	got, err := buf.ReadFrom(io.LimitReader(r, n))
+	if err == nil && got < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf.Bytes(), err
+}
+
 // Load reads a persisted store and verifies every blob.
 func Load(r io.Reader) (*Store, error) {
 	s := NewStore()
@@ -468,8 +427,8 @@ func Load(r io.Reader) (*Store, error) {
 		if compLen > 1<<32 {
 			return nil, fmt.Errorf("cas: loading: implausible blob size %d", compLen)
 		}
-		comp := make([]byte, compLen)
-		if _, err := io.ReadFull(r, comp); err != nil {
+		comp, err := ReadN(r, int64(compLen))
+		if err != nil {
 			return nil, fmt.Errorf("cas: loading: %w", err)
 		}
 		if err := s.backend.PutBlob(digest, comp, logical); err != nil {

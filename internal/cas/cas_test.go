@@ -2,7 +2,10 @@ package cas
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -196,6 +199,59 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if err != nil || empty.Stats().Blobs != 0 {
 		t.Fatalf("empty stream: %v", err)
 	}
+}
+
+// oversizedHeader is a 20-byte store file whose one record claims a 4 GiB
+// blob and delivers none of it.
+func oversizedHeader() []byte {
+	b := binary.LittleEndian.AppendUint16(nil, 2)
+	b = append(b, "ab"...)
+	b = binary.LittleEndian.AppendUint64(b, 1<<32)
+	return binary.LittleEndian.AppendUint64(b, 1<<32)
+}
+
+// FuzzLoad feeds Load arbitrary store files. It must never reserve memory
+// on a length field's word, and whatever it accepts must be a store that
+// reads back and persists to a file Load accepts again.
+func FuzzLoad(f *testing.F) {
+	s := NewStore()
+	for _, p := range [][]byte{[]byte("raw"), bytes.Repeat([]byte("deflate "), 40), nil} {
+		if _, err := s.Put(p); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var valid bytes.Buffer
+	if err := s.Persist(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-5])
+	f.Add(oversizedHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20+32*uint64(len(data)) {
+			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		for _, d := range got.Digests() {
+			if p, err := got.Get(d); err != nil || Digest(p) != d {
+				t.Fatalf("loaded blob %s does not read back: %v", d, err)
+			}
+		}
+		var again bytes.Buffer
+		if err := got.Persist(&again); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(&again)
+		if err != nil || !slices.Equal(back.Digests(), got.Digests()) {
+			t.Fatalf("persisting a loaded store does not load to the same blobs: %v", err)
+		}
+	})
 }
 
 func TestConcurrentPutGet(t *testing.T) {

@@ -38,7 +38,7 @@ func TestChunkedRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			comp, _, err := s.backend.(*MemBackend).GetBlob(d)
+			comp, _, err := s.backend.GetBlob(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestChunkedThresholdBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, _, _ := s.backend.(*MemBackend).GetBlob(d)
+		comp, _, _ := s.backend.GetBlob(d)
 		if got := comp[0] == blobChunked; got != tc.wantChunked {
 			t.Fatalf("size %d: chunked=%v, want %v", tc.n, got, tc.wantChunked)
 		}
@@ -95,7 +95,7 @@ func TestChunkedStoredBytesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comp, _, _ := s.backend.(*MemBackend).GetBlob(d)
+		comp, _, _ := s.backend.GetBlob(d)
 		if want == nil {
 			want = append([]byte(nil), comp...)
 			continue

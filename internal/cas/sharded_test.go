@@ -60,11 +60,14 @@ func TestShardedDigestsSorted(t *testing.T) {
 }
 
 func TestShardedRoundsUpToPowerOfTwo(t *testing.T) {
-	if got := NewShardedBackend(5).Shards(); got != 8 {
+	if got := len(NewShardedBackend(5).shards); got != 8 {
 		t.Fatalf("want 8 shards for n=5, got %d", got)
 	}
-	if got := NewShardedBackend(0).Shards(); got != DefaultShards() {
-		t.Fatalf("want DefaultShards()=%d for n=0, got %d", DefaultShards(), got)
+	if got := len(NewShardedBackend(0).shards); got != defaultShards() {
+		t.Fatalf("want defaultShards()=%d for n=0, got %d", defaultShards(), got)
+	}
+	if got := len(NewShardedBackend(1).shards); got != 1 {
+		t.Fatalf("want one lock for n=1, got %d", got)
 	}
 }
 
@@ -272,7 +275,7 @@ type failingReader struct{ err error }
 func (f *failingReader) Read([]byte) (int, error) { return 0, f.err }
 
 // BenchmarkCASPutParallel measures ingest throughput with 1/4/8 writer
-// goroutines over the single-mutex MemBackend vs the sharded backend.
+// goroutines over a single-lock backend vs the striped default.
 // Each goroutine writes distinct payloads so every Put takes the full
 // digest+compress+store path.
 func BenchmarkCASPutParallel(b *testing.B) {
@@ -281,7 +284,7 @@ func BenchmarkCASPutParallel(b *testing.B) {
 		name string
 		mk   func() Backend
 	}{
-		{"mem", func() Backend { return NewMemBackend() }},
+		{"one-lock", func() Backend { return NewShardedBackend(1) }},
 		{"sharded", func() Backend { return NewShardedBackend(0) }},
 	}
 	for _, be := range backends {

@@ -146,7 +146,7 @@ func TestJoinRebalancesOntoNewNode(t *testing.T) {
 	blobs := seedBlobs(t, c, 30)
 
 	// A fifth node joins empty.
-	nd := node.New("n4", cas.NewMemBackend())
+	nd := node.New("n4", cas.NewShardedBackend(1))
 	srv := httptest.NewServer(nd.Handler())
 	t.Cleanup(srv.Close)
 	tc.nodes = append(tc.nodes, nd)

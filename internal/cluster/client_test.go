@@ -27,7 +27,7 @@ func startCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < n; i++ {
-		nd := node.New(fmt.Sprintf("n%d", i), cas.NewMemBackend())
+		nd := node.New(fmt.Sprintf("n%d", i), cas.NewShardedBackend(1))
 		srv := httptest.NewServer(nd.Handler())
 		t.Cleanup(srv.Close)
 		tc.nodes = append(tc.nodes, nd)

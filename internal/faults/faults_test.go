@@ -81,7 +81,7 @@ func TestCorruptBytes(t *testing.T) {
 
 func TestFlakyBackendInjectsAndRecovers(t *testing.T) {
 	inj := NewInjector(3)
-	store := cas.NewStoreWith(&FlakyBackend{Inner: cas.NewMemBackend(), Inj: inj})
+	store := cas.NewStoreWith(&FlakyBackend{Inner: cas.NewShardedBackend(1), Inj: inj})
 	d, err := store.Put([]byte("payload"))
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestFlakyBackendInjectsAndRecovers(t *testing.T) {
 
 func TestFlakyBackendCorruptionTripsFixity(t *testing.T) {
 	inj := NewInjector(5).WithCorruptRate(1)
-	store := cas.NewStoreWith(&FlakyBackend{Inner: cas.NewMemBackend(), Inj: inj})
+	store := cas.NewStoreWith(&FlakyBackend{Inner: cas.NewShardedBackend(1), Inj: inj})
 	// Put corrupts in flight: the stored bytes are damaged, and the
 	// fixity check catches it on read (turn corruption off for the read
 	// so the read path itself is clean).

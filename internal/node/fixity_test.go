@@ -106,7 +106,7 @@ func FuzzNodePut(f *testing.F) {
 		bytes.Repeat([]byte("preserved event data "), 400),
 		bytes.Repeat([]byte{0, 1, 2, 3, 5, 8, 13, 21}, 40<<10), // past the chunking threshold
 	} {
-		backend := cas.NewMemBackend()
+		backend := cas.NewShardedBackend(1)
 		digest, err := cas.NewStoreWith(backend).Put(payload)
 		if err != nil {
 			f.Fatal(err)
@@ -127,7 +127,7 @@ func FuzzNodePut(f *testing.F) {
 	f.Add("not-a-digest", []byte{0})
 
 	f.Fuzz(func(t *testing.T, digest string, body []byte) {
-		n := New("fuzz", cas.NewMemBackend())
+		n := New("fuzz", cas.NewShardedBackend(1))
 		req := httptest.NewRequest(http.MethodPut, "/v1/blobs/x", bytes.NewReader(body))
 		req.SetPathValue("digest", digest)
 		req.Header.Set(LogicalHeader, strconv.Itoa(len(body)))

@@ -16,7 +16,7 @@ import (
 // startNode spins one node over httptest and returns it with its base URL.
 func startNode(t *testing.T, id string) (*Node, string) {
 	t.Helper()
-	n := New(id, cas.NewMemBackend())
+	n := New(id, cas.NewShardedBackend(1))
 	srv := httptest.NewServer(n.Handler())
 	t.Cleanup(srv.Close)
 	return n, srv.URL

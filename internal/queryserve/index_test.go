@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"daspos/internal/catalog"
 	"daspos/internal/hepdata"
@@ -104,6 +105,65 @@ func TestSearchAndOr(t *testing.T) {
 	}
 	if or[0].Key != "ins1000002" || or[0].Score <= or[1].Score {
 		t.Fatalf("ranking: %+v", or)
+	}
+}
+
+// TestIndexedSearchSublinear holds the reason the index exists, against the
+// linear scan it replaced on the serving path (hepdata.Archive.Search). The
+// probe matches the same ten records at every corpus size, so the indexed
+// cost is bounded by matches and the scan's by the corpus: growing the
+// corpus 4× must grow indexed search time by well under 4×, and the index
+// must beat the scan outright at the large size.
+func TestIndexedSearchSublinear(t *testing.T) {
+	const small, grow = 500, 4
+	// fastest is the best of several timed rounds: the floor is what the
+	// code costs, the rest is what else the machine was doing.
+	fastest := func(iters int, search func() int) time.Duration {
+		best := time.Duration(1<<63 - 1)
+		for round := 0; round < 7; round++ {
+			t0 := time.Now()
+			for i := 0; i < iters; i++ {
+				if n := search(); n != 10 {
+					t.Fatalf("probe matched %d records, want 10", n)
+				}
+			}
+			best = min(best, time.Since(t0))
+		}
+		return best / time.Duration(iters)
+	}
+	measure := func(n int) (indexed, linear time.Duration) {
+		archive, idx := hepdata.NewArchive(), NewIndex()
+		for i := 0; i < n; i++ {
+			r := testRecord(i)
+			if i < 10 {
+				r.Title += " golden calibration sample"
+			}
+			if err := archive.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+			etag, err := RecordETag(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := idx.AddRecord(r, etag); err != nil {
+				t.Fatal(err)
+			}
+		}
+		terms := ParseQuery("golden calibration")
+		indexed = fastest(1000, func() int { return len(idx.Search(terms, And, -1)) })
+		linear = fastest(10, func() int { return len(archive.Search("golden")) })
+		return indexed, linear
+	}
+	idxSmall, linSmall := measure(small)
+	idxBig, linBig := measure(small * grow)
+	idxRatio := float64(idxBig) / float64(idxSmall)
+	t.Logf("indexed %v → %v (%.2fx), linear %v → %v (%.2fx) over a %dx corpus",
+		idxSmall, idxBig, idxRatio, linSmall, linBig, float64(linBig)/float64(linSmall), grow)
+	if idxRatio >= grow/1.5 {
+		t.Errorf("indexed search grew %.2fx over a %dx corpus — not sublinear", idxRatio, grow)
+	}
+	if idxBig >= linBig {
+		t.Errorf("indexed search (%v) does not beat the linear scan (%v) at %d records", idxBig, linBig, small*grow)
 	}
 }
 

@@ -109,6 +109,30 @@ func TestRecordConditionalGet(t *testing.T) {
 // TestStampedeSingleStoreRead is the acceptance-criteria stampede proof at
 // the serving layer: N concurrent cold requests for one record perform
 // exactly one store read, and every caller gets the full body.
+// TestCachedRecordGetAllocs keeps the cached path allocation-light. The
+// budget covers the recorder, the request parse and response framing; what
+// it forbids is encoding the record body again on every request.
+func TestCachedRecordGetAllocs(t *testing.T) {
+	const budget = 150
+	srv, cs := newTestServer(t, 16)
+	h := srv.Handler()
+	target := "/records/" + testRecord(3).ID()
+	get := func() {
+		if w := doReq(t, h, "GET", target, nil); w.Code != http.StatusOK {
+			t.Fatalf("status %d", w.Code)
+		}
+	}
+	get() // fill the cache
+	n := testing.AllocsPerRun(200, get)
+	t.Logf("cached record GET: %.0f allocations", n)
+	if n > budget {
+		t.Errorf("cached record GET: %.0f allocations, budget %d", n, budget)
+	}
+	if got := cs.reads.Load(); got != 1 {
+		t.Errorf("%d store reads, want the one that filled the cache", got)
+	}
+}
+
 func TestStampedeSingleStoreRead(t *testing.T) {
 	srv, cs := newTestServer(t, 2)
 	cs.gate = make(chan struct{})

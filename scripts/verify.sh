@@ -11,9 +11,6 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go build ./cmd/daspos-bench"
-go build -o /dev/null ./cmd/daspos-bench
-
 echo "==> go vet ./..."
 go vet ./...
 

@@ -12,8 +12,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 
+	"daspos/internal/cas"
 	"daspos/internal/conditions"
 	"daspos/internal/datamodel"
 	"daspos/internal/detector"
@@ -284,6 +286,89 @@ func TestStreamingByteIdenticalAcrossWorkerCounts(t *testing.T) {
 					cfg.workers, cfg.batch, tier, got[tier], digest)
 			}
 		}
+	}
+}
+
+// TestSlimEncodeStoreAllocsFlatAcrossWorkers keeps the zero-copy AOD path
+// out of allocation-bound territory: RECO events stream through a stage
+// that slims each to a borrowed view and encodes the v3 payload on the
+// worker, the ordered sink only frames the payloads (WritePayload), and the
+// stream lands in the store through the chunk-parallel PutWorkers. Each op
+// builds a fresh pipeline, so a few allocations per added worker are
+// construction (goroutine, closure, ring slot); what the ceiling and the
+// 1 → 4 worker ratio forbid is the steady-state kind — per-event copies, or
+// per-batch-per-worker state like the map reorderer that once put this op at
+// 460–495 allocations.
+func TestSlimEncodeStoreAllocsFlatAcrossWorkers(t *testing.T) {
+	const events, ceiling, growth = 200, 300, 1.5
+	c := newStreamChain(t, 42)
+	gen, full, rec := c.generator(t), sim.NewFullSim(c.det, c.seed), reco.New(c.det)
+	sample := make([]*datamodel.Event, events)
+	for i := range sample {
+		ev, err := rec.Reconstruct(rawdata.Digitize(1, full.Simulate(gen.Generate())), c.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample[i] = ev
+	}
+	op := func(workers int) func() {
+		return func() {
+			var aod bytes.Buffer
+			fw, err := datamodel.NewFileWriter(&aod, datamodel.TierAOD)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := 0
+			p := eventflow.New(context.Background(), "aod", eventflow.Options{BatchSize: 32})
+			src := eventflow.Source(p, "reco-src", func() (*datamodel.Event, error) {
+				if next == len(sample) {
+					return nil, io.EOF
+				}
+				next++
+				return sample[next-1], nil
+			})
+			enc := eventflow.MapBatches(src, "slim-encode", workers,
+				func(int) func(in []*datamodel.Event, out [][]byte) ([][]byte, error) {
+					return func(in []*datamodel.Event, out [][]byte) ([][]byte, error) {
+						// One arena per batch, handed to the sink as capped
+						// subslices: growth leaves the emitted ones intact.
+						arena := make([]byte, 0, 192*len(in))
+						for _, e := range in {
+							slim := e.SlimViewAOD()
+							start := len(arena)
+							arena = datamodel.AppendEventPayload(arena, &slim)
+							out = append(out, arena[start:len(arena):len(arena)])
+						}
+						return out, nil
+					}
+				})
+			eventflow.SinkBatch(enc, "aod-frame", func(payloads [][]byte) error {
+				for _, payload := range payloads {
+					if err := fw.WritePayload(payload); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := fw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cas.NewStore().PutWorkers(aod.Bytes(), workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	one := testing.AllocsPerRun(5, op(1))
+	four := testing.AllocsPerRun(5, op(4))
+	t.Logf("%d events: %.0f allocations at 1 worker, %.0f at 4", events, one, four)
+	if one > ceiling || four > ceiling {
+		t.Errorf("slim → encode → frame → store of %d events: %.0f / %.0f allocations at 1 / 4 workers, ceiling %d", events, one, four, ceiling)
+	}
+	if four > growth*one {
+		t.Errorf("allocations grow with workers: %.0f at 4 vs %.0f at 1 (limit %.1fx)", four, one, growth)
 	}
 }
 
