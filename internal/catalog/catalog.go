@@ -71,6 +71,7 @@ func (d *Dataset) TotalBytes() int64 {
 var (
 	ErrNoDataset = errors.New("catalog: no such dataset")
 	ErrClosed    = errors.New("catalog: dataset is closed")
+	ErrExists    = errors.New("catalog: dataset already exists")
 )
 
 // Catalog is the dataset store. It is safe for concurrent use: mutation
@@ -115,7 +116,7 @@ func (c *Catalog) Create(d Dataset) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.datasets[d.Name]; dup {
-		return fmt.Errorf("catalog: dataset %q already exists", d.Name)
+		return fmt.Errorf("%w: %q", ErrExists, d.Name)
 	}
 	if d.Parent != "" {
 		if _, ok := c.datasets[d.Parent]; !ok {

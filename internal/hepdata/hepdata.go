@@ -234,6 +234,9 @@ func (r *Record) Clone() *Record {
 // ErrNoRecord is returned for unknown record IDs.
 var ErrNoRecord = errors.New("hepdata: no such record")
 
+// ErrDuplicate is returned, wrapped, when a record ID is submitted twice.
+var ErrDuplicate = errors.New("hepdata: record already submitted")
+
 // Archive is the reactions database. It is safe for concurrent use: reads
 // take a shared lock, Submit deep-copies the record so later caller-side
 // mutation cannot reach archived state, and returned *Record values are
@@ -261,7 +264,7 @@ func (a *Archive) Submit(r *Record) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, dup := a.records[id]; dup {
-		return fmt.Errorf("hepdata: record %s already submitted", id)
+		return fmt.Errorf("%w: %s", ErrDuplicate, id)
 	}
 	a.records[id] = r.Clone()
 	at := sort.SearchStrings(a.ids, id)
@@ -355,14 +358,6 @@ func (a *Archive) Search(query string) []*Record {
 		}
 	}
 	return out
-}
-
-// EncodeRecord serializes a record as submission JSON.
-func EncodeRecord(r *Record) ([]byte, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // DecodeRecord parses and validates submission JSON.

@@ -1,7 +1,6 @@
 package queryserve
 
 import (
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 )
@@ -75,10 +74,14 @@ type flight struct {
 	err  error
 }
 
+// shard picks the key's shard by FNV-1a, inlined over the string so a
+// lookup allocates neither a hasher nor a byte copy of the key.
 func (c *Cache) shard(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%cacheShards]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return &c.shards[h%cacheShards]
 }
 
 // Get returns the cached entry for key, running fill on a miss. Every

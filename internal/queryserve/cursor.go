@@ -61,29 +61,3 @@ func (c Cursor) After(score int32, key string) bool {
 	}
 	return key > c.Key
 }
-
-// pageHits applies the cursor and page size to a ranked result list,
-// returning the page and the next cursor ("" when the walk is done).
-func pageHits(hits []Hit, cur Cursor, limit int, anchored bool) ([]Hit, string) {
-	start := 0
-	if anchored {
-		// Binary search would need the full ordering relation; the list is
-		// already sorted by (score desc, key asc), so scan to the first hit
-		// after the anchor. Pages are bounded, result lists modest; the scan
-		// is linear in results, not corpus.
-		for start < len(hits) && !cur.After(hits[start].Score, hits[start].Key) {
-			start++
-		}
-	}
-	end := len(hits)
-	if limit > 0 && start+limit < end {
-		end = start + limit
-	}
-	page := hits[start:end]
-	next := ""
-	if end < len(hits) && len(page) > 0 {
-		last := page[len(page)-1]
-		next = Cursor{Score: last.Score, Key: last.Key}.Encode()
-	}
-	return page, next
-}

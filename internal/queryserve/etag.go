@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
 	"daspos/internal/catalog"
 	"daspos/internal/hepdata"
@@ -20,12 +21,33 @@ import (
 // change busts caches while a re-request of the same bytes revalidates.
 
 // RecordETag digests a record's canonical submission encoding.
-func RecordETag(r *hepdata.Record) (string, error) {
-	data, err := hepdata.EncodeRecord(r)
+func RecordETag(r *hepdata.Record) (etag string, err error) {
+	err = withCanonical(r, func(canonical []byte) { etag = digestETag(canonical) })
 	if err != nil {
 		return "", fmt.Errorf("queryserve: etag for %s: %w", r.ID(), err)
 	}
-	return digestETag(data), nil
+	return etag, nil
+}
+
+// canonicalBufs recycles the scratch buffers canonical encodings are
+// written into; a digest needs the bytes only until it is taken.
+var canonicalBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// withCanonical validates r and hands use its canonical encoding in a
+// pooled buffer, which use must not retain.
+func withCanonical(r *hepdata.Record, use func(canonical []byte)) error {
+	if err := r.Validate(); err != nil {
+		return err
+	}
+	buf := canonicalBufs.Get().(*[]byte)
+	defer canonicalBufs.Put(buf)
+	out, err := hepdata.AppendRecord((*buf)[:0], r)
+	if err != nil {
+		return err
+	}
+	*buf = out
+	use(out)
+	return nil
 }
 
 // DatasetETag digests a dataset's canonical JSON encoding. encoding/json
@@ -71,13 +93,11 @@ func etagMatches(header, current string) bool {
 	if header == "" {
 		return false
 	}
-	for _, part := range strings.Split(header, ",") {
+	for more := true; more; {
+		var part string
+		part, header, more = strings.Cut(header, ",")
 		part = strings.TrimSpace(part)
-		if part == "*" {
-			return true
-		}
-		part = strings.TrimPrefix(part, "W/")
-		if part == current {
+		if part == "*" || strings.TrimPrefix(part, "W/") == current {
 			return true
 		}
 	}

@@ -1,10 +1,16 @@
 package queryserve
 
 import (
+	"errors"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"daspos/internal/catalog"
 	"daspos/internal/hepdata"
+	"daspos/internal/xrand"
 )
 
 // FuzzIndexSearchRoundTrip publishes a record built from fuzzed strings
@@ -54,7 +60,13 @@ func FuzzIndexSearchRoundTrip(f *testing.F) {
 		}
 		for _, term := range recordTerms(rec) {
 			for _, mode := range []Mode{And, Or} {
-				hits := x.Search([]string{term}, mode, -1)
+				hits, total, more := x.SearchPage([]string{term}, mode, int(KindRecord), Cursor{}, false, 1)
+				if total != 1 || more {
+					t.Fatalf("term %q: total %d more %v, want the one record (mode %d)", term, total, more, mode)
+				}
+				if ref := x.Search([]string{term}, mode, -1); !reflect.DeepEqual(hits, ref) {
+					t.Fatalf("term %q: page %+v, reference %+v (mode %d)", term, hits, ref, mode)
+				}
 				found := false
 				for _, h := range hits {
 					if h.Key == key {
@@ -70,8 +82,107 @@ func FuzzIndexSearchRoundTrip(f *testing.F) {
 			}
 		}
 		// A term the record cannot contain never matches it alone.
-		if hits := x.Search([]string{"t:zzzznothere"}, And, -1); len(hits) != 0 {
-			t.Fatalf("phantom term matched: %+v", hits)
+		if hits, total, _ := x.SearchPage([]string{"t:zzzznothere"}, And, -1, Cursor{}, false, 0); len(hits) != 0 || total != 0 {
+			t.Fatalf("phantom term matched: %+v (total %d)", hits, total)
+		}
+		// Nothing sorts after the record's own position.
+		at := Cursor{Score: termWeight("inspire:"), Key: key}
+		if hits, total, more := x.SearchPage([]string{"inspire:" + strings.ToLower(inspire)}, And, -1, at, true, 5); len(hits) != 0 || total != 1 || more {
+			t.Fatalf("page after the only hit: %+v total %d more %v", hits, total, more)
+		}
+	})
+}
+
+// FuzzSearchPageMatchesReference holds the page-bounded search to the
+// search it replaced (reference_test.go). A seed grows a corpus of records
+// and datasets, published in an order unrelated to their keys, whose keys
+// share prefixes and whose terms come from a vocabulary small enough that
+// scores collide; a query of one to four of those terms (or one nothing
+// carries) then walks every page in both modes under every kind filter at
+// the fuzzed limit, and each page's rows, total and next cursor must be
+// exactly what Search + pageHits answer from the same cursor.
+func FuzzSearchPageMatchesReference(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint16(0x0123), uint8(7))
+	f.Add(uint64(2), uint8(200), uint16(0xffff), uint8(0))
+	f.Add(uint64(3), uint8(255), uint16(0x00f0), uint8(1))
+	f.Add(uint64(4), uint8(0), uint16(0x0001), uint8(3))
+	f.Add(uint64(5), uint8(90), uint16(0x7a5c), uint8(50))
+	f.Add(uint64(6), uint8(17), uint16(0x8000), uint8(17))
+	f.Fuzz(func(t *testing.T, seed uint64, docs uint8, pick uint16, limit uint8) {
+		vocab := []string{"t:aa", "t:bb", "t:cc", "t:dd", "tier:raw", "year:2012", "obs:sig", "t:rare"}
+		rng := xrand.New(seed)
+		x := NewIndex()
+		for i := 0; i < int(docs); i++ {
+			key := make([]byte, 1+rng.Intn(4))
+			for k := range key {
+				key[k] = "ab/"[rng.Intn(3)]
+			}
+			doc := Doc{Kind: DocKind(rng.Intn(2)), Key: string(key), ETag: strconv.Itoa(i)}
+			var terms []string
+			for _, term := range vocab {
+				if rng.Bool(0.45) {
+					terms = append(terms, term)
+				}
+			}
+			if err := x.add(doc, terms); err != nil && !errors.Is(err, hepdata.ErrDuplicate) && !errors.Is(err, catalog.ErrExists) {
+				t.Fatal(err)
+			}
+		}
+		// Each nibble of pick names a term; 8-15 repeat the vocabulary, so
+		// a query may name a term twice, and 0xf swaps in one nothing has.
+		var query []string
+		for ; pick != 0; pick >>= 4 {
+			if pick&0xf == 0xf {
+				query = append(query, "t:absent")
+			} else {
+				query = append(query, vocab[pick&7])
+			}
+		}
+		sort.Strings(query)
+		query = dedupeSorted(query)
+		for _, mode := range []Mode{And, Or} {
+			for kind := -1; kind <= int(KindDataset); kind++ {
+				ref := x.Search(query, mode, kind)
+				cur, anchored := Cursor{}, false
+				for pages := 0; ; pages++ {
+					want, wantNext := pageHits(ref, cur, int(limit), anchored)
+					got, total, more := x.SearchPage(query, mode, kind, cur, anchored, int(limit))
+					if total != len(ref) {
+						t.Fatalf("query %v mode %d kind %d: total %d, reference %d", query, mode, kind, total, len(ref))
+					}
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("query %v mode %d kind %d limit %d after %+v:\n got %+v\nwant %+v", query, mode, kind, limit, cur, got, want)
+					}
+					next := ""
+					if more {
+						last := got[len(got)-1]
+						next = Cursor{Score: last.Score, Key: last.Key}.Encode()
+					}
+					if next != wantNext {
+						t.Fatalf("query %v mode %d kind %d limit %d after %+v: next cursor %q, reference %q", query, mode, kind, limit, cur, next, wantNext)
+					}
+					if next == "" {
+						break
+					}
+					if pages > len(ref) {
+						t.Fatalf("walk did not end after %d pages over %d hits", pages, len(ref))
+					}
+					var err error
+					if cur, err = DecodeCursor(next); err != nil {
+						t.Fatal(err)
+					}
+					anchored = true
+				}
+				// A cursor no page handed out — between positions, before
+				// the first, after the last — cuts the list the same way.
+				for _, cur := range []Cursor{{Score: int32(rng.Intn(12)), Key: "a" + string(rune('a'+rng.Intn(3)))}, {Score: 1 << 20}, {Score: -1}} {
+					want, _ := pageHits(ref, cur, int(limit), true)
+					got, _, _ := x.SearchPage(query, mode, kind, cur, true, int(limit))
+					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+						t.Fatalf("query %v mode %d kind %d limit %d after free cursor %+v:\n got %+v\nwant %+v", query, mode, kind, limit, cur, got, want)
+					}
+				}
+			}
 		}
 	})
 }

@@ -9,8 +9,10 @@
 package queryserve
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -237,7 +239,11 @@ func (x *Index) add(doc Doc, terms []string) error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if _, dup := x.byKey[doc.Key]; dup {
-		return fmt.Errorf("queryserve: %s %q already indexed", doc.Kind, doc.Key)
+		exists := hepdata.ErrDuplicate
+		if doc.Kind == KindDataset {
+			exists = catalog.ErrExists
+		}
+		return fmt.Errorf("queryserve: indexing %s %q: %w", doc.Kind, doc.Key, exists)
 	}
 	id := int32(len(x.docs))
 	x.docs = append(x.docs, doc)
@@ -304,90 +310,164 @@ func termWeight(t string) int32 {
 	return 4
 }
 
-// Search runs the parsed terms through the index: And intersects the
-// posting lists (galloping through the shortest), Or merges them counting
-// matched weight. Results are ranked by (score desc, key asc) — a total
-// order, so pagination cursors are unambiguous. kind restricts results to
-// one document class; pass a negative value for both.
-func (x *Index) Search(terms []string, mode Mode, kind int) []Hit {
+// SearchPage runs the parsed terms through the index and returns one page
+// of the ranked result: the up-to-limit hits that follow the cursor
+// (anchored false starts at the top; limit <= 0 returns every one), the
+// full match count, and whether hits remain after the page. And intersects
+// the posting lists, seeking each id of the shortest in the others; Or
+// merges them, summing matched weight. The order is (score desc, key asc)
+// — total, so cursors are unambiguous. kind restricts results to one
+// document class; pass a negative value for both.
+//
+// The cost is the candidates' ids and the page: a match is a (doc id,
+// score) pair that is counted, kind-filtered and offered to a heap of the
+// limit best positions after the cursor in the one pass that finds it, and
+// only the winners become Hits. The heap compares immutable (score, key)
+// positions — termWeight knows no corpus statistics — so a publish between
+// two pages can add positions but never reorder the ones a cursor names.
+func (x *Index) SearchPage(terms []string, mode Mode, kind int, cur Cursor, anchored bool, limit int) (page []Hit, total int, more bool) {
 	if len(terms) == 0 {
-		return nil
+		return nil, 0, false
 	}
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	var hits []Hit
+	sel := selector{x: x, kind: kind, cur: cur, anchored: anchored, limit: limit}
+	if limit > 0 {
+		sel.top = make([]candidate, 0, limit)
+	}
 	if mode == And {
-		lists := make([][]int32, 0, len(terms))
 		var score int32
+		lists := make([]posting, 0, len(terms))
 		for _, t := range terms {
 			p := x.postings[t]
 			if len(p) == 0 {
-				return nil // one empty list empties the intersection
+				return nil, 0, false // one empty list empties the intersection
 			}
 			score += termWeight(t)
-			lists = append(lists, p)
+			lists = append(lists, posting{ids: p})
 		}
-		sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-		for _, id := range intersect(lists) {
-			hits = append(hits, Hit{Doc: x.docs[id], Score: score})
-		}
+		slices.SortFunc(lists, func(a, b posting) int { return len(a.ids) - len(b.ids) })
+		intersect(lists, func(id int32) { sel.offer(id, score) })
 	} else {
 		scores := make(map[int32]int32)
 		for _, t := range terms {
-			p := x.postings[t]
 			w := termWeight(t)
-			for _, id := range p {
+			for _, id := range x.postings[t] {
 				scores[id] += w
 			}
 		}
-		hits = make([]Hit, 0, len(scores))
 		for id, s := range scores {
-			hits = append(hits, Hit{Doc: x.docs[id], Score: s})
+			sel.offer(id, s)
 		}
 	}
-	if kind >= 0 {
-		kept := hits[:0]
-		for _, h := range hits {
-			if h.Kind == DocKind(kind) {
-				kept = append(kept, h)
-			}
-		}
-		hits = kept
+	slices.SortFunc(sel.top, sel.compare)
+	page = make([]Hit, len(sel.top))
+	for i, c := range sel.top {
+		page[i] = Hit{Doc: x.docs[c.id], Score: c.score}
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Key < hits[j].Key
-	})
-	return hits
+	return page, sel.total, sel.after > len(sel.top)
 }
 
-// intersect computes the intersection of sorted posting lists, seeded from
-// the shortest list and advancing through the others by galloping binary
-// search — sublinear in the long lists, which is where a big corpus spends
-// its time.
-func intersect(lists [][]int32) []int32 {
-	out := append([]int32(nil), lists[0]...)
-	for _, l := range lists[1:] {
-		kept := out[:0]
-		lo := 0
-		for _, id := range out {
-			at := lo + sort.Search(len(l)-lo, func(i int) bool { return l[lo+i] >= id })
-			if at < len(l) && l[at] == id {
-				kept = append(kept, id)
-			}
-			lo = at
-			if lo >= len(l) {
-				break
-			}
-		}
-		out = kept
-		if len(out) == 0 {
-			break
-		}
+// candidate is one match before it is worth a Hit.
+type candidate struct {
+	id    int32
+	score int32
+}
+
+// selector keeps the best limit candidates after the cursor. Until it has
+// limit of them top is a plain list; from then on it is a binary heap with
+// the worst kept position at the root, so a candidate costs one comparison
+// to reject and O(log limit) to admit.
+type selector struct {
+	x        *Index
+	kind     int
+	cur      Cursor
+	anchored bool
+	limit    int
+
+	top   []candidate
+	total int // matches of the right kind
+	after int // of those, positions after the cursor
+}
+
+// compare orders candidates by result position: score desc, key asc.
+func (s *selector) compare(a, b candidate) int {
+	if a.score != b.score {
+		return cmp.Compare(b.score, a.score)
 	}
-	return out
+	return strings.Compare(s.x.docs[a.id].Key, s.x.docs[b.id].Key)
+}
+
+func (s *selector) offer(id, score int32) {
+	doc := &s.x.docs[id]
+	if s.kind >= 0 && doc.Kind != DocKind(s.kind) {
+		return
+	}
+	s.total++
+	if s.anchored && !s.cur.After(score, doc.Key) {
+		return
+	}
+	s.after++
+	c := candidate{id: id, score: score}
+	if s.limit <= 0 || len(s.top) < s.limit {
+		s.top = append(s.top, c)
+		if len(s.top) == s.limit {
+			for i := len(s.top)/2 - 1; i >= 0; i-- {
+				s.sift(i)
+			}
+		}
+		return
+	}
+	if s.compare(c, s.top[0]) < 0 {
+		s.top[0] = c
+		s.sift(0)
+	}
+}
+
+// sift restores the heap below i: a parent never ranks before its children.
+func (s *selector) sift(i int) {
+	for {
+		worst := i
+		for child := 2*i + 1; child <= 2*i+2 && child < len(s.top); child++ {
+			if s.compare(s.top[child], s.top[worst]) > 0 {
+				worst = child
+			}
+		}
+		if worst == i {
+			return
+		}
+		s.top[i], s.top[worst] = s.top[worst], s.top[i]
+		i = worst
+	}
+}
+
+// posting is one term's sorted doc ids and how far an intersection has
+// advanced through them.
+type posting struct {
+	ids []int32
+	lo  int
+}
+
+// intersect streams the intersection of sorted posting lists to emit, in
+// id order: every id of the shortest list (lists[0]) is sought in each of
+// the others by binary search from where the last one was found — sublinear
+// in the long lists, which is where a big corpus spends its time — and
+// nothing is copied.
+func intersect(lists []posting, emit func(id int32)) {
+next:
+	for _, id := range lists[0].ids {
+		for k := 1; k < len(lists); k++ {
+			l := &lists[k]
+			l.lo += sort.Search(len(l.ids)-l.lo, func(i int) bool { return l.ids[l.lo+i] >= id })
+			if l.lo >= len(l.ids) {
+				return
+			}
+			if l.ids[l.lo] != id {
+				continue next
+			}
+		}
+		emit(id)
+	}
 }
 
 // Lookup returns the indexed doc for a key.
@@ -399,6 +479,20 @@ func (x *Index) Lookup(key string) (Doc, bool) {
 		return Doc{}, false
 	}
 	return x.docs[id], true
+}
+
+// LookupMany returns the indexed doc for each key, in order, under one
+// lock; a key that is not indexed gets the zero Doc.
+func (x *Index) LookupMany(keys []string) []Doc {
+	out := make([]Doc, len(keys))
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	for i, k := range keys {
+		if id, ok := x.byKey[k]; ok {
+			out[i] = x.docs[id]
+		}
+	}
+	return out
 }
 
 // Rebuild constructs the index deterministically from the stores: records

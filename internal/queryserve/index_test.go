@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -71,6 +72,13 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
+// searchAll is the whole ranked result through the serving path: one
+// unbounded page from the top.
+func searchAll(x *Index, terms []string, mode Mode, kind int) []Hit {
+	hits, _, _ := x.SearchPage(terms, mode, kind, Cursor{}, false, 0)
+	return hits
+}
+
 func TestSearchAndOr(t *testing.T) {
 	x := NewIndex()
 	for i := 0; i < 12; i++ {
@@ -84,7 +92,7 @@ func TestSearchAndOr(t *testing.T) {
 		}
 	}
 	// reaction cycles with period 4: records 2, 6, 10 carry ZPRIME.
-	hits := x.Search(ParseQuery("reaction:PP-->ZPRIMEX"), And, -1)
+	hits := searchAll(x, ParseQuery("reaction:PP-->ZPRIMEX"), And, -1)
 	if len(hits) != 3 {
 		t.Fatalf("zprime hits: %d", len(hits))
 	}
@@ -94,12 +102,12 @@ func TestSearchAndOr(t *testing.T) {
 		}
 	}
 	// AND with a term nothing matches is empty.
-	if got := x.Search(ParseQuery("reaction:PP-->ZPRIMEX warpdrive"), And, -1); len(got) != 0 {
+	if got := searchAll(x, ParseQuery("reaction:PP-->ZPRIMEX warpdrive"), And, -1); len(got) != 0 {
 		t.Fatalf("impossible AND matched %d", len(got))
 	}
 	// OR unions and ranks multi-term matches above single-term ones:
 	// record 2 matches both the reaction field term and the year.
-	or := x.Search(ParseQuery("reaction:PP-->ZPRIMEX year:2012"), Or, -1)
+	or := searchAll(x, ParseQuery("reaction:PP-->ZPRIMEX year:2012"), Or, -1)
 	if len(or) != 3 {
 		t.Fatalf("or hits: %d", len(or))
 	}
@@ -150,7 +158,10 @@ func TestIndexedSearchSublinear(t *testing.T) {
 			}
 		}
 		terms := ParseQuery("golden calibration")
-		indexed = fastest(1000, func() int { return len(idx.Search(terms, And, -1)) })
+		indexed = fastest(1000, func() int {
+			_, total, _ := idx.SearchPage(terms, And, -1, Cursor{}, false, 50)
+			return total
+		})
 		linear = fastest(10, func() int { return len(archive.Search("golden")) })
 		return indexed, linear
 	}
@@ -167,6 +178,70 @@ func TestIndexedSearchSublinear(t *testing.T) {
 	}
 }
 
+// TestSearchPageCostBoundedByPage is the machine-independent gate the
+// timing test above cannot be: its probe matches ten documents, so it never
+// sees what a search costs per *match*. Here the same 50-row page is cut
+// from a 500-hit and a 20,000-hit result — first page and mid-walk, one
+// term and an intersection — and the allocations and bytes allocated must
+// be flat (±10 %): candidates stay doc ids, and only the page becomes Hits.
+// Or-mode is not held to this; its score map still grows with the result.
+func TestSearchPageCostBoundedByPage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector; scripts/verify.sh runs this gate without it")
+	}
+	const small, big, page = 500, 20000, 50
+	x := NewIndex()
+	for i := 0; i < big; i++ {
+		terms := []string{"t:all", "year:2012"}
+		if i%(big/small) == 0 {
+			terms = append(terms, "t:few", "obs:sig")
+		}
+		// Keys run against publish order, so every later match displaces
+		// a kept position: the heap's worst case, not its best.
+		if err := x.add(Doc{Kind: KindRecord, Key: fmt.Sprintf("ins%07d", big-i), ETag: `"e"`, Title: "Measurement"}, terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cost := func(terms []string, wantTotal int, cur Cursor, anchored bool) (allocs, bytes float64) {
+		t.Helper()
+		search := func() {
+			hits, total, more := x.SearchPage(terms, And, int(KindRecord), cur, anchored, page)
+			if len(hits) != page || total != wantTotal || !more {
+				t.Fatalf("%v: %d rows of %d, more %v; want %d of %d", terms, len(hits), total, more, page, wantTotal)
+			}
+		}
+		const runs = 50
+		allocs = testing.AllocsPerRun(runs, search)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			search()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	mid := Cursor{Score: 1, Key: fmt.Sprintf("ins%07d", big/2)}
+	for _, c := range []struct {
+		name       string
+		few, many  []string
+		cur        Cursor
+		anchored   bool
+		fewN, manN int
+	}{
+		{"first page, one term", []string{"t:few"}, []string{"t:all"}, Cursor{}, false, small, big},
+		{"mid-walk, one term", []string{"t:few"}, []string{"t:all"}, mid, true, small, big},
+		{"first page, intersection", []string{"obs:sig", "t:few"}, []string{"t:all", "year:2012"}, Cursor{}, false, small, big},
+	} {
+		fewAllocs, fewBytes := cost(c.few, c.fewN, c.cur, c.anchored)
+		manyAllocs, manyBytes := cost(c.many, c.manN, c.cur, c.anchored)
+		t.Logf("%s: %d hits %.0f allocs %.0f B; %d hits %.0f allocs %.0f B", c.name, c.fewN, fewAllocs, fewBytes, c.manN, manyAllocs, manyBytes)
+		if manyAllocs > fewAllocs*1.1 || manyBytes > fewBytes*1.1 {
+			t.Errorf("%s: a %d-row page costs %.0f allocs / %.0f B from %d hits but %.0f / %.0f from %d — cost follows the result set, not the page",
+				c.name, page, fewAllocs, fewBytes, c.fewN, manyAllocs, manyBytes, c.manN)
+		}
+	}
+}
+
 func TestSearchKindFilter(t *testing.T) {
 	x := NewIndex()
 	r := testRecord(0)
@@ -180,10 +255,10 @@ func TestSearchKindFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "mc" appears only in the dataset path; kind filters partition.
-	if got := x.Search(ParseQuery("tier:RAW"), And, int(KindRecord)); len(got) != 0 {
+	if got := searchAll(x, ParseQuery("tier:RAW"), And, int(KindRecord)); len(got) != 0 {
 		t.Fatalf("record-kind search matched dataset: %+v", got)
 	}
-	if got := x.Search(ParseQuery("tier:RAW"), And, int(KindDataset)); len(got) != 1 {
+	if got := searchAll(x, ParseQuery("tier:RAW"), And, int(KindDataset)); len(got) != 1 {
 		t.Fatalf("dataset search: %+v", got)
 	}
 	if _, ok := x.Lookup("ins1000000"); !ok {
@@ -251,8 +326,8 @@ func TestRebuildDeterministic(t *testing.T) {
 	}
 	for _, q := range queries {
 		for _, mode := range []Mode{And, Or} {
-			a := x1.Search(q, mode, -1)
-			b := inc.Search(q, mode, -1)
+			a := searchAll(x1, q, mode, -1)
+			b := searchAll(inc, q, mode, -1)
 			if len(a) != len(b) {
 				t.Fatalf("query %v mode %d: rebuild %d hits, incremental %d", q, mode, len(a), len(b))
 			}

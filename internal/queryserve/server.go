@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -236,9 +237,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // pageParams reads limit and cursor.
-func (s *Server) pageParams(r *http.Request) (limit int, cur Cursor, anchored bool, err error) {
+func (s *Server) pageParams(qv url.Values) (limit int, cur Cursor, anchored bool, err error) {
 	limit = s.defaultPage
-	if ls := r.URL.Query().Get("limit"); ls != "" {
+	if ls := qv.Get("limit"); ls != "" {
 		limit, err = strconv.Atoi(ls)
 		if err != nil || limit < 1 {
 			return 0, Cursor{}, false, fmt.Errorf("bad limit %q", ls)
@@ -247,8 +248,7 @@ func (s *Server) pageParams(r *http.Request) (limit int, cur Cursor, anchored bo
 			limit = s.maxPage
 		}
 	}
-	cs := r.URL.Query().Get("cursor")
-	if cs != "" {
+	if cs := qv.Get("cursor"); cs != "" {
 		cur, err = DecodeCursor(cs)
 		if err != nil {
 			return 0, Cursor{}, false, err
@@ -299,7 +299,8 @@ func (s *Server) conditional(w http.ResponseWriter, r *http.Request, etag, conte
 
 // handleRecords serves ranked search (?q=) and the keyset listing walk.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	s.serveIndex(w, r, KindRecord)
+	qv := r.URL.Query()
+	s.serveIndex(w, r, KindRecord, qv, qv.Get("q"))
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
@@ -309,45 +310,46 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	}
 	// Tier/metadata filters compile to index terms, so a filtered listing
 	// is just a field search.
-	q := r.URL.Query().Get("q")
-	if tier := r.URL.Query().Get("tier"); tier != "" {
+	qv := r.URL.Query()
+	q := qv.Get("q")
+	if tier := qv.Get("tier"); tier != "" {
 		q += " tier:" + tier
 	}
-	for _, m := range r.URL.Query()["meta"] {
+	for _, m := range qv["meta"] {
 		q += " meta:" + m
 	}
-	r2 := r.Clone(r.Context())
-	qv := r2.URL.Query()
-	qv.Set("q", strings.TrimSpace(q))
-	r2.URL.RawQuery = qv.Encode()
-	s.serveIndex(w, r2, KindDataset)
+	s.serveIndex(w, r, KindDataset, qv, strings.TrimSpace(q))
 }
 
-// serveIndex is the shared search/listing path for one document kind.
-func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind) {
-	limit, cur, anchored, err := s.pageParams(r)
+// serveIndex is the shared search/listing path for one document kind: qv
+// is the request's query string, parsed once, and q the query text (which
+// /datasets extends with its filters).
+func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind, qv url.Values, q string) {
+	limit, cur, anchored, err := s.pageParams(qv)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	q := r.URL.Query().Get("q")
-	mode, err := ParseMode(r.URL.Query().Get("mode"))
+	mode, err := ParseMode(qv.Get("mode"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	resp := searchResponse{Results: []searchResult{}}
+	var resp searchResponse
 	if terms := ParseQuery(q); len(terms) > 0 {
 		s.searches.Add(1)
-		hits := s.idx.Search(terms, mode, int(kind))
-		resp.Total = len(hits)
-		page, next := pageHits(hits, cur, limit, anchored)
+		page, total, more := s.idx.SearchPage(terms, mode, int(kind), cur, anchored, limit)
+		resp.Total = total
+		resp.Results = make([]searchResult, 0, len(page)) // never nil: an empty page is [], not null
 		for _, h := range page {
 			resp.Results = append(resp.Results, searchResult{
 				Kind: h.Kind.String(), Key: h.Key, ETag: h.ETag, Title: h.Title, Score: h.Score,
 			})
 		}
-		resp.NextCursor = next
+		if more {
+			last := page[len(page)-1]
+			resp.NextCursor = Cursor{Score: last.Score, Key: last.Key}.Encode()
+		}
 	} else {
 		s.pages.Add(1)
 		var keys []string
@@ -356,12 +358,11 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind
 		} else {
 			keys = s.cat.NamesAfter(cur.Key, limit)
 		}
-		for _, k := range keys {
-			res := searchResult{Kind: kind.String(), Key: k}
-			if d, ok := s.idx.Lookup(k); ok {
-				res.ETag, res.Title = d.ETag, d.Title
-			}
-			resp.Results = append(resp.Results, res)
+		resp.Results = make([]searchResult, 0, len(keys))
+		// A key the stores list but the index has not caught up on yet
+		// gets the zero Doc: no validator, no title.
+		for i, d := range s.idx.LookupMany(keys) {
+			resp.Results = append(resp.Results, searchResult{Kind: kind.String(), Key: keys[i], ETag: d.ETag, Title: d.Title})
 		}
 		if len(keys) == limit {
 			resp.NextCursor = Cursor{Key: keys[len(keys)-1]}.Encode()
@@ -382,17 +383,21 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind
 // recordEntry loads a record body through the cache; one miss fills every
 // concurrent waiter.
 func (s *Server) recordEntry(id string) (Entry, error) {
-	ent, _, err := s.cache.Get("rec:"+id, func() (Entry, error) {
+	ent, _, err := s.cache.Get(id, func() (Entry, error) {
 		rec, err := s.store.Get(id)
 		if err != nil {
 			return Entry{}, err
 		}
-		body, err := hepdata.EncodeRecord(rec)
-		if err != nil {
-			return Entry{}, err
-		}
-		body = append(body, '\n')
-		return Entry{ETag: digestETag(body[:len(body)-1]), Body: body}, nil
+		var ent Entry
+		err = withCanonical(rec, func(canonical []byte) {
+			// The cached body is an exact-size copy: the scratch buffer
+			// goes back to the pool, and no entry pins spare capacity.
+			ent.Body = make([]byte, len(canonical)+1)
+			copy(ent.Body, canonical)
+			ent.Body[len(canonical)] = '\n'
+			ent.ETag = digestETag(canonical)
+		})
+		return ent, err
 	})
 	return ent, err
 }
@@ -479,24 +484,25 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBulkExport(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	qv := r.URL.Query()
+	q := qv.Get("q")
 	terms := ParseQuery(q)
 	if len(terms) == 0 {
 		httpError(w, http.StatusBadRequest, "bulk export needs a query (?q=)")
 		return
 	}
-	mode, err := ParseMode(r.URL.Query().Get("mode"))
+	mode, err := ParseMode(qv.Get("mode"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	format, err := ParseFormat(r.URL.Query().Get("format"))
+	format, err := ParseFormat(qv.Get("format"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.exports.Add(1)
-	hits := s.idx.Search(terms, mode, int(KindRecord))
+	hits, _, _ := s.idx.SearchPage(terms, mode, int(KindRecord), Cursor{}, false, 0)
 	keys := make([]string, len(hits))
 	parts := []string{q, strconv.Itoa(int(mode)), string(format)}
 	for i, h := range hits {
@@ -576,7 +582,7 @@ func (s *Server) handlePublishDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func publishStatus(err error) int {
-	if strings.Contains(err.Error(), "already") {
+	if errors.Is(err, hepdata.ErrDuplicate) || errors.Is(err, catalog.ErrExists) {
 		return http.StatusConflict
 	}
 	return http.StatusBadRequest

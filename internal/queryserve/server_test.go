@@ -2,6 +2,7 @@ package queryserve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -110,10 +111,15 @@ func TestRecordConditionalGet(t *testing.T) {
 // the serving layer: N concurrent cold requests for one record perform
 // exactly one store read, and every caller gets the full body.
 // TestCachedRecordGetAllocs keeps the cached path allocation-light. The
-// budget covers the recorder, the request parse and response framing; what
-// it forbids is encoding the record body again on every request.
+// budget is the 20 allocations measured (the test's own request and
+// recorder, the mux's path match, the response headers) plus 20 %; what it
+// forbids is encoding the record body again on every request, or hashing
+// and keying the cache through fresh copies of the id.
 func TestCachedRecordGetAllocs(t *testing.T) {
-	const budget = 150
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector; scripts/verify.sh runs this gate without it")
+	}
+	const budget = 24
 	srv, cs := newTestServer(t, 16)
 	h := srv.Handler()
 	target := "/records/" + testRecord(3).ID()
@@ -332,6 +338,62 @@ func TestPublishEndpoints(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != 201 {
 		t.Fatalf("dataset publish: %d", resp3.StatusCode)
+	}
+}
+
+// TestPublishStatusBySentinel pins 409 to the duplicate sentinels and 400
+// to everything else, whatever the message says: a rejected submission
+// that merely mentions "already" is the client's error, not a conflict.
+func TestPublishStatusBySentinel(t *testing.T) {
+	srv, _ := newTestServer(t, 1)
+	h := srv.Handler()
+	post := func(target string, v any) int {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest("POST", target, strings.NewReader(string(body)))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w.Code
+	}
+	if code := post("/records", testRecord(0)); code != http.StatusConflict {
+		t.Errorf("duplicate record: status %d, want 409", code)
+	}
+	ds := testDataset(1)
+	if code := post("/datasets", ds); code != http.StatusCreated {
+		t.Fatalf("dataset publish: status %d", code)
+	}
+	if code := post("/datasets", ds); code != http.StatusConflict {
+		t.Errorf("duplicate dataset: status %d, want 409", code)
+	}
+	// Invalid, and the catalogue's message quotes the name.
+	untiered := &catalog.Dataset{Name: "/mc/already-unfolded/AOD/v1"}
+	if code := post("/datasets", untiered); code != http.StatusBadRequest {
+		t.Errorf("dataset without a tier named %q: status %d, want 400", untiered.Name, code)
+	}
+	// The same for a record that reaches PublishRecord without the HTTP
+	// decoder's validation in front of it.
+	bad := testRecord(7)
+	bad.Title = "Cross sections already unfolded"
+	bad.Tables[0].Name = "already-unfolded"
+	bad.Tables[0].Points = nil
+	_, err := srv.PublishRecord(bad)
+	if err == nil || !strings.Contains(err.Error(), "already") {
+		t.Fatalf("invalid record: error %v, want one quoting the table name", err)
+	}
+	if code := publishStatus(err); code != http.StatusBadRequest {
+		t.Errorf("invalid record %v: status %d, want 400", err, code)
+	}
+	// An index that already holds the key is a conflict too, for both kinds.
+	etag, _ := RecordETag(testRecord(0))
+	if err := srv.Index().AddRecord(testRecord(0), etag); !errors.Is(err, hepdata.ErrDuplicate) {
+		t.Errorf("re-indexing a record: %v, want hepdata.ErrDuplicate", err)
+	}
+	stored, _ := srv.cat.Get(ds.Name)
+	if err := srv.Index().AddDataset(&stored, "x"); !errors.Is(err, catalog.ErrExists) {
+		t.Errorf("re-indexing a dataset: %v, want catalog.ErrExists", err)
 	}
 }
 
