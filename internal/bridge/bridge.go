@@ -108,19 +108,7 @@ func (b *RivetBackend) Process(ctx context.Context, model recast.ModelSpec, reco
 	if err != nil {
 		return nil, err
 	}
-	rei, err := leshouches.Reinterpret(record, events, b.LuminosityPb)
-	if err != nil {
-		return nil, err
-	}
-	res := &recast.Result{
-		Analysis: record.Name, BackEnd: "rivet-bridge",
-		Generated: rei.Generated, Selected: rei.Selected,
-		Acceptance: rei.Acceptance, CutFlow: flow,
-		UpperLimitEvents: rei.UpperLimitEvents,
-		UpperLimitXsecPb: rei.UpperLimitXsecPb,
-	}
-	res.ApplyExclusion(model, b.LuminosityPb)
-	return res, nil
+	return recast.NewResult("rivet-bridge", record, flow, model, b.LuminosityPb), nil
 }
 
 // EventFromFastObjects converts fast-simulation output into an AOD-tier

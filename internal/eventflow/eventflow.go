@@ -512,21 +512,3 @@ func SinkBatch[T any](s *Stream[T], name string, fn func([]T) error) {
 		return nil
 	})
 }
-
-// Collected holds a Collect sink's accumulated events. Items must not be
-// read before the pipeline's Wait has returned.
-type Collected[T any] struct {
-	Items []T
-}
-
-// Collect terminates the stream into an ordered in-memory slice — the
-// bridge back to slice-shaped callers (and deliberately the only place the
-// substrate materializes a whole stream).
-func Collect[T any](s *Stream[T], name string) *Collected[T] {
-	c := &Collected[T]{}
-	Sink(s, name, func(v T) error {
-		c.Items = append(c.Items, v)
-		return nil
-	})
-	return c
-}

@@ -365,3 +365,21 @@ func TestSinkBatchErrorPropagates(t *testing.T) {
 		t.Fatalf("want wrapped sink error, got %v", err)
 	}
 }
+
+// Collected holds a Collect sink's accumulated events. Items must not be
+// read before the pipeline's Wait has returned.
+type Collected[T any] struct {
+	Items []T
+}
+
+// Collect terminates the stream into an ordered in-memory slice. It left
+// the package proper with its last caller: no pipeline outside these tests
+// materializes a whole stream.
+func Collect[T any](s *Stream[T], name string) *Collected[T] {
+	c := &Collected[T]{}
+	Sink(s, name, func(v T) error {
+		c.Items = append(c.Items, v)
+		return nil
+	})
+	return c
+}

@@ -144,16 +144,18 @@ type Reinterpretation struct {
 // existing data places on new physics ideas". luminosityPb is the
 // integrated luminosity in inverse picobarns.
 func Reinterpret(r *AnalysisRecord, events []*datamodel.Event, luminosityPb float64) (Reinterpretation, error) {
-	out := Reinterpretation{Analysis: r.Name, Generated: len(events)}
-	for _, e := range events {
-		ok, err := r.Pass(e)
-		if err != nil {
-			return out, err
-		}
-		if ok {
-			out.Selected++
-		}
+	flow, err := r.fold(events)
+	if err != nil {
+		return Reinterpretation{Analysis: r.Name, Generated: len(events), Selected: flow[len(flow)-1]}, err
 	}
+	return r.Interpret(flow, luminosityPb), nil
+}
+
+// Interpret extracts the constraint from the cut flow of a new-model
+// sample: what Reinterpret returns, for a caller that tallied the flow event
+// by event instead of holding the sample.
+func (r *AnalysisRecord) Interpret(flow []int, luminosityPb float64) Reinterpretation {
+	out := Reinterpretation{Analysis: r.Name, Generated: flow[0], Selected: flow[len(flow)-1]}
 	if out.Generated > 0 {
 		out.Acceptance = float64(out.Selected) / float64(out.Generated)
 	}
@@ -161,7 +163,7 @@ func Reinterpret(r *AnalysisRecord, events []*datamodel.Event, luminosityPb floa
 	if luminosityPb > 0 && out.Acceptance > 0 {
 		out.UpperLimitXsecPb = out.UpperLimitEvents / (out.Acceptance * luminosityPb)
 	}
-	return out, nil
+	return out
 }
 
 // ExpectedLimitBand computes the record's background-only expected 95% CL

@@ -47,12 +47,36 @@ type ObjectDefinition struct {
 // Select returns the event's candidates passing the definition, sorted by
 // decreasing pT.
 func (d ObjectDefinition) Select(e *datamodel.Event) []datamodel.Candidate {
-	var out []datamodel.Candidate
+	var sel selection
+	d.selectInto(&sel, e)
+	return sel.cands
+}
+
+// selection is one object definition's candidates in an event, by falling
+// pT. pt[k] is cands[k].P.Pt(): the acceptance test and every comparison of
+// the sort read it instead of taking the hypotenuse again.
+type selection struct {
+	cands []datamodel.Candidate
+	pt    []float64
+}
+
+func (s *selection) Len() int           { return len(s.cands) }
+func (s *selection) Less(i, j int) bool { return s.pt[i] > s.pt[j] }
+func (s *selection) Swap(i, j int) {
+	s.cands[i], s.cands[j] = s.cands[j], s.cands[i]
+	s.pt[i], s.pt[j] = s.pt[j], s.pt[i]
+}
+
+// selectInto refills sel, reusing its slices, with e's candidates passing
+// the definition.
+func (d ObjectDefinition) selectInto(sel *selection, e *datamodel.Event) {
+	sel.cands, sel.pt = sel.cands[:0], sel.pt[:0]
 	for _, c := range e.Candidates {
 		if c.Type != d.Type {
 			continue
 		}
-		if c.P.Pt() < d.MinPt {
+		pt := c.P.Pt()
+		if pt < d.MinPt {
 			continue
 		}
 		if d.MaxAbsEta > 0 && math.Abs(c.P.Eta()) > d.MaxAbsEta {
@@ -64,10 +88,12 @@ func (d ObjectDefinition) Select(e *datamodel.Event) []datamodel.Candidate {
 		if d.MinQuality > 0 && c.Quality < d.MinQuality {
 			continue
 		}
-		out = append(out, c)
+		sel.cands = append(sel.cands, c)
+		sel.pt = append(sel.pt, pt)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].P.Pt() > out[j].P.Pt() })
-	return out
+	// sort.Sort makes the comparisons and swaps sort.Slice would, so equal
+	// pTs land where they always have.
+	sort.Sort(sel)
 }
 
 // Cut is one event-selection requirement over defined objects. The
@@ -89,48 +115,127 @@ type Cut struct {
 // String renders the cut in conventional notation.
 func (c Cut) String() string { return fmt.Sprintf("%s %s %g", c.Variable, c.Op, c.Value) }
 
-// evalVariable computes a grammar variable given the selected objects.
-func evalVariable(name string, e *datamodel.Event, objects map[string][]datamodel.Candidate) (float64, error) {
-	if name == "met" {
-		return e.Missing.Pt, nil
+// Evaluator applies one record's selection to events one at a time: the
+// single place the cut loop lives. It holds the cuts with their variables
+// parsed and the scratch the object selections are built in, so a caller
+// evaluating a stream keeps one (per goroutine — it is not safe for
+// concurrent use) and pays nothing per event beyond the physics.
+type Evaluator struct {
+	objects  []ObjectDefinition
+	selected []selection // by index into objects
+	cuts     []parsedCut
+}
+
+// parsedCut is a cut with its variable taken apart once.
+type parsedCut struct {
+	Cut
+	// kind is "met", or what the variable says before its colon.
+	kind string
+	// object indexes Evaluator.selected with what it says after.
+	object int
+	// err is what evaluating the variable fails with, for a variable outside
+	// the grammar. It is reported only by an event that reaches the cut, as
+	// the cuts of an unvalidated record always were.
+	err error
+}
+
+// NewEvaluator returns an evaluator of the record's selection as it stands;
+// later edits to the record do not reach it.
+func (r *AnalysisRecord) NewEvaluator() *Evaluator {
+	ev := &Evaluator{
+		objects:  r.Objects,
+		selected: make([]selection, len(r.Objects)),
+		cuts:     make([]parsedCut, len(r.Selection)),
 	}
-	parts := strings.SplitN(name, ":", 2)
-	if len(parts) != 2 {
-		return 0, fmt.Errorf("leshouches: unknown variable %q", name)
+	// Of two definitions under one name, cuts see the later.
+	byName := make(map[string]int, len(r.Objects))
+	for i, o := range r.Objects {
+		byName[o.Name] = i
 	}
-	sel, ok := objects[parts[1]]
-	if !ok {
-		return 0, fmt.Errorf("leshouches: cut references undefined object %q", parts[1])
+	for i, c := range r.Selection {
+		ev.cuts[i] = parseCut(c, byName)
 	}
-	switch parts[0] {
+	return ev
+}
+
+func parseCut(c Cut, objects map[string]int) parsedCut {
+	pc := parsedCut{Cut: c, kind: c.Variable}
+	if c.Variable == "met" {
+		return pc
+	}
+	kind, object, found := strings.Cut(c.Variable, ":")
+	if !found {
+		pc.err = fmt.Errorf("leshouches: unknown variable %q", c.Variable)
+		return pc
+	}
+	pc.kind = kind
+	var defined bool
+	if pc.object, defined = objects[object]; !defined {
+		pc.err = fmt.Errorf("leshouches: cut references undefined object %q", object)
+		return pc
+	}
+	switch kind {
+	case "count", "leading_pt", "inv_mass", "os_pair", "mt":
+	default:
+		pc.err = fmt.Errorf("leshouches: unknown variable kind %q", kind)
+	}
+	return pc
+}
+
+// Depth returns how many leading cuts of the selection the event passes: 0
+// when it fails the first, the length of the selection when it passes them
+// all. A cut that cannot be evaluated is an error for every event that
+// reaches it, returned with the depth reached.
+func (ev *Evaluator) Depth(e *datamodel.Event) (int, error) {
+	for i, o := range ev.objects {
+		o.selectInto(&ev.selected[i], e)
+	}
+	for i := range ev.cuts {
+		c := &ev.cuts[i]
+		if c.err != nil {
+			return i, c.err
+		}
+		ok, err := compare(ev.value(c, e), c.Op, c.Value)
+		if err != nil {
+			return i, err
+		}
+		if !ok {
+			return i, nil
+		}
+	}
+	return len(ev.cuts), nil
+}
+
+// value computes a cut's grammar variable from the selected objects.
+func (ev *Evaluator) value(c *parsedCut, e *datamodel.Event) float64 {
+	if c.kind == "met" {
+		return e.Missing.Pt
+	}
+	sel := ev.selected[c.object].cands
+	switch c.kind {
 	case "count":
-		return float64(len(sel)), nil
+		return float64(len(sel))
 	case "leading_pt":
 		if len(sel) == 0 {
-			return 0, nil
+			return 0
 		}
-		return sel[0].P.Pt(), nil
+		return sel[0].P.Pt()
 	case "inv_mass":
 		if len(sel) < 2 {
-			return 0, nil
+			return 0
 		}
-		return fourvec.InvariantMass(sel[0].P, sel[1].P), nil
+		return fourvec.InvariantMass(sel[0].P, sel[1].P)
 	case "os_pair":
-		if len(sel) < 2 {
-			return 0, nil
+		if len(sel) >= 2 && sel[0].Charge*sel[1].Charge < 0 {
+			return 1
 		}
-		if sel[0].Charge*sel[1].Charge < 0 {
-			return 1, nil
-		}
-		return 0, nil
-	case "mt":
+		return 0
+	default: // "mt": parseCut let nothing else through
 		if len(sel) == 0 {
-			return 0, nil
+			return 0
 		}
 		miss := fourvec.PtEtaPhiM(e.Missing.Pt, 0, e.Missing.Phi, 0)
-		return fourvec.TransverseMass(sel[0].P, miss), nil
-	default:
-		return 0, fmt.Errorf("leshouches: unknown variable kind %q", parts[0])
+		return fourvec.TransverseMass(sel[0].P, miss)
 	}
 }
 
@@ -284,51 +389,43 @@ func (r *AnalysisRecord) Validate() error {
 
 // Pass evaluates the full selection on one event.
 func (r *AnalysisRecord) Pass(e *datamodel.Event) (bool, error) {
-	objects := make(map[string][]datamodel.Candidate, len(r.Objects))
-	for _, o := range r.Objects {
-		objects[o.Name] = o.Select(e)
+	depth, err := r.NewEvaluator().Depth(e)
+	return err == nil && depth == len(r.Selection), err
+}
+
+// NewCutFlow returns an empty cut flow for the record: survivors after each
+// cut prefix, index 0 the input. Tally fills it.
+func (r *AnalysisRecord) NewCutFlow() []int { return make([]int, len(r.Selection)+1) }
+
+// Tally adds one event to a cut flow, given its Depth: it is counted as
+// input and as a survivor of every cut it passed.
+func Tally(flow []int, depth int) {
+	for i := 0; i <= depth; i++ {
+		flow[i]++
 	}
-	for _, c := range r.Selection {
-		v, err := evalVariable(c.Variable, e, objects)
+}
+
+// fold evaluates the events in order into a cut flow. It stops at the first
+// event that cannot be evaluated, returning the flow of those before it.
+func (r *AnalysisRecord) fold(events []*datamodel.Event) ([]int, error) {
+	flow, ev := r.NewCutFlow(), r.NewEvaluator()
+	for _, e := range events {
+		depth, err := ev.Depth(e)
 		if err != nil {
-			return false, err
+			return flow, err
 		}
-		ok, err := compare(v, c.Op, c.Value)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
+		Tally(flow, depth)
 	}
-	return true, nil
+	return flow, nil
 }
 
 // CutFlow returns survivors after each cut prefix (index 0 = input).
 func (r *AnalysisRecord) CutFlow(events []*datamodel.Event) ([]int, error) {
-	counts := make([]int, len(r.Selection)+1)
-	counts[0] = len(events)
-	for _, e := range events {
-		objects := make(map[string][]datamodel.Candidate, len(r.Objects))
-		for _, o := range r.Objects {
-			objects[o.Name] = o.Select(e)
-		}
-		for i, c := range r.Selection {
-			v, err := evalVariable(c.Variable, e, objects)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := compare(v, c.Op, c.Value)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			counts[i+1]++
-		}
+	flow, err := r.fold(events)
+	if err != nil {
+		return nil, err
 	}
-	return counts, nil
+	return flow, nil
 }
 
 // Encode serializes the record for the common platform.

@@ -18,6 +18,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"daspos/internal/detector"
 	"daspos/internal/sim"
@@ -97,15 +98,49 @@ const hitADC = 64
 // Digitize converts a simulated event into a raw event for the given run.
 // Words within each bank are sorted by channel, as a real event builder
 // would emit them; duplicate channels (pileup pile-on, noise on a hit
-// channel) are merged by summing ADC.
+// channel) are merged by summing ADC. It is Digitizer.Digitize on scratch
+// borrowed from a pool; a caller digitising a stream on one goroutine keeps
+// a Digitizer of its own.
+func Digitize(run uint32, se *sim.Event) *Event {
+	d := digitizers.Get().(*Digitizer)
+	ev := d.Digitize(run, se)
+	digitizers.Put(d)
+	return ev
+}
+
+var digitizers = sync.Pool{New: func() any { return new(Digitizer) }}
+
+// Digitizer digitises one event after another, keeping between calls the
+// only memory digitisation needs beyond its output: the packed readings and
+// the sort's second buffer. It is single-goroutine state, like a
+// reco.Reconstructor. Nothing of it reaches the events it returns — each is
+// freshly allocated and the caller's to send anywhere.
+type Digitizer struct {
+	keys, spare []uint64
+}
+
+// partitions is the bank order of every raw event.
+var partitions = [4]Partition{PartTracker, PartECal, PartHCal, PartMuon}
+
+// builtEvent is a raw event and the array behind its bank slice, so that the
+// two are one allocation.
+type builtEvent struct {
+	Event
+	banks [len(partitions)]Bank
+}
+
+// Digitize converts a simulated event into a raw event for the given run.
 //
 // Every reading is packed as channel<<32|adc into one scratch slice cut
-// into a segment per partition; sorting a segment brings a channel's
-// readings together, and one pass sums and saturates them into a bank of
-// exactly the size needed.
-func Digitize(run uint32, se *sim.Event) *Event {
+// into a segment per partition; sorting a segment by channel brings a
+// channel's readings together, and one pass sums and saturates them. The
+// four banks' words are cut from one slice of exactly the size needed.
+func (d *Digitizer) Digitize(run uint32, se *sim.Event) *Event {
 	nTrk, nCalo := len(se.TrackerHits), len(se.Deposits)
-	keys := make([]uint64, nTrk+nCalo+len(se.MuonHits))
+	n := nTrk + nCalo + len(se.MuonHits)
+	d.keys = slices.Grow(d.keys[:0], n)[:n]
+	d.spare = slices.Grow(d.spare[:0], n)[:n]
+	keys := d.keys
 	tracker, calo, muon := keys[:nTrk], keys[nTrk:nTrk+nCalo], keys[nTrk+nCalo:]
 	for i, h := range se.TrackerHits {
 		tracker[i] = uint64(h.Channel)<<32 | hitADC
@@ -117,13 +152,13 @@ func Digitize(run uint32, se *sim.Event) *Event {
 	// from the front, hadronic from the back. A deposit below half a count
 	// reads zero and adds nothing to any sum, so it is dropped here.
 	nEM, firstHad := 0, nCalo
-	for _, d := range se.Deposits {
-		adc := EncodeEnergy(d.Energy)
+	for _, dep := range se.Deposits {
+		adc := EncodeEnergy(dep.Energy)
 		if adc == 0 {
 			continue
 		}
-		key := uint64(d.Channel)<<32 | uint64(adc)
-		if d.EM {
+		key := uint64(dep.Channel)<<32 | uint64(adc)
+		if dep.EM {
 			calo[nEM] = key
 			nEM++
 		} else {
@@ -131,27 +166,94 @@ func Digitize(run uint32, se *sim.Event) *Event {
 			calo[firstHad] = key
 		}
 	}
-	return &Event{Run: run, Number: uint64(se.Number), Banks: []Bank{
-		mergeBank(PartTracker, tracker),
-		mergeBank(PartECal, calo[:nEM]),
-		mergeBank(PartHCal, calo[firstHad:]),
-		mergeBank(PartMuon, muon),
-	}}
+
+	// Segment bounds in keys, in bank order; the sort of a segment borrows
+	// the same stretch of spare.
+	bounds := [len(partitions)][2]int{
+		{0, nTrk}, {nTrk, nTrk + nEM}, {nTrk + firstHad, nTrk + nCalo}, {nTrk + nCalo, n},
+	}
+	var sorted [len(partitions)][]uint64
+	channels := 0
+	for i, b := range bounds {
+		sorted[i] = sortByChannel(keys[b[0]:b[1]], d.spare[b[0]:b[1]])
+		channels += countChannels(sorted[i])
+	}
+	out := &builtEvent{Event: Event{Run: run, Number: uint64(se.Number)}}
+	out.Banks = out.banks[:]
+	words := make([]Word, 0, channels)
+	for i, p := range partitions {
+		first := len(words)
+		words = appendMerged(words, sorted[i])
+		// Clipped, so that an append to one bank cannot run into the next.
+		out.banks[i] = Bank{Partition: p, Words: words[first:len(words):len(words)]}
+	}
+	return &out.Event
 }
 
-// mergeBank sorts packed readings and folds each channel's run into one
-// word. A channel's counts are summed in full and the sum is clipped to
-// the 16-bit ceiling afterwards, so the order its readings arrived in
-// cannot matter.
-func mergeBank(p Partition, keys []uint64) Bank {
-	slices.Sort(keys)
-	channels := 0
+// smallSort is the segment length below which a comparison sort beats the
+// radix passes' fixed cost of clearing and summing their bucket counts.
+const smallSort = 64
+
+// sortByChannel orders packed readings by channel (the order among one
+// channel's readings is left to chance: appendMerged sums them). It returns
+// the sorted readings in whichever of keys and spare, two slices of one
+// length, the last pass wrote; the other holds garbage.
+//
+// Above smallSort it is a least-significant-digit radix sort over the four
+// channel bytes: one pass counts all four digits, then each digit that
+// actually varies across the segment costs one stable scatter: four for a
+// tracker bank, three for a calorimeter's, which is one layer and leaves
+// the top byte alone.
+func sortByChannel(keys, spare []uint64) []uint64 {
+	if len(keys) < smallSort {
+		slices.Sort(keys)
+		return keys
+	}
+	var counts [4][256]uint32
+	for _, k := range keys {
+		counts[0][byte(k>>32)]++
+		counts[1][byte(k>>40)]++
+		counts[2][byte(k>>48)]++
+		counts[3][byte(k>>56)]++
+	}
+	src, dst := keys, spare
+	for digit := range counts {
+		c := &counts[digit]
+		shift := 32 + 8*uint(digit)
+		if int(c[byte(src[0]>>shift)]) == len(src) {
+			continue // every key has this digit: the pass would move nothing
+		}
+		var next uint32
+		for i, n := range c {
+			c[i], next = next, next+n
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
+// countChannels returns the number of distinct channels in keys sorted by
+// channel.
+func countChannels(keys []uint64) int {
+	n := 0
 	for i, k := range keys {
 		if i == 0 || k>>32 != keys[i-1]>>32 {
-			channels++
+			n++
 		}
 	}
-	words := make([]Word, 0, channels)
+	return n
+}
+
+// appendMerged folds each channel's run of readings into one word. A
+// channel's counts are summed in full and the sum is clipped to the 16-bit
+// ceiling afterwards, so the order its readings arrived in — and the order
+// the sort left them in — cannot matter.
+func appendMerged(words []Word, keys []uint64) []Word {
 	for i := 0; i < len(keys); {
 		ch := keys[i] >> 32
 		var adc uint32
@@ -166,7 +268,7 @@ func mergeBank(p Partition, keys []uint64) Bank {
 		}
 		words = append(words, Word{Channel: detector.ChannelID(ch), ADC: uint16(adc)})
 	}
-	return Bank{Partition: p, Words: words}
+	return words
 }
 
 // Bank returns the bank for a partition, or nil.
@@ -306,8 +408,9 @@ func (in *Reader) Read() (*Event, error) {
 }
 
 // DigitizeFunc adapts Digitize to the event-flow stage signature for the
-// given run. Digitization is a pure function of the simulated event, so
-// the returned function is safe for any worker count.
+// given run. Digitization is a pure function of the simulated event, and
+// each call borrows its scratch from the pool for its own duration, so the
+// returned function is safe for any worker count.
 func DigitizeFunc(run uint32) func(*sim.Event) (*Event, bool, error) {
 	return func(se *sim.Event) (*Event, bool, error) {
 		return Digitize(run, se), true, nil

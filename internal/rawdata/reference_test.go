@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -84,11 +85,14 @@ func sameEvent(a, b *Event) bool {
 // count, ordinary, the saturation ceiling and beyond, and negative.
 var fuzzEnergies = [8]float64{0, 0.0099, 0.01, 0.7, 24.68, 900, 1e9, -3}
 
-// decodeSimEvent reads six-byte records: a kind (tracker hit, muon hit,
+// decodeSimEvents reads six-byte records: a kind (tracker hit, muon hit,
 // EM deposit, hadronic deposit), a channel drawn from a small pool so that
-// repeats are the rule, an energy selector and a repeat count.
-func decodeSimEvent(data []byte) *sim.Event {
+// repeats are the rule, an energy selector and a repeat count. A record
+// whose kind byte has its top bit set also ends the event it is in, so one
+// input is a sequence of events for one long-lived Digitizer.
+func decodeSimEvents(data []byte) []*sim.Event {
 	se := &sim.Event{Number: len(data)}
+	events := []*sim.Event{se}
 	for n := 0; len(data) >= 6 && n < 512; data, n = data[6:], n+1 {
 		rec := data[:6]
 		ch := detector.ChannelID(binary.LittleEndian.Uint16(rec[1:]))<<12 | detector.ChannelID(rec[3]&7)
@@ -104,16 +108,41 @@ func decodeSimEvent(data []byte) *sim.Event {
 				})
 			}
 		}
+		if rec[0]&eventBreak != 0 {
+			se = &sim.Event{Number: len(data) + len(events)}
+			events = append(events, se)
+		}
 	}
-	return se
+	return events
 }
 
+// eventBreak, set in a record's kind byte, makes it the last of its event.
+const eventBreak = 0x80
+
+// checkDigitizeMatchesReference digitises the input's events one after
+// another on ONE Digitizer, and each again by the one-shot Digitize; both
+// must give the reference's event. What the long-lived Digitizer returned
+// is checked once more at the end, after every later event has been through
+// its scratch.
 func checkDigitizeMatchesReference(t *testing.T, data []byte) {
 	t.Helper()
-	se := decodeSimEvent(data)
-	got, want := Digitize(9, se), refDigitize(9, se)
-	if !sameEvent(got, want) {
-		t.Fatalf("digitised event differs from the reference:\n got  %+v\n want %+v", got, want)
+	var warm Digitizer
+	var kept, wants []*Event
+	for i, se := range decodeSimEvents(data) {
+		want := refDigitize(9, se)
+		if got := Digitize(9, se); !sameEvent(got, want) {
+			t.Fatalf("event %d, one-shot: digitised event differs from the reference:\n got  %+v\n want %+v", i, got, want)
+		}
+		got := warm.Digitize(9, se)
+		if !sameEvent(got, want) {
+			t.Fatalf("event %d, long-lived digitizer: digitised event differs from the reference:\n got  %+v\n want %+v", i, got, want)
+		}
+		kept, wants = append(kept, got), append(wants, want)
+	}
+	for i := range kept {
+		if !sameEvent(kept[i], wants[i]) {
+			t.Fatalf("event %d changed after it was returned: a later event wrote through it:\n now  %+v\n want %+v", i, kept[i], wants[i])
+		}
 	}
 }
 
@@ -155,7 +184,53 @@ func digitizeCorners() []digitizeCase {
 			simRecord(0, 900, 0, 0, 0), simRecord(0, 800, 0, 0, 1), simRecord(0, 700, 7, 0, 0),
 			simRecord(1, 60, 0, 0, 0), simRecord(1, 50, 0, 0, 0), simRecord(0, 700, 2, 0, 0),
 		)},
+		// Below: the radix sort's corners, and sequences for one Digitizer.
+		{name: "one short of the small-sort cut-over, falling", data: spread(0, smallSort-1, 0, true)},
+		{name: "at the small-sort cut-over, falling", data: spread(0, smallSort, 0, true)},
+		{name: "one past the small-sort cut-over, scattered", data: spread(0, smallSort+1, 0, false)},
+		{name: "a long bank of one layer, and every channel of it again", data: cat(spread(2, 150, 3, true), spread(2, 150, 4, true))},
+		{name: "a long bank saturating on every channel", data: spread(3, 90, 6, false, 2)},
+		{name: "long banks in all four partitions", data: cat(
+			spread(0, 130, 0, false), spread(1, 70, 0, true), spread(2, 200, 3, false), spread(3, 65, 4, true),
+		)},
+		{name: "a busy event, then a sparse one, then an empty one, then a busy one", data: cat(
+			// 494 records: decodeSimEvents stops reading at 512.
+			spread(0, 150, 0, false), spread(1, 66, 0, false), spread(2, 100, 3, false), endEvent(spread(3, 70, 3, true)),
+			simRecord(0, 9, 1, 0, 0), endEvent(simRecord(2, 9, 1, 3, 0)),
+			endEvent(simRecord(2, 9, 1, 0, 0)), // one deposit that reads zero: four empty banks
+			spread(1, 65, 0, true), spread(0, 40, 0, true),
+		)},
+		{name: "full muon and hadronic banks, then the same event without them", data: cat(
+			spread(0, 70, 0, false), spread(1, 70, 0, false), spread(2, 70, 3, false), endEvent(spread(3, 70, 3, false)),
+			spread(0, 70, 0, false), spread(2, 70, 3, false),
+		)},
 	}
+}
+
+// spread builds n records of one kind on n distinct channels — scattered
+// over the sixteen channel bits (four layers), or in falling order within
+// one layer — each repeated extra more times. Past smallSort records the bank they fill takes the radix
+// path.
+func spread(kind byte, n int, energy byte, falling bool, extra ...byte) []byte {
+	var repeat byte
+	if len(extra) > 0 {
+		repeat = extra[0]
+	}
+	var out []byte
+	for i := 0; i < n; i++ {
+		ch := uint16(i*40503 + 17) // odd multiplier: distinct for distinct i
+		if falling {
+			ch = uint16(60000 - 7*i)
+		}
+		out = append(out, simRecord(kind, ch, byte(i), energy, repeat)...)
+	}
+	return out
+}
+
+// endEvent marks the last record of recs as the last of its event.
+func endEvent(recs []byte) []byte {
+	recs[len(recs)-6] |= eventBreak
+	return recs
 }
 
 func TestDigitizeMatchesReferenceCorners(t *testing.T) {
@@ -163,9 +238,69 @@ func TestDigitizeMatchesReferenceCorners(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) { checkDigitizeMatchesReference(t, c.data) })
 	}
 	// And on real events, where the channels are the geometry's.
+	var warm Digitizer
 	for _, se := range simulatedEvents(t, 20) {
-		if !sameEvent(Digitize(3, se), refDigitize(3, se)) {
+		want := refDigitize(3, se)
+		if !sameEvent(Digitize(3, se), want) || !sameEvent(warm.Digitize(3, se), want) {
 			t.Fatalf("event %d differs from the reference", se.Number)
+		}
+	}
+}
+
+// TestCornersReachTheRadixSort guards the new corners against vacuity: the
+// long ones must fill a bank past the cut-over, and the sequences must hold
+// more than one event.
+func TestCornersReachTheRadixSort(t *testing.T) {
+	long, sequences := 0, 0
+	for _, c := range digitizeCorners() {
+		events := decodeSimEvents(c.data)
+		if len(events) > 1 {
+			sequences++
+		}
+		for _, se := range events {
+			if len(se.TrackerHits) >= smallSort || len(se.MuonHits) >= smallSort || len(se.Deposits) >= 2*smallSort {
+				long++
+				break
+			}
+		}
+	}
+	if long < 6 || sequences < 2 {
+		t.Fatalf("%d corners fill a bank past the cut-over and %d are sequences, want at least 6 and 2", long, sequences)
+	}
+}
+
+// TestSortByChannelMatchesComparisonSort holds the radix sort to the
+// comparison sort it replaced, on the packed keys themselves: every length
+// around the cut-over, channels that differ in one byte only, in all four,
+// and not at all.
+func TestSortByChannelMatchesComparisonSort(t *testing.T) {
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 { // xorshift64
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	masks := []uint64{0xffffffff, 0x000000ff, 0x0000ff00, 0x00ff0000, 0xff000000, 0x03fff000, 0xfc000000, 0}
+	for _, n := range []int{0, 1, 2, smallSort - 1, smallSort, smallSort + 1, 2 * smallSort, 1000, 70000} {
+		for _, mask := range masks {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = (next()&mask|0x10000000&^mask)<<32 | next()&0xffff
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			got := sortByChannel(keys, make([]uint64, n))
+			for i := range got {
+				if got[i]>>32 != want[i]>>32 {
+					t.Fatalf("n=%d mask=%#x: position %d holds channel %#x, the comparison sort puts %#x there", n, mask, i, got[i]>>32, want[i]>>32)
+				}
+			}
+			// The same readings, whatever order each channel's came out in.
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d mask=%#x: the sort lost or invented readings", n, mask)
+			}
 		}
 	}
 }
@@ -256,10 +391,17 @@ func FuzzReadEvent(f *testing.F) {
 
 func TestDigitizeAllocs(t *testing.T) {
 	se := simulatedEvents(t, 1)[0]
-	// The event, its bank slice, the key scratch and a word slice per
-	// non-empty bank: six for a dijet event without muons, seven at most.
-	if got := testing.AllocsPerRun(50, func() { _ = Digitize(1, se) }); got > 7 {
-		t.Fatalf("Digitize: %v allocations per event, want at most 7", got)
+	// The event with its four banks, and the one slice their words are cut
+	// from: the scratch is the Digitizer's.
+	var warm Digitizer
+	if got := testing.AllocsPerRun(50, func() { _ = warm.Digitize(1, se) }); got > 2 {
+		t.Fatalf("Digitizer.Digitize: %v allocations per event, want at most 2", got)
+	}
+	// The one-shot borrows a Digitizer from a pool and measures the same 2;
+	// the third is for the race detector, under which a sync.Pool drops a
+	// quarter of what it is handed and the scratch is built again.
+	if got := testing.AllocsPerRun(50, func() { _ = Digitize(1, se) }); got > 3 {
+		t.Fatalf("Digitize: %v allocations per event, want at most 3", got)
 	}
 }
 

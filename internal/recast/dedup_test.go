@@ -2,8 +2,13 @@ package recast
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"daspos/internal/leshouches"
 )
 
 func TestDedupKeyCanonical(t *testing.T) {
@@ -105,5 +110,109 @@ func TestBackendHonorsContext(t *testing.T) {
 	got, _ := svc.Get(id)
 	if got.Status != StatusApproved {
 		t.Fatalf("request after cancellation = %s, want approved", got.Status)
+	}
+}
+
+// chainStub is a canned back end that signs its results with its name and
+// digests to it, so a test can tell which chain computed a number.
+type chainStub struct {
+	name  string
+	calls atomic.Int64
+}
+
+func (s *chainStub) Name() string         { return s.name }
+func (s *chainStub) ConfigDigest() string { return "chain:" + s.name }
+
+func (s *chainStub) Process(_ context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
+	s.calls.Add(1)
+	return &Result{Analysis: record.Name, BackEnd: s.name, Generated: model.Events}, nil
+}
+
+func openChainServer(t *testing.T, dir string, stub *chainStub) *Server {
+	t.Helper()
+	svc := NewService(stub)
+	if err := svc.Subscribe(Subscription{Name: "GPD_2013_DIMUON_HIGHMASS", Record: highMassSearch()}); err != nil {
+		t.Fatal(err)
+	}
+	return serveService(t, svc, ServerConfig{JournalDir: dir, Workers: 1, AutoApprove: true})
+}
+
+func submitModel(t *testing.T, srv *Server, tenant string, seed uint64) Request {
+	t.Helper()
+	w := postSubmit(t, srv.Handler(), tenant, seed, "")
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", w.Code, w.Body)
+	}
+	var req Request
+	if err := json.Unmarshal(w.Body.Bytes(), &req); err != nil {
+		t.Fatal(err)
+	}
+	return req
+}
+
+// TestReopenWithDifferentBackendDoesNotDedup: a journal directory filled by
+// one chain and reopened over another must not answer the second chain's
+// submissions with the first chain's archived numbers — neither for a new
+// request, nor for one the first server accepted and never ran — while a
+// reopen over the same chain keeps answering from the archive.
+func TestReopenWithDifferentBackendDoesNotDedup(t *testing.T) {
+	dir := t.TempDir()
+	old := &chainStub{name: "fullsim-v1"}
+	srv1 := openChainServer(t, dir, old)
+	srv1.Start()
+	first := submitModel(t, srv1, "alice", 42)
+	if done := waitTerminal(t, srv1.Service(), first.ID); done.Status != StatusDone || done.Result.BackEnd != "fullsim-v1" {
+		t.Fatalf("first request: %+v", done)
+	}
+	// Stop the workers, then accept one more: journaled as approved and
+	// queued under the first chain's key, run by nobody.
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv1 = openChainServer(t, dir, old)
+	stranded := submitModel(t, srv1, "alice", 77)
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same directory behind a different chain.
+	bridge := &chainStub{name: "bridge"}
+	srv2 := openChainServer(t, dir, bridge)
+	srv2.Start()
+	if done := waitTerminal(t, srv2.Service(), stranded.ID); done.Status != StatusDone || done.Result.BackEnd != "bridge" || done.DedupOf != "" {
+		t.Fatalf("request stranded across the reopen: %+v result %+v, want a run of the new back end", done, done.Result)
+	}
+	again := submitModel(t, srv2, "bob", 42)
+	done := waitTerminal(t, srv2.Service(), again.ID)
+	if done.Status != StatusDone || done.DedupOf != "" || done.Result.BackEnd != "bridge" {
+		t.Fatalf("the same analysis and model over a new back end: dedup_of %q result %+v, want a run of the new back end", done.DedupOf, done.Result)
+	}
+	if st := srv2.Status(); st.DedupHits != 0 {
+		t.Fatalf("%d dedup hits across a change of back end, want 0", st.DedupHits)
+	}
+	if got := bridge.calls.Load(); got != 2 {
+		t.Fatalf("the new back end ran %d times, want 2", got)
+	}
+	// Within the new chain the archive answers as ever — and under the new
+	// chain's key, which the stranded request now carries.
+	for _, seed := range []uint64{42, 77} {
+		if dup := submitModel(t, srv2, "carol", seed); dup.Status != StatusDone || dup.DedupOf == "" || dup.Result.BackEnd != "bridge" {
+			t.Fatalf("seed %d resubmitted to the new chain: %+v, want its own archived result", seed, dup)
+		}
+	}
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Back over the first chain: its own archive still answers for what it
+	// ran, and only for that.
+	srv3 := openChainServer(t, dir, old)
+	srv3.Start()
+	if dup := submitModel(t, srv3, "dave", 42); dup.Status != StatusDone || dup.DedupOf != first.ID || dup.Result.BackEnd != "fullsim-v1" {
+		t.Fatalf("seed 42 back on the first chain: %+v, want the archived result of %s", dup, first.ID)
+	}
+	rerun := submitModel(t, srv3, "dave", 77)
+	if done := waitTerminal(t, srv3.Service(), rerun.ID); done.DedupOf != "" || done.Result.BackEnd != "fullsim-v1" {
+		t.Fatalf("seed 77 on the first chain, which never ran it: %+v result %+v", done, done.Result)
 	}
 }

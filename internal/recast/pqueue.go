@@ -13,10 +13,10 @@ import (
 
 // PQueue is the crash-safe multi-tenant work queue behind the RECAST
 // front door. Accepted work lives in a journal (package journal): every
-// mutation (enqueue, claim, complete) is one durable record, folded into
-// memory only after it is on disk, and claimed-but-unfinished entries
-// are handed back to the queue on recovery — an accepted request is
-// never lost to a process death.
+// mutation (enqueue, claim, complete, rekey) is one durable record, folded
+// into memory only after it is on disk, and claimed-but-unfinished entries
+// are handed back to the queue on recovery — an accepted request is never
+// lost to a process death.
 //
 // Scheduling is weighted fair queuing over tenants: each tenant carries
 // a virtual time that advances by 1/weight per claim, and Claim always
@@ -70,11 +70,12 @@ type QueueEntry struct {
 
 // queueRecord is one journal line.
 type queueRecord struct {
-	Op      string      `json:"op"` // "enqueue", "claim", "complete"
-	ID      string      `json:"id"`
-	Entry   *QueueEntry `json:"entry,omitempty"`
-	State   string      `json:"state,omitempty"`
-	DedupOf string      `json:"dedup_of,omitempty"`
+	Op       string      `json:"op"` // "enqueue", "claim", "complete", "rekey"
+	ID       string      `json:"id"`
+	Entry    *QueueEntry `json:"entry,omitempty"`
+	State    string      `json:"state,omitempty"`
+	DedupOf  string      `json:"dedup_of,omitempty"`
+	DedupKey string      `json:"dedup_key,omitempty"`
 }
 
 // PQueueOptions configures a queue at open time.
@@ -171,6 +172,12 @@ func (q *PQueue) applyLocked(rec queueRecord) error {
 		q.removePendingLocked(e)
 		e.State = rec.State
 		e.DedupOf = rec.DedupOf
+	case "rekey":
+		e, ok := q.entries[rec.ID]
+		if !ok {
+			return fmt.Errorf("recast: rekey of unknown entry %s", rec.ID)
+		}
+		e.DedupKey = rec.DedupKey
 	default:
 		return fmt.Errorf("recast: unknown queue op %q", rec.Op)
 	}
@@ -314,6 +321,23 @@ func (q *PQueue) Complete(id, state, dedupOf string) error {
 		return nil
 	}
 	return q.commitLocked(queueRecord{Op: "complete", ID: id, State: state, DedupOf: dedupOf})
+}
+
+// Rekey journals a new dedup key for a live entry: what a server restarted
+// over a different chain does to the work it inherits, so that the result
+// is archived under the chain that computes it. A terminal entry keeps the
+// key it finished under.
+func (q *PQueue) Rekey(id, dedupKey string) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	e, ok := q.entries[id]
+	if !ok {
+		return fmt.Errorf("recast: queue has no entry %s", id)
+	}
+	if e.State != EntryQueued && e.State != EntryClaimed {
+		return nil
+	}
+	return q.commitLocked(queueRecord{Op: "rekey", ID: id, DedupKey: dedupKey})
 }
 
 // Get returns a copy of an entry.

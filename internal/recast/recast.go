@@ -27,16 +27,17 @@ import (
 	"sync"
 
 	"daspos/internal/conditions"
-	"daspos/internal/datamodel"
 	"daspos/internal/detector"
 	"daspos/internal/eventflow"
 	"daspos/internal/generator"
+	"daspos/internal/hepmc"
 	"daspos/internal/journal"
 	"daspos/internal/leshouches"
 	"daspos/internal/rawdata"
 	"daspos/internal/reco"
 	"daspos/internal/resilience"
 	"daspos/internal/sim"
+	"daspos/internal/xrand"
 )
 
 // Status is a request's lifecycle state.
@@ -102,15 +103,25 @@ type Result struct {
 	Excluded        bool    `json:"excluded,omitempty"`
 }
 
-// ApplyExclusion fills the exclusion verdict from the model's cross
-// section and the back end's luminosity. Back ends call it after filling
-// acceptance and limits.
-func (r *Result) ApplyExclusion(model ModelSpec, luminosityPb float64) {
-	if model.CrossSectionPb <= 0 || luminosityPb <= 0 {
-		return
+// NewResult turns the cut flow of a model's sample (leshouches.Tally of
+// every event, or AnalysisRecord.CutFlow of them all) into what the back
+// end named returns for it: acceptance, limits at luminosityPb, and the
+// exclusion verdict when the model carries a cross section.
+func NewResult(backEnd string, record *leshouches.AnalysisRecord, flow []int, model ModelSpec, luminosityPb float64) *Result {
+	rei := record.Interpret(flow, luminosityPb)
+	res := &Result{
+		Analysis: record.Name, BackEnd: backEnd,
+		Generated: rei.Generated, Selected: rei.Selected,
+		Acceptance: rei.Acceptance, CutFlow: flow,
+		UpperLimitEvents: rei.UpperLimitEvents,
+		UpperLimitXsecPb: rei.UpperLimitXsecPb,
 	}
-	r.PredictedEvents = model.CrossSectionPb * luminosityPb * r.Acceptance
-	r.Excluded = r.PredictedEvents > r.UpperLimitEvents
+	if model.CrossSectionPb <= 0 || luminosityPb <= 0 {
+		return res
+	}
+	res.PredictedEvents = model.CrossSectionPb * luminosityPb * res.Acceptance
+	res.Excluded = res.PredictedEvents > res.UpperLimitEvents
+	return res
 }
 
 // Attempt is one back-end processing try, kept on the request so a
@@ -548,15 +559,27 @@ func (*FullSimBackend) Name() string { return "fullsim" }
 // ConfigDigest implements ConfigDigester: everything beyond the model
 // that determines the chain's output bytes — calibration pin and
 // luminosity. Workers is excluded on purpose: the physics output is
-// identical at any worker count.
+// identical at any worker count. Geometry and reconstruction settings are
+// still missing from it: that is ROADMAP's "One chain definition" item,
+// whose spec digest is meant to become this digest.
 func (b *FullSimBackend) ConfigDigest() string {
 	return fmt.Sprintf("fullsim|tag=%s|run=%d|lumi=%x", b.Tag, b.Run, math.Float64bits(b.LuminosityPb))
 }
 
-// Process implements Backend. The chain — generate → simulate → digitize →
-// reconstruct → slim — runs as one streaming event-flow pipeline; a whole-
-// sample slice exists only at the end, where the preserved analysis needs
-// the full selected sample.
+// Process implements Backend. The chain runs as one streaming event-flow
+// pipeline of two fused stages and a sink:
+//
+//	generate → [simulate + digitise] → [reconstruct + AOD view + selection] → cut-flow tally
+//
+// Each worker of a stage owns its scratch for the life of the request — the
+// simulated event, its random stream and the digitiser's buffers in the
+// first, the reconstructor and the selection evaluator in the second — and
+// nothing that scratch backs is ever sent downstream: what crosses the
+// first hand-off is a freshly built raw event, what crosses the second is
+// an int. The split sits at the RAW hand-off rather than nowhere because a
+// request alone on the machine still wants its two halves on two cores. No
+// stage holds more than its batches in flight, so a request's memory does
+// not grow with its event count.
 func (b *FullSimBackend) Process(ctx context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -572,36 +595,55 @@ func (b *FullSimBackend) Process(ctx context.Context, model ModelSpec, record *l
 
 	p := eventflow.New(ctx, "fullsim", eventflow.Options{})
 	hepmcS := eventflow.Source(p, "generate", generator.EventSource(gen, model.Events))
-	simS := eventflow.Map(hepmcS, "simulate", workers, full.StageFunc())
-	rawS := eventflow.Map(simS, "digitize", workers, rawdata.DigitizeFunc(b.Run))
-	recoS := eventflow.MapWorkers(rawS, "reconstruct", workers,
-		reco.ParallelStage(b.Det, reco.DefaultConfig(), snap))
-	aodS := eventflow.Map(recoS, "slim", workers, func(e *datamodel.Event) (*datamodel.Event, bool, error) {
-		return e.SlimToAOD(), true, nil
+	rawS := eventflow.MapWorkers(hepmcS, "simulate+digitize", workers, func(int) func(*hepmc.Event) (*rawdata.Event, bool, error) {
+		var (
+			simulated sim.Event
+			rng       xrand.Rand
+			digitizer rawdata.Digitizer
+		)
+		return func(ev *hepmc.Event) (*rawdata.Event, bool, error) {
+			full.SimulateSeededInto(&simulated, &rng, ev)
+			return digitizer.Digitize(b.Run, &simulated), true, nil
+		}
 	})
-	collected := eventflow.Collect(aodS, "sample")
-	if err := p.Wait(); err != nil {
+	// An event the selection cannot evaluate travels on as that error: the
+	// sink meets errors in stream order, so the one reported is the first
+	// event's, at any worker count.
+	type verdict struct {
+		depth int
+		err   error
+	}
+	depthS := eventflow.MapWorkers(rawS, "reconstruct+select", workers, func(int) func(*rawdata.Event) (verdict, bool, error) {
+		rec := reco.NewWithConfig(b.Det, reco.DefaultConfig())
+		selection := record.NewEvaluator()
+		return func(raw *rawdata.Event) (verdict, bool, error) {
+			ev, err := rec.Reconstruct(raw, snap)
+			if err != nil {
+				return verdict{}, false, err
+			}
+			aod := ev.SlimViewAOD()
+			depth, err := selection.Depth(&aod)
+			return verdict{depth, err}, true, nil
+		}
+	})
+	flow := record.NewCutFlow()
+	var selectionErr error
+	eventflow.Sink(depthS, "cut-flow", func(v verdict) error {
+		if v.err != nil {
+			selectionErr = v.err
+			return v.err
+		}
+		leshouches.Tally(flow, v.depth)
+		return nil
+	})
+	err := p.Wait()
+	if selectionErr != nil {
+		return nil, selectionErr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("recast: fullsim chain: %w", err)
 	}
-	events := collected.Items
-
-	flow, err := record.CutFlow(events)
-	if err != nil {
-		return nil, err
-	}
-	rei, err := leshouches.Reinterpret(record, events, b.LuminosityPb)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Analysis: record.Name, BackEnd: "fullsim",
-		Generated: rei.Generated, Selected: rei.Selected,
-		Acceptance: rei.Acceptance, CutFlow: flow,
-		UpperLimitEvents: rei.UpperLimitEvents,
-		UpperLimitXsecPb: rei.UpperLimitXsecPb,
-	}
-	res.ApplyExclusion(model, b.LuminosityPb)
-	return res, nil
+	return NewResult("fullsim", record, flow, model, b.LuminosityPb), nil
 }
 
 // ScanPoint is one row of a parameter scan.

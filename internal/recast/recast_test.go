@@ -33,15 +33,18 @@ func highMassSearch() *leshouches.AnalysisRecord {
 	}
 }
 
-func newFullSimService(t testing.TB) *Service {
+func newFullSimBackend(t testing.TB) *FullSimBackend {
 	t.Helper()
-	det := detector.Standard()
 	db := conditions.NewDB()
 	if err := conditions.SeedStandard(db, "t", 1, 10, 10, 1); err != nil {
 		t.Fatal(err)
 	}
-	backend := &FullSimBackend{Det: det, CondDB: db, Tag: "t", Run: 1, LuminosityPb: 20000}
-	svc := NewService(backend)
+	return &FullSimBackend{Det: detector.Standard(), CondDB: db, Tag: "t", Run: 1, LuminosityPb: 20000}
+}
+
+func newFullSimService(t testing.TB) *Service {
+	t.Helper()
+	svc := NewService(newFullSimBackend(t))
 	if err := svc.Subscribe(Subscription{
 		Name:        "GPD_2013_DIMUON_HIGHMASS",
 		Description: "High-mass dimuon search",
@@ -368,6 +371,20 @@ func BenchmarkFullSimRequest(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := svc.Process(req.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFullSimProcess is one back-end run of the size the end-to-end
+// benchmark submits (200 events), with nothing around it: no service, no
+// journal. Run it with -cpu 2, the least the stage layout is meant for.
+func BenchmarkFullSimProcess(b *testing.B) {
+	backend, record := newFullSimBackend(b), highMassSearch()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		model := ModelSpec{Process: "zprime", MassGeV: 1000, Events: 200, Seed: uint64(i % 16)}
+		if _, err := backend.Process(context.Background(), model, record); err != nil {
 			b.Fatal(err)
 		}
 	}

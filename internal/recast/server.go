@@ -197,36 +197,49 @@ func (s *Server) chainDigest() string {
 // reconcile aligns the two recovered journals: every approved request
 // must be queued (or re-queued), and every live queue entry whose
 // request already reached a terminal state is closed out.
+//
+// A dedup key names the chain that computes under it, and the chain this
+// server was started with need not be the one that filled the journals. So
+// a finished request is indexed under the key journaled in its own queue
+// entry — the chain that ran it — and never under a key derived now; one
+// without an entry was itself answered from the archive and indexes nothing.
+// Work still to run will run on the current chain and takes the current key.
 func (s *Server) reconcile() error {
 	digest := s.chainDigest()
 	for _, req := range s.svc.List() {
-		key := DedupKey(req.Analysis, req.Model, digest)
+		entry, queued := s.pq.Get(req.ID)
+		live := queued && (entry.State == EntryQueued || entry.State == EntryClaimed)
 		switch req.Status {
 		case StatusDone:
-			s.recordDone(key, req.ID)
-			if e, ok := s.pq.Get(req.ID); ok && (e.State == EntryQueued || e.State == EntryClaimed) {
+			if queued && entry.DedupKey != "" {
+				s.recordDone(entry.DedupKey, req.ID)
+			}
+			if live {
 				if err := s.pq.Complete(req.ID, EntryDone, req.DedupOf); err != nil {
 					return fmt.Errorf("recast: reconciling %s: %w", req.ID, err)
 				}
 			}
 		case StatusFailed:
-			if e, ok := s.pq.Get(req.ID); ok && (e.State == EntryQueued || e.State == EntryClaimed) {
+			if live {
 				if err := s.pq.Complete(req.ID, EntryFailed, ""); err != nil {
 					return fmt.Errorf("recast: reconciling %s: %w", req.ID, err)
 				}
 			}
 		case StatusApproved:
-			// Accepted work. Enqueue is idempotent, so requests already
-			// in the queue (any state) pass through unchanged; requests
-			// the crash caught between approval and enqueue are queued
-			// now. The original deadline did not survive the crash only
-			// in this window — we serve rather than guess.
-			e := QueueEntry{ID: req.ID, Tenant: req.Requester, DedupKey: key}
-			if prev, ok := s.pq.Get(req.ID); ok {
-				e.DeadlineUnixMs = prev.DeadlineUnixMs
-			}
-			if err := s.pq.Enqueue(e); err != nil {
+			// Accepted work. Requests the crash caught between approval and
+			// enqueue are queued now; the original deadline did not survive
+			// the crash only in this window — we serve rather than guess.
+			// Enqueue is idempotent, so a request already in the queue keeps
+			// its entry, deadline and place — but not a key another chain
+			// journaled.
+			key := DedupKey(req.Analysis, req.Model, digest)
+			if err := s.pq.Enqueue(QueueEntry{ID: req.ID, Tenant: req.Requester, DedupKey: key}); err != nil {
 				return fmt.Errorf("recast: re-enqueueing %s: %w", req.ID, err)
+			}
+			if live && entry.DedupKey != key {
+				if err := s.pq.Rekey(req.ID, key); err != nil {
+					return fmt.Errorf("recast: re-keying %s: %w", req.ID, err)
+				}
 			}
 		}
 	}

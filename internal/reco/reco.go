@@ -114,6 +114,56 @@ type Reconstructor struct {
 	// vectors with pt/η/φ derived once per event instead of once per pair.
 	trackKin   fourvec.Slab
 	clusterKin fourvec.Slab
+
+	// calo holds, by layer number, the cell geometry of the calorimeter
+	// layers (empty for every other layer), built once from the geometry.
+	calo []caloTable
+}
+
+// caloTable is everything unpackCells and computeMET need of a cell that
+// its indices alone decide: η and cosh η by iz, φ, cos φ and sin φ by iphi.
+// Each entry is cellEta or cellPhi of that index — the expressions the
+// per-cell code evaluates for an index no table covers — so a cell reads
+// the same bits from either.
+type caloTable struct {
+	eta, coshEta        []float64
+	phi, cosPhi, sinPhi []float64
+}
+
+// cellEta returns the pseudorapidity of the centre of z index iz on layer
+// l, and its hyperbolic cosine (a cell's E over its E_T).
+func cellEta(l *detector.Layer, iz int) (eta, coshEta float64) {
+	_, z := l.CellCenter(0, iz)
+	theta := math.Atan2(l.Radius, z)
+	eta = -math.Log(math.Tan(theta / 2))
+	return eta, math.Cosh(eta)
+}
+
+// cellPhi returns the azimuth of the centre of φ index iphi on layer l,
+// with its cosine and sine.
+func cellPhi(l *detector.Layer, iphi int) (phi, cosPhi, sinPhi float64) {
+	phi, _ = l.CellCenter(iphi, 0)
+	return phi, math.Cos(phi), math.Sin(phi)
+}
+
+func buildCaloTables(det *detector.Detector) []caloTable {
+	tables := make([]caloTable, len(det.Layers))
+	for li := range det.Layers {
+		l := det.Layer(li)
+		if l.Kind != detector.KindECal && l.Kind != detector.KindHCal {
+			continue
+		}
+		t := &tables[li]
+		t.eta, t.coshEta = make([]float64, l.NZ), make([]float64, l.NZ)
+		for iz := range t.eta {
+			t.eta[iz], t.coshEta[iz] = cellEta(l, iz)
+		}
+		t.phi, t.cosPhi, t.sinPhi = make([]float64, l.NPhi), make([]float64, l.NPhi), make([]float64, l.NPhi)
+		for iphi := range t.phi {
+			t.phi[iphi], t.cosPhi[iphi], t.sinPhi[iphi] = cellPhi(l, iphi)
+		}
+	}
+	return tables
 }
 
 // New returns a reconstructor over the given geometry with the default
@@ -124,7 +174,7 @@ func New(det *detector.Detector) *Reconstructor {
 
 // NewWithConfig returns a reconstructor with explicit algorithm settings.
 func NewWithConfig(det *detector.Detector, cfg Config) *Reconstructor {
-	return &Reconstructor{det: det, cfg: cfg, Version: "reco-3.2.1"}
+	return &Reconstructor{det: det, cfg: cfg, Version: "reco-3.2.1", calo: buildCaloTables(det)}
 }
 
 // TouchedFolders returns the conditions folders the last Reconstruct call
@@ -190,8 +240,11 @@ type cell struct {
 	iphi, iz int
 	e        float64
 	eta, phi float64
-	em       bool
-	used     bool
+	// coshEta, cosPhi and sinPhi are functions of eta and phi, carried so
+	// that computeMET need not take them again.
+	coshEta, cosPhi, sinPhi float64
+	em                      bool
+	used                    bool
 }
 
 // Reconstruct runs the full chain on one raw event.
@@ -284,14 +337,25 @@ func (r *Reconstructor) unpackCells(raw *rawdata.Event, ecalScale, hcalScale flo
 			if li < 0 || li >= len(r.det.Layers) {
 				continue
 			}
-			l := r.det.Layer(li)
-			phi, z := l.CellCenter(w.Channel.IPhi(), w.Channel.IZ())
-			theta := math.Atan2(l.Radius, z)
-			eta := -math.Log(math.Tan(theta / 2))
-			out = append(out, cell{
+			c := cell{
 				layer: li, iphi: w.Channel.IPhi(), iz: w.Channel.IZ(),
-				e: rawdata.DecodeEnergy(w.ADC) / scale, eta: eta, phi: phi, em: em,
-			})
+				e: rawdata.DecodeEnergy(w.ADC) / scale, em: em,
+			}
+			// A word from a foreign bank can name a layer that is no
+			// calorimeter, or an index off the layer's grid: those cells
+			// take their geometry the long way.
+			t := &r.calo[li]
+			if c.iz < len(t.eta) {
+				c.eta, c.coshEta = t.eta[c.iz], t.coshEta[c.iz]
+			} else {
+				c.eta, c.coshEta = cellEta(r.det.Layer(li), c.iz)
+			}
+			if c.iphi < len(t.phi) {
+				c.phi, c.cosPhi, c.sinPhi = t.phi[c.iphi], t.cosPhi[c.iphi], t.sinPhi[c.iphi]
+			} else {
+				c.phi, c.cosPhi, c.sinPhi = cellPhi(r.det.Layer(li), c.iphi)
+			}
+			out = append(out, c)
 		}
 	}
 	unpack(raw.Bank(rawdata.PartECal), true, ecalScale)
@@ -356,7 +420,7 @@ func (r *Reconstructor) findTracks(hits []hit) []datamodel.Track {
 			}
 		}
 	}
-	r.scrTracks.tracks = tracks
+	r.scrTracks.load(tracks)
 	sort.Sort(&r.scrTracks)
 	return cloneOrNil(tracks)
 }
@@ -819,10 +883,11 @@ func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 // which traverse the calorimeters as minimum-ionizing particles.
 func (r *Reconstructor) computeMET(out *datamodel.Event, cells []cell) {
 	var sx, sy, sumEt float64
-	for _, c := range cells {
-		et := c.e / math.Cosh(c.eta)
-		sx += et * math.Cos(c.phi)
-		sy += et * math.Sin(c.phi)
+	for i := range cells {
+		c := &cells[i]
+		et := c.e / c.coshEta
+		sx += et * c.cosPhi
+		sy += et * c.sinPhi
 		sumEt += et
 	}
 	for _, cand := range out.Candidates {
@@ -861,12 +926,26 @@ func (r *Reconstructor) trackIsolation(kin *fourvec.Slab, self int) float64 {
 // the order among equal keys is the one it gave, without its per-call
 // closure and reflection swapper.
 
-// trackSorter orders tracks by falling pT.
-type trackSorter struct{ tracks []datamodel.Track }
+// trackSorter orders tracks by falling pT. pt[k] is tracks[k].P.Pt(), taken
+// once per track by load instead of twice per comparison.
+type trackSorter struct {
+	tracks []datamodel.Track
+	pt     []float64
+}
+
+func (s *trackSorter) load(tracks []datamodel.Track) {
+	s.tracks, s.pt = tracks, s.pt[:0]
+	for i := range tracks {
+		s.pt = append(s.pt, tracks[i].P.Pt())
+	}
+}
 
 func (s *trackSorter) Len() int           { return len(s.tracks) }
-func (s *trackSorter) Less(i, j int) bool { return s.tracks[i].P.Pt() > s.tracks[j].P.Pt() }
-func (s *trackSorter) Swap(i, j int)      { s.tracks[i], s.tracks[j] = s.tracks[j], s.tracks[i] }
+func (s *trackSorter) Less(i, j int) bool { return s.pt[i] > s.pt[j] }
+func (s *trackSorter) Swap(i, j int) {
+	s.tracks[i], s.tracks[j] = s.tracks[j], s.tracks[i]
+	s.pt[i], s.pt[j] = s.pt[j], s.pt[i]
+}
 
 // vertexSorter orders vertices by falling track count.
 type vertexSorter struct{ vertices []datamodel.VertexFit }

@@ -2,6 +2,7 @@ package reco
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"daspos/internal/conditions"
@@ -411,5 +412,87 @@ func TestReconstructAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(4*len(raws), next); got > 5 {
 		t.Fatalf("Reconstruct: %v allocations per event on a warm reconstructor, want at most 5", got)
+	}
+}
+
+// TestCaloTablesMatchPerCellGeometry holds the calorimeter tables to the
+// per-cell expressions they replaced — atan2, log, tan, cosh, cos and sin
+// written out here as unpackCells and computeMET had them — for every
+// (layer, iphi, iz) of the standard detector, bit for bit, and for words no
+// table covers: a tracker channel in a calorimeter bank, and indices off
+// the calorimeter's grid.
+func TestCaloTablesMatchPerCellGeometry(t *testing.T) {
+	det := detector.Standard()
+	r := New(det)
+	raw := &rawdata.Event{Banks: []rawdata.Bank{{Partition: rawdata.PartECal}, {Partition: rawdata.PartHCal}}}
+	ecal, hcal := det.LayersOf(detector.KindECal)[0], det.LayersOf(detector.KindHCal)[0]
+	for bank, li := range []int{ecal, hcal} {
+		l := det.Layer(li)
+		words := &raw.Banks[bank].Words
+		for iphi := 0; iphi < l.NPhi; iphi++ {
+			for iz := 0; iz < l.NZ; iz++ {
+				*words = append(*words, rawdata.Word{Channel: detector.MakeChannelID(li, iphi, iz), ADC: 50})
+			}
+		}
+		*words = append(*words,
+			rawdata.Word{Channel: detector.MakeChannelID(li, l.NPhi, l.NZ), ADC: 50},     // just off the grid
+			rawdata.Word{Channel: detector.MakeChannelID(li, 1<<14-1, 1<<12-1), ADC: 50}, // as far off as a word can say
+			rawdata.Word{Channel: detector.MakeChannelID(li, 3, l.NZ+7), ADC: 50},        // off in z alone
+			rawdata.Word{Channel: detector.MakeChannelID(4, 15999, 511), ADC: 50},        // a strip channel
+			rawdata.Word{Channel: detector.MakeChannelID(0, 0, 0), ADC: 50},              // the beam pipe, which has no cells
+		)
+	}
+	cells := r.unpackCells(raw, 1, 1)
+	if want := len(raw.Banks[0].Words) + len(raw.Banks[1].Words); len(cells) != want {
+		t.Fatalf("unpacked %d cells of %d words", len(cells), want)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range cells {
+		l := det.Layer(c.layer)
+		phi, z := l.CellCenter(c.iphi, c.iz)
+		theta := math.Atan2(l.Radius, z)
+		eta := -math.Log(math.Tan(theta / 2))
+		if !same(c.eta, eta) || !same(c.phi, phi) ||
+			!same(c.coshEta, math.Cosh(eta)) || !same(c.cosPhi, math.Cos(phi)) || !same(c.sinPhi, math.Sin(phi)) {
+			t.Fatalf("layer %d iphi %d iz %d: cell carries η %v φ %v cosh %v cos %v sin %v, the expressions give η %v φ %v cosh %v cos %v sin %v",
+				c.layer, c.iphi, c.iz, c.eta, c.phi, c.coshEta, c.cosPhi, c.sinPhi,
+				eta, phi, math.Cosh(eta), math.Cos(phi), math.Sin(phi))
+		}
+	}
+}
+
+// TestWarmReconstructorMatchesFresh drives ONE long-lived Reconstructor
+// through a sequence built to leave something behind in its scratch — busy
+// pile-up dijets before sparse dimuons, an event of four empty banks and
+// one of no banks at all after full ones — and demands of each output what
+// a Reconstructor that has seen nothing returns for the same raw event.
+func TestWarmReconstructorMatchesFresh(t *testing.T) {
+	c := newChain(t, 3)
+	busyCfg := generator.DefaultConfig(3)
+	busyCfg.PileupMu = 25
+	busy := generator.NewQCDDijet(busyCfg)
+	sparse := generator.NewZPrime(generator.DefaultConfig(4), 900)
+	var raws []*rawdata.Event
+	for i := 0; i < 4; i++ {
+		raws = append(raws,
+			rawdata.Digitize(1, c.full.SimulateSeeded(busy.Generate())),
+			rawdata.Digitize(1, c.full.SimulateSeeded(sparse.Generate())),
+			rawdata.Digitize(1, &sim.Event{Number: 100 + i}),
+			&rawdata.Event{Run: 1, Number: uint64(200 + i)},
+		)
+	}
+	for i, raw := range raws {
+		got, err := c.rec.Reconstruct(raw, c.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(c.det).Reconstruct(raw, c.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("raw event %d (number %d): the warm reconstructor's output differs from a fresh one's:\n warm  %+v\n fresh %+v",
+				i, raw.Number, got, want)
+		}
 	}
 }

@@ -100,6 +100,23 @@ func (s *FullSim) SimulateSeeded(ev *hepmc.Event) *Event {
 	return s.simulate(ev, xrand.ForEvent(s.seed^0xf0115e, uint64(ev.Number)))
 }
 
+// SimulateSeededInto is SimulateSeeded into storage the caller owns: out is
+// overwritten, its hit and deposit slices truncated and refilled (they grow
+// only when an event is busier than any before it), and rng is re-seeded in
+// place onto the stream SimulateSeeded would have drawn from. A pipeline
+// worker keeps one Event and one Rand for its lifetime; what it simulates is
+// valid until its next call, so anything sent on must be a copy or a
+// digitisation of it, never the Event itself.
+func (s *FullSim) SimulateSeededInto(out *Event, rng *xrand.Rand, ev *hepmc.Event) {
+	rng.SeedForEvent(s.seed^0xf0115e, uint64(ev.Number))
+	*out = Event{
+		TrackerHits: out.TrackerHits[:0],
+		MuonHits:    out.MuonHits[:0],
+		Deposits:    out.Deposits[:0],
+	}
+	s.simulateInto(out, ev, rng)
+}
+
 // StageFunc adapts SimulateSeeded to the event-flow stage signature. The
 // returned function is safe for concurrent use: it touches only the
 // read-only geometry and its per-event stream.
@@ -110,12 +127,20 @@ func (s *FullSim) StageFunc() func(*hepmc.Event) (*Event, bool, error) {
 }
 
 func (s *FullSim) simulate(ev *hepmc.Event, rng *xrand.Rand) *Event {
-	out := &Event{Number: ev.Number, ProcessID: ev.ProcessID}
+	out := &Event{}
+	s.presize(out, ev)
+	s.simulateInto(out, ev, rng)
+	return out
+}
+
+// simulateInto appends the event's hits and deposits to out's slices, which
+// the caller has emptied (and may have given capacity).
+func (s *FullSim) simulateInto(out *Event, ev *hepmc.Event, rng *xrand.Rand) {
+	out.Number, out.ProcessID = ev.Number, ev.ProcessID
 	if len(ev.Vertices) > 0 {
 		v := ev.Vertices[0]
 		out.BeamspotX, out.BeamspotY, out.BeamspotZ = v.X, v.Y, v.Z
 	}
-	s.presize(out, ev)
 	for _, p := range ev.Particles {
 		if !p.IsFinal() || units.IsNeutrino(p.PDG) {
 			continue
@@ -127,7 +152,6 @@ func (s *FullSim) simulate(ev *hepmc.Event, rng *xrand.Rand) *Event {
 		s.traceParticle(rng, out, p, prod)
 	}
 	s.addNoise(rng, out)
-	return out
 }
 
 // presize gives the event's hit and deposit slices room for what its

@@ -9,6 +9,7 @@ import (
 	"daspos/internal/generator"
 	"daspos/internal/hepmc"
 	"daspos/internal/units"
+	"daspos/internal/xrand"
 )
 
 func TestFullSimTracksLeaveHits(t *testing.T) {
@@ -364,5 +365,53 @@ func TestSimulateSeededSeedSensitivity(t *testing.T) {
 	b := NewFullSim(det, 2).SimulateSeeded(ev)
 	if simEventEqual(a, b) {
 		t.Fatal("different simulation seeds gave identical responses")
+	}
+}
+
+// TestSimulateIntoMatchesFresh drives ONE reused Event and ONE reused Rand
+// through a sequence built to leave something behind: busy pile-up dijets
+// before sparse dimuons, a muon event before one with no muon hits, and an
+// event with no particles and no vertex after one with both. Every output
+// must equal the fresh SimulateSeeded of the same event, beam spot included.
+func TestSimulateIntoMatchesFresh(t *testing.T) {
+	det := detector.Standard()
+	busyCfg := generator.DefaultConfig(5)
+	busyCfg.PileupMu = 25
+	busy := generator.NewQCDDijet(busyCfg)
+	sparse := generator.NewZPrime(generator.DefaultConfig(6), 1200)
+	var events []*hepmc.Event
+	for i := 0; i < 6; i++ {
+		events = append(events, busy.Generate(), sparse.Generate())
+		if i%2 == 1 {
+			events = append(events, &hepmc.Event{Number: 1000 + i})
+		}
+	}
+
+	fs := NewFullSim(det, 31)
+	var reused Event
+	var rng xrand.Rand
+	sawMuons, sawNone := false, false
+	for i, ev := range events {
+		want := fs.SimulateSeeded(ev)
+		fs.SimulateSeededInto(&reused, &rng, ev)
+		if !simEventEqual(&reused, want) {
+			t.Fatalf("event %d (number %d): reused storage gave %d/%d/%d hits/muon hits/deposits, fresh %d/%d/%d — or different ones",
+				i, ev.Number, len(reused.TrackerHits), len(reused.MuonHits), len(reused.Deposits),
+				len(want.TrackerHits), len(want.MuonHits), len(want.Deposits))
+		}
+		if reused.BeamspotX != want.BeamspotX || reused.BeamspotY != want.BeamspotY || reused.BeamspotZ != want.BeamspotZ {
+			t.Fatalf("event %d: beam spot (%v, %v, %v) left over, want (%v, %v, %v)", i,
+				reused.BeamspotX, reused.BeamspotY, reused.BeamspotZ, want.BeamspotX, want.BeamspotY, want.BeamspotZ)
+		}
+		sawMuons = sawMuons || len(want.MuonHits) > 0
+		sawNone = sawNone || (len(want.MuonHits) == 0 && sawMuons)
+	}
+	if !sawMuons || !sawNone {
+		t.Fatal("the sequence never put an event without muon hits after one with them")
+	}
+	// A warm Event and Rand cost nothing per event.
+	ev := events[1]
+	if got := testing.AllocsPerRun(20, func() { fs.SimulateSeededInto(&reused, &rng, ev) }); got != 0 {
+		t.Fatalf("SimulateSeededInto: %v allocations per event into warm storage, want 0", got)
 	}
 }

@@ -328,3 +328,42 @@ func TestForEventIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedForEventMatchesForEvent holds the in-place form to the stream the
+// allocating one gave before it existed: the first output and a rolling
+// digest of the first 1,000 were recorded from ForEvent at commit 6213c9b.
+// The Rand under test is one long-lived value, dirtied between cases, as a
+// pipeline worker's is.
+func TestSeedForEventMatchesForEvent(t *testing.T) {
+	var reused Rand
+	for _, c := range []struct{ seed, event, first, digest uint64 }{
+		{0x2a, 0x7, 0x64c6cee0baa0154, 0x297407cda42fffb2},
+		{0xf0115b, 0x0, 0x60cd005969c33bf, 0xa688fecd1ce6db87},
+		{0x8000000000000000, 0xffffffffffffffff, 0xde295acfc9c1d371, 0x8cd1664933ebca63},
+	} {
+		reused.SeedForEvent(c.seed, c.event)
+		fresh := ForEvent(c.seed, c.event)
+		var digest uint64
+		for i := 0; i < 1000; i++ {
+			got, want := reused.Uint64(), fresh.Uint64()
+			if got != want {
+				t.Fatalf("(%#x, %#x) output %d: re-seeded %#x, ForEvent %#x", c.seed, c.event, i, got, want)
+			}
+			if i == 0 && got != c.first {
+				t.Fatalf("(%#x, %#x): first output %#x, the parent's stream starts %#x", c.seed, c.event, got, c.first)
+			}
+			digest = digest*31 + got
+		}
+		if digest != c.digest {
+			t.Fatalf("(%#x, %#x): digest of 1,000 outputs %#x, the parent's %#x", c.seed, c.event, digest, c.digest)
+		}
+		reused.Gauss(0, 1) // leave the state somewhere else before the next case
+	}
+	// And New is the same expansion of a plain seed.
+	reused.seed(99)
+	for i, fresh := 0, New(99); i < 1000; i++ {
+		if reused.Uint64() != fresh.Uint64() {
+			t.Fatalf("seed(99) output %d differs from New(99)", i)
+		}
+	}
+}

@@ -21,8 +21,11 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # The race detector changes what allocates, so the read tier's two
-# allocation gates skip themselves above; hold them here without it.
+# allocation gates skip themselves above; hold them here without it. The
+# RECAST back end's allocation and heap gates do the same.
 echo "==> read-tier allocation gates (race detector off)"
 go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs' ./internal/queryserve
+echo "==> full-simulation back-end allocation and heap gates (race detector off)"
+go test -count=1 -run 'TestFullSimProcessAllocsPerEvent|TestFullSimMemoryIndependentOfEvents' ./internal/recast
 
 echo "verify: OK"
