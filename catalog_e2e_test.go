@@ -7,7 +7,6 @@ import (
 
 	"daspos/internal/catalog"
 	"daspos/internal/provenance"
-	"daspos/internal/workflow"
 )
 
 // TestCatalogBookkeepsWorkflowChain registers every workflow artifact as a
@@ -18,55 +17,48 @@ import (
 func TestCatalogBookkeepsWorkflowChain(t *testing.T) {
 	d := detectorWithConditions(t)
 	prov := provenance.NewStore()
-	wf := productionWorkflow(t, d)
-	res, err := wf.Execute(context.Background(), map[string]*workflow.Artifact{
-		"raw.banks": rawArtifact(t, d.det, 30),
-	}, prov)
+	wf := productionWorkflow(t, d, 30)
+	res, err := wf.Execute(context.Background(), nil, prov)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cat := catalog.New()
-	// Register the primary input and each step output as datasets, with
-	// parent links following the step wiring.
-	datasetName := map[string]string{"raw.banks": "/e2e/run1/RAW"}
-	if err := cat.Create(catalog.Dataset{
-		Name: datasetName["raw.banks"], Tier: "RAW", ProcessingVersion: "v1",
-		ConditionsTag:    "e2e-v1",
-		ProvenanceRecord: res.RecordIDs["raw.banks"],
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tiers := map[string]string{"aod.edm": "AOD", "skim.MU": "DERIVED"}
-	parents := map[string]string{"aod.edm": "raw.banks", "skim.MU": "aod.edm"}
-	for _, name := range []string{"aod.edm", "skim.MU"} {
-		a := res.Artifacts[name]
-		dsName := "/e2e/run1/" + tiers[name]
-		datasetName[name] = dsName
-		if err := cat.Create(catalog.Dataset{
-			Name: dsName, Tier: tiers[name], ProcessingVersion: "v1",
-			ConditionsTag:    "e2e-v1",
-			Parent:           datasetName[parents[name]],
-			ProvenanceRecord: res.RecordIDs[name],
-		}); err != nil {
-			t.Fatal(err)
+	// Register each step output as a dataset, with parent links following
+	// the step wiring.
+	dataset := func(artifact string) string { return "/e2e/run1/" + artifact }
+	for _, step := range wf.Steps {
+		parent := ""
+		if len(step.Inputs) > 0 {
+			parent = dataset(step.Inputs[0])
 		}
-		if err := cat.AddFile(dsName, catalog.FileEntry{
-			LFN: name, Digest: a.Digest(), Bytes: int64(len(a.Data)), Events: a.Events,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.Close(dsName); err != nil {
-			t.Fatal(err)
+		for _, name := range step.Outputs {
+			a := res.Artifacts[name]
+			if err := cat.Create(catalog.Dataset{
+				Name: dataset(name), Tier: a.Tier, ProcessingVersion: "v1",
+				ConditionsTag:    wf.ConditionsTag,
+				Parent:           parent,
+				ProvenanceRecord: res.RecordIDs[name],
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.AddFile(dataset(name), catalog.FileEntry{
+				LFN: name, Digest: a.Digest(), Bytes: int64(len(a.Data)), Events: a.Events,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.Close(dataset(name)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
-	// Dataset lineage: skim → AOD → RAW.
-	chain, err := cat.Lineage("/e2e/run1/DERIVED")
+	// Dataset lineage: skim → AOD → RECO → RAW.
+	chain, err := cat.Lineage(dataset("skim.DIMUON"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chain) != 3 || chain[2].Tier != "RAW" {
+	if len(chain) != 4 || chain[3].Tier != "RAW" {
 		t.Fatalf("dataset lineage: %d deep, root %s", len(chain), chain[len(chain)-1].Tier)
 	}
 	// Cross-check: each dataset's provenance record resolves, and walking
@@ -80,7 +72,7 @@ func TestCatalogBookkeepsWorkflowChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootID := chain[2].ProvenanceRecord
+	rootID := chain[3].ProvenanceRecord
 	found := false
 	for _, rec := range lineage {
 		if rec.ID == rootID {
@@ -91,7 +83,7 @@ func TestCatalogBookkeepsWorkflowChain(t *testing.T) {
 		t.Fatal("provenance lineage does not reach the RAW dataset's record")
 	}
 	// File digests in the catalogue match the artifacts byte for byte.
-	ds, _ := cat.Get("/e2e/run1/AOD")
+	ds, _ := cat.Get(dataset("aod.edm"))
 	if ds.Files[0].Digest != res.Artifacts["aod.edm"].Digest() {
 		t.Fatal("catalogue digest drifted from artifact")
 	}
@@ -104,7 +96,7 @@ func TestCatalogBookkeepsWorkflowChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chain2, err := reloaded.Lineage("/e2e/run1/DERIVED"); err != nil || len(chain2) != 3 {
+	if chain2, err := reloaded.Lineage(dataset("skim.DIMUON")); err != nil || len(chain2) != 4 {
 		t.Fatalf("lineage after reload: %v %d", err, len(chain2))
 	}
 }

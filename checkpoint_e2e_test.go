@@ -1,201 +1,55 @@
 package daspos
 
-// Crash-storm integration tests: the checkpointed offline chain — RAW →
-// RECO → AOD → derivation skims through the workflow engine — is killed
-// at every instrumented point of the ledger's commit protocol, resumed,
-// and must converge to tiers byte-identical with an uninterrupted run
-// while never re-executing a step whose checkpointed outputs verify.
+// Crash-storm integration tests: the checkpointed chain internal/chain
+// builds — online → reconstruction → AOD slim → derivation skims through
+// the workflow engine — is killed at every instrumented point of the
+// ledger's commit protocol, resumed, and must converge to tiers
+// byte-identical with an uninterrupted run while never re-executing a step
+// whose checkpointed outputs verify.
 
 import (
 	"bytes"
 	"context"
 	"os"
 	"strconv"
-	"sync"
 	"testing"
 
+	"daspos/internal/chain"
 	"daspos/internal/checkpoint"
-	"daspos/internal/datamodel"
 	"daspos/internal/eventflow"
 	"daspos/internal/faults"
+	"daspos/internal/generator"
 	"daspos/internal/provenance"
-	"daspos/internal/rawdata"
-	"daspos/internal/reco"
 	"daspos/internal/workflow"
 )
 
-// The RAW tier is the workflow's primary input (the detector wrote it);
-// producing it runs the full simulation chain, so it is computed once and
-// shared by every kill/resume attempt in the storm.
-var crashRaw struct {
-	once sync.Once
-	data []byte
-	n    int
-}
-
-func crashRawInput(t testing.TB, d *detCond) map[string]*workflow.Artifact {
+// crashChain is the production chain over a small sample, each step's body
+// wrapped in an execution counter — the probe the skip assertions read.
+func crashChain(t testing.TB, d *detCond, counts map[string]int) *workflow.Workflow {
 	t.Helper()
-	crashRaw.once.Do(func() {
-		a := rawArtifact(t, d.det, 40)
-		crashRaw.data, crashRaw.n = a.Data, a.Events
-	})
-	return map[string]*workflow.Artifact{
-		"raw.banks": {Name: "raw.banks", Tier: "RAW", Events: crashRaw.n, Data: crashRaw.data},
-	}
-}
-
-// offlineChain is the production offline workflow on the streaming
-// substrate, instrumented with per-step execution counters — the probe
-// the skip assertions read.
-func offlineChain(d *detCond, counts map[string]int) *workflow.Workflow {
-	opts := eventflow.Options{BatchSize: 8}
-	const workers = 2
-	rec := reco.New(d.det)
-	counted := func(name string, fn workflow.StepFunc) workflow.StepFunc {
-		return func(ctx *workflow.Context) error {
-			counts[name]++
-			return fn(ctx)
+	wf := buildChain(t, chain.Production(generator.ProcDrellYanZ, 0, 80, 40, d.snap),
+		chain.Tuning{Workers: 2, Flow: eventflow.Options{BatchSize: 8}})
+	for i := range wf.Steps {
+		step := &wf.Steps[i]
+		run := step.Run
+		step.Run = func(ctx *workflow.Context) error {
+			counts[step.Name]++
+			return run(ctx)
 		}
 	}
-	return &workflow.Workflow{
-		Name:          "crash-chain",
-		ConditionsTag: "e2e-v1",
-		PrimaryInputs: []string{"raw.banks"},
-		Steps: []workflow.Step{
-			{
-				Name: "reconstruction", Software: "daspos-reco", Version: rec.Version,
-				Inputs: []string{"raw.banks"}, Outputs: []string{"reco.edm"},
-				Run: counted("reconstruction", func(ctx *workflow.Context) error {
-					in, err := ctx.InputReader("raw.banks")
-					if err != nil {
-						return err
-					}
-					out, err := ctx.StreamOutput("reco.edm", "RECO")
-					if err != nil {
-						return err
-					}
-					fw, err := datamodel.NewFileWriter(out, datamodel.TierRECO)
-					if err != nil {
-						return err
-					}
-					p := eventflow.New(ctx.Ctx(), "reconstruction", opts)
-					src := eventflow.Source(p, "raw-read", rawdata.NewReader(in).Read)
-					recoS := eventflow.MapWorkers(src, "reconstruct", workers,
-						reco.ParallelStage(d.det, reco.DefaultConfig(), d.snap))
-					eventflow.Sink(recoS, "reco-write", fw.Write)
-					if err := p.Wait(); err != nil {
-						return err
-					}
-					if err := fw.Close(); err != nil {
-						return err
-					}
-					return out.Commit(fw.Count())
-				}),
-			},
-			{
-				Name: "aod-slim", Software: "daspos-datamodel", Version: "1.0",
-				Inputs: []string{"reco.edm"}, Outputs: []string{"aod.edm"},
-				Run: counted("aod-slim", func(ctx *workflow.Context) error {
-					in, err := ctx.InputReader("reco.edm")
-					if err != nil {
-						return err
-					}
-					fr, err := datamodel.NewFileReader(in)
-					if err != nil {
-						return err
-					}
-					out, err := ctx.StreamOutput("aod.edm", "AOD")
-					if err != nil {
-						return err
-					}
-					fw, err := datamodel.NewFileWriter(out, datamodel.TierAOD)
-					if err != nil {
-						return err
-					}
-					p := eventflow.New(ctx.Ctx(), "aod-slim", opts)
-					src := eventflow.Source(p, "reco-read", fr.Read)
-					aodS := eventflow.Map(src, "slim", workers, func(e *datamodel.Event) (*datamodel.Event, bool, error) {
-						return e.SlimToAOD(), true, nil
-					})
-					eventflow.Sink(aodS, "aod-write", fw.Write)
-					if err := p.Wait(); err != nil {
-						return err
-					}
-					if err := fw.Close(); err != nil {
-						return err
-					}
-					return out.Commit(fw.Count())
-				}),
-			},
-			{
-				Name: "derivation-train", Software: "daspos-skim", Version: "1.0",
-				Config: map[string]string{"train": "DIMUON+MET"},
-				Inputs: []string{"aod.edm"}, Outputs: []string{"skim.DIMUON", "skim.MET"},
-				Run: counted("derivation-train", func(ctx *workflow.Context) error {
-					in, err := ctx.InputReader("aod.edm")
-					if err != nil {
-						return err
-					}
-					fr, err := datamodel.NewFileReader(in)
-					if err != nil {
-						return err
-					}
-					train := prodTrain()
-					writers := make([]*workflow.ArtifactWriter, len(train.Derivations))
-					files := make([]*datamodel.FileWriter, len(train.Derivations))
-					for i, der := range train.Derivations {
-						aw, err := ctx.StreamOutput("skim."+der.Name, "DERIVED")
-						if err != nil {
-							return err
-						}
-						fw, err := datamodel.NewFileWriter(aw, datamodel.TierDerived)
-						if err != nil {
-							return err
-						}
-						writers[i], files[i] = aw, fw
-					}
-					p := eventflow.New(ctx.Ctx(), "derivation-train", opts)
-					src := eventflow.Source(p, "aod-read", fr.Read)
-					eventflow.Sink(src, "derive", func(e *datamodel.Event) error {
-						for i := range train.Derivations {
-							derived, keep, err := train.Derivations[i].Apply(e)
-							if err != nil {
-								return err
-							}
-							if keep {
-								if err := files[i].Write(derived); err != nil {
-									return err
-								}
-							}
-						}
-						return nil
-					})
-					if err := p.Wait(); err != nil {
-						return err
-					}
-					for i := range files {
-						if err := files[i].Close(); err != nil {
-							return err
-						}
-						if err := writers[i].Commit(files[i].Count()); err != nil {
-							return err
-						}
-					}
-					return nil
-				}),
-			},
-		},
-	}
+	return wf
 }
 
-var chainOutputs = []string{"reco.edm", "aod.edm", "skim.DIMUON", "skim.MET"}
+var chainOutputs = []string{chain.RawBanks, chain.RecoEDM, chain.AODEDM, "skim.DIMUON", "skim.MET"}
+
+var chainSteps = []string{"online", "reconstruction", "aod-slim", "derivation-train"}
 
 // referenceTiers runs the chain uninterrupted, no ledger, and returns the
 // byte-identity reference for every storm below.
 func referenceTiers(t testing.TB, d *detCond) map[string][]byte {
 	t.Helper()
-	res, err := offlineChain(d, map[string]int{}).Execute(
-		context.Background(), crashRawInput(t, d), provenance.NewStore())
+	res, err := crashChain(t, d, map[string]int{}).Execute(
+		context.Background(), nil, provenance.NewStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +95,7 @@ func runKilled(t *testing.T, d *detCond, dir string, counts map[string]int, kill
 			killed = true
 		}
 	}()
-	if _, err := offlineChain(d, counts).Execute(context.Background(), crashRawInput(t, d), provenance.NewStore(), opt); err != nil {
+	if _, err := crashChain(t, d, counts).Execute(context.Background(), nil, provenance.NewStore(), opt); err != nil {
 		t.Fatal(err)
 	}
 	return false
@@ -272,8 +126,8 @@ func resumeToCompletion(t *testing.T, d *detCond, dir string, counts map[string]
 		t.Fatal(err)
 	}
 	defer l.Close()
-	res, err := offlineChain(d, counts).Execute(
-		context.Background(), crashRawInput(t, d), provenance.NewStore(), workflow.ResumeFrom(l))
+	res, err := crashChain(t, d, counts).Execute(
+		context.Background(), nil, provenance.NewStore(), workflow.ResumeFrom(l))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +174,7 @@ func TestCrashStormResumesByteIdentical(t *testing.T) {
 
 		res := resumeToCompletion(t, d, dir, counts)
 		assertTiersIdentical(t, "kill at "+strconv.Itoa(n), want, res)
-		if res.Executed+res.Skipped != 3 {
+		if res.Executed+res.Skipped != len(chainSteps) {
 			t.Fatalf("kill %d: executed=%d skipped=%d", n, res.Executed, res.Skipped)
 		}
 		if res.Skipped != len(survivors) {
@@ -367,12 +221,12 @@ func TestCrashStormRepeatedKills(t *testing.T) {
 	// The final state replays clean and byte-identical.
 	res := resumeToCompletion(t, d, dir, counts)
 	assertTiersIdentical(t, "repeated kills", want, res)
-	if res.Skipped != 3 {
+	if res.Skipped != len(chainSteps) {
 		t.Fatalf("completed run not fully checkpointed: skipped=%d", res.Skipped)
 	}
 	// Every step eventually ran, and no step ran once per attempt — the
 	// ledger carried finished work across crashes.
-	for _, step := range []string{"reconstruction", "aod-slim", "derivation-train"} {
+	for _, step := range chainSteps {
 		if counts[step] == 0 {
 			t.Fatalf("step %s never executed", step)
 		}
@@ -419,14 +273,14 @@ func TestResumeCorruptedArtifactForcesReExecution(t *testing.T) {
 	}
 	// Reconstruction is deterministic, so its re-produced output digest is
 	// unchanged and the downstream steps stay skippable.
-	if counts["aod-slim"] != 1 || counts["derivation-train"] != 1 {
+	if counts["online"] != 1 || counts["aod-slim"] != 1 || counts["derivation-train"] != 1 {
 		t.Fatalf("unaffected steps re-ran: %v", counts)
 	}
-	if res.Executed != 1 || res.Skipped != 2 {
-		t.Fatalf("executed=%d skipped=%d, want 1/2", res.Executed, res.Skipped)
+	if res.Executed != 1 || res.Skipped != 3 {
+		t.Fatalf("executed=%d skipped=%d, want 1/3", res.Executed, res.Skipped)
 	}
 	assertTiersIdentical(t, "corrupted artifact", referenceTiers(t, d), res)
-	if done := doneSteps(t, dir); len(done) != 3 {
+	if done := doneSteps(t, dir); len(done) != len(chainSteps) {
 		t.Fatalf("ledger not repaired: %v", done)
 	}
 }
@@ -456,11 +310,11 @@ func TestResumeTornFinalJournalRecord(t *testing.T) {
 	if counts["derivation-train"] != 2 {
 		t.Fatalf("interrupted final step ran %d times, want 2", counts["derivation-train"])
 	}
-	if counts["reconstruction"] != 1 || counts["aod-slim"] != 1 {
+	if counts["online"] != 1 || counts["reconstruction"] != 1 || counts["aod-slim"] != 1 {
 		t.Fatalf("intact steps re-ran: %v", counts)
 	}
-	if res.Executed != 1 || res.Skipped != 2 {
-		t.Fatalf("executed=%d skipped=%d, want 1/2", res.Executed, res.Skipped)
+	if res.Executed != 1 || res.Skipped != 3 {
+		t.Fatalf("executed=%d skipped=%d, want 1/3", res.Executed, res.Skipped)
 	}
 	assertTiersIdentical(t, "torn journal", referenceTiers(t, d), res)
 }

@@ -34,12 +34,7 @@ func main() {
 	size := flag.Int("size", 800, "canvas size in pixels")
 	flag.Parse()
 
-	procID := 0
-	for id := generator.ProcMinBias; id <= generator.ProcZPrime; id++ {
-		if generator.ProcessName(id) == *process {
-			procID = id
-		}
-	}
+	procID := generator.ProcessID(*process)
 	if procID == 0 {
 		log.Fatalf("unknown process %q", *process)
 	}

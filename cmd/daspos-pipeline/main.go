@@ -4,17 +4,17 @@
 // workflow engine, and reports the tier-size cascade, the per-step
 // external-dependency census, and the provenance audit.
 //
-// The chain runs on the event-flow substrate (internal/eventflow): events
-// move through batched, bounded channels, CPU-heavy stages (simulation,
-// reconstruction, slimming) fan out over -workers goroutines, and output
-// order is independent of the worker count — the same seed produces
-// byte-identical tiers whether the run is sequential or parallel.
+// The chain comes from internal/chain: this command turns flags into a
+// chain.Spec, runs it and prints what came out. CPU-heavy stages fan out over
+// -workers goroutines and output order is independent of the worker count —
+// the same seed produces byte-identical tiers at any -workers and -batch.
 //
 // Runs are crash-safe when -checkpoint-dir is given: every workflow
 // step's lifecycle is journaled into a durable ledger (started, artifacts
 // committed via write-temp-then-rename, done), and -resume continues an
 // interrupted run, skipping steps whose recorded outputs pass digest
-// verification and re-executing anything less than fully committed.
+// verification and re-executing anything less than fully committed — RAW
+// is a step output like every other tier, so that includes the online chain.
 //
 // Usage:
 //
@@ -25,7 +25,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -33,20 +32,16 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
+	"daspos/internal/chain"
 	"daspos/internal/checkpoint"
 	"daspos/internal/conditions"
-	"daspos/internal/datamodel"
-	"daspos/internal/detector"
 	"daspos/internal/eventflow"
 	"daspos/internal/generator"
 	"daspos/internal/interview"
 	"daspos/internal/provenance"
-	"daspos/internal/rawdata"
-	"daspos/internal/reco"
-	"daspos/internal/sim"
-	"daspos/internal/skim"
 	"daspos/internal/texttable"
 	"daspos/internal/trigger"
 	"daspos/internal/workflow"
@@ -97,26 +92,26 @@ func main() {
 		}()
 	}
 
-	procID := processID(*process)
+	procID := generator.ProcessID(*process)
 	if procID == 0 {
 		log.Fatalf("unknown process %q", *process)
 	}
-	cfg := generator.DefaultConfig(*seed)
-	cfg.PileupMu = *pileup
-	gen, err := generator.New(procID, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	det := detector.Standard()
 	db := conditions.NewDB()
 	const tag, run = "prod-v1", 1
 	if err := conditions.SeedStandard(db, tag, 1, 100, 10, *seed); err != nil {
 		log.Fatal(err)
 	}
-
-	flow := flowOptions{workers: *workers, opts: eventflow.Options{BatchSize: *batch, StageRetries: *stageRetries}}
-	wf, inputs, sizes, reports := buildWorkflow(gen, det, db, tag, run, *events, *seed, flow)
+	spec := chain.Production(procID, *pileup, *seed, *events, db.Snapshot(tag, run))
+	var reports []eventflow.Report
+	wf, err := chain.Build(spec, chain.Tuning{
+		Workers:   *workers,
+		Flow:      eventflow.Options{BatchSize: *batch, StageRetries: *stageRetries},
+		OnReport:  func(rep eventflow.Report) { reports = append(reports, rep) },
+		OnTrigger: printTriggerRates,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	prov := provenance.NewStore()
 
 	var execOpts []workflow.ExecOption
@@ -134,7 +129,7 @@ func main() {
 		}
 	}
 
-	res, err := wf.Execute(context.Background(), inputs, prov, execOpts...)
+	res, err := wf.Execute(context.Background(), nil, prov, execOpts...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,19 +143,16 @@ func main() {
 	for i := 1; i < 7; i++ {
 		t.SetAlign(i, texttable.Right)
 	}
-	raw := float64(sizes.raw)
-	row := func(tier, name string, n int, b int64) {
-		per := float64(b) / float64(n)
-		t.AddRow(tier, name, n, b, fmt.Sprintf("%.0f", per), fmt.Sprintf("%.1fx", raw/float64(b)))
-	}
-	row("RAW", "raw.banks", sizes.accepted, sizes.raw)
-	row("RECO", "reco.edm", sizes.accepted, int64(len(res.Artifacts["reco.edm"].Data)))
-	row("AOD", "aod.edm", sizes.accepted, int64(len(res.Artifacts["aod.edm"].Data)))
-	for _, name := range []string{"skim.DIMUON", "skim.MET"} {
-		a := res.Artifacts[name]
-		t.AddRow("DERIVED", name, a.Events, len(a.Data),
-			fmt.Sprintf("%.0f", safeDiv(float64(len(a.Data)), float64(a.Events))),
-			fmt.Sprintf("%.1fx", raw/float64(len(a.Data))))
+	raw := float64(len(res.Artifacts[chain.RawBanks].Data))
+	var total int64 // every artifact is some step's output
+	for _, step := range wf.Steps {
+		for _, name := range step.Outputs {
+			a := res.Artifacts[name]
+			total += int64(len(a.Data))
+			t.AddRow(a.Tier, name, a.Events, len(a.Data),
+				fmt.Sprintf("%.0f", safeDiv(float64(len(a.Data)), float64(a.Events))),
+				fmt.Sprintf("%.1fx", raw/float64(len(a.Data))))
+		}
 	}
 	fmt.Println(t)
 
@@ -169,40 +161,23 @@ func main() {
 	d.Title = "External-dependency census per workflow step"
 	d.SetAlign(2, texttable.Right)
 	for _, rep := range res.Reports {
-		d.AddRow(rep.Step, join(rep.ExternalDeps), len(rep.ExternalDeps))
+		deps := "(none)"
+		if len(rep.ExternalDeps) > 0 {
+			deps = strings.Join(rep.ExternalDeps, ", ")
+		}
+		d.AddRow(rep.Step, deps, len(rep.ExternalDeps))
 	}
 	fmt.Println(d)
 
-	printStageReports(*workers, *batch, reports.all())
+	printStageReports(*workers, *batch, reports)
 
 	// Provenance audit (experiment W3).
 	audit := prov.Audit()
 	fmt.Printf("Provenance: %d records, %.0f%% with complete chains\n",
 		audit.Records, 100*audit.CompleteFraction())
 	fmt.Printf("Archive-ready payload: %s across %d artifacts\n",
-		interview.FormatBytes(totalBytes(res)), len(res.Artifacts))
+		interview.FormatBytes(total), len(res.Artifacts))
 }
-
-type tierSizes struct {
-	raw      int64
-	accepted int
-}
-
-// flowOptions carries the event-flow tuning into every pipeline the chain
-// builds.
-type flowOptions struct {
-	workers int
-	opts    eventflow.Options
-}
-
-// flowReports collects per-pipeline execution reports. The workflow steps
-// append to it as they run, so the reports become available after Execute.
-type flowReports struct {
-	reports []eventflow.Report
-}
-
-func (r *flowReports) add(rep eventflow.Report) { r.reports = append(r.reports, rep) }
-func (r *flowReports) all() []eventflow.Report  { return r.reports }
 
 // printStageReports renders one row per pipeline stage: throughput
 // accounting for the streaming substrate.
@@ -270,250 +245,9 @@ func printTriggerRates(trg *trigger.Trigger, accepted int) {
 	fmt.Println(t)
 }
 
-// buildWorkflow wires the standard chain into the engine. The RAW artifact
-// is produced up front by the online pipeline (it is the workflow's
-// primary input, as in a real experiment where the detector writes it);
-// the offline steps each run their own streaming pipeline.
-func buildWorkflow(gen generator.Generator, det *detector.Detector, db *conditions.DB, tag string, run uint32, events int, seed uint64, flow flowOptions) (*workflow.Workflow, map[string]*workflow.Artifact, tierSizes, *flowReports) {
-	reports := &flowReports{}
-
-	// Online chain: generate → simulate → trigger → digitize → event-build.
-	// Simulation uses per-event RNG streams (SimulateSeeded), so it fans
-	// out over workers without perturbing the physics; the trigger keeps
-	// one worker because its prescale counters are stateful and
-	// order-dependent.
-	full := sim.NewFullSim(det, seed)
-	trg := trigger.New(trigger.StandardMenu(), det)
-	var rawBuf bytes.Buffer
-	builder := rawdata.NewWriter(&rawBuf)
-
-	online := eventflow.New(context.Background(), "online", flow.opts)
-	hepmcS := eventflow.Source(online, "generate", generator.EventSource(gen, events))
-	simS := eventflow.Map(hepmcS, "simulate", flow.workers, full.StageFunc())
-	trigS := eventflow.Map(simS, "trigger", 1, func(se *sim.Event) (*sim.Event, bool, error) {
-		return se, trg.Evaluate(se).Accepted, nil
-	})
-	rawS := eventflow.Map(trigS, "digitize", flow.workers, rawdata.DigitizeFunc(run))
-	eventflow.Sink(rawS, "event-build", builder.Write)
-	if err := online.Wait(); err != nil {
-		log.Fatal(err)
-	}
-	reports.add(online.Report())
-	accepted := builder.Count()
-	printTriggerRates(trg, accepted)
-
-	recoCfg := reco.DefaultConfig()
-	recoVersion := reco.New(det).Version
-	snap := db.Snapshot(tag, run)
-
-	wf := &workflow.Workflow{
-		Name:          "standard-chain",
-		ConditionsTag: tag,
-		PrimaryInputs: []string{"raw.banks"},
-		Steps: []workflow.Step{
-			{
-				Name: "reconstruction", Software: "daspos-reco", Version: recoVersion,
-				Config:  map[string]string{"geometry": det.Name + "/" + det.Version},
-				Inputs:  []string{"raw.banks"},
-				Outputs: []string{"reco.edm"},
-				Run: func(ctx *workflow.Context) error {
-					in, err := ctx.InputReader("raw.banks")
-					if err != nil {
-						return err
-					}
-					out, err := ctx.StreamOutput("reco.edm", "RECO")
-					if err != nil {
-						return err
-					}
-					fw, err := datamodel.NewFileWriter(out, datamodel.TierRECO)
-					if err != nil {
-						return err
-					}
-					p := eventflow.New(ctx.Ctx(), "reconstruction", flow.opts)
-					src := eventflow.Source(p, "raw-read", rawdata.NewReader(in).Read)
-					recoS := eventflow.MapWorkers(src, "reconstruct", flow.workers,
-						reco.ParallelStage(det, recoCfg, snap))
-					eventflow.Sink(recoS, "reco-write", fw.Write)
-					if err := p.Wait(); err != nil {
-						return err
-					}
-					reports.add(p.Report())
-					for _, f := range reco.Folders() {
-						ctx.External("conditions:" + f)
-					}
-					if err := fw.Close(); err != nil {
-						return err
-					}
-					return out.Commit(fw.Count())
-				},
-			},
-			{
-				Name: "aod-slim", Software: "daspos-datamodel", Version: "1.0",
-				Inputs:  []string{"reco.edm"},
-				Outputs: []string{"aod.edm"},
-				Run:     slimStep(flow, reports),
-			},
-			{
-				Name: "derivation-train", Software: "daspos-skim", Version: "1.0",
-				Config:  map[string]string{"train": "DIMUON+MET"},
-				Inputs:  []string{"aod.edm"},
-				Outputs: []string{"skim.DIMUON", "skim.MET"},
-				Run:     trainStep(flow, reports),
-			},
-		},
-	}
-	inputs := map[string]*workflow.Artifact{
-		"raw.banks": {Name: "raw.banks", Tier: "RAW", Events: accepted, Data: rawBuf.Bytes()},
-	}
-	return wf, inputs, tierSizes{raw: int64(rawBuf.Len()), accepted: accepted}, reports
-}
-
-func slimStep(flow flowOptions, reports *flowReports) workflow.StepFunc {
-	return func(ctx *workflow.Context) error {
-		in, err := ctx.InputReader("reco.edm")
-		if err != nil {
-			return err
-		}
-		fr, err := datamodel.NewFileReader(in)
-		if err != nil {
-			return err
-		}
-		out, err := ctx.StreamOutput("aod.edm", "AOD")
-		if err != nil {
-			return err
-		}
-		fw, err := datamodel.NewFileWriter(out, datamodel.TierAOD)
-		if err != nil {
-			return err
-		}
-		p := eventflow.New(ctx.Ctx(), "aod-slim", flow.opts)
-		src := eventflow.Source(p, "reco-read", fr.Read)
-		// SlimViewAOD borrows the surviving collections from the RECO event
-		// instead of deep-copying them — the AOD tier is a view until the
-		// writer serializes it, and the writer is the last stop, so nothing
-		// retains the view past the batch handoff.
-		aodS := eventflow.Map(src, "slim", flow.workers, func(e *datamodel.Event) (datamodel.Event, bool, error) {
-			return e.SlimViewAOD(), true, nil
-		})
-		eventflow.Sink(aodS, "aod-write", func(e datamodel.Event) error { return fw.Write(&e) })
-		if err := p.Wait(); err != nil {
-			return err
-		}
-		reports.add(p.Report())
-		if err := fw.Close(); err != nil {
-			return err
-		}
-		return out.Commit(fw.Count())
-	}
-}
-
-func trainStep(flow flowOptions, reports *flowReports) workflow.StepFunc {
-	train := skim.Train{
-		Name: "prod-train",
-		Derivations: []skim.Derivation{
-			{
-				Name:      "DIMUON",
-				Selection: skim.Selection{Name: "dimuon", Cuts: []skim.Cut{{Variable: "n_muons", Op: skim.OpGE, Value: 2}}},
-				Slim:      skim.SlimPolicy{KeepTypes: []datamodel.ObjectType{datamodel.ObjMuon}, DropAux: true},
-			},
-			{
-				Name:      "MET",
-				Selection: skim.Selection{Name: "met", Cuts: []skim.Cut{{Variable: "met", Op: skim.OpGT, Value: 30}}},
-				Slim:      skim.SlimPolicy{MinCandidatePt: 10},
-			},
-		},
-	}
-	return func(ctx *workflow.Context) error {
-		in, err := ctx.InputReader("aod.edm")
-		if err != nil {
-			return err
-		}
-		fr, err := datamodel.NewFileReader(in)
-		if err != nil {
-			return err
-		}
-		// One pass, fan-out sink: every AOD event is offered to every
-		// derivation, each writing its own streamed output.
-		writers := make([]*workflow.ArtifactWriter, len(train.Derivations))
-		files := make([]*datamodel.FileWriter, len(train.Derivations))
-		for i, d := range train.Derivations {
-			aw, err := ctx.StreamOutput("skim."+d.Name, "DERIVED")
-			if err != nil {
-				return err
-			}
-			fw, err := datamodel.NewFileWriter(aw, datamodel.TierDerived)
-			if err != nil {
-				return err
-			}
-			writers[i], files[i] = aw, fw
-		}
-		p := eventflow.New(ctx.Ctx(), "derivation-train", flow.opts)
-		src := eventflow.Source(p, "aod-read", fr.Read)
-		eventflow.Sink(src, "derive", func(e *datamodel.Event) error {
-			for i := range train.Derivations {
-				derived, keep, err := train.Derivations[i].Apply(e)
-				if err != nil {
-					return err
-				}
-				if !keep {
-					continue
-				}
-				if err := files[i].Write(derived); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err := p.Wait(); err != nil {
-			return err
-		}
-		reports.add(p.Report())
-		for i := range files {
-			if err := files[i].Close(); err != nil {
-				return err
-			}
-			if err := writers[i].Commit(files[i].Count()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-func processID(name string) int {
-	for id := generator.ProcMinBias; id <= generator.ProcZPrime; id++ {
-		if generator.ProcessName(id) == name {
-			return id
-		}
-	}
-	return 0
-}
-
-func totalBytes(res *workflow.Result) int64 {
-	var n int64
-	for _, a := range res.Artifacts {
-		n += int64(len(a.Data))
-	}
-	return n
-}
-
 func safeDiv(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
 	return a / b
-}
-
-func join(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ", "
-		}
-		out += x
-	}
-	if out == "" {
-		return "(none)"
-	}
-	return out
 }

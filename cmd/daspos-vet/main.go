@@ -3,11 +3,10 @@
 // core), durability (fsync-before-rename commit ordering), errclass (the
 // transient/permanent taxonomy survives every wrap), ctxprop (exported
 // service entry points are cancellable), closecheck (write-path
-// Close/Flush errors are never discarded), clonecheck (handed-out data is
-// defensively copied), and the concurrency-discipline trio — lockcheck
-// (no blocking operations while a mutex is held on the hot path),
-// leakcheck (every goroutine has a termination path), and atomiccheck
-// (no mixed atomic/plain field access, no copied locks).
+// Close/Flush errors are never discarded), and the concurrency-discipline
+// trio — lockcheck (no blocking operations while a mutex is held on the
+// hot path), leakcheck (every goroutine has a termination path), and
+// atomiccheck (no mixed atomic/plain field access, no copied locks).
 //
 // Usage:
 //

@@ -11,6 +11,7 @@ import (
 
 	"daspos/internal/archive"
 	"daspos/internal/bridge"
+	"daspos/internal/chain"
 	"daspos/internal/conditions"
 	"daspos/internal/core"
 	"daspos/internal/datamodel"
@@ -25,7 +26,6 @@ import (
 	"daspos/internal/reco"
 	"daspos/internal/rivet"
 	"daspos/internal/sim"
-	"daspos/internal/skim"
 	"daspos/internal/workflow"
 )
 
@@ -36,11 +36,8 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 	// --- production era ---
 	d := detectorWithConditions(t)
 	prov := provenance.NewStore()
-	wf := productionWorkflow(t, d)
-	res, err := wf.Execute(context.Background(), map[string]*workflow.Artifact{
-		"raw.banks": rawArtifact(t, d.det, 60),
-	}, prov)
-	if err != nil {
+	wf := productionWorkflow(t, d, 60)
+	if _, err := wf.Execute(context.Background(), nil, prov); err != nil {
 		t.Fatal(err)
 	}
 	if prov.Audit().CompleteFraction() != 1 {
@@ -110,9 +107,14 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 	if rep := loaded.AuditProvenance(); rep.CompleteFraction() != 1 || rep.Records != prov.Len() {
 		t.Fatalf("provenance after thaw: %+v", rep)
 	}
-	// 2. The workflow description is still parseable and valid.
-	if _, err := workflow.FromDescription(loaded.Workflow); err != nil {
+	// 2. The workflow description is still parseable and valid, and still
+	// says which calibration content the reconstruction ran over.
+	thawedWf, err := workflow.FromDescription(loaded.Workflow)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := thawedWf.Steps[1].Config["conditions.sha256"]; got != d.snap.Digest() {
+		t.Fatalf("thawed %s step records conditions %q, the run used %s", thawedWf.Steps[1].Name, got, d.snap.Digest())
 	}
 	// 3. The environment check plans a migration to the next platform.
 	plan, err := loaded.CheckEnvironment(reg, next)
@@ -153,7 +155,6 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 	if rei.Acceptance <= 0.2 || rei.UpperLimitXsecPb <= 0 {
 		t.Fatalf("reinterpretation: %+v", rei)
 	}
-	_ = res
 }
 
 // TestRecastOverHTTPWithBridgeBackend runs the reinterpretation loop over
@@ -259,85 +260,9 @@ func dimuonSearchRecord() *leshouches.AnalysisRecord {
 	}
 }
 
-func rawArtifact(t testing.TB, det *detector.Detector, n int) *workflow.Artifact {
+// productionWorkflow is the production chain over a Drell-Yan sample of the
+// given size, calibrated under d's snapshot.
+func productionWorkflow(t testing.TB, d *detCond, events int) *workflow.Workflow {
 	t.Helper()
-	full := sim.NewFullSim(det, 80)
-	gen := generator.NewDrellYanZ(generator.DefaultConfig(80))
-	var buf bytes.Buffer
-	for i := 0; i < n; i++ {
-		if err := rawdata.WriteEvent(&buf, rawdata.Digitize(1, full.Simulate(gen.Generate()))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return &workflow.Artifact{Name: "raw.banks", Tier: "RAW", Events: n, Data: buf.Bytes()}
-}
-
-func productionWorkflow(t testing.TB, d *detCond) *workflow.Workflow {
-	t.Helper()
-	rec := reco.New(d.det)
-	return &workflow.Workflow{
-		Name:          "e2e-chain",
-		ConditionsTag: "e2e-v1",
-		PrimaryInputs: []string{"raw.banks"},
-		Steps: []workflow.Step{
-			{
-				Name: "reco", Software: "daspos-reco", Version: rec.Version,
-				Inputs: []string{"raw.banks"}, Outputs: []string{"aod.edm"},
-				Run: func(ctx *workflow.Context) error {
-					in, err := ctx.Input("raw.banks")
-					if err != nil {
-						return err
-					}
-					raws, err := rawdata.ReadFile(bytes.NewReader(in.Data))
-					if err != nil {
-						return err
-					}
-					var aod []*datamodel.Event
-					for _, r := range raws {
-						ev, err := rec.Reconstruct(r, d.snap)
-						if err != nil {
-							return err
-						}
-						for _, f := range rec.TouchedFolders() {
-							ctx.External("conditions:" + f)
-						}
-						aod = append(aod, ev.SlimToAOD())
-					}
-					var buf bytes.Buffer
-					if _, err := datamodel.WriteEvents(&buf, datamodel.TierAOD, aod); err != nil {
-						return err
-					}
-					return ctx.Output("aod.edm", "AOD", len(aod), buf.Bytes())
-				},
-			},
-			{
-				Name: "skim", Software: "daspos-skim", Version: "1.0",
-				Inputs: []string{"aod.edm"}, Outputs: []string{"skim.MU"},
-				Run: func(ctx *workflow.Context) error {
-					in, err := ctx.Input("aod.edm")
-					if err != nil {
-						return err
-					}
-					_, events, err := datamodel.ReadEvents(bytes.NewReader(in.Data))
-					if err != nil {
-						return err
-					}
-					der := skim.Derivation{
-						Name:      "MU",
-						Selection: skim.Selection{Cuts: []skim.Cut{{Variable: "n_muons", Op: skim.OpGE, Value: 1}}},
-						Slim:      skim.SlimPolicy{KeepTypes: []datamodel.ObjectType{datamodel.ObjMuon}},
-					}
-					out, _, err := der.Run(events)
-					if err != nil {
-						return err
-					}
-					var buf bytes.Buffer
-					if _, err := datamodel.WriteEvents(&buf, datamodel.TierDerived, out); err != nil {
-						return err
-					}
-					return ctx.Output("skim.MU", "DERIVED", len(out), buf.Bytes())
-				},
-			},
-		},
-	}
+	return buildChain(t, chain.Production(generator.ProcDrellYanZ, 0, 80, events, d.snap), chain.Tuning{})
 }

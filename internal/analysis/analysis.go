@@ -204,6 +204,27 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
+// rootIdent walks to the base identifier of an assignable expression:
+// x, x.f, x[i], *x all root at x.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -212,7 +233,6 @@ func Analyzers() []*Analyzer {
 		ErrClass,
 		CtxProp,
 		CloseCheck,
-		CloneCheck,
 		LockCheck,
 		LeakCheck,
 		AtomicCheck,

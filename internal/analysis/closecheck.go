@@ -30,6 +30,7 @@ var CloseCheck = &Analyzer{
 			"internal/checkpoint",
 			"internal/archive",
 			"internal/workflow",
+			"internal/chain",
 			"internal/rawdata",
 			"internal/recast",
 			"internal/node",

@@ -21,9 +21,12 @@ var Determinism = &Analyzer{
 		"internal/datamodel",
 		"internal/sim",
 		"internal/generator",
+		"internal/rawdata",
+		"internal/trigger",
 		"internal/reco",
 		"internal/skim",
 		"internal/workflow",
+		"internal/chain",
 		"internal/checkpoint",
 		"internal/cas",
 		"internal/eventflow",

@@ -22,10 +22,6 @@ func TestCloseCheck(t *testing.T) {
 	runAnalyzerTest(t, CloseCheck, "closecheck", "daspos/internal/datamodel")
 }
 
-func TestCloneCheck(t *testing.T) {
-	runAnalyzerTest(t, CloneCheck, "clonecheck", "daspos/internal/skim")
-}
-
 func TestLockCheck(t *testing.T) {
 	runAnalyzerTest(t, LockCheck, "lockcheck", "daspos/internal/queryserve")
 }

@@ -15,6 +15,8 @@ package conditions
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -249,6 +251,14 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		fmt.Fprintln(bw, "end")
 	}
 	return bw.Flush()
+}
+
+// Digest returns the SHA-256 of the snapshot's archival text form: the
+// identity of the calibration's content, where Tag and Run only name it.
+func (s *Snapshot) Digest() string {
+	h := sha256.New()
+	_ = WriteSnapshot(h, s) // a hash never fails a write
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ReadSnapshot parses a snapshot from its text form.

@@ -199,229 +199,182 @@ func (d *payloadDecoder) count() (int, error) {
 	return int(v), nil
 }
 
-// decodeEventV3 parses one event payload produced by appendEventV3.
-// AppendEventPayload appends the version-3 payload encoding of e to dst
-// and returns the extended slice — exactly the frame body
-// FileWriter.WritePayload wraps. Exported so parallel pipelines can encode
-// events on worker goroutines and leave only the cheap ordered framing to
-// the writer.
-func AppendEventPayload(dst []byte, e *Event) []byte { return appendEventV3(dst, e) }
-
+// decodeEventV3 parses one event payload produced by appendEventV3. Every
+// slice and map is freshly allocated, so the event owns its storage.
 func decodeEventV3(data []byte) (*Event, error) {
 	e := &Event{}
-	if err := decodeV3Into(data, e, nil, 0); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// decodeV3Into parses one event payload into e. With b == nil every slice
-// and map is freshly allocated (the plain Decode path); with a batch, the
-// element storage is reserved from the batch arena at slot — the caller
-// (DecodeInto) re-points e's slice headers from the recorded spans once the
-// arena has settled, so this function leaves arena-backed slice fields
-// untouched on e and only fills the reserved storage.
-func decodeV3Into(data []byte, e *Event, b *Batch, slot int) error {
 	d := &payloadDecoder{data: data}
 
 	run, err := d.uvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if run > math.MaxUint32 {
-		return fmt.Errorf("datamodel: v3 run %d overflows uint32", run)
+		return nil, fmt.Errorf("datamodel: v3 run %d overflows uint32", run)
 	}
 	e.Run = uint32(run)
 	if e.Number, err = d.uvarint(); err != nil {
-		return err
+		return nil, err
 	}
 	tier, err := d.varint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	e.Tier = Tier(tier)
 	pid, err := d.varint()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	e.ProcessID = int(pid)
 
 	nT, err := d.count()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if nT > 0 {
-		var ts []Track
-		if b != nil {
-			ts = b.growTracks(slot, nT)
-		} else {
-			ts = make([]Track, nT)
-			e.Tracks = ts
-		}
-		for i := range ts {
-			t := &ts[i]
+		e.Tracks = make([]Track, nT)
+		for i := range e.Tracks {
+			t := &e.Tracks[i]
 			if t.P, err = d.vec(); err != nil {
-				return err
+				return nil, err
 			}
 			if t.Charge, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if t.D0, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if t.Z0, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if t.Chi2, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			h, err := d.varint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			t.NHits = int(h)
 		}
 	}
 	nV, err := d.count()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if nV > 0 {
-		var vs []VertexFit
-		if b != nil {
-			vs = b.growVertices(slot, nV)
-		} else {
-			vs = make([]VertexFit, nV)
-			e.Vertices = vs
-		}
-		for i := range vs {
-			v := &vs[i]
+		e.Vertices = make([]VertexFit, nV)
+		for i := range e.Vertices {
+			v := &e.Vertices[i]
 			if v.X, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if v.Y, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if v.Z, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if v.Chi2, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			n, err := d.varint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			v.NTracks = int(n)
 		}
 	}
 	nC, err := d.count()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if nC > 0 {
-		var cs []Cluster
-		if b != nil {
-			cs = b.growClusters(slot, nC)
-		} else {
-			cs = make([]Cluster, nC)
-			e.Clusters = cs
-		}
-		for i := range cs {
-			c := &cs[i]
+		e.Clusters = make([]Cluster, nC)
+		for i := range e.Clusters {
+			c := &e.Clusters[i]
 			if c.E, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if c.Eta, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if c.Phi, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			em, err := d.byte()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			c.EM = em != 0
 			n, err := d.varint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			c.NCells = int(n)
 		}
 	}
 	nCand, err := d.count()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if nCand > 0 {
-		var cands []Candidate
-		if b != nil {
-			cands = b.growCandidates(slot, nCand)
-		} else {
-			cands = make([]Candidate, nCand)
-			e.Candidates = cands
-		}
-		for i := range cands {
-			c := &cands[i]
+		e.Candidates = make([]Candidate, nCand)
+		for i := range e.Candidates {
+			c := &e.Candidates[i]
 			typ, err := d.varint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			c.Type = ObjectType(typ)
 			if c.P, err = d.vec(); err != nil {
-				return err
+				return nil, err
 			}
 			if c.Charge, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if c.Quality, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 			if c.Isolation, err = d.float(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 	if e.Missing.Pt, err = d.float(); err != nil {
-		return err
+		return nil, err
 	}
 	if e.Missing.Phi, err = d.float(); err != nil {
-		return err
+		return nil, err
 	}
 	if e.Missing.SumEt, err = d.float(); err != nil {
-		return err
+		return nil, err
 	}
 
 	nAux, err := d.count()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if nAux > 0 {
-		if b != nil {
-			e.Aux = b.auxMap(nAux)
-		} else {
-			e.Aux = make(map[string]float64, nAux)
-		}
+		e.Aux = make(map[string]float64, nAux)
 		for i := 0; i < nAux; i++ {
 			kl, err := d.uvarint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if kl > uint64(len(d.data)-d.off) {
-				return errPayloadShort
+				return nil, errPayloadShort
 			}
 			key := string(d.data[d.off : d.off+int(kl)])
 			d.off += int(kl)
 			val, err := d.float()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			e.Aux[key] = val
 		}
 	}
 	if d.off != len(d.data) {
-		return fmt.Errorf("datamodel: v3 frame has %d trailing bytes", len(d.data)-d.off)
+		return nil, fmt.Errorf("datamodel: v3 frame has %d trailing bytes", len(d.data)-d.off)
 	}
-	return nil
+	return e, nil
 }

@@ -256,8 +256,8 @@ func (e *Event) SlimToAOD() *Event {
 // aux are borrowed from the receiver, not copied. The view encodes to
 // exactly the bytes SlimToAOD's deep copy would, without allocating — the
 // slim stage of the hot path serializes the view and drops it. The view
-// must not outlive the receiver's owner (a batch arena, typically); Clone
-// it if it must escape.
+// shares the receiver's storage: Clone it if it must outlive the receiver
+// or be modified.
 func (e *Event) SlimViewAOD() Event {
 	return Event{
 		Run: e.Run, Number: e.Number, Tier: TierAOD, ProcessID: e.ProcessID,

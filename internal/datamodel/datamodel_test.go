@@ -123,6 +123,23 @@ func TestSlimToAOD(t *testing.T) {
 	}
 }
 
+// TestSlimViewAODEncodesLikeSlimToAOD pins the zero-copy slim stage: the
+// borrowed view must serialize to exactly the bytes of the deep copy.
+func TestSlimViewAODEncodesLikeSlimToAOD(t *testing.T) {
+	rng := xrand.New(5050)
+	for i := 0; i < 30; i++ {
+		e := randomEvent(rng, uint64(i))
+		e.Tier = TierRECO
+		view := e.SlimViewAOD()
+		deep := e.SlimToAOD()
+		vb := appendEventV3(nil, &view)
+		db := appendEventV3(nil, deep)
+		if !bytes.Equal(vb, db) {
+			t.Fatalf("event %d: view bytes differ from deep-copy bytes", i)
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	e := fakeRecoEvent(xrand.New(3), 1)
 	c := e.Clone()
@@ -402,6 +419,19 @@ func BenchmarkWriteRECO(b *testing.B) {
 		if _, err := WriteEvents(&buf, TierRECO, events); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Codec is what workflow steps record as the generation of the bytes they
+// wrote, so it must be what a FileWriter actually opens a file with: a new
+// writer generation that left it behind would leave checkpoint keys unchanged.
+func TestFileWriterOpensWithCodec(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewFileWriter(&buf, TierAOD); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte(Codec)) {
+		t.Fatalf("file opens with %q, Codec is %q", buf.Bytes(), Codec)
 	}
 }
 

@@ -39,10 +39,13 @@ const (
 	fileMagic   = "DASPOS-EDM"
 	fileVersion = 2
 
+	// Codec names the format generation FileWriter writes, by the bytes it
+	// opens every file with; a workflow step writing an event tier records it.
+	Codec = "DASEDM3"
 	// fileMagicV3 opens a version-3 stream: eight literal bytes, chosen so
 	// no valid gob stream can begin with them (a gob stream starts with a
 	// small varint message length, never 'D').
-	fileMagicV3 = "DASEDM3\x00"
+	fileMagicV3 = Codec + "\x00"
 )
 
 // Version-3 frame markers.
@@ -133,28 +136,6 @@ func (w *FileWriter) Close() error {
 	return nil
 }
 
-// WritePayload appends one event frame whose body was already encoded
-// with AppendEventPayload. It is the ordered tail of a parallel encode:
-// workers serialize events concurrently and the single writer goroutine
-// only frames bytes, so encoding scales with cores while the stream stays
-// in event order. The payload's tier is the caller's contract — framing
-// cannot re-check it.
-func (w *FileWriter) WritePayload(payload []byte) error {
-	if w.closed {
-		return fmt.Errorf("datamodel: write after Close")
-	}
-	w.head[0] = recEventV3
-	head := binary.AppendUvarint(w.head[:1], uint64(len(payload)))
-	if _, err := w.w.Write(head); err != nil {
-		return fmt.Errorf("datamodel: writing frame: %w", err)
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		return fmt.Errorf("datamodel: writing frame: %w", err)
-	}
-	w.n++
-	return nil
-}
-
 // Count returns the number of events written.
 func (w *FileWriter) Count() int { return w.n }
 
@@ -230,10 +211,7 @@ func (r *FileReader) finish() {
 	}
 }
 
-// nextFrameV3 reads the next frame and returns its payload in the reader's
-// pooled scratch, valid until the next call. At the end-of-stream trailer
-// it validates the count, marks the reader done, and returns io.EOF.
-func (r *FileReader) nextFrameV3() ([]byte, error) {
+func (r *FileReader) readV3() (*Event, error) {
 	marker, err := r.br.ReadByte()
 	if err != nil {
 		return nil, r.truncated()
@@ -265,52 +243,15 @@ func (r *FileReader) nextFrameV3() ([]byte, error) {
 			return nil, r.truncated()
 		}
 		r.payload = buf[:cap(buf)]
-		return buf, nil
+		e, err := decodeEventV3(buf)
+		if err != nil {
+			return nil, fmt.Errorf("datamodel: decoding event: %w", err)
+		}
+		r.n++
+		return e, nil
 	default:
 		return nil, fmt.Errorf("datamodel: unknown frame marker 0x%02x", marker)
 	}
-}
-
-func (r *FileReader) readV3() (*Event, error) {
-	buf, err := r.nextFrameV3()
-	if err != nil {
-		return nil, err
-	}
-	e, err := decodeEventV3(buf)
-	if err != nil {
-		return nil, fmt.Errorf("datamodel: decoding event: %w", err)
-	}
-	r.n++
-	return e, nil
-}
-
-// ReadInto decodes the next event into the batch arena instead of
-// allocating: the zero-copy read primitive of the hot path. It returns
-// io.EOF at the trailer and io.ErrUnexpectedEOF-wrapping errors on
-// truncation, exactly like Read. On a v2 stream it falls back to the gob
-// decoder and deep-copies the event into the batch, so callers need not
-// care which generation the file is.
-func (r *FileReader) ReadInto(b *Batch) error {
-	if r.done {
-		return io.EOF
-	}
-	if r.br != nil {
-		buf, err := r.nextFrameV3()
-		if err != nil {
-			return err
-		}
-		if err := DecodeInto(b, buf); err != nil {
-			return fmt.Errorf("datamodel: decoding event: %w", err)
-		}
-		r.n++
-		return nil
-	}
-	e, err := r.readV2()
-	if err != nil {
-		return err
-	}
-	b.Append(e)
-	return nil
 }
 
 func (r *FileReader) readV2() (*Event, error) {
@@ -400,86 +341,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// FrameScanner iterates the event frames of an in-memory version-3 stream
-// without copying: each Next returns a subslice of the original buffer,
-// suitable for feeding straight into DecodeInto. It is the source-side
-// zero-copy primitive — a tier held as one blob (the common case once CAS
-// hands back the whole object) can be fanned out to decode workers as
-// cheap frame slices instead of one event allocation per frame.
-type FrameScanner struct {
-	data []byte
-	off  int
-	tier Tier
-	n    int
-	done bool
-}
-
-// NewFrameScanner validates the v3 header and positions the scanner at the
-// first frame. Only version-3 streams are supported; v2 gob streams need
-// the copying FileReader.
-func NewFrameScanner(data []byte) (*FrameScanner, error) {
-	if len(data) < len(fileMagicV3) || !bytes.Equal(data[:len(fileMagicV3)], []byte(fileMagicV3)) {
-		return nil, fmt.Errorf("datamodel: not a v3 stream")
-	}
-	off := len(fileMagicV3)
-	tier, k := binary.Varint(data[off:])
-	if k <= 0 {
-		return nil, fmt.Errorf("datamodel: reading header: %w", io.ErrUnexpectedEOF)
-	}
-	return &FrameScanner{data: data, off: off + k, tier: Tier(tier)}, nil
-}
-
-// Tier returns the stream's declared tier.
-func (s *FrameScanner) Tier() Tier { return s.tier }
-
-// Count returns the number of frames returned so far.
-func (s *FrameScanner) Count() int { return s.n }
-
-// Next returns the next event payload as a subslice of the scanned buffer,
-// io.EOF after the validated trailer, or an io.ErrUnexpectedEOF-wrapping
-// error if the buffer ends before the trailer.
-func (s *FrameScanner) Next() ([]byte, error) {
-	if s.done {
-		return nil, io.EOF
-	}
-	if s.off >= len(s.data) {
-		return nil, fmt.Errorf("datamodel: truncated stream after %d events: %w", s.n, io.ErrUnexpectedEOF)
-	}
-	marker := s.data[s.off]
-	s.off++
-	switch marker {
-	case recEndV3:
-		count, k := binary.Uvarint(s.data[s.off:])
-		if k <= 0 {
-			return nil, fmt.Errorf("datamodel: truncated stream after %d events: %w", s.n, io.ErrUnexpectedEOF)
-		}
-		s.off += k
-		if int(count) != s.n {
-			return nil, fmt.Errorf("datamodel: trailer count %d, read %d events", count, s.n)
-		}
-		s.done = true
-		return nil, io.EOF
-	case recEventV3:
-		ln, k := binary.Uvarint(s.data[s.off:])
-		if k <= 0 {
-			return nil, fmt.Errorf("datamodel: truncated stream after %d events: %w", s.n, io.ErrUnexpectedEOF)
-		}
-		s.off += k
-		if ln > maxFrameV3 {
-			return nil, fmt.Errorf("datamodel: implausible frame size %d", ln)
-		}
-		if uint64(len(s.data)-s.off) < ln {
-			return nil, fmt.Errorf("datamodel: truncated stream after %d events: %w", s.n, io.ErrUnexpectedEOF)
-		}
-		payload := s.data[s.off : s.off+int(ln) : s.off+int(ln)]
-		s.off += int(ln)
-		s.n++
-		return payload, nil
-	default:
-		return nil, fmt.Errorf("datamodel: unknown frame marker 0x%02x", marker)
-	}
 }
 
 // MarshalJSONEvent renders one event as indented JSON: the human-readable

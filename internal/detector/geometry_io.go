@@ -1,6 +1,8 @@
 package detector
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
@@ -145,4 +147,15 @@ func ReadJSON(r io.Reader) (*Detector, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// Digest returns the SHA-256 of the geometry's archival JSON form: what a
+// workflow step or a RECAST back end records to say which detector it ran
+// over, down to a single layer radius under an unchanged name and version.
+func (d *Detector) Digest() (string, error) {
+	h := sha256.New()
+	if err := d.WriteJSON(h); err != nil {
+		return "", fmt.Errorf("detector: digesting geometry: %w", err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -170,9 +170,9 @@ type batch[T any] struct {
 // gets a container, fills it, and sends it downstream; the consumer drains
 // it and puts it back. put clears the container's full capacity before
 // pooling it — that releases pointers for the GC, and it deterministically
-// poisons any reference a stage illegally retained past the handoff, so
-// the ownership rule ("a stage that retains data must Clone") fails loudly
-// in tests instead of corrupting silently.
+// poisons any reference to the container kept past the handoff, so a stage
+// inside this package that broke the ownership rule would fail loudly in
+// tests instead of corrupting silently.
 type slicePool[T any] struct {
 	pool sync.Pool
 	st   *stageStats
@@ -288,7 +288,7 @@ func Map[In, Out any](s *Stream[In], name string, workers int, fn func(In) (Out,
 // worker and each returned function is only ever called from that worker's
 // goroutine.
 func MapWorkers[In, Out any](s *Stream[In], name string, workers int, newFn func(worker int) func(In) (Out, bool, error)) *Stream[Out] {
-	return MapBatches(s, name, workers, func(worker int) func([]In, []Out) ([]Out, error) {
+	return mapBatches(s, name, workers, func(worker int) func([]In, []Out) ([]Out, error) {
 		fn := newFn(worker)
 		return func(in []In, out []Out) ([]Out, error) {
 			for _, v := range in {
@@ -305,21 +305,18 @@ func MapWorkers[In, Out any](s *Stream[In], name string, workers int, newFn func
 	})
 }
 
-// MapBatches is the batch-granularity stage underneath Map and MapWorkers,
-// exposed for transforms that want to amortize work across a whole batch —
-// a decoder filling one arena per batch, an encoder sharing one scratch
-// buffer. newFn is invoked once per worker; the returned function receives
-// the input items and an empty output container (recycled, with whatever
+// mapBatches is the batch-granularity stage underneath Map and MapWorkers.
+// newFn is invoked once per worker; the returned function receives the
+// input items and an empty output container (recycled, with whatever
 // capacity its previous trip accumulated) and returns the filled container.
 //
-// Ownership: the stage owns `in` only for the duration of the call — the
-// container is recycled and cleared as soon as the function returns, so
-// retaining `in` (or any sub-slice of it) is illegal and shows up as
-// zeroed data. Elements may be carried over into `out` freely (values are
-// copied; pointed-to data keeps its own ownership — a function that
-// retains pointed-to data beyond its stage must Clone it). The function
-// must return `out` (possibly grown), never `in` itself.
-func MapBatches[In, Out any](s *Stream[In], name string, workers int, newFn func(worker int) func(in []In, out []Out) ([]Out, error)) *Stream[Out] {
+// It is unexported because of what it hands out: `in` belongs to the stage
+// only for the duration of the call — the container is recycled and cleared
+// as soon as the function returns, so a function that kept `in` (or any
+// sub-slice of it) would read zeroed data. The per-event wrappers above pass
+// their callers one element at a time, so no caller outside this package
+// ever holds a container and the rule holds by construction.
+func mapBatches[In, Out any](s *Stream[In], name string, workers int, newFn func(worker int) func(in []In, out []Out) ([]Out, error)) *Stream[Out] {
 	p := s.p
 	if workers < 1 {
 		workers = 1
@@ -475,7 +472,7 @@ func MapBatches[In, Out any](s *Stream[In], name string, workers int, newFn func
 // Sink terminates the stream: fn is called for every event, in stream
 // order, on a single goroutine.
 func Sink[T any](s *Stream[T], name string, fn func(T) error) {
-	SinkBatch(s, name, func(items []T) error {
+	sinkBatch(s, name, func(items []T) error {
 		for _, v := range items {
 			if err := fn(v); err != nil {
 				return err
@@ -485,12 +482,10 @@ func Sink[T any](s *Stream[T], name string, fn func(T) error) {
 	})
 }
 
-// SinkBatch terminates the stream with a consumer that receives whole
-// in-order batches. Batch granularity lets a sink amortize per-call
-// overhead — one writer lock, one buffer reservation, one syscall per
-// batch instead of per event — which is what the single-pass artifact
-// writers downstream want.
-func SinkBatch[T any](s *Stream[T], name string, fn func([]T) error) {
+// sinkBatch is the consumer underneath Sink: fn receives whole in-order
+// batches, and like mapBatches' `in` the container is recycled and cleared
+// the moment fn returns.
+func sinkBatch[T any](s *Stream[T], name string, fn func([]T) error) {
 	p := s.p
 	st := p.addStage(name, 1)
 	p.spawn(func() error {
@@ -504,9 +499,6 @@ func SinkBatch[T any](s *Stream[T], name string, fn func([]T) error) {
 			st.batches.Add(1)
 			st.eventsIn.Add(int64(len(b.items)))
 			// The sink consumed the batch: its container goes back upstream.
-			// A sink that retained the slice (rather than copying items out)
-			// violates the ownership rule and will observe cleared data —
-			// deliberately, and deterministically.
 			s.recycle(b)
 		}
 		return nil

@@ -325,7 +325,7 @@ func TestSinkBatchSeesOrderedWholeBatches(t *testing.T) {
 		m := Map(s, "double", workers, func(v int) (int, bool, error) { return 2 * v, true, nil })
 		var got []int
 		var calls int
-		SinkBatch(m, "drain", func(items []int) error {
+		sinkBatch(m, "drain", func(items []int) error {
 			calls++
 			if len(items) == 0 {
 				return errors.New("empty batch delivered")
@@ -354,7 +354,7 @@ func TestSinkBatchErrorPropagates(t *testing.T) {
 	p := New(context.Background(), "sinkbatch-err", Options{BatchSize: 4, Depth: 2})
 	s := Source(p, "ints", intSource(50))
 	boom := errors.New("bank full")
-	SinkBatch(s, "drain", func(items []int) error {
+	sinkBatch(s, "drain", func(items []int) error {
 		if items[0] >= 20 {
 			return boom
 		}

@@ -71,9 +71,9 @@ func TestIllegalRetentionIsPoisoned(t *testing.T) {
 		i++
 		return v, nil
 	})
-	out := MapBatches(src, "steal", 1, func(_ int) func([]*payload, []*payload) ([]*payload, error) {
+	out := mapBatches(src, "steal", 1, func(_ int) func([]*payload, []*payload) ([]*payload, error) {
 		return func(in []*payload, out []*payload) ([]*payload, error) {
-			stolen = append(stolen, in) //daspos:retain-ok — deliberate steal: this test asserts the poisoning
+			stolen = append(stolen, in) // deliberate steal: this test asserts the poisoning
 			legal := make([]*payload, len(in))
 			copy(legal, in) // legal: items copied out of the container
 			cloned = append(cloned, legal)

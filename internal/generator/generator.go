@@ -61,6 +61,17 @@ func ProcessName(id int) string {
 	}
 }
 
+// ProcessID is the inverse of ProcessName: the ID catalogued under name,
+// or 0 when there is none.
+func ProcessID(name string) int {
+	for id := ProcMinBias; id <= ProcZPrime; id++ {
+		if ProcessName(id) == name {
+			return id
+		}
+	}
+	return 0
+}
+
 // Config holds generator-wide settings. The zero value is not useful; use
 // DefaultConfig as a starting point.
 type Config struct {

@@ -381,6 +381,17 @@ func TestProcessNameUnknown(t *testing.T) {
 	}
 }
 
+func TestProcessIDInvertsProcessName(t *testing.T) {
+	for id := ProcMinBias; id <= ProcZPrime; id++ {
+		if got := ProcessID(ProcessName(id)); got != id {
+			t.Fatalf("ProcessID(%q) = %d, want %d", ProcessName(id), got, id)
+		}
+	}
+	if got := ProcessID("no-such-process"); got != 0 {
+		t.Fatalf("unknown name resolved to %d", got)
+	}
+}
+
 func abs(n int) int {
 	if n < 0 {
 		return -n

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"daspos/internal/conditions"
 	"daspos/internal/leshouches"
 )
 
@@ -114,14 +115,22 @@ func TestBackendHonorsContext(t *testing.T) {
 }
 
 // chainStub is a canned back end that signs its results with its name and
-// digests to it, so a test can tell which chain computed a number.
+// digests to it — or to digest, when a test lends it a real back end's — so
+// a test can tell which chain computed a number.
 type chainStub struct {
-	name  string
-	calls atomic.Int64
+	name   string
+	digest string
+	calls  atomic.Int64
 }
 
-func (s *chainStub) Name() string         { return s.name }
-func (s *chainStub) ConfigDigest() string { return "chain:" + s.name }
+func (s *chainStub) Name() string { return s.name }
+
+func (s *chainStub) ConfigDigest() string {
+	if s.digest != "" {
+		return s.digest
+	}
+	return "chain:" + s.name
+}
 
 func (s *chainStub) Process(_ context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
 	s.calls.Add(1)
@@ -214,5 +223,81 @@ func TestReopenWithDifferentBackendDoesNotDedup(t *testing.T) {
 	rerun := submitModel(t, srv3, "dave", 77)
 	if done := waitTerminal(t, srv3.Service(), rerun.ID); done.DedupOf != "" || done.Result.BackEnd != "fullsim-v1" {
 		t.Fatalf("seed 77 on the first chain, which never ran it: %+v result %+v", done, done.Result)
+	}
+}
+
+// TestFullSimDigestTellsDetectorsAndCalibrationsApart: the full-simulation
+// back end's digest must name the chain, not only its calibration's tag. One
+// journal directory is served in turn by back ends keyed like a
+// full-simulation chain, then like one whose detector differs in a single
+// layer radius, then like one whose calibration differs in a single constant
+// published under the same tag and run: the same analysis and model must run
+// on each, never be answered from another's archive. Back on the first chain
+// — at a different worker count, which is not part of the digest — the
+// request it finished before the reopens still answers from the archive.
+func TestFullSimDigestTellsDetectorsAndCalibrationsApart(t *testing.T) {
+	base := newFullSimBackend(t)
+
+	radius := newFullSimBackend(t)
+	radius.Det.Layers[3].Radius += 1
+
+	constant := newFullSimBackend(t)
+	recalibrated := conditions.NewDB()
+	snap := constant.CondDB.Snapshot(constant.Tag, constant.Run)
+	for _, folder := range snap.Folders() {
+		published, err := snap.Lookup(folder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := conditions.Payload{}
+		for k, v := range published {
+			payload[k] = v
+		}
+		if folder == conditions.FolderECalScale {
+			payload["scale"] *= 1.01
+		}
+		if err := recalibrated.Store(folder, constant.Tag, conditions.IoV{First: constant.Run, Last: constant.Run}, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	constant.CondDB = recalibrated
+
+	sameChain := newFullSimBackend(t)
+	sameChain.Workers = 4
+	if sameChain.ConfigDigest() != base.ConfigDigest() {
+		t.Fatal("the worker count reached the digest: it cannot change a result")
+	}
+
+	dir := t.TempDir()
+	// serve opens the directory behind a stub keyed like backend, submits the
+	// one model, and returns the finished request and how often the stub ran.
+	serve := func(name string, backend *FullSimBackend) (*Request, int64) {
+		t.Helper()
+		stub := &chainStub{name: name, digest: backend.ConfigDigest()}
+		srv := openChainServer(t, dir, stub)
+		srv.Start()
+		req := submitModel(t, srv, name, 42)
+		done := waitTerminal(t, srv.Service(), req.ID)
+		if st := srv.Status(); name != "again" && st.DedupHits != 0 {
+			t.Fatalf("%s: %d dedup hits, want 0", name, st.DedupHits)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return done, stub.calls.Load()
+	}
+	first, calls := serve("base", base)
+	if first.Status != StatusDone || calls != 1 {
+		t.Fatalf("first request: %+v after %d runs", first, calls)
+	}
+	for name, backend := range map[string]*FullSimBackend{"radius": radius, "constant": constant} {
+		done, calls := serve(name, backend)
+		if done.Status != StatusDone || done.DedupOf != "" || done.Result.BackEnd != name || calls != 1 {
+			t.Fatalf("back end differing in one %s: dedup_of %q, result %+v, %d runs — want a run of its own chain", name, done.DedupOf, done.Result, calls)
+		}
+	}
+	again, calls := serve("again", sameChain)
+	if again.Status != StatusDone || again.DedupOf != first.ID || again.Result.BackEnd != "base" || calls != 0 {
+		t.Fatalf("back on the first chain: dedup_of %q, result %+v, %d runs — want the archived result of %s", again.DedupOf, again.Result, calls, first.ID)
 	}
 }

@@ -556,14 +556,21 @@ type FullSimBackend struct {
 // Name implements Backend.
 func (*FullSimBackend) Name() string { return "fullsim" }
 
-// ConfigDigest implements ConfigDigester: everything beyond the model
-// that determines the chain's output bytes — calibration pin and
-// luminosity. Workers is excluded on purpose: the physics output is
-// identical at any worker count. Geometry and reconstruction settings are
-// still missing from it: that is ROADMAP's "One chain definition" item,
-// whose spec digest is meant to become this digest.
+// ConfigDigest implements ConfigDigester: everything beyond the model that
+// determines the chain's output — geometry, reconstruction settings, the
+// content of the calibration resolved under Tag and Run (two databases can
+// publish different constants under one tag) and luminosity — through the
+// helpers internal/chain records in a workflow's step configs. Workers is
+// excluded on purpose: the physics output is identical at any worker count.
 func (b *FullSimBackend) ConfigDigest() string {
-	return fmt.Sprintf("fullsim|tag=%s|run=%d|lumi=%x", b.Tag, b.Run, math.Float64bits(b.LuminosityPb))
+	geometry, err := b.Det.Digest()
+	if err != nil {
+		// A geometry with no archival form shares a key only with one that
+		// fails the same way.
+		geometry = "unencodable: " + err.Error()
+	}
+	return fmt.Sprintf("fullsim|geometry=%s|reco=%s|conditions=%s|lumi=%x",
+		geometry, reco.DefaultConfig(), b.CondDB.Snapshot(b.Tag, b.Run).Digest(), math.Float64bits(b.LuminosityPb))
 }
 
 // Process implements Backend. The chain runs as one streaming event-flow

@@ -38,6 +38,10 @@ type Server struct {
 	wg      sync.WaitGroup
 	breaker *resilience.Breaker
 	now     func() time.Time
+	// chainDigest is the back end's configuration digest, the part of every
+	// dedup key that says which chain computes under it. The back end
+	// cannot change under a running server, so it is taken once, at NewServer.
+	chainDigest string
 
 	mu      sync.Mutex
 	buckets map[string]*resilience.TokenBucket
@@ -177,21 +181,12 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 		// signal at the existing breaker.
 		s.breaker = svc.backend.(*GatedBackend).Breaker
 	}
+	s.chainDigest = svc.backend.(*GatedBackend).ConfigDigest()
 	if err := s.reconcile(); err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
-}
-
-// chainDigest returns the back end's configuration digest for dedup
-// keys; back ends that don't implement ConfigDigester dedup on the
-// back-end name alone.
-func (s *Server) chainDigest() string {
-	if d, ok := s.svc.backend.(ConfigDigester); ok {
-		return d.ConfigDigest()
-	}
-	return s.svc.backend.Name()
 }
 
 // reconcile aligns the two recovered journals: every approved request
@@ -205,7 +200,6 @@ func (s *Server) chainDigest() string {
 // without an entry was itself answered from the archive and indexes nothing.
 // Work still to run will run on the current chain and takes the current key.
 func (s *Server) reconcile() error {
-	digest := s.chainDigest()
 	for _, req := range s.svc.List() {
 		entry, queued := s.pq.Get(req.ID)
 		live := queued && (entry.State == EntryQueued || entry.State == EntryClaimed)
@@ -232,7 +226,7 @@ func (s *Server) reconcile() error {
 			// Enqueue is idempotent, so a request already in the queue keeps
 			// its entry, deadline and place — but not a key another chain
 			// journaled.
-			key := DedupKey(req.Analysis, req.Model, digest)
+			key := DedupKey(req.Analysis, req.Model, s.chainDigest)
 			if err := s.pq.Enqueue(QueueEntry{ID: req.ID, Tenant: req.Requester, DedupKey: key}); err != nil {
 				return fmt.Errorf("recast: re-enqueueing %s: %w", req.ID, err)
 			}
@@ -656,7 +650,7 @@ func (s *Server) dedupKeyFor(id string) string {
 	if err != nil {
 		return ""
 	}
-	return DedupKey(req.Analysis, req.Model, s.chainDigest())
+	return DedupKey(req.Analysis, req.Model, s.chainDigest)
 }
 
 // handleApprove is the manual-approval path: approve, then enqueue.
@@ -745,7 +739,7 @@ type GatedBackend struct {
 func (g *GatedBackend) Name() string { return g.Inner.Name() }
 
 // ConfigDigest forwards the inner digest so dedup keys are unchanged by
-// gating.
+// gating; a back end without one dedups on its name alone.
 func (g *GatedBackend) ConfigDigest() string {
 	if d, ok := g.Inner.(ConfigDigester); ok {
 		return d.ConfigDigest()

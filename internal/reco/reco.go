@@ -73,6 +73,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// String renders every field by name, floats in their shortest exact form
+// ("{SeedPhiTolerance:0.02 ... VertexWindowZ:8}"): what a workflow step and
+// a RECAST back end record as "which reconstruction settings". It is
+// generated from the struct, so a field added to Config is in it.
+func (c Config) String() string {
+	type fields Config // drops this method, or %+v would recurse into it
+	return fmt.Sprintf("%+v", fields(c))
+}
+
 // Reconstructor converts raw events into RECO-tier events.
 //
 // A Reconstructor is single-goroutine state: the event-flow substrate
@@ -166,6 +175,9 @@ func buildCaloTables(det *detector.Detector) []caloTable {
 	return tables
 }
 
+// Version is the reconstruction release every Reconstructor reports.
+const Version = "reco-3.2.1"
+
 // New returns a reconstructor over the given geometry with the default
 // configuration.
 func New(det *detector.Detector) *Reconstructor {
@@ -174,7 +186,7 @@ func New(det *detector.Detector) *Reconstructor {
 
 // NewWithConfig returns a reconstructor with explicit algorithm settings.
 func NewWithConfig(det *detector.Detector, cfg Config) *Reconstructor {
-	return &Reconstructor{det: det, cfg: cfg, Version: "reco-3.2.1", calo: buildCaloTables(det)}
+	return &Reconstructor{det: det, cfg: cfg, Version: Version, calo: buildCaloTables(det)}
 }
 
 // TouchedFolders returns the conditions folders the last Reconstruct call

@@ -10,6 +10,8 @@
 package skim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
@@ -353,6 +355,17 @@ func (d Derivation) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return json.MarshalIndent(d, "", "  ")
+}
+
+// Digest returns the SHA-256 of the derivation's archival JSON form: its
+// selection cuts and slimming policy, not just its name.
+func (d Derivation) Digest() (string, error) {
+	data, err := d.Encode()
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // DecodeDerivation parses and validates an archived derivation.

@@ -13,6 +13,8 @@
 package trigger
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -97,6 +99,17 @@ func (m *Menu) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return json.MarshalIndent(m, "", "  ")
+}
+
+// Digest returns the SHA-256 of the menu's archival form (Encode): items,
+// thresholds and prescales, not just the name and version.
+func (m *Menu) Digest() (string, error) {
+	data, err := m.Encode()
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // DecodeMenu parses and validates an archived menu.

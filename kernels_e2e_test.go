@@ -1,15 +1,16 @@
 package daspos
 
 // Byte-identity pin for the event kernels (simulation, trigger,
-// digitisation, reconstruction): every tier the chain writes must hash to
-// the digest the parent commit's code produced for the same sample. The
-// digests under testdata/tier-digests/ were recorded by copying this file
-// and streaming_e2e_test.go into a checkout of commit c82eb08 and running
+// digitisation, reconstruction) and for the chain's assembly: every tier
+// the chain internal/chain builds — the one daspos-pipeline runs — must
+// hash to the digest commit c82eb08's code produced for the same sample.
+// The digests under testdata/tier-digests/ were recorded there by that
+// commit's hand-wired copy of the chain, with
 //
 //	go test -run 'TestTierDigestsMatchParent$' -record-tier-digests .
 //
-// there, then copying testdata/tier-digests/ back. The kernels may be
-// rewritten freely; these files change only when the physics is meant to.
+// The kernels and the builder may be rewritten freely; these files change
+// only when the physics is meant to.
 
 import (
 	"bufio"
@@ -77,11 +78,11 @@ func TestTierDigestsMatchParent(t *testing.T) {
 	const events, seed = 400, 20140714
 	for _, proc := range []int{generator.ProcDrellYanZ, generator.ProcQCDDijet} {
 		for _, pileup := range []float64{0, 20} {
-			c := newStreamChain(t, seed)
-			c.proc, c.pileup = proc, pileup
+			spec := streamSpec(t, seed, events)
+			spec.Process, spec.Pileup = proc, pileup
 			path := tierDigestPath(proc, pileup)
 			if *recordTierDigests {
-				tiers := runStreaming(t, c, events, 1, 32)
+				tiers := runStreaming(t, spec, 1, 32)
 				if len(tiers["raw"]) == 0 {
 					t.Fatalf("%s: the trigger accepted nothing; the pin would be empty", path)
 				}
@@ -93,7 +94,7 @@ func TestTierDigestsMatchParent(t *testing.T) {
 				t.Fatalf("%s: %d tiers recorded, want 5", path, len(want))
 			}
 			for _, cfg := range []struct{ workers, batch int }{{1, 1}, {1, 32}, {4, 1}, {4, 32}} {
-				got := tierDigests(runStreaming(t, c, events, cfg.workers, cfg.batch))
+				got := tierDigests(runStreaming(t, spec, cfg.workers, cfg.batch))
 				for tier, digest := range want {
 					if got[tier] != digest {
 						t.Errorf("%s pileup=%g workers=%d batch=%d: tier %s digest %s, parent wrote %s",

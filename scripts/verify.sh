@@ -22,7 +22,10 @@ go test -race ./...
 
 # The race detector changes what allocates, so the read tier's two
 # allocation gates skip themselves above; hold them here without it. The
-# RECAST back end's allocation and heap gates do the same.
+# RECAST back end's allocation and heap gates do the same, and the chain's
+# aod-slim gate is held at the counts its ceiling was measured against.
+echo "==> chain aod-slim allocation gate (race detector off)"
+go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers' .
 echo "==> read-tier allocation gates (race detector off)"
 go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs' ./internal/queryserve
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"

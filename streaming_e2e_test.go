@@ -12,203 +12,84 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"strings"
 	"testing"
 
 	"daspos/internal/cas"
+	"daspos/internal/chain"
 	"daspos/internal/conditions"
 	"daspos/internal/datamodel"
 	"daspos/internal/detector"
 	"daspos/internal/eventflow"
 	"daspos/internal/generator"
+	"daspos/internal/provenance"
 	"daspos/internal/rawdata"
 	"daspos/internal/recast"
 	"daspos/internal/reco"
 	"daspos/internal/sim"
-	"daspos/internal/skim"
 	"daspos/internal/trigger"
+	"daspos/internal/workflow"
 )
 
-// streamChain is the fixed experimental setup for the determinism tests.
-type streamChain struct {
-	det  *detector.Detector
-	snap reco.Source
-	seed uint64
-	// proc and pileup choose the generated sample; newStreamChain sets the
-	// clean Drell-Yan sample the determinism tests were written against.
-	proc   int
-	pileup float64
-}
-
-func newStreamChain(t testing.TB, seed uint64) *streamChain {
+// streamSpec is the fixed experimental setup of the determinism tests: the
+// production chain over a clean Drell-Yan sample, calibrated under tag "t".
+func streamSpec(t testing.TB, seed uint64, events int) chain.Spec {
 	t.Helper()
-	det := detector.Standard()
 	db := conditions.NewDB()
 	if err := conditions.SeedStandard(db, "t", 1, 100, 10, seed); err != nil {
 		t.Fatal(err)
 	}
-	return &streamChain{det: det, snap: db.Snapshot("t", 1), seed: seed, proc: generator.ProcDrellYanZ}
+	return chain.Production(generator.ProcDrellYanZ, 0, seed, events, db.Snapshot("t", 1))
 }
 
-func (c *streamChain) generator(t testing.TB) generator.Generator {
+func buildChain(t testing.TB, spec chain.Spec, tune chain.Tuning) *workflow.Workflow {
 	t.Helper()
-	cfg := generator.DefaultConfig(c.seed)
-	cfg.PileupMu = c.pileup
-	gen, err := generator.New(c.proc, cfg)
+	wf, err := chain.Build(spec, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gen
+	return wf
 }
 
-func prodTrain() skim.Train {
-	return skim.Train{
-		Name: "prod-train",
-		Derivations: []skim.Derivation{
-			{
-				Name:      "DIMUON",
-				Selection: skim.Selection{Name: "dimuon", Cuts: []skim.Cut{{Variable: "n_muons", Op: skim.OpGE, Value: 2}}},
-				Slim:      skim.SlimPolicy{KeepTypes: []datamodel.ObjectType{datamodel.ObjMuon}, DropAux: true},
-			},
-			{
-				Name:      "MET",
-				Selection: skim.Selection{Name: "met", Cuts: []skim.Cut{{Variable: "met", Op: skim.OpGT, Value: 30}}},
-				Slim:      skim.SlimPolicy{MinCandidatePt: 10},
-			},
-		},
-	}
-}
-
-// runStreaming drives generation → simulation → trigger → digitization →
-// reconstruction → AOD slim → derivation skims on the event-flow
-// substrate and returns the serialized bytes of every tier.
-func runStreaming(t testing.TB, c *streamChain, events, workers, batchSize int) map[string][]byte {
+// runStreaming runs the chain internal/chain builds — the one
+// daspos-pipeline runs — and returns the serialized bytes of every tier,
+// under the names testdata/tier-digests uses: "raw", "reco", "aod",
+// "skim.<NAME>".
+func runStreaming(t testing.TB, spec chain.Spec, workers, batchSize int) map[string][]byte {
 	t.Helper()
-	opts := eventflow.Options{BatchSize: batchSize}
-	gen := c.generator(t)
-	full := sim.NewFullSim(c.det, c.seed)
-	trg := trigger.New(trigger.StandardMenu(), c.det)
-
-	// Online pipeline: RAW production behind the trigger gate.
-	var rawBuf bytes.Buffer
-	builder := rawdata.NewWriter(&rawBuf)
-	online := eventflow.New(context.Background(), "online", opts)
-	hepmcS := eventflow.Source(online, "generate", generator.EventSource(gen, events))
-	simS := eventflow.Map(hepmcS, "simulate", workers, full.StageFunc())
-	trigS := eventflow.Map(simS, "trigger", 1, func(se *sim.Event) (*sim.Event, bool, error) {
-		return se, trg.Evaluate(se).Accepted, nil
-	})
-	rawS := eventflow.Map(trigS, "digitize", workers, rawdata.DigitizeFunc(1))
-	eventflow.Sink(rawS, "event-build", builder.Write)
-	if err := online.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Offline: RAW → RECO.
-	var recoBuf bytes.Buffer
-	recoFile, err := datamodel.NewFileWriter(&recoBuf, datamodel.TierRECO)
+	wf := buildChain(t, spec, chain.Tuning{Workers: workers, Flow: eventflow.Options{BatchSize: batchSize}})
+	res, err := wf.Execute(context.Background(), nil, provenance.NewStore())
 	if err != nil {
 		t.Fatal(err)
 	}
-	recoPipe := eventflow.New(context.Background(), "reco", opts)
-	rawSrc := eventflow.Source(recoPipe, "raw-read", rawdata.NewReader(bytes.NewReader(rawBuf.Bytes())).Read)
-	recoS := eventflow.MapWorkers(rawSrc, "reconstruct", workers,
-		reco.ParallelStage(c.det, reco.DefaultConfig(), c.snap))
-	eventflow.Sink(recoS, "reco-write", recoFile.Write)
-	if err := recoPipe.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := recoFile.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// RECO → AOD.
-	var aodBuf bytes.Buffer
-	aodFile, err := datamodel.NewFileWriter(&aodBuf, datamodel.TierAOD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recoRead, err := datamodel.NewFileReader(bytes.NewReader(recoBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aodPipe := eventflow.New(context.Background(), "aod", opts)
-	aodSrc := eventflow.Source(aodPipe, "reco-read", recoRead.Read)
-	aodS := eventflow.Map(aodSrc, "slim", workers, func(e *datamodel.Event) (*datamodel.Event, bool, error) {
-		return e.SlimToAOD(), true, nil
-	})
-	eventflow.Sink(aodS, "aod-write", aodFile.Write)
-	if err := aodPipe.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := aodFile.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// AOD → derivation skims, a sequential fan-out sink.
-	train := prodTrain()
-	skimBufs := make([]bytes.Buffer, len(train.Derivations))
-	skimFiles := make([]*datamodel.FileWriter, len(train.Derivations))
-	for i := range train.Derivations {
-		fw, err := datamodel.NewFileWriter(&skimBufs[i], datamodel.TierDerived)
-		if err != nil {
-			t.Fatal(err)
-		}
-		skimFiles[i] = fw
-	}
-	aodRead, err := datamodel.NewFileReader(bytes.NewReader(aodBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	skimPipe := eventflow.New(context.Background(), "train", opts)
-	skimSrc := eventflow.Source(skimPipe, "aod-read", aodRead.Read)
-	eventflow.Sink(skimSrc, "derive", func(e *datamodel.Event) error {
-		for i := range train.Derivations {
-			derived, keep, err := train.Derivations[i].Apply(e)
-			if err != nil {
-				return err
-			}
-			if keep {
-				if err := skimFiles[i].Write(derived); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err := skimPipe.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	out := map[string][]byte{
-		"raw":  rawBuf.Bytes(),
-		"reco": recoBuf.Bytes(),
-		"aod":  aodBuf.Bytes(),
-	}
-	for i, d := range train.Derivations {
-		if err := skimFiles[i].Close(); err != nil {
-			t.Fatal(err)
-		}
-		out["skim."+d.Name] = skimBufs[i].Bytes()
+	out := make(map[string][]byte, len(res.Artifacts))
+	for name, a := range res.Artifacts {
+		out[strings.TrimSuffix(strings.TrimSuffix(name, ".banks"), ".edm")] = a.Data
 	}
 	return out
 }
 
 // runSequential produces the same tiers with plain loops — no eventflow,
 // no goroutines — as the semantic reference the pipeline must match.
-func runSequential(t testing.TB, c *streamChain, events int) map[string][]byte {
+func runSequential(t testing.TB, spec chain.Spec) map[string][]byte {
 	t.Helper()
-	gen := c.generator(t)
-	full := sim.NewFullSim(c.det, c.seed)
-	trg := trigger.New(trigger.StandardMenu(), c.det)
+	cfg := generator.DefaultConfig(spec.Seed)
+	cfg.PileupMu = spec.Pileup
+	gen, err := generator.New(spec.Process, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := sim.NewFullSim(spec.Detector, spec.Seed)
+	trg := trigger.New(spec.Menu, spec.Detector)
 
 	var rawBuf bytes.Buffer
 	var raws []*rawdata.Event
-	for i := 0; i < events; i++ {
+	for i := 0; i < spec.Events; i++ {
 		se := full.SimulateSeeded(gen.Generate())
 		if !trg.Evaluate(se).Accepted {
 			continue
 		}
-		raws = append(raws, rawdata.Digitize(1, se))
+		raws = append(raws, rawdata.Digitize(spec.Run, se))
 	}
 	for _, r := range raws {
 		if err := rawdata.WriteEvent(&rawBuf, r); err != nil {
@@ -216,10 +97,10 @@ func runSequential(t testing.TB, c *streamChain, events int) map[string][]byte {
 		}
 	}
 
-	rec := reco.New(c.det)
+	rec := reco.NewWithConfig(spec.Detector, spec.Reco)
 	var recoEvents, aodEvents []*datamodel.Event
 	for _, r := range raws {
-		ev, err := rec.Reconstruct(r, c.snap)
+		ev, err := rec.Reconstruct(r, spec.Conditions)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,13 +115,12 @@ func runSequential(t testing.TB, c *streamChain, events int) map[string][]byte {
 		t.Fatal(err)
 	}
 
-	train := prodTrain()
 	out := map[string][]byte{
 		"raw":  rawBuf.Bytes(),
 		"reco": recoBuf.Bytes(),
 		"aod":  aodBuf.Bytes(),
 	}
-	for _, d := range train.Derivations {
+	for _, d := range spec.Train.Derivations {
 		var derived []*datamodel.Event
 		for _, e := range aodEvents {
 			de, keep, err := d.Apply(e)
@@ -270,16 +150,15 @@ func tierDigests(tiers map[string][]byte) map[string]string {
 }
 
 func TestStreamingByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	const events, seed = 120, 20130517
-	c := newStreamChain(t, seed)
-	want := tierDigests(runSequential(t, c, events))
+	spec := streamSpec(t, 20130517, 120)
+	want := tierDigests(runSequential(t, spec))
 	if len(want) != 5 {
 		t.Fatalf("reference tiers: %d", len(want))
 	}
 	for _, cfg := range []struct{ workers, batch int }{
 		{1, 32}, {2, 32}, {4, 32}, {8, 32}, {4, 1}, {4, 7}, {2, 256},
 	} {
-		got := tierDigests(runStreaming(t, c, events, cfg.workers, cfg.batch))
+		got := tierDigests(runStreaming(t, spec, cfg.workers, cfg.batch))
 		for tier, digest := range want {
 			if got[tier] != digest {
 				t.Errorf("workers=%d batch=%d: tier %s digest %s != sequential %s",
@@ -289,83 +168,52 @@ func TestStreamingByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSlimEncodeStoreAllocsFlatAcrossWorkers keeps the zero-copy AOD path
-// out of allocation-bound territory: RECO events stream through a stage
-// that slims each to a borrowed view and encodes the v3 payload on the
-// worker, the ordered sink only frames the payloads (WritePayload), and the
-// stream lands in the store through the chunk-parallel PutWorkers. Each op
-// builds a fresh pipeline, so a few allocations per added worker are
-// construction (goroutine, closure, ring slot); what the ceiling and the
-// 1 → 4 worker ratio forbid is the steady-state kind — per-event copies, or
-// per-batch-per-worker state like the map reorderer that once put this op at
-// 460–495 allocations.
+// TestSlimEncodeStoreAllocsFlatAcrossWorkers is the reorderer ring's gate,
+// held on the aod-slim step daspos-pipeline runs: the step chain.Build
+// binds, executed by the workflow engine over a RECO tier the chain wrote,
+// its AOD tier then landing in the store through the chunk-parallel
+// PutWorkers. What one op allocates is the decoded RECO events (the step
+// reads its input from bytes: five allocations an event) and a fixed
+// set-up — 1,139 at one worker and 1,164 at four when the ceiling was set.
+// What the ceiling and the 1 → 4 worker ratio forbid is anything more per
+// event — a copied AOD event where the borrowed view serves, two more
+// allocations an event — or per batch per worker, like the map reorderer
+// that once cost a slim of this size close to four hundred allocations the
+// ring does not make.
 func TestSlimEncodeStoreAllocsFlatAcrossWorkers(t *testing.T) {
-	const events, ceiling, growth = 200, 300, 1.5
-	c := newStreamChain(t, 42)
-	gen, full, rec := c.generator(t), sim.NewFullSim(c.det, c.seed), reco.New(c.det)
-	sample := make([]*datamodel.Event, events)
-	for i := range sample {
-		ev, err := rec.Reconstruct(rawdata.Digitize(1, full.Simulate(gen.Generate())), c.snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sample[i] = ev
+	const ceiling, growth = 1300, 1.5
+	spec := streamSpec(t, 42, 250)
+	full, err := buildChain(t, spec, chain.Tuning{}).Execute(context.Background(), nil, provenance.NewStore())
+	if err != nil {
+		t.Fatal(err)
 	}
+	recoTier := full.Artifacts[chain.RecoEDM]
 	op := func(workers int) func() {
+		wf := buildChain(t, spec, chain.Tuning{Workers: workers, Flow: eventflow.Options{BatchSize: 32}})
+		slim := &workflow.Workflow{
+			Name:          "aod-slim-alone",
+			PrimaryInputs: []string{chain.RecoEDM},
+			Steps:         []workflow.Step{wf.Steps[2]},
+		}
+		if slim.Steps[0].Name != "aod-slim" {
+			t.Fatalf("step 2 of the chain is %q, want aod-slim", slim.Steps[0].Name)
+		}
 		return func() {
-			var aod bytes.Buffer
-			fw, err := datamodel.NewFileWriter(&aod, datamodel.TierAOD)
+			res, err := slim.Execute(context.Background(),
+				map[string]*workflow.Artifact{chain.RecoEDM: recoTier}, provenance.NewStore())
 			if err != nil {
 				t.Fatal(err)
 			}
-			next := 0
-			p := eventflow.New(context.Background(), "aod", eventflow.Options{BatchSize: 32})
-			src := eventflow.Source(p, "reco-src", func() (*datamodel.Event, error) {
-				if next == len(sample) {
-					return nil, io.EOF
-				}
-				next++
-				return sample[next-1], nil
-			})
-			enc := eventflow.MapBatches(src, "slim-encode", workers,
-				func(int) func(in []*datamodel.Event, out [][]byte) ([][]byte, error) {
-					return func(in []*datamodel.Event, out [][]byte) ([][]byte, error) {
-						// One arena per batch, handed to the sink as capped
-						// subslices: growth leaves the emitted ones intact.
-						arena := make([]byte, 0, 192*len(in))
-						for _, e := range in {
-							slim := e.SlimViewAOD()
-							start := len(arena)
-							arena = datamodel.AppendEventPayload(arena, &slim)
-							out = append(out, arena[start:len(arena):len(arena)])
-						}
-						return out, nil
-					}
-				})
-			eventflow.SinkBatch(enc, "aod-frame", func(payloads [][]byte) error {
-				for _, payload := range payloads {
-					if err := fw.WritePayload(payload); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err := p.Wait(); err != nil {
-				t.Fatal(err)
-			}
-			if err := fw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := cas.NewStore().PutWorkers(aod.Bytes(), workers); err != nil {
+			if _, err := cas.NewStore().PutWorkers(res.Artifacts[chain.AODEDM].Data, workers); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	one := testing.AllocsPerRun(5, op(1))
 	four := testing.AllocsPerRun(5, op(4))
-	t.Logf("%d events: %.0f allocations at 1 worker, %.0f at 4", events, one, four)
+	t.Logf("%d events: %.0f allocations at 1 worker, %.0f at 4", recoTier.Events, one, four)
 	if one > ceiling || four > ceiling {
-		t.Errorf("slim → encode → frame → store of %d events: %.0f / %.0f allocations at 1 / 4 workers, ceiling %d", events, one, four, ceiling)
+		t.Errorf("aod-slim → store of %d events: %.0f / %.0f allocations at 1 / 4 workers, ceiling %d", recoTier.Events, one, four, ceiling)
 	}
 	if four > growth*one {
 		t.Errorf("allocations grow with workers: %.0f at 4 vs %.0f at 1 (limit %.1fx)", four, one, growth)
@@ -380,7 +228,7 @@ func TestSlimEncodeStoreAllocsFlatAcrossWorkers(t *testing.T) {
 // each tier as it passes — no intermediate decode, bounded memory.
 func BenchmarkPipelineStreaming(b *testing.B) {
 	const events, seed = 150, 99
-	c := newStreamChain(b, seed)
+	c := streamSpec(b, seed, events)
 	perEvent := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 	}
@@ -391,7 +239,7 @@ func BenchmarkPipelineStreaming(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			full := sim.NewFullSim(c.det, seed)
+			full := sim.NewFullSim(c.Detector, seed)
 			var raws []*rawdata.Event
 			for j := 0; j < events; j++ {
 				raws = append(raws, rawdata.Digitize(1, full.SimulateSeeded(gen.Generate())))
@@ -404,10 +252,10 @@ func BenchmarkPipelineStreaming(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rec := reco.New(c.det)
+			rec := reco.New(c.Detector)
 			var recoEvents []*datamodel.Event
 			for _, r := range decoded {
-				ev, err := rec.Reconstruct(r, c.snap)
+				ev, err := rec.Reconstruct(r, c.Conditions)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -440,7 +288,7 @@ func BenchmarkPipelineStreaming(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				full := sim.NewFullSim(c.det, seed)
+				full := sim.NewFullSim(c.Detector, seed)
 				var rawBuf, recoBuf, aodBuf bytes.Buffer
 				builder := rawdata.NewWriter(&rawBuf)
 				recoFile, err := datamodel.NewFileWriter(&recoBuf, datamodel.TierRECO)
@@ -461,7 +309,7 @@ func BenchmarkPipelineStreaming(b *testing.B) {
 					return e, true, builder.Write(e)
 				})
 				recoS := eventflow.MapWorkers(rawT, "reconstruct", workers,
-					reco.ParallelStage(c.det, reco.DefaultConfig(), c.snap))
+					reco.ParallelStage(c.Detector, c.Reco, c.Conditions))
 				recoT := eventflow.Map(recoS, "reco-write", 1, func(e *datamodel.Event) (*datamodel.Event, bool, error) {
 					return e, true, recoFile.Write(e)
 				})
