@@ -59,18 +59,35 @@ func create(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := a.Persist(f); err != nil {
+	if err := save(a, *out); err != nil {
 		log.Fatal(err)
 	}
 	st := a.Stats()
 	fmt.Printf("created %s: package %s\n", *out, id)
 	fmt.Printf("payload %s in %d blobs (compression %.1fx)\n",
 		interview.FormatBytes(st.LogicalBytes), st.Blobs, st.CompressionRatio())
+}
+
+// save writes the archive file and returns nil only once its bytes are on
+// disk: a write error that surfaces at fsync or close is a truncated
+// archive, and must not be reported as "created".
+func save(a *archive.Archive, path string) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("closing %s: %w", path, cerr)
+		}
+	}()
+	if err := a.Persist(f); err != nil {
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("fsync %s: %w", path, err)
+	}
+	return nil
 }
 
 func verify(args []string) {

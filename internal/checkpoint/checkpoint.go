@@ -213,9 +213,10 @@ func (l *Ledger) Start(step, key string) error {
 // Commit durably stores one artifact payload and journals it. The digest
 // is computed here over the payload; a caller-supplied digest in rec must
 // agree. The object store is content-addressed, so re-committing
-// identical bytes is idempotent — but an existing object that no longer
-// hashes to its name (operator damage, bit rot) is overwritten with the
-// fresh payload rather than trusted.
+// identical bytes is idempotent (the object is kept, its directory entry
+// fsynced again) — but an existing object that no longer hashes to its
+// name (operator damage, bit rot) is overwritten with the fresh payload
+// rather than trusted.
 func (l *Ledger) Commit(step, key string, rec ArtifactRecord, data []byte) (ArtifactRecord, error) {
 	sum := sha256.Sum256(data)
 	digest := hex.EncodeToString(sum[:])
@@ -239,16 +240,32 @@ func (l *Ledger) Done(step, key string, external []string) error {
 	return l.record(journalRecord{Kind: "done", Step: step, Key: key, External: external})
 }
 
+// objectPiece is the most one write(2) of an object payload carries. On
+// the benchmark host (Linux 6.18, ext4), once earlier objects sit in the
+// page cache, a single write of 1 MiB or more into a fresh file costs up
+// to ≈ 7 ms/MiB of kernel CPU and the same bytes in pieces of 768 KiB or
+// less ≈ 0.4 ms/MiB (BenchmarkWriteObject; DESIGN.md "Commit behind the
+// compute"), so the payload is handed over well below the cliff.
+const objectPiece = 256 << 10
+
 // writeObject commits a payload to objects/<digest> with the
 // temp-write → fsync → rename → dir-fsync ordering that makes the rename
-// the atomic commit point.
+// the atomic commit point. An object already there under a name it hashes
+// to is not rewritten, but its directory entry is still fsynced: the run
+// that renamed it may have died before its own directory fsync, and the
+// journal record that follows must not name an entry a power cut can take
+// back.
 func (l *Ledger) writeObject(digest string, data []byte) error {
 	objDir := filepath.Join(l.dir, objectsName)
 	final := filepath.Join(objDir, digest)
 	if existing, err := os.ReadFile(final); err == nil {
 		sum := sha256.Sum256(existing)
 		if hex.EncodeToString(sum[:]) == digest {
-			return nil // already durable, content verified
+			if err := syncDir(objDir); err != nil {
+				return err
+			}
+			l.journal.Kill("object.durable")
+			return nil
 		}
 		// Damaged object under a valid name: fall through and rewrite.
 	}
@@ -263,13 +280,20 @@ func (l *Ledger) writeObject(digest string, data []byte) error {
 			os.Remove(tmp.Name())
 		}
 	}()
+	// The tear window sits where it always has, at the half mark; the
+	// pieces only bound what one write call carries.
 	half := len(data) / 2
-	if _, err := tmp.Write(data[:half]); err != nil {
-		return fmt.Errorf("checkpoint: writing object: %w", err)
-	}
-	l.journal.Kill("object.torn")
-	if _, err := tmp.Write(data[half:]); err != nil {
-		return fmt.Errorf("checkpoint: writing object: %w", err)
+	for i, part := range [2][]byte{data[:half], data[half:]} {
+		if i == 1 {
+			l.journal.Kill("object.torn")
+		}
+		for len(part) > 0 {
+			n := min(len(part), objectPiece)
+			if _, err := tmp.Write(part[:n]); err != nil {
+				return fmt.Errorf("checkpoint: writing object: %w", err)
+			}
+			part = part[n:]
+		}
 	}
 	l.journal.Kill("object.sync")
 	if err := tmp.Sync(); err != nil {

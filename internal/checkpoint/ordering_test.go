@@ -37,14 +37,17 @@ func TestCommitDurabilityOrdering(t *testing.T) {
 		t.Fatalf("commit kill-point sequence:\n got %v\nwant %v", got, want)
 	}
 
-	// Re-committing identical bytes must skip the object protocol
-	// entirely (the store verifies the existing object's digest) and
-	// only append a journal record.
+	// Re-committing identical bytes keeps the object (the store verifies
+	// its digest) but must still fsync its directory entry before the
+	// journal names it: the run that renamed the object may have died
+	// between the rename and its own directory fsync, which leaves exactly
+	// this state, and a journal record over an entry a power cut can take
+	// back is the one thing the protocol exists to rule out.
 	got = nil
 	if _, err := l.Commit("reco", "run1", ArtifactRecord{Name: "reco.out"}, []byte("payload bytes")); err != nil {
 		t.Fatal(err)
 	}
-	want = []string{"journal.append", "journal.torn", "journal.sync"}
+	want = []string{"object.durable", "journal.append", "journal.torn", "journal.sync"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("idempotent re-commit kill-point sequence:\n got %v\nwant %v", got, want)
 	}

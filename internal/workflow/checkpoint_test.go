@@ -159,6 +159,17 @@ func TestResumeReexecutesInterruptedStep(t *testing.T) {
 	killer.CrashAtPoint("journal.torn", 3) // 1: start line, 2: artifact line, 3: done line
 	l.SetKill(killer.Hit)
 	counts := map[string]int{}
+	// The commit runs behind the compute, so slim is free to start while
+	// reco's done record is still being written. Pin the interleaving:
+	// slim is held at its door until the kill — the only thing that
+	// cancels this run — has fired, and, as a step that honours
+	// cancellation does, gives up before its body, and its counter, is
+	// reached.
+	w := countedTwoStep(counts)
+	w.Steps[1].Run = func(c *Context) error {
+		<-c.Ctx().Done()
+		return c.Ctx().Err()
+	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -167,7 +178,7 @@ func TestResumeReexecutesInterruptedStep(t *testing.T) {
 				}
 			}
 		}()
-		_, err := countedTwoStep(counts).Execute(context.Background(), rawInput(), provenance.NewStore(), WithCheckpoint(l))
+		_, err := w.Execute(context.Background(), rawInput(), provenance.NewStore(), WithCheckpoint(l))
 		t.Fatalf("run survived the kill: %v", err)
 	}()
 	l.Close()

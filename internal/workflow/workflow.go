@@ -326,7 +326,17 @@ func ResumeFrom(l *checkpoint.Ledger) ExecOption {
 // into prov. Steps missing a Run implementation fail the run. The context
 // bounds the whole run: cancellation is checked between steps and exposed
 // to each step via Context.Ctx.
-func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, prov *provenance.Store, opts ...ExecOption) (*Result, error) {
+//
+// With a ledger, the ledger's work runs behind the compute: Start, each
+// Commit and Done are queued in the order the loop issues them and carried
+// out, in that order, by one goroutine this call owns, while the next step
+// computes. Execute returns — result, error or panic — only after that
+// goroutine has exited, so a nil error still means every step is durable
+// and the caller may close the ledger after any return. A failed commit
+// cancels the running step and fails the run naming the step whose commit
+// failed; a panic on the goroutine (an injected kill) cancels the running
+// step, touches the ledger no further and is re-raised here.
+func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, prov *provenance.Store, opts ...ExecOption) (res *Result, err error) {
 	var cfg execConfig
 	for _, opt := range opts {
 		opt(&cfg)
@@ -356,7 +366,27 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 		recordIDs[name] = id
 	}
 
-	res := &Result{Artifacts: make(map[string]*Artifact), RecordIDs: recordIDs}
+	var commits *commitQueue
+	if cfg.ledger != nil {
+		ops := 0
+		for i := range w.Steps {
+			ops += 2 + len(w.Steps[i].Outputs) // Start, one Commit an output, Done
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		commits = startCommits(ops, cancel)
+		// On every way out the queued commits of the steps that finished
+		// complete first. A failed commit outranks whatever the loop was
+		// returning: it comes earlier in the ledger's order, and it is
+		// usually why the loop stopped.
+		defer func() {
+			if cerr := commits.finish(); cerr != nil {
+				res, err = nil, fmt.Errorf("workflow %q: %w", w.Name, cerr)
+			}
+		}()
+	}
+
+	res = &Result{Artifacts: make(map[string]*Artifact), RecordIDs: recordIDs}
 	for i := range w.Steps {
 		s := &w.Steps[i]
 		if err := ctx.Err(); err != nil {
@@ -386,10 +416,8 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 			if s.Run == nil {
 				return nil, fmt.Errorf("workflow %q: step %q has no implementation bound", w.Name, s.Name)
 			}
-			if cfg.ledger != nil {
-				if err := cfg.ledger.Start(s.Name, key); err != nil {
-					return nil, fmt.Errorf("workflow %q: step %q: %w", w.Name, s.Name, err)
-				}
+			if commits != nil {
+				commits.add(s.Name, func() error { return cfg.ledger.Start(s.Name, key) })
 			}
 			sctx := &Context{ctx: ctx, step: s, inputs: pool, outputs: make(map[string]*Artifact)}
 			if err := s.Run(sctx); err != nil {
@@ -397,22 +425,25 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 			}
 			outputs = sctx.outputs
 			deps = dedupeSorted(sctx.external)
-			if cfg.ledger != nil {
+			if commits != nil {
 				for _, out := range s.Outputs {
 					a, ok := outputs[out]
 					if !ok {
 						return nil, fmt.Errorf("workflow %q: step %q did not produce declared output %q", w.Name, s.Name, out)
 					}
+					// The digest is sealed here, on this goroutine: Digest
+					// caches without a lock, and the committer is handed
+					// values, never the artifact.
 					rec := checkpoint.ArtifactRecord{
 						Name: a.Name, Tier: a.Tier, Events: a.Events, Digest: a.Digest(),
 					}
-					if _, err := cfg.ledger.Commit(s.Name, key, rec, a.Data); err != nil {
-						return nil, fmt.Errorf("workflow %q: step %q: %w", w.Name, s.Name, err)
-					}
+					data := a.Data
+					commits.add(s.Name, func() error {
+						_, err := cfg.ledger.Commit(s.Name, key, rec, data)
+						return err
+					})
 				}
-				if err := cfg.ledger.Done(s.Name, key, deps); err != nil {
-					return nil, fmt.Errorf("workflow %q: step %q: %w", w.Name, s.Name, err)
-				}
+				commits.add(s.Name, func() error { return cfg.ledger.Done(s.Name, key, deps) })
 			}
 		}
 
@@ -456,6 +487,71 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 		res.Reports = append(res.Reports, rep)
 	}
 	return res, nil
+}
+
+// commitQueue carries one execution's ledger operations to the goroutine
+// that performs them, strictly in the order they were added. What reaches
+// the disk is therefore what a loop calling the ledger between steps would
+// have written, in the same order: a crash leaves a prefix of that
+// sequence, whichever step was computing meanwhile.
+type commitQueue struct {
+	ops    chan commitOp
+	done   chan struct{}      // closed when the goroutine has exited
+	cancel context.CancelFunc // stops the step running beside a commit that failed or died
+
+	// Set by the goroutine before done closes, read only after it.
+	err      error
+	panicked any
+}
+
+type commitOp struct {
+	step string
+	do   func() error
+}
+
+// startCommits starts the goroutine. The queue holds every operation of
+// the run, so add never blocks — not even once the goroutine has stopped
+// early.
+func startCommits(ops int, cancel context.CancelFunc) *commitQueue {
+	q := &commitQueue{ops: make(chan commitOp, ops), done: make(chan struct{}), cancel: cancel}
+	go q.run()
+	return q
+}
+
+func (q *commitQueue) add(step string, do func() error) {
+	q.ops <- commitOp{step: step, do: do}
+}
+
+// run performs the queued operations until the queue is closed or one of
+// them fails or panics; after either, it issues nothing further.
+func (q *commitQueue) run() {
+	defer close(q.done)
+	defer func() {
+		if r := recover(); r != nil {
+			q.panicked = r
+			q.cancel()
+		}
+	}()
+	for op := range q.ops {
+		if err := op.do(); err != nil {
+			q.err = fmt.Errorf("step %q: %w", op.step, err)
+			q.cancel()
+			return
+		}
+	}
+}
+
+// finish closes the queue, waits for the goroutine to exit and reports the
+// commit that failed, if one did. A panic caught on the goroutine is
+// re-raised here, on the caller's.
+func (q *commitQueue) finish() error {
+	close(q.ops)
+	<-q.done
+	q.cancel()
+	if q.panicked != nil {
+		panic(q.panicked)
+	}
+	return q.err
 }
 
 // restoreStep tries to satisfy a step from the ledger. It succeeds only
