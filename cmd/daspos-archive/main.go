@@ -13,8 +13,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 
 	"daspos/internal/archive"
 	"daspos/internal/core"
@@ -59,7 +61,7 @@ func create(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := save(a, *out); err != nil {
+	if err := save(a.Persist, *out); err != nil {
 		log.Fatal(err)
 	}
 	st := a.Stats()
@@ -68,24 +70,43 @@ func create(args []string) {
 		interview.FormatBytes(st.LogicalBytes), st.Blobs, st.CompressionRatio())
 }
 
-// save writes the archive file and returns nil only once its bytes are on
-// disk: a write error that surfaces at fsync or close is a truncated
-// archive, and must not be reported as "created".
-func save(a *archive.Archive, path string) (err error) {
-	f, err := os.Create(path)
+// save replaces the archive file atomically, with the ledger's discipline:
+// the image goes to a temporary file beside it, is fsynced and closed, and
+// only then renamed over path; the directory is fsynced so the rename
+// itself survives a crash. A write error or a kill mid-save leaves the
+// previous archive as it was, and nil means the new one is on disk: a write
+// error that surfaces at fsync or close must not be reported as "created".
+func save(persist func(io.Writer) error, path string) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("closing %s: %w", path, cerr)
+		if err != nil {
+			f.Close() // a second Close after the checked one is harmless
+			os.Remove(tmp)
 		}
 	}()
-	if err := a.Persist(f); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
+	if err := persist(f); err != nil {
+		return fmt.Errorf("writing %s: %w", tmp, err)
 	}
 	if err := f.Sync(); err != nil {
-		return fmt.Errorf("fsync %s: %w", path, err)
+		return fmt.Errorf("fsync %s: %w", tmp, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("closing %s: %w", tmp, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("fsync %s: %w", dir.Name(), err)
 	}
 	return nil
 }

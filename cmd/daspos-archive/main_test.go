@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,13 +23,69 @@ func demoArchive(t *testing.T) *archive.Archive {
 }
 
 // TestSaveSurfacesAFullDisk: a device with no room must fail the save —
-// "created" is printed only after save returned nil.
+// "created" is printed only after save returned nil. The image is teed to
+// /dev/full, so the write fails part-way the way a filling disk fails it.
 func TestSaveSurfacesAFullDisk(t *testing.T) {
-	if _, err := os.Stat("/dev/full"); err != nil {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
 		t.Skip("no /dev/full on this platform")
 	}
-	if err := save(demoArchive(t), "/dev/full"); !errors.Is(err, syscall.ENOSPC) {
+	defer full.Close()
+	a := demoArchive(t)
+	path := filepath.Join(t.TempDir(), "a.daspos")
+	err = save(func(w io.Writer) error { return a.Persist(io.MultiWriter(w, full)) }, path)
+	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("save onto a full device returned %v, want ENOSPC", err)
+	}
+}
+
+// TestFailedSaveKeepsThePreviousArchive: a save that dies part-way — a
+// write error here; a kill leaves the same bytes — must not cost the
+// archive it was replacing. The file at the path is byte-identical and
+// still passes its audit, and no temporary file is left beside it.
+func TestFailedSaveKeepsThePreviousArchive(t *testing.T) {
+	a := demoArchive(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.daspos")
+	if err := save(a.Persist, path); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("disk gone")
+	err = save(func(w io.Writer) error {
+		if _, err := w.Write(before[:len(before)/2]); err != nil {
+			return err
+		}
+		return boom
+	}, path)
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed save returned %v, want the write error", err)
+	}
+
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("the previous archive is gone: %v", err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("the previous archive changed: %d bytes, was %d", len(after), len(before))
+	}
+	b, err := archive.ReadFrom(bytes.NewReader(after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := b.VerifyAll(); rep.Healthy != 1 || len(rep.Damaged) != 0 {
+		t.Fatalf("the previous archive fails its audit: %+v", rep)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "a.daspos" {
+		t.Fatalf("the failed save left files behind: %v", entries)
 	}
 }
 
@@ -36,7 +94,7 @@ func TestSaveSurfacesAFullDisk(t *testing.T) {
 func TestSaveRoundTrips(t *testing.T) {
 	a := demoArchive(t)
 	path := filepath.Join(t.TempDir(), "a.daspos")
-	if err := save(a, path); err != nil {
+	if err := save(a.Persist, path); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"daspos/internal/catalog"
-	"daspos/internal/faults"
 	"daspos/internal/hepdata"
 	"daspos/internal/queryserve"
 	"daspos/internal/texttable"
@@ -134,7 +133,7 @@ func demo(args []string) {
 			cold = append(cold, id)
 		}
 	}
-	keys := faults.ReadSchedule(*seed, faults.ReadShape{
+	keys := readSchedule(*seed, readShape{
 		HotKeys: hot, ColdKeys: cold, HotFraction: *hotFraction,
 	}, *reads)
 

@@ -1,59 +1,25 @@
-package faults
+package main
 
 import (
-	"errors"
 	"reflect"
 	"testing"
-	"time"
 )
 
-type mapStore map[string]string
-
-func (m mapStore) Get(id string) (string, error) {
-	v, ok := m[id]
-	if !ok {
-		return "", errors.New("missing")
-	}
-	return v, nil
-}
-
-func TestSlowStore(t *testing.T) {
-	inner := mapStore{"a": "alpha"}
-	inj := NewInjector(3).WithLatency(5 * time.Millisecond)
-	s := &SlowStore[string]{Inner: inner, Inj: inj}
-
-	start := time.Now()
-	v, err := s.Get("a")
-	if err != nil || v != "alpha" {
-		t.Fatalf("get: %q %v", v, err)
-	}
-	if time.Since(start) < 5*time.Millisecond {
-		t.Fatal("latency not injected")
-	}
-	inj.FailNext("get", 1)
-	if _, err := s.Get("a"); err == nil {
-		t.Fatal("injected failure not surfaced")
-	}
-	if v, err := s.Get("a"); err != nil || v != "alpha" {
-		t.Fatalf("store did not recover: %q %v", v, err)
-	}
-}
-
 func TestReadScheduleDeterministic(t *testing.T) {
-	shape := ReadShape{
+	shape := readShape{
 		HotKeys:     []string{"h1", "h2", "h3"},
 		ColdKeys:    []string{"c1", "c2", "c3", "c4", "c5", "c6"},
 		HotFraction: 0.8,
 	}
-	a := ReadSchedule(42, shape, 500)
-	b := ReadSchedule(42, shape, 500)
+	a := readSchedule(42, shape, 500)
+	b := readSchedule(42, shape, 500)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different schedules")
 	}
 	if len(a) != 500 {
 		t.Fatalf("schedule length %d", len(a))
 	}
-	c := ReadSchedule(43, shape, 500)
+	c := readSchedule(43, shape, 500)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical schedules")
 	}
@@ -81,7 +47,7 @@ func TestReadScheduleDeterministic(t *testing.T) {
 }
 
 func TestReadScheduleDegenerate(t *testing.T) {
-	if got := ReadSchedule(1, ReadShape{HotKeys: []string{"h"}, HotFraction: 0.1}, 10); len(got) != 10 {
+	if got := readSchedule(1, readShape{HotKeys: []string{"h"}, HotFraction: 0.1}, 10); len(got) != 10 {
 		t.Fatalf("hot-only schedule: %v", got)
 	} else {
 		for _, k := range got {
@@ -90,11 +56,11 @@ func TestReadScheduleDegenerate(t *testing.T) {
 			}
 		}
 	}
-	cold := ReadSchedule(1, ReadShape{ColdKeys: []string{"c1", "c2"}, HotFraction: 0.9}, 20)
+	cold := readSchedule(1, readShape{ColdKeys: []string{"c1", "c2"}, HotFraction: 0.9}, 20)
 	if len(cold) != 20 {
 		t.Fatalf("cold-only length %d", len(cold))
 	}
-	if got := ReadSchedule(1, ReadShape{}, 5); len(got) != 0 {
+	if got := readSchedule(1, readShape{}, 5); len(got) != 0 {
 		t.Fatalf("empty shape scheduled %v", got)
 	}
 }

@@ -239,7 +239,7 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// AnalyzerTiming is one analyzer's cumulative wall time across a Run —
+// AnalyzerTiming is one analyzer's cumulative wall time across a run —
 // surfaced through daspos-vet -json so an analyzer whose cost regresses
 // is visible in CI before it slows every pre-merge gate.
 type AnalyzerTiming struct {
@@ -247,16 +247,10 @@ type AnalyzerTiming struct {
 	Millis   float64 `json:"millis"`
 }
 
-// Run executes the analyzers over the loaded packages and returns every
-// finding, sorted by position. Analyzers whose Match rejects a package's
-// import path skip it.
-func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	findings, _ := RunTimed(fset, pkgs, analyzers)
-	return findings
-}
-
-// RunTimed is Run plus per-analyzer wall-time accounting, in the
-// analyzers' reporting order.
+// RunTimed executes the analyzers over the loaded packages and returns
+// every finding, sorted by position, plus per-analyzer wall-time accounting
+// in the analyzers' reporting order. Analyzers whose Match rejects a
+// package's import path skip it.
 func RunTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Finding, []AnalyzerTiming) {
 	var findings []Finding
 	elapsed := make(map[string]time.Duration, len(analyzers))

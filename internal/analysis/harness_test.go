@@ -124,7 +124,7 @@ func runAnalyzersTest(t *testing.T, as []*Analyzer, dir, virtualPath string) {
 		t.Fatal(err)
 	}
 
-	findings := Run(fset, []*Package{{Path: virtualPath, Files: files, Types: pkg, Info: info}}, as)
+	findings, _ := RunTimed(fset, []*Package{{Path: virtualPath, Files: files, Types: pkg, Info: info}}, as)
 	for _, f := range findings {
 		qualified := f.Analyzer + ": " + f.Message
 		matched := false

@@ -55,11 +55,11 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
 	}
-	fset, pkgs, err := Load("../..", "./...")
+	l, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(fset, pkgs, Analyzers())
+	findings, _ := RunTimed(l.fset, l.pkgs, Analyzers())
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}

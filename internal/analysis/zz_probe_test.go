@@ -26,7 +26,8 @@ func probeRun(t *testing.T, src string) []Finding {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run(fset, []*Package{{Path: "daspos/internal/recast", Files: []*ast.File{f}, Types: pkg, Info: info}}, []*Analyzer{LockCheck})
+	findings, _ := RunTimed(fset, []*Package{{Path: "daspos/internal/recast", Files: []*ast.File{f}, Types: pkg, Info: info}}, []*Analyzer{LockCheck})
+	return findings
 }
 
 func TestProbeRangeFP(t *testing.T) {

@@ -303,29 +303,6 @@ func (a *Archive) List() []Metadata {
 	return out
 }
 
-// Search returns packages whose title, description, or keywords contain
-// the query (case-insensitive), optionally restricted to one DPHEP level
-// (0 matches all).
-func (a *Archive) Search(query string, level datamodel.DPHEPLevel) []Metadata {
-	q := strings.ToLower(query)
-	var out []Metadata
-	for _, id := range a.IDs() {
-		pkg, ok := a.Get(id)
-		if !ok {
-			continue
-		}
-		m := pkg.Metadata
-		if level != 0 && m.Level != level {
-			continue
-		}
-		hay := strings.ToLower(m.Title + " " + m.Description + " " + strings.Join(m.Keywords, " "))
-		if q == "" || strings.Contains(hay, q) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Stats returns the underlying store statistics (dedup and compression
 // across packages).
 func (a *Archive) Stats() cas.Stats { return a.blobs.Stats() }

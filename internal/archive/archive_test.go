@@ -201,33 +201,6 @@ func TestDeduplicationAcrossPackages(t *testing.T) {
 	}
 }
 
-func TestSearch(t *testing.T) {
-	a := New()
-	_, _ = a.Ingest(sampleMeta(), sampleFiles())
-	m := sampleMeta()
-	m.Title = "Z lineshape outreach sample"
-	m.Level = datamodel.DPHEPLevel2
-	m.Keywords = []string{"outreach", "masterclass"}
-	m.Description = "Dimuon invariant mass exercise"
-	m.EnvManifest, m.Provenance = "", ""
-	if _, err := a.Ingest(m, map[string][]byte{"z.json": []byte("{}")}); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := a.Search("met", 0); len(got) != 1 || got[0].Title != "W+MET search 2013" {
-		t.Fatalf("search met: %+v", got)
-	}
-	if got := a.Search("", datamodel.DPHEPLevel2); len(got) != 1 || got[0].Level != datamodel.DPHEPLevel2 {
-		t.Fatalf("search level2: %+v", got)
-	}
-	if got := a.Search("masterclass", datamodel.DPHEPLevel3); len(got) != 0 {
-		t.Fatalf("level filter leaked: %+v", got)
-	}
-	if got := a.Search("", 0); len(got) != 2 {
-		t.Fatalf("search all: %d", len(got))
-	}
-}
-
 func TestPersistRoundTrip(t *testing.T) {
 	a := New()
 	id, _ := a.Ingest(sampleMeta(), sampleFiles())

@@ -10,8 +10,6 @@
 // with the archived analysis applied to the smeared objects. A bridged
 // request costs a small fraction of a full-sim request; experiment R3
 // quantifies both the cost ratio and the residual acceptance difference.
-// The backend can also run registered RIVET analyses over the same sample,
-// attaching truth-level histograms for validation.
 package bridge
 
 import (
@@ -24,7 +22,6 @@ import (
 	"daspos/internal/generator"
 	"daspos/internal/leshouches"
 	"daspos/internal/recast"
-	"daspos/internal/rivet"
 	"daspos/internal/sim"
 	"daspos/internal/units"
 )
@@ -33,29 +30,17 @@ import (
 type RivetBackend struct {
 	// LuminosityPb converts event limits to cross sections.
 	LuminosityPb float64
-	// ValidationAnalyses optionally names RIVET registry analyses to run
-	// alongside reinterpretation; their histograms are exported for the
-	// experiment's validation shelf.
-	ValidationAnalyses []string
-	// lastValidation holds the YODA export of the last Process call's
-	// validation run, if any.
-	lastValidation []byte
 }
 
 // Name implements recast.Backend.
 func (*RivetBackend) Name() string { return "rivet-bridge" }
 
-// LastValidation returns the YODA reference data produced by the last
-// Process call's validation analyses (nil when none were configured).
-func (b *RivetBackend) LastValidation() []byte {
-	return append([]byte(nil), b.lastValidation...)
-}
-
 // ConfigDigest implements recast.ConfigDigester: the light tier's output
-// is determined by the model plus luminosity and the validation set.
+// is determined by the model plus luminosity. The trailing "val=[]" is the
+// empty validation set of the deleted validation-analyses option: results
+// journaled under the old digest must still deduplicate.
 func (b *RivetBackend) ConfigDigest() string {
-	return fmt.Sprintf("rivet-bridge|lumi=%x|val=%v",
-		math.Float64bits(b.LuminosityPb), b.ValidationAnalyses)
+	return fmt.Sprintf("rivet-bridge|lumi=%x|val=[]", math.Float64bits(b.LuminosityPb))
 }
 
 // Process implements recast.Backend: generate, fast-simulate, apply the
@@ -69,15 +54,6 @@ func (b *RivetBackend) Process(ctx context.Context, model recast.ModelSpec, reco
 	gen := generator.NewZPrime(cfg, model.MassGeV)
 	fast := sim.NewFastSim(model.Seed)
 
-	var rivetRun *rivet.Run
-	if len(b.ValidationAnalyses) > 0 {
-		run, err := rivet.NewRun(b.ValidationAnalyses...)
-		if err != nil {
-			return nil, fmt.Errorf("bridge: validation analyses: %w", err)
-		}
-		rivetRun = run
-	}
-
 	events := make([]*datamodel.Event, 0, model.Events)
 	for i := 0; i < model.Events; i++ {
 		if i%64 == 0 {
@@ -86,24 +62,8 @@ func (b *RivetBackend) Process(ctx context.Context, model recast.ModelSpec, reco
 			}
 		}
 		ev := gen.Generate()
-		if rivetRun != nil {
-			if err := rivetRun.Process(ev); err != nil {
-				return nil, err
-			}
-		}
 		events = append(events, EventFromFastObjects(uint64(ev.Number), fast.Simulate(ev)))
 	}
-	if rivetRun != nil {
-		if err := rivetRun.Finalize(); err != nil {
-			return nil, err
-		}
-		data, err := rivetRun.ExportYODA()
-		if err != nil {
-			return nil, err
-		}
-		b.lastValidation = data
-	}
-
 	flow, err := record.CutFlow(events)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package bridge
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"daspos/internal/conditions"
 	"daspos/internal/datamodel"
 	"daspos/internal/detector"
-	"daspos/internal/hist"
 	"daspos/internal/leshouches"
 	"daspos/internal/recast"
 	"daspos/internal/sim"
@@ -47,6 +45,10 @@ func TestBridgeProcess(t *testing.T) {
 	if res.BackEnd != "rivet-bridge" {
 		t.Fatalf("backend: %s", res.BackEnd)
 	}
+	// The dedup key of every bridge result already journaled.
+	if got, want := b.ConfigDigest(), "rivet-bridge|lumi=40d3880000000000|val=[]"; got != want {
+		t.Fatalf("config digest %q, want %q", got, want)
+	}
 	if res.Generated != 200 {
 		t.Fatalf("generated: %d", res.Generated)
 	}
@@ -57,9 +59,6 @@ func TestBridgeProcess(t *testing.T) {
 	}
 	if res.UpperLimitXsecPb <= 0 {
 		t.Fatalf("no limit: %+v", res)
-	}
-	if b.LastValidation() != nil {
-		t.Fatal("validation data without validation analyses")
 	}
 }
 
@@ -72,28 +71,6 @@ func TestBridgeRejectsBadModel(t *testing.T) {
 	}
 	if _, err := b.Process(context.Background(), recast.ModelSpec{Process: "zprime", MassGeV: 1000, Events: 10}, &leshouches.AnalysisRecord{Name: "x", Selection: []leshouches.Cut{{Variable: "count:ghost", Op: ">", Value: 0}}}); err == nil {
 		t.Fatal("invalid record processed")
-	}
-}
-
-func TestBridgeValidationAnalyses(t *testing.T) {
-	b := &RivetBackend{LuminosityPb: 20000, ValidationAnalyses: []string{"DASPOS_2013_ZMUMU"}}
-	if _, err := b.Process(context.Background(), model(150), searchRecord()); err != nil {
-		t.Fatal(err)
-	}
-	data := b.LastValidation()
-	if len(data) == 0 {
-		t.Fatal("no validation export")
-	}
-	hs, err := hist.ReadAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hs) == 0 {
-		t.Fatal("validation export empty")
-	}
-	b2 := &RivetBackend{ValidationAnalyses: []string{"NOPE"}}
-	if _, err := b2.Process(context.Background(), model(5), searchRecord()); err == nil {
-		t.Fatal("unknown validation analysis accepted")
 	}
 }
 

@@ -187,53 +187,6 @@ func (s *Store) Put(data []byte) (string, error) {
 	return s.PutWorkers(data, runtime.GOMAXPROCS(0))
 }
 
-// PutReader stores a payload from a stream in a single pass: the bytes
-// are read once, feeding the SHA-256 digest, the raw copy, and the
-// deflate compressor simultaneously through an io.MultiWriter. It returns
-// the digest and the logical (uncompressed) size. Duplicate content is
-// detected after the pass and not stored twice.
-func (s *Store) PutReader(r io.Reader) (string, int64, error) {
-	raw := blobBufPool.Get().(*bytes.Buffer)
-	raw.Reset()
-	defer blobBufPool.Put(raw)
-
-	comp := blobBufPool.Get().(*bytes.Buffer)
-	comp.Reset()
-	comp.WriteByte(blobDeflate)
-	zw := flateWriterPool.Get().(*flate.Writer)
-	zw.Reset(comp)
-
-	h := sha256.New()
-	n, err := io.Copy(io.MultiWriter(h, raw, zw), r)
-	cerr := zw.Close()
-	flateWriterPool.Put(zw)
-	defer blobBufPool.Put(comp)
-	if err != nil {
-		return "", n, fmt.Errorf("cas: reading payload: %w", err)
-	}
-	if cerr != nil {
-		return "", n, cerr
-	}
-	d := hex.EncodeToString(h.Sum(nil))
-	if s.backend.HasBlob(d) {
-		return d, n, nil
-	}
-	blob := comp.Bytes()
-	if int64(comp.Len()-1) >= n {
-		// Incompressible stream: store the raw copy instead.
-		raw2 := blobBufPool.Get().(*bytes.Buffer)
-		raw2.Reset()
-		raw2.WriteByte(blobRaw)
-		raw2.Write(raw.Bytes())
-		blob = raw2.Bytes()
-		defer blobBufPool.Put(raw2)
-	}
-	if err := s.backend.PutBlob(d, blob, n); err != nil {
-		return "", n, fmt.Errorf("cas: storing %s: %w", d, err)
-	}
-	return d, n, nil
-}
-
 // EncodeBlob returns the marker-framed stored form of a payload — the
 // bytes a Backend holds and the preservation-network wire protocol ships.
 // Exported so storage nodes and cluster clients speak the same framing the
@@ -269,12 +222,6 @@ func (s *Store) Verify(digest string) (logical int64, err error) {
 	}
 	return VerifyBlob(digest, comp)
 }
-
-// Has reports whether the digest is stored.
-func (s *Store) Has(digest string) bool { return s.backend.HasBlob(digest) }
-
-// Delete removes a blob. Deleting an absent digest is a no-op.
-func (s *Store) Delete(digest string) { s.backend.DeleteBlob(digest) }
 
 // Digests returns the sorted list of stored digests.
 func (s *Store) Digests() []string { return s.backend.Digests() }

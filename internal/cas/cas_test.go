@@ -27,8 +27,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("content mismatch")
 	}
-	if !s.Has(d) || s.Has("nope") {
-		t.Fatal("Has broken")
+	if !s.backend.HasBlob(d) || s.backend.HasBlob("nope") {
+		t.Fatal("HasBlob broken")
 	}
 }
 
@@ -108,11 +108,11 @@ func TestCorruptionDetected(t *testing.T) {
 func TestDelete(t *testing.T) {
 	s := NewStore()
 	d, _ := s.Put([]byte("x"))
-	s.Delete(d)
-	if s.Has(d) {
+	s.backend.DeleteBlob(d)
+	if s.backend.HasBlob(d) {
 		t.Fatal("deleted blob present")
 	}
-	s.Delete("nope") // no-op
+	s.backend.DeleteBlob("nope") // no-op
 	if s.Stats().Blobs != 0 {
 		t.Fatal("stats after delete")
 	}

@@ -157,19 +157,21 @@ func TestHeaderDrivenAllocationRefused(t *testing.T) {
 
 // TestForeignBlobShapes covers stored forms this store never writes but
 // the format allows, which the scratch must grow for rather than refuse: a
-// flat deflate blob far past chunkThreshold (PutReader writes these), and a
-// chunked blob whose chunks are wider than the scratch.
+// flat deflate blob far past chunkThreshold (the deleted streaming ingest
+// wrote these, so old stores hold them), and a chunked blob whose chunks are
+// wider than the scratch.
 func TestForeignBlobShapes(t *testing.T) {
 	payload := compressiblePayload(3*maxPooledScratch + 12345)
 	digest := Digest(payload)
 
-	s := NewStore()
-	if d, _, err := s.PutReader(bytes.NewReader(payload)); err != nil || d != digest {
-		t.Fatalf("PutReader: %s, %v", d, err)
+	buf, err := encodeBlob(payload)
+	if err != nil {
+		t.Fatal(err)
 	}
-	flat, _, _ := s.backend.GetBlob(digest)
+	flat := append([]byte(nil), buf.Bytes()...)
+	blobBufPool.Put(buf)
 	if flat[0] != blobDeflate {
-		t.Fatalf("PutReader stored marker 0x%02x, want flat deflate", flat[0])
+		t.Fatalf("encodeBlob wrote marker 0x%02x, want flat deflate", flat[0])
 	}
 
 	const wide = chunkThreshold + chunkPayloadSize

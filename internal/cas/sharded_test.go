@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -146,53 +145,6 @@ func TestShardedConcurrentPut(t *testing.T) {
 	}
 }
 
-func TestPutReaderMatchesPut(t *testing.T) {
-	s1, s2 := NewStore(), NewStore()
-	data := shardedPayload(99)
-	d1, err := s1.Put(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, n, err := s2.PutReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("PutReader digest %s != Put digest %s", d2, d1)
-	}
-	if n != int64(len(data)) {
-		t.Fatalf("PutReader logical size %d, want %d", n, len(data))
-	}
-	got, err := s2.Get(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("PutReader content mismatch")
-	}
-	// Same stored bytes either way: the two paths must agree on framing.
-	c1, _, _ := s1.backend.GetBlob(d1)
-	c2, _, _ := s2.backend.GetBlob(d2)
-	if !bytes.Equal(c1, c2) {
-		t.Fatal("Put and PutReader stored different bytes for the same payload")
-	}
-}
-
-func TestPutReaderDeduplicates(t *testing.T) {
-	s := NewStore()
-	data := shardedPayload(5)
-	if _, err := s.Put(data); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Stats()
-	if _, _, err := s.PutReader(bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	if after := s.Stats(); after != before {
-		t.Fatalf("duplicate PutReader changed stats: %+v -> %+v", before, after)
-	}
-}
-
 func TestIncompressibleStoredRaw(t *testing.T) {
 	rng := xrand.New(42)
 	data := make([]byte, 4096)
@@ -257,22 +209,6 @@ func TestRawBlobCorruptionDetected(t *testing.T) {
 		t.Fatal("corrupt raw blob read back cleanly")
 	}
 }
-
-func TestPutReaderPropagatesReadError(t *testing.T) {
-	s := NewStore()
-	boom := fmt.Errorf("disk gone")
-	_, _, err := s.PutReader(io.MultiReader(bytes.NewReader([]byte("partial")), &failingReader{err: boom}))
-	if err == nil {
-		t.Fatal("want error from failing reader")
-	}
-	if len(s.Digests()) != 0 {
-		t.Fatal("failed PutReader left a blob behind")
-	}
-}
-
-type failingReader struct{ err error }
-
-func (f *failingReader) Read([]byte) (int, error) { return 0, f.err }
 
 // BenchmarkCASPutParallel measures ingest throughput with 1/4/8 writer
 // goroutines over a single-lock backend vs the striped default.

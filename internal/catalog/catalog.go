@@ -49,24 +49,6 @@ type Dataset struct {
 	Files    []FileEntry       `json:"files"`
 }
 
-// TotalEvents sums the dataset's event counts.
-func (d *Dataset) TotalEvents() int {
-	n := 0
-	for _, f := range d.Files {
-		n += f.Events
-	}
-	return n
-}
-
-// TotalBytes sums the dataset's file sizes.
-func (d *Dataset) TotalBytes() int64 {
-	var n int64
-	for _, f := range d.Files {
-		n += f.Bytes
-	}
-	return n
-}
-
 // Errors returned by the catalogue.
 var (
 	ErrNoDataset = errors.New("catalog: no such dataset")
@@ -234,31 +216,6 @@ func (c *Catalog) NamesAfter(after string, limit int) []string {
 	return append([]string(nil), c.names[at:end]...)
 }
 
-// Query returns datasets matching the tier (empty matches all) and every
-// given metadata key/value, in sorted name order.
-func (c *Catalog) Query(tier string, metadata map[string]string) []Dataset {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []Dataset
-	for _, name := range c.names {
-		d := c.datasets[name]
-		if tier != "" && d.Tier != tier {
-			continue
-		}
-		match := true
-		for k, v := range metadata {
-			if d.Metadata[k] != v {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, copyLocked(d))
-		}
-	}
-	return out
-}
-
 // Lineage walks parent links from a dataset to its primary ancestor,
 // returning the chain starting with the dataset itself. The walk runs
 // under one read lock, so it sees a consistent snapshot of the parent
@@ -281,20 +238,6 @@ func (c *Catalog) Lineage(name string) ([]Dataset, error) {
 		name = d.Parent
 	}
 	return out, nil
-}
-
-// Children returns the names of datasets directly derived from the given
-// one, sorted.
-func (c *Catalog) Children(name string) []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []string
-	for _, n := range c.names {
-		if c.datasets[n].Parent == name {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // WriteJSON persists the catalogue. The write happens under a read lock,

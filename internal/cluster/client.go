@@ -165,9 +165,6 @@ func (c *Client) RemoveNode(id string) {
 	c.ring.Remove(id)
 }
 
-// Nodes returns the sorted member IDs.
-func (c *Client) Nodes() []string { return c.ring.Nodes() }
-
 // Owners returns the digest's replica set under current membership, in
 // preference order.
 func (c *Client) Owners(digest string) []string {
@@ -497,40 +494,6 @@ func (c *Client) DigestsCtx(ctx context.Context) ([]string, []string, error) {
 	}
 	sort.Strings(out)
 	return out, unreachable, nil
-}
-
-// NodeHealth is one member's health snapshot, as the cluster client sees
-// it.
-type NodeHealth struct {
-	ID        string
-	Reachable bool
-	Blobs     int
-	Breaker   resilience.BreakerStats
-}
-
-// Health polls every member, returning snapshots sorted by node ID.
-func (c *Client) Health(ctx context.Context) []NodeHealth {
-	conns := c.allConns()
-	out := make([]NodeHealth, len(conns))
-	var wg sync.WaitGroup
-	wg.Add(len(conns))
-	for i, nc := range conns {
-		go func(i int, nc *nodeConn) {
-			defer wg.Done()
-			h := NodeHealth{ID: nc.id}
-			if res, err := c.call(ctx, nc, http.MethodGet, "/v1/health", nil, nil, nil); err == nil && res.status == http.StatusOK {
-				var doc node.Health
-				if json.Unmarshal(res.body, &doc) == nil {
-					h.Reachable = true
-					h.Blobs = doc.Blobs
-				}
-			}
-			h.Breaker = nc.breaker.Stats()
-			out[i] = h
-		}(i, nc)
-	}
-	wg.Wait()
-	return out
 }
 
 // short truncates a digest for error messages.

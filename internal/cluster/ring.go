@@ -92,18 +92,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Nodes returns the sorted member identities.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()

@@ -122,31 +122,6 @@ func (db *DB) Lookup(folder, tag string, run uint32) (Payload, error) {
 	return nil, fmt.Errorf("%w: run %d in %s/%s", ErrNoIoV, run, folder, tag)
 }
 
-// Folders returns the sorted folder names.
-func (db *DB) Folders() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.folders))
-	for f := range db.folders {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Tags returns the sorted tags published in a folder.
-func (db *DB) Tags(folder string) []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	tags := db.folders[folder]
-	out := make([]string, 0, len(tags))
-	for t := range tags {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // View is a service-mode handle binding a database to one tag and run, so
 // consumers (reconstruction, calibration monitors) can resolve folders
 // without carrying tag/run plumbing. Unlike a Snapshot, every Lookup goes

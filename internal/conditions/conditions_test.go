@@ -94,19 +94,6 @@ func TestPayloadIsolation(t *testing.T) {
 	}
 }
 
-func TestFoldersAndTags(t *testing.T) {
-	db := NewDB()
-	_ = db.Store("b", "v1", IoV{1, 2}, nil)
-	_ = db.Store("a", "v2", IoV{1, 2}, nil)
-	_ = db.Store("a", "v1", IoV{1, 2}, nil)
-	if got := db.Folders(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("folders %v", got)
-	}
-	if got := db.Tags("a"); len(got) != 2 || got[0] != "v1" || got[1] != "v2" {
-		t.Fatalf("tags %v", got)
-	}
-}
-
 func TestSnapshotResolvesOneRun(t *testing.T) {
 	db := NewDB()
 	_ = db.Store("f1", "v1", IoV{1, 100}, Payload{"x": 1})

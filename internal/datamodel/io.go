@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -341,19 +340,4 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// MarshalJSONEvent renders one event as indented JSON: the human-readable
-// Level 2 export format consumed by the outreach converter.
-func MarshalJSONEvent(e *Event) ([]byte, error) {
-	return json.MarshalIndent(e, "", "  ")
-}
-
-// UnmarshalJSONEvent parses an event from its JSON form.
-func UnmarshalJSONEvent(data []byte) (*Event, error) {
-	var e Event
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("datamodel: parsing JSON event: %w", err)
-	}
-	return &e, nil
 }

@@ -5,8 +5,8 @@
 // The geometry serves three paper-driven roles: it is the substrate for the
 // full detector simulation that RECAST-class preservation must re-run; its
 // channel segmentation defines the raw-data address space the digitizer and
-// reconstruction share; and it exports to the XML and JSON geometry formats
-// Table 1 lists as the per-experiment event-display descriptions.
+// reconstruction share; and it exports to the JSON geometry format, one of
+// the per-experiment event-display descriptions Table 1 lists.
 package detector
 
 import (
@@ -167,8 +167,8 @@ func (d *Detector) buildLists() {
 
 // Validate checks the structural invariants — ordered radii, unique names,
 // known kinds, positive segmentation on sensitive layers — and builds the
-// layer lists TrackerLayers and LayersOf hand out. Standard, ReadXML and
-// ReadJSON return validated detectors; a Detector assembled by hand must
+// layer lists TrackerLayers and LayersOf hand out. Standard and ReadJSON
+// return validated detectors; a Detector assembled by hand must
 // pass through here before those two are called.
 func (d *Detector) Validate() error {
 	if d.Name == "" {
@@ -202,16 +202,6 @@ func (d *Detector) Validate() error {
 // Layer returns the layer with the given index.
 func (d *Detector) Layer(i int) *Layer { return &d.Layers[i] }
 
-// LayerByName returns the named layer, or nil.
-func (d *Detector) LayerByName(name string) *Layer {
-	for i := range d.Layers {
-		if d.Layers[i].Name == name {
-			return &d.Layers[i]
-		}
-	}
-	return nil
-}
-
 // TrackerLayers returns the indices of silicon layers (pixel + strip), the
 // surfaces the track finder consumes. The slice is a read-only view of the
 // detector's own list: it costs nothing to ask for, and must not be
@@ -233,18 +223,6 @@ func (d *Detector) validated() *layerLists {
 		panic("detector: layer lists read before Validate")
 	}
 	return &d.lists
-}
-
-// TotalChannels returns the detector's full channel count, the scale factor
-// behind raw-event sizes.
-func (d *Detector) TotalChannels() int {
-	n := 0
-	for i := range d.Layers {
-		if d.Layers[i].Sensitive() {
-			n += d.Layers[i].Channels()
-		}
-	}
-	return n
 }
 
 // ChannelID packs (layer, iphi, iz) into a stable 32-bit address used by the

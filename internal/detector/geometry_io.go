@@ -4,87 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"encoding/xml"
 	"fmt"
 	"io"
 )
 
 // Geometry export/import. Table 1 of the paper records that the experiments
 // describe event-display geometry in per-experiment formats — XML for
-// ATLAS/LHCb, XML/JSON for CMS, ROOT for ALICE. The substrate supports the
-// two text formats so the outreach converter can feed any of the display
-// profiles from one geometry source.
-
-// xmlDetector mirrors Detector for encoding/xml.
-type xmlDetector struct {
-	XMLName xml.Name   `xml:"detector"`
-	Name    string     `xml:"name,attr"`
-	Version string     `xml:"version,attr"`
-	BField  float64    `xml:"bfield,attr"`
-	EtaMax  float64    `xml:"etamax,attr"`
-	Layers  []xmlLayer `xml:"layer"`
-}
-
-type xmlLayer struct {
-	Name           string  `xml:"name,attr"`
-	Kind           string  `xml:"kind,attr"`
-	Radius         float64 `xml:"radius,attr"`
-	HalfLengthZ    float64 `xml:"halflenz,attr"`
-	NPhi           int     `xml:"nphi,attr"`
-	NZ             int     `xml:"nz,attr"`
-	Efficiency     float64 `xml:"efficiency,attr"`
-	ResRPhi        float64 `xml:"resrphi,attr"`
-	ResZ           float64 `xml:"resz,attr"`
-	NoiseOccupancy float64 `xml:"noise,attr"`
-}
-
-// WriteXML serializes the geometry in the ATLAS/LHCb-style XML description.
-func (d *Detector) WriteXML(w io.Writer) error {
-	xd := xmlDetector{Name: d.Name, Version: d.Version, BField: d.BField, EtaMax: d.EtaMax}
-	for _, l := range d.Layers {
-		xd.Layers = append(xd.Layers, xmlLayer{
-			Name: l.Name, Kind: l.Kind.String(), Radius: l.Radius,
-			HalfLengthZ: l.HalfLengthZ, NPhi: l.NPhi, NZ: l.NZ,
-			Efficiency: l.Efficiency, ResRPhi: l.ResRPhi, ResZ: l.ResZ,
-			NoiseOccupancy: l.NoiseOccupancy,
-		})
-	}
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(xd); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
-}
-
-// ReadXML decodes a geometry written by WriteXML and validates it.
-func ReadXML(r io.Reader) (*Detector, error) {
-	var xd xmlDetector
-	if err := xml.NewDecoder(r).Decode(&xd); err != nil {
-		return nil, fmt.Errorf("detector: decoding XML geometry: %w", err)
-	}
-	d := &Detector{Name: xd.Name, Version: xd.Version, BField: xd.BField, EtaMax: xd.EtaMax}
-	for _, xl := range xd.Layers {
-		kind, err := parseKind(xl.Kind)
-		if err != nil {
-			return nil, err
-		}
-		d.Layers = append(d.Layers, Layer{
-			Name: xl.Name, Kind: kind, Radius: xl.Radius,
-			HalfLengthZ: xl.HalfLengthZ, NPhi: xl.NPhi, NZ: xl.NZ,
-			Efficiency: xl.Efficiency, ResRPhi: xl.ResRPhi, ResZ: xl.ResZ,
-			NoiseOccupancy: xl.NoiseOccupancy,
-		})
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
+// ATLAS/LHCb, XML/JSON for CMS, ROOT for ALICE. The substrate writes the
+// JSON one: it is the geometry the chain digests into its step configs and
+// the outreach converter feeds the display profiles from.
 
 // jsonLayer mirrors Layer for the CMS/iSpy-style JSON description.
 type jsonLayer struct {

@@ -12,8 +12,6 @@
 package envcapture
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -165,17 +163,6 @@ func Capture(reg *Registry, workflow string, platform Platform, roots ...PkgRef)
 		}
 	}
 	return &Manifest{Workflow: workflow, Platform: platform, Roots: roots, Packages: closure}, nil
-}
-
-// Digest returns the manifest's content address: two captures of the same
-// environment hash identically.
-func (m *Manifest) Digest() (string, error) {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // Encode serializes the manifest for archiving.

@@ -1,7 +1,8 @@
 // Package faults is the deterministic fault injector behind the chaos
-// tests: seed-driven error rates, latency, payload corruption, and
-// N-failures-then-succeed schedules, exposed as wrappers around the CAS
-// blob backend and the conditions resolver.
+// tests: seed-driven error rates, latency, payload corruption, partitions
+// and N-failures-then-succeed schedules, exposed as wrappers around the
+// RECAST back end and the HTTP transport, plus the kill points the crash
+// sweeps arm.
 //
 // Determinism is the point. The DPHEP framing of preservation as a
 // sustained-operations problem means the failure drills themselves must be
@@ -18,8 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"daspos/internal/cas"
-	"daspos/internal/conditions"
 	"daspos/internal/resilience"
 	"daspos/internal/xrand"
 )
@@ -34,17 +33,14 @@ type Outcome struct {
 	// Err, when non-nil, is the transient fault the operation must fail
 	// with instead of running.
 	Err error
-	// Corrupt means the operation's payload should be bit-flipped.
-	Corrupt bool
 	// Latency is extra delay to impose before the operation proceeds.
 	Latency time.Duration
 }
 
 // InjectorStats counts injected behaviour.
 type InjectorStats struct {
-	Ops         uint64
-	Errors      uint64
-	Corruptions uint64
+	Ops    uint64
+	Errors uint64
 }
 
 // Injector decides, operation by operation, which faults to inject. All
@@ -53,13 +49,10 @@ type InjectorStats struct {
 // changes interleaving but tests that fix a single-goroutine op order are
 // fully reproducible.
 type Injector struct {
-	mu          sync.Mutex
-	rng         *xrand.Rand
-	errorRate   float64
-	corruptRate float64
-	latency     time.Duration
-	// latMin/latMax bound the uniform latency range (see WithLatencyRange);
-	// when unset, the fixed latency applies.
+	mu        sync.Mutex
+	rng       *xrand.Rand
+	errorRate float64
+	// latMin/latMax bound the uniform latency range (see WithLatencyRange).
 	latMin, latMax time.Duration
 	failN          map[string]int
 	stats          InjectorStats
@@ -76,23 +69,6 @@ func (in *Injector) WithErrorRate(p float64) *Injector {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.errorRate = p
-	return in
-}
-
-// WithCorruptRate makes every payload-bearing operation corrupt its bytes
-// with probability p.
-func (in *Injector) WithCorruptRate(p float64) *Injector {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.corruptRate = p
-	return in
-}
-
-// WithLatency imposes a fixed delay on every operation.
-func (in *Injector) WithLatency(d time.Duration) *Injector {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.latency = d
 	return in
 }
 
@@ -121,10 +97,6 @@ func (in *Injector) Decide(op string) Outcome {
 		in.stats.Errors++
 		out.Err = resilience.MarkTransient(fmt.Errorf("%w: %s", ErrInjected, op))
 		return out
-	}
-	if in.corruptRate > 0 && in.rng.Bool(in.corruptRate) {
-		in.stats.Corruptions++
-		out.Corrupt = true
 	}
 	return out
 }
@@ -159,95 +131,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// FlakyBackend wraps a cas.Backend with fault injection: reads and writes
-// can fail transiently or silently corrupt the bytes in flight — the
-// flaky-disk / flaky-network model the CAS replica fallback is built to
-// survive. Operation names for FailNext schedules: "put", "get".
-type FlakyBackend struct {
-	Inner cas.Backend
-	Inj   *Injector
-}
-
-var _ cas.Backend = (*FlakyBackend)(nil)
-
-// PutBlob implements cas.Backend with injected faults.
-func (f *FlakyBackend) PutBlob(digest string, comp []byte, logical int64) error {
-	out := f.Inj.Decide("put")
-	if out.Latency > 0 {
-		time.Sleep(out.Latency)
-	}
-	if out.Err != nil {
-		return out.Err
-	}
-	if out.Corrupt {
-		comp = CorruptBytes(comp)
-	}
-	return f.Inner.PutBlob(digest, comp, logical)
-}
-
-// GetBlob implements cas.Backend with injected faults.
-func (f *FlakyBackend) GetBlob(digest string) ([]byte, int64, error) {
-	out := f.Inj.Decide("get")
-	if out.Latency > 0 {
-		time.Sleep(out.Latency)
-	}
-	if out.Err != nil {
-		return nil, 0, out.Err
-	}
-	comp, logical, err := f.Inner.GetBlob(digest)
-	if err != nil {
-		return nil, 0, err
-	}
-	if out.Corrupt {
-		comp = CorruptBytes(comp)
-	}
-	return comp, logical, nil
-}
-
-// HasBlob implements cas.Backend (metadata ops stay reliable; the faults
-// modelled here live on the data path).
-func (f *FlakyBackend) HasBlob(digest string) bool { return f.Inner.HasBlob(digest) }
-
-// DeleteBlob implements cas.Backend.
-func (f *FlakyBackend) DeleteBlob(digest string) { f.Inner.DeleteBlob(digest) }
-
-// Digests implements cas.Backend.
-func (f *FlakyBackend) Digests() []string { return f.Inner.Digests() }
-
-// CorruptBlob forwards deliberate corruption to the inner backend when it
-// supports it, so chaos tests can combine injected flakiness with
-// targeted bit rot.
-func (f *FlakyBackend) CorruptBlob(digest string) error {
-	c, ok := f.Inner.(cas.Corrupter)
-	if !ok {
-		return fmt.Errorf("faults: inner backend %T does not support corruption", f.Inner)
-	}
-	return c.CorruptBlob(digest)
-}
-
-// FlakyResolver wraps a conditions.Resolver with outages and latency — the
-// conditions-service brown-out that ServiceClient degrades through.
-// Operation name for FailNext schedules: "lookup".
-type FlakyResolver struct {
-	Inner conditions.Resolver
-	Inj   *Injector
-}
-
-var _ conditions.Resolver = (*FlakyResolver)(nil)
-
-// Lookup implements conditions.Resolver with injected faults. Injected
-// latency respects the caller's deadline: a lookup slower than the
-// ServiceClient timeout surfaces as context.DeadlineExceeded, exactly like
-// a real stalled service.
-func (f *FlakyResolver) Lookup(ctx context.Context, folder, tag string, run uint32) (conditions.Payload, error) {
-	out := f.Inj.Decide("lookup")
-	if err := sleepCtx(ctx, out.Latency); err != nil {
-		return nil, err
-	}
-	if out.Err != nil {
-		return nil, out.Err
-	}
-	return f.Inner.Lookup(ctx, folder, tag, run)
 }

@@ -112,20 +112,6 @@ func (k *Killer) Hits() int {
 	return k.hits
 }
 
-// TruncateTail cuts the final n bytes off a file in place: the torn-write
-// model for a crash that stopped an append mid-record.
-func TruncateTail(path string, n int64) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("faults: truncate tail: %w", err)
-	}
-	size := fi.Size() - n
-	if size < 0 {
-		size = 0
-	}
-	return os.Truncate(path, size)
-}
-
 // TearFinalRecord truncates a newline-delimited journal file so its last
 // record survives only up to its midpoint, with no trailing newline —
 // exactly what a crash halfway through the final append leaves behind.

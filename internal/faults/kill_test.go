@@ -77,28 +77,6 @@ func TestKillerDisarmedCounts(t *testing.T) {
 	}
 }
 
-func TestTruncateTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f")
-	if err := os.WriteFile(path, []byte("0123456789"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := TruncateTail(path, 4); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if string(data) != "012345" {
-		t.Fatalf("after truncate: %q", data)
-	}
-	// Truncating more than the file holds empties it rather than failing.
-	if err := TruncateTail(path, 100); err != nil {
-		t.Fatal(err)
-	}
-	data, _ = os.ReadFile(path)
-	if len(data) != 0 {
-		t.Fatalf("over-truncate left %q", data)
-	}
-}
-
 func TestTearFinalRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	lines := "{\"first\":1}\n{\"second\":2}\n{\"third-record\":3}\n"

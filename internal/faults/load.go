@@ -64,7 +64,7 @@ func (s *SlowBackend[M, R]) ConfigDigest() string {
 }
 
 // WithLatencyRange imposes a uniformly drawn delay in [min, max] on every
-// operation instead of a fixed one — the long-tail service-time model that
+// operation — the long-tail service-time model that
 // makes fairness and deadline tests honest. max < min is treated as a
 // fixed delay of min.
 func (in *Injector) WithLatencyRange(min, max time.Duration) *Injector {
@@ -74,16 +74,13 @@ func (in *Injector) WithLatencyRange(min, max time.Duration) *Injector {
 	return in
 }
 
-// drawLatencyLocked picks this operation's delay: the configured range
-// when one is set, else the fixed latency.
+// drawLatencyLocked picks this operation's delay from the configured
+// range; none when no range is set.
 func (in *Injector) drawLatencyLocked() time.Duration {
 	if in.latMax > in.latMin {
 		return in.latMin + time.Duration(in.rng.Uint64n(uint64(in.latMax-in.latMin)+1))
 	}
-	if in.latMin > 0 {
-		return in.latMin
-	}
-	return in.latency
+	return in.latMin
 }
 
 // TenantShape describes one tenant's traffic in a mixed-tenant run.

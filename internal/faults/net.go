@@ -34,15 +34,6 @@ type NetOutcome struct {
 	Corrupt bool
 }
 
-// NetStats counts injected network behaviour.
-type NetStats struct {
-	Requests    uint64
-	Dropped     uint64
-	Delayed     uint64
-	Storms      uint64
-	Corruptions uint64
-}
-
 // SlowSpec is a per-host latency distribution: every request to the host
 // waits Base plus a uniform draw in [0, Jitter) from the seeded stream.
 type SlowSpec struct {
@@ -60,7 +51,6 @@ type NetInjector struct {
 	slow        map[string]SlowSpec
 	errorRate   float64
 	corruptRate float64
-	stats       NetStats
 }
 
 // NewNetInjector returns an injector with no faults configured, seeded for
@@ -100,15 +90,6 @@ func (n *NetInjector) Partition(hosts ...string) {
 	}
 }
 
-// Heal reconnects the given hosts.
-func (n *NetInjector) Heal(hosts ...string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, h := range hosts {
-		delete(n.partitioned, h)
-	}
-}
-
 // HealAll reconnects every partitioned host and clears every slow spec —
 // the storm passing.
 func (n *NetInjector) HealAll() {
@@ -116,13 +97,6 @@ func (n *NetInjector) HealAll() {
 	defer n.mu.Unlock()
 	n.partitioned = make(map[string]bool)
 	n.slow = make(map[string]SlowSpec)
-}
-
-// Partitioned reports whether a host is currently unreachable.
-func (n *NetInjector) Partitioned(host string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.partitioned[host]
 }
 
 // SetSlow imposes a latency distribution on one host.
@@ -144,10 +118,8 @@ func (n *NetInjector) ClearSlow(host string) {
 func (n *NetInjector) Decide(host string) NetOutcome {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.stats.Requests++
 	out := NetOutcome{}
 	if n.partitioned[host] {
-		n.stats.Dropped++
 		out.Drop = true
 		return out
 	}
@@ -156,27 +128,15 @@ func (n *NetInjector) Decide(host string) NetOutcome {
 		if spec.Jitter > 0 {
 			out.Latency += time.Duration(n.rng.Float64() * float64(spec.Jitter))
 		}
-		if out.Latency > 0 {
-			n.stats.Delayed++
-		}
 	}
 	if n.errorRate > 0 && n.rng.Bool(n.errorRate) {
-		n.stats.Storms++
 		out.Storm = true
 		return out
 	}
 	if n.corruptRate > 0 && n.rng.Bool(n.corruptRate) {
-		n.stats.Corruptions++
 		out.Corrupt = true
 	}
 	return out
-}
-
-// NetStats snapshots the injection counters.
-func (n *NetInjector) NetStats() NetStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
 }
 
 // Transport wraps an http.RoundTripper with network fault injection, keyed

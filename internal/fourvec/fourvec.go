@@ -47,11 +47,6 @@ func (v Vec) Add(w Vec) Vec {
 	return Vec{v.Px + w.Px, v.Py + w.Py, v.Pz + w.Pz, v.E + w.E}
 }
 
-// Sub returns v - w.
-func (v Vec) Sub(w Vec) Vec {
-	return Vec{v.Px - w.Px, v.Py - w.Py, v.Pz - w.Pz, v.E - w.E}
-}
-
 // Scale returns the four-vector with all components multiplied by k.
 func (v Vec) Scale(k float64) Vec {
 	return Vec{k * v.Px, k * v.Py, k * v.Pz, k * v.E}
@@ -84,15 +79,6 @@ func (v Vec) M() float64 {
 	return math.Sqrt(m2)
 }
 
-// Mt returns the transverse mass sqrt(E² - pz²), clamped at zero.
-func (v Vec) Mt() float64 {
-	mt2 := v.E*v.E - v.Pz*v.Pz
-	if mt2 <= 0 {
-		return 0
-	}
-	return math.Sqrt(mt2)
-}
-
 // Eta returns the pseudorapidity. For a vector along the beam axis it
 // returns ±Inf with the sign of pz.
 func (v Vec) Eta() float64 {
@@ -106,29 +92,12 @@ func (v Vec) Eta() float64 {
 	return math.Asinh(v.Pz / pt)
 }
 
-// Rapidity returns the true rapidity ½ ln((E+pz)/(E-pz)).
-func (v Vec) Rapidity() float64 {
-	if v.E <= math.Abs(v.Pz) {
-		return math.Inf(int(math.Copysign(1, v.Pz)))
-	}
-	return 0.5 * math.Log((v.E+v.Pz)/(v.E-v.Pz))
-}
-
 // Phi returns the azimuthal angle in (-π, π].
 func (v Vec) Phi() float64 {
 	if v.Px == 0 && v.Py == 0 {
 		return 0
 	}
 	return math.Atan2(v.Py, v.Px)
-}
-
-// Theta returns the polar angle from the beam axis in [0, π].
-func (v Vec) Theta() float64 {
-	p := v.P()
-	if p == 0 {
-		return 0
-	}
-	return math.Acos(v.Pz / p)
 }
 
 // Beta returns |p|/E, the particle's speed in units of c.
@@ -176,11 +145,6 @@ func (v Vec) Boost(bx, by, bz float64) Vec {
 		Pz: v.Pz + gamma2*bp*bz + gamma*bz*v.E,
 		E:  gamma * (v.E + bp),
 	}
-}
-
-// Dot returns the Minkowski inner product v·w = EᵥE𝓌 - pᵥ·p𝓌.
-func (v Vec) Dot(w Vec) float64 {
-	return v.E*w.E - v.Px*w.Px - v.Py*w.Py - v.Pz*w.Pz
 }
 
 // String renders the vector in collider coordinates for diagnostics.

@@ -25,14 +25,6 @@ type Slab struct {
 	derived      bool
 }
 
-// NewSlab returns a slab with capacity for n vectors before growing.
-func NewSlab(n int) *Slab {
-	return &Slab{
-		Px: make([]float64, 0, n), Py: make([]float64, 0, n),
-		Pz: make([]float64, 0, n), E: make([]float64, 0, n),
-	}
-}
-
 // Len returns the number of vectors in the slab.
 func (s *Slab) Len() int { return len(s.Px) }
 
@@ -117,19 +109,6 @@ func (s *Slab) Sum() Vec {
 		out.E += s.E[i]
 	}
 	return out
-}
-
-// ScaleAll multiplies every vector by k in place — the columnar form of
-// applying Vec.Scale per event object (an energy calibration, a smearing
-// factor). Derived columns are invalidated.
-func (s *Slab) ScaleAll(k float64) {
-	for i := range s.Px {
-		s.Px[i] *= k
-		s.Py[i] *= k
-		s.Pz[i] *= k
-		s.E[i] *= k
-	}
-	s.derived = false
 }
 
 // DeltaREtaPhi is DeltaR over pre-computed (η, φ) pairs: exactly the same

@@ -24,7 +24,7 @@ func randomVecs(rng *rand.Rand, n int) []Vec {
 func TestSlabDeriveBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	vs := randomVecs(rng, 257)
-	s := NewSlab(8) // force growth past the initial capacity
+	s := new(Slab)
 	for _, v := range vs {
 		s.Append(v)
 	}
@@ -47,7 +47,7 @@ func TestSlabDeltaRBitIdentical(t *testing.T) {
 	vs := randomVecs(rng, 64)
 	// Stress the ±π seam explicitly.
 	vs = append(vs, PtEtaPhiM(10, 0.5, math.Pi-1e-9, 0), PtEtaPhiM(10, 0.5, -math.Pi+1e-9, 0))
-	s := NewSlab(len(vs))
+	s := new(Slab)
 	for _, v := range vs {
 		s.Append(v)
 	}
@@ -66,7 +66,7 @@ func TestSlabDeltaRBitIdentical(t *testing.T) {
 func TestSlabSumMatchesVecAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	vs := randomVecs(rng, 100)
-	s := NewSlab(0)
+	s := new(Slab)
 	var want Vec
 	for _, v := range vs {
 		s.Append(v)
@@ -77,12 +77,12 @@ func TestSlabSumMatchesVecAdd(t *testing.T) {
 	}
 }
 
-// TestSlabMutationInvalidatesDerived: Set/ScaleAll must force a re-derive,
-// and the re-derived columns match scalar recomputation.
+// TestSlabMutationInvalidatesDerived: Set must force a re-derive, and the
+// re-derived columns match scalar recomputation.
 func TestSlabMutationInvalidatesDerived(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	vs := randomVecs(rng, 16)
-	s := NewSlab(len(vs))
+	s := new(Slab)
 	for _, v := range vs {
 		s.Append(v)
 	}
@@ -94,18 +94,6 @@ func TestSlabMutationInvalidatesDerived(t *testing.T) {
 	if s.Pt(3) != repl.Pt() || s.Eta(3) != repl.Eta() || s.Phi(3) != repl.Phi() {
 		t.Fatal("Set did not invalidate derived columns")
 	}
-
-	s.ScaleAll(1.07)
-	s.Derive()
-	for i, v := range vs {
-		if i == 3 {
-			v = repl
-		}
-		scaled := v.Scale(1.07)
-		if s.Pt(i) != scaled.Pt() || s.Eta(i) != scaled.Eta() || s.Phi(i) != scaled.Phi() {
-			t.Fatalf("ScaleAll columns at %d stale", i)
-		}
-	}
 }
 
 // TestSlabResetKeepsZeroAlloc: a slab reused across events settles to zero
@@ -113,7 +101,7 @@ func TestSlabMutationInvalidatesDerived(t *testing.T) {
 func TestSlabResetKeepsZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	vs := randomVecs(rng, 128)
-	s := NewSlab(0)
+	s := new(Slab)
 	fill := func() {
 		s.Reset()
 		for _, v := range vs {

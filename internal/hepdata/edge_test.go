@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -36,6 +35,10 @@ func TestTotalErrorEdgeCases(t *testing.T) {
 	}
 }
 
+// TestCSVEdgeCases: the points an export's err_total column is hardest on —
+// a zero-width bin, no uncertainties, an asymmetric-only one — validate and
+// total as the column contract says (the name dates from Table.CSV, which
+// read them out as rows until PR 22).
 func TestCSVEdgeCases(t *testing.T) {
 	tab := Table{
 		Name:    "Edge",
@@ -53,16 +56,11 @@ func TestCSVEdgeCases(t *testing.T) {
 	if err := tab.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(tab.CSV(), "\n"), "\n")
-	rows := lines[len(lines)-3:]
-	if rows[0] != "91.2,91.2,91.2,41.5,0.3" {
-		t.Fatalf("zero-width bin row: %q", rows[0])
-	}
-	if rows[1] != "95,100,105,12,0" {
-		t.Fatalf("error-free row: %q", rows[1])
-	}
-	if rows[2] != "110,120,130,2,0.4" {
-		t.Fatalf("asymmetric row: %q", rows[2])
+	// Quadrature totals: symmetric, none, and the mean of an asymmetric pair.
+	for i, want := range []float64{0.3, 0, 0.4} {
+		if got := tab.Points[i].TotalError(); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("point %d total error %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -88,18 +88,6 @@ func (t *Table) Validate() error {
 	return nil
 }
 
-// CSV renders the table with one uncertainty column per labelled
-// component (quadrature total when labels vary by point).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n# %s\n", t.Name, t.Description)
-	fmt.Fprintf(&b, "xlo,x,xhi,y,err_total\n")
-	for _, p := range t.Points {
-		fmt.Fprintf(&b, "%g,%g,%g,%g,%g\n", p.XLo, p.X, p.XHi, p.Y, p.TotalError())
-	}
-	return b.String()
-}
-
 // FromH1D converts a normalized histogram (a preserved analysis output)
 // into a submission table, with statistical errors.
 func FromH1D(h *hist.H1D, name, xHeader, yHeader string) Table {
@@ -114,37 +102,6 @@ func FromH1D(h *hist.H1D, name, xHeader, yHeader string) Table {
 		})
 	}
 	return t
-}
-
-// ToH1D converts a uniformly binned table back into a histogram, the
-// inverse of FromH1D: how a RIVET-style analysis turns an archived HepData
-// table into reference data. It fails when the binning is not contiguous
-// and uniform within tolerance.
-func (t *Table) ToH1D() (*hist.H1D, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(t.Points)
-	width := t.Points[0].XHi - t.Points[0].XLo
-	if width <= 0 {
-		return nil, fmt.Errorf("hepdata: table %q has non-positive bin width", t.Name)
-	}
-	for i, p := range t.Points {
-		if math.Abs((p.XHi-p.XLo)-width) > 1e-9*width {
-			return nil, fmt.Errorf("hepdata: table %q bin %d not uniform", t.Name, i)
-		}
-		if i > 0 && math.Abs(p.XLo-t.Points[i-1].XHi) > 1e-9*width {
-			return nil, fmt.Errorf("hepdata: table %q bins not contiguous at %d", t.Name, i)
-		}
-	}
-	h := hist.NewH1D(t.Name, n, t.Points[0].XLo, t.Points[n-1].XHi)
-	for i, p := range t.Points {
-		h.SumW[i] = p.Y
-		e := p.TotalError()
-		h.SumW2[i] = e * e
-	}
-	h.Entries = int64(n)
-	return h, nil
 }
 
 // Record is one publication's HepData entry.
@@ -291,20 +248,6 @@ func (a *Archive) Get(id string) (*Record, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoRecord, id)
 	}
 	return r, nil
-}
-
-// Table returns one named table of a record.
-func (a *Archive) Table(id, table string) (*Table, error) {
-	r, err := a.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	for i := range r.Tables {
-		if r.Tables[i].Name == table {
-			return &r.Tables[i], nil
-		}
-	}
-	return nil, fmt.Errorf("hepdata: record %s has no table %q", id, table)
 }
 
 // IDs returns the sorted record keys.

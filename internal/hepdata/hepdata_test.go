@@ -2,7 +2,6 @@ package hepdata
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"daspos/internal/hist"
@@ -72,20 +71,6 @@ func TestTableValidate(t *testing.T) {
 	}
 }
 
-func TestCSVExport(t *testing.T) {
-	tab := zTable()
-	csv := tab.CSV()
-	if !strings.Contains(csv, "xlo,x,xhi,y,err_total") {
-		t.Fatalf("header missing:\n%s", csv)
-	}
-	if !strings.Contains(csv, "0,5,10,12.3,") {
-		t.Fatalf("row missing:\n%s", csv)
-	}
-	if len(strings.Split(strings.TrimSpace(csv), "\n")) != 5 {
-		t.Fatalf("row count:\n%s", csv)
-	}
-}
-
 func TestFromH1D(t *testing.T) {
 	h := hist.NewH1D("m", 4, 0, 8)
 	h.Fill(1)
@@ -145,21 +130,6 @@ func TestSubmitValidation(t *testing.T) {
 	r3.Tables = nil
 	if err := a.Submit(r3); err == nil {
 		t.Fatal("tableless record accepted")
-	}
-}
-
-func TestTableLookup(t *testing.T) {
-	a := NewArchive()
-	_ = a.Submit(searchRecord())
-	tab, err := a.Table("ins1200001", "Table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.XHeader != "PT [GEV]" {
-		t.Fatalf("table: %+v", tab)
-	}
-	if _, err := a.Table("ins1200001", "TableX"); err == nil {
-		t.Fatal("phantom table")
 	}
 }
 
@@ -237,49 +207,5 @@ func BenchmarkSubmitQuery(b *testing.B) {
 		if got := a.Search("Z boson"); len(got) != 1 {
 			b.Fatal("search failed")
 		}
-	}
-}
-
-func TestToH1DRoundTrip(t *testing.T) {
-	h := hist.NewH1D("spec", 20, 0, 100)
-	for i := 0; i < 20; i++ {
-		h.FillW(float64(i*5)+1, float64(40-i))
-	}
-	tab := FromH1D(h, "spec", "X", "Y")
-	back, err := tab.ToH1D()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NBins != h.NBins || back.Lo != h.Lo || back.Hi != h.Hi {
-		t.Fatalf("binning: %+v", back)
-	}
-	for i := 0; i < h.NBins; i++ {
-		if math.Abs(back.SumW[i]-h.SumW[i]) > 1e-12 {
-			t.Fatalf("bin %d content %v vs %v", i, back.SumW[i], h.SumW[i])
-		}
-		if math.Abs(back.BinError(i)-h.BinError(i)) > 1e-9 {
-			t.Fatalf("bin %d error %v vs %v", i, back.BinError(i), h.BinError(i))
-		}
-	}
-}
-
-func TestToH1DRejectsIrregularBinning(t *testing.T) {
-	tab := zTable() // bins 0-10 and 10-20: uniform, should pass
-	if _, err := tab.ToH1D(); err != nil {
-		t.Fatal(err)
-	}
-	gap := zTable()
-	gap.Points[1].XLo, gap.Points[1].X, gap.Points[1].XHi = 15, 18, 25
-	if _, err := gap.ToH1D(); err == nil {
-		t.Fatal("non-contiguous bins accepted")
-	}
-	uneven := zTable()
-	uneven.Points[1].XHi = 40
-	if _, err := uneven.ToH1D(); err == nil {
-		t.Fatal("non-uniform bins accepted")
-	}
-	empty := Table{Name: "x"}
-	if _, err := empty.ToH1D(); err == nil {
-		t.Fatal("empty table converted")
 	}
 }

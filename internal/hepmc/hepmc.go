@@ -47,9 +47,6 @@ type Particle struct {
 // IsFinal reports whether the particle reaches the detector.
 func (p Particle) IsFinal() bool { return p.Status == StatusFinal }
 
-// Charge returns the particle's electric charge from the PDG table.
-func (p Particle) Charge() float64 { return units.Charge(p.PDG) }
-
 // Vertex is one node of the event graph, at position (X, Y, Z) mm and time
 // T ns relative to the nominal interaction point.
 type Vertex struct {
@@ -124,18 +121,6 @@ func (e *Event) FinalState() []Particle {
 		}
 	}
 	return out
-}
-
-// VisibleSum returns the four-momentum sum of final-state particles that a
-// detector can in principle see (everything except neutrinos).
-func (e *Event) VisibleSum() fourvec.Vec {
-	var sum fourvec.Vec
-	for _, p := range e.Particles {
-		if p.IsFinal() && !units.IsNeutrino(p.PDG) {
-			sum = sum.Add(p.P)
-		}
-	}
-	return sum
 }
 
 // MissingPt returns the magnitude and azimuth of the missing transverse

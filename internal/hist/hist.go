@@ -1,20 +1,15 @@
 // Package hist implements the histogramming layer shared by the preserved
 // analyses, the RIVET-style framework, and the benchmark harnesses: fixed-
-// binning 1D and 2D histograms with weighted fills, under/overflow
-// accounting, merging, and a YODA-like plain-text serialization so that
+// binning 1D histograms with weighted fills, under/overflow accounting,
+// and a YODA-like plain-text serialization so that
 // archived reference data remains human-readable decades later — a core
 // preservation requirement the paper attributes to RIVET's "light" format.
 package hist
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrIncompatible is returned when merging or comparing histograms whose
-// binnings differ.
-var ErrIncompatible = errors.New("hist: incompatible binning")
 
 // H1D is a one-dimensional histogram with uniform binning on [Lo, Hi).
 // Weighted fills accumulate both Σw and Σw² per bin so statistical
@@ -109,29 +104,12 @@ func (h *H1D) Integral() float64 {
 	return s
 }
 
-// IntegralAll returns the total weight including under/overflow.
-func (h *H1D) IntegralAll() float64 { return h.Integral() + h.Under + h.Over }
-
 // Mean returns the weighted mean of the in-range filled values.
 func (h *H1D) Mean() float64 {
 	if h.sumWAll == 0 {
 		return 0
 	}
 	return h.sumWX / h.sumWAll
-}
-
-// StdDev returns the weighted standard deviation of the in-range filled
-// values.
-func (h *H1D) StdDev() float64 {
-	if h.sumWAll == 0 {
-		return 0
-	}
-	m := h.Mean()
-	v := h.sumWX2/h.sumWAll - m*m
-	if v <= 0 {
-		return 0
-	}
-	return math.Sqrt(v)
 }
 
 // MaxBin returns the index of the highest bin; ties resolve to the lowest
@@ -169,29 +147,6 @@ func (h *H1D) Normalize(target float64) {
 	h.Scale(target / integ)
 }
 
-// CompatibleWith reports whether two histograms share a binning.
-func (h *H1D) CompatibleWith(o *H1D) bool {
-	return h.NBins == o.NBins && h.Lo == o.Lo && h.Hi == o.Hi
-}
-
-// Add merges another histogram with the same binning into h.
-func (h *H1D) Add(o *H1D) error {
-	if !h.CompatibleWith(o) {
-		return ErrIncompatible
-	}
-	for i := range h.SumW {
-		h.SumW[i] += o.SumW[i]
-		h.SumW2[i] += o.SumW2[i]
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	h.Entries += o.Entries
-	h.sumWX += o.sumWX
-	h.sumWX2 += o.sumWX2
-	h.sumWAll += o.sumWAll
-	return nil
-}
-
 // Clone returns a deep copy.
 func (h *H1D) Clone() *H1D {
 	c := *h
@@ -211,94 +166,4 @@ func (h *H1D) Errors() []float64 {
 		out[i] = h.BinError(i)
 	}
 	return out
-}
-
-// H2D is a two-dimensional histogram with uniform binning, used for
-// efficiency grids over model-parameter planes (the Les Houches /
-// SUSY-scan use case).
-type H2D struct {
-	Name       string
-	Title      string
-	NX, NY     int
-	XLo, XHi   float64
-	YLo, YHi   float64
-	SumW       []float64 // row-major: iy*NX + ix
-	SumW2      []float64
-	OutOfRange float64
-	Entries    int64
-}
-
-// NewH2D returns an empty 2D histogram. It panics on invalid binning.
-func NewH2D(name string, nx int, xlo, xhi float64, ny int, ylo, yhi float64) *H2D {
-	if nx <= 0 || ny <= 0 || xhi <= xlo || yhi <= ylo {
-		panic(fmt.Sprintf("hist: invalid 2D binning %q", name))
-	}
-	return &H2D{
-		Name: name, NX: nx, NY: ny,
-		XLo: xlo, XHi: xhi, YLo: ylo, YHi: yhi,
-		SumW:  make([]float64, nx*ny),
-		SumW2: make([]float64, nx*ny),
-	}
-}
-
-// FillW adds an entry at (x, y) with weight w; out-of-range entries
-// accumulate in OutOfRange.
-func (h *H2D) FillW(x, y, w float64) {
-	h.Entries++
-	if math.IsNaN(x) || math.IsNaN(y) ||
-		x < h.XLo || x >= h.XHi || y < h.YLo || y >= h.YHi {
-		h.OutOfRange += w
-		return
-	}
-	ix := int(float64(h.NX) * (x - h.XLo) / (h.XHi - h.XLo))
-	iy := int(float64(h.NY) * (y - h.YLo) / (h.YHi - h.YLo))
-	if ix >= h.NX {
-		ix = h.NX - 1
-	}
-	if iy >= h.NY {
-		iy = h.NY - 1
-	}
-	idx := iy*h.NX + ix
-	h.SumW[idx] += w
-	h.SumW2[idx] += w * w
-}
-
-// Fill adds a unit-weight entry at (x, y).
-func (h *H2D) Fill(x, y float64) { h.FillW(x, y, 1) }
-
-// At returns the content of bin (ix, iy).
-func (h *H2D) At(ix, iy int) float64 { return h.SumW[iy*h.NX+ix] }
-
-// Integral returns the total in-range weight.
-func (h *H2D) Integral() float64 {
-	s := 0.0
-	for _, w := range h.SumW {
-		s += w
-	}
-	return s
-}
-
-// XCenter returns the x centre of column ix; YCenter the y centre of row iy.
-func (h *H2D) XCenter(ix int) float64 {
-	return h.XLo + (float64(ix)+0.5)*(h.XHi-h.XLo)/float64(h.NX)
-}
-
-// YCenter returns the y centre of row iy.
-func (h *H2D) YCenter(iy int) float64 {
-	return h.YLo + (float64(iy)+0.5)*(h.YHi-h.YLo)/float64(h.NY)
-}
-
-// Add merges another 2D histogram with identical binning.
-func (h *H2D) Add(o *H2D) error {
-	if h.NX != o.NX || h.NY != o.NY || h.XLo != o.XLo || h.XHi != o.XHi ||
-		h.YLo != o.YLo || h.YHi != o.YHi {
-		return ErrIncompatible
-	}
-	for i := range h.SumW {
-		h.SumW[i] += o.SumW[i]
-		h.SumW2[i] += o.SumW2[i]
-	}
-	h.OutOfRange += o.OutOfRange
-	h.Entries += o.Entries
-	return nil
 }

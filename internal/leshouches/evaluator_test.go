@@ -247,7 +247,7 @@ func TestFoldsMatchReference(t *testing.T) {
 			var foldErr error
 			for i, e := range events {
 				for _, o := range r.Objects {
-					if got, want := o.Select(e), refSelect(o, e); !reflect.DeepEqual(got, want) {
+					if got, want := selectOf(o, e), refSelect(o, e); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s event %d: %s selects %+v, the reference %+v", r.Name, i, o.Name, got, want)
 					}
 				}
@@ -256,7 +256,7 @@ func TestFoldsMatchReference(t *testing.T) {
 				if !sameError(err, refErr) {
 					t.Fatalf("%s event %d: Depth fails with %v, the reference with %v", r.Name, i, err, refErr)
 				}
-				pass, passErr := r.Pass(e)
+				pass, passErr := pass(r, e)
 				refOK, refPassErr := refPass(r, e)
 				if pass != refOK || !sameError(passErr, refPassErr) {
 					t.Fatalf("%s event %d: Pass = %v, %v; the reference %v, %v", r.Name, i, pass, passErr, refOK, refPassErr)
@@ -327,7 +327,7 @@ func TestSampleExercisesTheRecords(t *testing.T) {
 	}
 	ties := 0
 	for _, e := range events {
-		sel := records[4].Objects[1].Select(e)
+		sel := selectOf(records[4].Objects[1], e)
 		for i := 1; i < len(sel); i++ {
 			if sel[i].P.Pt() == sel[i-1].P.Pt() && sel[i] != sel[i-1] {
 				ties++

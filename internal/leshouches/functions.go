@@ -2,7 +2,6 @@ package leshouches
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"daspos/internal/datamodel"
@@ -52,33 +51,6 @@ func LookupFunction(name string) (Function, bool) {
 	defer funcMu.RUnlock()
 	f, ok := functions[name]
 	return f, ok
-}
-
-// Functions returns the sorted registry keys.
-func Functions() []string {
-	funcMu.RLock()
-	defer funcMu.RUnlock()
-	out := make([]string, 0, len(functions))
-	for n := range functions {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Call evaluates a registered function, checking arity.
-func Call(name string, args ...float64) (float64, bool) {
-	f, ok := LookupFunction(name)
-	if !ok {
-		return 0, false
-	}
-	if f.Arity >= 0 && len(args) != f.Arity {
-		return 0, false
-	}
-	if f.Arity < 0 && len(args) < -f.Arity {
-		return 0, false
-	}
-	return f.Eval(args), true
 }
 
 func init() {
@@ -164,12 +136,4 @@ func (r *AnalysisRecord) Interpret(flow []int, luminosityPb float64) Reinterpret
 		out.UpperLimitXsecPb = out.UpperLimitEvents / (out.Acceptance * luminosityPb)
 	}
 	return out
-}
-
-// ExpectedLimitBand computes the record's background-only expected 95% CL
-// limit band (−1σ, median, +1σ) from pseudo-experiments: the number a
-// search quotes beside its observed limit. Inject a deterministic Poisson
-// deviate (e.g. xrand.Rand.Poisson) for reproducibility.
-func (r *AnalysisRecord) ExpectedLimitBand(trials int, poissonDeviate func(mean float64) int) (lo, median, hi float64) {
-	return stats.ExpectedLimits(r.Background, 0.95, trials, poissonDeviate)
 }

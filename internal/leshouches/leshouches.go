@@ -44,14 +44,6 @@ type ObjectDefinition struct {
 	MinQuality float64 `json:"min_quality,omitempty"`
 }
 
-// Select returns the event's candidates passing the definition, sorted by
-// decreasing pT.
-func (d ObjectDefinition) Select(e *datamodel.Event) []datamodel.Candidate {
-	var sel selection
-	d.selectInto(&sel, e)
-	return sel.cands
-}
-
 // selection is one object definition's candidates in an event, by falling
 // pT. pt[k] is cands[k].P.Pt(): the acceptance test and every comparison of
 // the sort read it instead of taking the hypotenuse again.
@@ -276,52 +268,6 @@ type EfficiencyGrid struct {
 	Total []float64 `json:"total"`
 }
 
-// NewEfficiencyGrid returns an empty grid.
-func NewEfficiencyGrid(name string, nx int, xlo, xhi float64, ny int, ylo, yhi float64) *EfficiencyGrid {
-	return &EfficiencyGrid{
-		Name: name, NX: nx, XLo: xlo, XHi: xhi, NY: ny, YLo: ylo, YHi: yhi,
-		Pass: make([]float64, nx*ny), Total: make([]float64, nx*ny),
-	}
-}
-
-// cell returns the flattened index of (x, y), or -1 when out of range.
-func (g *EfficiencyGrid) cell(x, y float64) int {
-	if x < g.XLo || x >= g.XHi || y < g.YLo || y >= g.YHi {
-		return -1
-	}
-	ix := int(float64(g.NX) * (x - g.XLo) / (g.XHi - g.XLo))
-	iy := int(float64(g.NY) * (y - g.YLo) / (g.YHi - g.YLo))
-	if ix >= g.NX {
-		ix = g.NX - 1
-	}
-	if iy >= g.NY {
-		iy = g.NY - 1
-	}
-	return iy*g.NX + ix
-}
-
-// Record adds one model point's outcome.
-func (g *EfficiencyGrid) Record(x, y float64, passed bool) {
-	i := g.cell(x, y)
-	if i < 0 {
-		return
-	}
-	g.Total[i]++
-	if passed {
-		g.Pass[i]++
-	}
-}
-
-// Efficiency returns the acceptance×efficiency at a model point and
-// whether the cell has any statistics.
-func (g *EfficiencyGrid) Efficiency(x, y float64) (float64, bool) {
-	i := g.cell(x, y)
-	if i < 0 || g.Total[i] == 0 {
-		return 0, false
-	}
-	return g.Pass[i] / g.Total[i], true
-}
-
 // AnalysisRecord is one preserved analysis in the database.
 type AnalysisRecord struct {
 	// Name is the database key.
@@ -387,12 +333,6 @@ func (r *AnalysisRecord) Validate() error {
 	return nil
 }
 
-// Pass evaluates the full selection on one event.
-func (r *AnalysisRecord) Pass(e *datamodel.Event) (bool, error) {
-	depth, err := r.NewEvaluator().Depth(e)
-	return err == nil && depth == len(r.Selection), err
-}
-
 // NewCutFlow returns an empty cut flow for the record: survivors after each
 // cut prefix, index 0 the input. Tally fills it.
 func (r *AnalysisRecord) NewCutFlow() []int { return make([]int, len(r.Selection)+1) }
@@ -446,42 +386,4 @@ func DecodeRecord(data []byte) (*AnalysisRecord, error) {
 		return nil, err
 	}
 	return &r, nil
-}
-
-// Database is the common analysis platform of Rec 1b.
-type Database struct {
-	records map[string]*AnalysisRecord
-}
-
-// NewDatabase returns an empty analysis database.
-func NewDatabase() *Database {
-	return &Database{records: make(map[string]*AnalysisRecord)}
-}
-
-// Store validates and adds a record.
-func (db *Database) Store(r *AnalysisRecord) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if _, dup := db.records[r.Name]; dup {
-		return fmt.Errorf("leshouches: record %q already stored", r.Name)
-	}
-	db.records[r.Name] = r
-	return nil
-}
-
-// Get returns a stored record.
-func (db *Database) Get(name string) (*AnalysisRecord, bool) {
-	r, ok := db.records[name]
-	return r, ok
-}
-
-// Names returns the sorted record names.
-func (db *Database) Names() []string {
-	out := make([]string, 0, len(db.records))
-	for n := range db.records {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

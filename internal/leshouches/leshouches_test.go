@@ -2,13 +2,12 @@ package leshouches
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"daspos/internal/datamodel"
 	"daspos/internal/fourvec"
-	"daspos/internal/stats"
-	"daspos/internal/xrand"
 )
 
 // dimuonSearch is a typical archived search: two isolated opposite-sign
@@ -54,6 +53,20 @@ func dimuonEvent(pt1, pt2 float64, opposite bool, massive bool) *datamodel.Event
 	}
 }
 
+// selectOf returns the event's candidates passing the definition, by
+// falling pT.
+func selectOf(d ObjectDefinition, e *datamodel.Event) []datamodel.Candidate {
+	var sel selection
+	d.selectInto(&sel, e)
+	return sel.cands
+}
+
+// pass evaluates the record's full selection on one event.
+func pass(r *AnalysisRecord, e *datamodel.Event) (bool, error) {
+	depth, err := r.NewEvaluator().Depth(e)
+	return err == nil && depth == len(r.Selection), err
+}
+
 func TestObjectDefinitionSelect(t *testing.T) {
 	d := ObjectDefinition{Name: "m", Type: datamodel.ObjMuon, MinPt: 20, MaxAbsEta: 2.0, MaxIsolation: 5, MinQuality: 0.8}
 	e := &datamodel.Event{Candidates: []datamodel.Candidate{
@@ -65,7 +78,7 @@ func TestObjectDefinitionSelect(t *testing.T) {
 		{Type: datamodel.ObjJet, P: fourvec.PtEtaPhiM(50, 0.5, 0, 5), Quality: 0.9},                     // type
 		{Type: datamodel.ObjMuon, P: fourvec.PtEtaPhiM(45, -0.5, 1, 0.105), Quality: 0.9, Isolation: 1}, // pass (leading)
 	}}
-	sel := d.Select(e)
+	sel := selectOf(d, e)
 	if len(sel) != 2 {
 		t.Fatalf("selected %d", len(sel))
 	}
@@ -117,7 +130,7 @@ func TestSelectionSemantics(t *testing.T) {
 		{&datamodel.Event{}, false, "empty event"},
 	}
 	for _, c := range cases {
-		got, err := r.Pass(c.ev)
+		got, err := pass(r, c.ev)
 		if err != nil {
 			t.Fatalf("%s: %v", c.why, err)
 		}
@@ -168,42 +181,20 @@ func TestMtAndMetVariables(t *testing.T) {
 		},
 		Missing: datamodel.MET{Pt: 40, Phi: math.Pi},
 	}
-	ok, err := r.Pass(e)
+	ok, err := pass(r, e)
 	if err != nil || !ok {
 		t.Fatalf("W-like event failed: %v %v", ok, err)
 	}
 	e.Missing.Phi = 0 // MET parallel to muon: mT ~ 0
-	ok, _ = r.Pass(e)
+	ok, _ = pass(r, e)
 	if ok {
 		t.Fatal("parallel-MET event passed mT cut")
 	}
 }
 
-func TestEfficiencyGrid(t *testing.T) {
-	g := NewEfficiencyGrid("acc", 10, 0, 1000, 10, 0, 1000)
-	for i := 0; i < 100; i++ {
-		g.Record(250, 250, i < 40) // 40% in cell
-		g.Record(750, 750, i < 80) // 80% in cell
-	}
-	if eff, ok := g.Efficiency(250, 250); !ok || math.Abs(eff-0.4) > 1e-12 {
-		t.Fatalf("eff(250,250)=%v ok=%v", eff, ok)
-	}
-	if eff, ok := g.Efficiency(750, 750); !ok || math.Abs(eff-0.8) > 1e-12 {
-		t.Fatalf("eff(750,750)=%v ok=%v", eff, ok)
-	}
-	if _, ok := g.Efficiency(50, 950); ok {
-		t.Fatal("empty cell reported statistics")
-	}
-	g.Record(-5, 0, true) // out of range: dropped
-	if _, ok := g.Efficiency(-5, 0); ok {
-		t.Fatal("out-of-range lookup succeeded")
-	}
-}
-
 func TestRecordJSONRoundTrip(t *testing.T) {
 	r := dimuonSearch()
-	g := NewEfficiencyGrid("acc", 4, 0, 2000, 4, 0, 2000)
-	g.Record(500, 500, true)
+	g := &EfficiencyGrid{Name: "acc", NX: 1, XHi: 2000, NY: 1, YHi: 2000, Pass: []float64{1}, Total: []float64{1}}
 	r.Grids = []*EfficiencyGrid{g}
 	data, err := r.Encode()
 	if err != nil {
@@ -219,7 +210,7 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	if got.Name != r.Name || len(got.Selection) != 3 || len(got.Grids) != 1 {
 		t.Fatal("round trip lost content")
 	}
-	if eff, ok := got.Grids[0].Efficiency(500, 500); !ok || eff != 1 {
+	if !reflect.DeepEqual(got.Grids[0], g) {
 		t.Fatal("grid content lost")
 	}
 	if _, err := DecodeRecord([]byte("{bad")); err == nil {
@@ -230,56 +221,28 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDatabase(t *testing.T) {
-	db := NewDatabase()
-	if err := db.Store(dimuonSearch()); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Store(dimuonSearch()); err == nil {
-		t.Fatal("duplicate stored")
-	}
-	if _, ok := db.Get("GPD_2013_DIMUON_HIGHMASS"); !ok {
-		t.Fatal("record missing")
-	}
-	if names := db.Names(); len(names) != 1 {
-		t.Fatalf("names: %v", names)
-	}
-	bad := dimuonSearch()
-	bad.Name = "BAD"
-	bad.Selection[0].Op = "~"
-	if err := db.Store(bad); err == nil {
-		t.Fatal("invalid record stored")
-	}
-}
-
 func TestFunctionRegistry(t *testing.T) {
-	names := Functions()
-	if len(names) < 4 {
-		t.Fatalf("registry: %v", names)
-	}
-	for _, n := range names {
-		f, ok := LookupFunction(n)
+	eval := func(name string, args ...float64) float64 {
+		f, ok := LookupFunction(name)
 		if !ok || f.Doc == "" {
-			t.Errorf("function %s undocumented", n)
+			t.Fatalf("function %s missing or undocumented", name)
 		}
+		return f.Eval(args)
 	}
-	if v, ok := Call("effective_mass.v1", 100, 50, 25); !ok || v != 175 {
-		t.Fatalf("effective_mass: %v %v", v, ok)
+	if v := eval("effective_mass.v1", 100, 50, 25); v != 175 {
+		t.Fatalf("effective_mass: %v", v)
 	}
-	if _, ok := Call("effective_mass.v1"); ok {
-		t.Fatal("variadic minimum not enforced")
+	if v := eval("razor_mr.v1", 100, 0, 100, 0); v != 200 {
+		t.Fatalf("razor: %v", v)
 	}
-	if v, ok := Call("razor_mr.v1", 100, 0, 100, 0); !ok || v != 200 {
-		t.Fatalf("razor: %v %v", v, ok)
+	if v := eval("significance_naive.v1", 9, 4, 0); v <= 0 {
+		t.Fatalf("significance: %v", v)
 	}
-	if _, ok := Call("razor_mr.v1", 1, 2); ok {
-		t.Fatal("arity not enforced")
+	if v := eval("cls_upper_limit95.v1", 0, 0); math.Abs(v-3.0) > 0.1 {
+		t.Fatalf("UL(0,0): %v", v)
 	}
-	if _, ok := Call("ghost.v1", 1); ok {
-		t.Fatal("unknown function callable")
-	}
-	if v, ok := Call("cls_upper_limit95.v1", 0, 0); !ok || math.Abs(v-3.0) > 0.1 {
-		t.Fatalf("UL(0,0): %v %v", v, ok)
+	if _, ok := LookupFunction("ghost.v1"); ok {
+		t.Fatal("unknown function resolved")
 	}
 }
 
@@ -331,23 +294,8 @@ func BenchmarkPass(b *testing.B) {
 	e := dimuonEvent(250, 240, true, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Pass(e); err != nil {
+		if _, err := pass(r, e); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestExpectedLimitBand(t *testing.T) {
-	r := dimuonSearch()
-	rng := xrand.New(7)
-	lo, median, hi := r.ExpectedLimitBand(300, rng.Poisson)
-	if !(lo <= median && median <= hi) || lo == hi {
-		t.Fatalf("band: %v %v %v", lo, median, hi)
-	}
-	// Observed n=5 on b=4.2 is unexceptional: the observed limit must sit
-	// inside a generous band around the expectation.
-	obs := stats.UpperLimit(r.ObservedEvents, r.Background, 0.95)
-	if obs < lo/2 || obs > hi*2 {
-		t.Fatalf("observed %v outside band [%v, %v]", obs, lo, hi)
 	}
 }

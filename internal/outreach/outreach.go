@@ -68,16 +68,6 @@ func Profiles() []Profile {
 	}
 }
 
-// ProfileByExperiment returns a registered profile.
-func ProfileByExperiment(name string) (Profile, bool) {
-	for _, p := range Profiles() {
-		if p.Experiment == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
-}
-
 // Table1 regenerates the paper's Table 1 as a renderable table: the
 // feature rows are the table's left column, one experiment per column.
 func Table1() *texttable.Table {

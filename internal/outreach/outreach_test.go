@@ -40,12 +40,6 @@ func TestProfilesMatchTable1(t *testing.T) {
 	if len(byName["Atlas"].AnalysisTools) != 5 {
 		t.Fatalf("Atlas tools: %v", byName["Atlas"].AnalysisTools)
 	}
-	if _, ok := ProfileByExperiment("Atlas"); !ok {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := ProfileByExperiment("DELPHI"); ok {
-		t.Fatal("phantom experiment")
-	}
 }
 
 func TestTable1Render(t *testing.T) {
@@ -58,10 +52,6 @@ func TestTable1Render(t *testing.T) {
 	}
 	if tab.NumRows() != 7 {
 		t.Fatalf("rows: %d", tab.NumRows())
-	}
-	// Markdown export works too (for web embedding).
-	if !strings.Contains(tab.Markdown(), "| Alice |") {
-		t.Fatal("markdown render broken")
 	}
 }
 

@@ -84,14 +84,12 @@ func recordID(r Record) (string, error) {
 // for concurrent mutation; workflow execution is single-writer.
 type Store struct {
 	records map[string]*Record
-	// byName indexes the latest record for each artifact name.
-	byName  map[string]string
 	nextSeq int
 }
 
 // NewStore returns an empty provenance store.
 func NewStore() *Store {
-	return &Store{records: make(map[string]*Record), byName: make(map[string]string)}
+	return &Store{records: make(map[string]*Record)}
 }
 
 // ErrUnknownParent is returned by Add when a parent ID is not in the store.
@@ -117,7 +115,6 @@ func (s *Store) Add(r Record) (string, error) {
 	r.ID = id
 	s.nextSeq++
 	s.records[id] = &r
-	s.byName[r.Output.Name] = id
 	return id, nil
 }
 
@@ -128,15 +125,6 @@ func (s *Store) Get(id string) (Record, bool) {
 		return Record{}, false
 	}
 	return *r, true
-}
-
-// ByName returns the most recent record for an artifact name.
-func (s *Store) ByName(name string) (Record, bool) {
-	id, ok := s.byName[name]
-	if !ok {
-		return Record{}, false
-	}
-	return s.Get(id)
 }
 
 // Len returns the number of stored records.
@@ -178,26 +166,6 @@ func (s *Store) Lineage(id string) ([]Record, error) {
 		queue = append(queue, r.Parents...)
 	}
 	return out, nil
-}
-
-// Verify re-hashes every record and checks parent resolvability, detecting
-// tampering or corruption in an archived provenance file.
-func (s *Store) Verify() error {
-	for id, r := range s.records {
-		want, err := recordID(*r)
-		if err != nil {
-			return err
-		}
-		if want != id {
-			return fmt.Errorf("provenance: record %s fails content check", id)
-		}
-		for _, p := range r.Parents {
-			if _, ok := s.records[p]; !ok {
-				return fmt.Errorf("provenance: record %s has dangling parent %s", id, p)
-			}
-		}
-	}
-	return nil
 }
 
 // AuditReport summarizes chain completeness: the quantity experiment W3
@@ -293,11 +261,7 @@ func (s *Store) ForgetEveryNth(n int) int {
 		if i%n != 0 {
 			continue
 		}
-		r := s.records[id]
 		delete(s.records, id)
-		if s.byName[r.Output.Name] == id {
-			delete(s.byName, r.Output.Name)
-		}
 		dropped++
 	}
 	return dropped
@@ -329,7 +293,6 @@ func ReadJSON(r io.Reader) (*Store, error) {
 		}
 		cp := rec
 		s.records[rec.ID] = &cp
-		s.byName[rec.Output.Name] = rec.ID
 		if rec.Seq >= s.nextSeq {
 			s.nextSeq = rec.Seq + 1
 		}

@@ -41,10 +41,6 @@ func TestAddAndGet(t *testing.T) {
 	if r.Seq != 2 {
 		t.Fatalf("seq %d", r.Seq)
 	}
-	byName, ok := s.ByName("run1.AOD")
-	if !ok || byName.ID != ids[2] {
-		t.Fatal("ByName lookup failed")
-	}
 	if _, ok := s.Get("nope"); ok {
 		t.Fatal("phantom record")
 	}
@@ -118,17 +114,6 @@ func TestLineage(t *testing.T) {
 	}
 }
 
-func TestVerifyDetectsTampering(t *testing.T) {
-	s, ids := buildChain(t)
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	s.records[ids[1]].Output.Events = 999 // tamper in place
-	if err := s.Verify(); err == nil {
-		t.Fatal("tampering not detected")
-	}
-}
-
 func TestAuditCompleteChain(t *testing.T) {
 	s, _ := buildChain(t)
 	rep := s.Audit()
@@ -143,9 +128,7 @@ func TestAuditCompleteChain(t *testing.T) {
 func TestAuditDetectsLostParentage(t *testing.T) {
 	s, ids := buildChain(t)
 	// Simulate the paper's failure: the RECO record was never written.
-	r := s.records[ids[1]]
 	delete(s.records, ids[1])
-	delete(s.byName, r.Output.Name)
 	rep := s.Audit()
 	// RAW survives (root); AOD and DERIVED are broken.
 	if rep.Records != 3 || rep.Complete != 1 || len(rep.Broken) != 2 {
@@ -214,9 +197,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.Len() != s.Len() {
 		t.Fatalf("len %d != %d", got.Len(), s.Len())
 	}
-	if err := got.Verify(); err != nil {
-		t.Fatal(err)
-	}
 	lin, err := got.Lineage(ids[3])
 	if err != nil || len(lin) != 4 {
 		t.Fatalf("lineage after reload: %d %v", len(lin), err)
@@ -247,9 +227,7 @@ func TestReadJSONDetectsTampering(t *testing.T) {
 
 func TestReadJSONToleratesDanglingParents(t *testing.T) {
 	s, ids := buildChain(t)
-	r := s.records[ids[1]]
 	delete(s.records, ids[1])
-	delete(s.byName, r.Output.Name)
 	var buf bytes.Buffer
 	_ = s.WriteJSON(&buf)
 	got, err := ReadJSON(bytes.NewReader(buf.Bytes()))

@@ -123,19 +123,6 @@ func (c *Cache) Get(key string, fill func() (Entry, error)) (Entry, bool, error)
 	return f.val, false, f.err
 }
 
-// Peek returns the entry without filling or promoting — for tests and the
-// status endpoint.
-func (c *Cache) Peek(key string) (Entry, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, ok := s.entries[key]
-	if !ok {
-		return Entry{}, false
-	}
-	return n.val, true
-}
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
 	st := CacheStats{

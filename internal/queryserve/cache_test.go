@@ -9,6 +9,16 @@ import (
 	"testing"
 )
 
+// cached reports whether the key holds an entry, without filling or
+// promoting it.
+func cached(c *Cache, key string) bool {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[key]
+	return ok
+}
+
 func TestCacheHitMissLRU(t *testing.T) {
 	c := NewCache(cacheShards) // one entry per shard
 	fills := 0
@@ -42,7 +52,7 @@ func TestCacheHitMissLRU(t *testing.T) {
 	}
 	get(shardKeys[0])
 	get(shardKeys[1]) // capacity 1 per shard: "a" and shardKeys[0] evicted
-	if _, ok := c.Peek("a"); ok {
+	if cached(c, "a") {
 		t.Fatal("LRU entry survived eviction")
 	}
 	st := c.Stats()
@@ -57,7 +67,7 @@ func TestCacheFillErrorNotCached(t *testing.T) {
 	if _, _, err := c.Get("k", func() (Entry, error) { return Entry{}, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err: %v", err)
 	}
-	if _, ok := c.Peek("k"); ok {
+	if cached(c, "k") {
 		t.Fatal("failed fill got cached")
 	}
 	// Next get retries the fill.

@@ -33,7 +33,10 @@ func (c Cursor) Encode() string {
 }
 
 // DecodeCursor parses a wire cursor; empty input is the zero anchor
-// (start from the top).
+// (start from the top). Only the spelling Encode writes is accepted: base64
+// skips newlines and ignores trailing bits, and a score parses with a sign
+// or leading zeros, so one anchor would otherwise have many cursors — and
+// a page cache keyed on the query string as many entries.
 func DecodeCursor(s string) (Cursor, error) {
 	if s == "" {
 		return Cursor{}, nil
@@ -50,7 +53,11 @@ func DecodeCursor(s string) (Cursor, error) {
 	if err != nil {
 		return Cursor{}, fmt.Errorf("queryserve: malformed cursor score: %w", err)
 	}
-	return Cursor{Score: int32(score), Key: parts[2]}, nil
+	c := Cursor{Score: int32(score), Key: parts[2]}
+	if c.Encode() != s {
+		return Cursor{}, fmt.Errorf("queryserve: cursor is not in canonical form")
+	}
+	return c, nil
 }
 
 // After reports whether a hit at (score, key) sorts strictly after the

@@ -1,8 +1,10 @@
 package queryserve
 
 import (
+	"encoding/base64"
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -183,6 +185,46 @@ func FuzzSearchPageMatchesReference(f *testing.F) {
 					}
 				}
 			}
+		}
+	})
+}
+
+// FuzzDecodeCursor drives the one decoder of the read tier that takes bytes
+// straight off a URL. Whatever arrives, it must not panic and must not
+// allocate beyond a small multiple of the input; and a cursor it accepts is
+// exactly one this server could have issued — it re-encodes to the bytes it
+// was decoded from — so two spellings of one anchor can never be cached or
+// validated as two pages.
+func FuzzDecodeCursor(f *testing.F) {
+	valid := Cursor{Score: 7, Key: "ins1200001"}.Encode()
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])                                                            // truncated
+	f.Add(Cursor{Score: -1, Key: strings.Repeat("/mc/a/AOD/v1", 400)}.Encode())            // over-long
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte("v1\x0099999999999999999999\x00k"))) // score overflows int32
+	f.Add(base64.RawURLEncoding.EncodeToString([]byte("v1\x00+007\x00k")))                 // a second spelling of 7
+	f.Add(valid[:4] + "\n" + valid[4:])                                                    // base64 skips newlines
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := DecodeCursor(s)
+		runtime.ReadMemStats(&after)
+		// TotalAlloc counts the whole process, the fuzz worker's own
+		// goroutines included: the slack is theirs, the slope the decoder's.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+16*uint64(len(s)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(s), grew)
+		}
+		if err != nil {
+			return
+		}
+		if s == "" {
+			if c != (Cursor{}) {
+				t.Fatalf("empty cursor decoded to %+v", c)
+			}
+			return
+		}
+		if got := c.Encode(); got != s {
+			t.Fatalf("accepted %.80q, which re-encodes to %.80q", s, got)
 		}
 	})
 }

@@ -11,7 +11,6 @@ package queryserve
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strconv"
@@ -533,33 +532,4 @@ func Rebuild(archive *hepdata.Archive, cat *catalog.Catalog) (*Index, error) {
 		}
 	}
 	return x, nil
-}
-
-// Dump writes a deterministic textual image of the index — every doc in id
-// order, every term in sorted order with its posting list — used to prove
-// rebuild determinism and debug ranking.
-func (x *Index) Dump(w io.Writer) error {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	for i, d := range x.docs {
-		if _, err := fmt.Fprintf(w, "doc %d %s %s etag=%s\n", i, d.Kind, d.Key, d.ETag); err != nil {
-			return err
-		}
-	}
-	terms := make([]string, 0, len(x.postings))
-	for t := range x.postings {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	for _, t := range terms {
-		ids := x.postings[t]
-		b := make([]string, len(ids))
-		for i, id := range ids {
-			b[i] = strconv.Itoa(int(id))
-		}
-		if _, err := fmt.Fprintf(w, "term %s -> %s\n", t, strings.Join(b, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -109,10 +109,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}, nil
 }
 
-// Index exposes the inverted index (read-mostly; used by benchmarks and
-// the CLI status report).
-func (s *Server) Index() *Index { return s.idx }
-
 // PublishRecord validates, archives, and incrementally indexes a record.
 func (s *Server) PublishRecord(r *hepdata.Record) (etag string, err error) {
 	etag, err = RecordETag(r)

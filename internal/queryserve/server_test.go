@@ -388,11 +388,11 @@ func TestPublishStatusBySentinel(t *testing.T) {
 	}
 	// An index that already holds the key is a conflict too, for both kinds.
 	etag, _ := RecordETag(testRecord(0))
-	if err := srv.Index().AddRecord(testRecord(0), etag); !errors.Is(err, hepdata.ErrDuplicate) {
+	if err := srv.idx.AddRecord(testRecord(0), etag); !errors.Is(err, hepdata.ErrDuplicate) {
 		t.Errorf("re-indexing a record: %v, want hepdata.ErrDuplicate", err)
 	}
 	stored, _ := srv.cat.Get(ds.Name)
-	if err := srv.Index().AddDataset(&stored, "x"); !errors.Is(err, catalog.ErrExists) {
+	if err := srv.idx.AddDataset(&stored, "x"); !errors.Is(err, catalog.ErrExists) {
 		t.Errorf("re-indexing a dataset: %v, want catalog.ErrExists", err)
 	}
 }

@@ -277,18 +277,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out inte
 	return nil
 }
 
-// Analyses fetches the public catalogue.
-func (c *Client) Analyses() ([]AnalysisInfo, error) {
-	return c.AnalysesCtx(context.Background())
-}
-
-// AnalysesCtx is Analyses under a caller-supplied context.
-func (c *Client) AnalysesCtx(ctx context.Context) ([]AnalysisInfo, error) {
-	var out []AnalysisInfo
-	err := c.do(ctx, http.MethodGet, "/analyses", nil, &out)
-	return out, err
-}
-
 // Submit files a request and returns its server-side record.
 func (c *Client) Submit(analysis, requester, motivation string, model ModelSpec) (*Request, error) {
 	return c.SubmitCtx(context.Background(), analysis, requester, motivation, model)
@@ -328,14 +316,4 @@ func (c *Client) Approve(id string) error {
 // ApproveCtx is Approve under a caller-supplied context.
 func (c *Client) ApproveCtx(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodPost, "/requests/"+id+"/approve", nil, nil)
-}
-
-// Reject rejects a request with a reason (experiment role).
-func (c *Client) Reject(id, reason string) error {
-	return c.RejectCtx(context.Background(), id, reason)
-}
-
-// RejectCtx is Reject under a caller-supplied context.
-func (c *Client) RejectCtx(ctx context.Context, id, reason string) error {
-	return c.do(ctx, http.MethodPost, "/requests/"+id+"/reject", map[string]string{"reason": reason}, nil)
 }

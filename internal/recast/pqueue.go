@@ -128,14 +128,6 @@ func OpenPQueue(ctx context.Context, dir string, opt PQueueOptions) (*PQueue, er
 // later OpenPQueue.
 func (q *PQueue) Close() error { return q.journal.Close() }
 
-// JournalPath returns the journal file location — exposed for the chaos
-// tests that tear its final record.
-func (q *PQueue) JournalPath() string { return q.journal.Path() }
-
-// SetKill installs the fault hook invoked at the journal's kill points.
-// Chaos tests arm it with faults.Killer; production leaves it nil.
-func (q *PQueue) SetKill(fn func(point string)) { q.journal.SetKill(fn) }
-
 // applyLocked folds one record into the state tables. Callers hold mu
 // (or, during Open, have exclusive access).
 func (q *PQueue) applyLocked(rec queueRecord) error {

@@ -135,7 +135,7 @@ func TestPQueueTornTailDropped(t *testing.T) {
 	q := openTestQueue(t, dir, nil)
 	mustEnqueue(t, q, "r1", "t1")
 	mustEnqueue(t, q, "r2", "t1")
-	path := q.JournalPath()
+	path := q.journal.Path()
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPQueueKillSweep(t *testing.T) {
 	probe := faults.NewKiller()
 	probeDir := t.TempDir()
 	pq := openTestQueue(t, probeDir, nil)
-	pq.SetKill(probe.Hit)
+	pq.journal.SetKill(probe.Hit)
 	if err := queueScript(pq); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestPQueueKillSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q.SetKill(killer.Hit)
+			q.journal.SetKill(killer.Hit)
 			crashed := func() (c bool) {
 				defer func() {
 					if r := recover(); r != nil {
@@ -281,7 +281,7 @@ func TestPQueueCorruptMidStreamFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	q := openTestQueue(t, dir, nil)
 	mustEnqueue(t, q, "r1", "t1")
-	path := q.JournalPath()
+	path := q.journal.Path()
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -211,10 +211,22 @@ func serveHTTP(t *testing.T, svc *Service, cfg ServerConfig) (srv *Server, theor
 	return srv, &Client{BaseURL: hts.URL}, &Client{BaseURL: hts.URL, Experiment: true}
 }
 
+// analysesHTTP fetches the public catalogue over the wire.
+func analysesHTTP(c *Client) ([]AnalysisInfo, error) {
+	var out []AnalysisInfo
+	err := c.do(context.Background(), http.MethodGet, "/analyses", nil, &out)
+	return out, err
+}
+
+// rejectHTTP rejects a request over the wire (experiment role).
+func rejectHTTP(c *Client, id, reason string) error {
+	return c.do(context.Background(), http.MethodPost, "/requests/"+id+"/reject", map[string]string{"reason": reason}, nil)
+}
+
 func TestHTTPRoundTrip(t *testing.T) {
 	srv, theorist, experiment := serveHTTP(t, newFullSimService(t), ServerConfig{})
 
-	infos, err := theorist.Analyses()
+	infos, err := analysesHTTP(theorist)
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("analyses: %v %v", infos, err)
 	}
@@ -260,7 +272,7 @@ func TestHTTPErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := experiment.Reject(rejected.ID, "covered"); err != nil {
+	if err := rejectHTTP(experiment, rejected.ID, "covered"); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -270,9 +282,9 @@ func TestHTTPErrors(t *testing.T) {
 	}{
 		{"get unknown", func() error { _, err := theorist.Get("req-000042"); return err }, http.StatusNotFound},
 		{"approve unknown", func() error { return experiment.Approve("req-000042") }, http.StatusNotFound},
-		{"reject unknown", func() error { return experiment.Reject("req-000042", "") }, http.StatusNotFound},
+		{"reject unknown", func() error { return rejectHTTP(experiment, "req-000042", "") }, http.StatusNotFound},
 		{"approve rejected", func() error { return experiment.Approve(rejected.ID) }, http.StatusConflict},
-		{"reject rejected", func() error { return experiment.Reject(rejected.ID, "again") }, http.StatusConflict},
+		{"reject rejected", func() error { return rejectHTTP(experiment, rejected.ID, "again") }, http.StatusConflict},
 		{"approve without role", func() error { return theorist.Approve(pending.ID) }, http.StatusForbidden},
 		{"submit unsubscribed", func() error { _, err := theorist.Submit("GHOST", "x", "", validModel()); return err }, http.StatusBadRequest},
 		{"process is not a route", func() error {
@@ -285,7 +297,7 @@ func TestHTTPErrors(t *testing.T) {
 			}
 			return experiment.Approve(pending.ID)
 		}, http.StatusInternalServerError},
-		{"reject unrecordable", func() error { return experiment.Reject(pending.ID, "") }, http.StatusInternalServerError},
+		{"reject unrecordable", func() error { return rejectHTTP(experiment, pending.ID, "") }, http.StatusInternalServerError},
 	}
 	for _, tc := range cases {
 		err := tc.call()

@@ -58,16 +58,12 @@ type BreakerConfig struct {
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu            sync.Mutex
-	state         BreakerState
-	failures      int // consecutive failures while closed
-	probeSuccess  int // consecutive successes while half-open
-	probesInUse   int // admitted, unreported probes while half-open
-	openedAt      time.Time
-	opens         uint64 // lifetime count of closed/half-open → open trips
-	rejected      uint64 // calls rejected while open
-	totalFailures uint64
-	totalSuccess  uint64
+	mu           sync.Mutex
+	state        BreakerState
+	failures     int // consecutive failures while closed
+	probeSuccess int // consecutive successes while half-open
+	probesInUse  int // admitted, unreported probes while half-open
+	openedAt     time.Time
 }
 
 // NewBreaker returns a breaker with the given config (zero fields get
@@ -102,7 +98,6 @@ func (b *Breaker) Allow() bool {
 		return true
 	case Open:
 		if b.cfg.Now().Sub(b.openedAt) < b.cfg.OpenInterval {
-			b.rejected++
 			return false
 		}
 		// Open interval elapsed: become half-open and admit this call
@@ -113,7 +108,6 @@ func (b *Breaker) Allow() bool {
 		return true
 	default: // HalfOpen
 		if b.probesInUse >= b.cfg.MaxProbes {
-			b.rejected++
 			return false
 		}
 		b.probesInUse++
@@ -125,7 +119,6 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) Success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.totalSuccess++
 	switch b.state {
 	case Closed:
 		b.failures = 0
@@ -147,7 +140,6 @@ func (b *Breaker) Success() {
 func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.totalFailures++
 	switch b.state {
 	case Closed:
 		b.failures++
@@ -164,7 +156,6 @@ func (b *Breaker) Failure() {
 func (b *Breaker) trip() {
 	b.state = Open
 	b.openedAt = b.cfg.Now()
-	b.opens++
 	b.failures = 0
 	b.probeSuccess = 0
 	b.probesInUse = 0
@@ -186,25 +177,6 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// BreakerStats is a point-in-time counters snapshot.
-type BreakerStats struct {
-	State     BreakerState
-	Opens     uint64 // times the breaker tripped open
-	Rejected  uint64 // calls rejected while open / probe-saturated
-	Failures  uint64
-	Successes uint64
-}
-
-// Stats snapshots the lifetime counters.
-func (b *Breaker) Stats() BreakerStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BreakerStats{
-		State: b.state, Opens: b.opens, Rejected: b.rejected,
-		Failures: b.totalFailures, Successes: b.totalSuccess,
-	}
 }
 
 // Do guards op with the breaker: rejected calls return ErrOpen (marked

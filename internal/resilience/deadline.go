@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -27,16 +28,26 @@ func EncodeBudget(d time.Duration) string {
 	return strconv.FormatInt(int64(ms), 10)
 }
 
-// DecodeBudget parses a budget header value back to a duration.
+// DecodeBudget parses a budget header value back to a duration. It accepts
+// exactly what EncodeBudget writes: a millisecond count that fits a
+// Duration (a larger one would wrap, possibly into a negative budget that
+// sheds the request as expired), in its one canonical spelling.
 func DecodeBudget(s string) (time.Duration, error) {
 	ms, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("resilience: malformed deadline budget %q: %w", s, err)
+		return 0, fmt.Errorf("resilience: malformed deadline budget %.40q: %w", s, err)
 	}
 	if ms < 0 {
 		return 0, fmt.Errorf("resilience: negative deadline budget %q", s)
 	}
-	return time.Duration(ms) * time.Millisecond, nil
+	if ms > int64(math.MaxInt64/time.Millisecond) {
+		return 0, fmt.Errorf("resilience: deadline budget %q overflows", s)
+	}
+	d := time.Duration(ms) * time.Millisecond
+	if EncodeBudget(d) != s {
+		return 0, fmt.Errorf("resilience: deadline budget %.40q is not in canonical form", s)
+	}
+	return d, nil
 }
 
 // RemainingBudget reports the time left until the context's deadline,

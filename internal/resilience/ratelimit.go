@@ -72,15 +72,3 @@ func (tb *TokenBucket) Take() (ok bool, retryAfter time.Duration) {
 	deficit := 1 - tb.tokens
 	return false, time.Duration(deficit / tb.rate * float64(time.Second))
 }
-
-// Tokens reports the current token count (after refill) — a status-page
-// observable, not an admission decision.
-func (tb *TokenBucket) Tokens() float64 {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	if tb.rate <= 0 {
-		return tb.burst
-	}
-	tb.refillLocked(tb.now())
-	return tb.tokens
-}

@@ -171,18 +171,6 @@ func (p Policy) Backoff(attempt int, rng *xrand.Rand) time.Duration {
 	return time.Duration(d)
 }
 
-// Schedule materializes the full backoff sequence a policy would sleep
-// through if every attempt failed — the schedule chaos tests assert on.
-func (p Policy) Schedule() []time.Duration {
-	rng := xrand.New(p.Seed)
-	n := p.attempts()
-	out := make([]time.Duration, 0, n-1)
-	for a := 1; a < n; a++ {
-		out = append(out, p.Backoff(a, rng))
-	}
-	return out
-}
-
 // ExhaustedError reports that a retry loop ran out of attempts. The last
 // error is wrapped, so errors.Is/As reach through it.
 type ExhaustedError struct {

@@ -44,6 +44,17 @@ type wrapped struct{ err error }
 func (w *wrapped) Error() string { return "wrapped: " + w.err.Error() }
 func (w *wrapped) Unwrap() error { return w.err }
 
+// schedule is the backoff sequence a policy sleeps through if every
+// attempt fails.
+func schedule(p Policy) []time.Duration {
+	rng := xrand.New(p.Seed)
+	out := []time.Duration{}
+	for a := 1; a < p.attempts(); a++ {
+		out = append(out, p.Backoff(a, rng))
+	}
+	return out
+}
+
 func TestBackoffSchedule(t *testing.T) {
 	cases := []struct {
 		name string
@@ -83,7 +94,7 @@ func TestBackoffSchedule(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		got := tc.pol.Schedule()
+		got := schedule(tc.pol)
 		if len(got) != len(tc.want) {
 			t.Errorf("%s: schedule length %d, want %d", tc.name, len(got), len(tc.want))
 			continue
@@ -98,8 +109,8 @@ func TestBackoffSchedule(t *testing.T) {
 
 func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 	pol := Policy{MaxAttempts: 6, BaseDelay: 100 * time.Millisecond, Jitter: 0.5, Seed: 42}
-	a := pol.Schedule()
-	b := pol.Schedule()
+	a := schedule(pol)
+	b := schedule(pol)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed produced different schedules at %d: %v vs %v", i, a[i], b[i])
@@ -119,7 +130,7 @@ func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
 	}
 	other := pol
 	other.Seed = 43
-	c := other.Schedule()
+	c := schedule(other)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -336,14 +347,6 @@ func TestBreakerStateTransitions(t *testing.T) {
 	}
 	if !b.Allow() {
 		t.Fatal("closed breaker rejected a call")
-	}
-
-	st := b.Stats()
-	if st.Opens != 2 {
-		t.Fatalf("opens = %d, want 2", st.Opens)
-	}
-	if st.Rejected == 0 {
-		t.Fatal("no rejections counted while open")
 	}
 }
 

@@ -126,19 +126,3 @@ func (a *dLifetime) Finalize(ctx *Context) {
 		a.mass.Scale(1 / sw)
 	}
 }
-
-// FitExponentialLifetime extracts a lifetime estimate (same unit as the
-// histogram axis) from an exponential-decay histogram via the maximum-
-// likelihood estimator on binned data: the mean of the distribution with
-// the fit restricted to bins above the first (to reduce threshold bias).
-func FitExponentialLifetime(h *hist.H1D) float64 {
-	var sumW, sumWT float64
-	for i := 0; i < h.NBins; i++ {
-		sumW += h.SumW[i]
-		sumWT += h.SumW[i] * h.BinCenter(i)
-	}
-	if sumW == 0 {
-		return 0
-	}
-	return sumWT / sumW
-}

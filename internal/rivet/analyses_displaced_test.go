@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"daspos/internal/generator"
-	"daspos/internal/hist"
 )
 
 func TestV0MassPeaks(t *testing.T) {
@@ -50,9 +49,9 @@ func TestDLifetimeMeasurement(t *testing.T) {
 	if tProper.Entries < 4000 {
 		t.Fatalf("proper-time entries: %d", tProper.Entries)
 	}
-	// The preserved measurement: tau(D0) = 0.41 ps. The binned-mean
-	// estimator has a small overflow-truncation bias; 15% tolerance.
-	tau := FitExponentialLifetime(tProper)
+	// The preserved measurement: tau(D0) = 0.41 ps, read off as the mean
+	// of the exponential proper-time spectrum; 15% tolerance.
+	tau := tProper.Mean()
 	if math.Abs(tau-0.4101)/0.4101 > 0.15 {
 		t.Fatalf("fitted lifetime %v ps, want ~0.41", tau)
 	}
@@ -74,22 +73,5 @@ func TestDisplacedAnalysesIgnoreOtherProcesses(t *testing.T) {
 		if h.Entries != 0 {
 			t.Fatalf("%s filled %d entries from Z events", h.Name, h.Entries)
 		}
-	}
-}
-
-func TestFitExponentialLifetime(t *testing.T) {
-	h := hist.NewH1D("t", 100, 0, 10)
-	// Discretized exponential with mean 1.0 (fine binning keeps the
-	// binned-mean estimator nearly unbiased over this range).
-	for i := 0; i < 100; i++ {
-		c := h.BinCenter(i)
-		h.FillW(c, math.Exp(-c))
-	}
-	tau := FitExponentialLifetime(h)
-	if math.Abs(tau-1.0) > 0.05 {
-		t.Fatalf("tau %v", tau)
-	}
-	if FitExponentialLifetime(hist.NewH1D("e", 10, 0, 1)) != 0 {
-		t.Fatal("empty histogram lifetime not 0")
 	}
 }

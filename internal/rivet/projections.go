@@ -172,9 +172,6 @@ type Pair struct {
 	Plus, Minus hepmc.Particle
 }
 
-// Mass returns the pair's invariant mass.
-func (p Pair) Mass() float64 { return fourvec.InvariantMass(p.Plus.P, p.Minus.P) }
-
 // Apply returns the selected pairs.
 func (osp OppositeSignPairs) Apply(ev *hepmc.Event) []Pair {
 	leps := IdentifiedFinalState{PDGs: []int{osp.PDG}, MinPt: osp.MinPt, MaxAbsEta: osp.MaxAbsEta}.Apply(ev)

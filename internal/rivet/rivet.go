@@ -12,7 +12,6 @@ package rivet
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 
 	"daspos/internal/hepmc"
@@ -60,8 +59,7 @@ type Context struct {
 	// Analyze call.
 	Weight float64
 	// sumW accumulates total processed weight for normalization.
-	sumW   float64
-	events int
+	sumW float64
 }
 
 // BookH1D books (or returns the already-booked) histogram under the
@@ -76,18 +74,9 @@ func (c *Context) BookH1D(name string, bins int, lo, hi float64) *hist.H1D {
 	return h
 }
 
-// Histogram returns a booked histogram by its short name.
-func (c *Context) Histogram(name string) (*hist.H1D, bool) {
-	h, ok := c.histos[name]
-	return h, ok
-}
-
 // SumW returns the total event weight processed so far: the Finalize-time
 // normalization denominator.
 func (c *Context) SumW() float64 { return c.sumW }
-
-// Events returns the number of events processed.
-func (c *Context) Events() int { return c.events }
 
 // factory builds a fresh Analysis instance.
 type factory func() Analysis
@@ -107,18 +96,6 @@ func Register(name string, f func() Analysis) {
 		panic(fmt.Sprintf("rivet: duplicate analysis %q", name))
 	}
 	registry[name] = f
-}
-
-// List returns the sorted names of all registered analyses.
-func List() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NewAnalysis instantiates a registered analysis.
@@ -171,7 +148,6 @@ func (r *Run) Process(ev *hepmc.Event) error {
 		ctx := r.contexts[i]
 		ctx.Weight = w
 		ctx.sumW += w
-		ctx.events++
 		a.Analyze(ctx, ev)
 	}
 	return nil

@@ -102,13 +102,6 @@ func (r *Registry) SetQuality(run uint32, q Quality, defects ...string) error {
 	return nil
 }
 
-// Runs returns all run numbers, sorted.
-func (r *Registry) Runs() []uint32 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.runsLocked()
-}
-
 // runsLocked returns all run numbers, sorted; callers hold r.mu.
 func (r *Registry) runsLocked() []uint32 {
 	out := make([]uint32, 0, len(r.runs))

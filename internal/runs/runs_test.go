@@ -34,6 +34,13 @@ func seededRegistry(t *testing.T) *Registry {
 	return r
 }
 
+// runsOf returns all run numbers of the registry, sorted.
+func runsOf(r *Registry) []uint32 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.runsLocked()
+}
+
 func TestAddAndGet(t *testing.T) {
 	r := seededRegistry(t)
 	rec, ok := r.Get(103)
@@ -49,8 +56,8 @@ func TestAddAndGet(t *testing.T) {
 	if err := r.Add(200, -1, 1); err == nil {
 		t.Fatal("negative events added")
 	}
-	if len(r.Runs()) != 10 {
-		t.Fatalf("runs: %d", len(r.Runs()))
+	if len(runsOf(r)) != 10 {
+		t.Fatalf("runs: %d", len(runsOf(r)))
 	}
 }
 
@@ -148,8 +155,8 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Runs()) != 10 {
-		t.Fatalf("runs after reload: %d", len(got.Runs()))
+	if len(runsOf(got)) != 10 {
+		t.Fatalf("runs after reload: %d", len(runsOf(got)))
 	}
 	rec, _ := got.Get(107)
 	if rec.Quality != QualityBad {
@@ -192,7 +199,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				for _, run := range r.Runs() {
+				for _, run := range runsOf(r) {
 					if run == 0 {
 						t.Error("zero run observed")
 						return
@@ -208,7 +215,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(r.Runs()); got != 4*runsPerWriter {
+	if got := len(runsOf(r)); got != 4*runsPerWriter {
 		t.Fatalf("registry holds %d runs, want %d", got, 4*runsPerWriter)
 	}
 	grl := r.BuildGoodRunList("physics", "final")

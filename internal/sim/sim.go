@@ -80,9 +80,6 @@ func NewFullSim(det *detector.Detector, seed uint64) *FullSim {
 	return s
 }
 
-// Detector returns the geometry the simulation runs over.
-func (s *FullSim) Detector() *detector.Detector { return s.det }
-
 // Simulate runs one generated event through the detector, drawing from
 // the simulation's single shared random stream. The result therefore
 // depends on how many events were simulated before this one; use

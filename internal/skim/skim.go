@@ -93,21 +93,6 @@ var variableDocs = map[string]string{
 	"ht":                  "scalar sum of jet pT (GeV)",
 }
 
-// VariableDoc returns the documentation line for a catalogue variable.
-func VariableDoc(name string) (string, bool) {
-	d, ok := variableDocs[name]
-	return d, ok
-}
-
-// Variables returns the catalogue names (unsorted).
-func Variables() []string {
-	out := make([]string, 0, len(variableDocs))
-	for v := range variableDocs {
-		out = append(out, v)
-	}
-	return out
-}
-
 // EvalVariable computes a catalogue variable for an event. Aux variables
 // are addressed as "aux:<key>" and read the event's Aux map.
 func EvalVariable(e *datamodel.Event, name string) (float64, error) {
@@ -195,27 +180,6 @@ func (s Selection) Pass(e *datamodel.Event) (bool, error) {
 	return true, nil
 }
 
-// CutFlow evaluates the selection cut by cut and returns the number of
-// events surviving each prefix — the tabular presentation Les Houches
-// Recommendation 1a asks publications to include.
-func (s Selection) CutFlow(events []*datamodel.Event) ([]int, error) {
-	counts := make([]int, len(s.Cuts)+1)
-	counts[0] = len(events)
-	for _, e := range events {
-		for i, c := range s.Cuts {
-			ok, err := c.Eval(e)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			counts[i+1]++
-		}
-	}
-	return counts, nil
-}
-
 // SlimPolicy is the content-pruning half of a derivation.
 type SlimPolicy struct {
 	Name string `json:"name"`
@@ -298,14 +262,6 @@ type Report struct {
 	Derivation string
 	Input      int
 	Selected   int
-}
-
-// Efficiency returns the skim's selection efficiency.
-func (r Report) Efficiency() float64 {
-	if r.Input == 0 {
-		return 0
-	}
-	return float64(r.Selected) / float64(r.Input)
 }
 
 // Apply evaluates the derivation on a single event: the derived event and

@@ -1,73 +1,18 @@
 // Package stats implements the statistical machinery the preserved-analysis
-// frameworks need: χ² and Kolmogorov–Smirnov compatibility tests for
-// validating re-run analyses against archived reference data, Poisson
-// counting limits (CLs-style) for the RECAST and Les Houches
-// reinterpretation use cases, and basic descriptive statistics.
+// frameworks need: the χ² compatibility test for validating re-run analyses
+// against archived reference data, and Poisson counting limits (CLs-style)
+// and significances for the RECAST and Les Houches reinterpretation use
+// cases.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrMismatch is returned when two samples that must be compared bin-by-bin
 // have different lengths.
 var ErrMismatch = errors.New("stats: length mismatch")
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance, or 0 for fewer than two
-// points.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// WeightedMean returns the inverse-variance weighted mean of values with the
-// given (absolute) uncertainties and its combined uncertainty. Entries with
-// non-positive uncertainty are ignored. It returns (0, 0) if nothing usable
-// remains.
-func WeightedMean(values, sigmas []float64) (mean, sigma float64) {
-	if len(values) != len(sigmas) {
-		return 0, 0
-	}
-	var sw, swx float64
-	for i, v := range values {
-		s := sigmas[i]
-		if s <= 0 {
-			continue
-		}
-		w := 1 / (s * s)
-		sw += w
-		swx += w * v
-	}
-	if sw == 0 {
-		return 0, 0
-	}
-	return swx / sw, 1 / math.Sqrt(sw)
-}
 
 // Chi2Result carries the outcome of a χ² compatibility test.
 type Chi2Result struct {
@@ -90,26 +35,6 @@ func (r Chi2Result) Reduced() float64 {
 // alpha (e.g. 0.01): the standard "re-run reproduces the archived result"
 // criterion used by the validation harnesses.
 func (r Chi2Result) Compatible(alpha float64) bool { return r.PValue >= alpha }
-
-// Chi2Counts compares two histograms of event counts bin-by-bin, using
-// Poisson variances (n1+n2 per bin). Bins empty in both inputs are skipped.
-func Chi2Counts(n1, n2 []float64) (Chi2Result, error) {
-	if len(n1) != len(n2) {
-		return Chi2Result{}, ErrMismatch
-	}
-	var chi2 float64
-	ndf := 0
-	for i := range n1 {
-		v := n1[i] + n2[i]
-		if v <= 0 {
-			continue
-		}
-		d := n1[i] - n2[i]
-		chi2 += d * d / v
-		ndf++
-	}
-	return Chi2Result{Chi2: chi2, NDF: ndf, PValue: ChiSquaredSurvival(chi2, ndf)}, nil
-}
 
 // Chi2WithErrors compares two measurements with explicit per-bin
 // uncertainties. Bins where the combined uncertainty vanishes are skipped.
@@ -205,119 +130,6 @@ func gammaQContinued(a, x float64) float64 {
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
-// KSResult carries the outcome of a two-sample Kolmogorov–Smirnov test.
-type KSResult struct {
-	// D is the maximum distance between the two empirical CDFs.
-	D float64
-	// PValue is the asymptotic probability of a distance at least D under
-	// the hypothesis that both samples draw from the same distribution.
-	PValue float64
-}
-
-// KolmogorovSmirnov runs the two-sample KS test. The inputs need not be
-// sorted and may have different lengths; empty inputs yield D=0, p=1.
-func KolmogorovSmirnov(a, b []float64) KSResult {
-	if len(a) == 0 || len(b) == 0 {
-		return KSResult{D: 0, PValue: 1}
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	var d float64
-	i, j := 0, 0
-	na, nb := float64(len(as)), float64(len(bs))
-	for i < len(as) && j < len(bs) {
-		// Advance through tie blocks on both sides together so equal
-		// values never create a spurious CDF gap.
-		va, vb := as[i], bs[j]
-		if va <= vb {
-			for i < len(as) && as[i] == va {
-				i++
-			}
-		}
-		if vb <= va {
-			for j < len(bs) && bs[j] == vb {
-				j++
-			}
-		}
-		if diff := math.Abs(float64(i)/na - float64(j)/nb); diff > d {
-			d = diff
-		}
-	}
-	ne := na * nb / (na + nb)
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	return KSResult{D: d, PValue: ksProb(lambda)}
-}
-
-// ksProb is the Kolmogorov distribution survival function
-// Q(λ) = 2 Σ (-1)^{k-1} exp(-2 k² λ²).
-func ksProb(lambda float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	sum := 0.0
-	sign := 1.0
-	for k := 1; k <= 100; k++ {
-		term := sign * math.Exp(-2*float64(k*k)*lambda*lambda)
-		sum += term
-		if math.Abs(term) < 1e-12*math.Abs(sum) {
-			break
-		}
-		sign = -sign
-	}
-	p := 2 * sum
-	switch {
-	case p < 0:
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
-	}
-}
-
-// PoissonCI returns the Garwood (exact frequentist) central confidence
-// interval for a Poisson mean given n observed events, at the given
-// confidence level (e.g. 0.68 or 0.95).
-func PoissonCI(n int, cl float64) (lo, hi float64) {
-	if n < 0 {
-		n = 0
-	}
-	alpha := 1 - cl
-	if n == 0 {
-		lo = 0
-	} else {
-		lo = 0.5 * chi2Quantile(alpha/2, 2*n)
-	}
-	hi = 0.5 * chi2Quantile(1-alpha/2, 2*(n+1))
-	return lo, hi
-}
-
-// chi2Quantile inverts the χ² CDF by bisection. Robust rather than fast;
-// limit setting is not on the hot path.
-func chi2Quantile(p float64, ndf int) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := 0.0, float64(ndf)+10
-	for 1-ChiSquaredSurvival(hi, ndf) < p {
-		hi *= 2
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if 1-ChiSquaredSurvival(mid, ndf) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // UpperLimit computes a CLs-style upper limit on the signal yield s, given
 // nObs observed events and an expected background b, at the given confidence
 // level. It inverts the CLs ratio CL_{s+b}/CL_b by bisection over s. This is
@@ -354,27 +166,6 @@ func UpperLimit(nObs int, background float64, cl float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// ExpectedLimits returns the median and ±1σ band of the CLs upper limit
-// under the background-only hypothesis: the "expected limit" a search
-// quotes next to the observed one. Pseudo-experiments draw nObs from a
-// Poisson of mean b through the supplied deviate function (inject a
-// deterministic RNG for reproducibility).
-func ExpectedLimits(background float64, cl float64, trials int, poissonDeviate func(mean float64) int) (lo, median, hi float64) {
-	if trials < 1 {
-		trials = 1
-	}
-	limits := make([]float64, trials)
-	for i := range limits {
-		limits[i] = UpperLimit(poissonDeviate(background), background, cl)
-	}
-	sort.Float64s(limits)
-	quantile := func(q float64) float64 {
-		idx := int(q * float64(trials-1))
-		return limits[idx]
-	}
-	return quantile(0.16), quantile(0.5), quantile(0.84)
 }
 
 // poissonCDF returns P(X <= n) for mean mu, computed in log space for

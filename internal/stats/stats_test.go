@@ -4,41 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"daspos/internal/xrand"
 )
-
-func TestMeanVariance(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); got != 5 {
-		t.Fatalf("mean %v", got)
-	}
-	if got := Variance(xs); math.Abs(got-32.0/7) > 1e-12 {
-		t.Fatalf("variance %v", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Fatal("degenerate inputs must return 0")
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	// Equal uncertainties reduce to the plain mean.
-	m, s := WeightedMean([]float64{1, 3}, []float64{2, 2})
-	if math.Abs(m-2) > 1e-12 {
-		t.Fatalf("weighted mean %v", m)
-	}
-	if math.Abs(s-2/math.Sqrt2) > 1e-12 {
-		t.Fatalf("weighted sigma %v", s)
-	}
-	// A zero-uncertainty entry is skipped, not trusted infinitely.
-	m, _ = WeightedMean([]float64{1, 100}, []float64{1, 0})
-	if m != 1 {
-		t.Fatalf("zero-sigma entry not skipped: %v", m)
-	}
-	if m, s = WeightedMean([]float64{1}, []float64{1, 2}); m != 0 || s != 0 {
-		t.Fatal("length mismatch must return zeros")
-	}
-}
 
 func TestChiSquaredSurvivalAnchors(t *testing.T) {
 	// Known values: P(chi2 >= ndf) ~ 0.5 at the median-ish region, and
@@ -77,36 +43,6 @@ func TestChiSquaredSurvivalMonotone(t *testing.T) {
 	}
 }
 
-func TestChi2CountsIdentical(t *testing.T) {
-	n := []float64{5, 10, 20, 8}
-	r, err := Chi2Counts(n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Chi2 != 0 || r.NDF != 4 || r.PValue != 1 {
-		t.Fatalf("identical counts: %+v", r)
-	}
-	if !r.Compatible(0.05) {
-		t.Fatal("identical histograms must be compatible")
-	}
-}
-
-func TestChi2CountsMismatch(t *testing.T) {
-	if _, err := Chi2Counts([]float64{1}, []float64{1, 2}); err != ErrMismatch {
-		t.Fatalf("expected ErrMismatch, got %v", err)
-	}
-}
-
-func TestChi2CountsSkipsEmpty(t *testing.T) {
-	r, err := Chi2Counts([]float64{0, 5}, []float64{0, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NDF != 1 {
-		t.Fatalf("empty bin not skipped: ndf=%d", r.NDF)
-	}
-}
-
 func TestChi2WithErrors(t *testing.T) {
 	y1 := []float64{10, 20}
 	e1 := []float64{1, 2}
@@ -132,91 +68,6 @@ func TestReducedChi2(t *testing.T) {
 	}
 	if !math.IsInf(Chi2Result{Chi2: 1}.Reduced(), 1) {
 		t.Fatal("ndf=0 must give +Inf")
-	}
-}
-
-func TestKSIdenticalSamples(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	r := KolmogorovSmirnov(a, a)
-	if r.D != 0 {
-		t.Fatalf("identical D=%v", r.D)
-	}
-	if r.PValue < 0.99 {
-		t.Fatalf("identical p=%v", r.PValue)
-	}
-}
-
-func TestKSDisjointSamples(t *testing.T) {
-	a := make([]float64, 200)
-	b := make([]float64, 200)
-	for i := range a {
-		a[i] = float64(i)
-		b[i] = float64(i) + 1000
-	}
-	r := KolmogorovSmirnov(a, b)
-	if math.Abs(r.D-1) > 1e-12 {
-		t.Fatalf("disjoint D=%v", r.D)
-	}
-	if r.PValue > 1e-6 {
-		t.Fatalf("disjoint p=%v", r.PValue)
-	}
-}
-
-func TestKSSameDistribution(t *testing.T) {
-	r := xrand.New(21)
-	a := make([]float64, 2000)
-	b := make([]float64, 2000)
-	for i := range a {
-		a[i] = r.Gauss(0, 1)
-		b[i] = r.Gauss(0, 1)
-	}
-	res := KolmogorovSmirnov(a, b)
-	if res.PValue < 0.001 {
-		t.Fatalf("same-distribution samples rejected: p=%v D=%v", res.PValue, res.D)
-	}
-}
-
-func TestKSShiftedDistribution(t *testing.T) {
-	r := xrand.New(22)
-	a := make([]float64, 2000)
-	b := make([]float64, 2000)
-	for i := range a {
-		a[i] = r.Gauss(0, 1)
-		b[i] = r.Gauss(0.5, 1)
-	}
-	res := KolmogorovSmirnov(a, b)
-	if res.PValue > 1e-4 {
-		t.Fatalf("shifted distribution not rejected: p=%v", res.PValue)
-	}
-}
-
-func TestKSEmpty(t *testing.T) {
-	r := KolmogorovSmirnov(nil, []float64{1})
-	if r.D != 0 || r.PValue != 1 {
-		t.Fatalf("empty input: %+v", r)
-	}
-}
-
-func TestPoissonCIZero(t *testing.T) {
-	lo, hi := PoissonCI(0, 0.95)
-	if lo != 0 {
-		t.Fatalf("lo %v", lo)
-	}
-	// Exact upper bound for n=0 at 95% central: -ln(0.025) ≈ 3.689.
-	if math.Abs(hi-3.689) > 0.01 {
-		t.Fatalf("hi %v want ~3.689", hi)
-	}
-}
-
-func TestPoissonCICoversN(t *testing.T) {
-	for _, n := range []int{1, 5, 20, 100} {
-		lo, hi := PoissonCI(n, 0.68)
-		if !(lo < float64(n) && float64(n) < hi) {
-			t.Errorf("CI [%v,%v] does not cover n=%d", lo, hi, n)
-		}
-		if hi-lo < math.Sqrt(float64(n)) {
-			t.Errorf("CI [%v,%v] narrower than sqrt(n) at n=%d", lo, hi, n)
-		}
 	}
 }
 
@@ -263,43 +114,8 @@ func TestSignificance(t *testing.T) {
 	}
 }
 
-func BenchmarkChi2Counts(b *testing.B) {
-	n1 := make([]float64, 100)
-	n2 := make([]float64, 100)
-	for i := range n1 {
-		n1[i] = float64(i + 1)
-		n2[i] = float64(i + 2)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = Chi2Counts(n1, n2)
-	}
-}
-
 func BenchmarkUpperLimit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = UpperLimit(5, 3.2, 0.95)
-	}
-}
-
-func TestExpectedLimits(t *testing.T) {
-	r := xrand.New(99)
-	lo, median, hi := ExpectedLimits(5.0, 0.95, 500, r.Poisson)
-	if !(lo <= median && median <= hi) {
-		t.Fatalf("band ordering: %v %v %v", lo, median, hi)
-	}
-	if lo == hi {
-		t.Fatal("degenerate band")
-	}
-	// The median expected limit for b=5 must bracket the observed limit
-	// at n=5 (the Asimov-like point).
-	asimov := UpperLimit(5, 5, 0.95)
-	if median < 0.5*asimov || median > 2*asimov {
-		t.Fatalf("median %v far from asimov %v", median, asimov)
-	}
-	// Degenerate trial count must not panic.
-	_, m1, _ := ExpectedLimits(2, 0.95, 0, r.Poisson)
-	if m1 <= 0 {
-		t.Fatalf("single-trial median %v", m1)
 	}
 }

@@ -215,73 +215,3 @@ func (t *Table) String() string {
 	sep()
 	return b.String()
 }
-
-// Markdown renders the table as GitHub-flavoured Markdown. Cell wrapping is
-// not applied; pipes inside cells are escaped.
-func (t *Table) Markdown() string {
-	ncols := t.ncols()
-	if ncols == 0 {
-		return ""
-	}
-	esc := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	row := func(cells []string) {
-		b.WriteByte('|')
-		for i := 0; i < ncols; i++ {
-			var c string
-			if i < len(cells) {
-				c = cells[i]
-			}
-			b.WriteByte(' ')
-			b.WriteString(esc(c))
-			b.WriteString(" |")
-		}
-		b.WriteByte('\n')
-	}
-	row(t.headers)
-	b.WriteByte('|')
-	for i := 0; i < ncols; i++ {
-		switch t.align(i) {
-		case Right:
-			b.WriteString("---:|")
-		case Center:
-			b.WriteString(":--:|")
-		default:
-			b.WriteString("---|")
-		}
-	}
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		row(r)
-	}
-	return b.String()
-}
-
-// CSV renders the table as RFC-4180-style comma-separated values with a
-// header row. Cells containing commas, quotes, or newlines are quoted.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	field := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	row := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(field(c))
-		}
-		b.WriteByte('\n')
-	}
-	row(t.headers)
-	for _, r := range t.rows {
-		row(r)
-	}
-	return b.String()
-}

@@ -126,36 +126,6 @@ func TestEmptyTable(t *testing.T) {
 	if tb.String() != "" {
 		t.Fatal("empty table should render empty")
 	}
-	if tb.Markdown() != "" {
-		t.Fatal("empty markdown should render empty")
-	}
-}
-
-func TestMarkdown(t *testing.T) {
-	tb := New("A", "B")
-	tb.SetAlign(1, Right)
-	tb.AddRow("x|y", 3)
-	md := tb.Markdown()
-	if !strings.Contains(md, `x\|y`) {
-		t.Fatalf("pipe not escaped:\n%s", md)
-	}
-	if !strings.Contains(md, "---:|") {
-		t.Fatalf("right-align marker missing:\n%s", md)
-	}
-	if !strings.HasPrefix(md, "| A | B |") {
-		t.Fatalf("header row malformed:\n%s", md)
-	}
-}
-
-func TestCSV(t *testing.T) {
-	tb := New("name", "note")
-	tb.AddRow("a,b", `say "hi"`)
-	tb.AddRow("plain", "x")
-	csv := tb.CSV()
-	want := "name,note\n\"a,b\",\"say \"\"hi\"\"\"\nplain,x\n"
-	if csv != want {
-		t.Fatalf("csv mismatch:\n got %q\nwant %q", csv, want)
-	}
 }
 
 func TestNumRows(t *testing.T) {

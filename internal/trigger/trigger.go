@@ -124,16 +124,6 @@ func DecodeMenu(data []byte) (*Menu, error) {
 	return &m, nil
 }
 
-// ItemIndex returns the bit position of the named item, or -1.
-func (m *Menu) ItemIndex(name string) int {
-	for i, it := range m.Items {
-		if it.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // StandardMenu returns the default physics menu: unprescaled primary
 // triggers plus a prescaled soft muon for monitoring.
 func StandardMenu() *Menu {
@@ -160,12 +150,6 @@ type Decision struct {
 	// Accepted is true when any post-prescale bit is set: the event is
 	// read out.
 	Accepted bool
-}
-
-// Fired reports whether the named item passed (after prescale).
-func (d Decision) Fired(menu *Menu, name string) bool {
-	i := menu.ItemIndex(name)
-	return i >= 0 && d.Bits&(1<<uint(i)) != 0
 }
 
 // Trigger evaluates a menu over simulated events. Prescale counters are

@@ -21,6 +21,22 @@ func simulate(t testing.TB, seed uint64, mk func(generator.Config) generator.Gen
 	return out
 }
 
+// itemIndex returns the bit position of the named item, or -1.
+func itemIndex(m *Menu, name string) int {
+	for i, it := range m.Items {
+		if it.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// fired reports whether the named item passed (after prescale).
+func fired(d Decision, m *Menu, name string) bool {
+	i := itemIndex(m, name)
+	return i >= 0 && d.Bits&(1<<uint(i)) != 0
+}
+
 func TestMenuValidate(t *testing.T) {
 	if err := StandardMenu().Validate(); err != nil {
 		t.Fatal(err)
@@ -85,10 +101,10 @@ func TestMuonTriggerFiresOnZEvents(t *testing.T) {
 	mu20, dimu := 0, 0
 	for _, se := range events {
 		d := trg.Evaluate(se)
-		if d.Fired(trg.Menu(), "L1_MU20") {
+		if fired(d, trg.Menu(), "L1_MU20") {
 			mu20++
 		}
-		if d.Fired(trg.Menu(), "L1_2MU5") {
+		if fired(d, trg.Menu(), "L1_2MU5") {
 			dimu++
 		}
 	}
@@ -108,7 +124,7 @@ func TestEMTriggerFiresOnDiphoton(t *testing.T) {
 	events := simulate(t, 2, func(c generator.Config) generator.Generator { return generator.NewHiggsDiphoton(c) }, 80)
 	em := 0
 	for _, se := range events {
-		if trg.Evaluate(se).Fired(trg.Menu(), "L1_EM25") {
+		if fired(trg.Evaluate(se), trg.Menu(), "L1_EM25") {
 			em++
 		}
 	}
@@ -143,7 +159,7 @@ func TestJetTriggerFiresOnDijets(t *testing.T) {
 	events := simulate(t, 4, func(c generator.Config) generator.Generator { return generator.NewQCDDijet(c) }, 100)
 	jet := 0
 	for _, se := range events {
-		if trg.Evaluate(se).Fired(trg.Menu(), "L1_J80") {
+		if fired(trg.Evaluate(se), trg.Menu(), "L1_J80") {
 			jet++
 		}
 	}
@@ -179,7 +195,7 @@ func TestPrescaleReducesRate(t *testing.T) {
 	trg := New(StandardMenu(), det)
 	events := simulate(t, 6, func(c generator.Config) generator.Generator { return generator.NewDrellYanZ(c) }, 200)
 	var rawSoft, keptSoft int
-	idx := trg.Menu().ItemIndex("L1_MU3_PS")
+	idx := itemIndex(trg.Menu(), "L1_MU3_PS")
 	for _, se := range events {
 		d := trg.Evaluate(se)
 		if d.RawBits&(1<<uint(idx)) != 0 {
@@ -231,7 +247,7 @@ func TestNewPanicsOnInvalidMenu(t *testing.T) {
 func TestDecisionFiredUnknownItem(t *testing.T) {
 	menu := StandardMenu()
 	d := Decision{Bits: ^uint64(0)}
-	if d.Fired(menu, "NOPE") {
+	if fired(d, menu, "NOPE") {
 		t.Fatal("unknown item fired")
 	}
 }

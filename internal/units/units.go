@@ -155,19 +155,6 @@ func Charge(pdg int) float64 {
 	return table[pdg].Charge
 }
 
-// Name returns the human-readable species name for a code.
-func Name(pdg int) string {
-	p, _ := Lookup(pdg)
-	return p.Name
-}
-
-// IsStable reports whether the species reaches the detector rather than
-// decaying promptly in simulation terms.
-func IsStable(pdg int) bool {
-	p, ok := Lookup(pdg)
-	return ok && p.Stable
-}
-
 // IsNeutrino reports whether the code is a neutrino species (invisible to
 // the detector; contributes to missing transverse momentum).
 func IsNeutrino(pdg int) bool {
@@ -180,13 +167,3 @@ func IsNeutrino(pdg int) bool {
 
 // IsCharged reports whether the species carries electric charge.
 func IsCharged(pdg int) bool { return Charge(pdg) != 0 }
-
-// Known returns the PDG codes of all species in the table, for enumeration
-// in tests and format documentation.
-func Known() []int {
-	out := make([]int, 0, len(table))
-	for code := range table {
-		out = append(out, code)
-	}
-	return out
-}

@@ -171,9 +171,6 @@ func (c *Context) External(dep string) {
 	c.external = append(c.external, dep)
 }
 
-// Config returns the step's captured configuration value.
-func (c *Context) Config(key string) string { return c.step.Config[key] }
-
 // StepFunc is the executable body of a step.
 type StepFunc func(ctx *Context) error
 

@@ -41,27 +41,6 @@ func TestZeroSeedIsValid(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	// Child and parent must not emit the same stream.
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			t.Fatalf("parent and child streams collided at %d", i)
-		}
-	}
-}
-
-func TestSplitDeterminism(t *testing.T) {
-	c1 := New(7).Split()
-	c2 := New(7).Split()
-	for i := 0; i < 100; i++ {
-		if c1.Uint64() != c2.Uint64() {
-			t.Fatal("Split is not deterministic")
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 100000; i++ {

@@ -4,7 +4,12 @@
 # pools, circuit breakers, shared fault injectors), so -race is not
 # optional here. The run includes the fixity kernel's differential tests
 # and the seed corpora of its fuzz targets (FuzzInflateMatchesFlate,
-# FuzzVerifyMatchesDecode, FuzzNodePut); CI's chaos job fuzzes them for real.
+# FuzzVerifyMatchesDecode, FuzzNodePut) and of the wire decoders'
+# (FuzzDecodeCursor, FuzzDecodeBudget); CI's chaos job fuzzes them for
+# real. It also includes the reachability gate
+# (TestInternalExportsAreReached in internal/analysis): an exported
+# internal/ declaration no main reaches fails here unless
+# internal/analysis/testdata/reach-keep.txt keeps it for a stated reason.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -30,5 +35,9 @@ echo "==> read-tier allocation gates (race detector off)"
 go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs' ./internal/queryserve
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"
 go test -count=1 -run 'TestFullSimProcessAllocsPerEvent|TestFullSimMemoryIndependentOfEvents' ./internal/recast
+
+# The ROADMAP's size metric, printed so a re-anchor reads it here.
+echo "==> non-test Go lines outside bench/"
+find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
 echo "verify: OK"

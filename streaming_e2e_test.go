@@ -155,16 +155,51 @@ func TestStreamingByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if len(want) != 5 {
 		t.Fatalf("reference tiers: %d", len(want))
 	}
-	for _, cfg := range []struct{ workers, batch int }{
+	for i, cfg := range []struct{ workers, batch int }{
 		{1, 32}, {2, 32}, {4, 32}, {8, 32}, {4, 1}, {4, 7}, {2, 256},
 	} {
-		got := tierDigests(runStreaming(t, spec, cfg.workers, cfg.batch))
+		tiers := runStreaming(t, spec, cfg.workers, cfg.batch)
+		if i == 0 {
+			assertTierCascade(t, tiers)
+		}
+		got := tierDigests(tiers)
 		for tier, digest := range want {
 			if got[tier] != digest {
 				t.Errorf("workers=%d batch=%d: tier %s digest %s != sequential %s",
 					cfg.workers, cfg.batch, tier, got[tier], digest)
 			}
 		}
+	}
+}
+
+// assertTierCascade pins the shape EXPERIMENTS.md W1 claims for the chain
+// daspos-pipeline runs (paper §3.2, "nested levels of processing …
+// reduction of the final data size"): every tier is strictly smaller in
+// total bytes than the one it is made from, RAW > RECO > AOD > each
+// derivation, and RAW → AOD is more than an order of magnitude. Bytes per
+// *selected* event are not part of the claim: a derivation's per-file
+// overhead is spread over fewer events than AOD's.
+func assertTierCascade(t *testing.T, tiers map[string][]byte) {
+	t.Helper()
+	raw, rec, aod := len(tiers["raw"]), len(tiers["reco"]), len(tiers["aod"])
+	if !(raw > rec && rec > aod && aod > 0) {
+		t.Errorf("tier sizes not strictly decreasing: RAW %d, RECO %d, AOD %d bytes", raw, rec, aod)
+	}
+	if raw <= 10*aod {
+		t.Errorf("RAW → AOD is %.1f×, want more than 10× (RAW %d, AOD %d bytes)", float64(raw)/float64(aod), raw, aod)
+	}
+	derived := 0
+	for name, data := range tiers {
+		if !strings.HasPrefix(name, "skim.") {
+			continue
+		}
+		derived++
+		if len(data) >= aod {
+			t.Errorf("derived tier %s is %d bytes, not smaller than AOD's %d", name, len(data), aod)
+		}
+	}
+	if derived == 0 {
+		t.Error("the chain wrote no derived tier")
 	}
 }
 
