@@ -11,9 +11,10 @@
 //	daspos-recast scan  [-backend ...] [-from M0 -to M1 -step dM] [-xsec PB]
 //
 // serve starts the overload-safe multi-tenant front end with the high-mass
-// dimuon search subscribed: submissions are rate-limited per tenant, queued
-// in a crash-safe fair queue under -journal-dir, and processed by -workers
-// back-end workers; GET /status reports queue depth, breaker state, and
+// dimuon search subscribed: submissions are rate-limited per tenant,
+// journaled in the request ledger (requests.log under -journal-dir, the
+// service's only durable state) from which the fair queue is rebuilt on
+// every start, and processed by -workers back-end workers; GET /status reports queue depth, breaker state, and
 // per-tenant counters. demo submits a Z′ request against an in-process
 // service, walks the approval workflow, and prints the result; scan walks
 // the mass plane and prints the limit table with exclusion verdicts.
@@ -125,7 +126,7 @@ func serve(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	backendName := fs.String("backend", "fullsim", "processing back end (fullsim or bridge)")
-	journalDir := fs.String("journal-dir", "recast-data", "directory for the request and queue journals (crash recovery)")
+	journalDir := fs.String("journal-dir", "recast-data", "directory of the request ledger, requests.log (crash recovery)")
 	workers := fs.Int("workers", 2, "back-end worker pool size")
 	queueBound := fs.Int("queue-bound", 64, "queued entries before new submissions shed with 429")
 	degradedBound := fs.Int("degraded-bound", 0, "intake bound while the back end browns out (0 = queue-bound/4)")
@@ -163,8 +164,8 @@ func serve(args []string) {
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
-	// Drain the worker pool and close the journals; accepted-but-unrun
-	// work replays from the queue journal on the next start.
+	// Drain the worker pool and close the ledger; accepted-but-unrun
+	// work is queued again from its approved records on the next start.
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}

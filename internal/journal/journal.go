@@ -1,7 +1,7 @@
 // Package journal is the one append-only journal every durable DASPOS
-// component writes: the checkpoint ledger, the RECAST request ledger and
-// the RECAST work queue. A journal is a file of JSON lines, one record
-// per line, and the package owns the whole protocol around it:
+// component writes: the checkpoint ledger and the RECAST request ledger.
+// A journal is a file of JSON lines, one record per line, and the package
+// owns the whole protocol around it:
 //
 //   - Open replays every complete line through the owner's apply
 //     function. A final line without its newline is what a crash
@@ -45,29 +45,11 @@ func Open[T any](path string, apply func(rec T) error) (*Journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("journal: creating directory of %s: %w", path, err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("journal: reading %s: %w", path, err)
+	valid, size, err := replay(path, apply)
+	if err != nil {
+		return nil, err
 	}
-	valid, lineNo := 0, 0
-	for valid < len(data) {
-		nl := bytes.IndexByte(data[valid:], '\n')
-		if nl < 0 {
-			break // torn tail: the crash interrupted the final append
-		}
-		lineNo++
-		if line := bytes.TrimSpace(data[valid : valid+nl]); len(line) > 0 {
-			var rec T
-			if err := json.Unmarshal(line, &rec); err != nil {
-				return nil, fmt.Errorf("journal: %s line %d corrupt: %w", path, lineNo, err)
-			}
-			if err := apply(rec); err != nil {
-				return nil, fmt.Errorf("journal: %s line %d: %w", path, lineNo, err)
-			}
-		}
-		valid += nl + 1
-	}
-	if valid < len(data) {
+	if valid < size {
 		if err := os.Truncate(path, int64(valid)); err != nil {
 			return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
 		}
@@ -77,6 +59,43 @@ func Open[T any](path string, apply func(rec T) error) (*Journal, error) {
 		return nil, fmt.Errorf("journal: opening %s for append: %w", path, err)
 	}
 	return &Journal{path: path, f: f}, nil
+}
+
+// Replay is the read half of Open for a journal that is only ever read
+// again (a file an earlier layout wrote): same decoding, same corruption
+// policy, but a torn tail is skipped where it lies and the file is neither
+// created, truncated nor opened for writing. A missing file replays nothing.
+func Replay[T any](path string, apply func(rec T) error) error {
+	_, _, err := replay(path, apply)
+	return err
+}
+
+// replay hands every complete line of path to apply and reports how many
+// leading bytes held complete lines, and the file's size.
+func replay[T any](path string, apply func(rec T) error) (valid, size int, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return 0, 0, fmt.Errorf("journal: reading %s: %w", path, err)
+	}
+	lineNo := 0
+	for valid < len(data) {
+		nl := bytes.IndexByte(data[valid:], '\n')
+		if nl < 0 {
+			break // torn tail: the crash interrupted the final append
+		}
+		lineNo++
+		if line := bytes.TrimSpace(data[valid : valid+nl]); len(line) > 0 {
+			var rec T
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return 0, 0, fmt.Errorf("journal: %s line %d corrupt: %w", path, lineNo, err)
+			}
+			if err := apply(rec); err != nil {
+				return 0, 0, fmt.Errorf("journal: %s line %d: %w", path, lineNo, err)
+			}
+		}
+		valid += nl + 1
+	}
+	return valid, len(data), nil
 }
 
 // Path returns the journal file location.

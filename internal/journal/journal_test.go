@@ -273,3 +273,39 @@ func FuzzReplay(f *testing.F) {
 		}
 	})
 }
+
+// TestReplayLeavesTheFileAlone: Replay is Open's read half for a file that
+// is evidence, not state — it applies what Open would, skips a torn tail
+// without cutting it away, refuses corruption the same way, and for a
+// missing file creates nothing.
+func TestReplayLeavesTheFileAlone(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "old.log")
+	log := `{"n":1}` + "\n" + `{"n":2,"note":"x"}` + "\n" + `{"n":3,"no`
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []rec
+	if err := Replay(path, func(r rec) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := records(2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed %v, want %v", got, want)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != log {
+		t.Fatalf("Replay changed the file: %q %v", data, err)
+	}
+	if err := os.WriteFile(path, []byte("not json\n"+log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Replay(path, func(rec) error { return nil }); err == nil {
+		t.Fatal("mid-stream corruption replayed silently")
+	}
+	missing := filepath.Join(dir, "never", "written.log")
+	if err := Replay(missing, func(rec) error { t.Fatal("applied a record of no file"); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Dir(missing)); !os.IsNotExist(err) {
+		t.Fatalf("Replay of a missing file created its directory: %v", err)
+	}
+}

@@ -251,7 +251,7 @@ func TestQueueCancellationLeavesWorkInFlight(t *testing.T) {
 	}
 
 	// Every request is still approved — in flight or never picked up,
-	// never half-transitioned — and the journals hand all of it back.
+	// never half-transitioned — and the ledger hands all of it back.
 	for _, id := range ids {
 		req, err := svc.Get(id)
 		if err != nil {
@@ -263,7 +263,7 @@ func TestQueueCancellationLeavesWorkInFlight(t *testing.T) {
 	}
 	restored, _ := newStubService(t, nil)
 	re := serveService(t, restored, cfg)
-	if st := re.Queue().Stats(); st.Queued != len(ids) || st.Claimed != 0 {
+	if st := re.Status().Queue; st.Queued != len(ids) || st.Claimed != 0 {
 		t.Fatalf("recovered queue: %+v, want all %d queued", st, len(ids))
 	}
 	re.Start()
@@ -311,7 +311,7 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	srv := serveService(t, svc, cfg)
 	ids := submitAccepted(t, srv, 5)
 	// Two complete, one dead-letters, two stay in flight — then the
-	// process "crashes" with the journals as the only survivors.
+	// process "crashes" with the ledger as the only survivor.
 	if _, err := svc.Process(ids[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +342,8 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 
 	restored, _ := newStubService(t, faults.NewInjector(4))
 	re := serveService(t, restored, cfg)
-	// Terminal states and histories survived, and the queue entries the
-	// crash left open behind them are closed out.
+	// Terminal states and histories survived, and the scheduler owes
+	// nothing for them.
 	for _, id := range ids[:2] {
 		req, err := restored.Get(id)
 		if err != nil {
@@ -360,7 +360,7 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	if dead.Status != StatusFailed || len(dead.Attempts) != fastPolicy().MaxAttempts {
 		t.Fatalf("dead letter lost history: status=%s attempts=%d", dead.Status, len(dead.Attempts))
 	}
-	if st := re.Queue().Stats(); st.Queued != 2 || st.Terminal != 3 {
+	if st := re.Status().Queue; st.Queued != 2 || st.Terminal != 3 {
 		t.Fatalf("recovered queue: %+v, want exactly the two in-flight requests queued", st)
 	}
 

@@ -89,7 +89,7 @@ func TestRequestJournalReplayValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.List(); len(got) != 1 || got[0].Status != StatusRejected {
+	if got := svc.records(); len(got) != 1 || got[0].Status != StatusRejected {
 		t.Fatalf("last snapshot did not win: %+v", got)
 	}
 	// A service that already holds requests refuses a second ledger.
@@ -139,7 +139,7 @@ func TestServerReopensAfterTornRequestLog(t *testing.T) {
 	// The third open is the one that used to fail on the glued line.
 	srv, svc := reopen()
 	srv.Start()
-	if got := len(svc.List()); got != len(ids) {
+	if got := len(svc.records()); got != len(ids) {
 		t.Fatalf("%d requests after the third open, want %d", got, len(ids))
 	}
 	for i, id := range ids {
@@ -169,7 +169,7 @@ func TestSubmitWithClosedJournalIsRefused(t *testing.T) {
 	if w.Code < 500 {
 		t.Fatalf("submit with the request journal closed: %d %s, want 5xx", w.Code, w.Body)
 	}
-	if got := srv.Service().List(); len(got) != 0 {
+	if got := srv.svc.records(); len(got) != 0 {
 		t.Fatalf("unjournaled request kept in the ledger: %+v", got)
 	}
 	if srv.Status().JournalOK {
@@ -177,15 +177,18 @@ func TestSubmitWithClosedJournalIsRefused(t *testing.T) {
 	}
 }
 
-// TestParentJournalsReopenUnchanged replays journals written by the commit
-// before the journals moved onto package journal — a `daspos-recast serve`
-// run with manual approvals, then an auto-approving run killed with
-// SIGKILL mid-request — and demands the state that commit itself
-// recovered from them (the *.golden.json files, dumped by its code).
+// TestParentJournalsReopenUnchanged opens a directory in the two-file
+// layout, written by the commit before the journals moved onto package
+// journal — a `daspos-recast serve` run with manual approvals, then an
+// auto-approving run killed with SIGKILL mid-request — and demands the state
+// that commit itself recovered from it (the *.golden.json files, dumped by
+// its code): the ledger from requests.log, and the scheduler from what the
+// read-only import of queue/queue.log lends the ledger.
 func TestParentJournalsReopenUnchanged(t *testing.T) {
 	src := filepath.Join("testdata", "parent_journals")
 	dir := t.TempDir()
-	for _, name := range []string{"requests.log", filepath.Join("queue", "queue.log")} {
+	queueLog := filepath.Join("queue", "queue.log")
+	for _, name := range []string{"requests.log", queueLog} {
 		data, err := os.ReadFile(filepath.Join(src, name))
 		if err != nil {
 			t.Fatal(err)
@@ -197,6 +200,11 @@ func TestParentJournalsReopenUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The parent's file is evidence, not state: where the test is not root,
+	// an import that tried to write it would fail here.
+	if err := os.Chmod(filepath.Join(dir, queueLog), 0o444); err != nil {
+		t.Fatal(err)
+	}
 	golden := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join(src, name))
 		if err != nil {
@@ -206,35 +214,49 @@ func TestParentJournalsReopenUnchanged(t *testing.T) {
 	}
 
 	svc, _ := newStubService(t, nil)
-	if err := svc.openJournal(filepath.Join(dir, "requests.log")); err != nil {
-		t.Fatal(err)
+	srv := serveService(t, svc, ServerConfig{JournalDir: dir})
+	var ledger []*Request
+	for _, rec := range svc.records() {
+		ledger = append(ledger, &rec.Request)
 	}
-	got, err := json.MarshalIndent(svc.List(), "", " ")
+	got, err := json.MarshalIndent(ledger, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := golden("requests.golden.json"); !bytes.Equal(got, want) {
 		t.Fatalf("request ledger recovered from the parent's requests.log:\n%s\nwant:\n%s", got, want)
 	}
-	if err := svc.closeJournal(); err != nil {
-		t.Fatal(err)
-	}
-	q := openTestQueue(t, filepath.Join(dir, "queue"), nil)
-	if got, want := q.StateSnapshot(), golden("queue.golden.json"); !bytes.Equal(got, want) {
-		t.Fatalf("queue recovered from the parent's queue.log:\n%s\nwant:\n%s", got, want)
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
+	if got, want := srv.StateSnapshot(), golden("queue.golden.json"); !bytes.Equal(got, want) {
+		t.Fatalf("scheduler recovered from the parent's journals:\n%s\nwant:\n%s", got, want)
 	}
 
 	// And the front door serves from them: the two requests the SIGKILL
-	// left in flight complete.
-	served, _ := newStubService(t, nil)
-	srv := serveService(t, served, ServerConfig{JournalDir: dir})
+	// left in flight complete, under this chain's key.
 	srv.Start()
 	for _, id := range []string{"req-000006", "req-000007"} {
-		if req := waitTerminal(t, served, id); req.Status != StatusDone {
+		if req := waitTerminal(t, svc, id); req.Status != StatusDone {
 			t.Fatalf("%s ended %s", id, req.Status)
 		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every later open reads the parent's file again, for the finished
+	// requests this commit never rewrote, and leaves it as it was.
+	re, _ := newStubService(t, nil)
+	resrv := serveService(t, re, ServerConfig{JournalDir: dir})
+	if st := resrv.Status().Queue; st.Queued != 0 || st.Terminal != 4 {
+		t.Fatalf("second open: %+v, want the four sequenced requests terminal", st)
+	}
+	kept, err := os.ReadFile(filepath.Join(dir, queueLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orig, _ := os.ReadFile(filepath.Join(src, queueLog)); !bytes.Equal(kept, orig) {
+		t.Fatalf("the import changed the parent's queue journal:\n%s", kept)
+	}
+	if names := dirNames(t, filepath.Join(dir, "queue")); len(names) != 1 {
+		t.Fatalf("queue directory holds %v, want the parent's file alone", names)
 	}
 }

@@ -1,47 +1,91 @@
 package recast
 
 import (
-	"bytes"
-	"context"
+	"encoding/json"
 	"fmt"
-	"os"
+	"net/http"
+	"net/http/httptest"
 	"testing"
-
-	"daspos/internal/faults"
 )
 
-func openTestQueue(t *testing.T, dir string, weights map[string]float64) *PQueue {
-	t.Helper()
-	q, err := OpenPQueue(context.Background(), dir, PQueueOptions{Weights: weights})
-	if err != nil {
-		t.Fatal(err)
+// queueEntry is one row of the scheduler image, in the shape the parent's
+// queue journal gave its entries: testdata/parent_journals/queue.golden.json
+// is that commit's own dump of them.
+type queueEntry struct {
+	ID             string `json:"id"`
+	Tenant         string `json:"tenant"`
+	DedupKey       string `json:"dedup_key,omitempty"`
+	DeadlineUnixMs int64  `json:"deadline_unix_ms,omitempty"`
+	Seq            uint64 `json:"seq"`
+	State          string `json:"state"`
+	DedupOf        string `json:"dedup_of,omitempty"`
+}
+
+// StateSnapshot renders what the scheduler knows as canonical bytes: every
+// sequenced request sorted by ID, then each tenant's queued order, then the
+// per-tenant virtual times — the equality the kill-point sweep asserts
+// between a crashed-and-recovered server and one that never crashed, and
+// the image the parent's golden pins.
+func (s *Server) StateSnapshot() []byte {
+	type snapshot struct {
+		Entries []queueEntry        `json:"entries"`
+		Pending map[string][]string `json:"pending"`
+		VTime   map[string]float64  `json:"vtime"`
 	}
-	t.Cleanup(func() { q.Close() })
-	return q
+	snap := snapshot{Pending: make(map[string][]string), VTime: make(map[string]float64)}
+	for _, rec := range s.svc.records() {
+		if rec.Queue == nil || rec.Queue.Seq == 0 {
+			continue
+		}
+		state := string(rec.Status)
+		if rec.Status == StatusApproved {
+			state = "queued"
+		}
+		snap.Entries = append(snap.Entries, queueEntry{
+			ID: rec.ID, Tenant: rec.Requester, DedupKey: rec.Queue.DedupKey,
+			DeadlineUnixMs: rec.Queue.DeadlineUnixMs, Seq: rec.Queue.Seq,
+			State: state, DedupOf: rec.DedupOf,
+		})
+	}
+	s.pq.mu.Lock()
+	defer s.pq.mu.Unlock()
+	for t, es := range s.pq.pending {
+		for _, e := range es {
+			snap.Pending[t] = append(snap.Pending[t], e.id)
+		}
+	}
+	for t, v := range s.pq.vtime {
+		if v != 0 {
+			snap.VTime[t] = v
+		}
+	}
+	out, err := json.MarshalIndent(snap, "", " ")
+	if err != nil {
+		panic(err) // plain structs of strings and numbers
+	}
+	return out
 }
 
 func TestPQueueWeightedFairClaimOrder(t *testing.T) {
-	q := openTestQueue(t, t.TempDir(), map[string]float64{"heavy": 2})
+	q := newPQueue(map[string]float64{"heavy": 2})
+	push := func(id, tenant string) { q.push(entry{id: id, tenant: tenant, seq: q.nextSeq()}) }
 	// A flooding tenant enqueues six ahead of everyone; two light
 	// tenants and one weighted tenant each enqueue two.
 	for i := 0; i < 6; i++ {
-		mustEnqueue(t, q, fmt.Sprintf("flood-%d", i), "flood")
+		push(fmt.Sprintf("flood-%d", i), "flood")
 	}
 	for i := 0; i < 2; i++ {
-		mustEnqueue(t, q, fmt.Sprintf("a-%d", i), "alice")
-		mustEnqueue(t, q, fmt.Sprintf("b-%d", i), "bob")
-		mustEnqueue(t, q, fmt.Sprintf("h-%d", i), "heavy")
+		push(fmt.Sprintf("a-%d", i), "alice")
+		push(fmt.Sprintf("b-%d", i), "bob")
+		push(fmt.Sprintf("h-%d", i), "heavy")
 	}
 	var order []string
 	for {
-		e, ok, err := q.Claim()
-		if err != nil {
-			t.Fatal(err)
-		}
+		e, ok := q.claim()
 		if !ok {
 			break
 		}
-		order = append(order, e.ID)
+		order = append(order, e.id)
 	}
 	// Fair share: alice's and bob's second requests must both be served
 	// before the flooder's third — the flood only queues behind itself.
@@ -62,237 +106,93 @@ func TestPQueueWeightedFairClaimOrder(t *testing.T) {
 	}
 }
 
-func mustEnqueue(t *testing.T, q *PQueue, id, tenant string) {
-	t.Helper()
-	if err := q.Enqueue(QueueEntry{ID: id, Tenant: tenant}); err != nil {
-		t.Fatal(err)
-	}
+func postApprove(h http.Handler, id string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/requests/"+id+"/approve", nil)
+	req.Header.Set(roleHeader, roleExperiment)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	return w
 }
 
-func TestPQueueIdempotence(t *testing.T) {
-	q := openTestQueue(t, t.TempDir(), nil)
-	mustEnqueue(t, q, "r1", "t1")
-	seq := func() uint64 {
-		e, _ := q.Get("r1")
-		return e.Seq
-	}()
-	mustEnqueue(t, q, "r1", "t1") // duplicate: no-op
-	if got, _ := q.Get("r1"); got.Seq != seq {
-		t.Fatal("duplicate enqueue reassigned seq")
-	}
-	if st := q.Stats(); st.Queued != 1 {
-		t.Fatalf("queued = %d after duplicate enqueue, want 1", st.Queued)
-	}
-	if _, ok, _ := q.Claim(); !ok {
-		t.Fatal("claim failed")
-	}
-	if err := q.Complete("r1", EntryDone, ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Complete("r1", EntryFailed, ""); err != nil {
-		t.Fatal("re-complete of a terminal entry must be a no-op, got", err)
-	}
-	if e, _ := q.Get("r1"); e.State != EntryDone {
-		t.Fatalf("re-complete changed state to %s", e.State)
-	}
-	if err := q.Complete("r1", "meandering", ""); err == nil {
-		t.Fatal("non-terminal state accepted")
-	}
-}
-
-func TestPQueueRecoveryRequeuesOrphans(t *testing.T) {
-	dir := t.TempDir()
-	q := openTestQueue(t, dir, nil)
-	mustEnqueue(t, q, "r1", "t1")
-	mustEnqueue(t, q, "r2", "t1")
-	if _, ok, _ := q.Claim(); !ok {
-		t.Fatal("claim failed")
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re := openTestQueue(t, dir, nil)
-	st := re.Stats()
-	if st.Queued != 2 || st.Claimed != 0 {
-		t.Fatalf("after recovery: queued=%d claimed=%d, want 2/0 (orphan requeued)", st.Queued, st.Claimed)
-	}
-	// The orphan keeps its FIFO position: r1 is claimed again first.
-	e, ok, err := re.Claim()
-	if err != nil || !ok {
-		t.Fatal("re-claim failed", err)
-	}
-	if e.ID != "r1" {
-		t.Fatalf("recovered claim order starts at %s, want r1", e.ID)
-	}
-}
-
-// TestPQueueTornTailDropped and TestPQueueCorruptMidStreamFailsOpen prove
-// the queue is wired to package journal, whose own tests cover the
-// torn-tail and corruption policy in full (truncation, re-append, reopen).
-func TestPQueueTornTailDropped(t *testing.T) {
-	dir := t.TempDir()
-	q := openTestQueue(t, dir, nil)
-	mustEnqueue(t, q, "r1", "t1")
-	mustEnqueue(t, q, "r2", "t1")
-	path := q.journal.Path()
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := faults.TearFinalRecord(path); err != nil {
-		t.Fatal(err)
-	}
-	re := openTestQueue(t, dir, nil)
-	if _, ok := re.Get("r2"); ok {
-		t.Fatal("torn enqueue survived replay")
-	}
-	if _, ok := re.Get("r1"); !ok {
-		t.Fatal("durable enqueue lost with the torn tail")
-	}
-}
-
-// queueScript drives one full lifecycle against the queue, written so
-// every operation is idempotent: enqueues dedup by ID, claims drain
-// whatever is still pending, and completions are addressed by ID with a
-// fixed outcome. Re-running the script after a crash therefore converges
-// on the same final state as an uncrashed run.
-func queueScript(q *PQueue) error {
-	entries := []QueueEntry{
-		{ID: "r1", Tenant: "alice", DedupKey: "k1"},
-		{ID: "r2", Tenant: "bob", DedupKey: "k2"},
-		{ID: "r3", Tenant: "alice", DedupKey: "k1"}, // dedup follower of r1
-		{ID: "r4", Tenant: "carol", DeadlineUnixMs: 1},
-	}
-	for _, e := range entries {
-		if err := q.Enqueue(e); err != nil {
-			return err
-		}
-	}
+// runQueued plays the worker pool on the calling goroutine: claim and
+// handle until nothing is queued.
+func runQueued(srv *Server) {
 	for {
-		_, ok, err := q.Claim()
-		if err != nil {
-			return err
-		}
+		e, ok := srv.pq.claim()
 		if !ok {
-			break
+			return
 		}
-	}
-	outcomes := []struct{ id, state, dedupOf string }{
-		{"r1", EntryDone, ""},
-		{"r2", EntryFailed, ""},
-		{"r3", EntryDone, "r1"}, // dedup hit: answered from r1's archive
-		{"r4", EntryExpired, ""},
-	}
-	for _, o := range outcomes {
-		if err := q.Complete(o.id, o.state, o.dedupOf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TestPQueueKillSweep crashes the queue at every instrumented durable
-// instruction of the enqueue → claim → dedup-complete → complete
-// lifecycle, reopens, re-runs the script, and demands the recovered
-// state be byte-identical to a never-crashed reference. The sweep covers
-// every kill point hit: "journal.append" (before any byte), "journal.torn"
-// (record half-written), and "journal.sync" (written, not yet durable).
-func TestPQueueKillSweep(t *testing.T) {
-	// Reference: the script against a queue that never crashes.
-	refDir := t.TempDir()
-	ref := openTestQueue(t, refDir, nil)
-	if err := queueScript(ref); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.StateSnapshot()
-
-	// Size the sweep with a disarmed killer.
-	probe := faults.NewKiller()
-	probeDir := t.TempDir()
-	pq := openTestQueue(t, probeDir, nil)
-	pq.journal.SetKill(probe.Hit)
-	if err := queueScript(pq); err != nil {
-		t.Fatal(err)
-	}
-	total := probe.Hits()
-	if total < 30 {
-		t.Fatalf("only %d kill points in the lifecycle; instrumentation missing", total)
-	}
-
-	for n := 1; n <= total; n++ {
-		n := n
-		t.Run(fmt.Sprintf("kill-%03d", n), func(t *testing.T) {
-			dir := t.TempDir()
-			killer := faults.NewKiller()
-			killer.CrashAfterN(n)
-			q, err := OpenPQueue(context.Background(), dir, PQueueOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q.journal.SetKill(killer.Hit)
-			crashed := func() (c bool) {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := faults.AsKill(r); !ok {
-							panic(r)
-						}
-						c = true
-					}
-				}()
-				if err := queueScript(q); err != nil {
-					t.Fatal(err)
-				}
-				return false
-			}()
-			q.Close()
-			if !crashed {
-				t.Fatalf("kill at hit %d never fired", n)
-			}
-			// Restart: reopen the journal and re-run the script to the
-			// end, as the restarted service would.
-			re, err := OpenPQueue(context.Background(), dir, PQueueOptions{})
-			if err != nil {
-				t.Fatalf("reopen after kill %d: %v", n, err)
-			}
-			defer re.Close()
-			if err := queueScript(re); err != nil {
-				t.Fatalf("resume after kill %d: %v", n, err)
-			}
-			got := re.StateSnapshot()
-			if !bytes.Equal(got, want) {
-				t.Fatalf("state after kill %d diverges from uncrashed reference:\n--- got ---\n%s\n--- want ---\n%s",
-					n, got, want)
-			}
-			// And the final journal must itself replay to the same state.
-			re.Close()
-			re2, err := OpenPQueue(context.Background(), dir, PQueueOptions{})
-			if err != nil {
-				t.Fatalf("final replay after kill %d: %v", n, err)
-			}
-			defer re2.Close()
-			if got2 := re2.StateSnapshot(); !bytes.Equal(got2, want) {
-				t.Fatalf("journal replay after kill %d diverges:\n%s", n, got2)
-			}
-		})
+		srv.handle(e)
 	}
 }
 
-func TestPQueueCorruptMidStreamFailsOpen(t *testing.T) {
-	dir := t.TempDir()
-	q := openTestQueue(t, dir, nil)
-	mustEnqueue(t, q, "r1", "t1")
-	path := q.journal.Path()
-	if err := q.Close(); err != nil {
+// TestPQueueIdempotence: a request enters the queue once and leaves it
+// once, whatever is repeated — the ledger's state machine is what refuses
+// the repeat, now that the queue is a view of it.
+func TestPQueueIdempotence(t *testing.T) {
+	srv, stub := newTestServer(t, ServerConfig{})
+	h := srv.Handler()
+	var req Request
+	if err := json.Unmarshal(postSubmit(t, h, "t1", 1, "").Body.Bytes(), &req); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
+	if w := postApprove(h, req.ID); w.Code != http.StatusOK {
+		t.Fatalf("approve: %d %s", w.Code, w.Body)
+	}
+	seq := srv.svc.records()[0].Queue.Seq
+	if w := postApprove(h, req.ID); w.Code != http.StatusConflict {
+		t.Fatalf("second approve: %d, want 409", w.Code)
+	}
+	if got := srv.svc.records()[0].Queue.Seq; got != seq {
+		t.Fatalf("repeated approval moved seq %d to %d", seq, got)
+	}
+	if st := srv.Status().Queue; st.Queued != 1 {
+		t.Fatalf("queued = %d after a repeated approval, want 1", st.Queued)
+	}
+	runQueued(srv)
+	if err := srv.svc.Expire(req.ID, ""); err == nil {
+		t.Fatal("a done request expired")
+	}
+	if w := postApprove(h, req.ID); w.Code != http.StatusConflict {
+		t.Fatalf("approve of a done request: %d, want 409", w.Code)
+	}
+	runQueued(srv)
+	if got, _ := srv.svc.Get(req.ID); got.Status != StatusDone {
+		t.Fatalf("request ended %s", got.Status)
+	}
+	if st := srv.Status().Queue; st.Queued != 0 || st.Claimed != 0 || st.Terminal != 1 || stub.calls != 1 {
+		t.Fatalf("queue %+v after %d back-end runs, want one terminal entry of one run", st, stub.calls)
+	}
+}
+
+// TestPQueueRecoveryRequeuesOrphans: a claim is memory, so the claim a dead
+// process held is gone with it — the reopened ledger hands the work back in
+// its place, and the tenant is not charged for service it never got.
+func TestPQueueRecoveryRequeuesOrphans(t *testing.T) {
+	cfg := ServerConfig{JournalDir: t.TempDir(), AutoApprove: true}
+	svc, _ := newStubService(t, nil)
+	srv := serveService(t, svc, cfg)
+	var ids []string
+	for seed := uint64(1); seed <= 2; seed++ {
+		ids = append(ids, submitModel(t, srv, "t1", seed).ID)
+	}
+	if e, ok := srv.pq.claim(); !ok || e.id != ids[0] {
+		t.Fatalf("claim = %+v %v, want %s", e, ok, ids[0])
+	}
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append([]byte("not json\n"), data...), 0o644); err != nil {
-		t.Fatal(err)
+
+	svc, _ = newStubService(t, nil)
+	re := serveService(t, svc, cfg)
+	if st := re.Status().Queue; st.Queued != 2 || st.Claimed != 0 {
+		t.Fatalf("after recovery: %+v, want 2 queued (orphan requeued)", st)
 	}
-	if _, err := OpenPQueue(context.Background(), dir, PQueueOptions{}); err == nil {
-		t.Fatal("mid-stream corruption opened silently")
+	if v := re.pq.vtime["t1"]; v != 0 {
+		t.Fatalf("recovered virtual time %v, want the orphaned claim's charge gone", v)
+	}
+	// The orphan keeps its FIFO position: it is claimed again first.
+	if e, ok := re.pq.claim(); !ok || e.id != ids[0] {
+		t.Fatalf("recovered claim order starts at %+v, want %s", e, ids[0])
 	}
 }

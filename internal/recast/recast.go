@@ -186,6 +186,15 @@ type ConfigDigester interface {
 	ConfigDigest() string
 }
 
+// configDigest is the digest b's dedup keys carry; a back end without one
+// dedups on its name alone.
+func configDigest(b Backend) string {
+	if d, ok := b.(ConfigDigester); ok {
+		return d.ConfigDigest()
+	}
+	return b.Name()
+}
+
 // DedupKey derives the memoization key for a request: two requests with
 // the same analysis, the same canonical model, and the same back-end
 // chain configuration produce byte-identical results, so the second can
@@ -240,13 +249,20 @@ type Service struct {
 	backend Backend
 	// LuminosityPb scales limits; exposed on results via the backend.
 	subs     map[string]Subscription
-	requests map[string]*Request
+	requests map[string]*record
 	nextID   int
+	// archive maps a dedup key to the ID of the finished back-end run whose
+	// result answers any identical request (see installLocked).
+	archive map[string]string
 	// journal, once a Server opened it, records every request mutation
 	// before it is applied (see persist.go); journalErr keeps the first
-	// write failure.
-	journal    *journal.Journal
-	journalErr error
+	// write failure. chainDigest, taken with it, is the back end's
+	// configuration digest — the part of every dedup key that says which
+	// chain computes under it; the back end cannot change under an open
+	// journal, so it is taken once.
+	journal     *journal.Journal
+	journalErr  error
+	chainDigest string
 }
 
 // NewService returns a service over the given back end.
@@ -254,7 +270,8 @@ func NewService(backend Backend) *Service {
 	return &Service{
 		backend:  backend,
 		subs:     make(map[string]Subscription),
-		requests: make(map[string]*Request),
+		requests: make(map[string]*record),
+		archive:  make(map[string]string),
 	}
 }
 
@@ -295,6 +312,12 @@ func (s *Service) Analyses() []AnalysisInfo {
 
 // Submit files a new request against a subscribed analysis.
 func (s *Service) Submit(analysis, requester, motivation string, model ModelSpec) (*Request, error) {
+	return s.submit(analysis, requester, motivation, model, 0)
+}
+
+// submit is Submit for a requester who stops waiting at deadlineUnixMs
+// (0: never); the deadline is journaled with the request.
+func (s *Service) submit(analysis, requester, motivation string, model ModelSpec, deadlineUnixMs int64) (*Request, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
@@ -306,19 +329,22 @@ func (s *Service) Submit(analysis, requester, motivation string, model ModelSpec
 	if _, ok := s.subs[analysis]; !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoAnalysis, analysis)
 	}
-	req := &Request{
+	rec := &record{Request: Request{
 		ID:         fmt.Sprintf("req-%06d", s.nextID+1),
 		Analysis:   analysis,
 		Requester:  requester,
 		Motivation: motivation,
 		Model:      model,
 		Status:     StatusSubmitted,
+	}}
+	if deadlineUnixMs != 0 {
+		rec.Queue = &queueState{DeadlineUnixMs: deadlineUnixMs}
 	}
-	if err := s.commitLocked(req); err != nil {
+	if err := s.commitLocked(rec); err != nil {
 		return nil, err
 	}
 	s.nextID++
-	return cloneRequest(req), nil
+	return cloneRequest(&rec.Request), nil
 }
 
 // Get returns a request by ID.
@@ -329,45 +355,51 @@ func (s *Service) Get(id string) (*Request, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoRequest, id)
 	}
-	return cloneRequest(req), nil
-}
-
-// List returns all requests sorted by ID.
-func (s *Service) List() []*Request {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Request, 0, len(s.requests))
-	for _, r := range s.requests {
-		out = append(out, cloneRequest(r))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return cloneRequest(&req.Request), nil
 }
 
 // Approve moves a submitted request to approved — the experiment's
 // "complete control over which analyses were allowed to become public".
 func (s *Service) Approve(id string) error {
-	return s.transition(id, StatusSubmitted, StatusApproved, "")
+	_, err := s.transition(id, StatusSubmitted, StatusApproved, "", 0)
+	return err
+}
+
+// accept is Approve behind the front door: the approved snapshot also
+// carries seq, the request's place in the queue, so that approving and
+// queueing are one durable append. It returns that snapshot.
+func (s *Service) accept(id string, seq uint64) (*record, error) {
+	return s.transition(id, StatusSubmitted, StatusApproved, "", seq)
 }
 
 // Reject declines a submitted request with a reason.
 func (s *Service) Reject(id, reason string) error {
-	return s.transition(id, StatusSubmitted, StatusRejected, reason)
+	_, err := s.transition(id, StatusSubmitted, StatusRejected, reason, 0)
+	return err
 }
 
-func (s *Service) transition(id string, from, to Status, reason string) error {
+// transition commits the request's move from one status to another and
+// returns the new snapshot; a non-zero seq is journaled with it.
+func (s *Service) transition(id string, from, to Status, reason string, seq uint64) (*record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	req, ok := s.requests[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoRequest, id)
+		return nil, fmt.Errorf("%w: %s", ErrNoRequest, id)
 	}
 	if req.Status != from {
-		return fmt.Errorf("%w: %s is %s", ErrWrongState, id, req.Status)
+		return nil, fmt.Errorf("%w: %s is %s", ErrWrongState, id, req.Status)
 	}
 	next := *req
 	next.Status, next.Reason = to, reason
-	return s.commitLocked(&next)
+	if seq != 0 {
+		next.Queue = req.Queue.edit()
+		next.Queue.Seq = seq
+	}
+	if err := s.commitLocked(&next); err != nil {
+		return nil, err
+	}
+	return &next, nil
 }
 
 // gateError reports whether the error is a front-door rejection (missing
@@ -428,11 +460,16 @@ func (s *Service) finish(id string, res *Result, err error) (*Request, error) {
 		next.Status, next.Reason = StatusFailed, err.Error()
 	} else {
 		next.Status, next.Result = StatusDone, res
+		if s.chainDigest != "" {
+			// The one place a dedup key is written: by the chain that ran.
+			next.Queue = req.Queue.edit()
+			next.Queue.DedupKey = DedupKey(next.Analysis, next.Model, s.chainDigest)
+		}
 	}
 	if jerr := s.commitLocked(&next); jerr != nil {
 		return nil, jerr
 	}
-	return cloneRequest(&next), err
+	return cloneRequest(&next.Request), err
 }
 
 // Process runs the back end once for an approved request and stores the
@@ -508,7 +545,21 @@ func (s *Service) CompleteFromArchive(id, primaryID string) (*Request, error) {
 	if err := s.commitLocked(&next); err != nil {
 		return nil, err
 	}
-	return cloneRequest(&next), nil
+	return cloneRequest(&next.Request), nil
+}
+
+// archived looks an approved request up in the memoization index: the ID
+// of a finished run of the same analysis and model on the chain this
+// service would run it on, if there is one.
+func (s *Service) archived(id string) (primary string, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	req, found := s.requests[id]
+	if !found {
+		return "", false
+	}
+	primary, ok = s.archive[DedupKey(req.Analysis, req.Model, s.chainDigest)]
+	return primary, ok && primary != id
 }
 
 // Expire dead-letters an approved request whose deadline passed before a
@@ -518,7 +569,8 @@ func (s *Service) Expire(id, reason string) error {
 	if reason == "" {
 		reason = "deadline expired before processing"
 	}
-	return s.transition(id, StatusApproved, StatusFailed, reason)
+	_, err := s.transition(id, StatusApproved, StatusFailed, reason, 0)
+	return err
 }
 
 func cloneRequest(r *Request) *Request {

@@ -333,9 +333,9 @@ func TestQueueProcessesApprovedRequests(t *testing.T) {
 		}
 	}
 	// The queue closes each entry just after the ledger records the result.
-	for deadline := time.Now().Add(5 * time.Second); srv.Queue().Stats().Terminal != len(ids); {
+	for deadline := time.Now().Add(5 * time.Second); srv.Status().Queue.Terminal != len(ids); {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue never closed out its entries: %+v", srv.Queue().Stats())
+			t.Fatalf("queue never closed out its entries: %+v", srv.Status().Queue)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -17,20 +16,19 @@ import (
 
 // Server is the overload-safe multi-tenant front door: the Service state
 // machine behind admission control (per-tenant token buckets, queue
-// bounds, deadline feasibility), a crash-safe fair queue (PQueue), a
+// bounds, deadline feasibility), a weighted-fair scheduler (pqueue), a
 // worker pool with end-to-end deadline propagation, request memoization
 // keyed by (model, chain config), and a breaker-gated back end whose
 // brown-outs degrade intake instead of collapsing it.
 //
-// Two journals (package journal) make acceptance durable: requests.log
-// (request snapshots) records what each request *is*, and queue/queue.log
-// records what the scheduler owes. Recovery replays both and reconciles:
-// approved requests missing from the queue are re-enqueued, queue
-// entries whose request already finished are closed out. An accepted
-// request — one the client saw a 2xx for — is never lost.
+// One journal (package journal) makes acceptance durable: requests.log,
+// the request ledger, records what each request is and — on the approved
+// snapshot — its place in the queue, so what the scheduler owes is the
+// ledger's approved requests and nothing else has to agree with it. An
+// accepted request — one the client saw a 2xx for — is never lost.
 type Server struct {
 	svc *Service
-	pq  *PQueue
+	pq  *pqueue
 	cfg ServerConfig
 
 	ctx     context.Context
@@ -38,30 +36,23 @@ type Server struct {
 	wg      sync.WaitGroup
 	breaker *resilience.Breaker
 	now     func() time.Time
-	// chainDigest is the back end's configuration digest, the part of every
-	// dedup key that says which chain computes under it. The back end
-	// cannot change under a running server, so it is taken once, at NewServer.
-	chainDigest string
 
 	mu      sync.Mutex
 	buckets map[string]*resilience.TokenBucket
-	// dedupDone maps dedup key → ID of a done primary whose archived
-	// result answers any identical request.
-	dedupDone map[string]string
 	// ewmaMs tracks back-end service time (exponentially weighted) for
 	// deadline-feasibility and Retry-After estimates.
 	ewmaMs  float64
 	tenants map[string]*TenantStatus
 
 	admitted, shed, served, dedupHits, expired, failed uint64
-	journalErrs                                        uint64
 }
 
 // ServerConfig tunes the front door. The zero value serves with
 // defaults: 2 workers, a 64-deep queue shrinking to 16 under
 // degradation, unlimited tenant rates, manual approval.
 type ServerConfig struct {
-	// JournalDir holds requests.log and the queue journal. Required.
+	// JournalDir holds requests.log, the server's only durable state.
+	// Required.
 	JournalDir string
 	// Workers is the processing pool size; < 1 means 2.
 	Workers int
@@ -141,32 +132,26 @@ type TenantStatus struct {
 const BudgetHeader = "X-Recast-Budget-Ms"
 
 // NewServer builds the front door over a prepared Service (subscriptions
-// registered, no requests yet), recovering both journals from
-// cfg.JournalDir and reconciling them. Start launches the workers.
+// registered, no requests yet), recovering the request ledger from
+// cfg.JournalDir and the scheduler from the ledger. Start launches the
+// workers.
 func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.JournalDir == "" {
 		return nil, fmt.Errorf("recast: server needs a journal directory")
 	}
-	if err := svc.openJournal(filepath.Join(cfg.JournalDir, "requests.log")); err != nil {
-		return nil, err
-	}
-	pq, err := OpenPQueue(ctx, filepath.Join(cfg.JournalDir, "queue"),
-		PQueueOptions{Weights: cfg.TenantWeights})
-	if err != nil {
-		svc.closeJournal()
+	if err := svc.openJournal(cfg.JournalDir); err != nil {
 		return nil, err
 	}
 
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Server{
-		svc: svc, pq: pq, cfg: cfg,
+		svc: svc, pq: restoreQueue(cfg.TenantWeights, svc.records()), cfg: cfg,
 		ctx: sctx, cancel: cancel,
-		breaker:   resilience.NewBreaker(cfg.Breaker),
-		now:       cfg.Now,
-		buckets:   make(map[string]*resilience.TokenBucket),
-		dedupDone: make(map[string]string),
-		tenants:   make(map[string]*TenantStatus),
+		breaker: resilience.NewBreaker(cfg.Breaker),
+		now:     cfg.Now,
+		buckets: make(map[string]*resilience.TokenBucket),
+		tenants: make(map[string]*TenantStatus),
 	}
 	// Gate the back end behind the server's breaker so brown-outs trip
 	// degraded intake. Idempotent across recoveries of the same Service.
@@ -181,73 +166,7 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 		// signal at the existing breaker.
 		s.breaker = svc.backend.(*GatedBackend).Breaker
 	}
-	s.chainDigest = svc.backend.(*GatedBackend).ConfigDigest()
-	if err := s.reconcile(); err != nil {
-		s.Close()
-		return nil, err
-	}
 	return s, nil
-}
-
-// reconcile aligns the two recovered journals: every approved request
-// must be queued (or re-queued), and every live queue entry whose
-// request already reached a terminal state is closed out.
-//
-// A dedup key names the chain that computes under it, and the chain this
-// server was started with need not be the one that filled the journals. So
-// a finished request is indexed under the key journaled in its own queue
-// entry — the chain that ran it — and never under a key derived now; one
-// without an entry was itself answered from the archive and indexes nothing.
-// Work still to run will run on the current chain and takes the current key.
-func (s *Server) reconcile() error {
-	for _, req := range s.svc.List() {
-		entry, queued := s.pq.Get(req.ID)
-		live := queued && (entry.State == EntryQueued || entry.State == EntryClaimed)
-		switch req.Status {
-		case StatusDone:
-			if queued && entry.DedupKey != "" {
-				s.recordDone(entry.DedupKey, req.ID)
-			}
-			if live {
-				if err := s.pq.Complete(req.ID, EntryDone, req.DedupOf); err != nil {
-					return fmt.Errorf("recast: reconciling %s: %w", req.ID, err)
-				}
-			}
-		case StatusFailed:
-			if live {
-				if err := s.pq.Complete(req.ID, EntryFailed, ""); err != nil {
-					return fmt.Errorf("recast: reconciling %s: %w", req.ID, err)
-				}
-			}
-		case StatusApproved:
-			// Accepted work. Requests the crash caught between approval and
-			// enqueue are queued now; the original deadline did not survive
-			// the crash only in this window — we serve rather than guess.
-			// Enqueue is idempotent, so a request already in the queue keeps
-			// its entry, deadline and place — but not a key another chain
-			// journaled.
-			key := DedupKey(req.Analysis, req.Model, s.chainDigest)
-			if err := s.pq.Enqueue(QueueEntry{ID: req.ID, Tenant: req.Requester, DedupKey: key}); err != nil {
-				return fmt.Errorf("recast: re-enqueueing %s: %w", req.ID, err)
-			}
-			if live && entry.DedupKey != key {
-				if err := s.pq.Rekey(req.ID, key); err != nil {
-					return fmt.Errorf("recast: re-keying %s: %w", req.ID, err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// recordDone indexes a completed primary for memoization. The earliest
-// ID wins so the index is deterministic across recoveries.
-func (s *Server) recordDone(key, id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.dedupDone[key]; !ok || id < prev {
-		s.dedupDone[key] = id
-	}
 }
 
 // Start launches the worker pool.
@@ -259,22 +178,15 @@ func (s *Server) Start() {
 }
 
 // Close stops the workers (in-flight work is abandoned mid-claim, to be
-// recovered on the next open) and releases both journals.
+// recovered on the next open) and releases the journal.
 func (s *Server) Close() error {
 	s.cancel()
 	s.wg.Wait()
-	err := s.pq.Close()
-	if cerr := s.svc.closeJournal(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.svc.closeJournal()
 }
 
 // Service exposes the underlying state machine (tests, CLI wiring).
 func (s *Server) Service() *Service { return s.svc }
-
-// Queue exposes the persistent queue (tests, status tooling).
-func (s *Server) Queue() *PQueue { return s.pq }
 
 // degraded reports whether the back end is browning out: any breaker
 // state but closed means recent calls failed and intake should shrink.
@@ -286,23 +198,14 @@ func (s *Server) degraded() bool {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		e, ok, err := s.pq.Claim()
-		if err != nil {
-			// Journal append failed (disk trouble). Count it and back
-			// off; claims will keep failing until the disk heals, and
-			// accepted work stays durable in the journal.
-			s.mu.Lock()
-			s.journalErrs++
-			s.mu.Unlock()
-			ok = false
-		}
+		e, ok := s.pq.claim()
 		if !ok {
 			select {
 			case <-s.ctx.Done():
 				return
-			case <-s.pq.Ready():
+			case <-s.pq.ready:
 			case <-time.After(50 * time.Millisecond):
-				// Re-poll: Ready pulses are hints and another worker may
+				// Re-poll: ready pulses are hints and another worker may
 				// have consumed the one for our entry.
 			}
 			continue
@@ -313,99 +216,88 @@ func (s *Server) worker() {
 
 // handle drives one claimed entry: expire if the deadline already
 // passed, answer from the archive on a dedup hit, otherwise run the
-// back end under the propagated deadline.
-func (s *Server) handle(e QueueEntry) {
-	now := s.now()
-	if e.DeadlineUnixMs > 0 && now.UnixMilli() > e.DeadlineUnixMs {
-		s.expire(e.ID, "deadline expired in queue")
+// back end under the propagated deadline. An outcome the ledger could not
+// record leaves the claim open: the request is still approved on disk, and
+// the next open queues it again.
+func (s *Server) handle(e entry) {
+	if e.deadlineUnixMs > 0 && s.now().UnixMilli() > e.deadlineUnixMs {
+		s.expire(e.id, "deadline expired in queue")
 		return
 	}
 
 	// Dedup: an identical computation already archived its numbers.
-	if e.DedupKey != "" {
-		s.mu.Lock()
-		primary, hit := s.dedupDone[e.DedupKey]
-		s.mu.Unlock()
-		if hit && primary != e.ID {
-			if _, err := s.svc.CompleteFromArchive(e.ID, primary); err == nil {
-				s.completeEntry(e.ID, EntryDone, primary)
-				s.mu.Lock()
-				s.dedupHits++
-				s.served++
-				if t := s.tenantLocked(e.Tenant); t != nil {
-					t.Served++
-				}
-				s.mu.Unlock()
-				return
-			}
-			// Fall through: archive said no (request in an odd state);
-			// the back end is the safe path.
+	if primary, hit := s.svc.archived(e.id); hit {
+		if _, err := s.svc.CompleteFromArchive(e.id, primary); err == nil {
+			s.pq.finish()
+			s.countServed(e.tenant, true)
+			return
 		}
+		// Fall through: archive said no (request in an odd state);
+		// the back end is the safe path.
 	}
 
 	ctx := s.ctx
-	if e.DeadlineUnixMs > 0 {
+	if e.deadlineUnixMs > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(e.DeadlineUnixMs))
+		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(e.deadlineUnixMs))
 		defer cancel()
 	}
 
 	start := s.now()
-	req, err := s.svc.ProcessWithPolicy(ctx, e.ID, s.cfg.Policy)
+	req, err := s.svc.ProcessWithPolicy(ctx, e.id, s.cfg.Policy)
 	s.observeServiceTime(s.now().Sub(start))
 
 	switch {
 	case err == nil && req != nil && req.Status == StatusDone:
-		s.completeEntry(e.ID, EntryDone, "")
-		s.recordDone(e.DedupKey, e.ID)
-		s.mu.Lock()
-		s.served++
-		if t := s.tenantLocked(e.Tenant); t != nil {
-			t.Served++
-		}
-		s.mu.Unlock()
+		s.pq.finish()
+		s.countServed(e.tenant, false)
 	case req != nil && req.Status == StatusFailed:
 		// Dead-lettered: exhausted retries or a permanent error.
-		s.completeEntry(e.ID, EntryFailed, "")
-		s.mu.Lock()
-		s.failed++
-		s.mu.Unlock()
+		s.deadLetter()
 	case s.ctx.Err() != nil, errors.Is(err, ErrJournal):
-		// Shutdown, or a request ledger that cannot record the outcome:
-		// the claim stays open in the journal; recovery hands the entry
-		// back to the queue.
+		// Shutdown, or a request ledger that cannot record the outcome.
 		return
 	case ctx.Err() != nil:
 		// The request's own deadline died mid-processing.
-		s.expire(e.ID, "deadline expired during processing")
+		s.expire(e.id, "deadline expired during processing")
 	default:
 		// Gate errors (request vanished, wrong state): close the entry
 		// so the queue cannot loop on it.
-		s.completeEntry(e.ID, EntryFailed, "")
-		s.mu.Lock()
-		s.failed++
-		s.mu.Unlock()
+		s.deadLetter()
 	}
+}
+
+// deadLetter closes a claimed entry whose request will never be served.
+func (s *Server) deadLetter() {
+	s.pq.finish()
+	s.mu.Lock()
+	s.failed++
+	s.mu.Unlock()
 }
 
 func (s *Server) expire(id, reason string) {
 	// The request may legitimately be past "approved" (a dedup race);
-	// Expire's state check keeps the ledger honest either way. Only an
-	// expiry the ledger could not record leaves the claim open.
+	// Expire's state check keeps the ledger honest either way.
 	if err := s.svc.Expire(id, reason); errors.Is(err, ErrJournal) {
 		return
 	}
-	s.completeEntry(id, EntryExpired, "")
+	s.pq.finish()
 	s.mu.Lock()
 	s.expired++
 	s.mu.Unlock()
 }
 
-func (s *Server) completeEntry(id, state, dedupOf string) {
-	if err := s.pq.Complete(id, state, dedupOf); err != nil {
-		s.mu.Lock()
-		s.journalErrs++
-		s.mu.Unlock()
+// countServed books one request answered for tenant, from the archive or
+// by a back-end run.
+func (s *Server) countServed(tenant string, fromArchive bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.served++
+	if fromArchive {
+		s.dedupHits++
+	}
+	if t := s.tenantLocked(tenant); t != nil {
+		t.Served++
 	}
 }
 
@@ -471,7 +363,7 @@ func (s *Server) admit(tenant string, budget time.Duration) *admissionError {
 		}
 	}
 
-	st := s.pq.Stats()
+	st := s.pq.stats()
 	bound := s.cfg.QueueBound
 	degraded := s.degraded()
 	if degraded {
@@ -581,7 +473,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	req, err := s.svc.Submit(body.Analysis, body.Requester, body.Motivation, body.Model)
+	var deadlineUnixMs int64
+	if budget > 0 {
+		deadlineUnixMs = s.now().Add(budget).UnixMilli()
+	}
+	req, err := s.svc.submit(body.Analysis, body.Requester, body.Motivation, body.Model, deadlineUnixMs)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, ErrJournal) {
@@ -598,16 +494,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	if !s.cfg.AutoApprove {
-		// Closed-system mode: the request waits for the experiment;
-		// enqueueing happens at approval.
+		// Closed-system mode: the request waits for the experiment, its
+		// deadline with it; acceptance happens at approval.
 		writeJSON(w, http.StatusCreated, req)
 		return
 	}
-	if err := s.svc.Approve(req.ID); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	out, err := s.acceptApproved(req.ID, body.Requester, budget)
+	out, err := s.accept(req.ID)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -615,59 +507,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, out)
 }
 
-// acceptApproved makes an approved request durable work: answered from
-// the archive immediately on a dedup hit, enqueued otherwise.
-func (s *Server) acceptApproved(id, tenant string, budget time.Duration) (*Request, error) {
-	key := s.dedupKeyFor(id)
-	s.mu.Lock()
-	primary, hit := s.dedupDone[key]
-	s.mu.Unlock()
-	if hit && primary != id {
+// accept approves a submitted request and makes it owed work in one
+// append: the approved snapshot carries the request's sequence number next
+// to the deadline journaled at submission, so there is no moment at which
+// the ledger holds approved work the scheduler does not know. A failed
+// append leaves the request submitted. On a dedup hit the request is then
+// answered from the archive at once, charged to its tenant like any other
+// accepted request; otherwise it queues.
+func (s *Server) accept(id string) (*Request, error) {
+	rec, err := s.svc.accept(id, s.pq.nextSeq())
+	if err != nil {
+		return nil, err
+	}
+	if primary, hit := s.svc.archived(id); hit {
 		if done, err := s.svc.CompleteFromArchive(id, primary); err == nil {
-			s.mu.Lock()
-			s.dedupHits++
-			s.served++
-			if t := s.tenantLocked(tenant); t != nil {
-				t.Served++
-			}
-			s.mu.Unlock()
+			s.pq.charge(rec.Requester)
+			s.countServed(rec.Requester, true)
 			return done, nil
 		}
 	}
-	e := QueueEntry{ID: id, Tenant: tenant, DedupKey: key}
-	if budget > 0 {
-		e.DeadlineUnixMs = s.now().Add(budget).UnixMilli()
-	}
-	if err := s.pq.Enqueue(e); err != nil {
-		return nil, err
-	}
-	return s.svc.Get(id)
+	s.pq.push(entryOf(rec))
+	return cloneRequest(&rec.Request), nil
 }
 
-// dedupKeyFor derives the dedup key for an existing request.
-func (s *Server) dedupKeyFor(id string) string {
-	req, err := s.svc.Get(id)
-	if err != nil {
-		return ""
-	}
-	return DedupKey(req.Analysis, req.Model, s.chainDigest)
-}
-
-// handleApprove is the manual-approval path: approve, then enqueue.
+// handleApprove is the manual-approval path.
 func (s *Server) handleApprove(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := s.svc.Approve(id); err != nil {
-		httpError(w, statusFor(err), err.Error())
-		return
-	}
-	req, err := s.svc.Get(id)
+	out, err := s.accept(r.PathValue("id"))
 	if err != nil {
 		httpError(w, statusFor(err), err.Error())
-		return
-	}
-	out, err := s.acceptApproved(id, req.Requester, 0)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -696,14 +563,13 @@ func (s *Server) Status() ServerStatus {
 	st := ServerStatus{
 		Degraded: s.degraded(),
 		Breaker:  s.breaker.State().String(),
-		Queue:    s.pq.Stats(),
+		Queue:    s.pq.stats(),
 		Workers:  s.cfg.Workers,
 	}
 	s.mu.Lock()
 	st.EWMAMs = s.ewmaMs
 	st.Admitted, st.Shed, st.Served = s.admitted, s.shed, s.served
 	st.DedupHits, st.Expired, st.Failed = s.dedupHits, s.expired, s.failed
-	st.JournalOK = s.journalErrs == 0
 	st.Tenants = make(map[string]TenantStatus, len(s.tenants))
 	names := make([]string, 0, len(s.tenants))
 	for name := range s.tenants {
@@ -714,9 +580,7 @@ func (s *Server) Status() ServerStatus {
 		st.Tenants[name] = *s.tenants[name]
 	}
 	s.mu.Unlock()
-	if s.svc.JournalErr() != nil {
-		st.JournalOK = false
-	}
+	st.JournalOK = s.svc.JournalErr() == nil
 	return st
 }
 
@@ -739,13 +603,8 @@ type GatedBackend struct {
 func (g *GatedBackend) Name() string { return g.Inner.Name() }
 
 // ConfigDigest forwards the inner digest so dedup keys are unchanged by
-// gating; a back end without one dedups on its name alone.
-func (g *GatedBackend) ConfigDigest() string {
-	if d, ok := g.Inner.(ConfigDigester); ok {
-		return d.ConfigDigest()
-	}
-	return g.Inner.Name()
-}
+// gating.
+func (g *GatedBackend) ConfigDigest() string { return configDigest(g.Inner) }
 
 // Process implements Backend.
 func (g *GatedBackend) Process(ctx context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {

@@ -7,7 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,8 +299,8 @@ func TestServerRecoveryDrainsAcceptedWork(t *testing.T) {
 	}
 	// Claim one so the restart also exercises orphan recovery, then
 	// stop without processing anything — the "crash".
-	if _, ok, err := srv1.Queue().Claim(); err != nil || !ok {
-		t.Fatal("claim before crash failed", err)
+	if _, ok := srv1.pq.claim(); !ok {
+		t.Fatal("claim before crash failed")
 	}
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
@@ -310,7 +314,7 @@ func TestServerRecoveryDrainsAcceptedWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if st := srv2.Queue().Stats(); st.Queued != 3 || st.Claimed != 0 {
+	if st := srv2.Status().Queue; st.Queued != 3 || st.Claimed != 0 {
 		t.Fatalf("recovered queue: %+v, want 3 queued (orphan requeued)", st)
 	}
 	srv2.Start()
@@ -318,5 +322,170 @@ func TestServerRecoveryDrainsAcceptedWork(t *testing.T) {
 		if got := waitTerminal(t, svc2, id); got.Status != StatusDone {
 			t.Fatalf("recovered request %s = %s (%s)", id, got.Status, got.Reason)
 		}
+	}
+}
+
+// TestFailedAcceptanceLeavesNothingToRun: approving and queueing are one
+// append, so an acceptance the journal cannot record answers 5xx and leaves
+// the request submitted — waiting for the experiment, owed by nobody. With
+// two journals the approval could land in one and the enqueue fail in the
+// other: the client was told 500 while the ledger held approved work that
+// some later restart ran anyway. (At the parent commit, close the queue's
+// journal in place of the ledger's and this test fails on every assertion
+// after the status code.)
+func TestFailedAcceptanceLeavesNothingToRun(t *testing.T) {
+	cfg := ServerConfig{JournalDir: t.TempDir()}
+	svc, _ := newStubService(t, nil)
+	srv := serveService(t, svc, cfg)
+	h := srv.Handler()
+	var req Request
+	if err := json.Unmarshal(postSubmit(t, h, "alice", 1, "").Body.Bytes(), &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.closeJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if w := postApprove(h, req.ID); w.Code < 500 {
+		t.Fatalf("approval the journal cannot record: %d %s, want 5xx", w.Code, w.Body)
+	}
+	if got, _ := svc.Get(req.ID); got.Status != StatusSubmitted {
+		t.Fatalf("failed acceptance left the request %s, want submitted", got.Status)
+	}
+	if st := srv.Status(); st.JournalOK || st.Queue.Queued != 0 {
+		t.Fatalf("status after the failed acceptance: %+v, want journal_ok false and nothing queued", st)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, stub := newStubService(t, nil)
+	re := serveService(t, restarted, cfg)
+	if st := re.Status().Queue; st.Queued != 0 {
+		t.Fatalf("reopened queue: %+v, want nothing owed", st)
+	}
+	runQueued(re)
+	if got, _ := restarted.Get(req.ID); got.Status != StatusSubmitted || stub.calls != 0 {
+		t.Fatalf("after the reopen the request is %s and the back end ran %d times, want submitted and 0", got.Status, stub.calls)
+	}
+}
+
+// TestManualApprovalKeepsSubmitDeadline: the budget a requester sends with a
+// submission is journaled with it and still binds when the experiment
+// approves — work nobody is waiting for any more is expired, not computed.
+// The parent decoded the header, used it for admission and dropped it.
+func TestManualApprovalKeepsSubmitDeadline(t *testing.T) {
+	clk := &serverClock{t: time.Unix(5000, 0)}
+	srv, stub := newTestServer(t, ServerConfig{Workers: 1, Now: clk.now})
+	h := srv.Handler()
+	w := postSubmit(t, h, "alice", 3, "50")
+	if w.Code != http.StatusCreated {
+		t.Fatalf("submit: %d %s", w.Code, w.Body)
+	}
+	var req Request
+	if err := json.Unmarshal(w.Body.Bytes(), &req); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(time.Second) // the experiment deliberates
+	if w := postApprove(h, req.ID); w.Code != http.StatusOK {
+		t.Fatalf("approve: %d %s", w.Code, w.Body)
+	}
+	srv.Start()
+	got := waitTerminal(t, srv.Service(), req.ID)
+	if got.Status != StatusFailed || got.Reason != "deadline expired in queue" {
+		t.Fatalf("request approved after its deadline ended %s %q, want failed: deadline expired in queue", got.Status, got.Reason)
+	}
+	if stub.calls != 0 {
+		t.Fatalf("back end ran %d times for a request nobody waits for", stub.calls)
+	}
+}
+
+func journalLines(t *testing.T, dir string) int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "requests.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(data, []byte("\n"))
+}
+
+// TestServedRequestIsFourAppends pins the cost of the front door in the
+// unit that sets its latency: one fsynced line for each of submit, approve
+// (which is also the enqueue), the attempt and the result — in one file —
+// and three for a request answered from the archive.
+func TestServedRequestIsFourAppends(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newTestServer(t, ServerConfig{JournalDir: dir, Workers: 1, AutoApprove: true})
+	srv.Start()
+	first := submitModel(t, srv, "alice", 42)
+	if done := waitTerminal(t, srv.Service(), first.ID); done.Status != StatusDone || done.DedupOf != "" {
+		t.Fatalf("first request: %+v", done)
+	}
+	if got := journalLines(t, dir); got != 4 {
+		t.Fatalf("a back-end-served request appended %d lines, want 4", got)
+	}
+	if dup := submitModel(t, srv, "bob", 42); dup.Status != StatusDone || dup.DedupOf != first.ID {
+		t.Fatalf("follower: %+v, want the archived result of %s", dup, first.ID)
+	}
+	if got := journalLines(t, dir) - 4; got != 3 {
+		t.Fatalf("a request answered from the archive appended %d lines, want 3", got)
+	}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != "requests.log" {
+		t.Fatalf("journal directory holds %v, want requests.log alone", names)
+	}
+}
+
+// TestRequestJSONUnchanged: the journal record wraps the request, the wire
+// does not — GET /requests/{id} and GET /status carry exactly the members
+// they carried before the ledger took the scheduler's state in.
+func TestRequestJSONUnchanged(t *testing.T) {
+	srv, _ := newTestServer(t, ServerConfig{Workers: 1, AutoApprove: true})
+	srv.Start()
+	h := srv.Handler()
+	first := submitModel(t, srv, "alice", 42)
+	waitTerminal(t, srv.Service(), first.ID)
+	follower := submitModel(t, srv, "bob", 42)
+	queued := postSubmit(t, h, "carol", 43, "60000") // a deadline on the record
+
+	members := func(path string) map[string]json.RawMessage {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(w.Body.Bytes(), &m); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("GET %s: %d %s", path, w.Code, w.Body)
+		}
+		return m
+	}
+	names := func(m map[string]json.RawMessage) string {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		return strings.Join(keys, " ")
+	}
+	if got, want := names(members("/requests/"+first.ID)), "analysis attempts id model requester result status"; got != want {
+		t.Errorf("a served request's members: %s\nwant: %s", got, want)
+	}
+	if got, want := names(members("/requests/"+follower.ID)), "analysis dedup_of id model requester result status"; got != want {
+		t.Errorf("a follower's members: %s\nwant: %s", got, want)
+	}
+	var accepted map[string]json.RawMessage
+	if err := json.Unmarshal(queued.Body.Bytes(), &accepted); queued.Code != http.StatusAccepted || err != nil {
+		t.Fatalf("submit with a budget: %d %s", queued.Code, queued.Body)
+	}
+	if _, leaked := accepted["queue"]; leaked {
+		t.Errorf("the 202 body carries the journal's queue member: %s", queued.Body)
+	}
+	status := members("/status")
+	if got, want := names(status), "admitted breaker dedup_hits degraded ewma_service_ms expired failed journal_ok queue served shed tenants workers"; got != want {
+		t.Errorf("/status members: %s\nwant: %s", got, want)
+	}
+	var queue map[string]json.RawMessage
+	if err := json.Unmarshal(status["queue"], &queue); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := names(queue), "by_tenant claimed queued terminal"; got != want {
+		t.Errorf("/status queue members: %s\nwant: %s", got, want)
 	}
 }

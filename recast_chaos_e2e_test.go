@@ -206,8 +206,8 @@ func TestRecastOverloadChaosE2E(t *testing.T) {
 	start := time.Now()
 
 	// The crasher: one second in, tear down the whole server — workers,
-	// queue handle, journals — and bring up a fresh one over the same
-	// directory with a new Service that must replay both journals.
+	// scheduler, journal — and bring up a fresh one over the same
+	// directory with a new Service that must replay the ledger.
 	crashDone := make(chan struct{})
 	go func() {
 		defer close(crashDone)
@@ -339,7 +339,7 @@ func TestRecastOverloadChaosE2E(t *testing.T) {
 		t.Fatal("no admissions before the crash; the loss check is vacuous")
 	}
 	srv := cur.Load()
-	if st := srv.Queue().Stats(); st.Queued != 0 || st.Claimed != 0 {
+	if st := srv.Status().Queue; st.Queued != 0 || st.Claimed != 0 {
 		t.Fatalf("queue not drained after the run: %+v", st)
 	}
 
