@@ -1,7 +1,8 @@
 // Command daspos-archive manages preservation-archive files: create builds
 // a demonstration archive containing a fully populated analysis capsule,
-// verify runs the fixity audit on an existing archive file, and list shows
-// the package catalogue.
+// verify runs the fixity audit on an existing archive file — one pass,
+// naming each damaged package and file, exit status 1 if there is any —
+// and list shows the package catalogue (and refuses a damaged file).
 //
 // Usage:
 //
@@ -115,22 +116,30 @@ func verify(args []string) {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	in := fs.String("in", "archive.daspos", "archive file to audit")
 	_ = fs.Parse(args)
-	a := open(*in)
-	rep := a.VerifyAll()
-	fmt.Printf("packages: %d, healthy: %d\n", rep.Packages, rep.Healthy)
-	for id, msg := range rep.Damaged {
-		fmt.Printf("DAMAGED %s: %s\n", id, msg)
-	}
-	if len(rep.Damaged) > 0 {
+	if !audit(os.Stdout, open(*in, archive.ReadUnverified)) {
 		os.Exit(1)
 	}
+}
+
+// audit makes the one fixity pass over an archive loaded unverified, prints
+// the report — every damaged package with the file that failed and why —
+// and reports whether the archive is whole.
+func audit(w io.Writer, a *archive.Archive) bool {
+	rep := a.VerifyAll()
+	fmt.Fprintf(w, "packages: %d, healthy: %d\n", rep.Packages, rep.Healthy)
+	for _, id := range a.IDs() {
+		if msg, bad := rep.Damaged[id]; bad {
+			fmt.Fprintf(w, "DAMAGED %s: %s\n", id, msg)
+		}
+	}
+	return len(rep.Damaged) == 0
 }
 
 func list(args []string) {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	in := fs.String("in", "archive.daspos", "archive file to list")
 	_ = fs.Parse(args)
-	a := open(*in)
+	a := open(*in, archive.ReadFrom)
 	t := texttable.New("ID", "Title", "Level", "Files", "Bytes")
 	t.Title = "Archive catalogue"
 	t.SetAlign(3, texttable.Right)
@@ -143,13 +152,15 @@ func list(args []string) {
 	fmt.Println(t)
 }
 
-func open(path string) *archive.Archive {
+// open loads the archive file at path with read: archive.ReadFrom, which
+// refuses a damaged image, or archive.ReadUnverified for the audit.
+func open(path string, read func(io.Reader) (*archive.Archive, error)) *archive.Archive {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	a, err := archive.ReadFrom(f)
+	a, err := read(f)
 	if err != nil {
 		log.Fatal(err)
 	}

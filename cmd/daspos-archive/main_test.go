@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -111,5 +112,57 @@ func TestSaveRoundTrips(t *testing.T) {
 	}
 	if rep := b.VerifyAll(); rep.Healthy != 1 || len(rep.Damaged) != 0 {
 		t.Fatalf("reloaded archive fails its audit: %+v", rep)
+	}
+}
+
+// TestVerifyNamesTheDamagedFile: one flipped byte in a saved archive must
+// come out of the audit as the package and the file it hit. The load the
+// other subcommands use refuses the same image without saying where.
+func TestVerifyNamesTheDamagedFile(t *testing.T) {
+	a := demoArchive(t)
+	path := filepath.Join(t.TempDir(), "a.daspos")
+	if err := save(a.Persist, path); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Persist writes the blobs in digest order: the last byte of the image
+	// belongs to the file with the largest digest.
+	id := a.IDs()[0]
+	pkg, _ := a.Get(id)
+	hit := pkg.Files[0]
+	for _, f := range pkg.Files {
+		if f.Digest > hit.Digest {
+			hit = f
+		}
+	}
+	image[len(image)-1] ^= 0x01
+
+	if _, err := archive.ReadFrom(bytes.NewReader(image)); err == nil {
+		t.Fatal("ReadFrom accepted a damaged image")
+	}
+	damaged, err := archive.ReadUnverified(bytes.NewReader(image))
+	if err != nil {
+		t.Fatalf("the audit's load refused the image: %v", err)
+	}
+	var out bytes.Buffer
+	if audit(&out, damaged) {
+		t.Errorf("audit called a damaged archive whole:\n%s", out.String())
+	}
+	want := "DAMAGED " + id + ": archive: package " + id + " file " + hit.Path + ": cas: blob corrupt: " + hit.Digest
+	if !strings.Contains(out.String(), "packages: 1, healthy: 0\n") || !strings.Contains(out.String(), want) {
+		t.Errorf("audit printed\n%swant a line starting\n%s", out.String(), want)
+	}
+
+	image[len(image)-1] ^= 0x01
+	whole, err := archive.ReadUnverified(bytes.NewReader(image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if !audit(&out, whole) || out.String() != "packages: 1, healthy: 1\n" {
+		t.Errorf("audit of the undamaged image printed\n%s", out.String())
 	}
 }

@@ -351,6 +351,19 @@ func ReadN(r io.Reader, n int64) ([]byte, error) {
 
 // Load reads a persisted store and verifies every blob.
 func Load(r io.Reader) (*Store, error) {
+	s, err := LoadUnverified(r)
+	if err != nil {
+		return nil, err
+	}
+	if bad := s.VerifyAll(); len(bad) > 0 {
+		return nil, fmt.Errorf("%w: %d blobs failed fixity on load", ErrCorrupt, len(bad))
+	}
+	return s, nil
+}
+
+// LoadUnverified reads a persisted store without checking any blob: what
+// an audit starts from, because it has damage to name rather than refuse.
+func LoadUnverified(r io.Reader) (*Store, error) {
 	s := NewStore()
 	for {
 		var lenBuf [2]byte
@@ -381,9 +394,6 @@ func Load(r io.Reader) (*Store, error) {
 		if err := s.backend.PutBlob(digest, comp, logical); err != nil {
 			return nil, fmt.Errorf("cas: loading %s: %w", digest, err)
 		}
-	}
-	if bad := s.VerifyAll(); len(bad) > 0 {
-		return nil, fmt.Errorf("%w: %d blobs failed fixity on load", ErrCorrupt, len(bad))
 	}
 	return s, nil
 }

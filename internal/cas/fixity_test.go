@@ -7,7 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // storedOf returns the stored form Put gives a payload.
@@ -57,6 +61,26 @@ func checkVerifyMatchesDecode(t testing.TB, digest string, blob []byte) error {
 		t.Fatalf("CorruptError shapes differ: DecodeBlob %+v, VerifyBlob %+v", dce, vce)
 	}
 	return derr
+}
+
+// checkFanOutMatchesInline holds the chunk loop with helpers to the same
+// loop without: the same verdict, the same error text — with several
+// defects, the earliest chunk's — the same length and the same payload.
+func checkFanOutMatchesInline(t testing.TB, digest string, blob []byte) {
+	t.Helper()
+	for _, keep := range []bool{false, true} {
+		wantData, wantN, wantErr := checkBlob(digest, blob, keep, 1)
+		for _, procs := range []int{2, 5} {
+			data, n, err := checkBlob(digest, blob, keep, procs)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("keep=%v: on %d goroutines %v, on one %v", keep, procs, err, wantErr)
+			}
+			if n != wantN || !bytes.Equal(data, wantData) {
+				t.Fatalf("keep=%v: on %d goroutines %d bytes (payload of %d), on one %d (%d)",
+					keep, procs, n, len(data), wantN, len(wantData))
+			}
+		}
+	}
 }
 
 // flipSites names, for each stored form, the offsets a corruption test
@@ -113,11 +137,14 @@ func FuzzVerifyMatchesDecode(f *testing.F) {
 	}
 	f.Add(Digest(nil), []byte{blobRaw})
 	f.Add(Digest(nil), []byte{})
+	uneven := compressiblePayload(1000)
+	f.Add(Digest(uneven), foreignChunked(f, uneven, 200, []int{200, 150, 250, 200, 200}))
 	for _, bomb := range headerBombs() {
 		f.Add(Digest(nil), bomb)
 	}
 	f.Fuzz(func(t *testing.T, digest string, blob []byte) {
 		checkVerifyMatchesDecode(t, digest, blob)
+		checkFanOutMatchesInline(t, digest, blob)
 	})
 }
 
@@ -158,12 +185,10 @@ func TestHeaderDrivenAllocationRefused(t *testing.T) {
 // TestForeignBlobShapes covers stored forms this store never writes but
 // the format allows, which the scratch must grow for rather than refuse: a
 // flat deflate blob far past chunkThreshold (the deleted streaming ingest
-// wrote these, so old stores hold them), and a chunked blob whose chunks are
-// wider than the scratch.
+// wrote these, so old stores hold them), and chunked blobs whose chunks are
+// wider than the scratch, or not all of the header's chunk size, or both.
 func TestForeignBlobShapes(t *testing.T) {
 	payload := compressiblePayload(3*maxPooledScratch + 12345)
-	digest := Digest(payload)
-
 	buf, err := encodeBlob(payload)
 	if err != nil {
 		t.Fatal(err)
@@ -174,34 +199,188 @@ func TestForeignBlobShapes(t *testing.T) {
 		t.Fatalf("encodeBlob wrote marker 0x%02x, want flat deflate", flat[0])
 	}
 
+	// Chunk lists with short chunks and chunks past the chunk size, still
+	// of the length the header's arithmetic asks for. The one-chunk-after-
+	// another loop has always taken these, so the fanned-out one must.
+	split := func(total, cs int, adjust map[int]int) (sizes []int) {
+		for left := total; left > 0; left -= sizes[len(sizes)-1] {
+			sizes = append(sizes, min(cs+adjust[len(sizes)], left))
+		}
+		if want := (total + cs - 1) / cs; len(sizes) != want {
+			t.Fatalf("%d chunks, the header's arithmetic wants %d", len(sizes), want)
+		}
+		return sizes
+	}
 	const wide = chunkThreshold + chunkPayloadSize
-	chunked := []byte{blobChunked}
-	chunked = binary.AppendUvarint(chunked, uint64(len(payload)))
-	chunked = binary.AppendUvarint(chunked, wide)
-	chunked = binary.AppendUvarint(chunked, uint64((len(payload)+wide-1)/wide))
-	for lo := 0; lo < len(payload); lo += wide {
-		chunk := payload[lo:min(lo+wide, len(payload))]
+	chunkedPayload := payload[:5*wide+12345]
+	uneven := map[int]int{1: -4321, 3: +4300}
+
+	for name, c := range map[string]struct{ payload, blob []byte }{
+		"flat-deflate":       {payload, flat},
+		"wide-chunks":        {chunkedPayload, foreignChunked(t, chunkedPayload, wide, split(len(chunkedPayload), wide, nil))},
+		"wide-uneven-chunks": {chunkedPayload, foreignChunked(t, chunkedPayload, wide, split(len(chunkedPayload), wide, uneven))},
+		"uneven-chunks":      {chunkedPayload, foreignChunked(t, chunkedPayload, chunkPayloadSize, split(len(chunkedPayload), chunkPayloadSize, uneven))},
+	} {
+		t.Run(name, func(t *testing.T) {
+			digest := Digest(c.payload)
+			if err := checkVerifyMatchesDecode(t, digest, c.blob); err != nil {
+				t.Fatal(err)
+			}
+			checkFanOutMatchesInline(t, digest, c.blob)
+			got, _ := DecodeBlob(digest, c.blob)
+			if !bytes.Equal(got, c.payload) {
+				t.Fatal("payload differs")
+			}
+		})
+	}
+}
+
+// foreignChunked writes a chunked stored form with the given chunk size in
+// its header and the payload split at the given sizes.
+func foreignChunked(t testing.TB, payload []byte, cs int, sizes []int) []byte {
+	t.Helper()
+	blob := []byte{blobChunked}
+	blob = binary.AppendUvarint(blob, uint64(len(payload)))
+	blob = binary.AppendUvarint(blob, uint64(cs))
+	blob = binary.AppendUvarint(blob, uint64(len(sizes)))
+	for _, size := range sizes {
+		chunk := payload[:size]
+		payload = payload[size:]
 		enc, err := EncodeBlob(chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(chunk)
-		chunked = append(chunked, sum[:]...)
-		chunked = binary.AppendUvarint(chunked, uint64(len(enc)))
-		chunked = append(chunked, enc...)
+		blob = append(blob, sum[:]...)
+		blob = binary.AppendUvarint(blob, uint64(len(enc)))
+		blob = append(blob, enc...)
 	}
+	if len(payload) != 0 {
+		t.Fatalf("chunk sizes leave %d bytes of payload", len(payload))
+	}
+	return blob
+}
 
-	for name, blob := range map[string][]byte{"flat-deflate": flat, "wide-chunks": chunked} {
-		t.Run(name, func(t *testing.T) {
-			if err := checkVerifyMatchesDecode(t, digest, blob); err != nil {
-				t.Fatal(err)
+// chunkOffsets returns where each chunk's recorded digest starts in a
+// chunked stored blob.
+func chunkOffsets(t testing.TB, blob []byte) []int {
+	t.Helper()
+	off := 1
+	var hdr [3]uint64
+	for i := range hdr {
+		v, n := binary.Uvarint(blob[off:])
+		hdr[i], off = v, off+n
+	}
+	offs := make([]int, hdr[2])
+	for i := range offs {
+		offs[i] = off
+		encLen, n := binary.Uvarint(blob[off+sha256.Size:])
+		off += sha256.Size + n + int(encLen)
+	}
+	if off != len(blob) {
+		t.Fatalf("chunk list ends at %d of %d bytes", off, len(blob))
+	}
+	return offs
+}
+
+// TestChunkedEarliestDefectWins: of several defects the check reports the
+// one in the earliest chunk, as the one-chunk-after-another loop does by
+// construction — whichever helper finds which first, and also when the later
+// defect is one the walker itself trips over.
+func TestChunkedEarliestDefectWins(t *testing.T) {
+	digest, blob := storedOf(t, compressiblePayload(1<<20))
+	offs := chunkOffsets(t, blob)
+	if len(offs) != 16 {
+		t.Fatalf("%d chunks, want 16", len(offs))
+	}
+	for name, damage := range map[string]func([]byte) []byte{
+		"body-then-digest": func(b []byte) []byte {
+			b[offs[3]+sha256.Size+40] ^= 0x10
+			b[offs[11]+5] ^= 0x01
+			return b
+		},
+		"digest-then-truncation": func(b []byte) []byte {
+			b[offs[3]+5] ^= 0x01
+			return b[:offs[9]+sha256.Size+10]
+		},
+		"digest-then-bad-length": func(b []byte) []byte {
+			b[offs[3]+5] ^= 0x01
+			for i := 0; i < binary.MaxVarintLen64+1; i++ {
+				b[offs[4]+sha256.Size+i] = 0xff
 			}
-			got, _ := DecodeBlob(digest, blob)
-			if !bytes.Equal(got, payload) {
-				t.Fatal("payload differs")
+			return b
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := damage(append([]byte(nil), blob...))
+			checkFanOutMatchesInline(t, digest, bad)
+			err := checkVerifyMatchesDecode(t, digest, bad)
+			if err == nil || !strings.Contains(err.Error(), ": chunk 3: ") {
+				t.Fatalf("got %v, want chunk 3's defect", err)
 			}
 		})
 	}
+}
+
+// TestChunkedCheckKeepsTwoChunksInFlight proves the overlap without a
+// clock: the first chunk to start is held until a second one has started. A
+// loop that checks one chunk after another never gets there.
+func TestChunkedCheckKeepsTwoChunksInFlight(t *testing.T) {
+	digest, blob := storedOf(t, compressiblePayload(1<<20))
+	var started atomic.Int32
+	second := make(chan struct{})
+	chunkStarted = func() {
+		switch started.Add(1) {
+		case 1:
+			select {
+			case <-second:
+			case <-time.After(20 * time.Second):
+				t.Error("no second chunk started while the first was in flight")
+			}
+		case 2:
+			close(second)
+		}
+	}
+	defer func() { chunkStarted = nil }()
+	for _, keep := range []bool{false, true} {
+		started.Store(0)
+		second = make(chan struct{})
+		if _, n, err := checkBlob(digest, blob, keep, 2); err != nil || n != 1<<20 {
+			t.Fatalf("keep=%v: %d bytes, %v", keep, n, err)
+		}
+		if got := started.Load(); got != 16 {
+			t.Fatalf("keep=%v: %d chunk checks started, want 16", keep, got)
+		}
+	}
+}
+
+// TestChunkedCheckSaturated runs many more checks than cores at once, each
+// with its own helpers. A chunk is bound to its slot before a helper sees
+// it; were a helper to claim a chunk first and look for room after, later
+// chunks could fill every slot and the hash would wait for ever. The test's
+// timeout is the assertion.
+func TestChunkedCheckSaturated(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	payload := compressiblePayload(1<<20 + 777)
+	copy(payload[9*chunkPayloadSize:], incompressiblePayload(2*chunkPayloadSize))
+	digest, blob := storedOf(t, payload)
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if g%2 == 0 {
+					if n, err := VerifyBlob(digest, blob); err != nil || n != int64(len(payload)) {
+						t.Errorf("VerifyBlob: %d bytes, %v", n, err)
+					}
+				} else if data, err := DecodeBlob(digest, blob); err != nil || !bytes.Equal(data, payload) {
+					t.Errorf("DecodeBlob: %d bytes, %v", len(data), err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestVerifyBlobAllocs holds the point of the kernel: a warm check of a
@@ -226,6 +405,16 @@ func TestVerifyBlobAllocs(t *testing.T) {
 		}
 	}); n > 8 {
 		t.Errorf("DecodeBlob of a warm 1 MiB chunked blob: %.0f allocations, want at most 8", n)
+	}
+	// AllocsPerRun runs on one processor, which is the inline loop above;
+	// asked for helpers, the same check costs a channel and the goroutines,
+	// whatever the blob's size: slots come from slotPool.
+	if n := testing.AllocsPerRun(20, func() {
+		if _, _, err := checkBlob(digest, blob, false, 2); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("VerifyBlob of a warm 1 MiB chunked blob on two helpers: %.0f allocations, want at most 8", n)
 	}
 }
 

@@ -79,31 +79,40 @@ func (r SweepReport) String() string {
 		r.Digests, r.Healthy, r.Repaired, r.Removed, r.Unrecoverable, r.Errors, len(r.Unreachable))
 }
 
-// locate walks the keyspace ranges on every member and returns which
+// locate walks the keyspace ranges on every member — the members
+// concurrently, the ranges of one member in order — and returns which
 // nodes hold which digests, plus the members that could not be listed. It
 // fails only when no member answered at all.
 func (c *Client) locate(ctx context.Context) (map[string]map[string]bool, []string, error) {
 	conns := c.allConns()
+	listings := make([][]string, len(conns))
+	listed := make([]bool, len(conns))
+	var wg sync.WaitGroup
+	wg.Add(len(conns))
+	for i, nc := range conns {
+		go func() {
+			defer wg.Done()
+			var ds []string
+			for _, rg := range sweepRanges() {
+				page, err := c.listRange(ctx, nc, rg[0], rg[1])
+				if err != nil {
+					return
+				}
+				ds = append(ds, page...)
+			}
+			listings[i], listed[i] = ds, true
+		}()
+	}
+	wg.Wait()
+
 	located := make(map[string]map[string]bool)
 	var unreachable []string
-	reachable := 0
-	for _, nc := range conns {
-		ok := true
-		var ds []string
-		for _, rg := range sweepRanges() {
-			page, err := c.listRange(ctx, nc, rg[0], rg[1])
-			if err != nil {
-				ok = false
-				break
-			}
-			ds = append(ds, page...)
-		}
-		if !ok {
+	for i, nc := range conns {
+		if !listed[i] {
 			unreachable = append(unreachable, nc.id)
 			continue
 		}
-		reachable++
-		for _, d := range ds {
+		for _, d := range listings[i] {
 			holders := located[d]
 			if holders == nil {
 				holders = make(map[string]bool)
@@ -113,7 +122,7 @@ func (c *Client) locate(ctx context.Context) (map[string]map[string]bool, []stri
 		}
 	}
 	sort.Strings(unreachable)
-	if reachable == 0 {
+	if len(unreachable) == len(conns) {
 		return nil, unreachable, fmt.Errorf("cluster: sweep: no member reachable")
 	}
 	return located, unreachable, nil

@@ -450,17 +450,39 @@ func (c *Client) GetBlob(digest string) ([]byte, int64, error) {
 	return nil, 0, fmt.Errorf("cluster: no healthy replica of %s: %w", short(digest), firstErr)
 }
 
-// HasBlob implements cas.Backend: true when any owner has the blob. Node
-// failures read as absence — the interface has no error channel, and a
-// false negative only costs an idempotent re-put.
+// HasBlob implements cas.Backend: true when any owner has the blob. The
+// first owner is asked alone — a blob the fleet holds is on it, and one
+// answer settles the call — and only when it has none are the others asked,
+// concurrently and all waited for, as in PutBlob: a new blob costs two
+// round trips before its put instead of one per owner, and no request is
+// sent that asking in turn would not have sent to a fleet whose replicas
+// agree. Node failures read as absence — the interface has no error
+// channel, and a false negative only costs an idempotent re-put.
 func (c *Client) HasBlob(digest string) bool {
 	ctx := c.ctx
-	for _, nc := range c.ownerConns(digest) {
-		if ok, err := c.hasOn(ctx, nc, digest); err == nil && ok {
-			return true
+	has := func(nc *nodeConn) bool {
+		ok, err := c.hasOn(ctx, nc, digest)
+		return err == nil && ok
+	}
+	owners := c.ownerConns(digest)
+	if len(owners) == 0 {
+		return false
+	}
+	if has(owners[0]) {
+		return true
+	}
+	rest := owners[1:]
+	answers := make(chan bool, len(rest))
+	for _, nc := range rest {
+		go func() { answers <- has(nc) }()
+	}
+	found := false
+	for range rest {
+		if <-answers {
+			found = true
 		}
 	}
-	return false
+	return found
 }
 
 // DeleteBlob implements cas.Backend: best-effort delete on every member

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 
 	"daspos/internal/cas"
@@ -166,18 +167,17 @@ func (n *Node) handleDigests(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = v
 	}
-	var out []string
-	for _, d := range n.backend.Digests() {
-		if d < start || (end != "" && d >= end) {
-			continue
-		}
-		out = append(out, d)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
+	all := n.backend.Digests() // sorted
+	lo, hi := sort.SearchStrings(all, start), len(all)
+	if end != "" {
+		hi = sort.SearchStrings(all, end)
 	}
-	if out == nil {
-		out = []string{}
+	out := []string{}
+	if lo < hi {
+		out = all[lo:hi]
+	}
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
 	}
 	writeJSON(w, http.StatusOK, out)
 }

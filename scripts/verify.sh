@@ -6,7 +6,12 @@
 # and the seed corpora of its fuzz targets (FuzzInflateMatchesFlate,
 # FuzzVerifyMatchesDecode, FuzzNodePut) and of the wire decoders'
 # (FuzzDecodeCursor, FuzzDecodeBudget); CI's chaos job fuzzes them for
-# real. It also includes the reachability gate
+# real. The chunk-parallel check's tests run here too — the fanned-out
+# loop held to the inline one inside FuzzVerifyMatchesDecode and
+# TestForeignBlobShapes, TestChunkedEarliestDefectWins,
+# TestChunkedCheckKeepsTwoChunksInFlight, TestChunkedCheckSaturated — and
+# CI's chaos job repeats them at -count=10 -cpu 1,2,4. It also includes
+# the reachability gate
 # (TestInternalExportsAreReached in internal/analysis): an exported
 # internal/ declaration no main reaches fails here unless
 # internal/analysis/testdata/reach-keep.txt keeps it for a stated reason.
