@@ -23,6 +23,21 @@ type Backend interface {
 	Digests() []string
 }
 
+// VerifiedReader is the optional backend capability of reading a blob
+// already fixity-checked. ReadVerified makes exactly DecodeBlob's checks on
+// the stored bytes it reads and returns what they found: with keep, the
+// payload; always, the logical size the check counted, whatever any header
+// claimed. A missing blob is an error wrapping ErrNotFound, a failed check
+// one wrapping ErrCorrupt.
+//
+// A backend that must check its reads anyway — the cluster client, to
+// choose a healthy replica — implements it, and a Store over it trusts that
+// check and makes none of its own. A wrapper that does not forward it gets
+// the Store's GetBlob-and-check path: correct, but checked twice.
+type VerifiedReader interface {
+	ReadVerified(digest string, keep bool) (payload []byte, logical int64, err error)
+}
+
 // Corrupter is the optional backend capability of flipping stored bits —
 // the fault-injection hook disaster-recovery tests drive.
 type Corrupter interface {

@@ -201,26 +201,35 @@ func EncodeBlob(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Get retrieves and fixity-checks a payload.
+// Get retrieves and fixity-checks a payload. A missing blob is ErrNotFound,
+// unwrapped; any other failure, the backend's or the check's, comes back
+// under "cas: reading <digest>".
 func (s *Store) Get(digest string) ([]byte, error) {
-	comp, _, err := s.backend.GetBlob(digest)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
+	data, _, err := s.read(digest, true)
+	if err != nil && !errors.Is(err, ErrNotFound) {
 		return nil, fmt.Errorf("cas: reading %s: %w", digest, err)
 	}
-	return DecodeBlob(digest, comp)
+	return data, err
 }
 
 // Verify is Get for an audit: the verdict and the payload's logical
-// length, without the payload.
+// length as the check counted it, without the payload.
 func (s *Store) Verify(digest string) (logical int64, err error) {
+	_, logical, err = s.read(digest, false)
+	return logical, err
+}
+
+// read is the one check behind Get and Verify: the backend's own when it is
+// a VerifiedReader, otherwise the fixity kernel over the stored bytes.
+func (s *Store) read(digest string, keep bool) ([]byte, int64, error) {
+	if vr, ok := s.backend.(VerifiedReader); ok {
+		return vr.ReadVerified(digest, keep)
+	}
 	comp, _, err := s.backend.GetBlob(digest)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	return VerifyBlob(digest, comp)
+	return checkBlob(digest, comp, keep, runtime.GOMAXPROCS(0))
 }
 
 // Digests returns the sorted list of stored digests.

@@ -284,14 +284,12 @@ func (c *Client) sweepDigest(ctx context.Context, digest string, holders map[str
 		return rep
 	}
 	var (
-		comp    []byte
-		logical int64
+		src     replica
 		fetched bool
 	)
-	for _, src := range srcOrder {
+	for _, nc := range srcOrder {
 		var err error
-		comp, logical, err = c.getFrom(ctx, src, digest)
-		if err == nil {
+		if src, err = c.getFrom(ctx, nc, digest, false); err == nil {
 			fetched = true
 			break
 		}
@@ -301,7 +299,7 @@ func (c *Client) sweepDigest(ctx context.Context, digest string, holders map[str
 		return rep
 	}
 	for _, nc := range broken {
-		if err := c.putTo(ctx, nc, digest, comp, logical); err != nil {
+		if err := c.putTo(ctx, nc, digest, src.comp, src.logical); err != nil {
 			rep.Errors++
 		} else {
 			rep.Repaired++

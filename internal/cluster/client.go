@@ -77,8 +77,10 @@ type nodeConn struct {
 
 // Client places blobs across the cluster. It implements cas.Backend, so a
 // cas.Store (and therefore a whole archive) can sit directly on top of the
-// network: compression and fixity stay in the store, placement and quorum
-// live here, and the nodes stay dumb.
+// network: compression stays in the store, placement and quorum live here,
+// and the nodes stay dumb. Every read is checked here, to choose a healthy
+// replica; as a cas.VerifiedReader the client hands that check's result to
+// the store, which then makes none of its own.
 //
 // The construction context bounds every operation issued through the
 // cas.Backend interface (whose methods cannot take one); cancelling it
@@ -96,7 +98,10 @@ type Client struct {
 	conns map[string]*nodeConn
 }
 
-var _ cas.Backend = (*Client)(nil)
+var (
+	_ cas.Backend        = (*Client)(nil)
+	_ cas.VerifiedReader = (*Client)(nil)
+)
 
 // New returns a client over the given membership. The context is retained:
 // it is the lifetime of every backend operation the client issues.
@@ -296,29 +301,53 @@ func (c *Client) putTo(ctx context.Context, nc *nodeConn, digest string, comp []
 	}
 }
 
-// getFrom reads one blob from one node and verifies it client-side, so a
+// replica is one owner's copy of a blob as a read found it: the stored
+// bytes the node served, and what their check found — the payload, when
+// the read kept it, and the logical size the check counted.
+type replica struct {
+	comp    []byte
+	payload []byte
+	logical int64
+}
+
+// getFrom reads one blob from one node and checks it client-side, so a
 // corrupt replica (at rest or on the wire) is detected here and the read
-// can fall through to the next owner.
-func (c *Client) getFrom(ctx context.Context, nc *nodeConn, digest string) (comp []byte, logical int64, err error) {
+// can fall through to the next owner. With keep the check is DecodeBlob's
+// and the payload is kept, otherwise VerifyBlob's. A logical header that
+// disagrees with the size the check counted makes the replica corrupt too:
+// it is what read-repair would otherwise copy to the next node.
+func (c *Client) getFrom(ctx context.Context, nc *nodeConn, digest string, keep bool) (replica, error) {
 	res, err := c.call(ctx, nc, http.MethodGet, "/v1/blobs/"+digest, nil, nil, nil)
 	if err != nil {
-		return nil, 0, err
+		return replica{}, err
 	}
 	switch res.status {
 	case http.StatusOK:
 	case http.StatusNotFound:
-		return nil, 0, &cas.NotFoundError{Digest: digest}
+		return replica{}, &cas.NotFoundError{Digest: digest}
 	default:
-		return nil, 0, resilience.MarkPermanent(fmt.Errorf("cluster: node %s: get %s: unexpected HTTP %d", nc.id, short(digest), res.status))
+		return replica{}, resilience.MarkPermanent(fmt.Errorf("cluster: node %s: get %s: unexpected HTTP %d", nc.id, short(digest), res.status))
 	}
-	logical, perr := strconv.ParseInt(res.header.Get(node.LogicalHeader), 10, 64)
+	claimed, perr := strconv.ParseInt(res.header.Get(node.LogicalHeader), 10, 64)
 	if perr != nil {
-		return nil, 0, resilience.MarkTransient(fmt.Errorf("cluster: node %s: get %s: bad %s header: %w", nc.id, short(digest), node.LogicalHeader, perr))
+		return replica{}, resilience.MarkTransient(fmt.Errorf("cluster: node %s: get %s: bad %s header: %w", nc.id, short(digest), node.LogicalHeader, perr))
 	}
-	if _, derr := cas.VerifyBlob(digest, res.body); derr != nil {
-		return nil, 0, derr
+	r := replica{comp: res.body}
+	var derr error
+	if keep {
+		r.payload, derr = cas.DecodeBlob(digest, res.body)
+		r.logical = int64(len(r.payload))
+	} else {
+		r.logical, derr = cas.VerifyBlob(digest, res.body)
 	}
-	return res.body, logical, nil
+	if derr != nil {
+		return replica{}, derr
+	}
+	if claimed != r.logical {
+		return replica{}, &cas.CorruptError{Digest: digest, Expected: digest,
+			Cause: fmt.Errorf("node %s serves %s %d, the content is %d bytes", nc.id, node.LogicalHeader, claimed, r.logical)}
+	}
+	return r, nil
 }
 
 // hasOn stats one blob on one node.
@@ -410,16 +439,32 @@ func (c *Client) PutBlob(digest string, comp []byte, logical int64) error {
 		short(digest), acks, len(owners), quorum, firstErr))
 }
 
-// GetBlob implements cas.Backend: replicas are tried in ring preference
-// order, every read is verified client-side, and the first healthy copy
-// wins. Owners that turned out missing or corrupt are repaired in place
-// from the copy that was served (best-effort — the read already
-// succeeded).
+// GetBlob implements cas.Backend: the stored bytes of the first healthy
+// replica (see read).
 func (c *Client) GetBlob(digest string) ([]byte, int64, error) {
+	r, err := c.read(digest, false)
+	return r.comp, r.logical, err
+}
+
+// ReadVerified implements cas.VerifiedReader with GetBlob's replica loop:
+// the check that chose the replica is the Store's one check, and with keep
+// it is DecodeBlob's, so the payload it produced is handed up instead of
+// being inflated a second time.
+func (c *Client) ReadVerified(digest string, keep bool) ([]byte, int64, error) {
+	r, err := c.read(digest, keep)
+	return r.payload, r.logical, err
+}
+
+// read is the replica loop: owners are tried in ring preference order,
+// every read is checked client-side, and the first healthy copy wins.
+// Owners that turned out missing or corrupt are repaired in place with the
+// stored bytes that were served and the size their check counted
+// (best-effort — the read already succeeded).
+func (c *Client) read(digest string, keep bool) (replica, error) {
 	ctx := c.ctx
 	owners := c.ownerConns(digest)
 	if len(owners) == 0 {
-		return nil, 0, resilience.MarkPermanent(fmt.Errorf("cluster: no nodes available for %s", short(digest)))
+		return replica{}, resilience.MarkPermanent(fmt.Errorf("cluster: no nodes available for %s", short(digest)))
 	}
 	var (
 		firstErr    error
@@ -427,12 +472,12 @@ func (c *Client) GetBlob(digest string) ([]byte, int64, error) {
 		allNotFound = true
 	)
 	for _, nc := range owners {
-		comp, logical, err := c.getFrom(ctx, nc, digest)
+		r, err := c.getFrom(ctx, nc, digest, keep)
 		if err == nil {
 			for _, b := range broken {
-				_ = c.putTo(ctx, b, digest, comp, logical) // read-repair
+				_ = c.putTo(ctx, b, digest, r.comp, r.logical) // read-repair
 			}
-			return comp, logical, nil
+			return r, nil
 		}
 		if errors.Is(err, cas.ErrNotFound) || errors.Is(err, cas.ErrCorrupt) {
 			broken = append(broken, nc)
@@ -445,9 +490,9 @@ func (c *Client) GetBlob(digest string) ([]byte, int64, error) {
 		}
 	}
 	if allNotFound {
-		return nil, 0, &cas.NotFoundError{Digest: digest}
+		return replica{}, &cas.NotFoundError{Digest: digest}
 	}
-	return nil, 0, fmt.Errorf("cluster: no healthy replica of %s: %w", short(digest), firstErr)
+	return replica{}, fmt.Errorf("cluster: no healthy replica of %s: %w", short(digest), firstErr)
 }
 
 // HasBlob implements cas.Backend: true when any owner has the blob. The

@@ -96,9 +96,10 @@ func TestReadBody(t *testing.T) {
 	}
 }
 
-// FuzzNodePut throws arbitrary stored-form bodies at the PUT gate: it
-// answers 204 or a 4xx and never panics, and whatever it acknowledged
-// verifies where it now lies.
+// FuzzNodePut throws arbitrary stored-form bodies at the PUT gate, each
+// with the logical size a check of it counts as its header: it answers 204
+// or a 4xx and never panics, and whatever it acknowledged verifies where it
+// now lies, stored with that size.
 func FuzzNodePut(f *testing.F) {
 	for _, payload := range [][]byte{
 		nil,
@@ -130,17 +131,21 @@ func FuzzNodePut(f *testing.F) {
 		n := New("fuzz", cas.NewShardedBackend(1))
 		req := httptest.NewRequest(http.MethodPut, "/v1/blobs/x", bytes.NewReader(body))
 		req.SetPathValue("digest", digest)
-		req.Header.Set(LogicalHeader, strconv.Itoa(len(body)))
+		checked, _ := cas.VerifyBlob(digest, body) // 0 for a body the gate refuses
+		req.Header.Set(LogicalHeader, strconv.FormatInt(checked, 10))
 		rec := httptest.NewRecorder()
 		n.handlePut(rec, req)
 		switch {
 		case rec.Code == http.StatusNoContent:
-			comp, _, err := n.backend.GetBlob(digest)
+			comp, logical, err := n.backend.GetBlob(digest)
 			if err != nil {
 				t.Fatalf("acknowledged blob is not stored: %v", err)
 			}
 			if _, err := cas.VerifyBlob(digest, comp); err != nil {
 				t.Fatalf("acknowledged blob fails fixity: %v", err)
+			}
+			if logical != checked {
+				t.Fatalf("acknowledged blob stored as %d logical bytes, the check counted %d", logical, checked)
 			}
 		case rec.Code >= 400 && rec.Code < 500:
 			if n.Blobs() != 0 {

@@ -17,7 +17,7 @@
 //
 //	GET    /v1/health          → 200 {"id":..,"blobs":N}
 //	GET    /v1/digests?start=&end=&limit=  → 200 sorted JSON digest list in [start,end)
-//	PUT    /v1/blobs/{digest}  → 204; 422 when the body fails fixity
+//	PUT    /v1/blobs/{digest}  → 204; 422 when the body fails fixity or the header its size
 //	GET    /v1/blobs/{digest}  → 200 body; 404 when absent
 //	HEAD   /v1/blobs/{digest}  → 200/404
 //	DELETE /v1/blobs/{digest}  → 204 (idempotent)
@@ -186,7 +186,8 @@ func (n *Node) handleDigests(w http.ResponseWriter, r *http.Request) {
 // the node fixity-checks it (cas.VerifyBlob: every check, no payload
 // materialised) before acknowledging, so a payload corrupted on the wire
 // (or by a lying client) is refused with 422 instead of poisoning the
-// replica set.
+// replica set. The logical header must name the size the check counted:
+// the node serves it back on every GET.
 func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !validDigest(digest) {
@@ -203,8 +204,14 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "node: reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if _, derr := cas.VerifyBlob(digest, comp); derr != nil {
+	checked, derr := cas.VerifyBlob(digest, comp)
+	if derr != nil {
 		http.Error(w, "node: refused: "+derr.Error(), http.StatusUnprocessableEntity)
+		return
+	}
+	if checked != logical {
+		http.Error(w, fmt.Sprintf("node: refused: %s says %d bytes, the content is %d", LogicalHeader, logical, checked),
+			http.StatusUnprocessableEntity)
 		return
 	}
 	if err := n.backend.PutBlob(digest, comp, logical); err != nil {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"daspos/internal/cas"
@@ -102,6 +103,38 @@ func TestPutRejectsWireCorruption(t *testing.T) {
 	if n.Blobs() != 0 {
 		t.Fatalf("corrupt blob was stored: %d blobs", n.Blobs())
 	}
+}
+
+// TestPutRefusesLyingLogicalHeader: the node serves the logical header back
+// on every GET, so it stores only the size its own check counted. A header
+// that says otherwise is refused, and the refusal names both sizes.
+func TestPutRefusesLyingLogicalHeader(t *testing.T) {
+	n, base := startNode(t, "n1")
+	payload := bytes.Repeat([]byte("sized "), 500)
+	comp, err := cas.EncodeBlob(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lie := range []int{0, len(payload) - 1, len(payload) + 1, len(comp)} {
+		req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+cas.Digest(payload), bytes.NewReader(comp))
+		req.Header.Set(LogicalHeader, strconv.Itoa(lie))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("header %d on a %d-byte payload: status %d, want 422", lie, len(payload), resp.StatusCode)
+		}
+		if msg := string(body); !strings.Contains(msg, strconv.Itoa(lie)) || !strings.Contains(msg, strconv.Itoa(len(payload))) {
+			t.Fatalf("refusal %q does not name both sizes (%d, %d)", msg, lie, len(payload))
+		}
+	}
+	if n.Blobs() != 0 {
+		t.Fatalf("%d blobs stored under a lying header", n.Blobs())
+	}
+	putBlob(t, base, payload)
 }
 
 func TestPutRequiresLogicalHeader(t *testing.T) {

@@ -562,6 +562,16 @@ func (s *Service) archived(id string) (primary string, ok bool) {
 	return primary, ok && primary != id
 }
 
+// answers reports whether the memoization index holds a finished run of
+// this analysis and model on the chain this service would run it on: a
+// submission of it costs the back end nothing.
+func (s *Service) answers(analysis string, model ModelSpec) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.archive[DedupKey(analysis, model, s.chainDigest)]
+	return ok
+}
+
 // Expire dead-letters an approved request whose deadline passed before a
 // worker could serve it — dropped at the queue, not failed by the back
 // end. The distinct reason keeps shed-by-deadline visible in audits.

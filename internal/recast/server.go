@@ -351,15 +351,18 @@ func (e *admissionError) Error() string { return e.msg }
 
 // admit decides whether a submission may enter: per-tenant rate, queue
 // bound (shrunk under degradation), and deadline feasibility. A nil
-// return admits.
-func (s *Server) admit(tenant string, budget time.Duration) *admissionError {
-	if ok, retry := s.bucketFor(tenant).Take(); !ok {
-		if retry < time.Second {
-			retry = time.Second
-		}
-		return &admissionError{
-			status: http.StatusTooManyRequests,
-			msg:    fmt.Sprintf("tenant %s over rate limit", tenant), retryAfter: retry,
+// return admits. The rate meters back-end work, so a submission the
+// archive already answers takes no token.
+func (s *Server) admit(tenant string, budget time.Duration, answered bool) *admissionError {
+	if !answered {
+		if ok, retry := s.bucketFor(tenant).Take(); !ok {
+			if retry < time.Second {
+				retry = time.Second
+			}
+			return &admissionError{
+				status: http.StatusTooManyRequests,
+				msg:    fmt.Sprintf("tenant %s over rate limit", tenant), retryAfter: retry,
+			}
 		}
 	}
 
@@ -462,7 +465,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if shed := s.admit(body.Requester, budget); shed != nil {
+	if shed := s.admit(body.Requester, budget, s.svc.answers(body.Analysis, body.Model)); shed != nil {
 		s.mu.Lock()
 		s.shed++
 		if t := s.tenantLocked(body.Requester); t != nil {

@@ -116,6 +116,62 @@ func TestServerRateLimitSheds(t *testing.T) {
 	}
 }
 
+// TestArchiveAnswerTakesNoToken: the rate limit meters back-end work, and a
+// submission the archive already answers makes none. A tenant with a
+// one-token bucket on a stopped clock spends it on one model, then
+// resubmits that model five times at once: all five are answered from the
+// archive, none is shed. A new model is still shed.
+func TestArchiveAnswerTakesNoToken(t *testing.T) {
+	clk := &serverClock{t: time.Unix(5000, 0)}
+	srv, _ := newTestServer(t, ServerConfig{
+		Workers: 1, TenantRate: 1, TenantBurst: 1, AutoApprove: true, Now: clk.now,
+	})
+	srv.Start()
+	h := srv.Handler()
+	first := postSubmit(t, h, "alice", 42, "")
+	if first.Code != http.StatusAccepted {
+		t.Fatalf("first submit: %d %s", first.Code, first.Body)
+	}
+	var primary Request
+	if err := json.Unmarshal(first.Body.Bytes(), &primary); err != nil {
+		t.Fatal(err)
+	}
+	if done := waitTerminal(t, srv.Service(), primary.ID); done.Status != StatusDone {
+		t.Fatalf("first request = %s (%s)", done.Status, done.Reason)
+	}
+
+	model := validModel()
+	model.Seed = 42
+	body, err := json.Marshal(submitBody{Analysis: "GPD_2013_DIMUON_HIGHMASS", Requester: "alice", Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := make([]*httptest.ResponseRecorder, 5)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i] = httptest.NewRecorder()
+			h.ServeHTTP(answers[i], httptest.NewRequest(http.MethodPost, "/requests", bytes.NewReader(body)))
+		}()
+	}
+	wg.Wait()
+	for i, w := range answers {
+		var got Request
+		if w.Code != http.StatusAccepted || json.Unmarshal(w.Body.Bytes(), &got) != nil ||
+			got.Status != StatusDone || got.DedupOf != primary.ID {
+			t.Fatalf("resubmission %d: %d %s, want 202 done as dedup of %s", i, w.Code, w.Body, primary.ID)
+		}
+	}
+	if w := postSubmit(t, h, "alice", 43, ""); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("a new model with the bucket empty: %d %s, want 429", w.Code, w.Body)
+	}
+	if st := srv.Status(); st.Shed != 1 || st.DedupHits != 5 || st.Tenants["alice"].Admitted != 6 {
+		t.Fatalf("status = %+v, want 1 shed, 5 dedup hits, 6 admitted", st)
+	}
+}
+
 func TestServerQueueBoundSheds(t *testing.T) {
 	srv, _ := newTestServer(t, ServerConfig{QueueBound: 2, AutoApprove: true})
 	h := srv.Handler()

@@ -10,8 +10,14 @@
 # loop held to the inline one inside FuzzVerifyMatchesDecode and
 # TestForeignBlobShapes, TestChunkedEarliestDefectWins,
 # TestChunkedCheckKeepsTwoChunksInFlight, TestChunkedCheckSaturated — and
-# CI's chaos job repeats them at -count=10 -cpu 1,2,4. It also includes
-# the reachability gate
+# CI's chaos job repeats them at -count=10 -cpu 1,2,4. The one-check read's
+# tests run here as well — TestClusterStoreChecksEachReadOnce
+# (internal/cas), TestStoreReadsMatchOverShardedAndCluster,
+# TestOneCorruptReplicaIsServedAroundAndRepaired and
+# TestReadsCountTheSizeNotTheHeader (internal/cluster),
+# TestPutRefusesLyingLogicalHeader (internal/node) — with
+# TestArchiveAnswerTakesNoToken (internal/recast); CI's chaos job repeats
+# them at -count=5. It also includes the reachability gate
 # (TestInternalExportsAreReached in internal/analysis): an exported
 # internal/ declaration no main reaches fails here unless
 # internal/analysis/testdata/reach-keep.txt keeps it for a stated reason.
