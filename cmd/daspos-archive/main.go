@@ -1,14 +1,20 @@
-// Command daspos-archive manages preservation-archive files: create builds
-// a demonstration archive containing a fully populated analysis capsule,
-// verify runs the fixity audit on an existing archive file — one pass,
-// naming each damaged package and file, exit status 1 if there is any —
-// and list shows the package catalogue (and refuses a damaged file).
+// Command daspos-archive manages preservation archives: create adds a
+// demonstration package — a fully populated analysis capsule — to an
+// archive directory, creating it if needed; verify runs the fixity audit —
+// one pass, naming each damaged package and file, exit status 1 if there is
+// any — and list shows the package catalogue (and refuses a damaged
+// archive).
+//
+// An archive is a directory: blobs/ holds one durable file per blob and
+// packages.log one line per package, so create appends to it and rewrites
+// nothing. verify and list also read the single-file images earlier builds
+// wrote, read only.
 //
 // Usage:
 //
-//	daspos-archive create -out archive.daspos [-seed S] [-events N]
-//	daspos-archive verify -in archive.daspos
-//	daspos-archive list -in archive.daspos
+//	daspos-archive create -out DIR [-seed S] [-events N]
+//	daspos-archive verify -in DIR|IMAGE
+//	daspos-archive list -in DIR|IMAGE
 package main
 
 import (
@@ -17,7 +23,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 
 	"daspos/internal/archive"
 	"daspos/internal/core"
@@ -40,10 +45,8 @@ func main() {
 	switch os.Args[1] {
 	case "create":
 		create(os.Args[2:])
-	case "verify":
-		verify(os.Args[2:])
-	case "list":
-		list(os.Args[2:])
+	case "verify", "list":
+		inspect(os.Args[1], os.Args[2:])
 	default:
 		log.Fatalf("unknown subcommand %q", os.Args[1])
 	}
@@ -51,79 +54,51 @@ func main() {
 
 func create(args []string) {
 	fs := flag.NewFlagSet("create", flag.ExitOnError)
-	out := fs.String("out", "archive.daspos", "output archive file")
+	out := fs.String("out", "archive.daspos", "archive directory to create or add to")
 	seed := fs.Uint64("seed", 7, "seed for the demonstration capsule's reference run")
 	events := fs.Int("events", 2000, "reference-run statistics")
 	_ = fs.Parse(args)
 
 	capsule := buildDemoCapsule(*seed, *events)
-	a := archive.New()
+	a, err := archive.Open(*out)
+	if err != nil {
+		log.Fatal(err)
+	}
 	id, err := capsule.Ingest(a)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := save(a.Persist, *out); err != nil {
+	st := a.Stats()
+	if err := a.Close(); err != nil {
 		log.Fatal(err)
 	}
-	st := a.Stats()
 	fmt.Printf("created %s: package %s\n", *out, id)
 	fmt.Printf("payload %s in %d blobs (compression %.1fx)\n",
 		interview.FormatBytes(st.LogicalBytes), st.Blobs, st.CompressionRatio())
 }
 
-// save replaces the archive file atomically, with the ledger's discipline:
-// the image goes to a temporary file beside it, is fsynced and closed, and
-// only then renamed over path; the directory is fsynced so the rename
-// itself survives a crash. A write error or a kill mid-save leaves the
-// previous archive as it was, and nil means the new one is on disk: a write
-// error that surfaces at fsync or close must not be reported as "created".
-func save(persist func(io.Writer) error, path string) (err error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close() // a second Close after the checked one is harmless
-			os.Remove(tmp)
-		}
-	}()
-	if err := persist(f); err != nil {
-		return fmt.Errorf("writing %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("fsync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil {
-		return fmt.Errorf("fsync %s: %w", dir.Name(), err)
-	}
-	return nil
-}
-
-func verify(args []string) {
-	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	in := fs.String("in", "archive.daspos", "archive file to audit")
+// inspect loads the archive at -in and audits it (verify) or prints its
+// catalogue (list).
+func inspect(cmd string, args []string) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	in := fs.String("in", "archive.daspos", "archive directory or image to "+cmd)
 	_ = fs.Parse(args)
-	if !audit(os.Stdout, open(*in, archive.ReadUnverified)) {
-		os.Exit(1)
+	a, err := load(*in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if cmd == "verify" {
+		if !audit(os.Stdout, a) {
+			os.Exit(1)
+		}
+	} else if err := catalogue(os.Stdout, a); err != nil {
+		log.Fatal(err)
 	}
 }
 
-// audit makes the one fixity pass over an archive loaded unverified, prints
-// the report — every damaged package with the file that failed and why —
-// and reports whether the archive is whole.
+// audit makes the one fixity pass over an archive, prints the report —
+// every damaged package with the file that failed and why — and reports
+// whether the archive is whole.
 func audit(w io.Writer, a *archive.Archive) bool {
 	rep := a.VerifyAll()
 	fmt.Fprintf(w, "packages: %d, healthy: %d\n", rep.Packages, rep.Healthy)
@@ -135,36 +110,40 @@ func audit(w io.Writer, a *archive.Archive) bool {
 	return len(rep.Damaged) == 0
 }
 
-func list(args []string) {
-	fs := flag.NewFlagSet("list", flag.ExitOnError)
-	in := fs.String("in", "archive.daspos", "archive file to list")
-	_ = fs.Parse(args)
-	a := open(*in, archive.ReadFrom)
+// catalogue prints the package table of an archive that passes its audit,
+// and refuses one that does not.
+func catalogue(w io.Writer, a *archive.Archive) error {
+	if rep := a.VerifyAll(); len(rep.Damaged) > 0 {
+		return fmt.Errorf("%d packages damaged: verify names them", len(rep.Damaged))
+	}
 	t := texttable.New("ID", "Title", "Level", "Files", "Bytes")
 	t.Title = "Archive catalogue"
 	t.SetAlign(3, texttable.Right)
 	t.SetAlign(4, texttable.Right)
-	for _, meta := range a.List() {
-		pkg, _ := a.Get(meta.ID)
-		t.AddRow(meta.ID[:12], meta.Title, meta.Level.String(),
+	for _, id := range a.IDs() {
+		pkg, _ := a.Get(id)
+		t.AddRow(id[:12], pkg.Metadata.Title, pkg.Metadata.Level.String(),
 			len(pkg.Files), interview.FormatBytes(pkg.TotalBytes()))
 	}
-	fmt.Println(t)
+	_, err := fmt.Fprintln(w, t)
+	return err
 }
 
-// open loads the archive file at path with read: archive.ReadFrom, which
-// refuses a damaged image, or archive.ReadUnverified for the audit.
-func open(path string, read func(io.Reader) (*archive.Archive, error)) *archive.Archive {
-	f, err := os.Open(path)
+// load opens the archive at path: a directory archive, or the image file an
+// earlier build wrote, read into memory.
+func load(path string) (*archive.Archive, error) {
+	fi, err := os.Stat(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	defer f.Close()
-	a, err := read(f)
+	if fi.IsDir() {
+		return archive.Open(path)
+	}
+	image, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return a
+	return archive.ReadImage(image)
 }
 
 // buildDemoCapsule assembles a complete capsule: a Z→µµ reference run, the

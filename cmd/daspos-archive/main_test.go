@@ -2,167 +2,164 @@ package main
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"strings"
-	"syscall"
 	"testing"
 
 	"daspos/internal/archive"
 )
 
-func demoArchive(t *testing.T) *archive.Archive {
+// createIn runs `create -out dir -seed seed -events 50` and returns the
+// package it added.
+func createIn(t *testing.T, dir, seed string) (id string) {
 	t.Helper()
-	a := archive.New()
-	if _, err := buildDemoCapsule(7, 50).Ingest(a); err != nil {
+	var before []string
+	if _, err := os.Stat(dir); err == nil {
+		before = loadT(t, dir).IDs()
+	}
+	create([]string{"-out", dir, "-seed", seed, "-events", "50"})
+	for _, id := range loadT(t, dir).IDs() {
+		if !slices.Contains(before, id) {
+			return id
+		}
+	}
+	t.Fatalf("create -seed %s added no package to %s", seed, dir)
+	return ""
+}
+
+func loadT(t *testing.T, path string) *archive.Archive {
+	t.Helper()
+	a, err := load(path)
+	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { a.Close() })
 	return a
 }
 
-// TestSaveSurfacesAFullDisk: a device with no room must fail the save —
-// "created" is printed only after save returned nil. The image is teed to
-// /dev/full, so the write fails part-way the way a filling disk fails it.
-func TestSaveSurfacesAFullDisk(t *testing.T) {
-	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
-	if err != nil {
-		t.Skip("no /dev/full on this platform")
-	}
-	defer full.Close()
-	a := demoArchive(t)
-	path := filepath.Join(t.TempDir(), "a.daspos")
-	err = save(func(w io.Writer) error { return a.Persist(io.MultiWriter(w, full)) }, path)
-	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("save onto a full device returned %v, want ENOSPC", err)
-	}
-}
-
-// TestFailedSaveKeepsThePreviousArchive: a save that dies part-way — a
-// write error here; a kill leaves the same bytes — must not cost the
-// archive it was replacing. The file at the path is byte-identical and
-// still passes its audit, and no temporary file is left beside it.
-func TestFailedSaveKeepsThePreviousArchive(t *testing.T) {
-	a := demoArchive(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "a.daspos")
-	if err := save(a.Persist, path); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	boom := errors.New("disk gone")
-	err = save(func(w io.Writer) error {
-		if _, err := w.Write(before[:len(before)/2]); err != nil {
-			return err
+// TestParentImageReadsUnchanged: testdata/parent.daspos is the image the
+// last single-file build wrote (`create -events 50`), and parent.list and
+// parent.flipped.verify are what that build printed for it. verify and list
+// print the same for it here, and with its last byte flipped verify names
+// the same package, file and blob.
+func TestParentImageReadsUnchanged(t *testing.T) {
+	golden := func(name string) string {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return boom
-	}, path)
-	if !errors.Is(err, boom) {
-		t.Fatalf("failed save returned %v, want the write error", err)
+		return string(b)
 	}
-
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("the previous archive is gone: %v", err)
-	}
-	if !bytes.Equal(after, before) {
-		t.Fatalf("the previous archive changed: %d bytes, was %d", len(after), len(before))
-	}
-	b, err := archive.ReadFrom(bytes.NewReader(after))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := b.VerifyAll(); rep.Healthy != 1 || len(rep.Damaged) != 0 {
-		t.Fatalf("the previous archive fails its audit: %+v", rep)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "a.daspos" {
-		t.Fatalf("the failed save left files behind: %v", entries)
-	}
-}
-
-// TestSaveRoundTrips: what save wrote, closed and reported nil for loads
-// back — every package verified — as the archive that was saved.
-func TestSaveRoundTrips(t *testing.T) {
-	a := demoArchive(t)
-	path := filepath.Join(t.TempDir(), "a.daspos")
-	if err := save(a.Persist, path); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	b, err := archive.ReadFrom(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(b.IDs(), a.IDs()) || len(a.IDs()) != 1 {
-		t.Fatalf("reloaded packages %v, saved %v", b.IDs(), a.IDs())
-	}
-	if rep := b.VerifyAll(); rep.Healthy != 1 || len(rep.Damaged) != 0 {
-		t.Fatalf("reloaded archive fails its audit: %+v", rep)
-	}
-}
-
-// TestVerifyNamesTheDamagedFile: one flipped byte in a saved archive must
-// come out of the audit as the package and the file it hit. The load the
-// other subcommands use refuses the same image without saying where.
-func TestVerifyNamesTheDamagedFile(t *testing.T) {
-	a := demoArchive(t)
-	path := filepath.Join(t.TempDir(), "a.daspos")
-	if err := save(a.Persist, path); err != nil {
-		t.Fatal(err)
-	}
-	image, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Persist writes the blobs in digest order: the last byte of the image
-	// belongs to the file with the largest digest.
-	id := a.IDs()[0]
-	pkg, _ := a.Get(id)
-	hit := pkg.Files[0]
-	for _, f := range pkg.Files {
-		if f.Digest > hit.Digest {
-			hit = f
-		}
-	}
-	image[len(image)-1] ^= 0x01
-
-	if _, err := archive.ReadFrom(bytes.NewReader(image)); err == nil {
-		t.Fatal("ReadFrom accepted a damaged image")
-	}
-	damaged, err := archive.ReadUnverified(bytes.NewReader(image))
-	if err != nil {
-		t.Fatalf("the audit's load refused the image: %v", err)
-	}
+	image := filepath.Join("testdata", "parent.daspos")
 	var out bytes.Buffer
-	if audit(&out, damaged) {
-		t.Errorf("audit called a damaged archive whole:\n%s", out.String())
-	}
-	want := "DAMAGED " + id + ": archive: package " + id + " file " + hit.Path + ": cas: blob corrupt: " + hit.Digest
-	if !strings.Contains(out.String(), "packages: 1, healthy: 0\n") || !strings.Contains(out.String(), want) {
-		t.Errorf("audit printed\n%swant a line starting\n%s", out.String(), want)
-	}
-
-	image[len(image)-1] ^= 0x01
-	whole, err := archive.ReadUnverified(bytes.NewReader(image))
-	if err != nil {
-		t.Fatal(err)
+	if !audit(&out, loadT(t, image)) || out.String() != "packages: 1, healthy: 1\n" {
+		t.Fatalf("verify printed\n%s", out.String())
 	}
 	out.Reset()
-	if !audit(&out, whole) || out.String() != "packages: 1, healthy: 1\n" {
-		t.Errorf("audit of the undamaged image printed\n%s", out.String())
+	if err := catalogue(&out, loadT(t, image)); err != nil || out.String() != golden("parent.list") {
+		t.Fatalf("list printed (%v)\n%swant\n%s", err, out.String(), golden("parent.list"))
+	}
+
+	flipped := []byte(golden("parent.daspos"))
+	flipped[len(flipped)-1] ^= 0x01
+	path := filepath.Join(t.TempDir(), "flipped.daspos")
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	damaged := loadT(t, path)
+	out.Reset()
+	if audit(&out, damaged) || out.String() != golden("parent.flipped.verify") {
+		t.Fatalf("verify of the flipped image printed\n%swant\n%s", out.String(), golden("parent.flipped.verify"))
+	}
+	if err := catalogue(&out, damaged); err == nil {
+		t.Fatal("list accepted the flipped image")
+	}
+}
+
+// TestCreateAddsAPackage: a second create into an archive directory adds
+// its package beside the first without rewriting it, and both reload
+// whole.
+func TestCreateAddsAPackage(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a")
+	first := createIn(t, dir, "7")
+	index := filepath.Join(dir, "packages.log")
+	before, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := createIn(t, dir, "8")
+	after, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(after, before) || len(after) == len(before) {
+		t.Fatal("the second create rewrote packages.log instead of appending to it")
+	}
+	a := loadT(t, dir)
+	if got := a.IDs(); len(got) != 2 || !slices.Contains(got, first) || !slices.Contains(got, second) {
+		t.Fatalf("reloaded packages %v, want %s and %s", got, first, second)
+	}
+	var out bytes.Buffer
+	if !audit(&out, a) || out.String() != "packages: 2, healthy: 2\n" {
+		t.Fatalf("audit printed\n%s", out.String())
+	}
+}
+
+// damageOne creates an archive and hands the file of one of its package's
+// blobs to damage, returning the line verify must print for it, up to the
+// error's detail.
+func damageOne(t *testing.T, damage func(path string)) (dir, want string) {
+	t.Helper()
+	dir = t.TempDir()
+	id := createIn(t, dir, "7")
+	pkg, _ := loadT(t, dir).Get(id)
+	hit := pkg.Files[len(pkg.Files)-1]
+	damage(filepath.Join(dir, "blobs", hit.Digest))
+	return dir, "DAMAGED " + id + ": archive: package " + id + " file " + hit.Path + ": cas: blob "
+}
+
+// TestVerifyNamesTheDamagedFile: one flipped byte in a blob's file comes out
+// of the audit as the package and the file it hit, as it does for an image,
+// and list refuses the archive.
+func TestVerifyNamesTheDamagedFile(t *testing.T) {
+	var digest string
+	dir, want := damageOne(t, func(path string) {
+		digest = filepath.Base(path)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)-1] ^= 0x01
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	a := loadT(t, dir)
+	var out bytes.Buffer
+	want += "corrupt: " + digest
+	if audit(&out, a) || !strings.Contains(out.String(), "packages: 1, healthy: 0\n"+want) {
+		t.Errorf("audit printed\n%swant a line starting\n%s", out.String(), want)
+	}
+	if err := catalogue(&out, a); err == nil {
+		t.Error("list accepted a damaged archive")
+	}
+}
+
+// TestVerifyNamesAMissingBlob: a blob file deleted from under an archive is
+// named by the audit as not found.
+func TestVerifyNamesAMissingBlob(t *testing.T) {
+	var digest string
+	dir, want := damageOne(t, func(path string) {
+		digest = filepath.Base(path)
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var out bytes.Buffer
+	want += "not found: " + digest + "\n"
+	if audit(&out, loadT(t, dir)) || !strings.HasSuffix(out.String(), want) {
+		t.Errorf("audit printed\n%swant a line\n%s", out.String(), want)
 	}
 }

@@ -8,11 +8,12 @@
 //
 //	daspos-node -id site-a -listen :7701
 //
-// The node stores blobs in memory, sharded for concurrent access; it is a
-// replication endpoint, not an archive of record — durability comes from
-// the replication factor across nodes, and the archive layer's ledger
-// stays on the coordinating side. SIGINT/SIGTERM drain in-flight requests
-// and exit cleanly.
+// The node stores blobs in memory, sharded for concurrent access: they are
+// lost when it stops, and the replication factor does not save them from a
+// power cut that stops every node at once. Durable nodes, on cas.Dir, are
+// ROADMAP item 1. The archive layer's package index stays on the
+// coordinating side. SIGINT/SIGTERM drain in-flight requests and exit
+// cleanly.
 package main
 
 import (

@@ -82,20 +82,27 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 		Provenance:    prov,
 		Workflow:      desc,
 	}
-	store := archive.New()
+	// Ingest into an archive directory, close it and reopen it: the
+	// cold-storage trip.
+	dir := t.TempDir()
+	store, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	id, err := capsule.Ingest(store)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Persist the whole archive to bytes and reload: the cold-storage trip.
-	var cold bytes.Buffer
-	if err := store.Persist(&cold); err != nil {
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	thawed, err := archive.ReadFrom(bytes.NewReader(cold.Bytes()))
+	thawed, err := archive.Open(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer thawed.Close()
+	if rep := thawed.VerifyAll(); rep.Healthy != 1 {
+		t.Fatalf("thawed archive fails its audit: %+v", rep)
 	}
 
 	// --- reuse era ---

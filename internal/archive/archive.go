@@ -10,21 +10,29 @@
 // digests linking to its environment manifest and provenance chain, so a
 // future consumer can answer: what is this, can I still run it, and where
 // did it come from.
+//
+// An archive Open makes lives in a directory: its blobs in blobs/, one
+// durable file each (cas.DiskBackend), and its index in packages.log, an
+// append-only journal with one Package per line. Adding a package writes
+// its new blobs and appends one line; nothing already there is rewritten.
 package archive
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"daspos/internal/cas"
 	"daspos/internal/datamodel"
+	"daspos/internal/journal"
 )
 
 // File is one payload entry of a package.
@@ -95,6 +103,10 @@ var (
 // archive.
 type Archive struct {
 	blobs *cas.Store
+	// disk and index are the blob directory and package journal of an
+	// archive Open made; nil for one over a caller's store.
+	disk  *cas.DiskBackend
+	index *journal.Journal
 
 	mu       sync.RWMutex
 	packages map[string]*Package
@@ -113,9 +125,56 @@ func NewWithStore(blobs *cas.Store) *Archive {
 	return &Archive{blobs: blobs, packages: make(map[string]*Package)}
 }
 
+// Open creates or reopens the archive in a directory. Replaying the index
+// recomputes every package ID and fails, naming the line, on one that does
+// not match; a package recorded twice is indexed once.
+func Open(dir string) (*Archive, error) {
+	disk, err := cas.OpenDisk(filepath.Join(dir, "blobs"))
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
+	}
+	a := NewWithStore(cas.NewStoreWith(disk))
+	a.disk = disk
+	if a.index, err = journal.Open(filepath.Join(dir, "packages.log"), a.add); err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
+	}
+	return a, nil
+}
+
+// Close releases the index of an archive Open made; the directory stays
+// valid for a later Open.
+func (a *Archive) Close() error {
+	if a.index == nil {
+		return nil
+	}
+	return a.index.Close()
+}
+
+// add indexes a package read back from an index, holding it to its ID:
+// blob fixity does not cover the index, so the ID is recomputed rather than
+// believed.
+func (a *Archive) add(pkg *Package) error {
+	if pkg == nil {
+		return fmt.Errorf("archive: null package in index")
+	}
+	id, err := packageID(pkg)
+	if err != nil {
+		return err
+	}
+	if id != pkg.Metadata.ID {
+		return fmt.Errorf("archive: package %q (%q) does not match its ID: metadata altered", pkg.Metadata.ID, pkg.Metadata.Title)
+	}
+	if _, dup := a.packages[id]; !dup {
+		a.packages[id] = pkg
+	}
+	return nil
+}
+
 // Ingest stores the payload files and registers the package, returning its
 // assigned ID. Metadata.EnvManifest and Metadata.Provenance, when set,
-// must name ingested paths.
+// must name ingested paths. In an archive Open made, the index append is
+// the commit point: the blobs are durable before the line naming them is
+// written, so a crash in between leaves unreferenced blobs and no package.
 func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error) {
 	if meta.Title == "" {
 		return "", fmt.Errorf("archive: package needs a title")
@@ -152,6 +211,17 @@ func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error)
 		return "", err
 	}
 	pkg.Metadata.ID = id
+	if _, dup := a.Get(id); dup {
+		return "", fmt.Errorf("archive: identical package already ingested (%s)", id)
+	}
+	if a.index != nil {
+		// Not under a.mu: readers and audits go on while the line is
+		// fsynced. Two racing ingests of one package both append it, and
+		// replay indexes it once.
+		if err := a.index.Append(pkg); err != nil {
+			return "", fmt.Errorf("archive: %w", err)
+		}
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, dup := a.packages[id]; dup {
@@ -291,18 +361,6 @@ func (a *Archive) IDs() []string {
 	return out
 }
 
-// List returns metadata for every package, sorted by ID.
-func (a *Archive) List() []Metadata {
-	ids := a.IDs()
-	out := make([]Metadata, 0, len(ids))
-	for _, id := range ids {
-		if pkg, ok := a.Get(id); ok {
-			out = append(out, pkg.Metadata)
-		}
-	}
-	return out
-}
-
 // Stats returns the underlying store statistics (dedup and compression
 // across packages).
 func (a *Archive) Stats() cas.Stats { return a.blobs.Stats() }
@@ -311,89 +369,32 @@ func (a *Archive) Stats() cas.Stats { return a.blobs.Stats() }
 // fault-injection hook for disaster-recovery tests.
 func (a *Archive) CorruptBlob(digest string) error { return a.blobs.Corrupt(digest) }
 
-// persisted is the on-stream representation of the whole archive.
-type persisted struct {
-	Packages []*Package `json:"packages"`
-}
-
-// Persist writes the archive: a JSON package index followed by the CAS
-// stream. The index length prefixes the stream so both can be framed.
-func (a *Archive) Persist(w io.Writer) error {
-	idx := persisted{}
-	for _, id := range a.IDs() {
-		if pkg, ok := a.Get(id); ok {
-			idx.Packages = append(idx.Packages, pkg)
-		}
+// ReadImage reads an archive image, the single file earlier builds of
+// daspos-archive wrote: a decimal index length and a newline, a JSON index
+// of every package, then the blob stream cas.LoadUnverified reads. No blob
+// is checked, so VerifyAll on the result is the one fixity pass and names
+// what is damaged; the index is held to the package IDs.
+func ReadImage(image []byte) (*Archive, error) {
+	head, rest, _ := bytes.Cut(image, []byte("\n"))
+	n, err := strconv.Atoi(string(head))
+	if err != nil || n <= 0 || n > len(rest) {
+		return nil, fmt.Errorf("archive: implausible index length %.20q for %d bytes", head, len(rest))
 	}
-	head, err := json.Marshal(idx)
-	if err != nil {
-		return err
+	var idx struct {
+		Packages []*Package `json:"packages"`
 	}
-	if _, err := fmt.Fprintf(w, "%d\n", len(head)); err != nil {
-		return err
-	}
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
-	return a.blobs.Persist(w)
-}
-
-// ReadFrom loads a persisted archive and verifies every package.
-func ReadFrom(r io.Reader) (*Archive, error) {
-	a, err := read(r, cas.Load)
-	if err != nil {
-		return nil, err
-	}
-	rep := a.VerifyAll()
-	if len(rep.Damaged) > 0 {
-		return nil, fmt.Errorf("archive: %d packages damaged on load", len(rep.Damaged))
-	}
-	return a, nil
-}
-
-// ReadUnverified loads a persisted archive without checking any blob, for
-// an audit: VerifyAll on the result is the one fixity pass, and it names
-// the damage ReadFrom would only refuse. The index is still held to the
-// package IDs.
-func ReadUnverified(r io.Reader) (*Archive, error) {
-	return read(r, cas.LoadUnverified)
-}
-
-func read(r io.Reader, loadBlobs func(io.Reader) (*cas.Store, error)) (*Archive, error) {
-	var headLen int
-	if _, err := fmt.Fscanf(r, "%d\n", &headLen); err != nil {
-		return nil, fmt.Errorf("archive: reading index length: %w", err)
-	}
-	if headLen <= 0 || headLen > 1<<30 {
-		return nil, fmt.Errorf("archive: implausible index length %d", headLen)
-	}
-	head, err := cas.ReadN(r, int64(headLen))
-	if err != nil {
-		return nil, fmt.Errorf("archive: reading index: %w", err)
-	}
-	var idx persisted
-	if err := json.Unmarshal(head, &idx); err != nil {
+	if err := json.Unmarshal(rest[:n], &idx); err != nil {
 		return nil, fmt.Errorf("archive: parsing index: %w", err)
 	}
-	blobs, err := loadBlobs(r)
+	blobs, err := cas.LoadUnverified(rest[n:])
 	if err != nil {
 		return nil, err
 	}
-	a := &Archive{blobs: blobs, packages: make(map[string]*Package, len(idx.Packages))}
+	a := NewWithStore(blobs)
 	for _, pkg := range idx.Packages {
-		if pkg == nil {
-			return nil, fmt.Errorf("archive: null package in index")
-		}
-		// Blob fixity does not cover the index: the ID does, so it is
-		// recomputed rather than believed.
-		id, err := packageID(pkg)
-		if err != nil {
+		if err := a.add(pkg); err != nil {
 			return nil, err
 		}
-		if id != pkg.Metadata.ID {
-			return nil, fmt.Errorf("archive: package %q (%q) does not match its ID: metadata altered", pkg.Metadata.ID, pkg.Metadata.Title)
-		}
-		a.packages[id] = pkg
 	}
 	return a, nil
 }

@@ -5,12 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"daspos/internal/cas"
 	"daspos/internal/datamodel"
+	"daspos/internal/faults"
 )
 
 func sampleFiles() map[string][]byte {
@@ -201,17 +205,35 @@ func TestDeduplicationAcrossPackages(t *testing.T) {
 	}
 }
 
-func TestPersistRoundTrip(t *testing.T) {
-	a := New()
-	id, _ := a.Ingest(sampleMeta(), sampleFiles())
-	var buf bytes.Buffer
-	if err := a.Persist(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+func openArchive(t *testing.T, dir string) *Archive {
+	t.Helper()
+	a, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { a.Close() })
+	return a
+}
+
+// TestPersistRoundTrip: a package ingested into a directory archive is
+// there, whole, after a reopen, and a second package is added beside it
+// without rewriting the first's line.
+func TestPersistRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	a := openArchive(t, dir)
+	id, err := a.Ingest(sampleMeta(), sampleFiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.ReadFile(filepath.Join(dir, "packages.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := openArchive(t, dir)
 	if len(got.IDs()) != 1 || got.IDs()[0] != id {
 		t.Fatalf("ids: %v", got.IDs())
 	}
@@ -222,54 +244,171 @@ func TestPersistRoundTrip(t *testing.T) {
 	if !strings.Contains(string(data), "met") {
 		t.Fatal("content lost through persistence")
 	}
-}
-
-func TestReadFromRejectsDamage(t *testing.T) {
-	a := New()
-	id, _ := a.Ingest(sampleMeta(), sampleFiles())
-	pkg, _ := a.Get(id)
-	_ = a.CorruptBlob(pkg.Files[0].Digest)
-	var buf bytes.Buffer
-	_ = a.Persist(&buf)
-	if _, err := ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("damaged archive loaded")
-	}
-	if _, err := ReadFrom(strings.NewReader("garbage")); err == nil {
-		t.Fatal("garbage loaded")
-	}
-	if _, err := ReadFrom(strings.NewReader("5\n{bad}")); err == nil {
-		t.Fatal("bad index loaded")
-	}
-}
-
-// TestReadFromRejectsAlteredMetadata: blob fixity says nothing about the
-// index, so a byte flipped in a title, tag or keyword is caught by
-// recomputing the package ID the way Ingest assigned it.
-func TestReadFromRejectsAlteredMetadata(t *testing.T) {
-	a := New()
-	id, _ := a.Ingest(sampleMeta(), sampleFiles())
-	var buf bytes.Buffer
-	if err := a.Persist(&buf); err != nil {
+	m := sampleMeta()
+	m.Title = "Second package sharing payload"
+	if _, err := got.Ingest(m, sampleFiles()); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := got.Ingest(m, sampleFiles()); err == nil {
+		t.Fatal("identical package ingested twice into a directory archive")
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "packages.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(log, first) || bytes.Count(log, []byte("\n")) != 2 {
+		t.Fatalf("packages.log after a second ingest:\n%s", log)
+	}
+	if rep := got.VerifyAll(); rep.Healthy != 2 || got.Stats().Blobs != 5 {
+		t.Fatalf("report %+v over %d blobs", rep, got.Stats().Blobs)
+	}
+}
+
+// TestOpenRejectsAlteredMetadata: blob fixity says nothing about the
+// index, so a byte changed in a title, tag or keyword of a packages.log
+// line fails Open, naming the line and the package.
+func TestOpenRejectsAlteredMetadata(t *testing.T) {
+	dir := t.TempDir()
+	a := openArchive(t, dir)
+	if _, err := a.Ingest(sampleMeta(), sampleFiles()); err != nil {
+		t.Fatal(err)
+	}
+	m := sampleMeta()
+	m.Title = "W+MET search 2013, second look"
+	id, err := a.Ingest(m, sampleFiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	path := filepath.Join(dir, "packages.log")
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(log, []byte("\n"))
 	for _, field := range []string{"W+MET search", "data-v3", "w-boson"} {
-		edited := bytes.Replace(buf.Bytes(), []byte(field), []byte("X"+field[1:]), 1)
-		if bytes.Equal(edited, buf.Bytes()) {
-			t.Fatalf("%q not found in the persisted index", field)
+		edited := bytes.Replace(lines[1], []byte(field), []byte("X"+field[1:]), 1)
+		if bytes.Equal(edited, lines[1]) {
+			t.Fatalf("%q not found in the second line", field)
 		}
-		_, err := ReadFrom(bytes.NewReader(edited))
-		if err == nil || !strings.Contains(err.Error(), id) {
-			t.Fatalf("index with %q altered: err = %v, want one naming %s", field, err, id)
+		if err := os.WriteFile(path, slices.Concat(lines[0], edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir)
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), id) {
+			t.Fatalf("index with %q altered: err = %v, want one naming line 2 and %s", field, err, id)
 		}
 	}
 }
 
-// TestReadFromLengthFieldReservesNoMemory: the index length is read from
+// TestKilledIngestKeepsThePreviousArchive sweeps a second ingest into an
+// existing directory archive, killed at each of its object.* and journal.*
+// points in turn. After every kill the archive reopens with the first
+// package, the audit is clean, the second package is either whole or
+// absent, and ingesting it again completes it.
+func TestKilledIngestKeepsThePreviousArchive(t *testing.T) {
+	second := sampleMeta()
+	second.Title = "W+MET search 2013, second look"
+	secondFiles := sampleFiles()
+	secondFiles["events/extra.edm"] = bytes.Repeat([]byte("more-data "), 40000) // chunked
+	secondFiles["docs/README.md"] = []byte("# A second look\n")
+
+	// run builds the first package into a fresh directory and then ingests
+	// the second with hook armed.
+	run := func(hook func(point string)) (dir, id1, id2 string, killed *faults.Kill) {
+		dir = t.TempDir()
+		a := openArchive(t, dir)
+		var err error
+		if id1, err = a.Ingest(sampleMeta(), sampleFiles()); err != nil {
+			t.Fatal(err)
+		}
+		a.disk.SetKill(hook)
+		a.index.SetKill(hook)
+		defer func() {
+			if r := recover(); r != nil {
+				var ok bool
+				if killed, ok = faults.AsKill(r); !ok {
+					panic(r)
+				}
+			}
+			a.Close()
+		}()
+		if id2, err = a.Ingest(second, secondFiles); err != nil {
+			t.Fatal(err)
+		}
+		return dir, id1, id2, nil
+	}
+
+	seen := make(map[string]bool)
+	_, id1, id2, _ := run(func(point string) { seen[point] = true })
+	for _, p := range []string{"object.create", "object.torn", "object.sync", "object.rename", "object.durable", "journal.append", "journal.torn", "journal.sync"} {
+		if !seen[p] {
+			t.Fatalf("a second ingest never passes %s (saw %v)", p, seen)
+		}
+	}
+	probe := faults.NewKiller()
+	run(probe.Hit)
+	total := probe.Hits()
+
+	for n := 1; n <= total; n++ {
+		kill := faults.NewKiller()
+		kill.CrashAfterN(n)
+		dir, _, _, killed := run(kill.Hit)
+		if killed == nil {
+			t.Fatalf("kill %d/%d did not fire", n, total)
+		}
+		re := openArchive(t, dir)
+		ids := re.IDs()
+		if !slices.Contains(ids, id1) {
+			t.Fatalf("kill at %s (%d): the first package is gone: %v", killed.Point, n, ids)
+		}
+		if rep := re.VerifyAll(); len(rep.Damaged) != 0 {
+			t.Fatalf("kill at %s (%d): audit %+v", killed.Point, n, rep)
+		}
+		switch {
+		case slices.Contains(ids, id2):
+			for path, want := range secondFiles {
+				if got, err := re.Fetch(id2, path); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("kill at %s (%d): second package file %s: %v", killed.Point, n, path, err)
+				}
+			}
+		case len(ids) != 1:
+			t.Fatalf("kill at %s (%d): packages %v", killed.Point, n, ids)
+		default:
+			if id, err := re.Ingest(second, secondFiles); err != nil || id != id2 {
+				t.Fatalf("kill at %s (%d): re-ingest: %s, %v", killed.Point, n, id, err)
+			}
+		}
+	}
+}
+
+// TestReadImageRejectsGarbage: the image reader refuses what is not an
+// image, and an index entry whose ID does not recompute.
+func TestReadImageRejectsGarbage(t *testing.T) {
+	image := func(index string) string { return fmt.Sprintf("%d\n%s", len(index), index) }
+	for name, in := range map[string]string{
+		"garbage":         "garbage",
+		"bad index":       "5\n{bad}",
+		"short index":     "100\n{}",
+		"null package":    image(`{"packages":[null]}`),
+		"altered ID":      image(`{"packages":[{"metadata":{"id":"feed","title":"t"},"files":[]}]}`),
+		"bad blob stream": image(`{"packages":[]}`) + "\x01",
+	} {
+		if _, err := ReadImage([]byte(in)); err == nil {
+			t.Errorf("%s: image read", name)
+		}
+	}
+	if a, err := ReadImage([]byte(image(`{"packages":[]}`))); err != nil || len(a.IDs()) != 0 {
+		t.Fatalf("empty image: %v", err)
+	}
+}
+
+// TestReadImageLengthFieldReservesNoMemory: the index length is read from
 // the file before any of the index arrives.
-func TestReadFromLengthFieldReservesNoMemory(t *testing.T) {
+func TestReadImageLengthFieldReservesNoMemory(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadFrom(strings.NewReader("1073741824\n{\"packages\":["))
+	_, err := ReadImage([]byte("1073741824\n{\"packages\":["))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("truncated index loaded")

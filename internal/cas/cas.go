@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -87,8 +86,7 @@ func Digest(data []byte) string {
 }
 
 // Store is a content-addressed blob store over a pluggable Backend, safe
-// for concurrent use. Persist and Load move the whole store to and from a
-// stream.
+// for concurrent use.
 type Store struct {
 	backend Backend
 }
@@ -232,9 +230,6 @@ func (s *Store) read(digest string, keep bool) ([]byte, int64, error) {
 	return checkBlob(digest, comp, keep, runtime.GOMAXPROCS(0))
 }
 
-// Digests returns the sorted list of stored digests.
-func (s *Store) Digests() []string { return s.backend.Digests() }
-
 // Stats summarizes storage consumption.
 type Stats struct {
 	Blobs        int
@@ -265,50 +260,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// VerifyAll fixity-checks every blob and returns the digests that failed,
-// sorted. The sweep fans out across GOMAXPROCS workers — decompress-and-
-// rehash is CPU bound, so archive-scale audits scale with cores.
-func (s *Store) VerifyAll() []string {
-	return s.VerifyAllWorkers(runtime.GOMAXPROCS(0))
-}
-
-// VerifyAllWorkers is VerifyAll with an explicit worker count (minimum 1).
-func (s *Store) VerifyAllWorkers(workers int) []string {
-	digests := s.backend.Digests()
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(digests) {
-		workers = len(digests)
-	}
-	var (
-		mu   sync.Mutex
-		bad  []string
-		wg   sync.WaitGroup
-		next = make(chan string)
-	)
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for d := range next {
-				if _, err := s.Verify(d); err != nil {
-					mu.Lock()
-					bad = append(bad, d)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, d := range digests {
-		next <- d
-	}
-	close(next)
-	wg.Wait()
-	sort.Strings(bad)
-	return bad
-}
-
 // Corrupt flips a byte inside a stored blob — a fault-injection hook for
 // testing fixity detection (bit rot on archival media). It requires a
 // backend that supports corruption (ShardedBackend does).
@@ -320,89 +271,35 @@ func (s *Store) Corrupt(digest string) error {
 	return c.CorruptBlob(digest)
 }
 
-// Persist writes the store to w: a stream of
-// (digestLen, digest, logicalLen, compLen, compressed bytes) records.
-func (s *Store) Persist(w io.Writer) error {
-	for _, d := range s.backend.Digests() {
-		comp, logical, err := s.backend.GetBlob(d)
-		if err != nil {
-			return fmt.Errorf("cas: persisting %s: %w", d, err)
-		}
-		hdr := make([]byte, 2+len(d)+8+8)
-		binary.LittleEndian.PutUint16(hdr, uint16(len(d)))
-		copy(hdr[2:], d)
-		binary.LittleEndian.PutUint64(hdr[2+len(d):], uint64(logical))
-		binary.LittleEndian.PutUint64(hdr[2+len(d)+8:], uint64(len(comp)))
-		if _, err := w.Write(hdr); err != nil {
-			return err
-		}
-		if _, err := w.Write(comp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// presizeCap bounds the buffer ReadN reserves on a length field's word.
-const presizeCap = 1 << 20
-
-// ReadN reads exactly n bytes of a length-prefixed field. The length comes
-// from the stream and is trusted only up to presizeCap: past it the buffer
-// grows as bytes actually arrive, so a lying header reserves no memory.
-func ReadN(r io.Reader, n int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(n, presizeCap)+bytes.MinRead))
-	got, err := buf.ReadFrom(io.LimitReader(r, n))
-	if err == nil && got < n {
-		err = io.ErrUnexpectedEOF
-	}
-	return buf.Bytes(), err
-}
-
-// Load reads a persisted store and verifies every blob.
-func Load(r io.Reader) (*Store, error) {
-	s, err := LoadUnverified(r)
-	if err != nil {
-		return nil, err
-	}
-	if bad := s.VerifyAll(); len(bad) > 0 {
-		return nil, fmt.Errorf("%w: %d blobs failed fixity on load", ErrCorrupt, len(bad))
-	}
-	return s, nil
-}
-
-// LoadUnverified reads a persisted store without checking any blob: what
-// an audit starts from, because it has damage to name rather than refuse.
-func LoadUnverified(r io.Reader) (*Store, error) {
+// LoadUnverified loads the blob stream of an archive image an earlier
+// build wrote — (digestLen, digest, logicalLen, compLen, stored bytes)
+// records — into an in-memory store, without checking any blob: the
+// reader's audit names damage rather than refusing it. Length fields only
+// slice the stream, so none reserves memory.
+func LoadUnverified(stream []byte) (*Store, error) {
 	s := NewStore()
-	for {
-		var lenBuf [2]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("cas: loading: %w", err)
+	for len(stream) > 0 {
+		if len(stream) < 2 {
+			return nil, fmt.Errorf("cas: loading: %w", io.ErrUnexpectedEOF)
 		}
-		dl := int(binary.LittleEndian.Uint16(lenBuf[:]))
+		dl := int(binary.LittleEndian.Uint16(stream))
 		if dl == 0 || dl > 128 {
 			return nil, fmt.Errorf("cas: loading: implausible digest length %d", dl)
 		}
-		rest := make([]byte, dl+16)
-		if _, err := io.ReadFull(r, rest); err != nil {
-			return nil, fmt.Errorf("cas: loading: %w", err)
+		hdr := 2 + dl + 16
+		if len(stream) < hdr {
+			return nil, fmt.Errorf("cas: loading: %w", io.ErrUnexpectedEOF)
 		}
-		digest := string(rest[:dl])
-		logical := int64(binary.LittleEndian.Uint64(rest[dl:]))
-		compLen := binary.LittleEndian.Uint64(rest[dl+8:])
-		if compLen > 1<<32 {
-			return nil, fmt.Errorf("cas: loading: implausible blob size %d", compLen)
+		digest := string(stream[2 : 2+dl])
+		logical := int64(binary.LittleEndian.Uint64(stream[2+dl:]))
+		compLen := binary.LittleEndian.Uint64(stream[2+dl+8:])
+		if stream = stream[hdr:]; compLen > uint64(len(stream)) {
+			return nil, fmt.Errorf("cas: loading: %w", io.ErrUnexpectedEOF)
 		}
-		comp, err := ReadN(r, int64(compLen))
-		if err != nil {
-			return nil, fmt.Errorf("cas: loading: %w", err)
-		}
-		if err := s.backend.PutBlob(digest, comp, logical); err != nil {
+		if err := s.backend.PutBlob(digest, stream[:compLen], logical); err != nil {
 			return nil, fmt.Errorf("cas: loading %s: %w", digest, err)
 		}
+		stream = stream[compLen:]
 	}
 	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -12,6 +13,17 @@ import (
 
 	"daspos/internal/xrand"
 )
+
+// failing returns the stored digests whose Verify fails, in digest order.
+func failing(s *Store) []string {
+	var bad []string
+	for _, d := range s.backend.Digests() {
+		if _, err := s.Verify(d); err != nil {
+			bad = append(bad, d)
+		}
+	}
+	return bad
+}
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := NewStore()
@@ -96,9 +108,8 @@ func TestCorruptionDetected(t *testing.T) {
 	if _, err := s.Get(d); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corruption not detected: %v", err)
 	}
-	bad := s.VerifyAll()
-	if len(bad) != 1 || bad[0] != d {
-		t.Fatalf("VerifyAll: %v", bad)
+	if bad := failing(s); len(bad) != 1 || bad[0] != d {
+		t.Fatalf("failing: %v", bad)
 	}
 	if err := s.Corrupt("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("corrupt missing: %v", err)
@@ -125,7 +136,7 @@ func TestDigestsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ds := s.Digests()
+	ds := s.backend.Digests()
 	if len(ds) != 20 {
 		t.Fatalf("digests %d", len(ds))
 	}
@@ -136,8 +147,15 @@ func TestDigestsSorted(t *testing.T) {
 	}
 }
 
+// TestPersistLoad: what a Store over a DiskBackend stored, a fresh
+// DiskBackend over the same directory reads back.
 func TestPersistLoad(t *testing.T) {
-	s := NewStore()
+	dir := t.TempDir()
+	disk, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStoreWith(disk)
 	r := xrand.New(2)
 	var digests []string
 	for i := 0; i < 30; i++ {
@@ -151,51 +169,78 @@ func TestPersistLoad(t *testing.T) {
 		}
 		digests = append(digests, d)
 	}
-	var buf bytes.Buffer
-	if err := s.Persist(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
+	reopened, err := OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats() != s.Stats() {
-		t.Fatalf("stats after load: %+v vs %+v", got.Stats(), s.Stats())
+	got := NewStoreWith(reopened)
+	if got.Stats() != s.Stats() || got.Stats().Blobs != 30 {
+		t.Fatalf("stats after reopen: %+v vs %+v", got.Stats(), s.Stats())
 	}
 	for _, d := range digests {
 		a, _ := s.Get(d)
 		b, err := got.Get(d)
 		if err != nil || !bytes.Equal(a, b) {
-			t.Fatalf("blob %s differs after reload", d)
+			t.Fatalf("blob %s differs after reopen", d)
 		}
 	}
 }
 
+// TestLoadDetectsCorruption: a byte flipped in a blob's file is found by
+// the audit of a store reopened over the directory.
 func TestLoadDetectsCorruption(t *testing.T) {
-	s := NewStore()
-	d, _ := s.Put(bytes.Repeat([]byte("payload"), 100))
-	_ = s.Corrupt(d)
-	var buf bytes.Buffer
-	_ = s.Persist(&buf)
-	if _, err := Load(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt store loaded: %v", err)
+	dir := t.TempDir()
+	disk, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := NewStoreWith(disk).Put(bytes.Repeat([]byte("payload"), 100))
+	file, err := os.ReadFile(disk.Path(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file[len(file)/2] ^= 0xFF
+	if err := os.WriteFile(disk.Path(d), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := failing(NewStoreWith(reopened)); !slices.Equal(bad, []string{d}) {
+		t.Fatalf("failing after reopen: %v, want [%s]", bad, d)
 	}
 }
 
+// imageStream is the blob stream of an archive image, as earlier builds
+// wrote it: one (digestLen, digest, logicalLen, compLen, stored bytes)
+// record per blob of s, in digest order.
+func imageStream(s *Store) []byte {
+	var b []byte
+	for _, d := range s.backend.Digests() {
+		comp, logical, _ := s.backend.GetBlob(d)
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(d)))
+		b = append(b, d...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(logical))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(comp)))
+		b = append(b, comp...)
+	}
+	return b
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte{0xFF, 0xFF, 0x01})); err == nil {
+	if _, err := LoadUnverified([]byte{0xFF, 0xFF, 0x01}); err == nil {
 		t.Fatal("garbage loaded")
 	}
 	// Truncated stream.
 	s := NewStore()
 	_, _ = s.Put([]byte("hello world hello world"))
-	var buf bytes.Buffer
-	_ = s.Persist(&buf)
-	if _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()-3])); err == nil {
+	stream := imageStream(s)
+	if _, err := LoadUnverified(stream[:len(stream)-3]); err == nil {
 		t.Fatal("truncated stream loaded")
 	}
 	// Empty stream is a valid empty store.
-	empty, err := Load(bytes.NewReader(nil))
+	empty, err := LoadUnverified(nil)
 	if err != nil || empty.Stats().Blobs != 0 {
 		t.Fatalf("empty stream: %v", err)
 	}
@@ -210,9 +255,10 @@ func oversizedHeader() []byte {
 	return binary.LittleEndian.AppendUint64(b, 1<<32)
 }
 
-// FuzzLoad feeds Load arbitrary store files. It must never reserve memory
-// on a length field's word, and whatever it accepts must be a store that
-// reads back and persists to a file Load accepts again.
+// FuzzLoad feeds LoadUnverified arbitrary blob streams. It must never
+// reserve memory on a length field's word, and whatever it accepts must be
+// a store whose every blob either reads back or fails its check, and whose
+// stream loads to the same blobs again.
 func FuzzLoad(f *testing.F) {
 	s := NewStore()
 	for _, p := range [][]byte{[]byte("raw"), bytes.Repeat([]byte("deflate "), 40), nil} {
@@ -220,17 +266,14 @@ func FuzzLoad(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	var valid bytes.Buffer
-	if err := s.Persist(&valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:valid.Len()-5])
+	valid := imageStream(s)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-5])
 	f.Add(oversizedHeader())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := Load(bytes.NewReader(data))
+		got, err := LoadUnverified(data)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20+32*uint64(len(data)) {
 			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
@@ -238,18 +281,14 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, d := range got.Digests() {
-			if p, err := got.Get(d); err != nil || Digest(p) != d {
-				t.Fatalf("loaded blob %s does not read back: %v", d, err)
+		for _, d := range got.backend.Digests() {
+			if p, err := got.Get(d); err != nil && !errors.Is(err, ErrCorrupt) || err == nil && Digest(p) != d {
+				t.Fatalf("loaded blob %s neither reads back nor fails its check: %v", d, err)
 			}
 		}
-		var again bytes.Buffer
-		if err := got.Persist(&again); err != nil {
-			t.Fatal(err)
-		}
-		back, err := Load(&again)
-		if err != nil || !slices.Equal(back.Digests(), got.Digests()) {
-			t.Fatalf("persisting a loaded store does not load to the same blobs: %v", err)
+		back, err := LoadUnverified(imageStream(got))
+		if err != nil || !slices.Equal(back.backend.Digests(), got.backend.Digests()) {
+			t.Fatalf("the stream of a loaded store does not load to the same blobs: %v", err)
 		}
 	})
 }

@@ -153,7 +153,8 @@ func TestChunkedTruncationDetected(t *testing.T) {
 }
 
 // TestChunkedDedupAndVerify: the chunked form plays by all the store rules
-// — duplicate puts are free, VerifyAll passes, Persist/Load roundtrips.
+// — duplicate puts are free, VerifyAll passes, and a Store over a
+// DiskBackend reads it back.
 func TestChunkedDedupAndVerify(t *testing.T) {
 	payload := compressiblePayload(chunkThreshold + 7)
 	s := NewStore()
@@ -171,15 +172,15 @@ func TestChunkedDedupAndVerify(t *testing.T) {
 	if st := s.Stats(); st.Blobs != 1 {
 		t.Fatalf("duplicate stored: %d blobs", st.Blobs)
 	}
-	if bad := s.VerifyAll(); len(bad) != 0 {
+	if bad := failing(s); len(bad) != 0 {
 		t.Fatalf("verify flagged %v", bad)
 	}
-	var buf bytes.Buffer
-	if err := s.Persist(&buf); err != nil {
+	disk, err := OpenDisk(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Load(&buf)
-	if err != nil {
+	s2 := NewStoreWith(disk)
+	if _, err := s2.Put(payload); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s2.Get(d1)
@@ -187,6 +188,6 @@ func TestChunkedDedupAndVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatal("persist/load roundtrip mismatch")
+		t.Fatal("disk roundtrip mismatch")
 	}
 }

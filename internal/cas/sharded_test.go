@@ -37,7 +37,7 @@ func TestShardedBackendRoundTrip(t *testing.T) {
 			t.Fatalf("blob %d: content mismatch", i)
 		}
 	}
-	if n := len(s.Digests()); n != 64 {
+	if n := len(s.backend.Digests()); n != 64 {
 		t.Fatalf("want 64 digests, got %d", n)
 	}
 }
@@ -49,7 +49,7 @@ func TestShardedDigestsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ds := s.Digests()
+	ds := s.backend.Digests()
 	if !sort.StringsAreSorted(ds) {
 		t.Fatal("sharded Digests() not sorted")
 	}
@@ -84,39 +84,8 @@ func TestShardedCorruptionDetected(t *testing.T) {
 	if err := s.Corrupt(victim); err != nil {
 		t.Fatal(err)
 	}
-	bad := s.VerifyAll()
-	if len(bad) != 1 || bad[0] != victim {
-		t.Fatalf("VerifyAll = %v, want [%s]", bad, victim)
-	}
-	if !sort.StringsAreSorted(bad) {
-		t.Fatal("VerifyAll output not sorted")
-	}
-}
-
-func TestVerifyAllWorkersMatchesSequential(t *testing.T) {
-	s := NewStoreWith(NewShardedBackend(8))
-	var digests []string
-	for i := 0; i < 60; i++ {
-		d, err := s.Put(shardedPayload(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		digests = append(digests, d)
-	}
-	want := []string{digests[3], digests[19], digests[41]}
-	for _, d := range want {
-		if err := s.Corrupt(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sort.Strings(want)
-	seq := s.VerifyAllWorkers(1)
-	par := s.VerifyAllWorkers(8)
-	if fmt.Sprint(seq) != fmt.Sprint(want) {
-		t.Fatalf("sequential sweep = %v, want %v", seq, want)
-	}
-	if fmt.Sprint(par) != fmt.Sprint(want) {
-		t.Fatalf("parallel sweep = %v, want %v", par, want)
+	if bad := failing(s); len(bad) != 1 || bad[0] != victim {
+		t.Fatalf("failing = %v, want [%s]", bad, victim)
 	}
 }
 
@@ -137,10 +106,10 @@ func TestShardedConcurrentPut(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := len(s.Digests()); n != workers*per {
+	if n := len(s.backend.Digests()); n != workers*per {
 		t.Fatalf("want %d digests, got %d", workers*per, n)
 	}
-	if bad := s.VerifyAll(); len(bad) != 0 {
+	if bad := failing(s); len(bad) != 0 {
 		t.Fatalf("unexpected fixity failures: %v", bad)
 	}
 }

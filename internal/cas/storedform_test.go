@@ -72,7 +72,8 @@ func readStoredForm(t testing.TB) (blobs map[string][]byte, digests map[string]s
 // side: the blobs under testdata/stored-form were written by the commit
 // before the fixity kernel (compress/flate on both sides). They must decode
 // and verify here, and encoding the same payloads here must reproduce them
-// byte for byte, whatever the worker count.
+// byte for byte, whatever the worker count — in memory and in the file a
+// DiskBackend writes.
 func TestStoredFormUnchanged(t *testing.T) {
 	blobs, digests := readStoredForm(t)
 	for name, payload := range storedFormPayloads() {
@@ -103,6 +104,17 @@ func TestStoredFormUnchanged(t *testing.T) {
 				if !bytes.Equal(stored, blob) {
 					t.Fatalf("workers=%d: re-encoding differs from the checked-in blob (%d vs %d bytes)", workers, len(stored), len(blob))
 				}
+			}
+			// A DiskBackend's file is the stored form, byte for byte.
+			disk, err := OpenDisk(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewStoreWith(disk).Put(payload); err != nil {
+				t.Fatal(err)
+			}
+			if file, err := os.ReadFile(disk.Path(digest)); err != nil || !bytes.Equal(file, blob) {
+				t.Fatalf("DiskBackend file differs from the checked-in blob (%d vs %d bytes, %v)", len(file), len(blob), err)
 			}
 		})
 	}

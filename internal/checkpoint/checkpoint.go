@@ -13,7 +13,8 @@
 // state:
 //
 //  1. the artifact payload is written to a temp file in objects/,
-//     fsynced, renamed to its SHA-256 digest, and the directory fsynced;
+//     fsynced, renamed to its SHA-256 digest, and the directory fsynced —
+//     cas.Dir's Write, the tree's one durable blob writer;
 //  2. only then is the journal record describing it appended and the
 //     journal fsynced.
 //
@@ -33,10 +34,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
+	"daspos/internal/cas"
 	"daspos/internal/journal"
 )
 
@@ -112,6 +113,7 @@ func StepKey(step, configDigest string, inputDigests []string) string {
 type Ledger struct {
 	dir     string
 	journal *journal.Journal
+	objects *cas.Dir
 
 	mu    sync.Mutex
 	steps map[string]*StepInfo
@@ -123,22 +125,15 @@ const (
 	objectsName = "objects"
 )
 
-// Open creates or recovers the ledger in dir: it removes stale temp
-// objects and replays the journal (see package journal for what a torn
-// tail and a corrupt line do).
+// Open creates or recovers the ledger in dir: it opens the object store
+// (which drops the temp objects a crash left) and replays the journal (see
+// package journal for what a torn tail and a corrupt line do).
 func Open(dir string) (*Ledger, error) {
-	objDir := filepath.Join(dir, objectsName)
-	if err := os.MkdirAll(objDir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: creating %s: %w", objDir, err)
+	objects, err := cas.OpenDir(filepath.Join(dir, objectsName))
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	// Temp objects are pre-rename leftovers of a crash: never referenced
-	// by any journal record, safe to discard.
-	if tmps, err := filepath.Glob(filepath.Join(objDir, "tmp-*")); err == nil {
-		for _, p := range tmps {
-			os.Remove(p)
-		}
-	}
-	l := &Ledger{dir: dir, steps: make(map[string]*StepInfo)}
+	l := &Ledger{dir: dir, objects: objects, steps: make(map[string]*StepInfo)}
 	j, err := journal.Open(filepath.Join(dir, journalName), l.apply)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -155,11 +150,13 @@ func (l *Ledger) Close() error { return l.journal.Close() }
 func (l *Ledger) Dir() string { return l.dir }
 
 // SetKill installs a fault hook invoked at every instrumented instruction
-// of the commit protocol: the journal's "journal.*" points and the
-// "object.*" points in this file. The chaos tests arm it with
-// faults.Killer to die at a seeded instruction; production runs leave it
-// nil.
-func (l *Ledger) SetKill(fn func(point string)) { l.journal.SetKill(fn) }
+// of the commit protocol: the journal's "journal.*" points and the object
+// store's "object.*" points. The chaos tests arm it with faults.Killer to
+// die at a seeded instruction; production runs leave it nil.
+func (l *Ledger) SetKill(fn func(point string)) {
+	l.journal.SetKill(fn)
+	l.objects.SetKill(fn)
+}
 
 // apply folds one journal record into the step table: every replayed
 // line at Open, and every appended record once it is durable.
@@ -214,19 +211,18 @@ func (l *Ledger) Start(step, key string) error {
 // is computed here over the payload; a caller-supplied digest in rec must
 // agree. The object store is content-addressed, so re-committing
 // identical bytes is idempotent (the object is kept, its directory entry
-// fsynced again) — but an existing object that no longer hashes to its
-// name (operator damage, bit rot) is overwritten with the fresh payload
-// rather than trusted.
+// fsynced again) — but an existing object with other bytes (operator
+// damage, bit rot) is overwritten with the fresh payload rather than
+// trusted.
 func (l *Ledger) Commit(step, key string, rec ArtifactRecord, data []byte) (ArtifactRecord, error) {
-	sum := sha256.Sum256(data)
-	digest := hex.EncodeToString(sum[:])
+	digest := cas.Digest(data)
 	if rec.Digest != "" && rec.Digest != digest {
 		return rec, fmt.Errorf("checkpoint: artifact %q digest %s does not match payload %s", rec.Name, rec.Digest, digest)
 	}
 	rec.Digest = digest
 	rec.Bytes = int64(len(data))
-	if err := l.writeObject(digest, data); err != nil {
-		return rec, err
+	if err := l.objects.Write(digest, data); err != nil {
+		return rec, fmt.Errorf("checkpoint: %w", err)
 	}
 	if err := l.record(journalRecord{Kind: "artifact", Step: step, Key: key, Artifact: &rec}); err != nil {
 		return rec, err
@@ -238,95 +234,6 @@ func (l *Ledger) Commit(step, key string, rec ArtifactRecord, data []byte) (Arti
 // step's external-dependency census for provenance on resume.
 func (l *Ledger) Done(step, key string, external []string) error {
 	return l.record(journalRecord{Kind: "done", Step: step, Key: key, External: external})
-}
-
-// objectPiece is the most one write(2) of an object payload carries. On
-// the benchmark host (Linux 6.18, ext4), once earlier objects sit in the
-// page cache, a single write of 1 MiB or more into a fresh file costs up
-// to ≈ 7 ms/MiB of kernel CPU and the same bytes in pieces of 768 KiB or
-// less ≈ 0.4 ms/MiB (BenchmarkWriteObject; DESIGN.md "Commit behind the
-// compute"), so the payload is handed over well below the cliff.
-const objectPiece = 256 << 10
-
-// writeObject commits a payload to objects/<digest> with the
-// temp-write → fsync → rename → dir-fsync ordering that makes the rename
-// the atomic commit point. An object already there under a name it hashes
-// to is not rewritten, but its directory entry is still fsynced: the run
-// that renamed it may have died before its own directory fsync, and the
-// journal record that follows must not name an entry a power cut can take
-// back.
-func (l *Ledger) writeObject(digest string, data []byte) error {
-	objDir := filepath.Join(l.dir, objectsName)
-	final := filepath.Join(objDir, digest)
-	if existing, err := os.ReadFile(final); err == nil {
-		sum := sha256.Sum256(existing)
-		if hex.EncodeToString(sum[:]) == digest {
-			if err := syncDir(objDir); err != nil {
-				return err
-			}
-			l.journal.Kill("object.durable")
-			return nil
-		}
-		// Damaged object under a valid name: fall through and rewrite.
-	}
-	l.journal.Kill("object.create")
-	tmp, err := os.CreateTemp(objDir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp object: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	// The tear window sits where it always has, at the half mark; the
-	// pieces only bound what one write call carries.
-	half := len(data) / 2
-	for i, part := range [2][]byte{data[:half], data[half:]} {
-		if i == 1 {
-			l.journal.Kill("object.torn")
-		}
-		for len(part) > 0 {
-			n := min(len(part), objectPiece)
-			if _, err := tmp.Write(part[:n]); err != nil {
-				return fmt.Errorf("checkpoint: writing object: %w", err)
-			}
-			part = part[n:]
-		}
-	}
-	l.journal.Kill("object.sync")
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: fsync object: %w", err)
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing object: %w", err)
-	}
-	tmp = nil
-	l.journal.Kill("object.rename")
-	if err := os.Rename(name, final); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: committing object: %w", err)
-	}
-	if err := syncDir(objDir); err != nil {
-		return err
-	}
-	l.journal.Kill("object.durable")
-	return nil
-}
-
-// syncDir fsyncs a directory so a completed rename survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: opening %s for fsync: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: fsync %s: %w", dir, err)
-	}
-	return nil
 }
 
 // Lookup returns the replayed state for a step key.
@@ -364,16 +271,14 @@ func copyInfo(info *StepInfo) StepInfo {
 // recorded length. Any disagreement is a checkpoint the caller must not
 // trust.
 func (l *Ledger) Load(rec ArtifactRecord) ([]byte, error) {
-	path := filepath.Join(l.dir, objectsName, rec.Digest)
-	data, err := os.ReadFile(path)
+	data, err := l.objects.Read(rec.Digest)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: artifact %q object missing: %w", rec.Name, err)
 	}
 	if int64(len(data)) != rec.Bytes {
 		return nil, fmt.Errorf("checkpoint: artifact %q is %d bytes, recorded %d", rec.Name, len(data), rec.Bytes)
 	}
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != rec.Digest {
+	if got := cas.Digest(data); got != rec.Digest {
 		return nil, fmt.Errorf("checkpoint: artifact %q fails fixity: object hashes to %s, recorded %s", rec.Name, got, rec.Digest)
 	}
 	return data, nil
@@ -400,9 +305,7 @@ func (l *Ledger) Verify(key string) error {
 
 // ObjectPath returns where an artifact payload lives on disk — exposed
 // for the chaos tests that deliberately damage objects.
-func (l *Ledger) ObjectPath(digest string) string {
-	return filepath.Join(l.dir, objectsName, digest)
-}
+func (l *Ledger) ObjectPath(digest string) string { return l.objects.Path(digest) }
 
 // JournalPath returns the journal file location — exposed for the chaos
 // tests that tear its final record.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,15 +11,20 @@ import (
 )
 
 // TestStoreReadsMatchOverShardedAndCluster: a Store over the cluster
-// client, whose replica check is the Store's only check, reads like a Store
-// over a ShardedBackend, which checks for itself: the same payloads and
-// sizes, flat and chunked; a missing blob as a bare *cas.NotFoundError; a
-// blob with no good copy as ErrCorrupt under "cas: reading <digest>" from
-// Get and ErrCorrupt from Verify.
+// client, whose replica check is the Store's only check, and one over a
+// DiskBackend, which checks each file it reads once, read like a Store over
+// a ShardedBackend, which checks for itself: the same payloads and sizes,
+// flat and chunked; a missing blob as a bare *cas.NotFoundError; a blob
+// with no good copy as ErrCorrupt under "cas: reading <digest>" from Get
+// and ErrCorrupt from Verify.
 func TestStoreReadsMatchOverShardedAndCluster(t *testing.T) {
 	tc := startCluster(t, 5)
 	c := newClient(t, tc, Config{ReplicationFactor: 3})
 	sharded := cas.NewStore()
+	disk, err := cas.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	stores := []struct {
 		name   string
 		store  *cas.Store
@@ -32,6 +38,14 @@ func TestStoreReadsMatchOverShardedAndCluster(t *testing.T) {
 				}
 			}
 			return nil
+		}},
+		{"disk", cas.NewStoreWith(disk), func(digest string) error {
+			file, err := os.ReadFile(disk.Path(digest))
+			if err != nil {
+				return err
+			}
+			file[len(file)/2] ^= 0xFF
+			return os.WriteFile(disk.Path(digest), file, 0o644)
 		}},
 	}
 	payloads := map[string][]byte{

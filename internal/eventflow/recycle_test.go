@@ -109,15 +109,23 @@ func TestIllegalRetentionIsPoisoned(t *testing.T) {
 // TestRecycledContainersAreCleanOnReuse guards the other half of the
 // poisoning contract: a container handed out by the pool carries nothing
 // from its previous trip (len 0 and zeroed to capacity), so stale
-// pointers can never resurface in a later batch.
+// pointers can never resurface in a later batch. Under the race detector
+// the pool drops puts at random, so a dirtied container is offered back
+// until one comes out recycled, and the hit and miss counts are not fixed.
 func TestRecycledContainersAreCleanOnReuse(t *testing.T) {
 	st := &stageStats{}
 	sp := &slicePool[*int]{st: st}
-	items, box := sp.get(4)
 	x := 7
-	items = append(items, &x, &x, &x)
-	sp.put(items, box)
-	got, _ := sp.get(4)
+	got, box := sp.get(4)
+	for {
+		got = append(got, &x, &x, &x)
+		sp.put(got, box)
+		hits := st.poolHits.Load()
+		got, box = sp.get(4)
+		if st.poolHits.Load() > hits || !raceEnabled {
+			break
+		}
+	}
 	if len(got) != 0 {
 		t.Fatalf("recycled container has len %d", len(got))
 	}
@@ -127,7 +135,7 @@ func TestRecycledContainersAreCleanOnReuse(t *testing.T) {
 			t.Fatalf("recycled container slot %d not cleared", i)
 		}
 	}
-	if st.poolHits.Load() != 1 || st.poolMisses.Load() != 1 {
+	if !raceEnabled && (st.poolHits.Load() != 1 || st.poolMisses.Load() != 1) {
 		t.Fatalf("counters hits=%d misses=%d, want 1/1", st.poolHits.Load(), st.poolMisses.Load())
 	}
 }

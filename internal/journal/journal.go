@@ -1,5 +1,6 @@
 // Package journal is the one append-only journal every durable DASPOS
-// component writes: the checkpoint ledger and the RECAST request ledger.
+// component writes: the checkpoint ledger, the RECAST request ledger and a
+// directory archive's package index.
 // A journal is a file of JSON lines, one record per line, and the package
 // owns the whole protocol around it:
 //
@@ -107,18 +108,6 @@ func (j *Journal) SetKill(fn func(point string)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.kill = fn
-}
-
-// Kill invokes the installed hook for a point of the owner's own commit
-// protocol (the checkpoint ledger's "object.*" instructions), so one
-// schedule covers the owner's durable instructions and the journal's.
-func (j *Journal) Kill(point string) {
-	j.mu.Lock()
-	fn := j.kill
-	j.mu.Unlock()
-	if fn != nil {
-		fn(point)
-	}
 }
 
 // Append durably appends one record as a JSON line. The write is split

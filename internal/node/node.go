@@ -128,7 +128,8 @@ func (n *Node) Handler() http.Handler {
 }
 
 // validDigest bounds digest path elements to plausible lowercase-hex
-// content addresses (the same 128-char ceiling cas.Load enforces).
+// content addresses (the same 128-char ceiling cas.LoadUnverified enforces
+// on an image's blob stream).
 func validDigest(d string) bool {
 	if len(d) == 0 || len(d) > 128 {
 		return false

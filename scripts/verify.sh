@@ -17,7 +17,13 @@
 # TestReadsCountTheSizeNotTheHeader (internal/cluster),
 # TestPutRefusesLyingLogicalHeader (internal/node) — with
 # TestArchiveAnswerTakesNoToken (internal/recast); CI's chaos job repeats
-# them at -count=5. It also includes the reachability gate
+# them at -count=5. The one durable blob store's tests run here too —
+# TestKilledIngestKeepsThePreviousArchive and TestOpenRejectsAlteredMetadata
+# (internal/archive), TestParentImageReadsUnchanged, TestCreateAddsAPackage,
+# TestVerifyNamesTheDamagedFile and TestVerifyNamesAMissingBlob
+# (cmd/daspos-archive), and the DiskBackend rows of TestStoredFormUnchanged
+# and TestStoreReadsMatchOverShardedAndCluster; CI's chaos job repeats the
+# kill sweep at -count=5. It also includes the reachability gate
 # (TestInternalExportsAreReached in internal/analysis): an exported
 # internal/ declaration no main reaches fails here unless
 # internal/analysis/testdata/reach-keep.txt keeps it for a stated reason.
