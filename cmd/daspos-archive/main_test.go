@@ -12,21 +12,22 @@ import (
 )
 
 // createIn runs `create -out dir -seed seed -events 50` and returns the
-// package it added.
-func createIn(t *testing.T, dir, seed string) (id string) {
+// package it added and what it printed.
+func createIn(t *testing.T, dir, seed string) (id, printed string) {
 	t.Helper()
 	var before []string
 	if _, err := os.Stat(dir); err == nil {
 		before = loadT(t, dir).IDs()
 	}
-	create([]string{"-out", dir, "-seed", seed, "-events", "50"})
+	var out bytes.Buffer
+	create(&out, []string{"-out", dir, "-seed", seed, "-events", "50"})
 	for _, id := range loadT(t, dir).IDs() {
 		if !slices.Contains(before, id) {
-			return id
+			return id, out.String()
 		}
 	}
 	t.Fatalf("create -seed %s added no package to %s", seed, dir)
-	return ""
+	return "", ""
 }
 
 func loadT(t *testing.T, path string) *archive.Archive {
@@ -80,16 +81,23 @@ func TestParentImageReadsUnchanged(t *testing.T) {
 
 // TestCreateAddsAPackage: a second create into an archive directory adds
 // its package beside the first without rewriting it, and both reload
-// whole.
+// whole. Each create's summary is the package it added, not the archive.
 func TestCreateAddsAPackage(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a")
-	first := createIn(t, dir, "7")
+	first, printed := createIn(t, dir, "7")
+	if want := "created " + dir + ": package 837fea1557a20f04d0452761f8fa829595265fc9363e8dea17240aea122d519c\n" +
+		"payload 4.2 KiB in 5 files\n"; printed != want {
+		t.Fatalf("create printed\n%swant\n%s", printed, want)
+	}
 	index := filepath.Join(dir, "packages.log")
 	before, err := os.ReadFile(index)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := createIn(t, dir, "8")
+	second, printed := createIn(t, dir, "8")
+	if want := "created " + dir + ": package " + second + "\npayload 4.2 KiB in 5 files\n"; printed != want {
+		t.Fatalf("the second create printed\n%swant\n%s", printed, want)
+	}
 	after, err := os.ReadFile(index)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +121,7 @@ func TestCreateAddsAPackage(t *testing.T) {
 func damageOne(t *testing.T, damage func(path string)) (dir, want string) {
 	t.Helper()
 	dir = t.TempDir()
-	id := createIn(t, dir, "7")
+	id, _ := createIn(t, dir, "7")
 	pkg, _ := loadT(t, dir).Get(id)
 	hit := pkg.Files[len(pkg.Files)-1]
 	damage(filepath.Join(dir, "blobs", hit.Digest))

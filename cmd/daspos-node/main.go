@@ -1,8 +1,11 @@
 // Command daspos-node runs one storage node of the preservation network:
 // a content-addressed blob store served over the wire protocol documented
-// in internal/node. A cluster is just N of these processes plus a client
-// (internal/cluster) that places digests across them with consistent
-// hashing and keeps them converged with anti-entropy sweeps.
+// in internal/node. A blob travels as its stored form and nothing else: the
+// node counts its size with the same fixity check that guards each PUT. A
+// cluster is just N of these processes plus a client (internal/cluster)
+// that places digests across them with consistent hashing and keeps them
+// converged with anti-entropy sweeps, each reading one digest listing per
+// node.
 //
 // Usage:
 //

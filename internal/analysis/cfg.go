@@ -173,8 +173,12 @@ func (b *cfgBuilder) stmt(cur *CFGBlock, s ast.Stmt) *CFGBlock {
 		b.edge(head, after) // every range may be empty or exhausted
 		bodyB := b.newBlock()
 		b.edge(head, bodyB)
-		if st.Key != nil || st.Value != nil {
-			bodyB.Nodes = append(bodyB.Nodes, st) // the per-iteration assignment
+		// Each iteration assigns the key and value; the body's statements
+		// are threaded below, each under the state it runs in.
+		for _, e := range []ast.Expr{st.Key, st.Value} {
+			if e != nil {
+				bodyB.Nodes = append(bodyB.Nodes, e)
+			}
 		}
 		b.withLoop(after, head, func() {
 			end := b.stmts(bodyB, st.Body.List)

@@ -173,6 +173,27 @@ func (s *store) closureOK() func() {
 	}
 }
 
+// A range body is walked statement by statement: an fsync between the
+// body's own unlock and relock runs with nothing held.
+func (s *store) unlockInRangeBodyOK(files []*os.File) {
+	s.mu.Lock()
+	for _, f := range files {
+		s.mu.Unlock()
+		f.Sync()
+		s.mu.Lock()
+	}
+	s.mu.Unlock()
+}
+
+// An fsync in a range body under a lock held across the loop is a finding.
+func (s *store) fsyncInRangeBodyUnderLock(files []*os.File) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, f := range files {
+		f.Sync() // want `fsync while s\.mu is held`
+	}
+}
+
 // After the unlock, blocking is fine.
 func (s *store) unlockThenBlockOK(line []byte) error {
 	s.mu.Lock()

@@ -361,10 +361,6 @@ func (a *Archive) IDs() []string {
 	return out
 }
 
-// Stats returns the underlying store statistics (dedup and compression
-// across packages).
-func (a *Archive) Stats() cas.Stats { return a.blobs.Stats() }
-
 // CorruptBlob flips bits in the stored blob with the given digest — the
 // fault-injection hook for disaster-recovery tests.
 func (a *Archive) CorruptBlob(digest string) error { return a.blobs.Corrupt(digest) }

@@ -190,7 +190,8 @@ func TestParallelVerifyAllFindsDamage(t *testing.T) {
 }
 
 func TestDeduplicationAcrossPackages(t *testing.T) {
-	a := New()
+	backend := cas.NewShardedBackend(0)
+	a := NewWithStore(cas.NewStoreWith(backend))
 	if _, err := a.Ingest(sampleMeta(), sampleFiles()); err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +201,8 @@ func TestDeduplicationAcrossPackages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Five distinct blobs even though ten files are registered.
-	if a.Stats().Blobs != 5 {
-		t.Fatalf("blobs: %d", a.Stats().Blobs)
+	if n := len(backend.Digests()); n != 5 {
+		t.Fatalf("blobs: %d", n)
 	}
 }
 
@@ -259,8 +260,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(log, first) || bytes.Count(log, []byte("\n")) != 2 {
 		t.Fatalf("packages.log after a second ingest:\n%s", log)
 	}
-	if rep := got.VerifyAll(); rep.Healthy != 2 || got.Stats().Blobs != 5 {
-		t.Fatalf("report %+v over %d blobs", rep, got.Stats().Blobs)
+	if rep := got.VerifyAll(); rep.Healthy != 2 || len(got.disk.Digests()) != 5 {
+		t.Fatalf("report %+v over %d blobs", rep, len(got.disk.Digests()))
 	}
 }
 

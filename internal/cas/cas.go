@@ -230,36 +230,6 @@ func (s *Store) read(digest string, keep bool) ([]byte, int64, error) {
 	return checkBlob(digest, comp, keep, runtime.GOMAXPROCS(0))
 }
 
-// Stats summarizes storage consumption.
-type Stats struct {
-	Blobs        int
-	LogicalBytes int64
-	StoredBytes  int64
-}
-
-// CompressionRatio returns logical/stored, or 0 for an empty store.
-func (st Stats) CompressionRatio() float64 {
-	if st.StoredBytes == 0 {
-		return 0
-	}
-	return float64(st.LogicalBytes) / float64(st.StoredBytes)
-}
-
-// Stats returns current storage statistics.
-func (s *Store) Stats() Stats {
-	st := Stats{}
-	for _, d := range s.backend.Digests() {
-		comp, logical, err := s.backend.GetBlob(d)
-		if err != nil {
-			continue
-		}
-		st.Blobs++
-		st.StoredBytes += int64(len(comp))
-		st.LogicalBytes += logical
-	}
-	return st
-}
-
 // Corrupt flips a byte inside a stored blob — a fault-injection hook for
 // testing fixity detection (bit rot on archival media). It requires a
 // backend that supports corruption (ShardedBackend does).

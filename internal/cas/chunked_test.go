@@ -169,8 +169,8 @@ func TestChunkedDedupAndVerify(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("digests differ: %s vs %s", d1, d2)
 	}
-	if st := s.Stats(); st.Blobs != 1 {
-		t.Fatalf("duplicate stored: %d blobs", st.Blobs)
+	if n := len(s.backend.Digests()); n != 1 {
+		t.Fatalf("duplicate stored: %d blobs", n)
 	}
 	if bad := failing(s); len(bad) != 0 {
 		t.Fatalf("verify flagged %v", bad)

@@ -118,7 +118,7 @@ func (s *ShardedBackend) DeleteBlob(digest string) {
 }
 
 // Digests implements Backend: the union of all shards, sorted, so audit
-// reports and Persist output stay deterministic regardless of how blobs
+// reports and node listings stay deterministic regardless of how blobs
 // landed across stripes.
 func (s *ShardedBackend) Digests() []string {
 	var out []string

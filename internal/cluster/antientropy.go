@@ -13,31 +13,12 @@ import (
 
 // Anti-entropy: the background repair loop that makes the cluster
 // converge back to full replication and 100% fixity after nodes die,
-// partitions heal, or replicas rot. A sweep walks the digest keyspace in
-// hex-prefix ranges, cross-checks fixity between the replicas of every
+// partitions heal, or replicas rot. A sweep reads one digest listing per
+// member, cross-checks fixity between the replicas of every
 // digest (verification runs node-local, so a healthy cluster pays verdict
 // traffic, not blob traffic), re-replicates every missing or corrupt copy
 // from any healthy one, and — once a digest's owners are all healthy —
 // trims copies stranded on non-owners by rebalancing.
-
-// sweepRanges partitions the digest keyspace into the 16 hex-prefix
-// ranges a sweep walks, each a half-open [start, end) pair (the last is
-// unbounded above).
-func sweepRanges() [][2]string {
-	const hex = "0123456789abcdef"
-	out := make([][2]string, 16)
-	for i := 0; i < 16; i++ {
-		start, end := "", ""
-		if i > 0 {
-			start = string(hex[i])
-		}
-		if i < 15 {
-			end = string(hex[i+1])
-		}
-		out[i] = [2]string{start, end}
-	}
-	return out
-}
 
 // SweepReport summarizes one anti-entropy pass.
 type SweepReport struct {
@@ -79,28 +60,19 @@ func (r SweepReport) String() string {
 		r.Digests, r.Healthy, r.Repaired, r.Removed, r.Unrecoverable, r.Errors, len(r.Unreachable))
 }
 
-// locate walks the keyspace ranges on every member — the members
-// concurrently, the ranges of one member in order — and returns which
-// nodes hold which digests, plus the members that could not be listed. It
-// fails only when no member answered at all.
+// locate lists every member once, concurrently, and returns which nodes
+// hold which digests, plus the members that could not be listed. It fails
+// only when no member answered at all.
 func (c *Client) locate(ctx context.Context) (map[string]map[string]bool, []string, error) {
 	conns := c.allConns()
 	listings := make([][]string, len(conns))
-	listed := make([]bool, len(conns))
+	errs := make([]error, len(conns))
 	var wg sync.WaitGroup
 	wg.Add(len(conns))
 	for i, nc := range conns {
 		go func() {
 			defer wg.Done()
-			var ds []string
-			for _, rg := range sweepRanges() {
-				page, err := c.listRange(ctx, nc, rg[0], rg[1])
-				if err != nil {
-					return
-				}
-				ds = append(ds, page...)
-			}
-			listings[i], listed[i] = ds, true
+			listings[i], errs[i] = c.list(ctx, nc)
 		}()
 	}
 	wg.Wait()
@@ -108,7 +80,7 @@ func (c *Client) locate(ctx context.Context) (map[string]map[string]bool, []stri
 	located := make(map[string]map[string]bool)
 	var unreachable []string
 	for i, nc := range conns {
-		if !listed[i] {
+		if errs[i] != nil {
 			unreachable = append(unreachable, nc.id)
 			continue
 		}
@@ -126,6 +98,16 @@ func (c *Client) locate(ctx context.Context) (map[string]map[string]bool, []stri
 		return nil, unreachable, fmt.Errorf("cluster: sweep: no member reachable")
 	}
 	return located, unreachable, nil
+}
+
+// sortedKeys returns the digests of a located map in order.
+func sortedKeys(located map[string]map[string]bool) []string {
+	out := make([]string, 0, len(located))
+	for d := range located {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // replicaState is one owner's verdict for one digest.
@@ -164,11 +146,7 @@ func (c *Client) Sweep(ctx context.Context) (SweepReport, error) {
 		return rep, err
 	}
 	rep.Unreachable = unreachable
-	digests := make([]string, 0, len(located))
-	for d := range located {
-		digests = append(digests, d)
-	}
-	sort.Strings(digests)
+	digests := sortedKeys(located)
 	rep.Digests = len(digests)
 	// Trimming stranded copies is only safe when the whole membership
 	// answered: an unreachable node may be the one holding the last good
@@ -299,7 +277,7 @@ func (c *Client) sweepDigest(ctx context.Context, digest string, holders map[str
 		return rep
 	}
 	for _, nc := range broken {
-		if err := c.putTo(ctx, nc, digest, src.comp, src.logical); err != nil {
+		if err := c.putTo(ctx, nc, digest, src.comp); err != nil {
 			rep.Errors++
 		} else {
 			rep.Repaired++

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"daspos/internal/cas"
@@ -59,6 +61,43 @@ func TestSweepHealthyClusterConverges(t *testing.T) {
 	}
 	if rep.Digests != len(blobs) {
 		t.Fatalf("sweep saw %d digests, want %d", rep.Digests, len(blobs))
+	}
+}
+
+// listingCounter is a transport that counts the digest listings it
+// carries.
+type listingCounter struct{ listings atomic.Int64 }
+
+func (lc *listingCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/digests" {
+		lc.listings.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestSweepListsEachMemberOnce: a sweep, and the client's Digests, read
+// one whole listing per member, and that is every digest.
+func TestSweepListsEachMemberOnce(t *testing.T) {
+	tc := startCluster(t, 5)
+	lc := &listingCounter{}
+	c := newClient(t, tc, Config{ReplicationFactor: 3, Transport: lc})
+	blobs := seedBlobs(t, c, 40)
+	if n := lc.listings.Load(); n != 0 {
+		t.Fatalf("seeding sent %d listings", n)
+	}
+
+	rep, err := c.Sweep(context.Background())
+	if err != nil || !rep.Converged() || rep.Digests != len(blobs) {
+		t.Fatalf("sweep: %v (%s), want %d digests converged", err, rep, len(blobs))
+	}
+	if n := lc.listings.Load(); n != int64(len(tc.nodes)) {
+		t.Fatalf("a sweep over %d members sent %d listings, want one each", len(tc.nodes), n)
+	}
+	if ds := c.Digests(); len(ds) != len(blobs) {
+		t.Fatalf("Digests: %d, want %d", len(ds), len(blobs))
+	}
+	if n := lc.listings.Load(); n != 2*int64(len(tc.nodes)) {
+		t.Fatalf("Digests sent %d listings, want %d", n-int64(len(tc.nodes)), len(tc.nodes))
 	}
 }
 

@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -27,19 +25,15 @@ type NodeInfo struct {
 	URL string
 }
 
-// Config tunes a Client. Zero fields get defaults.
+// Config tunes a Client. Zero fields get defaults. A put needs a majority
+// of its replicas' acks, and each HTTP attempt is bounded by
+// requestTimeout.
 type Config struct {
 	// Nodes is the initial membership.
 	Nodes []NodeInfo
 	// ReplicationFactor is how many nodes hold each blob. Values < 1
 	// mean 3; capped at the member count during placement.
 	ReplicationFactor int
-	// WriteQuorum is how many replica acks a put needs. Values < 1 mean
-	// a majority of the effective replication factor.
-	WriteQuorum int
-	// VNodes is the virtual-node count per member; < 1 selects the
-	// default.
-	VNodes int
 	// Transport is the HTTP transport node traffic runs over — the hook
 	// chaos tests inject network faults through. Nil means
 	// http.DefaultTransport.
@@ -51,9 +45,11 @@ type Config struct {
 	// Breaker tunes the per-node circuit breakers that keep a dead or
 	// partitioned node from stalling every operation.
 	Breaker resilience.BreakerConfig
-	// RequestTimeout bounds each HTTP attempt. Values <= 0 mean 10s.
-	RequestTimeout time.Duration
 }
+
+// requestTimeout bounds each HTTP attempt when the retry policy sets no
+// attempt timeout of its own.
+const requestTimeout = 10 * time.Second
 
 // DefaultRetryPolicy is the per-node-operation retry schedule: a few
 // quick, capped, jittered attempts. Deterministic via the seed, like every
@@ -91,7 +87,6 @@ type Client struct {
 	retry   resilience.Policy
 	breaker resilience.BreakerConfig
 	rf      int
-	quorum  int // 0 = majority of effective RF
 	ring    *Ring
 
 	mu    sync.RWMutex
@@ -118,10 +113,7 @@ func New(ctx context.Context, cfg Config) (*Client, error) {
 		retry = DefaultRetryPolicy()
 	}
 	if retry.AttemptTimeout <= 0 {
-		retry.AttemptTimeout = cfg.RequestTimeout
-		if retry.AttemptTimeout <= 0 {
-			retry.AttemptTimeout = 10 * time.Second
-		}
+		retry.AttemptTimeout = requestTimeout
 	}
 	c := &Client{
 		ctx:     ctx,
@@ -129,8 +121,7 @@ func New(ctx context.Context, cfg Config) (*Client, error) {
 		retry:   retry,
 		breaker: cfg.Breaker,
 		rf:      rf,
-		quorum:  cfg.WriteQuorum,
-		ring:    NewRing(cfg.VNodes),
+		ring:    NewRing(),
 		conns:   make(map[string]*nodeConn),
 	}
 	for _, n := range cfg.Nodes {
@@ -202,33 +193,17 @@ func (c *Client) allConns() []*nodeConn {
 	return out
 }
 
-// writeQuorum returns the ack count a put over n replicas needs.
-func (c *Client) writeQuorum(n int) int {
-	q := c.quorum
-	if q < 1 {
-		q = n/2 + 1
-	}
-	if q > n {
-		q = n
-	}
-	return q
-}
-
 // callResult is one settled HTTP exchange with a node.
 type callResult struct {
 	status int
-	header http.Header
 	body   []byte
 }
 
 // once performs a single HTTP exchange. Transport failures are transient
 // (the resilience layer may retry them); responses — any status — settle
 // the call.
-func (c *Client) once(ctx context.Context, nc *nodeConn, method, path string, q url.Values, hdr http.Header, body []byte) (callResult, error) {
+func (c *Client) once(ctx context.Context, nc *nodeConn, method, path string, body []byte) (callResult, error) {
 	u := nc.base + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -236,11 +211,6 @@ func (c *Client) once(ctx context.Context, nc *nodeConn, method, path string, q 
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
 		return callResult{}, resilience.MarkPermanent(fmt.Errorf("cluster: building %s %s: %w", method, u, err))
-	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
@@ -255,18 +225,18 @@ func (c *Client) once(ctx context.Context, nc *nodeConn, method, path string, q 
 	if err != nil {
 		return callResult{}, resilience.MarkTransient(fmt.Errorf("cluster: node %s: reading response: %w", nc.id, err))
 	}
-	return callResult{status: resp.StatusCode, header: resp.Header, body: data}, nil
+	return callResult{status: resp.StatusCode, body: data}, nil
 }
 
 // call runs one node operation under the breaker and the retry policy:
 // transport errors and 5xx answers count against the node's health and
 // are retried; any other status settles the call and reads as node
 // health.
-func (c *Client) call(ctx context.Context, nc *nodeConn, method, path string, q url.Values, hdr http.Header, body []byte) (callResult, error) {
+func (c *Client) call(ctx context.Context, nc *nodeConn, method, path string, body []byte) (callResult, error) {
 	var out callResult
 	err := resilience.Retry(ctx, c.retry, func(ctx context.Context) error {
 		return nc.breaker.Do(func() error {
-			res, err := c.once(ctx, nc, method, path, q, hdr, body)
+			res, err := c.once(ctx, nc, method, path, body)
 			if err != nil {
 				return err
 			}
@@ -281,10 +251,10 @@ func (c *Client) call(ctx context.Context, nc *nodeConn, method, path string, q 
 	return out, err
 }
 
-// putTo writes one stored-form blob to one node.
-func (c *Client) putTo(ctx context.Context, nc *nodeConn, digest string, comp []byte, logical int64) error {
-	hdr := http.Header{node.LogicalHeader: []string{strconv.FormatInt(logical, 10)}}
-	res, err := c.call(ctx, nc, http.MethodPut, "/v1/blobs/"+digest, nil, hdr, comp)
+// putTo writes one stored-form blob to one node, which counts its logical
+// size with its own check.
+func (c *Client) putTo(ctx context.Context, nc *nodeConn, digest string, comp []byte) error {
+	res, err := c.call(ctx, nc, http.MethodPut, "/v1/blobs/"+digest, comp)
 	if err != nil {
 		return err
 	}
@@ -313,11 +283,9 @@ type replica struct {
 // getFrom reads one blob from one node and checks it client-side, so a
 // corrupt replica (at rest or on the wire) is detected here and the read
 // can fall through to the next owner. With keep the check is DecodeBlob's
-// and the payload is kept, otherwise VerifyBlob's. A logical header that
-// disagrees with the size the check counted makes the replica corrupt too:
-// it is what read-repair would otherwise copy to the next node.
+// and the payload is kept, otherwise VerifyBlob's.
 func (c *Client) getFrom(ctx context.Context, nc *nodeConn, digest string, keep bool) (replica, error) {
-	res, err := c.call(ctx, nc, http.MethodGet, "/v1/blobs/"+digest, nil, nil, nil)
+	res, err := c.call(ctx, nc, http.MethodGet, "/v1/blobs/"+digest, nil)
 	if err != nil {
 		return replica{}, err
 	}
@@ -327,10 +295,6 @@ func (c *Client) getFrom(ctx context.Context, nc *nodeConn, digest string, keep 
 		return replica{}, &cas.NotFoundError{Digest: digest}
 	default:
 		return replica{}, resilience.MarkPermanent(fmt.Errorf("cluster: node %s: get %s: unexpected HTTP %d", nc.id, short(digest), res.status))
-	}
-	claimed, perr := strconv.ParseInt(res.header.Get(node.LogicalHeader), 10, 64)
-	if perr != nil {
-		return replica{}, resilience.MarkTransient(fmt.Errorf("cluster: node %s: get %s: bad %s header: %w", nc.id, short(digest), node.LogicalHeader, perr))
 	}
 	r := replica{comp: res.body}
 	var derr error
@@ -343,16 +307,12 @@ func (c *Client) getFrom(ctx context.Context, nc *nodeConn, digest string, keep 
 	if derr != nil {
 		return replica{}, derr
 	}
-	if claimed != r.logical {
-		return replica{}, &cas.CorruptError{Digest: digest, Expected: digest,
-			Cause: fmt.Errorf("node %s serves %s %d, the content is %d bytes", nc.id, node.LogicalHeader, claimed, r.logical)}
-	}
 	return r, nil
 }
 
 // hasOn stats one blob on one node.
 func (c *Client) hasOn(ctx context.Context, nc *nodeConn, digest string) (bool, error) {
-	res, err := c.call(ctx, nc, http.MethodHead, "/v1/blobs/"+digest, nil, nil, nil)
+	res, err := c.call(ctx, nc, http.MethodHead, "/v1/blobs/"+digest, nil)
 	if err != nil {
 		return false, err
 	}
@@ -361,13 +321,13 @@ func (c *Client) hasOn(ctx context.Context, nc *nodeConn, digest string) (bool, 
 
 // deleteOn removes one blob from one node.
 func (c *Client) deleteOn(ctx context.Context, nc *nodeConn, digest string) error {
-	_, err := c.call(ctx, nc, http.MethodDelete, "/v1/blobs/"+digest, nil, nil, nil)
+	_, err := c.call(ctx, nc, http.MethodDelete, "/v1/blobs/"+digest, nil)
 	return err
 }
 
 // verifyOn asks one node for its local fixity verdict on one blob.
 func (c *Client) verifyOn(ctx context.Context, nc *nodeConn, digest string) (node.VerifyResult, error) {
-	res, err := c.call(ctx, nc, http.MethodGet, "/v1/verify/"+digest, nil, nil, nil)
+	res, err := c.call(ctx, nc, http.MethodGet, "/v1/verify/"+digest, nil)
 	if err != nil {
 		return node.VerifyResult{}, err
 	}
@@ -385,16 +345,9 @@ func (c *Client) verifyOn(ctx context.Context, nc *nodeConn, digest string) (nod
 	}
 }
 
-// listRange lists one node's digests in the half-open range [start, end).
-func (c *Client) listRange(ctx context.Context, nc *nodeConn, start, end string) ([]string, error) {
-	q := url.Values{}
-	if start != "" {
-		q.Set("start", start)
-	}
-	if end != "" {
-		q.Set("end", end)
-	}
-	res, err := c.call(ctx, nc, http.MethodGet, "/v1/digests", q, nil, nil)
+// list reads one node's whole digest listing.
+func (c *Client) list(ctx context.Context, nc *nodeConn) ([]string, error) {
+	res, err := c.call(ctx, nc, http.MethodGet, "/v1/digests", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -410,18 +363,19 @@ func (c *Client) listRange(ctx context.Context, nc *nodeConn, start, end string)
 
 // PutBlob implements cas.Backend: a quorum write across the digest's
 // replica set. All replicas are written concurrently; the put succeeds
-// once a write quorum acks, and anti-entropy later completes any replica
-// a fault kept out of the quorum.
-func (c *Client) PutBlob(digest string, comp []byte, logical int64) error {
+// once a majority acks, and anti-entropy later completes any replica a
+// fault kept out of the quorum. The logical size is not sent: each node
+// counts it.
+func (c *Client) PutBlob(digest string, comp []byte, _ int64) error {
 	ctx := c.ctx
 	owners := c.ownerConns(digest)
 	if len(owners) == 0 {
 		return resilience.MarkPermanent(fmt.Errorf("cluster: no nodes available for %s", short(digest)))
 	}
-	quorum := c.writeQuorum(len(owners))
+	quorum := len(owners)/2 + 1
 	results := make(chan error, len(owners))
 	for _, nc := range owners {
-		go func(nc *nodeConn) { results <- c.putTo(ctx, nc, digest, comp, logical) }(nc)
+		go func(nc *nodeConn) { results <- c.putTo(ctx, nc, digest, comp) }(nc)
 	}
 	acks := 0
 	var firstErr error
@@ -458,8 +412,8 @@ func (c *Client) ReadVerified(digest string, keep bool) ([]byte, int64, error) {
 // read is the replica loop: owners are tried in ring preference order,
 // every read is checked client-side, and the first healthy copy wins.
 // Owners that turned out missing or corrupt are repaired in place with the
-// stored bytes that were served and the size their check counted
-// (best-effort — the read already succeeded).
+// stored bytes that were served (best-effort — the read already
+// succeeded).
 func (c *Client) read(digest string, keep bool) (replica, error) {
 	ctx := c.ctx
 	owners := c.ownerConns(digest)
@@ -475,7 +429,7 @@ func (c *Client) read(digest string, keep bool) (replica, error) {
 		r, err := c.getFrom(ctx, nc, digest, keep)
 		if err == nil {
 			for _, b := range broken {
-				_ = c.putTo(ctx, b, digest, r.comp, r.logical) // read-repair
+				_ = c.putTo(ctx, b, digest, r.comp) // read-repair
 			}
 			return r, nil
 		}
@@ -540,27 +494,10 @@ func (c *Client) DeleteBlob(digest string) {
 }
 
 // Digests implements cas.Backend: the sorted union over every reachable
-// member. Unreachable members are skipped — the audit-grade variant with
-// error reporting is DigestsCtx.
+// member. Unreachable members are skipped; nil when none answered.
 func (c *Client) Digests() []string {
-	ds, _, _ := c.DigestsCtx(c.ctx)
-	return ds
-}
-
-// DigestsCtx returns the sorted digest union over every member, with the
-// IDs of members that could not be listed. It fails only when no member
-// is reachable at all.
-func (c *Client) DigestsCtx(ctx context.Context) ([]string, []string, error) {
-	located, unreachable, err := c.locate(ctx)
-	if err != nil {
-		return nil, unreachable, err
-	}
-	out := make([]string, 0, len(located))
-	for d := range located {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out, unreachable, nil
+	located, _, _ := c.locate(c.ctx)
+	return sortedKeys(located)
 }
 
 // short truncates a digest for error messages.

@@ -19,10 +19,10 @@ import (
 	"sync"
 )
 
-// defaultVNodes is the virtual-node count per physical node. Enough points
-// that load and rebalance movement stay near 1/N without making ring
-// rebuilds expensive.
-const defaultVNodes = 64
+// vnodes is the virtual-node count per physical node. Enough points that
+// load and rebalance movement stay near 1/N without making ring rebuilds
+// expensive.
+const vnodes = 64
 
 // point is one virtual node on the hash circle.
 type point struct {
@@ -36,19 +36,14 @@ type point struct {
 // is a pure function of (node set, digest) — every client that knows the
 // membership computes the same owners, with no coordination service.
 type Ring struct {
-	vnodes int
-
 	mu     sync.RWMutex
 	points []point // sorted by hash
 	nodes  map[string]struct{}
 }
 
-// NewRing returns an empty ring; vnodes < 1 selects the default.
-func NewRing(vnodes int) *Ring {
-	if vnodes < 1 {
-		vnodes = defaultVNodes
-	}
-	return &Ring{vnodes: vnodes, nodes: make(map[string]struct{})}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{nodes: make(map[string]struct{})}
 }
 
 // ringHash maps a string onto the circle. SHA-256 (truncated) rather than
@@ -68,7 +63,7 @@ func (r *Ring) Add(node string) {
 		return
 	}
 	r.nodes[node] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, point{hash: ringHash(fmt.Sprintf("%s#%d", node, i)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })

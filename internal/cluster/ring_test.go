@@ -6,7 +6,7 @@ import (
 )
 
 func ringWith(nodes ...string) *Ring {
-	r := NewRing(0)
+	r := NewRing()
 	for _, n := range nodes {
 		r.Add(n)
 	}
@@ -40,7 +40,7 @@ func TestOwnersCappedAtMembership(t *testing.T) {
 	if got := r.Owners("k", 3); len(got) != 2 {
 		t.Fatalf("owners on 2-node ring: %v, want 2 distinct", got)
 	}
-	if got := NewRing(0).Owners("k", 3); got != nil {
+	if got := NewRing().Owners("k", 3); got != nil {
 		t.Fatalf("owners on empty ring: %v, want nil", got)
 	}
 }

@@ -129,45 +129,3 @@ func TestOneCorruptReplicaIsServedAroundAndRepaired(t *testing.T) {
 		}
 	}
 }
-
-// TestReadsCountTheSizeNotTheHeader: a node that serves a good blob under a
-// logical header that disagrees with it serves a corrupt replica. Every
-// read returns the size its check counted, falls through to the next
-// owner, and read-repair overwrites the liar's record with that size rather
-// than copying the header on.
-func TestReadsCountTheSizeNotTheHeader(t *testing.T) {
-	tc := startCluster(t, 5)
-	c := newClient(t, tc, Config{ReplicationFactor: 3})
-	store := cas.NewStoreWith(c)
-	payload := bytes.Repeat([]byte("the true size "), 300)
-	digest, err := store.Put(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liar := tc.nodeOf(t, c.Owners(digest)[0]).Backend()
-	comp, _, err := liar.GetBlob(digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for op, read := range map[string]func() (int64, error){
-		"Store.Verify": func() (int64, error) { return store.Verify(digest) },
-		"Store.Get": func() (int64, error) {
-			data, err := store.Get(digest)
-			return int64(len(data)), err
-		},
-		"Client.GetBlob": func() (int64, error) {
-			_, n, err := c.GetBlob(digest)
-			return n, err
-		},
-	} {
-		if err := liar.PutBlob(digest, comp, 7); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := read(); err != nil || n != int64(len(payload)) {
-			t.Fatalf("%s with the first owner's header saying 7: %d, %v; want %d", op, n, err, len(payload))
-		}
-		if _, stored, _ := liar.GetBlob(digest); stored != int64(len(payload)) {
-			t.Fatalf("%s: the lying owner still records %d bytes, want %d", op, stored, len(payload))
-		}
-	}
-}

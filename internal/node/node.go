@@ -1,7 +1,7 @@
 // Package node implements one storage node of the preservation network:
 // a cas.Backend served over a small HTTP wire protocol (streaming blob
-// put/get, stat, node-local fixity verification, and range-bounded digest
-// listing for anti-entropy sweeps).
+// put/get, stat, node-local fixity verification, and the digest listing
+// anti-entropy sweeps read).
 //
 // DPHEP frames sustainable preservation as a global, multi-site effort —
 // no single machine is the archive. A node is therefore deliberately dumb:
@@ -12,12 +12,13 @@
 // request context, so a dying client or a draining server never wedges a
 // node.
 //
-// Wire protocol (all blob bodies are the marker-framed stored form, with
-// the logical payload size in the X-Daspos-Logical header):
+// Wire protocol. Every blob body is the marker-framed stored form and
+// nothing travels beside it: each end counts a blob's logical size with
+// its own check of the body.
 //
 //	GET    /v1/health          → 200 {"id":..,"blobs":N}
-//	GET    /v1/digests?start=&end=&limit=  → 200 sorted JSON digest list in [start,end)
-//	PUT    /v1/blobs/{digest}  → 204; 422 when the body fails fixity or the header its size
+//	GET    /v1/digests         → 200 sorted JSON list of every stored digest
+//	PUT    /v1/blobs/{digest}  → 204; 422 when the body fails fixity
 //	GET    /v1/blobs/{digest}  → 200 body; 404 when absent
 //	HEAD   /v1/blobs/{digest}  → 200/404
 //	DELETE /v1/blobs/{digest}  → 204 (idempotent)
@@ -31,16 +32,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"daspos/internal/cas"
 )
-
-// LogicalHeader carries the uncompressed payload size of a blob body, so
-// stores on both ends keep accurate logical statistics without inflating
-// the blob.
-const LogicalHeader = "X-Daspos-Logical"
 
 // maxBlobBytes bounds one blob body; a put larger than this is rejected
 // rather than ballooning node memory.
@@ -153,51 +148,26 @@ func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, Health{ID: n.id, Blobs: n.Blobs()})
 }
 
-// handleDigests lists stored digests, optionally restricted to the
-// half-open lexicographic range [start, end) with a result cap — the
-// range walk anti-entropy sweeps page through.
+// handleDigests lists every stored digest, sorted: one listing is what an
+// anti-entropy sweep reads of a member.
 func (n *Node) handleDigests(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	start, end := q.Get("start"), q.Get("end")
-	limit := 0
-	if s := q.Get("limit"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			http.Error(w, "node: bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = v
+	ds := n.backend.Digests()
+	if ds == nil {
+		ds = []string{} // an empty node lists [], not null
 	}
-	all := n.backend.Digests() // sorted
-	lo, hi := sort.SearchStrings(all, start), len(all)
-	if end != "" {
-		hi = sort.SearchStrings(all, end)
-	}
-	out := []string{}
-	if lo < hi {
-		out = all[lo:hi]
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, ds)
 }
 
 // handlePut ingests one blob. The body is the marker-framed stored form;
 // the node fixity-checks it (cas.VerifyBlob: every check, no payload
 // materialised) before acknowledging, so a payload corrupted on the wire
 // (or by a lying client) is refused with 422 instead of poisoning the
-// replica set. The logical header must name the size the check counted:
-// the node serves it back on every GET.
+// replica set. The blob is stored with the logical size that check
+// counted.
 func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !validDigest(digest) {
 		http.Error(w, "node: invalid digest", http.StatusBadRequest)
-		return
-	}
-	logical, err := strconv.ParseInt(r.Header.Get(LogicalHeader), 10, 64)
-	if err != nil || logical < 0 {
-		http.Error(w, "node: missing or bad "+LogicalHeader+" header", http.StatusBadRequest)
 		return
 	}
 	comp, err := ReadBody(http.MaxBytesReader(w, r.Body, maxBlobBytes), r.ContentLength)
@@ -205,14 +175,9 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "node: reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	checked, derr := cas.VerifyBlob(digest, comp)
+	logical, derr := cas.VerifyBlob(digest, comp)
 	if derr != nil {
 		http.Error(w, "node: refused: "+derr.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	if checked != logical {
-		http.Error(w, fmt.Sprintf("node: refused: %s says %d bytes, the content is %d", LogicalHeader, logical, checked),
-			http.StatusUnprocessableEntity)
 		return
 	}
 	if err := n.backend.PutBlob(digest, comp, logical); err != nil {
@@ -231,7 +196,7 @@ func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "node: invalid digest", http.StatusBadRequest)
 		return
 	}
-	comp, logical, err := n.backend.GetBlob(digest)
+	comp, _, err := n.backend.GetBlob(digest)
 	if err != nil {
 		if errors.Is(err, cas.ErrNotFound) {
 			http.Error(w, "node: not found: "+digest, http.StatusNotFound)
@@ -241,7 +206,6 @@ func (n *Node) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(LogicalHeader, strconv.FormatInt(logical, 10))
 	w.Header().Set("Content-Length", strconv.Itoa(len(comp)))
 	if r.Method == http.MethodHead {
 		return

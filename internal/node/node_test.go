@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 
 	"daspos/internal/cas"
@@ -36,7 +34,6 @@ func putBlob(t *testing.T, base string, payload []byte) (string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(LogicalHeader, strconv.Itoa(len(payload)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("put: %v", err)
@@ -61,9 +58,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("get status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(LogicalHeader); got != strconv.Itoa(len(payload)) {
-		t.Fatalf("logical header %q, want %d", got, len(payload))
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -91,7 +85,6 @@ func TestPutRejectsWireCorruption(t *testing.T) {
 	}
 	comp[len(comp)/2] ^= 0xFF // corrupt in flight
 	req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(comp))
-	req.Header.Set(LogicalHeader, strconv.Itoa(len(payload)))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -105,50 +98,38 @@ func TestPutRejectsWireCorruption(t *testing.T) {
 	}
 }
 
-// TestPutRefusesLyingLogicalHeader: the node serves the logical header back
-// on every GET, so it stores only the size its own check counted. A header
-// that says otherwise is refused, and the refusal names both sizes.
-func TestPutRefusesLyingLogicalHeader(t *testing.T) {
+// TestPutStoresTheCheckedSize: a PUT carries the stored form and nothing
+// else. The node stores the blob with the logical size its own check
+// counted and serves the same bytes back.
+func TestPutStoresTheCheckedSize(t *testing.T) {
 	n, base := startNode(t, "n1")
 	payload := bytes.Repeat([]byte("sized "), 500)
 	comp, err := cas.EncodeBlob(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lie := range []int{0, len(payload) - 1, len(payload) + 1, len(comp)} {
-		req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+cas.Digest(payload), bytes.NewReader(comp))
-		req.Header.Set(LogicalHeader, strconv.Itoa(lie))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Fatalf("header %d on a %d-byte payload: status %d, want 422", lie, len(payload), resp.StatusCode)
-		}
-		if msg := string(body); !strings.Contains(msg, strconv.Itoa(lie)) || !strings.Contains(msg, strconv.Itoa(len(payload))) {
-			t.Fatalf("refusal %q does not name both sizes (%d, %d)", msg, lie, len(payload))
-		}
-	}
-	if n.Blobs() != 0 {
-		t.Fatalf("%d blobs stored under a lying header", n.Blobs())
-	}
-	putBlob(t, base, payload)
-}
-
-func TestPutRequiresLogicalHeader(t *testing.T) {
-	_, base := startNode(t, "n1")
-	payload := []byte("small")
-	comp, _ := cas.EncodeBlob(payload)
-	req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+cas.Digest(payload), bytes.NewReader(comp))
+	digest := cas.Digest(payload)
+	req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(comp))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("put status %d, want 204", resp.StatusCode)
+	}
+	stored, logical, err := n.Backend().GetBlob(digest)
+	if err != nil || !bytes.Equal(stored, comp) || logical != int64(len(payload)) {
+		t.Fatalf("stored %d bytes as %d logical (%v), want %d as %d", len(stored), logical, err, len(comp), len(payload))
+	}
+	resp, err = http.Get(base + "/v1/blobs/" + digest)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("headerless put status %d, want 400", resp.StatusCode)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, comp) {
+		t.Fatalf("get status %d, %d bytes (%v): not the stored form", resp.StatusCode, len(body), err)
 	}
 }
 
@@ -207,49 +188,33 @@ func TestVerifyReportsBitRot(t *testing.T) {
 	}
 }
 
+// TestDigestRangeListing: the listing is the whole keyspace, every stored
+// digest once, sorted; the route takes no parameters.
 func TestDigestRangeListing(t *testing.T) {
 	_, base := startNode(t, "n1")
-	var digests []string
+	var empty []string
+	getJSON(t, base+"/v1/digests", &empty)
+	if empty == nil || len(empty) != 0 {
+		t.Fatalf("empty node lists %v, want []", empty)
+	}
+	want := map[string]bool{}
 	for i := 0; i < 20; i++ {
 		d, _ := putBlob(t, base, []byte(fmt.Sprintf("blob %d", i)))
-		digests = append(digests, d)
+		want[d] = true
 	}
 
 	var all []string
 	getJSON(t, base+"/v1/digests", &all)
-	if len(all) != 20 {
-		t.Fatalf("full listing: %d digests, want 20", len(all))
+	if len(all) != len(want) {
+		t.Fatalf("listing: %d digests, want %d", len(all), len(want))
 	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1] >= all[i] {
+	for i, d := range all {
+		if !want[d] {
+			t.Fatalf("listing names %s, which was never stored", d)
+		}
+		if i > 0 && all[i-1] >= d {
 			t.Fatal("listing not sorted")
 		}
-	}
-
-	// Walking the 16 hex-prefix ranges must partition the full set.
-	var walked []string
-	for _, r := range [][2]string{
-		{"", "1"}, {"1", "2"}, {"2", "3"}, {"3", "4"}, {"4", "5"}, {"5", "6"},
-		{"6", "7"}, {"7", "8"}, {"8", "9"}, {"9", "a"}, {"a", "b"}, {"b", "c"},
-		{"c", "d"}, {"d", "e"}, {"e", "f"}, {"f", ""},
-	} {
-		var page []string
-		getJSON(t, base+"/v1/digests?start="+r[0]+"&end="+r[1], &page)
-		walked = append(walked, page...)
-	}
-	if len(walked) != len(all) {
-		t.Fatalf("range walk covers %d digests, want %d", len(walked), len(all))
-	}
-	for i, d := range walked {
-		if d != all[i] {
-			t.Fatalf("range walk order diverges at %d", i)
-		}
-	}
-
-	var limited []string
-	getJSON(t, base+"/v1/digests?limit=5", &limited)
-	if len(limited) != 5 {
-		t.Fatalf("limited listing: %d, want 5", len(limited))
 	}
 }
 

@@ -12,12 +12,12 @@
 # TestChunkedCheckKeepsTwoChunksInFlight, TestChunkedCheckSaturated — and
 # CI's chaos job repeats them at -count=10 -cpu 1,2,4. The one-check read's
 # tests run here as well — TestClusterStoreChecksEachReadOnce
-# (internal/cas), TestStoreReadsMatchOverShardedAndCluster,
-# TestOneCorruptReplicaIsServedAroundAndRepaired and
-# TestReadsCountTheSizeNotTheHeader (internal/cluster),
-# TestPutRefusesLyingLogicalHeader (internal/node) — with
+# (internal/cas), TestStoreReadsMatchOverShardedAndCluster and
+# TestOneCorruptReplicaIsServedAroundAndRepaired (internal/cluster),
+# TestPutStoresTheCheckedSize (internal/node) — with
 # TestArchiveAnswerTakesNoToken (internal/recast); CI's chaos job repeats
-# them at -count=5. The one durable blob store's tests run here too —
+# them at -count=5, and TestSweepListsEachMemberOnce (internal/cluster),
+# one digest listing per member per sweep, at -count=3. The one durable blob store's tests run here too —
 # TestKilledIngestKeepsThePreviousArchive and TestOpenRejectsAlteredMetadata
 # (internal/archive), TestParentImageReadsUnchanged, TestCreateAddsAPackage,
 # TestVerifyNamesTheDamagedFile and TestVerifyNamesAMissingBlob
