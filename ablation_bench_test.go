@@ -56,7 +56,7 @@ func BenchmarkAblationDerivation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := train.Run(events); err != nil {
+			if _, err := train.Run(events); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -69,7 +69,7 @@ func BenchmarkAblationDerivation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := d.Run(events); err != nil {
+				if _, err := d.Run(events); err != nil {
 					b.Fatal(err)
 				}
 			}

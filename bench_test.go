@@ -168,7 +168,7 @@ func BenchmarkTierReduction(b *testing.B) {
 			}},
 			Slim: skim.SlimPolicy{KeepTypes: []datamodel.ObjectType{datamodel.ObjMuon}, DropAux: true},
 		}
-		derived, _, err := derivation.Run(aod)
+		derived, err := derivation.Run(aod)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -64,13 +64,9 @@ func TestCatalogBookkeepsWorkflowChain(t *testing.T) {
 	// Cross-check: each dataset's provenance record resolves, and walking
 	// the provenance graph from the skim reaches the raw record the RAW
 	// dataset points at.
-	skimRec, ok := prov.Get(chain[0].ProvenanceRecord)
-	if !ok {
-		t.Fatal("skim provenance record missing")
-	}
-	lineage, err := prov.Lineage(skimRec.ID)
+	lineage, err := prov.Lineage(chain[0].ProvenanceRecord)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("skim provenance record: %v", err)
 	}
 	rootID := chain[3].ProvenanceRecord
 	found := false

@@ -15,21 +15,19 @@
 // lost when it stops, and the replication factor does not save them from a
 // power cut that stops every node at once. Durable nodes, on cas.Dir, are
 // ROADMAP item 1. The archive layer's package index stays on the
-// coordinating side. SIGINT/SIGTERM drain in-flight requests and exit
-// cleanly.
+// coordinating side. SIGINT/SIGTERM drain in-flight requests before
+// exit.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
+	"daspos/internal/daemon"
 	"daspos/internal/node"
 )
 
@@ -46,28 +44,14 @@ func main() {
 	}
 
 	n := node.New(*id, nil)
-	srv := &http.Server{
-		Addr:              *listen,
-		Handler:           n.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("node %s serving on %s", *id, *listen)
-
-	select {
-	case err := <-errc:
-		log.Fatalf("serve: %v", err)
-	case <-ctx.Done():
+	drained := func() error {
+		log.Printf("node %s drained (%d blobs held)", *id, n.Blobs())
+		return nil
 	}
-	log.Printf("node %s draining (%d blobs held)", *id, n.Blobs())
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Fatalf("shutdown: %v", err)
+	if err := daemon.Serve(ctx, *listen, n.Handler(), drained); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -21,7 +21,6 @@
 //	daspos-pipeline [-events N] [-seed S] [-process name] [-pileup MU]
 //	                [-workers W] [-batch B] [-stage-retries R]
 //	                [-checkpoint-dir DIR] [-resume]
-//	                [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -29,9 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -59,37 +55,10 @@ func main() {
 	stageRetries := flag.Int("stage-retries", 2, "transient worker restarts allowed per pipeline stage")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for the durable run ledger (empty: checkpointing off)")
 	resume := flag.Bool("resume", false, "resume from the ledger in -checkpoint-dir, skipping verified steps")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
 	if *resume && *ckptDir == "" {
 		log.Fatal("-resume requires -checkpoint-dir")
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-		}()
 	}
 
 	procID := generator.ProcessID(*process)

@@ -4,18 +4,17 @@
 //
 // Usage:
 //
-//	daspos-query serve [-addr :8090] [-cache N] [-page N] [-max-page N]
-//	                   [-records N] [-datasets N] [-seed S]
-//	daspos-query demo  [-records N] [-datasets N] [-reads N] [-seed S]
-//	                   [-hot-fraction F]
+//	daspos-query serve [-addr :8090] [-records N] [-datasets N] [-seed S]
+//	daspos-query demo  [-records N] [-datasets N] [-seed S]
 //
 // serve starts the HTTP query front end with a deterministic demo corpus
 // published (use -records 0 for an empty server and POST your own):
 // GET /records?q=... searches the inverted index, GET /records/{id} serves
 // cached record bodies with strong ETags, /export streams result sets
 // without buffering them, and GET /status reports index and cache
-// counters. demo runs a seeded read mix against an in-process server and
-// prints the stage report — cache hits, misses, coalesced fills, 304s.
+// counters. SIGINT/SIGTERM drain in-flight requests before exit. demo runs
+// a seeded mix of 2,000 reads against an in-process server and prints the
+// stage report — cache hits, misses, coalesced fills, 304s.
 package main
 
 import (
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"daspos/internal/catalog"
+	"daspos/internal/daemon"
 	"daspos/internal/hepdata"
 	"daspos/internal/queryserve"
 	"daspos/internal/texttable"
@@ -53,15 +53,13 @@ func main() {
 	}
 }
 
-func newServer(cacheSize, page, maxPage, records, datasets int, seed uint64) *queryserve.Server {
-	archive := hepdata.NewArchive()
-	cat := catalog.New()
+// demoReads is the length of demo's read mix.
+const demoReads = 2000
+
+func newServer(records, datasets int, seed uint64) *queryserve.Server {
 	srv, err := queryserve.NewServer(queryserve.Config{
-		Archive:     archive,
-		Catalog:     cat,
-		CacheSize:   cacheSize,
-		DefaultPage: page,
-		MaxPage:     maxPage,
+		Archive: hepdata.NewArchive(),
+		Catalog: catalog.New(),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -82,9 +80,6 @@ func newServer(cacheSize, page, maxPage, records, datasets int, seed uint64) *qu
 func serve(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
-	cacheSize := fs.Int("cache", 4096, "record cache capacity (entries)")
-	page := fs.Int("page", 100, "default page size")
-	maxPage := fs.Int("max-page", 1000, "page size ceiling")
 	records := fs.Int("records", 200, "demo records to publish at startup (0 = start empty)")
 	datasets := fs.Int("datasets", 60, "demo datasets to publish at startup")
 	seed := fs.Uint64("seed", 11, "demo corpus seed")
@@ -92,19 +87,11 @@ func serve(args []string) {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv := newServer(*cacheSize, *page, *maxPage, *records, *datasets, *seed)
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	go func() {
-		<-ctx.Done()
-		log.Print("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(sctx)
-	}()
+	srv := newServer(*records, *datasets, *seed)
 	st := srv.Stats()
-	log.Printf("query front end on %s (%d records, %d datasets, %d index terms, cache %d)",
-		*addr, st.Records, st.Datasets, st.IndexTerms, *cacheSize)
-	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	log.Printf("query front end on %s (%d records, %d datasets, %d index terms)",
+		*addr, st.Records, st.Datasets, st.IndexTerms)
+	if err := daemon.Serve(ctx, *addr, srv.Handler(), nil); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -113,12 +100,10 @@ func demo(args []string) {
 	fs := flag.NewFlagSet("demo", flag.ExitOnError)
 	records := fs.Int("records", 400, "demo records to publish")
 	datasets := fs.Int("datasets", 80, "demo datasets to publish")
-	reads := fs.Int("reads", 2000, "reads in the mixed workload")
 	seed := fs.Uint64("seed", 11, "corpus and schedule seed")
-	hotFraction := fs.Float64("hot-fraction", 0.85, "fraction of lookups hitting the hot set")
 	_ = fs.Parse(args)
 
-	srv := newServer(4096, 100, 1000, *records, *datasets, *seed)
+	srv := newServer(*records, *datasets, *seed)
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 
@@ -133,9 +118,7 @@ func demo(args []string) {
 			cold = append(cold, id)
 		}
 	}
-	keys := readSchedule(*seed, readShape{
-		HotKeys: hot, ColdKeys: cold, HotFraction: *hotFraction,
-	}, *reads)
+	keys := readSchedule(*seed, hot, cold, demoReads)
 
 	client := hts.Client()
 	etags := make(map[string]string) // warm validators for conditional GETs
@@ -201,7 +184,7 @@ func demo(args []string) {
 	st := srv.Stats()
 	t := texttable.New("Counter", "Value")
 	t.Title = fmt.Sprintf("daspos-query demo: %d reads in %v (%d records, %d datasets)",
-		*reads, elapsed.Round(time.Millisecond), st.Records, st.Datasets)
+		demoReads, elapsed.Round(time.Millisecond), st.Records, st.Datasets)
 	t.SetAlign(1, texttable.Right)
 	t.AddRow("index docs", st.IndexDocs)
 	t.AddRow("index terms", st.IndexTerms)

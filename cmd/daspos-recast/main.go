@@ -5,19 +5,21 @@
 //
 //	daspos-recast serve [-addr :8080] [-backend fullsim|bridge]
 //	                    [-journal-dir DIR] [-workers N] [-queue-bound N]
-//	                    [-degraded-bound N] [-tenant-rate R] [-tenant-burst B]
-//	                    [-auto-approve=false]
-//	daspos-recast demo  [-backend fullsim|bridge] [-mass M] [-events N]
-//	daspos-recast scan  [-backend ...] [-from M0 -to M1 -step dM] [-xsec PB]
+//	                    [-tenant-rate R] [-tenant-burst B]
+//	daspos-recast demo  [-backend fullsim|bridge] [-events N] [-seed S]
+//	daspos-recast scan  [-backend ...] [-events N] [-seed S] [-xsec PB]
 //
 // serve starts the overload-safe multi-tenant front end with the high-mass
-// dimuon search subscribed: submissions are rate-limited per tenant,
-// journaled in the request ledger (requests.log under -journal-dir, the
-// service's only durable state) from which the fair queue is rebuilt on
-// every start, and processed by -workers back-end workers; GET /status reports queue depth, breaker state, and
-// per-tenant counters. demo submits a Z′ request against an in-process
-// service, walks the approval workflow, and prints the result; scan walks
-// the mass plane and prints the limit table with exclusion verdicts.
+// dimuon search subscribed: submissions are approved on arrival,
+// rate-limited per tenant, journaled in the request ledger (requests.log
+// under -journal-dir, the service's only durable state) from which the
+// fair queue is rebuilt on every start, and processed by -workers back-end
+// workers; GET /status reports queue depth, breaker state, and per-tenant
+// counters. SIGINT/SIGTERM drain in-flight requests, then the workers,
+// then close the ledger. demo submits a 1 TeV Z′ request against an
+// in-process service, walks the approval workflow, and prints the result;
+// scan walks the mass plane from 400 GeV to 2.4 TeV in 400 GeV steps and
+// prints the limit table with exclusion verdicts.
 package main
 
 import (
@@ -25,14 +27,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"daspos/internal/bridge"
 	"daspos/internal/conditions"
+	"daspos/internal/daemon"
 	"daspos/internal/datamodel"
 	"daspos/internal/detector"
 	"daspos/internal/leshouches"
@@ -64,15 +65,12 @@ func scan(args []string) {
 	events := fs.Int("events", 200, "Monte Carlo statistics per point")
 	seed := fs.Uint64("seed", 11, "generation seed")
 	xsec := fs.Float64("xsec", 0.001, "model cross section in pb (0 disables exclusion verdicts)")
-	lo := fs.Float64("from", 400, "first mass point (GeV)")
-	hi := fs.Float64("to", 2400, "last mass point (GeV)")
-	step := fs.Float64("step", 400, "mass step (GeV)")
 	_ = fs.Parse(args)
 
 	svc := newService(*backendName)
 	base := recast.ModelSpec{Process: "zprime", Events: *events, Seed: *seed, CrossSectionPb: *xsec}
 	var masses []float64
-	for m := *lo; m <= *hi; m += *step {
+	for m := 400.0; m <= 2400; m += 400 {
 		masses = append(masses, m)
 	}
 	points, err := recast.MassScan(svc, "GPD_2013_DIMUON_HIGHMASS", "theorist@example", base, masses)
@@ -129,44 +127,31 @@ func serve(args []string) {
 	journalDir := fs.String("journal-dir", "recast-data", "directory of the request ledger, requests.log (crash recovery)")
 	workers := fs.Int("workers", 2, "back-end worker pool size")
 	queueBound := fs.Int("queue-bound", 64, "queued entries before new submissions shed with 429")
-	degradedBound := fs.Int("degraded-bound", 0, "intake bound while the back end browns out (0 = queue-bound/4)")
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant sustained admissions per second (0 = unlimited)")
 	tenantBurst := fs.Float64("tenant-burst", 8, "per-tenant burst allowance above the sustained rate")
-	autoApprove := fs.Bool("auto-approve", true, "queue work at submission without the experiment's manual sign-off")
 	_ = fs.Parse(args)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	svc := newService(*backendName)
 	srv, err := recast.NewServer(ctx, svc, recast.ServerConfig{
-		JournalDir:    *journalDir,
-		Workers:       *workers,
-		QueueBound:    *queueBound,
-		DegradedBound: *degradedBound,
-		TenantRate:    *tenantRate,
-		TenantBurst:   *tenantBurst,
-		AutoApprove:   *autoApprove,
+		JournalDir:  *journalDir,
+		Workers:     *workers,
+		QueueBound:  *queueBound,
+		TenantRate:  *tenantRate,
+		TenantBurst: *tenantBurst,
+		AutoApprove: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv.Start()
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	go func() {
-		<-ctx.Done()
-		log.Print("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = hs.Shutdown(sctx)
-	}()
 	log.Printf("RECAST front end on %s (backend %s, %d workers, journal %s)",
 		*addr, *backendName, *workers, *journalDir)
-	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatal(err)
-	}
-	// Drain the worker pool and close the ledger; accepted-but-unrun
-	// work is queued again from its approved records on the next start.
-	if err := srv.Close(); err != nil {
+	// Once the last in-flight request is answered, srv.Close drains the
+	// worker pool and closes the ledger; accepted-but-unrun work is queued
+	// again from its approved records on the next start.
+	if err := daemon.Serve(ctx, *addr, srv.Handler(), srv.Close); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -174,18 +159,17 @@ func serve(args []string) {
 func demo(args []string) {
 	fs := flag.NewFlagSet("demo", flag.ExitOnError)
 	backendName := fs.String("backend", "bridge", "processing back end (fullsim or bridge)")
-	mass := fs.Float64("mass", 1000, "Z' pole mass in GeV")
 	events := fs.Int("events", 300, "Monte Carlo statistics")
 	seed := fs.Uint64("seed", 11, "generation seed")
 	_ = fs.Parse(args)
 
 	svc := newService(*backendName)
-	model := recast.ModelSpec{Process: "zprime", MassGeV: *mass, Events: *events, Seed: *seed}
+	model := recast.ModelSpec{Process: "zprime", MassGeV: 1000, Events: *events, Seed: *seed}
 	req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist@example", "constrain Z' couplings", model)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("submitted %s: Z' m=%g GeV, %d events\n", req.ID, *mass, *events)
+	fmt.Printf("submitted %s: Z' m=%g GeV, %d events\n", req.ID, model.MassGeV, *events)
 	if err := svc.Approve(req.ID); err != nil {
 		log.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 // Close/Flush errors are never discarded), and the concurrency-discipline
 // trio — lockcheck (no blocking operations while a mutex is held on the
 // hot path), leakcheck (every goroutine has a termination path), and
-// atomiccheck (no mixed atomic/plain field access, no copied locks).
+// atomiccheck (no mixed atomic/plain field access).
 //
 // Usage:
 //

@@ -111,7 +111,7 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1. The provenance chain survived and still audits complete.
-	if rep := loaded.AuditProvenance(); rep.CompleteFraction() != 1 || rep.Records != prov.Len() {
+	if rep := loaded.AuditProvenance(); rep.CompleteFraction() != 1 || rep.Records != len(prov.All()) {
 		t.Fatalf("provenance after thaw: %+v", rep)
 	}
 	// 2. The workflow description is still parseable and valid, and still

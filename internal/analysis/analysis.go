@@ -71,9 +71,7 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Path     string
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
 
 	findings   *[]Finding
@@ -263,9 +261,7 @@ func RunTimed(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Fi
 			pass := &Pass{
 				Analyzer:   a,
 				Fset:       fset,
-				Path:       pkg.Path,
 				Files:      pkg.Files,
-				Pkg:        pkg.Types,
 				Info:       pkg.Info,
 				findings:   &findings,
 				directives: dirs,

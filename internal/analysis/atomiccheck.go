@@ -6,27 +6,21 @@ import (
 	"go/types"
 )
 
-// AtomicCheck enforces the two memory-discipline rules the race detector
-// only proves when an interleaving happens to hit them:
+// AtomicCheck enforces the memory-discipline rule the race detector only
+// proves when an interleaving happens to hit it: a struct field accessed
+// through sync/atomic anywhere must be accessed through sync/atomic
+// everywhere — one plain load next to an atomic.AddInt64 is a data race
+// that `-race` reports only if the scheduler stacks the two on top of each
+// other. The typed atomic.Int64 wrappers make this unrepresentable; this
+// check exists for the pointer-style call sites. (Copying a lock-bearing
+// value is `go vet`'s copylocks check, which the gate runs too.)
 //
-//   - a struct field accessed through sync/atomic anywhere must be
-//     accessed through sync/atomic everywhere — one plain load next to an
-//     atomic.AddInt64 is a data race that `-race` reports only if the
-//     scheduler stacks the two on top of each other (the typed
-//     atomic.Int64 wrappers make this unrepresentable; this check exists
-//     for the pointer-style call sites);
-//   - a value containing a sync.Mutex/RWMutex/WaitGroup/Once/Cond/Map/
-//     Pool must never be copied — by assignment, by range, or by being
-//     passed as a value argument — because the copy's lock state is
-//     divorced from the original's and both sides believe they hold the
-//     same lock.
-//
-// A deliberate copy of a never-locked-again value (a snapshot of a
-// config struct at init, say) is annotated //daspos:atomic-ok.
+// A deliberate plain access before the value is published (a constructor
+// initialising the field, say) is annotated //daspos:atomic-ok.
 var AtomicCheck = &Analyzer{
 	Name:     "atomiccheck",
-	Doc:      "no mixed atomic/plain access to the same field; no by-value copies of lock-bearing values",
-	Why:      "mixed atomic and plain access is a data race the race detector only catches on a lucky interleaving, and a copied mutex splits one critical section into two that do not exclude each other",
+	Doc:      "no mixed atomic/plain access to the same field",
+	Why:      "mixed atomic and plain access is a data race the race detector only catches on a lucky interleaving",
 	Suppress: "atomic-ok",
 	Match: matchPath(
 		"internal/queryserve",
@@ -37,12 +31,7 @@ var AtomicCheck = &Analyzer{
 		"internal/hepdata",
 		"internal/eventflow",
 	),
-	Run: runAtomicCheck,
-}
-
-func runAtomicCheck(p *Pass) {
-	p.checkMixedAtomics()
-	p.checkLockCopies()
+	Run: (*Pass).checkMixedAtomics,
 }
 
 // checkMixedAtomics finds fields (and package variables) that appear as
@@ -126,130 +115,4 @@ func (p *Pass) accessedObject(e ast.Expr) types.Object {
 		}
 	}
 	return nil
-}
-
-// declaredType resolves an expression's type, falling back to the Defs
-// object for identifiers the expression itself declares (range clause
-// key/value idents have no Types entry, only a Defs one).
-func (p *Pass) declaredType(e ast.Expr) types.Type {
-	if t := p.typeOf(e); t != nil {
-		return t
-	}
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		if obj := p.Info.Defs[id]; obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
-}
-
-// checkLockCopies reports by-value copies of lock-bearing values:
-// assignment from an existing value, range over a slice/array/map of
-// them, and value arguments in calls.
-func (p *Pass) checkLockCopies() {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				for i, rhs := range st.Rhs {
-					// Discarding into the blank identifier copies
-					// nothing anyone will ever lock.
-					if len(st.Lhs) == len(st.Rhs) {
-						if id, ok := st.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-							continue
-						}
-					}
-					p.reportLockCopy(rhs, "assignment")
-				}
-			case *ast.GenDecl:
-				for _, spec := range st.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, v := range vs.Values {
-							p.reportLockCopy(v, "assignment")
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				if st.Value != nil {
-					if name := lockBearer(p.declaredType(st.Value)); name != "" {
-						p.Reportf(st.Value.Pos(), "range copies a sync.%s-bearing value per iteration: each copy's lock state is divorced from the element's, so locking the copy protects nothing (range over indices or pointers instead, or //daspos:atomic-ok)", name)
-					}
-				}
-			case *ast.CallExpr:
-				fn := p.calleeFunc(st)
-				if fn != nil && isSyncLockMethod(fn) {
-					return true // mu.Lock() receives the mutex by pointer
-				}
-				if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok {
-					switch id.Name {
-					case "len", "cap", "new":
-						return true
-					}
-				}
-				for _, arg := range st.Args {
-					p.reportLockCopy(arg, "argument passing")
-				}
-			}
-			return true
-		})
-	}
-}
-
-// reportLockCopy reports e when it copies an existing lock-bearing value:
-// a variable, field, index, or dereference of lock-bearing type. Fresh
-// values (composite literals, call results) and pointers are fine.
-func (p *Pass) reportLockCopy(e ast.Expr, how string) {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return
-	}
-	t := p.typeOf(e)
-	if t == nil {
-		return
-	}
-	// Identifiers that are types or packages, not values.
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		if obj := p.Info.Uses[id]; obj != nil {
-			if _, isVar := obj.(*types.Var); !isVar {
-				return
-			}
-		}
-	}
-	if name := lockBearer(t); name != "" {
-		p.Reportf(e.Pos(), "%s copies a value containing sync.%s: the copy and the original are two independent locks that both claim to guard the same state (pass a pointer, or //daspos:atomic-ok for a provably never-locked snapshot)", how, name)
-	}
-}
-
-// lockBearer returns the name of the sync primitive a value of type t
-// would copy ("" when t is safely copyable). Pointers, slices, maps, and
-// channels share rather than copy, so they are fine.
-func lockBearer(t types.Type) string {
-	return lockBearerDepth(t, 0)
-}
-
-func lockBearerDepth(t types.Type, depth int) string {
-	if t == nil || depth > 10 {
-		return ""
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return obj.Name()
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := lockBearerDepth(u.Field(i).Type(), depth+1); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockBearerDepth(u.Elem(), depth+1)
-	}
-	return ""
 }

@@ -27,7 +27,6 @@ import (
 // Nodes holds the statements (and guarding condition expressions) in
 // execution order; Succs the possible successors.
 type CFGBlock struct {
-	Index int
 	Nodes []ast.Node
 	Succs []*CFGBlock
 }
@@ -79,7 +78,7 @@ type cfgBuilder struct {
 }
 
 func (b *cfgBuilder) newBlock() *CFGBlock {
-	blk := &CFGBlock{Index: len(b.g.Blocks)}
+	blk := &CFGBlock{}
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }

@@ -71,14 +71,14 @@ func TestCFGCollectsDefers(t *testing.T) {
 func TestCFGBlockStructure(t *testing.T) {
 	g := BuildCFG(parseBody(t, "x := 0\nif x > 0 {\nx = 1\n} else {\nx = 2\n}\n_ = x"))
 	seen := make(map[*CFGBlock]bool)
-	for _, blk := range g.Blocks {
+	for i, blk := range g.Blocks {
 		if seen[blk] {
-			t.Fatalf("block %d appears twice in Blocks", blk.Index)
+			t.Fatalf("block %d appears twice in Blocks", i)
 		}
 		seen[blk] = true
 		for _, s := range blk.Succs {
 			if !seen[s] && !contains(g.Blocks, s) {
-				t.Fatalf("successor of block %d not in Blocks", blk.Index)
+				t.Fatalf("successor of block %d not in Blocks", i)
 			}
 		}
 	}

@@ -5,13 +5,15 @@ import (
 	"go/token"
 )
 
-// Durability enforces the commit ordering that makes the journal, the
-// checkpoint ledger's object store and the content-addressed stores
-// crash-safe: a rename is only an atomic commit point if the payload was
-// fsynced first, and a journal append only announces state that is
-// already durable if the append is fsynced in the same operation. The analyzer is per-function and
-// order-sensitive: it flags os.Rename calls with no earlier Sync in the
-// function, and os.File writes in functions that never Sync at all.
+// Durability enforces the commit ordering that makes the journal and the
+// durable blob store (cas.Dir, under the checkpoint ledger's objects and
+// the directory archive) crash-safe: a rename is only an atomic commit
+// point if the payload was fsynced first, and a journal append only
+// announces state that is already durable if the append is fsynced in the
+// same operation. The analyzer is per-function and order-sensitive: it
+// flags os.Rename calls with no earlier Sync in the function, and os.File
+// writes in functions that never Sync at all. The two packages it polices
+// are the only ones that write a file on a durable path.
 var Durability = &Analyzer{
 	Name:     "durability",
 	Doc:      "enforce temp-write→fsync→rename ordering and fsynced journal appends in the durable stores",
@@ -19,7 +21,6 @@ var Durability = &Analyzer{
 	Suppress: "fsync-ok",
 	Match: matchPath(
 		"internal/journal",
-		"internal/checkpoint",
 		"internal/cas",
 	),
 	Run: runDurability,

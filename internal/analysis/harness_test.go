@@ -119,12 +119,12 @@ func runAnalyzersTest(t *testing.T, as []*Analyzer, dir, virtualPath string) {
 			t.Fatal(err)
 		}
 	}
-	pkg, info, err := typecheck(fset, exportImporter(fset, exports), virtualPath, files)
+	info, err := typecheck(fset, exportImporter(fset, exports), virtualPath, files)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	findings, _ := RunTimed(fset, []*Package{{Path: virtualPath, Files: files, Types: pkg, Info: info}}, as)
+	findings, _ := RunTimed(fset, []*Package{{Path: virtualPath, Files: files, Info: info}}, as)
 	for _, f := range findings {
 		qualified := f.Analyzer + ": " + f.Message
 		matched := false

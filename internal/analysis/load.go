@@ -18,9 +18,7 @@ import (
 // Package is one loaded, typechecked module package.
 type Package struct {
 	Path  string
-	Dir   string
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
 }
 
@@ -64,15 +62,13 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 			}
 			files = append(files, f)
 		}
-		pkg, info, err := typecheck(fset, imp, lp.ImportPath, files)
+		info, err := typecheck(fset, imp, lp.ImportPath, files)
 		if err != nil {
 			return nil, nil, err
 		}
 		out = append(out, &Package{
 			Path:  lp.ImportPath,
-			Dir:   lp.Dir,
 			Files: files,
-			Types: pkg,
 			Info:  info,
 		})
 	}
@@ -135,17 +131,17 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 }
 
 // typecheck runs go/types over one package's parsed files.
-func typecheck(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
+func typecheck(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Info, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, nil, fmt.Errorf("analysis: typechecking %s: %w", path, err)
+	if _, err := conf.Check(path, fset, files, info); err != nil {
+		return nil, fmt.Errorf("analysis: typechecking %s: %w", path, err)
 	}
-	return pkg, info, nil
+	return info, nil
 }

@@ -708,3 +708,18 @@ func mutableType(t types.Type) bool {
 	}
 	return false
 }
+
+// declaredType resolves an expression's type, falling back to the Defs
+// object for identifiers the expression itself declares (range clause
+// key/value idents have no Types entry, only a Defs one).
+func (p *Pass) declaredType(e ast.Expr) types.Type {
+	if t := p.typeOf(e); t != nil {
+		return t
+	}
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		if obj := p.Info.Defs[id]; obj != nil {
+			return obj.Type()
+		}
+	}
+	return nil
+}

@@ -42,11 +42,10 @@ func (s *S) flushAll() {
 	}
 	const path = "daspos/internal/recast"
 	conf := types.Config{Importer: importer.Default()}
-	pkg, err := conf.Check(path, fset, []*ast.File{f}, info)
-	if err != nil {
+	if _, err := conf.Check(path, fset, []*ast.File{f}, info); err != nil {
 		t.Fatal(err)
 	}
-	findings, _ := RunTimed(fset, []*Package{{Path: path, Files: []*ast.File{f}, Types: pkg, Info: info}}, []*Analyzer{LockCheck})
+	findings, _ := RunTimed(fset, []*Package{{Path: path, Files: []*ast.File{f}, Info: info}}, []*Analyzer{LockCheck})
 	for _, fd := range findings {
 		t.Errorf("%d:%d %s", fd.Line, fd.Col, fd.Message)
 	}

@@ -1,35 +1,76 @@
 package analysis
 
-// The reachability gate: every exported package-level func, type and
-// method under internal/ must be reachable from a main under cmd/,
-// examples/ or bench/cmd/, or be listed in testdata/reach-keep.txt with one
-// of three admissible reasons. What nothing runs is deleted, not kept "in
-// case": a long-lived code base pays for every line it maintains, and the
-// lines no binary executes are the ones no e2e, benchmark or chaos suite
-// ever checks.
+// The reachability gate: nothing under internal/ is kept that no binary
+// needs. Every exported package-level func, type and method under internal/
+// must be reached from a main under cmd/, examples/ or bench/cmd/; every
+// struct field declared there must be read by code those mains reach; and
+// every flag a main defines must be set somewhere a person or a script sets
+// it. What fails is deleted, not kept "in case", or it is listed in
+// testdata/reach-keep.txt with one of three admissible reasons. A
+// long-lived code base pays for every line it maintains, and the lines no
+// binary executes are the ones no e2e, benchmark or chaos suite ever checks.
 //
-// The pass is type-based and deliberately coarse. Nodes are package-level
-// declarations (keyed by import path and name, because every package is
-// typechecked from source against its dependencies' export data, so one
-// object has several identities); an edge runs from a declaration to every
-// package-level object its syntax names (types.Info.Uses). Roots are the
-// main and init functions and the package-level initialisers of the main
-// packages, plus the init functions and `var _ = …` registrations of every
-// package a main links. A method is reached when something names it, or
-// when its receiver type is reached and its name is one an interface in
-// the tree (or one of the usual standard-library ones) declares — dynamic
-// dispatch is not resolved more finely than that.
+// Declarations. The pass is type-based and deliberately coarse. Nodes are
+// package-level declarations (keyed by import path and name, because every
+// package is typechecked from source against its dependencies' export
+// data, so one object has several identities); an edge runs from a
+// declaration to every package-level object its syntax names
+// (types.Info.Uses). Roots are the main and init functions and the
+// package-level initialisers of the main packages, plus the init functions
+// and `var _ = …` registrations of every package a main links.
+//
+// Methods. A method is reached when something names it, or when its
+// receiver type is reached and the receiver's method set satisfies an
+// interface that declares the method: one declared in the tree, an exported
+// interface of a standard-library package the tree imports, or one of the
+// interfaces the standard library asserts without naming them
+// (anonymousStdlib). Methods compare by name plus the types of their
+// parameters and results, never by types.Implements: the two sides usually
+// come from different typechecks, and the same type from two typechecks is
+// two types.
+//
+// Fields. A named struct field declared under internal/ is read when
+// reached code names it other than as the target of a plain `=` or as the
+// key of a keyed composite literal; a positional composite literal writes
+// every field. Fields are keyed by package, file, line and name, since a
+// field read from another package is another types.Var; a field of an
+// unnamed struct type is keyed by that type instead, since identical
+// unnamed struct types are one type. Reads the syntax does not show count
+// too, by a conservative rule:
+//   - a field that carries a struct tag is read;
+//   - so is every field of every struct type that reached code passes (as
+//     a value, or behind pointers, slices, arrays and maps, or nested in
+//     another struct) to an `any` parameter of encoding/json, encoding/gob,
+//     encoding/xml, encoding/binary, reflect, text/template or
+//     html/template, or of fmt or log — except below a type fmt prints
+//     through its own Error, String or Format method. A value of interface
+//     or type-parameter type is followed to the callers that supply it,
+//     through the parameters and type parameters it arrived by;
+//   - so is every field of a struct compared with == or !=, used as a map
+//     key, or converted to another struct type.
+//
+// Flags. Every flag a main defines with package flag must be set by name
+// (-name or --name) somewhere in scripts/, bench/run.sh,
+// .github/workflows/, README.md or a _test.go file. A flag nothing sets is
+// deleted and its default becomes a constant.
+//
+// The keep-list spells a declaration pkg.Name or pkg.Type.Method, a field
+// pkg.Type.Field (an anonymous struct's fields follow the names that
+// enclose it), and a flag cmd.-name, with cmd the main's directory.
 
 import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -49,14 +90,52 @@ type loaded struct {
 
 const modulePrefix = "daspos/"
 
-// stdlibInterfaceMethods are the method names the standard library calls
-// through an interface or by reflection on values this tree hands it.
-var stdlibInterfaceMethods = strings.Fields(`
-	Error Unwrap Is As Timeout Temporary String GoString Format
-	Read Write Close Seek ReadAt WriteAt ReadFrom WriteTo ReadByte WriteByte Flush
-	MarshalJSON UnmarshalJSON MarshalText UnmarshalText MarshalBinary UnmarshalBinary
-	Len Less Swap Push Pop ServeHTTP RoundTrip Header WriteHeader Set
-	Deadline Done Err Value Sum Reset Size BlockSize Int63 Uint64 Seed`)
+// anonymousStdlib declares the interfaces the standard library asserts on
+// the values this tree hands it without naming them: the error-tree walks
+// of errors.Is, errors.As and errors.Unwrap, and os.IsTimeout.
+const anonymousStdlib = `package p
+
+type (
+	_ interface{ Unwrap() error }
+	_ interface{ Unwrap() []error }
+	_ interface{ Is(error) bool }
+	_ interface{ As(any) bool }
+	_ interface{ Timeout() bool }
+)
+`
+
+// sinkMode says how a standard-library call reads the fields of a value
+// handed to it as `any`.
+type sinkMode uint8
+
+const (
+	reflects sinkMode = 1 << iota // every field, through reflection
+	prints                        // fmt's rules: a value with Error, String or Format prints through it
+	compares                      // == and map hashing: the fields held by value
+)
+
+// reflective are the standard-library packages whose `any` parameters read
+// the fields of what they are handed.
+var reflective = map[string]sinkMode{
+	"encoding/json":   reflects,
+	"encoding/gob":    reflects,
+	"encoding/xml":    reflects,
+	"encoding/binary": reflects,
+	"reflect":         reflects,
+	"text/template":   reflects,
+	"html/template":   reflects,
+	"fmt":             prints,
+	"log":             prints,
+}
+
+// flagNameArg maps each flag-defining function (package func and FlagSet
+// method alike) to the index of its name argument.
+var flagNameArg = map[string]int{
+	"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "String": 0,
+	"Float64": 0, "Duration": 0, "Func": 0, "BoolFunc": 0,
+	"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1,
+	"StringVar": 1, "Float64Var": 1, "DurationVar": 1, "Var": 1, "TextVar": 1,
+}
 
 // objKey names a package-level object, or a method of a package-level
 // named type, of this module; anything else (locals, fields, the standard
@@ -89,16 +168,85 @@ func objKey(obj types.Object) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
+// methodSig renders a method as its name and the types of its parameters
+// and results, which compare equal across separate typechecks.
+func methodSig(fn *types.Func) string {
+	sig := fn.Type().(*types.Signature)
+	unnamed := func(t *types.Tuple) *types.Tuple {
+		vars := make([]*types.Var, t.Len())
+		for i := range vars {
+			vars[i] = types.NewParam(token.NoPos, nil, "", t.At(i).Type())
+		}
+		return types.NewTuple(vars...)
+	}
+	return fn.Name() + types.TypeString(types.NewSignatureType(nil, nil, nil, unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic()), nil)
+}
+
+// iface is one interface a method can be reached through.
+type iface struct {
+	name string
+	sigs []string
+}
+
+type itemKind int
+
+const (
+	declItem itemKind = iota
+	fieldItem
+	flagItem
+)
+
+// item is one thing the gate decides: an exported declaration, a field or
+// a flag.
+type item struct {
+	kind   itemKind
+	name   string // as the keep-list spells it
+	pos    token.Position
+	tagged bool   // a field with a struct tag
+	flag   string // a flag's name
+	recv   string // a method's receiver type key
+}
+
+// declSyntax is one piece of a declaration's syntax and its package.
+type declSyntax struct {
+	pkg  *Package
+	node ast.Node
+}
+
 // reachGraph is the declaration graph of the loaded packages.
 type reachGraph struct {
-	uses       map[string][]string       // declaration → the declarations its syntax names
-	methods    map[string][]string       // named type → its declared methods
-	reported   map[string]token.Position // exported funcs, types and methods under internal/
-	pkgRoots   map[string][]string       // package → init funcs and `var _ =` initialisers
-	mainRoots  []string                  // everything declared in a main package
-	imports    map[string][]string       // package → module packages it imports
-	mains      []string
-	ifaceNames map[string]bool
+	fset       *token.FileSet
+	uses       map[string][]string         // declaration → the declarations its syntax names
+	syntax     map[string][]declSyntax     // declaration → its syntax
+	named      map[string]*types.Named     // type declaration → its type
+	items      map[string]*item            // what the gate decides, by key
+	pkgRoots   map[string][]string         // package → init funcs and `var _ =` initialisers
+	mainRoots  []string                    // everything declared in a main package
+	imports    map[string][]string         // package → module packages it imports
+	mains      []string                    // the main packages under cmd/, examples/ and bench/cmd/
+	ifaces     map[string][]*iface         // method signature → the interfaces declaring it
+	ifaceNamed map[string]string           // method name → an interface declaring it, for the fix hint
+	satisfied  map[string][]string         // type → its methods reached through interfaces (memo)
+	stdlib     map[string]bool             // standard-library packages whose interfaces are collected
+	sinks      map[string]map[int]sinkMode // function key → parameter → how its values are read
+	tsinks     map[string]map[int]sinkMode // generic declaration key → type parameter → ditto
+	unnamed    map[string]string           // position key of a field of an unnamed struct type → its key
+}
+
+// fieldKey names a struct field by where it is declared, or by its struct
+// type if that is unnamed (collectFields).
+func (g *reachGraph) fieldKey(v *types.Var) string {
+	v = v.Origin()
+	pos := g.fset.Position(v.Pos())
+	pkg := ""
+	if v.Pkg() != nil {
+		pkg = v.Pkg().Path()
+	}
+	key := fmt.Sprintf("%s|%s:%d|%s", pkg, filepath.Base(pos.Filename), pos.Line, v.Name())
+	if unnamed := g.unnamed[key]; unnamed != "" {
+		return unnamed
+	}
+	return key
 }
 
 func isMainRoot(pkgPath string) bool {
@@ -112,25 +260,48 @@ func isMainRoot(pkgPath string) bool {
 
 func buildReachGraph(l loaded) *reachGraph {
 	g := &reachGraph{
+		fset:       l.fset,
 		uses:       make(map[string][]string),
-		methods:    make(map[string][]string),
-		reported:   make(map[string]token.Position),
+		syntax:     make(map[string][]declSyntax),
+		named:      make(map[string]*types.Named),
+		items:      make(map[string]*item),
 		pkgRoots:   make(map[string][]string),
 		imports:    make(map[string][]string),
-		ifaceNames: make(map[string]bool),
+		ifaces:     make(map[string][]*iface),
+		ifaceNamed: make(map[string]string),
+		satisfied:  make(map[string][]string),
+		stdlib:     make(map[string]bool),
+		sinks:      make(map[string]map[int]sinkMode),
+		tsinks:     make(map[string]map[int]sinkMode),
+		unnamed:    make(map[string]string),
 	}
-	for _, m := range stdlibInterfaceMethods {
-		g.ifaceNames[m] = true
-	}
+	g.addInterface("error", types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	g.addAnonymousStdlib()
 	for _, pkg := range l.pkgs {
-		isMain := pkg.Types.Name() == "main" && isMainRoot(pkg.Path)
+		isMain := pkg.Files[0].Name.Name == "main" && isMainRoot(pkg.Path)
 		if isMain {
 			g.mains = append(g.mains, pkg.Path)
 		}
 		audited := strings.HasPrefix(pkg.Path, modulePrefix+"internal/")
+		for _, obj := range pkg.Info.Uses {
+			pn, ok := obj.(*types.PkgName)
+			if !ok {
+				continue
+			}
+			if imp := pn.Imported(); !strings.HasPrefix(imp.Path()+"/", modulePrefix) && !g.stdlib[imp.Path()] {
+				g.stdlib[imp.Path()] = true
+				for _, name := range imp.Scope().Names() {
+					if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+						if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+							g.addInterface(imp.Name()+"."+name, it)
+						}
+					}
+				}
+			}
+		}
 		anon := 0
 		// declare records one declaration: its key, whether the gate
-		// reports it when unreached, and the objects its syntax names.
+		// reports it when unreached, its syntax and the objects it names.
 		declare := func(key string, name *ast.Ident, report bool, decl ast.Node) {
 			if name.Name == "_" || name.Name == "init" {
 				anon++
@@ -141,8 +312,9 @@ func buildReachGraph(l loaded) *reachGraph {
 				g.mainRoots = append(g.mainRoots, key)
 			}
 			if report && audited && name.IsExported() {
-				g.reported[key] = l.fset.Position(name.Pos())
+				g.items[key] = &item{kind: declItem, name: path.Base(key), pos: l.fset.Position(name.Pos())}
 			}
+			g.syntax[key] = append(g.syntax[key], declSyntax{pkg, decl})
 			ast.Inspect(decl, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
 					if used := objKey(pkg.Info.Uses[id]); used != "" && used != key {
@@ -158,33 +330,33 @@ func buildReachGraph(l loaded) *reachGraph {
 					g.imports[pkg.Path] = append(g.imports[pkg.Path], p)
 				}
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, name := range m.Names {
-							g.ifaceNames[name.Name] = true
-						}
-					}
-				}
-				return true
-			})
+			g.collectInterfaces(pkg, f)
+			if audited {
+				g.collectFields(pkg, f)
+			}
+			if isMain {
+				g.collectFlags(pkg, f)
+			}
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					key := objKey(pkg.Info.Defs[d.Name])
-					if d.Recv != nil {
-						if key == "" {
-							continue
-						}
-						typ := key[:strings.LastIndex(key, ".")]
-						g.methods[typ] = append(g.methods[typ], key)
+					if d.Recv != nil && key == "" {
+						continue
 					}
 					declare(key, d.Name, true, d)
+					if it := g.items[key]; it != nil && d.Recv != nil {
+						it.recv = key[:strings.LastIndex(key, ".")]
+					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
-							declare(objKey(pkg.Info.Defs[spec.Name]), spec.Name, true, spec)
+							key := objKey(pkg.Info.Defs[spec.Name])
+							if named, ok := pkg.Info.Defs[spec.Name].Type().(*types.Named); ok && key != "" {
+								g.named[key] = named
+							}
+							declare(key, spec.Name, true, spec)
 						case *ast.ValueSpec:
 							for _, name := range spec.Names {
 								declare(objKey(pkg.Info.Defs[name]), name, false, spec)
@@ -195,7 +367,169 @@ func buildReachGraph(l loaded) *reachGraph {
 			}
 		}
 	}
+	g.solveSinks()
 	return g
+}
+
+// addInterface indexes one interface by the signatures of its methods.
+func (g *reachGraph) addInterface(name string, it *types.Interface) {
+	in := &iface{name: name}
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		in.sigs = append(in.sigs, methodSig(m))
+		if g.ifaceNamed[m.Name()] == "" {
+			g.ifaceNamed[m.Name()] = name
+		}
+	}
+	for _, sig := range in.sigs {
+		g.ifaces[sig] = append(g.ifaces[sig], in)
+	}
+}
+
+func (g *reachGraph) addAnonymousStdlib() {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "anonymous.go", anonymousStdlib, 0)
+	if err != nil {
+		panic(err)
+	}
+	info := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue)}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		panic(err)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if it, ok := n.(*ast.InterfaceType); ok {
+			g.addInterface(types.ExprString(it), info.Types[it].Type.(*types.Interface))
+		}
+		return true
+	})
+}
+
+// collectInterfaces indexes every interface type the file spells.
+func (g *reachGraph) collectInterfaces(pkg *Package, f *ast.File) {
+	names := make(map[*ast.InterfaceType]string)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			if it, ok := n.Type.(*ast.InterfaceType); ok {
+				names[it] = path.Base(pkg.Path) + "." + n.Name.Name
+			}
+		case *ast.InterfaceType:
+			name := names[n]
+			if name == "" {
+				pos := g.fset.Position(n.Pos())
+				name = fmt.Sprintf("the interface at %s:%d", filepath.Base(pos.Filename), pos.Line)
+			}
+			if it, ok := pkg.Info.TypeOf(n).(*types.Interface); ok {
+				g.addInterface(name, it)
+			}
+		}
+		return true
+	})
+}
+
+// collectFields records every named field the file's struct types declare.
+// A field of an unnamed struct type is keyed by that type, not by position:
+// identical unnamed struct types are one type, whose fields any of their
+// spellings may read.
+func (g *reachGraph) collectFields(pkg *Package, f *ast.File) {
+	var walk func(root ast.Node, prefix string, named bool)
+	walk = func(root ast.Node, prefix string, named bool) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				walk(n.Type, prefix+"."+n.Name.Name, true)
+				return false
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					inner := prefix
+					for _, name := range field.Names {
+						inner = prefix + "." + name.Name
+						v, ok := pkg.Info.Defs[name].(*types.Var)
+						if !ok || name.Name == "_" {
+							continue
+						}
+						key := g.fieldKey(v)
+						if !named || n != root {
+							g.unnamed[key] = pkg.Path + "|" + types.TypeString(pkg.Info.TypeOf(n), nil) + "|" + name.Name
+							key = g.unnamed[key]
+						}
+						g.items[key] = &item{kind: fieldItem, name: inner, pos: g.fset.Position(name.Pos()), tagged: field.Tag != nil}
+					}
+					walk(field.Type, inner, false)
+				}
+				return false
+			}
+			return true
+		})
+	}
+	base := path.Base(pkg.Path)
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			name := d.Name.Name
+			if d.Recv != nil {
+				if recv := recvTypeName(d.Recv.List[0].Type); recv != "" {
+					name = recv + "." + name
+				}
+			}
+			walk(d, base+"."+name, false)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					walk(spec.Type, base+"."+spec.Name.Name, true)
+				case *ast.ValueSpec:
+					walk(spec, base+"."+spec.Names[0].Name, false)
+				}
+			}
+		}
+	}
+}
+
+// recvTypeName is the type name of a method's receiver expression.
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// collectFlags records every flag the main package's file defines.
+func (g *reachGraph) collectFlags(pkg *Package, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := (&Pass{Info: pkg.Info}).calleeFunc(call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+			return true
+		}
+		i, ok := flagNameArg[fn.Name()]
+		if !ok || i >= len(call.Args) {
+			return true
+		}
+		tv := pkg.Info.Types[call.Args[i]]
+		if tv.Value == nil || tv.Value.Kind() != constant.String {
+			return true
+		}
+		name := constant.StringVal(tv.Value)
+		pos := g.fset.Position(call.Pos())
+		g.items[fmt.Sprintf("flag|%s|%s:%d", name, pos.Filename, pos.Line)] = &item{
+			kind: flagItem, name: path.Base(pkg.Path) + ".-" + name, pos: pos, flag: name,
+		}
+		return true
+	})
 }
 
 // linked returns the module packages the mains import, transitively.
@@ -215,6 +549,44 @@ func (g *reachGraph) linked() map[string]bool {
 		visit(m)
 	}
 	return seen
+}
+
+// viaInterfaces returns the methods of a type that an interface its method
+// set satisfies declares.
+func (g *reachGraph) viaInterfaces(key string) []string {
+	if ms, ok := g.satisfied[key]; ok {
+		return ms
+	}
+	var ms []string
+	if named := g.named[key]; named != nil && !types.IsInterface(named) {
+		mset := types.NewMethodSet(types.NewPointer(named))
+		have := make(map[string]*types.Func, mset.Len())
+		for i := 0; i < mset.Len(); i++ {
+			fn := mset.At(i).Obj().(*types.Func)
+			have[methodSig(fn)] = fn
+		}
+		for sig, fn := range have {
+			for _, in := range g.ifaces[sig] {
+				if satisfies(have, in) {
+					if k := objKey(fn); k != "" {
+						ms = append(ms, k)
+					}
+					break
+				}
+			}
+		}
+	}
+	g.satisfied[key] = ms
+	return ms
+}
+
+func satisfies(have map[string]*types.Func, in *iface) bool {
+	for _, sig := range in.sigs {
+		if have[sig] == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // reach marks everything reachable from the mains and the extra roots.
@@ -244,15 +616,359 @@ func (g *reachGraph) reach(extra []string) map[string]bool {
 		for _, used := range g.uses[key] {
 			mark(used)
 		}
-		// A reached type answers every interface its method names could
-		// satisfy; a reached method reaches its receiver through uses.
-		for _, m := range g.methods[key] {
-			if g.ifaceNames[m[strings.LastIndex(m, ".")+1:]] {
-				mark(m)
-			}
+		// A reached type answers every interface its method set satisfies;
+		// a reached method reaches its receiver through uses.
+		for _, m := range g.viaInterfaces(key) {
+			mark(m)
 		}
 	}
 	return reached
+}
+
+// sunk is one call argument whose fields the callee reads.
+type sunk struct {
+	arg  ast.Expr
+	mode sinkMode
+}
+
+// sunkArgs returns the arguments of call that reach a reflective sink:
+// the `any` parameters of the reflective packages, and the parameters
+// solveSinks found flowing into one.
+func (g *reachGraph) sunkArgs(info *types.Info, call *ast.CallExpr) []sunk {
+	fn := (&Pass{Info: info}).calleeFunc(call)
+	if fn == nil || fn.Pkg() == nil {
+		return nil
+	}
+	sig := fn.Type().(*types.Signature)
+	mode, std := reflective[fn.Pkg().Path()]
+	params := g.sinks[objKey(fn)]
+	if !std && params == nil {
+		return nil
+	}
+	var out []sunk
+	for i, arg := range call.Args {
+		p := i
+		if sig.Variadic() && p >= sig.Params().Len()-1 {
+			p = sig.Params().Len() - 1
+		}
+		if p >= sig.Params().Len() {
+			break
+		}
+		if !std {
+			if m := params[p]; m != 0 {
+				out = append(out, sunk{arg, m})
+			}
+			continue
+		}
+		pt := sig.Params().At(p).Type()
+		if s, ok := pt.(*types.Slice); ok && sig.Variadic() && p == sig.Params().Len()-1 && !call.Ellipsis.IsValid() {
+			pt = s.Elem()
+		}
+		if it, ok := pt.Underlying().(*types.Interface); ok && it.Empty() {
+			out = append(out, sunk{arg, mode})
+		}
+	}
+	return out
+}
+
+// solveSinks finds, to a fixpoint, the parameters and type parameters of
+// the tree's functions whose values reach a reflective sink: an argument
+// of interface or type-parameter type the function passes on is followed
+// back to what its callers pass.
+func (g *reachGraph) solveSinks() {
+	mark := func(m map[string]map[int]sinkMode, key string, i int, mode sinkMode) bool {
+		if m[key][i]&mode == mode {
+			return false
+		}
+		if m[key] == nil {
+			m[key] = make(map[int]sinkMode)
+		}
+		m[key][i] |= mode
+		return true
+	}
+	for changed := true; changed; {
+		changed = false
+		for key, list := range g.syntax {
+			for _, s := range list {
+				fd, ok := s.node.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				info := s.pkg.Info
+				owner := key // whose type parameters fd's are
+				if fd.Recv != nil {
+					owner = key[:strings.LastIndex(key, ".")]
+				}
+				params := make(map[types.Object]int)
+				i := 0
+				for _, field := range fd.Type.Params.List {
+					for _, name := range field.Names {
+						params[info.Defs[name]] = i
+						i++
+					}
+					if len(field.Names) == 0 {
+						i++
+					}
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						for _, a := range g.sunkArgs(info, n) {
+							if tp := typeParamOf(info.TypeOf(a.arg)); tp != nil {
+								changed = mark(g.tsinks, owner, tp.Index(), a.mode) || changed
+							} else if id, ok := stripAddr(a.arg).(*ast.Ident); ok {
+								if p, ok := params[info.Uses[id]]; ok && opaque(info.TypeOf(id)) {
+									changed = mark(g.sinks, key, p, a.mode) || changed
+								}
+							}
+						}
+					case *ast.Ident:
+						if inst, ok := info.Instances[n]; ok {
+							for i, mode := range g.tsinks[objKey(info.Uses[n])] {
+								if i < inst.TypeArgs.Len() {
+									if tp := typeParamOf(inst.TypeArgs.At(i)); tp != nil {
+										changed = mark(g.tsinks, owner, tp.Index(), mode) || changed
+									}
+								}
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
+func stripAddr(e ast.Expr) ast.Expr {
+	e = ast.Unparen(e)
+	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		return ast.Unparen(u.X)
+	}
+	return e
+}
+
+// typeParamOf returns the type parameter t is, or points to.
+func typeParamOf(t types.Type) *types.TypeParam {
+	for {
+		switch x := t.(type) {
+		case *types.TypeParam:
+			return x
+		case *types.Pointer:
+			t = x.Elem()
+		default:
+			return nil
+		}
+	}
+}
+
+// opaque reports whether the static type of a value hides what it holds:
+// an interface, or a variadic parameter's slice of interfaces.
+func opaque(t types.Type) bool {
+	if s, ok := t.(*types.Slice); ok {
+		t = s.Elem()
+	}
+	return t != nil && types.IsInterface(t)
+}
+
+// fieldReads returns the keys of the fields the reached declarations read;
+// the file header says what counts as a read.
+func (g *reachGraph) fieldReads(reached map[string]bool) map[string]bool {
+	reads := make(map[string]bool)
+	seen := make(map[string]bool)
+	var readAll func(t types.Type, mode sinkMode)
+	readAll = func(t types.Type, mode sinkMode) {
+		if t == nil {
+			return
+		}
+		k := fmt.Sprintf("%d %s", mode, types.TypeString(t, nil))
+		if seen[k] {
+			return
+		}
+		seen[k] = true
+		if mode == prints && printsItself(t) {
+			return
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			if mode != compares {
+				readAll(u.Elem(), mode)
+			}
+		case *types.Slice:
+			if mode != compares {
+				readAll(u.Elem(), mode)
+			}
+		case *types.Map:
+			if mode != compares {
+				readAll(u.Key(), mode)
+				readAll(u.Elem(), mode)
+			}
+		case *types.Array:
+			readAll(u.Elem(), mode)
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				reads[g.fieldKey(u.Field(i))] = true
+				readAll(u.Field(i).Type(), mode)
+			}
+		}
+	}
+	for key := range reached {
+		for _, s := range g.syntax[key] {
+			info := s.pkg.Info
+			writes := writeTargets(s.node)
+			ast.Inspect(s.node, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() && !writes[n] {
+						reads[g.fieldKey(v)] = true
+					}
+					if inst, ok := info.Instances[n]; ok {
+						for i, mode := range g.tsinks[objKey(info.Uses[n])] {
+							if i < inst.TypeArgs.Len() {
+								readAll(inst.TypeArgs.At(i), mode)
+							}
+						}
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(info.TypeOf(n.X), compares)
+						readAll(info.TypeOf(n.Y), compares)
+					}
+				case *ast.CompositeLit, *ast.MapType:
+					if t := info.TypeOf(n.(ast.Expr)); t != nil {
+						if m, ok := t.Underlying().(*types.Map); ok {
+							readAll(m.Key(), compares)
+						}
+					}
+				case *ast.CallExpr:
+					if tv := info.Types[n.Fun]; tv.IsType() && len(n.Args) == 1 {
+						if _, ok := tv.Type.Underlying().(*types.Struct); ok {
+							readAll(info.TypeOf(n.Args[0]), compares)
+						}
+					}
+					for _, a := range g.sunkArgs(info, n) {
+						// A literal handed over as `any` may hold values whose
+						// static type its own type hides (map[string]any{…}).
+						var sink func(e ast.Expr)
+						sink = func(e ast.Expr) {
+							readAll(info.TypeOf(e), a.mode)
+							if lit, ok := stripAddr(e).(*ast.CompositeLit); ok {
+								for _, el := range lit.Elts {
+									if kv, ok := el.(*ast.KeyValueExpr); ok {
+										el = kv.Value
+									}
+									sink(el)
+								}
+							}
+						}
+						sink(a.arg)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return reads
+}
+
+// printsItself reports whether fmt prints t through a method of its own.
+func printsItself(t types.Type) bool {
+	for _, name := range []string{"Error", "String", "Format"} {
+		if obj, _, _ := types.LookupFieldOrMethod(t, false, nil, name); obj != nil {
+			if _, ok := obj.(*types.Func); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// writeTargets returns the field names in n that are only written: the
+// selector of a plain `=` target, and the key of a keyed composite literal.
+func writeTargets(n ast.Node) map[*ast.Ident]bool {
+	w := make(map[*ast.Ident]bool)
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN {
+				for _, lhs := range n.Lhs {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+						w[sel.Sel] = true
+					}
+				}
+			}
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				w[id] = true
+			}
+		}
+		return true
+	})
+	return w
+}
+
+// flagSettings returns the text in which a flag counts as set: every file
+// under scripts/ and .github/workflows/, bench/run.sh, README.md, and every
+// _test.go file of the module outside testdata/.
+func flagSettings(root string) (string, error) {
+	var b strings.Builder
+	add := func(p string) error {
+		data, err := os.ReadFile(p)
+		b.Write(data)
+		b.WriteByte('\n')
+		return err
+	}
+	for _, f := range []string{"bench/run.sh", "README.md"} {
+		if err := add(filepath.Join(root, f)); err != nil {
+			return "", err
+		}
+	}
+	for _, dir := range []string{"scripts", ".github/workflows"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			return add(p)
+		})
+		if err != nil {
+			return "", err
+		}
+	}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(p, "_test.go") {
+			return add(p)
+		}
+		return nil
+	})
+	return b.String(), err
+}
+
+// flagIsSet reports whether the settings text passes the flag by name.
+func flagIsSet(settings, name string) bool {
+	return regexp.MustCompile("(^|[\\s\"'`(\\[])--?" + regexp.QuoteMeta(name) + "($|[\\s\"'`=)\\]])").MatchString(settings)
+}
+
+// live decides every item against one reached set.
+func (g *reachGraph) live(reached map[string]bool, settings string) map[string]bool {
+	reads := g.fieldReads(reached)
+	live := make(map[string]bool)
+	for key, it := range g.items {
+		switch it.kind {
+		case declItem:
+			live[key] = reached[key]
+		case fieldItem:
+			live[key] = it.tagged || reads[key]
+		case flagItem:
+			live[key] = flagIsSet(settings, it.flag)
+		}
+	}
+	return live
 }
 
 // shortName renders a key as the keep-list spells it: pkg.Name or
@@ -262,7 +978,7 @@ func shortName(key string) string { return path.Base(key) }
 // keepEntry is one line of testdata/reach-keep.txt.
 type keepEntry struct {
 	line    int
-	pattern string // pkg.Name, pkg.Type.Method, or either with a trailing .*
+	pattern string // a keep-list name, or a prefix of names with a trailing .*
 	reason  byte   // 'a', 'b' or 'c'
 	matched bool
 }
@@ -309,11 +1025,11 @@ func readKeepList(t *testing.T, file string) []*keepEntry {
 
 // testUsers typechecks every loaded package's _test.go files (in-package
 // tests together with the package, external ones against its export data)
-// and returns, per declaration, the directories whose tests name it. Reason
-// (a) is checked against this rather than taken on trust. Type errors are
-// ignored: `go vet` owns them, and a test that does not compile names
-// nothing.
-func testUsers(l loaded) (map[string]map[string]bool, error) {
+// and returns, per declaration or field, the directories whose tests name
+// it. Reason (a) is checked against this rather than taken on trust. Type
+// errors are ignored: `go vet` owns them, and a test that does not compile
+// names nothing.
+func testUsers(l loaded, g *reachGraph) (map[string]map[string]bool, error) {
 	_, exports, err := goList("../..", []string{"./..."})
 	if err != nil {
 		return nil, err
@@ -321,7 +1037,8 @@ func testUsers(l loaded) (map[string]map[string]bool, error) {
 	imp := exportImporter(l.fset, exports)
 	users := make(map[string]map[string]bool)
 	for _, pkg := range l.pkgs {
-		names, err := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
+		dir := filepath.Dir(l.fset.Position(pkg.Files[0].Pos()).Filename)
+		names, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +1052,7 @@ func testUsers(l loaded) (map[string]map[string]bool, error) {
 		}
 		for name, tests := range byPackage {
 			files, path := tests, pkg.Path+"_test"
-			if name == pkg.Types.Name() {
+			if name == pkg.Files[0].Name.Name {
 				files, path = append(append([]*ast.File(nil), pkg.Files...), tests...), pkg.Path
 			}
 			info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
@@ -344,11 +1061,15 @@ func testUsers(l loaded) (map[string]map[string]bool, error) {
 			for _, f := range tests {
 				ast.Inspect(f, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
-						if key := objKey(info.Uses[id]); key != "" {
+						key := objKey(info.Uses[id])
+						if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+							key = g.fieldKey(v)
+						}
+						if key != "" {
 							if users[key] == nil {
 								users[key] = make(map[string]bool)
 							}
-							users[key][pkg.Dir] = true
+							users[key][dir] = true
 						}
 					}
 					return true
@@ -360,10 +1081,11 @@ func testUsers(l loaded) (map[string]map[string]bool, error) {
 }
 
 // TestInternalExportsAreReached is the gate described at the top of this
-// file. It fails with the name of every exported internal/ declaration no
-// main reaches and no keep-list entry covers, with every (a) entry no test
-// outside the declaration's package bears out, and with every keep-list
-// entry that no longer keeps anything.
+// file. It fails with the position of every exported internal/ declaration
+// no main reaches, every internal/ field no main reads and every flag
+// nothing sets, unless a keep-list entry covers it; with every (a) entry no
+// test outside the declaration's package bears out; and with every
+// keep-list entry that no longer keeps anything.
 func TestInternalExportsAreReached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
@@ -376,35 +1098,39 @@ func TestInternalExportsAreReached(t *testing.T) {
 	if len(g.mains) == 0 {
 		t.Fatal("no main package under cmd/, examples/ or bench/cmd/ was loaded")
 	}
-	users, err := testUsers(l)
+	users, err := testUsers(l, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settings, err := flagSettings("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const keepFile = "testdata/reach-keep.txt"
 	keep := readKeepList(t, keepFile)
-	fromMains := g.reach(nil)
-	var kept []string                      // what the keep-list roots: it runs in some test, so what it calls is kept with it
-	claimed := make(map[string]*keepEntry) // (a) entries by the declarations they cover
-	for key, pos := range g.reported {
+	fromMains := g.live(g.reach(nil), settings)
+	var roots []string                     // kept declarations: each runs in some test, so what it calls is kept with it
+	kept := make(map[string]bool)          // what a keep-list entry holds
+	claimed := make(map[string]*keepEntry) // (a) entries by the items they cover
+	for key, it := range g.items {
 		if fromMains[key] {
 			continue
 		}
 		for _, e := range keep {
-			if !e.matches(shortName(key)) {
+			if !e.matches(it.name) {
 				continue
 			}
 			e.matched = true
-			if e.reason != 'a' {
-				kept = append(kept, key)
-				continue
-			}
-			claimed[key] = e
-			for dir := range users[key] {
-				if dir != filepath.Dir(pos.Filename) {
-					kept = append(kept, key)
-					break
+			if e.reason == 'a' {
+				claimed[key] = e
+				if !testedElsewhere(users[key], it.pos) {
+					continue
 				}
+			}
+			kept[key] = true
+			if it.kind == declItem {
+				roots = append(roots, key)
 			}
 		}
 	}
@@ -414,27 +1140,49 @@ func TestInternalExportsAreReached(t *testing.T) {
 		}
 	}
 
-	reached := g.reach(kept)
+	final := g.live(g.reach(roots), settings)
 	var dead []string
-	unreachedByMains := 0
-	for key := range g.reported {
-		if !fromMains[key] {
-			unreachedByMains++
-		}
-		if !reached[key] {
+	var counts [3]struct{ total, live, kept int } // by itemKind
+	for key, it := range g.items {
+		c := &counts[it.kind]
+		c.total++
+		switch {
+		case fromMains[key]:
+			c.live++
+		case final[key] || kept[key]:
+			c.kept++
+		default:
 			dead = append(dead, key)
 		}
 	}
-	t.Logf("%d exported internal/ declarations: %d reached from the %d mains, %d kept by %d keep-list entries",
-		len(g.reported), len(g.reported)-unreachedByMains, len(g.mains), unreachedByMains-len(dead), len(keep))
-	sort.Strings(dead)
+	for kind, what := range []string{"exported declarations", "fields", "flags"} {
+		c := counts[kind]
+		t.Logf("reach: %-21s %5d total, %5d reached, %3d kept, %3d unreached", what, c.total, c.live, c.kept, c.total-c.live-c.kept)
+	}
+	t.Logf("reach: %d mains, %d keep-list entries", len(g.mains), len(keep))
+	sort.Slice(dead, func(i, j int) bool {
+		a, b := g.items[dead[i]].pos, g.items[dead[j]].pos
+		return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
+	})
 	for _, key := range dead {
-		pos := g.reported[key]
+		it := g.items[key]
+		pos := it.pos
 		if e := claimed[key]; e != nil {
-			t.Errorf("%s:%d: %s is kept by %s:%d (%s) for reason (a), but no test outside its package names it or anything that reaches it: delete it with its tests", pos.Filename, pos.Line, shortName(key), keepFile, e.line, e.pattern)
+			t.Errorf("%s:%d: %s is kept by %s:%d (%s) for reason (a), but no test outside its package names it or anything that reaches it: delete it with its tests", pos.Filename, pos.Line, it.name, keepFile, e.line, e.pattern)
 			continue
 		}
-		t.Errorf("%s:%d: %s is exported but no main under cmd/, examples/ or bench/cmd/ reaches it: delete it with its tests, or list it in %s", pos.Filename, pos.Line, shortName(key), keepFile)
+		switch it.kind {
+		case fieldItem:
+			t.Errorf("%s:%d: field %s is never read by code a main reaches (a plain = or a composite-literal key only writes it): delete it, keeping any random draw that filled it, or list it in %s", pos.Filename, pos.Line, it.name, keepFile)
+		case flagItem:
+			t.Errorf("%s:%d: flag -%s of %s is set nowhere in scripts/, bench/run.sh, .github/workflows/, README.md or a _test.go: delete it and make its default a constant, or list it as %s in %s", pos.Filename, pos.Line, it.flag, strings.TrimSuffix(it.name, ".-"+it.flag), it.name, keepFile)
+		default:
+			hint := ""
+			if in := g.ifaceNamed[it.name[strings.LastIndex(it.name, ".")+1:]]; in != "" && it.recv != "" {
+				hint = fmt.Sprintf(" (%s declares a method of that name, but %s's method set does not satisfy it)", in, shortName(it.recv))
+			}
+			t.Errorf("%s:%d: %s is exported but no main under cmd/, examples/ or bench/cmd/ reaches it%s: delete it with its tests, or list it in %s", pos.Filename, pos.Line, it.name, hint, keepFile)
+		}
 	}
 
 	// The fault injectors are test support: no binary links them.
@@ -445,4 +1193,15 @@ func TestInternalExportsAreReached(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testedElsewhere reports whether a test outside the directory that
+// declares pos names the item.
+func testedElsewhere(dirs map[string]bool, pos token.Position) bool {
+	for dir := range dirs {
+		if dir != filepath.Dir(pos.Filename) {
+			return true
+		}
+	}
+	return false
 }

@@ -1,13 +1,9 @@
 // Seeded violations for the atomiccheck analyzer: plain reads and writes
-// of fields that elsewhere go through sync/atomic, and by-value copies
-// of mutex-bearing structs — next to typed-atomic and pointer-passing
+// of fields that elsewhere go through sync/atomic — next to typed-atomic
 // shapes that must stay silent.
 package node
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 type counters struct {
 	served int64 // accessed via atomic.AddInt64 AND plain — the seeded race
@@ -42,44 +38,4 @@ func newCountersOK() *counters {
 	c := &counters{}
 	c.served = 0 //daspos:atomic-ok — not yet published to any other goroutine
 	return c
-}
-
-type guarded struct {
-	mu    sync.Mutex
-	state map[string]int
-}
-
-type registry struct {
-	shards []guarded
-}
-
-func copyByAssign(g guarded) {
-	snapshot := g // want `assignment copies a value containing sync\.Mutex`
-	_ = snapshot
-}
-
-func copyByRange(r *registry) {
-	for _, shard := range r.shards { // want `range copies a sync\.Mutex-bearing value per iteration`
-		_ = shard.state
-	}
-}
-
-func takesByValue(guarded) {}
-
-func copyByCall(g *guarded) {
-	takesByValue(*g) // want `argument passing copies a value containing sync\.Mutex`
-}
-
-func pointerOK(r *registry) {
-	for i := range r.shards {
-		shard := &r.shards[i]
-		shard.mu.Lock()
-		shard.mu.Unlock()
-	}
-}
-
-func freshValueOK() {
-	g := guarded{state: make(map[string]int)}
-	g.mu.Lock()
-	g.mu.Unlock()
 }

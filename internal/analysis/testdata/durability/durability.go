@@ -1,6 +1,6 @@
 // Seeded violations for the durability analyzer: renames that commit
 // unsynced payloads and journal appends that return before fsync.
-package checkpoint
+package cas
 
 import "os"
 

@@ -7,7 +7,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestDurability(t *testing.T) {
-	runAnalyzerTest(t, Durability, "durability", "daspos/internal/checkpoint")
+	runAnalyzerTest(t, Durability, "durability", "daspos/internal/cas")
 }
 
 func TestErrClass(t *testing.T) {

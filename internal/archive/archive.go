@@ -103,9 +103,8 @@ var (
 // archive.
 type Archive struct {
 	blobs *cas.Store
-	// disk and index are the blob directory and package journal of an
-	// archive Open made; nil for one over a caller's store.
-	disk  *cas.DiskBackend
+	// index is the package journal of an archive Open made; nil for one
+	// over a caller's store.
 	index *journal.Journal
 
 	mu       sync.RWMutex
@@ -134,7 +133,6 @@ func Open(dir string) (*Archive, error) {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
 	a := NewWithStore(cas.NewStoreWith(disk))
-	a.disk = disk
 	if a.index, err = journal.Open(filepath.Join(dir, "packages.log"), a.add); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}

@@ -216,6 +216,17 @@ func openArchive(t *testing.T, dir string) *Archive {
 	return a
 }
 
+// openBlobs opens a second view of a directory archive's blob directory;
+// a DiskBackend keeps no state beyond the directory.
+func openBlobs(t *testing.T, dir string) *cas.DiskBackend {
+	t.Helper()
+	disk, err := cas.OpenDisk(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
 // TestPersistRoundTrip: a package ingested into a directory archive is
 // there, whole, after a reopen, and a second package is added beside it
 // without rewriting the first's line.
@@ -260,8 +271,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(log, first) || bytes.Count(log, []byte("\n")) != 2 {
 		t.Fatalf("packages.log after a second ingest:\n%s", log)
 	}
-	if rep := got.VerifyAll(); rep.Healthy != 2 || len(got.disk.Digests()) != 5 {
-		t.Fatalf("report %+v over %d blobs", rep, len(got.disk.Digests()))
+	if rep := got.VerifyAll(); rep.Healthy != 2 || len(openBlobs(t, dir).Digests()) != 5 {
+		t.Fatalf("report %+v over %d blobs", rep, len(openBlobs(t, dir).Digests()))
 	}
 }
 
@@ -323,7 +334,9 @@ func TestKilledIngestKeepsThePreviousArchive(t *testing.T) {
 		if id1, err = a.Ingest(sampleMeta(), sampleFiles()); err != nil {
 			t.Fatal(err)
 		}
-		a.disk.SetKill(hook)
+		disk := openBlobs(t, dir)
+		disk.SetKill(hook)
+		a.blobs = cas.NewStoreWith(disk)
 		a.index.SetKill(hook)
 		defer func() {
 			if r := recover(); r != nil {

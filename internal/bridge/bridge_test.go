@@ -116,19 +116,25 @@ func TestBridgeAgreesWithFullSim(t *testing.T) {
 	light := &RivetBackend{LuminosityPb: 20000}
 	m := model(150)
 
-	t0 := time.Now()
-	fullRes, err := full.Process(context.Background(), m, searchRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullDur := time.Since(t0)
+	// Each tier's time is its best of three runs, so a scheduling hiccup on
+	// a loaded machine cannot reorder two ~10 ms measurements.
+	var fullRes, lightRes *recast.Result
+	fullDur, lightDur := time.Duration(1<<62), time.Duration(1<<62)
+	for i := 0; i < 3; i++ {
+		t0 := time.Now()
+		res, err := full.Process(context.Background(), m, searchRecord())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fullDur, fullRes = min(fullDur, time.Since(t0)), res
 
-	t1 := time.Now()
-	lightRes, err := light.Process(context.Background(), m, searchRecord())
-	if err != nil {
-		t.Fatal(err)
+		t1 := time.Now()
+		res, err = light.Process(context.Background(), m, searchRecord())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lightDur, lightRes = min(lightDur, time.Since(t1)), res
 	}
-	lightDur := time.Since(t1)
 
 	agr := CompareResults(fullRes, lightRes)
 	if agr.Discrepant {

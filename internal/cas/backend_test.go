@@ -25,13 +25,13 @@ func TestCorruptErrorCarriesDigests(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("corruption is not a *CorruptError: %v", err)
 	}
-	if ce.Digest != d || ce.Expected != d {
-		t.Fatalf("CorruptError digest = %q/%q, want %q", ce.Digest, ce.Expected, d)
+	if ce.Digest != d {
+		t.Fatalf("CorruptError digest = %q, want %q", ce.Digest, d)
 	}
 	if ce.Actual == "" && ce.Cause == nil {
 		t.Fatal("CorruptError carries neither an actual digest nor a decode cause")
 	}
-	if ce.Actual != "" && ce.Actual == ce.Expected {
+	if ce.Actual != "" && ce.Actual == ce.Digest {
 		t.Fatal("actual digest equals expected on a corrupt blob")
 	}
 }

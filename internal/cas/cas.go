@@ -44,14 +44,12 @@ func (e *NotFoundError) Unwrap() error { return ErrNotFound }
 
 // CorruptError reports a fixity failure with enough detail for resilience
 // policies and cluster read-repair to branch on: the digest that was
-// requested (Expected), what the stored bytes actually hash to (Actual,
+// requested (Digest), what the stored bytes actually hash to (Actual,
 // empty when the blob would not even decompress), and the underlying decode
 // error, if any. It wraps ErrCorrupt, so errors.Is(err, ErrCorrupt) holds.
 type CorruptError struct {
 	// Digest is the content address that was requested.
 	Digest string
-	// Expected is the digest the content should hash to (same as Digest).
-	Expected string
 	// Actual is the digest the decompressed bytes hash to; empty when
 	// decompression itself failed.
 	Actual string

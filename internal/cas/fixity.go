@@ -84,7 +84,7 @@ func DecodeBlob(digest string, comp []byte) ([]byte, error) {
 // chunked blob may be checked on; the verdict does not depend on it.
 func checkBlob(digest string, comp []byte, keep bool, procs int) ([]byte, int64, error) {
 	if len(comp) == 0 {
-		return nil, 0, &CorruptError{Digest: digest, Expected: digest, Cause: fmt.Errorf("empty stored blob")}
+		return nil, 0, &CorruptError{Digest: digest, Cause: fmt.Errorf("empty stored blob")}
 	}
 	k := fixityPool.Get().(*fixity)
 	defer k.release(&fixityPool)
@@ -99,12 +99,12 @@ func checkBlob(digest string, comp []byte, keep bool, procs int) ([]byte, int64,
 		payload, logical, err = k.flat(comp, keep)
 	}
 	if err != nil {
-		return nil, 0, &CorruptError{Digest: digest, Expected: digest, Cause: err}
+		return nil, 0, &CorruptError{Digest: digest, Cause: err}
 	}
 	var actual [2 * sha256.Size]byte
 	hex.Encode(actual[:], k.whole.Sum(k.sum[:0]))
 	if string(actual[:]) != digest {
-		return nil, 0, &CorruptError{Digest: digest, Expected: digest, Actual: string(actual[:])}
+		return nil, 0, &CorruptError{Digest: digest, Actual: string(actual[:])}
 	}
 	return payload, logical, nil
 }

@@ -87,13 +87,6 @@ func (r *Ring) Remove(node string) {
 	r.points = kept
 }
 
-// Len returns the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
-}
-
 // Owners returns the first n distinct nodes clockwise from the key's hash
 // — the key's replica set, in preference order. Fewer than n members
 // returns all of them.

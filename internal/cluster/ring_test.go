@@ -97,7 +97,7 @@ func TestRemoveRestoresPriorPlacementForSurvivors(t *testing.T) {
 			t.Fatalf("add+remove is not placement-neutral: %v vs %v", ownersBefore, ownersAfter)
 		}
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	if n := len(r.Owners(key, 10)); n != 3 {
+		t.Fatalf("%d owners of 10 asked for, want the 3 members", n)
 	}
 }

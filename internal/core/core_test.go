@@ -136,7 +136,7 @@ func TestCapsuleArchiveRoundTrip(t *testing.T) {
 	if got.Environment == nil || got.Environment.PackageCount() != c.Environment.PackageCount() {
 		t.Fatal("environment lost")
 	}
-	if got.Provenance == nil || got.Provenance.Len() != 2 {
+	if got.Provenance == nil || len(got.Provenance.All()) != 2 {
 		t.Fatal("provenance lost")
 	}
 	if len(got.Workflow) == 0 || !strings.Contains(got.Readme, "Z lineshape capsule") {

@@ -47,13 +47,6 @@ func (s *Slab) Append(v Vec) {
 // At returns the i-th vector.
 func (s *Slab) At(i int) Vec { return Vec{s.Px[i], s.Py[i], s.Pz[i], s.E[i]} }
 
-// Set overwrites the i-th vector in place. Derived columns are
-// invalidated.
-func (s *Slab) Set(i int, v Vec) {
-	s.Px[i], s.Py[i], s.Pz[i], s.E[i] = v.Px, v.Py, v.Pz, v.E
-	s.derived = false
-}
-
 // Derive computes the pt/η/φ columns, one transcendental pass over the
 // slab, using exactly Vec's formulas. It is idempotent until the slab is
 // mutated.
@@ -95,20 +88,6 @@ func (s *Slab) Phi(i int) float64 { return s.phi[i] }
 // transcendentals per pair.
 func (s *Slab) DeltaR(i, j int) float64 {
 	return DeltaREtaPhi(s.eta[i], s.phi[i], s.eta[j], s.phi[j])
-}
-
-// Sum returns the component-wise sum of all vectors, accumulated in index
-// order — the same order (and therefore the same floating-point result)
-// as summing with Vec.Add over a slice.
-func (s *Slab) Sum() Vec {
-	var out Vec
-	for i := range s.Px {
-		out.Px += s.Px[i]
-		out.Py += s.Py[i]
-		out.Pz += s.Pz[i]
-		out.E += s.E[i]
-	}
-	return out
 }
 
 // DeltaREtaPhi is DeltaR over pre-computed (η, φ) pairs: exactly the same

@@ -61,24 +61,8 @@ func TestSlabDeltaRBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSlabSumMatchesVecAdd: Sum accumulates in index order, exactly like a
-// scalar Add fold over the same slice.
-func TestSlabSumMatchesVecAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	vs := randomVecs(rng, 100)
-	s := new(Slab)
-	var want Vec
-	for _, v := range vs {
-		s.Append(v)
-		want = want.Add(v)
-	}
-	if got := s.Sum(); got != want {
-		t.Fatalf("Sum = %v, want %v", got, want)
-	}
-}
-
-// TestSlabMutationInvalidatesDerived: Set must force a re-derive, and the
-// re-derived columns match scalar recomputation.
+// TestSlabMutationInvalidatesDerived: an Append after Derive must force a
+// re-derive, and the re-derived columns match scalar recomputation.
 func TestSlabMutationInvalidatesDerived(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	vs := randomVecs(rng, 16)
@@ -88,11 +72,11 @@ func TestSlabMutationInvalidatesDerived(t *testing.T) {
 	}
 	s.Derive()
 
-	repl := PtEtaPhiM(42, -1.2, 0.3, 0.105)
-	s.Set(3, repl)
+	added := PtEtaPhiM(42, -1.2, 0.3, 0.105)
+	s.Append(added)
 	s.Derive()
-	if s.Pt(3) != repl.Pt() || s.Eta(3) != repl.Eta() || s.Phi(3) != repl.Phi() {
-		t.Fatal("Set did not invalidate derived columns")
+	if i := len(vs); s.Pt(i) != added.Pt() || s.Eta(i) != added.Eta() || s.Phi(i) != added.Phi() {
+		t.Fatal("Append did not invalidate derived columns")
 	}
 }
 

@@ -143,7 +143,7 @@ func refCutFlow(r *AnalysisRecord, events []*datamodel.Event) ([]int, error) {
 }
 
 func refReinterpret(r *AnalysisRecord, events []*datamodel.Event, luminosityPb float64) (Reinterpretation, error) {
-	out := Reinterpretation{Analysis: r.Name, Generated: len(events)}
+	out := Reinterpretation{Generated: len(events)}
 	for _, e := range events {
 		ok, err := refPass(r, e)
 		if err != nil {

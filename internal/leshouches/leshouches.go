@@ -282,7 +282,7 @@ type AnalysisRecord struct {
 	// Grids are published efficiency maps.
 	Grids []*EfficiencyGrid `json:"grids,omitempty"`
 	// Functions names the encapsulated functions the analysis uses, from
-	// the registry (Rec 1b).
+	// the platform's list (Rec 1b).
 	Functions []string `json:"functions,omitempty"`
 	// Background and BackgroundError are the expected SM background in
 	// the signal region, for limit setting.
@@ -326,7 +326,7 @@ func (r *AnalysisRecord) Validate() error {
 		}
 	}
 	for _, fn := range r.Functions {
-		if _, ok := LookupFunction(fn); !ok {
+		if !functions[fn] {
 			return fmt.Errorf("leshouches: record %q references unknown function %q", r.Name, fn)
 		}
 	}

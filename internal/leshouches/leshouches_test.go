@@ -221,38 +221,21 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFunctionRegistry: a record may name each function the platform
+// carries, and no other.
 func TestFunctionRegistry(t *testing.T) {
-	eval := func(name string, args ...float64) float64 {
-		f, ok := LookupFunction(name)
-		if !ok || f.Doc == "" {
-			t.Fatalf("function %s missing or undocumented", name)
+	for _, name := range []string{"effective_mass.v1", "razor_mr.v1", "significance_naive.v1", "cls_upper_limit95.v1"} {
+		r := dimuonSearch()
+		r.Functions = []string{name}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("function %s: %v", name, err)
 		}
-		return f.Eval(args)
 	}
-	if v := eval("effective_mass.v1", 100, 50, 25); v != 175 {
-		t.Fatalf("effective_mass: %v", v)
-	}
-	if v := eval("razor_mr.v1", 100, 0, 100, 0); v != 200 {
-		t.Fatalf("razor: %v", v)
-	}
-	if v := eval("significance_naive.v1", 9, 4, 0); v <= 0 {
-		t.Fatalf("significance: %v", v)
-	}
-	if v := eval("cls_upper_limit95.v1", 0, 0); math.Abs(v-3.0) > 0.1 {
-		t.Fatalf("UL(0,0): %v", v)
-	}
-	if _, ok := LookupFunction("ghost.v1"); ok {
+	r := dimuonSearch()
+	r.Functions = []string{"ghost.v1"}
+	if err := r.Validate(); err == nil {
 		t.Fatal("unknown function resolved")
 	}
-}
-
-func TestDuplicateFunctionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate function registration did not panic")
-		}
-	}()
-	RegisterFunction(Function{Name: "effective_mass.v1"})
 }
 
 func TestReinterpret(t *testing.T) {

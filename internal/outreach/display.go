@@ -17,10 +17,11 @@ import (
 // display §2.1 argues for: it consumes only the common simplified format
 // and the common geometry description.
 
+// displaySizePx is the display's width and height.
+const displaySizePx = 800
+
 // DisplayOptions tunes the rendering.
 type DisplayOptions struct {
-	// SizePx is the output's width and height; 0 uses 800.
-	SizePx int
 	// MaxTowers caps drawn calorimeter bars (largest first); 0 uses 64.
 	MaxTowers int
 	// Caption overrides the default run/event caption.
@@ -29,10 +30,7 @@ type DisplayOptions struct {
 
 // RenderSVG draws one event over a geometry in the transverse view.
 func RenderSVG(det *detector.Detector, e *SimplifiedEvent, opts DisplayOptions) string {
-	size := opts.SizePx
-	if size <= 0 {
-		size = 800
-	}
+	size := displaySizePx
 	maxTowers := opts.MaxTowers
 	if maxTowers <= 0 {
 		maxTowers = 64

@@ -58,26 +58,23 @@ func TestRenderSVGContentScalesWithEvent(t *testing.T) {
 
 func TestRenderSVGOptions(t *testing.T) {
 	det, e := displayEvent(t)
-	small := RenderSVG(det, e, DisplayOptions{SizePx: 200, MaxTowers: 2, Caption: `A "quoted" <caption>`})
-	if !strings.Contains(small, `width="200"`) {
-		t.Fatal("size option ignored")
-	}
-	if !strings.Contains(small, "&quot;quoted&quot;") || strings.Contains(small, "<caption>") {
+	capped := RenderSVG(det, e, DisplayOptions{MaxTowers: 2, Caption: `A "quoted" <caption>`})
+	if !strings.Contains(capped, "&quot;quoted&quot;") || strings.Contains(capped, "<caption>") {
 		t.Fatal("caption not escaped")
 	}
 	// Tower cap: at most 2 tower bars (lines beyond the MET dash).
-	if n := strings.Count(small, "stroke-width=\"3\""); n > 2 {
+	if n := strings.Count(capped, "stroke-width=\"3\""); n > 2 {
 		t.Fatalf("tower cap ignored: %d bars", n)
 	}
 	// Must still parse.
-	dec := xml.NewDecoder(strings.NewReader(small))
+	dec := xml.NewDecoder(strings.NewReader(capped))
 	for {
 		tok, err := dec.Token()
 		if tok == nil {
 			break
 		}
 		if err != nil {
-			t.Fatalf("small SVG not well-formed: %v", err)
+			t.Fatalf("capped SVG not well-formed: %v", err)
 		}
 	}
 }

@@ -18,11 +18,8 @@ import (
 
 // MasterClassResult is what a classroom run produces.
 type MasterClassResult struct {
-	Exercise string
 	// EventsUsed counts events entering the measurement.
 	EventsUsed int
-	// Histogram is the exercise's headline distribution.
-	Histogram *hist.H1D
 	// Estimate and EstimateLabel report the measured quantity.
 	Estimate      float64
 	EstimateLabel string
@@ -30,9 +27,8 @@ type MasterClassResult struct {
 
 // MasterClass is one guided exercise over simplified events.
 type MasterClass struct {
-	// Name is the registry key; Experiment the Table 1 attribution.
-	Name       string
-	Experiment string
+	// Name is the registry key.
+	Name string
 	// Documentation is the student-facing instructions.
 	Documentation string
 	// Run measures the exercise's quantity over a sample.
@@ -59,8 +55,7 @@ func MasterClassByName(name string) (MasterClass, bool) {
 // zPath reconstructs the Z boson from opposite-sign muon pairs.
 func zPath() MasterClass {
 	return MasterClass{
-		Name:       "z-path",
-		Experiment: "Atlas/CMS",
+		Name: "z-path",
 		Documentation: `Z path. Select events with two muons of opposite charge, each with
 pT > 20 GeV. Compute the invariant mass of the pair and enter it in the
 60-120 GeV histogram. The peak position estimates the Z boson mass.`,
@@ -87,7 +82,7 @@ pT > 20 GeV. Compute the invariant mass of the pair and enter it in the
 				return nil, fmt.Errorf("outreach: z-path found no dimuon events")
 			}
 			return &MasterClassResult{
-				Exercise: "z-path", EventsUsed: used, Histogram: h,
+				EventsUsed:    used,
 				Estimate:      h.BinCenter(h.MaxBin()),
 				EstimateLabel: "m(Z) estimate [GeV]",
 			}, nil
@@ -98,8 +93,7 @@ pT > 20 GeV. Compute the invariant mass of the pair and enter it in the
 // wPath counts leptonic W decays by charge, measuring the W+/W- ratio.
 func wPath() MasterClass {
 	return MasterClass{
-		Name:       "w-path",
-		Experiment: "Atlas/CMS",
+		Name: "w-path",
 		Documentation: `W path. Select events with exactly one lepton (electron or muon) of
 pT > 25 GeV and missing transverse momentum above 25 GeV. Tally the lepton
 charge. The ratio N(+)/N(-) reflects the proton's quark content.`,
@@ -129,7 +123,7 @@ charge. The ratio N(+)/N(-) reflects the proton's quark content.`,
 				ratio = float64(plus) / float64(minus)
 			}
 			return &MasterClassResult{
-				Exercise: "w-path", EventsUsed: plus + minus, Histogram: h,
+				EventsUsed:    plus + minus,
 				Estimate:      ratio,
 				EstimateLabel: "N(W+)/N(W-)",
 			}, nil
@@ -140,8 +134,7 @@ charge. The ratio N(+)/N(-) reflects the proton's quark content.`,
 // higgsHunt looks for a diphoton resonance.
 func higgsHunt() MasterClass {
 	return MasterClass{
-		Name:       "higgs-hunt",
-		Experiment: "Atlas/CMS",
+		Name: "higgs-hunt",
 		Documentation: `Higgs hunt. Select events with two photons of pT > 20 GeV. Histogram
 the diphoton invariant mass between 100 and 160 GeV and look for a narrow
 peak over the smooth background — the 2012 discovery, on your laptop.`,
@@ -160,7 +153,7 @@ peak over the smooth background — the 2012 discovery, on your laptop.`,
 				return nil, fmt.Errorf("outreach: higgs-hunt found no diphoton events")
 			}
 			return &MasterClassResult{
-				Exercise: "higgs-hunt", EventsUsed: used, Histogram: h,
+				EventsUsed:    used,
 				Estimate:      h.BinCenter(h.MaxBin()),
 				EstimateLabel: "m(H) estimate [GeV]",
 			}, nil

@@ -14,10 +14,8 @@ import (
 
 // DecayMasterClass is one guided exercise over decay candidates.
 type DecayMasterClass struct {
-	Name          string
-	Experiment    string
-	Documentation string
-	Run           func(candidates []DecayCandidate) (*MasterClassResult, error)
+	Name string
+	Run  func(candidates []DecayCandidate) (*MasterClassResult, error)
 }
 
 // DecayMasterClasses returns the built-in displaced-decay exercises.
@@ -35,15 +33,14 @@ func DecayMasterClassByName(name string) (DecayMasterClass, bool) {
 	return DecayMasterClass{}, false
 }
 
-// dLifetimeClass measures the D0 lifetime: Table 1's LHCb row.
+// dLifetimeClass measures the D0 lifetime: Table 1's LHCb row. Each
+// candidate is a D0 meson decaying to a kaon and a pion, with its measured
+// flight distance. Histogram the proper decay time t = m·L/(p·c) and read
+// off the exponential slope: the mean of the distribution estimates the D0
+// lifetime (the published value is 0.41 ps).
 func dLifetimeClass() DecayMasterClass {
 	return DecayMasterClass{
-		Name:       "d-lifetime",
-		Experiment: "LHCb",
-		Documentation: `D lifetime. Each candidate is a D0 meson decaying to a kaon and a
-pion, with its measured flight distance. Histogram the proper decay time
-t = m·L/(p·c) and read off the exponential slope: the mean of the
-distribution estimates the D0 lifetime (the published value is 0.41 ps).`,
+		Name: "d-lifetime",
 		Run: func(candidates []DecayCandidate) (*MasterClassResult, error) {
 			h := hist.NewH1D("masterclass/d_proper_time_ps", 50, 0, 3)
 			used := 0
@@ -62,7 +59,7 @@ distribution estimates the D0 lifetime (the published value is 0.41 ps).`,
 				return nil, fmt.Errorf("outreach: d-lifetime found no D0 candidates")
 			}
 			return &MasterClassResult{
-				Exercise: "d-lifetime", EventsUsed: used, Histogram: h,
+				EventsUsed:    used,
 				Estimate:      h.Mean(),
 				EstimateLabel: "tau(D0) estimate [ps]",
 			}, nil
@@ -71,15 +68,14 @@ distribution estimates the D0 lifetime (the published value is 0.41 ps).`,
 }
 
 // v0FinderClass identifies V0 species by invariant mass: Table 1's ALICE
-// row ("various very specific analyses, some based on V0s").
+// row ("various very specific analyses, some based on V0s"). Each
+// candidate is a neutral particle decaying to two charged tracks at a
+// displaced vertex. Histogram the invariant mass and identify the two
+// populations: K0_S near 0.498 GeV and Lambda near 1.116 GeV. Report how
+// many of each you found.
 func v0FinderClass() DecayMasterClass {
 	return DecayMasterClass{
-		Name:       "v0-finder",
-		Experiment: "Alice",
-		Documentation: `V0 finder. Each candidate is a neutral particle decaying to two
-charged tracks at a displaced vertex. Histogram the invariant mass and
-identify the two populations: K0_S near 0.498 GeV and Lambda near
-1.116 GeV. Report how many of each you found.`,
+		Name: "v0-finder",
 		Run: func(candidates []DecayCandidate) (*MasterClassResult, error) {
 			h := hist.NewH1D("masterclass/v0_mass", 80, 0.3, 1.3)
 			ks, lambda := 0, 0
@@ -99,7 +95,7 @@ identify the two populations: K0_S near 0.498 GeV and Lambda near
 				return nil, fmt.Errorf("outreach: v0-finder found no V0 candidates")
 			}
 			return &MasterClassResult{
-				Exercise: "v0-finder", EventsUsed: ks + lambda, Histogram: h,
+				EventsUsed: ks + lambda,
 				// The headline number: the K_S / Lambda production ratio.
 				Estimate:      safeRatio(ks, lambda),
 				EstimateLabel: "N(K0_S)/N(Lambda)",

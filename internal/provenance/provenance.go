@@ -118,18 +118,6 @@ func (s *Store) Add(r Record) (string, error) {
 	return id, nil
 }
 
-// Get returns a copy of the record with the given ID.
-func (s *Store) Get(id string) (Record, bool) {
-	r, ok := s.records[id]
-	if !ok {
-		return Record{}, false
-	}
-	return *r, true
-}
-
-// Len returns the number of stored records.
-func (s *Store) Len() int { return len(s.records) }
-
 // All returns every record ordered by sequence number.
 func (s *Store) All() []Record {
 	out := make([]Record, 0, len(s.records))

@@ -31,17 +31,17 @@ func buildChain(t *testing.T) (*Store, []string) {
 
 func TestAddAndGet(t *testing.T) {
 	s, ids := buildChain(t)
-	if s.Len() != 4 {
-		t.Fatalf("len %d", s.Len())
+	if n := len(s.All()); n != 4 {
+		t.Fatalf("len %d", n)
 	}
-	r, ok := s.Get(ids[2])
-	if !ok || r.Output.Tier != "AOD" {
-		t.Fatalf("get: %+v %v", r, ok)
+	lin, err := s.Lineage(ids[2])
+	if err != nil || lin[0].Output.Tier != "AOD" {
+		t.Fatalf("get: %+v %v", lin, err)
 	}
-	if r.Seq != 2 {
-		t.Fatalf("seq %d", r.Seq)
+	if lin[0].Seq != 2 {
+		t.Fatalf("seq %d", lin[0].Seq)
 	}
-	if _, ok := s.Get("nope"); ok {
+	if _, err := s.Lineage("nope"); err == nil {
 		t.Fatal("phantom record")
 	}
 }
@@ -194,8 +194,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != s.Len() {
-		t.Fatalf("len %d != %d", got.Len(), s.Len())
+	if len(got.All()) != len(s.All()) {
+		t.Fatalf("len %d != %d", len(got.All()), len(s.All()))
 	}
 	lin, err := got.Lineage(ids[3])
 	if err != nil || len(lin) != 4 {
@@ -206,9 +206,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := got.Get(id)
-	if r.Seq != 4 {
-		t.Fatalf("resumed seq %d", r.Seq)
+	if lin, err := got.Lineage(id); err != nil || lin[0].Seq != 4 {
+		t.Fatalf("resumed record %+v: %v", lin, err)
 	}
 }
 

@@ -33,11 +33,14 @@ type Config struct {
 	Store RecordStore
 	// CacheSize bounds the record cache in entries (0 = 4096).
 	CacheSize int
-	// DefaultPage and MaxPage bound listing/search page sizes
-	// (0 = 100 / 1000).
-	DefaultPage int
-	MaxPage     int
 }
+
+// Listing and search pages hold defaultPage entries unless the request's
+// limit asks for another size, up to maxPage.
+const (
+	defaultPage = 100
+	maxPage     = 1000
+)
 
 // Stats is the serving tier's counter snapshot — the stage report of the
 // read path.
@@ -66,8 +69,6 @@ type Server struct {
 	idx     *Index
 	cache   *Cache
 
-	defaultPage, maxPage int
-
 	lookups     atomic.Uint64
 	searches    atomic.Uint64
 	pages       atomic.Uint64
@@ -90,22 +91,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if store == nil {
 		store = cfg.Archive
 	}
-	dp := cfg.DefaultPage
-	if dp <= 0 {
-		dp = 100
-	}
-	mp := cfg.MaxPage
-	if mp <= 0 {
-		mp = 1000
-	}
 	return &Server{
-		archive:     cfg.Archive,
-		cat:         cfg.Catalog,
-		store:       store,
-		idx:         idx,
-		cache:       NewCache(cfg.CacheSize),
-		defaultPage: dp,
-		maxPage:     mp,
+		archive: cfg.Archive,
+		cat:     cfg.Catalog,
+		store:   store,
+		idx:     idx,
+		cache:   NewCache(cfg.CacheSize),
 	}, nil
 }
 
@@ -233,15 +224,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // pageParams reads limit and cursor.
-func (s *Server) pageParams(qv url.Values) (limit int, cur Cursor, anchored bool, err error) {
-	limit = s.defaultPage
+func pageParams(qv url.Values) (limit int, cur Cursor, anchored bool, err error) {
+	limit = defaultPage
 	if ls := qv.Get("limit"); ls != "" {
 		limit, err = strconv.Atoi(ls)
 		if err != nil || limit < 1 {
 			return 0, Cursor{}, false, fmt.Errorf("bad limit %q", ls)
 		}
-		if limit > s.maxPage {
-			limit = s.maxPage
+		if limit > maxPage {
+			limit = maxPage
 		}
 	}
 	if cs := qv.Get("cursor"); cs != "" {
@@ -321,7 +312,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 // is the request's query string, parsed once, and q the query text (which
 // /datasets extends with its filters).
 func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind, qv url.Values, q string) {
-	limit, cur, anchored, err := s.pageParams(qv)
+	limit, cur, anchored, err := pageParams(qv)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

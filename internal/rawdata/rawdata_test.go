@@ -180,20 +180,20 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestNoTruthInRawData(t *testing.T) {
 	// The provenance experiment (W3) depends on raw data carrying no MC
 	// truth: digitization must be a pure function of channels and ADC.
+	// The simulated hit positions are not readout: moving them within
+	// their channels must not change a byte.
 	se := simulatedEvents(t, 1)[0]
-	for i := range se.TrackerHits {
-		se.TrackerHits[i].TrueBarcode = 12345
-	}
 	a := Digitize(1, se)
 	for i := range se.TrackerHits {
-		se.TrackerHits[i].TrueBarcode = 0
+		se.TrackerHits[i].Phi += 1e-9
+		se.TrackerHits[i].Z -= 1e-6
 	}
 	b := Digitize(1, se)
 	var ba, bb bytes.Buffer
 	_ = WriteEvent(&ba, a)
 	_ = WriteEvent(&bb, b)
 	if !bytes.Equal(ba.Bytes(), bb.Bytes()) {
-		t.Fatal("truth links leaked into raw encoding")
+		t.Fatal("simulated hit positions leaked into raw encoding")
 	}
 }
 

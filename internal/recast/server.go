@@ -49,7 +49,9 @@ type Server struct {
 
 // ServerConfig tunes the front door. The zero value serves with
 // defaults: 2 workers, a 64-deep queue shrinking to 16 under
-// degradation, unlimited tenant rates, manual approval.
+// degradation, unlimited tenant rates, manual approval. While the back
+// end browns out (breaker not closed) intake is bounded at a quarter of
+// QueueBound, at least 1.
 type ServerConfig struct {
 	// JournalDir holds requests.log, the server's only durable state.
 	// Required.
@@ -59,9 +61,6 @@ type ServerConfig struct {
 	// QueueBound sheds new work once this many entries are queued;
 	// < 1 means 64.
 	QueueBound int
-	// DegradedBound replaces QueueBound while the back end browns out
-	// (breaker not closed); < 1 means QueueBound/4 (at least 1).
-	DegradedBound int
 	// TenantRate is each tenant's sustained admission rate in requests
 	// per second; <= 0 means unlimited.
 	TenantRate float64
@@ -101,12 +100,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.QueueBound < 1 {
 		c.QueueBound = 64
-	}
-	if c.DegradedBound < 1 {
-		c.DegradedBound = c.QueueBound / 4
-		if c.DegradedBound < 1 {
-			c.DegradedBound = 1
-		}
 	}
 	if c.TenantBurst < 1 {
 		c.TenantBurst = 8
@@ -370,7 +363,7 @@ func (s *Server) admit(tenant string, budget time.Duration, answered bool) *admi
 	bound := s.cfg.QueueBound
 	degraded := s.degraded()
 	if degraded {
-		bound = s.cfg.DegradedBound
+		bound = max(s.cfg.QueueBound/4, 1)
 	}
 	s.mu.Lock()
 	ewma := s.ewmaMs

@@ -303,7 +303,7 @@ func TestServerExpiresDeadRequestsWithoutBackendRun(t *testing.T) {
 }
 
 func TestServerDegradedModeShrinksIntake(t *testing.T) {
-	srv, _ := newTestServer(t, ServerConfig{QueueBound: 10, DegradedBound: 1, AutoApprove: true,
+	srv, _ := newTestServer(t, ServerConfig{QueueBound: 4, AutoApprove: true,
 		Breaker: resilience.BreakerConfig{FailureThreshold: 1, OpenInterval: time.Hour}})
 	h := srv.Handler()
 	if srv.Status().Degraded {
@@ -315,7 +315,7 @@ func TestServerDegradedModeShrinksIntake(t *testing.T) {
 	if !st.Degraded || st.Breaker != "open" {
 		t.Fatalf("status after trip = %+v, want degraded/open", st)
 	}
-	// Intake shrinks to DegradedBound: one queued entry, then shed.
+	// Intake shrinks to a quarter of QueueBound: one queued entry, then shed.
 	if w := postSubmit(t, h, "alice", 1, ""); w.Code != http.StatusAccepted {
 		t.Fatalf("degraded submit 1: %d %s", w.Code, w.Body)
 	}

@@ -186,11 +186,10 @@ func (r *Run) ExportYODA() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ValidationResult is the outcome of comparing a fresh run against
-// archived reference data.
+// ValidationResult is the outcome of comparing one histogram of a fresh
+// run, in the run's order, against archived reference data.
 type ValidationResult struct {
-	Histogram string
-	Chi2      stats.Chi2Result
+	Chi2 stats.Chi2Result
 	// MissingReference marks run histograms with no archived counterpart.
 	MissingReference bool
 }
@@ -212,7 +211,7 @@ func (r *Run) Validate(reference []byte) ([]ValidationResult, error) {
 	for _, h := range r.Histograms() {
 		ref, ok := byName[h.Name]
 		if !ok {
-			out = append(out, ValidationResult{Histogram: h.Name, MissingReference: true})
+			out = append(out, ValidationResult{MissingReference: true})
 			continue
 		}
 		a := h.Clone()
@@ -223,7 +222,7 @@ func (r *Run) Validate(reference []byte) ([]ValidationResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rivet: comparing %s: %w", h.Name, err)
 		}
-		out = append(out, ValidationResult{Histogram: h.Name, Chi2: res})
+		out = append(out, ValidationResult{Chi2: res})
 	}
 	return out, nil
 }

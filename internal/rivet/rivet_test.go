@@ -198,8 +198,8 @@ func TestExportValidateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !AllCompatible(results, 0.001) {
-		for _, r := range results {
-			t.Logf("%s: chi2/ndf=%v p=%v missing=%v", r.Histogram, r.Chi2.Reduced(), r.Chi2.PValue, r.MissingReference)
+		for i, r := range results {
+			t.Logf("%s: chi2/ndf=%v p=%v missing=%v", runB.Histograms()[i].Name, r.Chi2.Reduced(), r.Chi2.PValue, r.MissingReference)
 		}
 		t.Fatal("independent rerun not compatible with reference")
 	}

@@ -67,19 +67,6 @@ func (r *Registry) Add(run uint32, events int, lumiPb float64) error {
 	return nil
 }
 
-// Get returns a copy of a run record.
-func (r *Registry) Get(run uint32) (Record, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rec, ok := r.runs[run]
-	if !ok {
-		return Record{}, false
-	}
-	cp := *rec
-	cp.Defects = append([]string(nil), rec.Defects...)
-	return cp, true
-}
-
 // SetQuality records the DQ verdict for a run. Marking a run bad requires
 // at least one defect — an undocumented rejection is not auditable.
 func (r *Registry) SetQuality(run uint32, q Quality, defects ...string) error {

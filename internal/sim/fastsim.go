@@ -21,22 +21,18 @@ type FastObject struct {
 	// hadrons become generic tracks with their true PDG retained.
 	PDG int
 	P   fourvec.Vec
-	// TrueBarcode links to the generator particle.
-	TrueBarcode int
 }
 
 // FastSim smears generator final states by parametric response curves.
 type FastSim struct {
 	rng *xrand.Rand
-	// Version is recorded in provenance for preserved workflows.
-	Version string
 	// EtaMax is the acceptance edge; objects beyond it are dropped.
 	EtaMax float64
 }
 
 // NewFastSim returns a fast simulation with LHC-like response parameters.
 func NewFastSim(seed uint64) *FastSim {
-	return &FastSim{rng: xrand.New(seed ^ 0xfa575e), Version: "fastsim-0.9.2", EtaMax: 2.5}
+	return &FastSim{rng: xrand.New(seed ^ 0xfa575e), EtaMax: 2.5}
 }
 
 // Simulate returns the smeared, efficiency-filtered objects for one event.
@@ -112,5 +108,5 @@ func (s *FastSim) smear(p hepmc.Particle) (FastObject, bool) {
 	if k <= 0 {
 		return FastObject{}, false
 	}
-	return FastObject{PDG: p.PDG, P: p.P.Scale(k), TrueBarcode: p.Barcode}, true
+	return FastObject{PDG: p.PDG, P: p.P.Scale(k)}, true
 }

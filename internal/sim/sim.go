@@ -21,12 +21,9 @@ import (
 // Hit is a single position measurement on a tracking or muon layer.
 type Hit struct {
 	Channel detector.ChannelID
-	// R, Phi, Z are the smeared global cylindrical coordinates (mm).
-	R, Phi, Z float64
-	// TrueBarcode links back to the generator particle, or 0 for noise.
-	// The link is simulation truth; it is deliberately dropped during
-	// digitization, as real raw data has no such field.
-	TrueBarcode int
+	// Phi and Z are the smeared global coordinates (rad, mm); the radius is
+	// the layer's.
+	Phi, Z float64
 }
 
 // CaloDeposit is the energy recorded in one calorimeter cell.
@@ -41,13 +38,9 @@ type CaloDeposit struct {
 // Event is the output of full simulation for one generated event.
 type Event struct {
 	Number      int
-	ProcessID   int
 	TrackerHits []Hit
 	MuonHits    []Hit
 	Deposits    []CaloDeposit
-	// Beamspot is the true primary-vertex position, retained as simulation
-	// truth for efficiency studies.
-	BeamspotX, BeamspotY, BeamspotZ float64
 }
 
 // FullSim propagates particles through the detector hit by hit.
@@ -58,15 +51,12 @@ type FullSim struct {
 	// noiseHits and noiseDeposits are the mean noise readings per event in
 	// the silicon and in the calorimeters, for sizing an event's slices.
 	noiseHits, noiseDeposits float64
-	// Version is recorded in provenance when simulation runs inside a
-	// preserved workflow.
-	Version string
 }
 
 // NewFullSim returns a full simulation over the given geometry, with its
 // own deterministic random stream.
 func NewFullSim(det *detector.Detector, seed uint64) *FullSim {
-	s := &FullSim{det: det, seed: seed, rng: xrand.New(seed ^ 0xf0115e), Version: "fullsim-1.4.0"}
+	s := &FullSim{det: det, seed: seed, rng: xrand.New(seed ^ 0xf0115e)}
 	for i := range det.Layers {
 		l := &det.Layers[i]
 		mean := l.NoiseOccupancy * float64(l.Channels())
@@ -133,11 +123,7 @@ func (s *FullSim) simulate(ev *hepmc.Event, rng *xrand.Rand) *Event {
 // simulateInto appends the event's hits and deposits to out's slices, which
 // the caller has emptied (and may have given capacity).
 func (s *FullSim) simulateInto(out *Event, ev *hepmc.Event, rng *xrand.Rand) {
-	out.Number, out.ProcessID = ev.Number, ev.ProcessID
-	if len(ev.Vertices) > 0 {
-		v := ev.Vertices[0]
-		out.BeamspotX, out.BeamspotY, out.BeamspotZ = v.X, v.Y, v.Z
-	}
+	out.Number = ev.Number
 	for _, p := range ev.Particles {
 		if !p.IsFinal() || units.IsNeutrino(p.PDG) {
 			continue
@@ -260,11 +246,9 @@ func (s *FullSim) hitLayer(rng *xrand.Rand, out *Event, li int, p hepmc.Particle
 		return
 	}
 	h := Hit{
-		Channel:     detector.MakeChannelID(li, iphi, iz),
-		R:           l.Radius,
-		Phi:         phi,
-		Z:           z,
-		TrueBarcode: p.Barcode,
+		Channel: detector.MakeChannelID(li, iphi, iz),
+		Phi:     phi,
+		Z:       z,
 	}
 	if muon {
 		out.MuonHits = append(out.MuonHits, h)
@@ -363,9 +347,9 @@ func (s *FullSim) addNoise(rng *xrand.Rand, out *Event) {
 					EM:      l.Kind == detector.KindECal,
 				})
 			case detector.KindMuon:
-				out.MuonHits = append(out.MuonHits, Hit{Channel: id, R: l.Radius, Phi: phi, Z: z})
+				out.MuonHits = append(out.MuonHits, Hit{Channel: id, Phi: phi, Z: z})
 			default:
-				out.TrackerHits = append(out.TrackerHits, Hit{Channel: id, R: l.Radius, Phi: phi, Z: z})
+				out.TrackerHits = append(out.TrackerHits, Hit{Channel: id, Phi: phi, Z: z})
 			}
 		}
 	}

@@ -257,13 +257,6 @@ func (d Derivation) Validate() error {
 	return d.Selection.Validate()
 }
 
-// Report summarizes one derivation execution.
-type Report struct {
-	Derivation string
-	Input      int
-	Selected   int
-}
-
 // Apply evaluates the derivation on a single event: the derived event and
 // true when selected, nil and false otherwise. It is the per-event unit
 // Run batches over, and the stage adapter for streaming pipelines (the
@@ -280,26 +273,23 @@ func (d Derivation) Apply(e *datamodel.Event) (*datamodel.Event, bool, error) {
 	return d.Slim.Apply(e), true, nil
 }
 
-// Run executes the derivation over a sample, returning the derived events
-// and an execution report.
-func (d Derivation) Run(events []*datamodel.Event) ([]*datamodel.Event, Report, error) {
+// Run executes the derivation over a sample, returning the derived events.
+func (d Derivation) Run(events []*datamodel.Event) ([]*datamodel.Event, error) {
 	if err := d.Validate(); err != nil {
-		return nil, Report{}, err
+		return nil, err
 	}
-	rep := Report{Derivation: d.Name, Input: len(events)}
 	var out []*datamodel.Event
 	for _, e := range events {
 		derived, ok, err := d.Apply(e)
 		if err != nil {
-			return nil, rep, err
+			return nil, err
 		}
 		if !ok {
 			continue
 		}
-		rep.Selected++
 		out = append(out, derived)
 	}
-	return out, rep, nil
+	return out, nil
 }
 
 // MarshalJSON is provided by the struct tags; Encode/Decode wrap them with
@@ -345,20 +335,18 @@ type Train struct {
 }
 
 // Run executes every derivation and returns outputs keyed by derivation
-// name, plus per-derivation reports in order.
-func (t Train) Run(events []*datamodel.Event) (map[string][]*datamodel.Event, []Report, error) {
+// name.
+func (t Train) Run(events []*datamodel.Event) (map[string][]*datamodel.Event, error) {
 	out := make(map[string][]*datamodel.Event, len(t.Derivations))
-	reports := make([]Report, 0, len(t.Derivations))
 	for _, d := range t.Derivations {
-		derived, rep, err := d.Run(events)
+		derived, err := d.Run(events)
 		if err != nil {
-			return nil, reports, err
+			return nil, err
 		}
 		if _, dup := out[d.Name]; dup {
-			return nil, reports, fmt.Errorf("skim: duplicate derivation name %q in train", d.Name)
+			return nil, fmt.Errorf("skim: duplicate derivation name %q in train", d.Name)
 		}
 		out[d.Name] = derived
-		reports = append(reports, rep)
 	}
-	return out, reports, nil
+	return out, nil
 }

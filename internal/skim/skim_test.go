@@ -165,12 +165,12 @@ func TestDerivationRun(t *testing.T) {
 		evt([]float64{30}, nil, 5),
 		evt(nil, []float64{100}, 5),
 	}
-	out, rep, err := d.Run(events)
+	out, err := d.Run(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Input != 3 || rep.Selected != 1 || len(out) != 1 {
-		t.Fatalf("report %+v, out %d", rep, len(out))
+	if len(out) != 1 {
+		t.Fatalf("selected %d events, want 1", len(out))
 	}
 	if len(out[0].CandidatesOf(datamodel.ObjJet)) != 0 {
 		t.Fatal("jets survived muon-only derivation")
@@ -179,7 +179,7 @@ func TestDerivationRun(t *testing.T) {
 
 func TestDerivationValidation(t *testing.T) {
 	d := Derivation{Selection: Selection{Cuts: []Cut{{"met", OpGT, 1}}}}
-	if _, _, err := d.Run(nil); err == nil {
+	if _, err := d.Run(nil); err == nil {
 		t.Fatal("nameless derivation ran")
 	}
 }
@@ -229,15 +229,12 @@ func TestTrainProducesGroupFormats(t *testing.T) {
 		evt([]float64{30}, []float64{50}, 5),
 		evt(nil, []float64{70}, 5),
 	}
-	out, reports, err := train.Run(events)
+	out, err := train.Run(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out["MUON"]) != 1 || len(out["JET"]) != 2 {
-		t.Fatalf("train outputs: MUON=%d JET=%d", len(out["MUON"]), len(out["JET"]))
-	}
-	if len(reports) != 2 || reports[0].Derivation != "MUON" {
-		t.Fatalf("reports: %+v", reports)
+	if len(out) != 2 || len(out["MUON"]) != 1 || len(out["JET"]) != 2 {
+		t.Fatalf("train outputs: %d derivations, MUON=%d JET=%d", len(out), len(out["MUON"]), len(out["JET"]))
 	}
 }
 
@@ -246,7 +243,7 @@ func TestTrainRejectsDuplicateNames(t *testing.T) {
 		{Name: "A", Selection: Selection{Cuts: nil}},
 		{Name: "A", Selection: Selection{Cuts: nil}},
 	}}
-	if _, _, err := train.Run(nil); err == nil {
+	if _, err := train.Run(nil); err == nil {
 		t.Fatal("duplicate derivation names accepted")
 	}
 }
@@ -281,7 +278,7 @@ func TestApplyMatchesRun(t *testing.T) {
 	for i := range events {
 		events[i].Number = uint64(i)
 	}
-	want, rep, err := d.Run(events)
+	want, err := d.Run(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +292,7 @@ func TestApplyMatchesRun(t *testing.T) {
 			got = append(got, out)
 		}
 	}
-	if len(got) != len(want) || len(got) != rep.Selected {
+	if len(got) != len(want) {
 		t.Fatalf("Apply selected %d events, Run selected %d", len(got), len(want))
 	}
 	for i := range got {

@@ -187,17 +187,3 @@ func poissonCDF(n int, mu float64) float64 {
 	}
 	return sum
 }
-
-// Significance returns the approximate Gaussian significance of observing
-// nObs events over an expected background b with uncertainty sigmaB, using
-// the simple s/sqrt(b + sigmaB²) estimator on the excess.
-func Significance(nObs int, b, sigmaB float64) float64 {
-	den := math.Sqrt(b + sigmaB*sigmaB)
-	if den == 0 {
-		if float64(nObs) > 0 {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	return (float64(nObs) - b) / den
-}

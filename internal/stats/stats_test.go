@@ -102,18 +102,6 @@ func TestUpperLimitCLsNotBelowCLsb(t *testing.T) {
 	}
 }
 
-func TestSignificance(t *testing.T) {
-	if s := Significance(25, 16, 0); math.Abs(s-9.0/4) > 1e-12 {
-		t.Fatalf("significance %v", s)
-	}
-	if s := Significance(10, 10, 0); s != 0 {
-		t.Fatalf("no-excess significance %v", s)
-	}
-	if !math.IsInf(Significance(1, 0, 0), 1) {
-		t.Fatal("zero-background significance must be +Inf")
-	}
-}
-
 func BenchmarkUpperLimit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = UpperLimit(5, 3.2, 0.95)

@@ -61,46 +61,41 @@ const (
 
 // Particle describes one species in the PDG table.
 type Particle struct {
-	PDG      int
 	Name     string
 	Mass     float64 // GeV
 	Charge   float64 // units of e
 	Lifetime float64 // mean proper lifetime in ns; 0 = stable or prompt
-	// Stable marks species the detector simulation treats as reaching the
-	// detector (electrons, muons, photons, charged hadrons, neutrons,
-	// K-long, and neutrinos, which escape unseen).
-	Stable bool
 }
 
 var table = map[int]Particle{
-	PDGDown:       {PDGDown, "d", 0.0047, -1.0 / 3, 0, false},
-	PDGUp:         {PDGUp, "u", 0.0022, 2.0 / 3, 0, false},
-	PDGStrange:    {PDGStrange, "s", 0.095, -1.0 / 3, 0, false},
-	PDGCharm:      {PDGCharm, "c", 1.27, 2.0 / 3, 0, false},
-	PDGBottom:     {PDGBottom, "b", 4.18, -1.0 / 3, 0, false},
-	PDGTop:        {PDGTop, "t", 172.8, 2.0 / 3, 0, false},
-	PDGElectron:   {PDGElectron, "e-", 0.000511, -1, 0, true},
-	PDGNuE:        {PDGNuE, "nu_e", 0, 0, 0, true},
-	PDGMuon:       {PDGMuon, "mu-", 0.10566, -1, 2197.0, true},
-	PDGNuMu:       {PDGNuMu, "nu_mu", 0, 0, 0, true},
-	PDGTau:        {PDGTau, "tau-", 1.77686, -1, 2.903e-4, false},
-	PDGNuTau:      {PDGNuTau, "nu_tau", 0, 0, 0, true},
-	PDGGluon:      {PDGGluon, "g", 0, 0, 0, false},
-	PDGPhoton:     {PDGPhoton, "gamma", 0, 0, 0, true},
-	PDGZ:          {PDGZ, "Z0", 91.1876, 0, 0, false},
-	PDGW:          {PDGW, "W+", 80.377, 1, 0, false},
-	PDGHiggs:      {PDGHiggs, "H0", 125.25, 0, 0, false},
-	PDGZPrime:     {PDGZPrime, "Z'", 0, 0, 0, false}, // mass set per model
-	PDGPiZero:     {PDGPiZero, "pi0", 0.13498, 0, 0, false},
-	PDGPiPlus:     {PDGPiPlus, "pi+", 0.13957, 1, 26.03, true},
-	PDGKZeroShort: {PDGKZeroShort, "K0_S", 0.49761, 0, 0.08954, false},
-	PDGKZeroLong:  {PDGKZeroLong, "K0_L", 0.49761, 0, 51.16, true},
-	PDGKPlus:      {PDGKPlus, "K+", 0.49368, 1, 12.38, true},
-	PDGDZero:      {PDGDZero, "D0", 1.86484, 0, 4.101e-4, false},
-	PDGDPlus:      {PDGDPlus, "D+", 1.86966, 1, 1.033e-3, false},
-	PDGProton:     {PDGProton, "p", 0.93827, 1, 0, true},
-	PDGNeutron:    {PDGNeutron, "n", 0.93957, 0, 879.4e9, true},
-	PDGLambda:     {PDGLambda, "Lambda0", 1.11568, 0, 0.2632, false},
+	PDGDown:       {"d", 0.0047, -1.0 / 3, 0},
+	PDGUp:         {"u", 0.0022, 2.0 / 3, 0},
+	PDGStrange:    {"s", 0.095, -1.0 / 3, 0},
+	PDGCharm:      {"c", 1.27, 2.0 / 3, 0},
+	PDGBottom:     {"b", 4.18, -1.0 / 3, 0},
+	PDGTop:        {"t", 172.8, 2.0 / 3, 0},
+	PDGElectron:   {"e-", 0.000511, -1, 0},
+	PDGNuE:        {"nu_e", 0, 0, 0},
+	PDGMuon:       {"mu-", 0.10566, -1, 2197.0},
+	PDGNuMu:       {"nu_mu", 0, 0, 0},
+	PDGTau:        {"tau-", 1.77686, -1, 2.903e-4},
+	PDGNuTau:      {"nu_tau", 0, 0, 0},
+	PDGGluon:      {"g", 0, 0, 0},
+	PDGPhoton:     {"gamma", 0, 0, 0},
+	PDGZ:          {"Z0", 91.1876, 0, 0},
+	PDGW:          {"W+", 80.377, 1, 0},
+	PDGHiggs:      {"H0", 125.25, 0, 0},
+	PDGZPrime:     {"Z'", 0, 0, 0}, // mass set per model
+	PDGPiZero:     {"pi0", 0.13498, 0, 0},
+	PDGPiPlus:     {"pi+", 0.13957, 1, 26.03},
+	PDGKZeroShort: {"K0_S", 0.49761, 0, 0.08954},
+	PDGKZeroLong:  {"K0_L", 0.49761, 0, 51.16},
+	PDGKPlus:      {"K+", 0.49368, 1, 12.38},
+	PDGDZero:      {"D0", 1.86484, 0, 4.101e-4},
+	PDGDPlus:      {"D+", 1.86966, 1, 1.033e-3},
+	PDGProton:     {"p", 0.93827, 1, 0},
+	PDGNeutron:    {"n", 0.93957, 0, 879.4e9},
+	PDGLambda:     {"Lambda0", 1.11568, 0, 0.2632},
 }
 
 // Lookup returns the particle record for a PDG code. Antiparticle codes
@@ -115,10 +110,9 @@ func Lookup(pdg int) (Particle, bool) {
 	}
 	p, ok := table[code]
 	if !ok {
-		return Particle{PDG: pdg, Name: fmt.Sprintf("pdg(%d)", pdg)}, false
+		return Particle{Name: fmt.Sprintf("pdg(%d)", pdg)}, false
 	}
 	if anti {
-		p.PDG = pdg
 		p.Charge = -p.Charge
 		p.Name = antiName(p.Name)
 	}

@@ -43,9 +43,6 @@ func TestLookupAntiparticle(t *testing.T) {
 	if p.Name != "mu+" {
 		t.Fatalf("anti-muon name: %v", p.Name)
 	}
-	if p.PDG != -PDGMuon {
-		t.Fatalf("anti-muon pdg: %v", p.PDG)
-	}
 }
 
 func TestLookupUnknown(t *testing.T) {
@@ -101,21 +98,6 @@ func TestNeutrinosInvisibleAndNeutral(t *testing.T) {
 	}
 	if IsNeutrino(PDGMuon) {
 		t.Error("muon flagged as neutrino")
-	}
-}
-
-func TestStability(t *testing.T) {
-	stable := []int{PDGElectron, PDGMuon, PDGPhoton, PDGPiPlus, PDGKPlus, PDGProton, PDGKZeroLong}
-	for _, c := range stable {
-		if p, _ := Lookup(c); !p.Stable {
-			t.Errorf("%s should be detector-stable", nameOf(c))
-		}
-	}
-	unstable := []int{PDGZ, PDGW, PDGHiggs, PDGDZero, PDGKZeroShort, PDGLambda, PDGTau, PDGPiZero}
-	for _, c := range unstable {
-		if p, _ := Lookup(c); p.Stable {
-			t.Errorf("%s should not be detector-stable", nameOf(c))
-		}
 	}
 }
 

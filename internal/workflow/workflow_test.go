@@ -103,8 +103,8 @@ func TestExecuteProducesArtifactsAndProvenance(t *testing.T) {
 		t.Fatalf("aod content: %q", res.Artifacts["aod"].Data)
 	}
 	// Three records: primary input + two step outputs.
-	if prov.Len() != 3 {
-		t.Fatalf("provenance records: %d", prov.Len())
+	if n := len(prov.All()); n != 3 {
+		t.Fatalf("provenance records: %d", n)
 	}
 	lin, err := prov.Lineage(res.RecordIDs["aod"])
 	if err != nil {
@@ -137,7 +137,11 @@ func TestExternalDependencyCensus(t *testing.T) {
 	if got := res.Reports[1].ExternalDeps; len(got) != 0 {
 		t.Fatalf("slim deps: %v", got)
 	}
-	rec, _ := prov.Get(res.RecordIDs["reco-out"])
+	lin, err := prov.Lineage(res.RecordIDs["reco-out"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := lin[0]
 	if len(rec.ExternalDeps) != 2 {
 		t.Fatalf("provenance deps: %v", rec.ExternalDeps)
 	}

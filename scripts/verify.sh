@@ -25,8 +25,15 @@
 # and TestStoreReadsMatchOverShardedAndCluster; CI's chaos job repeats the
 # kill sweep at -count=5. It also includes the reachability gate
 # (TestInternalExportsAreReached in internal/analysis): an exported
-# internal/ declaration no main reaches fails here unless
+# internal/ declaration no main reaches, an internal/ struct field no code
+# a main reaches reads, or a flag of a main that no script, CI step,
+# README line or test sets fails here unless
 # internal/analysis/testdata/reach-keep.txt keeps it for a stated reason.
+# The daemons' one listen/drain helper is held by
+# TestDrainFinishesInFlightBeforeClose (internal/daemon), and the seed
+# corpora of the archived-capsule decoders' fuzz targets run here too —
+# FuzzDecode (internal/envcapture) and FuzzReadJSON (internal/provenance);
+# CI's chaos job repeats the first at -count=10 and fuzzes the two for real.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -53,7 +60,10 @@ go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"
 go test -count=1 -run 'TestFullSimProcessAllocsPerEvent|TestFullSimMemoryIndependentOfEvents' ./internal/recast
 
-# The ROADMAP's size metric, printed so a re-anchor reads it here.
+# The ROADMAP's size metrics, printed so a re-anchor reads them here: what
+# the reachability gate decides, and the non-test line count.
+echo "==> reachability gate (declarations, fields and flags: total, reached from the mains, kept by reach-keep.txt)"
+go test -count=1 -run '^TestInternalExportsAreReached$' -v ./internal/analysis | sed -n 's/.*reach: //p'
 echo "==> non-test Go lines outside bench/"
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 
