@@ -116,24 +116,31 @@ func TestBridgeAgreesWithFullSim(t *testing.T) {
 	light := &RivetBackend{LuminosityPb: 20000}
 	m := model(150)
 
-	// Each tier's time is its best of three runs, so a scheduling hiccup on
-	// a loaded machine cannot reorder two ~10 ms measurements.
+	// Each tier's time is its best over rounds that alternate which tier
+	// runs first, so neither is always the one a busy spell of a loaded
+	// machine lands on; a bridge that still reads slower is measured again
+	// before the test fails on two ~10 ms timings.
 	var fullRes, lightRes *recast.Result
-	fullDur, lightDur := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < 3; i++ {
+	run := func(b recast.Backend, best *time.Duration, res **recast.Result) {
 		t0 := time.Now()
-		res, err := full.Process(context.Background(), m, searchRecord())
+		r, err := b.Process(context.Background(), m, searchRecord())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullDur, fullRes = min(fullDur, time.Since(t0)), res
-
-		t1 := time.Now()
-		res, err = light.Process(context.Background(), m, searchRecord())
-		if err != nil {
-			t.Fatal(err)
+		*best, *res = min(*best, time.Since(t0)), r
+	}
+	var fullDur, lightDur time.Duration
+	for attempt := 0; attempt < 3 && lightDur >= fullDur; attempt++ {
+		fullDur, lightDur = time.Duration(1<<62), time.Duration(1<<62)
+		for i := 0; i < 8; i++ {
+			if i%2 == 0 {
+				run(full, &fullDur, &fullRes)
+				run(light, &lightDur, &lightRes)
+			} else {
+				run(light, &lightDur, &lightRes)
+				run(full, &fullDur, &fullRes)
+			}
 		}
-		lightDur, lightRes = min(lightDur, time.Since(t1)), res
 	}
 
 	agr := CompareResults(fullRes, lightRes)
@@ -142,7 +149,7 @@ func TestBridgeAgreesWithFullSim(t *testing.T) {
 			agr.FullAcceptance, agr.BridgeAcceptance, agr.DeltaSigma)
 	}
 	if lightDur >= fullDur {
-		t.Fatalf("bridge (%v) not faster than full sim (%v)", lightDur, fullDur)
+		t.Fatalf("bridge (%v) not faster than full sim (%v) in three measurements", lightDur, fullDur)
 	}
 }
 

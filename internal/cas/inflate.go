@@ -30,10 +30,21 @@ import (
 // The literal/length table resolves codes of up to litBits bits in one
 // lookup and the distance table codes of up to distBits; longer codes take a
 // second lookup in a sub-table stored behind the primary entries.
+//
+// In front of them sits the pair table, which the unchecked loop reads
+// first. Indexed by the next pairBits bits, an entry holds the one or two
+// literals those bits begin with: their combined code length in bits 0..3,
+// entLit, the first literal at bits 16..23 and, when entPair (bit 7) is
+// set, the second at bits 24..31. Bits 4..6 are clear, so an entry is its
+// own shift count. Zero means the bits begin with something else — a
+// length, the end of block, a literal longer than pairBits — to be decoded
+// through the literal/length table. A literal/length entry of a literal
+// reads the same way, as a pair entry of one literal.
 const (
 	litBits  = 10
 	distBits = 8
 	preBits  = 7 // code-length codes are at most 7 bits: no sub-tables
+	pairBits = 12
 
 	// A primary entry links to a sub-table only when at least two codes
 	// share its prefix (the code is complete), so 286 literal/length codes
@@ -42,21 +53,32 @@ const (
 	litTableSize  = 1<<litBits + 143<<(15-litBits)
 	distTableSize = 1<<distBits + 15<<(15-distBits)
 
-	entLenMask  = 0xf
-	entXShift   = 4
-	entLit      = 1 << 8
-	entEOB      = 1 << 9
-	entSub      = 1 << 10
-	entValShift = 16
+	entLenMask   = 0xf
+	entXShift    = 4
+	entLit       = 1 << 8
+	entEOB       = 1 << 9
+	entSub       = 1 << 10
+	entValShift  = 16
+	entPairBit   = 7
+	entPair      = 1 << entPairBit
+	entPairShift = 24
 
 	maxMatch = 258
 
 	// fastInMargin is the input the unchecked loop needs ahead of it: two
 	// eight-byte loads, the second up to seven bytes past the first.
 	fastInMargin = 15
-	// fastOutMargin is the room it needs in the destination: two literals
-	// and a maximal match, copied eight bytes at a time.
-	fastOutMargin = 2 + maxMatch + 8
+	// fastOutMargin is the room it needs in the destination: two pair
+	// entries, each stored as two bytes, then a third or a maximal match
+	// copied eight bytes at a time.
+	fastOutMargin = 2*2 + maxMatch + 8
+
+	// pairMinInput is the input that must lie past a dynamic block's
+	// header for the block to get a pair table. Below it the block is short
+	// and building the table costs more than it saves; its literals come
+	// from the literal/length table, as a fixed block's do (the fixed
+	// code's literals are eight and nine bits long, so no two fit a pair).
+	pairMinInput = 4 << 10
 
 	// maxInflateRatio bounds DEFLATE's expansion: a 258-byte match costs
 	// at least one bit of length code and one of distance code.
@@ -73,6 +95,7 @@ var (
 type (
 	litTable  [litTableSize]uint32
 	distTable [distTableSize]uint32
+	pairTable [1 << pairBits]uint32
 )
 
 // Per-symbol entry templates (everything but the code length), and the
@@ -120,7 +143,16 @@ func init() {
 		preSyms[s] = entLit | uint32(s)<<entValShift
 	}
 
-	var lens [288]uint8
+	lens := fixedLitLens()
+	buildTable(fixedLit[:], litBits, lens[:], litSyms[:])
+	for s := 0; s < 32; s++ {
+		lens[s] = 5
+	}
+	buildTable(fixedDist[:], distBits, lens[:32], distSyms[:])
+}
+
+// fixedLitLens returns the code lengths of the fixed literal/length code.
+func fixedLitLens() (lens [288]uint8) {
 	for s := range lens {
 		switch {
 		case s < 144:
@@ -133,11 +165,23 @@ func init() {
 			lens[s] = 8
 		}
 	}
-	buildTable(fixedLit[:], litBits, lens[:], litSyms[:])
-	for s := 0; s < 32; s++ {
-		lens[s] = 5
+	return lens
+}
+
+// codeStarts counts the codes of each length in lens, and returns with the
+// counts the first canonical code of each length: codes are assigned in
+// symbol order within a length, shorter lengths first.
+func codeStarts(lens []uint8) (count, next [16]uint32) {
+	for _, l := range lens {
+		count[l]++
 	}
-	buildTable(fixedDist[:], distBits, lens[:32], distSyms[:])
+	code := uint32(0)
+	for l := 1; l < 16; l++ {
+		code <<= 1
+		next[l] = code
+		code += count[l]
+	}
+	return count, next
 }
 
 // buildTable fills table with the canonical Huffman code whose per-symbol
@@ -147,10 +191,7 @@ func init() {
 // no symbols at all, and a single symbol of length one, are accepted and
 // fail only when a bit pattern they do not own is decoded.
 func buildTable(table []uint32, primary uint, lens []uint8, syms []uint32) bool {
-	var count [16]uint32
-	for _, l := range lens {
-		count[l]++
-	}
+	count, next := codeStarts(lens)
 	longest := uint(15)
 	for longest > 0 && count[longest] == 0 {
 		longest--
@@ -159,14 +200,7 @@ func buildTable(table []uint32, primary uint, lens []uint8, syms []uint32) bool 
 		clear(table[:1<<primary])
 		return true
 	}
-	var next [17]uint32
-	code := uint32(0)
-	for l := uint(1); l <= longest; l++ {
-		code <<= 1
-		next[l] = code
-		code += count[l]
-	}
-	if code != 1<<longest {
+	if code := next[longest] + count[longest]; code != 1<<longest {
 		if code != 1 || longest != 1 {
 			return false
 		}
@@ -211,6 +245,64 @@ func buildTable(table []uint32, primary uint, lens []uint8, syms []uint32) bool 
 	return true
 }
 
+// buildPairs fills the pair table of a built literal/length table, given
+// the code lengths it was built from. An index whose bits begin with a
+// literal code of at most pairBits bits gets that literal, and the literal
+// after it too when that code fits in the bits left; every other entry is
+// zero. It is one pass over the literals, each filling the entries its code
+// begins: the first literal of each code length works out which second
+// literal each of its entries holds, and every later one of that length
+// copies the answer, since the bits after a code do not depend on which
+// code of that length it was.
+func buildPairs(pairs *pairTable, lit *litTable, lens []uint8) {
+	clear(pairs[:])
+	_, next := codeStarts(lens)
+	var firstCode, firstEnt [pairBits + 1]uint32 // by code length; firstEnt 0: none yet
+	for s, l8 := range lens[:256] {
+		l := uint32(l8)
+		if l == 0 {
+			continue
+		}
+		r := uint32(bits.Reverse16(uint16(next[l]))) >> (16 - l)
+		next[l]++
+		if l > pairBits {
+			continue
+		}
+		e, step := entLit|uint32(s)<<entValShift|l, uint32(1)<<l
+		if f := firstEnt[l]; f != 0 {
+			for j, jf := r, firstCode[l]; j < 1<<pairBits; j, jf = j+step, jf+step {
+				pairs[j] = pairs[jf&(1<<pairBits-1)] - f + e
+			}
+			continue
+		}
+		firstCode[l], firstEnt[l] = r, e
+		for j, m := r, uint32(0); j < 1<<pairBits; j, m = j+step, m+1 {
+			pairs[j] = e + second(litAt(lit, m), pairBits-l)
+		}
+	}
+}
+
+// second is what a pair entry adds for the code after its first: the
+// code's length, entPair and its literal, when the code's entry e is a
+// literal of at most room bits, and zero otherwise. Which codes fit is as
+// random as the bits, so it is computed with a mask, not a branch.
+func second(e, room uint32) uint32 {
+	k := e&entLenMask + (e&entLit ^ entLit) // past room unless a literal
+	fits := ^uint32(int32(room-k) >> 31)
+	return (e&entLenMask | entPair | e>>entValShift<<entPairShift) & fits
+}
+
+// litAt returns the literal/length entry of the code the bits of j begin
+// with, reading the bits past those j holds as zero: a code longer than
+// them comes back with its full length, too long to fit, and is not used.
+func litAt(lit *litTable, j uint32) uint32 {
+	e := lit[j&(1<<litBits-1)]
+	if e&entSub != 0 {
+		e = lit[subIndex(e, uint64(j>>litBits))]
+	}
+	return e
+}
+
 // inflater is the reusable state of one decode: the bit reader and the
 // tables of the current dynamic block.
 type inflater struct {
@@ -219,10 +311,11 @@ type inflater struct {
 	bb  uint64 // bit buffer: the low bc bits are the next bits of the stream
 	bc  uint
 
-	lit  litTable
-	dist distTable
-	pre  [1 << preBits]uint32
-	lens [286 + 30]uint8
+	lit   litTable
+	dist  distTable
+	pairs pairTable
+	pre   [1 << preBits]uint32
+	lens  [286 + 30]uint8
 }
 
 // fill tops the bit buffer up to at least 56 bits, or to the end of input.
@@ -293,10 +386,11 @@ func (d *inflater) inflate(dst, src []byte) (int, error) {
 		case 0:
 			op, err = d.stored(dst, op)
 		case 1:
-			op, err = d.huffman(dst, op, &fixedLit, &fixedDist)
+			op, err = d.huffman(dst, op, &fixedLit, nil, &fixedDist)
 		case 2:
-			if err = d.dynamicHeader(); err == nil {
-				op, err = d.huffman(dst, op, &d.lit, &d.dist)
+			var pairs *pairTable
+			if pairs, err = d.dynamicHeader(); err == nil {
+				op, err = d.huffman(dst, op, &d.lit, pairs, &d.dist)
 			}
 		default:
 			err = errInflateCorrupt
@@ -333,32 +427,34 @@ func (d *inflater) stored(dst []byte, op int) (int, error) {
 }
 
 // dynamicHeader reads a dynamic block's code lengths and builds its tables.
-func (d *inflater) dynamicHeader() error {
+// It returns the block's pair table, or nil when the input left is too
+// short for one to pay for its building.
+func (d *inflater) dynamicHeader() (*pairTable, error) {
 	hdr, err := d.take(14)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nlit, ndist, nclen := int(hdr&31)+257, int(hdr>>5&31)+1, int(hdr>>10)+4
 	if nlit > 286 || ndist > 30 {
-		return errInflateCorrupt
+		return nil, errInflateCorrupt
 	}
 	var pre [19]uint8
 	for i := 0; i < nclen; i++ {
 		v, err := d.take(3)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		pre[codeOrder[i]] = uint8(v)
 	}
 	if !buildTable(d.pre[:], preBits, pre[:], preSyms[:]) {
-		return errInflateCorrupt
+		return nil, errInflateCorrupt
 	}
 
 	lens := d.lens[:nlit+ndist]
 	for i := 0; i < len(lens); {
 		e, err := d.sym(d.pre[:], preBits)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		x := uint8(e >> entValShift)
 		if x < 16 {
@@ -371,7 +467,7 @@ func (d *inflater) dynamicHeader() error {
 		switch x {
 		case 16:
 			if i == 0 {
-				return errInflateCorrupt
+				return nil, errInflateCorrupt
 			}
 			rep, xbits, fill = 3, 2, lens[i-1]
 		case 17:
@@ -381,11 +477,11 @@ func (d *inflater) dynamicHeader() error {
 		}
 		v, err := d.take(xbits)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rep += uint(v)
 		if i+int(rep) > len(lens) {
-			return errInflateCorrupt
+			return nil, errInflateCorrupt
 		}
 		for ; rep > 0; rep-- {
 			lens[i] = fill
@@ -394,16 +490,28 @@ func (d *inflater) dynamicHeader() error {
 	}
 	if !buildTable(d.lit[:], litBits, lens[:nlit], litSyms[:]) ||
 		!buildTable(d.dist[:], distBits, lens[nlit:], distSyms[:]) {
-		return errInflateCorrupt
+		return nil, errInflateCorrupt
 	}
-	return nil
+	if len(d.src)-d.pos < pairMinInput {
+		return nil, nil
+	}
+	buildPairs(&d.pairs, &d.lit, lens[:nlit])
+	return &d.pairs, nil
 }
 
 // huffman decodes the symbols of one compressed block up to its
-// end-of-block code, writing at dst[op:].
-func (d *inflater) huffman(dst []byte, op int, lit *litTable, dist *distTable) (int, error) {
+// end-of-block code, writing at dst[op:]. pairs is the block's pair table,
+// or nil when it has none.
+func (d *inflater) huffman(dst []byte, op int, lit *litTable, pairs *pairTable, dist *distTable) (int, error) {
 	src := d.src
 	bb, bc, pos := d.bb, d.bc, d.pos
+
+	// Without a pair table the literal/length table's primary entries stand
+	// in for one: a literal entry there reads as a pair entry of one literal.
+	fast, mask := (*pairTable)(lit[:1<<pairBits]), uint64(1<<litBits-1)
+	if pairs != nil {
+		fast, mask = pairs, 1<<pairBits-1
+	}
 
 	// The unchecked loop. While fastInMargin bytes of input and
 	// fastOutMargin bytes of room lie ahead, every load is of real input
@@ -411,35 +519,47 @@ func (d *inflater) huffman(dst []byte, op int, lit *litTable, dist *distTable) (
 	// are unconsumed stream bits, any set bit above them equals the stream
 	// bit it shadows (src[pos:] shifted up by bc), so OR-ing eight more
 	// bytes in at bit bc is idempotent; a refill leaves 56 <= bc <= 63.
-	// That covers three primary-table literals (30 bits), or two and a
-	// length code with its extra bits (20+15+5); the distance code and its
-	// extra bits (15+13) get a second refill when fewer than 28 remain.
+	// That covers three pair entries (36 bits), or two and a length code
+	// with its extra bits (24+15+5); the distance code and its extra bits
+	// (15+13) get a second refill when fewer than 28 remain. Shift counts
+	// are masked to six bits, which they never exceed, so the compiler
+	// drops its guard for counts of 64 and more.
 	for len(src)-pos >= fastInMargin && len(dst)-op >= fastOutMargin {
-		bb |= binary.LittleEndian.Uint64(src[pos:]) << bc
+		bb |= binary.LittleEndian.Uint64(src[pos:]) << (bc & 63)
 		pos += int(63-bc) >> 3
 		bc |= 56
 
-		e := lit[bb&(1<<litBits-1)]
+		// Each literal entry is stored as two bytes, whether it holds one
+		// literal or two: what comes next overwrites a spare second byte.
+		e := fast[bb&mask]
 		if e&entLit != 0 {
-			bb >>= e & entLenMask
+			w := (*[8]byte)(dst[op:])
+			bb >>= e & 63
 			bc -= uint(e & entLenMask)
-			dst[op] = byte(e >> entValShift)
-			op++
-			e = lit[bb&(1<<litBits-1)]
+			w[0], w[1] = byte(e>>entValShift), byte(e>>entPairShift)
+			k := 1 + uint(e>>entPairBit&1)
+			e = fast[bb&mask]
 			if e&entLit != 0 {
-				bb >>= e & entLenMask
+				bb >>= e & 63
 				bc -= uint(e & entLenMask)
-				dst[op] = byte(e >> entValShift)
-				op++
-				e = lit[bb&(1<<litBits-1)]
+				w[k], w[k+1] = byte(e>>entValShift), byte(e>>entPairShift)
+				k += 1 + uint(e>>entPairBit&1)
+				e = fast[bb&mask]
 				if e&entLit != 0 {
-					bb >>= e & entLenMask
+					bb >>= e & 63
 					bc -= uint(e & entLenMask)
-					dst[op] = byte(e >> entValShift)
-					op++
+					w[k], w[k+1] = byte(e>>entValShift), byte(e>>entPairShift)
+					op += int(k + 1 + uint(e>>entPairBit&1))
 					continue
 				}
 			}
+			op += int(k)
+		}
+		// e is now the entry of a code that is not a literal (or is one
+		// longer than pairBits): the literal/length table's own, or a pair
+		// table's zero, which says to look the code up there.
+		if e == 0 {
+			e = lit[bb&(1<<litBits-1)]
 		}
 		if e&entSub != 0 {
 			e = lit[subIndex(e, bb>>litBits)]

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"daspos/internal/conditions"
@@ -369,8 +370,77 @@ func checkInflate(t testing.TB, d *inflater, src []byte) {
 	}
 }
 
+// pairStreams are long streams for the pair table: each has more than
+// pairMinInput bytes after a dynamic header, so the unchecked loop reads
+// literals through a pair table built for it.
+func pairStreams(t testing.TB) map[string][]byte {
+	raw := tierPackageFiles(t)["raw.banks"]
+	m := map[string][]byte{"tier-file-huffman-only": deflateAt(t, flate.HuffmanOnly, raw)}
+	{
+		// The literal/length code is one one-bit literal: the pair table is
+		// all pairs of it and gaps, and the first unowned bit is corrupt.
+		var w bitWriter
+		lit, _ := w.dynamicHeader(litLensFor(257, 'a', 1), []uint8{0})
+		for i := 0; i < 10*pairMinInput; i++ {
+			w.code(lit['a'], 1)
+		}
+		w.bits(1, 1)
+		w.bits(0, 64)
+		m["lone-one-bit-code"] = w.out
+	}
+	{
+		// A block that ends on the code after a two-literal entry, then a
+		// stored block long enough to keep the unchecked loop running.
+		var w bitWriter
+		lens := litLensFor(257, 'a', 1, 'b', 2, 'c', 3, 256, 3)
+		lit, _ := w.dynamicHeader(lens, []uint8{0})
+		w.out[0] &^= 1 // not the final block
+		for i := 0; i < 4*pairMinInput; i++ {
+			w.code(lit['a'], 1)
+			w.code(lit['b'], 2)
+		}
+		w.code(lit[256], 3)
+		w.bits(1, 1) // final
+		w.bits(0, 2) // stored
+		w.bits(0, (8-w.n)&7)
+		tail := bytes.Repeat([]byte("stored after the pair "), 4)
+		w.out = append(w.out, byte(len(tail)), 0, ^byte(len(tail)), 0xff)
+		w.out = append(w.out, tail...)
+		m["end-of-block-after-pair"] = w.out
+	}
+	{
+		// Huffman blocks with stored ones between them — empty (Flush's
+		// sync marker) and not (noise) — and a last Huffman block too short
+		// for a pair table of its own, after one that had one.
+		text := seededText(rand.New(rand.NewSource(31)), 12<<10)
+		noise := make([]byte, 6<<10)
+		rand.New(rand.NewSource(37)).Read(noise)
+		var buf bytes.Buffer
+		zw, err := flate.NewWriter(&buf, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, part := range [][]byte{text, noise, raw[:12<<10], text[:1000]} {
+			if _, err := zw.Write(part); err != nil {
+				t.Fatal(err)
+			}
+			if err := zw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m["stored-between-huffman"] = buf.Bytes()
+	}
+	return m
+}
+
 func FuzzInflateMatchesFlate(f *testing.F) {
 	for _, s := range namedStreams(f) {
+		f.Add(s)
+	}
+	for _, s := range pairStreams(f) {
 		f.Add(s)
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -408,6 +478,167 @@ func TestInflateNamedStreams(t *testing.T) {
 	} {
 		if _, _, err := referenceInflate(streams[name]); (err != nil) != wantErr {
 			t.Errorf("%s: reference err=%v, want error %v", name, err, wantErr)
+		}
+	}
+}
+
+func TestInflatePairStreams(t *testing.T) {
+	d := new(inflater)
+	for name, s := range pairStreams(t) {
+		t.Run(name, func(t *testing.T) {
+			d.src, d.pos, d.bb, d.bc = s, 0, 0, 0
+			if hdr, err := d.take(3); err != nil || hdr>>1 != 2 {
+				t.Fatalf("first block header %d (%v), want a dynamic block", hdr, err)
+			}
+			if pairs, err := d.dynamicHeader(); err != nil || pairs == nil {
+				t.Fatalf("first block: pair table %v, err %v; the stream proves less than it says", pairs != nil, err)
+			}
+			checkInflate(t, d, s)
+			// Cut where the pair table's input threshold falls, too.
+			for _, cut := range []int{pairMinInput - 1, pairMinInput, pairMinInput + 1, 2 * pairMinInput, len(s) - 1} {
+				if cut < len(s) {
+					checkInflate(t, d, s[:cut])
+				}
+			}
+		})
+	}
+}
+
+// pairReference is what a pair table entry must say about the bits of j:
+// the literals that decoding them one symbol at a time with the
+// literal/length table yields before anything else, at most two, and the
+// bits they take — none of those bits past the index.
+func pairReference(d *inflater, lit *litTable, j uint32) (lits []byte, n uint) {
+	d.src, d.bb, d.bc = nil, uint64(j), pairBits
+	for len(lits) < 2 {
+		e, err := d.sym(lit[:], litBits)
+		if err != nil || e&entLit == 0 {
+			break
+		}
+		lits, n = append(lits, byte(e>>entValShift)), pairBits-d.bc
+	}
+	return lits, n
+}
+
+// checkPairTable holds every entry of a pair table to pairReference, and
+// returns how many hold two literals.
+func checkPairTable(t *testing.T, pairs *pairTable, lit *litTable) (twos int) {
+	t.Helper()
+	d := new(inflater)
+	for j, e := range pairs {
+		want, wantN := pairReference(d, lit, uint32(j))
+		var got []byte
+		if e != 0 {
+			got = []byte{byte(e >> entValShift)}
+			if e&entPair != 0 {
+				got = append(got, byte(e>>entPairShift))
+				twos++
+			}
+		}
+		if !bytes.Equal(got, want) || e != 0 && (uint(e&63) != wantN || e&0xff70 != entLit) {
+			t.Fatalf("entry %#03x = %#08x: literals %q in %d bits, want %q in %d bits (and only entLit and entPair among the flags)",
+				j, e, got, e&63, want, wantN)
+		}
+	}
+	return twos
+}
+
+// randomCode returns code lengths for n of nsym symbols that make a
+// complete code of at most 15 bits: leaves split at random, then dealt out.
+func randomCode(rng *rand.Rand, nsym, n int) []uint8 {
+	leaves := []uint8{0}
+	for len(leaves) < n {
+		i := rng.Intn(len(leaves))
+		if leaves[i] == 15 {
+			continue
+		}
+		leaves[i]++
+		leaves = append(leaves, leaves[i])
+	}
+	lens := make([]uint8, nsym)
+	for i, s := range rng.Perm(nsym)[:n] {
+		lens[s] = leaves[i]
+	}
+	return lens
+}
+
+func TestPairTableMatchesSingleDecode(t *testing.T) {
+	codes := map[string][]uint8{}
+	// The fixed code, though a fixed block goes without a pair table: its
+	// literals are eight and nine bits long, so no entry holds two.
+	fixed := fixedLitLens()
+	codes["fixed"] = fixed[:]
+	// One literal of every length from 1 to 15, and the end of block.
+	every := litLensFor(257, 256, 15)
+	for l := 1; l <= 15; l++ {
+		every['a'+l-1] = uint8(l)
+	}
+	codes["a-literal-of-every-length"] = every
+	// Short codes, then 240 eleven-bit and 32 twelve-bit codes.
+	long := litLensFor(286, 'a', 1, 'b', 2, 'c', 3)
+	left := 240 + 32
+	for s := range long {
+		if long[s] == 0 && left > 0 {
+			long[s] = 11
+			if left <= 32 {
+				long[s] = 12
+			}
+			left--
+		}
+	}
+	codes["eleven-and-twelve-bit-literals"] = long
+	codes["lone-one-bit-literal"] = litLensFor(257, 'a', 1)
+	codes["no-literals"] = litLensFor(258, 256, 1, 257, 1)
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 40; i++ {
+		codes[fmt.Sprintf("random-%02d", i)] = randomCode(rng, 286, 2+rng.Intn(285))
+	}
+	for name, lens := range codes {
+		t.Run(name, func(t *testing.T) {
+			var lit litTable
+			var pairs pairTable
+			for j := range pairs {
+				pairs[j] = ^uint32(0) // what an earlier block left
+			}
+			if !buildTable(lit[:], litBits, lens, litSyms[:]) {
+				t.Fatal("not a code")
+			}
+			buildPairs(&pairs, &lit, lens)
+			if name == "no-literals" {
+				if pairs != (pairTable{}) {
+					t.Fatal("a code without literals has pair entries")
+				}
+				return
+			}
+			twos := checkPairTable(t, &pairs, &lit)
+			switch {
+			case name == "fixed" && twos != 0:
+				t.Fatalf("%d entries of the fixed code hold two literals", twos)
+			case name != "fixed" && !strings.HasPrefix(name, "random") && twos == 0:
+				t.Fatal("no entry holds two literals: the code proves less than it says")
+			}
+		})
+	}
+
+	// And the tables dynamicHeader builds for real blocks.
+	text := seededText(rand.New(rand.NewSource(29)), 40<<10)
+	raw := tierPackageFiles(t)["raw.banks"]
+	for name, data := range map[string][]byte{"raw-banks": raw, "capsule-text": text} {
+		for lname, level := range map[string]int{"BestSpeed": flate.BestSpeed, "HuffmanOnly": flate.HuffmanOnly} {
+			t.Run(name+"/"+lname, func(t *testing.T) {
+				d := new(inflater)
+				d.src = deflateAt(t, level, data)
+				if hdr, err := d.take(3); err != nil || hdr>>1 != 2 {
+					t.Fatalf("first block header %d (%v), want a dynamic block", hdr, err)
+				}
+				pairs, err := d.dynamicHeader()
+				if err != nil || pairs == nil {
+					t.Fatalf("pair table %v, err %v", pairs != nil, err)
+				}
+				if checkPairTable(t, pairs, &d.lit) == 0 {
+					t.Fatal("no entry holds two literals")
+				}
+			})
 		}
 	}
 }
@@ -487,22 +718,31 @@ func TestInflatePackageFiles(t *testing.T) {
 var benchSink int
 
 // BenchmarkInflate is the kernel against the reference on a tier file at
-// the level the store writes.
+// the level the store writes — one long run of literals — and the kernel
+// alone on capsule text, which is mostly matches, whole and cut to a small
+// file's 4 KiB.
 func BenchmarkInflate(b *testing.B) {
 	raw := tierPackageFiles(b)["raw.banks"]
 	z := deflateAt(b, flate.BestSpeed, raw)
-	b.Run("kernel", func(b *testing.B) {
-		d, dst := new(inflater), make([]byte, len(raw))
-		b.SetBytes(int64(len(raw)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n, err := d.inflate(dst, z)
-			if err != nil {
-				b.Fatal(err)
+	text := seededText(rand.New(rand.NewSource(29)), 40<<10)
+	kernel := func(data []byte) func(*testing.B) {
+		z := deflateAt(b, flate.BestSpeed, data)
+		return func(b *testing.B) {
+			d, dst := new(inflater), make([]byte, len(data))
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n, err := d.inflate(dst, z)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = n
 			}
-			benchSink = n
 		}
-	})
+	}
+	b.Run("kernel", kernel(raw))
+	b.Run("capsule-text", kernel(text))
+	b.Run("small", kernel(text[:4<<10]))
 	b.Run("compress-flate", func(b *testing.B) {
 		b.SetBytes(int64(len(raw)))
 		for i := 0; i < b.N; i++ {

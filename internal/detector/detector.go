@@ -166,10 +166,11 @@ func (d *Detector) buildLists() {
 }
 
 // Validate checks the structural invariants — ordered radii, unique names,
-// known kinds, positive segmentation on sensitive layers — and builds the
-// layer lists TrackerLayers and LayersOf hand out. Standard and ReadJSON
-// return validated detectors; a Detector assembled by hand must
-// pass through here before those two are called.
+// known kinds, positive segmentation on sensitive layers, every channel
+// within what a ChannelID can address — and builds the layer lists
+// TrackerLayers and LayersOf hand out. Standard and ReadJSON return
+// validated detectors; a Detector assembled by hand must pass through here
+// before those two are called.
 func (d *Detector) Validate() error {
 	if d.Name == "" {
 		return fmt.Errorf("detector: empty name")
@@ -190,6 +191,10 @@ func (d *Detector) Validate() error {
 		}
 		if l.Sensitive() && (l.NPhi <= 0 || l.NZ <= 0) {
 			return fmt.Errorf("detector: sensitive layer %q has no channels", l.Name)
+		}
+		if l.Sensitive() && (i >= 1<<layerBits || l.NPhi > 1<<phiBits || l.NZ > 1<<zBits) {
+			return fmt.Errorf("detector: sensitive layer %d (%s) has %d×%d channels; a channel address holds layers 0..%d of at most %d×%d",
+				i, l.Name, l.NPhi, l.NZ, 1<<layerBits-1, 1<<phiBits, 1<<zBits)
 		}
 		if l.Efficiency < 0 || l.Efficiency > 1 {
 			return fmt.Errorf("detector: layer %q efficiency %v out of [0,1]", l.Name, l.Efficiency)
@@ -229,23 +234,30 @@ func (d *Detector) validated() *layerLists {
 // raw-data banks: 6 bits of layer, 14 bits of phi index, 12 bits of z index.
 type ChannelID uint32
 
+const (
+	layerBits = 6
+	phiBits   = 14
+	zBits     = 12
+)
+
 // MakeChannelID packs a channel address. It panics if any index exceeds the
-// field width — geometry and packing must agree by construction.
+// field width — geometry and packing agree by construction: Validate
+// refuses a sensitive layer whose channels the fields cannot hold.
 func MakeChannelID(layer, iphi, iz int) ChannelID {
-	if layer < 0 || layer >= 1<<6 || iphi < 0 || iphi >= 1<<14 || iz < 0 || iz >= 1<<12 {
+	if layer < 0 || layer >= 1<<layerBits || iphi < 0 || iphi >= 1<<phiBits || iz < 0 || iz >= 1<<zBits {
 		panic(fmt.Sprintf("detector: channel address out of range: layer=%d iphi=%d iz=%d", layer, iphi, iz))
 	}
-	return ChannelID(layer)<<26 | ChannelID(iphi)<<12 | ChannelID(iz)
+	return ChannelID(layer)<<(phiBits+zBits) | ChannelID(iphi)<<zBits | ChannelID(iz)
 }
 
 // Layer returns the packed layer index.
-func (c ChannelID) Layer() int { return int(c >> 26) }
+func (c ChannelID) Layer() int { return int(c >> (phiBits + zBits)) }
 
 // IPhi returns the packed azimuthal index.
-func (c ChannelID) IPhi() int { return int(c>>12) & (1<<14 - 1) }
+func (c ChannelID) IPhi() int { return int(c>>zBits) & (1<<phiBits - 1) }
 
 // IZ returns the packed z index.
-func (c ChannelID) IZ() int { return int(c) & (1<<12 - 1) }
+func (c ChannelID) IZ() int { return int(c) & (1<<zBits - 1) }
 
 // Standard returns the default toy detector: a compact general-purpose
 // detector in the CMS/ATLAS mould. Layer half-lengths extend each barrel

@@ -2,6 +2,7 @@ package detector
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -270,4 +271,50 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+func TestValidateRefusesUnaddressableChannels(t *testing.T) {
+	// strip1 with 20000 azimuthal channels used to pass, and the first hit
+	// past channel 16383 then panicked in MakeChannelID.
+	d := Standard()
+	d.Layers[4].NPhi = 20000
+	if err := d.Validate(); err == nil {
+		iphi, _, _ := d.Layers[4].CellOf(6.0, 0)
+		t.Fatalf("strip1 with 20000 φ channels accepted; its channel %d has no address", iphi)
+	}
+	for name, mutate := range map[string]func(*Detector){
+		"nz":     func(d *Detector) { d.Layers[1].NZ = 1<<12 + 1 },
+		"layers": func(d *Detector) { d.Layers = append(d.Layers, extraLayers(d, 70)...) },
+	} {
+		d := Standard()
+		mutate(d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s: a geometry the channel address cannot hold was accepted", name)
+		}
+	}
+	// The widest geometry that fits is accepted, and every one of its
+	// channels has an address.
+	d = Standard()
+	d.Layers[4].NPhi, d.Layers[4].NZ = 1<<14, 1<<12
+	d.Layers = append(d.Layers, extraLayers(d, 64)...)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	last := len(d.Layers) - 1
+	MakeChannelID(last, d.Layers[last].NPhi-1, d.Layers[last].NZ-1)
+	MakeChannelID(4, 1<<14-1, 1<<12-1)
+}
+
+// extraLayers returns muon layers outside d's outermost, enough to bring it
+// to n layers.
+func extraLayers(d *Detector, n int) []Layer {
+	var out []Layer
+	outer := d.Layers[len(d.Layers)-1]
+	for i := len(d.Layers); i < n; i++ {
+		l := outer
+		l.Name = fmt.Sprintf("muon-extra-%d", i)
+		l.Radius = outer.Radius + float64(i)
+		out = append(out, l)
+	}
+	return out
 }
