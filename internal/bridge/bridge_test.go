@@ -142,6 +142,7 @@ func TestBridgeAgreesWithFullSim(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("best of eight: full sim %v, bridge %v", fullDur, lightDur)
 
 	agr := CompareResults(fullRes, lightRes)
 	if agr.Discrepant {

@@ -1,5 +1,6 @@
 // Package daemon is the one listen-and-drain sequence of the DASPOS
-// daemons (daspos-node, daspos-query serve, daspos-recast serve).
+// daemons (daspos-node, daspos-query serve, daspos-recast serve), and the
+// one way their handlers reply in JSON.
 //
 // http.Server.ListenAndServe returns http.ErrServerClosed the moment
 // Shutdown starts, not when the last in-flight request has finished, so an
@@ -10,6 +11,7 @@ package daemon
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -58,4 +60,16 @@ func serve(ctx context.Context, ln net.Listener, h http.Handler, closeFn func() 
 		err = errors.Join(err, closeFn())
 	}
 	return err
+}
+
+// WriteJSON replies with status code and v encoded as JSON.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// Error replies with status code and the JSON body {"error": msg}.
+func Error(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
 }

@@ -359,3 +359,41 @@ func TestEvaluatorAllocs(t *testing.T) {
 		t.Fatalf("Depth on a warm evaluator: %v allocations per event, want 0", got)
 	}
 }
+
+// TestReadsOnlyMuons pins the rule case by case: muon objects only, and no
+// cut whose kind reads the missing momentum — the parse's kind, so that a
+// malformed "mt" or a "met:" with an object counts as reading it.
+func TestReadsOnlyMuons(t *testing.T) {
+	mu := ObjectDefinition{Name: "mu", Type: datamodel.ObjMuon, MinPt: 20}
+	other := func(ty datamodel.ObjectType) ObjectDefinition {
+		return ObjectDefinition{Name: "x", Type: ty}
+	}
+	cut := func(v string) Cut { return Cut{Variable: v, Op: ">", Value: 1} }
+	for _, c := range []struct {
+		name    string
+		objects []ObjectDefinition
+		cuts    []Cut
+		want    bool
+	}{
+		{"nothing at all", nil, nil, true},
+		{"muon counting", []ObjectDefinition{mu}, []Cut{cut("count:mu"), cut("os_pair:mu"), cut("inv_mass:mu"), cut("leading_pt:mu")}, true},
+		{"a cut on an undefined object", []ObjectDefinition{mu}, []Cut{cut("count:ghost")}, true},
+		{"an unknown kind", []ObjectDefinition{mu}, []Cut{cut("sum_pt:mu")}, true},
+		{"met", []ObjectDefinition{mu}, []Cut{cut("count:mu"), cut("met")}, false},
+		{"mt", []ObjectDefinition{mu}, []Cut{cut("mt:mu")}, false},
+		{"mt without an object", []ObjectDefinition{mu}, []Cut{cut("mt")}, false},
+		{"met with an object", []ObjectDefinition{mu}, []Cut{cut("met:mu")}, false},
+		{"no objects, met", nil, []Cut{cut("met")}, false},
+		{"an electron defined, never cut on", []ObjectDefinition{mu, other(datamodel.ObjElectron)}, nil, false},
+		{"a photon", []ObjectDefinition{other(datamodel.ObjPhoton)}, nil, false},
+		{"a jet", []ObjectDefinition{other(datamodel.ObjJet)}, nil, false},
+		{"a track", []ObjectDefinition{other(datamodel.ObjTrackCandidate)}, nil, false},
+		{"an unknown type", []ObjectDefinition{other(datamodel.ObjectType(42))}, nil, false},
+		{"a muon redefined as a jet", []ObjectDefinition{mu, {Name: "mu", Type: datamodel.ObjJet}}, []Cut{cut("count:mu")}, false},
+	} {
+		r := &AnalysisRecord{Name: c.name, Objects: c.objects, Selection: c.cuts}
+		if got := r.NewEvaluator().ReadsOnlyMuons(); got != c.want {
+			t.Errorf("%s: ReadsOnlyMuons() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

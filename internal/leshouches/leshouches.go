@@ -174,6 +174,26 @@ func parseCut(c Cut, objects map[string]int) parsedCut {
 	return pc
 }
 
+// ReadsOnlyMuons reports whether the selection reads nothing of an event but
+// its muon candidates, so that an event holding only those gives every
+// depth and error the whole event would. It does unless some object it
+// defines is not a muon — a whitelist, so a type it does not know keeps the
+// whole event — or some cut reads the missing momentum: met, or mt, the
+// transverse mass the leading object makes with it.
+func (ev *Evaluator) ReadsOnlyMuons() bool {
+	for _, o := range ev.objects {
+		if o.Type != datamodel.ObjMuon {
+			return false
+		}
+	}
+	for _, c := range ev.cuts {
+		if c.kind == "met" || c.kind == "mt" {
+			return false
+		}
+	}
+	return true
+}
+
 // Depth returns how many leading cuts of the selection the event passes: 0
 // when it fails the first, the length of the selection when it passes them
 // all. A cut that cannot be evaluated is an error for every event that

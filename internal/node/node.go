@@ -27,7 +27,6 @@ package node
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,6 +34,7 @@ import (
 	"strconv"
 
 	"daspos/internal/cas"
+	"daspos/internal/daemon"
 )
 
 // maxBlobBytes bounds one blob body; a put larger than this is rejected
@@ -138,14 +138,8 @@ func validDigest(d string) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, Health{ID: n.id, Blobs: n.Blobs()})
+	daemon.WriteJSON(w, http.StatusOK, Health{ID: n.id, Blobs: n.Blobs()})
 }
 
 // handleDigests lists every stored digest, sorted: one listing is what an
@@ -155,7 +149,7 @@ func (n *Node) handleDigests(w http.ResponseWriter, r *http.Request) {
 	if ds == nil {
 		ds = []string{} // an empty node lists [], not null
 	}
-	writeJSON(w, http.StatusOK, ds)
+	daemon.WriteJSON(w, http.StatusOK, ds)
 }
 
 // handlePut ingests one blob. The body is the marker-framed stored form;
@@ -245,5 +239,5 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 		res.OK = false
 		res.Error = derr.Error()
 	}
-	writeJSON(w, http.StatusOK, res)
+	daemon.WriteJSON(w, http.StatusOK, res)
 }

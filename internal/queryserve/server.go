@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"daspos/internal/catalog"
+	"daspos/internal/daemon"
 	"daspos/internal/hepdata"
 )
 
@@ -208,19 +209,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	daemon.WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // pageParams reads limit and cursor.
@@ -292,7 +281,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if s.cat == nil {
-		httpError(w, http.StatusNotFound, "no dataset catalog configured")
+		daemon.Error(w, http.StatusNotFound, "no dataset catalog configured")
 		return
 	}
 	// Tier/metadata filters compile to index terms, so a filtered listing
@@ -314,12 +303,12 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind, qv url.Values, q string) {
 	limit, cur, anchored, err := pageParams(qv)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	mode, err := ParseMode(qv.Get("mode"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var resp searchResponse
@@ -401,7 +390,7 @@ func (s *Server) handleRecord(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	ent, err := s.recordEntry(id)
 	if err != nil {
-		httpError(w, statusForStoreErr(err), err.Error())
+		daemon.Error(w, statusForStoreErr(err), err.Error())
 		return
 	}
 	s.conditional(w, r, ent.ETag, "application/json", func() error {
@@ -414,14 +403,14 @@ func (s *Server) handleRecordExport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format, err := ParseFormat(r.URL.Query().Get("format"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// The export validator derives from the indexed content digest, so a
 	// revalidation answers 304 without touching the store at all.
 	doc, ok := s.idx.Lookup(id)
 	if !ok || doc.Kind != KindRecord {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("%v: %s", hepdata.ErrNoRecord, id))
+		daemon.Error(w, http.StatusNotFound, fmt.Sprintf("%v: %s", hepdata.ErrNoRecord, id))
 		return
 	}
 	s.exports.Add(1)
@@ -439,17 +428,17 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	id, table := r.PathValue("id"), r.PathValue("table")
 	format, err := ParseFormat(r.URL.Query().Get("format"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	doc, ok := s.idx.Lookup(id)
 	if !ok || doc.Kind != KindRecord {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("%v: %s", hepdata.ErrNoRecord, id))
+		daemon.Error(w, http.StatusNotFound, fmt.Sprintf("%v: %s", hepdata.ErrNoRecord, id))
 		return
 	}
 	rec, err := s.store.Get(id)
 	if err != nil {
-		httpError(w, statusForStoreErr(err), err.Error())
+		daemon.Error(w, statusForStoreErr(err), err.Error())
 		return
 	}
 	var tab *hepdata.Table
@@ -460,7 +449,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if tab == nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("record %s has no table %q", id, table))
+		daemon.Error(w, http.StatusNotFound, fmt.Sprintf("record %s has no table %q", id, table))
 		return
 	}
 	s.exports.Add(1)
@@ -475,17 +464,17 @@ func (s *Server) handleBulkExport(w http.ResponseWriter, r *http.Request) {
 	q := qv.Get("q")
 	terms := ParseQuery(q)
 	if len(terms) == 0 {
-		httpError(w, http.StatusBadRequest, "bulk export needs a query (?q=)")
+		daemon.Error(w, http.StatusBadRequest, "bulk export needs a query (?q=)")
 		return
 	}
 	mode, err := ParseMode(qv.Get("mode"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	format, err := ParseFormat(qv.Get("format"))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.exports.Add(1)
@@ -507,18 +496,18 @@ func (s *Server) handleBulkExport(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	s.lookups.Add(1)
 	if s.cat == nil {
-		httpError(w, http.StatusNotFound, "no dataset catalog configured")
+		daemon.Error(w, http.StatusNotFound, "no dataset catalog configured")
 		return
 	}
 	name := "/" + r.PathValue("name")
 	d, ok := s.cat.Get(name)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("%v: %s", catalog.ErrNoDataset, name))
+		daemon.Error(w, http.StatusNotFound, fmt.Sprintf("%v: %s", catalog.ErrNoDataset, name))
 		return
 	}
 	etag, err := DatasetETag(&d)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		daemon.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.conditional(w, r, etag, "application/json", func() error {
@@ -529,43 +518,43 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePublishRecord(w http.ResponseWriter, r *http.Request) {
 	data, err := readBody(w, r, 8<<20)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	rec, err := hepdata.DecodeRecord(data)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	etag, err := s.PublishRecord(rec)
 	if err != nil {
-		httpError(w, publishStatus(err), err.Error())
+		daemon.Error(w, publishStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"key": rec.ID(), "etag": etag})
+	daemon.WriteJSON(w, http.StatusCreated, map[string]string{"key": rec.ID(), "etag": etag})
 }
 
 func (s *Server) handlePublishDataset(w http.ResponseWriter, r *http.Request) {
 	if s.cat == nil {
-		httpError(w, http.StatusNotFound, "no dataset catalog configured")
+		daemon.Error(w, http.StatusNotFound, "no dataset catalog configured")
 		return
 	}
 	data, err := readBody(w, r, 8<<20)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		daemon.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	var d catalog.Dataset
 	if err := json.Unmarshal(data, &d); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed dataset: "+err.Error())
+		daemon.Error(w, http.StatusBadRequest, "malformed dataset: "+err.Error())
 		return
 	}
 	etag, err := s.PublishDataset(&d)
 	if err != nil {
-		httpError(w, publishStatus(err), err.Error())
+		daemon.Error(w, publishStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"key": d.Name, "etag": etag})
+	daemon.WriteJSON(w, http.StatusCreated, map[string]string{"key": d.Name, "etag": etag})
 }
 
 func publishStatus(err error) int {

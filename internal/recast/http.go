@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"daspos/internal/daemon"
 	"daspos/internal/resilience"
 )
 
@@ -28,27 +29,15 @@ const (
 func (s *Service) experimentOnly(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get(roleHeader) != roleExperiment {
-			httpError(w, http.StatusForbidden, "experiment role required")
+			daemon.Error(w, http.StatusForbidden, "experiment role required")
 			return
 		}
 		next(w, r)
 	}
 }
 
-func httpError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (s *Service) handleAnalyses(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Analyses())
+	daemon.WriteJSON(w, http.StatusOK, s.Analyses())
 }
 
 // submitBody is the POST /requests payload.
@@ -62,10 +51,10 @@ type submitBody struct {
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	req, err := s.Get(r.PathValue("id"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, err.Error())
+		daemon.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, req)
+	daemon.WriteJSON(w, http.StatusOK, req)
 }
 
 func (s *Service) handleReject(w http.ResponseWriter, r *http.Request) {
@@ -74,11 +63,11 @@ func (s *Service) handleReject(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&body)
 	if err := s.Reject(r.PathValue("id"), body.Reason); err != nil {
-		httpError(w, statusFor(err), err.Error())
+		daemon.Error(w, statusFor(err), err.Error())
 		return
 	}
 	req, _ := s.Get(r.PathValue("id"))
-	writeJSON(w, http.StatusOK, req)
+	daemon.WriteJSON(w, http.StatusOK, req)
 }
 
 // statusFor maps a ledger error to its HTTP status: an unknown request is

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"daspos/internal/daemon"
 	"daspos/internal/resilience"
 )
 
@@ -36,7 +37,7 @@ func TestClientClassifiesResponses(t *testing.T) {
 				if tc.retryAfter != "" {
 					w.Header().Set("Retry-After", tc.retryAfter)
 				}
-				httpError(w, tc.status, "nope")
+				daemon.Error(w, tc.status, "nope")
 			}))
 			defer srv.Close()
 			c := &Client{BaseURL: srv.URL}
@@ -71,10 +72,10 @@ func TestClientRetryHonorsRetryAfter(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) <= 2 {
 			w.Header().Set("Retry-After", "3")
-			httpError(w, http.StatusTooManyRequests, "shed")
+			daemon.Error(w, http.StatusTooManyRequests, "shed")
 			return
 		}
-		writeJSON(w, http.StatusOK, &Request{ID: "r-1", Status: StatusDone})
+		daemon.WriteJSON(w, http.StatusOK, &Request{ID: "r-1", Status: StatusDone})
 	}))
 	defer srv.Close()
 
@@ -116,7 +117,7 @@ func TestClientRetryStopsOnPermanent(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		httpError(w, http.StatusBadRequest, "unknown analysis")
+		daemon.Error(w, http.StatusBadRequest, "unknown analysis")
 	}))
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL, Retry: resilience.Policy{MaxAttempts: 5,
@@ -135,7 +136,7 @@ func TestClientSendsBudgetHeader(t *testing.T) {
 	var header atomic.Value
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		header.Store(r.Header.Get(BudgetHeader))
-		writeJSON(w, http.StatusOK, &Request{ID: "r-1"})
+		daemon.WriteJSON(w, http.StatusOK, &Request{ID: "r-1"})
 	}))
 	defer srv.Close()
 

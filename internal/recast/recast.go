@@ -27,6 +27,7 @@ import (
 	"sync"
 
 	"daspos/internal/conditions"
+	"daspos/internal/datamodel"
 	"daspos/internal/detector"
 	"daspos/internal/eventflow"
 	"daspos/internal/generator"
@@ -648,7 +649,9 @@ func (b *FullSimBackend) ConfigDigest() string {
 // an int. The split sits at the RAW hand-off rather than nowhere because a
 // request alone on the machine still wants its two halves on two cores. No
 // stage holds more than its batches in flight, so a request's memory does
-// not grow with its event count.
+// not grow with its event count. Reconstruction builds only what the record
+// reads (reconstructorFor): a selection over muons alone never sees a
+// calorimeter cell, so its events skip the half of the chain that reads them.
 func (b *FullSimBackend) Process(ctx context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -683,10 +686,10 @@ func (b *FullSimBackend) Process(ctx context.Context, model ModelSpec, record *l
 		err   error
 	}
 	depthS := eventflow.MapWorkers(rawS, "reconstruct+select", workers, func(int) func(*rawdata.Event) (verdict, bool, error) {
-		rec := reco.NewWithConfig(b.Det, reco.DefaultConfig())
 		selection := record.NewEvaluator()
+		reconstruct := reconstructorFor(reco.NewWithConfig(b.Det, reco.DefaultConfig()), selection)
 		return func(raw *rawdata.Event) (verdict, bool, error) {
-			ev, err := rec.Reconstruct(raw, snap)
+			ev, err := reconstruct(raw, snap)
 			if err != nil {
 				return verdict{}, false, err
 			}
@@ -713,6 +716,17 @@ func (b *FullSimBackend) Process(ctx context.Context, model ModelSpec, record *l
 		return nil, fmt.Errorf("recast: fullsim chain: %w", err)
 	}
 	return NewResult("fullsim", record, flow, model, b.LuminosityPb), nil
+}
+
+// reconstructorFor returns the part of rec's chain the selection reads: its
+// tracker-and-muon half alone for a record that reads only muons, which
+// then also skips the vertex fit, the calorimeters and the missing momentum;
+// the full chain for any other. The record alone decides.
+func reconstructorFor(rec *reco.Reconstructor, selection *leshouches.Evaluator) func(*rawdata.Event, reco.Source) (*datamodel.Event, error) {
+	if selection.ReadsOnlyMuons() {
+		return rec.ReconstructMuons
+	}
+	return rec.Reconstruct
 }
 
 // ScanPoint is one row of a parameter scan.

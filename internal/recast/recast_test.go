@@ -391,14 +391,24 @@ func BenchmarkFullSimRequest(b *testing.B) {
 // BenchmarkFullSimProcess is one back-end run of the size the end-to-end
 // benchmark submits (200 events), with nothing around it: no service, no
 // journal. Run it with -cpu 2, the least the stage layout is meant for.
+// muons runs the benchmark's own record, which reads muons alone and so
+// takes the tracker-and-muon half of reconstruction; calorimeter runs one
+// that reads the missing momentum and jets, and so the full chain.
 func BenchmarkFullSimProcess(b *testing.B) {
-	backend, record := newFullSimBackend(b), highMassSearch()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		model := ModelSpec{Process: "zprime", MassGeV: 1000, Events: 200, Seed: uint64(i % 16)}
-		if _, err := backend.Process(context.Background(), model, record); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name   string
+		record *leshouches.AnalysisRecord
+	}{{"muons", highMassSearch()}, {"calorimeter", wMuNuSearch()}} {
+		b.Run(c.name, func(b *testing.B) {
+			backend := newFullSimBackend(b)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				model := ModelSpec{Process: "zprime", MassGeV: 1000, Events: 200, Seed: uint64(i % 16)}
+				if _, err := backend.Process(context.Background(), model, c.record); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

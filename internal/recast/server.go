@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"daspos/internal/daemon"
 	"daspos/internal/leshouches"
 	"daspos/internal/resilience"
 )
@@ -429,17 +430,17 @@ func shedResponse(w http.ResponseWriter, e *admissionError) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	httpError(w, e.status, e.msg)
+	daemon.Error(w, e.status, e.msg)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var body submitBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed request body: "+err.Error())
+		daemon.Error(w, http.StatusBadRequest, "malformed request body: "+err.Error())
 		return
 	}
 	if body.Requester == "" {
-		httpError(w, http.StatusBadRequest, "request needs a requester (tenant)")
+		daemon.Error(w, http.StatusBadRequest, "request needs a requester (tenant)")
 		return
 	}
 
@@ -449,11 +450,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if h := r.Header.Get(BudgetHeader); h != "" {
 		var err error
 		if budget, err = resilience.DecodeBudget(h); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			daemon.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		if budget == 0 {
-			httpError(w, http.StatusBadRequest, "deadline budget already expired")
+			daemon.Error(w, http.StatusBadRequest, "deadline budget already expired")
 			return
 		}
 	}
@@ -479,7 +480,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrJournal) {
 			code = http.StatusInternalServerError
 		}
-		httpError(w, code, err.Error())
+		daemon.Error(w, code, err.Error())
 		return
 	}
 	s.mu.Lock()
@@ -492,15 +493,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.cfg.AutoApprove {
 		// Closed-system mode: the request waits for the experiment, its
 		// deadline with it; acceptance happens at approval.
-		writeJSON(w, http.StatusCreated, req)
+		daemon.WriteJSON(w, http.StatusCreated, req)
 		return
 	}
 	out, err := s.accept(req.ID)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		daemon.Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, out)
+	daemon.WriteJSON(w, http.StatusAccepted, out)
 }
 
 // accept approves a submitted request and makes it owed work in one
@@ -530,10 +531,10 @@ func (s *Server) accept(id string) (*Request, error) {
 func (s *Server) handleApprove(w http.ResponseWriter, r *http.Request) {
 	out, err := s.accept(r.PathValue("id"))
 	if err != nil {
-		httpError(w, statusFor(err), err.Error())
+		daemon.Error(w, statusFor(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	daemon.WriteJSON(w, http.StatusOK, out)
 }
 
 // ServerStatus is the GET /status document: the degradation flag first,
@@ -581,7 +582,7 @@ func (s *Server) Status() ServerStatus {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Status())
+	daemon.WriteJSON(w, http.StatusOK, s.Status())
 }
 
 // GatedBackend wraps a back end behind a circuit breaker. Transient and

@@ -6,8 +6,10 @@
 // (electrons, muons, particle jets)".
 //
 // The chain is: unpack raw banks → find tracks (seeded helix following) →
-// find vertices → cluster calorimeter cells → build candidates → compute
-// missing transverse momentum. Reconstruction is the only workflow step
+// build muons → find vertices → cluster calorimeter cells → build
+// electrons, photons and jets → compute missing transverse momentum. The
+// first half, up to the muons, reads nothing the rest makes, so it also
+// runs alone (ReconstructMuons). Reconstruction is the only workflow step
 // with dense external dependencies: every call resolves calibration and
 // alignment payloads through a conditions source, and the set of folders
 // it touched is reported so the workflow engine can enumerate dependencies
@@ -199,14 +201,14 @@ func (r *Reconstructor) TouchedFolders() []string {
 // Folders returns the conditions folders every Reconstruct call resolves,
 // in access order — the static form of the dependency census, used by
 // streaming steps that never hold a single Reconstructor to interrogate.
-func Folders() []string {
-	return []string{
-		conditions.FolderECalScale,
-		conditions.FolderHCalScale,
-		conditions.FolderTrackerAlign,
-		conditions.FolderBeamspot,
-		conditions.FolderMuonAlign,
-	}
+func Folders() []string { return slices.Clone(folders[:]) }
+
+var folders = [...]string{
+	conditions.FolderECalScale,
+	conditions.FolderHCalScale,
+	conditions.FolderTrackerAlign,
+	conditions.FolderBeamspot,
+	conditions.FolderMuonAlign,
 }
 
 // ParallelStage returns a per-worker stage factory for the event-flow
@@ -259,39 +261,62 @@ type cell struct {
 	used                    bool
 }
 
-// Reconstruct runs the full chain on one raw event.
+// Reconstruct runs the full chain on one raw event: the tracker-and-muon
+// half, the vertex fit, then the calorimeter half, which builds electrons,
+// photons and jets from what the muons leave and the missing momentum from
+// every cell and the muons.
 func (r *Reconstructor) Reconstruct(raw *rawdata.Event, cond Source) (*datamodel.Event, error) {
-	r.touched = r.touched[:0]
-	ecalScale, err := r.payload(cond, conditions.FolderECalScale)
+	out, scales, err := r.trackerAndMuons(raw, cond)
 	if err != nil {
 		return nil, err
 	}
-	hcalScale, err := r.payload(cond, conditions.FolderHCalScale)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := r.payload(cond, conditions.FolderTrackerAlign); err != nil {
-		return nil, err
-	}
-	if _, err := r.payload(cond, conditions.FolderBeamspot); err != nil {
-		return nil, err
-	}
-	if _, err := r.payload(cond, conditions.FolderMuonAlign); err != nil {
-		return nil, err
-	}
-
-	out := &datamodel.Event{Run: raw.Run, Number: raw.Number, Tier: datamodel.TierRECO}
-
-	trackerHits := r.unpackHits(&r.scrTrackerHits, raw.Bank(rawdata.PartTracker))
-	muonHits := r.unpackHits(&r.scrMuonHits, raw.Bank(rawdata.PartMuon))
-	cells := r.unpackCells(raw, ecalScale["scale"], hcalScale["scale"])
-
-	out.Tracks = r.findTracks(trackerHits)
 	out.Vertices = r.findVertices(out.Tracks)
+	cells := r.unpackCells(raw, scales[0], scales[1])
 	out.Clusters = r.cluster(cells)
-	r.buildCandidates(out, muonHits)
+	r.buildCaloCandidates(out)
+	out.Candidates = cloneOrNil(r.scrCandidates)
 	r.computeMET(out, cells)
 	return out, nil
+}
+
+// ReconstructMuons runs the tracker-and-muon half of the chain alone. Muons
+// are built from tracks and muon-system hits and read nothing the
+// calorimeters make, so the event holds exactly the tracks and the muon
+// candidates Reconstruct gives the same raw event — every field, in the same
+// order, since Reconstruct builds its muons first — and nothing else: no
+// vertices, clusters, other candidates or missing momentum. It resolves the
+// conditions folders Reconstruct does, and fails as it would.
+func (r *Reconstructor) ReconstructMuons(raw *rawdata.Event, cond Source) (*datamodel.Event, error) {
+	out, _, err := r.trackerAndMuons(raw, cond)
+	if err != nil {
+		return nil, err
+	}
+	out.Candidates = cloneOrNil(r.scrCandidates)
+	return out, nil
+}
+
+// trackerAndMuons resolves every folder, finds the tracks and builds the
+// muons, which it leaves in r.scrCandidates with their tracks marked in
+// r.scrUsedTrack and the track kinematics in r.trackKin. It returns the
+// calorimeter scales, ECal's first, for the other half.
+func (r *Reconstructor) trackerAndMuons(raw *rawdata.Event, cond Source) (*datamodel.Event, [2]float64, error) {
+	r.touched = r.touched[:0]
+	var scales [2]float64
+	for i, folder := range folders {
+		p, err := r.payload(cond, folder)
+		if err != nil {
+			return nil, scales, err
+		}
+		if i < len(scales) { // folders lists the calorimeter scales first
+			scales[i] = p["scale"]
+		}
+	}
+	out := &datamodel.Event{Run: raw.Run, Number: raw.Number, Tier: datamodel.TierRECO}
+	trackerHits := r.unpackHits(&r.scrTrackerHits, raw.Bank(rawdata.PartTracker))
+	muonHits := r.unpackHits(&r.scrMuonHits, raw.Bank(rawdata.PartMuon))
+	out.Tracks = r.findTracks(trackerHits)
+	r.buildMuons(out.Tracks, muonHits)
+	return out, scales, nil
 }
 
 func (r *Reconstructor) payload(cond Source, folder string) (conditions.Payload, error) {
@@ -748,9 +773,11 @@ func (r *Reconstructor) cluster(cells []cell) []datamodel.Cluster {
 	return cloneOrNil(clusters)
 }
 
-// buildCandidates refines tracks and clusters into candidate physics
-// objects: muons (track + muon-system match), electrons (track + EM
-// cluster with E/p near 1), photons (unmatched EM cluster), and cone jets.
+// Candidate building refines tracks and clusters into candidate physics
+// objects, in two halves. buildMuons makes muons (track + muon-system
+// match) into a fresh candidate list; buildCaloCandidates appends
+// electrons (track + EM cluster with E/p near 1, from the tracks no muon
+// took), photons (unmatched EM cluster), and cone jets (the clusters left).
 //
 // The pair loops here — isolation cones, track-cluster matching, jet
 // cones — run on columnar kinematics: the track momenta and cluster
@@ -759,31 +786,21 @@ func (r *Reconstructor) cluster(cells []cell) []datamodel.Cluster {
 // recomputing four transcendentals per pair. The slab columns are
 // produced by exactly the Vec methods the scalar loops called, so every
 // cone decision (and therefore every output bit) is unchanged.
-func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
-	usedTrack := growBools(&r.scrUsedTrack, len(out.Tracks))
-	usedCluster := growBools(&r.scrUsedCluster, len(out.Clusters))
+
+// buildMuons extrapolates each track's helix to the chamber radius and
+// demands a hit near the predicted crossing.
+func (r *Reconstructor) buildMuons(tracks []datamodel.Track, muonHits []hit) {
+	usedTrack := growBools(&r.scrUsedTrack, len(tracks))
 	cands := r.scrCandidates[:0]
 
 	tk := &r.trackKin
 	tk.Reset()
-	for i := range out.Tracks {
-		tk.Append(out.Tracks[i].P)
+	for i := range tracks {
+		tk.Append(tracks[i].P)
 	}
 	tk.Derive()
 
-	// Cluster vectors, shared by the electron/photon matching and the jet
-	// cones: both sections previously rebuilt PtEtaPhiE per pair visit.
-	ck := &r.clusterKin
-	ck.Reset()
-	for i := range out.Clusters {
-		c := &out.Clusters[i]
-		ck.Append(fourvec.PtEtaPhiE(c.E/math.Cosh(c.Eta), c.Eta, c.Phi, c.E))
-	}
-	ck.Derive()
-
-	// Muons: extrapolate each track's helix to the chamber radius and
-	// demand a hit near the predicted crossing.
-	for ti, t := range out.Tracks {
+	for ti, t := range tracks {
 		if tk.Pt(ti) < 3 {
 			continue
 		}
@@ -813,6 +830,25 @@ func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 			Isolation: r.trackIsolation(tk, ti),
 		})
 	}
+	r.scrCandidates = cands
+}
+
+// buildCaloCandidates appends electrons, photons and jets to the muons
+// buildMuons left, reading its track marks and kinematics.
+func (r *Reconstructor) buildCaloCandidates(out *datamodel.Event) {
+	usedTrack, tk := r.scrUsedTrack, &r.trackKin
+	usedCluster := growBools(&r.scrUsedCluster, len(out.Clusters))
+	cands := r.scrCandidates
+
+	// Cluster vectors, shared by the electron/photon matching and the jet
+	// cones: both sections previously rebuilt PtEtaPhiE per pair visit.
+	ck := &r.clusterKin
+	ck.Reset()
+	for i := range out.Clusters {
+		c := &out.Clusters[i]
+		ck.Append(fourvec.PtEtaPhiE(c.E/math.Cosh(c.Eta), c.Eta, c.Phi, c.E))
+	}
+	ck.Derive()
 
 	// Electrons and photons from EM clusters.
 	for ci, c := range out.Clusters {
@@ -888,7 +924,6 @@ func (r *Reconstructor) buildCandidates(out *datamodel.Event, muonHits []hit) {
 		}
 	}
 	r.scrCandidates = cands
-	out.Candidates = cloneOrNil(cands)
 }
 
 // computeMET sums the calibrated calorimeter cells and corrects for muons,

@@ -1,6 +1,7 @@
 package reco
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -493,6 +494,86 @@ func TestWarmReconstructorMatchesFresh(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("raw event %d (number %d): the warm reconstructor's output differs from a fresh one's:\n warm  %+v\n fresh %+v",
 				i, raw.Number, got, want)
+		}
+	}
+}
+
+// missingFolder is a conditions source that has published everything but
+// one folder.
+type missingFolder struct {
+	Source
+	folder string
+}
+
+func (m missingFolder) Lookup(folder string) (conditions.Payload, error) {
+	if folder == m.folder {
+		return nil, fmt.Errorf("no payload in %s", folder)
+	}
+	return m.Source.Lookup(folder)
+}
+
+// TestMuonHalfMatchesFullChain: ReconstructMuons returns the tracks and the
+// muons of the full chain's event — the muons being the first candidates
+// Reconstruct lists, every field equal — and nothing else, on one warm
+// reconstructor that alternates the two over dimuons, W decays (half of
+// them to electrons), busy pile-up dijets and empty events. Both resolve
+// the same folders and fail alike when one is missing.
+func TestMuonHalfMatchesFullChain(t *testing.T) {
+	c := newChain(t, 5)
+	busyCfg := generator.DefaultConfig(5)
+	busyCfg.PileupMu = 25
+	gens := []generator.Generator{
+		generator.NewZPrime(generator.DefaultConfig(6), 1200),
+		generator.NewWLepNu(generator.DefaultConfig(7)),
+		generator.NewQCDDijet(busyCfg),
+	}
+	var raws []*rawdata.Event
+	for i := 0; i < 8; i++ {
+		for _, g := range gens {
+			raws = append(raws, rawdata.Digitize(1, c.full.SimulateSeeded(g.Generate())))
+		}
+	}
+	raws = append(raws, rawdata.Digitize(1, &sim.Event{Number: 100}), &rawdata.Event{Run: 1, Number: 200})
+	muons, others := 0, 0
+	for i, raw := range raws {
+		half, err := c.rec.ReconstructMuons(raw, c.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.rec.TouchedFolders(); !reflect.DeepEqual(got, Folders()) {
+			t.Fatalf("event %d: the muon half touched %q, want %q", i, got, Folders())
+		}
+		full, err := c.rec.Reconstruct(raw, c.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(half.Candidates)
+		want := &datamodel.Event{Run: full.Run, Number: full.Number, Tier: full.Tier, Tracks: full.Tracks,
+			Candidates: full.Candidates[:n:n]}
+		if n == 0 {
+			want.Candidates = nil
+		}
+		if !reflect.DeepEqual(half, want) {
+			t.Fatalf("event %d: the muon half gives\n %+v\nthe full chain's tracks and first %d candidates are\n %+v", i, half, n, want)
+		}
+		for _, cand := range full.Candidates[n:] {
+			if cand.Type == datamodel.ObjMuon {
+				t.Fatalf("event %d: the full chain lists a muon the muon half does not: %+v", i, cand)
+			}
+			others++
+		}
+		muons += n
+	}
+	t.Logf("%d events: %d muons, %d other candidates", len(raws), muons, others)
+	if muons < 8 || others < 8 {
+		t.Fatalf("the sample holds %d muons and %d other candidates: too few to compare", muons, others)
+	}
+	for _, folder := range Folders() {
+		cond := missingFolder{c.cond, folder}
+		_, fullErr := c.rec.Reconstruct(raws[0], cond)
+		_, halfErr := c.rec.ReconstructMuons(raws[0], cond)
+		if fullErr == nil || halfErr == nil || fullErr.Error() != halfErr.Error() {
+			t.Fatalf("without %s: Reconstruct fails with %v, ReconstructMuons with %v", folder, fullErr, halfErr)
 		}
 	}
 }

@@ -338,7 +338,6 @@ func (s *FullSim) addNoise(rng *xrand.Rand, out *Event) {
 			iphi := rng.Intn(l.NPhi)
 			iz := rng.Intn(l.NZ)
 			id := detector.MakeChannelID(li, iphi, iz)
-			phi, z := l.CellCenter(iphi, iz)
 			switch l.Kind {
 			case detector.KindECal, detector.KindHCal:
 				out.Deposits = append(out.Deposits, CaloDeposit{
@@ -347,8 +346,10 @@ func (s *FullSim) addNoise(rng *xrand.Rand, out *Event) {
 					EM:      l.Kind == detector.KindECal,
 				})
 			case detector.KindMuon:
+				phi, z := l.CellCenter(iphi, iz)
 				out.MuonHits = append(out.MuonHits, Hit{Channel: id, Phi: phi, Z: z})
 			default:
+				phi, z := l.CellCenter(iphi, iz)
 				out.TrackerHits = append(out.TrackerHits, Hit{Channel: id, Phi: phi, Z: z})
 			}
 		}
