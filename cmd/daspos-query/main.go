@@ -10,9 +10,9 @@
 // serve starts the HTTP query front end with a deterministic demo corpus
 // published (use -records 0 for an empty server and POST your own):
 // GET /records?q=... searches the inverted index, GET /records/{id} serves
-// cached record bodies with strong ETags, /export streams result sets
-// without buffering them, and GET /status reports index and cache
-// counters. SIGINT/SIGTERM drain in-flight requests before exit. demo runs
+// cached record bodies with strong ETags, GET /records/{id}/export streams
+// one record as JSON, CSV or YAML, and GET /status reports index and
+// cache counters. SIGINT/SIGTERM drain in-flight requests before exit. demo runs
 // a seeded mix of 2,000 reads against an in-process server and prints the
 // stage report — cache hits, misses, coalesced fills, 304s.
 package main

@@ -111,9 +111,8 @@ func newService(backendName string) *recast.Service {
 	}
 	svc := recast.NewService(backend)
 	if err := svc.Subscribe(recast.Subscription{
-		Name:        "GPD_2013_DIMUON_HIGHMASS",
-		Description: "High-mass opposite-sign dimuon search, 20/fb",
-		Record:      highMassSearch(),
+		Name:   "GPD_2013_DIMUON_HIGHMASS",
+		Record: highMassSearch(),
 	}); err != nil {
 		log.Fatal(err)
 	}

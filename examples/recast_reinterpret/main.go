@@ -63,7 +63,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(journalDir)
-	front, err := recast.NewServer(context.Background(), fullSvc, recast.ServerConfig{JournalDir: journalDir})
+	ctx := context.Background()
+	front, err := recast.NewServer(ctx, fullSvc, recast.ServerConfig{JournalDir: journalDir})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,19 +75,19 @@ func main() {
 
 	theorist := &recast.Client{BaseURL: srv.URL}
 	experiment := &recast.Client{BaseURL: srv.URL, Experiment: true}
-	req, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "Z' coupling scan", model)
+	req, err := theorist.SubmitCtx(ctx, "GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "Z' coupling scan", model)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("submitted %s; awaiting experiment approval...\n", req.ID)
-	if err := experiment.Approve(req.ID); err != nil {
+	if err := experiment.ApproveCtx(ctx, req.ID); err != nil {
 		log.Fatal(err)
 	}
 	t0 := time.Now()
-	done, err := theorist.Get(req.ID)
+	done, err := theorist.GetCtx(ctx, req.ID)
 	for err == nil && done.Status == recast.StatusApproved {
 		time.Sleep(5 * time.Millisecond)
-		done, err = theorist.Get(req.ID)
+		done, err = theorist.GetCtx(ctx, req.ID)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -133,7 +134,7 @@ func main() {
 
 func mustSubscribe(svc *recast.Service, record *leshouches.AnalysisRecord) {
 	if err := svc.Subscribe(recast.Subscription{
-		Name: record.Name, Description: record.Description, Record: record,
+		Name: record.Name, Record: record,
 	}); err != nil {
 		log.Fatal(err)
 	}

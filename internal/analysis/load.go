@@ -28,7 +28,6 @@ type listPackage struct {
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
@@ -81,7 +80,7 @@ func Load(dir string, patterns ...string) (*token.FileSet, []*Package, error) {
 func goList(dir string, patterns []string) ([]*listPackage, map[string]string, error) {
 	args := []string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)

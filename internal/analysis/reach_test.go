@@ -3,9 +3,11 @@ package analysis
 // The reachability gate: nothing under internal/ is kept that no binary
 // needs. Every exported package-level func, type and method under internal/
 // must be reached from a main under cmd/, examples/ or bench/cmd/; every
-// struct field declared there must be read by code those mains reach; and
+// struct field declared there must be read by code those mains reach;
 // every flag a main defines must be set somewhere a person or a script sets
-// it. What fails is deleted, not kept "in case", or it is listed in
+// it; and every route, query parameter and header the daemons under
+// internal/ serve must be used by the same rule (wire_test.go). What fails
+// is deleted, not kept "in case", or it is listed in
 // testdata/reach-keep.txt with one of three admissible reasons. A
 // long-lived code base pays for every line it maintains, and the lines no
 // binary executes are the ones no e2e, benchmark or chaos suite ever checks.
@@ -45,7 +47,10 @@ package analysis
 //     html/template, or of fmt or log — except below a type fmt prints
 //     through its own Error, String or Format method. A value of interface
 //     or type-parameter type is followed to the callers that supply it,
-//     through the parameters and type parameters it arrived by;
+//     through the parameters and type parameters it arrived by. Two sinks
+//     read nothing here: json.Unmarshal and Decoder.Decode write every
+//     field, and a field a handler's response encodes, if no other sink
+//     reads it, travels only on the wire, where wire_test.go decides it;
 //   - so is every field of a struct compared with == or !=, used as a map
 //     key, or converted to another struct type.
 //
@@ -112,6 +117,7 @@ const (
 	reflects sinkMode = 1 << iota // every field, through reflection
 	prints                        // fmt's rules: a value with Error, String or Format prints through it
 	compares                      // == and map hashing: the fields held by value
+	decodes                       // json.Unmarshal and Decoder.Decode: every field is written, none read
 )
 
 // reflective are the standard-library packages whose `any` parameters read
@@ -194,17 +200,25 @@ const (
 	declItem itemKind = iota
 	fieldItem
 	flagItem
+	routeItem
+	paramItem
+	headerItem
+	wireFieldItem // a field of a type only a handler's response encodes (wire_test.go)
 )
 
-// item is one thing the gate decides: an exported declaration, a field or
-// a flag.
+// itemKinds names each kind for the counts, in itemKind order.
+var itemKinds = []string{"exported declarations", "fields", "flags", "routes", "parameters", "headers", "wire-only fields"}
+
+// item is one thing the gate decides: an exported declaration, a field, a
+// flag, or a piece of the HTTP surface.
 type item struct {
 	kind   itemKind
 	name   string // as the keep-list spells it
 	pos    token.Position
-	tagged bool   // a field with a struct tag
-	flag   string // a flag's name
-	recv   string // a method's receiver type key
+	tagged bool      // a field with a struct tag
+	flag   string    // a flag's name; a parameter's or header's name
+	recv   string    // a method's receiver type key
+	wire   *wireSite // a route, parameter or header: where it is served
 }
 
 // declSyntax is one piece of a declaration's syntax and its package.
@@ -231,6 +245,9 @@ type reachGraph struct {
 	sinks      map[string]map[int]sinkMode // function key → parameter → how its values are read
 	tsinks     map[string]map[int]sinkMode // generic declaration key → type parameter → ditto
 	unnamed    map[string]string           // position key of a field of an unnamed struct type → its key
+	routes     []*wireRoute                // the mux registrations under internal/ (wire_test.go)
+	wireUses   []wireRequest               // requests made by doc lines and by tests (wire_test.go)
+	sent, read map[string][]string         // header → the directories of the tests (or "" for docs) that send it, read it
 }
 
 // fieldKey names a struct field by where it is declared, or by its struct
@@ -274,6 +291,8 @@ func buildReachGraph(l loaded) *reachGraph {
 		sinks:      make(map[string]map[int]sinkMode),
 		tsinks:     make(map[string]map[int]sinkMode),
 		unnamed:    make(map[string]string),
+		sent:       make(map[string][]string),
+		read:       make(map[string][]string),
 	}
 	g.addInterface("error", types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	g.addAnonymousStdlib()
@@ -368,6 +387,7 @@ func buildReachGraph(l loaded) *reachGraph {
 		}
 	}
 	g.solveSinks()
+	g.collectRoutes(l)
 	return g
 }
 
@@ -641,6 +661,9 @@ func (g *reachGraph) sunkArgs(info *types.Info, call *ast.CallExpr) []sunk {
 	}
 	sig := fn.Type().(*types.Signature)
 	mode, std := reflective[fn.Pkg().Path()]
+	if fn.Pkg().Path() == "encoding/json" && (fn.Name() == "Unmarshal" || fn.Name() == "Decode") {
+		mode = decodes
+	}
 	params := g.sinks[objKey(fn)]
 	if !std && params == nil {
 		return nil
@@ -771,104 +794,156 @@ func opaque(t types.Type) bool {
 	return t != nil && types.IsInterface(t)
 }
 
-// fieldReads returns the keys of the fields the reached declarations read;
-// the file header says what counts as a read.
-func (g *reachGraph) fieldReads(reached map[string]bool) map[string]bool {
-	reads := make(map[string]bool)
-	seen := make(map[string]bool)
-	var readAll func(t types.Type, mode sinkMode)
-	readAll = func(t types.Type, mode sinkMode) {
-		if t == nil {
-			return
+// fieldUse is what the reached declarations do with fields; the file
+// header says what counts as a read.
+type fieldUse struct {
+	named   map[string]bool         // read by name
+	sunk    map[string]bool         // read by a sink outside a handler, compared, hashed or converted
+	served  map[string]*servedField // encoded into a response
+	decoded map[string][]jsonField  // declaration → the fields of what it decodes from JSON
+}
+
+// jsonField is a field by key and by its JSON member.
+type jsonField struct{ key, member string }
+
+// servedField is a field a handler's response encodes.
+type servedField struct {
+	member   string
+	handlers map[string]bool
+}
+
+func (u *fieldUse) read(key string) bool { return u.named[key] || u.sunk[key] }
+
+// walkFields calls visit on every field a sink of the given mode reads in
+// a value of type t; seen holds the types already walked.
+func (g *reachGraph) walkFields(t types.Type, mode sinkMode, seen map[string]bool, visit func(v *types.Var, tag string)) {
+	if t == nil {
+		return
+	}
+	k := fmt.Sprintf("%d %s", mode, types.TypeString(t, nil))
+	if seen[k] {
+		return
+	}
+	seen[k] = true
+	if mode == prints && printsItself(t) {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Pointer:
+		if mode != compares {
+			g.walkFields(u.Elem(), mode, seen, visit)
 		}
-		k := fmt.Sprintf("%d %s", mode, types.TypeString(t, nil))
-		if seen[k] {
-			return
+	case *types.Slice:
+		if mode != compares {
+			g.walkFields(u.Elem(), mode, seen, visit)
 		}
-		seen[k] = true
-		if mode == prints && printsItself(t) {
-			return
+	case *types.Map:
+		if mode != compares {
+			g.walkFields(u.Key(), mode, seen, visit)
+			g.walkFields(u.Elem(), mode, seen, visit)
 		}
-		switch u := t.Underlying().(type) {
-		case *types.Pointer:
-			if mode != compares {
-				readAll(u.Elem(), mode)
-			}
-		case *types.Slice:
-			if mode != compares {
-				readAll(u.Elem(), mode)
-			}
-		case *types.Map:
-			if mode != compares {
-				readAll(u.Key(), mode)
-				readAll(u.Elem(), mode)
-			}
-		case *types.Array:
-			readAll(u.Elem(), mode)
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				reads[g.fieldKey(u.Field(i))] = true
-				readAll(u.Field(i).Type(), mode)
-			}
+	case *types.Array:
+		g.walkFields(u.Elem(), mode, seen, visit)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			visit(u.Field(i), u.Tag(i))
+			g.walkFields(u.Field(i).Type(), mode, seen, visit)
 		}
 	}
+}
+
+// fieldReads returns what the reached declarations do with fields. A sink
+// in a handler (a function declaration with an http.ResponseWriter
+// parameter) that reads through reflection serves what it reads: those
+// fields are recorded against the handler, not read.
+func (g *reachGraph) fieldReads(reached map[string]bool) *fieldUse {
+	u := &fieldUse{
+		named:   make(map[string]bool),
+		sunk:    make(map[string]bool),
+		served:  make(map[string]*servedField),
+		decoded: make(map[string][]jsonField),
+	}
+	seen := make(map[string]bool)
+	sunk := func(v *types.Var, _ string) { u.sunk[g.fieldKey(v)] = true }
 	for key := range reached {
 		for _, s := range g.syntax[key] {
 			info := s.pkg.Info
+			fd, _ := s.node.(*ast.FuncDecl)
+			handler := fd != nil && servesHTTP(info, fd.Type)
+			local := make(map[string]bool) // what this declaration serves and decodes
+			sink := func(t types.Type, mode sinkMode) {
+				if mode&decodes != 0 {
+					g.walkFields(t, decodes, local, func(v *types.Var, tag string) {
+						u.decoded[key] = append(u.decoded[key], jsonField{g.fieldKey(v), jsonMember(v, tag)})
+					})
+				}
+				switch mode &^= decodes; {
+				case mode == reflects && handler:
+					g.walkFields(t, mode, local, func(v *types.Var, tag string) {
+						f := g.fieldKey(v)
+						if u.served[f] == nil {
+							u.served[f] = &servedField{jsonMember(v, tag), make(map[string]bool)}
+						}
+						u.served[f].handlers[key] = true
+					})
+				case mode != 0:
+					g.walkFields(t, mode, seen, sunk)
+				}
+			}
 			writes := writeTargets(s.node)
 			ast.Inspect(s.node, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
 					if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() && !writes[n] {
-						reads[g.fieldKey(v)] = true
+						u.named[g.fieldKey(v)] = true
 					}
 					if inst, ok := info.Instances[n]; ok {
 						for i, mode := range g.tsinks[objKey(info.Uses[n])] {
 							if i < inst.TypeArgs.Len() {
-								readAll(inst.TypeArgs.At(i), mode)
+								sink(inst.TypeArgs.At(i), mode)
 							}
 						}
 					}
 				case *ast.BinaryExpr:
 					if n.Op == token.EQL || n.Op == token.NEQ {
-						readAll(info.TypeOf(n.X), compares)
-						readAll(info.TypeOf(n.Y), compares)
+						g.walkFields(info.TypeOf(n.X), compares, seen, sunk)
+						g.walkFields(info.TypeOf(n.Y), compares, seen, sunk)
 					}
 				case *ast.CompositeLit, *ast.MapType:
 					if t := info.TypeOf(n.(ast.Expr)); t != nil {
 						if m, ok := t.Underlying().(*types.Map); ok {
-							readAll(m.Key(), compares)
+							g.walkFields(m.Key(), compares, seen, sunk)
 						}
 					}
 				case *ast.CallExpr:
 					if tv := info.Types[n.Fun]; tv.IsType() && len(n.Args) == 1 {
 						if _, ok := tv.Type.Underlying().(*types.Struct); ok {
-							readAll(info.TypeOf(n.Args[0]), compares)
+							g.walkFields(info.TypeOf(n.Args[0]), compares, seen, sunk)
 						}
 					}
 					for _, a := range g.sunkArgs(info, n) {
 						// A literal handed over as `any` may hold values whose
 						// static type its own type hides (map[string]any{…}).
-						var sink func(e ast.Expr)
-						sink = func(e ast.Expr) {
-							readAll(info.TypeOf(e), a.mode)
+						var walk func(e ast.Expr)
+						walk = func(e ast.Expr) {
+							sink(info.TypeOf(e), a.mode)
 							if lit, ok := stripAddr(e).(*ast.CompositeLit); ok {
 								for _, el := range lit.Elts {
 									if kv, ok := el.(*ast.KeyValueExpr); ok {
 										el = kv.Value
 									}
-									sink(el)
+									walk(el)
 								}
 							}
 						}
-						sink(a.arg)
+						walk(a.arg)
 					}
 				}
 				return true
 			})
 		}
 	}
-	return reads
+	return u
 }
 
 // printsItself reports whether fmt prints t through a method of its own.
@@ -907,10 +982,10 @@ func writeTargets(n ast.Node) map[*ast.Ident]bool {
 	return w
 }
 
-// flagSettings returns the text in which a flag counts as set: every file
-// under scripts/ and .github/workflows/, bench/run.sh, README.md, and every
-// _test.go file of the module outside testdata/.
-func flagSettings(root string) (string, error) {
+// flagSettings returns the text in which a flag counts as set: the docs
+// (every file under scripts/ and .github/workflows/, bench/run.sh and
+// README.md), and every _test.go file of the module outside testdata/.
+func flagSettings(root string) (docs, tests string, err error) {
 	var b strings.Builder
 	add := func(p string) error {
 		data, err := os.ReadFile(p)
@@ -920,7 +995,7 @@ func flagSettings(root string) (string, error) {
 	}
 	for _, f := range []string{"bench/run.sh", "README.md"} {
 		if err := add(filepath.Join(root, f)); err != nil {
-			return "", err
+			return "", "", err
 		}
 	}
 	for _, dir := range []string{"scripts", ".github/workflows"} {
@@ -931,10 +1006,12 @@ func flagSettings(root string) (string, error) {
 			return add(p)
 		})
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
 	}
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	docs = b.String()
+	b.Reset()
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -946,7 +1023,7 @@ func flagSettings(root string) (string, error) {
 		}
 		return nil
 	})
-	return b.String(), err
+	return docs, b.String(), err
 }
 
 // flagIsSet reports whether the settings text passes the flag by name.
@@ -954,18 +1031,28 @@ func flagIsSet(settings, name string) bool {
 	return regexp.MustCompile("(^|[\\s\"'`(\\[])--?" + regexp.QuoteMeta(name) + "($|[\\s\"'`=)\\]])").MatchString(settings)
 }
 
-// live decides every item against one reached set.
-func (g *reachGraph) live(reached map[string]bool, settings string) map[string]bool {
-	reads := g.fieldReads(reached)
+// live decides every item against one reached set. A field a handler's
+// response encodes and no other sink reads becomes a wire-only field, and
+// the wire pass decides it (wire_test.go).
+func (g *reachGraph) live(reached map[string]bool, docs, tests string) map[string]bool {
+	use := g.fieldReads(reached)
+	wire := g.wireUsed(reached, use, docs)
 	live := make(map[string]bool)
 	for key, it := range g.items {
 		switch it.kind {
 		case declItem:
 			live[key] = reached[key]
-		case fieldItem:
-			live[key] = it.tagged || reads[key]
+		case fieldItem, wireFieldItem:
+			it.kind = fieldItem
+			live[key] = it.tagged || use.read(key)
+			if use.served[key] != nil && !use.sunk[key] {
+				it.kind = wireFieldItem
+				live[key] = wire[key]
+			}
 		case flagItem:
-			live[key] = flagIsSet(settings, it.flag)
+			live[key] = flagIsSet(docs+tests, it.flag)
+		default:
+			live[key] = wire[key]
 		}
 	}
 	return live
@@ -1026,7 +1113,8 @@ func readKeepList(t *testing.T, file string) []*keepEntry {
 // testUsers typechecks every loaded package's _test.go files (in-package
 // tests together with the package, external ones against its export data)
 // and returns, per declaration or field, the directories whose tests name
-// it. Reason (a) is checked against this rather than taken on trust. Type
+// it. Reason (a) is checked against this rather than taken on trust. It
+// records what the tests do on the wire with the graph as it goes. Type
 // errors are ignored: `go vet` owns them, and a test that does not compile
 // names nothing.
 func testUsers(l loaded, g *reachGraph) (map[string]map[string]bool, error) {
@@ -1055,9 +1143,10 @@ func testUsers(l loaded, g *reachGraph) (map[string]map[string]bool, error) {
 			if name == pkg.Files[0].Name.Name {
 				files, path = append(append([]*ast.File(nil), pkg.Files...), tests...), pkg.Path
 			}
-			info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+			info := &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
 			conf := types.Config{Importer: imp, Error: func(error) {}}
 			_, _ = conf.Check(path, l.fset, files, info)
+			g.addTestUses(info, tests, dir)
 			for _, f := range tests {
 				ast.Inspect(f, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
@@ -1081,11 +1170,13 @@ func testUsers(l loaded, g *reachGraph) (map[string]map[string]bool, error) {
 }
 
 // TestInternalExportsAreReached is the gate described at the top of this
-// file. It fails with the position of every exported internal/ declaration
-// no main reaches, every internal/ field no main reads and every flag
-// nothing sets, unless a keep-list entry covers it; with every (a) entry no
-// test outside the declaration's package bears out; and with every
-// keep-list entry that no longer keeps anything.
+// file and of wire_test.go. It fails with the position of every exported
+// internal/ declaration no main reaches, every internal/ field no main
+// reads, every flag nothing sets and every route, parameter, header and
+// wire-only field nothing uses, unless a keep-list entry covers it; with
+// every (a) entry no test outside the declaration's package bears out;
+// with every keep-list entry that no longer keeps anything; and when the
+// surface differs from testdata/wire.golden.
 func TestInternalExportsAreReached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
@@ -1102,14 +1193,15 @@ func TestInternalExportsAreReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	settings, err := flagSettings("../..")
+	docs, tests, err := flagSettings("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.addDocs(docs)
 
 	const keepFile = "testdata/reach-keep.txt"
 	keep := readKeepList(t, keepFile)
-	fromMains := g.live(g.reach(nil), settings)
+	fromMains := g.live(g.reach(nil), docs, tests)
 	var roots []string                     // kept declarations: each runs in some test, so what it calls is kept with it
 	kept := make(map[string]bool)          // what a keep-list entry holds
 	claimed := make(map[string]*keepEntry) // (a) entries by the items they cover
@@ -1140,9 +1232,9 @@ func TestInternalExportsAreReached(t *testing.T) {
 		}
 	}
 
-	final := g.live(g.reach(roots), settings)
+	final := g.live(g.reach(roots), docs, tests)
 	var dead []string
-	var counts [3]struct{ total, live, kept int } // by itemKind
+	counts := make([]struct{ total, live, kept int }, len(itemKinds))
 	for key, it := range g.items {
 		c := &counts[it.kind]
 		c.total++
@@ -1155,9 +1247,12 @@ func TestInternalExportsAreReached(t *testing.T) {
 			dead = append(dead, key)
 		}
 	}
-	for kind, what := range []string{"exported declarations", "fields", "flags"} {
-		c := counts[kind]
-		t.Logf("reach: %-21s %5d total, %5d reached, %3d kept, %3d unreached", what, c.total, c.live, c.kept, c.total-c.live-c.kept)
+	for kind, what := range itemKinds {
+		c, verb := counts[kind], "reached,"
+		if itemKind(kind) >= routeItem {
+			verb = "used,"
+		}
+		t.Logf("reach: %-21s %5d total, %5d %-8s %3d kept, %3d unused", what, c.total, c.live, verb, c.kept, c.total-c.live-c.kept)
 	}
 	t.Logf("reach: %d mains, %d keep-list entries", len(g.mains), len(keep))
 	sort.Slice(dead, func(i, j int) bool {
@@ -1171,7 +1266,20 @@ func TestInternalExportsAreReached(t *testing.T) {
 			t.Errorf("%s:%d: %s is kept by %s:%d (%s) for reason (a), but no test outside its package names it or anything that reaches it: delete it with its tests", pos.Filename, pos.Line, it.name, keepFile, e.line, e.pattern)
 			continue
 		}
+		const uses = "no client a main reaches, no curl line of scripts/, .github/workflows/, bench/run.sh or README.md and no test outside its package"
 		switch it.kind {
+		case routeItem:
+			t.Errorf("%s:%d: route %s: %s requests it: delete it with its handler", pos.Filename, pos.Line, it.name, uses)
+		case paramItem:
+			t.Errorf("%s:%d: query parameter %q (%s): no request to %s carries it: delete the read", pos.Filename, pos.Line, it.flag, it.name, routeNames(it.wire.routes))
+		case headerItem:
+			if it.wire.resp {
+				t.Errorf("%s:%d: response header %s (%s): %s reads it, and no doc line names it: stop setting it", pos.Filename, pos.Line, it.flag, it.name, uses)
+			} else {
+				t.Errorf("%s:%d: request header %s (%s): %s sets it: delete the read", pos.Filename, pos.Line, it.flag, it.name, uses)
+			}
+		case wireFieldItem:
+			t.Errorf("%s:%d: field %s travels only on the wire, and no code a main reaches names it, no client of its route decodes its JSON member by name and no doc line requests its route: delete it, or list it in %s", pos.Filename, pos.Line, it.name, keepFile)
 		case fieldItem:
 			t.Errorf("%s:%d: field %s is never read by code a main reaches (a plain = or a composite-literal key only writes it): delete it, keeping any random draw that filled it, or list it in %s", pos.Filename, pos.Line, it.name, keepFile)
 		case flagItem:
@@ -1184,6 +1292,8 @@ func TestInternalExportsAreReached(t *testing.T) {
 			t.Errorf("%s:%d: %s is exported but no main under cmd/, examples/ or bench/cmd/ reaches it%s: delete it with its tests, or list it in %s", pos.Filename, pos.Line, it.name, hint, keepFile)
 		}
 	}
+
+	g.checkWireGolden(t)
 
 	// The fault injectors are test support: no binary links them.
 	for p := range g.linked() {

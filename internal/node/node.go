@@ -16,13 +16,12 @@
 // nothing travels beside it: each end counts a blob's logical size with
 // its own check of the body.
 //
-//	GET    /v1/health          → 200 {"id":..,"blobs":N}
 //	GET    /v1/digests         → 200 sorted JSON list of every stored digest
 //	PUT    /v1/blobs/{digest}  → 204; 422 when the body fails fixity
 //	GET    /v1/blobs/{digest}  → 200 body; 404 when absent
 //	HEAD   /v1/blobs/{digest}  → 200/404
 //	DELETE /v1/blobs/{digest}  → 204 (idempotent)
-//	GET    /v1/verify/{digest} → 200 {"digest":..,"ok":..,"error":..}; 404 when absent
+//	GET    /v1/verify/{digest} → 200 {"ok":..}; 404 when absent
 package node
 
 import (
@@ -95,25 +94,16 @@ func (n *Node) Corrupt(digest string) error {
 	return c.CorruptBlob(digest)
 }
 
-// Health is the health-endpoint document.
-type Health struct {
-	ID    string `json:"id"`
-	Blobs int    `json:"blobs"`
-}
-
 // VerifyResult is the verify-endpoint document: the node-local fixity
 // verdict for one blob, computed where the bytes live so an anti-entropy
 // sweep does not pay blob transfer to learn a replica is healthy.
 type VerifyResult struct {
-	Digest string `json:"digest"`
-	OK     bool   `json:"ok"`
-	Error  string `json:"error,omitempty"`
+	OK bool `json:"ok"`
 }
 
 // Handler returns the node's HTTP API.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/health", n.handleHealth)
 	mux.HandleFunc("GET /v1/digests", n.handleDigests)
 	mux.HandleFunc("PUT /v1/blobs/{digest}", n.handlePut)
 	mux.HandleFunc("GET /v1/blobs/{digest}", n.handleGet)
@@ -136,10 +126,6 @@ func validDigest(d string) bool {
 		}
 	}
 	return true
-}
-
-func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
-	daemon.WriteJSON(w, http.StatusOK, Health{ID: n.id, Blobs: n.Blobs()})
 }
 
 // handleDigests lists every stored digest, sorted: one listing is what an
@@ -234,10 +220,6 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "node: reading: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	res := VerifyResult{Digest: digest, OK: true}
-	if _, derr := cas.VerifyBlob(digest, comp); derr != nil {
-		res.OK = false
-		res.Error = derr.Error()
-	}
-	daemon.WriteJSON(w, http.StatusOK, res)
+	_, derr := cas.VerifyBlob(digest, comp)
+	daemon.WriteJSON(w, http.StatusOK, VerifyResult{OK: derr == nil})
 }

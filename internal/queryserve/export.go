@@ -12,8 +12,8 @@ import (
 )
 
 // Streamed export: every format writes row by row through a small buffered
-// writer, so exporting a thousand-record result set holds one point in
-// memory at a time, never the set. Row order is pinned — tables in record
+// writer, so exporting a record holds one encoded point in memory at a
+// time, never the whole encoding. Row order is pinned — tables in record
 // order, points in table order — because export bytes feed ETags and
 // conditional GETs; a nondeterministic row order would make every
 // revalidation a miss.
@@ -70,82 +70,17 @@ func (e exportWriter) Close() error { return e.Flush() }
 // StreamRecord writes one record in the given format.
 func StreamRecord(w io.Writer, r *hepdata.Record, f Format) error {
 	ew := newExportWriter(w)
-	if err := writeRecord(ew, r, f, true, true); err != nil {
+	if err := writeRecord(ew, r, f); err != nil {
 		return err
-	}
-	return ew.Close()
-}
-
-// StreamTable writes one table of a record in the given format.
-func StreamTable(w io.Writer, r *hepdata.Record, t *hepdata.Table, f Format) error {
-	ew := newExportWriter(w)
-	var err error
-	switch f {
-	case FormatCSV:
-		err = writeTableCSV(ew, r.ID(), t)
-	case FormatYAML:
-		err = writeTableYAML(ew, r.ID(), t, "")
-	default:
-		err = writeTableJSON(ew, t, "")
-	}
-	if err != nil {
-		return err
-	}
-	return ew.Close()
-}
-
-// StreamRecords writes a whole result set, fetching each record through
-// get as it is reached — the bulk-export path. Only one record is resident
-// at a time; the JSON form frames the set as an array, CSV and YAML
-// concatenate per-record sections.
-func StreamRecords(w io.Writer, keys []string, get func(id string) (*hepdata.Record, error), f Format) error {
-	ew := newExportWriter(w)
-	if f == FormatJSON {
-		open := "[\n"
-		if len(keys) == 0 {
-			open = "["
-		}
-		if _, err := ew.WriteString(open); err != nil {
-			return err
-		}
-	}
-	for i, key := range keys {
-		r, err := get(key)
-		if err != nil {
-			return fmt.Errorf("queryserve: export %s: %w", key, err)
-		}
-		if f == FormatJSON && i > 0 {
-			if _, err := ew.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		if err := writeRecord(ew, r, f, i == 0, false); err != nil {
-			return err
-		}
-	}
-	if f == FormatJSON {
-		closeBracket := "\n]\n"
-		if len(keys) == 0 {
-			closeBracket = "]\n"
-		}
-		if _, err := ew.WriteString(closeBracket); err != nil {
-			return err
-		}
 	}
 	return ew.Close()
 }
 
 // writeRecord writes one record body in the format. For JSON the record
-// streams table by table and point by point (standalone selects a trailing
-// newline; array elements get separators from the caller).
-func writeRecord(ew exportWriter, r *hepdata.Record, f Format, first, standalone bool) error {
+// streams table by table and point by point.
+func writeRecord(ew exportWriter, r *hepdata.Record, f Format) error {
 	switch f {
 	case FormatCSV:
-		if !first {
-			if err := ew.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
 		for i := range r.Tables {
 			if i > 0 {
 				if err := ew.WriteByte('\n'); err != nil {
@@ -163,19 +98,20 @@ func writeRecord(ew exportWriter, r *hepdata.Record, f Format, first, standalone
 			return err
 		}
 		for i := range r.Tables {
-			if err := writeTableYAML(ew, "", &r.Tables[i], "    "); err != nil {
+			if err := writeTableYAML(ew, &r.Tables[i], "    "); err != nil {
 				return err
 			}
 		}
 		return nil
 	default:
-		return writeRecordJSON(ew, r, standalone)
+		return writeRecordJSON(ew, r)
 	}
 }
 
 // writeRecordJSON streams the record as JSON without marshalling the whole
-// record at once: headers first, then each table, then each point.
-func writeRecordJSON(ew exportWriter, r *hepdata.Record, standalone bool) error {
+// record at once: headers first, then each table, then each point, and a
+// closing newline.
+func writeRecordJSON(ew exportWriter, r *hepdata.Record) error {
 	head := struct {
 		InspireID     string `json:"inspire_id"`
 		InspireURL    string `json:"inspire_url"`
@@ -203,22 +139,19 @@ func writeRecordJSON(ew exportWriter, r *hepdata.Record, standalone bool) error 
 		if _, err := ew.WriteString(sep); err != nil {
 			return err
 		}
-		if err := writeTableJSON(ew, &r.Tables[i], ""); err != nil {
+		if err := writeTableJSON(ew, &r.Tables[i]); err != nil {
 			return err
 		}
 	}
 	if _, err := ew.WriteString("]}"); err != nil {
 		return err
 	}
-	if standalone {
-		return ew.WriteByte('\n')
-	}
-	return nil
+	return ew.WriteByte('\n')
 }
 
 // writeTableJSON streams one table: header object, then points one line at
 // a time.
-func writeTableJSON(ew exportWriter, t *hepdata.Table, _ string) error {
+func writeTableJSON(ew exportWriter, t *hepdata.Table) error {
 	head := struct {
 		Name        string   `json:"name"`
 		Description string   `json:"description,omitempty"`
@@ -273,12 +206,7 @@ func writeTableCSV(ew exportWriter, recordID string, t *hepdata.Table) error {
 
 // writeTableYAML streams one table as the YAML-like text form, indented
 // for nesting under a record entry.
-func writeTableYAML(ew exportWriter, recordID string, t *hepdata.Table, indent string) error {
-	if recordID != "" {
-		if _, err := fmt.Fprintf(ew, "record: %s\n", recordID); err != nil {
-			return err
-		}
-	}
+func writeTableYAML(ew exportWriter, t *hepdata.Table, indent string) error {
 	if _, err := fmt.Fprintf(ew, "%s- table: %s\n%s  x_header: %s\n%s  y_header: %s\n",
 		indent, yamlString(t.Name), indent, yamlString(t.XHeader), indent, yamlString(t.YHeader)); err != nil {
 		return err

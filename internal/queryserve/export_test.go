@@ -76,44 +76,6 @@ func TestStreamRecordJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestStreamRecordsBulk(t *testing.T) {
-	recs := map[string]*hepdata.Record{}
-	var keys []string
-	for i := 0; i < 3; i++ {
-		r := testRecord(i)
-		k := "ins" + r.InspireID
-		recs[k] = r
-		keys = append(keys, k)
-	}
-	fetched := 0
-	get := func(key string) (*hepdata.Record, error) {
-		fetched++
-		return recs[key], nil
-	}
-	var buf bytes.Buffer
-	if err := StreamRecords(&buf, keys, get, FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	if fetched != 3 {
-		t.Fatalf("fetched %d", fetched)
-	}
-	var arr []hepdata.Record
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
-		t.Fatalf("bulk JSON invalid: %v", err)
-	}
-	if len(arr) != 3 || arr[0].InspireID != "1000000" {
-		t.Fatalf("bulk: %+v", arr)
-	}
-	// Empty key set is a valid empty array, not an error.
-	buf.Reset()
-	if err := StreamRecords(&buf, nil, get, FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Fatalf("empty bulk: %q", buf.String())
-	}
-}
-
 func TestExportEdgeCases(t *testing.T) {
 	// Zero-width bin, asymmetric-only error, empty error list.
 	r := &hepdata.Record{
@@ -186,26 +148,6 @@ func TestExportEndpoint(t *testing.T) {
 	wj := doReq(t, h, "GET", "/records/ins1000000/export?format=json", nil)
 	if wj.Header().Get("ETag") == etag {
 		t.Fatal("csv and json exports share a validator")
-	}
-	// Single-table export.
-	wt := doReq(t, h, "GET", "/records/ins1000000/tables/Table1?format=csv", nil)
-	if wt.Code != 200 || !strings.Contains(wt.Body.String(), "xlo,x,xhi,y,err_total") {
-		t.Fatalf("table export: %d %s", wt.Code, wt.Body)
-	}
-	if wm := doReq(t, h, "GET", "/records/ins1000000/tables/Nope", nil); wm.Code != 404 {
-		t.Fatalf("missing table: %d", wm.Code)
-	}
-	// Bulk export streams a valid JSON array of all matches.
-	wb := doReq(t, h, "GET", "/export?q=boson&format=json", nil)
-	if wb.Code != 200 {
-		t.Fatalf("bulk export: %d %s", wb.Code, wb.Body)
-	}
-	var arr []json.RawMessage
-	if err := json.Unmarshal(wb.Body.Bytes(), &arr); err != nil {
-		t.Fatalf("bulk body: %v", err)
-	}
-	if len(arr) != 3 {
-		t.Fatalf("bulk export matched %d", len(arr))
 	}
 	if w := doReq(t, h, "GET", "/records/ins1000000/export?format=xml", nil); w.Code != 400 {
 		t.Fatalf("bad format: %d", w.Code)

@@ -177,34 +177,24 @@ func (s *Server) Stats() Stats {
 
 // Handler returns the HTTP API:
 //
-//	GET  /healthz                     liveness
-//	GET  /status                      counter snapshot (JSON)
-//	GET  /records                     search (?q=, ?mode=and|or) or keyset
-//	                                  listing (?limit=, ?cursor=)
-//	GET  /records/{id}                record JSON (cached, ETag/304)
-//	GET  /records/{id}/export         streamed export (?format=json|csv|yaml)
-//	GET  /records/{id}/tables/{table} one table, streamed (?format=)
-//	GET  /export                      bulk export of a search result set
-//	GET  /datasets                    search/listing (?q=, ?tier=, ?limit=, ?cursor=)
-//	GET  /datasets/{name...}          dataset JSON (ETag/304)
-//	POST /records                     publish a submission
-//	POST /datasets                    publish a dataset
+//	GET  /status               counter snapshot (JSON)
+//	GET  /records              search (?q=, ?mode=and|or) or keyset
+//	                           listing (?limit=, ?cursor=)
+//	GET  /records/{id}         record JSON (cached, ETag/304)
+//	GET  /records/{id}/export  streamed export (?format=json|csv|yaml)
+//	GET  /datasets             listing filtered by ?tier= and ?meta=
+//	                           (?mode=, ?limit=, ?cursor= as for /records)
+//	POST /records              publish a submission
+//
+// Datasets are published in process (PublishDataset).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
 	mux.HandleFunc("GET /status", s.handleStatus)
 	mux.HandleFunc("GET /records", s.handleRecords)
 	mux.HandleFunc("POST /records", s.handlePublishRecord)
 	mux.HandleFunc("GET /records/{id}", s.handleRecord)
 	mux.HandleFunc("GET /records/{id}/export", s.handleRecordExport)
-	mux.HandleFunc("GET /records/{id}/tables/{table}", s.handleTable)
-	mux.HandleFunc("GET /export", s.handleBulkExport)
 	mux.HandleFunc("GET /datasets", s.handleDatasets)
-	mux.HandleFunc("POST /datasets", s.handlePublishDataset)
-	mux.HandleFunc("GET /datasets/{name...}", s.handleDataset)
 	return mux
 }
 
@@ -287,19 +277,19 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	// Tier/metadata filters compile to index terms, so a filtered listing
 	// is just a field search.
 	qv := r.URL.Query()
-	q := qv.Get("q")
+	var terms []string
 	if tier := qv.Get("tier"); tier != "" {
-		q += " tier:" + tier
+		terms = append(terms, "tier:"+tier)
 	}
 	for _, m := range qv["meta"] {
-		q += " meta:" + m
+		terms = append(terms, "meta:"+m)
 	}
-	s.serveIndex(w, r, KindDataset, qv, strings.TrimSpace(q))
+	s.serveIndex(w, r, KindDataset, qv, strings.Join(terms, " "))
 }
 
 // serveIndex is the shared search/listing path for one document kind: qv
 // is the request's query string, parsed once, and q the query text (which
-// /datasets extends with its filters).
+// /datasets builds from its filters).
 func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind, qv url.Values, q string) {
 	limit, cur, anchored, err := pageParams(qv)
 	if err != nil {
@@ -424,97 +414,6 @@ func (s *Server) handleRecordExport(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	id, table := r.PathValue("id"), r.PathValue("table")
-	format, err := ParseFormat(r.URL.Query().Get("format"))
-	if err != nil {
-		daemon.Error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	doc, ok := s.idx.Lookup(id)
-	if !ok || doc.Kind != KindRecord {
-		daemon.Error(w, http.StatusNotFound, fmt.Sprintf("%v: %s", hepdata.ErrNoRecord, id))
-		return
-	}
-	rec, err := s.store.Get(id)
-	if err != nil {
-		daemon.Error(w, statusForStoreErr(err), err.Error())
-		return
-	}
-	var tab *hepdata.Table
-	for i := range rec.Tables {
-		if rec.Tables[i].Name == table {
-			tab = &rec.Tables[i]
-			break
-		}
-	}
-	if tab == nil {
-		daemon.Error(w, http.StatusNotFound, fmt.Sprintf("record %s has no table %q", id, table))
-		return
-	}
-	s.exports.Add(1)
-	etag := DerivedETag(doc.ETag, "table", table, string(format))
-	s.conditional(w, r, etag, format.ContentType(), func() error {
-		return StreamTable(w, rec, tab, format)
-	})
-}
-
-func (s *Server) handleBulkExport(w http.ResponseWriter, r *http.Request) {
-	qv := r.URL.Query()
-	q := qv.Get("q")
-	terms := ParseQuery(q)
-	if len(terms) == 0 {
-		daemon.Error(w, http.StatusBadRequest, "bulk export needs a query (?q=)")
-		return
-	}
-	mode, err := ParseMode(qv.Get("mode"))
-	if err != nil {
-		daemon.Error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	format, err := ParseFormat(qv.Get("format"))
-	if err != nil {
-		daemon.Error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.exports.Add(1)
-	hits, _, _ := s.idx.SearchPage(terms, mode, int(KindRecord), Cursor{}, false, 0)
-	keys := make([]string, len(hits))
-	parts := []string{q, strconv.Itoa(int(mode)), string(format)}
-	for i, h := range hits {
-		keys[i] = h.Key
-		parts = append(parts, h.Key, h.ETag)
-	}
-	etag := DerivedETag("bulk", parts...)
-	s.conditional(w, r, etag, format.ContentType(), func() error {
-		// Records stream one at a time from the store; only the key list —
-		// not the record set — is ever resident.
-		return StreamRecords(w, keys, s.store.Get, format)
-	})
-}
-
-func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	s.lookups.Add(1)
-	if s.cat == nil {
-		daemon.Error(w, http.StatusNotFound, "no dataset catalog configured")
-		return
-	}
-	name := "/" + r.PathValue("name")
-	d, ok := s.cat.Get(name)
-	if !ok {
-		daemon.Error(w, http.StatusNotFound, fmt.Sprintf("%v: %s", catalog.ErrNoDataset, name))
-		return
-	}
-	etag, err := DatasetETag(&d)
-	if err != nil {
-		daemon.Error(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.conditional(w, r, etag, "application/json", func() error {
-		return json.NewEncoder(w).Encode(&d)
-	})
-}
-
 func (s *Server) handlePublishRecord(w http.ResponseWriter, r *http.Request) {
 	data, err := readBody(w, r, 8<<20)
 	if err != nil {
@@ -534,31 +433,8 @@ func (s *Server) handlePublishRecord(w http.ResponseWriter, r *http.Request) {
 	daemon.WriteJSON(w, http.StatusCreated, map[string]string{"key": rec.ID(), "etag": etag})
 }
 
-func (s *Server) handlePublishDataset(w http.ResponseWriter, r *http.Request) {
-	if s.cat == nil {
-		daemon.Error(w, http.StatusNotFound, "no dataset catalog configured")
-		return
-	}
-	data, err := readBody(w, r, 8<<20)
-	if err != nil {
-		daemon.Error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var d catalog.Dataset
-	if err := json.Unmarshal(data, &d); err != nil {
-		daemon.Error(w, http.StatusBadRequest, "malformed dataset: "+err.Error())
-		return
-	}
-	etag, err := s.PublishDataset(&d)
-	if err != nil {
-		daemon.Error(w, publishStatus(err), err.Error())
-		return
-	}
-	daemon.WriteJSON(w, http.StatusCreated, map[string]string{"key": d.Name, "etag": etag})
-}
-
 func publishStatus(err error) int {
-	if errors.Is(err, hepdata.ErrDuplicate) || errors.Is(err, catalog.ErrExists) {
+	if errors.Is(err, hepdata.ErrDuplicate) {
 		return http.StatusConflict
 	}
 	return http.StatusBadRequest

@@ -257,25 +257,6 @@ func TestDatasetEndpoints(t *testing.T) {
 		}
 	}
 
-	name := resp.Results[0].Key
-	wd := doReq(t, h, "GET", "/datasets"+name, nil)
-	if wd.Code != 200 {
-		t.Fatalf("dataset get: %d %s", wd.Code, wd.Body)
-	}
-	var ds catalog.Dataset
-	if err := json.Unmarshal(wd.Body.Bytes(), &ds); err != nil {
-		t.Fatal(err)
-	}
-	if ds.Name != name || ds.Tier != "AOD" {
-		t.Fatalf("dataset: %+v", ds)
-	}
-	etag := wd.Header().Get("ETag")
-	if w304 := doReq(t, h, "GET", "/datasets"+name, map[string]string{"If-None-Match": etag}); w304.Code != 304 || w304.Body.Len() != 0 {
-		t.Fatalf("dataset 304: %d", w304.Code)
-	}
-	if w := doReq(t, h, "GET", "/datasets/mc/nope/AOD/v1", nil); w.Code != 404 {
-		t.Fatalf("missing dataset: %d", w.Code)
-	}
 	// Metadata filter.
 	wm := doReq(t, h, "GET", "/datasets?meta=campaign=mc21", nil)
 	var mresp searchResponse
@@ -329,16 +310,6 @@ func TestPublishEndpoints(t *testing.T) {
 	if sr.Total != 1 || sr.Results[0].ETag != pub["etag"] {
 		t.Fatalf("post-publish search: %+v", sr)
 	}
-
-	dsBody, _ := json.Marshal(testDataset(2))
-	resp3, err := http.Post(hts.URL+"/datasets", "application/json", strings.NewReader(string(dsBody)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != 201 {
-		t.Fatalf("dataset publish: %d", resp3.StatusCode)
-	}
 }
 
 // TestPublishStatusBySentinel pins 409 to the duplicate sentinels and 400
@@ -362,19 +333,14 @@ func TestPublishStatusBySentinel(t *testing.T) {
 		t.Errorf("duplicate record: status %d, want 409", code)
 	}
 	ds := testDataset(1)
-	if code := post("/datasets", ds); code != http.StatusCreated {
-		t.Fatalf("dataset publish: status %d", code)
+	if _, err := srv.PublishDataset(ds); err != nil {
+		t.Fatal(err)
 	}
-	if code := post("/datasets", ds); code != http.StatusConflict {
-		t.Errorf("duplicate dataset: status %d, want 409", code)
+	if _, err := srv.PublishDataset(ds); !errors.Is(err, catalog.ErrExists) {
+		t.Errorf("duplicate dataset: %v, want catalog.ErrExists", err)
 	}
-	// Invalid, and the catalogue's message quotes the name.
-	untiered := &catalog.Dataset{Name: "/mc/already-unfolded/AOD/v1"}
-	if code := post("/datasets", untiered); code != http.StatusBadRequest {
-		t.Errorf("dataset without a tier named %q: status %d, want 400", untiered.Name, code)
-	}
-	// The same for a record that reaches PublishRecord without the HTTP
-	// decoder's validation in front of it.
+	// A record that reaches PublishRecord without the HTTP decoder's
+	// validation in front of it is the client's error.
 	bad := testRecord(7)
 	bad.Title = "Cross sections already unfolded"
 	bad.Tables[0].Name = "already-unfolded"
@@ -386,7 +352,8 @@ func TestPublishStatusBySentinel(t *testing.T) {
 	if code := publishStatus(err); code != http.StatusBadRequest {
 		t.Errorf("invalid record %v: status %d, want 400", err, code)
 	}
-	// An index that already holds the key is a conflict too, for both kinds.
+	// An index that already holds the key refuses it with the duplicate
+	// sentinel, for both kinds.
 	etag, _ := RecordETag(testRecord(0))
 	if err := srv.idx.AddRecord(testRecord(0), etag); !errors.Is(err, hepdata.ErrDuplicate) {
 		t.Errorf("re-indexing a record: %v, want hepdata.ErrDuplicate", err)
@@ -397,12 +364,9 @@ func TestPublishStatusBySentinel(t *testing.T) {
 	}
 }
 
-func TestStatusAndHealth(t *testing.T) {
+func TestStatusEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, 3)
 	h := srv.Handler()
-	if w := doReq(t, h, "GET", "/healthz", nil); w.Code != 200 {
-		t.Fatalf("healthz: %d", w.Code)
-	}
 	doReq(t, h, "GET", "/records/ins1000000", nil)
 	doReq(t, h, "GET", "/records?q=boson", nil)
 	w := doReq(t, h, "GET", "/status", nil)

@@ -36,10 +36,6 @@ func (s *Service) experimentOnly(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Service) handleAnalyses(w http.ResponseWriter, r *http.Request) {
-	daemon.WriteJSON(w, http.StatusOK, s.Analyses())
-}
-
 // submitBody is the POST /requests payload.
 type submitBody struct {
 	Analysis   string    `json:"analysis"`
@@ -54,19 +50,6 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 		daemon.Error(w, http.StatusNotFound, err.Error())
 		return
 	}
-	daemon.WriteJSON(w, http.StatusOK, req)
-}
-
-func (s *Service) handleReject(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Reason string `json:"reason"`
-	}
-	_ = json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&body)
-	if err := s.Reject(r.PathValue("id"), body.Reason); err != nil {
-		daemon.Error(w, statusFor(err), err.Error())
-		return
-	}
-	req, _ := s.Get(r.PathValue("id"))
 	daemon.WriteJSON(w, http.StatusOK, req)
 }
 
@@ -251,9 +234,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out inte
 		}
 		if json.Unmarshal(data, &e) == nil && e.Error != "" {
 			herr.Msg = fmt.Sprintf("%s %s: %s", method, path, e.Error)
-		} else if out != nil {
-			// A process failure returns the request body with failed status.
-			_ = json.Unmarshal(data, out)
 		}
 		return herr.classify()
 	}
@@ -266,12 +246,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body, out inte
 	return nil
 }
 
-// Submit files a request and returns its server-side record.
-func (c *Client) Submit(analysis, requester, motivation string, model ModelSpec) (*Request, error) {
-	return c.SubmitCtx(context.Background(), analysis, requester, motivation, model)
-}
-
-// SubmitCtx is Submit under a caller-supplied context.
+// SubmitCtx files a request and returns its server-side record.
 func (c *Client) SubmitCtx(ctx context.Context, analysis, requester, motivation string, model ModelSpec) (*Request, error) {
 	var out Request
 	err := c.do(ctx, http.MethodPost, "/requests", submitBody{
@@ -283,12 +258,7 @@ func (c *Client) SubmitCtx(ctx context.Context, analysis, requester, motivation 
 	return &out, nil
 }
 
-// Get polls a request.
-func (c *Client) Get(id string) (*Request, error) {
-	return c.GetCtx(context.Background(), id)
-}
-
-// GetCtx is Get under a caller-supplied context.
+// GetCtx polls a request.
 func (c *Client) GetCtx(ctx context.Context, id string) (*Request, error) {
 	var out Request
 	if err := c.do(ctx, http.MethodGet, "/requests/"+id, nil, &out); err != nil {
@@ -297,12 +267,7 @@ func (c *Client) GetCtx(ctx context.Context, id string) (*Request, error) {
 	return &out, nil
 }
 
-// Approve approves a request (experiment role).
-func (c *Client) Approve(id string) error {
-	return c.ApproveCtx(context.Background(), id)
-}
-
-// ApproveCtx is Approve under a caller-supplied context.
+// ApproveCtx approves a request (experiment role).
 func (c *Client) ApproveCtx(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodPost, "/requests/"+id+"/approve", nil, nil)
 }

@@ -15,7 +15,8 @@ import (
 
 // TestClientClassifiesResponses checks the transient/permanent taxonomy on
 // the client's wire errors: 429 and 5xx invite a retry (with the server's
-// Retry-After attached as the hint), other 4xx do not.
+// Retry-After attached as the hint), other 4xx do not. No error reply
+// fills the caller's result, not even one whose body is a request.
 func TestClientClassifiesResponses(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -23,13 +24,15 @@ func TestClientClassifiesResponses(t *testing.T) {
 		retryAfter string
 		class      resilience.Class
 		hint       time.Duration
+		snapshot   bool // the body is a request, not an error
 	}{
-		{"shed", http.StatusTooManyRequests, "7", resilience.Transient, 7 * time.Second},
-		{"brownout", http.StatusServiceUnavailable, "2", resilience.Transient, 2 * time.Second},
-		{"crash", http.StatusInternalServerError, "", resilience.Transient, 0},
-		{"bad-request", http.StatusBadRequest, "", resilience.Permanent, 0},
-		{"not-found", http.StatusNotFound, "", resilience.Permanent, 0},
-		{"forbidden", http.StatusForbidden, "", resilience.Permanent, 0},
+		{"shed", http.StatusTooManyRequests, "7", resilience.Transient, 7 * time.Second, false},
+		{"brownout", http.StatusServiceUnavailable, "2", resilience.Transient, 2 * time.Second, false},
+		{"crash", http.StatusInternalServerError, "", resilience.Transient, 0, false},
+		{"bad-request", http.StatusBadRequest, "", resilience.Permanent, 0, false},
+		{"not-found", http.StatusNotFound, "", resilience.Permanent, 0, false},
+		{"forbidden", http.StatusForbidden, "", resilience.Permanent, 0, false},
+		{"conflict", http.StatusConflict, "", resilience.Permanent, 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,13 +40,21 @@ func TestClientClassifiesResponses(t *testing.T) {
 				if tc.retryAfter != "" {
 					w.Header().Set("Retry-After", tc.retryAfter)
 				}
+				if tc.snapshot {
+					daemon.WriteJSON(w, tc.status, &Request{ID: "r-1", Status: StatusFailed})
+					return
+				}
 				daemon.Error(w, tc.status, "nope")
 			}))
 			defer srv.Close()
 			c := &Client{BaseURL: srv.URL}
-			_, err := c.Get("r-1")
+			var out Request
+			err := c.do(context.Background(), http.MethodGet, "/requests/r-1", nil, &out)
 			if err == nil {
 				t.Fatal("error expected")
+			}
+			if out.ID != "" || out.Status != "" {
+				t.Fatalf("an HTTP %d reply filled the result: %+v", tc.status, out)
 			}
 			if got := resilience.Classify(err); got != tc.class {
 				t.Fatalf("Classify(%v) = %s, want %s", err, got, tc.class)
@@ -91,7 +102,7 @@ func TestClientRetryHonorsRetryAfter(t *testing.T) {
 			},
 		},
 	}
-	req, err := c.Get("r-1")
+	req, err := c.GetCtx(context.Background(), "r-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +133,7 @@ func TestClientRetryStopsOnPermanent(t *testing.T) {
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL, Retry: resilience.Policy{MaxAttempts: 5,
 		Sleep: func(ctx context.Context, d time.Duration) error { return nil }}}
-	if _, err := c.Submit("NOPE", "alice", "", ModelSpec{}); err == nil {
+	if _, err := c.SubmitCtx(context.Background(), "NOPE", "alice", "", ModelSpec{}); err == nil {
 		t.Fatal("error expected")
 	}
 	if calls.Load() != 1 {
@@ -158,7 +169,7 @@ func TestClientSendsBudgetHeader(t *testing.T) {
 		t.Fatalf("budget = %v, want 1.5s", got)
 	}
 
-	if _, err := c.Get("r-1"); err != nil {
+	if _, err := c.GetCtx(context.Background(), "r-1"); err != nil {
 		t.Fatal(err)
 	}
 	if h := header.Load().(string); h != "" {

@@ -14,16 +14,21 @@ import (
 
 func TestLedgerRoundTrip(t *testing.T) {
 	cfg := ServerConfig{JournalDir: t.TempDir()}
+	// One request in each interesting state. The rejected one comes from a
+	// journal line: no route rejects a request any more, but older journals
+	// hold rejected ones.
+	rejectedLine := `{"id":"req-000001","analysis":"GPD_2013_DIMUON_HIGHMASS","requester":"b","model":{"process":"zprime","mass_gev":1000,"events":40,"seed":7},"status":"rejected","reason":"duplicate of published limits"}` + "\n"
+	if err := os.WriteFile(filepath.Join(cfg.JournalDir, "requests.log"), []byte(rejectedLine), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejected := &Request{ID: "req-000001"}
 	svc := newFullSimService(t)
 	srv := serveService(t, svc, cfg)
-	// One request in each interesting state.
 	done, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "a", "", validModel())
 	_ = svc.Approve(done.ID)
 	if _, err := svc.Process(done.ID); err != nil {
 		t.Fatal(err)
 	}
-	rejected, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "b", "", validModel())
-	_ = svc.Reject(rejected.ID, "duplicate of published limits")
 	pending, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "c", "", validModel())
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

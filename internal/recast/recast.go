@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 
 	"daspos/internal/conditions"
@@ -44,7 +43,9 @@ import (
 // Status is a request's lifecycle state.
 type Status string
 
-// Request lifecycle: submitted → approved|rejected; approved → done|failed.
+// Request lifecycle: submitted → approved; approved → done|failed. No
+// route rejects a request any more, but journals written while one did
+// hold rejected requests, and they reopen as they were.
 const (
 	StatusSubmitted Status = "submitted"
 	StatusApproved  Status = "approved"
@@ -159,12 +160,12 @@ type Request struct {
 }
 
 // Subscription is an analysis the experiment offers for reinterpretation.
-// Only Name and Description are visible through the API; the record itself
-// stays inside the service ("none of this code base would be exposed to
-// the outside world").
+// Only Name is visible through the API, as what a request names; the
+// record itself stays inside the service ("none of this code base would be
+// exposed to the outside world").
 type Subscription struct {
 	Name        string
-	Description string
+	Description string // read by nothing; bench/recast.go still sets it
 	Record      *leshouches.AnalysisRecord
 }
 
@@ -293,24 +294,6 @@ func (s *Service) Subscribe(sub Subscription) error {
 	return nil
 }
 
-// AnalysisInfo is the public view of a subscription.
-type AnalysisInfo struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-}
-
-// Analyses returns the public catalogue, sorted by name.
-func (s *Service) Analyses() []AnalysisInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]AnalysisInfo, 0, len(s.subs))
-	for _, sub := range s.subs {
-		out = append(out, AnalysisInfo{Name: sub.Name, Description: sub.Description})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Submit files a new request against a subscribed analysis.
 func (s *Service) Submit(analysis, requester, motivation string, model ModelSpec) (*Request, error) {
 	return s.submit(analysis, requester, motivation, model, 0)
@@ -371,12 +354,6 @@ func (s *Service) Approve(id string) error {
 // queueing are one durable append. It returns that snapshot.
 func (s *Service) accept(id string, seq uint64) (*record, error) {
 	return s.transition(id, StatusSubmitted, StatusApproved, "", seq)
-}
-
-// Reject declines a submitted request with a reason.
-func (s *Service) Reject(id, reason string) error {
-	_, err := s.transition(id, StatusSubmitted, StatusRejected, reason, 0)
-	return err
 }
 
 // transition commits the request's move from one status to another and

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,10 +89,6 @@ func TestSubscriptionRules(t *testing.T) {
 	if err := svc.Subscribe(Subscription{Name: "X", Record: nil}); err == nil {
 		t.Fatal("recordless subscription accepted")
 	}
-	infos := svc.Analyses()
-	if len(infos) != 1 || infos[0].Name != "GPD_2013_DIMUON_HIGHMASS" {
-		t.Fatalf("catalogue: %+v", infos)
-	}
 }
 
 func TestLifecycle(t *testing.T) {
@@ -135,18 +133,26 @@ func TestLifecycle(t *testing.T) {
 	}
 }
 
+// TestRejection: nothing rejects a request any more, but a journal written
+// while something did reopens its rejected requests as they were, and none
+// of them is processed or approved.
 func TestRejection(t *testing.T) {
-	svc := newFullSimService(t)
-	req, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist", "", validModel())
-	if err := svc.Reject(req.ID, "model already covered by published limits"); err != nil {
+	dir := t.TempDir()
+	line := `{"id":"req-000001","analysis":"GPD_2013_DIMUON_HIGHMASS","requester":"theorist","model":{"process":"zprime","mass_gev":1000,"events":40,"seed":7},"status":"rejected","reason":"model already covered by published limits"}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "requests.log"), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := svc.Get(req.ID)
+	svc := newFullSimService(t)
+	serveService(t, svc, ServerConfig{JournalDir: dir})
+	got, _ := svc.Get("req-000001")
 	if got.Status != StatusRejected || got.Reason == "" {
 		t.Fatalf("rejected: %+v", got)
 	}
-	if _, err := svc.Process(req.ID); err == nil {
+	if _, err := svc.Process(got.ID); err == nil {
 		t.Fatal("rejected request processed")
+	}
+	if err := svc.Approve(got.ID); !errors.Is(err, ErrWrongState) {
+		t.Fatalf("approving a rejected request: %v, want ErrWrongState", err)
 	}
 }
 
@@ -211,38 +217,22 @@ func serveHTTP(t *testing.T, svc *Service, cfg ServerConfig) (srv *Server, theor
 	return srv, &Client{BaseURL: hts.URL}, &Client{BaseURL: hts.URL, Experiment: true}
 }
 
-// analysesHTTP fetches the public catalogue over the wire.
-func analysesHTTP(c *Client) ([]AnalysisInfo, error) {
-	var out []AnalysisInfo
-	err := c.do(context.Background(), http.MethodGet, "/analyses", nil, &out)
-	return out, err
-}
-
-// rejectHTTP rejects a request over the wire (experiment role).
-func rejectHTTP(c *Client, id, reason string) error {
-	return c.do(context.Background(), http.MethodPost, "/requests/"+id+"/reject", map[string]string{"reason": reason}, nil)
-}
-
 func TestHTTPRoundTrip(t *testing.T) {
 	srv, theorist, experiment := serveHTTP(t, newFullSimService(t), ServerConfig{})
-
-	infos, err := analysesHTTP(theorist)
-	if err != nil || len(infos) != 1 {
-		t.Fatalf("analyses: %v %v", infos, err)
-	}
-	req, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "Z' at 1 TeV", validModel())
+	ctx := context.Background()
+	req, err := theorist.SubmitCtx(ctx, "GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "Z' at 1 TeV", validModel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The requester cannot approve: the closed-system boundary.
-	if err := theorist.Approve(req.ID); err == nil || !strings.Contains(err.Error(), "experiment role") {
+	if err := theorist.ApproveCtx(ctx, req.ID); err == nil || !strings.Contains(err.Error(), "experiment role") {
 		t.Fatalf("role gate breached: %v", err)
 	}
 	// Approval is what queues the work; nothing ran before it.
-	if got, _ := theorist.Get(req.ID); got.Status != StatusSubmitted {
+	if got, _ := theorist.GetCtx(ctx, req.ID); got.Status != StatusSubmitted {
 		t.Fatalf("unapproved request is %s", got.Status)
 	}
-	if err := experiment.Approve(req.ID); err != nil {
+	if err := experiment.ApproveCtx(ctx, req.ID); err != nil {
 		t.Fatal(err)
 	}
 	done := waitTerminal(t, srv.Service(), req.ID)
@@ -250,7 +240,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatalf("done: %+v", done)
 	}
 	// The theorist polls and sees only numbers.
-	polled, err := theorist.Get(req.ID)
+	polled, err := theorist.GetCtx(ctx, req.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,40 +254,52 @@ func TestHTTPRoundTrip(t *testing.T) {
 // submission 400, the wrong role 403, a ledger that cannot record 500.
 func TestHTTPErrors(t *testing.T) {
 	srv, theorist, experiment := serveHTTP(t, newFullSimService(t), ServerConfig{})
-	pending, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
+	ctx := context.Background()
+	pending, err := theorist.SubmitCtx(ctx, "GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rejected, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
-	if err != nil {
-		t.Fatal(err)
+	// The parent's journals hold req-000002, rejected.
+	parent := filepath.Join("testdata", "parent_journals")
+	dir := t.TempDir()
+	for _, name := range []string{"requests.log", filepath.Join("queue", "queue.log")} {
+		data, err := os.ReadFile(filepath.Join(parent, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := rejectHTTP(experiment, rejected.ID, "covered"); err != nil {
-		t.Fatal(err)
-	}
+	stub, _ := newStubService(t, nil)
+	reopened := httptest.NewServer(serveService(t, stub, ServerConfig{JournalDir: dir}).Handler())
+	t.Cleanup(reopened.Close)
+
 	cases := []struct {
 		name string
 		call func() error
 		want int
 	}{
-		{"get unknown", func() error { _, err := theorist.Get("req-000042"); return err }, http.StatusNotFound},
-		{"approve unknown", func() error { return experiment.Approve("req-000042") }, http.StatusNotFound},
-		{"reject unknown", func() error { return rejectHTTP(experiment, "req-000042", "") }, http.StatusNotFound},
-		{"approve rejected", func() error { return experiment.Approve(rejected.ID) }, http.StatusConflict},
-		{"reject rejected", func() error { return rejectHTTP(experiment, rejected.ID, "again") }, http.StatusConflict},
-		{"approve without role", func() error { return theorist.Approve(pending.ID) }, http.StatusForbidden},
-		{"submit unsubscribed", func() error { _, err := theorist.Submit("GHOST", "x", "", validModel()); return err }, http.StatusBadRequest},
+		{"get unknown", func() error { _, err := theorist.GetCtx(ctx, "req-000042"); return err }, http.StatusNotFound},
+		{"approve unknown", func() error { return experiment.ApproveCtx(ctx, "req-000042") }, http.StatusNotFound},
+		{"approve rejected", func() error {
+			return (&Client{BaseURL: reopened.URL, Experiment: true}).ApproveCtx(ctx, "req-000002")
+		}, http.StatusConflict},
+		{"approve without role", func() error { return theorist.ApproveCtx(ctx, pending.ID) }, http.StatusForbidden},
+		{"submit unsubscribed", func() error { _, err := theorist.SubmitCtx(ctx, "GHOST", "x", "", validModel()); return err }, http.StatusBadRequest},
 		{"process is not a route", func() error {
-			return experiment.do(context.Background(), http.MethodPost, "/requests/"+pending.ID+"/process", nil, nil)
+			return experiment.do(ctx, http.MethodPost, "/requests/"+pending.ID+"/process", nil, nil)
 		}, http.StatusNotFound},
 		// Last: closing the request journal makes every mutation a 500.
 		{"approve unrecordable", func() error {
 			if err := srv.Service().closeJournal(); err != nil {
 				t.Fatal(err)
 			}
-			return experiment.Approve(pending.ID)
+			return experiment.ApproveCtx(ctx, pending.ID)
 		}, http.StatusInternalServerError},
-		{"reject unrecordable", func() error { return rejectHTTP(experiment, pending.ID, "") }, http.StatusInternalServerError},
 	}
 	for _, tc := range cases {
 		err := tc.call()
@@ -318,11 +320,11 @@ func TestQueueProcessesApprovedRequests(t *testing.T) {
 		m := validModel()
 		m.Seed = uint64(i)
 		m.Events = 15
-		req, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", m)
+		req, err := theorist.SubmitCtx(context.Background(), "GPD_2013_DIMUON_HIGHMASS", "x", "", m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := experiment.Approve(req.ID); err != nil {
+		if err := experiment.ApproveCtx(context.Background(), req.ID); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, req.ID)
@@ -340,14 +342,14 @@ func TestQueueProcessesApprovedRequests(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// A closed front door takes no more work.
-	late, err := theorist.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
+	late, err := theorist.SubmitCtx(context.Background(), "GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := experiment.Approve(late.ID); err == nil {
+	if err := experiment.ApproveCtx(context.Background(), late.ID); err == nil {
 		t.Fatal("approval after Close accepted")
 	}
 }

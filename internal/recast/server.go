@@ -402,23 +402,19 @@ func (s *Server) admit(tenant string, budget time.Duration, answered bool) *admi
 
 // Handler returns the front end — the one way into the service over HTTP:
 //
-//	GET  /analyses                  public catalogue
 //	POST /requests                  submit {analysis, requester, motivation, model};
 //	                                behind admission control, 202 when auto-approved
 //	GET  /requests/{id}             request status and (when done) result
 //	GET  /status                    queue, breaker and per-tenant census
 //	POST /requests/{id}/approve     experiment role; enqueues the work
-//	POST /requests/{id}/reject      experiment role, body {reason}
 //
 // Processing is never a route: approved work runs from the fair queue.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /analyses", s.svc.handleAnalyses)
 	mux.HandleFunc("POST /requests", s.handleSubmit)
 	mux.HandleFunc("GET /requests/{id}", s.svc.handleGet)
 	mux.HandleFunc("GET /status", s.handleStatus)
 	mux.HandleFunc("POST /requests/{id}/approve", s.svc.experimentOnly(s.handleApprove))
-	mux.HandleFunc("POST /requests/{id}/reject", s.svc.experimentOnly(s.svc.handleReject))
 	return mux
 }
 

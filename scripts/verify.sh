@@ -29,6 +29,10 @@
 # a main reaches reads, or a flag of a main that no script, CI step,
 # README line or test sets fails here unless
 # internal/analysis/testdata/reach-keep.txt keeps it for a stated reason.
+# The gate decides the wire too: a daemon's route, query parameter or
+# header that no client, curl line or outside test uses fails, as does a
+# field only a response carries that no client decodes by name, and
+# internal/analysis/testdata/wire.golden pins the routes that remain.
 # The daemons' one listen/drain helper is held by
 # TestDrainFinishesInFlightBeforeClose (internal/daemon), and the seed
 # corpora of the archived-capsule decoders' fuzz targets run here too —
@@ -62,7 +66,7 @@ go test -count=1 -run 'TestFullSimProcessAllocsPerEvent|TestFullSimMemoryIndepen
 
 # The ROADMAP's size metrics, printed so a re-anchor reads them here: what
 # the reachability gate decides, and the non-test line count.
-echo "==> reachability gate (declarations, fields and flags: total, reached from the mains, kept by reach-keep.txt)"
+echo "==> reachability gate (declarations, fields, flags, and the wire's routes, parameters, headers and wire-only fields: total, reached or used from the mains, kept by reach-keep.txt)"
 go test -count=1 -run '^TestInternalExportsAreReached$' -v ./internal/analysis | sed -n 's/.*reach: //p'
 echo "==> non-test Go lines outside bench/"
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
