@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -84,7 +83,7 @@ func FuzzIndexSearchRoundTrip(f *testing.F) {
 			}
 		}
 		// A term the record cannot contain never matches it alone.
-		if hits, total, _ := x.SearchPage([]string{"t:zzzznothere"}, And, -1, Cursor{}, false, 0); len(hits) != 0 || total != 0 {
+		if hits, total, _ := x.SearchPage([]string{"t:zzzznothere"}, And, -1, Cursor{}, false, 1); len(hits) != 0 || total != 0 {
 			t.Fatalf("phantom term matched: %+v (total %d)", hits, total)
 		}
 		// Nothing sorts after the record's own position.
@@ -97,27 +96,37 @@ func FuzzIndexSearchRoundTrip(f *testing.F) {
 
 // FuzzSearchPageMatchesReference holds the page-bounded search to the
 // search it replaced (reference_test.go). A seed grows a corpus of records
-// and datasets, published in an order unrelated to their keys, whose keys
-// share prefixes and whose terms come from a vocabulary small enough that
-// scores collide; a query of one to four of those terms (or one nothing
-// carries) then walks every page in both modes under every kind filter at
-// the fuzzed limit, and each page's rows, total and next cursor must be
-// exactly what Search + pageHits answer from the same cursor.
+// and datasets, published in an order unrelated to their keys, whose terms
+// come from a vocabulary small enough that scores collide. Keys run 1–20
+// bytes over an alphabet with a zero byte in it, and half of them start
+// from one 16-byte stem, so the key column's prefixes tie, pad with zeros
+// and compare against real zero bytes. A query of one to four of those
+// terms (or one nothing carries) then walks every page in both modes under
+// every kind filter at the fuzzed limit, and each page's rows, total and
+// next cursor must be exactly what Search + pageHits answer from the same
+// cursor.
 func FuzzSearchPageMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(40), uint16(0x0123), uint8(7))
-	f.Add(uint64(2), uint8(200), uint16(0xffff), uint8(0))
+	f.Add(uint64(2), uint8(200), uint16(0xffff), uint8(255))
 	f.Add(uint64(3), uint8(255), uint16(0x00f0), uint8(1))
 	f.Add(uint64(4), uint8(0), uint16(0x0001), uint8(3))
 	f.Add(uint64(5), uint8(90), uint16(0x7a5c), uint8(50))
 	f.Add(uint64(6), uint8(17), uint16(0x8000), uint8(17))
 	f.Fuzz(func(t *testing.T, seed uint64, docs uint8, pick uint16, limit uint8) {
+		if limit == 0 {
+			t.Skip("SearchPage takes limit ≥ 1")
+		}
 		vocab := []string{"t:aa", "t:bb", "t:cc", "t:dd", "tier:raw", "year:2012", "obs:sig", "t:rare"}
+		const stem = "ab/\x00ab/\x00ab/\x00ab/\x00"
 		rng := xrand.New(seed)
 		x := NewIndex()
 		for i := 0; i < int(docs); i++ {
-			key := make([]byte, 1+rng.Intn(4))
+			key := make([]byte, 1+rng.Intn(20))
 			for k := range key {
-				key[k] = "ab/"[rng.Intn(3)]
+				key[k] = "ab/\x00"[rng.Intn(4)]
+			}
+			if rng.Bool(0.5) {
+				copy(key, stem)
 			}
 			doc := Doc{Kind: DocKind(rng.Intn(2)), Key: string(key), ETag: strconv.Itoa(i)}
 			var terms []string
@@ -140,8 +149,7 @@ func FuzzSearchPageMatchesReference(f *testing.F) {
 				query = append(query, vocab[pick&7])
 			}
 		}
-		sort.Strings(query)
-		query = dedupeSorted(query)
+		query = sortedUnique(query)
 		for _, mode := range []Mode{And, Or} {
 			for kind := -1; kind <= int(KindDataset); kind++ {
 				ref := x.Search(query, mode, kind)
@@ -177,7 +185,12 @@ func FuzzSearchPageMatchesReference(f *testing.F) {
 				}
 				// A cursor no page handed out — between positions, before
 				// the first, after the last — cuts the list the same way.
-				for _, cur := range []Cursor{{Score: int32(rng.Intn(12)), Key: "a" + string(rune('a'+rng.Intn(3)))}, {Score: 1 << 20}, {Score: -1}} {
+				free := []Cursor{
+					{Score: int32(rng.Intn(12)), Key: "a" + string(rune('a'+rng.Intn(3)))},
+					{Score: int32(rng.Intn(12)), Key: stem[:rng.Intn(len(stem)+1)] + "\x00"[:rng.Intn(2)]},
+					{Score: 1 << 20}, {Score: -1},
+				}
+				for _, cur := range free {
 					want, _ := pageHits(ref, cur, int(limit), true)
 					got, _, _ := x.SearchPage(query, mode, kind, cur, true, int(limit))
 					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {

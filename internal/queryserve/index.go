@@ -10,6 +10,7 @@ package queryserve
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -83,11 +84,40 @@ func ParseMode(s string) (Mode, error) {
 // under a shared lock while publishes append. Doc ids are assigned in
 // publish order, so posting lists stay sorted by construction — appending
 // a new document only ever appends to lists.
+//
+// Beside docs, two pointer-free columns indexed by doc id hold what ranking
+// reads of every match — its kind and the first keyPrefixLen bytes of its
+// key — so a search touches a Doc only for the hits it returns.
 type Index struct {
 	mu       sync.RWMutex
 	docs     []Doc
+	kinds    []DocKind
+	prefixes []keyPrefix
 	byKey    map[string]int32
 	postings map[string][]int32
+}
+
+// keyPrefixLen bytes of a key, zero-padded and read big-endian, make a
+// keyPrefix; it holds every "ins" + 7-digit record key whole.
+const keyPrefixLen = 16
+
+// keyPrefix orders keys as strings.Compare does wherever two prefixes
+// differ: a shorter key pads with zero bytes, which sort before any byte
+// a longer key could have there. Equal prefixes say nothing — "ab" and
+// "ab\x00" share one — and the full keys decide.
+type keyPrefix struct{ hi, lo uint64 }
+
+func prefixOf(key string) keyPrefix {
+	var b [keyPrefixLen]byte
+	copy(b[:], key)
+	return keyPrefix{binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:])}
+}
+
+func (p keyPrefix) compare(q keyPrefix) int {
+	if p.hi != q.hi {
+		return cmp.Compare(p.hi, q.hi)
+	}
+	return cmp.Compare(p.lo, q.lo)
 }
 
 // NewIndex returns an empty index.
@@ -246,6 +276,8 @@ func (x *Index) add(doc Doc, terms []string) error {
 	}
 	id := int32(len(x.docs))
 	x.docs = append(x.docs, doc)
+	x.kinds = append(x.kinds, doc.Kind)
+	x.prefixes = append(x.prefixes, prefixOf(doc.Key))
 	x.byKey[doc.Key] = id
 	for _, t := range terms {
 		x.postings[t] = append(x.postings[t], id)
@@ -263,18 +295,8 @@ func ParseQuery(q string) []string {
 	var terms []string
 	for _, w := range strings.Fields(q) {
 		if at := strings.IndexByte(w, ':'); at > 0 {
-			field := strings.ToLower(w[:at])
-			val := w[at+1:]
-			switch field {
-			case "inspire", "parent":
-				terms = append(terms, field+":"+strings.ToLower(val))
-				continue
-			case "reaction", "obs", "collab", "tier", "version", "conditions", "year":
-				terms = append(terms, field+":"+canon(val))
-				continue
-			case "meta":
-				k, v, _ := strings.Cut(val, "=")
-				terms = append(terms, "meta:"+canon(k)+"="+canon(v))
+			if t, ok := fieldTerm(strings.ToLower(w[:at]), w[at+1:]); ok {
+				terms = append(terms, t)
 				continue
 			}
 		}
@@ -282,14 +304,31 @@ func ParseQuery(q string) []string {
 			terms = append(terms, "t:"+tok)
 		}
 	}
-	sort.Strings(terms)
-	return dedupeSorted(terms)
+	return sortedUnique(terms)
 }
 
-func dedupeSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
+// fieldTerm is the index term a value of an indexed field searches for,
+// canonicalised as the indexer writes it; ok is false for any other field.
+func fieldTerm(field, val string) (term string, ok bool) {
+	switch field {
+	case "inspire", "parent":
+		return field + ":" + strings.ToLower(val), true
+	case "reaction", "obs", "collab", "tier", "version", "conditions", "year":
+		return field + ":" + canon(val), true
+	case "meta":
+		k, v, _ := strings.Cut(val, "=")
+		return "meta:" + canon(k) + "=" + canon(v), true
+	}
+	return "", false
+}
+
+// sortedUnique sorts terms and drops repeats, so a term named twice is
+// scored once.
+func sortedUnique(terms []string) []string {
+	sort.Strings(terms)
+	out := terms[:0]
+	for i, v := range terms {
+		if i == 0 || v != terms[i-1] {
 			out = append(out, v)
 		}
 	}
@@ -311,53 +350,48 @@ func termWeight(t string) int32 {
 
 // SearchPage runs the parsed terms through the index and returns one page
 // of the ranked result: the up-to-limit hits that follow the cursor
-// (anchored false starts at the top; limit <= 0 returns every one), the
-// full match count, and whether hits remain after the page. And intersects
-// the posting lists, seeking each id of the shortest in the others; Or
-// merges them, summing matched weight. The order is (score desc, key asc)
-// — total, so cursors are unambiguous. kind restricts results to one
+// (anchored false starts at the top), the full match count, and whether
+// hits remain after the page. limit must be at least 1; the HTTP handlers
+// clamp it to [1, maxPage]. And intersects the posting lists, seeking each
+// id of the shortest in the others; Or merges them in id order, summing
+// each id's matched weight once. The order is (score desc, key asc) —
+// total, so cursors are unambiguous. kind restricts results to one
 // document class; pass a negative value for both.
 //
 // The cost is the candidates' ids and the page: a match is a (doc id,
 // score) pair that is counted, kind-filtered and offered to a heap of the
 // limit best positions after the cursor in the one pass that finds it, and
-// only the winners become Hits. The heap compares immutable (score, key)
-// positions — termWeight knows no corpus statistics — so a publish between
-// two pages can add positions but never reorder the ones a cursor names.
+// only the winners become Hits. Filtering and ranking read the kind and
+// key-prefix columns; a Doc is read only on a prefix tie and for the
+// winners. The heap compares immutable (score, key) positions — termWeight
+// knows no corpus statistics — so a publish between two pages can add
+// positions but never reorder the ones a cursor names.
 func (x *Index) SearchPage(terms []string, mode Mode, kind int, cur Cursor, anchored bool, limit int) (page []Hit, total int, more bool) {
 	if len(terms) == 0 {
 		return nil, 0, false
 	}
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	sel := selector{x: x, kind: kind, cur: cur, anchored: anchored, limit: limit}
-	if limit > 0 {
-		sel.top = make([]candidate, 0, limit)
-	}
-	if mode == And {
-		var score int32
-		lists := make([]posting, 0, len(terms))
-		for _, t := range terms {
-			p := x.postings[t]
-			if len(p) == 0 {
+	sel := selector{x: x, kind: kind, cur: cur, curPrefix: prefixOf(cur.Key), anchored: anchored, limit: limit, top: make([]candidate, 0, limit)}
+	lists := make([]posting, 0, len(terms))
+	var score int32
+	for _, t := range terms {
+		p := x.postings[t]
+		if len(p) == 0 {
+			if mode == And {
 				return nil, 0, false // one empty list empties the intersection
 			}
-			score += termWeight(t)
-			lists = append(lists, posting{ids: p})
+			continue
 		}
+		w := termWeight(t)
+		score += w
+		lists = append(lists, posting{ids: p, w: w})
+	}
+	if mode == And {
 		slices.SortFunc(lists, func(a, b posting) int { return len(a.ids) - len(b.ids) })
-		intersect(lists, func(id int32) { sel.offer(id, score) })
+		intersect(lists, &sel, score)
 	} else {
-		scores := make(map[int32]int32)
-		for _, t := range terms {
-			w := termWeight(t)
-			for _, id := range x.postings[t] {
-				scores[id] += w
-			}
-		}
-		for id, s := range scores {
-			sel.offer(id, s)
-		}
+		union(lists, &sel)
 	}
 	slices.SortFunc(sel.top, sel.compare)
 	page = make([]Hit, len(sel.top))
@@ -367,10 +401,12 @@ func (x *Index) SearchPage(terms []string, mode Mode, kind int, cur Cursor, anch
 	return page, sel.total, sel.after > len(sel.top)
 }
 
-// candidate is one match before it is worth a Hit.
+// candidate is one match before it is worth a Hit: its position is its
+// score and its key's prefix, read once from the column.
 type candidate struct {
-	id    int32
-	score int32
+	id     int32
+	score  int32
+	prefix keyPrefix
 }
 
 // selector keeps the best limit candidates after the cursor. Until it has
@@ -378,11 +414,12 @@ type candidate struct {
 // the worst kept position at the root, so a candidate costs one comparison
 // to reject and O(log limit) to admit.
 type selector struct {
-	x        *Index
-	kind     int
-	cur      Cursor
-	anchored bool
-	limit    int
+	x         *Index
+	kind      int
+	cur       Cursor
+	curPrefix keyPrefix
+	anchored  bool
+	limit     int
 
 	top   []candidate
 	total int // matches of the right kind
@@ -394,21 +431,35 @@ func (s *selector) compare(a, b candidate) int {
 	if a.score != b.score {
 		return cmp.Compare(b.score, a.score)
 	}
+	if c := a.prefix.compare(b.prefix); c != 0 {
+		return c
+	}
 	return strings.Compare(s.x.docs[a.id].Key, s.x.docs[b.id].Key)
 }
 
+// afterCursor is Cursor.After read from the key column: the doc's key is
+// fetched only when its prefix ties the cursor's.
+func (s *selector) afterCursor(c candidate) bool {
+	if c.score != s.cur.Score {
+		return c.score < s.cur.Score
+	}
+	if o := c.prefix.compare(s.curPrefix); o != 0 {
+		return o > 0
+	}
+	return s.cur.After(c.score, s.x.docs[c.id].Key)
+}
+
 func (s *selector) offer(id, score int32) {
-	doc := &s.x.docs[id]
-	if s.kind >= 0 && doc.Kind != DocKind(s.kind) {
+	if s.kind >= 0 && s.x.kinds[id] != DocKind(s.kind) {
 		return
 	}
 	s.total++
-	if s.anchored && !s.cur.After(score, doc.Key) {
+	c := candidate{id: id, score: score, prefix: s.x.prefixes[id]}
+	if s.anchored && !s.afterCursor(c) {
 		return
 	}
 	s.after++
-	c := candidate{id: id, score: score}
-	if s.limit <= 0 || len(s.top) < s.limit {
+	if len(s.top) < s.limit {
 		s.top = append(s.top, c)
 		if len(s.top) == s.limit {
 			for i := len(s.top)/2 - 1; i >= 0; i-- {
@@ -440,24 +491,28 @@ func (s *selector) sift(i int) {
 	}
 }
 
-// posting is one term's sorted doc ids and how far an intersection has
-// advanced through them.
+// posting is one term's sorted doc ids, its weight, and how far a merge
+// has advanced through them.
 type posting struct {
 	ids []int32
 	lo  int
+	w   int32
 }
 
-// intersect streams the intersection of sorted posting lists to emit, in
-// id order: every id of the shortest list (lists[0]) is sought in each of
-// the others by binary search from where the last one was found — sublinear
-// in the long lists, which is where a big corpus spends its time — and
-// nothing is copied.
-func intersect(lists []posting, emit func(id int32)) {
+// head is the id a merge reads next.
+func (p *posting) head() int32 { return p.ids[p.lo] }
+
+// intersect offers the intersection of sorted posting lists to sel at
+// score, in id order: every id of the shortest list (lists[0]) is sought
+// in each of the others by galloping from where the last one was found —
+// sublinear in the long lists, which is where a big corpus spends its
+// time — and nothing is copied.
+func intersect(lists []posting, sel *selector, score int32) {
 next:
 	for _, id := range lists[0].ids {
 		for k := 1; k < len(lists); k++ {
 			l := &lists[k]
-			l.lo += sort.Search(len(l.ids)-l.lo, func(i int) bool { return l.ids[l.lo+i] >= id })
+			l.lo = gallop(l.ids, l.lo, id)
 			if l.lo >= len(l.ids) {
 				return
 			}
@@ -465,7 +520,73 @@ next:
 				continue next
 			}
 		}
-		emit(id)
+		sel.offer(id, score)
+	}
+}
+
+// gallop returns the first index from lo on whose id is at least id: it
+// tries 1, 2, 4, … places on until it passes id, then binary-searches the
+// last gap, so a seek costs the log of how far it moves.
+func gallop(ids []int32, lo int, id int32) int {
+	if lo >= len(ids) || ids[lo] >= id {
+		return lo
+	}
+	// ids[lo] < id throughout; hi is the first place tried that is not.
+	hi, step := lo+1, 1
+	for hi < len(ids) && ids[hi] < id {
+		lo = hi
+		step <<= 1
+		hi = lo + step
+	}
+	hi = min(hi, len(ids))
+	for lo++; lo < hi; {
+		m := int(uint(lo+hi) >> 1)
+		if ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// union offers the union of non-empty sorted posting lists to sel in id
+// order, each id once with the summed weight of the lists that hold it. A
+// min-heap of the lists ordered by head id is the merge; it lives in
+// lists, so nothing grows with the result.
+func union(lists []posting, sel *selector) {
+	for i := len(lists)/2 - 1; i >= 0; i-- {
+		siftHead(lists, i)
+	}
+	for len(lists) > 0 {
+		id, score := lists[0].head(), int32(0)
+		for len(lists) > 0 && lists[0].head() == id {
+			score += lists[0].w
+			if lists[0].lo++; lists[0].lo == len(lists[0].ids) {
+				lists[0] = lists[len(lists)-1]
+				lists = lists[:len(lists)-1]
+			}
+			siftHead(lists, 0)
+		}
+		sel.offer(id, score)
+	}
+}
+
+// siftHead restores the merge heap below i: no list's head id is below its
+// parent's.
+func siftHead(h []posting, i int) {
+	for {
+		least := i
+		for child := 2*i + 1; child <= 2*i+2 && child < len(h); child++ {
+			if h[child].head() < h[least].head() {
+				least = child
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
 	}
 }
 
@@ -496,9 +617,9 @@ func (x *Index) LookupMany(keys []string) []Doc {
 
 // Rebuild constructs the index deterministically from the stores: records
 // in sorted id order, then datasets in sorted name order. Two rebuilds
-// over the same store contents produce byte-identical Dump output, and a
-// rebuilt index answers every query identically to one grown publish by
-// publish — the property the round-trip tests pin.
+// over the same store contents build equal doc tables, columns and posting
+// lists, and a rebuilt index answers every query identically to one grown
+// publish by publish — the property the round-trip tests pin.
 func Rebuild(archive *hepdata.Archive, cat *catalog.Catalog) (*Index, error) {
 	x := NewIndex()
 	if archive != nil {

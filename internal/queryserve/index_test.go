@@ -71,10 +71,11 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
-// searchAll is the whole ranked result through the serving path: one
-// unbounded page from the top.
+// searchAll is the whole ranked result through the serving path: one page
+// from the top, as large as a handler serves — more than any corpus here
+// holds.
 func searchAll(x *Index, terms []string, mode Mode, kind int) []Hit {
-	hits, _, _ := x.SearchPage(terms, mode, kind, Cursor{}, false, 0)
+	hits, _, _ := x.SearchPage(terms, mode, kind, Cursor{}, false, maxPage)
 	return hits
 }
 
@@ -181,9 +182,9 @@ func TestIndexedSearchSublinear(t *testing.T) {
 // timing test above cannot be: its probe matches ten documents, so it never
 // sees what a search costs per *match*. Here the same 50-row page is cut
 // from a 500-hit and a 20,000-hit result — first page and mid-walk, one
-// term and an intersection — and the allocations and bytes allocated must
-// be flat (±10 %): candidates stay doc ids, and only the page becomes Hits.
-// Or-mode is not held to this; its score map still grows with the result.
+// term, an intersection and a union, in both modes — and the allocations
+// and bytes allocated must be flat (±10 %): candidates stay doc ids, Or
+// merges the lists in place, and only the page becomes Hits.
 func TestSearchPageCostBoundedByPage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector; scripts/verify.sh runs this gate without it")
@@ -201,10 +202,10 @@ func TestSearchPageCostBoundedByPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cost := func(terms []string, wantTotal int, cur Cursor, anchored bool) (allocs, bytes float64) {
+	cost := func(terms []string, mode Mode, wantTotal int, cur Cursor, anchored bool) (allocs, bytes float64) {
 		t.Helper()
 		search := func() {
-			hits, total, more := x.SearchPage(terms, And, int(KindRecord), cur, anchored, page)
+			hits, total, more := x.SearchPage(terms, mode, int(KindRecord), cur, anchored, page)
 			if len(hits) != page || total != wantTotal || !more {
 				t.Fatalf("%v: %d rows of %d, more %v; want %d of %d", terms, len(hits), total, more, page, wantTotal)
 			}
@@ -226,13 +227,17 @@ func TestSearchPageCostBoundedByPage(t *testing.T) {
 		cur        Cursor
 		anchored   bool
 		fewN, manN int
+		mode       Mode
 	}{
-		{"first page, one term", []string{"t:few"}, []string{"t:all"}, Cursor{}, false, small, big},
-		{"mid-walk, one term", []string{"t:few"}, []string{"t:all"}, mid, true, small, big},
-		{"first page, intersection", []string{"obs:sig", "t:few"}, []string{"t:all", "year:2012"}, Cursor{}, false, small, big},
+		{"first page, one term", []string{"t:few"}, []string{"t:all"}, Cursor{}, false, small, big, And},
+		{"mid-walk, one term", []string{"t:few"}, []string{"t:all"}, mid, true, small, big, And},
+		{"first page, intersection", []string{"obs:sig", "t:few"}, []string{"t:all", "year:2012"}, Cursor{}, false, small, big, And},
+		{"first page, one term, or", []string{"t:few"}, []string{"t:all"}, Cursor{}, false, small, big, Or},
+		{"mid-walk, one term, or", []string{"t:few"}, []string{"t:all"}, mid, true, small, big, Or},
+		{"first page, union", []string{"obs:sig", "t:few"}, []string{"t:all", "year:2012"}, Cursor{}, false, small, big, Or},
 	} {
-		fewAllocs, fewBytes := cost(c.few, c.fewN, c.cur, c.anchored)
-		manyAllocs, manyBytes := cost(c.many, c.manN, c.cur, c.anchored)
+		fewAllocs, fewBytes := cost(c.few, c.mode, c.fewN, c.cur, c.anchored)
+		manyAllocs, manyBytes := cost(c.many, c.mode, c.manN, c.cur, c.anchored)
 		t.Logf("%s: %d hits %.0f allocs %.0f B; %d hits %.0f allocs %.0f B", c.name, c.fewN, fewAllocs, fewBytes, c.manN, manyAllocs, manyBytes)
 		if manyAllocs > fewAllocs*1.1 || manyBytes > fewBytes*1.1 {
 			t.Errorf("%s: a %d-row page costs %.0f allocs / %.0f B from %d hits but %.0f / %.0f from %d — cost follows the result set, not the page",
@@ -269,8 +274,9 @@ func TestSearchKindFilter(t *testing.T) {
 }
 
 // TestRebuildDeterministic pins the index rebuild contract: two rebuilds
-// from the same stores dump byte-identically, and an index grown publish
-// by publish in arbitrary order answers every query the same way.
+// from the same stores build equal doc tables, columns and posting lists,
+// the columns say what the docs do, and an index grown publish by publish
+// in arbitrary order answers every query the same way.
 func TestRebuildDeterministic(t *testing.T) {
 	archive := hepdata.NewArchive()
 	cat := catalog.New()
@@ -300,6 +306,17 @@ func TestRebuildDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(x1.docs, x2.docs) || !reflect.DeepEqual(x1.postings, x2.postings) {
 		t.Fatal("two rebuilds built different doc tables or posting lists")
 	}
+	if !reflect.DeepEqual(x1.kinds, x2.kinds) || !reflect.DeepEqual(x1.prefixes, x2.prefixes) {
+		t.Fatal("two rebuilds built different kind or key columns")
+	}
+	if len(x1.kinds) != len(x1.docs) || len(x1.prefixes) != len(x1.docs) {
+		t.Fatalf("%d docs, %d kinds, %d key prefixes", len(x1.docs), len(x1.kinds), len(x1.prefixes))
+	}
+	for id, d := range x1.docs {
+		if x1.kinds[id] != d.Kind || x1.prefixes[id] != prefixOf(d.Key) {
+			t.Fatalf("doc %d %+v: column kind %v, key prefix %x", id, d, x1.kinds[id], x1.prefixes[id])
+		}
+	}
 
 	// Incremental build in shuffled publish order.
 	inc := NewIndex()
@@ -327,6 +344,58 @@ func TestRebuildDeterministic(t *testing.T) {
 				if a[i].Key != b[i].Key || a[i].Score != b[i].Score || a[i].ETag != b[i].ETag {
 					t.Fatalf("query %v hit %d: rebuild %+v incremental %+v", q, i, a[i], b[i])
 				}
+			}
+		}
+	}
+}
+
+// TestKeyColumnOrder holds the key column to strings.Compare on pairs
+// chosen to sit on its edges: a zero byte against the padding, keys that
+// differ only past the prefix, and the record keys the benchmark ranks.
+// The ranking comparison, the cursor test and the prefix order alone (where
+// it decides) must each agree with the string order, both ways round.
+func TestKeyColumnOrder(t *testing.T) {
+	for _, c := range []struct {
+		a, b string
+		tie  bool // the prefixes are equal and the full keys decide
+	}{
+		{"ab", "ab\x00", true},
+		{"", "\x00", true},
+		{"ab", "ab\x01", false},
+		{"ab\x00c", "ab\x01", false},
+		{"ins1500099", "ins1500100", false},
+		{"ins999", "ins1000000", false},
+		{"/bench/sample0001/AOD/v1", "/bench/sample0001/AOD/v2", true},
+		{"/bench/sample0001/AOD/v1", "/bench/sample0002/AOD/v1", true},
+		{"/bench/sample0010/AOD/v1", "/bench/sample0020/AOD/v1", false},
+		{"abcdefghijklmnop", "abcdefghijklmnop\x00", true},
+		{"abcdefghijklmno", "abcdefghijklmnop", false},
+		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff", false},
+	} {
+		if strings.Compare(c.a, c.b) == 0 {
+			t.Fatalf("%q and %q are one key", c.a, c.b)
+		}
+		x := NewIndex()
+		for _, key := range []string{c.a, c.b} {
+			if err := x.add(Doc{Key: key}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pa, pb := x.prefixes[0], x.prefixes[1]
+		if tie := pa == pb; tie != c.tie {
+			t.Errorf("%q, %q: prefixes %x, %x, tie %v, want %v", c.a, c.b, pa, pb, tie, c.tie)
+		}
+		if got, want := pa.compare(pb), strings.Compare(c.a, c.b); got != 0 && got != want {
+			t.Errorf("%q, %q: prefix order %d, strings.Compare %d", c.a, c.b, got, want)
+		}
+		for _, ab := range [][2]int32{{0, 1}, {1, 0}} {
+			a, b := x.docs[ab[0]].Key, x.docs[ab[1]].Key
+			sel := selector{x: x, cur: Cursor{Score: 3, Key: b}, curPrefix: prefixOf(b)}
+			if got, want := sel.compare(candidate{id: ab[0], score: 3, prefix: x.prefixes[ab[0]]}, candidate{id: ab[1], score: 3, prefix: x.prefixes[ab[1]]}), strings.Compare(a, b); got != want {
+				t.Errorf("%q against %q: ranked %d, strings.Compare %d", a, b, got, want)
+			}
+			if got, want := sel.afterCursor(candidate{id: ab[0], score: 3, prefix: x.prefixes[ab[0]]}), sel.cur.After(3, a); got != want {
+				t.Errorf("%q after cursor %q: columns say %v, Cursor.After %v", a, b, got, want)
 			}
 		}
 	}
@@ -385,5 +454,56 @@ func TestETagStability(t *testing.T) {
 	}
 	if etagMatches(`"other"`, e1) || etagMatches("", e1) {
 		t.Fatal("etagMatches accepted a stale validator")
+	}
+}
+
+// BenchmarkSearchPage times one 50-row page of a ranked search over a
+// corpus shaped like the benchmark's: 20,000 records published in key
+// order beside 2,000 datasets, every record carrying two reactions, a
+// collaboration, a topic and a year from short cycles, so a one-term
+// search matches 6,667 records and two dense terms 5,000. Every match is
+// counted and ranked; the page is what a handler would serve.
+func BenchmarkSearchPage(b *testing.B) {
+	reactions := []string{"pp-->z0x", "pp-->w+x", "pp-->zprimex", "pp-->h0x", "pp-->toptopbarx", "pp-->jetjetx"}
+	collabs := []string{"daspos-gpd", "atlas", "cms", "lhcb"}
+	topics := []string{"boson", "dimuon", "dijet", "top"}
+	x := NewIndex()
+	for i := 0; i < 20000; i++ {
+		terms := []string{
+			"reaction:" + reactions[i%6], "reaction:" + reactions[(i+1)%6],
+			"collab:" + collabs[i%4], "t:" + collabs[i%4], "t:" + topics[i%4],
+			fmt.Sprintf("year:%d", 2008+i%12), "t:measurement", "t:production",
+		}
+		doc := Doc{Kind: KindRecord, Key: fmt.Sprintf("ins%07d", 1500000+i), ETag: `"e"`, Title: "Measurement"}
+		if err := x.add(doc, terms); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		tier := []string{"raw", "reco", "aod", "skim"}[i%4]
+		doc := Doc{Kind: KindDataset, Key: fmt.Sprintf("/bench/sample%04d/%s/v%d", i, strings.ToUpper(tier), 1+i%3), ETag: `"e"`}
+		if err := x.add(doc, []string{"tier:" + tier, "t:bench", "t:" + tier}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		q     string
+		mode  Mode
+		total int
+	}{
+		{"one-term", "reaction:PP-->ZPRIMEX", And, 6667},
+		{"two-dense-terms", "collab:ATLAS dimuon", And, 5000},
+		{"two-dense-terms-or", "collab:ATLAS dimuon", Or, 5000},
+	} {
+		terms := ParseQuery(c.q)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				hits, total, _ := x.SearchPage(terms, c.mode, int(KindRecord), Cursor{}, false, 50)
+				if len(hits) != 50 || total != c.total {
+					b.Fatalf("%d hits of %d, want 50 of %d", len(hits), total, c.total)
+				}
+			}
+		})
 	}
 }

@@ -266,7 +266,8 @@ func (s *Server) conditional(w http.ResponseWriter, r *http.Request, etag, conte
 // handleRecords serves ranked search (?q=) and the keyset listing walk.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	qv := r.URL.Query()
-	s.serveIndex(w, r, KindRecord, qv, qv.Get("q"))
+	q := qv.Get("q")
+	s.serveIndex(w, r, KindRecord, qv, q, ParseQuery(q))
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
@@ -275,22 +276,30 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Tier/metadata filters compile to index terms, so a filtered listing
-	// is just a field search.
+	// is just a field search. Each filter value is one term, whitespace and
+	// all: it is canonicalised as the indexer canonicalises the field, not
+	// split into words. The words, joined, name the page in its ETag.
 	qv := r.URL.Query()
-	var terms []string
+	var words, terms []string
+	add := func(field, val string) {
+		words = append(words, field+":"+val)
+		t, _ := fieldTerm(field, val)
+		terms = append(terms, t)
+	}
 	if tier := qv.Get("tier"); tier != "" {
-		terms = append(terms, "tier:"+tier)
+		add("tier", tier)
 	}
 	for _, m := range qv["meta"] {
-		terms = append(terms, "meta:"+m)
+		add("meta", m)
 	}
-	s.serveIndex(w, r, KindDataset, qv, strings.Join(terms, " "))
+	s.serveIndex(w, r, KindDataset, qv, strings.Join(words, " "), sortedUnique(terms))
 }
 
 // serveIndex is the shared search/listing path for one document kind: qv
-// is the request's query string, parsed once, and q the query text (which
-// /datasets builds from its filters).
-func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind, qv url.Values, q string) {
+// is the request's query string, parsed once, q the query text the page
+// ETag names (which /datasets builds from its filters), and terms what q
+// searches for; no terms is a listing.
+func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind, qv url.Values, q string, terms []string) {
 	limit, cur, anchored, err := pageParams(qv)
 	if err != nil {
 		daemon.Error(w, http.StatusBadRequest, err.Error())
@@ -302,7 +311,7 @@ func (s *Server) serveIndex(w http.ResponseWriter, r *http.Request, kind DocKind
 		return
 	}
 	var resp searchResponse
-	if terms := ParseQuery(q); len(terms) > 0 {
+	if len(terms) > 0 {
 		s.searches.Add(1)
 		page, total, more := s.idx.SearchPage(terms, mode, int(kind), cur, anchored, limit)
 		resp.Total = total

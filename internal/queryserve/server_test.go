@@ -266,6 +266,23 @@ func TestDatasetEndpoints(t *testing.T) {
 	if len(mresp.Results) != 2 { // i%3==1 -> mc21: datasets 1, 4
 		t.Fatalf("meta filter: %+v", mresp)
 	}
+
+	// A filter value with whitespace in it is one term, canonicalised as
+	// the indexer canonicalises it, not a field term plus free words.
+	d := testDataset(6)
+	d.Metadata["generator"] = "Pythia 8"
+	if _, err := srv.PublishDataset(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{"/datasets?meta=generator%3DPythia+8", "/datasets?meta=generator%3Dpythia8&tier=+raw+"} {
+		var gresp searchResponse
+		if err := json.Unmarshal(doReq(t, h, "GET", target, nil).Body.Bytes(), &gresp); err != nil {
+			t.Fatal(err)
+		}
+		if len(gresp.Results) != 1 || gresp.Results[0].Key != d.Name {
+			t.Fatalf("%s: %+v, want %s alone", target, gresp, d.Name)
+		}
+	}
 }
 
 func TestPublishEndpoints(t *testing.T) {
