@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -180,7 +181,8 @@ func TestClusterChaosE2E(t *testing.T) {
 	srv := httptest.NewServer(rebuilt.Handler())
 	t.Cleanup(srv.Close)
 	nodes[2] = rebuilt
-	if err := cl.AddNode(cluster.NodeInfo{ID: "site-2", URL: srv.URL}); err != nil {
+	infos[2] = cluster.NodeInfo{ID: "site-2", URL: srv.URL}
+	if err := cl.AddNode(infos[2]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,6 +235,31 @@ func TestClusterChaosE2E(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s/%s differs from fault-free baseline", id, f.Path)
+			}
+		}
+	}
+
+	// The index lives in the fleet too: a fresh client over the same five
+	// nodes, with none of this process's map, recovers every package from
+	// the manifest blobs alone, and every file reads back byte-identical.
+	fresh, err := cluster.New(ctx, cluster.Config{Nodes: infos, ReplicationFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := archive.Recover(fresh)
+	if err != nil {
+		t.Fatalf("recovering the archive from the fleet: %v", err)
+	}
+	if got, want := recovered.IDs(), baseline.IDs(); !slices.Equal(got, want) {
+		t.Fatalf("recovered packages %v, want %v", got, want)
+	}
+	for _, id := range ids {
+		pkg, _ := recovered.Get(id)
+		for _, f := range pkg.Files {
+			got, err := recovered.Fetch(id, f.Path)
+			want, _ := baseline.Fetch(id, f.Path)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("recovered %s/%s differs from the baseline: %v", id, f.Path, err)
 			}
 		}
 	}

@@ -5,10 +5,14 @@
 // any — and list shows the package catalogue (and refuses a damaged
 // archive).
 //
-// An archive is a directory: blobs/ holds one durable file per blob and
-// packages.log one line per package, so create appends to it and rewrites
-// nothing. verify and list also read the single-file images earlier builds
-// wrote, read only.
+// An archive is a directory: blobs/ holds one durable file per blob, each
+// package's manifest among them, and packages.log one package ID per line,
+// so create appends to it and rewrites nothing. verify checks manifests
+// and payload alike, and a lost packages.log is rebuilt from the manifests
+// (archive.Recover does the same for a cluster.Client, beside
+// archive.NewWithStore). A directory an earlier build wrote, one whole
+// package per packages.log line, opens as it is. verify and list also read
+// the single-file images earlier builds wrote, read only.
 //
 // Usage:
 //

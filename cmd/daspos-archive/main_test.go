@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"daspos/internal/archive"
+	"daspos/internal/cas"
 )
 
 // createIn runs `create -out dir -seed seed -events 50` and returns the
@@ -76,6 +77,92 @@ func TestParentImageReadsUnchanged(t *testing.T) {
 	}
 	if err := catalogue(&out, damaged); err == nil {
 		t.Fatal("list accepted the flipped image")
+	}
+}
+
+// copyArchive copies a directory archive into a temp dir, so a test reopens
+// it without touching testdata.
+func copyArchive(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	blobs, err := filepath.Glob(filepath.Join(src, "blobs", "*"))
+	if err != nil || len(blobs) == 0 {
+		t.Fatalf("no blobs under %s: %v", src, err)
+	}
+	for _, p := range append(blobs, filepath.Join(src, "packages.log")) {
+		rel, _ := filepath.Rel(src, p)
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dst, rel)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, rel), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestParentDirectoryReadsUnchanged: testdata/parent-dir is the directory
+// the last build before the roots log wrote (`create -events 50` at seeds 7
+// and 8), one whole Package per packages.log line, and parent-dir.list is
+// what that build's list printed. list prints the same for a copy, verify
+// passes, the copy's packages.log is not rewritten, and the manifests the
+// reopen adopted into blobs/ recover the same packages on their own.
+func TestParentDirectoryReadsUnchanged(t *testing.T) {
+	dir := copyArchive(t, filepath.Join("testdata", "parent-dir"))
+	log := filepath.Join(dir, "packages.log")
+	before, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "parent-dir.list"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := loadT(t, dir)
+	var out bytes.Buffer
+	if err := catalogue(&out, a); err != nil || out.String() != string(want) {
+		t.Fatalf("list printed (%v)\n%swant\n%s", err, out.String(), want)
+	}
+	out.Reset()
+	if !audit(&out, a) || out.String() != "packages: 2, healthy: 2\n" {
+		t.Fatalf("verify printed\n%s", out.String())
+	}
+	if after, err := os.ReadFile(log); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("reopening rewrote packages.log (%v)", err)
+	}
+	disk, err := cas.OpenDisk(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := archive.Recover(disk); err != nil || !slices.Equal(r.IDs(), a.IDs()) {
+		t.Fatalf("Recover over the reopened copy's blobs: %v, want %v (%v)", r, a.IDs(), err)
+	}
+}
+
+// TestLostIndexIsRebuilt: with packages.log moved away, verify and list
+// rebuild it from the blobs and print what they printed before.
+func TestLostIndexIsRebuilt(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a")
+	createIn(t, dir, "7")
+	createIn(t, dir, "8")
+	var before bytes.Buffer
+	if err := catalogue(&before, loadT(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, "packages.log"), filepath.Join(dir, "..", "packages.log")); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if !audit(&out, loadT(t, dir)) || out.String() != "packages: 2, healthy: 2\n" {
+		t.Fatalf("verify after losing packages.log printed\n%s", out.String())
+	}
+	out.Reset()
+	if err := catalogue(&out, loadT(t, dir)); err != nil || out.String() != before.String() {
+		t.Fatalf("list after losing packages.log printed (%v)\n%swant\n%s", err, out.String(), before.String())
 	}
 }
 

@@ -11,10 +11,12 @@
 // future consumer can answer: what is this, can I still run it, and where
 // did it come from.
 //
-// An archive Open makes lives in a directory: its blobs in blobs/, one
-// durable file each (cas.DiskBackend), and its index in packages.log, an
-// append-only journal with one Package per line. Adding a package writes
-// its new blobs and appends one line; nothing already there is rewritten.
+// A package's manifest (the Package, ID empty) is a blob whose digest is
+// the package ID, so Recover rebuilds an index from blobs alone: over a
+// cluster.Client, archive.Recover(cl) beside archive.NewWithStore. An
+// archive Open makes lives in a directory: blobs in blobs/ (a
+// cas.DiskBackend), and in packages.log, a journal, one package ID per
+// line. Adding a package writes its new blobs and appends one line.
 package archive
 
 import (
@@ -23,7 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
+	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -103,8 +105,8 @@ var (
 // archive.
 type Archive struct {
 	blobs *cas.Store
-	// index is the package journal of an archive Open made; nil for one
-	// over a caller's store.
+	// index is the roots log of an archive Open made; nil for one over a
+	// caller's store.
 	index *journal.Journal
 
 	mu       sync.RWMutex
@@ -124,19 +126,71 @@ func NewWithStore(blobs *cas.Store) *Archive {
 	return &Archive{blobs: blobs, packages: make(map[string]*Package)}
 }
 
-// Open creates or reopens the archive in a directory. Replaying the index
-// recomputes every package ID and fails, naming the line, on one that does
-// not match; a package recorded twice is indexed once.
-func Open(dir string) (*Archive, error) {
-	disk, err := cas.OpenDisk(filepath.Join(dir, "blobs"))
+// Open creates or reopens the archive in a directory. Replaying a root
+// reads its manifest, checked; a line that is not a digest, or names a
+// missing or damaged manifest, fails Open naming the line. With no
+// packages.log, Open writes one from Recover over blobs/ in one atomic
+// Write, so a crash mid-rebuild leaves no log to trust.
+func Open(dir string) (*Archive, error) { return open(cas.OpenDir(dir)) }
+
+// open is Open over the directory's cas.Dir, which commits a rebuilt log.
+func open(root *cas.Dir, err error) (*Archive, error) {
+	if err != nil {
+		return nil, fmt.Errorf("archive: %w", err)
+	}
+	disk, err := cas.OpenDisk(root.Path("blobs"))
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
 	a := NewWithStore(cas.NewStoreWith(disk))
-	if a.index, err = journal.Open(filepath.Join(dir, "packages.log"), a.add); err != nil {
+	if _, err := os.Stat(root.Path("packages.log")); os.IsNotExist(err) {
+		if a, err = Recover(disk); err != nil {
+			return nil, err
+		}
+		var roots []byte
+		for _, id := range a.IDs() {
+			roots = append(strconv.AppendQuote(roots, id), '\n') // a hex digest quotes as JSON does
+		}
+		if err := root.Write("packages.log", roots); err != nil {
+			return nil, fmt.Errorf("archive: rebuilding packages.log: %w", err)
+		}
+	}
+	if a.index, err = journal.Open(root.Path("packages.log"), a.replay); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
 	return a, nil
+}
+
+// Recover rebuilds an index from blobs alone: every manifest among them is
+// a package. A blob that cannot be read fails Recover, naming the digest.
+func Recover(b cas.Backend) (*Archive, error) {
+	a := NewWithStore(cas.NewStoreWith(b))
+	for _, digest := range b.Digests() {
+		if pkg, err := a.manifest(digest); err == nil {
+			a.packages[digest] = pkg
+		} else if !errors.Is(err, errNotManifest) {
+			return nil, fmt.Errorf("archive: recovering: %w", err)
+		}
+	}
+	return a, nil
+}
+
+var errNotManifest = errors.New("not a package manifest")
+
+// manifest reads a blob, checked, as a manifest: a Package with an empty ID
+// that re-encodes to the blob's own bytes, so its digest is its ID.
+func (a *Archive) manifest(digest string) (*Package, error) {
+	data, err := a.blobs.Get(digest)
+	if err != nil {
+		return nil, err
+	}
+	var pkg Package
+	err = json.Unmarshal(data, &pkg)
+	if again, _ := json.Marshal(&pkg); err != nil || pkg.Metadata.ID != "" || !bytes.Equal(again, data) {
+		return nil, errNotManifest
+	}
+	pkg.Metadata.ID = digest
+	return &pkg, nil
 }
 
 // Close releases the index of an archive Open made; the directory stays
@@ -148,31 +202,57 @@ func (a *Archive) Close() error {
 	return a.index.Close()
 }
 
-// add indexes a package read back from an index, holding it to its ID:
-// blob fixity does not cover the index, so the ID is recomputed rather than
-// believed.
-func (a *Archive) add(pkg *Package) error {
-	if pkg == nil {
-		return fmt.Errorf("archive: null package in index")
+// replay indexes one packages.log line: a root, or a whole Package an
+// earlier build wrote. Indexing an ID twice is harmless.
+func (a *Archive) replay(line json.RawMessage) error {
+	var pkg *Package
+	if json.Unmarshal(line, &pkg) == nil {
+		return a.adopt(pkg)
 	}
-	id, err := packageID(pkg)
-	if err != nil {
+	var id string
+	if err := json.Unmarshal(line, &id); err != nil {
 		return err
 	}
-	if id != pkg.Metadata.ID {
-		return fmt.Errorf("archive: package %q (%q) does not match its ID: metadata altered", pkg.Metadata.ID, pkg.Metadata.Title)
+	if len(id) != 64 || strings.Trim(id, "0123456789abcdef") != "" { // it is a file name next
+		return fmt.Errorf("archive: root %.80q is not a package ID", id)
 	}
-	if _, dup := a.packages[id]; !dup {
-		a.packages[id] = pkg
+	pkg, err := a.manifest(id)
+	if err != nil {
+		return fmt.Errorf("archive: package %s manifest: %w", id, err)
 	}
+	a.packages[id] = pkg
 	return nil
 }
 
-// Ingest stores the payload files and registers the package, returning its
-// assigned ID. Metadata.EnvManifest and Metadata.Provenance, when set,
-// must name ingested paths. In an archive Open made, the index append is
-// the commit point: the blobs are durable before the line naming them is
-// written, so a crash in between leaves unreferenced blobs and no package.
+// adopt indexes a Package record an earlier build wrote and stores its
+// manifest. The one place an ID is recomputed: before the Put, so an
+// altered record stores nothing.
+func (a *Archive) adopt(pkg *Package) error {
+	if pkg == nil {
+		return fmt.Errorf("archive: null package in index")
+	}
+	id := pkg.Metadata.ID
+	pkg.Metadata.ID = ""
+	manifest, err := json.Marshal(pkg)
+	if err != nil {
+		return err
+	}
+	if cas.Digest(manifest) != id {
+		return fmt.Errorf("archive: package %q (%q) does not match its ID: metadata altered", id, pkg.Metadata.Title)
+	}
+	if _, err := a.blobs.Put(manifest); err != nil {
+		return fmt.Errorf("archive: storing the manifest of %s: %w", id, err)
+	}
+	pkg.Metadata.ID = id
+	a.packages[id] = pkg
+	return nil
+}
+
+// Ingest stores the payload files, then the manifest, whose digest is the
+// ID it returns. Metadata.EnvManifest and Metadata.Provenance, when set,
+// must name payload paths; a rejected package writes nothing. In an archive
+// Open made, the roots append is the commit point: a crash before it
+// leaves unreferenced blobs and no package.
 func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error) {
 	if meta.Title == "" {
 		return "", fmt.Errorf("archive: package needs a title")
@@ -192,6 +272,11 @@ func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error)
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
+	for _, special := range []string{meta.EnvManifest, meta.Provenance} {
+		if _, ok := files[special]; special != "" && !ok {
+			return "", fmt.Errorf("archive: metadata references %q which is not in the payload", special)
+		}
+	}
 	for _, path := range paths {
 		digest, err := a.blobs.Put(files[path])
 		if err != nil {
@@ -199,14 +284,13 @@ func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error)
 		}
 		pkg.Files = append(pkg.Files, File{Path: path, Digest: digest, Size: int64(len(files[path]))})
 	}
-	for _, special := range []string{meta.EnvManifest, meta.Provenance} {
-		if special != "" && pkg.File(special) == nil {
-			return "", fmt.Errorf("archive: metadata references %q which is not in the payload", special)
-		}
-	}
-	id, err := packageID(pkg)
+	manifest, err := json.Marshal(pkg)
 	if err != nil {
 		return "", err
+	}
+	id, err := a.blobs.Put(manifest)
+	if err != nil {
+		return "", fmt.Errorf("archive: storing the manifest of %q: %w", meta.Title, err)
 	}
 	pkg.Metadata.ID = id
 	if _, dup := a.Get(id); dup {
@@ -216,7 +300,7 @@ func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error)
 		// Not under a.mu: readers and audits go on while the line is
 		// fsynced. Two racing ingests of one package both append it, and
 		// replay indexes it once.
-		if err := a.index.Append(pkg); err != nil {
+		if err := a.index.Append(id); err != nil {
 			return "", fmt.Errorf("archive: %w", err)
 		}
 	}
@@ -227,18 +311,6 @@ func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error)
 	}
 	a.packages[id] = pkg
 	return id, nil
-}
-
-// packageID is the content address of a package: the digest of its
-// manifest marshalled with the ID field empty.
-func packageID(pkg *Package) (string, error) {
-	unsigned := *pkg
-	unsigned.Metadata.ID = ""
-	manifest, err := json.Marshal(&unsigned)
-	if err != nil {
-		return "", err
-	}
-	return cas.Digest(manifest), nil
 }
 
 // Get returns the package with the given ID.
@@ -266,12 +338,15 @@ func (a *Archive) Fetch(id, path string) ([]byte, error) {
 	return data, nil
 }
 
-// VerifyPackage fixity-checks every file of a package, without
+// VerifyPackage fixity-checks a package's manifest and every file, without
 // materialising any of them.
 func (a *Archive) VerifyPackage(id string) error {
 	pkg, ok := a.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoPackage, id)
+	}
+	if _, err := a.blobs.Verify(id); err != nil {
+		return fmt.Errorf("archive: package %s manifest: %w", id, err)
 	}
 	for _, f := range pkg.Files {
 		logical, err := a.blobs.Verify(f.Digest)
@@ -293,7 +368,8 @@ type VerifyReport struct {
 	Damaged map[string]string
 }
 
-// VerifyAll fixity-checks every package — the scheduled integrity audit a
+// VerifyAll fixity-checks every package, manifests included, so it audits
+// the index as well as the payload — the scheduled integrity audit a
 // level-5 maturity rating requires ("disaster recovery plans are routinely
 // tested and shown to be effective"). The audit decompresses and rehashes
 // every blob, so it fans out across GOMAXPROCS workers.
@@ -367,7 +443,7 @@ func (a *Archive) CorruptBlob(digest string) error { return a.blobs.Corrupt(dige
 // daspos-archive wrote: a decimal index length and a newline, a JSON index
 // of every package, then the blob stream cas.LoadUnverified reads. No blob
 // is checked, so VerifyAll on the result is the one fixity pass and names
-// what is damaged; the index is held to the package IDs.
+// what is damaged; each index entry is adopted, held to its ID.
 func ReadImage(image []byte) (*Archive, error) {
 	head, rest, _ := bytes.Cut(image, []byte("\n"))
 	n, err := strconv.Atoi(string(head))
@@ -386,7 +462,7 @@ func ReadImage(image []byte) (*Archive, error) {
 	}
 	a := NewWithStore(blobs)
 	for _, pkg := range idx.Packages {
-		if err := a.add(pkg); err != nil {
+		if err := a.adopt(pkg); err != nil {
 			return nil, err
 		}
 	}

@@ -65,28 +65,35 @@ func TestIngestAndFetch(t *testing.T) {
 	}
 }
 
+// TestIngestValidation: every rejected ingest is refused before its first
+// write, so the store holds no blob afterwards.
 func TestIngestValidation(t *testing.T) {
-	a := New()
-	if _, err := a.Ingest(Metadata{}, sampleFiles()); err == nil {
-		t.Fatal("untitled package ingested")
+	backend := cas.NewShardedBackend(0)
+	a := NewWithStore(cas.NewStoreWith(backend))
+	rejected := func(what string, meta Metadata, files map[string][]byte) {
+		t.Helper()
+		if _, err := a.Ingest(meta, files); err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+		if n := len(backend.Digests()); n != 0 {
+			t.Fatalf("%s rejected, but %d blobs were written", what, n)
+		}
 	}
-	if _, err := a.Ingest(sampleMeta(), nil); err == nil {
-		t.Fatal("empty package ingested")
-	}
+	rejected("untitled package", Metadata{}, sampleFiles())
+	rejected("empty package", sampleMeta(), nil)
 	m := sampleMeta()
 	m.ID = "preset"
-	if _, err := a.Ingest(m, sampleFiles()); err == nil {
-		t.Fatal("preset ID accepted")
-	}
+	rejected("preset ID", m, sampleFiles())
 	m2 := sampleMeta()
 	m2.EnvManifest = "not/there.json"
-	if _, err := a.Ingest(m2, sampleFiles()); err == nil {
-		t.Fatal("dangling env manifest reference accepted")
-	}
+	rejected("dangling env manifest reference", m2, sampleFiles())
+	m3 := sampleMeta()
+	m3.Provenance = "not/there.json"
+	rejected("dangling provenance reference", m3, sampleFiles())
 	for _, bad := range []string{"", "/abs/path", "a/../b"} {
-		if _, err := a.Ingest(sampleMeta(), map[string][]byte{bad: []byte("x")}); err == nil {
-			t.Fatalf("path %q accepted", bad)
-		}
+		files := sampleFiles()
+		files[bad] = []byte("x")
+		rejected(fmt.Sprintf("path %q", bad), sampleMeta(), files)
 	}
 }
 
@@ -200,8 +207,9 @@ func TestDeduplicationAcrossPackages(t *testing.T) {
 	if _, err := a.Ingest(m, sampleFiles()); err != nil {
 		t.Fatal(err)
 	}
-	// Five distinct blobs even though ten files are registered.
-	if n := len(backend.Digests()); n != 5 {
+	// Five distinct payload blobs even though ten files are registered,
+	// and one manifest per package.
+	if n := len(backend.Digests()); n != 7 {
 		t.Fatalf("blobs: %d", n)
 	}
 }
@@ -229,7 +237,8 @@ func openBlobs(t *testing.T, dir string) *cas.DiskBackend {
 
 // TestPersistRoundTrip: a package ingested into a directory archive is
 // there, whole, after a reopen, and a second package is added beside it
-// without rewriting the first's line.
+// without rewriting the first's line. Each line is the package ID as one
+// JSON string; the package itself is its manifest blob.
 func TestPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	a := openArchive(t, dir)
@@ -271,34 +280,56 @@ func TestPersistRoundTrip(t *testing.T) {
 	if !bytes.HasPrefix(log, first) || bytes.Count(log, []byte("\n")) != 2 {
 		t.Fatalf("packages.log after a second ingest:\n%s", log)
 	}
-	if rep := got.VerifyAll(); rep.Healthy != 2 || len(openBlobs(t, dir).Digests()) != 5 {
+	if want := fmt.Sprintf("%q\n", id); string(first) != want {
+		t.Fatalf("packages.log line %q, want %q", first, want)
+	}
+	if rep := got.VerifyAll(); rep.Healthy != 2 || len(openBlobs(t, dir).Digests()) != 7 {
 		t.Fatalf("report %+v over %d blobs", rep, len(openBlobs(t, dir).Digests()))
 	}
 }
 
-// TestOpenRejectsAlteredMetadata: blob fixity says nothing about the
-// index, so a byte changed in a title, tag or keyword of a packages.log
-// line fails Open, naming the line and the package.
+// copyArchive copies a directory archive into a temp dir, so a test can
+// reopen or damage it without touching the original.
+func copyArchive(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	blobs, err := filepath.Glob(filepath.Join(src, "blobs", "*"))
+	if err != nil || len(blobs) == 0 {
+		t.Fatalf("no blobs under %s: %v", src, err)
+	}
+	for _, p := range append(blobs, filepath.Join(src, "packages.log")) {
+		rel, _ := filepath.Rel(src, p)
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dst, rel)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, rel), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// parentDir is the directory archive the last build before the roots log
+// wrote: two packages, one whole Package per packages.log line.
+const parentDir = "../../cmd/daspos-archive/testdata/parent-dir"
+
+// TestOpenRejectsAlteredMetadata: a byte changed in a title, tag or keyword
+// of a pre-roots packages.log line fails Open, naming the line and the
+// package — adopting a record holds it to its ID.
 func TestOpenRejectsAlteredMetadata(t *testing.T) {
-	dir := t.TempDir()
-	a := openArchive(t, dir)
-	if _, err := a.Ingest(sampleMeta(), sampleFiles()); err != nil {
-		t.Fatal(err)
-	}
-	m := sampleMeta()
-	m.Title = "W+MET search 2013, second look"
-	id, err := a.Ingest(m, sampleFiles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Close()
+	dir := copyArchive(t, parentDir)
 	path := filepath.Join(dir, "packages.log")
 	log, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const id = "cd4ffd46f8131e7d21409b36e995c8a00ab85f36c815b6828790ea4ef0d1d0ae"
 	lines := bytes.SplitAfter(log, []byte("\n"))
-	for _, field := range []string{"W+MET search", "data-v3", "w-boson"} {
+	for _, field := range []string{"Z lineshape capsule", "mc-v1", "daspos-capsule"} {
 		edited := bytes.Replace(lines[1], []byte(field), []byte("X"+field[1:]), 1)
 		if bytes.Equal(edited, lines[1]) {
 			t.Fatalf("%q not found in the second line", field)
@@ -313,9 +344,176 @@ func TestOpenRejectsAlteredMetadata(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsADamagedRoot is the roots log's twin: a flipped byte in
+// the second package's manifest, a changed character of its ID, and a line
+// that is no digest at all each fail Open, naming line 2.
+func TestOpenRejectsADamagedRoot(t *testing.T) {
+	dir, id1, id2 := twoPackageArchive(t)
+	path := filepath.Join(dir, "packages.log")
+	manifest := filepath.Join(dir, "blobs", id2)
+	stored, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := slices.Clone(stored)
+	flipped[len(flipped)-1] ^= 0x01
+	last := byte('0')
+	if id2[63] == '0' {
+		last = '1'
+	}
+	changed := id2[:63] + string(last)
+	for _, c := range []struct {
+		name, line, want string
+		blob             []byte
+	}{
+		{"a flipped manifest byte", id2, id2, flipped},
+		{"a changed ID character", changed, changed, stored},
+		{"a line that is not hex", "../../etc/passwd", "not a package ID", stored},
+	} {
+		if err := os.WriteFile(manifest, c.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("%q\n%q\n", id1, c.line)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir)
+		if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming line 2 and %s", c.name, err, c.want)
+		}
+	}
+}
+
+// twoPackageArchive builds a directory archive of the sample package and a
+// second one, and closes it.
+func twoPackageArchive(t *testing.T) (dir, id1, id2 string) {
+	t.Helper()
+	dir = t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if id1, err = a.Ingest(sampleMeta(), sampleFiles()); err != nil {
+		t.Fatal(err)
+	}
+	m := sampleMeta()
+	m.Title = "W+MET search 2013, second look"
+	files := sampleFiles()
+	files["docs/README.md"] = []byte("# A second look\n")
+	if id2, err = a.Ingest(m, files); err != nil {
+		t.Fatal(err)
+	}
+	return dir, id1, id2
+}
+
+// TestOpenRebuildsALostIndex: with packages.log deleted, Open recovers
+// every package from the blobs with the same IDs and files, and writes the
+// roots log back; a payload blob that fails its check fails the rebuild,
+// naming it, and no log is written.
+func TestOpenRebuildsALostIndex(t *testing.T) {
+	dir, id1, id2 := twoPackageArchive(t)
+	path := filepath.Join(dir, "packages.log")
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	re := openArchive(t, dir)
+	want := []string{id1, id2}
+	slices.Sort(want)
+	if got := re.IDs(); !slices.Equal(got, want) {
+		t.Fatalf("rebuilt IDs %v, want %v", got, want)
+	}
+	for path, data := range sampleFiles() {
+		if got, err := re.Fetch(id1, path); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("rebuilt %s: %v", path, err)
+		}
+	}
+	if log, err := os.ReadFile(path); err != nil || string(log) != fmt.Sprintf("%q\n%q\n", want[0], want[1]) {
+		t.Fatalf("rebuilt packages.log %q: %v", log, err)
+	}
+	if got, err := Recover(openBlobs(t, dir)); err != nil || !slices.Equal(got.IDs(), want) {
+		t.Fatalf("Recover over blobs/: %v", err)
+	}
+	re.Close()
+
+	pkg, _ := re.Get(id1)
+	victim := pkg.File("docs/README.md").Digest
+	b, err := os.ReadFile(filepath.Join(dir, "blobs", victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0x01
+	if err := os.WriteFile(filepath.Join(dir, "blobs", victim), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), victim) {
+		t.Fatalf("rebuild over a damaged blob: err = %v, want one naming %s", err, victim)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a failed rebuild left a packages.log: %v", err)
+	}
+}
+
+// TestKilledRebuildLosesNothing kills the rebuild of a lost packages.log at
+// each of its Write's object.* points. After every kill the next Open
+// yields both packages.
+func TestKilledRebuildLosesNothing(t *testing.T) {
+	run := func(hook func(point string)) (dir string, want []string, killed *faults.Kill) {
+		dir, id1, id2 := twoPackageArchive(t)
+		want = []string{id1, id2}
+		slices.Sort(want)
+		if err := os.Remove(filepath.Join(dir, "packages.log")); err != nil {
+			t.Fatal(err)
+		}
+		root, err := cas.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.SetKill(hook)
+		defer func() {
+			if r := recover(); r != nil {
+				var ok bool
+				if killed, ok = faults.AsKill(r); !ok {
+					panic(r)
+				}
+			}
+		}()
+		a, err := open(root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Close()
+		return dir, want, nil
+	}
+
+	seen := make(map[string]bool)
+	run(func(point string) { seen[point] = true })
+	for _, p := range []string{"object.create", "object.torn", "object.sync", "object.rename", "object.durable"} {
+		if !seen[p] {
+			t.Fatalf("a rebuild never passes %s (saw %v)", p, seen)
+		}
+	}
+	probe := faults.NewKiller()
+	run(probe.Hit)
+	total := probe.Hits()
+	for n := 1; n <= total; n++ {
+		kill := faults.NewKiller()
+		kill.CrashAfterN(n)
+		dir, want, killed := run(kill.Hit)
+		if killed == nil {
+			t.Fatalf("kill %d/%d did not fire", n, total)
+		}
+		if got := openArchive(t, dir).IDs(); !slices.Equal(got, want) {
+			t.Fatalf("kill at %s (%d): packages %v, want %v", killed.Point, n, got, want)
+		}
+	}
+}
+
 // TestKilledIngestKeepsThePreviousArchive sweeps a second ingest into an
-// existing directory archive, killed at each of its object.* and journal.*
-// points in turn. After every kill the archive reopens with the first
+// existing directory archive, killed at each of its object.* points (the
+// payload's, then the manifest's) and journal.* points in turn. After every kill the archive reopens with the first
 // package, the audit is clean, the second package is either whole or
 // absent, and ingesting it again completes it.
 func TestKilledIngestKeepsThePreviousArchive(t *testing.T) {
@@ -353,12 +551,17 @@ func TestKilledIngestKeepsThePreviousArchive(t *testing.T) {
 		return dir, id1, id2, nil
 	}
 
-	seen := make(map[string]bool)
-	_, id1, id2, _ := run(func(point string) { seen[point] = true })
+	seen := make(map[string]int)
+	_, id1, id2, _ := run(func(point string) { seen[point]++ })
 	for _, p := range []string{"object.create", "object.torn", "object.sync", "object.rename", "object.durable", "journal.append", "journal.torn", "journal.sync"} {
-		if !seen[p] {
+		if seen[p] == 0 {
 			t.Fatalf("a second ingest never passes %s (saw %v)", p, seen)
 		}
+	}
+	// Two new payload blobs (the rest are the first package's) and the
+	// manifest.
+	if n := seen["object.durable"]; n != 3 {
+		t.Fatalf("a second ingest makes %d blobs durable, want 3", n)
 	}
 	probe := faults.NewKiller()
 	run(probe.Hit)

@@ -18,10 +18,12 @@
 # TestArchiveAnswerTakesNoToken (internal/recast); CI's chaos job repeats
 # them at -count=5, and TestSweepListsEachMemberOnce (internal/cluster),
 # one digest listing per member per sweep, at -count=3. The one durable blob store's tests run here too —
-# TestKilledIngestKeepsThePreviousArchive and TestOpenRejectsAlteredMetadata
-# (internal/archive), TestParentImageReadsUnchanged, TestCreateAddsAPackage,
-# TestVerifyNamesTheDamagedFile and TestVerifyNamesAMissingBlob
-# (cmd/daspos-archive), and the DiskBackend rows of TestStoredFormUnchanged
+# TestKilledIngestKeepsThePreviousArchive, TestKilledRebuildLosesNothing,
+# TestOpenRejectsAlteredMetadata, TestOpenRejectsADamagedRoot and
+# TestOpenRebuildsALostIndex (internal/archive), TestParentImageReadsUnchanged,
+# TestParentDirectoryReadsUnchanged, TestLostIndexIsRebuilt,
+# TestCreateAddsAPackage, TestVerifyNamesTheDamagedFile and
+# TestVerifyNamesAMissingBlob (cmd/daspos-archive), and the DiskBackend rows of TestStoredFormUnchanged
 # and TestStoreReadsMatchOverShardedAndCluster; CI's chaos job repeats the
 # kill sweep at -count=5. It also includes the reachability gate
 # (TestInternalExportsAreReached in internal/analysis): an exported
@@ -38,6 +40,8 @@
 # corpora of the archived-capsule decoders' fuzz targets run here too —
 # FuzzDecode (internal/envcapture) and FuzzReadJSON (internal/provenance);
 # CI's chaos job repeats the first at -count=10 and fuzzes the two for real.
+# So do the seed corpora of the archive's two index decoders, FuzzReadImage
+# and FuzzManifest (internal/archive), which CI's chaos job fuzzes too.
 set -eu
 cd "$(dirname "$0")/.."
 
