@@ -96,8 +96,10 @@ type journalRecord struct {
 
 // StepKey derives the ledger key identifying one step execution: the
 // step's name, its configuration digest, and the digests of its inputs in
-// declared order. Any change to code configuration or input bytes yields
-// a different key, so stale checkpoints can never satisfy a resumed run.
+// declared order. A change to the name, the configuration or any input's
+// bytes yields a different key, so a checkpoint of other inputs never
+// satisfies a resumed run. The code that ran is not in the key: a rebuilt
+// binary resumes from its predecessor's output (ROADMAP item 14).
 func StepKey(step, configDigest string, inputDigests []string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "step=%s\nconfig=%s\n", step, configDigest)

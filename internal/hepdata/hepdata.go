@@ -9,6 +9,7 @@
 package hepdata
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,10 +77,18 @@ func (t *Table) Validate() error {
 		return fmt.Errorf("hepdata: table %q has no points", t.Name)
 	}
 	for i, p := range t.Points {
+		// JSON has no NaN or infinity: a record holding one could be
+		// archived but never encoded, so never served or exported.
+		if !finite(p.X) || !finite(p.XLo) || !finite(p.XHi) || !finite(p.Y) {
+			return fmt.Errorf("hepdata: table %q point %d: non-finite value", t.Name, i)
+		}
 		if p.XLo > p.X || p.X > p.XHi {
 			return fmt.Errorf("hepdata: table %q point %d: x=%v outside bin [%v,%v]", t.Name, i, p.X, p.XLo, p.XHi)
 		}
 		for _, e := range p.Errors {
+			if !finite(e.Plus) || !finite(e.Minus) {
+				return fmt.Errorf("hepdata: table %q point %d: non-finite uncertainty", t.Name, i)
+			}
 			if e.Plus < 0 || e.Minus < 0 {
 				return fmt.Errorf("hepdata: table %q point %d: negative uncertainty", t.Name, i)
 			}
@@ -87,6 +96,8 @@ func (t *Table) Validate() error {
 	}
 	return nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // FromH1D converts a normalized histogram (a preserved analysis output)
 // into a submission table, with statistical errors.
@@ -161,46 +172,23 @@ func (r *Record) AuxBytes() int {
 	return n
 }
 
-// Clone returns a deep copy of the record: tables, points, error
-// components, and auxiliary payloads all get fresh backing storage, so
-// mutating the original after submission cannot reach archived state.
-func (r *Record) Clone() *Record {
-	cp := *r
-	cp.Tables = make([]Table, len(r.Tables))
-	for i, t := range r.Tables {
-		ct := t
-		ct.Reactions = append([]string(nil), t.Reactions...)
-		ct.Observables = append([]string(nil), t.Observables...)
-		ct.Points = make([]Point, len(t.Points))
-		for j, p := range t.Points {
-			pp := p
-			pp.Errors = append([]Uncertainty(nil), p.Errors...)
-			ct.Points[j] = pp
-		}
-		cp.Tables[i] = ct
-	}
-	if r.Aux != nil {
-		cp.Aux = make(map[string][]byte, len(r.Aux))
-		for k, v := range r.Aux {
-			cp.Aux[k] = append([]byte(nil), v...)
-		}
-	}
-	return &cp
-}
-
 // ErrNoRecord is returned for unknown record IDs.
 var ErrNoRecord = errors.New("hepdata: no such record")
 
 // ErrDuplicate is returned, wrapped, when a record ID is submitted twice.
 var ErrDuplicate = errors.New("hepdata: record already submitted")
 
-// Archive is the reactions database. It is safe for concurrent use: reads
-// take a shared lock, Submit deep-copies the record so later caller-side
-// mutation cannot reach archived state, and returned *Record values are
-// read-only by contract (the serving tier never mutates them).
+// Archive is the reactions database. It is safe for concurrent use. A
+// published record is immutable (HEPData treats a record the same way),
+// so the archive keeps each one packed into a pointer-free byte slice:
+// Submit's pack is the deep copy that keeps later caller-side mutation out
+// of archived state, and Get and Search decode a fresh *Record on every
+// call. The caller owns that record and may change any of it, except that
+// the bytes of its Aux values are the archive's own: a read does not copy
+// a payload, so an Aux value may be replaced but never written in place.
 type Archive struct {
 	mu      sync.RWMutex
-	records map[string]*Record
+	records map[string][]byte
 	// ids mirrors the map keys in sorted order, maintained on Submit, so
 	// listings and keyset pagination are O(log n + page) instead of a full
 	// sort per call.
@@ -209,21 +197,22 @@ type Archive struct {
 
 // NewArchive returns an empty reactions database.
 func NewArchive() *Archive {
-	return &Archive{records: make(map[string]*Record)}
+	return &Archive{records: make(map[string][]byte)}
 }
 
-// Submit validates and stores a deep copy of the record.
+// Submit validates the record and archives a packed copy of it.
 func (a *Archive) Submit(r *Record) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
 	id := r.ID()
+	packed := pack(r)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, dup := a.records[id]; dup {
 		return fmt.Errorf("%w: %s", ErrDuplicate, id)
 	}
-	a.records[id] = r.Clone()
+	a.records[id] = packed
 	at := sort.SearchStrings(a.ids, id)
 	a.ids = append(a.ids, "")
 	copy(a.ids[at+1:], a.ids[at:])
@@ -238,16 +227,16 @@ func (a *Archive) Len() int {
 	return len(a.records)
 }
 
-// Get returns a record by archive key ("ins<id>"). The returned record is
-// shared and must not be mutated.
+// Get decodes a record by archive key ("ins<id>") into a fresh copy whose
+// Aux values share the archive's bytes.
 func (a *Archive) Get(id string) (*Record, error) {
 	a.mu.RLock()
-	r, ok := a.records[id]
+	packed, ok := a.records[id]
 	a.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoRecord, id)
 	}
-	return r, nil
+	return unpack(packed), nil
 }
 
 // IDs returns the sorted record keys.
@@ -281,24 +270,32 @@ func (a *Archive) IDsAfter(after string, limit int) []string {
 
 // Search matches records whose title, collaboration, abstract, reactions,
 // or observables contain the query (case-insensitive). Results come back
-// in record-key order, so the listing is deterministic. This is the linear
-// scan the queryserve inverted index replaces on the serving path; it
-// remains the reference implementation and the benchmark baseline.
+// in record-key order, so the listing is deterministic, each decoded as
+// Get decodes it. The match reads the packed records in place and decodes
+// only the hits, after the lock is released. This is the linear scan the
+// queryserve inverted index replaces on the serving path; it remains the
+// reference implementation and the benchmark baseline.
 func (a *Archive) Search(query string) []*Record {
-	q := strings.ToLower(query)
+	q := []byte(strings.ToLower(query))
+	var hits [][]byte
+	var hay []byte
 	a.mu.RLock()
-	defer a.mu.RUnlock()
-	var out []*Record
 	for _, id := range a.ids {
-		r := a.records[id]
-		hay := strings.ToLower(r.Title + " " + r.Collaboration + " " + r.Abstract)
-		for _, t := range r.Tables {
-			hay += " " + strings.ToLower(strings.Join(t.Reactions, " "))
-			hay += " " + strings.ToLower(strings.Join(t.Observables, " "))
+		packed := a.records[id]
+		if len(q) > 0 {
+			// Lowering the joined text equals joining the lowered fields,
+			// as Search once did: ToLower never reads across a space.
+			hay = appendSearchText(hay[:0], packed)
+			if !bytes.Contains(bytes.ToLower(hay), q) {
+				continue
+			}
 		}
-		if q == "" || strings.Contains(hay, q) {
-			out = append(out, r)
-		}
+		hits = append(hits, packed)
+	}
+	a.mu.RUnlock()
+	out := make([]*Record, len(hits))
+	for i, packed := range hits {
+		out[i] = unpack(packed)
 	}
 	return out
 }

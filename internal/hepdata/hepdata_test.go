@@ -2,6 +2,7 @@ package hepdata
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"daspos/internal/hist"
@@ -69,6 +70,25 @@ func TestTableValidate(t *testing.T) {
 	if err := bad4.Validate(); err == nil {
 		t.Fatal("negative uncertainty validated")
 	}
+	// JSON cannot carry NaN or an infinity, and a NaN also compares false
+	// against the bin edges and against zero: each must be named, not passed.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []func(p *Point){
+			func(p *Point) { p.X = bad },
+			func(p *Point) { p.XLo = bad },
+			func(p *Point) { p.XHi = bad },
+			func(p *Point) { p.Y = bad },
+			func(p *Point) { p.Errors[0].Plus = bad },
+			func(p *Point) { p.Errors[1].Minus = bad },
+		} {
+			tab := zTable()
+			set(&tab.Points[0])
+			err := tab.Validate()
+			if err == nil || !strings.Contains(err.Error(), `table "Table1" point 0: non-finite`) {
+				t.Fatalf("non-finite %v in a point: %v", bad, err)
+			}
+		}
+	}
 }
 
 func TestFromH1D(t *testing.T) {
@@ -130,6 +150,20 @@ func TestSubmitValidation(t *testing.T) {
 	r3.Tables = nil
 	if err := a.Submit(r3); err == nil {
 		t.Fatal("tableless record accepted")
+	}
+	// A NaN once archived could never be encoded, so never served.
+	r4 := searchRecord()
+	r4.Tables[0].Points[1].Y = math.NaN()
+	if err := a.Submit(r4); err == nil {
+		t.Fatal("record with a NaN value accepted")
+	}
+	r5 := searchRecord()
+	r5.Tables[0].Points[0].Errors[1].Minus = math.NaN()
+	if err := a.Submit(r5); err == nil {
+		t.Fatal("record with a NaN uncertainty accepted")
+	}
+	if a.Len() != 0 {
+		t.Fatalf("%d invalid records archived", a.Len())
 	}
 }
 

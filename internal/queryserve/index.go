@@ -254,9 +254,11 @@ func sortedTerms(set map[string]struct{}) []string {
 }
 
 // AddRecord indexes a record under its content ETag. The record must not
-// already be indexed.
+// already be indexed. The doc keeps its own copy of the title: a record
+// the archive decoded holds all its strings in one, and a title sharing it
+// would keep the record's whole text alive beside the packed copy.
 func (x *Index) AddRecord(r *hepdata.Record, etag string) error {
-	return x.add(Doc{Kind: KindRecord, Key: r.ID(), ETag: etag, Title: r.Title}, recordTerms(r))
+	return x.add(Doc{Kind: KindRecord, Key: r.ID(), ETag: etag, Title: strings.Clone(r.Title)}, recordTerms(r))
 }
 
 // AddDataset indexes a dataset under its content ETag.

@@ -16,16 +16,20 @@ import (
 	"daspos/internal/hepdata"
 )
 
-// RecordStore is where cache misses go for record bodies. The archive
-// satisfies it directly; tests and chaos drills wrap it with slow or
-// counting stores to prove the cache and singleflight actually shield it.
+// RecordStore is where cache misses and exports go for records. The
+// archive satisfies it directly, decoding a fresh record from its packed
+// form on every call; the server only reads what Get returns. Tests and
+// chaos drills wrap it with slow or counting stores to prove the cache
+// and singleflight actually shield it.
 type RecordStore interface {
 	Get(id string) (*hepdata.Record, error)
 }
 
 // Config configures a Server.
 type Config struct {
-	// Archive is the HepData record archive (listing + default store).
+	// Archive is the HepData record archive (listing + default store). It
+	// holds each record packed, not as a tree, so the records cost the
+	// garbage collector nothing to trace.
 	Archive *hepdata.Archive
 	// Catalog is the dataset catalogue; nil serves records only.
 	Catalog *catalog.Catalog

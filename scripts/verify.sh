@@ -41,7 +41,11 @@
 # FuzzDecode (internal/envcapture) and FuzzReadJSON (internal/provenance);
 # CI's chaos job repeats the first at -count=10 and fuzzes the two for real.
 # So do the seed corpora of the archive's two index decoders, FuzzReadImage
-# and FuzzManifest (internal/archive), which CI's chaos job fuzzes too.
+# and FuzzManifest (internal/archive), which CI's chaos job fuzzes too, and
+# of the HepData archive's packed round trip, FuzzArchiveRoundTrip
+# (internal/hepdata). The read tier's retained-heap gates,
+# TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
+# (internal/queryserve), run below beside its allocation gates.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -58,13 +62,14 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 # The race detector changes what allocates, so the read tier's two
-# allocation gates skip themselves above; hold them here without it. The
-# RECAST back end's allocation and heap gates do the same, and the chain's
-# aod-slim gate is held at the counts its ceiling was measured against.
+# allocation gates and two retained-heap gates skip themselves above; hold
+# them here without it. The RECAST back end's allocation and heap gates do
+# the same, and the chain's aod-slim gate is held at the counts its
+# ceiling was measured against.
 echo "==> chain aod-slim allocation gate (race detector off)"
 go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers' .
-echo "==> read-tier allocation gates (race detector off)"
-go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs' ./internal/queryserve
+echo "==> read-tier allocation and retained-heap gates (race detector off)"
+go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"
 go test -count=1 -run 'TestFullSimProcessAllocsPerEvent|TestFullSimMemoryIndependentOfEvents' ./internal/recast
 
