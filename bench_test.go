@@ -9,6 +9,8 @@ package daspos
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -235,12 +237,52 @@ func BenchmarkProvenanceAudit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		intact := build()
 		withCapture = intact.Audit().CompleteFraction()
-		lossy := build()
-		lossy.ForgetEveryNth(3)
+		lossy := forgetEveryNth(b, build(), 3)
 		withoutCapture = lossy.Audit().CompleteFraction()
 	}
 	b.ReportMetric(100*withCapture, "complete%-with-capture")
 	b.ReportMetric(100*withoutCapture, "complete%-without-capture")
+}
+
+// forgetEveryNth reloads s without every n-th intermediate record (one that
+// has parents and is some record's parent), taken in ID order: the paper's
+// case of a processing system that "did not include" a file's parentage.
+// Downstream records survive, but their chains no longer reach the raw data.
+func forgetEveryNth(tb testing.TB, s *provenance.Store, n int) *provenance.Store {
+	tb.Helper()
+	all := s.All()
+	referenced := make(map[string]bool)
+	for _, r := range all {
+		for _, p := range r.Parents {
+			referenced[p] = true
+		}
+	}
+	var intermediate []string
+	for _, r := range all {
+		if referenced[r.ID] && len(r.Parents) > 0 {
+			intermediate = append(intermediate, r.ID)
+		}
+	}
+	sort.Strings(intermediate)
+	forget := make(map[string]bool)
+	for i := 0; i < len(intermediate); i += n {
+		forget[intermediate[i]] = true
+	}
+	var kept []provenance.Record
+	for _, r := range all {
+		if !forget[r.ID] {
+			kept = append(kept, r)
+		}
+	}
+	data, err := json.Marshal(kept)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lossy, err := provenance.ReadJSON(bytes.NewReader(data))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lossy
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //	daspos-recast serve [-addr :8080] [-backend fullsim|bridge]
 //	                    [-journal-dir DIR] [-workers N] [-queue-bound N]
 //	                    [-tenant-rate R] [-tenant-burst B]
-//	daspos-recast demo  [-backend fullsim|bridge] [-events N] [-seed S]
+//	daspos-recast demo  [-events N] [-seed S]
 //	daspos-recast scan  [-backend ...] [-events N] [-seed S] [-xsec PB]
 //
 // serve starts the overload-safe multi-tenant front end with the high-mass
@@ -16,20 +16,26 @@
 // fair queue is rebuilt on every start, and processed by -workers back-end
 // workers; GET /status reports queue depth, breaker state, and per-tenant
 // counters. SIGINT/SIGTERM drain in-flight requests, then the workers,
-// then close the ledger. demo submits a 1 TeV Z′ request against an
-// in-process service, walks the approval workflow, and prints the result;
-// scan walks the mass plane from 400 GeV to 2.4 TeV in 400 GeV steps and
-// prints the limit table with exclusion verdicts.
+// then close the ledger. demo submits a 1.2 TeV Z′ model to a front end
+// without auto-approval over loopback (journaling to a throwaway
+// directory), approves it as the experiment, polls for the full-simulation
+// result, runs the same model on the RIVET bridge and prints whether the
+// two tiers agree; its output is pinned by testdata/demo.golden. scan
+// walks the mass plane from 400 GeV to 2.4 TeV in 400 GeV steps and prints
+// the limit table with exclusion verdicts.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net/http/httptest"
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"daspos/internal/bridge"
 	"daspos/internal/conditions"
@@ -51,7 +57,9 @@ func main() {
 	case "serve":
 		serve(os.Args[2:])
 	case "demo":
-		demo(os.Args[2:])
+		if err := demo(os.Stdout, os.Args[2:]); err != nil {
+			log.Fatal(err)
+		}
 	case "scan":
 		scan(os.Args[2:])
 	default:
@@ -155,34 +163,85 @@ func serve(args []string) {
 	}
 }
 
-func demo(args []string) {
+// demo walks R2 and R3 in one process, as the package comment describes.
+// Nothing it prints depends on the clock, so main_test.go pins all of it.
+func demo(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("demo", flag.ExitOnError)
-	backendName := fs.String("backend", "bridge", "processing back end (fullsim or bridge)")
-	events := fs.Int("events", 300, "Monte Carlo statistics")
-	seed := fs.Uint64("seed", 11, "generation seed")
+	events := fs.Int("events", 250, "Monte Carlo statistics")
+	seed := fs.Uint64("seed", 21, "generation seed")
 	_ = fs.Parse(args)
+	model := recast.ModelSpec{Process: "zprime", MassGeV: 1200, Events: *events, Seed: *seed}
 
-	svc := newService(*backendName)
-	model := recast.ModelSpec{Process: "zprime", MassGeV: 1000, Events: *events, Seed: *seed}
-	req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist@example", "constrain Z' couplings", model)
+	fmt.Fprintln(w, "== full-simulation back end (over HTTP) ==")
+	journalDir, err := os.MkdirTemp("", "recast-demo-")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("submitted %s: Z' m=%g GeV, %d events\n", req.ID, model.MassGeV, *events)
-	if err := svc.Approve(req.ID); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("approved by experiment")
-	done, err := svc.Process(req.ID)
+	defer os.RemoveAll(journalDir)
+	ctx := context.Background()
+	front, err := recast.NewServer(ctx, newService("fullsim"), recast.ServerConfig{JournalDir: journalDir})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	r := done.Result
-	fmt.Printf("processed by %s back end:\n", r.BackEnd)
-	fmt.Printf("  cut flow:            %v\n", r.CutFlow)
-	fmt.Printf("  acceptance:          %.3f (%d/%d)\n", r.Acceptance, r.Selected, r.Generated)
-	fmt.Printf("  95%% CL limit:        %.2f signal events\n", r.UpperLimitEvents)
-	fmt.Printf("  cross-section limit: %.4g pb at 20/fb\n", r.UpperLimitXsecPb)
+	defer front.Close()
+	front.Start()
+	srv := httptest.NewServer(front.Handler())
+	defer srv.Close()
+
+	theorist := &recast.Client{BaseURL: srv.URL}
+	experiment := &recast.Client{BaseURL: srv.URL, Experiment: true}
+	req, err := theorist.SubmitCtx(ctx, "GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "Z' coupling scan", model)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "submitted %s; awaiting experiment approval...\n", req.ID)
+	if err := experiment.ApproveCtx(ctx, req.ID); err != nil {
+		return err
+	}
+	full, err := theorist.GetCtx(ctx, req.ID)
+	for err == nil && full.Status == recast.StatusApproved {
+		time.Sleep(5 * time.Millisecond)
+		full, err = theorist.GetCtx(ctx, req.ID)
+	}
+	if err != nil {
+		return err
+	}
+	if full.Status != recast.StatusDone {
+		return fmt.Errorf("request %s ended %s: %s", full.ID, full.Status, full.Reason)
+	}
+	printResult(w, full.Result)
+
+	fmt.Fprintln(w, "\n== RIVET-bridge back end ==")
+	bridgeSvc := newService("bridge")
+	breq, err := bridgeSvc.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "same model", model)
+	if err != nil {
+		return err
+	}
+	if err := bridgeSvc.Approve(breq.ID); err != nil {
+		return err
+	}
+	bridged, err := bridgeSvc.Process(breq.ID)
+	if err != nil {
+		return err
+	}
+	printResult(w, bridged.Result)
+
+	fmt.Fprintln(w, "\n== tier comparison (experiment R3) ==")
+	agr := bridge.CompareResults(full.Result, bridged.Result)
+	fmt.Fprintf(w, "acceptance: fullsim %.3f vs bridge %.3f (Δ = %.1fσ)\n",
+		agr.FullAcceptance, agr.BridgeAcceptance, agr.DeltaSigma)
+	if agr.Discrepant {
+		fmt.Fprintln(w, "tiers DISAGREE: detector effects matter for this analysis")
+	} else {
+		fmt.Fprintln(w, "tiers agree within statistics: the light tier suffices here")
+	}
+	return nil
+}
+
+func printResult(w io.Writer, r *recast.Result) {
+	fmt.Fprintf(w, "back end %s finished:\n", r.BackEnd)
+	fmt.Fprintf(w, "  cut flow %v -> acceptance %.3f\n", r.CutFlow, r.Acceptance)
+	fmt.Fprintf(w, "  95%% CL: %.2f signal events, %.4g pb\n", r.UpperLimitEvents, r.UpperLimitXsecPb)
 }
 
 func highMassSearch() *leshouches.AnalysisRecord {

@@ -5,7 +5,6 @@ package daspos
 // that per-package unit tests cannot see.
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -19,11 +18,7 @@ import (
 	"daspos/internal/envcapture"
 	"daspos/internal/generator"
 	"daspos/internal/leshouches"
-	"daspos/internal/outreach"
 	"daspos/internal/provenance"
-	"daspos/internal/rawdata"
-	"daspos/internal/recast"
-	"daspos/internal/reco"
 	"daspos/internal/rivet"
 	"daspos/internal/sim"
 	"daspos/internal/workflow"
@@ -161,76 +156,6 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 	}
 	if rei.Acceptance <= 0.2 || rei.UpperLimitXsecPb <= 0 {
 		t.Fatalf("reinterpretation: %+v", rei)
-	}
-}
-
-// TestRecastOverHTTPWithBridgeBackend runs the reinterpretation loop over
-// the real HTTP front end with the bridge back end and cross-checks the
-// full-sim tier in-process.
-func TestRecastOverHTTPWithBridgeBackend(t *testing.T) {
-	d := detectorWithConditions(t)
-	model := recast.ModelSpec{Process: "zprime", MassGeV: 1000, Events: 80, Seed: 60}
-
-	bridgeSvc := recast.NewService(&bridge.RivetBackend{LuminosityPb: 20000})
-	if err := bridgeSvc.Subscribe(recast.Subscription{Name: dimuonSearchRecord().Name, Record: dimuonSearchRecord()}); err != nil {
-		t.Fatal(err)
-	}
-	req, err := bridgeSvc.Submit(dimuonSearchRecord().Name, "e2e", "", model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bridgeSvc.Approve(req.ID); err != nil {
-		t.Fatal(err)
-	}
-	bridged, err := bridgeSvc.Process(req.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	full := &recast.FullSimBackend{Det: d.det, CondDB: d.db, Tag: "e2e-v1", Run: 1, LuminosityPb: 20000}
-	fullRes, err := full.Process(context.Background(), model, dimuonSearchRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agr := bridge.CompareResults(fullRes, bridged.Result)
-	if agr.Discrepant {
-		t.Fatalf("tiers disagree at %0.1fσ: full=%v bridge=%v",
-			agr.DeltaSigma, agr.FullAcceptance, agr.BridgeAcceptance)
-	}
-}
-
-// TestOutreachFromProduction checks the Level 2 path end to end: full
-// chain → converter → exhibit → master class measurement.
-func TestOutreachFromProduction(t *testing.T) {
-	d := detectorWithConditions(t)
-	full := sim.NewFullSim(d.det, 70)
-	rec := reco.New(d.det)
-	gen := generator.NewDrellYanZ(generator.DefaultConfig(70))
-	conv := outreach.NewConverter(d.det)
-	var sample []*outreach.SimplifiedEvent
-	for i := 0; i < 100; i++ {
-		raw := rawdata.Digitize(1, full.Simulate(gen.Generate()))
-		ev, err := rec.Reconstruct(raw, d.snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sample = append(sample, conv.Convert(ev))
-	}
-	var exhibit bytes.Buffer
-	if err := outreach.WriteExhibit(&exhibit, d.det, sample); err != nil {
-		t.Fatal(err)
-	}
-	_, classroom, err := outreach.ReadExhibit(bytes.NewReader(exhibit.Bytes()), int64(exhibit.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	zpath, _ := outreach.MasterClassByName("z-path")
-	res, err := zpath.Run(classroom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Estimate < 80 || res.Estimate > 100 {
-		t.Fatalf("classroom Z mass: %v", res.Estimate)
 	}
 }
 

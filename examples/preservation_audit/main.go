@@ -7,13 +7,18 @@
 // assessment across the built-in experiment profiles.
 //
 // Run with: go run ./examples/preservation_audit
+// main_test.go pins the whole output against testdata/output.golden.
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"daspos/internal/archive"
 	"daspos/internal/datamodel"
@@ -25,33 +30,43 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+func run(w io.Writer) error {
 	// 1. A three-step workflow with provenance capture.
-	fmt.Println("== 1. run a chain with external provenance capture ==")
+	fmt.Fprintln(w, "== 1. run a chain with external provenance capture ==")
 	prov := provenance.NewStore()
 	wf := demoWorkflow()
 	res, err := wf.Execute(context.Background(), map[string]*workflow.Artifact{
 		"raw": {Name: "raw", Tier: "RAW", Events: 1000, Data: bytes.Repeat([]byte("raw"), 4000)},
 	}, prov)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	audit := prov.Audit()
-	fmt.Printf("captured %d provenance records; complete chains: %.0f%%\n",
+	fmt.Fprintf(w, "captured %d provenance records; complete chains: %.0f%%\n",
 		audit.Records, 100*audit.CompleteFraction())
 
 	// 2. Failure mode 1: the processing system did not retain parentage.
-	fmt.Println("\n== 2. failure: parentage not retained (paper §3.2) ==")
-	lossy := mustReload(prov)
-	dropped := lossy.ForgetEveryNth(2)
+	// The chain as such a system leaves it has no record of the
+	// reconstruction step, so what was derived from its output no longer
+	// reaches the raw data.
+	fmt.Fprintln(w, "\n== 2. failure: parentage not retained (paper §3.2) ==")
+	lossy, dropped, err := withoutStep(prov, "reco")
+	if err != nil {
+		return err
+	}
 	after := lossy.Audit()
-	fmt.Printf("dropped %d intermediate records -> complete chains fall to %.0f%%\n",
+	fmt.Fprintf(w, "dropped %d intermediate records -> complete chains fall to %.0f%%\n",
 		dropped, 100*after.CompleteFraction())
-	fmt.Printf("the external store still has them: %.0f%% with full capture\n",
+	fmt.Fprintf(w, "the external store still has them: %.0f%% with full capture\n",
 		100*prov.Audit().CompleteFraction())
 
 	// 3. Failure mode 2: bit rot in the archive, caught by fixity.
-	fmt.Println("\n== 3. failure: bit rot on archival media ==")
+	fmt.Fprintln(w, "\n== 3. failure: bit rot on archival media ==")
 	store := archive.New()
 	files := map[string][]byte{}
 	for name, a := range res.Artifacts {
@@ -59,7 +74,7 @@ func main() {
 	}
 	var provBuf bytes.Buffer
 	if err := prov.WriteJSON(&provBuf); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	files["prov/chain.json"] = provBuf.Bytes()
 	id, err := store.Ingest(archive.Metadata{
@@ -67,48 +82,48 @@ func main() {
 		Level: datamodel.DPHEPLevel3, Provenance: "prov/chain.json",
 	}, files)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("ingested package %s; initial fixity: %v\n", id[:12], store.VerifyPackage(id) == nil)
+	fmt.Fprintf(w, "ingested package %s; initial fixity: %v\n", id[:12], store.VerifyPackage(id) == nil)
 	pkg, _ := store.Get(id)
 	if err := store.CorruptBlob(pkg.Files[0].Digest); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := store.VerifyPackage(id); err != nil {
-		fmt.Printf("scheduled audit detects the damage: %v\n", err)
+		fmt.Fprintf(w, "scheduled audit detects the damage: %v\n", err)
 	} else {
-		log.Fatal("bit rot went undetected")
+		return errors.New("bit rot went undetected")
 	}
 
 	// 4. Failure mode 3: platform drift under the captured environment.
-	fmt.Println("\n== 4. failure: the computing platform moved on ==")
+	fmt.Fprintln(w, "\n== 4. failure: the computing platform moved on ==")
 	reg := envcapture.StandardRegistry()
-	old, cur, next := envcapture.StandardPlatforms()
-	_ = old
+	_, cur, next := envcapture.StandardPlatforms()
 	manifest, err := envcapture.Capture(reg, "audited-chain", cur,
 		envcapture.PkgRef{Name: "recast-backend", Version: "0.7"})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("captured environment: %d packages on %s\n", manifest.PackageCount(), manifest.Platform)
+	fmt.Fprintf(w, "captured environment: %d packages on %s\n", manifest.PackageCount(), manifest.Platform)
 	plan := envcapture.PlanMigration(reg, manifest, next)
-	fmt.Printf("migration to %s: %d unchanged, %d upgrades, %d blocked\n",
+	fmt.Fprintf(w, "migration to %s: %d unchanged, %d upgrades, %d blocked\n",
 		next, len(plan.Unchanged), len(plan.Upgrades), len(plan.Blocked))
 	for _, u := range plan.Upgrades {
-		fmt.Printf("  upgrade %s -> %s\n", u.Package, u.NewVersion)
+		fmt.Fprintf(w, "  upgrade %s -> %s\n", u.Package, u.NewVersion)
 	}
 	if plan.OK() {
 		migrated, err := envcapture.ApplyMigration(reg, manifest, plan)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("migrated manifest runs on %s with %d packages\n",
+		fmt.Fprintf(w, "migrated manifest runs on %s with %d packages\n",
 			migrated.Platform, migrated.PackageCount())
 	}
 
 	// 5. The maturity assessment across experiments.
-	fmt.Println("\n== 5. Appendix A maturity assessment ==")
-	fmt.Println(interview.Comparison(interview.StandardProfiles()))
+	fmt.Fprintln(w, "\n== 5. Appendix A maturity assessment ==")
+	fmt.Fprintln(w, interview.Comparison(interview.StandardProfiles()))
+	return nil
 }
 
 func demoWorkflow() *workflow.Workflow {
@@ -140,14 +155,20 @@ func demoWorkflow() *workflow.Workflow {
 	}
 }
 
-func mustReload(s *provenance.Store) *provenance.Store {
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		log.Fatal(err)
+// withoutStep reloads s without the records of one step's outputs and
+// returns the copy and the number of records dropped.
+func withoutStep(s *provenance.Store, step string) (*provenance.Store, int, error) {
+	all := s.All()
+	var kept []provenance.Record
+	for _, r := range all {
+		if r.Producer.Step != step {
+			kept = append(kept, r)
+		}
 	}
-	cp, err := provenance.ReadJSON(bytes.NewReader(buf.Bytes()))
+	data, err := json.Marshal(kept)
 	if err != nil {
-		log.Fatal(err)
+		return nil, 0, err
 	}
-	return cp
+	lossy, err := provenance.ReadJSON(bytes.NewReader(data))
+	return lossy, len(all) - len(kept), err
 }

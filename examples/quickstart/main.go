@@ -7,11 +7,15 @@
 // archived reference.
 //
 // Run with: go run ./examples/quickstart
+// main_test.go pins the whole output against testdata/output.golden.
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"daspos/internal/archive"
 	"daspos/internal/core"
@@ -23,31 +27,36 @@ import (
 
 func main() {
 	log.SetFlags(0)
-
-	// 1. Run the preserved analysis over freshly generated events.
-	fmt.Println("== 1. original analysis run ==")
-	run, err := rivet.NewRun("DASPOS_2013_ZMUMU")
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	// 1. Run the preserved analysis over freshly generated events.
+	fmt.Fprintln(w, "== 1. original analysis run ==")
+	orig, err := rivet.NewRun("DASPOS_2013_ZMUMU")
+	if err != nil {
+		return err
 	}
 	gen := generator.NewDrellYanZ(generator.DefaultConfig(1))
 	for i := 0; i < 3000; i++ {
-		if err := run.Process(gen.Generate()); err != nil {
-			log.Fatal(err)
+		if err := orig.Process(gen.Generate()); err != nil {
+			return err
 		}
 	}
-	if err := run.Finalize(); err != nil {
-		log.Fatal(err)
+	if err := orig.Finalize(); err != nil {
+		return err
 	}
-	mass := run.Histograms()[0]
-	fmt.Printf("dimuon mass peak at %.1f GeV from %d events\n",
+	mass := orig.Histograms()[0]
+	fmt.Fprintf(w, "dimuon mass peak at %.1f GeV from %d events\n",
 		mass.BinCenter(mass.MaxBin()), mass.Entries)
 
 	// 2. Export the reference data and build the capsule.
-	fmt.Println("\n== 2. build and archive the capsule ==")
-	reference, err := run.ExportYODA()
+	fmt.Fprintln(w, "\n== 2. build and archive the capsule ==")
+	reference, err := orig.ExportYODA()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	capsule := &core.Capsule{
 		Title:       "Quickstart Z capsule",
@@ -70,32 +79,33 @@ func main() {
 	store := archive.New()
 	id, err := capsule.Ingest(store)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("archived as package %s (%d payload files)\n", id[:12], 3)
+	pkg, _ := store.Get(id)
+	fmt.Fprintf(w, "archived as package %s (%d payload files)\n", id[:12], len(pkg.Files))
 
 	// 3. Decades later: load the capsule and re-run on independent MC.
-	fmt.Println("\n== 3. reload and validate a re-run ==")
+	fmt.Fprintln(w, "\n== 3. reload and validate a re-run ==")
 	loaded, err := core.FromArchive(store, id)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rerun, err := rivet.NewRun("DASPOS_2013_ZMUMU")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	gen2 := generator.NewDrellYanZ(generator.DefaultConfig(999)) // independent sample
 	for i := 0; i < 3000; i++ {
 		if err := rerun.Process(gen2.Generate()); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if err := rerun.Finalize(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	outcomes, err := loaded.ValidateRerun(rerun.Histograms())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	allOK := true
 	for _, o := range outcomes {
@@ -107,11 +117,12 @@ func main() {
 			status = "INCOMPATIBLE"
 			allOK = false
 		}
-		fmt.Printf("%-28s chi2/ndf=%.2f p=%.3f  %s\n",
+		fmt.Fprintf(w, "%-28s chi2/ndf=%.2f p=%.3f  %s\n",
 			o.Histogram, o.Chi2.Reduced(), o.Chi2.PValue, status)
 	}
 	if !allOK {
-		log.Fatal("validation failed: the preserved analysis did not reproduce")
+		return errors.New("validation failed: the preserved analysis did not reproduce")
 	}
-	fmt.Println("\nthe archived analysis reproduces on independent Monte Carlo ✔")
+	fmt.Fprintln(w, "\nthe archived analysis reproduces on independent Monte Carlo ✔")
+	return nil
 }

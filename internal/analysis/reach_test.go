@@ -54,6 +54,13 @@ package analysis
 //   - so is every field of a struct compared with == or !=, used as a map
 //     key, or converted to another struct type.
 //
+// Mains. A main counts as run by a test when a _test.go file in its
+// directory names a function its main calls: run for an example, a
+// subcommand for a command. README tells users to `go run` every main
+// under examples/, so each must be run by a test, or the gate fails naming
+// it: an example that panics must not ship green, nor keep alive what only
+// it reaches. The counts name the other mains no test runs.
+//
 // Flags. Every flag a main defines with package flag must be set by name
 // (-name or --name) somewhere in scripts/, bench/run.sh,
 // .github/workflows/, README.md or a _test.go file. A flag nothing sets is
@@ -1254,7 +1261,19 @@ func TestInternalExportsAreReached(t *testing.T) {
 		}
 		t.Logf("reach: %-21s %5d total, %5d %-8s %3d kept, %3d unused", what, c.total, c.live, verb, c.kept, c.total-c.live-c.kept)
 	}
-	t.Logf("reach: %d mains, %d keep-list entries", len(g.mains), len(keep))
+	var untested []string
+	for _, m := range g.mains {
+		if g.runByTest(m, users) {
+			continue
+		}
+		short := strings.TrimPrefix(m, modulePrefix)
+		untested = append(untested, short)
+		if strings.HasPrefix(short, "examples/") {
+			t.Errorf("%s: no test in its directory calls a function its main calls: README tells users to go run it, so a test must call its run(w io.Writer) error and compare the output with a golden", short)
+		}
+	}
+	sort.Strings(untested)
+	t.Logf("reach: %d mains, %d run by a test (not: %s), %d keep-list entries", len(g.mains), len(g.mains)-len(untested), strings.Join(untested, ", "), len(keep))
 	sort.Slice(dead, func(i, j int) bool {
 		a, b := g.items[dead[i]].pos, g.items[dead[j]].pos
 		return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
@@ -1303,6 +1322,22 @@ func TestInternalExportsAreReached(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runByTest reports whether a _test.go file in the directory of main
+// package m names a function that m's main calls.
+func (g *reachGraph) runByTest(m string, users map[string]map[string]bool) bool {
+	entry := m + ".main"
+	dir := filepath.Dir(g.fset.Position(g.syntax[entry][0].node.Pos()).Filename)
+	for _, callee := range g.uses[entry] {
+		if !strings.HasPrefix(callee, m+".") || !users[callee][dir] {
+			continue
+		}
+		if _, ok := g.syntax[callee][0].node.(*ast.FuncDecl); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // testedElsewhere reports whether a test outside the directory that

@@ -125,19 +125,23 @@ func scalarSum(objs []sim.FastObject) float64 {
 type Agreement struct {
 	FullAcceptance   float64
 	BridgeAcceptance float64
-	// DeltaSigma is |Δacc| / σ(Δacc).
+	// DeltaSigma is |Δacc| / σ(Δacc); +Inf when the acceptances differ
+	// but neither has a binomial spread (each is 0 or 1).
 	DeltaSigma float64
-	// CostNoteworthy marks |Δ| beyond 3σ: the detector effects the light
-	// tier cannot model matter for this analysis.
+	// Discrepant marks |Δ| beyond 3σ: the detector effects the light tier
+	// cannot model matter for this analysis.
 	Discrepant bool
 }
 
 // CompareResults quantifies full-vs-bridge agreement.
 func CompareResults(full, bridged *recast.Result) Agreement {
 	a := Agreement{FullAcceptance: full.Acceptance, BridgeAcceptance: bridged.Acceptance}
-	sigma2 := binomialVar(full) + binomialVar(bridged)
-	if sigma2 > 0 {
-		a.DeltaSigma = math.Abs(full.Acceptance-bridged.Acceptance) / math.Sqrt(sigma2)
+	diff := math.Abs(full.Acceptance - bridged.Acceptance)
+	switch sigma2 := binomialVar(full) + binomialVar(bridged); {
+	case sigma2 > 0:
+		a.DeltaSigma = diff / math.Sqrt(sigma2)
+	case diff > 0:
+		a.DeltaSigma = math.Inf(1)
 	}
 	a.Discrepant = a.DeltaSigma > 3
 	return a

@@ -2,6 +2,7 @@ package bridge
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -189,6 +190,16 @@ func TestCompareResultsEdges(t *testing.T) {
 	brd := &recast.Result{Generated: 1000, Acceptance: 0.2}
 	if agr := CompareResults(full, brd); !agr.Discrepant {
 		t.Fatal("gross disagreement not flagged")
+	}
+	// Opposite extremes: neither acceptance has a binomial spread, so the
+	// difference is infinitely many σ, not none.
+	all := &recast.Result{Generated: 1000, Acceptance: 1}
+	none := &recast.Result{Generated: 1000, Acceptance: 0}
+	if agr := CompareResults(all, none); !math.IsInf(agr.DeltaSigma, 1) || !agr.Discrepant {
+		t.Fatalf("opposite extremes: %+v", agr)
+	}
+	if agr := CompareResults(all, all); agr.DeltaSigma != 0 || agr.Discrepant {
+		t.Fatalf("equal extremes: %+v", agr)
 	}
 }
 

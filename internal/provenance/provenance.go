@@ -221,40 +221,6 @@ func (s *Store) Audit() AuditReport {
 	return rep
 }
 
-// ForgetEveryNth removes every n-th intermediate record (n >= 2): records
-// that are referenced as someone's parent and are not roots themselves.
-// This simulates the paper's scenario in which "the parentage and
-// computing (producer) description of a given file may not be included" by
-// the processing system — downstream records survive but their chains no
-// longer reach the raw data. It returns the number dropped.
-func (s *Store) ForgetEveryNth(n int) int {
-	if n < 2 {
-		return 0
-	}
-	referenced := make(map[string]bool)
-	for _, r := range s.records {
-		for _, p := range r.Parents {
-			referenced[p] = true
-		}
-	}
-	var candidates []string
-	for id := range s.records {
-		if referenced[id] && len(s.records[id].Parents) > 0 {
-			candidates = append(candidates, id)
-		}
-	}
-	sort.Strings(candidates)
-	dropped := 0
-	for i, id := range candidates {
-		if i%n != 0 {
-			continue
-		}
-		delete(s.records, id)
-		dropped++
-	}
-	return dropped
-}
-
 // WriteJSON serializes the store (records in sequence order).
 func (s *Store) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

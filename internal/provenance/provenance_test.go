@@ -139,51 +139,6 @@ func TestAuditDetectsLostParentage(t *testing.T) {
 	}
 }
 
-func TestForgetEveryNth(t *testing.T) {
-	s := NewStore()
-	// Ten independent chains RAW → RECO → AOD: the RECO records are the
-	// forgettable intermediates.
-	for i := 0; i < 10; i++ {
-		suffix := string(rune('a' + i))
-		rootID, err := s.Add(Record{Output: Artifact{Name: "raw" + suffix}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recoID, err := s.Add(Record{
-			Output:  Artifact{Name: "reco" + suffix},
-			Parents: []string{rootID},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Add(Record{
-			Output:  Artifact{Name: "aod" + suffix},
-			Parents: []string{recoID},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := s.Audit()
-	if before.CompleteFraction() != 1 {
-		t.Fatal("chains not complete before forgetting")
-	}
-	dropped := s.ForgetEveryNth(2)
-	if dropped != 5 {
-		t.Fatalf("dropped %d intermediates, want 5", dropped)
-	}
-	after := s.Audit()
-	// Five AOD records lost their chains; everything else survives.
-	if len(after.Broken) != 5 {
-		t.Fatalf("audit after loss: %+v", after)
-	}
-	if after.CompleteFraction() >= 1 {
-		t.Fatal("forgetting did not break completeness")
-	}
-	if s.ForgetEveryNth(1) != 0 {
-		t.Fatal("n<2 must be a no-op")
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	s, ids := buildChain(t)
 	var buf bytes.Buffer

@@ -46,6 +46,13 @@
 # (internal/hepdata). The read tier's retained-heap gates,
 # TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
 # (internal/queryserve), run below beside its allocation gates.
+# Every example users are told to run runs here too, its whole output
+# pinned by a golden: TestOutputMatchesGolden in examples/quickstart,
+# examples/masterclass and examples/preservation_audit, and
+# TestDemoMatchesGolden (cmd/daspos-recast) for `daspos-recast demo`; the
+# reachability gate fails an example whose run no test calls. No CI step
+# is needed for them: CI runs this script, and its `go test -race ./...`
+# runs them.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -74,8 +81,9 @@ echo "==> full-simulation back-end allocation and heap gates (race detector off)
 go test -count=1 -run 'TestFullSimProcessAllocsPerEvent|TestFullSimMemoryIndependentOfEvents' ./internal/recast
 
 # The ROADMAP's size metrics, printed so a re-anchor reads them here: what
-# the reachability gate decides, and the non-test line count.
-echo "==> reachability gate (declarations, fields, flags, and the wire's routes, parameters, headers and wire-only fields: total, reached or used from the mains, kept by reach-keep.txt)"
+# the reachability gate decides, how many mains a test runs, and the
+# non-test line count.
+echo "==> reachability gate (declarations, fields, flags, and the wire's routes, parameters, headers and wire-only fields: total, reached or used from the mains, kept by reach-keep.txt; then the mains, how many a test runs and which no test runs)"
 go test -count=1 -run '^TestInternalExportsAreReached$' -v ./internal/analysis | sed -n 's/.*reach: //p'
 echo "==> non-test Go lines outside bench/"
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
