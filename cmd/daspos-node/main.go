@@ -13,10 +13,11 @@
 //
 // The node stores blobs in memory, sharded for concurrent access: they are
 // lost when it stops, and the replication factor does not save them from a
-// power cut that stops every node at once. Durable nodes, on cas.Dir, are
-// ROADMAP item 1. The archive layer's package index is manifests stored
-// in the fleet as blobs like any other, so a coordinator can rebuild it
-// from the nodes. SIGINT/SIGTERM drain in-flight requests before exit.
+// power cut that stops every node at once. Durable nodes, on
+// cas.DiskBackend, are ROADMAP item 1. The archive layer's package index
+// is manifests stored in the fleet as blobs like any other, so a
+// coordinator can rebuild it from the nodes. SIGINT/SIGTERM drain
+// in-flight requests before exit.
 package main
 
 import (

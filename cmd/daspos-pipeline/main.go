@@ -27,7 +27,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -46,40 +48,48 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daspos-pipeline: ")
-	events := flag.Int("events", 200, "number of events to process")
-	seed := flag.Uint64("seed", 42, "generator and simulation seed")
-	process := flag.String("process", "drell-yan-z", "physics process (minbias, qcd-dijet, drell-yan-z, w-lepnu, higgs-diphoton)")
-	pileup := flag.Float64("pileup", 0, "mean pileup interactions per event")
-	workers := flag.Int("workers", 4, "worker goroutines per parallel pipeline stage")
-	batch := flag.Int("batch", 32, "events per pipeline batch")
-	stageRetries := flag.Int("stage-retries", 2, "transient worker restarts allowed per pipeline stage")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for the durable run ledger (empty: checkpointing off)")
-	resume := flag.Bool("resume", false, "resume from the ledger in -checkpoint-dir, skipping verified steps")
-	flag.Parse()
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses the flags in args, runs the chain and writes its report to w.
+func run(ctx context.Context, args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("daspos-pipeline", flag.ExitOnError)
+	events := fs.Int("events", 200, "number of events to process")
+	seed := fs.Uint64("seed", 42, "generator and simulation seed")
+	process := fs.String("process", "drell-yan-z", "physics process (minbias, qcd-dijet, drell-yan-z, w-lepnu, higgs-diphoton)")
+	pileup := fs.Float64("pileup", 0, "mean pileup interactions per event")
+	workers := fs.Int("workers", 4, "worker goroutines per parallel pipeline stage")
+	batch := fs.Int("batch", 32, "events per pipeline batch")
+	stageRetries := fs.Int("stage-retries", 2, "transient worker restarts allowed per pipeline stage")
+	ckptDir := fs.String("checkpoint-dir", "", "directory for the durable run ledger (empty: checkpointing off)")
+	resume := fs.Bool("resume", false, "resume from the ledger in -checkpoint-dir, skipping verified steps")
+	_ = fs.Parse(args)
 
 	if *resume && *ckptDir == "" {
-		log.Fatal("-resume requires -checkpoint-dir")
+		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 
 	procID := generator.ProcessID(*process)
 	if procID == 0 {
-		log.Fatalf("unknown process %q", *process)
+		return fmt.Errorf("unknown process %q", *process)
 	}
 	db := conditions.NewDB()
-	const tag, run = "prod-v1", 1
+	const tag, runNumber = "prod-v1", 1
 	if err := conditions.SeedStandard(db, tag, 1, 100, 10, *seed); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	spec := chain.Production(procID, *pileup, *seed, *events, db.Snapshot(tag, run))
+	spec := chain.Production(procID, *pileup, *seed, *events, db.Snapshot(tag, runNumber))
 	var reports []eventflow.Report
 	wf, err := chain.Build(spec, chain.Tuning{
 		Workers:   *workers,
 		Flow:      eventflow.Options{BatchSize: *batch, StageRetries: *stageRetries},
 		OnReport:  func(rep eventflow.Report) { reports = append(reports, rep) },
-		OnTrigger: printTriggerRates,
+		OnTrigger: func(trg *trigger.Trigger, accepted int) { printTriggerRates(w, trg, accepted) },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	prov := provenance.NewStore()
 
@@ -88,7 +98,7 @@ func main() {
 	if *ckptDir != "" {
 		ledger, err = checkpoint.Open(*ckptDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer ledger.Close()
 		if *resume {
@@ -98,12 +108,12 @@ func main() {
 		}
 	}
 
-	res, err := wf.Execute(context.Background(), nil, prov, execOpts...)
+	res, err := wf.Execute(ctx, nil, prov, execOpts...)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if ledger != nil {
-		printRunStatus(ledger, res, *resume)
+		printRunStatus(w, ledger, res, *resume)
 	}
 
 	// Tier-size cascade (experiment W1).
@@ -123,7 +133,7 @@ func main() {
 				fmt.Sprintf("%.1fx", raw/float64(len(a.Data))))
 		}
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 
 	// Dependency census (experiment W2).
 	d := texttable.New("Step", "External dependencies", "Count")
@@ -136,21 +146,22 @@ func main() {
 		}
 		d.AddRow(rep.Step, deps, len(rep.ExternalDeps))
 	}
-	fmt.Println(d)
+	fmt.Fprintln(w, d)
 
-	printStageReports(*workers, *batch, reports)
+	printStageReports(w, *workers, *batch, reports)
 
 	// Provenance audit (experiment W3).
 	audit := prov.Audit()
-	fmt.Printf("Provenance: %d records, %.0f%% with complete chains\n",
+	fmt.Fprintf(w, "Provenance: %d records, %.0f%% with complete chains\n",
 		audit.Records, 100*audit.CompleteFraction())
-	fmt.Printf("Archive-ready payload: %s across %d artifacts\n",
+	fmt.Fprintf(w, "Archive-ready payload: %s across %d artifacts\n",
 		interview.FormatBytes(total), len(res.Artifacts))
+	return nil
 }
 
 // printStageReports renders one row per pipeline stage: throughput
 // accounting for the streaming substrate.
-func printStageReports(workers, batch int, reports []eventflow.Report) {
+func printStageReports(w io.Writer, workers, batch int, reports []eventflow.Report) {
 	t := texttable.New("Pipeline", "Stage", "Workers", "In", "Out", "Batches", "Busy", "Peak batches", "Recycled", "Fresh")
 	t.Title = fmt.Sprintf("Event-flow stages (-workers %d, -batch %d)", workers, batch)
 	for i := 2; i < 10; i++ {
@@ -163,13 +174,13 @@ func printStageReports(workers, batch int, reports []eventflow.Report) {
 				s.PoolHits, s.PoolMisses)
 		}
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 }
 
 // printRunStatus renders the checkpoint run report: which steps executed
 // this invocation, which were restored from verified checkpoints, and
 // what the ledger holds per step.
-func printRunStatus(ledger *checkpoint.Ledger, res *workflow.Result, resumed bool) {
+func printRunStatus(w io.Writer, ledger *checkpoint.Ledger, res *workflow.Result, resumed bool) {
 	t := texttable.New("Step", "Outcome", "Ledger", "Artifacts", "Bytes", "Events")
 	mode := "checkpointed"
 	if resumed {
@@ -195,13 +206,13 @@ func printRunStatus(ledger *checkpoint.Ledger, res *workflow.Result, resumed boo
 		}
 		t.AddRow(rep.Step, outcome, ledgerState, arts, rep.OutputBytes, rep.OutputEvents)
 	}
-	fmt.Println(t)
-	fmt.Printf("Run status: %d step(s) executed, %d restored from checkpoint\n",
+	fmt.Fprintln(w, t)
+	fmt.Fprintf(w, "Run status: %d step(s) executed, %d restored from checkpoint\n",
 		res.Executed, res.Skipped)
 }
 
 // printTriggerRates renders the online selection's rate table.
-func printTriggerRates(trg *trigger.Trigger, accepted int) {
+func printTriggerRates(w io.Writer, trg *trigger.Trigger, accepted int) {
 	t := texttable.New("Item", "Prescale", "Accepts", "Fraction")
 	t.Title = fmt.Sprintf("Trigger rates (%s, %d events evaluated, %d read out)",
 		trg.Menu().Name, trg.Evaluated(), accepted)
@@ -211,7 +222,7 @@ func printTriggerRates(trg *trigger.Trigger, accepted int) {
 	for _, r := range trg.Rates() {
 		t.AddRow(r.Item, r.Prescale, r.Accepts, fmt.Sprintf("%.1f%%", 100*r.Fraction))
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 }
 
 func safeDiv(a, b float64) float64 {

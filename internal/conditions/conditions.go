@@ -302,5 +302,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if current != nil {
 		return nil, fmt.Errorf("conditions: folder %q not terminated", currentName)
 	}
+	if s.Tag == "" {
+		return nil, fmt.Errorf("conditions: snapshot has no tag line")
+	}
 	return s, nil
 }

@@ -181,6 +181,8 @@ func TestReadSnapshotRejectsCorrupt(t *testing.T) {
 		"nested folder":  "CONDITIONS-SNAPSHOT 1\nfolder f\nfolder g\nend\n",
 		"bad run":        "CONDITIONS-SNAPSHOT 1\nrun abc\n",
 		"bad key fields": "CONDITIONS-SNAPSHOT 1\nfolder f\na b c\nend\n",
+		// A snapshot without a tag writes "tag " and cannot be read back.
+		"no tag": "CONDITIONS-SNAPSHOT 1\nrun 1\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadSnapshot(strings.NewReader(in)); err == nil {

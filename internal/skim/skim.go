@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"daspos/internal/datamodel"
 )
@@ -209,7 +210,7 @@ func (p SlimPolicy) Apply(e *datamodel.Event) *datamodel.Event {
 			if p.MinCandidatePt > 0 && c.P.Pt() < p.MinCandidatePt {
 				continue
 			}
-			if len(p.KeepTypes) > 0 && !containsType(p.KeepTypes, c.Type) {
+			if len(p.KeepTypes) > 0 && !slices.Contains(p.KeepTypes, c.Type) {
 				continue
 			}
 			kept = append(kept, c)
@@ -230,15 +231,6 @@ func (p SlimPolicy) Apply(e *datamodel.Event) *datamodel.Event {
 		}
 	}
 	return out
-}
-
-func containsType(ts []datamodel.ObjectType, t datamodel.ObjectType) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
 }
 
 // Derivation is one preservable skim+slim step, the unit of the post-AOD

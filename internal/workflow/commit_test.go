@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -139,7 +140,8 @@ func executeSynchronously(w *Workflow, inputs map[string]*Artifact, l *checkpoin
 			}
 			pool[out] = a
 		}
-		if err := l.Done(s.Name, key, dedupeSorted(sctx.external)); err != nil {
+		slices.Sort(sctx.external)
+		if err := l.Done(s.Name, key, slices.Compact(sctx.external)); err != nil {
 			return err
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"sort"
 
 	"daspos/internal/checkpoint"
@@ -75,7 +76,7 @@ func (c *Context) Ctx() context.Context {
 
 // Input returns a declared input artifact.
 func (c *Context) Input(name string) (*Artifact, error) {
-	if !contains(c.step.Inputs, name) {
+	if !slices.Contains(c.step.Inputs, name) {
 		return nil, fmt.Errorf("workflow: step %q did not declare input %q", c.step.Name, name)
 	}
 	a, ok := c.inputs[name]
@@ -97,7 +98,7 @@ func (c *Context) InputReader(name string) (io.Reader, error) {
 
 // Output publishes a declared output artifact.
 func (c *Context) Output(name, tier string, events int, data []byte) error {
-	if !contains(c.step.Outputs, name) {
+	if !slices.Contains(c.step.Outputs, name) {
 		return fmt.Errorf("workflow: step %q did not declare output %q", c.step.Name, name)
 	}
 	if _, dup := c.outputs[name]; dup {
@@ -108,31 +109,47 @@ func (c *Context) Output(name, tier string, events int, data []byte) error {
 }
 
 // ArtifactWriter is the sink end of a streaming step: bytes written to it
-// are buffered for the artifact pool and hashed on the fly, so the
-// provenance digest is ready the moment the stream closes — no second
-// pass over the data. Obtain one with Context.StreamOutput and seal it
-// with Commit.
+// are hashed on the fly and kept in fixed-size blocks, so the provenance
+// digest is ready the moment the stream closes — no second pass over the
+// data — and Commit seals the artifact at its exact length. Obtain one
+// with Context.StreamOutput and seal it with Commit.
 type ArtifactWriter struct {
 	ctx    *Context
 	name   string
 	tier   string
-	buf    bytes.Buffer
+	blocks [][]byte // every block but the last is full
 	hash   hash.Hash
-	tee    io.Writer // MultiWriter(hash, buf): one pass feeds both
 	sealed bool
 }
 
-// Write appends to the artifact in a single pass: the fan-out writer
-// feeds the running sha256 and the buffered payload from one traversal
-// of p, so publishing never re-reads the artifact to digest it.
+// blockSize is the fixed capacity of a writer's blocks. A growing buffer
+// would hold up to twice the artifact while it streams and keep the slack
+// once published; a block list holds at most one partial block of slack
+// and is copied out once, at the exact size.
+const blockSize = 64 << 10
+
+// Write appends to the artifact in a single pass over p: each chunk feeds
+// the running sha256 and is copied into the blocks, so publishing never
+// re-reads the artifact to digest it.
 func (w *ArtifactWriter) Write(p []byte) (int, error) {
 	if w.sealed {
 		return 0, fmt.Errorf("workflow: write to committed output %q", w.name)
 	}
-	return w.tee.Write(p)
+	w.hash.Write(p)
+	for rest := p; len(rest) > 0; {
+		if len(w.blocks) == 0 || len(w.blocks[len(w.blocks)-1]) == blockSize {
+			w.blocks = append(w.blocks, make([]byte, 0, blockSize))
+		}
+		b := &w.blocks[len(w.blocks)-1]
+		n := min(len(rest), blockSize-len(*b))
+		*b = append(*b, rest[:n]...)
+		rest = rest[n:]
+	}
+	return len(p), nil
 }
 
-// Commit publishes the artifact with the given event count. The digest is
+// Commit publishes the artifact with the given event count. The data is
+// copied out of the blocks once, at its exact length, and the digest is
 // the one accumulated during writing.
 func (w *ArtifactWriter) Commit(events int) error {
 	if w.sealed {
@@ -142,9 +159,17 @@ func (w *ArtifactWriter) Commit(events int) error {
 	if _, dup := w.ctx.outputs[w.name]; dup {
 		return fmt.Errorf("workflow: step %q produced output %q twice", w.ctx.step.Name, w.name)
 	}
+	var data []byte
+	if n := len(w.blocks); n > 0 {
+		data = make([]byte, 0, (n-1)*blockSize+len(w.blocks[n-1]))
+		for _, b := range w.blocks {
+			data = append(data, b...)
+		}
+	}
+	w.blocks = nil
 	w.ctx.outputs[w.name] = &Artifact{
 		Name: w.name, Tier: w.tier, Events: events,
-		Data:   w.buf.Bytes(),
+		Data:   data,
 		digest: hex.EncodeToString(w.hash.Sum(nil)),
 	}
 	return nil
@@ -153,15 +178,13 @@ func (w *ArtifactWriter) Commit(events int) error {
 // StreamOutput opens a declared output for streaming production. The
 // returned writer hashes while it buffers; call Commit to publish.
 func (c *Context) StreamOutput(name, tier string) (*ArtifactWriter, error) {
-	if !contains(c.step.Outputs, name) {
+	if !slices.Contains(c.step.Outputs, name) {
 		return nil, fmt.Errorf("workflow: step %q did not declare output %q", c.step.Name, name)
 	}
 	if _, dup := c.outputs[name]; dup {
 		return nil, fmt.Errorf("workflow: step %q produced output %q twice", c.step.Name, name)
 	}
-	w := &ArtifactWriter{ctx: c, name: name, tier: tier, hash: sha256.New()}
-	w.tee = io.MultiWriter(w.hash, &w.buf)
-	return w, nil
+	return &ArtifactWriter{ctx: c, name: name, tier: tier, hash: sha256.New()}, nil
 }
 
 // External records that the step resolved an external resource (a
@@ -250,19 +273,12 @@ func (w *Workflow) Validate() error {
 		}
 		for _, out := range s.Outputs {
 			if prev, dup := producer[out]; dup {
-				return fmt.Errorf("workflow %q: output %q declared by step %q is already produced by %s", w.Name, out, s.Name, describeProducer(prev))
+				return fmt.Errorf("workflow %q: output %q declared by step %q is already produced by %s", w.Name, out, s.Name, prev)
 			}
-			producer[out] = s.Name
+			producer[out] = fmt.Sprintf("step %q", s.Name)
 		}
 	}
 	return nil
-}
-
-func describeProducer(p string) string {
-	if p == "primary input" {
-		return p
-	}
-	return fmt.Sprintf("step %q", p)
 }
 
 // StepReport summarizes one executed step.
@@ -421,7 +437,8 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 				return nil, fmt.Errorf("workflow %q: step %q: %w", w.Name, s.Name, err)
 			}
 			outputs = sctx.outputs
-			deps = dedupeSorted(sctx.external)
+			slices.Sort(sctx.external)
+			deps = slices.Compact(sctx.external)
 			if commits != nil {
 				for _, out := range s.Outputs {
 					a, ok := outputs[out]
@@ -619,29 +636,4 @@ func (w *Workflow) BindImpl(step string, fn StepFunc) error {
 		}
 	}
 	return fmt.Errorf("workflow %q: no step %q to bind", w.Name, step)
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func dedupeSorted(xs []string) []string {
-	if len(xs) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(xs))
-	var out []string
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -43,13 +43,20 @@
 # So do the seed corpora of the archive's two index decoders, FuzzReadImage
 # and FuzzManifest (internal/archive), which CI's chaos job fuzzes too, and
 # of the HepData archive's packed round trip, FuzzArchiveRoundTrip
-# (internal/hepdata). The read tier's retained-heap gates,
+# (internal/hepdata), and of the chain-config decoders, FuzzReadSnapshot
+# (internal/conditions), FuzzDecodeMenu (internal/trigger) and
+# FuzzDecodeDerivation (internal/skim), which CI's chaos job fuzzes too.
+# The read tier's retained-heap gates,
 # TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
-# (internal/queryserve), run below beside its allocation gates.
+# (internal/queryserve), run below beside its allocation gates, and so
+# does the artifact writer's, TestStreamOutputAllocatesTwiceItsSize
+# (internal/workflow).
 # Every example users are told to run runs here too, its whole output
 # pinned by a golden: TestOutputMatchesGolden in examples/quickstart,
 # examples/masterclass and examples/preservation_audit, and
-# TestDemoMatchesGolden (cmd/daspos-recast) for `daspos-recast demo`; the
+# TestDemoMatchesGolden (cmd/daspos-recast) for `daspos-recast demo`, and
+# TestRunAndResumeMatchGoldens (cmd/daspos-pipeline) for a checkpointed
+# `daspos-pipeline` run and its `-resume`; the
 # reachability gate fails an example whose run no test calls. No CI step
 # is needed for them: CI runs this script, and its `go test -race ./...`
 # runs them.
@@ -71,10 +78,12 @@ go test -race ./...
 # The race detector changes what allocates, so the read tier's two
 # allocation gates and two retained-heap gates skip themselves above; hold
 # them here without it. The RECAST back end's allocation and heap gates do
-# the same, and the chain's aod-slim gate is held at the counts its
-# ceiling was measured against.
+# the same, as does the artifact writer's, and the chain's aod-slim gate is
+# held at the counts its ceiling was measured against.
 echo "==> chain aod-slim allocation gate (race detector off)"
 go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers' .
+echo "==> artifact writer allocation gate (race detector off)"
+go test -count=1 -run 'TestStreamOutputAllocatesTwiceItsSize' ./internal/workflow
 echo "==> read-tier allocation and retained-heap gates (race detector off)"
 go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"
