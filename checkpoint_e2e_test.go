@@ -3,17 +3,22 @@ package daspos
 // Crash-storm integration tests: the checkpointed chain internal/chain
 // builds — online → reconstruction → AOD slim → derivation skims through
 // the workflow engine — is killed at every instrumented point of the
-// ledger's commit protocol, resumed, and must converge to tiers
+// ledger's commit protocol (the object.* points of its blobs/ and the
+// journal.* points of its roots log), resumed, and must converge to tiers
 // byte-identical with an uninterrupted run while never re-executing a step
-// whose checkpointed outputs verify.
+// whose package verifies.
 
 import (
 	"bytes"
 	"context"
+	"maps"
 	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
+	"daspos/internal/archive"
+	"daspos/internal/cas"
 	"daspos/internal/chain"
 	"daspos/internal/checkpoint"
 	"daspos/internal/eventflow"
@@ -101,7 +106,7 @@ func runKilled(t *testing.T, d *detCond, dir string, counts map[string]int, kill
 	return false
 }
 
-// doneSteps returns the steps the ledger records as Done AND whose
+// doneSteps returns the steps the ledger holds a package of AND whose
 // artifacts pass fixity — exactly the set resume must not re-execute.
 func doneSteps(t *testing.T, dir string) map[string]bool {
 	t.Helper()
@@ -112,11 +117,30 @@ func doneSteps(t *testing.T, dir string) map[string]bool {
 	defer l.Close()
 	done := make(map[string]bool)
 	for _, info := range l.Status() {
-		if info.State == checkpoint.StepDone && l.Verify(info.Key) == nil {
-			done[info.Step] = true
+		done[info.Step] = true
+		for _, rec := range info.Artifacts {
+			if _, err := l.Load(info.Key, rec.Name); err != nil {
+				done[info.Step] = false
+			}
 		}
 	}
 	return done
+}
+
+// verifyRunDirectory demands that a run directory opens as an archive whose
+// every package passes its fixity audit, and returns how many it holds.
+func verifyRunDirectory(t *testing.T, label, dir string) int {
+	t.Helper()
+	a, err := archive.Open(dir)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	defer a.Close()
+	rep := a.VerifyAll()
+	if rep.Healthy != rep.Packages {
+		t.Fatalf("%s: run directory audit %+v", label, rep)
+	}
+	return rep.Packages
 }
 
 func resumeToCompletion(t *testing.T, d *detCond, dir string, counts map[string]int) *workflow.Result {
@@ -167,6 +191,11 @@ func TestCrashStormResumesByteIdentical(t *testing.T) {
 			t.Fatalf("kill %d/%d did not fire", n, total)
 		}
 		survivors := doneSteps(t, dir)
+		for step, ok := range survivors {
+			if !ok {
+				t.Fatalf("kill %d: step %s holds a package that fails fixity", n, step)
+			}
+		}
 		preKill := make(map[string]int, len(counts))
 		for step, c := range counts {
 			preKill[step] = c
@@ -174,6 +203,9 @@ func TestCrashStormResumesByteIdentical(t *testing.T) {
 
 		res := resumeToCompletion(t, d, dir, counts)
 		assertTiersIdentical(t, "kill at "+strconv.Itoa(n), want, res)
+		if got := verifyRunDirectory(t, "kill at "+strconv.Itoa(n), dir); got != len(chainSteps) {
+			t.Fatalf("kill %d: run directory holds %d packages", n, got)
+		}
 		if res.Executed+res.Skipped != len(chainSteps) {
 			t.Fatalf("kill %d: executed=%d skipped=%d", n, res.Executed, res.Skipped)
 		}
@@ -237,7 +269,7 @@ func TestCrashStormRepeatedKills(t *testing.T) {
 }
 
 // TestResumeCorruptedArtifactForcesReExecution damages one checkpointed
-// object and asserts resume re-executes exactly the affected step.
+// blob and asserts resume re-executes exactly the affected step.
 func TestResumeCorruptedArtifactForcesReExecution(t *testing.T) {
 	d := detectorWithConditions(t)
 	dir := t.TempDir()
@@ -257,7 +289,7 @@ func TestResumeCorruptedArtifactForcesReExecution(t *testing.T) {
 			recoDigest = info.Artifacts[0].Digest
 		}
 	}
-	obj := l.ObjectPath(recoDigest)
+	obj := filepath.Join(dir, "blobs", recoDigest)
 	l.Close()
 	data, err := os.ReadFile(obj)
 	if err != nil {
@@ -280,14 +312,15 @@ func TestResumeCorruptedArtifactForcesReExecution(t *testing.T) {
 		t.Fatalf("executed=%d skipped=%d, want 1/3", res.Executed, res.Skipped)
 	}
 	assertTiersIdentical(t, "corrupted artifact", referenceTiers(t, d), res)
-	if done := doneSteps(t, dir); len(done) != len(chainSteps) {
+	if done := doneSteps(t, dir); len(done) != len(chainSteps) || !done["reconstruction"] {
 		t.Fatalf("ledger not repaired: %v", done)
 	}
+	verifyRunDirectory(t, "after the repair", dir)
 }
 
-// TestResumeTornFinalJournalRecord tears the journal's real final record —
-// the last step's done line — and asserts resume re-executes only that
-// step, everything earlier staying checkpointed.
+// TestResumeTornFinalJournalRecord tears the roots log's real final record
+// — the last step's root — and asserts resume re-executes only that step,
+// everything earlier staying checkpointed.
 func TestResumeTornFinalJournalRecord(t *testing.T) {
 	d := detectorWithConditions(t)
 	dir := t.TempDir()
@@ -296,13 +329,7 @@ func TestResumeTornFinalJournalRecord(t *testing.T) {
 		t.Fatal("disarmed killer fired")
 	}
 
-	l, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := l.JournalPath()
-	l.Close()
-	if err := faults.TearFinalRecord(journal); err != nil {
+	if err := faults.TearFinalRecord(filepath.Join(dir, "packages.log")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -316,5 +343,72 @@ func TestResumeTornFinalJournalRecord(t *testing.T) {
 	if res.Executed != 1 || res.Skipped != 3 {
 		t.Fatalf("executed=%d skipped=%d, want 1/3", res.Executed, res.Skipped)
 	}
-	assertTiersIdentical(t, "torn journal", referenceTiers(t, d), res)
+	assertTiersIdentical(t, "torn roots line", referenceTiers(t, d), res)
+}
+
+// TestRunDirectoryIsAnArchive: a finished run's directory opens as an
+// archive and passes its audit; every tier is stored raw — the marker 0x00,
+// then the payload; with packages.log gone, a resume still skips every
+// step (the roots rebuild from the manifests); and after one tier byte is
+// flipped, only the step that made it re-executes, restoring its tier byte
+// for byte.
+func TestRunDirectoryIsAnArchive(t *testing.T) {
+	d := detectorWithConditions(t)
+	want := referenceTiers(t, d)
+	dir := t.TempDir()
+	counts := map[string]int{}
+	if runKilled(t, d, dir, counts, faults.NewKiller(), false) {
+		t.Fatal("disarmed killer fired")
+	}
+	if n := verifyRunDirectory(t, "finished run", dir); n != len(chainSteps) {
+		t.Fatalf("run directory holds %d packages, want %d", n, len(chainSteps))
+	}
+	blob := func(name string) string {
+		return filepath.Join(dir, "blobs", cas.Digest(want[name]))
+	}
+	for _, name := range chainOutputs {
+		stored, err := os.ReadFile(blob(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stored) == 0 || stored[0] != 0x00 || !bytes.Equal(stored[1:], want[name]) {
+			t.Fatalf("tier %s is not stored raw", name)
+		}
+	}
+
+	if err := os.Remove(filepath.Join(dir, "packages.log")); err != nil {
+		t.Fatal(err)
+	}
+	res := resumeToCompletion(t, d, dir, counts)
+	if res.Skipped != len(chainSteps) {
+		t.Fatalf("after a lost packages.log: executed=%d skipped=%d", res.Executed, res.Skipped)
+	}
+	assertTiersIdentical(t, "lost packages.log", want, res)
+
+	aod := blob(chain.AODEDM)
+	stored, err := os.ReadFile(aod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), stored...)
+	flipped[len(flipped)-1] ^= 0x01
+	if err := os.WriteFile(aod, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := maps.Clone(counts)
+	res = resumeToCompletion(t, d, dir, counts)
+	for _, step := range chainSteps {
+		more := 0
+		if step == "aod-slim" {
+			more = 1
+		}
+		if reran := counts[step] - before[step]; reran != more {
+			t.Fatalf("after one flipped AOD byte, %s ran %d more times, want %d", step, reran, more)
+		}
+	}
+	assertTiersIdentical(t, "flipped tier byte", want, res)
+	if again, err := os.ReadFile(aod); err != nil || !bytes.Equal(again, stored) {
+		t.Fatalf("the re-executed step did not restore its tier byte for byte: %v", err)
+	}
+	verifyRunDirectory(t, "after the repair", dir)
 }

@@ -14,6 +14,10 @@
 // package per packages.log line, opens as it is. verify and list also read
 // the single-file images earlier builds wrote, read only.
 //
+// A run directory — daspos-pipeline -checkpoint-dir — is an archive too,
+// one package per finished step, so verify audits a run and list shows its
+// steps.
+//
 // Usage:
 //
 //	daspos-archive create -out DIR [-seed S] [-events N]

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -27,15 +28,23 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daspos-display: ")
-	seed := flag.Uint64("seed", 7, "generation seed")
-	out := flag.String("out", "display.svg", "output SVG path")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses the flags in args, writes the SVG to -out and reports it on w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("daspos-display", flag.ExitOnError)
+	seed := fs.Uint64("seed", 7, "generation seed")
+	out := fs.String("out", "display.svg", "output SVG path")
+	_ = fs.Parse(args)
 
 	gen := generator.NewDrellYanZ(generator.DefaultConfig(*seed))
 	det := detector.Standard()
 	db := conditions.NewDB()
 	if err := conditions.SeedStandard(db, "display", 1, 10, 10, *seed); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	full := sim.NewFullSim(det, *seed)
 	rec := reco.New(det)
@@ -44,13 +53,14 @@ func main() {
 	raw := rawdata.Digitize(1, full.Simulate(gen.Generate()))
 	ev, err := rec.Reconstruct(raw, snap)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	simplified := outreach.NewConverter(det).Convert(ev)
 	svg := outreach.RenderSVG(det, simplified, outreach.DisplayOptions{})
 	if err := os.WriteFile(*out, []byte(svg), 0o644); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("wrote %s: %d tracks, %d towers, MET %.1f GeV\n",
+	fmt.Fprintf(w, "wrote %s: %d tracks, %d towers, MET %.1f GeV\n",
 		*out, len(simplified.Tracks), len(simplified.Towers), simplified.MET.Pt)
+	return nil
 }

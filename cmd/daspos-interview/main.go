@@ -12,8 +12,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 
 	"daspos/internal/interview"
 	"daspos/internal/outreach"
@@ -22,47 +24,45 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daspos-interview: ")
-	cmd := "compare"
-	if len(os.Args) > 1 {
-		cmd = os.Args[1]
-	}
-	switch cmd {
-	case "table1":
-		fmt.Println(outreach.Table1())
-	case "appendix":
-		for _, a := range interview.Areas() {
-			fmt.Println(interview.MaturityTable(a))
-		}
-	case "report":
-		profiles := interview.StandardProfiles()
-		if len(os.Args) > 2 {
-			profiles = filterByName(profiles, os.Args[2])
-			if len(profiles) == 0 {
-				log.Fatalf("no profile %q", os.Args[2])
-			}
-		}
-		for _, iv := range profiles {
-			fmt.Printf("=== %s (%s) ===\n", iv.Name, iv.Dept)
-			fmt.Printf("Data: %s\n", iv.DataDescription)
-			fmt.Printf("Total volume: %s; external deps: %v\n\n",
-				interview.FormatBytes(iv.TotalBytes()), iv.ExternalDependencies())
-			fmt.Println(iv.LifecycleTable())
-			fmt.Println(iv.RatingsTable())
-			fmt.Println(iv.SharingGridTable())
-		}
-	case "compare":
-		fmt.Println(interview.Comparison(interview.StandardProfiles()))
-	default:
-		log.Fatalf("unknown subcommand %q (want table1, appendix, report, compare)", cmd)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 }
 
-func filterByName(ps []*interview.Interview, name string) []*interview.Interview {
-	var out []*interview.Interview
-	for _, p := range ps {
-		if p.Name == name {
-			out = append(out, p)
-		}
+// run renders the subcommand args names (compare when there is none) to w.
+func run(args []string, w io.Writer) error {
+	cmd := "compare"
+	if len(args) > 0 {
+		cmd = args[0]
 	}
-	return out
+	switch cmd {
+	case "table1":
+		fmt.Fprintln(w, outreach.Table1())
+	case "appendix":
+		for _, a := range interview.Areas() {
+			fmt.Fprintln(w, interview.MaturityTable(a))
+		}
+	case "report":
+		profiles := interview.StandardProfiles()
+		if len(args) > 1 {
+			profiles = slices.DeleteFunc(profiles, func(iv *interview.Interview) bool { return iv.Name != args[1] })
+			if len(profiles) == 0 {
+				return fmt.Errorf("no profile %q", args[1])
+			}
+		}
+		for _, iv := range profiles {
+			fmt.Fprintf(w, "=== %s (%s) ===\n", iv.Name, iv.Dept)
+			fmt.Fprintf(w, "Data: %s\n", iv.DataDescription)
+			fmt.Fprintf(w, "Total volume: %s; external deps: %v\n\n",
+				interview.FormatBytes(iv.TotalBytes()), iv.ExternalDependencies())
+			fmt.Fprintln(w, iv.LifecycleTable())
+			fmt.Fprintln(w, iv.RatingsTable())
+			fmt.Fprintln(w, iv.SharingGridTable())
+		}
+	case "compare":
+		fmt.Fprintln(w, interview.Comparison(interview.StandardProfiles()))
+	default:
+		return fmt.Errorf("unknown subcommand %q (want table1, appendix, report, compare)", cmd)
+	}
+	return nil
 }

@@ -9,12 +9,13 @@
 // -workers goroutines and output order is independent of the worker count —
 // the same seed produces byte-identical tiers at any -workers and -batch.
 //
-// Runs are crash-safe when -checkpoint-dir is given: every workflow
-// step's lifecycle is journaled into a durable ledger (started, artifacts
-// committed via write-temp-then-rename, done), and -resume continues an
-// interrupted run, skipping steps whose recorded outputs pass digest
-// verification and re-executing anything less than fully committed — RAW
-// is a step output like every other tier, so that includes the online chain.
+// Runs are crash-safe when -checkpoint-dir is given: the directory is an
+// archive (daspos-archive verify reads it), and every finished workflow
+// step becomes one package of it — its artifacts, committed via
+// write-temp-then-rename, and step.json. -resume continues an interrupted
+// run, skipping steps whose packaged outputs pass fixity and re-executing
+// anything less than fully committed — RAW is a step output like every
+// other tier, so that includes the online chain.
 //
 // Usage:
 //
@@ -63,7 +64,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	workers := fs.Int("workers", 4, "worker goroutines per parallel pipeline stage")
 	batch := fs.Int("batch", 32, "events per pipeline batch")
 	stageRetries := fs.Int("stage-retries", 2, "transient worker restarts allowed per pipeline stage")
-	ckptDir := fs.String("checkpoint-dir", "", "directory for the durable run ledger (empty: checkpointing off)")
+	ckptDir := fs.String("checkpoint-dir", "", "run directory: an archive holding one package per finished step (empty: checkpointing off)")
 	resume := fs.Bool("resume", false, "resume from the ledger in -checkpoint-dir, skipping verified steps")
 	_ = fs.Parse(args)
 
@@ -113,7 +114,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	if ledger != nil {
-		printRunStatus(w, ledger, res, *resume)
+		printRunStatus(w, *ckptDir, ledger, res, *resume)
 	}
 
 	// Tier-size cascade (experiment W1).
@@ -180,13 +181,13 @@ func printStageReports(w io.Writer, workers, batch int, reports []eventflow.Repo
 // printRunStatus renders the checkpoint run report: which steps executed
 // this invocation, which were restored from verified checkpoints, and
 // what the ledger holds per step.
-func printRunStatus(w io.Writer, ledger *checkpoint.Ledger, res *workflow.Result, resumed bool) {
+func printRunStatus(w io.Writer, dir string, ledger *checkpoint.Ledger, res *workflow.Result, resumed bool) {
 	t := texttable.New("Step", "Outcome", "Ledger", "Artifacts", "Bytes", "Events")
 	mode := "checkpointed"
 	if resumed {
 		mode = "resumed"
 	}
-	t.Title = fmt.Sprintf("Run status (%s, ledger %s)", mode, ledger.Dir())
+	t.Title = fmt.Sprintf("Run status (%s, ledger %s)", mode, dir)
 	for i := 3; i < 6; i++ {
 		t.SetAlign(i, texttable.Right)
 	}
@@ -201,7 +202,7 @@ func printRunStatus(w io.Writer, ledger *checkpoint.Ledger, res *workflow.Result
 		}
 		ledgerState, arts := "-", 0
 		if info, ok := state[rep.Step]; ok {
-			ledgerState = info.State.String()
+			ledgerState = "done"
 			arts = len(info.Artifacts)
 		}
 		t.AddRow(rep.Step, outcome, ledgerState, arts, rep.OutputBytes, rep.OutputEvents)

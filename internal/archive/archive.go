@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,10 +94,12 @@ func (p *Package) File(path string) *File {
 	return nil
 }
 
-// Errors returned by the archive.
+// Errors returned by the archive. Ingest returns ErrDuplicate together
+// with the ID of the package that is already there.
 var (
 	ErrNoPackage = errors.New("archive: no such package")
 	ErrNoFile    = errors.New("archive: no such file in package")
+	ErrDuplicate = errors.New("archive: identical package already ingested")
 )
 
 // Archive is the package store. It is safe for concurrent use: the
@@ -105,12 +108,14 @@ var (
 // archive.
 type Archive struct {
 	blobs *cas.Store
-	// index is the roots log of an archive Open made; nil for one over a
-	// caller's store.
+	// disk and index are the blobs/ directory and the roots log of an
+	// archive Open made; nil for one over a caller's store.
+	disk  *cas.DiskBackend
 	index *journal.Journal
 
 	mu       sync.RWMutex
 	packages map[string]*Package
+	roots    []string // package IDs in the order they were first indexed
 }
 
 // New returns an empty archive over an in-memory blob store.
@@ -155,6 +160,7 @@ func open(root *cas.Dir, err error) (*Archive, error) {
 			return nil, fmt.Errorf("archive: rebuilding packages.log: %w", err)
 		}
 	}
+	a.disk = disk
 	if a.index, err = journal.Open(root.Path("packages.log"), a.replay); err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
@@ -162,12 +168,13 @@ func open(root *cas.Dir, err error) (*Archive, error) {
 }
 
 // Recover rebuilds an index from blobs alone: every manifest among them is
-// a package. A blob that cannot be read fails Recover, naming the digest.
+// a package, and Roots lists them in digest order. A blob that cannot be
+// read fails Recover, naming the digest.
 func Recover(b cas.Backend) (*Archive, error) {
 	a := NewWithStore(cas.NewStoreWith(b))
 	for _, digest := range b.Digests() {
 		if pkg, err := a.manifest(digest); err == nil {
-			a.packages[digest] = pkg
+			a.addPackage(digest, pkg)
 		} else if !errors.Is(err, errNotManifest) {
 			return nil, fmt.Errorf("archive: recovering: %w", err)
 		}
@@ -193,6 +200,29 @@ func (a *Archive) manifest(digest string) (*Package, error) {
 	return &pkg, nil
 }
 
+// addPackage indexes one package; a.mu is held or not yet shared.
+func (a *Archive) addPackage(id string, pkg *Package) {
+	if _, ok := a.packages[id]; !ok {
+		a.roots = append(a.roots, id)
+	}
+	a.packages[id] = pkg
+}
+
+// SetKill installs a fault hook invoked at every kill point of an archive
+// Open made: the object.* points of blobs/ and the journal.* points of
+// packages.log. The chaos tests arm it with faults.Killer; production
+// leaves it unset.
+func (a *Archive) SetKill(fn func(point string)) {
+	a.disk.SetKill(fn)
+	a.index.SetKill(fn)
+}
+
+// Stage stores a payload whose digest the caller has checked in blobs/ of
+// an archive Open made, in its raw stored form (cas.DiskBackend.PutRaw):
+// not deflated and not copied, for an IngestStaged to name. A file that
+// holds other bytes (damage) is replaced.
+func (a *Archive) Stage(digest string, payload []byte) error { return a.disk.PutRaw(digest, payload) }
+
 // Close releases the index of an archive Open made; the directory stays
 // valid for a later Open.
 func (a *Archive) Close() error {
@@ -213,14 +243,14 @@ func (a *Archive) replay(line json.RawMessage) error {
 	if err := json.Unmarshal(line, &id); err != nil {
 		return err
 	}
-	if len(id) != 64 || strings.Trim(id, "0123456789abcdef") != "" { // it is a file name next
+	if !cas.IsDigest(id) { // it is a file name next
 		return fmt.Errorf("archive: root %.80q is not a package ID", id)
 	}
 	pkg, err := a.manifest(id)
 	if err != nil {
 		return fmt.Errorf("archive: package %s manifest: %w", id, err)
 	}
-	a.packages[id] = pkg
+	a.addPackage(id, pkg)
 	return nil
 }
 
@@ -244,45 +274,55 @@ func (a *Archive) adopt(pkg *Package) error {
 		return fmt.Errorf("archive: storing the manifest of %s: %w", id, err)
 	}
 	pkg.Metadata.ID = id
-	a.packages[id] = pkg
+	a.addPackage(id, pkg)
 	return nil
 }
 
 // Ingest stores the payload files, then the manifest, whose digest is the
 // ID it returns. Metadata.EnvManifest and Metadata.Provenance, when set,
-// must name payload paths; a rejected package writes nothing. In an archive
-// Open made, the roots append is the commit point: a crash before it
-// leaves unreferenced blobs and no package.
+// must name payload paths; a rejected package writes nothing. A package
+// already in the archive is ErrDuplicate, returned with its ID. In an
+// archive Open made, the roots append is the commit point: a crash before
+// it leaves unreferenced blobs and no package.
 func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error) {
+	return a.IngestStaged(meta, files, nil)
+}
+
+// IngestStaged is Ingest of a package some of whose payload files Stage
+// stored: each staged File names its path, digest and size, and is neither
+// hashed nor stored again.
+func (a *Archive) IngestStaged(meta Metadata, files map[string][]byte, staged []File) (string, error) {
 	if meta.Title == "" {
 		return "", fmt.Errorf("archive: package needs a title")
 	}
 	if meta.ID != "" {
 		return "", fmt.Errorf("archive: metadata ID is assigned at ingest, not supplied")
 	}
-	if len(files) == 0 {
+	pkg := &Package{Metadata: meta, Files: slices.Clone(staged)}
+	for path, data := range files {
+		pkg.Files = append(pkg.Files, File{Path: path, Size: int64(len(data))})
+	}
+	if len(pkg.Files) == 0 {
 		return "", fmt.Errorf("archive: package %q has no payload", meta.Title)
 	}
-	pkg := &Package{Metadata: meta}
-	paths := make([]string, 0, len(files))
-	for path := range files {
-		if path == "" || strings.HasPrefix(path, "/") || strings.Contains(path, "..") {
-			return "", fmt.Errorf("archive: invalid payload path %q", path)
+	slices.SortFunc(pkg.Files, func(x, y File) int { return strings.Compare(x.Path, y.Path) })
+	for i, f := range pkg.Files {
+		if f.Path == "" || strings.HasPrefix(f.Path, "/") || strings.Contains(f.Path, "..") || i > 0 && f.Path == pkg.Files[i-1].Path {
+			return "", fmt.Errorf("archive: invalid payload path %q", f.Path)
 		}
-		paths = append(paths, path)
 	}
-	sort.Strings(paths)
 	for _, special := range []string{meta.EnvManifest, meta.Provenance} {
-		if _, ok := files[special]; special != "" && !ok {
+		if special != "" && pkg.File(special) == nil {
 			return "", fmt.Errorf("archive: metadata references %q which is not in the payload", special)
 		}
 	}
-	for _, path := range paths {
-		digest, err := a.blobs.Put(files[path])
-		if err != nil {
-			return "", fmt.Errorf("archive: storing %q: %w", path, err)
+	for i, f := range pkg.Files {
+		if data, ok := files[f.Path]; ok {
+			var err error
+			if pkg.Files[i].Digest, err = a.blobs.Put(data); err != nil {
+				return "", fmt.Errorf("archive: storing %q: %w", f.Path, err)
+			}
 		}
-		pkg.Files = append(pkg.Files, File{Path: path, Digest: digest, Size: int64(len(files[path]))})
 	}
 	manifest, err := json.Marshal(pkg)
 	if err != nil {
@@ -294,7 +334,7 @@ func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error)
 	}
 	pkg.Metadata.ID = id
 	if _, dup := a.Get(id); dup {
-		return "", fmt.Errorf("archive: identical package already ingested (%s)", id)
+		return id, fmt.Errorf("%w (%s)", ErrDuplicate, id)
 	}
 	if a.index != nil {
 		// Not under a.mu: readers and audits go on while the line is
@@ -307,9 +347,9 @@ func (a *Archive) Ingest(meta Metadata, files map[string][]byte) (string, error)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, dup := a.packages[id]; dup {
-		return "", fmt.Errorf("archive: identical package already ingested (%s)", id)
+		return id, fmt.Errorf("%w (%s)", ErrDuplicate, id)
 	}
-	a.packages[id] = pkg
+	a.addPackage(id, pkg)
 	return id, nil
 }
 
@@ -421,6 +461,14 @@ feed:
 	close(next)
 	wg.Wait()
 	return rep
+}
+
+// Roots returns the package IDs in the order they were first indexed: the
+// order of packages.log in an archive Open made, then of its ingests.
+func (a *Archive) Roots() []string {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return slices.Clone(a.roots)
 }
 
 // IDs returns the sorted package IDs.

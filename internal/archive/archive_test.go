@@ -657,3 +657,41 @@ func BenchmarkVerifyPackage(b *testing.B) {
 		}
 	}
 }
+
+// TestIngestStagedMatchesIngest: a package whose large file Stage stored
+// raw gets the ID, manifest and checked reads Ingest gives it, and a staged
+// path is held to Ingest's rules — a path also among the files, or one
+// leaving the package, stores nothing.
+func TestIngestStagedMatchesIngest(t *testing.T) {
+	files := sampleFiles()
+	want, err := New().Ingest(sampleMeta(), files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	a := openArchive(t, dir)
+	aod := files["events/aod.edm"]
+	delete(files, "events/aod.edm")
+	staged := File{Path: "events/aod.edm", Digest: cas.Digest(aod), Size: int64(len(aod))}
+	for _, bad := range []File{
+		{Path: "docs/README.md", Digest: staged.Digest, Size: staged.Size},
+		{Path: "../aod.edm", Digest: staged.Digest, Size: staged.Size},
+	} {
+		if _, err := a.IngestStaged(sampleMeta(), files, []File{bad}); err == nil || len(openBlobs(t, dir).Digests()) != 0 {
+			t.Fatalf("staged %q: err = %v, blobs %v", bad.Path, err, openBlobs(t, dir).Digests())
+		}
+	}
+	if err := a.Stage(staged.Digest, aod); err != nil {
+		t.Fatal(err)
+	}
+	id, err := a.IngestStaged(sampleMeta(), files, []File{staged})
+	if err != nil || id != want {
+		t.Fatalf("IngestStaged: %s, %v; Ingest gave %s", id, err, want)
+	}
+	if got, err := a.Fetch(id, "events/aod.edm"); err != nil || !bytes.Equal(got, aod) {
+		t.Fatalf("staged file reads back: %v", err)
+	}
+	if err := a.VerifyPackage(id); err != nil {
+		t.Fatal(err)
+	}
+}

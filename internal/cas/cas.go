@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 )
 
@@ -81,6 +82,12 @@ func (e *CorruptError) Unwrap() []error {
 func Digest(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
+}
+
+// IsDigest reports whether s has the form Digest returns: 64 lowercase hex
+// digits, and so a plain file name.
+func IsDigest(s string) bool {
+	return len(s) == 2*sha256.Size && strings.Trim(s, "0123456789abcdef") == ""
 }
 
 // Store is a content-addressed blob store over a pluggable Backend, safe

@@ -12,8 +12,9 @@ import (
 
 // Dir is the one durable blob store in the tree: a flat directory of files
 // named by content address, each published by temp-write → fsync → rename
-// → dir-fsync. It knows nothing of formats: the checkpoint ledger keeps raw
-// payloads in one, a DiskBackend the stored form.
+// → dir-fsync. It knows nothing of formats: a DiskBackend keeps stored
+// forms in one, and a directory archive commits its rebuilt roots log
+// through another.
 type Dir struct {
 	path string
 	kill atomic.Pointer[func(point string)]
@@ -61,14 +62,16 @@ func (d *Dir) hit(point string) {
 // pieces (BenchmarkDirWrite; DESIGN.md "Commit behind the compute").
 const piece = 256 << 10
 
-// Write makes data the durable content of name; the rename is the atomic
-// commit point. A file that already holds exactly data is kept, but the
-// directory is still fsynced: the process that renamed it may have died
-// before its own, and what the caller records next must not name an entry
-// a power cut can take back. A file with other bytes (damage) is replaced.
-func (d *Dir) Write(name string, data []byte) error {
+// Write makes the concatenation of pieces (one at least) the durable
+// content of name; the rename is the atomic commit point. Pieces let a
+// caller frame a payload without copying it. A file that already holds
+// exactly those bytes is kept, but the directory is still fsynced: the
+// process that renamed it may have died before its own, and what the
+// caller records next must not name an entry a power cut can take back. A
+// file with other bytes (damage) is replaced.
+func (d *Dir) Write(name string, pieces ...[]byte) error {
 	final := d.Path(name)
-	if existing, err := os.ReadFile(final); err == nil && bytes.Equal(existing, data) {
+	if existing, err := os.ReadFile(final); err == nil && holds(existing, pieces) {
 		if err := syncDir(d.path); err != nil {
 			return err
 		}
@@ -86,10 +89,12 @@ func (d *Dir) Write(name string, data []byte) error {
 			os.Remove(tmp.Name())
 		}
 	}()
-	// The tear window sits at the half mark; pieces only bound one write.
-	half := len(data) / 2
-	for i, part := range [2][]byte{data[:half], data[half:]} {
-		if i == 1 {
+	// The tear window sits at the half mark of the last piece, the
+	// payload; pieces only bound one write.
+	k, last := len(pieces)-1, pieces[len(pieces)-1]
+	parts := append(pieces[:k:k], last[:len(last)/2], last[len(last)/2:])
+	for i, part := range parts {
+		if i == len(parts)-1 {
 			d.hit("object.torn")
 		}
 		for len(part) > 0 {
@@ -119,6 +124,17 @@ func (d *Dir) Write(name string, data []byte) error {
 	}
 	d.hit("object.durable")
 	return nil
+}
+
+// holds reports whether data is the concatenation of pieces.
+func holds(data []byte, pieces [][]byte) bool {
+	for _, p := range pieces {
+		if !bytes.HasPrefix(data, p) {
+			return false
+		}
+		data = data[len(p):]
+	}
+	return len(data) == 0
 }
 
 // Names returns the published names, sorted.
@@ -165,6 +181,14 @@ func OpenDisk(path string) (*DiskBackend, error) {
 // PutBlob implements Backend; reads count the logical size.
 func (b *DiskBackend) PutBlob(digest string, comp []byte, _ int64) error {
 	return b.Write(digest, comp)
+}
+
+// PutRaw stores a payload whose digest the caller has checked in its raw
+// stored form — the marker, then the payload, written as two pieces, so
+// the payload is neither deflated nor copied. A later Put of the same bytes
+// finds it stored.
+func (b *DiskBackend) PutRaw(digest string, payload []byte) error {
+	return b.Write(digest, []byte{blobRaw}, payload)
 }
 
 func (b *DiskBackend) read(digest string) ([]byte, error) {

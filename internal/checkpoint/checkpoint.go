@@ -1,71 +1,43 @@
-// Package checkpoint makes a whole pipeline run a durable, resumable
-// unit: a journaled run ledger that records each workflow step's
-// lifecycle (started → artifacts committed → done) in an append-only
-// journal, with every artifact payload committed to a content-addressed
-// object store via write-temp-then-rename before the journal line that
-// announces it is appended.
+// Package checkpoint makes a whole pipeline run a durable, resumable unit:
+// the run directory is a directory archive (package archive) holding one
+// package per finished workflow step — its artifacts, stored raw, and
+// step.json, which records the step's name, its StepKey, the configuration
+// and input digests the key is made from, its external census and its
+// artifact records.
 //
-// The DASPOS demand that an archived analysis chain stay re-executable
-// years later is, day to day, a demand that it survive the mundane
-// failures of long-running processing: a process killed mid-step, a torn
-// write, a half-committed artifact. The ledger's commit protocol is
-// ordered so that a crash at *any* instruction leaves a recoverable
-// state:
+// Commit writes an artifact's blob; Done ingests the step, and the roots-log
+// append is the commit point, so a crash anywhere leaves either a package
+// whose every blob is durable or orphan blobs and a step that re-executes.
+// A resumed run skips a step only when a package under the same key holds
+// every declared output and each reads back through the archive's checked
+// Fetch. Tiers are never deflated: at a ratio of 1.35 it is not worth the
+// CPU (DESIGN.md, "Crash-safe runs: a run is an archive").
 //
-//  1. the artifact payload is written to a temp file in objects/,
-//     fsynced, renamed to its SHA-256 digest, and the directory fsynced —
-//     cas.Dir's Write, the tree's one durable blob writer;
-//  2. only then is the journal record describing it appended and the
-//     journal fsynced.
-//
-// Replay therefore never trusts a record whose payload could be missing.
-// The journal itself — replay, the torn-tail policy, the fsynced append
-// and its kill points — is package journal's, shared with the RECAST
-// request ledger and work queue.
-//
-// Steps are keyed by StepKey over (step name, config digest, input
-// digests), so a resumed run only skips a step when the same code
-// configuration ran over byte-identical inputs — and even then only
-// after the recorded artifacts pass fixity (re-hash equals recorded
-// digest). A checkpoint that fails fixity simply forces re-execution.
+// A directory an earlier build wrote — journal.log of start/artifact/done
+// lines over raw payloads in objects/ — is read, never written: Open adopts
+// each of its done steps whose payloads verify.
 package checkpoint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
+	"daspos/internal/archive"
 	"daspos/internal/cas"
+	"daspos/internal/datamodel"
 	"daspos/internal/journal"
 )
 
-// StepState is a step's recorded lifecycle position.
-type StepState int
-
-// Lifecycle states. A step that appears in the journal only via "start"
-// was interrupted; only StepDone is skippable on resume.
-const (
-	StepUnknown StepState = iota
-	StepStarted
-	StepDone
-)
-
-// String renders the state for status reports.
-func (s StepState) String() string {
-	switch s {
-	case StepStarted:
-		return "started"
-	case StepDone:
-		return "done"
-	default:
-		return "unknown"
-	}
-}
-
-// ArtifactRecord is the journal's description of one committed artifact.
-// Digest doubles as the object-store file name.
+// ArtifactRecord describes one committed artifact; Name is its path in the
+// step's package.
 type ArtifactRecord struct {
 	Name   string `json:"name"`
 	Tier   string `json:"tier"`
@@ -74,24 +46,14 @@ type ArtifactRecord struct {
 	Digest string `json:"digest"`
 }
 
-// StepInfo is one step's replayed ledger state.
+// StepInfo is one finished step as its package records it.
 type StepInfo struct {
 	Step      string
 	Key       string
-	State     StepState
 	Artifacts []ArtifactRecord
-	// External is the step's external-dependency census, recorded on the
-	// done line so resumed runs keep complete provenance.
+	// External is the step's external-dependency census, kept so resumed
+	// runs keep complete provenance.
 	External []string
-}
-
-// journalRecord is one JSON line of the journal.
-type journalRecord struct {
-	Kind     string          `json:"kind"` // "start", "artifact", "done"
-	Step     string          `json:"step"`
-	Key      string          `json:"key"`
-	Artifact *ArtifactRecord `json:"artifact,omitempty"`
-	External []string        `json:"external,omitempty"`
 }
 
 // StepKey derives the ledger key identifying one step execution: the
@@ -109,206 +71,284 @@ func StepKey(step, configDigest string, inputDigests []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Ledger is the durable run ledger: an append-only journal plus a
-// content-addressed object store under one checkpoint directory. Safe for
-// concurrent readers of the replayed state; appends are serialized.
+// Ledger is the durable run ledger: the archive in one checkpoint
+// directory, and the index of its step packages by key. Safe for
+// concurrent use.
 type Ledger struct {
-	dir     string
-	journal *journal.Journal
-	objects *cas.Dir
+	*archive.Archive
 
-	mu    sync.Mutex
-	steps map[string]*StepInfo
-	order []string // keys in first-seen order, for status reports
+	mu     sync.Mutex
+	steps  map[string]step             // by key
+	order  []string                    // keys in the order they were first indexed
+	staged map[string][]ArtifactRecord // by key: stored by Commit, not yet ingested by Done
 }
 
-const (
-	journalName = "journal.log"
-	objectsName = "objects"
-)
-
-// Open creates or recovers the ledger in dir: it opens the object store
-// (which drops the temp objects a crash left) and replays the journal (see
-// package journal for what a torn tail and a corrupt line do).
-func Open(dir string) (*Ledger, error) {
-	objects, err := cas.OpenDir(filepath.Join(dir, objectsName))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	l := &Ledger{dir: dir, objects: objects, steps: make(map[string]*StepInfo)}
-	j, err := journal.Open(filepath.Join(dir, journalName), l.apply)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	l.journal = j
-	return l, nil
+type step struct {
+	pkg  string
+	info StepInfo
 }
 
-// Close releases the journal handle. The ledger directory remains valid
-// for a later Open.
-func (l *Ledger) Close() error { return l.journal.Close() }
+// stepFile is the path of step.json in a step's package.
+const stepFile = "step.json"
 
-// Dir returns the checkpoint directory.
-func (l *Ledger) Dir() string { return l.dir }
-
-// SetKill installs a fault hook invoked at every instrumented instruction
-// of the commit protocol: the journal's "journal.*" points and the object
-// store's "object.*" points. The chaos tests arm it with faults.Killer to
-// die at a seeded instruction; production runs leave it nil.
-func (l *Ledger) SetKill(fn func(point string)) {
-	l.journal.SetKill(fn)
-	l.objects.SetKill(fn)
+// stepRecord is step.json; Format is its version marker.
+type stepRecord struct {
+	Format    string           `json:"format"`
+	Step      string           `json:"step"`
+	Key       string           `json:"key"`
+	Config    string           `json:"config,omitempty"`
+	Inputs    []string         `json:"inputs,omitempty"`
+	External  []string         `json:"external,omitempty"`
+	Artifacts []ArtifactRecord `json:"artifacts"`
 }
 
-// apply folds one journal record into the step table: every replayed
-// line at Open, and every appended record once it is durable.
-func (l *Ledger) apply(rec journalRecord) error {
-	if rec.Key == "" || rec.Step == "" {
-		return fmt.Errorf("checkpoint: record without step/key")
+const stepFormat = "daspos-step/1"
+
+// decodeStep reads step.json: a record of the current format that
+// re-encodes to exactly its bytes, whose key and artifact digests are
+// digests and whose artifact names are distinct payload paths.
+func decodeStep(data []byte) (stepRecord, error) {
+	var rec stepRecord
+	err := json.Unmarshal(data, &rec)
+	if again, _ := json.Marshal(rec); err != nil || !bytes.Equal(again, data) {
+		return rec, fmt.Errorf("%s is not canonical", stepFile)
 	}
-	info := l.steps[rec.Key]
-	if info == nil {
-		info = &StepInfo{Step: rec.Step, Key: rec.Key}
-		l.steps[rec.Key] = info
-		l.order = append(l.order, rec.Key)
+	if rec.Format != stepFormat || rec.Step == "" || !cas.IsDigest(rec.Key) {
+		return rec, fmt.Errorf("%s is not a %s record of a step and its key", stepFile, stepFormat)
 	}
-	switch rec.Kind {
-	case "start":
-		// A fresh start supersedes any previous lifecycle for the key:
-		// re-execution after a fixity failure re-records from scratch.
-		info.State = StepStarted
-		info.Artifacts = nil
-		info.External = nil
-	case "artifact":
-		if rec.Artifact == nil {
-			return fmt.Errorf("checkpoint: artifact record without artifact")
+	names := make(map[string]bool, len(rec.Artifacts))
+	for _, a := range rec.Artifacts {
+		if a.Name == "" || a.Name == stepFile || names[a.Name] || !cas.IsDigest(a.Digest) {
+			return rec, fmt.Errorf("%s artifact %.40q (digest %.80q) is not a distinct payload file", stepFile, a.Name, a.Digest)
 		}
-		info.Artifacts = append(info.Artifacts, *rec.Artifact)
-	case "done":
-		info.State = StepDone
-		info.External = rec.External
-	default:
-		return fmt.Errorf("checkpoint: unknown record kind %q", rec.Kind)
-	}
-	return nil
-}
-
-// record journals one record and, once it is durable, folds it into the
-// step table.
-func (l *Ledger) record(rec journalRecord) error {
-	if err := l.journal.Append(rec); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.apply(rec)
-}
-
-// Start records that a step execution began.
-func (l *Ledger) Start(step, key string) error {
-	return l.record(journalRecord{Kind: "start", Step: step, Key: key})
-}
-
-// Commit durably stores one artifact payload and journals it. The digest
-// is computed here over the payload; a caller-supplied digest in rec must
-// agree. The object store is content-addressed, so re-committing
-// identical bytes is idempotent (the object is kept, its directory entry
-// fsynced again) — but an existing object with other bytes (operator
-// damage, bit rot) is overwritten with the fresh payload rather than
-// trusted.
-func (l *Ledger) Commit(step, key string, rec ArtifactRecord, data []byte) (ArtifactRecord, error) {
-	digest := cas.Digest(data)
-	if rec.Digest != "" && rec.Digest != digest {
-		return rec, fmt.Errorf("checkpoint: artifact %q digest %s does not match payload %s", rec.Name, rec.Digest, digest)
-	}
-	rec.Digest = digest
-	rec.Bytes = int64(len(data))
-	if err := l.objects.Write(digest, data); err != nil {
-		return rec, fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := l.record(journalRecord{Kind: "artifact", Step: step, Key: key, Artifact: &rec}); err != nil {
-		return rec, err
+		names[a.Name] = true
 	}
 	return rec, nil
 }
 
-// Done records that every artifact of the step is committed, with the
-// step's external-dependency census for provenance on resume.
-func (l *Ledger) Done(step, key string, external []string) error {
-	return l.record(journalRecord{Kind: "done", Step: step, Key: key, External: external})
+// Open creates or recovers the ledger in dir: it opens the archive there
+// (see archive.Open for a damaged or lost roots log) and indexes each step
+// package by its key — of two packages with one key, the later root wins.
+// A step.json that does not decode, or records an artifact its package
+// does not hold, fails Open naming the package.
+func Open(dir string) (*Ledger, error) {
+	a, err := archive.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	l := &Ledger{Archive: a, steps: make(map[string]step), staged: make(map[string][]ArtifactRecord)}
+	for _, id := range a.Roots() {
+		if err := l.index(id); err != nil {
+			a.Close()
+			return nil, fmt.Errorf("checkpoint: package %s: %w", id, err)
+		}
+	}
+	if err := l.adopt(dir); err != nil {
+		a.Close()
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return l, nil
 }
 
-// Lookup returns the replayed state for a step key.
+// index reads the step.json of package id and makes the package the one
+// its step's key resolves to; a package that is not a step's is skipped.
+func (l *Ledger) index(id string) error {
+	pkg, _ := l.Get(id)
+	if pkg.Metadata.Provenance != stepFile {
+		return nil
+	}
+	data, err := l.Fetch(id, stepFile)
+	if err != nil {
+		return err
+	}
+	rec, err := decodeStep(data)
+	if err != nil {
+		return err
+	}
+	for _, a := range rec.Artifacts {
+		if f := pkg.File(a.Name); f == nil || f.Digest != a.Digest || f.Size != a.Bytes {
+			return fmt.Errorf("artifact %q is not in the package as %s records it", a.Name, stepFile)
+		}
+	}
+	l.put(id, rec)
+	return nil
+}
+
+func (l *Ledger) put(id string, rec stepRecord) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, ok := l.steps[rec.Key]; !ok {
+		l.order = append(l.order, rec.Key)
+	}
+	l.steps[rec.Key] = step{pkg: id, info: StepInfo{Step: rec.Step, Key: rec.Key, Artifacts: rec.Artifacts, External: rec.External}}
+}
+
+// Commit durably stores one artifact payload of the step under key, raw,
+// for the Done that ingests the step. The digest is computed here over the
+// payload; a caller-supplied digest in rec must agree. A blob that already
+// holds other bytes (operator damage, bit rot) is replaced rather than
+// trusted.
+func (l *Ledger) Commit(key string, rec ArtifactRecord, data []byte) (ArtifactRecord, error) {
+	digest := cas.Digest(data)
+	if rec.Digest != "" && rec.Digest != digest {
+		return rec, fmt.Errorf("checkpoint: artifact %q digest %s does not match payload %s", rec.Name, rec.Digest, digest)
+	}
+	if rec.Name == stepFile {
+		return rec, fmt.Errorf("checkpoint: an artifact may not be named %s", stepFile)
+	}
+	rec.Digest, rec.Bytes = digest, int64(len(data))
+	if err := l.Stage(digest, data); err != nil {
+		return rec, fmt.Errorf("checkpoint: %w", err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	arts := slices.DeleteFunc(l.staged[key], func(a ArtifactRecord) bool { return a.Name == rec.Name })
+	l.staged[key] = append(arts, rec)
+	return rec, nil
+}
+
+// Done ingests a finished step — the artifacts committed under its key,
+// with step.json recording the configuration and input digests the key is
+// made from and the step's external-dependency census — as one package.
+// The package of a step done before with the same bytes is already there.
+func (l *Ledger) Done(stepName, configDigest string, inputDigests, external []string) error {
+	return l.done(stepRecord{
+		Format: stepFormat, Step: stepName, Key: StepKey(stepName, configDigest, inputDigests),
+		Config: configDigest, Inputs: inputDigests, External: external,
+	})
+}
+
+func (l *Ledger) done(rec stepRecord) error {
+	l.mu.Lock()
+	rec.Artifacts = l.staged[rec.Key]
+	delete(l.staged, rec.Key)
+	l.mu.Unlock()
+	staged := make([]archive.File, 0, len(rec.Artifacts))
+	level := datamodel.DPHEPLevel3 // analysis-level data; raw and reconstructed data are level 4
+	for _, a := range rec.Artifacts {
+		staged = append(staged, archive.File{Path: a.Name, Digest: a.Digest, Size: a.Bytes})
+		if a.Tier == datamodel.TierRAW.String() || a.Tier == datamodel.TierRECO.String() {
+			level = datamodel.DPHEPLevel4
+		}
+	}
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	meta := archive.Metadata{Title: rec.Step, Creator: "daspos-workflow", Level: level, Provenance: stepFile}
+	id, err := l.IngestStaged(meta, map[string][]byte{stepFile: data}, staged)
+	if err != nil && !errors.Is(err, archive.ErrDuplicate) {
+		return fmt.Errorf("checkpoint: step %q: %w", rec.Step, err)
+	}
+	l.put(id, rec)
+	return nil
+}
+
+// Lookup returns the finished step recorded under a key.
 func (l *Ledger) Lookup(key string) (StepInfo, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	info, ok := l.steps[key]
-	if !ok {
-		return StepInfo{}, false
-	}
-	return copyInfo(info), true
+	s, ok := l.steps[key]
+	return copyInfo(s.info), ok
 }
 
-// Status returns every step the ledger knows, in first-seen order — the
-// run-status report of the pipeline executable.
+// Status returns every finished step the ledger holds, in the order its
+// key was first indexed — the run-status report of the pipeline executable.
 func (l *Ledger) Status() []StepInfo {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]StepInfo, 0, len(l.order))
 	for _, key := range l.order {
-		out = append(out, copyInfo(l.steps[key]))
+		out = append(out, copyInfo(l.steps[key].info))
 	}
 	return out
 }
 
-func copyInfo(info *StepInfo) StepInfo {
-	cp := *info
-	cp.Artifacts = append([]ArtifactRecord(nil), info.Artifacts...)
-	cp.External = append([]string(nil), info.External...)
-	return cp
+func copyInfo(info StepInfo) StepInfo {
+	info.Artifacts = append([]ArtifactRecord(nil), info.Artifacts...)
+	info.External = append([]string(nil), info.External...)
+	return info
 }
 
-// Load reads an artifact payload back from the object store, verifying
-// fixity: the bytes must hash to the recorded digest and match the
-// recorded length. Any disagreement is a checkpoint the caller must not
-// trust.
-func (l *Ledger) Load(rec ArtifactRecord) ([]byte, error) {
-	data, err := l.objects.Read(rec.Digest)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: artifact %q object missing: %w", rec.Name, err)
-	}
-	if int64(len(data)) != rec.Bytes {
-		return nil, fmt.Errorf("checkpoint: artifact %q is %d bytes, recorded %d", rec.Name, len(data), rec.Bytes)
-	}
-	if got := cas.Digest(data); got != rec.Digest {
-		return nil, fmt.Errorf("checkpoint: artifact %q fails fixity: object hashes to %s, recorded %s", rec.Name, got, rec.Digest)
-	}
-	return data, nil
-}
-
-// Verify re-hashes every artifact of a done step against its recorded
-// digest. It returns an error when the step is not done or any artifact
-// fails fixity — the signal that a resume must re-execute the step.
-func (l *Ledger) Verify(key string) error {
-	info, ok := l.Lookup(key)
+// Load reads an artifact of the step under key back through the archive's
+// checked Fetch. Any error is a checkpoint the caller must not trust.
+func (l *Ledger) Load(key, name string) ([]byte, error) {
+	l.mu.Lock()
+	s, ok := l.steps[key]
+	l.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("checkpoint: no ledger entry for key %s", key)
+		return nil, fmt.Errorf("checkpoint: no step under key %s", key)
 	}
-	if info.State != StepDone {
-		return fmt.Errorf("checkpoint: step %q is %s, not done", info.Step, info.State)
+	return l.Fetch(s.pkg, name)
+}
+
+// journalRecord is one line of the journal.log an earlier build wrote.
+type journalRecord struct {
+	Kind     string          `json:"kind"` // "start", "artifact", "done"
+	Step     string          `json:"step"`
+	Key      string          `json:"key"`
+	Artifact *ArtifactRecord `json:"artifact,omitempty"`
+	External []string        `json:"external,omitempty"`
+}
+
+// adopt commits and ingests each done step of dir/journal.log, whose
+// payloads are raw files in dir/objects/, unless its key is indexed
+// already: reopening adopts nothing twice. A step whose payloads fail
+// fixity is left to re-execute. The files are only read, and a line whose
+// digest is not a digest — a path, say — fails, naming the line.
+func (l *Ledger) adopt(dir string) error {
+	steps, done := make(map[string]*stepRecord), make(map[string]bool)
+	var order []string
+	err := journal.Replay(filepath.Join(dir, "journal.log"), func(rec journalRecord) error {
+		if rec.Key == "" || rec.Step == "" {
+			return fmt.Errorf("record without step/key")
+		}
+		if steps[rec.Key] == nil {
+			order = append(order, rec.Key)
+		}
+		if rec.Kind == "start" || steps[rec.Key] == nil {
+			// A fresh start supersedes any previous lifecycle for the key.
+			steps[rec.Key], done[rec.Key] = &stepRecord{Format: stepFormat, Step: rec.Step, Key: rec.Key}, false
+		}
+		switch s := steps[rec.Key]; rec.Kind {
+		case "start":
+		case "artifact":
+			if rec.Artifact == nil {
+				return fmt.Errorf("artifact record without artifact")
+			}
+			if !cas.IsDigest(rec.Artifact.Digest) {
+				return fmt.Errorf("artifact %q digest %.80q is not a digest", rec.Artifact.Name, rec.Artifact.Digest)
+			}
+			s.Artifacts = append(s.Artifacts, *rec.Artifact)
+		case "done":
+			s.External, done[rec.Key] = rec.External, true
+		default:
+			return fmt.Errorf("unknown record kind %q", rec.Kind)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	for _, rec := range info.Artifacts {
-		if _, err := l.Load(rec); err != nil {
+next:
+	for _, key := range order {
+		if _, indexed := l.Lookup(key); indexed || !done[key] {
+			continue
+		}
+		rec := *steps[key]
+		for _, a := range rec.Artifacts {
+			data, err := os.ReadFile(filepath.Join(dir, "objects", a.Digest))
+			if err == nil {
+				_, err = l.Commit(key, a, data)
+			}
+			if err != nil {
+				delete(l.staged, key)
+				continue next
+			}
+		}
+		if err := l.done(rec); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// ObjectPath returns where an artifact payload lives on disk — exposed
-// for the chaos tests that deliberately damage objects.
-func (l *Ledger) ObjectPath(digest string) string { return l.objects.Path(digest) }
-
-// JournalPath returns the journal file location — exposed for the chaos
-// tests that tear its final record.
-func (l *Ledger) JournalPath() string { return l.journal.Path() }

@@ -99,9 +99,6 @@ func replay[T any](path string, apply func(rec T) error) (valid, size int, err e
 	return valid, len(data), nil
 }
 
-// Path returns the journal file location.
-func (j *Journal) Path() string { return j.path }
-
 // SetKill installs the fault hook invoked at each kill point. The chaos
 // tests arm it with faults.Killer; production leaves it nil.
 func (j *Journal) SetKill(fn func(point string)) {

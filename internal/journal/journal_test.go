@@ -41,8 +41,8 @@ func records(n int) []rec {
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "dir", "j.log") // Open creates the directory
 	j, got := reopen(t, path)
-	if len(got) != 0 || j.Path() != path {
-		t.Fatalf("fresh journal: replayed %v at %s", got, j.Path())
+	if len(got) != 0 || j.path != path {
+		t.Fatalf("fresh journal: replayed %v at %s", got, j.path)
 	}
 	want := records(5)
 	for _, r := range want {

@@ -3,6 +3,7 @@ package workflow
 import (
 	"context"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"daspos/internal/checkpoint"
@@ -22,6 +23,19 @@ func countedTwoStep(counts map[string]int) *Workflow {
 		}
 	}
 	return w
+}
+
+// assertLoads fails unless every artifact of every step the ledger holds
+// reads back through its package.
+func assertLoads(t *testing.T, l *checkpoint.Ledger) {
+	t.Helper()
+	for _, info := range l.Status() {
+		for _, rec := range info.Artifacts {
+			if _, err := l.Load(info.Key, rec.Name); err != nil {
+				t.Fatalf("step %q: %v", info.Step, err)
+			}
+		}
+	}
 }
 
 func openTestLedger(t *testing.T, dir string) *checkpoint.Ledger {
@@ -45,16 +59,12 @@ func TestCheckpointedRunRecordsEveryStep(t *testing.T) {
 	if res.Executed != 2 || res.Skipped != 0 {
 		t.Fatalf("executed=%d skipped=%d", res.Executed, res.Skipped)
 	}
-	for _, info := range l.Status() {
-		if info.State != checkpoint.StepDone {
-			t.Fatalf("step %q left %v", info.Step, info.State)
-		}
-		if err := l.Verify(info.Key); err != nil {
-			t.Fatal(err)
-		}
-	}
+	assertLoads(t, l)
 	if n := len(l.Status()); n != 2 {
 		t.Fatalf("ledger holds %d steps", n)
+	}
+	if rep := l.VerifyAll(); rep.Packages != 2 || rep.Healthy != 2 {
+		t.Fatalf("the run directory's audit: %+v", rep)
 	}
 }
 
@@ -117,7 +127,7 @@ func TestResumeReexecutesOnCorruptedArtifact(t *testing.T) {
 	// second step's checkpoint is keyed on the (unchanged) digest of the
 	// re-produced output, so it stays skippable.
 	re := openTestLedger(t, dir)
-	obj := re.ObjectPath(ref.Artifacts["reco-out"].Digest())
+	obj := filepath.Join(dir, "blobs", ref.Artifacts["reco-out"].Digest())
 	data, err := os.ReadFile(obj)
 	if err != nil {
 		t.Fatal(err)
@@ -139,24 +149,20 @@ func TestResumeReexecutesOnCorruptedArtifact(t *testing.T) {
 	if resumed.Executed != 1 || resumed.Skipped != 1 {
 		t.Fatalf("executed=%d skipped=%d, want 1/1", resumed.Executed, resumed.Skipped)
 	}
-	// The re-execution repaired the object store.
+	// The re-execution repaired the blob.
 	if string(resumed.Artifacts["reco-out"].Data) != string(ref.Artifacts["reco-out"].Data) {
 		t.Fatal("re-executed artifact differs")
 	}
-	for _, info := range re.Status() {
-		if err := re.Verify(info.Key); err != nil {
-			t.Fatalf("ledger not repaired: %v", err)
-		}
-	}
+	assertLoads(t, re)
 }
 
 func TestResumeReexecutesInterruptedStep(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLedger(t, dir)
 	killer := faults.NewKiller()
-	// Die tearing the journal line of the first step's done record: the
-	// step's artifact is durable but its completion is not.
-	killer.CrashAtPoint("journal.torn", 3) // 1: start line, 2: artifact line, 3: done line
+	// Die tearing the first step's root: the step's artifact, step.json
+	// and manifest are durable, but the package is not committed.
+	killer.CrashAtPoint("journal.torn", 1)
 	l.SetKill(killer.Hit)
 	counts := map[string]int{}
 	// The commit runs behind the compute, so slim is free to start while

@@ -106,8 +106,8 @@ func seedInput() map[string]*Artifact {
 }
 
 // executeSynchronously is the loop Execute ran before the commit moved
-// behind the compute — Start, the step body, one Commit an output, Done,
-// each finished before the next begins, all on the caller's goroutine —
+// behind the compute — the step body, one Commit an output, Done, each
+// finished before the next begins, all on the caller's goroutine —
 // kept as the reference the background commit is compared with: what it
 // writes, and in which order, is by definition what Execute must write.
 func executeSynchronously(w *Workflow, inputs map[string]*Artifact, l *checkpoint.Ledger) error {
@@ -122,9 +122,6 @@ func executeSynchronously(w *Workflow, inputs map[string]*Artifact, l *checkpoin
 			inDigests = append(inDigests, pool[in].Digest())
 		}
 		key := checkpoint.StepKey(s.Name, s.ConfigDigest(), inDigests)
-		if err := l.Start(s.Name, key); err != nil {
-			return err
-		}
 		sctx := &Context{ctx: context.Background(), step: s, inputs: pool, outputs: make(map[string]*Artifact)}
 		if err := s.Run(sctx); err != nil {
 			return err
@@ -135,51 +132,51 @@ func executeSynchronously(w *Workflow, inputs map[string]*Artifact, l *checkpoin
 				return fmt.Errorf("step %q did not produce %q", s.Name, out)
 			}
 			rec := checkpoint.ArtifactRecord{Name: a.Name, Tier: a.Tier, Events: a.Events, Digest: a.Digest()}
-			if _, err := l.Commit(s.Name, key, rec, a.Data); err != nil {
+			if _, err := l.Commit(key, rec, a.Data); err != nil {
 				return err
 			}
 			pool[out] = a
 		}
 		slices.Sort(sctx.external)
-		if err := l.Done(s.Name, key, slices.Compact(sctx.external)); err != nil {
+		if err := l.Done(s.Name, s.ConfigDigest(), inDigests, slices.Compact(sctx.external)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ledgerBytes is everything a checkpoint directory holds: the journal's
-// bytes and each object's name and content hash.
-func ledgerBytes(t *testing.T, dir string) (journal []byte, objects map[string]string) {
+// ledgerBytes is everything a checkpoint directory holds: the roots log's
+// bytes and each blob's name and content hash.
+func ledgerBytes(t *testing.T, dir string) (roots []byte, blobs map[string]string) {
 	t.Helper()
-	journal, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	roots, err := os.ReadFile(filepath.Join(dir, "packages.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, "objects"))
+	entries, err := os.ReadDir(filepath.Join(dir, "blobs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	objects = make(map[string]string, len(entries))
+	blobs = make(map[string]string, len(entries))
 	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(dir, "objects", e.Name()))
+		data, err := os.ReadFile(filepath.Join(dir, "blobs", e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(data)
-		objects[e.Name()] = hex.EncodeToString(sum[:])
+		blobs[e.Name()] = hex.EncodeToString(sum[:])
 	}
-	return journal, objects
+	return roots, blobs
 }
 
 // TestExecuteWritesWhatTheSynchronousLoopWrites is the prefix argument's
 // premise: the same workflow through the reference loop and through
-// Execute leaves a byte-equal journal, the same object store, and passes
-// the same kill points in the same order — so a crash under Execute
-// leaves a state the synchronous loop could have left.
+// Execute leaves a byte-equal roots log, the same blobs, and passes the
+// same kill points in the same order — so a crash under Execute leaves a
+// state the synchronous loop could have left.
 func TestExecuteWritesWhatTheSynchronousLoopWrites(t *testing.T) {
-	// Objects of several pieces, of less than one, an odd length, and an
-	// empty one beside a sibling: 5 objects, 4 steps.
+	// Artifacts of several pieces, of less than one, an odd length, and an
+	// empty one beside a sibling: 5 artifacts, 4 steps.
 	sizes := [][]int{{700 << 10}, {300 << 10}, {100<<10 + 13}, {10 << 10, 0}}
 	run := func(drive func(w *Workflow, l *checkpoint.Ledger) error) ([]byte, map[string]string, []string) {
 		dir := t.TempDir()
@@ -192,31 +189,32 @@ func TestExecuteWritesWhatTheSynchronousLoopWrites(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		journal, objects := ledgerBytes(t, dir)
-		return journal, objects, points
+		roots, blobs := ledgerBytes(t, dir)
+		return roots, blobs, points
 	}
-	wantJournal, wantObjects, wantPoints := run(func(w *Workflow, l *checkpoint.Ledger) error {
+	wantRoots, wantBlobs, wantPoints := run(func(w *Workflow, l *checkpoint.Ledger) error {
 		return executeSynchronously(w, seedInput(), l)
 	})
-	gotJournal, gotObjects, gotPoints := run(func(w *Workflow, l *checkpoint.Ledger) error {
+	gotRoots, gotBlobs, gotPoints := run(func(w *Workflow, l *checkpoint.Ledger) error {
 		_, err := w.Execute(context.Background(), seedInput(), provenance.NewStore(), WithCheckpoint(l))
 		return err
 	})
-	if !bytes.Equal(gotJournal, wantJournal) {
-		t.Errorf("journal.log differs from the synchronous loop's:\n got %s\nwant %s", gotJournal, wantJournal)
+	if len(bytes.Split(wantRoots, []byte("\n"))) != 5 || !bytes.Equal(gotRoots, wantRoots) {
+		t.Errorf("packages.log differs from the synchronous loop's:\n got %s\nwant %s", gotRoots, wantRoots)
 	}
-	if len(wantObjects) != 5 || !reflect.DeepEqual(gotObjects, wantObjects) {
-		t.Errorf("objects/ differs from the synchronous loop's:\n got %v\nwant %v", gotObjects, wantObjects)
+	// 5 artifacts, and 4 × (step.json + manifest).
+	if len(wantBlobs) != 13 || !reflect.DeepEqual(gotBlobs, wantBlobs) {
+		t.Errorf("blobs/ differs from the synchronous loop's:\n got %v\nwant %v", gotBlobs, wantBlobs)
 	}
-	// 4 × (start 3 + done 3) + 5 × (object 5 + artifact record 3).
-	if len(wantPoints) != 64 || !reflect.DeepEqual(gotPoints, wantPoints) {
+	// 5 × artifact blob 5 + 4 × (step.json 5 + manifest 5 + root 3).
+	if len(wantPoints) != 77 || !reflect.DeepEqual(gotPoints, wantPoints) {
 		t.Errorf("kill-point sequence differs from the synchronous loop's:\n got %v\nwant %v", gotPoints, wantPoints)
 	}
 }
 
 // TestNextStepComputesWhileCommitIsInFlight proves the overlap without a
 // clock: step 1's commit is held at its object.sync — payload written, not
-// yet fsynced, renamed or journaled — until step 2's body reports that it
+// yet fsynced, renamed or ingested — until step 2's body reports that it
 // has started. A loop that commits between steps never gets there.
 func TestNextStepComputesWhileCommitIsInFlight(t *testing.T) {
 	l := openTestLedger(t, t.TempDir())
@@ -244,14 +242,7 @@ func TestNextStepComputesWhileCommitIsInFlight(t *testing.T) {
 	if res.Executed != 2 || len(l.Status()) != 2 {
 		t.Fatalf("executed=%d, ledger holds %d steps", res.Executed, len(l.Status()))
 	}
-	for _, info := range l.Status() {
-		if info.State != checkpoint.StepDone {
-			t.Fatalf("step %q left %v", info.Step, info.State)
-		}
-		if err := l.Verify(info.Key); err != nil {
-			t.Fatal(err)
-		}
-	}
+	assertLoads(t, l)
 }
 
 // TestKillOnCommitGoroutineIsRelayedAfterTheRunningStepReturns fires an
@@ -318,42 +309,41 @@ func TestKillOnCommitGoroutineIsRelayedAfterTheRunningStepReturns(t *testing.T) 
 		}
 		time.Sleep(time.Millisecond) // the goroutine closes its done channel a moment before it is gone
 	}
-	// The caller may close and reopen at once: step 1 was started, never
-	// done, and its unpublished temp object is swept.
+	// The caller may close and reopen at once: step 1 was never done, and
+	// its unpublished temp blob is swept.
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re := openTestLedger(t, dir)
-	st := re.Status()
-	if len(st) != 1 || st[0].Step != "step1" || st[0].State != checkpoint.StepStarted {
+	if st := re.Status(); len(st) != 0 {
 		t.Fatalf("ledger after the kill: %+v", st)
 	}
-	if _, objects := ledgerBytes(t, dir); len(objects) != 0 {
-		t.Fatalf("objects after the kill: %v", objects)
+	if _, blobs := ledgerBytes(t, dir); len(blobs) != 0 {
+		t.Fatalf("blobs after the kill: %v", blobs)
 	}
 }
 
-// breakObjects makes every write into dir/objects fail, for root too: the
+// breakBlobs makes every write into dir/blobs fail, for root too: the
 // directory is moved aside and a plain file takes its name. The returned
 // function puts it back.
-func breakObjects(dir string) (repair func() error, err error) {
-	objects, aside := filepath.Join(dir, "objects"), filepath.Join(dir, "objects.aside")
-	if err := os.Rename(objects, aside); err != nil {
+func breakBlobs(dir string) (repair func() error, err error) {
+	blobs, aside := filepath.Join(dir, "blobs"), filepath.Join(dir, "blobs.aside")
+	if err := os.Rename(blobs, aside); err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(objects, nil, 0o644); err != nil {
+	if err := os.WriteFile(blobs, nil, 0o644); err != nil {
 		return nil, err
 	}
 	return func() error {
-		if err := os.Remove(objects); err != nil {
+		if err := os.Remove(blobs); err != nil {
 			return err
 		}
-		return os.Rename(aside, objects)
+		return os.Rename(aside, blobs)
 	}, nil
 }
 
 // TestCommitErrorNamesItsStepAndCancelsTheRun: step 2's commit meets an
-// unwritable objects/ while step 3 is mid-run. The run fails naming step
+// unwritable blobs/ while step 3 is mid-run. The run fails naming step
 // 2 — not the cancelled step 3 —, step 3 sees its context cancelled, step
 // 4 never starts, nothing further is issued, and step 1 is still done when
 // the ledger is reopened.
@@ -361,18 +351,20 @@ func TestCommitErrorNamesItsStepAndCancelsTheRun(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLedger(t, dir)
 	step1Durable, step3Started := make(chan struct{}), make(chan struct{})
-	appends, creates := 0, 0
+	syncs, creates := 0, 0
 	l.SetKill(func(p string) {
 		switch p {
-		case "journal.append":
-			// The fourth record is step 2's start: step 1's start,
-			// artifact and done records are fsynced.
-			if appends++; appends == 4 {
+		case "journal.sync":
+			// Step 1's root is written: its blobs are durable, and
+			// blobs/ may go.
+			if syncs++; syncs == 1 {
 				close(step1Durable)
 			}
 		case "object.create":
-			// Step 2's object is about to fail; hold it until step 3 runs.
-			if creates++; creates == 2 {
+			// The fourth blob is step 2's artifact (after step 1's
+			// artifact, step.json and manifest), about to fail; hold it
+			// until step 3 runs.
+			if creates++; creates == 4 {
 				waitFor(t, step3Started, "step 3 to be mid-run when step 2's commit fails")
 			}
 		}
@@ -383,7 +375,7 @@ func TestCommitErrorNamesItsStepAndCancelsTheRun(t *testing.T) {
 	w.Steps[1].Run = func(c *Context) error {
 		<-step1Durable
 		var err error
-		if repair, err = breakObjects(dir); err != nil {
+		if repair, err = breakBlobs(dir); err != nil {
 			return err
 		}
 		return step2(c)
@@ -402,7 +394,7 @@ func TestCommitErrorNamesItsStepAndCancelsTheRun(t *testing.T) {
 
 	res, err := w.Execute(context.Background(), seedInput(), provenance.NewStore(), WithCheckpoint(l))
 	if err == nil || res != nil {
-		t.Fatalf("run over an unwritable objects/ returned %v, %v", res, err)
+		t.Fatalf("run over an unwritable blobs/ returned %v, %v", res, err)
 	}
 	if !strings.Contains(err.Error(), `step "step2"`) || errors.Is(err, context.Canceled) {
 		t.Fatalf("error does not name the step whose commit failed: %v", err)
@@ -418,15 +410,10 @@ func TestCommitErrorNamesItsStepAndCancelsTheRun(t *testing.T) {
 	}
 	re := openTestLedger(t, dir)
 	st := re.Status()
-	if len(st) != 2 {
-		t.Fatalf("ledger holds %+v, want step 1 and step 2 only: step 3's start was queued behind the failure", st)
+	if len(st) != 1 || st[0].Step != "step1" {
+		t.Fatalf("ledger holds %+v, want step 1 only: step 2's commit failed and step 3's was queued behind it", st)
 	}
-	if st[0].Step != "step1" || st[0].State != checkpoint.StepDone || re.Verify(st[0].Key) != nil {
-		t.Fatalf("step 1 after reopen: %+v", st[0])
-	}
-	if st[1].Step != "step2" || st[1].State != checkpoint.StepStarted {
-		t.Fatalf("step 2 after reopen: %+v", st[1])
-	}
+	assertLoads(t, re)
 }
 
 // TestStepErrorLetsFinishedCommitsComplete: step 2 fails on its own while
@@ -454,10 +441,10 @@ func TestStepErrorLetsFinishedCommitsComplete(t *testing.T) {
 	if _, err := w.Execute(context.Background(), seedInput(), provenance.NewStore(), WithCheckpoint(l)); !errors.Is(err, errBody) {
 		t.Fatalf("run returned %v, want step 2's own error", err)
 	}
-	st := l.Status()
-	if len(st) != 2 || st[0].State != checkpoint.StepDone || l.Verify(st[0].Key) != nil || st[1].State != checkpoint.StepStarted {
+	if st := l.Status(); len(st) != 1 || st[0].Step != "step1" {
 		t.Fatalf("ledger after a failed step 2: %+v", st)
 	}
+	assertLoads(t, l)
 }
 
 // BenchmarkExecuteCheckpointed runs a four-step chain of fixed-size

@@ -316,19 +316,20 @@ type execConfig struct {
 	resume bool
 }
 
-// WithCheckpoint journals every step's lifecycle into the ledger as the
-// run progresses: started, each artifact durably committed, done. A run
-// killed at any instruction leaves the ledger recoverable for ResumeFrom.
+// WithCheckpoint commits every finished step into the ledger as the run
+// progresses: each artifact durably stored, then the step ingested as one
+// package. A run killed at any instruction leaves the ledger recoverable
+// for ResumeFrom.
 func WithCheckpoint(l *checkpoint.Ledger) ExecOption {
 	return func(c *execConfig) { c.ledger = l }
 }
 
 // ResumeFrom continues a run from a recovered ledger: a step is skipped
-// only when the ledger records it done under the same key (step name,
-// config digest, input digests), its recorded outputs exactly match the
-// declared ones, and every artifact passes fixity (re-hash equals the
-// recorded digest). Anything less — interrupted step, torn journal tail,
-// corrupted object — re-executes the step, and the fresh execution is
+// only when the ledger holds a package of it under the same key (step
+// name, config digest, input digests), its recorded outputs exactly match
+// the declared ones, and every artifact reads back through the archive's
+// checked Fetch. Anything less — interrupted step, torn roots line,
+// damaged blob — re-executes the step, and the fresh execution is
 // checkpointed again.
 func ResumeFrom(l *checkpoint.Ledger) ExecOption {
 	return func(c *execConfig) { c.ledger = l; c.resume = true }
@@ -340,9 +341,9 @@ func ResumeFrom(l *checkpoint.Ledger) ExecOption {
 // bounds the whole run: cancellation is checked between steps and exposed
 // to each step via Context.Ctx.
 //
-// With a ledger, the ledger's work runs behind the compute: Start, each
-// Commit and Done are queued in the order the loop issues them and carried
-// out, in that order, by one goroutine this call owns, while the next step
+// With a ledger, the ledger's work runs behind the compute: each Commit
+// and Done are queued in the order the loop issues them and carried out,
+// in that order, by one goroutine this call owns, while the next step
 // computes. Execute returns — result, error or panic — only after that
 // goroutine has exited, so a nil error still means every step is durable
 // and the caller may close the ledger after any return. A failed commit
@@ -383,7 +384,7 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 	if cfg.ledger != nil {
 		ops := 0
 		for i := range w.Steps {
-			ops += 2 + len(w.Steps[i].Outputs) // Start, one Commit an output, Done
+			ops += 1 + len(w.Steps[i].Outputs) // one Commit an output, Done
 		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
@@ -407,10 +408,10 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 		}
 
 		// The checkpoint key binds the step to its exact configuration and
-		// input bytes; any drift invalidates the recorded lifecycle.
+		// input bytes; any drift invalidates the recorded step.
 		var key string
+		var inDigests []string
 		if cfg.ledger != nil {
-			inDigests := make([]string, 0, len(s.Inputs))
 			for _, in := range s.Inputs {
 				inDigests = append(inDigests, pool[in].Digest())
 			}
@@ -429,9 +430,6 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 			if s.Run == nil {
 				return nil, fmt.Errorf("workflow %q: step %q has no implementation bound", w.Name, s.Name)
 			}
-			if commits != nil {
-				commits.add(s.Name, func() error { return cfg.ledger.Start(s.Name, key) })
-			}
 			sctx := &Context{ctx: ctx, step: s, inputs: pool, outputs: make(map[string]*Artifact)}
 			if err := s.Run(sctx); err != nil {
 				return nil, fmt.Errorf("workflow %q: step %q: %w", w.Name, s.Name, err)
@@ -439,27 +437,8 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 			outputs = sctx.outputs
 			slices.Sort(sctx.external)
 			deps = slices.Compact(sctx.external)
-			if commits != nil {
-				for _, out := range s.Outputs {
-					a, ok := outputs[out]
-					if !ok {
-						return nil, fmt.Errorf("workflow %q: step %q did not produce declared output %q", w.Name, s.Name, out)
-					}
-					// The digest is sealed here, on this goroutine: Digest
-					// caches without a lock, and the committer is handed
-					// values, never the artifact.
-					rec := checkpoint.ArtifactRecord{
-						Name: a.Name, Tier: a.Tier, Events: a.Events, Digest: a.Digest(),
-					}
-					data := a.Data
-					commits.add(s.Name, func() error {
-						_, err := cfg.ledger.Commit(s.Name, key, rec, data)
-						return err
-					})
-				}
-				commits.add(s.Name, func() error { return cfg.ledger.Done(s.Name, key, deps) })
-			}
 		}
+		commit := commits != nil && !skipped
 
 		var parents []string
 		for _, in := range s.Inputs {
@@ -470,6 +449,17 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 			a, ok := outputs[out]
 			if !ok {
 				return nil, fmt.Errorf("workflow %q: step %q did not produce declared output %q", w.Name, s.Name, out)
+			}
+			if commit {
+				// The digest is sealed here, on this goroutine: Digest
+				// caches without a lock, and the committer is handed
+				// values, never the artifact.
+				rec := checkpoint.ArtifactRecord{Name: a.Name, Tier: a.Tier, Events: a.Events, Digest: a.Digest()}
+				data := a.Data
+				commits.add(s.Name, func() error {
+					_, err := cfg.ledger.Commit(key, rec, data)
+					return err
+				})
 			}
 			pool[out] = a
 			res.Artifacts[out] = a
@@ -492,6 +482,10 @@ func (w *Workflow) Execute(ctx context.Context, inputs map[string]*Artifact, pro
 			recordIDs[out] = id
 			rep.OutputBytes += int64(len(a.Data))
 			rep.OutputEvents += a.Events
+		}
+		if commit {
+			config := s.ConfigDigest()
+			commits.add(s.Name, func() error { return cfg.ledger.Done(s.Name, config, inDigests, deps) })
 		}
 		if skipped {
 			res.Skipped++
@@ -569,35 +563,26 @@ func (q *commitQueue) finish() error {
 }
 
 // restoreStep tries to satisfy a step from the ledger. It succeeds only
-// when the step is recorded done under the key, the recorded artifacts
-// are exactly the declared outputs, and every payload passes fixity; any
-// failure reports false and the caller re-executes.
+// when a package of the step is recorded under the key, the recorded
+// artifacts are exactly the declared outputs, and every payload passes
+// fixity; any failure reports false and the caller re-executes.
 func restoreStep(l *checkpoint.Ledger, s *Step, key string) (map[string]*Artifact, []string, bool) {
+	// A step records each artifact name once, so as many artifacts as
+	// outputs, each a declared output, are exactly the outputs.
 	info, ok := l.Lookup(key)
-	if !ok || info.State != checkpoint.StepDone {
-		return nil, nil, false
-	}
-	byName := make(map[string]checkpoint.ArtifactRecord, len(info.Artifacts))
-	for _, rec := range info.Artifacts {
-		if _, dup := byName[rec.Name]; dup {
-			return nil, nil, false
-		}
-		byName[rec.Name] = rec
-	}
-	if len(byName) != len(s.Outputs) {
+	if !ok || len(info.Artifacts) != len(s.Outputs) {
 		return nil, nil, false
 	}
 	outputs := make(map[string]*Artifact, len(s.Outputs))
-	for _, out := range s.Outputs {
-		rec, ok := byName[out]
-		if !ok {
+	for _, rec := range info.Artifacts {
+		if !slices.Contains(s.Outputs, rec.Name) {
 			return nil, nil, false
 		}
-		data, err := l.Load(rec)
+		data, err := l.Load(key, rec.Name)
 		if err != nil {
 			return nil, nil, false
 		}
-		outputs[out] = &Artifact{
+		outputs[rec.Name] = &Artifact{
 			Name: rec.Name, Tier: rec.Tier, Events: rec.Events, Data: data,
 			digest: rec.Digest,
 		}

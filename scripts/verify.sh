@@ -41,7 +41,8 @@
 # FuzzDecode (internal/envcapture) and FuzzReadJSON (internal/provenance);
 # CI's chaos job repeats the first at -count=10 and fuzzes the two for real.
 # So do the seed corpora of the archive's two index decoders, FuzzReadImage
-# and FuzzManifest (internal/archive), which CI's chaos job fuzzes too, and
+# and FuzzManifest (internal/archive), and of a run's step.json decoder,
+# FuzzStepRecord (internal/checkpoint), which CI's chaos job fuzzes too, and
 # of the HepData archive's packed round trip, FuzzArchiveRoundTrip
 # (internal/hepdata), and of the chain-config decoders, FuzzReadSnapshot
 # (internal/conditions), FuzzDecodeMenu (internal/trigger) and
@@ -56,7 +57,9 @@
 # examples/masterclass and examples/preservation_audit, and
 # TestDemoMatchesGolden (cmd/daspos-recast) for `daspos-recast demo`, and
 # TestRunAndResumeMatchGoldens (cmd/daspos-pipeline) for a checkpointed
-# `daspos-pipeline` run and its `-resume`; the
+# `daspos-pipeline` run and its `-resume`, TestSubcommandsMatchGoldens
+# (cmd/daspos-interview) and TestSeed7MatchesGoldens (cmd/daspos-display);
+# the
 # reachability gate fails an example whose run no test calls. No CI step
 # is needed for them: CI runs this script, and its `go test -race ./...`
 # runs them.
