@@ -56,7 +56,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	simplified := outreach.NewConverter(det).Convert(ev)
-	svg := outreach.RenderSVG(det, simplified, outreach.DisplayOptions{})
+	svg := outreach.RenderSVG(det, simplified)
 	if err := os.WriteFile(*out, []byte(svg), 0o644); err != nil {
 		return err
 	}

@@ -22,7 +22,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -32,27 +34,48 @@ import (
 	"daspos/internal/node"
 )
 
+// serve is the listen-and-drain loop run hands the node's handler and
+// drain hook to.
+var serve = daemon.Serve
+
+// errUsage is run's refusal of a command line; main exits 2 on it, as
+// package flag does on a flag it cannot parse.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daspos-node: ")
-	id := flag.String("id", "", "node identity within the cluster (required)")
-	listen := flag.String("listen", ":7701", "listen address")
-	flag.Parse()
-	if *id == "" {
-		log.Print("missing required -id")
-		flag.Usage()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stderr)
+	if errors.Is(err, errUsage) {
 		os.Exit(2)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses the flags in args and serves one node until ctx is done,
+// logging to w.
+func run(ctx context.Context, args []string, w io.Writer) error {
+	logger := log.New(w, "daspos-node: ", 0)
+	fs := flag.NewFlagSet("daspos-node", flag.ExitOnError)
+	fs.SetOutput(w)
+	id := fs.String("id", "", "node identity within the cluster (required)")
+	listen := fs.String("listen", ":7701", "listen address")
+	_ = fs.Parse(args)
+	if *id == "" {
+		logger.Print("missing required -id")
+		fs.Usage()
+		return errUsage
 	}
 
 	n := node.New(*id, nil)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	log.Printf("node %s serving on %s", *id, *listen)
+	logger.Printf("node %s serving on %s", *id, *listen)
 	drained := func() error {
-		log.Printf("node %s drained (%d blobs held)", *id, n.Blobs())
+		logger.Printf("node %s drained (%d blobs held)", *id, n.Blobs())
 		return nil
 	}
-	if err := daemon.Serve(ctx, *listen, n.Handler(), drained); err != nil {
-		log.Fatal(err)
-	}
+	return serve(ctx, *listen, n.Handler(), drained)
 }

@@ -57,8 +57,7 @@ func demoRecord(seed uint64, i int) *hepdata.Record {
 	return rec
 }
 
-func demoDataset(seed uint64, i int) *catalog.Dataset {
-	_ = seed
+func demoDataset(i int) *catalog.Dataset {
 	tier := corpusTiers[i%len(corpusTiers)]
 	return &catalog.Dataset{
 		Name:              fmt.Sprintf("/mc8tev/sample%03d/%s/v%d", i, tier, 1+i%3),

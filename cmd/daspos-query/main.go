@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -37,47 +39,59 @@ import (
 	"daspos/internal/texttable"
 )
 
+// serve is the listen-and-drain loop the serve subcommand hands its
+// handler to.
+var serve = daemon.Serve
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daspos-query: ")
-	if len(os.Args) < 2 {
-		log.Fatal("usage: daspos-query {serve|demo} [flags]")
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	switch os.Args[1] {
+}
+
+// run runs the subcommand args names, writing what it reports to w; serve
+// runs until ctx is done or the process is signalled.
+func run(ctx context.Context, args []string, w io.Writer) error {
+	if len(args) < 1 {
+		return errors.New("usage: daspos-query {serve|demo} [flags]")
+	}
+	switch args[0] {
 	case "serve":
-		serve(os.Args[2:])
+		return serveCmd(ctx, args[1:], w)
 	case "demo":
-		demo(os.Args[2:])
+		return demo(args[1:], w)
 	default:
-		log.Fatalf("unknown subcommand %q", os.Args[1])
+		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
 }
 
 // demoReads is the length of demo's read mix.
 const demoReads = 2000
 
-func newServer(records, datasets int, seed uint64) *queryserve.Server {
+func newServer(records, datasets int, seed uint64) (*queryserve.Server, error) {
 	srv, err := queryserve.NewServer(queryserve.Config{
 		Archive: hepdata.NewArchive(),
 		Catalog: catalog.New(),
 	})
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	for i := 0; i < records; i++ {
 		if _, err := srv.PublishRecord(demoRecord(seed, i)); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 	}
 	for i := 0; i < datasets; i++ {
-		if _, err := srv.PublishDataset(demoDataset(seed, i)); err != nil {
-			log.Fatal(err)
+		if _, err := srv.PublishDataset(demoDataset(i)); err != nil {
+			return nil, err
 		}
 	}
-	return srv
+	return srv, nil
 }
 
-func serve(args []string) {
+func serveCmd(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	records := fs.Int("records", 200, "demo records to publish at startup (0 = start empty)")
@@ -85,25 +99,29 @@ func serve(args []string) {
 	seed := fs.Uint64("seed", 11, "demo corpus seed")
 	_ = fs.Parse(args)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv := newServer(*records, *datasets, *seed)
-	st := srv.Stats()
-	log.Printf("query front end on %s (%d records, %d datasets, %d index terms)",
-		*addr, st.Records, st.Datasets, st.IndexTerms)
-	if err := daemon.Serve(ctx, *addr, srv.Handler(), nil); err != nil {
-		log.Fatal(err)
+	srv, err := newServer(*records, *datasets, *seed)
+	if err != nil {
+		return err
 	}
+	st := srv.Stats()
+	fmt.Fprintf(w, "daspos-query: query front end on %s (%d records, %d datasets, %d index terms)\n",
+		*addr, st.Records, st.Datasets, st.IndexTerms)
+	return serve(ctx, *addr, srv.Handler(), nil)
 }
 
-func demo(args []string) {
+func demo(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("demo", flag.ExitOnError)
 	records := fs.Int("records", 400, "demo records to publish")
 	datasets := fs.Int("datasets", 80, "demo datasets to publish")
 	seed := fs.Uint64("seed", 11, "corpus and schedule seed")
 	_ = fs.Parse(args)
 
-	srv := newServer(*records, *datasets, *seed)
+	srv, err := newServer(*records, *datasets, *seed)
+	if err != nil {
+		return err
+	}
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 
@@ -197,9 +215,10 @@ func demo(args []string) {
 	t.AddRow("cache misses", st.Cache.Misses)
 	t.AddRow("coalesced fills", st.Cache.Coalesced)
 	t.AddRow("evictions", st.Cache.Evictions)
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 	if st.Cache.Hits+st.Cache.Misses > 0 {
-		fmt.Printf("cache hit rate: %.1f%%\n",
+		fmt.Fprintf(w, "cache hit rate: %.1f%%\n",
 			100*float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses))
 	}
+	return nil
 }

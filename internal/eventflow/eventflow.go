@@ -45,10 +45,6 @@ type Options struct {
 	// Larger batches amortize channel traffic; smaller ones bound latency
 	// and memory per stage.
 	BatchSize int
-	// Depth is the capacity of every inter-stage channel, and the slack
-	// beyond the worker count in each parallel stage's in-flight bound
-	// (default 2).
-	Depth int
 	// StageRetries supervises stage workers: a worker whose function
 	// fails a batch with a transient error (per the internal/resilience
 	// taxonomy) is restarted — fresh per-worker state from the stage's
@@ -62,7 +58,9 @@ type Options struct {
 
 const (
 	defaultBatchSize = 32
-	defaultDepth     = 2
+	// depth is the capacity of every inter-stage channel, and the slack
+	// beyond the worker count in each parallel stage's in-flight bound.
+	depth = 2
 )
 
 // Pipeline owns the shared control state of one assembled pipeline: the
@@ -71,7 +69,6 @@ const (
 type Pipeline struct {
 	name         string
 	batchSize    int
-	depth        int
 	stageRetries int
 
 	ctx    context.Context
@@ -93,14 +90,10 @@ func New(ctx context.Context, name string, opts Options) *Pipeline {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = defaultBatchSize
 	}
-	if opts.Depth <= 0 {
-		opts.Depth = defaultDepth
-	}
 	pctx, cancel := context.WithCancel(ctx)
 	return &Pipeline{
 		name:         name,
 		batchSize:    opts.BatchSize,
-		depth:        opts.Depth,
 		stageRetries: opts.StageRetries,
 		ctx:          pctx,
 		cancel:       cancel,
@@ -227,7 +220,7 @@ func (s *Stream[T]) recycle(b batch[T]) {
 func Source[T any](p *Pipeline, name string, next func() (T, error)) *Stream[T] {
 	st := p.addStage(name, 1)
 	pool := &slicePool[T]{st: st}
-	out := make(chan batch[T], p.depth)
+	out := make(chan batch[T], depth)
 	p.spawn(func() error {
 		defer close(out)
 		seq := 0
@@ -360,7 +353,7 @@ func mapBatches[In, Out any](s *Stream[In], name string, workers int, newFn func
 		}
 	}
 
-	out := make(chan batch[Out], p.depth)
+	out := make(chan batch[Out], depth)
 	if workers == 1 {
 		fn := newFn(0)
 		p.spawn(func() error {
@@ -385,7 +378,7 @@ func mapBatches[In, Out any](s *Stream[In], name string, workers int, newFn func
 	// channel bounds the batches in flight (dispatched but not yet emitted
 	// in order) to workers+depth, which is what keeps memory bounded when
 	// one slow batch holds up emission.
-	bound := workers + p.depth
+	bound := workers + depth
 	jobs := make(chan batch[In])
 	results := make(chan batch[Out], bound)
 	tokens := make(chan struct{}, bound)

@@ -27,7 +27,7 @@ func intSource(n int) func() (int, error) {
 func TestOrderPreservedAcrossWorkerCounts(t *testing.T) {
 	const n = 500
 	for _, workers := range []int{1, 2, 4, 8} {
-		p := New(context.Background(), "order", Options{BatchSize: 7, Depth: 3})
+		p := New(context.Background(), "order", Options{BatchSize: 7})
 		s := Source(p, "ints", intSource(n))
 		// Perturb completion order: early batches sleep longest.
 		m := Map(s, "square", workers, func(v int) (int, bool, error) {
@@ -177,8 +177,8 @@ func TestEmptySource(t *testing.T) {
 func TestInFlightBounded(t *testing.T) {
 	// A deliberately slow sink backs the whole pipeline up; the parallel
 	// stage must never hold more than workers+depth batches in flight.
-	const workers, depth = 4, 2
-	p := New(context.Background(), "bound", Options{BatchSize: 4, Depth: depth})
+	const workers = 4
+	p := New(context.Background(), "bound", Options{BatchSize: 4})
 	s := Source(p, "ints", intSource(400))
 	m := Map(s, "fast", workers, func(v int) (int, bool, error) { return v, true, nil })
 	Sink(m, "slow", func(v int) error {
@@ -253,7 +253,7 @@ func TestCancellationDrainsCleanly(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		p := New(ctx, "cancel", Options{BatchSize: 4, Depth: 2})
+		p := New(ctx, "cancel", Options{BatchSize: 4})
 		released := make(chan struct{})
 		var once atomic.Bool
 		s := Source(p, "ticks", func() (int, error) {
@@ -320,7 +320,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestSinkBatchSeesOrderedWholeBatches(t *testing.T) {
 	const n = 100
 	for _, workers := range []int{1, 4} {
-		p := New(context.Background(), "sinkbatch", Options{BatchSize: 9, Depth: 2})
+		p := New(context.Background(), "sinkbatch", Options{BatchSize: 9})
 		s := Source(p, "ints", intSource(n))
 		m := Map(s, "double", workers, func(v int) (int, bool, error) { return 2 * v, true, nil })
 		var got []int
@@ -351,7 +351,7 @@ func TestSinkBatchSeesOrderedWholeBatches(t *testing.T) {
 }
 
 func TestSinkBatchErrorPropagates(t *testing.T) {
-	p := New(context.Background(), "sinkbatch-err", Options{BatchSize: 4, Depth: 2})
+	p := New(context.Background(), "sinkbatch-err", Options{BatchSize: 4})
 	s := Source(p, "ints", intSource(50))
 	boom := errors.New("bank full")
 	sinkBatch(s, "drain", func(items []int) error {

@@ -12,7 +12,7 @@ import (
 // by the stage's in-flight window instead of growing with event count.
 func TestPoolCountersSteadyState(t *testing.T) {
 	const n = 10_000
-	p := New(context.Background(), "pool", Options{BatchSize: 16, Depth: 2})
+	p := New(context.Background(), "pool", Options{BatchSize: 16})
 	src := Source(p, "src", intSource(n))
 	doubled := Map(src, "double", 4, func(v int) (int, bool, error) { return 2 * v, true, nil })
 	sum := 0
@@ -57,7 +57,7 @@ func TestIllegalRetentionIsPoisoned(t *testing.T) {
 	var cloned [][]*payload // the legal path: copied before return
 
 	const n = 64
-	p := New(context.Background(), "alias", Options{BatchSize: 8, Depth: 2})
+	p := New(context.Background(), "alias", Options{BatchSize: 8})
 	vals := make([]*payload, n)
 	for i := range vals {
 		vals[i] = &payload{v: i + 1}

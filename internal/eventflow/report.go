@@ -86,7 +86,7 @@ type StageReport struct {
 	Busy time.Duration
 	// MaxInFlight is the peak number of batches held by the stage at once
 	// (dispatched but not yet emitted in order). Bounded by
-	// Workers + Options.Depth: the substrate's memory guarantee.
+	// Workers + 2, the inter-stage depth: the substrate's memory guarantee.
 	MaxInFlight int64
 	// Restarts counts supervised worker restarts after transient batch
 	// failures (Options.StageRetries).

@@ -17,24 +17,17 @@ import (
 // display §2.1 argues for: it consumes only the common simplified format
 // and the common geometry description.
 
-// displaySizePx is the display's width and height.
-const displaySizePx = 800
+// displaySizePx is the display's width and height; maxTowers caps the
+// calorimeter bars drawn, largest first.
+const (
+	displaySizePx = 800
+	maxTowers     = 64
+)
 
-// DisplayOptions tunes the rendering.
-type DisplayOptions struct {
-	// MaxTowers caps drawn calorimeter bars (largest first); 0 uses 64.
-	MaxTowers int
-	// Caption overrides the default run/event caption.
-	Caption string
-}
-
-// RenderSVG draws one event over a geometry in the transverse view.
-func RenderSVG(det *detector.Detector, e *SimplifiedEvent, opts DisplayOptions) string {
+// RenderSVG draws one event over a geometry in the transverse view, under
+// a caption naming the geometry, the run and the event.
+func RenderSVG(det *detector.Detector, e *SimplifiedEvent) string {
 	size := displaySizePx
-	maxTowers := opts.MaxTowers
-	if maxTowers <= 0 {
-		maxTowers = 64
-	}
 	// World scale: the outermost calorimeter plus tower headroom maps to
 	// the canvas (muon chambers are drawn off-scale at the rim).
 	outer := 2200.0
@@ -127,10 +120,7 @@ func RenderSVG(det *detector.Detector, e *SimplifiedEvent, opts DisplayOptions) 
 		fmt.Fprintf(&b, `<circle cx="%.1f" cy="%.1f" r="4" fill="#f5f1e8"/>`+"\n", x, y)
 	}
 
-	caption := opts.Caption
-	if caption == "" {
-		caption = fmt.Sprintf("%s  run %d  event %d  (MET %.1f GeV)", det.Name, e.Run, e.Event, e.MET.Pt)
-	}
+	caption := fmt.Sprintf("%s  run %d  event %d  (MET %.1f GeV)", det.Name, e.Run, e.Event, e.MET.Pt)
 	fmt.Fprintf(&b, `<text x="%g" y="%g" fill="#8892b0" font-family="monospace" font-size="13">%s</text>`+"\n",
 		-half+12, half-14, escapeXML(caption))
 	b.WriteString("</svg>\n")

@@ -18,7 +18,7 @@ func displayEvent(t *testing.T) (*detector.Detector, *SimplifiedEvent) {
 
 func TestRenderSVGWellFormed(t *testing.T) {
 	det, e := displayEvent(t)
-	svg := RenderSVG(det, e, DisplayOptions{})
+	svg := RenderSVG(det, e)
 	// Must be parseable XML.
 	dec := xml.NewDecoder(strings.NewReader(svg))
 	elems := 0
@@ -46,8 +46,8 @@ func TestRenderSVGWellFormed(t *testing.T) {
 
 func TestRenderSVGContentScalesWithEvent(t *testing.T) {
 	det, e := displayEvent(t)
-	full := RenderSVG(det, e, DisplayOptions{})
-	empty := RenderSVG(det, &SimplifiedEvent{}, DisplayOptions{})
+	full := RenderSVG(det, e)
+	empty := RenderSVG(det, &SimplifiedEvent{})
 	if len(full) <= len(empty) {
 		t.Fatal("event content not rendered")
 	}
@@ -56,15 +56,30 @@ func TestRenderSVGContentScalesWithEvent(t *testing.T) {
 	}
 }
 
+// TestRenderSVGOptions pins the display's two fixed choices: at most 64
+// calorimeter bars, the largest first, and a caption that is escaped,
+// because it carries the geometry's name.
 func TestRenderSVGOptions(t *testing.T) {
-	det, e := displayEvent(t)
-	capped := RenderSVG(det, e, DisplayOptions{MaxTowers: 2, Caption: `A "quoted" <caption>`})
-	if !strings.Contains(capped, "&quot;quoted&quot;") || strings.Contains(capped, "<caption>") {
+	det := detector.Standard()
+	det.Name = `A "quoted" <geometry>`
+	e := &SimplifiedEvent{Run: 3, Event: 9}
+	for i := 0; i < 100; i++ {
+		e.Towers = append(e.Towers, DisplayTower{Phi: float64(i) / 16, E: float64(1 + i)})
+	}
+	capped := RenderSVG(det, e)
+	if !strings.Contains(capped, "A &quot;quoted&quot; &lt;geometry&gt;  run 3  event 9") || strings.Contains(capped, "<geometry>") {
 		t.Fatal("caption not escaped")
 	}
-	// Tower cap: at most 2 tower bars (lines beyond the MET dash).
-	if n := strings.Count(capped, "stroke-width=\"3\""); n > 2 {
-		t.Fatalf("tower cap ignored: %d bars", n)
+	// Tower cap: 64 tower bars (lines beyond the MET dash), the largest
+	// first, so the smallest tower's bar is not drawn.
+	if n := strings.Count(capped, "stroke-width=\"3\""); n != 64 {
+		t.Fatalf("tower cap: %d bars, want 64", n)
+	}
+	smallest := RenderSVG(det, &SimplifiedEvent{Towers: e.Towers[:1]})
+	bar := smallest[strings.Index(smallest, "<line"):]
+	bar = bar[:strings.Index(bar, "\n")]
+	if strings.Contains(capped, bar) {
+		t.Fatalf("the smallest tower's bar %s was drawn", bar)
 	}
 	// Must still parse.
 	dec := xml.NewDecoder(strings.NewReader(capped))
@@ -87,7 +102,7 @@ func TestRenderSVGChargeColours(t *testing.T) {
 			{Pt: 20, Charge: -1, Points: [][3]float64{{0, 0, 0}, {-100, 50, 0}}},
 		},
 	}
-	svg := RenderSVG(det, e, DisplayOptions{})
+	svg := RenderSVG(det, e)
 	if !strings.Contains(svg, "#ff5a7a") || !strings.Contains(svg, "#5aa9ff") {
 		t.Fatal("charge colours missing")
 	}
@@ -99,6 +114,6 @@ func BenchmarkRenderSVG(b *testing.B) {
 	e := NewConverter(det).Convert(events[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = RenderSVG(det, e, DisplayOptions{})
+		_ = RenderSVG(det, e)
 	}
 }

@@ -112,14 +112,18 @@ func submitAccepted(t *testing.T, srv *Server, n int) []string {
 }
 
 // unbreakable keeps the circuit breaker out of a drill that is about the
-// retry schedule.
-var unbreakable = resilience.BreakerConfig{FailureThreshold: 1 << 30}
+// retry schedule: it gates svc's back end behind a breaker that never
+// opens, and NewServer keeps a gate it finds.
+func unbreakable(svc *Service) *Service {
+	svc.backend = &GatedBackend{Inner: svc.backend, Breaker: resilience.NewBreaker(resilience.BreakerConfig{FailureThreshold: 1 << 30})}
+	return svc
+}
 
 func TestChaosQueueEveryRequestReachesTerminalState(t *testing.T) {
 	const requests = 40
 	inj := faults.NewInjector(0x5EC457).WithErrorRate(0.3)
 	svc, _ := newStubService(t, inj)
-	srv := serveService(t, svc, ServerConfig{Workers: 4, AutoApprove: true, Breaker: unbreakable})
+	srv := serveService(t, unbreakable(svc), ServerConfig{Workers: 4, AutoApprove: true})
 	ids := submitAccepted(t, srv, requests)
 	srv.Start()
 	for _, id := range ids {
@@ -307,8 +311,8 @@ func (b *blockingBackend) waitStarted(n int) {
 func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	inj := faults.NewInjector(3)
 	svc, _ := newStubService(t, inj)
-	cfg := ServerConfig{JournalDir: t.TempDir(), AutoApprove: true, Breaker: unbreakable}
-	srv := serveService(t, svc, cfg)
+	cfg := ServerConfig{JournalDir: t.TempDir(), AutoApprove: true}
+	srv := serveService(t, unbreakable(svc), cfg)
 	ids := submitAccepted(t, srv, 5)
 	// Two complete, one dead-letters, two stay in flight — then the
 	// process "crashes" with the ledger as the only survivor.

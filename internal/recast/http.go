@@ -67,34 +67,25 @@ func statusFor(err error) int {
 	}
 }
 
-// DefaultClientTimeout bounds front-end calls when the caller configures
-// nothing: long enough for a synchronous back-end run, short enough that a
-// hung service cannot wedge a requester forever.
+// DefaultClientTimeout bounds each front-end call of the default
+// transport: long enough for a synchronous back-end run, short enough that
+// a hung service cannot wedge a requester forever.
 const DefaultClientTimeout = 30 * time.Second
 
 // Client is a Go client for the front end, as a requester or as the
-// experiment (set Experiment to send the role header). Every call runs
-// under Timeout (DefaultClientTimeout when zero) unless a custom HTTP
-// client is supplied, and accepts a context for caller-side cancellation.
-// A context deadline also travels to the server as a relative budget
-// header, so the service can shed or abandon work the caller will never
-// see.
+// experiment (set Experiment to send the role header). Every call is one
+// HTTP exchange, under DefaultClientTimeout unless a custom HTTP client is
+// supplied, and accepts a context for caller-side cancellation. It does
+// not retry: a failure comes back classified, with the server's
+// Retry-After as its hint, for the caller to act on. A context deadline
+// also travels to the server as a relative budget header, so the service
+// can shed or abandon work the caller will never see.
 type Client struct {
 	BaseURL string
-	// HTTP overrides the transport entirely; when set, Timeout is the
+	// HTTP overrides the transport entirely; when set, the timeout is the
 	// caller's responsibility.
-	HTTP *http.Client
-	// Timeout bounds each call of the default transport. Zero means
-	// DefaultClientTimeout; negative means no timeout.
-	Timeout    time.Duration
+	HTTP       *http.Client
 	Experiment bool
-	// Retry, when MaxAttempts > 1, re-issues calls that fail with a
-	// transient error — a shed (429), a brown-out (503), a dropped
-	// connection. The server's Retry-After is honored over the policy's
-	// own backoff (see resilience.Retry). Submissions are retried too:
-	// a shed submission was never accepted, and an ambiguous failure
-	// after acceptance is absorbed by the server's dedup key.
-	Retry resilience.Policy
 	// Now is the clock used to measure the remaining context budget for
 	// the deadline header. Nil means the wall clock.
 	Now func() time.Time
@@ -159,33 +150,16 @@ func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	timeout := c.Timeout
-	switch {
-	case timeout == 0:
-		timeout = DefaultClientTimeout
-	case timeout < 0:
-		timeout = 0
-	}
-	return &http.Client{Timeout: timeout}
+	return &http.Client{Timeout: DefaultClientTimeout}
 }
 
+// do issues a single HTTP exchange. Failures come back classified:
+// network errors and 429/5xx responses transient (with the server's
+// Retry-After as the backoff hint), other 4xx permanent.
 func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	call := func(actx context.Context) error {
-		return c.doOnce(actx, method, path, body, out)
-	}
-	if c.Retry.MaxAttempts > 1 {
-		return resilience.Retry(ctx, c.Retry, call)
-	}
-	return call(ctx)
-}
-
-// doOnce issues a single HTTP exchange. Failures come back classified:
-// network errors and 429/5xx responses transient (with the server's
-// Retry-After as the backoff hint), other 4xx permanent.
-func (c *Client) doOnce(ctx context.Context, method, path string, body, out interface{}) error {
 	hc := c.httpClient()
 	var rd io.Reader
 	if body != nil {

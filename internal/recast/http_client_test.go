@@ -74,70 +74,25 @@ func TestClientClassifiesResponses(t *testing.T) {
 	}
 }
 
-// TestClientRetryHonorsRetryAfter drives a client with a retry policy
-// against a server that sheds twice with Retry-After before accepting, and
-// checks (a) the call eventually succeeds without caller-side plumbing and
-// (b) every backoff sleep is at least the server's advertised wait.
-func TestClientRetryHonorsRetryAfter(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "3")
-			daemon.Error(w, http.StatusTooManyRequests, "shed")
-			return
-		}
-		daemon.WriteJSON(w, http.StatusOK, &Request{ID: "r-1", Status: StatusDone})
-	}))
-	defer srv.Close()
-
-	var slept []time.Duration
-	c := &Client{
-		BaseURL: srv.URL,
-		Retry: resilience.Policy{
-			MaxAttempts: 4,
-			BaseDelay:   time.Millisecond,
-			Sleep: func(ctx context.Context, d time.Duration) error {
-				slept = append(slept, d)
-				return nil
-			},
-		},
-	}
-	req, err := c.GetCtx(context.Background(), "r-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Status != StatusDone {
-		t.Fatalf("status = %s, want done", req.Status)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("server saw %d calls, want 3", calls.Load())
-	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2: %v", len(slept), slept)
-	}
-	for i, d := range slept {
-		if d < 3*time.Second {
-			t.Fatalf("sleep %d = %v, shorter than the server's Retry-After of 3s", i, d)
-		}
-	}
-}
-
-// TestClientRetryStopsOnPermanent checks a 4xx aborts the retry loop on
-// the first attempt: repetition cannot fix a malformed request.
+// TestClientRetryStopsOnPermanent checks a call is one exchange: a 4xx
+// comes back on the first attempt, since repetition cannot fix a malformed
+// request, and so does a 503, whose Retry-After is the caller's to honour.
 func TestClientRetryStopsOnPermanent(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		daemon.Error(w, http.StatusBadRequest, "unknown analysis")
-	}))
-	defer srv.Close()
-	c := &Client{BaseURL: srv.URL, Retry: resilience.Policy{MaxAttempts: 5,
-		Sleep: func(ctx context.Context, d time.Duration) error { return nil }}}
-	if _, err := c.SubmitCtx(context.Background(), "NOPE", "alice", "", ModelSpec{}); err == nil {
-		t.Fatal("error expected")
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("permanent failure retried: %d calls", calls.Load())
+	for _, status := range []int{http.StatusBadRequest, http.StatusServiceUnavailable} {
+		var calls atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			w.Header().Set("Retry-After", "3")
+			daemon.Error(w, status, "unknown analysis")
+		}))
+		c := &Client{BaseURL: srv.URL}
+		if _, err := c.SubmitCtx(context.Background(), "NOPE", "alice", "", ModelSpec{}); err == nil {
+			t.Fatalf("%d: error expected", status)
+		}
+		srv.Close()
+		if calls.Load() != 1 {
+			t.Fatalf("%d: %d calls, want 1", status, calls.Load())
+		}
 	}
 }
 

@@ -5,23 +5,22 @@ import (
 	"sync"
 )
 
-// pqueue is the weighted-fair scheduler behind the RECAST front door. It
+// pqueue is the fair scheduler behind the RECAST front door. It
 // holds nothing durable: what it owes is the approved requests of the
 // request ledger, and NewServer rebuilds it from them (restoreQueue),
 // so claiming and finishing are memory-only and a claim a dead process
 // held simply was never made.
 //
-// Scheduling is weighted fair queuing over tenants: each tenant carries
-// a virtual time that advances by 1/weight per request served, and claim
-// always serves the eligible tenant with the smallest virtual time (ties
-// by name). A tenant that floods the queue only queues behind itself;
-// everyone else's share is untouched.
+// Scheduling is fair queuing over tenants: each tenant carries a count of
+// the requests it has been served, and claim always serves the eligible
+// tenant with the smallest count (ties by name). A tenant that floods the
+// queue only queues behind itself; everyone else's share is untouched.
 type pqueue struct {
 	mu sync.Mutex
 	// pending holds each tenant's queued entries in seq order.
 	pending map[string][]entry
-	vtime   map[string]float64
-	weights map[string]float64
+	// served counts each tenant's sequenced requests claimed or charged.
+	served map[string]int
 	// seq is the last sequence number handed out.
 	seq               uint64
 	claimed, terminal int
@@ -41,36 +40,28 @@ type entry struct {
 	deadlineUnixMs int64
 }
 
-// newPQueue returns an empty scheduler; tenants absent from weights (or
-// given a non-positive one) weigh 1.
-func newPQueue(weights map[string]float64) *pqueue {
-	q := &pqueue{
+// newPQueue returns an empty scheduler.
+func newPQueue() *pqueue {
+	return &pqueue{
 		pending: make(map[string][]entry),
-		vtime:   make(map[string]float64),
-		weights: make(map[string]float64),
+		served:  make(map[string]int),
 		ready:   make(chan struct{}, 1),
 	}
-	for t, w := range weights {
-		if w > 0 {
-			q.weights[t] = w
-		}
-	}
-	return q
 }
 
 // restoreQueue rebuilds the scheduler from the replayed ledger, appending
 // nothing. An approved request is owed: it is queued under its journaled
 // sequence number and deadline (whoever had claimed it died with the
 // process, and the claim with them). A sequenced request that already
-// finished costs its tenant the one 1/weight it cost the scheduler that
+// finished counts once for its tenant, as it did in the scheduler that
 // served it. The memoization index needs nothing here: the ledger folds
 // each done snapshot's journaled key as it replays.
 //
 // An approved request with no sequence number — accepted by a commit that
 // died before it queued it, or approved through Service.Approve — is owed
 // all the same, and queues ahead of its tenant's sequenced work.
-func restoreQueue(weights map[string]float64, ledger []*record) *pqueue {
-	q := newPQueue(weights)
+func restoreQueue(ledger []*record) *pqueue {
+	q := newPQueue()
 	for _, rec := range ledger {
 		e := entryOf(rec)
 		if e.seq > q.seq {
@@ -122,10 +113,9 @@ func (q *pqueue) push(e entry) {
 	}
 }
 
-// claim returns the next entry under weighted fair queuing — the eligible
-// tenant with the least virtual time (ties by name), FIFO within the
-// tenant — and charges the tenant for it. ok is false when nothing is
-// queued.
+// claim returns the next entry under fair queuing — the eligible tenant
+// served least so far (ties by name), FIFO within the tenant — and counts
+// it for the tenant. ok is false when nothing is queued.
 func (q *pqueue) claim() (e entry, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -134,8 +124,8 @@ func (q *pqueue) claim() (e entry, ok bool) {
 		if len(es) == 0 {
 			continue
 		}
-		if tenant == "" || q.vtime[t] < q.vtime[tenant] ||
-			(q.vtime[t] == q.vtime[tenant] && t < tenant) {
+		if tenant == "" || q.served[t] < q.served[tenant] ||
+			(q.served[t] == q.served[tenant] && t < tenant) {
 			tenant = t
 		}
 	}
@@ -144,7 +134,7 @@ func (q *pqueue) claim() (e entry, ok bool) {
 	}
 	e = q.pending[tenant][0]
 	q.pending[tenant] = q.pending[tenant][1:]
-	q.chargeLocked(tenant)
+	q.served[tenant]++
 	q.claimed++
 	return e, true
 }
@@ -159,22 +149,14 @@ func (q *pqueue) finish() {
 
 // charge accounts for a sequenced request that is terminal without having
 // been claimed here: one answered from the archive as it was accepted, or
-// one recovery finds already finished. Every sequenced request costs its
-// tenant 1/weight exactly once, so a recovered scheduler carries the
-// virtual times of one that never stopped.
+// one recovery finds already finished. Every sequenced request counts
+// for its tenant exactly once, so a recovered scheduler carries the counts
+// of one that never stopped.
 func (q *pqueue) charge(tenant string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.chargeLocked(tenant)
+	q.served[tenant]++
 	q.terminal++
-}
-
-func (q *pqueue) chargeLocked(tenant string) {
-	w, ok := q.weights[tenant]
-	if !ok {
-		w = 1
-	}
-	q.vtime[tenant] += 1 / w
 }
 
 // QueueStats is the live census the admission controller and the status

@@ -23,16 +23,16 @@ type queueEntry struct {
 
 // StateSnapshot renders what the scheduler knows as canonical bytes: every
 // sequenced request sorted by ID, then each tenant's queued order, then the
-// per-tenant virtual times — the equality the kill-point sweep asserts
+// per-tenant served counts — the equality the kill-point sweep asserts
 // between a crashed-and-recovered server and one that never crashed, and
 // the image the parent's golden pins.
 func (s *Server) StateSnapshot() []byte {
 	type snapshot struct {
 		Entries []queueEntry        `json:"entries"`
 		Pending map[string][]string `json:"pending"`
-		VTime   map[string]float64  `json:"vtime"`
+		Served  map[string]int      `json:"vtime"`
 	}
-	snap := snapshot{Pending: make(map[string][]string), VTime: make(map[string]float64)}
+	snap := snapshot{Pending: make(map[string][]string), Served: make(map[string]int)}
 	for _, rec := range s.svc.records() {
 		if rec.Queue == nil || rec.Queue.Seq == 0 {
 			continue
@@ -54,9 +54,9 @@ func (s *Server) StateSnapshot() []byte {
 			snap.Pending[t] = append(snap.Pending[t], e.id)
 		}
 	}
-	for t, v := range s.pq.vtime {
-		if v != 0 {
-			snap.VTime[t] = v
+	for t, n := range s.pq.served {
+		if n != 0 {
+			snap.Served[t] = n
 		}
 	}
 	out, err := json.MarshalIndent(snap, "", " ")
@@ -67,17 +67,17 @@ func (s *Server) StateSnapshot() []byte {
 }
 
 func TestPQueueWeightedFairClaimOrder(t *testing.T) {
-	q := newPQueue(map[string]float64{"heavy": 2})
+	q := newPQueue()
 	push := func(id, tenant string) { q.push(entry{id: id, tenant: tenant, seq: q.nextSeq()}) }
-	// A flooding tenant enqueues six ahead of everyone; two light
-	// tenants and one weighted tenant each enqueue two.
+	// A flooding tenant enqueues six ahead of everyone; three light
+	// tenants each enqueue two.
 	for i := 0; i < 6; i++ {
 		push(fmt.Sprintf("flood-%d", i), "flood")
 	}
 	for i := 0; i < 2; i++ {
 		push(fmt.Sprintf("a-%d", i), "alice")
 		push(fmt.Sprintf("b-%d", i), "bob")
-		push(fmt.Sprintf("h-%d", i), "heavy")
+		push(fmt.Sprintf("c-%d", i), "carol")
 	}
 	var order []string
 	for {
@@ -95,11 +95,6 @@ func TestPQueueWeightedFairClaimOrder(t *testing.T) {
 	}
 	if pos["a-1"] > pos["flood-2"] || pos["b-1"] > pos["flood-2"] {
 		t.Fatalf("flooder starved light tenants: order %v", order)
-	}
-	// Weight 2 means heavy's virtual time advances half as fast: both
-	// heavy entries are served before the flooder's second.
-	if pos["h-1"] > pos["flood-1"] {
-		t.Fatalf("weight-2 tenant served behind flooder's fair share: order %v", order)
 	}
 	if len(order) != 12 {
 		t.Fatalf("claimed %d entries, want 12", len(order))
@@ -188,8 +183,8 @@ func TestPQueueRecoveryRequeuesOrphans(t *testing.T) {
 	if st := re.Status().Queue; st.Queued != 2 || st.Claimed != 0 {
 		t.Fatalf("after recovery: %+v, want 2 queued (orphan requeued)", st)
 	}
-	if v := re.pq.vtime["t1"]; v != 0 {
-		t.Fatalf("recovered virtual time %v, want the orphaned claim's charge gone", v)
+	if n := re.pq.served["t1"]; n != 0 {
+		t.Fatalf("recovered served count %d, want the orphaned claim's charge gone", n)
 	}
 	// The orphan keeps its FIFO position: it is claimed again first.
 	if e, ok := re.pq.claim(); !ok || e.id != ids[0] {

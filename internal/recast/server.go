@@ -17,7 +17,7 @@ import (
 
 // Server is the overload-safe multi-tenant front door: the Service state
 // machine behind admission control (per-tenant token buckets, queue
-// bounds, deadline feasibility), a weighted-fair scheduler (pqueue), a
+// bounds, deadline feasibility), a fair scheduler (pqueue), a
 // worker pool with end-to-end deadline propagation, request memoization
 // keyed by (model, chain config), and a breaker-gated back end whose
 // brown-outs degrade intake instead of collapsing it.
@@ -50,9 +50,10 @@ type Server struct {
 
 // ServerConfig tunes the front door. The zero value serves with
 // defaults: 2 workers, a 64-deep queue shrinking to 16 under
-// degradation, unlimited tenant rates, manual approval. While the back
-// end browns out (breaker not closed) intake is bounded at a quarter of
-// QueueBound, at least 1.
+// degradation, unlimited tenant rates, manual approval. The back end's
+// breaker opens after five straight failures and probes again after one
+// second; while the back end browns out (breaker not closed) intake is
+// bounded at a quarter of QueueBound, at least 1.
 type ServerConfig struct {
 	// JournalDir holds requests.log, the server's only durable state.
 	// Required.
@@ -67,8 +68,6 @@ type ServerConfig struct {
 	TenantRate float64
 	// TenantBurst is each tenant's bucket size; < 1 means 8.
 	TenantBurst float64
-	// TenantWeights sets fair-share weights (default 1 per tenant).
-	TenantWeights map[string]float64
 	// AutoApprove approves every submitted request immediately — the
 	// multi-tenant service mode, where the experiment pre-delegated
 	// approval for subscribed analyses. When false, work enters the
@@ -77,9 +76,8 @@ type ServerConfig struct {
 	// Policy is the per-request back-end retry policy; a zero policy
 	// means DefaultQueuePolicy.
 	Policy resilience.Policy
-	// Breaker tunes the back-end circuit breaker.
-	Breaker resilience.BreakerConfig
-	// Now is a test hook for the clock; nil means time.Now.
+	// Now is a test hook for the clock, the back-end breaker's included;
+	// nil means time.Now.
 	Now func() time.Time
 }
 
@@ -140,9 +138,9 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Server{
-		svc: svc, pq: restoreQueue(cfg.TenantWeights, svc.records()), cfg: cfg,
+		svc: svc, pq: restoreQueue(svc.records()), cfg: cfg,
 		ctx: sctx, cancel: cancel,
-		breaker: resilience.NewBreaker(cfg.Breaker),
+		breaker: resilience.NewBreaker(resilience.BreakerConfig{Now: cfg.Now}),
 		now:     cfg.Now,
 		buckets: make(map[string]*resilience.TokenBucket),
 		tenants: make(map[string]*TenantStatus),
@@ -150,11 +148,7 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 	// Gate the back end behind the server's breaker so brown-outs trip
 	// degraded intake. Idempotent across recoveries of the same Service.
 	if _, gated := svc.backend.(*GatedBackend); !gated {
-		openInterval := cfg.Breaker.OpenInterval
-		if openInterval <= 0 {
-			openInterval = time.Second
-		}
-		svc.backend = &GatedBackend{Inner: svc.backend, Breaker: s.breaker, OpenInterval: openInterval}
+		svc.backend = &GatedBackend{Inner: svc.backend, Breaker: s.breaker}
 	} else {
 		// A reused Service keeps its gate; point the server's degraded
 		// signal at the existing breaker.
@@ -584,12 +578,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // GatedBackend wraps a back end behind a circuit breaker. Transient and
 // unclassified failures trip it; permanent errors (invalid models, bad
 // records) count as service health — the back end answered, the answer
-// was just "no".
+// was just "no". A call the breaker sheds carries a retry hint of one
+// second, the breaker's open interval.
 type GatedBackend struct {
 	Inner   Backend
 	Breaker *resilience.Breaker
-	// OpenInterval is echoed as the retry hint when the breaker sheds.
-	OpenInterval time.Duration
 }
 
 // Name implements Backend.
@@ -602,11 +595,7 @@ func (g *GatedBackend) ConfigDigest() string { return configDigest(g.Inner) }
 // Process implements Backend.
 func (g *GatedBackend) Process(ctx context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
 	if !g.Breaker.Allow() {
-		hint := g.OpenInterval
-		if hint <= 0 {
-			hint = time.Second
-		}
-		return nil, resilience.WithRetryAfter(resilience.MarkTransient(resilience.ErrOpen), hint)
+		return nil, resilience.WithRetryAfter(resilience.MarkTransient(resilience.ErrOpen), time.Second)
 	}
 	res, err := g.Inner.Process(ctx, model, record)
 	if err != nil && resilience.IsPermanent(err) {

@@ -15,8 +15,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"daspos/internal/resilience"
 )
 
 // serverClock is a hand-cranked clock shared by server, buckets, and
@@ -302,15 +300,42 @@ func TestServerExpiresDeadRequestsWithoutBackendRun(t *testing.T) {
 	}
 }
 
+// TestServerBreakerReadsTheServerClock: the back-end breaker runs on the
+// clock the server is given, so admission and Status agree about time.
+func TestServerBreakerReadsTheServerClock(t *testing.T) {
+	clk := &serverClock{t: time.Unix(5000, 0)}
+	srv, _ := newTestServer(t, ServerConfig{Now: clk.now})
+	for i := 0; i < 5; i++ {
+		srv.breaker.Failure()
+	}
+	if st := srv.Status().Breaker; st != "open" {
+		t.Fatalf("breaker after five failures = %s, want open", st)
+	}
+	clk.advance(999 * time.Millisecond)
+	if srv.breaker.Allow() {
+		t.Fatal("a probe was admitted before the server's clock reached the open interval")
+	}
+	clk.advance(time.Millisecond)
+	if !srv.breaker.Allow() {
+		t.Fatal("no probe admitted once the server's clock passed the open interval")
+	}
+	if st := srv.Status().Breaker; st != "half-open" {
+		t.Fatalf("breaker after the probe's admission = %s, want half-open", st)
+	}
+}
+
 func TestServerDegradedModeShrinksIntake(t *testing.T) {
-	srv, _ := newTestServer(t, ServerConfig{QueueBound: 4, AutoApprove: true,
-		Breaker: resilience.BreakerConfig{FailureThreshold: 1, OpenInterval: time.Hour}})
+	clk := &serverClock{t: time.Unix(5000, 0)}
+	srv, _ := newTestServer(t, ServerConfig{QueueBound: 4, AutoApprove: true, Now: clk.now})
 	h := srv.Handler()
 	if srv.Status().Degraded {
 		t.Fatal("fresh server reports degraded")
 	}
-	// Brown-out: the breaker trips.
-	srv.breaker.Failure()
+	// Brown-out: five straight failures trip the breaker, and it stays
+	// open while the server's clock stands still.
+	for i := 0; i < 5; i++ {
+		srv.breaker.Failure()
+	}
 	st := srv.Status()
 	if !st.Degraded || st.Breaker != "open" {
 		t.Fatalf("status after trip = %+v, want degraded/open", st)

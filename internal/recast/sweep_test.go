@@ -77,8 +77,8 @@ func (r *sweepRig) open(t *testing.T) *Server {
 	if err := svc.Subscribe(Subscription{Name: "GPD_2013_DIMUON_HIGHMASS", Record: highMassSearch()}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(context.Background(), svc, ServerConfig{
-		JournalDir: r.dir, Policy: fastPolicy(), Now: r.clk.now, Breaker: unbreakable,
+	srv, err := NewServer(context.Background(), unbreakable(svc), ServerConfig{
+		JournalDir: r.dir, Policy: fastPolicy(), Now: r.clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ const (
 	Closed BreakerState = iota
 	// Open rejects every call until the open interval elapses.
 	Open
-	// HalfOpen admits a limited number of probe calls; their outcome
-	// decides between re-closing and re-opening.
+	// HalfOpen has admitted one probe call and admits no other; the
+	// probe's outcome decides between re-closing and re-opening.
 	HalfOpen
 )
 
@@ -42,28 +42,21 @@ type BreakerConfig struct {
 	// OpenInterval is how long the breaker stays open before admitting a
 	// half-open probe. Values <= 0 mean 1s.
 	OpenInterval time.Duration
-	// ProbeSuccesses is how many consecutive half-open probes must
-	// succeed to re-close. Values < 1 mean 1.
-	ProbeSuccesses int
-	// MaxProbes bounds concurrent half-open probes. Values < 1 mean 1.
-	MaxProbes int
 	// Now is a test hook for the clock; nil means time.Now.
 	Now func() time.Time
 }
 
 // Breaker is a circuit breaker: closed → open after FailureThreshold
-// consecutive failures, open → half-open after OpenInterval, half-open →
-// closed after ProbeSuccesses successful probes (or back to open on any
-// probe failure). Safe for concurrent use.
+// consecutive failures, open → half-open when OpenInterval has elapsed and
+// one probe is admitted, half-open → closed when the probe succeeds (or
+// back to open when it fails). Safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu           sync.Mutex
-	state        BreakerState
-	failures     int // consecutive failures while closed
-	probeSuccess int // consecutive successes while half-open
-	probesInUse  int // admitted, unreported probes while half-open
-	openedAt     time.Time
+	mu       sync.Mutex
+	state    BreakerState
+	failures int // consecutive failures while closed
+	openedAt time.Time
 }
 
 // NewBreaker returns a breaker with the given config (zero fields get
@@ -75,21 +68,15 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.OpenInterval <= 0 {
 		cfg.OpenInterval = time.Second
 	}
-	if cfg.ProbeSuccesses < 1 {
-		cfg.ProbeSuccesses = 1
-	}
-	if cfg.MaxProbes < 1 {
-		cfg.MaxProbes = 1
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	return &Breaker{cfg: cfg}
 }
 
-// Allow reports whether a call may proceed, admitting probes when the open
+// Allow reports whether a call may proceed, admitting a probe when the open
 // interval has elapsed. Every admitted call must be reported back through
-// Success or Failure, or half-open probe slots leak.
+// Success or Failure, or the half-open probe slot leaks.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -101,17 +88,11 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		// Open interval elapsed: become half-open and admit this call
-		// as the first probe.
+		// as the one probe.
 		b.state = HalfOpen
-		b.probeSuccess = 0
-		b.probesInUse = 1
 		return true
-	default: // HalfOpen
-		if b.probesInUse >= b.cfg.MaxProbes {
-			return false
-		}
-		b.probesInUse++
-		return true
+	default: // HalfOpen: the probe is in flight
+		return false
 	}
 }
 
@@ -123,16 +104,7 @@ func (b *Breaker) Success() {
 	case Closed:
 		b.failures = 0
 	case HalfOpen:
-		if b.probesInUse > 0 {
-			b.probesInUse--
-		}
-		b.probeSuccess++
-		if b.probeSuccess >= b.cfg.ProbeSuccesses {
-			b.state = Closed
-			b.failures = 0
-			b.probeSuccess = 0
-			b.probesInUse = 0
-		}
+		b.state = Closed
 	}
 }
 
@@ -157,8 +129,6 @@ func (b *Breaker) trip() {
 	b.state = Open
 	b.openedAt = b.cfg.Now()
 	b.failures = 0
-	b.probeSuccess = 0
-	b.probesInUse = 0
 }
 
 // Record forwards an operation outcome: nil counts as success, anything

@@ -88,14 +88,13 @@ func WithRetryAfter(err error, hint time.Duration) error {
 	return &hintedError{err: err, hint: hint}
 }
 
-// RetryAfter extracts the innermost retry-after hint from an error chain.
-// It reports 0, false when no layer offered one.
+// RetryAfter extracts the outermost retry-after hint from an error tree,
+// walking it as Classify does, so an error that wraps several others keeps
+// the hint of any of them. It reports 0, false when no layer offered one.
 func RetryAfter(err error) (time.Duration, bool) {
-	for err != nil {
-		if h, ok := err.(retryHinter); ok {
-			return h.RetryAfterHint(), true
-		}
-		err = errors.Unwrap(err)
+	var h retryHinter
+	if errors.As(err, &h) {
+		return h.RetryAfterHint(), true
 	}
 	return 0, false
 }

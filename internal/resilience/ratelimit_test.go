@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -120,6 +121,20 @@ func TestRetryAfterHintPreservesClassification(t *testing.T) {
 	}
 	if _, ok := RetryAfter(base); ok {
 		t.Fatal("unhinted error reported a hint")
+	}
+	// An error that wraps two others, the shape errclass's testdata shows:
+	// the hint below the second %w is found, as Classify finds the class.
+	sentinel := errors.New("fetch failed")
+	joined := fmt.Errorf("%w: fetching: %w", sentinel, WithRetryAfter(MarkTransient(errors.New("x")), 2*time.Second))
+	if !IsTransient(joined) {
+		t.Fatal("a two-cause error lost the transient classification")
+	}
+	if d, ok := RetryAfter(joined); !ok || d != 2*time.Second {
+		t.Fatalf("two-cause hint = %v %v, want 2s true", d, ok)
+	}
+	// The outermost hint wins.
+	if d, ok := RetryAfter(WithRetryAfter(WithRetryAfter(base, time.Second), 5*time.Second)); !ok || d != 5*time.Second {
+		t.Fatalf("nested hints = %v %v, want the outer 5s", d, ok)
 	}
 	if WithRetryAfter(nil, time.Second) != nil {
 		t.Fatal("nil error grew a hint")

@@ -26,8 +26,8 @@ import (
 type Class int
 
 const (
-	// Unknown is an unclassified error: the policy decides whether to
-	// retry it (Policy.RetryUnknown).
+	// Unknown is an unclassified error. Retry never retries it, so a
+	// policy never loops on validation errors nobody thought to mark.
 	Unknown Class = iota
 	// Transient errors are expected to heal on their own: timeouts,
 	// dropped connections, injected faults. Retrying is worthwhile.
@@ -74,7 +74,8 @@ func MarkPermanent(err error) error {
 	return &classified{err: err, class: Permanent}
 }
 
-// Classify returns the innermost explicit class in the error chain.
+// Classify returns the outermost explicit class in the error tree: a
+// MarkPermanent around a MarkTransient is permanent.
 // Context cancellation and deadline expiry classify as transient: the
 // operation may succeed under a fresh deadline, and the retry loop itself
 // stops when its own context is done.
@@ -109,26 +110,17 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff; 0 means uncapped.
 	MaxDelay time.Duration
-	// Multiplier grows the delay between attempts; values <= 1 mean 2.
-	Multiplier float64
 	// Jitter is the fraction of each delay randomized, in [0, 1]: the
 	// delay becomes d*(1-Jitter) + d*Jitter*2*u for uniform u — full
-	// jitter at 1, none at 0. Deterministic via Seed.
+	// jitter at 1, none at 0. The stream is xrand.New(0), so schedules
+	// replay exactly.
 	Jitter float64
-	// Seed seeds the jitter stream so schedules replay exactly.
-	Seed uint64
 	// AttemptTimeout bounds each attempt with its own deadline; 0 means
 	// the attempt inherits the caller's context unchanged.
 	AttemptTimeout time.Duration
-	// RetryUnknown retries unclassified errors too. Off by default so a
-	// policy never loops on validation errors nobody thought to mark.
-	RetryUnknown bool
 	// Sleep is a test hook replacing the real inter-attempt sleep. It
 	// must honour ctx cancellation. Nil means a timer-backed sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
-	// OnRetry, when set, observes each failed attempt before the backoff
-	// sleep (1-based attempt number, the error, the chosen delay).
-	OnRetry func(attempt int, err error, delay time.Duration)
 }
 
 // attempts returns the effective attempt budget.
@@ -141,18 +133,15 @@ func (p Policy) attempts() int {
 
 // Backoff returns the deterministic delay before attempt n+1 given the
 // jitter stream rng (attempt is 1-based: Backoff(1, rng) follows the first
-// failure). Exposed so tests can table-drive the schedule.
+// failure); each delay doubles the one before. Exposed so tests can
+// table-drive the schedule.
 func (p Policy) Backoff(attempt int, rng *xrand.Rand) time.Duration {
 	if p.BaseDelay <= 0 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	d := float64(p.BaseDelay)
 	for i := 1; i < attempt; i++ {
-		d *= mult
+		d *= 2
 		if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
@@ -198,14 +187,14 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Retry runs op under the policy: transient errors (and unknown ones, when
-// RetryUnknown is set) are retried with backoff until the attempt budget is
-// spent; permanent errors and context cancellation abort immediately. Each
+// Retry runs op under the policy: transient errors are retried with
+// backoff until the attempt budget is spent; permanent and unclassified
+// errors and context cancellation abort immediately. Each
 // attempt runs under its own deadline when AttemptTimeout is set. The
-// returned error is nil on success, the permanent error as-is, or an
-// *ExhaustedError wrapping the last failure.
+// returned error is nil on success, a permanent or unclassified error
+// as-is, or an *ExhaustedError wrapping the last failure.
 func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) error {
-	rng := xrand.New(p.Seed)
+	rng := xrand.New(0)
 	doSleep := p.Sleep
 	if doSleep == nil {
 		doSleep = sleep
@@ -229,13 +218,8 @@ func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) er
 		if last == nil {
 			return nil
 		}
-		switch Classify(last) {
-		case Permanent:
+		if Classify(last) != Transient {
 			return last
-		case Unknown:
-			if !p.RetryUnknown {
-				return last
-			}
 		}
 		if attempt == n {
 			break
@@ -246,9 +230,6 @@ func Retry(ctx context.Context, p Policy, op func(ctx context.Context) error) er
 		// never knock earlier than invited.
 		if hint, ok := RetryAfter(last); ok && hint > d {
 			d = hint
-		}
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, last, d)
 		}
 		if err := doSleep(ctx, d); err != nil {
 			return err

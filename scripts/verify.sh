@@ -58,9 +58,12 @@
 # TestDemoMatchesGolden (cmd/daspos-recast) for `daspos-recast demo`, and
 # TestRunAndResumeMatchGoldens (cmd/daspos-pipeline) for a checkpointed
 # `daspos-pipeline` run and its `-resume`, TestSubcommandsMatchGoldens
-# (cmd/daspos-interview) and TestSeed7MatchesGoldens (cmd/daspos-display);
-# the
-# reachability gate fails an example whose run no test calls. No CI step
+# (cmd/daspos-interview) and TestSeed7MatchesGoldens (cmd/daspos-display),
+# TestDemoMatchesGolden (cmd/daspos-query) for `daspos-query demo`, and the
+# two daemons' serve tests, TestServeAnswersEveryRouteAndReportsTheDrain
+# (cmd/daspos-node) and TestServeAnswersEveryRouteAndDrains
+# (cmd/daspos-query); the reachability gate fails a main under examples/ or
+# cmd/ whose run no test calls. No CI step
 # is needed for them: CI runs this script, and its `go test -race ./...`
 # runs them.
 set -eu
