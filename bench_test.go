@@ -10,6 +10,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -354,24 +357,58 @@ func BenchmarkRivetVsRecast(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// R2 — the RECAST request round trip (submit → approve → process).
+// R2 — the RECAST request round trip through the one front door: submit,
+// approve as the experiment, poll until done, each an exchange with the
+// Server's handler (no listener), with the request ledger journaled to disk.
 
 func BenchmarkRecastRoundtrip(b *testing.B) {
 	svc := recast.NewService(&bridge.RivetBackend{LuminosityPb: 20000})
 	if err := svc.Subscribe(recast.Subscription{Name: "GPD_2013_DIMUON_HIGHMASS", Record: dimuonRecord()}); err != nil {
 		b.Fatal(err)
 	}
+	srv, err := recast.NewServer(context.Background(), svc, recast.ServerConfig{JournalDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Start()
+	h := srv.Handler()
+	exchange := func(method, path string, body []byte, experiment bool) (int, recast.Request) {
+		r := httptest.NewRequest(method, path, bytes.NewReader(body))
+		if experiment {
+			r.Header.Set("X-Recast-Role", "experiment")
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		var req recast.Request
+		if w.Code < 300 {
+			if err := json.Unmarshal(w.Body.Bytes(), &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return w.Code, req
+	}
 	for i := 0; i < b.N; i++ {
-		req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "bench", "",
-			recast.ModelSpec{Process: "zprime", MassGeV: 1000, Events: 10, Seed: uint64(i)})
+		body, err := json.Marshal(map[string]any{
+			"analysis": "GPD_2013_DIMUON_HIGHMASS", "requester": "bench",
+			"model": recast.ModelSpec{Process: "zprime", MassGeV: 1000, Events: 10, Seed: uint64(i)},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := svc.Approve(req.ID); err != nil {
-			b.Fatal(err)
+		code, req := exchange(http.MethodPost, "/requests", body, false)
+		if code != http.StatusCreated {
+			b.Fatalf("submit: %d", code)
 		}
-		if _, err := svc.Process(req.ID); err != nil {
-			b.Fatal(err)
+		if code, _ := exchange(http.MethodPost, "/requests/"+req.ID+"/approve", nil, true); code != http.StatusOK {
+			b.Fatalf("approve: %d", code)
+		}
+		for req.Status != recast.StatusDone {
+			if req.Status == recast.StatusFailed {
+				b.Fatalf("%s failed: %s", req.ID, req.Reason)
+			}
+			runtime.Gosched()
+			_, req = exchange(http.MethodGet, "/requests/"+req.ID, nil, false)
 		}
 	}
 }

@@ -20,7 +20,7 @@
 // Usage:
 //
 //	daspos-pipeline [-events N] [-seed S] [-process name] [-pileup MU]
-//	                [-workers W] [-batch B] [-stage-retries R]
+//	                [-workers W] [-batch B]
 //	                [-checkpoint-dir DIR] [-resume]
 package main
 
@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	pileup := fs.Float64("pileup", 0, "mean pileup interactions per event")
 	workers := fs.Int("workers", 4, "worker goroutines per parallel pipeline stage")
 	batch := fs.Int("batch", 32, "events per pipeline batch")
-	stageRetries := fs.Int("stage-retries", 2, "transient worker restarts allowed per pipeline stage")
 	ckptDir := fs.String("checkpoint-dir", "", "run directory: an archive holding one package per finished step (empty: checkpointing off)")
 	resume := fs.Bool("resume", false, "resume from the ledger in -checkpoint-dir, skipping verified steps")
 	_ = fs.Parse(args)
@@ -85,7 +84,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	var reports []eventflow.Report
 	wf, err := chain.Build(spec, chain.Tuning{
 		Workers:   *workers,
-		Flow:      eventflow.Options{BatchSize: *batch, StageRetries: *stageRetries},
+		Flow:      eventflow.Options{BatchSize: *batch},
 		OnReport:  func(rep eventflow.Report) { reports = append(reports, rep) },
 		OnTrigger: func(trg *trigger.Trigger, accepted int) { printTriggerRates(w, trg, accepted) },
 	})

@@ -16,17 +16,23 @@
 // fair queue is rebuilt on every start, and processed by -workers back-end
 // workers; GET /status reports queue depth, breaker state, and per-tenant
 // counters. SIGINT/SIGTERM drain in-flight requests, then the workers,
-// then close the ledger. demo submits a 1.2 TeV Z′ model to a front end
-// without auto-approval over loopback (journaling to a throwaway
-// directory), approves it as the experiment, polls for the full-simulation
-// result, runs the same model on the RIVET bridge and prints whether the
-// two tiers agree; its output is pinned by testdata/demo.golden. scan
-// walks the mass plane from 400 GeV to 2.4 TeV in 400 GeV steps and prints
-// the limit table with exclusion verdicts.
+// then close the ledger.
+//
+// demo and scan send every request through the same front door: a server
+// without auto-approval over loopback, journaling to a throwaway
+// directory, where the theorist submits, the experiment approves each
+// request and the theorist polls for the result. demo runs a 1.2 TeV Z′
+// model on the full-simulation back end, then on the RIVET bridge, and
+// prints whether the two tiers agree; its output is pinned by
+// testdata/demo.golden. scan walks the mass plane from 400 GeV to 2.4 TeV
+// in 400 GeV steps and prints the limit table with exclusion verdicts,
+// pinned per back end by testdata/scan.golden and scan-fullsim.golden.
+// A missing or unknown subcommand exits 2.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,27 +53,51 @@ import (
 	"daspos/internal/texttable"
 )
 
+// serve is the listen-and-drain loop the serve subcommand hands its
+// handler and the server's Close to.
+var serve = daemon.Serve
+
+// errUsage is run's refusal of a command line; main exits 2 on it, as
+// package flag does on a flag it cannot parse.
+var errUsage = errors.New("usage: daspos-recast {serve|demo|scan} [flags]")
+
+// analysis is the one subscribed analysis every request names.
+const analysis = "GPD_2013_DIMUON_HIGHMASS"
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daspos-recast: ")
-	if len(os.Args) < 2 {
-		log.Fatal("usage: daspos-recast {serve|demo|scan} [flags]")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	err := run(ctx, os.Args[1:], os.Stdout)
+	if errors.Is(err, errUsage) {
+		log.Print(err)
+		os.Exit(2)
 	}
-	switch os.Args[1] {
-	case "serve":
-		serve(os.Args[2:])
-	case "demo":
-		if err := demo(os.Stdout, os.Args[2:]); err != nil {
-			log.Fatal(err)
-		}
-	case "scan":
-		scan(os.Args[2:])
-	default:
-		log.Fatalf("unknown subcommand %q", os.Args[1])
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 
-func scan(args []string) {
+// run runs the subcommand args names, writing what it reports to w; serve
+// runs until ctx is done.
+func run(ctx context.Context, args []string, w io.Writer) error {
+	if len(args) < 1 {
+		return errUsage
+	}
+	switch args[0] {
+	case "serve":
+		return serveCmd(ctx, args[1:])
+	case "demo":
+		return demo(ctx, args[1:], w)
+	case "scan":
+		return scan(ctx, args[1:], w)
+	default:
+		return fmt.Errorf("unknown subcommand %q: %w", args[0], errUsage)
+	}
+}
+
+func scan(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("scan", flag.ExitOnError)
 	backendName := fs.String("backend", "bridge", "processing back end (fullsim or bridge)")
 	events := fs.Int("events", 200, "Monte Carlo statistics per point")
@@ -75,59 +105,63 @@ func scan(args []string) {
 	xsec := fs.Float64("xsec", 0.001, "model cross section in pb (0 disables exclusion verdicts)")
 	_ = fs.Parse(args)
 
-	svc := newService(*backendName)
-	base := recast.ModelSpec{Process: "zprime", Events: *events, Seed: *seed, CrossSectionPb: *xsec}
-	var masses []float64
+	var models []recast.ModelSpec
 	for m := 400.0; m <= 2400; m += 400 {
-		masses = append(masses, m)
+		// Each point gets an independent stream derived from the base
+		// seed, so neighbouring points do not share statistical wiggles.
+		models = append(models, recast.ModelSpec{
+			Process: "zprime", MassGeV: m, Events: *events,
+			Seed: *seed + uint64(len(models))*0x9e3779b9, CrossSectionPb: *xsec,
+		})
 	}
-	points, err := recast.MassScan(svc, "GPD_2013_DIMUON_HIGHMASS", "theorist@example", base, masses)
+	done, err := frontDoor(ctx, *backendName, "parameter scan", models)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	t := texttable.New("m(Z') [GeV]", "Acceptance", "UL [events]", "UL [pb]", "Predicted", "Excluded")
 	t.Title = fmt.Sprintf("Z' mass scan (%s back end, %d events/point, sigma=%g pb)", *backendName, *events, *xsec)
 	for i := 1; i < 6; i++ {
 		t.SetAlign(i, texttable.Right)
 	}
-	for _, p := range points {
-		r := p.Result
-		t.AddRow(p.MassGeV,
+	for i, req := range done {
+		r := req.Result
+		t.AddRow(models[i].MassGeV,
 			fmt.Sprintf("%.3f", r.Acceptance),
 			fmt.Sprintf("%.2f", r.UpperLimitEvents),
 			fmt.Sprintf("%.3g", r.UpperLimitXsecPb),
 			fmt.Sprintf("%.1f", r.PredictedEvents),
 			r.Excluded)
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
+	return nil
 }
 
-func newService(backendName string) *recast.Service {
+func newService(backendName string) (*recast.Service, error) {
 	var backend recast.Backend
 	switch backendName {
 	case "fullsim":
 		det := detector.Standard()
 		db := conditions.NewDB()
 		if err := conditions.SeedStandard(db, "prod-v1", 1, 100, 10, 1); err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		backend = &recast.FullSimBackend{Det: det, CondDB: db, Tag: "prod-v1", Run: 1, LuminosityPb: 20000}
 	case "bridge":
 		backend = &bridge.RivetBackend{LuminosityPb: 20000}
 	default:
-		log.Fatalf("unknown backend %q (want fullsim or bridge)", backendName)
+		return nil, fmt.Errorf("unknown backend %q (want fullsim or bridge)", backendName)
 	}
 	svc := recast.NewService(backend)
 	if err := svc.Subscribe(recast.Subscription{
-		Name:   "GPD_2013_DIMUON_HIGHMASS",
+		Name:   analysis,
 		Record: highMassSearch(),
 	}); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return svc
+	return svc, nil
 }
 
-func serve(args []string) {
+func serveCmd(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	backendName := fs.String("backend", "fullsim", "processing back end (fullsim or bridge)")
@@ -138,9 +172,10 @@ func serve(args []string) {
 	tenantBurst := fs.Float64("tenant-burst", 8, "per-tenant burst allowance above the sustained rate")
 	_ = fs.Parse(args)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	svc := newService(*backendName)
+	svc, err := newService(*backendName)
+	if err != nil {
+		return err
+	}
 	srv, err := recast.NewServer(ctx, svc, recast.ServerConfig{
 		JournalDir:  *journalDir,
 		Workers:     *workers,
@@ -150,7 +185,7 @@ func serve(args []string) {
 		AutoApprove: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	srv.Start()
 	log.Printf("RECAST front end on %s (backend %s, %d workers, journal %s)",
@@ -158,30 +193,27 @@ func serve(args []string) {
 	// Once the last in-flight request is answered, srv.Close drains the
 	// worker pool and closes the ledger; accepted-but-unrun work is queued
 	// again from its approved records on the next start.
-	if err := daemon.Serve(ctx, *addr, srv.Handler(), srv.Close); err != nil {
-		log.Fatal(err)
-	}
+	return serve(ctx, *addr, srv.Handler(), srv.Close)
 }
 
-// demo walks R2 and R3 in one process, as the package comment describes.
-// Nothing it prints depends on the clock, so main_test.go pins all of it.
-func demo(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("demo", flag.ExitOnError)
-	events := fs.Int("events", 250, "Monte Carlo statistics")
-	seed := fs.Uint64("seed", 21, "generation seed")
-	_ = fs.Parse(args)
-	model := recast.ModelSpec{Process: "zprime", MassGeV: 1200, Events: *events, Seed: *seed}
-
-	fmt.Fprintln(w, "== full-simulation back end (over HTTP) ==")
+// frontDoor runs models on the named back end through the one front door:
+// a Server without auto-approval, journaling to a throwaway directory,
+// behind a loopback listener. The theorist submits each model, the
+// experiment approves each request, and the theorist polls until every
+// request is done. The requests come back in the models' order.
+func frontDoor(ctx context.Context, backendName, motivation string, models []recast.ModelSpec) ([]*recast.Request, error) {
+	svc, err := newService(backendName)
+	if err != nil {
+		return nil, err
+	}
 	journalDir, err := os.MkdirTemp("", "recast-demo-")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(journalDir)
-	ctx := context.Background()
-	front, err := recast.NewServer(ctx, newService("fullsim"), recast.ServerConfig{JournalDir: journalDir})
+	front, err := recast.NewServer(ctx, svc, recast.ServerConfig{JournalDir: journalDir})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer front.Close()
 	front.Start()
@@ -190,44 +222,61 @@ func demo(w io.Writer, args []string) error {
 
 	theorist := &recast.Client{BaseURL: srv.URL}
 	experiment := &recast.Client{BaseURL: srv.URL, Experiment: true}
-	req, err := theorist.SubmitCtx(ctx, "GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "Z' coupling scan", model)
+	ids := make([]string, len(models))
+	for i, model := range models {
+		req, err := theorist.SubmitCtx(ctx, analysis, "theorist@ippp", motivation, model)
+		if err != nil {
+			return nil, err
+		}
+		if err := experiment.ApproveCtx(ctx, req.ID); err != nil {
+			return nil, err
+		}
+		ids[i] = req.ID
+	}
+	done := make([]*recast.Request, len(ids))
+	for i, id := range ids {
+		req, err := theorist.GetCtx(ctx, id)
+		for err == nil && req.Status == recast.StatusApproved {
+			time.Sleep(5 * time.Millisecond)
+			req, err = theorist.GetCtx(ctx, id)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if req.Status != recast.StatusDone {
+			return nil, fmt.Errorf("request %s ended %s: %s", req.ID, req.Status, req.Reason)
+		}
+		done[i] = req
+	}
+	return done, nil
+}
+
+// demo walks R2 and R3 in one process, as the package comment describes.
+// Nothing it prints depends on the clock, so main_test.go pins all of it.
+func demo(ctx context.Context, args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("demo", flag.ExitOnError)
+	events := fs.Int("events", 250, "Monte Carlo statistics")
+	seed := fs.Uint64("seed", 21, "generation seed")
+	_ = fs.Parse(args)
+	models := []recast.ModelSpec{{Process: "zprime", MassGeV: 1200, Events: *events, Seed: *seed}}
+
+	fmt.Fprintln(w, "== full-simulation back end (over HTTP) ==")
+	full, err := frontDoor(ctx, "fullsim", "Z' coupling scan", models)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "submitted %s; awaiting experiment approval...\n", req.ID)
-	if err := experiment.ApproveCtx(ctx, req.ID); err != nil {
-		return err
-	}
-	full, err := theorist.GetCtx(ctx, req.ID)
-	for err == nil && full.Status == recast.StatusApproved {
-		time.Sleep(5 * time.Millisecond)
-		full, err = theorist.GetCtx(ctx, req.ID)
-	}
-	if err != nil {
-		return err
-	}
-	if full.Status != recast.StatusDone {
-		return fmt.Errorf("request %s ended %s: %s", full.ID, full.Status, full.Reason)
-	}
-	printResult(w, full.Result)
+	fmt.Fprintf(w, "submitted %s; awaiting experiment approval...\n", full[0].ID)
+	printResult(w, full[0].Result)
 
 	fmt.Fprintln(w, "\n== RIVET-bridge back end ==")
-	bridgeSvc := newService("bridge")
-	breq, err := bridgeSvc.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "same model", model)
+	bridged, err := frontDoor(ctx, "bridge", "same model", models)
 	if err != nil {
 		return err
 	}
-	if err := bridgeSvc.Approve(breq.ID); err != nil {
-		return err
-	}
-	bridged, err := bridgeSvc.Process(breq.ID)
-	if err != nil {
-		return err
-	}
-	printResult(w, bridged.Result)
+	printResult(w, bridged[0].Result)
 
 	fmt.Fprintln(w, "\n== tier comparison (experiment R3) ==")
-	agr := bridge.CompareResults(full.Result, bridged.Result)
+	agr := bridge.CompareResults(full[0].Result, bridged[0].Result)
 	fmt.Fprintf(w, "acceptance: fullsim %.3f vs bridge %.3f (Δ = %.1fσ)\n",
 		agr.FullAcceptance, agr.BridgeAcceptance, agr.DeltaSigma)
 	if agr.Discrepant {
@@ -246,7 +295,7 @@ func printResult(w io.Writer, r *recast.Result) {
 
 func highMassSearch() *leshouches.AnalysisRecord {
 	return &leshouches.AnalysisRecord{
-		Name:        "GPD_2013_DIMUON_HIGHMASS",
+		Name:        analysis,
 		Description: "High-mass dimuon resonance search",
 		Objects: []leshouches.ObjectDefinition{
 			{Name: "sig_muon", Type: datamodel.ObjMuon, MinPt: 30, MaxAbsEta: 2.4},

@@ -32,10 +32,7 @@ type RivetBackend struct {
 	LuminosityPb float64
 }
 
-// Name implements recast.Backend.
-func (*RivetBackend) Name() string { return "rivet-bridge" }
-
-// ConfigDigest implements recast.ConfigDigester: the light tier's output
+// ConfigDigest implements recast.Backend: the light tier's output
 // is determined by the model plus luminosity. The trailing "val=[]" is the
 // empty validation set of the deleted validation-analyses option: results
 // journaled under the old digest must still deduplicate.

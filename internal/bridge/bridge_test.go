@@ -155,31 +155,6 @@ func TestBridgeAgreesWithFullSim(t *testing.T) {
 	}
 }
 
-func TestBridgeAsRecastBackend(t *testing.T) {
-	// The bridge drops into the RECAST service unchanged: the
-	// interoperability the conclusions promise.
-	svc := recast.NewService(&RivetBackend{LuminosityPb: 20000})
-	if err := svc.Subscribe(recast.Subscription{
-		Name: "GPD_2013_DIMUON_HIGHMASS", Record: searchRecord(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist", "", model(50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Approve(req.ID); err != nil {
-		t.Fatal(err)
-	}
-	done, err := svc.Process(req.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done.Result.BackEnd != "rivet-bridge" {
-		t.Fatalf("backend: %s", done.Result.BackEnd)
-	}
-}
-
 func TestCompareResultsEdges(t *testing.T) {
 	a := &recast.Result{Generated: 0, Acceptance: 0}
 	agr := CompareResults(a, a)

@@ -156,7 +156,6 @@ func TestSpecChangeInvalidatesFromFirstAffectedStep(t *testing.T) {
 		{"nothing", func(*Tuning) {}},
 		{"workers", func(u *Tuning) { u.Workers = 4 }},
 		{"batch size", func(u *Tuning) { u.Flow.BatchSize = 5 }},
-		{"stage retries", func(u *Tuning) { u.Flow.StageRetries = 3 }},
 	}
 	dir := t.TempDir()
 	first := execute(t, base(), tune, dir, false)

@@ -129,7 +129,7 @@ func TestWriteFailsBelowQuorum(t *testing.T) {
 	if err == nil {
 		t.Fatal("Put acked below write quorum")
 	}
-	if !resilience.IsTransient(err) {
+	if resilience.Classify(err) != resilience.Transient {
 		t.Fatalf("quorum failure should be transient (heals when the partition does): %v", err)
 	}
 }

@@ -35,8 +35,6 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"daspos/internal/resilience"
 )
 
 // Options tunes a pipeline. The zero value selects the defaults.
@@ -45,15 +43,6 @@ type Options struct {
 	// Larger batches amortize channel traffic; smaller ones bound latency
 	// and memory per stage.
 	BatchSize int
-	// StageRetries supervises stage workers: a worker whose function
-	// fails a batch with a transient error (per the internal/resilience
-	// taxonomy) is restarted — fresh per-worker state from the stage's
-	// newFn — and the batch re-applied. The budget is per stage, shared
-	// across its workers; once spent, or on any permanent/unclassified
-	// error, the pipeline fails as usual. Batch ordering is unaffected
-	// because the retried batch keeps its sequence tag. Default 0:
-	// supervision off.
-	StageRetries int
 }
 
 const (
@@ -67,9 +56,8 @@ const (
 // cancellation context, the first error, the goroutine accounting, and the
 // per-stage counters.
 type Pipeline struct {
-	name         string
-	batchSize    int
-	stageRetries int
+	name      string
+	batchSize int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -92,12 +80,11 @@ func New(ctx context.Context, name string, opts Options) *Pipeline {
 	}
 	pctx, cancel := context.WithCancel(ctx)
 	return &Pipeline{
-		name:         name,
-		batchSize:    opts.BatchSize,
-		stageRetries: opts.StageRetries,
-		ctx:          pctx,
-		cancel:       cancel,
-		started:      time.Now(), //daspos:wallclock-ok — pipeline wall-time metric only
+		name:      name,
+		batchSize: opts.BatchSize,
+		ctx:       pctx,
+		cancel:    cancel,
+		started:   time.Now(), //daspos:wallclock-ok — pipeline wall-time metric only
 	}
 }
 
@@ -335,31 +322,13 @@ func mapBatches[In, Out any](s *Stream[In], name string, workers int, newFn func
 		return ob, nil
 	}
 
-	// supervised applies one batch, restarting the worker on transient
-	// failure: the dead worker's function is rebuilt with newFn (fresh
-	// per-worker state) and the batch re-applied under its original
-	// sequence tag, so the retry is invisible to downstream ordering. The
-	// restart budget is stage-wide; exhausting it surfaces the error.
-	supervised := func(worker int, fn *func([]In, []Out) ([]Out, error), b batch[In]) (batch[Out], error) {
-		for {
-			ob, err := apply(*fn, b)
-			if err == nil {
-				return ob, nil
-			}
-			if !resilience.IsTransient(err) || !st.tryRestart(int64(p.stageRetries)) {
-				return batch[Out]{}, err
-			}
-			*fn = newFn(worker)
-		}
-	}
-
 	out := make(chan batch[Out], depth)
 	if workers == 1 {
 		fn := newFn(0)
 		p.spawn(func() error {
 			defer close(out)
 			for b := range s.ch {
-				ob, err := supervised(0, &fn, b)
+				ob, err := apply(fn, b)
 				if err != nil {
 					return err
 				}
@@ -404,12 +373,11 @@ func mapBatches[In, Out any](s *Stream[In], name string, workers int, newFn func
 	var workerWG sync.WaitGroup
 	workerWG.Add(workers)
 	for w := 0; w < workers; w++ {
-		w := w
 		fn := newFn(w)
 		p.spawn(func() error {
 			defer workerWG.Done()
 			for b := range jobs {
-				ob, err := supervised(w, &fn, b)
+				ob, err := apply(fn, b)
 				if err != nil {
 					return err
 				}

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"daspos/internal/resilience"
 )
 
 // intSource returns a source function yielding 0..n-1.
@@ -103,29 +105,41 @@ func TestPerWorkerState(t *testing.T) {
 	}
 }
 
+// TestErrorShortCircuits: the first error a stage returns fails the run,
+// a transient-marked one included — no worker is restarted and no batch
+// applied twice.
 func TestErrorShortCircuits(t *testing.T) {
-	sentinel := errors.New("boom")
-	p := New(context.Background(), "err", Options{BatchSize: 2})
-	s := Source(p, "ints", intSource(10000))
-	m := Map(s, "explode", 3, func(v int) (int, bool, error) {
-		if v == 21 {
-			return 0, false, sentinel
+	for _, sentinel := range []error{
+		errors.New("boom"),
+		resilience.MarkTransient(errors.New("flaky worker")),
+	} {
+		p := New(context.Background(), "err", Options{BatchSize: 2})
+		s := Source(p, "ints", intSource(10000))
+		var failures atomic.Int64
+		m := Map(s, "explode", 3, func(v int) (int, bool, error) {
+			if v == 21 {
+				failures.Add(1)
+				return 0, false, sentinel
+			}
+			return v, true, nil
+		})
+		var seen atomic.Int64
+		Sink(m, "count", func(int) error {
+			seen.Add(1)
+			return nil
+		})
+		err := p.Wait()
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("got %v, want wrapped %v", err, sentinel)
 		}
-		return v, true, nil
-	})
-	var seen atomic.Int64
-	Sink(m, "count", func(int) error {
-		seen.Add(1)
-		return nil
-	})
-	err := p.Wait()
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("got %v, want wrapped sentinel", err)
-	}
-	// The sink must not have consumed the whole stream: the failure
-	// cancelled the pipeline long before the source's 10000 events.
-	if n := seen.Load(); n >= 10000 {
-		t.Fatalf("sink saw all %d events despite failure", n)
+		if n := failures.Load(); n != 1 {
+			t.Fatalf("%v: the failing event was applied %d times, want 1", sentinel, n)
+		}
+		// The sink must not have consumed the whole stream: the failure
+		// cancelled the pipeline long before the source's 10000 events.
+		if n := seen.Load(); n >= 10000 {
+			t.Fatalf("sink saw all %d events despite failure", n)
+		}
 	}
 }
 

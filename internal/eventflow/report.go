@@ -21,8 +21,6 @@ type stageStats struct {
 	inFlight    atomic.Int64
 	maxInFlight atomic.Int64
 
-	restarts atomic.Int64
-
 	// poolHits/poolMisses meter the stage's container recycler: a hit is a
 	// batch served from a drained container returned upstream, a miss is a
 	// fresh allocation. Steady state should be all hits — misses after
@@ -31,21 +29,6 @@ type stageStats struct {
 	// on a cancellation path).
 	poolHits   atomic.Int64
 	poolMisses atomic.Int64
-}
-
-// tryRestart claims one worker restart from the stage's budget, reporting
-// false once the budget is spent. The counter only moves forward, so a
-// burst of concurrent failures can never over-grant.
-func (s *stageStats) tryRestart(budget int64) bool {
-	for {
-		n := s.restarts.Load()
-		if n >= budget {
-			return false
-		}
-		if s.restarts.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
 }
 
 func (p *Pipeline) addStage(name string, workers int) *stageStats {
@@ -88,8 +71,8 @@ type StageReport struct {
 	// (dispatched but not yet emitted in order). Bounded by
 	// Workers + 2, the inter-stage depth: the substrate's memory guarantee.
 	MaxInFlight int64
-	// Restarts counts supervised worker restarts after transient batch
-	// failures (Options.StageRetries).
+	// Restarts is always 0: a stage worker is never restarted, and the
+	// first error of any kind fails the pipeline.
 	Restarts int64
 	// PoolHits and PoolMisses meter the stage's batch-container recycler:
 	// hits are containers reused from the drained-batch pool, misses are
@@ -128,7 +111,6 @@ func (p *Pipeline) Report() Report {
 			Batches:     st.batches.Load(),
 			Busy:        time.Duration(st.busy.Load()),
 			MaxInFlight: st.maxInFlight.Load(),
-			Restarts:    st.restarts.Load(),
 			PoolHits:    st.poolHits.Load(),
 			PoolMisses:  st.poolMisses.Load(),
 		})

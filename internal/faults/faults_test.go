@@ -41,7 +41,7 @@ func TestFailNextSchedule(t *testing.T) {
 		if out.Err == nil {
 			t.Fatalf("scheduled failure %d did not fire", i)
 		}
-		if !resilience.IsTransient(out.Err) {
+		if resilience.Classify(out.Err) != resilience.Transient {
 			t.Fatal("injected fault not marked transient")
 		}
 		if !errors.Is(out.Err, ErrInjected) {

@@ -19,7 +19,7 @@ import (
 // one — a named import would cycle). Instantiated with recast's types,
 // SlowBackend satisfies recast.Backend structurally.
 type ProcessBackend[M, R any] interface {
-	Name() string
+	ConfigDigest() string
 	Process(ctx context.Context, model M, record *leshouches.AnalysisRecord) (R, error)
 }
 
@@ -35,10 +35,6 @@ type SlowBackend[M, R any] struct {
 	Inj   *Injector
 }
 
-// Name forwards the inner chain's name, since the wrapper changes
-// timing, not identity.
-func (s *SlowBackend[M, R]) Name() string { return s.Inner.Name() }
-
 // Process runs the inner back end behind injected faults.
 func (s *SlowBackend[M, R]) Process(ctx context.Context, model M, record *leshouches.AnalysisRecord) (R, error) {
 	out := s.Inj.Decide("process")
@@ -53,15 +49,10 @@ func (s *SlowBackend[M, R]) Process(ctx context.Context, model M, record *leshou
 	return s.Inner.Process(ctx, model, record)
 }
 
-// ConfigDigest forwards the inner chain's configuration digest when it has
-// one: injected faults change timing, never physics, so a slow back-end
-// must not split the dedup key space.
-func (s *SlowBackend[M, R]) ConfigDigest() string {
-	if d, ok := s.Inner.(interface{ ConfigDigest() string }); ok {
-		return d.ConfigDigest()
-	}
-	return ""
-}
+// ConfigDigest forwards the inner chain's configuration digest: injected
+// faults change timing, never physics, so a slow back end must not split
+// the dedup key space.
+func (s *SlowBackend[M, R]) ConfigDigest() string { return s.Inner.ConfigDigest() }
 
 // WithLatencyRange imposes a uniformly drawn delay in [min, max] on every
 // operation — the long-tail service-time model that

@@ -24,8 +24,6 @@ func (c *countingBackend) Process(ctx context.Context, model tmodel, record *les
 	return &tresult{Generated: model.Events}, nil
 }
 
-func (c *countingBackend) Name() string { return "counting" }
-
 func (c *countingBackend) ConfigDigest() string { return "counting-v1" }
 
 func TestSlowBackendInjectsLatencyAndFaults(t *testing.T) {

@@ -36,7 +36,7 @@ func TestPartitionAndHeal(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("partition error does not wrap ErrInjected: %v", err)
 	}
-	if !resilience.IsTransient(err) {
+	if resilience.Classify(err) != resilience.Transient {
 		t.Fatalf("partition error not transient: %v", err)
 	}
 

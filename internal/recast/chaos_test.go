@@ -33,7 +33,7 @@ type flakyStub struct {
 	calls int
 }
 
-func (s *flakyStub) Name() string { return "stub" }
+func (s *flakyStub) ConfigDigest() string { return "stub" }
 
 func (s *flakyStub) Process(_ context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
 	s.mu.Lock()
@@ -74,15 +74,17 @@ func fastPolicy() resilience.Policy {
 	return pol
 }
 
+// submitApproved files n requests for the valid model with svc, whose
+// journal is open, and approves each.
 func submitApproved(t testing.TB, svc *Service, n int) []string {
 	t.Helper()
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", fmt.Sprintf("theorist-%d", i), "", validModel())
+		req, err := svc.submit("GPD_2013_DIMUON_HIGHMASS", fmt.Sprintf("theorist-%d", i), "", validModel(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.Approve(req.ID); err != nil {
+		if _, err := svc.accept(req.ID, 0); err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, req.ID)
@@ -112,18 +114,19 @@ func submitAccepted(t *testing.T, srv *Server, n int) []string {
 }
 
 // unbreakable keeps the circuit breaker out of a drill that is about the
-// retry schedule: it gates svc's back end behind a breaker that never
-// opens, and NewServer keeps a gate it finds.
-func unbreakable(svc *Service) *Service {
-	svc.backend = &GatedBackend{Inner: svc.backend, Breaker: resilience.NewBreaker(resilience.BreakerConfig{FailureThreshold: 1 << 30})}
-	return svc
+// retry schedule: it swaps the breaker of srv, not yet started, for one
+// that never opens, both in its gate and in its degraded signal.
+func unbreakable(srv *Server) *Server {
+	srv.breaker = resilience.NewBreaker(resilience.BreakerConfig{FailureThreshold: 1 << 30})
+	srv.svc.backend.(*gatedBackend).breaker = srv.breaker
+	return srv
 }
 
 func TestChaosQueueEveryRequestReachesTerminalState(t *testing.T) {
 	const requests = 40
 	inj := faults.NewInjector(0x5EC457).WithErrorRate(0.3)
 	svc, _ := newStubService(t, inj)
-	srv := serveService(t, unbreakable(svc), ServerConfig{Workers: 4, AutoApprove: true})
+	srv := unbreakable(serveService(t, svc, ServerConfig{Workers: 4, AutoApprove: true}))
 	ids := submitAccepted(t, srv, requests)
 	srv.Start()
 	for _, id := range ids {
@@ -177,11 +180,11 @@ func TestRetryRecoversScheduledFaults(t *testing.T) {
 	// and the request records the whole history.
 	inj := faults.NewInjector(1)
 	svc, _ := newStubService(t, inj)
-	id := submitApproved(t, svc, 1)[0]
+	id := submitApproved(t, ledger(t, svc), 1)[0]
 	pol := fastPolicy()
 	inj.FailNext("process", pol.MaxAttempts-1)
 
-	req, err := svc.ProcessWithPolicy(context.Background(), id, pol)
+	req, err := svc.processWithPolicy(context.Background(), id, pol)
 	if err != nil {
 		t.Fatalf("request should have recovered: %v", err)
 	}
@@ -204,14 +207,14 @@ func TestPermanentErrorDeadLettersFirstStrike(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	req, err := svc.Submit("A", "r", "", validModel())
+	req, err := ledger(t, svc).submit("A", "r", "", validModel(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Approve(req.ID); err != nil {
+	if _, err := svc.accept(req.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := svc.ProcessWithPolicy(context.Background(), req.ID, fastPolicy())
+	got, err := svc.processWithPolicy(context.Background(), req.ID, fastPolicy())
 	if err == nil {
 		t.Fatal("permanent failure reported success")
 	}
@@ -226,7 +229,7 @@ func TestPermanentErrorDeadLettersFirstStrike(t *testing.T) {
 
 type permanentBackend struct{}
 
-func (permanentBackend) Name() string { return "perm" }
+func (permanentBackend) ConfigDigest() string { return "perm" }
 func (permanentBackend) Process(context.Context, ModelSpec, *leshouches.AnalysisRecord) (*Result, error) {
 	return nil, resilience.MarkPermanent(errors.New("model outside preserved phase space"))
 }
@@ -286,7 +289,7 @@ type blockingBackend struct {
 	started int
 }
 
-func (b *blockingBackend) Name() string { return "blocking" }
+func (b *blockingBackend) ConfigDigest() string { return "blocking" }
 
 func (b *blockingBackend) Process(context.Context, ModelSpec, *leshouches.AnalysisRecord) (*Result, error) {
 	b.mu.Lock()
@@ -312,22 +315,22 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	inj := faults.NewInjector(3)
 	svc, _ := newStubService(t, inj)
 	cfg := ServerConfig{JournalDir: t.TempDir(), AutoApprove: true}
-	srv := serveService(t, unbreakable(svc), cfg)
+	srv := unbreakable(serveService(t, svc, cfg))
 	ids := submitAccepted(t, srv, 5)
 	// Two complete, one dead-letters, two stay in flight — then the
 	// process "crashes" with the ledger as the only survivor.
-	if _, err := svc.Process(ids[0]); err != nil {
+	if _, err := runOnce(svc, ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Process(ids[1]); err != nil {
+	if _, err := runOnce(svc, ids[1]); err != nil {
 		t.Fatal(err)
 	}
 	inj.FailNext("process", 10)
-	if _, err := svc.ProcessWithPolicy(context.Background(), ids[2], fastPolicy()); err == nil {
+	if _, err := svc.processWithPolicy(context.Background(), ids[2], fastPolicy()); err == nil {
 		t.Fatal("expected dead letter")
 	}
-	if err := svc.JournalErr(); err != nil {
-		t.Fatal(err)
+	if !srv.Status().JournalOK {
+		t.Fatal("the request journal failed a write")
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -377,7 +380,7 @@ func TestJournalRecoversInFlightWorkAfterCrash(t *testing.T) {
 	}
 
 	// New submissions do not collide with replayed IDs.
-	fresh, err := restored.Submit("GPD_2013_DIMUON_HIGHMASS", "r", "", validModel())
+	fresh, err := restored.submit("GPD_2013_DIMUON_HIGHMASS", "r", "", validModel(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,41 +406,12 @@ func TestReplayJournalRejectsMidStreamCorruption(t *testing.T) {
 	}
 }
 
-func BenchmarkRecastRetryOverhead(b *testing.B) {
-	// Cost of the retry wrapper on the happy path: Process vs
-	// ProcessWithPolicy with a back end that never fails.
-	setup := func(b *testing.B, n int) (*Service, []string) {
-		svc, _ := newStubService(b, nil)
-		return svc, submitApproved(b, svc, n)
-	}
-	b.Run("process-direct", func(b *testing.B) {
-		svc, ids := setup(b, b.N)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := svc.Process(ids[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("process-with-policy", func(b *testing.B) {
-		svc, ids := setup(b, b.N)
-		pol := DefaultQueuePolicy()
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := svc.ProcessWithPolicy(ctx, ids[i], pol); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func TestReplayJournalDropsTornFinalRecord(t *testing.T) {
 	svc, _ := newStubService(t, nil)
 	cfg := ServerConfig{JournalDir: t.TempDir(), AutoApprove: true}
 	srv := serveService(t, svc, cfg)
 	ids := submitAccepted(t, srv, 3)
-	if _, err := svc.Process(ids[0]); err != nil {
+	if _, err := runOnce(svc, ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {

@@ -48,17 +48,17 @@ func TestDedupKeyCanonical(t *testing.T) {
 
 func TestCompleteFromArchive(t *testing.T) {
 	svc, stub := newStubService(t, nil)
-	ids := submitApproved(t, svc, 2)
+	ids := submitApproved(t, ledger(t, svc), 2)
 	primary, follower := ids[0], ids[1]
 
 	// The primary must be done first.
-	if _, err := svc.CompleteFromArchive(follower, primary); err == nil {
+	if _, err := svc.completeFromArchive(follower, primary); err == nil {
 		t.Fatal("archive completion accepted an unfinished primary")
 	}
-	if _, err := svc.Process(primary); err != nil {
+	if _, err := runOnce(svc, primary); err != nil {
 		t.Fatal(err)
 	}
-	got, err := svc.CompleteFromArchive(follower, primary)
+	got, err := svc.completeFromArchive(follower, primary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestCompleteFromArchive(t *testing.T) {
 
 func TestExpireDeadLettersApprovedOnly(t *testing.T) {
 	svc, stub := newStubService(t, nil)
-	id := submitApproved(t, svc, 1)[0]
-	if err := svc.Expire(id, ""); err != nil {
+	id := submitApproved(t, ledger(t, svc), 1)[0]
+	if err := svc.expire(id, "deadline expired in queue"); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := svc.Get(id)
@@ -93,19 +93,19 @@ func TestExpireDeadLettersApprovedOnly(t *testing.T) {
 		t.Fatal("expiry ran the backend")
 	}
 	// Terminal states cannot expire.
-	if err := svc.Expire(id, "again"); err == nil {
+	if err := svc.expire(id, "again"); err == nil {
 		t.Fatal("expired a failed request")
 	}
 }
 
 func TestBackendHonorsContext(t *testing.T) {
 	svc, _ := newStubService(t, nil)
-	id := submitApproved(t, svc, 1)[0]
+	id := submitApproved(t, ledger(t, svc), 1)[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// A dead context reaching ProcessWithPolicy must leave the request
+	// A dead context reaching processWithPolicy must leave the request
 	// approved (in flight) so recovery can re-run it.
-	if _, err := svc.ProcessWithPolicy(ctx, id, fastPolicy()); err == nil {
+	if _, err := svc.processWithPolicy(ctx, id, fastPolicy()); err == nil {
 		t.Fatal("cancelled processing reported success")
 	}
 	got, _ := svc.Get(id)
@@ -122,8 +122,6 @@ type chainStub struct {
 	digest string
 	calls  atomic.Int64
 }
-
-func (s *chainStub) Name() string { return s.name }
 
 func (s *chainStub) ConfigDigest() string {
 	if s.digest != "" {

@@ -16,9 +16,7 @@ import (
 // state of the package: what the scheduler owes is read off the same
 // records. Replay is last-write-wins per request ID. Subscriptions are
 // code-backed (the experiment re-registers its preserved analyses at
-// startup), so only requests serialize. A Service that no Server opened a
-// journal for keeps its ledger in memory only — the in-process demo, scan
-// and back-end tests.
+// startup), so only requests serialize.
 
 // record is one line of requests.log and the ledger's unit in memory: the
 // request as its requester sees it, wrapped with what the scheduler must
@@ -57,13 +55,13 @@ func (q *queueState) edit() *queueState {
 	return &cp
 }
 
-// openJournal recovers the request ledger from dir into an empty service
-// and journals every later mutation there.
+// openJournal recovers the request ledger from dir into a service no
+// Server has opened yet, and journals every later mutation there.
 func (s *Service) openJournal(dir string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.requests) > 0 {
-		return fmt.Errorf("recast: service already holds %d requests", len(s.requests))
+	if s.journal != nil {
+		return fmt.Errorf("recast: service already belongs to a server")
 	}
 	j, err := journal.Open(filepath.Join(dir, "requests.log"), s.replayLocked)
 	if err != nil {
@@ -74,7 +72,7 @@ func (s *Service) openJournal(dir string) error {
 		return err
 	}
 	s.journal, s.journalErr = j, nil
-	s.chainDigest = configDigest(s.backend)
+	s.chainDigest = s.backend.ConfigDigest()
 	return nil
 }
 
@@ -139,9 +137,6 @@ func (s *Service) closeJournal() error {
 	s.mu.Lock()
 	j := s.journal
 	s.mu.Unlock()
-	if j == nil {
-		return nil
-	}
 	return j.Close()
 }
 
@@ -149,13 +144,11 @@ func (s *Service) closeJournal() error {
 // installs it — the ledger never acknowledges what is not on disk. Callers
 // hold s.mu and pass a snapshot nothing else references.
 func (s *Service) commitLocked(next *record) error {
-	if s.journal != nil {
-		if err := s.journal.Append(next); err != nil {
-			if s.journalErr == nil {
-				s.journalErr = err
-			}
-			return fmt.Errorf("%w: %w", ErrJournal, err)
+	if err := s.journal.Append(next); err != nil {
+		if s.journalErr == nil {
+			s.journalErr = err
 		}
+		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	s.installLocked(next)
 	return nil
@@ -187,14 +180,6 @@ func (s *Service) records() []*record {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// JournalErr returns the first request-journal write failure, if any —
-// what turns ServerStatus.JournalOK false.
-func (s *Service) JournalErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalErr
 }
 
 // parseRequestID extracts the sequence number from "req-NNNNNN".

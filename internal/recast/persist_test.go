@@ -24,12 +24,12 @@ func TestLedgerRoundTrip(t *testing.T) {
 	rejected := &Request{ID: "req-000001"}
 	svc := newFullSimService(t)
 	srv := serveService(t, svc, cfg)
-	done, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "a", "", validModel())
-	_ = svc.Approve(done.ID)
-	if _, err := svc.Process(done.ID); err != nil {
+	done, _ := svc.submit("GPD_2013_DIMUON_HIGHMASS", "a", "", validModel(), 0)
+	_, _ = svc.accept(done.ID, 0)
+	if _, err := runOnce(svc, done.ID); err != nil {
 		t.Fatal(err)
 	}
-	pending, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "c", "", validModel())
+	pending, _ := svc.submit("GPD_2013_DIMUON_HIGHMASS", "c", "", validModel(), 0)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +47,10 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatalf("rejected request after restart: %+v", gotRej)
 	}
 	// The pending request can continue its lifecycle.
-	if err := restarted.Approve(pending.ID); err != nil {
+	if _, err := restarted.accept(pending.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	finished, err := restarted.Process(pending.ID)
+	finished, err := runOnce(restarted, pending.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatalf("resumed request: %+v", finished)
 	}
 	// New submissions continue the ID sequence, no collisions.
-	fresh, err := restarted.Submit("GPD_2013_DIMUON_HIGHMASS", "d", "", validModel())
+	fresh, err := restarted.submit("GPD_2013_DIMUON_HIGHMASS", "d", "", validModel(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLedgerRoundTrip(t *testing.T) {
 
 // TestRequestJournalReplayValidation pins what replay refuses: a record
 // without an ID or with a status the state machine does not know, and a
-// service that already holds requests. A repeated ID is not an error —
+// service a Server already opened. A repeated ID is not an error —
 // the journal is a stream of snapshots and the last one wins.
 func TestRequestJournalReplayValidation(t *testing.T) {
 	open := func(log string) (*Service, error) {
@@ -97,9 +97,9 @@ func TestRequestJournalReplayValidation(t *testing.T) {
 	if got := svc.records(); len(got) != 1 || got[0].Status != StatusRejected {
 		t.Fatalf("last snapshot did not win: %+v", got)
 	}
-	// A service that already holds requests refuses a second ledger.
+	// A service belongs to one server: it refuses a second ledger.
 	if _, err := NewServer(context.Background(), svc, ServerConfig{JournalDir: t.TempDir()}); err == nil {
-		t.Fatal("ledger opened into a non-empty service")
+		t.Fatal("a second ledger opened into a service a server holds")
 	}
 }
 

@@ -58,8 +58,9 @@ func newPQueue() *pqueue {
 // each done snapshot's journaled key as it replays.
 //
 // An approved request with no sequence number — accepted by a commit that
-// died before it queued it, or approved through Service.Approve — is owed
-// all the same, and queues ahead of its tenant's sequenced work.
+// died before it queued it, or approved through an in-process door an
+// earlier build had — is owed all the same, and queues ahead of its
+// tenant's sequenced work.
 func restoreQueue(ledger []*record) *pqueue {
 	q := newPQueue()
 	for _, rec := range ledger {

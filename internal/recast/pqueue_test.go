@@ -145,7 +145,7 @@ func TestPQueueIdempotence(t *testing.T) {
 		t.Fatalf("queued = %d after a repeated approval, want 1", st.Queued)
 	}
 	runQueued(srv)
-	if err := srv.svc.Expire(req.ID, ""); err == nil {
+	if err := srv.svc.expire(req.ID, "deadline expired in queue"); err == nil {
 		t.Fatal("a done request expired")
 	}
 	if w := postApprove(h, req.ID); w.Code != http.StatusConflict {

@@ -171,30 +171,15 @@ type Subscription struct {
 
 // Backend runs an approved request against a preserved analysis.
 type Backend interface {
-	// Name labels results with the processing tier.
-	Name() string
+	// ConfigDigest is everything beyond the model that determines the
+	// back end's output — the preserved chain configuration, calibration,
+	// luminosity. It joins the dedup key, so two requests only coalesce
+	// when they would run the *same* computation.
+	ConfigDigest() string
 	// Process generates the model and applies the preserved analysis. The
 	// context carries the request's propagated deadline: a back end should
 	// abandon work promptly once the requester can no longer receive it.
 	Process(ctx context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error)
-}
-
-// ConfigDigester is optionally implemented by back ends whose processing
-// depends on configuration beyond the model — the preserved chain
-// configuration, calibration tag, luminosity. The digest joins the dedup
-// key so two requests only coalesce when they would run the *same*
-// computation.
-type ConfigDigester interface {
-	ConfigDigest() string
-}
-
-// configDigest is the digest b's dedup keys carry; a back end without one
-// dedups on its name alone.
-func configDigest(b Backend) string {
-	if d, ok := b.(ConfigDigester); ok {
-		return d.ConfigDigest()
-	}
-	return b.Name()
 }
 
 // DedupKey derives the memoization key for a request: two requests with
@@ -245,18 +230,22 @@ var (
 	ErrJournal = errors.New("recast: request journal write failed")
 )
 
-// Service is the front-end state machine. Safe for concurrent use.
+// Service is the request ledger of the one Server it is handed to: the
+// state machine every request moves through, its journal and the
+// memoization index. Outside this package it is built, subscribed and
+// given to NewServer; Get reads a request without the HTTP hop. Safe for
+// concurrent use.
 type Service struct {
 	mu      sync.Mutex
 	backend Backend
-	// LuminosityPb scales limits; exposed on results via the backend.
+	// subs holds the subscribed analyses by name.
 	subs     map[string]Subscription
 	requests map[string]*record
 	nextID   int
 	// archive maps a dedup key to the ID of the finished back-end run whose
 	// result answers any identical request (see installLocked).
 	archive map[string]string
-	// journal, once a Server opened it, records every request mutation
+	// journal, opened by the Server, records every request mutation
 	// before it is applied (see persist.go); journalErr keeps the first
 	// write failure. chainDigest, taken with it, is the back end's
 	// configuration digest — the part of every dedup key that says which
@@ -294,13 +283,9 @@ func (s *Service) Subscribe(sub Subscription) error {
 	return nil
 }
 
-// Submit files a new request against a subscribed analysis.
-func (s *Service) Submit(analysis, requester, motivation string, model ModelSpec) (*Request, error) {
-	return s.submit(analysis, requester, motivation, model, 0)
-}
-
-// submit is Submit for a requester who stops waiting at deadlineUnixMs
-// (0: never); the deadline is journaled with the request.
+// submit files a new request against a subscribed analysis, for a
+// requester who stops waiting at deadlineUnixMs (0: never); the deadline
+// is journaled with the request.
 func (s *Service) submit(analysis, requester, motivation string, model ModelSpec, deadlineUnixMs int64) (*Request, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -342,16 +327,11 @@ func (s *Service) Get(id string) (*Request, error) {
 	return cloneRequest(&req.Request), nil
 }
 
-// Approve moves a submitted request to approved — the experiment's
+// accept moves a submitted request to approved — the experiment's
 // "complete control over which analyses were allowed to become public".
-func (s *Service) Approve(id string) error {
-	_, err := s.transition(id, StatusSubmitted, StatusApproved, "", 0)
-	return err
-}
-
-// accept is Approve behind the front door: the approved snapshot also
-// carries seq, the request's place in the queue, so that approving and
-// queueing are one durable append. It returns that snapshot.
+// The approved snapshot also carries seq, the request's place in the
+// queue, so that approving and queueing are one durable append. It
+// returns that snapshot.
 func (s *Service) accept(id string, seq uint64) (*record, error) {
 	return s.transition(id, StatusSubmitted, StatusApproved, "", seq)
 }
@@ -389,8 +369,7 @@ func gateError(err error) bool {
 
 // processOnce runs one back-end attempt for an approved request and
 // appends it to the request's attempt history — without deciding the
-// request's fate. The caller (Process for one-shot, ProcessWithPolicy for
-// retried) owns the terminal transition.
+// request's fate. processWithPolicy owns the terminal transition.
 func (s *Service) processOnce(ctx context.Context, id string) (*Result, error) {
 	s.mu.Lock()
 	req, ok := s.requests[id]
@@ -438,11 +417,9 @@ func (s *Service) finish(id string, res *Result, err error) (*Request, error) {
 		next.Status, next.Reason = StatusFailed, err.Error()
 	} else {
 		next.Status, next.Result = StatusDone, res
-		if s.chainDigest != "" {
-			// The one place a dedup key is written: by the chain that ran.
-			next.Queue = req.Queue.edit()
-			next.Queue.DedupKey = DedupKey(next.Analysis, next.Model, s.chainDigest)
-		}
+		// The one place a dedup key is written: by the chain that ran.
+		next.Queue = req.Queue.edit()
+		next.Queue.DedupKey = DedupKey(next.Analysis, next.Model, s.chainDigest)
 	}
 	if jerr := s.commitLocked(&next); jerr != nil {
 		return nil, jerr
@@ -450,25 +427,13 @@ func (s *Service) finish(id string, res *Result, err error) (*Request, error) {
 	return cloneRequest(&next.Request), err
 }
 
-// Process runs the back end once for an approved request and stores the
-// result; any failure is terminal. Processing is synchronous — the
-// in-process path of the demo and the mass scan; the Server's workers
-// run ProcessWithPolicy.
-func (s *Service) Process(id string) (*Request, error) {
-	res, err := s.processOnce(context.Background(), id)
-	if err != nil && gateError(err) {
-		return nil, err
-	}
-	return s.finish(id, res, err)
-}
-
-// ProcessWithPolicy runs the back end for an approved request under a
+// processWithPolicy runs the back end for an approved request under a
 // retry policy: transient failures back off and retry, and only
 // exhaustion (or a permanent/unclassified error) dead-letters the request
 // to StatusFailed with its attempt history attached. Context cancellation
 // leaves the request approved — in flight — so a journal replay after a
 // crash or shutdown can recover and re-enqueue it.
-func (s *Service) ProcessWithPolicy(ctx context.Context, id string, pol resilience.Policy) (*Request, error) {
+func (s *Service) processWithPolicy(ctx context.Context, id string, pol resilience.Policy) (*Request, error) {
 	var res *Result
 	err := resilience.Retry(ctx, pol, func(actx context.Context) error {
 		r, rerr := s.processOnce(actx, id)
@@ -494,12 +459,12 @@ func (s *Service) ProcessWithPolicy(ctx context.Context, id string, pol resilien
 	return s.finish(id, res, err)
 }
 
-// CompleteFromArchive finishes an approved request with the archived
+// completeFromArchive finishes an approved request with the archived
 // result of an identical, already-done primary request — the dedup hit
 // path. The follower's result is a copy of the primary's, and DedupOf
 // records the provenance so the audit trail shows no back-end run
 // happened.
-func (s *Service) CompleteFromArchive(id, primaryID string) (*Request, error) {
+func (s *Service) completeFromArchive(id, primaryID string) (*Request, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	req, ok := s.requests[id]
@@ -550,13 +515,10 @@ func (s *Service) answers(analysis string, model ModelSpec) bool {
 	return ok
 }
 
-// Expire dead-letters an approved request whose deadline passed before a
+// expire dead-letters an approved request whose deadline passed before a
 // worker could serve it — dropped at the queue, not failed by the back
 // end. The distinct reason keeps shed-by-deadline visible in audits.
-func (s *Service) Expire(id, reason string) error {
-	if reason == "" {
-		reason = "deadline expired before processing"
-	}
+func (s *Service) expire(id, reason string) error {
 	_, err := s.transition(id, StatusApproved, StatusFailed, reason, 0)
 	return err
 }
@@ -593,10 +555,10 @@ type FullSimBackend struct {
 	Workers int
 }
 
-// Name implements Backend.
+// Name labels the tier: it is the BackEnd of every result.
 func (*FullSimBackend) Name() string { return "fullsim" }
 
-// ConfigDigest implements ConfigDigester: everything beyond the model that
+// ConfigDigest implements Backend: everything beyond the model that
 // determines the chain's output — geometry, reconstruction settings, the
 // content of the calibration resolved under Tag and Run (two databases can
 // publish different constants under one tag) and luminosity — through the
@@ -692,7 +654,7 @@ func (b *FullSimBackend) Process(ctx context.Context, model ModelSpec, record *l
 	if err != nil {
 		return nil, fmt.Errorf("recast: fullsim chain: %w", err)
 	}
-	return NewResult("fullsim", record, flow, model, b.LuminosityPb), nil
+	return NewResult(b.Name(), record, flow, model, b.LuminosityPb), nil
 }
 
 // reconstructorFor returns the part of rec's chain the selection reads: its
@@ -704,39 +666,4 @@ func reconstructorFor(rec *reco.Reconstructor, selection *leshouches.Evaluator) 
 		return rec.ReconstructMuons
 	}
 	return rec.Reconstruct
-}
-
-// ScanPoint is one row of a parameter scan.
-type ScanPoint struct {
-	MassGeV float64 `json:"mass_gev"`
-	Result  *Result `json:"result"`
-}
-
-// MassScan walks a subscribed analysis over model masses through the full
-// request lifecycle (submit → approve → process), returning one point per
-// mass — the theorist's parameter-plane scan, with each point individually
-// approved by the experiment as the closed system requires. The scan stops
-// at the first error.
-func MassScan(svc *Service, analysis, requester string, base ModelSpec, masses []float64) ([]ScanPoint, error) {
-	out := make([]ScanPoint, 0, len(masses))
-	for i, m := range masses {
-		model := base
-		model.MassGeV = m
-		// Each point gets an independent stream derived from the base
-		// seed, so neighbouring points do not share statistical wiggles.
-		model.Seed = base.Seed + uint64(i)*0x9e3779b9
-		req, err := svc.Submit(analysis, requester, "parameter scan", model)
-		if err != nil {
-			return out, err
-		}
-		if err := svc.Approve(req.ID); err != nil {
-			return out, err
-		}
-		done, err := svc.Process(req.ID)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ScanPoint{MassGeV: m, Result: done.Result})
-	}
-	return out, nil
 }

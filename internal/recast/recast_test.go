@@ -15,6 +15,7 @@ import (
 	"daspos/internal/datamodel"
 	"daspos/internal/detector"
 	"daspos/internal/leshouches"
+	"daspos/internal/resilience"
 )
 
 // highMassSearch is the preserved analysis the experiment subscribes.
@@ -57,6 +58,40 @@ func newFullSimService(t testing.TB) *Service {
 	return svc
 }
 
+// ledger opens svc's request journal in a fresh directory, as NewServer
+// does, for a test that drives the state machine without a Server.
+func ledger(t testing.TB, svc *Service) *Service {
+	t.Helper()
+	if err := svc.openJournal(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.closeJournal() })
+	return svc
+}
+
+// runOnce takes an approved request through one back-end attempt to its
+// end, as a worker under a one-attempt policy would.
+func runOnce(svc *Service, id string) (*Request, error) {
+	return svc.processWithPolicy(context.Background(), id, resilience.Policy{MaxAttempts: 1})
+}
+
+// runModel submits model to svc, approves it and runs it once.
+func runModel(t testing.TB, svc *Service, model ModelSpec) *Result {
+	t.Helper()
+	req, err := svc.submit("GPD_2013_DIMUON_HIGHMASS", "x", "", model, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.accept(req.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	done, err := runOnce(svc, req.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done.Result
+}
+
 func validModel() ModelSpec {
 	return ModelSpec{Process: "zprime", MassGeV: 1000, Events: 40, Seed: 7}
 }
@@ -92,8 +127,8 @@ func TestSubscriptionRules(t *testing.T) {
 }
 
 func TestLifecycle(t *testing.T) {
-	svc := newFullSimService(t)
-	req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "test Z' coupling", validModel())
+	svc := ledger(t, newFullSimService(t))
+	req, err := svc.submit("GPD_2013_DIMUON_HIGHMASS", "theorist@ippp", "test Z' coupling", validModel(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,17 +136,17 @@ func TestLifecycle(t *testing.T) {
 		t.Fatalf("submitted: %+v", req)
 	}
 	// Cannot process before approval.
-	if _, err := svc.Process(req.ID); err == nil {
+	if _, err := runOnce(svc, req.ID); err == nil {
 		t.Fatal("unapproved request processed")
 	}
-	if err := svc.Approve(req.ID); err != nil {
+	if _, err := svc.accept(req.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Cannot approve twice.
-	if err := svc.Approve(req.ID); err == nil {
+	if _, err := svc.accept(req.ID, 0); err == nil {
 		t.Fatal("double approval accepted")
 	}
-	done, err := svc.Process(req.ID)
+	done, err := runOnce(svc, req.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,25 +183,25 @@ func TestRejection(t *testing.T) {
 	if got.Status != StatusRejected || got.Reason == "" {
 		t.Fatalf("rejected: %+v", got)
 	}
-	if _, err := svc.Process(got.ID); err == nil {
+	if _, err := runOnce(svc, got.ID); err == nil {
 		t.Fatal("rejected request processed")
 	}
-	if err := svc.Approve(got.ID); !errors.Is(err, ErrWrongState) {
+	if _, err := svc.accept(got.ID, 0); !errors.Is(err, ErrWrongState) {
 		t.Fatalf("approving a rejected request: %v, want ErrWrongState", err)
 	}
 }
 
 func TestSubmitValidation(t *testing.T) {
-	svc := newFullSimService(t)
-	if _, err := svc.Submit("UNKNOWN", "x", "", validModel()); err == nil {
+	svc := ledger(t, newFullSimService(t))
+	if _, err := svc.submit("UNKNOWN", "x", "", validModel(), 0); err == nil {
 		t.Fatal("unsubscribed analysis accepted")
 	}
-	if _, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "", "", validModel()); err == nil {
+	if _, err := svc.submit("GPD_2013_DIMUON_HIGHMASS", "", "", validModel(), 0); err == nil {
 		t.Fatal("anonymous request accepted")
 	}
 	bad := validModel()
 	bad.MassGeV = 1
-	if _, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", bad); err == nil {
+	if _, err := svc.submit("GPD_2013_DIMUON_HIGHMASS", "x", "", bad, 0); err == nil {
 		t.Fatal("invalid model accepted")
 	}
 	if _, err := svc.Get("req-999999"); err == nil {
@@ -177,23 +212,12 @@ func TestSubmitValidation(t *testing.T) {
 func TestFullSimAcceptanceScalesWithMass(t *testing.T) {
 	// A heavier Z' produces harder muons: acceptance of the high-mass
 	// selection must rise steeply from below threshold to above it.
-	svc := newFullSimService(t)
+	svc := ledger(t, newFullSimService(t))
 	acceptance := func(mass float64) float64 {
 		m := validModel()
 		m.MassGeV = mass
 		m.Events = 60
-		req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Approve(req.ID); err != nil {
-			t.Fatal(err)
-		}
-		done, err := svc.Process(req.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done.Result.Acceptance
+		return runModel(t, svc, m).Acceptance
 	}
 	low := acceptance(200) // below the 400 GeV mass cut
 	high := acceptance(1500)
@@ -356,14 +380,7 @@ func TestQueueProcessesApprovedRequests(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	run := func() *Result {
-		svc := newFullSimService(t)
-		req, _ := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", validModel())
-		_ = svc.Approve(req.ID)
-		done, err := svc.Process(req.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done.Result
+		return runModel(t, ledger(t, newFullSimService(t)), validModel())
 	}
 	a, b := run(), run()
 	if a.Selected != b.Selected || a.Acceptance != b.Acceptance {
@@ -372,21 +389,12 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func BenchmarkFullSimRequest(b *testing.B) {
-	svc := newFullSimService(b)
+	svc := ledger(b, newFullSimService(b))
 	for i := 0; i < b.N; i++ {
 		m := validModel()
 		m.Events = 10
 		m.Seed = uint64(i)
-		req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := svc.Approve(req.ID); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := svc.Process(req.ID); err != nil {
-			b.Fatal(err)
-		}
+		runModel(b, svc, m)
 	}
 }
 
@@ -415,24 +423,13 @@ func BenchmarkFullSimProcess(b *testing.B) {
 }
 
 func TestExclusionVerdict(t *testing.T) {
-	svc := newFullSimService(t)
+	svc := ledger(t, newFullSimService(t))
 	// A huge predicted cross section must be excluded; a tiny one must not.
 	verdict := func(xsecPb float64) *Result {
 		m := validModel()
 		m.Events = 50
 		m.CrossSectionPb = xsecPb
-		req, err := svc.Submit("GPD_2013_DIMUON_HIGHMASS", "x", "", m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Approve(req.ID); err != nil {
-			t.Fatal(err)
-		}
-		done, err := svc.Process(req.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return done.Result
+		return runModel(t, svc, m)
 	}
 	big := verdict(1.0) // 1 pb at 20/fb -> thousands of predicted events
 	if !big.Excluded || big.PredictedEvents <= big.UpperLimitEvents {
@@ -446,27 +443,5 @@ func TestExclusionVerdict(t *testing.T) {
 	none := verdict(0)
 	if none.Excluded || none.PredictedEvents != 0 {
 		t.Fatalf("verdict without cross section: %+v", none)
-	}
-}
-
-func TestMassScan(t *testing.T) {
-	svc := newFullSimService(t)
-	base := validModel()
-	base.Events = 30
-	points, err := MassScan(svc, "GPD_2013_DIMUON_HIGHMASS", "theorist", base, []float64{200, 800, 1500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points: %d", len(points))
-	}
-	// Acceptance must rise across the 400 GeV mass cut.
-	if points[2].Result.Acceptance <= points[0].Result.Acceptance {
-		t.Fatalf("acceptance not rising with mass: %v -> %v",
-			points[0].Result.Acceptance, points[2].Result.Acceptance)
-	}
-	// A scan against an unsubscribed analysis fails fast.
-	if _, err := MassScan(svc, "GHOST", "x", base, []float64{500}); err == nil {
-		t.Fatal("scan of unsubscribed analysis succeeded")
 	}
 }

@@ -124,9 +124,9 @@ type TenantStatus struct {
 const BudgetHeader = "X-Recast-Budget-Ms"
 
 // NewServer builds the front door over a prepared Service (subscriptions
-// registered, no requests yet), recovering the request ledger from
-// cfg.JournalDir and the scheduler from the ledger. Start launches the
-// workers.
+// registered, never handed to a Server before), recovering the request
+// ledger from cfg.JournalDir and the scheduler from the ledger. Start
+// launches the workers.
 func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.JournalDir == "" {
@@ -146,14 +146,8 @@ func NewServer(ctx context.Context, svc *Service, cfg ServerConfig) (*Server, er
 		tenants: make(map[string]*TenantStatus),
 	}
 	// Gate the back end behind the server's breaker so brown-outs trip
-	// degraded intake. Idempotent across recoveries of the same Service.
-	if _, gated := svc.backend.(*GatedBackend); !gated {
-		svc.backend = &GatedBackend{Inner: svc.backend, Breaker: s.breaker}
-	} else {
-		// A reused Service keeps its gate; point the server's degraded
-		// signal at the existing breaker.
-		s.breaker = svc.backend.(*GatedBackend).Breaker
-	}
+	// degraded intake.
+	svc.backend = &gatedBackend{inner: svc.backend, breaker: s.breaker}
 	return s, nil
 }
 
@@ -173,7 +167,8 @@ func (s *Server) Close() error {
 	return s.svc.closeJournal()
 }
 
-// Service exposes the underlying state machine (tests, CLI wiring).
+// Service returns the server's request ledger, whose Get reads a request
+// without the HTTP hop.
 func (s *Server) Service() *Service { return s.svc }
 
 // degraded reports whether the back end is browning out: any breaker
@@ -215,7 +210,7 @@ func (s *Server) handle(e entry) {
 
 	// Dedup: an identical computation already archived its numbers.
 	if primary, hit := s.svc.archived(e.id); hit {
-		if _, err := s.svc.CompleteFromArchive(e.id, primary); err == nil {
+		if _, err := s.svc.completeFromArchive(e.id, primary); err == nil {
 			s.pq.finish()
 			s.countServed(e.tenant, true)
 			return
@@ -232,7 +227,7 @@ func (s *Server) handle(e entry) {
 	}
 
 	start := s.now()
-	req, err := s.svc.ProcessWithPolicy(ctx, e.id, s.cfg.Policy)
+	req, err := s.svc.processWithPolicy(ctx, e.id, s.cfg.Policy)
 	s.observeServiceTime(s.now().Sub(start))
 
 	switch {
@@ -265,8 +260,8 @@ func (s *Server) deadLetter() {
 
 func (s *Server) expire(id, reason string) {
 	// The request may legitimately be past "approved" (a dedup race);
-	// Expire's state check keeps the ledger honest either way.
-	if err := s.svc.Expire(id, reason); errors.Is(err, ErrJournal) {
+	// expire's state check keeps the ledger honest either way.
+	if err := s.svc.expire(id, reason); errors.Is(err, ErrJournal) {
 		return
 	}
 	s.pq.finish()
@@ -507,7 +502,7 @@ func (s *Server) accept(id string) (*Request, error) {
 		return nil, err
 	}
 	if primary, hit := s.svc.archived(id); hit {
-		if done, err := s.svc.CompleteFromArchive(id, primary); err == nil {
+		if done, err := s.svc.completeFromArchive(id, primary); err == nil {
 			s.pq.charge(rec.Requester)
 			s.countServed(rec.Requester, true)
 			return done, nil
@@ -567,7 +562,9 @@ func (s *Server) Status() ServerStatus {
 		st.Tenants[name] = *s.tenants[name]
 	}
 	s.mu.Unlock()
-	st.JournalOK = s.svc.JournalErr() == nil
+	s.svc.mu.Lock()
+	st.JournalOK = s.svc.journalErr == nil
+	s.svc.mu.Unlock()
 	return st
 }
 
@@ -575,33 +572,30 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	daemon.WriteJSON(w, http.StatusOK, s.Status())
 }
 
-// GatedBackend wraps a back end behind a circuit breaker. Transient and
+// gatedBackend wraps a back end behind a circuit breaker. Transient and
 // unclassified failures trip it; permanent errors (invalid models, bad
 // records) count as service health — the back end answered, the answer
 // was just "no". A call the breaker sheds carries a retry hint of one
 // second, the breaker's open interval.
-type GatedBackend struct {
-	Inner   Backend
-	Breaker *resilience.Breaker
+type gatedBackend struct {
+	inner   Backend
+	breaker *resilience.Breaker
 }
-
-// Name implements Backend.
-func (g *GatedBackend) Name() string { return g.Inner.Name() }
 
 // ConfigDigest forwards the inner digest so dedup keys are unchanged by
 // gating.
-func (g *GatedBackend) ConfigDigest() string { return configDigest(g.Inner) }
+func (g *gatedBackend) ConfigDigest() string { return g.inner.ConfigDigest() }
 
 // Process implements Backend.
-func (g *GatedBackend) Process(ctx context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
-	if !g.Breaker.Allow() {
+func (g *gatedBackend) Process(ctx context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
+	if !g.breaker.Allow() {
 		return nil, resilience.WithRetryAfter(resilience.MarkTransient(resilience.ErrOpen), time.Second)
 	}
-	res, err := g.Inner.Process(ctx, model, record)
+	res, err := g.inner.Process(ctx, model, record)
 	if err != nil && resilience.IsPermanent(err) {
-		g.Breaker.Success()
+		g.breaker.Success()
 	} else {
-		g.Breaker.Record(err)
+		g.breaker.Record(err)
 	}
 	return res, err
 }

@@ -35,7 +35,7 @@ type sweepBackend struct {
 	runs map[uint64]int
 }
 
-func (b *sweepBackend) Name() string { return "sweep" }
+func (b *sweepBackend) ConfigDigest() string { return "sweep" }
 
 func (b *sweepBackend) Process(_ context.Context, model ModelSpec, record *leshouches.AnalysisRecord) (*Result, error) {
 	b.mu.Lock()
@@ -77,13 +77,13 @@ func (r *sweepRig) open(t *testing.T) *Server {
 	if err := svc.Subscribe(Subscription{Name: "GPD_2013_DIMUON_HIGHMASS", Record: highMassSearch()}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(context.Background(), unbreakable(svc), ServerConfig{
+	srv, err := NewServer(context.Background(), svc, ServerConfig{
 		JournalDir: r.dir, Policy: fastPolicy(), Now: r.clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return srv
+	return unbreakable(srv)
 }
 
 // script runs the lifecycle from wherever the ledger says it stands: every

@@ -113,7 +113,7 @@ func TestRemainingBudget(t *testing.T) {
 func TestRetryAfterHintPreservesClassification(t *testing.T) {
 	base := MarkTransient(errors.New("throttled"))
 	hinted := WithRetryAfter(base, 2*time.Second)
-	if !IsTransient(hinted) {
+	if Classify(hinted) != Transient {
 		t.Fatal("hint wrapper lost the transient classification")
 	}
 	if d, ok := RetryAfter(hinted); !ok || d != 2*time.Second {
@@ -126,7 +126,7 @@ func TestRetryAfterHintPreservesClassification(t *testing.T) {
 	// the hint below the second %w is found, as Classify finds the class.
 	sentinel := errors.New("fetch failed")
 	joined := fmt.Errorf("%w: fetching: %w", sentinel, WithRetryAfter(MarkTransient(errors.New("x")), 2*time.Second))
-	if !IsTransient(joined) {
+	if Classify(joined) != Transient {
 		t.Fatal("a two-cause error lost the transient classification")
 	}
 	if d, ok := RetryAfter(joined); !ok || d != 2*time.Second {

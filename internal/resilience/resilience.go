@@ -93,10 +93,6 @@ func Classify(err error) Class {
 	return Unknown
 }
 
-// IsTransient reports whether the error is explicitly transient (or a
-// deadline/cancellation, which retry under a fresh attempt may cure).
-func IsTransient(err error) bool { return Classify(err) == Transient }
-
 // IsPermanent reports whether the error is explicitly permanent.
 func IsPermanent(err error) bool { return Classify(err) == Permanent }
 

@@ -355,7 +355,7 @@ func TestBreakerDo(t *testing.T) {
 	if !errors.Is(err, ErrOpen) {
 		t.Fatalf("open breaker Do = %v, want ErrOpen", err)
 	}
-	if !IsTransient(err) {
+	if Classify(err) != Transient {
 		t.Fatal("ErrOpen should classify transient")
 	}
 }

@@ -79,7 +79,6 @@ type startOrder struct {
 	slow  *faults.SlowBackend[recast.ModelSpec, *recast.Result]
 }
 
-func (s *startOrder) Name() string         { return s.chain.Name() }
 func (s *startOrder) ConfigDigest() string { return s.chain.ConfigDigest() }
 
 func (s *startOrder) Process(ctx context.Context, model recast.ModelSpec, record *leshouches.AnalysisRecord) (*recast.Result, error) {
@@ -94,7 +93,6 @@ func (s *startOrder) Process(ctx context.Context, model recast.ModelSpec, record
 	return s.slow.Process(ctx, model, record)
 }
 
-func (b *chaosChainBackend) Name() string         { return "chaos-chain" }
 func (b *chaosChainBackend) ConfigDigest() string { return "chaos-chain-v1" }
 
 func (b *chaosChainBackend) Process(ctx context.Context, model recast.ModelSpec, record *leshouches.AnalysisRecord) (*recast.Result, error) {

@@ -55,14 +55,15 @@
 # Every example users are told to run runs here too, its whole output
 # pinned by a golden: TestOutputMatchesGolden in examples/quickstart,
 # examples/masterclass and examples/preservation_audit, and
-# TestDemoMatchesGolden (cmd/daspos-recast) for `daspos-recast demo`, and
+# TestDemoMatchesGolden and TestScanMatchesGoldens (cmd/daspos-recast) for
+# `daspos-recast demo` and both back ends' `scan`, and
 # TestRunAndResumeMatchGoldens (cmd/daspos-pipeline) for a checkpointed
 # `daspos-pipeline` run and its `-resume`, TestSubcommandsMatchGoldens
 # (cmd/daspos-interview) and TestSeed7MatchesGoldens (cmd/daspos-display),
 # TestDemoMatchesGolden (cmd/daspos-query) for `daspos-query demo`, and the
-# two daemons' serve tests, TestServeAnswersEveryRouteAndReportsTheDrain
+# three daemons' serve tests, TestServeAnswersEveryRouteAndReportsTheDrain
 # (cmd/daspos-node) and TestServeAnswersEveryRouteAndDrains
-# (cmd/daspos-query); the reachability gate fails a main under examples/ or
+# (cmd/daspos-query, cmd/daspos-recast); the reachability gate fails a main under examples/ or
 # cmd/ whose run no test calls. No CI step
 # is needed for them: CI runs this script, and its `go test -race ./...`
 # runs them.
