@@ -50,13 +50,13 @@ func BenchmarkAblationDerivation(b *testing.B) {
 	}
 	encoded := buf.Bytes()
 	b.Run("shared-train", func(b *testing.B) {
-		train := skim.Train{Name: "prod", Derivations: groupDerivations()}
+		ders := groupDerivations()
 		for i := 0; i < b.N; i++ {
 			events, err := decodeAOD(encoded)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := train.Run(events); err != nil {
+			if _, err := derive(events, ders...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -69,7 +69,7 @@ func BenchmarkAblationDerivation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := d.Run(events); err != nil {
+				if _, err := derive(events, d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,6 +80,25 @@ func BenchmarkAblationDerivation(b *testing.B) {
 func decodeAOD(data []byte) ([]*datamodel.Event, error) {
 	_, events, err := datamodel.ReadEvents(bytes.NewReader(data))
 	return events, err
+}
+
+// derive offers every event to every derivation in one pass, as the
+// chain's derivation-train step does, and returns each derivation's
+// selected events in input order.
+func derive(events []*datamodel.Event, ders ...skim.Derivation) ([][]*datamodel.Event, error) {
+	out := make([][]*datamodel.Event, len(ders))
+	for _, e := range events {
+		for i, d := range ders {
+			derived, keep, err := d.Apply(e)
+			if err != nil {
+				return nil, err
+			}
+			if keep {
+				out[i] = append(out[i], derived)
+			}
+		}
+	}
+	return out, nil
 }
 
 // BenchmarkAblationSimFidelity contrasts the per-event cost of the two

@@ -21,6 +21,7 @@ import (
 	"daspos/internal/archive"
 	"daspos/internal/bridge"
 	"daspos/internal/conditions"
+	"daspos/internal/core"
 	"daspos/internal/datamodel"
 	"daspos/internal/detector"
 	"daspos/internal/envcapture"
@@ -173,11 +174,11 @@ func BenchmarkTierReduction(b *testing.B) {
 			}},
 			Slim: skim.SlimPolicy{KeepTypes: []datamodel.ObjectType{datamodel.ObjMuon}, DropAux: true},
 		}
-		derived, err := derivation.Run(aod)
+		derived, err := derive(aod, derivation)
 		if err != nil {
 			b.Fatal(err)
 		}
-		skimSize, err = datamodel.EncodedSize(datamodel.TierDerived, derived)
+		skimSize, err = datamodel.EncodedSize(datamodel.TierDerived, derived[0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -443,8 +444,34 @@ func BenchmarkRecastRivetBridge(b *testing.B) {
 // R4 — archive a RIVET analysis, re-run it on independent MC, validate.
 
 func BenchmarkRivetReproduce(b *testing.B) {
-	// Reference run, archived once.
-	ref := rivetReference(b, 10, 2000)
+	// Reference run, archived once as a capsule and reloaded from the
+	// archive: each re-run is validated the way quickstart validates one.
+	capsule := &core.Capsule{
+		Title: "R4 Z lineshape", Creator: "daspos",
+		Analysis: &leshouches.AnalysisRecord{
+			Name: "R4_ZMUMU",
+			Objects: []leshouches.ObjectDefinition{
+				{Name: "mu", Type: datamodel.ObjMuon, MinPt: 20, MaxAbsEta: 2.4},
+			},
+			Selection: []leshouches.Cut{
+				{Variable: "count:mu", Op: ">=", Value: 2},
+				{Variable: "os_pair:mu", Op: "==", Value: 1},
+			},
+			Background:     100,
+			ObservedEvents: 100,
+		},
+		Reference: rivetReference(b, 10, 2000),
+	}
+	store := archive.New()
+	id, err := capsule.Ingest(store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	loaded, err := core.FromArchive(store, id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	var pvalue float64
 	for i := 0; i < b.N; i++ {
 		run, err := rivet.NewRun("DASPOS_2013_ZMUMU")
@@ -460,14 +487,16 @@ func BenchmarkRivetReproduce(b *testing.B) {
 		if err := run.Finalize(); err != nil {
 			b.Fatal(err)
 		}
-		results, err := run.Validate(ref)
+		outcomes, err := loaded.ValidateRerun(run.Histograms())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !rivet.AllCompatible(results, 1e-4) {
-			b.Fatal("re-run incompatible with archived reference")
+		for _, o := range outcomes {
+			if o.MissingReference || !o.Chi2.Compatible(1e-4) {
+				b.Fatalf("re-run %s incompatible with archived reference (p=%v)", o.Histogram, o.Chi2.PValue)
+			}
 		}
-		pvalue = results[0].Chi2.PValue
+		pvalue = outcomes[0].Chi2.PValue
 	}
 	b.ReportMetric(pvalue, "mass-pvalue")
 }

@@ -105,8 +105,13 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The environment manifest and the provenance chain came back with it.
+	if loaded.Environment == nil || loaded.Provenance == nil {
+		t.Fatalf("thawed capsule lost a part: environment %v, provenance %v",
+			loaded.Environment != nil, loaded.Provenance != nil)
+	}
 	// 1. The provenance chain survived and still audits complete.
-	if rep := loaded.AuditProvenance(); rep.CompleteFraction() != 1 || rep.Records != len(prov.All()) {
+	if rep := loaded.Provenance.Audit(); rep.CompleteFraction() != 1 || rep.Records != len(prov.All()) {
 		t.Fatalf("provenance after thaw: %+v", rep)
 	}
 	// 2. The workflow description is still parseable and valid, and still
@@ -119,10 +124,7 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 		t.Fatalf("thawed %s step records conditions %q, the run used %s", thawedWf.Steps[1].Name, got, d.snap.Digest())
 	}
 	// 3. The environment check plans a migration to the next platform.
-	plan, err := loaded.CheckEnvironment(reg, next)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := envcapture.PlanMigration(reg, loaded.Environment, next)
 	if !plan.OK() || len(plan.Upgrades) == 0 {
 		t.Fatalf("migration plan: %+v", plan)
 	}
@@ -150,7 +152,7 @@ func TestEndToEndPreservationLoop(t *testing.T) {
 		ev := gen.Generate()
 		events = append(events, bridge.EventFromFastObjects(uint64(i), fast.Simulate(ev)))
 	}
-	rei, err := loaded.Reinterpret(events, 20000)
+	rei, err := leshouches.Reinterpret(loaded.Analysis, events, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,8 @@
 package catalog
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -238,42 +236,4 @@ func (c *Catalog) Lineage(name string) ([]Dataset, error) {
 		name = d.Parent
 	}
 	return out, nil
-}
-
-// WriteJSON persists the catalogue. The write happens under a read lock,
-// so concurrent mutation cannot tear the snapshot.
-func (c *Catalog) WriteJSON(w io.Writer) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var all []*Dataset
-	for _, n := range c.names {
-		all = append(all, c.datasets[n])
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(all)
-}
-
-// ReadJSON loads a catalogue and re-validates parent links.
-func ReadJSON(r io.Reader) (*Catalog, error) {
-	var all []*Dataset
-	if err := json.NewDecoder(r).Decode(&all); err != nil {
-		return nil, fmt.Errorf("catalog: parsing: %w", err)
-	}
-	c := New()
-	for _, d := range all {
-		if _, dup := c.datasets[d.Name]; dup {
-			return nil, fmt.Errorf("catalog: duplicate dataset %q on load", d.Name)
-		}
-		c.datasets[d.Name] = d
-		c.insertName(d.Name)
-	}
-	for _, d := range all {
-		if d.Parent != "" {
-			if _, ok := c.datasets[d.Parent]; !ok {
-				return nil, fmt.Errorf("%w: parent %q of %q missing on load", ErrNoDataset, d.Parent, d.Name)
-			}
-		}
-	}
-	return c, nil
 }

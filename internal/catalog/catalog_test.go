@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -101,38 +100,5 @@ func TestLineageCycleDetected(t *testing.T) {
 	c.datasets["/data/run2013/RAW"].Parent = "/data/run2013/SKIM-MU/v1"
 	if _, err := c.Lineage("/data/run2013/SKIM-MU/v1"); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cycle not detected: %v", err)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	c := buildChain(t)
-	_ = c.Close("/data/run2013/RAW")
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Names()) != 3 {
-		t.Fatalf("names: %v", got.Names())
-	}
-	d, _ := got.Get("/data/run2013/RAW")
-	if !d.Closed || len(d.Files) != 1 || d.Files[0].Events != 100 {
-		t.Fatalf("reloaded dataset: %+v", d)
-	}
-	chain, err := got.Lineage("/data/run2013/SKIM-MU/v1")
-	if err != nil || len(chain) != 3 {
-		t.Fatalf("lineage after reload: %v %d", err, len(chain))
-	}
-}
-
-func TestReadJSONRejectsBroken(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{bad")); err == nil {
-		t.Fatal("garbage loaded")
-	}
-	if _, err := ReadJSON(strings.NewReader(`[{"name":"/a","tier":"RAW","parent":"/ghost"}]`)); err == nil {
-		t.Fatal("dangling parent loaded")
 	}
 }

@@ -112,7 +112,8 @@ type Tuning struct {
 // It has no primary inputs: RAW is a step output, checkpointed like every
 // other tier. Each Step.Config names and digests everything of the spec the
 // step reads, so a spec that cannot be archived — an invalid menu,
-// derivation or geometry — is an error here, before anything runs.
+// derivation or geometry, or two derivations sharing a name — is an error
+// here, before anything runs.
 func Build(spec Spec, tune Tuning) (*workflow.Workflow, error) {
 	// Validate again: a spec may carry a geometry edited since it last was.
 	if err := spec.Detector.Validate(); err != nil {
@@ -125,6 +126,9 @@ func Build(spec Spec, tune Tuning) (*workflow.Workflow, error) {
 	}
 	menuDigest, err := spec.Menu.Digest()
 	if err != nil {
+		return nil, fmt.Errorf("chain: %w", err)
+	}
+	if err := spec.Train.Validate(); err != nil {
 		return nil, fmt.Errorf("chain: %w", err)
 	}
 	trainConfig := map[string]string{"train": spec.Train.Name, "codec": datamodel.Codec}

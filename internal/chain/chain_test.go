@@ -177,13 +177,19 @@ func TestSpecChangeInvalidatesFromFirstAffectedStep(t *testing.T) {
 }
 
 // TestBuildRejectsWhatCannotBeArchived: a spec whose parts have no archival
-// form has no description, so it must not build.
+// form, or a train whose derivations share a name, has no faithful
+// description, so it must not build.
 func TestBuildRejectsWhatCannotBeArchived(t *testing.T) {
 	cond := standardConditions(t)
 	for name, alter := range map[string]func(*Spec){
 		"invalid menu":       func(s *Spec) { s.Menu.Items[0].Prescale = 0 },
 		"invalid geometry":   func(s *Spec) { s.Detector.Layers[1].Radius = 0 },
 		"invalid derivation": func(s *Spec) { s.Train.Derivations[0].Name = "" },
+		// The config would keep one derivation.DIMUON.sha256 of the two, and
+		// the run would fail only when the second skim.DIMUON was declared.
+		"two derivations of one name": func(s *Spec) {
+			s.Train.Derivations = append(s.Train.Derivations, s.Train.Derivations[0])
+		},
 	} {
 		spec := Production(generator.ProcDrellYanZ, 0, 1, 1, cond)
 		alter(&spec)

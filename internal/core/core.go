@@ -8,16 +8,19 @@
 //
 // A capsule round-trips through the preservation archive as a
 // fixity-checked package, and everything needed to reuse it decades later
-// is resolvable from the capsule alone: Reinterpret applies the archived
-// selection to new events, Validate re-checks a fresh run against the
-// reference data, and CheckEnvironment answers whether the heavyweight
-// tier still runs on today's platform.
+// is resolvable from the capsule alone: its analysis record is what
+// leshouches.Reinterpret applies to new events, ValidateRerun re-checks a
+// fresh run against the reference data, and its environment manifest and
+// provenance chain are what envcapture.PlanMigration and
+// provenance.Store.Audit take.
 package core
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"daspos/internal/archive"
 	"daspos/internal/datamodel"
@@ -210,12 +213,6 @@ func FromArchive(a *archive.Archive, id string) (*Capsule, error) {
 	return c, nil
 }
 
-// Reinterpret applies the capsule's archived selection to new-model events
-// (the theorist use case) at the given integrated luminosity in /pb.
-func (c *Capsule) Reinterpret(events []*datamodel.Event, luminosityPb float64) (leshouches.Reinterpretation, error) {
-	return leshouches.Reinterpret(c.Analysis, events, luminosityPb)
-}
-
 // ValidationOutcome compares one fresh histogram against the capsule's
 // reference.
 type ValidationOutcome struct {
@@ -227,14 +224,24 @@ type ValidationOutcome struct {
 
 // ValidateRerun shape-compares freshly produced histograms against the
 // capsule's archived reference data: the "re-run at any time ... for
-// validation purposes" property.
+// validation purposes" property. A re-run that did not produce every
+// reference histogram is an error naming the first one missing, in name
+// order: what it lost cannot have validated.
 func (c *Capsule) ValidateRerun(fresh []*hist.H1D) ([]ValidationOutcome, error) {
 	refs, err := hist.ReadAll(bytes.NewReader(c.Reference))
 	if err != nil {
 		return nil, err
 	}
+	produced := make(map[string]bool, len(fresh))
+	for _, h := range fresh {
+		produced[h.Name] = true
+	}
+	slices.SortFunc(refs, func(a, b *hist.H1D) int { return strings.Compare(a.Name, b.Name) })
 	byName := make(map[string]*hist.H1D, len(refs))
 	for _, h := range refs {
+		if !produced[h.Name] {
+			return nil, fmt.Errorf("core: capsule %q: the re-run produced no %s", c.Title, h.Name)
+		}
 		byName[h.Name] = h
 	}
 	var out []ValidationOutcome
@@ -255,24 +262,4 @@ func (c *Capsule) ValidateRerun(fresh []*hist.H1D) ([]ValidationOutcome, error) 
 		out = append(out, ValidationOutcome{Histogram: h.Name, Chi2: res})
 	}
 	return out, nil
-}
-
-// CheckEnvironment plans the capsule's migration to a target platform:
-// whether the heavyweight tier still runs, and what must be upgraded.
-// It fails when the capsule carries no environment manifest — exactly the
-// preservation gap the paper warns about.
-func (c *Capsule) CheckEnvironment(reg *envcapture.Registry, target envcapture.Platform) (envcapture.MigrationReport, error) {
-	if c.Environment == nil {
-		return envcapture.MigrationReport{}, fmt.Errorf("core: capsule %q has no environment manifest", c.Title)
-	}
-	return envcapture.PlanMigration(reg, c.Environment, target), nil
-}
-
-// AuditProvenance reports chain completeness for the capsule's recorded
-// provenance; absent provenance is the worst case (zero records).
-func (c *Capsule) AuditProvenance() provenance.AuditReport {
-	if c.Provenance == nil {
-		return provenance.AuditReport{}
-	}
-	return c.Provenance.Audit()
 }

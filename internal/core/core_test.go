@@ -7,7 +7,6 @@ import (
 	"daspos/internal/archive"
 	"daspos/internal/datamodel"
 	"daspos/internal/envcapture"
-	"daspos/internal/fourvec"
 	"daspos/internal/generator"
 	"daspos/internal/hist"
 	"daspos/internal/leshouches"
@@ -162,26 +161,6 @@ func TestFromArchiveRejectsNonCapsule(t *testing.T) {
 	}
 }
 
-func TestCapsuleReinterpret(t *testing.T) {
-	c := buildCapsule(t)
-	// Build a passing and a failing event.
-	pass := &datamodel.Event{Tier: datamodel.TierAOD, Candidates: []datamodel.Candidate{
-		{Type: datamodel.ObjMuon, P: fourvec.PtEtaPhiM(40, 0.2, 0, 0.105), Charge: 1},
-		{Type: datamodel.ObjMuon, P: fourvec.PtEtaPhiM(35, -0.4, 2, 0.105), Charge: -1},
-	}}
-	fail := &datamodel.Event{Tier: datamodel.TierAOD}
-	res, err := c.Reinterpret([]*datamodel.Event{pass, fail}, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Selected != 1 || res.Acceptance != 0.5 {
-		t.Fatalf("reinterpretation: %+v", res)
-	}
-	if res.UpperLimitEvents <= 0 {
-		t.Fatal("no limit")
-	}
-}
-
 func TestCapsuleValidateRerun(t *testing.T) {
 	c := buildCapsule(t)
 	// An independent re-run of the same preserved analysis.
@@ -208,41 +187,30 @@ func TestCapsuleValidateRerun(t *testing.T) {
 	}
 	// A histogram the capsule never archived is flagged.
 	stray := hist.NewH1D("stray/h", 10, 0, 1)
-	outcomes, _ = c.ValidateRerun([]*hist.H1D{stray})
-	if !outcomes[0].MissingReference {
-		t.Fatal("stray histogram not flagged")
-	}
-}
-
-func TestCapsuleEnvironmentCheck(t *testing.T) {
-	c := buildCapsule(t)
-	reg := envcapture.StandardRegistry()
-	_, _, next := envcapture.StandardPlatforms()
-	rep, err := c.CheckEnvironment(reg, next)
+	outcomes, err = c.ValidateRerun(append(run.Histograms(), stray))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK() {
-		t.Fatalf("light capsule blocked: %+v", rep)
+	if last := outcomes[len(outcomes)-1]; last.Histogram != "stray/h" || !last.MissingReference {
+		t.Fatal("stray histogram not flagged")
 	}
-	// Capsule without a manifest: the check must fail loudly.
-	bare := *c
-	bare.Environment = nil
-	if _, err := bare.CheckEnvironment(reg, next); err == nil {
-		t.Fatal("environment check passed without a manifest")
-	}
-}
-
-func TestCapsuleProvenanceAudit(t *testing.T) {
-	c := buildCapsule(t)
-	rep := c.AuditProvenance()
-	if rep.Records != 2 || rep.CompleteFraction() != 1 {
-		t.Fatalf("audit: %+v", rep)
-	}
-	bare := *c
-	bare.Provenance = nil
-	if rep := bare.AuditProvenance(); rep.Records != 0 {
-		t.Fatalf("absent provenance audit: %+v", rep)
+	// A re-run that lost a reference histogram, or produced none, does not
+	// validate: the first one missing in name order is named.
+	mass := run.Histograms()[0]
+	for _, tc := range []struct {
+		name    string
+		fresh   []*hist.H1D
+		missing string
+	}{
+		{"lost one", []*hist.H1D{mass}, "DASPOS_2013_ZMUMU/pt_z"},
+		{"empty", nil, "DASPOS_2013_ZMUMU/m_mumu"},
+	} {
+		outcomes, err := c.ValidateRerun(tc.fresh)
+		if err == nil {
+			t.Errorf("%s: validated with %d outcomes", tc.name, len(outcomes))
+		} else if !strings.Contains(err.Error(), tc.missing) {
+			t.Errorf("%s: error does not name %s: %v", tc.name, tc.missing, err)
+		}
 	}
 }
 

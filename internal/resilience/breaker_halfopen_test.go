@@ -7,9 +7,9 @@ import (
 )
 
 // TestHalfOpenAdmitsExactlyOneProbe pins the half-open admission
-// contract the cluster client depends on: with the default MaxProbes of
-// one, the elapsed open interval admits exactly one probe, and every
-// further call is rejected until that probe reports back.
+// contract the cluster client depends on: the elapsed open interval
+// admits exactly one probe, and every further call is rejected until that
+// probe reports back.
 // Without this bound, a recovering node would be hammered by the full
 // retry fan-in the moment its open interval elapsed.
 func TestHalfOpenAdmitsExactlyOneProbe(t *testing.T) {

@@ -6,7 +6,8 @@
 // is put into RIVET, anyone can examine the analysis code and the reduced
 // data provided for comparisons" — here, anyone can list the registry,
 // run a preserved analysis on fresh Monte Carlo, and χ²-compare the
-// output against the archived reference histograms.
+// output against the archived reference histograms (ExportYODA writes
+// them; core.Capsule.ValidateRerun compares a re-run with them).
 package rivet
 
 import (
@@ -16,7 +17,6 @@ import (
 
 	"daspos/internal/hepmc"
 	"daspos/internal/hist"
-	"daspos/internal/stats"
 )
 
 // Metadata describes a preserved analysis: the catalogue entry a future
@@ -184,56 +184,4 @@ func (r *Run) ExportYODA() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// ValidationResult is the outcome of comparing one histogram of a fresh
-// run, in the run's order, against archived reference data.
-type ValidationResult struct {
-	Chi2 stats.Chi2Result
-	// MissingReference marks run histograms with no archived counterpart.
-	MissingReference bool
-}
-
-// Validate compares the run's histograms against reference data in the
-// archival text format. Shape comparison: both sides are normalized to
-// unit area before the χ² with per-bin errors, so differing sample sizes
-// do not fail validation.
-func (r *Run) Validate(reference []byte) ([]ValidationResult, error) {
-	refs, err := hist.ReadAll(bytes.NewReader(reference))
-	if err != nil {
-		return nil, fmt.Errorf("rivet: reading reference data: %w", err)
-	}
-	byName := make(map[string]*hist.H1D, len(refs))
-	for _, h := range refs {
-		byName[h.Name] = h
-	}
-	var out []ValidationResult
-	for _, h := range r.Histograms() {
-		ref, ok := byName[h.Name]
-		if !ok {
-			out = append(out, ValidationResult{MissingReference: true})
-			continue
-		}
-		a := h.Clone()
-		b := ref.Clone()
-		a.Normalize(1)
-		b.Normalize(1)
-		res, err := stats.Chi2WithErrors(a.Values(), a.Errors(), b.Values(), b.Errors())
-		if err != nil {
-			return nil, fmt.Errorf("rivet: comparing %s: %w", h.Name, err)
-		}
-		out = append(out, ValidationResult{Chi2: res})
-	}
-	return out, nil
-}
-
-// AllCompatible reports whether every validated histogram is compatible
-// with its reference at significance alpha and none lacked a reference.
-func AllCompatible(results []ValidationResult, alpha float64) bool {
-	for _, r := range results {
-		if r.MissingReference || !r.Chi2.Compatible(alpha) {
-			return false
-		}
-	}
-	return len(results) > 0
 }

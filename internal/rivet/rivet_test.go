@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"daspos/internal/core"
 	"daspos/internal/fourvec"
 	"daspos/internal/generator"
 	"daspos/internal/hepmc"
@@ -193,13 +194,13 @@ func TestExportValidateRoundTrip(t *testing.T) {
 		_ = runB.Process(gB.Generate())
 	}
 	_ = runB.Finalize()
-	results, err := runB.Validate(reference)
+	outcomes, err := validate(runB, reference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !AllCompatible(results, 0.001) {
-		for i, r := range results {
-			t.Logf("%s: chi2/ndf=%v p=%v missing=%v", runB.Histograms()[i].Name, r.Chi2.Reduced(), r.Chi2.PValue, r.MissingReference)
+	if !compatible(outcomes, 0.001) {
+		for _, o := range outcomes {
+			t.Logf("%s: chi2/ndf=%v p=%v missing=%v", o.Histogram, o.Chi2.Reduced(), o.Chi2.PValue, o.MissingReference)
 		}
 		t.Fatal("independent rerun not compatible with reference")
 	}
@@ -221,11 +222,11 @@ func TestValidateDetectsWrongPhysics(t *testing.T) {
 		_ = runB.Process(gB.Generate())
 	}
 	_ = runB.Finalize()
-	results, err := runB.Validate(reference)
+	outcomes, err := validate(runB, reference)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if AllCompatible(results, 0.001) {
+	if compatible(outcomes, 0.001) {
 		t.Fatal("wrong physics passed validation")
 	}
 }
@@ -237,21 +238,39 @@ func TestValidateMissingReference(t *testing.T) {
 		_ = run.Process(g.Generate())
 	}
 	_ = run.Finalize()
-	results, err := run.Validate([]byte{})
+	outcomes, err := validate(run, []byte{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if !r.MissingReference {
+	for _, o := range outcomes {
+		if !o.MissingReference {
 			t.Fatal("missing reference not flagged")
 		}
 	}
-	if AllCompatible(results, 0.05) {
+	if compatible(outcomes, 0.05) {
 		t.Fatal("missing references counted as compatible")
 	}
-	if _, err := run.Validate([]byte("BEGIN DASPOS_H1D /x\ngarbage\n")); err == nil {
+	if _, err := validate(run, []byte("BEGIN DASPOS_H1D /x\ngarbage\n")); err == nil {
 		t.Fatal("corrupt reference accepted")
 	}
+}
+
+// validate checks a run's histograms against exported reference data the
+// way a preserved analysis is re-validated: through the capsule carrying
+// that reference.
+func validate(run *Run, reference []byte) ([]core.ValidationOutcome, error) {
+	return (&core.Capsule{Title: "rivet test", Reference: reference}).ValidateRerun(run.Histograms())
+}
+
+// compatible reports whether every outcome has a reference and is
+// compatible with it at significance alpha.
+func compatible(outcomes []core.ValidationOutcome, alpha float64) bool {
+	for _, o := range outcomes {
+		if o.MissingReference || !o.Chi2.Compatible(alpha) {
+			return false
+		}
+	}
+	return len(outcomes) > 0
 }
 
 func TestProjections(t *testing.T) {

@@ -250,10 +250,9 @@ func (d Derivation) Validate() error {
 }
 
 // Apply evaluates the derivation on a single event: the derived event and
-// true when selected, nil and false otherwise. It is the per-event unit
-// Run batches over, and the stage adapter for streaming pipelines (the
-// signature matches eventflow's stage functions; Apply never mutates its
-// input, so any worker count is safe).
+// true when selected, nil and false otherwise. It is the stage adapter for
+// streaming pipelines (the signature matches eventflow's stage functions;
+// Apply never mutates its input, so any worker count is safe).
 func (d Derivation) Apply(e *datamodel.Event) (*datamodel.Event, bool, error) {
 	ok, err := d.Selection.Pass(e)
 	if err != nil {
@@ -263,25 +262,6 @@ func (d Derivation) Apply(e *datamodel.Event) (*datamodel.Event, bool, error) {
 		return nil, false, nil
 	}
 	return d.Slim.Apply(e), true, nil
-}
-
-// Run executes the derivation over a sample, returning the derived events.
-func (d Derivation) Run(events []*datamodel.Event) ([]*datamodel.Event, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	var out []*datamodel.Event
-	for _, e := range events {
-		derived, ok, err := d.Apply(e)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		out = append(out, derived)
-	}
-	return out, nil
 }
 
 // MarshalJSON is provided by the struct tags; Encode/Decode wrap them with
@@ -318,27 +298,26 @@ func DecodeDerivation(data []byte) (Derivation, error) {
 	return d, nil
 }
 
-// Train runs several derivations over one pass of the input — the
+// Train is several derivations run over one pass of the input — the
 // CMS-style centralized production of group formats the paper contrasts
-// with ATLAS's decentralized model.
+// with ATLAS's decentralized model. Each derivation names its own output,
+// so no two may share a name.
 type Train struct {
 	Name        string       `json:"name"`
 	Derivations []Derivation `json:"derivations"`
 }
 
-// Run executes every derivation and returns outputs keyed by derivation
-// name.
-func (t Train) Run(events []*datamodel.Event) (map[string][]*datamodel.Event, error) {
-	out := make(map[string][]*datamodel.Event, len(t.Derivations))
+// Validate checks every derivation and that no two share a name.
+func (t Train) Validate() error {
+	seen := make(map[string]bool, len(t.Derivations))
 	for _, d := range t.Derivations {
-		derived, err := d.Run(events)
-		if err != nil {
-			return nil, err
+		if err := d.Validate(); err != nil {
+			return err
 		}
-		if _, dup := out[d.Name]; dup {
-			return nil, fmt.Errorf("skim: duplicate derivation name %q in train", d.Name)
+		if seen[d.Name] {
+			return fmt.Errorf("skim: train %q has two derivations named %q", t.Name, d.Name)
 		}
-		out[d.Name] = derived
+		seen[d.Name] = true
 	}
-	return out, nil
+	return nil
 }

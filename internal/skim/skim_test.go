@@ -165,9 +165,15 @@ func TestDerivationRun(t *testing.T) {
 		evt([]float64{30}, nil, 5),
 		evt(nil, []float64{100}, 5),
 	}
-	out, err := d.Run(events)
-	if err != nil {
-		t.Fatal(err)
+	var out []*datamodel.Event
+	for _, e := range events {
+		derived, ok, err := d.Apply(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			out = append(out, derived)
+		}
 	}
 	if len(out) != 1 {
 		t.Fatalf("selected %d events, want 1", len(out))
@@ -175,12 +181,34 @@ func TestDerivationRun(t *testing.T) {
 	if len(out[0].CandidatesOf(datamodel.ObjJet)) != 0 {
 		t.Fatal("jets survived muon-only derivation")
 	}
+	if len(events[0].CandidatesOf(datamodel.ObjJet)) == 0 {
+		t.Fatal("Apply modified its input")
+	}
 }
 
+// TestDerivationValidation: a derivation without a name has no archival
+// form, so it has no digest either and chain.Build refuses it.
 func TestDerivationValidation(t *testing.T) {
 	d := Derivation{Selection: Selection{Cuts: []Cut{{"met", OpGT, 1}}}}
-	if _, err := d.Run(nil); err == nil {
-		t.Fatal("nameless derivation ran")
+	if err := d.Validate(); err == nil {
+		t.Fatal("nameless derivation validated")
+	}
+	if _, err := d.Encode(); err == nil {
+		t.Fatal("nameless derivation encoded")
+	}
+}
+
+func TestTrainRejectsDuplicateNames(t *testing.T) {
+	train := Train{Derivations: []Derivation{
+		{Name: "A", Selection: Selection{Cuts: nil}},
+		{Name: "A", Selection: Selection{Cuts: nil}},
+	}}
+	if err := train.Validate(); err == nil {
+		t.Fatal("duplicate derivation names accepted")
+	}
+	train.Derivations[1].Name = "B"
+	if err := train.Validate(); err != nil {
+		t.Fatalf("distinct names refused: %v", err)
 	}
 }
 
@@ -215,39 +243,6 @@ func TestDerivationJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTrainProducesGroupFormats(t *testing.T) {
-	train := Train{
-		Name: "prod-train",
-		Derivations: []Derivation{
-			{Name: "MUON", Selection: Selection{Cuts: []Cut{{"n_muons", OpGE, 1}}},
-				Slim: SlimPolicy{KeepTypes: []datamodel.ObjectType{datamodel.ObjMuon}}},
-			{Name: "JET", Selection: Selection{Cuts: []Cut{{"n_jets", OpGE, 1}}},
-				Slim: SlimPolicy{KeepTypes: []datamodel.ObjectType{datamodel.ObjJet}}},
-		},
-	}
-	events := []*datamodel.Event{
-		evt([]float64{30}, []float64{50}, 5),
-		evt(nil, []float64{70}, 5),
-	}
-	out, err := train.Run(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || len(out["MUON"]) != 1 || len(out["JET"]) != 2 {
-		t.Fatalf("train outputs: %d derivations, MUON=%d JET=%d", len(out), len(out["MUON"]), len(out["JET"]))
-	}
-}
-
-func TestTrainRejectsDuplicateNames(t *testing.T) {
-	train := Train{Derivations: []Derivation{
-		{Name: "A", Selection: Selection{Cuts: nil}},
-		{Name: "A", Selection: Selection{Cuts: nil}},
-	}}
-	if _, err := train.Run(nil); err == nil {
-		t.Fatal("duplicate derivation names accepted")
-	}
-}
-
 func BenchmarkSelectionPass(b *testing.B) {
 	s := Selection{Name: "dimuon", Cuts: []Cut{
 		{"n_muons", OpGE, 2},
@@ -260,47 +255,5 @@ func BenchmarkSelectionPass(b *testing.B) {
 		if _, err := s.Pass(e); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestApplyMatchesRun(t *testing.T) {
-	d := Derivation{
-		Name:      "MU",
-		Selection: Selection{Name: "mu", Cuts: []Cut{{Variable: "n_muons", Op: OpGE, Value: 1}}},
-		Slim:      SlimPolicy{DropRecoDetail: true},
-	}
-	events := []*datamodel.Event{
-		evt([]float64{25}, []float64{40}, 10),
-		evt(nil, []float64{60}, 55),
-		evt([]float64{12, 9}, nil, 5),
-		evt(nil, nil, 80),
-	}
-	for i := range events {
-		events[i].Number = uint64(i)
-	}
-	want, err := d.Run(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []*datamodel.Event
-	for _, e := range events {
-		out, ok, err := d.Apply(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			got = append(got, out)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Apply selected %d events, Run selected %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Number != want[i].Number || got[i].Tier != want[i].Tier {
-			t.Fatalf("event %d differs between Apply and Run", i)
-		}
-	}
-	if bad, ok, err := d.Apply(&datamodel.Event{Tier: datamodel.TierAOD}); ok || err != nil || bad != nil {
-		t.Fatalf("muon-less event selected: %v %v %v", bad, ok, err)
 	}
 }

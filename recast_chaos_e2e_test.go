@@ -364,11 +364,12 @@ func TestRecastOverloadChaosE2E(t *testing.T) {
 
 	// Fairness, in the scheduler's own unit rather than in milliseconds a
 	// busy host stretches: between a polite request's admission and its own
-	// start, how many of the flood's runs started. Weighted fair queuing lets
-	// the flood start as often as the tenant itself does while that tenant
-	// has work waiting, plus what the four workers had already claimed and a
-	// turn or two while virtual times are level — its own starts in the
-	// interval and a small multiple of the workers. A FIFO queue puts every
+	// start, how many of the flood's runs started. The scheduler serves the
+	// queued tenant with the fewest served requests, so the flood starts as
+	// often as the tenant itself does while that tenant has work waiting,
+	// plus what the four workers had already claimed and a turn or two while
+	// the served counts are level — its own starts in the interval and a
+	// small multiple of the workers. A FIFO queue puts every
 	// early polite request behind the flood's 300-deep admitted backlog with
 	// a few dozen of its own ahead of it.
 	const overtakeSlack = 32
