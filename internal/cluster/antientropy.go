@@ -14,11 +14,13 @@ import (
 // Anti-entropy: the background repair loop that makes the cluster
 // converge back to full replication and 100% fixity after nodes die,
 // partitions heal, or replicas rot. A sweep reads one digest listing per
-// member, cross-checks fixity between the replicas of every
-// digest (verification runs node-local, so a healthy cluster pays verdict
-// traffic, not blob traffic), re-replicates every missing or corrupt copy
-// from any healthy one, and — once a digest's owners are all healthy —
-// trims copies stranded on non-owners by rebalancing.
+// member, cross-checks fixity between the replicas of every digest
+// (verification runs node-local, so a healthy cluster pays verdict
+// traffic, not blob traffic, and a healthy replica costs its node one
+// SHA-256 of its stored bytes against the hash its own fixity check
+// recorded), re-replicates every missing or corrupt copy from any healthy
+// one, and — once a digest's owners are all healthy — trims copies
+// stranded on non-owners by rebalancing.
 
 // SweepReport summarizes one anti-entropy pass.
 type SweepReport struct {

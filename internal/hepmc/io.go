@@ -26,6 +26,12 @@ import (
 // magic is the stream header identifying format and version.
 const magic = "HEPMC-DASPOS 1"
 
+// readReserve bounds the vertices and particles Read reserves room for on
+// an E record's word. The counts are the stream's claim, not bytes read:
+// past this the slices grow with the records that actually arrive, so a
+// lying header reserves no memory.
+const readReserve = 256
+
 // ErrBadFormat is wrapped by all parse errors.
 var ErrBadFormat = errors.New("hepmc: malformed stream")
 
@@ -117,7 +123,7 @@ func (r *Reader) Read() (*Event, error) {
 		return nil, fmt.Errorf("%w: unreasonable counts in %q", ErrBadFormat, line)
 	}
 	e := &Event{Number: num, ProcessID: proc, Weight: weight,
-		Vertices: make([]Vertex, 0, nv), Particles: make([]Particle, 0, np)}
+		Vertices: make([]Vertex, 0, min(nv, readReserve)), Particles: make([]Particle, 0, min(np, readReserve))}
 	for i := 0; i < nv; i++ {
 		v, err := r.readVertex()
 		if err != nil {

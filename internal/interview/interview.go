@@ -11,6 +11,7 @@ package interview
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"daspos/internal/texttable"
@@ -179,6 +180,7 @@ func (iv *Interview) Validate() error {
 	if len(iv.Stages) == 0 {
 		return fmt.Errorf("interview: %s: at least one lifecycle stage required", iv.Name)
 	}
+	var total int64
 	for _, s := range iv.Stages {
 		if s.Name == "" {
 			return fmt.Errorf("interview: %s: unnamed lifecycle stage", iv.Name)
@@ -186,6 +188,15 @@ func (iv *Interview) Validate() error {
 		if s.Files < 0 || s.AvgFileSizeBytes < 0 {
 			return fmt.Errorf("interview: %s: stage %q has negative extent", iv.Name, s.Name)
 		}
+		// An extent past int64 would wrap in TotalBytes and the tables.
+		if s.Files > 0 && s.AvgFileSizeBytes > math.MaxInt64/int64(s.Files) {
+			return fmt.Errorf("interview: %s: stage %q extent overflows", iv.Name, s.Name)
+		}
+		extent := int64(s.Files) * s.AvgFileSizeBytes
+		if extent > math.MaxInt64-total {
+			return fmt.Errorf("interview: %s: total extent overflows at stage %q", iv.Name, s.Name)
+		}
+		total += extent
 	}
 	for _, a := range Areas() {
 		r, ok := iv.Ratings[a]

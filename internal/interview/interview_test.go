@@ -1,6 +1,7 @@
 package interview
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -136,6 +137,30 @@ func TestValidateCatchesDefects(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesOverflowingExtent: a stage of 2^40 files of 2^30
+// bytes used to validate, and TotalBytes wrapped to 0 ("0 B"); two stages
+// that fit alone must not wrap when summed either.
+func TestValidateRefusesOverflowingExtent(t *testing.T) {
+	for name, stages := range map[string][]LifecycleStage{
+		"one stage": {{Name: "raw", Files: 1 << 40, AvgFileSizeBytes: 1 << 30}},
+		"the total": {{Name: "raw", Files: 1 << 31, AvgFileSizeBytes: 1 << 31}, {Name: "reco", Files: 1 << 31, AvgFileSizeBytes: 1 << 31}},
+	} {
+		iv := StandardProfiles()[0]
+		iv.Stages = stages
+		if err := iv.Validate(); err == nil {
+			t.Errorf("%s: an extent past int64 validated; TotalBytes = %d", name, iv.TotalBytes())
+		}
+	}
+	iv := StandardProfiles()[0]
+	iv.Stages = []LifecycleStage{{Name: "raw", Files: 1 << 31, AvgFileSizeBytes: 1 << 31}, {Name: "reco", Files: 1 << 31, AvgFileSizeBytes: 1<<31 - 1}}
+	if err := iv.Validate(); err != nil {
+		t.Fatalf("an extent just inside int64 refused: %v", err)
+	}
+	if got := iv.TotalBytes(); got != 1<<63-1<<31 {
+		t.Fatalf("TotalBytes = %d", got)
+	}
+}
+
 func TestOverallMaturity(t *testing.T) {
 	iv := StandardProfiles()[2] // CMS: 4,4,4,4
 	if iv.OverallMaturity() != 4 {
@@ -228,4 +253,55 @@ func TestFormatBytes(t *testing.T) {
 			t.Errorf("FormatBytes(%d)=%q want %q", n, got, want)
 		}
 	}
+}
+
+// withoutEmptySoftware returns iv with every empty software list nil: the
+// encoding omits both, so they are one answer.
+func withoutEmptySoftware(iv *Interview) *Interview {
+	out := *iv
+	out.Stages = append([]LifecycleStage(nil), iv.Stages...)
+	for i := range out.Stages {
+		if len(out.Stages[i].Software) == 0 {
+			out.Stages[i].Software = nil
+		}
+	}
+	return &out
+}
+
+// FuzzInterviewDecode: an interview Decode accepts encodes to bytes that
+// decode to an equal interview, and its total extent is not negative.
+func FuzzInterviewDecode(f *testing.F) {
+	for _, iv := range StandardProfiles() {
+		data, err := iv.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"name":"x","stages":[{"name":"raw","files":1099511627776,"avg_file_size_bytes":1073741824,"software":[]}],` +
+		`"ratings":{"1":1,"2":2,"3":3,"4":4}}`))
+	f.Add([]byte(`{"name":"x","stages":[{"name":"raw","files":2147483648,"avg_file_size_bytes":2147483648},` +
+		`{"name":"reco","files":2147483648,"avg_file_size_bytes":2147483648}],"ratings":{"1":1,"2":2,"3":3,"4":4}}`))
+	f.Add([]byte(`{"name":"x","stages":[{"name":"raw","formats":[]}],"ratings":{"1":1,"2":2,"3":3,"4":4,"01":5}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		iv, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if n := iv.TotalBytes(); n < 0 {
+			t.Fatalf("accepted interview totals %d bytes", n)
+		}
+		enc, err := iv.Encode()
+		if err != nil {
+			t.Fatalf("accepted interview does not encode: %v", err)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("encoded interview refused: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(withoutEmptySoftware(iv), withoutEmptySoftware(back)) {
+			t.Fatalf("round trip changed the interview:\n%s", enc)
+		}
+	})
 }

@@ -3,11 +3,14 @@ package node
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -152,4 +155,205 @@ func FuzzNodePut(f *testing.F) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	})
+}
+
+// verifyOK asks a node for its verdict on one stored digest.
+func verifyOK(t *testing.T, base, digest string) bool {
+	t.Helper()
+	var res VerifyResult
+	getJSON(t, base+"/v1/verify/"+digest, &res)
+	return res.OK
+}
+
+// TestVerifyVerdictIsTheKernels: whatever happened to the stored bytes
+// behind the node's back after a PUT, its verify answers what the fixity
+// kernel says of them. The bytes are set through Backend(), never through
+// the node's own PUT, so only the kernel can vouch for them.
+func TestVerifyVerdictIsTheKernels(t *testing.T) {
+	n, base := startNode(t, "n1")
+	payload := bytes.Repeat([]byte("fixity "), 40)
+	digest, comp := putBlob(t, base, payload)
+	if comp[0] == 0 {
+		t.Fatal("the payload was meant to be stored deflated")
+	}
+	raw := append([]byte{0}, payload...) // the raw stored form: marker 0x00, then the payload
+
+	ignored := 0
+	check := func(name string, stored []byte) {
+		t.Helper()
+		if err := n.Backend().PutBlob(digest, stored, 0); err != nil {
+			t.Fatal(err)
+		}
+		_, kerr := cas.VerifyBlob(digest, stored)
+		if got, want := verifyOK(t, base, digest), kerr == nil; got != want {
+			t.Fatalf("%s: verify says ok=%v, the kernel %v", name, got, want)
+		}
+		if kerr == nil && !bytes.Equal(stored, comp) && !bytes.Equal(stored, raw) {
+			ignored++
+		}
+	}
+	for _, form := range [][]byte{comp, raw} {
+		for i := range form {
+			for _, mask := range []byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF} {
+				flipped := append([]byte(nil), form...)
+				flipped[i] ^= mask
+				check(fmt.Sprintf("form 0x%02x, byte %d ^ 0x%02x", form[0], i, mask), flipped)
+			}
+			check("restored", form) // the PUT's bytes, then the other valid form
+		}
+		for _, cut := range []int{0, 1, len(form) / 2, len(form) - 1} {
+			check(fmt.Sprintf("form 0x%02x cut to %d bytes", form[0], cut), form[:cut])
+		}
+		check("trailing byte", append(append([]byte(nil), form...), 7))
+	}
+	if ignored == 0 {
+		t.Fatal("no case changed bytes the kernel ignores")
+	}
+
+	// Written straight into the backend: no PUT, so no record.
+	other := []byte("never put through the node")
+	otherRaw := append([]byte{0}, other...)
+	if err := n.Backend().PutBlob(cas.Digest(other), otherRaw, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !verifyOK(t, base, cas.Digest(other)) {
+		t.Fatal("a valid blob written into the backend reported corrupt")
+	}
+	otherRaw[len(otherRaw)-1] ^= 1
+	if err := n.Backend().PutBlob(cas.Digest(other), otherRaw, 0); err != nil {
+		t.Fatal(err)
+	}
+	if verifyOK(t, base, cas.Digest(other)) {
+		t.Fatal("a corrupt blob written into the backend reported healthy")
+	}
+}
+
+// TestCleanVerifyRunsNoKernel: a verify of bytes the node's own PUT proved
+// hashes them and runs no kernel; a verify of anything else runs it, every
+// time, until bytes pass it again.
+func TestCleanVerifyRunsNoKernel(t *testing.T) {
+	n, base := startNode(t, "n1")
+	payload := bytes.Repeat([]byte("scrub "), 4096)
+	digest, comp := putBlob(t, base, payload)
+	raw := append([]byte{0}, payload...)
+	verify := func(want bool, kernels int64) {
+		t.Helper()
+		before := n.kernelRuns.Load()
+		if got := verifyOK(t, base, digest); got != want {
+			t.Fatalf("verify ok=%v, want %v", got, want)
+		}
+		if ran := n.kernelRuns.Load() - before; ran != kernels {
+			t.Fatalf("verify ran the kernel %d times, want %d", ran, kernels)
+		}
+	}
+	verify(true, 0)
+	verify(true, 0)
+	if err := n.Corrupt(digest); err != nil {
+		t.Fatal(err)
+	}
+	verify(false, 1)
+	verify(false, 1)
+
+	// The PUT's bytes put back: still proven.
+	if err := n.Backend().PutBlob(digest, comp, 0); err != nil {
+		t.Fatal(err)
+	}
+	verify(true, 0)
+	// The other valid form, behind the node: the kernel passes it once, and
+	// it is then proven.
+	if err := n.Backend().PutBlob(digest, raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	verify(true, 1)
+	verify(true, 0)
+
+	// DELETE drops the record: bytes put back behind the node are checked.
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/blobs/"+digest, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if err := n.Backend().PutBlob(digest, raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	verify(true, 1)
+
+	// A verify that finds the blob absent drops the record too.
+	n.Backend().DeleteBlob(digest)
+	resp, err = http.Get(base + "/v1/verify/" + digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("verify of an absent blob: status %d, want 404", resp.StatusCode)
+	}
+	if err := n.Backend().PutBlob(digest, raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	verify(true, 1)
+}
+
+// TestVerifyRacesPutAndDelete: PUTs of the two valid stored forms of one
+// payload, DELETEs and verifies of it, all at once. Every stored byte is
+// valid, so every verify that finds the blob answers ok.
+func TestVerifyRacesPutAndDelete(t *testing.T) {
+	_, base := startNode(t, "n1")
+	payload := bytes.Repeat([]byte("contended "), 100)
+	digest, comp := putBlob(t, base, payload)
+	raw := append([]byte{0}, payload...)
+	send := func(method string, body []byte) (*http.Response, error) {
+		var r io.Reader
+		if body != nil {
+			r = bytes.NewReader(body)
+		}
+		req, err := http.NewRequest(method, base+"/v1/blobs/"+digest, r)
+		if err != nil {
+			return nil, err
+		}
+		return http.DefaultClient.Do(req)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				var resp *http.Response
+				var err error
+				switch w {
+				case 0:
+					resp, err = send(http.MethodPut, comp)
+				case 1:
+					resp, err = send(http.MethodPut, raw)
+				case 2:
+					if i%5 == 4 {
+						resp, err = send(http.MethodDelete, nil)
+					} else {
+						resp, err = send(http.MethodPut, comp)
+					}
+				default:
+					resp, err = http.Get(base + "/v1/verify/" + digest)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				switch {
+				case w < 3 && resp.StatusCode != http.StatusNoContent:
+					t.Errorf("worker %d: status %d, want 204", w, resp.StatusCode)
+				case w == 3 && resp.StatusCode == http.StatusOK:
+					var res VerifyResult
+					if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || !res.OK {
+						t.Errorf("verify of valid bytes: ok=%v (%v)", res.OK, err)
+					}
+				case w == 3 && resp.StatusCode != http.StatusNotFound:
+					t.Errorf("verify: status %d, want 200 or 404", resp.StatusCode)
+				}
+				resp.Body.Close()
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -21,16 +21,20 @@
 //	GET    /v1/blobs/{digest}  → 200 body; 404 when absent
 //	HEAD   /v1/blobs/{digest}  → 200/404
 //	DELETE /v1/blobs/{digest}  → 204 (idempotent)
-//	GET    /v1/verify/{digest} → 200 {"ok":..}; 404 when absent
+//	GET    /v1/verify/{digest} → 200 {"ok":..}, the fixity kernel's verdict
+//	                             on the stored bytes; 404 when absent
 package node
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"daspos/internal/cas"
 	"daspos/internal/daemon"
@@ -63,6 +67,15 @@ func ReadBody(r io.Reader, contentLength int64) ([]byte, error) {
 type Node struct {
 	id      string
 	backend cas.Backend
+
+	// proven maps a digest to the SHA-256 of the stored bytes that last
+	// passed the fixity kernel here, at PUT or on a verify's full check.
+	// Stored bytes that hash to it are bytes the kernel passed, so a verify
+	// that finds them answers with the kernel's verdict without running it.
+	mu     sync.Mutex
+	proven map[string][sha256.Size]byte
+	// kernelRuns counts the verifies that ran the full kernel.
+	kernelRuns atomic.Int64
 }
 
 // New returns a node with the given identity over the given backend; a nil
@@ -71,7 +84,30 @@ func New(id string, backend cas.Backend) *Node {
 	if backend == nil {
 		backend = cas.NewShardedBackend(0)
 	}
-	return &Node{id: id, backend: backend}
+	return &Node{id: id, backend: backend, proven: make(map[string][sha256.Size]byte)}
+}
+
+// prove records sum as the hash of bytes stored under digest that have
+// just passed the fixity kernel.
+func (n *Node) prove(digest string, sum [sha256.Size]byte) {
+	n.mu.Lock()
+	n.proven[digest] = sum
+	n.mu.Unlock()
+}
+
+// proved reports whether sum is the recorded hash of digest's proven bytes.
+func (n *Node) proved(digest string, sum [sha256.Size]byte) bool {
+	n.mu.Lock()
+	rec, ok := n.proven[digest]
+	n.mu.Unlock()
+	return ok && rec == sum
+}
+
+// forget drops digest's record, once its blob is deleted or found absent.
+func (n *Node) forget(digest string) {
+	n.mu.Lock()
+	delete(n.proven, digest)
+	n.mu.Unlock()
 }
 
 // ID returns the node's identity — the name the placement ring hashes.
@@ -94,9 +130,10 @@ func (n *Node) Corrupt(digest string) error {
 	return c.CorruptBlob(digest)
 }
 
-// VerifyResult is the verify-endpoint document: the node-local fixity
-// verdict for one blob, computed where the bytes live so an anti-entropy
-// sweep does not pay blob transfer to learn a replica is healthy.
+// VerifyResult is the verify-endpoint document: the fixity kernel's
+// verdict on one stored blob, reached where the bytes live so an
+// anti-entropy sweep does not pay blob transfer to learn a replica is
+// healthy.
 type VerifyResult struct {
 	OK bool `json:"ok"`
 }
@@ -143,7 +180,7 @@ func (n *Node) handleDigests(w http.ResponseWriter, r *http.Request) {
 // materialised) before acknowledging, so a payload corrupted on the wire
 // (or by a lying client) is refused with 422 instead of poisoning the
 // replica set. The blob is stored with the logical size that check
-// counted.
+// counted, and the hash of the bytes it passed is recorded for verify.
 func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !validDigest(digest) {
@@ -164,6 +201,7 @@ func (n *Node) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "node: storing: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
+	n.prove(digest, sha256.Sum256(comp))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -200,11 +238,18 @@ func (n *Node) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.backend.DeleteBlob(digest)
+	n.forget(digest)
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleVerify runs the node-local fixity check: inflate and rehash where
-// the bytes live, shipping only the verdict.
+// handleVerify answers with the fixity kernel's verdict on the stored
+// bytes, shipping only the verdict. It hashes the bytes it reads (one
+// SHA-256, no inflate): when that equals the hash recorded for bytes the
+// kernel passed here, the bytes are those bytes (up to a SHA-256
+// collision) and the verdict is ok. In every other case — no record, bytes
+// rotted or rewritten behind the node, another valid stored form of the
+// payload — it runs the full kernel (inflate and rehash) and records the
+// hash of bytes that pass.
 func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !validDigest(digest) {
@@ -214,12 +259,22 @@ func (n *Node) handleVerify(w http.ResponseWriter, r *http.Request) {
 	comp, _, err := n.backend.GetBlob(digest)
 	if err != nil {
 		if errors.Is(err, cas.ErrNotFound) {
+			n.forget(digest)
 			http.Error(w, "node: not found: "+digest, http.StatusNotFound)
 			return
 		}
 		http.Error(w, "node: reading: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
+	sum := sha256.Sum256(comp)
+	if n.proved(digest, sum) {
+		daemon.WriteJSON(w, http.StatusOK, VerifyResult{OK: true})
+		return
+	}
+	n.kernelRuns.Add(1)
 	_, derr := cas.VerifyBlob(digest, comp)
+	if derr == nil {
+		n.prove(digest, sum)
+	}
 	daemon.WriteJSON(w, http.StatusOK, VerifyResult{OK: derr == nil})
 }

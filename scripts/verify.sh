@@ -14,7 +14,9 @@
 # tests run here as well — TestClusterStoreChecksEachReadOnce
 # (internal/cas), TestStoreReadsMatchOverShardedAndCluster and
 # TestOneCorruptReplicaIsServedAroundAndRepaired (internal/cluster),
-# TestPutStoresTheCheckedSize (internal/node) — with
+# TestPutStoresTheCheckedSize, and the node verify's kernel verdict,
+# TestVerifyVerdictIsTheKernels, TestCleanVerifyRunsNoKernel and
+# TestVerifyRacesPutAndDelete (internal/node) — with
 # TestArchiveAnswerTakesNoToken (internal/recast); CI's chaos job repeats
 # them at -count=5, and TestSweepListsEachMemberOnce (internal/cluster),
 # one digest listing per member per sweep, at -count=3. The one durable blob store's tests run here too —
@@ -46,7 +48,9 @@
 # of the HepData archive's packed round trip, FuzzArchiveRoundTrip
 # (internal/hepdata), and of the chain-config decoders, FuzzReadSnapshot
 # (internal/conditions), FuzzDecodeMenu (internal/trigger) and
-# FuzzDecodeDerivation (internal/skim), which CI's chaos job fuzzes too.
+# FuzzDecodeDerivation (internal/skim), and of the generator-record reader
+# and the interview decoder, FuzzHepMCReader (internal/hepmc) and
+# FuzzInterviewDecode (internal/interview), which CI's chaos job fuzzes too.
 # The read tier's retained-heap gates,
 # TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
 # (internal/queryserve), run below beside its allocation gates, and so
