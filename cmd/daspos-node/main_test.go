@@ -66,11 +66,16 @@ func TestServeAnswersEveryRouteAndReportsTheDrain(t *testing.T) {
 	hts := httptest.NewServer(got.h)
 	defer hts.Close()
 	blob := func(payload string) (string, []byte) {
-		comp, err := cas.EncodeBlob([]byte(payload))
+		backend := cas.NewShardedBackend(1)
+		digest, err := cas.NewStoreWith(backend).Put([]byte(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cas.Digest([]byte(payload)), comp
+		comp, _, err := backend.GetBlob(digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest, comp
 	}
 	kept, keptBody := blob("kept")
 	gone, goneBody := blob("gone")

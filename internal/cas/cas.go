@@ -190,20 +190,6 @@ func (s *Store) Put(data []byte) (string, error) {
 	return s.PutWorkers(data, runtime.GOMAXPROCS(0))
 }
 
-// EncodeBlob returns the marker-framed stored form of a payload — the
-// bytes a Backend holds and the preservation-network wire protocol ships.
-// Exported so storage nodes and cluster clients speak the same framing the
-// local store writes.
-func EncodeBlob(data []byte) ([]byte, error) {
-	buf, err := encodeBlob(data)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), buf.Bytes()...)
-	blobBufPool.Put(buf)
-	return out, nil
-}
-
 // Get retrieves and fixity-checks a payload. A missing blob is ErrNotFound,
 // unwrapped; any other failure, the backend's or the check's, comes back
 // under "cas: reading <digest>".

@@ -17,13 +17,16 @@ import (
 // Layout after the marker byte:
 //
 //	uvarint logicalSize            // total payload bytes
-//	uvarint chunkSize              // split width used at encode time
-//	uvarint nChunks
+//	uvarint chunkSize              // always chunkPayloadSize, 65,536
+//	uvarint nChunks                // ceil(logicalSize / chunkSize)
 //	nChunks × {
 //	    32-byte chunk SHA-256      // over the chunk's logical bytes
 //	    uvarint encLen
 //	    encLen bytes               // the chunk, marker-framed like a small blob
 //	}
+//
+// Every chunk but the last holds chunkSize logical bytes, and the last the
+// remainder; the fixity kernel refuses any other chunk size or split.
 //
 // The blob's address is unchanged: still the SHA-256 of the whole logical
 // payload, so deduplication, the wire protocol, and every existing digest

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"hash"
 	"runtime"
@@ -12,10 +11,15 @@ import (
 )
 
 // The fixity kernel: the one routine behind DecodeBlob and VerifyBlob. Both
-// walk a stored blob once and make the same checks — marker, chunk-header
-// plausibility and consistency, per-chunk SHA-256, trailing bytes,
-// reassembled length, whole-payload SHA-256 against the address — and
-// differ only in whether the payload is kept. Nothing is allocated from an
+// walk a stored blob once, make the same checks, and differ only in whether
+// the payload is kept. A blob passes only in a layout its writers write, as
+// they write it: flat raw (PutRaw, and Put of what deflate cannot shrink);
+// flat deflate, one stream that ends at the blob's last byte with zero
+// padding bits (Put under chunkThreshold; older builds, at any size); or
+// chunked (Put from chunkThreshold up; layout in chunked.go), each 64 KiB
+// chunk but the last a raw or deflate piece held to the same rules that
+// fills exactly its room and matches its recorded SHA-256. The whole
+// payload's SHA-256 must be the address. Nothing is allocated from an
 // untrusted header: verification works in pooled chunks of scratch, and
 // DecodeBlob allocates the payload only after bounding it by what the bytes
 // actually present could inflate to.
@@ -24,19 +28,17 @@ import (
 // chunked blob, of one of its chunks in flight (see chunks).
 type fixity struct {
 	inflater
-	// scratch is where a piece is inflated when the payload is not kept.
+	// scratch is where a piece is decoded when the payload is not kept.
 	// It starts big enough for anything Put writes (flat blobs are under
-	// chunkThreshold, chunks are chunkPayloadSize) and doubles — after
-	// that many bytes really came out — for anything else.
+	// chunkThreshold, and it holds four chunks in flight) and only a flat
+	// blob of a size Put does not write grows it.
 	scratch []byte
 	whole   hash.Hash // SHA-256 of the logical payload so far
 	sum     [sha256.Size]byte
 
-	// One chunk: what the walker read from the chunk list and where a kept
-	// chunk goes, then what checkChunk made of it.
+	// One chunk: what the walker read from the chunk list and the room it
+	// decodes into, then checkChunk's verdict on it.
 	want, enc, dst []byte
-	keep           bool
-	data           []byte
 	err            error
 	pending        sync.WaitGroup // held while a helper owns the fields above
 }
@@ -112,54 +114,32 @@ func checkBlob(digest string, comp []byte, keep bool, procs int) ([]byte, int64,
 // release hands the fixity back to the pool it came from, holding on to
 // nothing of the blob.
 func (k *fixity) release(pool *sync.Pool) {
-	k.want, k.enc, k.dst, k.data, k.err = nil, nil, nil, nil, nil
+	k.want, k.enc, k.dst, k.err = nil, nil, nil, nil
 	if len(k.scratch) <= maxPooledScratch {
 		pool.Put(k)
 	}
 }
 
-// piece decodes one marker-framed piece — a flat blob, or one chunk of a
-// chunked one — without any fixity check. With keep, the logical bytes are
-// written to the front of dst, and a piece longer than dst is an error;
-// without, dst is ignored and the bytes are returned in place (raw) or in
-// the scratch (deflate), valid until the next call.
-func (k *fixity) piece(enc, dst []byte, keep bool) ([]byte, error) {
-	if len(enc) == 0 {
-		return nil, fmt.Errorf("empty stored blob")
-	}
-	switch enc[0] {
+// flat checks a flat blob: raw, or deflate of a size nowhere in the
+// stored form, decoded into the scratch, which doubles — after that many
+// bytes really came out — until the stream fits. A kept payload is copied
+// out at its exact size.
+func (k *fixity) flat(comp []byte, keep bool) ([]byte, int64, error) {
+	var data []byte
+	switch comp[0] {
 	case blobRaw:
-		if !keep {
-			return enc[1:], nil
-		}
-		if len(enc)-1 > len(dst) {
-			return nil, errDstFull
-		}
-		return dst[:copy(dst, enc[1:])], nil
+		data = comp[1:]
 	case blobDeflate:
-		if keep {
-			n, err := k.inflate(dst, enc[1:])
-			return dst[:n], err
-		}
-		for {
-			n, err := k.inflate(k.scratch, enc[1:])
-			if err != errDstFull {
-				return k.scratch[:n], err
-			}
+		n, err := k.inflate(k.scratch, comp[1:])
+		for ; err == errDstFull; n, err = k.inflate(k.scratch, comp[1:]) {
 			k.scratch = make([]byte, 2*len(k.scratch))
 		}
+		if err != nil {
+			return nil, 0, err
+		}
+		data = k.scratch[:n]
 	default:
-		return nil, fmt.Errorf("unknown blob encoding 0x%02x", enc[0])
-	}
-}
-
-// flat checks a flat (raw or deflate) blob. Its logical size is nowhere in
-// the stored form, so a kept payload is copied out at its exact size once
-// the piece has been decoded.
-func (k *fixity) flat(comp []byte, keep bool) ([]byte, int64, error) {
-	data, err := k.piece(comp, nil, false)
-	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("unknown blob encoding 0x%02x", comp[0])
 	}
 	k.whole.Write(data)
 	if !keep {
@@ -185,13 +165,15 @@ func (k *fixity) chunked(body []byte, keep bool, procs int) ([]byte, int64, erro
 		hdr[i], rest = v, rest[n:]
 	}
 	logical, cs, nChunks := hdr[0], hdr[1], hdr[2]
+	if cs != chunkPayloadSize {
+		return nil, 0, fmt.Errorf("chunked header: chunk size %d, the format's is %d", cs, chunkPayloadSize)
+	}
 	// No field may exceed what the bytes present could hold (every chunk
 	// costs a digest, and deflate expands at most maxInflateRatio to one);
-	// bounded so, the arithmetic below cannot overflow and the payload
-	// allocation is proportional to the input, whatever the header claims.
-	limit := uint64(len(body)) * maxInflateRatio
-	if cs == 0 || nChunks == 0 || logical > limit || cs > limit || nChunks > uint64(len(body))/sha256.Size {
-		return nil, 0, fmt.Errorf("chunked header implausible: logical=%d chunkSize=%d chunks=%d", logical, cs, nChunks)
+	// bounded so, the payload allocation is proportional to the input,
+	// whatever the header claims.
+	if nChunks == 0 || logical > uint64(len(body))*maxInflateRatio || nChunks > uint64(len(body))/sha256.Size {
+		return nil, 0, fmt.Errorf("chunked header implausible: logical=%d chunks=%d", logical, nChunks)
 	}
 	if want := (logical + cs - 1) / cs; want != nChunks {
 		return nil, 0, fmt.Errorf("chunked header inconsistent: %d bytes in %d-byte chunks needs %d chunks, header says %d",
@@ -203,36 +185,26 @@ func (k *fixity) chunked(body []byte, keep bool, procs int) ([]byte, int64, erro
 		payload = make([]byte, logical)
 	}
 	helpers := int(min(uint64(min(procs, maxChunkHelpers)), nChunks))
-	err := k.chunks(rest, logical, cs, nChunks, payload, keep, helpers)
-	if err == errUneven {
-		k.whole.Reset()
-		err = k.chunks(rest, logical, cs, nChunks, payload, keep, 1)
-	}
-	if err != nil {
+	if err := k.chunks(rest, logical, nChunks, payload, helpers); err != nil {
 		return nil, 0, err
 	}
 	return payload, int64(logical), nil
 }
 
-// errUneven reports that a chunk did not fit the cs bytes its place in the
-// list gives it, or that a kept one did not fill them, so where the chunks
-// after it belong is known only once it and every chunk before it has been
-// inflated. Put writes no such blob; one is settled by checking it again
-// without helpers.
-var errUneven = errors.New("chunk sizes are uneven")
-
 // chunks is the chunk loop: it walks the chunk list of a chunked body once,
-// has every chunk inflated and held to its recorded digest, and feeds the
-// chunks to the whole-payload hash in order. With helpers > 1 that many
-// goroutines do the inflating and chunk hashing, each chunk in a slot
-// borrowed from slotPool and straight into its place in the payload — or,
-// when the payload is not kept, into a place in k's scratch — while this
-// goroutine walks ahead of them and hashes behind them; otherwise it does
-// the same per chunk itself, in k. A chunk is bound to its slot here, before
-// any helper sees it, and slots are emptied in the order they were filled:
-// a helper never waits for room, and the chunk the hash needs next is never
-// queued behind a later one.
-func (k *fixity) chunks(list []byte, logical, cs, nChunks uint64, payload []byte, keep bool, helpers int) (err error) {
+// has every chunk decoded into its room and held to its recorded digest,
+// and feeds the chunks to the whole-payload hash in order. A chunk's room
+// is its place in the payload, or — when the payload is not kept — a
+// place in k's scratch, and it must fill it exactly: every chunk but the
+// last is chunkPayloadSize bytes, the last the remainder. With helpers > 1
+// that many goroutines do the decoding and chunk hashing, each chunk in a
+// slot borrowed from slotPool, while this goroutine walks ahead of them
+// and hashes behind them; otherwise it does the same per chunk itself, in
+// k. A chunk is bound to its slot here, before any helper sees it, and
+// slots are emptied in the order they were filled: a helper never waits
+// for room, and the chunk the hash needs next is never queued behind a
+// later one.
+func (k *fixity) chunks(list []byte, logical, nChunks uint64, payload []byte, helpers int) (err error) {
 	var ring [2 * maxChunkHelpers]*fixity
 	slots := ring[:1]
 	slots[0] = k
@@ -240,8 +212,8 @@ func (k *fixity) chunks(list []byte, logical, cs, nChunks uint64, payload []byte
 	// its turn at the hash. A check that keeps nothing has k's scratch for
 	// chunks in flight: four of Put's.
 	n := 2 * helpers
-	if !keep {
-		n = int(min(uint64(n), uint64(len(k.scratch))/cs))
+	if payload == nil {
+		n = min(n, len(k.scratch)/chunkPayloadSize)
 	}
 	var work chan *fixity
 	if helpers > 1 && n > 1 {
@@ -265,7 +237,6 @@ func (k *fixity) chunks(list []byte, logical, cs, nChunks uint64, payload []byte
 		width   = uint64(len(slots))
 		walked  uint64 // chunks read from the list and bound to a slot
 		walkErr error  // what stopped the walk short of nChunks
-		total   uint64
 	)
 	for done := uint64(0); ; done++ {
 		for ; err == nil && walkErr == nil && walked < nChunks && walked-done < width; walked++ {
@@ -273,16 +244,15 @@ func (k *fixity) chunks(list []byte, logical, cs, nChunks uint64, payload []byte
 			if s.want, s.enc, list, walkErr = nextChunk(list); walkErr != nil {
 				break
 			}
-			// A helper has no scratch: it decodes into the room it is given.
-			s.keep = keep || work != nil
+			lo := walked * chunkPayloadSize
+			room := min(logical-lo, chunkPayloadSize)
+			if payload != nil {
+				s.dst = payload[lo : lo+room : lo+room]
+			} else {
+				lo %= width * chunkPayloadSize
+				s.dst = k.scratch[lo : lo+room : lo+room]
+			}
 			if work != nil {
-				if lo := walked * cs; keep {
-					hi := min(lo+cs, logical)
-					s.dst = payload[lo:hi:hi]
-				} else {
-					lo %= width * cs
-					s.dst = k.scratch[lo : lo+cs : lo+cs]
-				}
 				s.pending.Add(1)
 				work <- s
 			}
@@ -296,22 +266,14 @@ func (k *fixity) chunks(list []byte, logical, cs, nChunks uint64, payload []byte
 			if err != nil {
 				continue // only waiting for what is in flight
 			}
-			if s.err == errDstFull || keep && s.err == nil && len(s.data) != len(s.dst) {
-				err = errUneven
-				continue
-			}
 		} else {
-			if keep {
-				s.dst = payload[total:]
-			}
 			s.checkChunk()
 		}
 		if s.err != nil {
 			err = fmt.Errorf("chunk %d: %w", done, s.err)
 			continue
 		}
-		k.whole.Write(s.data)
-		total += uint64(len(s.data))
+		k.whole.Write(s.dst)
 	}
 	switch {
 	case err != nil:
@@ -320,8 +282,6 @@ func (k *fixity) chunks(list []byte, logical, cs, nChunks uint64, payload []byte
 		return fmt.Errorf("chunk %d: %w", walked, walkErr)
 	case len(list) != 0:
 		return fmt.Errorf("chunked blob has %d trailing bytes", len(list))
-	case total != logical:
-		return fmt.Errorf("chunked blob reassembles to %d bytes, header says %d", total, logical)
 	}
 	return nil
 }
@@ -355,17 +315,32 @@ func chunkHelper(work <-chan *fixity) {
 // chunk's check, on the goroutine that makes it.
 var chunkStarted func()
 
-// checkChunk inflates the chunk the fixity was bound to and holds it to its
-// recorded digest.
+// checkChunk decodes the chunk the fixity was bound to into its room, which
+// it must fill exactly, and holds it to its recorded digest.
 func (k *fixity) checkChunk() {
 	if chunkStarted != nil {
 		chunkStarted()
 	}
-	k.data, k.err = k.piece(k.enc, k.dst, k.keep)
-	if k.err != nil {
-		return
+	n, err := len(k.enc)-1, error(nil)
+	switch {
+	case n < 0:
+		err = fmt.Errorf("empty stored piece")
+	case k.enc[0] == blobRaw && n == len(k.dst):
+		copy(k.dst, k.enc[1:])
+	case k.enc[0] == blobDeflate:
+		if n, err = k.inflate(k.dst, k.enc[1:]); err == errDstFull {
+			err = fmt.Errorf("decodes past the %d bytes its place holds", len(k.dst))
+		}
+	case k.enc[0] != blobRaw:
+		err = fmt.Errorf("unknown blob encoding 0x%02x", k.enc[0])
 	}
-	if got := sha256.Sum256(k.data); got != [sha256.Size]byte(k.want) {
-		k.err = fmt.Errorf("content hashes to %x, recorded %x", got, k.want)
+	if err == nil && n != len(k.dst) {
+		err = fmt.Errorf("decodes to %d bytes, its place holds %d", n, len(k.dst))
 	}
+	if err == nil {
+		if got := sha256.Sum256(k.dst); got != [sha256.Size]byte(k.want) {
+			err = fmt.Errorf("content hashes to %x, recorded %x", got, k.want)
+		}
+	}
+	k.err = err
 }

@@ -12,9 +12,10 @@ import (
 // inflates every blob, and compress/flate's io.Reader shape — a byte-at-a-
 // time ReadByte, a 32 KiB window copied out through Read, ~40 KB of fresh
 // state per NewReader — cost more than the SHA-256 the inflate feeds. The
-// stored form is unchanged: the encoder is still compress/flate, and this
-// decoder accepts and rejects exactly the streams compress/flate's does
-// (FuzzInflateMatchesFlate holds it to that, stdlib as the reference).
+// encoder is still compress/flate. This decoder accepts what compress/flate's
+// does, with the same output, but for what that encoder never writes: bytes
+// after the final block, and set padding bits (FuzzInflateMatchesFlate
+// holds it to that, stdlib as the reference).
 //
 // Decode tables hold packed uint32 entries indexed by the low bits of a
 // 64-bit bit buffer (DEFLATE packs codes LSB-first, so codes are stored
@@ -87,6 +88,9 @@ const (
 
 var (
 	errInflateCorrupt = errors.New("corrupt deflate stream")
+	// Streams compress/flate reads but never writes.
+	errInflateTrailing = errors.New("deflate stream has bytes after its final block")
+	errInflatePadding  = errors.New("deflate stream has nonzero padding bits")
 	// errDstFull reports that the stream inflates past the destination.
 	// It is not a verdict on the stream: the caller may retry with room.
 	errDstFull = errors.New("inflated data overflows its destination")
@@ -370,9 +374,10 @@ func (d *inflater) sym(table []uint32, primary uint) (uint32, error) {
 	return e, nil
 }
 
-// inflate decodes the DEFLATE stream at the start of src into dst and
-// returns the number of bytes written. Like compress/flate it stops at the
-// end of the final block and ignores whatever follows. It allocates nothing.
+// inflate decodes the DEFLATE stream that is all of src into dst and
+// returns the number of bytes written. The stream must end in the last byte
+// of src with zero padding bits, as compress/flate writes it. It allocates
+// nothing.
 func (d *inflater) inflate(dst, src []byte) (int, error) {
 	d.src, d.pos, d.bb, d.bc = src, 0, 0, 0
 	defer func() { d.src = nil }()
@@ -395,8 +400,16 @@ func (d *inflater) inflate(dst, src []byte) (int, error) {
 		default:
 			err = errInflateCorrupt
 		}
-		if err != nil || hdr&1 != 0 {
+		switch {
+		case err != nil:
 			return op, err
+		case hdr&1 == 0: // not the final block
+		case d.pos != len(d.src) || d.bc >= 8: // a whole byte is left
+			return op, errInflateTrailing
+		case d.bb != 0:
+			return op, errInflatePadding
+		default:
+			return op, nil
 		}
 	}
 }
@@ -404,8 +417,12 @@ func (d *inflater) inflate(dst, src []byte) (int, error) {
 // stored copies one stored block.
 func (d *inflater) stored(dst []byte, op int) (int, error) {
 	// The block starts at the next byte boundary: hand back the whole
-	// bytes the bit buffer read ahead, drop the rest of the current one.
+	// bytes the bit buffer read ahead; the rest of the current one is
+	// padding, and must be zero.
 	pos := d.pos - int(d.bc>>3)
+	if d.bb&(1<<(d.bc&7)-1) != 0 {
+		return op, errInflatePadding
+	}
 	d.bb, d.bc = 0, 0
 	if len(d.src)-pos < 4 {
 		return op, io.ErrUnexpectedEOF

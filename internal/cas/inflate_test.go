@@ -20,9 +20,11 @@ import (
 )
 
 // The kernel's tests are differential: compress/flate's decoder is the
-// reference, and the kernel must agree with it on every input — error
-// versus success, every output byte, and how much trailing input is
-// ignored.
+// reference. What the kernel accepts, the reference accepts too, with every
+// output byte the same and the whole input consumed; what the reference
+// accepts and the kernel refuses is refused for input after the final
+// block or a set padding bit, which compress/flate's reader ignores and
+// its writer never writes.
 
 // bitWriter packs a DEFLATE stream by hand, for streams no encoder emits.
 type bitWriter struct {
@@ -313,7 +315,8 @@ func namedStreams(t testing.TB) map[string][]byte {
 }
 
 // referenceInflate is compress/flate: the output, how many input bytes it
-// consumed, and whether it failed.
+// consumed, and whether it failed. A bytes.Reader is an io.ByteReader, so
+// compress/flate reads no byte it does not need.
 func referenceInflate(src []byte) (out []byte, consumed int, err error) {
 	rd := bytes.NewReader(src)
 	zr := flate.NewReader(rd)
@@ -326,23 +329,34 @@ func checkInflate(t testing.TB, d *inflater, src []byte) {
 	t.Helper()
 	want, consumed, werr := referenceInflate(src)
 
-	// With room to spare the kernel must reach the reference's verdict;
-	// fastOutMargin of slack also sends it through the unchecked loop.
+	// With room to spare the kernel must reach a verdict the reference
+	// allows; fastOutMargin of slack also sends it through the unchecked
+	// loop.
 	dst := make([]byte, len(want)+2*fastOutMargin)
 	n, err := d.inflate(dst, src)
-	if werr != nil {
-		if err == nil {
-			t.Fatalf("reference fails (%v) after %d bytes; kernel succeeds with %d", werr, len(want), n)
+	switch {
+	case err == errDstFull:
+		t.Fatalf("reference: %d bytes (%v); kernel wants more than %d bytes of room", len(want), werr, len(dst))
+	case werr != nil && err == nil:
+		t.Fatalf("reference fails (%v) after %d bytes; kernel succeeds with %d", werr, len(want), n)
+	case werr != nil:
+		return
+	case err == errInflateTrailing || err == errInflatePadding:
+		// The kernel asks more of a stream than the reader does: the
+		// stream ends at the input's end, with zero padding. Cut to where
+		// the reference stopped, only a padding bit can be left to refuse.
+		if err == errInflateTrailing && consumed == len(src) {
+			t.Fatalf("kernel finds trailing input; the reference consumed all %d bytes", consumed)
 		}
-		if err == errDstFull {
-			t.Fatalf("reference fails (%v) after %d bytes; kernel wants more than %d bytes of room", werr, len(want), len(dst))
+		if _, err := d.inflate(dst, src[:consumed]); err != nil && err != errInflatePadding {
+			t.Fatalf("input cut to the %d bytes the reference consumed: %v", consumed, err)
 		}
 		return
-	}
-	if err != nil {
+	case err != nil:
 		t.Fatalf("reference inflates to %d bytes; kernel fails: %v", len(want), err)
-	}
-	if !bytes.Equal(dst[:n], want) {
+	case consumed != len(src):
+		t.Fatalf("kernel accepts %d bytes of input; the reference consumed %d", len(src), consumed)
+	case !bytes.Equal(dst[:n], want):
 		t.Fatalf("kernel output differs from the reference (%d vs %d bytes)", n, len(want))
 	}
 
@@ -357,17 +371,31 @@ func checkInflate(t testing.TB, d *inflater, src []byte) {
 			t.Fatalf("destination one byte short: err=%v, want errDstFull", err)
 		}
 	}
-
-	// The same trailing input is ignored: the bytes the reference consumed
-	// are enough, and one fewer is not.
-	if n, err := d.inflate(dst, src[:consumed]); err != nil || !bytes.Equal(dst[:n], want) {
-		t.Fatalf("input cut to the %d bytes the reference consumed: n=%d err=%v", consumed, n, err)
+	// One byte more, whatever it is, is trailing input; one fewer is a
+	// stream cut short.
+	if _, err := d.inflate(dst, append(src[:len(src):len(src)], 0)); err != errInflateTrailing {
+		t.Fatalf("one byte appended: err=%v, want errInflateTrailing", err)
 	}
-	if consumed > 0 {
-		if _, err := d.inflate(dst, src[:consumed-1]); err == nil {
-			t.Fatalf("input cut one byte short of the %d the reference consumed: kernel succeeds", consumed)
+	if len(src) > 0 {
+		if _, err := d.inflate(dst, src[:len(src)-1]); err == nil {
+			t.Fatal("input cut one byte short: kernel succeeds")
 		}
 	}
+}
+
+// checkWriterStream holds the kernel to accepting what compress/flate
+// writes, as well as to the reference on it.
+func checkWriterStream(t testing.TB, d *inflater, src []byte) {
+	t.Helper()
+	want, _, err := referenceInflate(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, len(want))
+	if n, err := d.inflate(dst, src); err != nil || n != len(want) {
+		t.Fatalf("a stream compress/flate wrote: n=%d err=%v, want %d bytes", n, err, len(want))
+	}
+	checkInflate(t, d, src)
 }
 
 // pairStreams are long streams for the pair table: each has more than
@@ -468,16 +496,20 @@ func TestInflateNamedStreams(t *testing.T) {
 		})
 	}
 	// The named streams must include both verdicts, or the table proves
-	// less than it says.
+	// less than it says; the valid ones, written by compress/flate or by
+	// hand with zero padding, the kernel accepts too.
 	for name, wantErr := range map[string]bool{
 		"single-code-distance-tree": false, "single-code-literal-tree": false,
 		"fixed-overlapping-match": false, "fifteen-bit-codes": false, "stored-empty": false,
+		"stored": false, "huffman-only": false, "dynamic": false, "fixed": false,
 		"single-code-distance-tree-unowned": true, "no-end-of-block-code": true,
 		"distance-one-past-start": true, "hlit-287": true, "hdist-31": true,
 		"repeat-with-no-previous-length": true, "empty-input": true,
 	} {
 		if _, _, err := referenceInflate(streams[name]); (err != nil) != wantErr {
 			t.Errorf("%s: reference err=%v, want error %v", name, err, wantErr)
+		} else if !wantErr {
+			checkWriterStream(t, d, streams[name])
 		}
 	}
 }
@@ -493,7 +525,11 @@ func TestInflatePairStreams(t *testing.T) {
 			if pairs, err := d.dynamicHeader(); err != nil || pairs == nil {
 				t.Fatalf("first block: pair table %v, err %v; the stream proves less than it says", pairs != nil, err)
 			}
-			checkInflate(t, d, s)
+			if name == "lone-one-bit-code" {
+				checkInflate(t, d, s)
+			} else {
+				checkWriterStream(t, d, s)
+			}
 			// Cut where the pair table's input threshold falls, too.
 			for _, cut := range []int{pairMinInput - 1, pairMinInput, pairMinInput + 1, 2 * pairMinInput, len(s) - 1} {
 				if cut < len(s) {
@@ -700,7 +736,7 @@ func TestInflatePackageFiles(t *testing.T) {
 			t.Run(name+"/"+lname, func(t *testing.T) {
 				for _, cut := range []int{len(data), 0, 1, 1000, 65536} {
 					if cut <= len(data) {
-						checkInflate(t, d, deflateAt(t, level, data[:cut]))
+						checkWriterStream(t, d, deflateAt(t, level, data[:cut]))
 					}
 				}
 				// A truncated stream, not just a stream of truncated data.

@@ -186,15 +186,24 @@ func (r *FileReader) Tier() Tier { return r.tier }
 
 // Read returns the next event, or io.EOF once the end-of-stream trailer
 // has been seen. Input that ends before the trailer — a truncated file —
-// returns an error wrapping io.ErrUnexpectedEOF, never a clean EOF.
+// returns an error wrapping io.ErrUnexpectedEOF, never a clean EOF. An
+// event of another tier than the file's is corrupt, as FileWriter refuses
+// to write one.
 func (r *FileReader) Read() (*Event, error) {
 	if r.done {
 		return nil, io.EOF
 	}
+	var e *Event
+	var err error
 	if r.br != nil {
-		return r.readV3()
+		e, err = r.readV3()
+	} else {
+		e, err = r.readV2()
 	}
-	return r.readV2()
+	if err == nil && e.Tier != r.tier {
+		return nil, fmt.Errorf("datamodel: event tier %v in %v file", e.Tier, r.tier)
+	}
+	return e, err
 }
 
 func (r *FileReader) truncated() error {
@@ -234,14 +243,18 @@ func (r *FileReader) readV3() (*Event, error) {
 		if ln > maxFrameV3 {
 			return nil, fmt.Errorf("datamodel: implausible frame size %d", ln)
 		}
-		if uint64(cap(r.payload)) < ln {
-			r.payload = make([]byte, ln)
+		// Past the pooled scratch, the buffer grows with the bytes that
+		// arrive, not by the length claimed, and is not kept.
+		var buf []byte
+		if ln <= uint64(cap(r.payload)) {
+			buf = r.payload[:ln]
+			_, err = io.ReadFull(r.br, buf)
+		} else {
+			buf, err = io.ReadAll(io.LimitReader(r.br, int64(ln)))
 		}
-		buf := r.payload[:ln]
-		if _, err := io.ReadFull(r.br, buf); err != nil {
+		if err != nil || uint64(len(buf)) != ln {
 			return nil, r.truncated()
 		}
-		r.payload = buf[:cap(buf)]
 		e, err := decodeEventV3(buf)
 		if err != nil {
 			return nil, fmt.Errorf("datamodel: decoding event: %w", err)
@@ -254,7 +267,10 @@ func (r *FileReader) readV3() (*Event, error) {
 }
 
 func (r *FileReader) readV2() (*Event, error) {
-	var rec record
+	// gob sizes a nil map by the count the stream claims, unbounded; into a
+	// map that exists it adds what it decodes. A record without an event
+	// then reads as an empty one, which Read refuses: its tier is 0.
+	rec := record{Event: &Event{Aux: map[string]float64{}}}
 	if err := r.dec.Decode(&rec); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			// The underlying input ran out before the trailer: the file
@@ -271,8 +287,8 @@ func (r *FileReader) readV2() (*Event, error) {
 		r.done = true
 		return nil, io.EOF
 	}
-	if rec.Event == nil {
-		return nil, fmt.Errorf("datamodel: empty record in stream")
+	if len(rec.Event.Aux) == 0 {
+		rec.Event.Aux = nil
 	}
 	r.n++
 	return rec.Event, nil

@@ -193,6 +193,7 @@ func TestYodaRejectsCorruptInput(t *testing.T) {
 		"bad number":   "BEGIN DASPOS_H1D /x\nNBins=1 Lo=0 Hi=1\nzz 0\nEND DASPOS_H1D\n",
 		"bad binning":  "BEGIN DASPOS_H1D /x\nNBins=1 Lo=5 Hi=1\nEND DASPOS_H1D\n",
 		"data early":   "BEGIN DASPOS_H1D /x\n0 0\nEND DASPOS_H1D\n",
+		"no binning":   "BEGIN DASPOS_H1D /x\nEND DASPOS_H1D\n",
 		"extra rows":   "BEGIN DASPOS_H1D /x\nNBins=1 Lo=0 Hi=1\n0 0\n1 1\nEND DASPOS_H1D\n",
 		"bad row":      "BEGIN DASPOS_H1D /x\nNBins=1 Lo=0 Hi=1\n0 0 0\nEND DASPOS_H1D\n",
 	}

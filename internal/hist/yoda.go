@@ -89,12 +89,14 @@ func ReadAll(r io.Reader) ([]*H1D, error) {
 func readBlock(sc *bufio.Scanner, header string) (*H1D, error) {
 	name := strings.TrimPrefix(strings.TrimSpace(strings.TrimPrefix(header, h1dBegin)), "/")
 	h := &H1D{Name: name}
-	bin := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case line == h1dEnd:
-			if bin != h.NBins {
+			if h.NBins == 0 {
+				return nil, fmt.Errorf("hist: block %q has invalid binning", name)
+			}
+			if bin := len(h.SumW); bin != h.NBins {
 				return nil, fmt.Errorf("hist: block %q has %d rows, header says %d", name, bin, h.NBins)
 			}
 			return h, nil
@@ -109,8 +111,6 @@ func readBlock(sc *bufio.Scanner, header string) (*H1D, error) {
 			if h.NBins <= 0 || h.Hi <= h.Lo {
 				return nil, fmt.Errorf("hist: block %q has invalid binning", name)
 			}
-			h.SumW = make([]float64, h.NBins)
-			h.SumW2 = make([]float64, h.NBins)
 		case strings.HasPrefix(line, "Under="):
 			if _, err := fmt.Sscanf(line, "Under=%g Over=%g Entries=%d", &h.Under, &h.Over, &h.Entries); err != nil {
 				return nil, fmt.Errorf("hist: bad totals line %q: %w", line, err)
@@ -120,10 +120,11 @@ func readBlock(sc *bufio.Scanner, header string) (*H1D, error) {
 				return nil, fmt.Errorf("hist: bad moments line %q: %w", line, err)
 			}
 		default:
-			if h.SumW == nil {
+			// Rows are appended as read: NBins is only a claim.
+			if h.NBins == 0 {
 				return nil, fmt.Errorf("hist: data row before binning header in block %q", name)
 			}
-			if bin >= h.NBins {
+			if len(h.SumW) >= h.NBins {
 				return nil, fmt.Errorf("hist: too many data rows in block %q", name)
 			}
 			fields := strings.Fields(line)
@@ -138,9 +139,8 @@ func readBlock(sc *bufio.Scanner, header string) (*H1D, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hist: bad sumw2 in block %q: %w", name, err)
 			}
-			h.SumW[bin] = w
-			h.SumW2[bin] = w2
-			bin++
+			h.SumW = append(h.SumW, w)
+			h.SumW2 = append(h.SumW2, w2)
 		}
 	}
 	return nil, fmt.Errorf("hist: unterminated block %q", name)

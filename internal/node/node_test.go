@@ -21,15 +21,27 @@ func startNode(t *testing.T, id string) (*Node, string) {
 	return n, srv.URL
 }
 
+// storedForm returns a payload's digest and the stored form a Store writes
+// for it.
+func storedForm(t testing.TB, payload []byte) (string, []byte) {
+	t.Helper()
+	backend := cas.NewShardedBackend(1)
+	digest, err := cas.NewStoreWith(backend).Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, _, err := backend.GetBlob(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digest, comp
+}
+
 // putBlob pushes a payload through the wire protocol and returns its
 // digest and stored form.
 func putBlob(t *testing.T, base string, payload []byte) (string, []byte) {
 	t.Helper()
-	digest := cas.Digest(payload)
-	comp, err := cas.EncodeBlob(payload)
-	if err != nil {
-		t.Fatalf("EncodeBlob: %v", err)
-	}
+	digest, comp := storedForm(t, payload)
 	req, err := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(comp))
 	if err != nil {
 		t.Fatal(err)
@@ -77,12 +89,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestPutRejectsWireCorruption(t *testing.T) {
 	n, base := startNode(t, "n1")
-	payload := bytes.Repeat([]byte("x"), 4096)
-	digest := cas.Digest(payload)
-	comp, err := cas.EncodeBlob(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	digest, comp := storedForm(t, bytes.Repeat([]byte("x"), 4096))
 	comp[len(comp)/2] ^= 0xFF // corrupt in flight
 	req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(comp))
 	resp, err := http.DefaultClient.Do(req)
@@ -104,11 +111,7 @@ func TestPutRejectsWireCorruption(t *testing.T) {
 func TestPutStoresTheCheckedSize(t *testing.T) {
 	n, base := startNode(t, "n1")
 	payload := bytes.Repeat([]byte("sized "), 500)
-	comp, err := cas.EncodeBlob(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := cas.Digest(payload)
+	digest, comp := storedForm(t, payload)
 	req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(comp))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -6,9 +6,14 @@
 # and the seed corpora of its fuzz targets (FuzzInflateMatchesFlate,
 # FuzzVerifyMatchesDecode, FuzzNodePut) and of the wire decoders'
 # (FuzzDecodeCursor, FuzzDecodeBudget); CI's chaos job fuzzes them for
-# real. The chunk-parallel check's tests run here too — the fanned-out
-# loop held to the inline one inside FuzzVerifyMatchesDecode and
-# TestForeignBlobShapes, TestChunkedEarliestDefectWins,
+# real. So do the kernel's bit-exactness tests — no single-bit flip, no
+# appended byte and no set padding bit of a stored form passes:
+# TestBitExactFlipsRefused, TestBitExactAppendRefused and
+# TestBitExactPaddingRefused (internal/cas), which CI's chaos job repeats
+# at -count=5. The chunk-parallel check's tests run here too — the
+# fanned-out loop held to the inline one inside FuzzVerifyMatchesDecode,
+# TestForeignBlobShapes (foreign chunk sizes and splits refused by name),
+# the first two bit-exactness tests, TestChunkedEarliestDefectWins,
 # TestChunkedCheckKeepsTwoChunksInFlight, TestChunkedCheckSaturated — and
 # CI's chaos job repeats them at -count=10 -cpu 1,2,4. The one-check read's
 # tests run here as well — TestClusterStoreChecksEachReadOnce
@@ -50,7 +55,12 @@
 # (internal/conditions), FuzzDecodeMenu (internal/trigger) and
 # FuzzDecodeDerivation (internal/skim), and of the generator-record reader
 # and the interview decoder, FuzzHepMCReader (internal/hepmc) and
-# FuzzInterviewDecode (internal/interview), which CI's chaos job fuzzes too.
+# FuzzInterviewDecode (internal/interview), and of the event-file reader of
+# both versions and the YODA-like histogram reader, FuzzFileReader
+# (internal/datamodel) and FuzzReadYODA (internal/hist), which CI's chaos
+# job fuzzes too; their allocation bounds run here as
+# TestFrameLengthReservesNothing, TestMapCountReservesNothing and
+# TestBinCountReservesNothing.
 # The read tier's retained-heap gates,
 # TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
 # (internal/queryserve), run below beside its allocation gates, and so
