@@ -1,10 +1,12 @@
 // Command daspos-node runs one storage node of the preservation network:
 // a content-addressed blob store served over the wire protocol documented
 // in internal/node. A blob travels as its stored form and nothing else: the
-// node counts its size with the same fixity check that guards each PUT. A
-// cluster is just N of these processes plus a client (internal/cluster)
-// that places digests across them with consistent hashing and keeps them
-// converged with anti-entropy sweeps, each reading one digest listing per
+// node counts its size with the same fixity check that guards each write.
+// Writes and fixity verdicts travel as lists, one request per node for a
+// package's blobs or a pass's digests. A cluster is just N of these
+// processes plus a client (internal/cluster) that places digests across
+// them with consistent hashing and keeps them converged with anti-entropy
+// sweeps, each reading one digest listing and one list of verdicts per
 // node.
 //
 // Usage:

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"daspos/internal/cas"
+	"daspos/internal/node"
 )
 
 // served is what run handed the listen-and-drain loop.
@@ -77,6 +79,10 @@ func TestServeAnswersEveryRouteAndReportsTheDrain(t *testing.T) {
 		}
 		return digest, comp
 	}
+	// frame is one blob's frame of a blob-list body.
+	frame := func(digest string, stored []byte) []byte {
+		return append(node.AppendFrameHeader(nil, digest, len(stored)), stored...)
+	}
 	kept, keptBody := blob("kept")
 	gone, goneBody := blob("gone")
 	for _, c := range []struct {
@@ -85,10 +91,9 @@ func TestServeAnswersEveryRouteAndReportsTheDrain(t *testing.T) {
 		status       int
 		want         string // a prefix of the response body
 	}{
-		{http.MethodPut, "/v1/blobs/" + kept, keptBody, http.StatusNoContent, ""},
-		{http.MethodPut, "/v1/blobs/" + gone, goneBody, http.StatusNoContent, ""},
+		{http.MethodPost, "/v1/blobs", slices.Concat(frame(kept, keptBody), frame(gone, goneBody)), http.StatusOK, `[{"status":204},{"status":204}]`},
 		{http.MethodGet, "/v1/blobs/" + kept, nil, http.StatusOK, string(keptBody)},
-		{http.MethodGet, "/v1/verify/" + kept, nil, http.StatusOK, `{"ok":true}`},
+		{http.MethodPost, "/v1/verify", []byte(`["` + kept + `"]`), http.StatusOK, `[{"ok":true,"logical":4}]`},
 		{http.MethodDelete, "/v1/blobs/" + gone, nil, http.StatusNoContent, ""},
 		{http.MethodGet, "/v1/digests", nil, http.StatusOK, `["` + kept + `"]`},
 	} {

@@ -166,19 +166,26 @@ func encodeBlob(data []byte) (*bytes.Buffer, error) {
 	return buf, nil
 }
 
-// storeBlob frames, (maybe) compresses, and writes one payload that is
-// known to be absent from the backend.
-func (s *Store) storeBlob(digest string, data []byte) error {
-	buf, err := encodeBlob(data)
-	if err != nil {
-		return err
+// encode returns a payload's stored form: the chunked form at and above
+// the chunking threshold, fanned over workers, otherwise the marker-framed
+// one in a pooled buffer, which release hands back once the backend has
+// the bytes.
+func encode(data []byte, workers int) (comp []byte, pooled *bytes.Buffer, err error) {
+	if len(data) >= chunkThreshold {
+		comp, err = encodeChunked(data, workers)
+		return comp, nil, err
 	}
-	err = s.backend.PutBlob(digest, buf.Bytes(), int64(len(data)))
-	blobBufPool.Put(buf)
-	if err != nil {
-		return fmt.Errorf("cas: storing %s: %w", digest, err)
+	if pooled, err = encodeBlob(data); err != nil {
+		return nil, nil, err
 	}
-	return nil
+	return pooled.Bytes(), pooled, nil
+}
+
+// release hands a buffer encode pooled back.
+func release(pooled *bytes.Buffer) {
+	if pooled != nil {
+		blobBufPool.Put(pooled)
+	}
 }
 
 // Put stores a payload and returns its digest. Duplicate content is a

@@ -52,20 +52,25 @@ const (
 // bytes are identical for every worker count.
 func (s *Store) PutWorkers(data []byte, workers int) (string, error) {
 	d := Digest(data)
+	return d, s.putDigested(d, data, workers)
+}
+
+// putDigested stores a payload whose digest the caller computed, unless
+// the backend already has it.
+func (s *Store) putDigested(d string, data []byte, workers int) error {
 	if s.backend.HasBlob(d) {
-		return d, nil
+		return nil
 	}
-	if len(data) < chunkThreshold {
-		return d, s.storeBlob(d, data)
-	}
-	blob, err := encodeChunked(data, workers)
+	comp, pooled, err := encode(data, workers)
 	if err != nil {
-		return "", err
+		return err
 	}
-	if err := s.backend.PutBlob(d, blob, int64(len(data))); err != nil {
-		return "", fmt.Errorf("cas: storing %s: %w", d, err)
+	err = s.backend.PutBlob(d, comp, int64(len(data)))
+	release(pooled)
+	if err != nil {
+		return fmt.Errorf("cas: storing %s: %w", d, err)
 	}
-	return d, nil
+	return nil
 }
 
 // encodeChunked produces the chunked stored form, fanning the per-chunk

@@ -2,25 +2,25 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 
-	"daspos/internal/cas"
+	"daspos/internal/node"
 )
 
 // Anti-entropy: the background repair loop that makes the cluster
 // converge back to full replication and 100% fixity after nodes die,
 // partitions heal, or replicas rot. A sweep reads one digest listing per
-// member, cross-checks fixity between the replicas of every digest
-// (verification runs node-local, so a healthy cluster pays verdict
-// traffic, not blob traffic, and a healthy replica costs its node one
-// SHA-256 of its stored bytes against the hash its own fixity check
-// recorded), re-replicates every missing or corrupt copy from any healthy
-// one, and — once a digest's owners are all healthy — trims copies
-// stranded on non-owners by rebalancing.
+// member, then asks each member once for its fixity verdicts on every
+// digest it owns (one POST /v1/verify per node per pass: verification runs
+// node-local, so a healthy cluster pays verdict traffic, not blob traffic,
+// and a healthy replica costs its node one SHA-256 of its stored bytes
+// against the hash its own fixity check recorded), re-replicates every
+// missing or corrupt copy from any healthy one with a blob list of one,
+// and — once a digest's owners are all healthy — trims copies stranded on
+// non-owners by rebalancing.
 
 // SweepReport summarizes one anti-entropy pass.
 type SweepReport struct {
@@ -122,25 +122,34 @@ const (
 	replicaUnreachable
 )
 
-// inspect asks one owner for its verdict on one digest.
-func (c *Client) inspect(ctx context.Context, nc *nodeConn, digest string) replicaState {
-	v, err := c.verifyOn(ctx, nc, digest)
+// state reads one owner's answer to a verify request.
+func state(v node.VerifyResult, err error) replicaState {
 	switch {
-	case err == nil && v.OK:
-		return replicaHealthy
-	case err == nil:
-		return replicaCorrupt
-	case errors.Is(err, cas.ErrNotFound):
-		return replicaMissing
-	default:
+	case err != nil:
 		return replicaUnreachable
+	case v.Missing:
+		return replicaMissing
+	case !v.OK:
+		return replicaCorrupt
+	default:
+		return replicaHealthy
 	}
 }
 
-// Sweep runs one anti-entropy pass over the whole keyspace, fanning the
-// per-digest work across workers. It returns the pass summary; the error
-// is reserved for a sweep that could not even start (context dead, no
-// member reachable).
+// inspect asks one node for its verdict on one digest.
+func (c *Client) inspect(ctx context.Context, nc *nodeConn, digest string) replicaState {
+	v, err := c.verdicts(ctx, nc, []string{digest})
+	if err != nil {
+		return replicaUnreachable
+	}
+	return state(v[0], nil)
+}
+
+// Sweep runs one anti-entropy pass over the whole keyspace: each member is
+// listed once and asked once for its verdicts on the digests it owns, then
+// the per-digest repairs fan across workers. It returns the pass summary;
+// the error is reserved for a sweep that could not even start (context
+// dead, no member reachable).
 func (c *Client) Sweep(ctx context.Context) (SweepReport, error) {
 	var rep SweepReport
 	located, unreachable, err := c.locate(ctx)
@@ -154,42 +163,32 @@ func (c *Client) Sweep(ctx context.Context) (SweepReport, error) {
 	// answered: an unreachable node may be the one holding the last good
 	// replica of something.
 	canRemove := len(unreachable) == 0
+	owners := c.ownersOf(digests, false)
+	verdicts, answerErrs := c.askOwners(ctx, digests, owners)
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers > len(digests) {
-		workers = len(digests)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), 8, len(digests)))
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
-	next := make(chan string)
+	next := make(chan int)
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
-			for d := range next {
-				local := c.sweepDigest(ctx, d, located[d], canRemove)
+			for i := range next {
+				d := digests[i]
+				local := c.sweepDigest(ctx, d, located[d], canRemove, owners[i], verdicts[i], answerErrs[i])
 				mu.Lock()
-				rep.Healthy += local.Healthy
-				rep.Repaired += local.Repaired
-				rep.Removed += local.Removed
-				rep.Unrecoverable += local.Unrecoverable
-				rep.Errors += local.Errors
+				rep.merge(local)
 				mu.Unlock()
 			}
 		}()
 	}
 feed:
-	for _, d := range digests {
+	for i := range digests {
 		select {
-		case next <- d:
+		case next <- i:
 		case <-ctx.Done():
 			break feed
 		}
@@ -202,22 +201,21 @@ feed:
 	return rep, nil
 }
 
-// sweepDigest reconciles one digest's replica set. holders is the set of
-// node IDs whose listings included the digest.
-func (c *Client) sweepDigest(ctx context.Context, digest string, holders map[string]bool, canRemove bool) SweepReport {
+// sweepDigest reconciles one digest's replica set from its owners'
+// answers (askOwners). holders is the set of node IDs whose listings
+// included the digest.
+func (c *Client) sweepDigest(ctx context.Context, digest string, holders map[string]bool, canRemove bool,
+	owners []*nodeConn, verdicts []node.VerifyResult, answerErrs []error) SweepReport {
 	var rep SweepReport
-	owners := c.ownerConns(digest)
 	if len(owners) == 0 {
 		rep.Errors++
 		return rep
 	}
-	states := make([]replicaState, len(owners))
 	blocked := false // an owner we could not interrogate
 	var broken []*nodeConn
 	srcOrder := make([]*nodeConn, 0, len(owners))
 	for i, nc := range owners {
-		states[i] = c.inspect(ctx, nc, digest)
-		switch states[i] {
+		switch state(verdicts[i], answerErrs[i]) {
 		case replicaHealthy:
 			srcOrder = append(srcOrder, nc)
 		case replicaMissing, replicaCorrupt:
@@ -279,7 +277,7 @@ func (c *Client) sweepDigest(ctx context.Context, digest string, holders map[str
 		return rep
 	}
 	for _, nc := range broken {
-		if err := c.putTo(ctx, nc, digest, src.comp); err != nil {
+		if err := c.putOne(ctx, nc, digest, src.comp); err != nil {
 			rep.Errors++
 		} else {
 			rep.Repaired++

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -96,6 +97,7 @@ type Client struct {
 var (
 	_ cas.Backend        = (*Client)(nil)
 	_ cas.VerifiedReader = (*Client)(nil)
+	_ cas.ListBackend    = (*Client)(nil)
 )
 
 // New returns a client over the given membership. The context is retained:
@@ -199,29 +201,38 @@ type callResult struct {
 	body   []byte
 }
 
-// once performs a single HTTP exchange. Transport failures are transient
-// (the resilience layer may retry them); responses — any status — settle
-// the call.
-func (c *Client) once(ctx context.Context, nc *nodeConn, method, path string, body []byte) (callResult, error) {
+// once performs a single HTTP exchange. The body, when there is one, is
+// sent as the concatenation of its parts, streamed from them: a blob list
+// is never copied into one buffer. Transport failures are transient (the
+// resilience layer may retry them); responses — any status — settle the
+// call.
+func (c *Client) once(ctx context.Context, nc *nodeConn, method, path string, body [][]byte) (callResult, error) {
 	u := nc.base + path
-	var rd io.Reader
+	var (
+		rd   io.Reader
+		sent int64
+	)
 	if body != nil {
-		rd = bytes.NewReader(body)
+		parts := make([]io.Reader, len(body))
+		for i, p := range body {
+			parts[i] = bytes.NewReader(p)
+			sent += int64(len(p))
+		}
+		rd = io.MultiReader(parts...)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
 		return callResult{}, resilience.MarkPermanent(fmt.Errorf("cluster: building %s %s: %w", method, u, err))
+	}
+	if rd != nil {
+		req.ContentLength = sent
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
 		return callResult{}, resilience.MarkTransient(fmt.Errorf("cluster: node %s unreachable: %w", nc.id, err))
 	}
 	defer resp.Body.Close()
-	size := resp.ContentLength
-	if method == http.MethodHead {
-		size = 0 // the length is the blob's; the body is empty
-	}
-	data, err := node.ReadBody(resp.Body, size)
+	data, err := node.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return callResult{}, resilience.MarkTransient(fmt.Errorf("cluster: node %s: reading response: %w", nc.id, err))
 	}
@@ -232,7 +243,7 @@ func (c *Client) once(ctx context.Context, nc *nodeConn, method, path string, bo
 // transport errors and 5xx answers count against the node's health and
 // are retried; any other status settles the call and reads as node
 // health.
-func (c *Client) call(ctx context.Context, nc *nodeConn, method, path string, body []byte) (callResult, error) {
+func (c *Client) call(ctx context.Context, nc *nodeConn, method, path string, body [][]byte) (callResult, error) {
 	var out callResult
 	err := resilience.Retry(ctx, c.retry, func(ctx context.Context) error {
 		return nc.breaker.Do(func() error {
@@ -251,24 +262,56 @@ func (c *Client) call(ctx context.Context, nc *nodeConn, method, path string, bo
 	return out, err
 }
 
-// putTo writes one stored-form blob to one node, which counts its logical
-// size with its own check.
-func (c *Client) putTo(ctx context.Context, nc *nodeConn, digest string, comp []byte) error {
-	res, err := c.call(ctx, nc, http.MethodPut, "/v1/blobs/"+digest, comp)
+// maxListDigests caps the digests one verify request carries.
+const maxListDigests = 1 << 15
+
+// putTo writes a list of stored-form blobs to one node in one request,
+// and returns each blob's error. The node counts each blob's logical size
+// with its own check.
+func (c *Client) putTo(ctx context.Context, nc *nodeConn, digests []string, comps [][]byte) []error {
+	errs := make([]error, len(digests))
+	body := make([][]byte, 0, 2*len(digests))
+	for i, d := range digests {
+		body = append(body, node.AppendFrameHeader(nil, d, len(comps[i])), comps[i])
+	}
+	fail := func(err error) []error {
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs
+	}
+	res, err := c.call(ctx, nc, http.MethodPost, "/v1/blobs", body)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	switch res.status {
-	case http.StatusNoContent, http.StatusOK, http.StatusCreated:
-		return nil
-	case http.StatusUnprocessableEntity:
-		// The node's fixity gate refused our bytes: either our copy is
-		// bad (permanent) or the wire mangled it (a retry may cure).
-		// Transient keeps the quorum honest without giving up on a blip.
-		return resilience.MarkTransient(fmt.Errorf("cluster: node %s refused %s: %s", nc.id, short(digest), bytes.TrimSpace(res.body)))
-	default:
-		return resilience.MarkPermanent(fmt.Errorf("cluster: node %s: put %s: unexpected HTTP %d", nc.id, short(digest), res.status))
+	if res.status != http.StatusOK {
+		return fail(resilience.MarkPermanent(fmt.Errorf("cluster: node %s: put list: unexpected HTTP %d: %s", nc.id, res.status, bytes.TrimSpace(res.body))))
 	}
+	var results []node.PutResult
+	if uerr := json.Unmarshal(res.body, &results); uerr != nil {
+		return fail(resilience.MarkTransient(fmt.Errorf("cluster: node %s: put list: bad response: %w", nc.id, uerr)))
+	}
+	if len(results) != len(digests) {
+		return fail(resilience.MarkTransient(fmt.Errorf("cluster: node %s: put list: %d answers for %d blobs", nc.id, len(results), len(digests))))
+	}
+	for i, r := range results {
+		switch r.Status {
+		case http.StatusNoContent:
+		case http.StatusUnprocessableEntity:
+			// The node's fixity gate refused our bytes: either our copy is
+			// bad (permanent) or the wire mangled it (a retry may cure).
+			// Transient keeps the quorum honest without giving up on a blip.
+			errs[i] = resilience.MarkTransient(fmt.Errorf("cluster: node %s refused %s: %s", nc.id, short(digests[i]), r.Error))
+		default:
+			errs[i] = resilience.MarkPermanent(fmt.Errorf("cluster: node %s: put %s: HTTP %d: %s", nc.id, short(digests[i]), r.Status, r.Error))
+		}
+	}
+	return errs
+}
+
+// putOne writes one blob to one node: a list of one.
+func (c *Client) putOne(ctx context.Context, nc *nodeConn, digest string, comp []byte) error {
+	return c.putTo(ctx, nc, []string{digest}, [][]byte{comp})[0]
 }
 
 // replica is one owner's copy of a blob as a read found it: the stored
@@ -310,39 +353,39 @@ func (c *Client) getFrom(ctx context.Context, nc *nodeConn, digest string, keep 
 	return r, nil
 }
 
-// hasOn stats one blob on one node.
-func (c *Client) hasOn(ctx context.Context, nc *nodeConn, digest string) (bool, error) {
-	res, err := c.call(ctx, nc, http.MethodHead, "/v1/blobs/"+digest, nil)
-	if err != nil {
-		return false, err
-	}
-	return res.status == http.StatusOK, nil
-}
-
 // deleteOn removes one blob from one node.
 func (c *Client) deleteOn(ctx context.Context, nc *nodeConn, digest string) error {
 	_, err := c.call(ctx, nc, http.MethodDelete, "/v1/blobs/"+digest, nil)
 	return err
 }
 
-// verifyOn asks one node for its local fixity verdict on one blob.
-func (c *Client) verifyOn(ctx context.Context, nc *nodeConn, digest string) (node.VerifyResult, error) {
-	res, err := c.call(ctx, nc, http.MethodGet, "/v1/verify/"+digest, nil)
-	if err != nil {
-		return node.VerifyResult{}, err
-	}
-	switch res.status {
-	case http.StatusOK:
-		var v node.VerifyResult
-		if uerr := json.Unmarshal(res.body, &v); uerr != nil {
-			return node.VerifyResult{}, resilience.MarkTransient(fmt.Errorf("cluster: node %s: verify %s: bad response: %w", nc.id, short(digest), uerr))
+// verdicts asks one node for its fixity verdicts on a list of digests, in
+// order, in as few requests as the digest cap allows.
+func (c *Client) verdicts(ctx context.Context, nc *nodeConn, digests []string) ([]node.VerifyResult, error) {
+	out := make([]node.VerifyResult, 0, len(digests))
+	for lo := 0; lo < len(digests); lo += maxListDigests {
+		part := digests[lo:min(lo+maxListDigests, len(digests))]
+		list, err := json.Marshal(part)
+		if err != nil {
+			return nil, resilience.MarkPermanent(err)
 		}
-		return v, nil
-	case http.StatusNotFound:
-		return node.VerifyResult{}, &cas.NotFoundError{Digest: digest}
-	default:
-		return node.VerifyResult{}, resilience.MarkPermanent(fmt.Errorf("cluster: node %s: verify %s: unexpected HTTP %d", nc.id, short(digest), res.status))
+		res, err := c.call(ctx, nc, http.MethodPost, "/v1/verify", [][]byte{list})
+		if err != nil {
+			return nil, err
+		}
+		if res.status != http.StatusOK {
+			return nil, resilience.MarkPermanent(fmt.Errorf("cluster: node %s: verify: unexpected HTTP %d: %s", nc.id, res.status, bytes.TrimSpace(res.body)))
+		}
+		var got []node.VerifyResult
+		if uerr := json.Unmarshal(res.body, &got); uerr != nil {
+			return nil, resilience.MarkTransient(fmt.Errorf("cluster: node %s: verify: bad response: %w", nc.id, uerr))
+		}
+		if len(got) != len(part) {
+			return nil, resilience.MarkTransient(fmt.Errorf("cluster: node %s: verify: %d verdicts for %d digests", nc.id, len(got), len(part)))
+		}
+		out = append(out, got...)
 	}
+	return out, nil
 }
 
 // list reads one node's whole digest listing.
@@ -361,36 +404,165 @@ func (c *Client) list(ctx context.Context, nc *nodeConn) ([]string, error) {
 	return out, nil
 }
 
-// PutBlob implements cas.Backend: a quorum write across the digest's
-// replica set. All replicas are written concurrently; the put succeeds
-// once a majority acks, and anti-entropy later completes any replica a
-// fault kept out of the quorum. The logical size is not sent: each node
-// counts it.
+// PutBlob implements cas.Backend: PutMany of one blob.
 func (c *Client) PutBlob(digest string, comp []byte, _ int64) error {
-	ctx := c.ctx
-	owners := c.ownerConns(digest)
-	if len(owners) == 0 {
-		return resilience.MarkPermanent(fmt.Errorf("cluster: no nodes available for %s", short(digest)))
-	}
-	quorum := len(owners)/2 + 1
-	results := make(chan error, len(owners))
-	for _, nc := range owners {
-		go func(nc *nodeConn) { results <- c.putTo(ctx, nc, digest, comp) }(nc)
-	}
-	acks := 0
-	var firstErr error
-	for range owners {
-		if err := <-results; err == nil {
-			acks++
-		} else if firstErr == nil {
-			firstErr = err
+	return c.PutMany([]string{digest}, [][]byte{comp})[0]
+}
+
+// PutMany implements cas.ListBackend: a quorum write of each blob across
+// its replica set, with one request per owner node for the whole list
+// (cas.Store bounds a list's bytes). All nodes are written concurrently; a blob's put
+// succeeds once a majority of its owners ack it, and anti-entropy later
+// completes any replica a fault kept out of the quorum. Logical sizes are
+// not sent: each node counts them.
+func (c *Client) PutMany(digests []string, comps [][]byte) []error {
+	owners := c.ownersOf(digests, false)
+	acks := make([]int, len(digests))
+	firstErr := make([]error, len(digests))
+	var mu sync.Mutex
+	eachNode(owners, func(nc *nodeConn, idx []int) {
+		ds, cs := make([]string, len(idx)), make([][]byte, len(idx))
+		for k, i := range idx {
+			ds[k], cs[k] = digests[i], comps[i]
+		}
+		got := c.putTo(c.ctx, nc, ds, cs)
+		mu.Lock()
+		defer mu.Unlock()
+		for k, i := range idx {
+			if got[k] == nil {
+				acks[i]++
+			} else if firstErr[i] == nil {
+				firstErr[i] = got[k]
+			}
+		}
+	})
+	errs := make([]error, len(digests))
+	for i, d := range digests {
+		switch n := len(owners[i]); {
+		case n == 0:
+			errs[i] = resilience.MarkPermanent(fmt.Errorf("cluster: no nodes available for %s", short(d)))
+		case acks[i] < n/2+1:
+			errs[i] = resilience.MarkTransient(fmt.Errorf("cluster: write quorum not reached for %s: %d/%d acks (need %d): %w",
+				short(d), acks[i], n, n/2+1, firstErr[i]))
 		}
 	}
-	if acks >= quorum {
-		return nil
+	return errs
+}
+
+// ownersOf resolves each digest's replica set, or with firstOnly its first
+// owner alone.
+func (c *Client) ownersOf(digests []string, firstOnly bool) [][]*nodeConn {
+	owners := make([][]*nodeConn, len(digests))
+	for i, d := range digests {
+		owners[i] = c.ownerConns(d)
+		if firstOnly && len(owners[i]) > 1 {
+			owners[i] = owners[i][:1]
+		}
 	}
-	return resilience.MarkTransient(fmt.Errorf("cluster: write quorum not reached for %s: %d/%d acks (need %d): %w",
-		short(digest), acks, len(owners), quorum, firstErr))
+	return owners
+}
+
+// eachNode runs fn once per node among the owners, concurrently, with the
+// indices of the digests it owns, and waits: one request's worth of work
+// per node.
+func eachNode(owners [][]*nodeConn, fn func(nc *nodeConn, idx []int)) {
+	byNode := make(map[*nodeConn][]int)
+	for i, ncs := range owners {
+		for _, nc := range ncs {
+			byNode[nc] = append(byNode[nc], i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(byNode))
+	for nc, idx := range byNode {
+		go func() {
+			defer wg.Done()
+			fn(nc, idx)
+		}()
+	}
+	wg.Wait()
+}
+
+// askOwners asks the given owners of each digest for their verdicts, with
+// one verify request per node for all the digests it is asked about.
+// verdict[i][k] is owners[i][k]'s verdict on digests[i], and errs[i][k]
+// what kept it from answering.
+func (c *Client) askOwners(ctx context.Context, digests []string, owners [][]*nodeConn) (verdict [][]node.VerifyResult, errs [][]error) {
+	verdict = make([][]node.VerifyResult, len(digests))
+	errs = make([][]error, len(digests))
+	for i := range digests {
+		verdict[i] = make([]node.VerifyResult, len(owners[i]))
+		errs[i] = make([]error, len(owners[i]))
+	}
+	eachNode(owners, func(nc *nodeConn, idx []int) {
+		ds := make([]string, len(idx))
+		for k, i := range idx {
+			ds[k] = digests[i]
+		}
+		got, err := c.verdicts(ctx, nc, ds)
+		for k, i := range idx {
+			if o := slices.Index(owners[i], nc); err != nil {
+				errs[i][o] = err
+			} else {
+				verdict[i][o] = got[k]
+			}
+		}
+	})
+	return verdict, errs
+}
+
+// HasMany implements cas.ListBackend: each digest's first owner is asked,
+// with one verify request per node; a copy there that passes its check is
+// held. A blob the fleet holds is on its first owner, so one answer settles
+// it; a node that fails to answer reads as absence, which only costs an
+// idempotent re-put.
+func (c *Client) HasMany(digests []string) []bool {
+	verdict, errs := c.askOwners(c.ctx, digests, c.ownersOf(digests, true))
+	held := make([]bool, len(digests))
+	for i := range digests {
+		held[i] = len(verdict[i]) == 1 && errs[i][0] == nil && verdict[i][0].OK
+	}
+	return held
+}
+
+// VerifyMany implements cas.ListBackend: every owner's node gives its
+// verdict on each digest, with one verify request per node for the whole
+// list, and no blob is fetched. A digest passes when every owner holds a
+// copy that passes its node's check and all count one logical size; the
+// error names the first owner, in ring order, that missed, failed or could
+// not answer. This trusts the nodes' verdicts as the anti-entropy sweep
+// does.
+func (c *Client) VerifyMany(digests []string) ([]int64, []error) {
+	owners := c.ownersOf(digests, false)
+	verdict, answerErrs := c.askOwners(c.ctx, digests, owners)
+	logical := make([]int64, len(digests))
+	errs := make([]error, len(digests))
+	for i, d := range digests {
+		if len(owners[i]) == 0 {
+			errs[i] = resilience.MarkPermanent(fmt.Errorf("cluster: no nodes available for %s", short(d)))
+			continue
+		}
+		for k, nc := range owners[i] {
+			v := verdict[i][k]
+			switch {
+			case answerErrs[i][k] != nil:
+				errs[i] = answerErrs[i][k]
+			case v.Missing:
+				errs[i] = fmt.Errorf("cluster: node %s: %w", nc.id, &cas.NotFoundError{Digest: d})
+			case !v.OK:
+				errs[i] = &cas.CorruptError{Digest: d, Cause: fmt.Errorf("node %s's copy fails its check", nc.id)}
+			case k > 0 && v.Logical != logical[i]:
+				errs[i] = &cas.CorruptError{Digest: d, Cause: fmt.Errorf("node %s counts %d logical bytes, node %s %d",
+					nc.id, v.Logical, owners[i][0].id, logical[i])}
+			}
+			if errs[i] != nil {
+				logical[i] = 0
+				break
+			}
+			logical[i] = v.Logical
+		}
+	}
+	return logical, errs
 }
 
 // GetBlob implements cas.Backend: the stored bytes of the first healthy
@@ -429,7 +601,7 @@ func (c *Client) read(digest string, keep bool) (replica, error) {
 		r, err := c.getFrom(ctx, nc, digest, keep)
 		if err == nil {
 			for _, b := range broken {
-				_ = c.putTo(ctx, b, digest, r.comp) // read-repair
+				_ = c.putOne(ctx, b, digest, r.comp) // read-repair
 			}
 			return r, nil
 		}
@@ -449,40 +621,8 @@ func (c *Client) read(digest string, keep bool) (replica, error) {
 	return replica{}, fmt.Errorf("cluster: no healthy replica of %s: %w", short(digest), firstErr)
 }
 
-// HasBlob implements cas.Backend: true when any owner has the blob. The
-// first owner is asked alone — a blob the fleet holds is on it, and one
-// answer settles the call — and only when it has none are the others asked,
-// concurrently and all waited for, as in PutBlob: a new blob costs two
-// round trips before its put instead of one per owner, and no request is
-// sent that asking in turn would not have sent to a fleet whose replicas
-// agree. Node failures read as absence — the interface has no error
-// channel, and a false negative only costs an idempotent re-put.
-func (c *Client) HasBlob(digest string) bool {
-	ctx := c.ctx
-	has := func(nc *nodeConn) bool {
-		ok, err := c.hasOn(ctx, nc, digest)
-		return err == nil && ok
-	}
-	owners := c.ownerConns(digest)
-	if len(owners) == 0 {
-		return false
-	}
-	if has(owners[0]) {
-		return true
-	}
-	rest := owners[1:]
-	answers := make(chan bool, len(rest))
-	for _, nc := range rest {
-		go func() { answers <- has(nc) }()
-	}
-	found := false
-	for range rest {
-		if <-answers {
-			found = true
-		}
-	}
-	return found
-}
+// HasBlob implements cas.Backend: HasMany of one digest.
+func (c *Client) HasBlob(digest string) bool { return c.HasMany([]string{digest})[0] }
 
 // DeleteBlob implements cas.Backend: best-effort delete on every member
 // (not just owners — rebalancing may have left copies anywhere).

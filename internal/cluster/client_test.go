@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -25,10 +26,21 @@ type testCluster struct {
 
 func startCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
+	return startClusterWith(t, n, nil)
+}
+
+// startClusterWith is startCluster with each node's handler passed through
+// wrap, when it is set.
+func startClusterWith(t *testing.T, n int, wrap func(i int, h http.Handler) http.Handler) *testCluster {
+	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < n; i++ {
 		nd := node.New(fmt.Sprintf("n%d", i), cas.NewShardedBackend(1))
-		srv := httptest.NewServer(nd.Handler())
+		h := nd.Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
 		tc.nodes = append(tc.nodes, nd)
 		tc.servers = append(tc.servers, srv)

@@ -114,7 +114,7 @@ func MaturityTable(a Area) *texttable.Table {
 type LifecycleStage struct {
 	Name string `json:"name"`
 	// Files and AvgFileSizeBytes describe extent.
-	Files            int   `json:"files"`
+	Files            int64 `json:"files"`
 	AvgFileSizeBytes int64 `json:"avg_file_size_bytes"`
 	// Formats are the file formats at this stage.
 	Formats []string `json:"formats"`
@@ -189,10 +189,10 @@ func (iv *Interview) Validate() error {
 			return fmt.Errorf("interview: %s: stage %q has negative extent", iv.Name, s.Name)
 		}
 		// An extent past int64 would wrap in TotalBytes and the tables.
-		if s.Files > 0 && s.AvgFileSizeBytes > math.MaxInt64/int64(s.Files) {
+		if s.Files > 0 && s.AvgFileSizeBytes > math.MaxInt64/s.Files {
 			return fmt.Errorf("interview: %s: stage %q extent overflows", iv.Name, s.Name)
 		}
-		extent := int64(s.Files) * s.AvgFileSizeBytes
+		extent := s.Files * s.AvgFileSizeBytes
 		if extent > math.MaxInt64-total {
 			return fmt.Errorf("interview: %s: total extent overflows at stage %q", iv.Name, s.Name)
 		}
@@ -223,7 +223,7 @@ func (iv *Interview) OverallMaturity() float64 {
 func (iv *Interview) TotalBytes() int64 {
 	var n int64
 	for _, s := range iv.Stages {
-		n += int64(s.Files) * s.AvgFileSizeBytes
+		n += s.Files * s.AvgFileSizeBytes
 	}
 	return n
 }
@@ -303,7 +303,7 @@ func (iv *Interview) LifecycleTable() *texttable.Table {
 	t.SetAlign(3, texttable.Right)
 	for _, s := range iv.Stages {
 		t.AddRow(s.Name, s.Files, FormatBytes(s.AvgFileSizeBytes),
-			FormatBytes(int64(s.Files)*s.AvgFileSizeBytes), joinStrings(s.Formats))
+			FormatBytes(s.Files*s.AvgFileSizeBytes), joinStrings(s.Formats))
 	}
 	return t
 }

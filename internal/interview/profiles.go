@@ -18,7 +18,7 @@ func StandardProfiles() []*Interview {
 		{Name: "histlib", Version: "5.34", External: true, Provides: "histogramming and fitting"},
 		{Name: "group-analysis-code", External: false},
 	}
-	stages := func(condAccess string, aodFiles int) []LifecycleStage {
+	stages := func(condAccess string, aodFiles int64) []LifecycleStage {
 		return []LifecycleStage{
 			{Name: "RAW collection", Files: 1000000, AvgFileSizeBytes: 2 << 30,
 				Formats: []string{"raw-banks"}, Software: recoSW(condAccess)},

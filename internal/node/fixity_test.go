@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -10,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -27,25 +30,12 @@ func headerBomb(logical uint64) []byte {
 	return append(b, make([]byte, 40)...)
 }
 
-func putRaw(t *testing.T, base, digest string, body []byte) int {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
-// TestPutRefusesHeaderBomb: a 50-byte PUT body claiming a terabyte payload
-// used to take the node down inside the fixity gate (an allocation sized by
-// the header: fatal out-of-memory, or a makeslice panic). It is a 422 like
-// any other body that fails fixity, costs no memory, and the node goes on
-// serving.
+// TestPutRefusesHeaderBomb: a 50-byte stored blob claiming a terabyte
+// payload used to take the node down inside the fixity gate (an allocation
+// sized by the header: fatal out-of-memory, or a makeslice panic). It is a
+// 422 like any other blob that fails fixity, costs no memory, and the node
+// goes on serving. So is a frame claiming a gigabyte of stored bytes: the
+// list is refused whole with 400, at the cost of the bytes that came.
 func TestPutRefusesHeaderBomb(t *testing.T) {
 	n, base := startNode(t, "n1")
 	var before, after runtime.MemStats
@@ -55,9 +45,13 @@ func TestPutRefusesHeaderBomb(t *testing.T) {
 			t.Fatalf("header claiming %d bytes: status %d, want 422", logical, status)
 		}
 	}
+	claim := AppendFrameHeader(nil, cas.Digest(nil), maxBlobBytes)
+	if status, _ := post(t, base+"/v1/blobs", append(claim, 1, 2, 3)); status != http.StatusBadRequest {
+		t.Fatalf("frame claiming %d stored bytes: status %d, want 400", maxBlobBytes, status)
+	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("refusing two 50-byte bodies allocated %d bytes", grew)
+		t.Fatalf("refusing three short bodies allocated %d bytes", grew)
 	}
 	if n.Blobs() != 0 {
 		t.Fatalf("%d blobs stored", n.Blobs())
@@ -97,11 +91,14 @@ func TestReadBody(t *testing.T) {
 	}
 }
 
-// FuzzNodePut throws arbitrary stored-form bodies at the PUT gate, with
-// nothing beside them: it answers 204 or a 4xx and never panics, and
-// whatever it acknowledged verifies where it now lies, stored with the
-// logical size a check of the body counts.
+// FuzzNodePut throws arbitrary blob-list bodies at the PUT gate: it
+// answers 200 with one answer per frame — 204 or a 4xx — or refuses broken
+// framing with 400, and never panics. A frame's claimed length reserves no
+// memory: the buffer frames are read into stays within twice the longest
+// frame that arrived, plus one read step. Whatever the node stores verifies where it
+// now lies, with the logical size a check of its bytes counts.
 func FuzzNodePut(f *testing.F) {
+	var blobs []frame
 	for _, payload := range [][]byte{
 		nil,
 		[]byte("small"),
@@ -109,42 +106,94 @@ func FuzzNodePut(f *testing.F) {
 		bytes.Repeat([]byte{0, 1, 2, 3, 5, 8, 13, 21}, 40<<10), // past the chunking threshold
 	} {
 		digest, comp := storedForm(f, payload)
-		f.Add(digest, comp)
+		blobs = append(blobs, frame{digest, comp})
+		f.Add(listBody(frame{digest, comp}))
 		for _, off := range []int{0, 1, len(comp) / 2, len(comp) - 1} {
 			bad := append([]byte(nil), comp...)
 			bad[off%len(comp)] ^= 0x10
-			f.Add(digest, bad)
+			f.Add(listBody(frame{digest, bad}))
 		}
 	}
-	f.Add(cas.Digest(nil), headerBomb(1<<40))
-	f.Add(cas.Digest(nil), headerBomb(1<<62))
-	f.Add("not-a-digest", []byte{0})
+	f.Add(listBody(frame{cas.Digest(nil), headerBomb(1 << 40)}))
+	f.Add(listBody(frame{cas.Digest(nil), headerBomb(1 << 62)}))
+	f.Add(listBody(frame{"not-a-digest", []byte{0}}))
+	f.Add(listBody(blobs...))
+	f.Add(AppendFrameHeader(nil, cas.Digest(nil), maxBlobBytes))
+	f.Add(listBody(blobs[1], frame{blobs[2].digest, blobs[1].stored}, blobs[2])[:40])
 
-	f.Fuzz(func(t *testing.T, digest string, body []byte) {
-		n := New("fuzz", cas.NewShardedBackend(1))
-		req := httptest.NewRequest(http.MethodPut, "/v1/blobs/x", bytes.NewReader(body))
-		req.SetPathValue("digest", digest)
-		checked, _ := cas.VerifyBlob(digest, body) // 0 for a body the gate refuses
-		rec := httptest.NewRecorder()
-		n.handlePut(rec, req)
-		switch {
-		case rec.Code == http.StatusNoContent:
-			comp, logical, err := n.backend.GetBlob(digest)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		frames, longest := 0, 0
+		for r, buf := bufio.NewReader(bytes.NewReader(body)), []byte(nil); ; frames++ {
+			_, comp, err := readFrame(r, buf)
 			if err != nil {
-				t.Fatalf("acknowledged blob is not stored: %v", err)
+				break
 			}
-			if _, err := cas.VerifyBlob(digest, comp); err != nil {
-				t.Fatalf("acknowledged blob fails fixity: %v", err)
+			if longest = max(longest, len(comp)); cap(comp) > 2*longest+2*frameStep {
+				t.Fatalf("frames of at most %d stored bytes reserved %d", longest, cap(comp))
 			}
-			if logical != checked {
-				t.Fatalf("acknowledged blob stored as %d logical bytes, the check counted %d", logical, checked)
+			buf = comp
+		}
+		n := New("fuzz", cas.NewShardedBackend(1))
+		rec := httptest.NewRecorder()
+		n.handlePut(rec, httptest.NewRequest(http.MethodPost, "/v1/blobs", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var res []PutResult
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || len(res) != frames {
+				t.Fatalf("%d answers for %d frames (%v)", len(res), frames, err)
 			}
-		case rec.Code >= 400 && rec.Code < 500:
-			if n.Blobs() != 0 {
-				t.Fatalf("status %d but the blob was stored", rec.Code)
+			for _, r := range res {
+				if r.Status != http.StatusNoContent && (r.Status < 400 || r.Status >= 500) {
+					t.Fatalf("blob status %d: %s", r.Status, r.Error)
+				}
 			}
+		case http.StatusBadRequest:
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		for _, digest := range n.backend.Digests() {
+			comp, logical, err := n.backend.GetBlob(digest)
+			if err != nil {
+				t.Fatalf("listed blob is not stored: %v", err)
+			}
+			checked, err := cas.VerifyBlob(digest, comp)
+			if err != nil {
+				t.Fatalf("stored blob fails fixity: %v", err)
+			}
+			if logical != checked {
+				t.Fatalf("stored blob held as %d logical bytes, the check counts %d", logical, checked)
+			}
+		}
+	})
+}
+
+// FuzzDigestList throws arbitrary bodies at the verify route's decoder: a
+// list it accepts holds only valid digests and reads back the same from
+// its own encoding.
+func FuzzDigestList(f *testing.F) {
+	for _, seed := range []string{
+		`[]`, `null`, `["` + cas.Digest(nil) + `"]`, `["ab","cd"] `, `["AB"]`, `["../etc"]`,
+		`[1]`, `["ab"] ["cd"]`, `{"ab":1}`, `[` + strings.Repeat(`"0",`, 100) + `"0"]`, ``, `[`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ds, err := readDigests(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		for _, d := range ds {
+			if !validDigest(d) {
+				t.Fatalf("accepted invalid digest %q", d)
+			}
+		}
+		again, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := readDigests(bytes.NewReader(again))
+		if err != nil || !slices.Equal(back, ds) {
+			t.Fatalf("%s reads back as %q (%v), want %q", again, back, err, ds)
 		}
 	})
 }
@@ -152,9 +201,7 @@ func FuzzNodePut(f *testing.F) {
 // verifyOK asks a node for its verdict on one stored digest.
 func verifyOK(t *testing.T, base, digest string) bool {
 	t.Helper()
-	var res VerifyResult
-	getJSON(t, base+"/v1/verify/"+digest, &res)
-	return res.OK
+	return verdicts(t, base, digest)[0].OK
 }
 
 // TestVerifyVerdictIsTheKernels: whatever happened to the stored bytes
@@ -278,13 +325,8 @@ func TestCleanVerifyRunsNoKernel(t *testing.T) {
 
 	// A verify that finds the blob absent drops the record too.
 	n.Backend().DeleteBlob(digest)
-	resp, err = http.Get(base + "/v1/verify/" + digest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("verify of an absent blob: status %d, want 404", resp.StatusCode)
+	if res := verdicts(t, base, digest)[0]; !res.Missing || res.OK {
+		t.Fatalf("verify of an absent blob: %+v, want missing", res)
 	}
 	if err := n.Backend().PutBlob(digest, raw, 0); err != nil {
 		t.Fatal(err)
@@ -292,7 +334,7 @@ func TestCleanVerifyRunsNoKernel(t *testing.T) {
 	verify(true, 1)
 }
 
-// TestVerifyRacesPutAndDelete: PUTs of the two valid stored forms of one
+// TestVerifyRacesPutAndDelete: puts of the two valid stored forms of one
 // payload, DELETEs and verifies of it, all at once. Every stored byte is
 // valid, so every verify that finds the blob answers ok.
 func TestVerifyRacesPutAndDelete(t *testing.T) {
@@ -300,16 +342,18 @@ func TestVerifyRacesPutAndDelete(t *testing.T) {
 	payload := bytes.Repeat([]byte("contended "), 100)
 	digest, comp := putBlob(t, base, payload)
 	raw := append([]byte{0}, payload...)
-	send := func(method string, body []byte) (*http.Response, error) {
-		var r io.Reader
-		if body != nil {
-			r = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, base+"/v1/blobs/"+digest, r)
+	put := func(stored []byte) int {
+		resp, err := http.Post(base+"/v1/blobs", "application/octet-stream", bytes.NewReader(listBody(frame{digest, stored})))
 		if err != nil {
-			return nil, err
+			t.Error(err)
+			return 0
 		}
-		return http.DefaultClient.Do(req)
+		defer resp.Body.Close()
+		var res []PutResult
+		if json.NewDecoder(resp.Body).Decode(&res) != nil || len(res) != 1 {
+			return resp.StatusCode
+		}
+		return res[0].Status
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -317,38 +361,38 @@ func TestVerifyRacesPutAndDelete(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				var resp *http.Response
-				var err error
-				switch w {
-				case 0:
-					resp, err = send(http.MethodPut, comp)
-				case 1:
-					resp, err = send(http.MethodPut, raw)
-				case 2:
-					if i%5 == 4 {
-						resp, err = send(http.MethodDelete, nil)
-					} else {
-						resp, err = send(http.MethodPut, comp)
-					}
-				default:
-					resp, err = http.Get(base + "/v1/verify/" + digest)
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				status := http.StatusNoContent
 				switch {
-				case w < 3 && resp.StatusCode != http.StatusNoContent:
-					t.Errorf("worker %d: status %d, want 204", w, resp.StatusCode)
-				case w == 3 && resp.StatusCode == http.StatusOK:
-					var res VerifyResult
-					if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || !res.OK {
-						t.Errorf("verify of valid bytes: ok=%v (%v)", res.OK, err)
+				case w == 0:
+					status = put(comp)
+				case w == 1:
+					status = put(raw)
+				case w == 2 && i%5 == 4:
+					req, _ := http.NewRequest(http.MethodDelete, base+"/v1/blobs/"+digest, nil)
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Error(err)
+						return
 					}
-				case w == 3 && resp.StatusCode != http.StatusNotFound:
-					t.Errorf("verify: status %d, want 200 or 404", resp.StatusCode)
+					resp.Body.Close()
+					status = resp.StatusCode
+				case w == 2:
+					status = put(comp)
+				default:
+					resp, err := http.Post(base+"/v1/verify", "application/json", strings.NewReader(`["`+digest+`"]`))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var res []VerifyResult
+					if err := json.NewDecoder(resp.Body).Decode(&res); err != nil || len(res) != 1 || !res[0].OK && !res[0].Missing {
+						t.Errorf("verify of valid bytes: %+v (%v)", res, err)
+					}
+					resp.Body.Close()
 				}
-				resp.Body.Close()
+				if status != http.StatusNoContent {
+					t.Errorf("worker %d: status %d, want 204", w, status)
+				}
 			}
 		}(w)
 	}

@@ -37,25 +37,85 @@ func storedForm(t testing.TB, payload []byte) (string, []byte) {
 	return digest, comp
 }
 
+// frame is one blob of a blob-list body.
+type frame struct {
+	digest string
+	stored []byte
+}
+
+// listBody encodes frames as a blob-list body.
+func listBody(frames ...frame) []byte {
+	var body []byte
+	for _, f := range frames {
+		body = append(AppendFrameHeader(body, f.digest, len(f.stored)), f.stored...)
+	}
+	return body
+}
+
+// post sends a body to a route and returns the status and response body.
+func post(t testing.TB, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// putList sends a blob list and returns the node's answer for each blob;
+// a list the node refuses whole returns its status and no answers.
+func putList(t testing.TB, base string, frames ...frame) (int, []PutResult) {
+	t.Helper()
+	status, body := post(t, base+"/v1/blobs", listBody(frames...))
+	if status != http.StatusOK {
+		return status, nil
+	}
+	var res []PutResult
+	if err := json.Unmarshal(body, &res); err != nil || len(res) != len(frames) {
+		t.Fatalf("put list: %d answers for %d blobs (%v): %s", len(res), len(frames), err, body)
+	}
+	return status, res
+}
+
+// putRaw sends one blob as a list of one and returns the node's status for it.
+func putRaw(t testing.TB, base, digest string, body []byte) int {
+	t.Helper()
+	status, res := putList(t, base, frame{digest, body})
+	if res == nil {
+		return status
+	}
+	return res[0].Status
+}
+
 // putBlob pushes a payload through the wire protocol and returns its
 // digest and stored form.
 func putBlob(t *testing.T, base string, payload []byte) (string, []byte) {
 	t.Helper()
 	digest, comp := storedForm(t, payload)
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(comp))
+	if status := putRaw(t, base, digest, comp); status != http.StatusNoContent {
+		t.Fatalf("put status %d", status)
+	}
+	return digest, comp
+}
+
+// verdicts asks a node for its verdicts on a digest list.
+func verdicts(t testing.TB, base string, digests ...string) []VerifyResult {
+	t.Helper()
+	list, err := json.Marshal(digests)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("put: %v", err)
+	status, body := post(t, base+"/v1/verify", list)
+	var res []VerifyResult
+	if status != http.StatusOK || json.Unmarshal(body, &res) != nil || len(res) != len(digests) {
+		t.Fatalf("verify: status %d, %d verdicts for %d digests: %s", status, len(res), len(digests), body)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("put status %d: %s", resp.StatusCode, body)
-	}
-	return digest, comp
+	return res
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -91,41 +151,71 @@ func TestPutRejectsWireCorruption(t *testing.T) {
 	n, base := startNode(t, "n1")
 	digest, comp := storedForm(t, bytes.Repeat([]byte("x"), 4096))
 	comp[len(comp)/2] ^= 0xFF // corrupt in flight
-	req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(comp))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("corrupt put status %d, want 422", resp.StatusCode)
+	if status := putRaw(t, base, digest, comp); status != http.StatusUnprocessableEntity {
+		t.Fatalf("corrupt put status %d, want 422", status)
 	}
 	if n.Blobs() != 0 {
 		t.Fatalf("corrupt blob was stored: %d blobs", n.Blobs())
 	}
 }
 
-// TestPutStoresTheCheckedSize: a PUT carries the stored form and nothing
-// else. The node stores the blob with the logical size its own check
+// TestListPutRefusesOnlyTheBadBlob: in a blob list with one blob corrupt
+// on the wire, the node stores the others, answers 204 for each of them and
+// 422 for the bad one, which it does not store. Framing that breaks after
+// whole frames fails the request with 400, and the frames before the break
+// stay stored.
+func TestListPutRefusesOnlyTheBadBlob(t *testing.T) {
+	n, base := startNode(t, "n1")
+	var frames []frame
+	for i := 0; i < 4; i++ {
+		digest, comp := storedForm(t, bytes.Repeat([]byte(fmt.Sprintf("blob %d ", i)), 300))
+		frames = append(frames, frame{digest, comp})
+	}
+	bad := append([]byte(nil), frames[2].stored...)
+	bad[len(bad)/2] ^= 0xFF
+	frames[2].stored = bad
+	status, res := putList(t, base, frames...)
+	if status != http.StatusOK {
+		t.Fatalf("list status %d, want 200", status)
+	}
+	for i, r := range res {
+		want := http.StatusNoContent
+		if i == 2 {
+			want = http.StatusUnprocessableEntity
+		}
+		if r.Status != want {
+			t.Fatalf("blob %d: status %d (%s), want %d", i, r.Status, r.Error, want)
+		}
+		if _, _, err := n.Backend().GetBlob(frames[i].digest); (err == nil) != (i != 2) {
+			t.Fatalf("blob %d: stored=%v after status %d", i, err == nil, r.Status)
+		}
+	}
+
+	n2, base2 := startNode(t, "n2")
+	body := listBody(frames[0], frames[1])
+	if status, _ := post(t, base2+"/v1/blobs", append(body, listBody(frames[3])[:20]...)); status != http.StatusBadRequest {
+		t.Fatalf("list cut inside a frame: status %d, want 400", status)
+	}
+	if got := n2.Blobs(); got != 2 {
+		t.Fatalf("%d blobs stored from before the break, want 2", got)
+	}
+}
+
+// TestPutStoresTheCheckedSize: a blob's frame carries the stored form and
+// nothing else. The node stores the blob with the logical size its own check
 // counted and serves the same bytes back.
 func TestPutStoresTheCheckedSize(t *testing.T) {
 	n, base := startNode(t, "n1")
 	payload := bytes.Repeat([]byte("sized "), 500)
 	digest, comp := storedForm(t, payload)
-	req, _ := http.NewRequest(http.MethodPut, base+"/v1/blobs/"+digest, bytes.NewReader(comp))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("put status %d, want 204", resp.StatusCode)
+	if status := putRaw(t, base, digest, comp); status != http.StatusNoContent {
+		t.Fatalf("put status %d, want 204", status)
 	}
 	stored, logical, err := n.Backend().GetBlob(digest)
 	if err != nil || !bytes.Equal(stored, comp) || logical != int64(len(payload)) {
 		t.Fatalf("stored %d bytes as %d logical (%v), want %d as %d", len(stored), logical, err, len(comp), len(payload))
 	}
-	resp, err = http.Get(base + "/v1/blobs/" + digest)
+	resp, err := http.Get(base + "/v1/blobs/" + digest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,20 +261,18 @@ func TestStatAndDelete(t *testing.T) {
 
 func TestVerifyReportsBitRot(t *testing.T) {
 	n, base := startNode(t, "n1")
-	digest, _ := putBlob(t, base, bytes.Repeat([]byte("rot"), 2048))
+	payload := bytes.Repeat([]byte("rot"), 2048)
+	digest, _ := putBlob(t, base, payload)
 
-	var res VerifyResult
-	getJSON(t, base+"/v1/verify/"+digest, &res)
-	if !res.OK {
-		t.Fatal("fresh blob reported corrupt")
+	if res := verdicts(t, base, digest)[0]; !res.OK || res.Logical != int64(len(payload)) || res.Missing {
+		t.Fatalf("fresh blob: verdict %+v, want ok with %d logical bytes", res, len(payload))
 	}
 
 	if err := n.Corrupt(digest); err != nil {
 		t.Fatalf("Corrupt: %v", err)
 	}
-	getJSON(t, base+"/v1/verify/"+digest, &res)
-	if res.OK {
-		t.Fatal("bit-rotted blob reported healthy")
+	if res := verdicts(t, base, digest)[0]; res.OK || res.Missing {
+		t.Fatalf("bit-rotted blob: verdict %+v, want corrupt", res)
 	}
 }
 
@@ -228,6 +316,13 @@ func TestInvalidDigestRejected(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("digest %q status %d, want 400/404", bad, resp.StatusCode)
+		}
+		// In a blob list the blob is refused; in a digest list, the list.
+		if status := putRaw(t, base, bad, []byte{0}); status != http.StatusBadRequest {
+			t.Fatalf("blob under digest %q: status %d, want 400", bad, status)
+		}
+		if status, _ := post(t, base+"/v1/verify", []byte(`["`+bad+`"]`)); status != http.StatusBadRequest {
+			t.Fatalf("verify of digest %q: status %d, want 400", bad, status)
 		}
 	}
 }
