@@ -13,8 +13,6 @@
 package cas
 
 import (
-	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -116,76 +114,20 @@ const (
 // raw form is already optimal.
 const minCompressSize = 128
 
-// flateWriterPool recycles deflate writers: flate.NewWriter allocates
-// tens of kilobytes of window state per call, which used to be paid for
-// every single Put.
-var flateWriterPool = sync.Pool{
-	New: func() any {
-		zw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-		return zw
-	},
-}
-
-// blobBufPool recycles the scratch buffers the single-pass Put path
-// compresses into.
-var blobBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
-// encodeBlob produces the marker-framed stored form of a payload into a
-// pooled buffer: deflate when it shrinks the payload, verbatim otherwise.
-// The returned buffer must be handed back via blobBufPool after the
-// backend has copied it.
-func encodeBlob(data []byte) (*bytes.Buffer, error) {
-	buf := blobBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.Grow(len(data) + 1)
-	if len(data) >= minCompressSize {
-		buf.WriteByte(blobDeflate)
-		zw := flateWriterPool.Get().(*flate.Writer)
-		zw.Reset(buf)
-		_, werr := zw.Write(data)
-		cerr := zw.Close()
-		flateWriterPool.Put(zw)
-		if werr != nil {
-			blobBufPool.Put(buf)
-			return nil, werr
-		}
-		if cerr != nil {
-			blobBufPool.Put(buf)
-			return nil, cerr
-		}
-		if buf.Len()-1 < len(data) {
-			return buf, nil
-		}
-		// Incompressible: fall through and store verbatim.
-		buf.Reset()
-	}
-	buf.WriteByte(blobRaw)
-	buf.Write(data)
-	return buf, nil
-}
+// deflaterPool recycles encoders: each holds a 128 KiB match table, the
+// sequences of a block and the scratch a flat stored form is written into.
+var deflaterPool = sync.Pool{New: func() any { return newDeflater() }}
 
 // encode returns a payload's stored form: the chunked form at and above
 // the chunking threshold, fanned over workers, otherwise the marker-framed
-// one in a pooled buffer, which release hands back once the backend has
-// the bytes.
-func encode(data []byte, workers int) (comp []byte, pooled *bytes.Buffer, err error) {
+// one.
+func encode(data []byte, workers int) []byte {
 	if len(data) >= chunkThreshold {
-		comp, err = encodeChunked(data, workers)
-		return comp, nil, err
+		return encodeChunked(data, workers)
 	}
-	if pooled, err = encodeBlob(data); err != nil {
-		return nil, nil, err
-	}
-	return pooled.Bytes(), pooled, nil
-}
-
-// release hands a buffer encode pooled back.
-func release(pooled *bytes.Buffer) {
-	if pooled != nil {
-		blobBufPool.Put(pooled)
-	}
+	e := deflaterPool.Get().(*deflater)
+	defer deflaterPool.Put(e)
+	return e.encodeBlob(data)
 }
 
 // Put stores a payload and returns its digest. Duplicate content is a

@@ -61,13 +61,7 @@ func (s *Store) putDigested(d string, data []byte, workers int) error {
 	if s.backend.HasBlob(d) {
 		return nil
 	}
-	comp, pooled, err := encode(data, workers)
-	if err != nil {
-		return err
-	}
-	err = s.backend.PutBlob(d, comp, int64(len(data)))
-	release(pooled)
-	if err != nil {
+	if err := s.backend.PutBlob(d, encode(data, workers), int64(len(data))); err != nil {
 		return fmt.Errorf("cas: storing %s: %w", d, err)
 	}
 	return nil
@@ -76,48 +70,38 @@ func (s *Store) putDigested(d string, data []byte, workers int) error {
 // encodeChunked produces the chunked stored form, fanning the per-chunk
 // SHA-256 + deflate work across workers. Chunk boundaries are fixed byte
 // offsets and assembly is in index order, so the output is deterministic.
-func encodeChunked(data []byte, workers int) ([]byte, error) {
+//
+// Each worker writes its chunks straight into one buffer, a slot per chunk
+// wide enough for any chunk's record: the digest, three bytes of scratch
+// for the stored length, then the stored form. Assembly then moves each
+// record down into place, its length now a uvarint.
+func encodeChunked(data []byte, workers int) []byte {
+	const (
+		hdr  = 1 + 3*binary.MaxVarintLen64
+		body = sha256.Size + 3 // where a slot's stored form starts
+		slot = body + 1 + chunkPayloadSize + deflateSlack
+	)
 	n := len(data)
 	nChunks := (n + chunkPayloadSize - 1) / chunkPayloadSize
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
+	workers = max(1, min(workers, nChunks))
+	out := make([]byte, hdr+nChunks*slot)
 
-	type encChunk struct {
-		sum  [sha256.Size]byte
-		blob []byte
-	}
-	encs := make([]encChunk, nChunks)
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     = make(chan int)
-	)
+	var wg sync.WaitGroup
+	next := make(chan int)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			e := deflaterPool.Get().(*deflater)
+			defer deflaterPool.Put(e)
 			for i := range next {
 				lo := i * chunkPayloadSize
-				hi := min(lo+chunkPayloadSize, n)
-				chunk := data[lo:hi]
-				encs[i].sum = sha256.Sum256(chunk)
-				buf, err := encodeBlob(chunk)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				encs[i].blob = append([]byte(nil), buf.Bytes()...)
-				blobBufPool.Put(buf)
+				chunk := data[lo:min(lo+chunkPayloadSize, n)]
+				s := out[hdr+i*slot : hdr+(i+1)*slot]
+				sum := sha256.Sum256(chunk)
+				copy(s, sum[:])
+				m := e.storedForm(s[body:], chunk)
+				s[body-3], s[body-2], s[body-1] = byte(m), byte(m>>8), byte(m>>16)
 			}
 		}()
 	}
@@ -126,23 +110,18 @@ func encodeChunked(data []byte, workers int) ([]byte, error) {
 	}
 	close(next)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 
-	size := 1 + 3*binary.MaxVarintLen64
-	for i := range encs {
-		size += sha256.Size + binary.MaxVarintLen64 + len(encs[i].blob)
+	out[0] = blobChunked
+	pos := 1
+	pos += binary.PutUvarint(out[pos:], uint64(n))
+	pos += binary.PutUvarint(out[pos:], uint64(chunkPayloadSize))
+	pos += binary.PutUvarint(out[pos:], uint64(nChunks))
+	for i := 0; i < nChunks; i++ {
+		s := hdr + i*slot
+		m := int(out[s+body-3]) | int(out[s+body-2])<<8 | int(out[s+body-1])<<16
+		pos += copy(out[pos:], out[s:s+sha256.Size])
+		pos += binary.PutUvarint(out[pos:], uint64(m))
+		pos += copy(out[pos:], out[s+body:s+body+m])
 	}
-	out := make([]byte, 0, size)
-	out = append(out, blobChunked)
-	out = binary.AppendUvarint(out, uint64(n))
-	out = binary.AppendUvarint(out, uint64(chunkPayloadSize))
-	out = binary.AppendUvarint(out, uint64(nChunks))
-	for i := range encs {
-		out = append(out, encs[i].sum[:]...)
-		out = binary.AppendUvarint(out, uint64(len(encs[i].blob)))
-		out = append(out, encs[i].blob...)
-	}
-	return out, nil
+	return out[:pos]
 }

@@ -2,6 +2,7 @@ package cas
 
 import (
 	"bytes"
+	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -242,12 +243,7 @@ func TestForeignBlobShapes(t *testing.T) {
 // size.
 func encodedBlob(t testing.TB, payload []byte) []byte {
 	t.Helper()
-	buf, err := encodeBlob(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer blobBufPool.Put(buf)
-	return append([]byte(nil), buf.Bytes()...)
+	return newDeflater().encodeBlob(payload)
 }
 
 // foreignChunked writes a chunked stored form with the given chunk size in
@@ -447,3 +443,52 @@ func BenchmarkVerifyBlob(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEncodeBlob times the flat stored form of a tier file's bytes at
+// four sizes — a small record, the 5.4 KB record whose Huffman tables
+// dominate, one chunk, and a 2 MiB single stream — against the same stored
+// form written by compress/flate through a pooled writer.
+func BenchmarkEncodeBlob(b *testing.B) {
+	raw := tierPackageFiles(b)["raw.banks"]
+	for len(raw) < 2<<20 {
+		raw = append(raw, raw...)
+	}
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"200B", 200}, {"5.4KB", 5400}, {"64KiB", 64 << 10}, {"2MiB", 2 << 20}} {
+		data := raw[:size.n]
+		b.Run(size.name+"/kernel", func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := deflaterPool.Get().(*deflater)
+				encodeSink = e.encodeBlob(data)
+				deflaterPool.Put(e)
+			}
+		})
+		b.Run(size.name+"/flate", func(b *testing.B) {
+			zw, _ := flate.NewWriter(nil, flate.BestSpeed)
+			var buf bytes.Buffer
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				buf.WriteByte(blobDeflate)
+				zw.Reset(&buf)
+				zw.Write(data)
+				zw.Close()
+				if buf.Len()-1 >= len(data) {
+					buf.Reset()
+					buf.WriteByte(blobRaw)
+					buf.Write(data)
+				}
+				encodeSink = append([]byte(nil), buf.Bytes()...)
+			}
+		})
+	}
+}
+
+// encodeSink keeps BenchmarkEncodeBlob's stored forms from being optimized
+// away.
+var encodeSink []byte

@@ -11,11 +11,11 @@ import (
 // caller-supplied []byte out. It exists because every trust boundary
 // inflates every blob, and compress/flate's io.Reader shape — a byte-at-a-
 // time ReadByte, a 32 KiB window copied out through Read, ~40 KB of fresh
-// state per NewReader — cost more than the SHA-256 the inflate feeds. The
-// encoder is still compress/flate. This decoder accepts what compress/flate's
-// does, with the same output, but for what that encoder never writes: bytes
-// after the final block, and set padding bits (FuzzInflateMatchesFlate
-// holds it to that, stdlib as the reference).
+// state per NewReader — cost more than the SHA-256 the inflate feeds. Its
+// twin in deflate.go writes the stored form. This decoder accepts what
+// compress/flate's does, with the same output, but for what that encoder
+// never writes: bytes after the final block, and set padding bits
+// (FuzzInflateMatchesFlate holds it to that, stdlib as the reference).
 //
 // Decode tables hold packed uint32 entries indexed by the low bits of a
 // 64-bit bit buffer (DEFLATE packs codes LSB-first, so codes are stored

@@ -1,7 +1,6 @@
 package cas
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -44,23 +43,18 @@ func (s *Store) PutMany(payloads [][]byte) ([]string, error) {
 		}
 	}
 	var b batch
-	defer b.release()
 	for j, held := range lb.HasMany(distinct) {
 		if held {
 			continue
 		}
 		d := distinct[j]
-		comp, pooled, err := encode(payloads[first[d]], workers)
-		if err != nil {
-			return nil, err
-		}
+		comp := encode(payloads[first[d]], workers)
 		if len(b.digests) > 0 && b.size+len(comp) > maxBatchBytes {
 			if err := b.write(lb); err != nil {
-				release(pooled)
 				return nil, err
 			}
 		}
-		b.add(d, comp, pooled)
+		b.add(d, comp)
 	}
 	if err := b.write(lb); err != nil {
 		return nil, err
@@ -72,14 +66,12 @@ func (s *Store) PutMany(payloads [][]byte) ([]string, error) {
 type batch struct {
 	digests []string
 	comps   [][]byte
-	pooled  []*bytes.Buffer
 	size    int
 }
 
-func (b *batch) add(digest string, comp []byte, pooled *bytes.Buffer) {
+func (b *batch) add(digest string, comp []byte) {
 	b.digests = append(b.digests, digest)
 	b.comps = append(b.comps, comp)
-	b.pooled = append(b.pooled, pooled)
 	b.size += len(comp)
 }
 
@@ -90,21 +82,13 @@ func (b *batch) write(lb ListBackend) error {
 	}
 	errs := lb.PutMany(b.digests, b.comps)
 	digests := b.digests
-	b.release()
+	*b = batch{}
 	for j, err := range errs {
 		if err != nil {
 			return fmt.Errorf("cas: storing %s: %w", digests[j], err)
 		}
 	}
 	return nil
-}
-
-// release hands back the batch's pooled buffers and empties it.
-func (b *batch) release() {
-	for _, buf := range b.pooled {
-		release(buf)
-	}
-	*b = batch{}
 }
 
 // VerifyMany is Verify of a list of digests: logical[i] and errs[i] are

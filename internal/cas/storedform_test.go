@@ -22,8 +22,11 @@ func seededText(rng *rand.Rand, size int) []byte {
 }
 
 // storedFormPayloads are the seeded payloads behind testdata/stored-form:
-// one per stored form. The chunked one mixes chunks deflate shrinks with
-// one it cannot, and ends on a short chunk.
+// one per stored form, and two flat ones longer than a 65,535-byte deflate
+// block. The chunked one mixes chunks deflate shrinks with one it cannot,
+// and ends on a short chunk. flat-two-blocks holds matches into the
+// previous block; flat-huff-tail ends on a 65-byte block, which is written
+// Huffman-only.
 func storedFormPayloads() map[string][]byte {
 	rng := rand.New(rand.NewSource(1206))
 	text := seededText(rng, 20000)
@@ -37,10 +40,18 @@ func storedFormPayloads() map[string][]byte {
 	rng.Read(big[3*chunkPayloadSize : 4*chunkPayloadSize])
 	copy(big[4*chunkPayloadSize:], text)
 
-	return map[string][]byte{"flat-deflate": text, "flat-raw": noise, "chunked": big}
+	long := seededText(rand.New(rand.NewSource(1512)), 2*maxStoreBlock)
+
+	return map[string][]byte{
+		"flat-deflate": text, "flat-raw": noise, "chunked": big,
+		"flat-two-blocks": long[:2*maxStoreBlock], "flat-huff-tail": long[:maxStoreBlock+65],
+	}
 }
 
-var storedFormMarkers = map[string]byte{"flat-deflate": blobDeflate, "flat-raw": blobRaw, "chunked": blobChunked}
+var storedFormMarkers = map[string]byte{
+	"flat-deflate": blobDeflate, "flat-raw": blobRaw, "chunked": blobChunked,
+	"flat-two-blocks": blobDeflate, "flat-huff-tail": blobDeflate,
+}
 
 // readStoredForm loads the checked-in stored blobs and their digests.
 func readStoredForm(t testing.TB) (blobs map[string][]byte, digests map[string]string) {

@@ -61,6 +61,12 @@
 # job fuzzes too; their allocation bounds run here as
 # TestFrameLengthReservesNothing, TestMapCountReservesNothing and
 # TestBinCountReservesNothing.
+# The store's deflate encoder is held to compress/flate's BestSpeed writer
+# byte for byte here too — the seed corpus of FuzzDeflateMatchesFlate
+# (which CI's chaos job fuzzes),
+# TestEncoderIsHistoryFree, TestEncoderOffsetWrap and
+# TestBitCountsMatchReference (internal/cas) — and its allocation gate,
+# TestEncodeAllocs, runs below without the race detector.
 # The read tier's retained-heap gates,
 # TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
 # (internal/queryserve), run below beside its allocation gates, and so
@@ -99,14 +105,17 @@ go test -race ./...
 # The race detector changes what allocates, so the read tier's two
 # allocation gates and two retained-heap gates skip themselves above; hold
 # them here without it. The RECAST back end's allocation and heap gates do
-# the same, as does the artifact writer's, and the chain's aod-slim gate is
-# held at the counts its ceiling was measured against.
+# the same, as do the artifact writer's and the store encoder's, and the
+# chain's aod-slim gate is held at the counts its ceiling was measured
+# against.
 echo "==> chain aod-slim allocation gate (race detector off)"
 go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers' .
 echo "==> artifact writer allocation gate (race detector off)"
 go test -count=1 -run 'TestStreamOutputAllocatesTwiceItsSize' ./internal/workflow
 echo "==> read-tier allocation and retained-heap gates (race detector off)"
 go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve
+echo "==> store encoder allocation gate (race detector off)"
+go test -count=1 -run 'TestEncodeAllocs' ./internal/cas
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"
 go test -count=1 -run 'TestFullSimProcessAllocsPerEvent|TestFullSimMemoryIndependentOfEvents' ./internal/recast
 
