@@ -186,6 +186,13 @@ func (e *encoder) float(f float64) {
 		return
 	}
 	abs := math.Abs(f)
+	// A whole number below 1e15 is exact in an int64, and its shortest
+	// round-trip decimal is its integer digits: the ulp there is at most
+	// 1/8, so no shorter string rounds back to it. -0 keeps its sign.
+	if abs < 1e15 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		e.buf = strconv.AppendInt(e.buf, int64(f), 10)
+		return
+	}
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		e.buf = strconv.AppendFloat(e.buf, f, 'e', -1, 64)
 		// e-09 → e-9

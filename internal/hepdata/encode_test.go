@@ -95,6 +95,19 @@ func FuzzAppendRecordMatchesMarshalIndent(f *testing.F) {
 	}
 	f.Add("nan", "inf", math.NaN(), math.Inf(-1), []byte{0xff}, -3, uint16(0xffff))
 	f.Add("x", "y", 1.0, math.Inf(1), []byte(nil), 2013, uint16(0x0fff))
+	// The edges of the whole-number fast path: both zeros, ±1, the largest
+	// whole numbers it takes, the first it leaves to strconv, 2^53, 2^54+8
+	// (whose shortest decimal, 18014398509481990, is not its digits), a
+	// whole number in 'f' form far past it, a fraction in exponent form,
+	// and values one ulp off a whole number. shape gives every list one
+	// element.
+	wholeEdges := []float64{
+		math.Copysign(0, -1), 0, 1, -1, 1e15 - 1, -(1e15 - 1), 1e15, 1 << 53, 1<<54 + 8, 1e20, 5e-7,
+		math.Nextafter(1e15-1, 0), math.Nextafter(3, 4),
+	}
+	for i, v := range wholeEdges {
+		f.Add("w", "", v, wholeEdges[(i+1)%len(wholeEdges)], []byte(nil), i, uint16(0xaaaa))
+	}
 	f.Fuzz(func(t *testing.T, s1, s2 string, f1, f2 float64, aux []byte, year int, shape uint16) {
 		// pick reads the next two bits of shape: 0 nil, 1 empty, 2-3 that many elements.
 		pick := func() int {

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"daspos/internal/catalog"
 	"daspos/internal/hepdata"
@@ -85,6 +86,13 @@ func ParseMode(s string) (Mode, error) {
 // publish order, so posting lists stay sorted by construction — appending
 // a new document only ever appends to lists.
 //
+// postings maps a term to the position of its list in lists, one slice of
+// every posting list in the order their terms first appeared; a list is
+// its backing array and nothing more. A publish builds each of its terms
+// in term, scratch the index owns and uses only under the write lock, and
+// looks the term up from there: only a term the index has never seen
+// allocates, for its key.
+//
 // Beside docs, two pointer-free columns indexed by doc id hold what ranking
 // reads of every match — its kind and the first keyPrefixLen bytes of its
 // key — so a search touches a Doc only for the hits it returns.
@@ -94,7 +102,9 @@ type Index struct {
 	kinds    []DocKind
 	prefixes []keyPrefix
 	byKey    map[string]int32
-	postings map[string][]int32
+	postings map[string]int32
+	lists    [][]int32
+	term     []byte
 }
 
 // keyPrefixLen bytes of a key, zero-padded and read big-endian, make a
@@ -124,8 +134,16 @@ func (p keyPrefix) compare(q keyPrefix) int {
 func NewIndex() *Index {
 	return &Index{
 		byKey:    make(map[string]int32),
-		postings: make(map[string][]int32),
+		postings: make(map[string]int32),
 	}
+}
+
+// list returns the posting list of a term, nil for a term no doc holds.
+func (x *Index) list(term string) []int32 {
+	if at, ok := x.postings[term]; ok {
+		return x.lists[at]
+	}
+	return nil
 }
 
 // Docs returns the number of indexed documents.
@@ -143,10 +161,11 @@ func (x *Index) Terms() int {
 }
 
 // Tokenize lowercases the text and splits it into alphanumeric runs,
-// dropping single-character fragments. It is the one tokenizer for both
+// dropping single-character fragments. It defines the tokens of both
 // indexing and query parsing, so a term always round-trips: anything
-// Tokenize emits at publish time, a query containing the same text
-// searches for.
+// Tokenize emits for published text, a query containing the same text
+// searches for. The indexer splits ASCII text in place to the same tokens
+// (postText).
 func Tokenize(s string) []string {
 	var out []string
 	start := -1
@@ -176,115 +195,187 @@ func canon(s string) string {
 	return strings.Join(strings.Fields(strings.ToLower(s)), "")
 }
 
-// recordTerms derives the term set of a record. Field terms carry a
-// namespace prefix ("reaction:", "obs:", "inspire:", "collab:", "year:");
-// free text from the title, abstract, collaboration, table names, and
-// reaction strings lands as bare tokens under "t:".
-func recordTerms(r *hepdata.Record) []string {
-	set := make(map[string]struct{})
-	add := func(t string) {
-		if t != "" {
-			set[t] = struct{}{}
-		}
-	}
-	addText := func(s string) {
-		for _, tok := range Tokenize(s) {
-			add("t:" + tok)
-		}
-	}
-	add("inspire:" + strings.ToLower(r.InspireID))
-	add("collab:" + canon(r.Collaboration))
-	if r.Year != 0 {
-		add("year:" + strconv.Itoa(r.Year))
-	}
-	addText(r.Title)
-	addText(r.Abstract)
-	addText(r.Collaboration)
-	for i := range r.Tables {
-		t := &r.Tables[i]
-		addText(t.Name)
-		for _, re := range t.Reactions {
-			add("reaction:" + canon(re))
-			addText(re)
-		}
-		for _, ob := range t.Observables {
-			add("obs:" + canon(ob))
-			addText(ob)
-		}
-	}
-	return sortedTerms(set)
-}
-
-// datasetTerms derives the term set of a dataset: tier, processing
-// version, conditions tag, parent, metadata key/value pairs, and the path
-// segments of the dataset name as free tokens.
-func datasetTerms(d *catalog.Dataset) []string {
-	set := make(map[string]struct{})
-	add := func(t string) {
-		if t != "" {
-			set[t] = struct{}{}
-		}
-	}
-	add("tier:" + canon(d.Tier))
-	if d.ProcessingVersion != "" {
-		add("version:" + canon(d.ProcessingVersion))
-	}
-	if d.ConditionsTag != "" {
-		add("conditions:" + canon(d.ConditionsTag))
-	}
-	if d.Parent != "" {
-		add("parent:" + strings.ToLower(d.Parent))
-	}
-	for k, v := range d.Metadata {
-		add("meta:" + canon(k) + "=" + canon(v))
-	}
-	for _, tok := range Tokenize(d.Name) {
-		add("t:" + tok)
-	}
-	return sortedTerms(set)
-}
-
-func sortedTerms(set map[string]struct{}) []string {
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AddRecord indexes a record under its content ETag. The record must not
 // already be indexed. The doc keeps its own copy of the title: a record
 // the archive decoded holds all its strings in one, and a title sharing it
 // would keep the record's whole text alive beside the packed copy.
+//
+// Field terms carry a namespace prefix ("reaction:", "obs:", "inspire:",
+// "collab:", "year:"); free text from the title, abstract, collaboration,
+// table names, and reaction strings lands as bare tokens under "t:".
 func (x *Index) AddRecord(r *hepdata.Record, etag string) error {
-	return x.add(Doc{Kind: KindRecord, Key: r.ID(), ETag: etag, Title: strings.Clone(r.Title)}, recordTerms(r))
-}
-
-// AddDataset indexes a dataset under its content ETag.
-func (x *Index) AddDataset(d *catalog.Dataset, etag string) error {
-	return x.add(Doc{Kind: KindDataset, Key: d.Name, ETag: etag, Title: d.Tier + " " + d.ProcessingVersion}, datasetTerms(d))
-}
-
-func (x *Index) add(doc Doc, terms []string) error {
+	doc := Doc{Kind: KindRecord, Key: r.ID(), ETag: etag, Title: strings.Clone(r.Title)}
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	id, err := x.insert(doc)
+	if err != nil {
+		return err
+	}
+	x.postField(id, "inspire:", r.InspireID, appendLower)
+	x.postField(id, "collab:", r.Collaboration, appendCanon)
+	if r.Year != 0 {
+		x.term = strconv.AppendInt(append(x.term[:0], "year:"...), int64(r.Year), 10)
+		x.post(id)
+	}
+	x.postText(id, r.Title)
+	x.postText(id, r.Abstract)
+	x.postText(id, r.Collaboration)
+	for i := range r.Tables {
+		t := &r.Tables[i]
+		x.postText(id, t.Name)
+		for _, re := range t.Reactions {
+			x.postField(id, "reaction:", re, appendCanon)
+			x.postText(id, re)
+		}
+		for _, ob := range t.Observables {
+			x.postField(id, "obs:", ob, appendCanon)
+			x.postText(id, ob)
+		}
+	}
+	return nil
+}
+
+// AddDataset indexes a dataset under its content ETag. Its terms are the
+// tier, processing version, conditions tag, parent, metadata key/value
+// pairs, and the path segments of the dataset name as free tokens.
+func (x *Index) AddDataset(d *catalog.Dataset, etag string) error {
+	doc := Doc{Kind: KindDataset, Key: d.Name, ETag: etag, Title: d.Tier + " " + d.ProcessingVersion}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	id, err := x.insert(doc)
+	if err != nil {
+		return err
+	}
+	x.postField(id, "tier:", d.Tier, appendCanon)
+	if d.ProcessingVersion != "" {
+		x.postField(id, "version:", d.ProcessingVersion, appendCanon)
+	}
+	if d.ConditionsTag != "" {
+		x.postField(id, "conditions:", d.ConditionsTag, appendCanon)
+	}
+	if d.Parent != "" {
+		x.postField(id, "parent:", d.Parent, appendLower)
+	}
+	for k, v := range d.Metadata {
+		x.term = appendCanon(append(appendCanon(append(x.term[:0], "meta:"...), k), '='), v)
+		x.post(id)
+	}
+	x.postText(id, d.Name)
+	return nil
+}
+
+// insert gives doc the next id and fills its row of the doc table and the
+// columns. The caller holds the write lock and posts the doc's terms next.
+func (x *Index) insert(doc Doc) (int32, error) {
 	if _, dup := x.byKey[doc.Key]; dup {
 		exists := hepdata.ErrDuplicate
 		if doc.Kind == KindDataset {
 			exists = catalog.ErrExists
 		}
-		return fmt.Errorf("queryserve: indexing %s %q: %w", doc.Kind, doc.Key, exists)
+		return 0, fmt.Errorf("queryserve: indexing %s %q: %w", doc.Kind, doc.Key, exists)
 	}
 	id := int32(len(x.docs))
 	x.docs = append(x.docs, doc)
 	x.kinds = append(x.kinds, doc.Kind)
 	x.prefixes = append(x.prefixes, prefixOf(doc.Key))
 	x.byKey[doc.Key] = id
-	for _, t := range terms {
-		x.postings[t] = append(x.postings[t], id)
+	return id, nil
+}
+
+// post appends id to the posting list of the term in x.term. A term the
+// index holds is found without a copy; only a new one allocates, for its
+// key. A term a document yields twice is posted once: ids only grow, so
+// its list already ends in id.
+func (x *Index) post(id int32) {
+	at, ok := x.postings[string(x.term)]
+	if !ok {
+		at = int32(len(x.lists))
+		x.postings[string(x.term)] = at
+		x.lists = append(x.lists, nil)
 	}
-	return nil
+	if l := x.lists[at]; len(l) == 0 || l[len(l)-1] != id {
+		x.lists[at] = append(l, id)
+	}
+}
+
+// postField posts the field term prefix + fold(s).
+func (x *Index) postField(id int32, prefix, s string, fold func([]byte, string) []byte) {
+	x.term = fold(append(x.term[:0], prefix...), s)
+	x.post(id)
+}
+
+// postText posts "t:" + each token Tokenize yields for s. ASCII text is
+// split and lowercased in place; other text goes through Tokenize itself,
+// whose lowercasing can turn a non-ASCII rune into ASCII letters.
+func (x *Index) postText(id int32, s string) {
+	if !isASCII(s) {
+		for _, tok := range Tokenize(s) {
+			x.term = append(append(x.term[:0], "t:"...), tok...)
+			x.post(id)
+		}
+		return
+	}
+	start := 0
+	for i := 0; i <= len(s); i++ {
+		if i < len(s) && isAlnumASCII(s[i]) {
+			continue
+		}
+		if i-start > 1 {
+			x.term = appendLower(append(x.term[:0], "t:"...), s[start:i])
+			x.post(id)
+		}
+		start = i + 1
+	}
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// isAlnumASCII reports whether an ASCII byte lowercases to a letter or is
+// a digit: what Tokenize keeps.
+func isAlnumASCII(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+}
+
+// appendLower appends strings.ToLower(s) to dst, in place when s is ASCII.
+func appendLower(dst []byte, s string) []byte {
+	n := len(dst)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return append(dst[:n], strings.ToLower(s)...)
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// appendCanon appends canon(s) to dst, in place when s is ASCII: there
+// strings.Fields splits only at tab, newline, VT, FF, CR and space.
+func appendCanon(dst []byte, s string) []byte {
+	n := len(dst)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return append(dst[:n], canon(s)...)
+		case c == ' ' || '\t' <= c && c <= '\r':
+		case 'A' <= c && c <= 'Z':
+			dst = append(dst, c+'a'-'A')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // ParseQuery splits a query string into index terms. Whitespace-separated
@@ -378,7 +469,7 @@ func (x *Index) SearchPage(terms []string, mode Mode, kind int, cur Cursor, anch
 	lists := make([]posting, 0, len(terms))
 	var score int32
 	for _, t := range terms {
-		p := x.postings[t]
+		p := x.list(t)
 		if len(p) == 0 {
 			if mode == And {
 				return nil, 0, false // one empty list empties the intersection

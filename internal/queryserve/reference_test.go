@@ -19,7 +19,7 @@ func (x *Index) Search(terms []string, mode Mode, kind int) []Hit {
 		lists := make([][]int32, 0, len(terms))
 		var score int32
 		for _, t := range terms {
-			p := x.postings[t]
+			p := x.list(t)
 			if len(p) == 0 {
 				return nil
 			}
@@ -33,7 +33,7 @@ func (x *Index) Search(terms []string, mode Mode, kind int) []Hit {
 	} else {
 		scores := make(map[int32]int32)
 		for _, t := range terms {
-			p := x.postings[t]
+			p := x.list(t)
 			w := termWeight(t)
 			for _, id := range p {
 				scores[id] += w

@@ -69,7 +69,10 @@
 # TestEncodeAllocs, runs below without the race detector.
 # The read tier's retained-heap gates,
 # TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
-# (internal/queryserve), run below beside its allocation gates, and so
+# (internal/queryserve), run below beside its allocation gates — the
+# publish path's TestPublishAllocs among them — and the seed corpus of
+# FuzzTermsMatchReference, which holds the index's terms to the map-and-sort
+# builders it replaced, runs here (CI's read-tier fuzz step fuzzes it); so
 # does the artifact writer's, TestStreamOutputAllocatesTwiceItsSize
 # (internal/workflow).
 # Every example users are told to run runs here too, its whole output
@@ -102,7 +105,7 @@ go run ./cmd/daspos-vet -budget 60000 ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-# The race detector changes what allocates, so the read tier's two
+# The race detector changes what allocates, so the read tier's three
 # allocation gates and two retained-heap gates skip themselves above; hold
 # them here without it. The RECAST back end's allocation and heap gates do
 # the same, as do the artifact writer's and the store encoder's, and the
@@ -113,7 +116,7 @@ go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers' .
 echo "==> artifact writer allocation gate (race detector off)"
 go test -count=1 -run 'TestStreamOutputAllocatesTwiceItsSize' ./internal/workflow
 echo "==> read-tier allocation and retained-heap gates (race detector off)"
-go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve
+go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve
 echo "==> store encoder allocation gate (race detector off)"
 go test -count=1 -run 'TestEncodeAllocs' ./internal/cas
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"
