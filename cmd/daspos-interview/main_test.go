@@ -12,6 +12,8 @@ import (
 // output, rewrite a file with
 //
 //	go run ./cmd/daspos-interview report > cmd/daspos-interview/testdata/report.golden
+//
+// The two -answers goldens are the same commands run from this directory.
 func TestSubcommandsMatchGoldens(t *testing.T) {
 	for _, cmd := range []string{"table1", "appendix", "report", "compare"} {
 		var out bytes.Buffer
@@ -35,6 +37,32 @@ func TestSubcommandsMatchGoldens(t *testing.T) {
 	if want, _ := os.ReadFile(filepath.Join("testdata", "compare.golden")); out.String() != string(want) {
 		t.Errorf("no subcommand printed\n%s\nwant compare's output", out.String())
 	}
+	// Answer files replace the built-in profiles.
+	for golden, args := range map[string][]string{
+		"report-answers.golden":  {"report", "-answers", "testdata/answers/h1.json"},
+		"compare-answers.golden": {"compare", "-answers", "testdata/answers/h1.json", "-answers", "testdata/answers/zeus.json"},
+	} {
+		out.Reset()
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		path := filepath.Join("testdata", golden)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != string(want) {
+			t.Errorf("%v output differs from %s:\n--- got\n%s--- want\n%s", args, path, got, want)
+		}
+	}
+	// report NAME filters the answers it was given.
+	out.Reset()
+	if err := run([]string{"report", "-answers", "testdata/answers/zeus.json", "-answers", "testdata/answers/h1.json", "H1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := os.ReadFile(filepath.Join("testdata", "report-answers.golden")); out.String() != string(want) {
+		t.Errorf("report H1 of two answer files printed\n%s\nwant report-answers.golden", out.String())
+	}
 	// A named report is that profile's section of the whole report.
 	out.Reset()
 	if err := run([]string{"report", "Atlas"}, &out); err != nil {
@@ -47,8 +75,10 @@ func TestSubcommandsMatchGoldens(t *testing.T) {
 	}
 }
 
-// TestUnknownNamesAreRefused: an unknown subcommand and an unknown profile
-// are errors, and nothing is printed.
+// TestUnknownNamesAreRefused: an unknown subcommand, an unknown profile,
+// an argument that flag parsing would leave unread, and an answer file that
+// is missing, is not JSON or is not a complete interview are errors naming
+// what was refused, and nothing is printed.
 func TestUnknownNamesAreRefused(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -56,6 +86,16 @@ func TestUnknownNamesAreRefused(t *testing.T) {
 	}{
 		{[]string{"bogus"}, `unknown subcommand "bogus" (want table1, appendix, report, compare)`},
 		{[]string{"report", "Nobody"}, `no profile "Nobody"`},
+		{[]string{"report", "-answers", "testdata/answers/h1.json", "Atlas"}, `no profile "Atlas"`},
+		{[]string{"report", "Atlas", "-answers", "testdata/answers/h1.json"},
+			`report: unexpected arguments ["-answers" "testdata/answers/h1.json"]`},
+		{[]string{"compare", "Atlas"}, `compare: unexpected arguments ["Atlas"]`},
+		{[]string{"compare", "-answers", "testdata/answers/h1.json", "-answers", "testdata/answers/none.json"},
+			`open testdata/answers/none.json: no such file or directory`},
+		{[]string{"report", "-answers", "testdata/answers/malformed.json"},
+			`testdata/answers/malformed.json: interview: parsing: unexpected EOF`},
+		{[]string{"compare", "-answers", "testdata/answers/invalid.json"},
+			`testdata/answers/invalid.json: interview: H1: missing rating for Sharing/Access`},
 	} {
 		var out bytes.Buffer
 		err := run(c.args, &out)

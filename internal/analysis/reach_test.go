@@ -1071,10 +1071,11 @@ func shortName(key string) string { return path.Base(key) }
 
 // keepEntry is one line of testdata/reach-keep.txt.
 type keepEntry struct {
-	line    int
-	pattern string // a keep-list name, or a prefix of names with a trailing .*
-	reason  byte   // 'a', 'b' or 'c'
-	matched bool
+	line        int
+	pattern     string // a keep-list name, or a prefix of names with a trailing .*
+	reason      byte   // 'a', 'b' or 'c'
+	counterpart string // (b): the declaration or flag named right after "(b) "
+	matched     bool
 }
 
 func (e *keepEntry) matches(name string) bool {
@@ -1085,7 +1086,8 @@ func (e *keepEntry) matches(name string) bool {
 }
 
 // readKeepList parses `pkg.Name — (a|b|c) reason` lines; blank lines and
-// lines starting with # are skipped.
+// lines starting with # are skipped. A (b) reason starts with the name of
+// its counterpart.
 func readKeepList(t *testing.T, file string) []*keepEntry {
 	t.Helper()
 	f, err := os.Open(file)
@@ -1109,7 +1111,11 @@ func readKeepList(t *testing.T, file string) []*keepEntry {
 			t.Errorf("%s:%d: %s: the reason must start with (a), (b) or (c) — see the file's header", file, n, pattern)
 			continue
 		}
-		entries = append(entries, &keepEntry{line: n, pattern: pattern, reason: reason[1]})
+		e := &keepEntry{line: n, pattern: pattern, reason: reason[1]}
+		if e.reason == 'b' {
+			e.counterpart, _, _ = strings.Cut(reason[4:], " ")
+		}
+		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
@@ -1182,6 +1188,8 @@ func testUsers(l loaded, g *reachGraph) (map[string]map[string]bool, error) {
 // reads, every flag nothing sets and every route, parameter, header and
 // wire-only field nothing uses, unless a keep-list entry covers it; with
 // every (a) entry no test outside the declaration's package bears out;
+// with every (b) entry whose counterpart is no declaration or flag a main
+// reaches;
 // with every keep-list entry that no longer keeps anything; and when the
 // surface differs from testdata/wire.golden.
 func TestInternalExportsAreReached(t *testing.T) {
@@ -1236,6 +1244,22 @@ func TestInternalExportsAreReached(t *testing.T) {
 	for _, e := range keep {
 		if !e.matched {
 			t.Errorf("%s:%d: stale entry %s: nothing it names is both declared and unreached", keepFile, e.line, e.pattern)
+		}
+	}
+	counterparts := make(map[string]bool) // a declaration's or flag's name → whether a main reaches one of that name
+	for key, it := range g.items {
+		if it.kind == declItem || it.kind == flagItem {
+			counterparts[it.name] = counterparts[it.name] || fromMains[key]
+		}
+	}
+	for _, e := range keep {
+		if e.reason != 'b' {
+			continue
+		}
+		if reached, ok := counterparts[e.counterpart]; !ok {
+			t.Errorf("%s:%d: %s is kept for reason (b), but %q names no exported declaration or flag: name right after `(b) ` the one a main reaches that writes or reads the same bytes", keepFile, e.line, e.pattern, e.counterpart)
+		} else if !reached {
+			t.Errorf("%s:%d: %s is kept for reason (b), but no main reaches its counterpart %s: a byte format no binary writes or reads is not kept, delete both", keepFile, e.line, e.pattern, e.counterpart)
 		}
 	}
 

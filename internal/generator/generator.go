@@ -25,7 +25,7 @@ import (
 	"daspos/internal/xrand"
 )
 
-// Process identifiers recorded in each event's ProcessID field.
+// Process identifiers of the generator catalogue.
 const (
 	ProcMinBias = iota + 1
 	ProcQCDDijet
@@ -97,7 +97,7 @@ func DefaultConfig(seed uint64) Config {
 type Generator interface {
 	// Name returns the process catalogue name.
 	Name() string
-	// ProcessID returns the catalogue identifier stamped on events.
+	// ProcessID returns the process's catalogue identifier.
 	ProcessID() int
 	// Generate returns the next event in the stream.
 	Generate() *hepmc.Event
@@ -151,7 +151,7 @@ func (b *base) ProcessID() int { return b.procID }
 // newEvent starts an event with beams and a primary vertex, returning the
 // event and the primary-vertex barcode.
 func (b *base) newEvent() (*hepmc.Event, int) {
-	e := hepmc.NewEvent(b.next, b.procID)
+	e := hepmc.NewEvent(b.next)
 	b.next++
 	z := b.rng.Gauss(0, b.cfg.VertexSpreadZ)
 	pv := e.AddVertex(b.rng.Gauss(0, 0.02), b.rng.Gauss(0, 0.02), z, 0)

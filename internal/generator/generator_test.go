@@ -43,9 +43,6 @@ func TestAllProcessesProduceValidGraphs(t *testing.T) {
 			if err := e.Validate(); err != nil {
 				t.Fatalf("%s event %d: %v", g.Name(), i, err)
 			}
-			if e.ProcessID != id {
-				t.Fatalf("%s: wrong process id on event", g.Name())
-			}
 			if len(e.FinalState()) == 0 {
 				t.Fatalf("%s: empty final state", g.Name())
 			}

@@ -1,7 +1,9 @@
-// Package hepmc defines the Monte Carlo generator event record and its
-// plain-text wire format — the interchange layer the paper identifies as
-// RIVET's input contract ("any Monte Carlo output can be juxtaposed with
-// the data, as long as it can produce output in HepMC format").
+// Package hepmc defines the Monte Carlo generator event record — the
+// interchange layer the paper identifies as RIVET's input contract ("any
+// Monte Carlo output can be juxtaposed with the data, as long as it can
+// produce output in HepMC format"). The record lives in memory only: the
+// generator hands it to the simulation and to the analyses, and no binary
+// writes or reads it as a file.
 //
 // The record mirrors the HepMC design: an event is a graph of vertices
 // connected by particles. Particles carry a PDG code, a status (beam,
@@ -60,9 +62,6 @@ type Vertex struct {
 type Event struct {
 	// Number is the sequential event number within a run.
 	Number int
-	// ProcessID labels the physics process that produced the event, using
-	// the generator's process catalogue.
-	ProcessID int
 	// Weight is the event weight; 1 for unweighted generation.
 	Weight float64
 	// Particles and Vertices hold the event graph. Particle barcodes are
@@ -73,8 +72,8 @@ type Event struct {
 }
 
 // NewEvent returns an empty event with unit weight.
-func NewEvent(number, processID int) *Event {
-	return &Event{Number: number, ProcessID: processID, Weight: 1}
+func NewEvent(number int) *Event {
+	return &Event{Number: number, Weight: 1}
 }
 
 // AddVertex appends a vertex and returns its (negative) barcode.

@@ -9,8 +9,10 @@
 package interview
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -207,6 +209,9 @@ func (iv *Interview) Validate() error {
 			return fmt.Errorf("interview: %s: rating %d for %s outside 1-5", iv.Name, r, a)
 		}
 	}
+	if len(iv.Ratings) != len(Areas()) {
+		return fmt.Errorf("interview: %s: %d ratings, want one for each of the %d areas", iv.Name, len(iv.Ratings), len(Areas()))
+	}
 	return nil
 }
 
@@ -245,19 +250,18 @@ func (iv *Interview) ExternalDependencies() []string {
 	return out
 }
 
-// Encode serializes the interview.
-func (iv *Interview) Encode() ([]byte, error) {
-	if err := iv.Validate(); err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(iv, "", "  ")
-}
-
-// Decode parses and validates an archived interview.
+// Decode parses and validates one answer file: a JSON object with the
+// Interview's members and nothing else. An unknown member (a misspelled
+// answer) or anything after the object is refused, not dropped.
 func Decode(data []byte) (*Interview, error) {
 	var iv Interview
-	if err := json.Unmarshal(data, &iv); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&iv); err != nil {
 		return nil, fmt.Errorf("interview: parsing: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("interview: parsing: data after the interview")
 	}
 	if err := iv.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package interview
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -135,6 +136,12 @@ func TestValidateCatchesDefects(t *testing.T) {
 	if err := mutate(func(iv *Interview) { iv.Ratings[AreaPreservation] = 9 }); err == nil {
 		t.Error("out-of-scale rating validated")
 	}
+	if err := mutate(func(iv *Interview) { iv.Ratings[Area(9)] = 3 }); err == nil {
+		t.Error("rating for an area outside the template validated")
+	}
+	if err := mutate(func(iv *Interview) { iv.Ratings[Area(0)] = 0 }); err == nil {
+		t.Error("unrated area 0 validated")
+	}
 }
 
 // TestValidateRefusesOverflowingExtent: a stage of 2^40 files of 2^30
@@ -217,7 +224,7 @@ func TestComparisonTable(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	iv := StandardProfiles()[3]
-	data, err := iv.Encode()
+	data, err := json.MarshalIndent(iv, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +232,26 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != iv.Name || got.OverallMaturity() != iv.OverallMaturity() {
+	if !reflect.DeepEqual(withoutEmptySoftware(got), withoutEmptySoftware(iv)) {
 		t.Fatal("round trip changed content")
 	}
-	if len(got.Stages) != len(iv.Stages) || len(got.SharingGrid) != len(iv.SharingGrid) {
-		t.Fatal("round trip lost sections")
+	const minimal = `{"name":"x","stages":[{"name":"raw"}],"ratings":{"1":1,"2":2,"3":3,"4":4}`
+	if _, err := Decode([]byte(minimal + "}\n")); err != nil {
+		t.Fatalf("minimal interview refused: %v", err)
 	}
-	if _, err := Decode([]byte("{bad")); err == nil {
-		t.Fatal("garbage decoded")
-	}
-	if _, err := Decode([]byte(`{"name":"x"}`)); err == nil {
-		t.Fatal("incomplete interview decoded")
+	for name, in := range map[string]string{
+		"garbage":              "{bad",
+		"incomplete interview": `{"name":"x"}`,
+		"rating for area 9":    `{"name":"x","stages":[{"name":"raw"}],"ratings":{"1":1,"2":2,"3":3,"4":4,"9":0}}`,
+		"unknown member":       minimal + `,"bogus_field":7}`,
+		"misspelled answer":    minimal + `,"backup_copie":true}`,
+		"unknown stage member": `{"name":"x","stages":[{"name":"raw","file":3}],"ratings":{"1":1,"2":2,"3":3,"4":4}}`,
+		"a second interview":   minimal + "}" + minimal + "}",
+		"trailing garbage":     minimal + "}x",
+	} {
+		if iv, err := Decode([]byte(in)); err == nil {
+			t.Errorf("%s decoded: %+v", name, iv)
+		}
 	}
 }
 
@@ -268,11 +284,12 @@ func withoutEmptySoftware(iv *Interview) *Interview {
 	return &out
 }
 
-// FuzzInterviewDecode: an interview Decode accepts encodes to bytes that
-// decode to an equal interview, and its total extent is not negative.
+// FuzzInterviewDecode: an interview Decode accepts marshals to bytes that
+// decode to an equal interview, it rates exactly the template's areas, and
+// its total extent is not negative.
 func FuzzInterviewDecode(f *testing.F) {
 	for _, iv := range StandardProfiles() {
-		data, err := iv.Encode()
+		data, err := json.MarshalIndent(iv, "", "  ")
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -283,6 +300,7 @@ func FuzzInterviewDecode(f *testing.F) {
 	f.Add([]byte(`{"name":"x","stages":[{"name":"raw","files":2147483648,"avg_file_size_bytes":2147483648},` +
 		`{"name":"reco","files":2147483648,"avg_file_size_bytes":2147483648}],"ratings":{"1":1,"2":2,"3":3,"4":4}}`))
 	f.Add([]byte(`{"name":"x","stages":[{"name":"raw","formats":[]}],"ratings":{"1":1,"2":2,"3":3,"4":4,"01":5}}`))
+	f.Add([]byte(`{"name":"x","stages":[{"name":"raw"}],"ratings":{"1":1,"2":2,"3":3,"4":4,"9":0},"bogus_field":7}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		iv, err := Decode(data)
@@ -292,9 +310,12 @@ func FuzzInterviewDecode(f *testing.F) {
 		if n := iv.TotalBytes(); n < 0 {
 			t.Fatalf("accepted interview totals %d bytes", n)
 		}
-		enc, err := iv.Encode()
+		if len(iv.Ratings) != len(Areas()) {
+			t.Fatalf("accepted interview has %d ratings: %v", len(iv.Ratings), iv.Ratings)
+		}
+		enc, err := json.Marshal(iv)
 		if err != nil {
-			t.Fatalf("accepted interview does not encode: %v", err)
+			t.Fatalf("accepted interview does not marshal: %v", err)
 		}
 		back, err := Decode(enc)
 		if err != nil {

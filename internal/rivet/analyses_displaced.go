@@ -12,7 +12,7 @@ import (
 // Displaced-decay analyses: the ALICE V0-finder and LHCb D-lifetime
 // physics from Table 1's master-class column, preserved as framework
 // analyses. Both depend on the event record keeping decay-vertex
-// positions — the property the HepMC-style format guarantees and
+// positions — the property the HepMC-style record guarantees and
 // simplified outreach formats usually drop.
 
 func init() {

@@ -316,7 +316,7 @@ func TestOppositeSignPairs(t *testing.T) {
 }
 
 func TestConeJetsExcludeMuonsAndNeutrinos(t *testing.T) {
-	e := hepmc.NewEvent(0, 0)
+	e := hepmc.NewEvent(0)
 	pv := e.AddVertex(0, 0, 0, 0)
 	e.AddParticle(units.PDGMuon, hepmc.StatusFinal, vec(50, 0, 0), pv, 0)
 	e.AddParticle(units.PDGNuMu, hepmc.StatusFinal, vec(50, 0, 0.1), pv, 0)

@@ -61,7 +61,7 @@ func TestFullSimNeutrinosInvisible(t *testing.T) {
 	det := quietDetector()
 	fs := NewFullSim(det, 3)
 	// Hand-build an event with only a neutrino.
-	e := hepmc.NewEvent(0, 0)
+	e := hepmc.NewEvent(0)
 	pv := e.AddVertex(0, 0, 0, 0)
 	e.AddParticle(units.PDGProton, hepmc.StatusBeam, fourvec.PxPyPzE(0, 0, 6500, 6500), 0, pv)
 	e.AddParticle(units.PDGProton, hepmc.StatusBeam, fourvec.PxPyPzE(0, 0, -6500, 6500), 0, pv)
@@ -82,7 +82,7 @@ func TestFullSimDisplacedProduction(t *testing.T) {
 	fs := NewFullSim(det, 4)
 	// A pion produced at r=300mm (outside pixels and strip1) must have no
 	// hits on layers inside its production radius.
-	e := hepmc.NewEvent(0, 0)
+	e := hepmc.NewEvent(0)
 	pv := e.AddVertex(0, 0, 0, 0)
 	e.AddParticle(units.PDGProton, hepmc.StatusBeam, fourvec.PxPyPzE(0, 0, 6500, 6500), 0, pv)
 	e.AddParticle(units.PDGProton, hepmc.StatusBeam, fourvec.PxPyPzE(0, 0, -6500, 6500), 0, pv)
@@ -153,7 +153,7 @@ func TestHelixHighPtNearlyStraight(t *testing.T) {
 func TestNoiseHitsPresent(t *testing.T) {
 	det := detector.Standard()
 	fs := NewFullSim(det, 8)
-	e := hepmc.NewEvent(0, 0)
+	e := hepmc.NewEvent(0)
 	pv := e.AddVertex(0, 0, 0, 0)
 	e.AddParticle(units.PDGProton, hepmc.StatusBeam, fourvec.PxPyPzE(0, 0, 6500, 6500), 0, pv)
 	e.AddParticle(units.PDGProton, hepmc.StatusBeam, fourvec.PxPyPzE(0, 0, -6500, 6500), 0, pv)
@@ -233,7 +233,7 @@ func TestFastSimEfficiencyAndSmearing(t *testing.T) {
 
 func TestFastSimAcceptanceCut(t *testing.T) {
 	fsim := NewFastSim(11)
-	e := hepmc.NewEvent(0, 0)
+	e := hepmc.NewEvent(0)
 	pv := e.AddVertex(0, 0, 0, 0)
 	e.AddParticle(units.PDGProton, hepmc.StatusBeam, fourvec.PxPyPzE(0, 0, 6500, 6500), 0, pv)
 	e.AddParticle(units.PDGProton, hepmc.StatusBeam, fourvec.PxPyPzE(0, 0, -6500, 6500), 0, pv)

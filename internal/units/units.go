@@ -4,7 +4,7 @@
 // Conventions: energies and momenta in GeV, masses in GeV/c², lengths in
 // millimetres, times in nanoseconds, magnetic fields in tesla. Particle
 // species are identified by their PDG Monte Carlo numbering-scheme codes,
-// the same identifiers the HepMC-style event record preserves on disk.
+// the same identifiers the HepMC-style event record carries.
 package units
 
 import "fmt"

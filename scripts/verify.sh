@@ -53,8 +53,7 @@
 # of the HepData archive's packed round trip, FuzzArchiveRoundTrip
 # (internal/hepdata), and of the chain-config decoders, FuzzReadSnapshot
 # (internal/conditions), FuzzDecodeMenu (internal/trigger) and
-# FuzzDecodeDerivation (internal/skim), and of the generator-record reader
-# and the interview decoder, FuzzHepMCReader (internal/hepmc) and
+# FuzzDecodeDerivation (internal/skim), and of the interview decoder,
 # FuzzInterviewDecode (internal/interview), and of the event-file reader of
 # both versions and the YODA-like histogram reader, FuzzFileReader
 # (internal/datamodel) and FuzzReadYODA (internal/hist), which CI's chaos
