@@ -66,6 +66,18 @@ func TestServeAnswersEveryRouteAndDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Refused publishes: a body that does not parse, a record that does
+	// not validate, and a record already published.
+	noTables := demoRecord(11, 4)
+	noTables.Tables = nil
+	twoNames := demoRecord(11, 5)
+	twoNames.Tables = append(twoNames.Tables, twoNames.Tables[0])
+	var refused [2][]byte
+	for i, r := range []any{noTables, twoNames} {
+		if refused[i], err = json.Marshal(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	orig := serve
@@ -89,6 +101,16 @@ func TestServeAnswersEveryRouteAndDrains(t *testing.T) {
 			{http.MethodGet, "/records/" + id, nil, http.StatusOK, `"inspire_id"`},
 			{http.MethodGet, "/records/" + id + "/export?format=csv", nil, http.StatusOK, "PT [GEV]"},
 			{http.MethodPost, "/records", fresh, http.StatusCreated, ""},
+			{http.MethodPost, "/records", []byte("{bad"), http.StatusBadRequest,
+				`{"error":"hepdata: parsing record: invalid character 'b' looking for beginning of object key string"}` + "\n"},
+			{http.MethodPost, "/records", []byte(`{"year":"x"}`), http.StatusBadRequest,
+				`{"error":"hepdata: parsing record: json: cannot unmarshal string into Go struct field Record.year of type int"}` + "\n"},
+			{http.MethodPost, "/records", refused[0], http.StatusBadRequest,
+				`{"error":"hepdata: record ` + noTables.ID() + ` has no tables"}` + "\n"},
+			{http.MethodPost, "/records", refused[1], http.StatusBadRequest,
+				`{"error":"hepdata: record ` + twoNames.ID() + ` has duplicate table \"` + twoNames.Tables[0].Name + `\""}` + "\n"},
+			{http.MethodPost, "/records", fresh, http.StatusConflict,
+				`{"error":"hepdata: record already submitted: ` + demoRecord(11, 3).ID() + `"}` + "\n"},
 			{http.MethodGet, "/status", nil, http.StatusOK, `"records":4`},
 		} {
 			req, err := http.NewRequest(c.method, hts.URL+c.path, bytes.NewReader(c.body))
@@ -104,7 +126,8 @@ func TestServeAnswersEveryRouteAndDrains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.StatusCode != c.status || !strings.Contains(string(body), c.want) {
+			if resp.StatusCode != c.status || !strings.Contains(string(body), c.want) ||
+				resp.StatusCode >= 400 && string(body) != c.want {
 				t.Errorf("%s %s = %d %.200s, want %d with %q", c.method, c.path, resp.StatusCode, body, c.status, c.want)
 			}
 		}

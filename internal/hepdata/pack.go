@@ -1,9 +1,10 @@
 package hepdata
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // The archive holds each record packed into one pointer-free byte slice,
@@ -15,42 +16,76 @@ import (
 //
 // Layout: a header of uvarint counts (text bytes, aux region bytes,
 // tables, points, error components, list strings, aux entries), then the
-// aux region, then every string of the record back to back, then the
-// shape. The shape holds string lengths, list and point counts, the year,
-// floats as their IEEE bits (so −0, subnormals and every exponent
-// survive), and each aux value's length plus one (0 for nil). The counts
-// let unpack allocate a constant number of objects per record, not one per
-// point or string. A record with aux values starts its region, and each
-// value in it, at a multiple of auxAlign bytes: pack copies a payload
-// once, and a copy between buffers aligned alike runs at full speed.
+// aux region, its values in key order, then every string of the record
+// back to back, then the shape. The shape holds string lengths, list and
+// point counts, the year, floats as their IEEE bits (so −0, subnormals and
+// every exponent survive), and, in key order too, each aux key's length
+// and its value's length plus one (0 for nil). The counts let unpack
+// allocate a constant number of objects per record, not one per point or
+// string. A record with aux values starts its region, and each value in
+// it, at a multiple of auxAlign bytes: pack copies a payload once, and a
+// copy between buffers aligned alike runs at full speed.
 
 // auxAlign aligns the aux values in a packed record.
 const auxAlign = 64
 
 func alignUp(n int) int { return (n + auxAlign - 1) &^ (auxAlign - 1) }
 
-// packer is the scratch space of one pack: the text and the shape are
-// written in one walk and joined behind the header at the end. aux holds
-// the aux region's parts, each value behind its padding, in the order the
-// shape lists the values; auxSize is the region's length.
+// packer walks a record twice. The first walk, with buf nil, only moves
+// the offsets, so text, shape and aux end as the lengths of the three
+// regions and points, errs and strs as the header's counts. The second
+// walk writes into buf, which is sized exactly and zeroed, so the aux
+// padding is already in place; each offset starts at its region.
 type packer struct {
-	text, shape        []byte
-	aux                [][]byte
-	auxSize            int
+	buf                []byte
+	text, shape, aux   int
 	points, errs, strs int
 }
 
-// padding is the zeros that align an aux value.
-var padding [auxAlign]byte
-
-// pack returns the archive form of r.
+// pack returns the archive form of r in one allocation (two when r has
+// aux: its sorted keys). Both walks visit the aux values in key order, so
+// they lay out the same region, and a record packs to the same bytes
+// every time.
 func pack(r *Record) []byte {
+	var keys []string
+	if len(r.Aux) > 0 {
+		keys = make([]string, 0, len(r.Aux))
+		for k := range r.Aux {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+	}
 	var p packer
+	p.record(r, keys)
+	var hb [7 * binary.MaxVarintLen64]byte
+	head := hb[:0]
+	for _, n := range [...]int{p.text, p.aux, len(r.Tables), p.points, p.errs, p.strs, len(r.Aux)} {
+		head = binary.AppendUvarint(head, uint64(n))
+	}
+	base := len(head)
+	if p.aux > 0 {
+		base = alignUp(base)
+	}
+	textLen, shapeLen := p.text, p.shape
+	p.buf = make([]byte, base+p.aux+textLen+shapeLen)
+	copy(p.buf, head)
+	p.aux, p.text = base, base+p.aux
+	p.shape = p.text + textLen
+	p.record(r, keys)
+	if p.shape != len(p.buf) {
+		panic("hepdata: a record's two pack walks disagree")
+	}
+	return p.buf
+}
+
+// record walks r in the packed order: its strings and shape, then the aux
+// values under keys, r.Aux's keys sorted.
+func (p *packer) record(r *Record, keys []string) {
 	p.str(r.InspireID)
 	p.str(r.Title)
 	p.str(r.Collaboration)
 	p.str(r.Abstract)
-	p.shape = binary.AppendVarint(p.shape, int64(r.Year))
+	p.year(r.Year)
 	for i := range r.Tables {
 		t := &r.Tables[i]
 		p.str(t.Name)
@@ -76,39 +111,55 @@ func pack(r *Record) []byte {
 			}
 		}
 	}
-	for k, v := range r.Aux {
+	for _, k := range keys {
 		p.str(k)
+		v := r.Aux[k]
 		if v == nil {
 			p.uint(0)
 			continue
 		}
 		p.uint(len(v) + 1)
-		at := alignUp(p.auxSize)
-		p.aux = append(p.aux, padding[:at-p.auxSize], v)
-		p.auxSize = at + len(v)
+		// A region with bytes starts at a multiple of auxAlign, so
+		// aligning the offset in buf aligns it within the region. In one
+		// without, the offset moves past nothing it writes.
+		at := alignUp(p.aux)
+		if p.buf != nil && len(v) > 0 {
+			copy(p.buf[at:], v)
+		}
+		p.aux = at + len(v)
 	}
-	var hb [7 * binary.MaxVarintLen64]byte
-	head := hb[:0]
-	for _, n := range [...]int{len(p.text), p.auxSize, len(r.Tables), p.points, p.errs, p.strs, len(r.Aux)} {
-		head = binary.AppendUvarint(head, uint64(n))
-	}
-	parts := [][]byte{head}
-	if p.auxSize > 0 {
-		parts = append(append(parts, padding[:alignUp(len(head))-len(head)]), p.aux...)
-	}
-	// Join sizes the result exactly and does not zero it before copying.
-	return bytes.Join(append(parts, p.text, p.shape), nil)
 }
 
-func (p *packer) uint(n int) { p.shape = binary.AppendUvarint(p.shape, uint64(n)) }
+func (p *packer) uint(n int) {
+	if p.buf == nil {
+		p.shape += (bits.Len64(uint64(n)|1) + 6) / 7
+		return
+	}
+	p.shape += binary.PutUvarint(p.buf[p.shape:], uint64(n))
+}
+
+func (p *packer) year(y int) {
+	if p.buf == nil {
+		var b [binary.MaxVarintLen64]byte
+		p.shape += binary.PutVarint(b[:], int64(y))
+		return
+	}
+	p.shape += binary.PutVarint(p.buf[p.shape:], int64(y))
+}
 
 func (p *packer) float(f float64) {
-	p.shape = binary.LittleEndian.AppendUint64(p.shape, math.Float64bits(f))
+	if p.buf != nil {
+		binary.LittleEndian.PutUint64(p.buf[p.shape:], math.Float64bits(f))
+	}
+	p.shape += 8
 }
 
 func (p *packer) str(s string) {
 	p.uint(len(s))
-	p.text = append(p.text, s...)
+	if p.buf != nil {
+		copy(p.buf[p.text:], s)
+	}
+	p.text += len(s)
 }
 
 func (p *packer) list(l []string) {

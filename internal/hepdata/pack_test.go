@@ -269,6 +269,46 @@ func TestGetAllocsIndependentOfPoints(t *testing.T) {
 	}
 }
 
+// auxRecord is a golden record carrying nine aux values, nil and empty
+// among them, whose lengths straddle one and two multiples of auxAlign: a
+// different order of the values moves the padding between them.
+func auxRecord(tb testing.TB) *Record {
+	r := goldenRecord(tb, "typical")
+	r.Aux = map[string][]byte{"nil": nil, "empty": {}}
+	for i, n := range []int{1, auxAlign - 1, auxAlign, auxAlign + 1, 2*auxAlign - 1, 2 * auxAlign, 200} {
+		r.Aux["value/"+strconv.Itoa(i)] = bytes.Repeat([]byte{byte('a' + i)}, n)
+	}
+	return r
+}
+
+// TestPackIsDeterministic: the packed form of a record is a function of
+// the record alone, not of the order in which its aux map is iterated.
+func TestPackIsDeterministic(t *testing.T) {
+	r := auxRecord(t)
+	want := pack(r)
+	for i := 0; i < 100; i++ {
+		if got := pack(r); !bytes.Equal(got, want) {
+			t.Fatalf("pack %d of the same record differs from the first (%d bytes against %d)", i+1, len(got), len(want))
+		}
+	}
+	checkRoundTrip(t, r)
+}
+
+// TestPackAllocs: a record without aux packs into one allocation, its
+// result, whatever its tables hold.
+func TestPackAllocs(t *testing.T) {
+	for _, name := range []string{"minimal", "typical", "floats", "corpus"} {
+		r := goldenRecord(t, name)
+		var packed []byte
+		if n := testing.AllocsPerRun(100, func() { packed = pack(r) }); n != 1 {
+			t.Errorf("%s: pack allocates %.0f times, want 1", name, n)
+		}
+		if len(packed) != cap(packed) {
+			t.Errorf("%s: packed form holds %d bytes in a buffer of %d", name, len(packed), cap(packed))
+		}
+	}
+}
+
 // FuzzArchiveRoundTrip: any record DecodeRecord accepts goes through
 // Submit and Get and comes back with identical canonical bytes.
 func FuzzArchiveRoundTrip(f *testing.F) {
@@ -283,6 +323,11 @@ func FuzzArchiveRoundTrip(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	aux, err := AppendRecord(nil, auxRecord(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(aux)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRecord(data)
 		if err != nil {

@@ -22,7 +22,9 @@ import (
 
 // RecordETag digests a record's canonical submission encoding.
 func RecordETag(r *hepdata.Record) (etag string, err error) {
-	err = withCanonical(r, func(canonical []byte) { etag = digestETag(canonical) })
+	if err = r.Validate(); err == nil {
+		etag, err = canonicalETag(r)
+	}
 	if err != nil {
 		return "", fmt.Errorf("queryserve: etag for %s: %w", r.ID(), err)
 	}
@@ -33,12 +35,15 @@ func RecordETag(r *hepdata.Record) (etag string, err error) {
 // written into; a digest needs the bytes only until it is taken.
 var canonicalBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// withCanonical validates r and hands use its canonical encoding in a
-// pooled buffer, which use must not retain.
+// canonicalETag digests r's canonical encoding without validating r.
+func canonicalETag(r *hepdata.Record) (etag string, err error) {
+	err = withCanonical(r, func(canonical []byte) { etag = digestETag(canonical) })
+	return etag, err
+}
+
+// withCanonical hands use r's canonical encoding in a pooled buffer,
+// which use must not retain. It does not validate r.
 func withCanonical(r *hepdata.Record, use func(canonical []byte)) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
 	buf := canonicalBufs.Get().(*[]byte)
 	defer canonicalBufs.Put(buf)
 	out, err := hepdata.AppendRecord((*buf)[:0], r)

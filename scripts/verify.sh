@@ -69,7 +69,8 @@
 # The read tier's retained-heap gates,
 # TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
 # (internal/queryserve), run below beside its allocation gates — the
-# publish path's TestPublishAllocs among them — and the seed corpus of
+# publish path's TestPublishAllocs among them, and the packed record's
+# TestPackAllocs (internal/hepdata) beside it — and the seed corpus of
 # FuzzTermsMatchReference, which holds the index's terms to the map-and-sort
 # builders it replaced, runs here (CI's read-tier fuzz step fuzzes it); so
 # does the artifact writer's, TestStreamOutputAllocatesTwiceItsSize
@@ -115,7 +116,7 @@ go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers' .
 echo "==> artifact writer allocation gate (race detector off)"
 go test -count=1 -run 'TestStreamOutputAllocatesTwiceItsSize' ./internal/workflow
 echo "==> read-tier allocation and retained-heap gates (race detector off)"
-go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve
+go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishAllocs|TestPackAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve ./internal/hepdata
 echo "==> store encoder allocation gate (race detector off)"
 go test -count=1 -run 'TestEncodeAllocs' ./internal/cas
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"
