@@ -538,7 +538,7 @@ func BenchmarkHepDataIngestQuery(b *testing.B) {
 			InspireID: "1200001", Title: "Z pT spectrum", Collaboration: "DASPOS-GPD", Year: 2013,
 			Tables: []hepdata.Table{hepdata.FromH1D(h, "Table1", "PT [GEV]", "DSIG/DPT [PB/GEV]")},
 		}
-		if err := a.Submit(rec); err != nil {
+		if _, err := a.Submit(rec); err != nil {
 			b.Fatal(err)
 		}
 		search := &hepdata.Record{
@@ -550,7 +550,7 @@ func BenchmarkHepDataIngestQuery(b *testing.B) {
 				"likelihood.json": make([]byte, 900<<10),
 			},
 		}
-		if err := a.Submit(search); err != nil {
+		if _, err := a.Submit(search); err != nil {
 			b.Fatal(err)
 		}
 		if got := a.Search("dimuon"); len(got) != 1 {

@@ -155,6 +155,21 @@ func TestEncodeAllocs(t *testing.T) {
 		var comp []byte
 		encode(chunked, workers)
 		allocs := testing.AllocsPerRun(10, func() { comp = encode(chunked, workers) })
+		// The bytes are counted on one P too, as AllocsPerRun counts:
+		// an encoder pooled in another P's private slot cannot be taken,
+		// so an encode that moved to a busy machine's other P would
+		// count a fresh encoder. The pool first gets one encoder per
+		// worker on that P: a worker preempted mid-chunk leaves the next
+		// one to take a second, which a warm-up encode that ran its
+		// chunks on one worker would not have pooled.
+		procs := runtime.GOMAXPROCS(1)
+		held := make([]*deflater, workers)
+		for i := range held {
+			held[i] = deflaterPool.Get().(*deflater)
+		}
+		for _, e := range held {
+			deflaterPool.Put(e)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		const runs = 10
@@ -162,6 +177,7 @@ func TestEncodeAllocs(t *testing.T) {
 			comp = encode(chunked, workers)
 		}
 		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(procs)
 		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
 		t.Logf("2 MiB at %d workers: %.0f allocations, %d bytes, %d-byte buffer", workers, allocs, perRun, cap(comp))
 		if allocs > 4+2*float64(workers) {

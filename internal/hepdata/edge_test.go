@@ -85,7 +85,7 @@ func TestArchiveConcurrentAccess(t *testing.T) {
 						Points: []Point{{X: 1, XLo: 0, XHi: 2, Y: 1}},
 					}},
 				}
-				if err := a.Submit(rec); err != nil {
+				if _, err := a.Submit(rec); err != nil {
 					t.Error(err)
 					return
 				}
@@ -124,7 +124,7 @@ func TestArchiveConcurrentAccess(t *testing.T) {
 		Collaboration: "DASPOS-GPD",
 		Tables:        []Table{{Name: "T", Points: []Point{{X: 1, XLo: 0, XHi: 2, Y: 5}}}},
 	}
-	if err := a.Submit(rec); err != nil {
+	if _, err := a.Submit(rec); err != nil {
 		t.Fatal(err)
 	}
 	rec.Title = "Mutated"
@@ -149,7 +149,7 @@ func TestIDsAfterKeyset(t *testing.T) {
 			Collaboration: "DASPOS-GPD",
 			Tables:        []Table{{Name: "T", Points: []Point{{X: 1, XLo: 0, XHi: 2, Y: 1}}}},
 		}
-		if err := a.Submit(rec); err != nil {
+		if _, err := a.Submit(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

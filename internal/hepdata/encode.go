@@ -188,7 +188,8 @@ func sep(i int, first, later string) string {
 
 // float writes a number the way encoding/json does: the shortest decimal
 // that round-trips, in exponent form below 1e-6 and from 1e21 up, with a
-// one-digit exponent unpadded.
+// one-digit exponent unpadded. Every number the whole-number path below
+// does not take goes to the float kernel, appendShortest.
 func (e *encoder) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		if e.err == nil {
@@ -196,24 +197,16 @@ func (e *encoder) float(f float64) {
 		}
 		return
 	}
-	abs := math.Abs(f)
 	// A whole number below 1e15 is exact in an int64, and its shortest
 	// round-trip decimal is its integer digits: the ulp there is at most
 	// 1/8, so no shorter string rounds back to it. -0 keeps its sign.
-	if abs < 1e15 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
-		e.buf = strconv.AppendInt(e.buf, int64(f), 10)
+	// Converting through int64 tests wholeness without math.Trunc's call;
+	// the conversion of a larger f yields some value, never used.
+	if i := int64(f); math.Abs(f) < 1e15 && float64(i) == f && (f != 0 || !math.Signbit(f)) {
+		e.buf = strconv.AppendInt(e.buf, i, 10)
 		return
 	}
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		e.buf = strconv.AppendFloat(e.buf, f, 'e', -1, 64)
-		// e-09 → e-9
-		if n := len(e.buf); n >= 4 && e.buf[n-4] == 'e' && (e.buf[n-3] == '-' || e.buf[n-3] == '+') && e.buf[n-2] == '0' {
-			e.buf[n-2] = e.buf[n-1]
-			e.buf = e.buf[:n-1]
-		}
-		return
-	}
-	e.buf = strconv.AppendFloat(e.buf, f, 'f', -1, 64)
+	e.buf = appendShortest(e.buf, f)
 }
 
 const hexDigits = "0123456789abcdef"

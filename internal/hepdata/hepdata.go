@@ -200,24 +200,26 @@ func NewArchive() *Archive {
 	return &Archive{records: make(map[string][]byte)}
 }
 
-// Submit validates the record and archives a packed copy of it.
-func (a *Archive) Submit(r *Record) error {
+// Submit validates the record, archives a packed copy of it and returns
+// the key it is archived under, r.ID(): the archive's own string, which
+// an index beside it can keep instead of building a second copy.
+func (a *Archive) Submit(r *Record) (id string, err error) {
 	if err := r.Validate(); err != nil {
-		return err
+		return "", err
 	}
-	id := r.ID()
+	id = r.ID()
 	packed := pack(r)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, dup := a.records[id]; dup {
-		return fmt.Errorf("%w: %s", ErrDuplicate, id)
+		return "", fmt.Errorf("%w: %s", ErrDuplicate, id)
 	}
 	a.records[id] = packed
 	at := sort.SearchStrings(a.ids, id)
 	a.ids = append(a.ids, "")
 	copy(a.ids[at+1:], a.ids[at:])
 	a.ids[at] = id
-	return nil
+	return id, nil
 }
 
 // Len returns the number of archived records.

@@ -118,7 +118,7 @@ func TestFromH1D(t *testing.T) {
 
 func TestSubmitAndGet(t *testing.T) {
 	a := NewArchive()
-	if err := a.Submit(searchRecord()); err != nil {
+	if _, err := a.Submit(searchRecord()); err != nil {
 		t.Fatal(err)
 	}
 	r, err := a.Get("ins1200001")
@@ -128,7 +128,7 @@ func TestSubmitAndGet(t *testing.T) {
 	if r.Title == "" || r.InspireURL() != "https://inspirehep.net/record/1200001" {
 		t.Fatalf("record: %+v", r)
 	}
-	if err := a.Submit(searchRecord()); err == nil {
+	if _, err := a.Submit(searchRecord()); err == nil {
 		t.Fatal("duplicate submission accepted")
 	}
 	if _, err := a.Get("ins999"); err == nil {
@@ -171,28 +171,28 @@ func TestSubmitValidation(t *testing.T) {
 	a := NewArchive()
 	r := searchRecord()
 	r.InspireID = ""
-	if err := a.Submit(r); err == nil {
+	if _, err := a.Submit(r); err == nil {
 		t.Fatal("record without Inspire ID accepted")
 	}
 	r2 := searchRecord()
 	r2.Tables = append(r2.Tables, zTable()) // duplicate table name
-	if err := a.Submit(r2); err == nil {
+	if _, err := a.Submit(r2); err == nil {
 		t.Fatal("duplicate table names accepted")
 	}
 	r3 := searchRecord()
 	r3.Tables = nil
-	if err := a.Submit(r3); err == nil {
+	if _, err := a.Submit(r3); err == nil {
 		t.Fatal("tableless record accepted")
 	}
 	// A NaN once archived could never be encoded, so never served.
 	r4 := searchRecord()
 	r4.Tables[0].Points[1].Y = math.NaN()
-	if err := a.Submit(r4); err == nil {
+	if _, err := a.Submit(r4); err == nil {
 		t.Fatal("record with a NaN value accepted")
 	}
 	r5 := searchRecord()
 	r5.Tables[0].Points[0].Errors[1].Minus = math.NaN()
-	if err := a.Submit(r5); err == nil {
+	if _, err := a.Submit(r5); err == nil {
 		t.Fatal("record with a NaN uncertainty accepted")
 	}
 	if a.Len() != 0 {
@@ -202,12 +202,12 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestSearch(t *testing.T) {
 	a := NewArchive()
-	_ = a.Submit(searchRecord())
+	_, _ = a.Submit(searchRecord())
 	r2 := searchRecord()
 	r2.InspireID = "1300077"
 	r2.Title = "Search for new resonances in dimuon events"
 	r2.Tables[0].Reactions = []string{"P P --> ZPRIME X"}
-	_ = a.Submit(r2)
+	_, _ = a.Submit(r2)
 
 	if got := a.Search("transverse momentum"); len(got) != 1 || got[0].InspireID != "1200001" {
 		t.Fatalf("title search: %d", len(got))
@@ -234,7 +234,7 @@ func TestLargeSearchPayload(t *testing.T) {
 		"likelihood/workspace.json":   make([]byte, 900000),
 	}
 	a := NewArchive()
-	if err := a.Submit(r); err != nil {
+	if _, err := a.Submit(r); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := a.Get("ins1400001")
@@ -268,7 +268,7 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 func BenchmarkSubmitQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := NewArchive()
-		if err := a.Submit(searchRecord()); err != nil {
+		if _, err := a.Submit(searchRecord()); err != nil {
 			b.Fatal(err)
 		}
 		if got := a.Search("Z boson"); len(got) != 1 {

@@ -61,7 +61,7 @@ func checkRoundTrip(t *testing.T, r *Record) {
 		t.Fatal(err)
 	}
 	a := NewArchive()
-	if err := a.Submit(r); err != nil {
+	if _, err := a.Submit(r); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.Get(r.ID())
@@ -93,7 +93,7 @@ func TestArchiveRoundTripIsExact(t *testing.T) {
 func TestGetReturnsACopy(t *testing.T) {
 	a := NewArchive()
 	orig := goldenRecord(t, "aux")
-	if err := a.Submit(orig); err != nil {
+	if _, err := a.Submit(orig); err != nil {
 		t.Fatal(err)
 	}
 	want, err := AppendRecord(nil, orig)
@@ -131,7 +131,7 @@ func TestReadsDoNotCopyAux(t *testing.T) {
 		r := searchRecord()
 		r.InspireID = strconv.Itoa(1400000 + i)
 		r.Aux = map[string][]byte{"likelihood/workspace.json": make([]byte, aux)}
-		if err := a.Submit(r); err != nil {
+		if _, err := a.Submit(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestSearchMatchesDecodedRecords(t *testing.T) {
 	a := NewArchive()
 	var records []*Record
 	for _, r := range append(goldenRecords(t), edgeRecords()...) {
-		if err := a.Submit(r); errors.Is(err, ErrDuplicate) {
+		if _, err := a.Submit(r); errors.Is(err, ErrDuplicate) {
 			continue
 		} else if err != nil {
 			t.Fatal(err)
@@ -213,7 +213,7 @@ func TestSearchMatchesDecodedRecords(t *testing.T) {
 func TestGetSlicesDoNotOverlap(t *testing.T) {
 	a := NewArchive()
 	r := edgeRecords()[1]
-	if err := a.Submit(r); err != nil {
+	if _, err := a.Submit(r); err != nil {
 		t.Fatal(err)
 	}
 	got, err := a.Get(r.ID())
@@ -252,7 +252,7 @@ func TestGetAllocsIndependentOfPoints(t *testing.T) {
 		second := tab
 		second.Name = "U"
 		r := &Record{InspireID: id, Title: "t", Collaboration: "c", Tables: []Table{tab, second}}
-		if err := a.Submit(r); err != nil {
+		if _, err := a.Submit(r); err != nil {
 			t.Fatal(err)
 		}
 		key := r.ID()

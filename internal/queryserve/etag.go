@@ -85,9 +85,13 @@ func digestETag(data []byte) string {
 }
 
 // quoteDigest renders a strong ETag: the first 16 digest bytes, hex, in
-// the RFC 9110 quoted form.
+// the RFC 9110 quoted form. The text is built on the stack and converted
+// once, so an ETag costs one allocation.
 func quoteDigest(sum []byte) string {
-	return `"` + hex.EncodeToString(sum[:16]) + `"`
+	var q [34]byte
+	q[0], q[33] = '"', '"'
+	hex.Encode(q[1:33], sum[:16])
+	return string(q[:])
 }
 
 // etagMatches implements the If-None-Match comparison: a literal "*"

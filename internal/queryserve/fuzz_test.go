@@ -48,7 +48,7 @@ func FuzzIndexSearchRoundTrip(f *testing.F) {
 			t.Skip() // records json.Marshal rejects aren't indexable
 		}
 		x := NewIndex()
-		if err := x.AddRecord(rec, etag); err != nil {
+		if err := x.AddRecord(rec, rec.ID(), etag); err != nil {
 			t.Fatalf("AddRecord: %v", err)
 		}
 		key := "ins" + inspire

@@ -66,7 +66,7 @@ func serveRecords(t *testing.T, n int, rebuilt bool, record func(int) *hepdata.R
 	archive := hepdata.NewArchive()
 	if rebuilt {
 		for i := 0; i < n; i++ {
-			if err := archive.Submit(record(i)); err != nil {
+			if _, err := archive.Submit(record(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -195,16 +195,19 @@ func canon(s string) string {
 	return strings.Join(strings.Fields(strings.ToLower(s)), "")
 }
 
-// AddRecord indexes a record under its content ETag. The record must not
-// already be indexed. The doc keeps its own copy of the title: a record
-// the archive decoded holds all its strings in one, and a title sharing it
-// would keep the record's whole text alive beside the packed copy.
+// AddRecord indexes a record under its key, r.ID(), and its content
+// ETag. The record must not already be indexed. The key is passed in so
+// the doc keeps the string the archive keys the record by: the one
+// Archive.Submit returns, or a key from Archive.IDs. The doc keeps its
+// own copy of the title: a record the archive decoded holds all its
+// strings in one, and a title sharing it would keep the record's whole
+// text alive beside the packed copy.
 //
 // Field terms carry a namespace prefix ("reaction:", "obs:", "inspire:",
 // "collab:", "year:"); free text from the title, abstract, collaboration,
 // table names, and reaction strings lands as bare tokens under "t:".
-func (x *Index) AddRecord(r *hepdata.Record, etag string) error {
-	doc := Doc{Kind: KindRecord, Key: r.ID(), ETag: etag, Title: strings.Clone(r.Title)}
+func (x *Index) AddRecord(r *hepdata.Record, key, etag string) error {
+	doc := Doc{Kind: KindRecord, Key: key, ETag: etag, Title: strings.Clone(r.Title)}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	id, err := x.insert(doc)
@@ -725,7 +728,7 @@ func Rebuild(archive *hepdata.Archive, cat *catalog.Catalog) (*Index, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := x.AddRecord(r, etag); err != nil {
+			if err := x.AddRecord(r, id, etag); err != nil {
 				return nil, err
 			}
 		}

@@ -87,7 +87,7 @@ func TestSearchAndOr(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := x.AddRecord(r, etag); err != nil {
+		if err := x.AddRecord(r, r.ID(), etag); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,14 +146,14 @@ func TestIndexedSearchSublinear(t *testing.T) {
 			if i < 10 {
 				r.Title += " golden calibration sample"
 			}
-			if err := archive.Submit(r); err != nil {
+			if _, err := archive.Submit(r); err != nil {
 				t.Fatal(err)
 			}
 			etag, err := RecordETag(r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := idx.AddRecord(r, etag); err != nil {
+			if err := idx.AddRecord(r, r.ID(), etag); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,7 +250,7 @@ func TestSearchKindFilter(t *testing.T) {
 	x := NewIndex()
 	r := testRecord(0)
 	etag, _ := RecordETag(r)
-	if err := x.AddRecord(r, etag); err != nil {
+	if err := x.AddRecord(r, r.ID(), etag); err != nil {
 		t.Fatal(err)
 	}
 	d := testDataset(0)
@@ -268,7 +268,7 @@ func TestSearchKindFilter(t *testing.T) {
 	if _, ok := x.Lookup("ins1000000"); !ok {
 		t.Fatal("lookup missed")
 	}
-	if err := x.AddRecord(r, etag); err == nil {
+	if err := x.AddRecord(r, r.ID(), etag); err == nil {
 		t.Fatal("duplicate index add accepted")
 	}
 }
@@ -282,7 +282,7 @@ func TestRebuildDeterministic(t *testing.T) {
 	cat := catalog.New()
 	var queries [][]string
 	for i := 0; i < 20; i++ {
-		if err := archive.Submit(testRecord(i)); err != nil {
+		if _, err := archive.Submit(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 		d := testDataset(i)
@@ -324,7 +324,7 @@ func TestRebuildDeterministic(t *testing.T) {
 	for _, i := range order {
 		r := testRecord(i)
 		etag, _ := RecordETag(r)
-		if err := inc.AddRecord(r, etag); err != nil {
+		if err := inc.AddRecord(r, r.ID(), etag); err != nil {
 			t.Fatal(err)
 		}
 		d := testDataset(i)

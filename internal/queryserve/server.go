@@ -109,13 +109,14 @@ func NewServer(cfg Config) (*Server, error) {
 // The archive's Submit is its one validation, and hepdata.AppendRecord
 // encodes every record that validates, so the digest after it cannot fail.
 func (s *Server) PublishRecord(r *hepdata.Record) (etag string, err error) {
-	if err := s.archive.Submit(r); err != nil {
+	key, err := s.archive.Submit(r)
+	if err != nil {
 		return "", err
 	}
 	if etag, err = canonicalETag(r); err != nil {
 		return "", err
 	}
-	if err := s.idx.AddRecord(r, etag); err != nil {
+	if err := s.idx.AddRecord(r, key, etag); err != nil {
 		return "", err
 	}
 	s.published.Add(1)

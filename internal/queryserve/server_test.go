@@ -372,7 +372,7 @@ func TestPublishStatusBySentinel(t *testing.T) {
 	// An index that already holds the key refuses it with the duplicate
 	// sentinel, for both kinds.
 	etag, _ := RecordETag(testRecord(0))
-	if err := srv.idx.AddRecord(testRecord(0), etag); !errors.Is(err, hepdata.ErrDuplicate) {
+	if err := srv.idx.AddRecord(testRecord(0), testRecord(0).ID(), etag); !errors.Is(err, hepdata.ErrDuplicate) {
 		t.Errorf("re-indexing a record: %v, want hepdata.ErrDuplicate", err)
 	}
 	stored, _ := srv.cat.Get(ds.Name)

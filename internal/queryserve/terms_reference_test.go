@@ -174,7 +174,7 @@ func FuzzTermsMatchReference(f *testing.F) {
 		r1, d1, r2, d2 := record(a), dataset(a), record(a+"2"), dataset(a+"/2")
 		x := NewIndex()
 		for _, err := range []error{
-			x.AddRecord(r1, "e1"), x.AddDataset(d1, "e2"), x.AddRecord(r2, "e3"), x.AddDataset(d2, "e4"),
+			x.AddRecord(r1, r1.ID(), "e1"), x.AddDataset(d1, "e2"), x.AddRecord(r2, r2.ID(), "e3"), x.AddDataset(d2, "e4"),
 		} {
 			if err != nil {
 				t.Fatal(err)

@@ -70,10 +70,15 @@
 # TestPublishedRecordHeapObjects and TestRebuiltIndexKeepsNoRecordText
 # (internal/queryserve), run below beside its allocation gates — the
 # publish path's TestPublishAllocs among them, and the packed record's
-# TestPackAllocs (internal/hepdata) beside it — and the seed corpus of
+# TestPackAllocs and the float kernel's TestShortestAllocs
+# (internal/hepdata) beside it — and the seed corpus of
 # FuzzTermsMatchReference, which holds the index's terms to the map-and-sort
 # builders it replaced, runs here (CI's read-tier fuzz step fuzzes it); so
-# does the artifact writer's, TestStreamOutputAllocatesTwiceItsSize
+# do the float kernel's seed corpus, FuzzFloatMatchesStrconv, its
+# million-value sweep against strconv, TestShortestMatchesStrconv, and
+# TestPow10TableMatchesBig, which rebuilds its power table with math/big
+# (internal/hepdata; CI's read-tier fuzz step fuzzes the first), and the
+# artifact writer's, TestStreamOutputAllocatesTwiceItsSize
 # (internal/workflow).
 # Every example users are told to run runs here too, its whole output
 # pinned by a golden: TestOutputMatchesGolden in examples/quickstart,
@@ -116,7 +121,7 @@ go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers' .
 echo "==> artifact writer allocation gate (race detector off)"
 go test -count=1 -run 'TestStreamOutputAllocatesTwiceItsSize' ./internal/workflow
 echo "==> read-tier allocation and retained-heap gates (race detector off)"
-go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishAllocs|TestPackAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve ./internal/hepdata
+go test -count=1 -run 'TestSearchPageCostBoundedByPage|TestCachedRecordGetAllocs|TestPublishAllocs|TestPackAllocs|TestShortestAllocs|TestPublishedRecordHeapObjects|TestRebuiltIndexKeepsNoRecordText' ./internal/queryserve ./internal/hepdata
 echo "==> store encoder allocation gate (race detector off)"
 go test -count=1 -run 'TestEncodeAllocs' ./internal/cas
 echo "==> full-simulation back-end allocation and heap gates (race detector off)"
