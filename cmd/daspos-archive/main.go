@@ -18,14 +18,28 @@
 // one package per finished step, so verify audits a run and list shows its
 // steps.
 //
+// migrate is the one reader of version-2 event files (the gob streams of
+// early builds). Each package of an archive directory holding such a tier
+// gets a new package beside it: the same metadata and files, each v2 tier
+// as version 3, and migration.json (daspos-migration/1) naming the source,
+// each migrated path, its format markers and events. It trusts a checked
+// fetch of every source file and a proof on every event: the v3 bytes read
+// back equal to the v2 decode (datamodel.MigrateV2). The source stays, a
+// source some migration.json names is not migrated again, and a run's step
+// packages are left alone. A failed fetch or proof ingests nothing for its
+// package, and migrate exits 1.
+//
 // Usage:
 //
 //	daspos-archive create -out DIR [-seed S] [-events N]
 //	daspos-archive verify -in DIR|IMAGE
 //	daspos-archive list -in DIR|IMAGE
+//	daspos-archive migrate -in DIR
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,13 +62,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("daspos-archive: ")
 	if len(os.Args) < 2 {
-		log.Fatal("usage: daspos-archive {create|verify|list} [flags]")
+		log.Fatal("usage: daspos-archive {create|verify|list|migrate} [flags]")
 	}
 	switch os.Args[1] {
 	case "create":
 		create(os.Stdout, os.Args[2:])
 	case "verify", "list":
 		inspect(os.Args[1], os.Args[2:])
+	case "migrate":
+		if !migrate(os.Stdout, os.Args[2:]) {
+			os.Exit(1)
+		}
 	default:
 		log.Fatalf("unknown subcommand %q", os.Args[1])
 	}
@@ -136,6 +154,121 @@ func catalogue(w io.Writer, a *archive.Archive) error {
 	}
 	_, err := fmt.Fprintln(w, t)
 	return err
+}
+
+// migrationFile is the record a migrated package holds beside its files:
+// the source package and each tier rewritten, by its path in both.
+const migrationFile = "migration.json"
+
+type migrationRecord struct {
+	Format string         `json:"format"` // migrationFormat
+	Source string         `json:"source"`
+	Files  []migratedFile `json:"files"`
+}
+
+type migratedFile struct {
+	Path   string `json:"path"`
+	From   string `json:"from"`
+	To     string `json:"to"`
+	Events int    `json:"events"`
+}
+
+const migrationFormat = "daspos-migration/1"
+
+// migrate migrates the archive directory at -in: it prints one line per
+// package migrated or failed, then a summary, and reports whether no
+// package failed.
+func migrate(w io.Writer, args []string) bool {
+	fs := flag.NewFlagSet("migrate", flag.ExitOnError)
+	in := fs.String("in", "archive.daspos", "archive directory to migrate")
+	_ = fs.Parse(args)
+	if fi, err := os.Stat(*in); err != nil || !fi.IsDir() {
+		log.Fatalf("migrate: %s is not an archive directory", *in)
+	}
+	a, err := archive.Open(*in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ids := a.IDs()
+	var steps, already, migrated, failed int
+	fail := func(id string, err error) {
+		fmt.Fprintf(w, "FAILED %s: %v\n", id, err)
+		failed++
+	}
+	// A migration's own package names its source: read them all first.
+	sources := make(map[string]bool)
+	for _, id := range ids {
+		if pkg, _ := a.Get(id); pkg.File(migrationFile) != nil {
+			var rec migrationRecord
+			data, err := a.Fetch(id, migrationFile)
+			if err == nil && (json.Unmarshal(data, &rec) != nil || rec.Format != migrationFormat) {
+				err = fmt.Errorf("%s is not a %s record", migrationFile, migrationFormat)
+			}
+			if err != nil {
+				fail(id, err)
+			} else {
+				sources[rec.Source] = true
+			}
+		}
+	}
+	for _, id := range ids {
+		switch pkg, _ := a.Get(id); {
+		case pkg.Metadata.Provenance == "step.json":
+			steps++
+		case pkg.File(migrationFile) != nil: // a migration's own package
+		case sources[id]:
+			already++
+		default:
+			to, rec, err := migratePackage(a, id, pkg)
+			if err != nil {
+				fail(id, err)
+			} else if to != "" {
+				migrated++
+				fmt.Fprintf(w, "MIGRATED %s as %s\n", id, to)
+				for _, f := range rec.Files {
+					fmt.Fprintf(w, "  %s: %s -> %s, %d events\n", f.Path, f.From, f.To, f.Events)
+				}
+			}
+		}
+	}
+	fmt.Fprintf(w, "packages: %d, migrated: %d, already migrated: %d, run steps left alone: %d, failed: %d\n",
+		len(ids), migrated, already, steps, failed)
+	if err := a.Close(); err != nil {
+		log.Fatal(err)
+	}
+	return failed == 0
+}
+
+// migratePackage fetches every file of package id, checked, and if any is
+// a version-2 event tier ingests the package again, each such tier
+// rewritten and proved by datamodel.MigrateV2, with migration.json. It
+// returns the new package's ID and its record, or no ID and no error for a
+// package without a v2 tier.
+func migratePackage(a *archive.Archive, id string, pkg *archive.Package) (string, migrationRecord, error) {
+	rec := migrationRecord{Format: migrationFormat, Source: id}
+	files := make(map[string][]byte, len(pkg.Files)+1)
+	for _, f := range pkg.Files {
+		data, err := a.Fetch(id, f.Path)
+		if err != nil {
+			return "", rec, err
+		}
+		v3, events, err := datamodel.MigrateV2(data)
+		if err == nil {
+			data = v3
+			rec.Files = append(rec.Files, migratedFile{f.Path, datamodel.CodecV2, datamodel.Codec, events})
+		} else if !errors.Is(err, datamodel.ErrNotV2) {
+			return "", rec, fmt.Errorf("file %s: %w", f.Path, err)
+		}
+		files[f.Path] = data
+	}
+	if len(rec.Files) == 0 {
+		return "", rec, nil
+	}
+	files[migrationFile], _ = json.Marshal(rec) // strings and ints: it cannot fail
+	meta := pkg.Metadata
+	meta.ID = ""
+	to, err := a.Ingest(meta, files)
+	return to, rec, err
 }
 
 // load opens the archive at path: a directory archive, or the image file an

@@ -2,14 +2,20 @@ package main
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"daspos/internal/archive"
 	"daspos/internal/cas"
+	"daspos/internal/checkpoint"
+	"daspos/internal/datamodel"
 )
 
 // createIn runs `create -out dir -seed seed -events 50` and returns the
@@ -256,5 +262,211 @@ func TestVerifyNamesAMissingBlob(t *testing.T) {
 	want += "not found: " + digest + "\n"
 	if audit(&out, loadT(t, dir)) || !strings.HasSuffix(out.String(), want) {
 		t.Errorf("audit printed\n%swant a line\n%s", out.String(), want)
+	}
+}
+
+// v2GoldenPath is the version-2 event file an early build wrote: five RECO
+// events.
+var v2GoldenPath = filepath.Join("..", "..", "internal", "datamodel", "testdata", "v2_golden.edm")
+
+// v2Archive makes an archive directory holding the demonstration capsule
+// (create -seed 7) and a package whose RECO tier is the v2 golden, and
+// returns the directory, that package's ID and the golden's bytes.
+func v2Archive(t *testing.T) (dir, id string, golden []byte) {
+	t.Helper()
+	dir = filepath.Join(t.TempDir(), "a")
+	createIn(t, dir, "7")
+	golden, err := os.ReadFile(v2GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := archive.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	id, err = a.Ingest(archive.Metadata{Title: "Z->mumu RECO", Creator: "DASPOS", Level: datamodel.DPHEPLevel4, Keywords: []string{"reco"}},
+		map[string][]byte{"reco.edm": golden, "README": []byte("five RECO events\n")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, id, golden
+}
+
+// decodeV2 decodes a version-2 event file with encoding/gob alone, into
+// envelopes of the v2 header's and records' field names.
+func decodeV2(t *testing.T, data []byte) []*datamodel.Event {
+	t.Helper()
+	dec := gob.NewDecoder(bytes.NewReader(data))
+	var header struct {
+		Magic   string
+		Version int
+		Tier    datamodel.Tier
+	}
+	if err := dec.Decode(&header); err != nil || header.Magic != "DASPOS-EDM" || header.Version != 2 {
+		t.Fatalf("not a v2 header: %+v (%v)", header, err)
+	}
+	var events []*datamodel.Event
+	for {
+		var rec struct {
+			End   bool
+			Count int
+			Event *datamodel.Event
+		}
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.End {
+			return events
+		}
+		events = append(events, rec.Event)
+	}
+}
+
+// TestMigrateRewritesAV2Tier: migrate ingests a new package beside the one
+// holding the v2 golden — its metadata, its other file as it was, the tier
+// as v3 reading back to the v2 decode, and migration.json — and prints
+// testdata/migrate.golden; both packages pass verify, and a second run
+// migrates nothing and writes nothing.
+func TestMigrateRewritesAV2Tier(t *testing.T) {
+	dir, src, golden := v2Archive(t)
+	var out bytes.Buffer
+	want, err := os.ReadFile(filepath.Join("testdata", "migrate.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !migrate(&out, []string{"-in", dir}) || out.String() != string(want) {
+		t.Fatalf("migrate printed\n%swant\n%s", out.String(), want)
+	}
+	a := loadT(t, dir)
+	srcPkg, _ := a.Get(src)
+	var to *archive.Package
+	for _, id := range a.IDs() {
+		if pkg, _ := a.Get(id); pkg.File(migrationFile) != nil {
+			to = pkg
+		}
+	}
+	if to == nil {
+		t.Fatal("no package holds migration.json")
+	}
+	meta := to.Metadata
+	meta.ID = src
+	if !reflect.DeepEqual(meta, srcPkg.Metadata) {
+		t.Errorf("the migrated package's metadata is %+v, want the source's %+v", to.Metadata, srcPkg.Metadata)
+	}
+	if got, want := *to.File("README"), *srcPkg.File("README"); got != want {
+		t.Errorf("README migrated as %+v, want %+v", got, want)
+	}
+	tier, err := a.Fetch(to.Metadata.ID, "reco.edm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tierOf, events, err := datamodel.ReadEvents(bytes.NewReader(tier))
+	if v2 := decodeV2(t, golden); err != nil || tierOf != datamodel.TierRECO || len(events) != 5 || !reflect.DeepEqual(events, v2) {
+		t.Errorf("the migrated tier reads %d %v events (%v), want the v2 decode's %d", len(events), tierOf, err, len(v2))
+	}
+	record, err := a.Fetch(to.Metadata.ID, migrationFile)
+	if want := `{"format":"daspos-migration/1","source":"` + src + `","files":[{"path":"reco.edm","from":"DASPOS-EDM/2","to":"DASEDM3","events":5}]}`; err != nil || string(record) != want {
+		t.Errorf("migration.json is %s (%v), want %s", record, err, want)
+	}
+	out.Reset()
+	if !audit(&out, a) || out.String() != "packages: 3, healthy: 3\n" {
+		t.Errorf("verify printed\n%s", out.String())
+	}
+
+	before := tree(t, dir)
+	out.Reset()
+	if !migrate(&out, []string{"-in", dir}) || out.String() != "packages: 3, migrated: 0, already migrated: 1, run steps left alone: 0, failed: 0\n" {
+		t.Errorf("the second migrate printed\n%s", out.String())
+	}
+	if !maps.Equal(tree(t, dir), before) {
+		t.Error("the second migrate wrote to the archive")
+	}
+}
+
+// tree reads every file under dir, by its path under dir.
+func tree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[strings.TrimPrefix(path, dir)] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestMigrateRefusesADamagedV2Blob: one flipped byte in the stored v2 tier
+// fails the checked fetch; migrate names the package and the blob, exits 1,
+// and ingests nothing.
+func TestMigrateRefusesADamagedV2Blob(t *testing.T) {
+	dir, src, _ := v2Archive(t)
+	pkg, _ := loadT(t, dir).Get(src)
+	digest := pkg.File("reco.edm").Digest
+	path := filepath.Join(dir, "blobs", digest)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-1] ^= 0x01
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := tree(t, dir)
+	var out bytes.Buffer
+	want := "FAILED " + src + ": archive: fetching reco.edm from " + src + ": "
+	if migrate(&out, []string{"-in", dir}) || !strings.HasPrefix(out.String(), want) || !strings.Contains(out.String(), "cas: blob corrupt: "+digest) ||
+		!strings.HasSuffix(out.String(), "packages: 2, migrated: 0, already migrated: 0, run steps left alone: 0, failed: 1\n") {
+		t.Errorf("migrate printed\n%swant a failure starting\n%s\nnaming the corrupt blob %s", out.String(), want, digest)
+	}
+	if !maps.Equal(tree(t, dir), before) {
+		t.Error("a failed migration wrote to the archive")
+	}
+}
+
+// TestMigrateLeavesARunAlone: a run directory whose one step holds the v2
+// golden as its tier is counted and left byte for byte as it was, and the
+// run ledger still opens it and loads the tier.
+func TestMigrateLeavesARunAlone(t *testing.T) {
+	dir := t.TempDir()
+	golden, err := os.ReadFile(v2GoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := checkpoint.StepKey("reconstruction", "config", nil)
+	if _, err := l.Commit(key, checkpoint.ArtifactRecord{Name: "reco.edm", Tier: "RECO", Events: 5}, golden); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Done("reconstruction", "config", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := tree(t, dir)
+	var out bytes.Buffer
+	if !migrate(&out, []string{"-in", dir}) || out.String() != "packages: 1, migrated: 0, already migrated: 0, run steps left alone: 1, failed: 0\n" {
+		t.Errorf("migrate printed\n%s", out.String())
+	}
+	if !maps.Equal(tree(t, dir), before) {
+		t.Error("migrate wrote to a run directory")
+	}
+	l, err = checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if data, err := l.Load(key, "reco.edm"); err != nil || !bytes.Equal(data, golden) {
+		t.Errorf("the run's tier loads as %d bytes (%v), want the %d it committed", len(data), err, len(golden))
 	}
 }

@@ -2,7 +2,6 @@ package datamodel
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"io"
@@ -192,7 +191,7 @@ func TestFileWriterRejectsTierMismatch(t *testing.T) {
 }
 
 func TestFileReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	if _, err := NewFileReader(bytes.NewReader([]byte("not an event file"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -236,7 +235,7 @@ func TestHeaderOnlyStreamIsTruncated(t *testing.T) {
 }
 
 func TestTruncatedFileSurfacesUnexpectedEOF(t *testing.T) {
-	// The regression this guards: a gob stream cut exactly at a message
+	// The regression this guards: a stream cut exactly at a frame
 	// boundary used to read back as a clean EOF, so ReadAll returned a
 	// silently shortened sample. Cutting the file at every byte offset
 	// past the header must now yield io.ErrUnexpectedEOF (or, for cuts
@@ -273,7 +272,7 @@ func TestTruncatedFileSurfacesUnexpectedEOF(t *testing.T) {
 			t.Fatalf("cut at %d of %d read back cleanly", cut, len(full))
 		}
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			// Mid-message cuts may surface as gob decode corruption
+			// Mid-frame cuts may surface as decode corruption
 			// instead; both are loud failures. But a bare io.EOF
 			// masquerading as success must never happen (ReadAll maps
 			// that to ErrUnexpectedEOF), and neither may a nil error.
@@ -295,46 +294,19 @@ func TestTruncatedFileSurfacesUnexpectedEOF(t *testing.T) {
 }
 
 func TestTrailerCountMismatchRejected(t *testing.T) {
-	// Splice the trailer of an empty file onto a file with one event: the
-	// count disagrees with the events read, which must be rejected.
-	e := fakeRecoEvent(xrand.New(12), 1)
-	var withEvent bytes.Buffer
-	fw, err := NewFileWriter(&withEvent, TierRECO)
+	// A file with one event whose trailer claims none: the count disagrees
+	// with the events read, which must be rejected.
+	var buf bytes.Buffer
+	fw, err := NewFileWriter(&buf, TierRECO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Write(e); err != nil {
+	if err := fw.Write(fakeRecoEvent(xrand.New(12), 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Deliberately no Close: append an empty file's trailer instead.
-	var empty bytes.Buffer
-	fw2, err := NewFileWriter(&empty, TierRECO)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One event then Close, so the encoder emits the record type info in
-	// the same shape; slice off the header plus the event message.
-	if err := fw2.Write(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Instead of byte-splicing gob internals (fragile), just assert the
-	// reader rejects a wrong count via a hand-built stream: write two
-	// events but a trailer claiming zero by using the encoder directly.
-	var spliced bytes.Buffer
-	enc := gob.NewEncoder(&spliced)
-	if err := enc.Encode(fileHeader{Magic: fileMagic, Version: fileVersion, Tier: TierRECO}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(record{Event: e}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(record{End: true, Count: 0}); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := NewFileReader(&spliced)
+	// Deliberately no Close: append a trailer of zero events instead.
+	buf.Write([]byte{recEndV3, 0})
+	fr, err := NewFileReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

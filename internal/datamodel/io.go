@@ -4,21 +4,18 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 )
 
-// Event files come in two generations. Version 2 is a gob stream with a
-// typed header, a record envelope per event, and an end-of-stream trailer
-// carrying the event count; it stays fully readable. Version 3 — the
-// format every writer now produces — keeps the same container semantics
-// (typed header, per-event frames, counted end trailer, truncation
-// surfaces io.ErrUnexpectedEOF) but swaps gob for the hand-rolled binary
-// codec in codec_v3.go: varint/fixed framing, pooled scratch buffers, and
-// deterministic map ordering. Both formats stay entirely inside the
-// standard library — the "no exotic dependencies" property the paper's
-// preservation discussion prizes.
+// An event file is a version-3 stream: typed header, one length-prefixed
+// frame per event, and an end-of-stream trailer carrying the event count,
+// encoded by the hand-rolled binary codec in codec_v3.go — varint/fixed
+// framing, pooled scratch buffers, deterministic map ordering — entirely
+// inside the standard library, the "no exotic dependencies" property the
+// paper's preservation discussion prizes. FileReader reads this one format.
+// The gob streams of version 2 are read in one place only, by MigrateV2
+// (migrate.go), which daspos-archive migrate runs over an archive.
 //
 // The trailer is what makes truncation detectable: a stream cut at a
 // frame boundary otherwise reads as a clean end-of-file, silently
@@ -26,24 +23,13 @@ import (
 // before the trailer reports io.ErrUnexpectedEOF, and a trailer whose
 // count disagrees with the events actually read is corruption too.
 
-// fileHeader identifies a version-2 stream and pins the tier so a reader
-// cannot mistake a RECO file for an AOD file.
-type fileHeader struct {
-	Magic   string
-	Version int
-	Tier    Tier
-}
-
 const (
-	fileMagic   = "DASPOS-EDM"
-	fileVersion = 2
-
 	// Codec names the format generation FileWriter writes, by the bytes it
 	// opens every file with; a workflow step writing an event tier records it.
 	Codec = "DASEDM3"
 	// fileMagicV3 opens a version-3 stream: eight literal bytes, chosen so
-	// no valid gob stream can begin with them (a gob stream starts with a
-	// small varint message length, never 'D').
+	// no gob stream of version 2 can begin with them (a gob stream starts
+	// with a small varint message length, never 'D').
 	fileMagicV3 = Codec + "\x00"
 )
 
@@ -56,15 +42,6 @@ const (
 // maxFrameV3 bounds a single event frame; anything larger is corruption,
 // not physics.
 const maxFrameV3 = 1 << 30
-
-// record is the per-message envelope of a version-2 stream: either one
-// event, or the end-of-stream trailer (End=true) carrying the total count.
-// It remains for the v2 read path and for tests that author v2 streams.
-type record struct {
-	End   bool
-	Count int
-	Event *Event
-}
 
 // FileWriter writes a homogeneous stream of events of one tier in the
 // version-3 format. Close must be called after the last event to write
@@ -138,47 +115,38 @@ func (w *FileWriter) Close() error {
 // Count returns the number of events written.
 func (w *FileWriter) Count() int { return w.n }
 
-// FileReader reads an event file of either format: the leading bytes
-// select the version-3 binary decoder or the legacy version-2 gob
-// decoder, so archived v2 tiers stay readable forever. The reader may
-// buffer ahead of the frames it has returned; give it a dedicated reader
-// over the file's bytes rather than a shared stream.
+// FileReader reads an event file of version 3, the one format FileWriter
+// writes. Any other input is refused at the magic; an archived version-2
+// tier stays readable through daspos-archive migrate, which rewrites it as
+// version 3 and proves the result event by event. The reader may buffer
+// ahead of the frames it has returned; give it a dedicated reader over the
+// file's bytes rather than a shared stream.
 type FileReader struct {
 	tier Tier
 	n    int
 	done bool
 
-	dec     *gob.Decoder  // version 2
-	br      *bufio.Reader // version 3
-	payload []byte        // pooled v3 frame scratch
+	br      *bufio.Reader
+	payload []byte // pooled frame scratch
 }
 
-// NewFileReader opens an event stream, validating the header and
-// detecting the format version.
+// NewFileReader opens an event stream, validating the magic and the
+// header.
 func NewFileReader(r io.Reader) (*FileReader, error) {
-	peek := make([]byte, len(fileMagicV3))
-	k, err := io.ReadFull(r, peek)
-	if err == nil && bytes.Equal(peek, []byte(fileMagicV3)) {
-		br := bufio.NewReader(r)
-		tier, terr := binary.ReadVarint(br)
-		if terr != nil {
-			return nil, fmt.Errorf("datamodel: reading header: %w", io.ErrUnexpectedEOF)
-		}
-		return &FileReader{tier: Tier(tier), br: br, payload: getScratch()}, nil
+	magic := make([]byte, len(fileMagicV3))
+	k, err := io.ReadFull(r, magic)
+	if string(magic[:k]) != fileMagicV3[:k] {
+		return nil, fmt.Errorf("datamodel: not a %s event file (a version-2 tier is read by daspos-archive migrate)", Codec)
 	}
-	// Not a v3 stream: hand everything read so far to the gob path.
-	dec := gob.NewDecoder(io.MultiReader(bytes.NewReader(peek[:k]), r))
-	var h fileHeader
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("datamodel: reading header: %w", err)
+	if err != nil {
+		return nil, fmt.Errorf("datamodel: reading header: %w", io.ErrUnexpectedEOF)
 	}
-	if h.Magic != fileMagic {
-		return nil, fmt.Errorf("datamodel: bad magic %q", h.Magic)
+	br := bufio.NewReader(r)
+	tier, err := binary.ReadVarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("datamodel: reading header: %w", io.ErrUnexpectedEOF)
 	}
-	if h.Version != fileVersion {
-		return nil, fmt.Errorf("datamodel: unsupported version %d", h.Version)
-	}
-	return &FileReader{dec: dec, tier: h.Tier}, nil
+	return &FileReader{tier: Tier(tier), br: br, payload: getScratch()}, nil
 }
 
 // Tier returns the file's declared tier.
@@ -193,33 +161,6 @@ func (r *FileReader) Read() (*Event, error) {
 	if r.done {
 		return nil, io.EOF
 	}
-	var e *Event
-	var err error
-	if r.br != nil {
-		e, err = r.readV3()
-	} else {
-		e, err = r.readV2()
-	}
-	if err == nil && e.Tier != r.tier {
-		return nil, fmt.Errorf("datamodel: event tier %v in %v file", e.Tier, r.tier)
-	}
-	return e, err
-}
-
-func (r *FileReader) truncated() error {
-	return fmt.Errorf("datamodel: truncated stream after %d events: %w", r.n, io.ErrUnexpectedEOF)
-}
-
-// finish marks end-of-stream and returns the v3 scratch to the pool.
-func (r *FileReader) finish() {
-	r.done = true
-	if r.payload != nil {
-		putScratch(r.payload)
-		r.payload = nil
-	}
-}
-
-func (r *FileReader) readV3() (*Event, error) {
 	marker, err := r.br.ReadByte()
 	if err != nil {
 		return nil, r.truncated()
@@ -259,6 +200,9 @@ func (r *FileReader) readV3() (*Event, error) {
 		if err != nil {
 			return nil, fmt.Errorf("datamodel: decoding event: %w", err)
 		}
+		if e.Tier != r.tier {
+			return nil, fmt.Errorf("datamodel: event tier %v in %v file", e.Tier, r.tier)
+		}
 		r.n++
 		return e, nil
 	default:
@@ -266,32 +210,15 @@ func (r *FileReader) readV3() (*Event, error) {
 	}
 }
 
-func (r *FileReader) readV2() (*Event, error) {
-	// gob sizes a nil map by the count the stream claims, unbounded; into a
-	// map that exists it adds what it decodes. A record without an event
-	// then reads as an empty one, which Read refuses: its tier is 0.
-	rec := record{Event: &Event{Aux: map[string]float64{}}}
-	if err := r.dec.Decode(&rec); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// The underlying input ran out before the trailer: the file
-			// is cut short, whether or not the cut fell on a gob message
-			// boundary.
-			return nil, r.truncated()
-		}
-		return nil, fmt.Errorf("datamodel: decoding event: %w", err)
-	}
-	if rec.End {
-		if rec.Count != r.n {
-			return nil, fmt.Errorf("datamodel: trailer count %d, read %d events", rec.Count, r.n)
-		}
-		r.done = true
-		return nil, io.EOF
-	}
-	if len(rec.Event.Aux) == 0 {
-		rec.Event.Aux = nil
-	}
-	r.n++
-	return rec.Event, nil
+func (r *FileReader) truncated() error {
+	return fmt.Errorf("datamodel: truncated stream after %d events: %w", r.n, io.ErrUnexpectedEOF)
+}
+
+// finish marks end-of-stream and returns the frame scratch to the pool.
+func (r *FileReader) finish() {
+	r.done = true
+	putScratch(r.payload)
+	r.payload = nil
 }
 
 // ReadAll drains the stream. A truncated stream returns an error wrapping

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"daspos/internal/leshouches"
@@ -43,59 +42,44 @@ func TestFullSimProcessAllocsPerEvent(t *testing.T) {
 }
 
 // TestFullSimMemoryIndependentOfEvents: the live heap while Process runs —
-// what a collection forced by a goroutine that does nothing else marks
-// reachable — must not follow the request's event count. A back end that
-// collects its sample before analysing it holds a few hundred bytes an
-// event, and at 20,000 events shows nearly three times what it does at
-// 2,000.
+// what a collection forced from the cut-flow sink marks reachable, at fifty
+// evenly spaced tallies — must not follow the request's event count. While
+// the sink is busy the stages upstream fill their batches and wait, so what
+// is in flight is bounded by the pipeline's batches, whatever else the
+// machine runs. A back end that collects its sample before analysing it
+// holds a few hundred bytes an event, and at 20,000 events shows nearly
+// three times what it does at 2,000.
 func TestFullSimMemoryIndependentOfEvents(t *testing.T) {
 	if raceEnabled {
 		t.Skip("twenty thousand events take too long under the race detector; scripts/verify.sh runs this gate without it")
 	}
 	backend, record := newFullSimBackend(t), highMassSearch()
-	// liveHeap is the 90th percentile of the live heap over the request. Not
-	// the maximum: the collector counts as live whatever is allocated while
-	// it marks, so one slow mark on a busy machine reads megabytes high.
+	const samplesPerRequest = 50
+	// liveHeap is the median of the samples. How full the batches in flight
+	// are at a sample varies by a few hundred KB either way; the median of
+	// fifty does not.
 	liveHeap := func(events int) uint64 {
-		done, result := make(chan struct{}), make(chan uint64)
-		var taken atomic.Int32 // samples so far
-		go func() {
-			var samples []uint64
-			live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
-			for {
-				select {
-				case <-done:
-					if len(samples) < 10 {
-						t.Errorf("%d events: only %d heap samples while Process ran", events, len(samples))
-						samples = append(samples, 0)
-					}
-					slices.Sort(samples)
-					result <- samples[len(samples)*9/10]
-					return
-				default:
-				}
-				// What the collection just forced marked live — not
-				// HeapAlloc, which also counts all the pipeline allocated
-				// before this goroutine got to read it.
+		var samples []uint64
+		live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		tallyHook = func(tallied int) {
+			if tallied%(events/samplesPerRequest) == 0 {
 				runtime.GC()
 				metrics.Read(live)
 				samples = append(samples, live[0].Value.Uint64())
-				taken.Add(1)
-			}
-		}()
-		// Other packages' tests can starve the sampler for most of a short
-		// request: repeat the request until it has been watched enough.
-		for first := true; first || taken.Load() < 10; first = false {
-			if _, err := backend.Process(context.Background(), ModelSpec{Process: "zprime", MassGeV: 1000, Events: events, Seed: 3}, record); err != nil {
-				close(done)
-				t.Fatal(err)
 			}
 		}
-		close(done)
-		return <-result
+		defer func() { tallyHook = nil }()
+		if _, err := backend.Process(context.Background(), ModelSpec{Process: "zprime", MassGeV: 1000, Events: events, Seed: 3}, record); err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) != samplesPerRequest {
+			t.Fatalf("%d events: %d heap samples, want %d", events, len(samples), samplesPerRequest)
+		}
+		slices.Sort(samples)
+		return samples[len(samples)/2]
 	}
 	small, large := liveHeap(2000), liveHeap(20000)
-	t.Logf("live heap, 90th percentile: %d KB at 2,000 events, %d KB at 20,000", small>>10, large>>10)
+	t.Logf("live heap, median of fifty tallies: %d KB at 2,000 events, %d KB at 20,000", small>>10, large>>10)
 	if float64(large) > 1.5*float64(small) {
 		t.Fatalf("live heap grows with the request: %d KB at 2,000 events, %d KB at 20,000", small>>10, large>>10)
 	}

@@ -645,6 +645,9 @@ func (b *FullSimBackend) Process(ctx context.Context, model ModelSpec, record *l
 			return v.err
 		}
 		leshouches.Tally(flow, v.depth)
+		if tallyHook != nil {
+			tallyHook(flow[0])
+		}
 		return nil
 	})
 	err := p.Wait()
@@ -656,6 +659,12 @@ func (b *FullSimBackend) Process(ctx context.Context, model ModelSpec, record *l
 	}
 	return NewResult(b.Name(), record, flow, model, b.LuminosityPb), nil
 }
+
+// tallyHook, when a test sets it, is called by FullSimBackend.Process's
+// cut-flow sink after each event it tallies, with the events tallied so
+// far, on the sink's goroutine: while it runs, the pipeline holds no more
+// than its stages' batches in flight.
+var tallyHook func(tallied int)
 
 // reconstructorFor returns the part of rec's chain the selection reads: its
 // tracker-and-muon half alone for a record that reads only muons, which

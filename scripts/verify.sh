@@ -29,8 +29,10 @@
 # TestOpenRejectsAlteredMetadata, TestOpenRejectsADamagedRoot and
 # TestOpenRebuildsALostIndex (internal/archive), TestParentImageReadsUnchanged,
 # TestParentDirectoryReadsUnchanged, TestLostIndexIsRebuilt,
-# TestCreateAddsAPackage, TestVerifyNamesTheDamagedFile and
-# TestVerifyNamesAMissingBlob (cmd/daspos-archive), and the DiskBackend rows of TestStoredFormUnchanged
+# TestCreateAddsAPackage, TestVerifyNamesTheDamagedFile,
+# TestVerifyNamesAMissingBlob and the migrate tests, TestMigrateRewritesAV2Tier,
+# TestMigrateRefusesADamagedV2Blob and TestMigrateLeavesARunAlone
+# (cmd/daspos-archive), and the DiskBackend rows of TestStoredFormUnchanged
 # and TestStoreReadsMatchOverShardedAndCluster; CI's chaos job repeats the
 # kill sweep at -count=5. It also includes the reachability gate
 # (TestInternalExportsAreReached in internal/analysis): an exported
@@ -54,12 +56,12 @@
 # (internal/hepdata), and of the chain-config decoders, FuzzReadSnapshot
 # (internal/conditions), FuzzDecodeMenu (internal/trigger) and
 # FuzzDecodeDerivation (internal/skim), and of the interview decoder,
-# FuzzInterviewDecode (internal/interview), and of the event-file reader of
-# both versions and the YODA-like histogram reader, FuzzFileReader
-# (internal/datamodel) and FuzzReadYODA (internal/hist), which CI's chaos
-# job fuzzes too; their allocation bounds run here as
-# TestFrameLengthReservesNothing, TestMapCountReservesNothing and
-# TestBinCountReservesNothing.
+# FuzzInterviewDecode (internal/interview), and of the event-file reader,
+# the v2 migration and the YODA-like histogram reader, FuzzFileReader and
+# FuzzMigrateV2 (internal/datamodel) and FuzzReadYODA (internal/hist), which
+# CI's chaos job fuzzes too; their allocation bounds run here as
+# TestFrameLengthReservesNothing, TestOtherFormatsAreRefusedAtTheMagic,
+# TestMapCountReservesNothing and TestBinCountReservesNothing.
 # The store's deflate encoder is held to compress/flate's BestSpeed writer
 # byte for byte here too — the seed corpus of FuzzDeflateMatchesFlate
 # (which CI's chaos job fuzzes),
