@@ -136,6 +136,10 @@ type base struct {
 	next   int
 	procID int
 	name   string
+	// particles and vertices are the most any event of the stream has
+	// held so far: each new event starts with that much room, so its lists
+	// are allocated once instead of regrowing particle by particle.
+	particles, vertices int
 }
 
 func newBase(cfg Config, procID int) base {
@@ -152,6 +156,8 @@ func (b *base) ProcessID() int { return b.procID }
 // event and the primary-vertex barcode.
 func (b *base) newEvent() (*hepmc.Event, int) {
 	e := hepmc.NewEvent(b.next)
+	e.Particles = make([]hepmc.Particle, 0, b.particles)
+	e.Vertices = make([]hepmc.Vertex, 0, b.vertices)
 	b.next++
 	z := b.rng.Gauss(0, b.cfg.VertexSpreadZ)
 	pv := e.AddVertex(b.rng.Gauss(0, 0.02), b.rng.Gauss(0, 0.02), z, 0)
@@ -172,6 +178,8 @@ func (b *base) finish(e *hepmc.Event, pv int) *hepmc.Event {
 			b.addSoftParticles(e, puv, b.rng.Poisson(8), 0.5)
 		}
 	}
+	b.particles = max(b.particles, len(e.Particles))
+	b.vertices = max(b.vertices, len(e.Vertices))
 	if err := e.Validate(); err != nil {
 		// A generator that emits an invalid graph is a programming error,
 		// not a runtime condition the caller can handle.

@@ -460,3 +460,19 @@ func TestEventSource(t *testing.T) {
 		t.Fatalf("exhausted source returned %v, want io.EOF", err)
 	}
 }
+
+// TestGenerateAllocatesEachListOnce: once a stream has seen its busiest
+// events, a new event is three allocations — the event and its particle and
+// vertex lists, each sized from the stream's high-water mark — however many
+// particles it holds. Lists grown particle by particle cost about ten.
+func TestGenerateAllocatesEachListOnce(t *testing.T) {
+	for _, id := range []int{ProcDrellYanZ, ProcQCDDijet} {
+		cfg := DefaultConfig(3)
+		cfg.PileupMu = 2
+		g, _ := New(id, cfg)
+		GenerateN(g, 500)
+		if got := testing.AllocsPerRun(200, func() { g.Generate() }); got > 3 {
+			t.Errorf("%s: %v allocations per event, want 3", ProcessName(id), got)
+		}
+	}
+}

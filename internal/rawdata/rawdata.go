@@ -345,7 +345,11 @@ const (
 func ReadEvent(r io.Reader) (*Event, error) { return NewReader(r).Read() }
 
 // Read decodes the next event, or io.EOF. Bytes are staged in the reader's
-// buffer, which grows only as far as bytes actually arrive.
+// buffer, which grows only as far as bytes actually arrive: every bank of
+// the event is read and its CRC checked before anything is decoded, so an
+// event is built in two allocations once it has arrived whole — the event
+// with its bank headers (as Digitize builds it, for up to four banks), and
+// one slice its banks' words are cut from.
 func (in *Reader) Read() (*Event, error) {
 	r := in.r
 	buf := slices.Grow(in.buf[:0], eventHeaderLen)[:eventHeaderLen]
@@ -359,50 +363,77 @@ func (in *Reader) Read() (*Event, error) {
 	if binary.LittleEndian.Uint32(buf[0:]) != eventMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	e := &Event{
-		Run:    binary.LittleEndian.Uint32(buf[4:]),
-		Number: binary.LittleEndian.Uint64(buf[8:]),
-	}
+	run := binary.LittleEndian.Uint32(buf[4:])
+	number := binary.LittleEndian.Uint64(buf[8:])
 	nbanks := int(binary.LittleEndian.Uint16(buf[16:]))
+	// The banks are staged back to back after the event header, each as
+	// its header and body; a CRC is checked as it arrives and not kept.
+	words := 0
 	for i := 0; i < nbanks; i++ {
-		buf = slices.Grow(buf[:0], bankHeaderLen)[:bankHeaderLen]
-		if _, err := io.ReadFull(r, buf); err != nil {
+		start := len(buf)
+		buf = slices.Grow(buf, bankHeaderLen)[:start+bankHeaderLen]
+		if _, err := io.ReadFull(r, buf[start:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated bank header: %w", ErrCorrupt, err)
 		}
-		nwords := int(binary.LittleEndian.Uint32(buf[2:]))
+		nwords := int(binary.LittleEndian.Uint32(buf[start+2:]))
 		if nwords > 1<<24 {
 			return nil, fmt.Errorf("%w: unreasonable bank size %d", ErrCorrupt, nwords)
 		}
-		for want := bankHeaderLen + nwords*wordLen; len(buf) < want; {
+		for want := start + bankHeaderLen + nwords*wordLen; len(buf) < want; {
 			have := len(buf)
 			step := min(want-have, readStep)
 			buf = slices.Grow(buf, step)[:have+step]
 			if _, err := io.ReadFull(r, buf[have:]); err != nil {
-				if err == io.EOF && have > bankHeaderLen {
+				if err == io.EOF && have > start+bankHeaderLen {
 					err = io.ErrUnexpectedEOF // the body had begun
 				}
 				return nil, fmt.Errorf("%w: truncated bank body: %w", ErrCorrupt, err)
 			}
 		}
-		var crc [crcLen]byte
-		if _, err := io.ReadFull(r, crc[:]); err != nil {
+		// The CRC is read in after the body and cut off again: an array on
+		// the stack would escape through the io.Reader.
+		end := len(buf)
+		buf = slices.Grow(buf, crcLen)[:end+crcLen]
+		if _, err := io.ReadFull(r, buf[end:]); err != nil {
 			return nil, fmt.Errorf("%w: truncated bank crc: %w", ErrCorrupt, err)
 		}
-		if binary.LittleEndian.Uint32(crc[:]) != crc32.ChecksumIEEE(buf) {
+		if binary.LittleEndian.Uint32(buf[end:]) != crc32.ChecksumIEEE(buf[start:end]) {
 			return nil, fmt.Errorf("%w: bank %d crc mismatch", ErrCorrupt, i)
 		}
+		buf = buf[:end]
+		words += nwords
+	}
+
+	var e *Event
+	switch {
+	case nbanks == 0:
+		return &Event{Run: run, Number: number}, nil
+	case nbanks <= len(partitions):
+		out := &builtEvent{Event: Event{Run: run, Number: number}}
+		out.Banks = out.banks[:nbanks]
+		e = &out.Event
+	default:
+		e = &Event{Run: run, Number: number, Banks: make([]Bank, nbanks)}
+	}
+	all := make([]Word, words)
+	off := eventHeaderLen
+	for i := range e.Banks {
+		nwords := int(binary.LittleEndian.Uint32(buf[off+2:]))
+		// Clipped, so that an append to one bank cannot run into the next.
 		b := Bank{
-			Partition: Partition(binary.LittleEndian.Uint16(buf[0:])),
-			Words:     make([]Word, nwords),
+			Partition: Partition(binary.LittleEndian.Uint16(buf[off:])),
+			Words:     all[:nwords:nwords],
 		}
+		all = all[nwords:]
+		off += bankHeaderLen
 		for j := range b.Words {
-			off := bankHeaderLen + j*wordLen
 			b.Words[j] = Word{
 				Channel: detector.ChannelID(binary.LittleEndian.Uint32(buf[off:])),
 				ADC:     binary.LittleEndian.Uint16(buf[off+4:]),
 			}
+			off += wordLen
 		}
-		e.Banks = append(e.Banks, b)
+		e.Banks[i] = b
 	}
 	return e, nil
 }
@@ -411,9 +442,16 @@ func (in *Reader) Read() (*Event, error) {
 // given run. Digitization is a pure function of the simulated event, and
 // each call borrows its scratch from the pool for its own duration, so the
 // returned function is safe for any worker count.
+//
+// It is the last reader of the simulated events sim.FullSim.StageFunc
+// makes: once Digitize has packed an event's readings it hands the event
+// back with sim.Release, for the simulation to refill. A simulated event
+// must not be read after DigitizeFunc has digitised it.
 func DigitizeFunc(run uint32) func(*sim.Event) (*Event, bool, error) {
 	return func(se *sim.Event) (*Event, bool, error) {
-		return Digitize(run, se), true, nil
+		ev := Digitize(run, se)
+		sim.Release(se)
+		return ev, true, nil
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +224,50 @@ func BenchmarkWriteEvent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
 		_ = WriteEvent(&buf, ev)
+	}
+}
+
+// TestReaderBuildsAnEventInTwoAllocations: a warm Reader builds a whole
+// event as two objects — the event with its bank headers, and the one slice
+// its banks' words are cut from — and a bank count the four partitions do
+// not cover reads back the same, as does an event with no banks, whose
+// Banks stays nil.
+func TestReaderBuildsAnEventInTwoAllocations(t *testing.T) {
+	var stream bytes.Buffer
+	if err := WriteEvent(&stream, Digitize(1, simulatedEvents(t, 1)[0])); err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(stream.Bytes())
+	in := NewReader(src)
+	if _, err := in.Read(); err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(50, func() {
+		src.Reset(stream.Bytes())
+		if _, err := in.Read(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 2 {
+		t.Fatalf("Reader.Read: %v allocations per event on a warm reader, want 2", got)
+	}
+
+	six := &Event{Run: 2, Number: 9}
+	for p := range Partition(6) {
+		six.Banks = append(six.Banks, Bank{Partition: p + 1, Words: []Word{{Channel: detector.ChannelID(p), ADC: uint16(p) + 1}}})
+	}
+	six.Banks[2].Words = []Word{}
+	for _, want := range []*Event{six, {Run: 3, Number: 10}} {
+		var buf bytes.Buffer
+		if err := WriteEvent(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadEvent(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, want) {
+			t.Fatalf("read back %+v, wrote %+v", back, want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 
 	"daspos/internal/detector"
 	"daspos/internal/fourvec"
@@ -41,6 +42,9 @@ type Event struct {
 	TrackerHits []Hit
 	MuonHits    []Hit
 	Deposits    []CaloDeposit
+	// free is where Release returns the event: the free list of the
+	// StageFunc that made it, or nil for an event made any other way.
+	free *freeList
 }
 
 // FullSim propagates particles through the detector hit by hit.
@@ -100,16 +104,70 @@ func (s *FullSim) SimulateSeededInto(out *Event, rng *xrand.Rand, ev *hepmc.Even
 		TrackerHits: out.TrackerHits[:0],
 		MuonHits:    out.MuonHits[:0],
 		Deposits:    out.Deposits[:0],
+		free:        out.free,
 	}
 	s.simulateInto(out, ev, rng)
 }
 
 // StageFunc adapts SimulateSeeded to the event-flow stage signature. The
 // returned function is safe for concurrent use: it touches only the
-// read-only geometry and its per-event stream.
+// read-only geometry, its per-event stream and, under its lock, its free
+// list.
+//
+// The events it returns are recycled: each is taken from the returned
+// function's own free list and its hit and deposit slices are refilled in
+// place, as SimulateSeededInto refills a worker's own. An event goes back
+// to the list through Release, which rawdata.DigitizeFunc calls once it has
+// packed the event's readings, so a simulated event must not be read after
+// DigitizeFunc has digitised it. An event that is never released (one the
+// trigger drops) is left to the collector, and so is the list once the
+// pipeline that holds the function is done with it.
 func (s *FullSim) StageFunc() func(*hepmc.Event) (*Event, bool, error) {
+	free := new(freeList)
 	return func(ev *hepmc.Event) (*Event, bool, error) {
-		return s.SimulateSeeded(ev), true, nil
+		out := free.get()
+		if out.TrackerHits == nil {
+			s.presize(out, ev)
+		}
+		var rng xrand.Rand
+		s.SimulateSeededInto(out, &rng, ev)
+		return out, true, nil
+	}
+}
+
+// freeList holds the events one StageFunc has made and Release has handed
+// back, so it never holds more than that stage's pipeline has had out at
+// once. Unlike a sync.Pool, a collection does not empty it mid-run, and the
+// runtime does not keep it alive after its stage function is gone.
+type freeList struct {
+	mu     sync.Mutex
+	events []*Event
+}
+
+// get returns a released event, or a new one bound to the list.
+func (f *freeList) get() *Event {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.events)
+	if n == 0 {
+		return &Event{free: f}
+	}
+	e := f.events[n-1]
+	f.events = f.events[:n-1]
+	return e
+}
+
+// Release returns a simulated event to the free list of the StageFunc that
+// made it, for its slices to be refilled by a later event; an event made
+// any other way is left to the collector. The caller must be the event's
+// last reader and release it once: after Release nothing may read it, and
+// nothing else may hold it.
+func Release(e *Event) {
+	poison(e)
+	if f := e.free; f != nil {
+		f.mu.Lock()
+		f.events = append(f.events, e)
+		f.mu.Unlock()
 	}
 }
 

@@ -403,3 +403,47 @@ func TestSimulateIntoMatchesFresh(t *testing.T) {
 		t.Fatalf("SimulateSeededInto: %v allocations per event into warm storage, want 0", got)
 	}
 }
+
+// TestStageFuncRecyclesReleasedEvents runs the sequence of
+// TestSimulateIntoMatchesFresh through one StageFunc, releasing each event
+// once it has been checked: what the stage returns must equal the fresh
+// SimulateSeeded of the same event whatever the recycled event held before
+// (under the race detector, whatever the poison wrote over it), and with
+// one event out at a time the stage must make only one. An event made any
+// other way stays out of the stage's free list.
+func TestStageFuncRecyclesReleasedEvents(t *testing.T) {
+	det := detector.Standard()
+	busyCfg := generator.DefaultConfig(5)
+	busyCfg.PileupMu = 25
+	busy := generator.NewQCDDijet(busyCfg)
+	sparse := generator.NewZPrime(generator.DefaultConfig(6), 1200)
+	var events []*hepmc.Event
+	for i := 0; i < 6; i++ {
+		events = append(events, busy.Generate(), sparse.Generate(), &hepmc.Event{Number: 1000 + i})
+	}
+
+	fs := NewFullSim(det, 31)
+	stage := fs.StageFunc()
+	seen := map[*Event]bool{}
+	for i, ev := range events {
+		got, keep, err := stage(ev)
+		if err != nil || !keep {
+			t.Fatalf("event %d: keep %v, err %v", i, keep, err)
+		}
+		if want := fs.SimulateSeeded(ev); !simEventEqual(got, want) {
+			t.Fatalf("event %d (number %d): a recycled event gave %d/%d/%d hits/muon hits/deposits, fresh %d/%d/%d — or different ones",
+				i, ev.Number, len(got.TrackerHits), len(got.MuonHits), len(got.Deposits),
+				len(want.TrackerHits), len(want.MuonHits), len(want.Deposits))
+		}
+		seen[got] = true
+		Release(got)
+	}
+	if len(seen) != 1 {
+		t.Fatalf("%d events released one at a time came in %d pieces of storage, want 1", len(events), len(seen))
+	}
+	outsider := fs.SimulateSeeded(events[0])
+	Release(outsider)
+	if got, _, _ := stage(events[0]); got == outsider {
+		t.Fatal("an event SimulateSeeded made came back from the stage's free list")
+	}
+}

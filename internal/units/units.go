@@ -130,10 +130,14 @@ func antiName(name string) string {
 	}
 }
 
-// Mass returns the PDG mass for a code, or 0 for unknown species.
+// Mass returns the PDG mass for a code, or 0 for unknown species. An
+// antiparticle has its particle's mass. Like Charge it reads the table
+// directly: the generators ask for every particle they make.
 func Mass(pdg int) float64 {
-	p, _ := Lookup(pdg)
-	return p.Mass
+	if pdg < 0 {
+		pdg = -pdg
+	}
+	return table[pdg].Mass
 }
 
 // Charge returns the electric charge for a code in units of e. It reads

@@ -1,6 +1,7 @@
 package units
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,25 @@ func TestMassIsChargeConjugationEven(t *testing.T) {
 		if Mass(code) != Mass(-code) {
 			t.Errorf("mass of %d differs from antiparticle", code)
 		}
+	}
+}
+
+// TestMassAndChargeMatchLookup: Mass and Charge read the table without
+// Lookup, and must answer what Lookup's record says for every code, an
+// antiparticle's or an unknown one's included, without allocating.
+func TestMassAndChargeMatchLookup(t *testing.T) {
+	codes := []int{0, 7, 99, -99, 1 << 40, -(1 << 40), math.MinInt, math.MaxInt}
+	for _, code := range knownCodes() {
+		codes = append(codes, code, -code)
+	}
+	for _, code := range codes {
+		p, _ := Lookup(code)
+		if Mass(code) != p.Mass || Charge(code) != p.Charge {
+			t.Errorf("code %d: Mass %v and Charge %v, Lookup says %v and %v", code, Mass(code), Charge(code), p.Mass, p.Charge)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = Mass(-PDGPiPlus) + Charge(-PDGPiPlus) }); got != 0 {
+		t.Errorf("Mass and Charge of an antiparticle: %v allocations, want 0", got)
 	}
 }
 

@@ -115,11 +115,12 @@ go test -race ./...
 # The race detector changes what allocates, so the read tier's three
 # allocation gates and two retained-heap gates skip themselves above; hold
 # them here without it. The RECAST back end's allocation and heap gates do
-# the same, as do the artifact writer's and the store encoder's, and the
-# chain's aod-slim gate is held at the counts its ceiling was measured
-# against.
-echo "==> chain aod-slim allocation gate (race detector off)"
-go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers' .
+# the same, as do the artifact writer's, the store encoder's and the online
+# chain's (TestOnlineRecoAllocsPerEvent: the online and reconstruction
+# steps, per event), and the chain's aod-slim gate is held at the counts its
+# ceiling was measured against.
+echo "==> chain aod-slim and online allocation gates (race detector off)"
+go test -count=1 -run 'TestSlimEncodeStoreAllocsFlatAcrossWorkers|TestOnlineRecoAllocsPerEvent' .
 echo "==> artifact writer allocation gate (race detector off)"
 go test -count=1 -run 'TestStreamOutputAllocatesTwiceItsSize' ./internal/workflow
 echo "==> read-tier allocation and retained-heap gates (race detector off)"

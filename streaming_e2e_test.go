@@ -12,6 +12,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -252,6 +254,55 @@ func TestSlimEncodeStoreAllocsFlatAcrossWorkers(t *testing.T) {
 	}
 	if four > growth*one {
 		t.Errorf("allocations grow with workers: %.0f at 4 vs %.0f at 1 (limit %.1fx)", four, one, growth)
+	}
+}
+
+// TestOnlineRecoAllocsPerEvent is the gate on what the online chain
+// allocates: the online and reconstruction steps chain.Build binds — the
+// ones daspos-pipeline runs first — executed by the workflow engine on 2,000
+// Drell-Yan events, measured on a second run after a first has warmed the
+// runtime. Per generated event that leaves the generator's event and its two
+// lists, the raw event and its words twice (digitised, then read back), the
+// reconstructed event and its collections, and a simulated event for each
+// one the trigger drops and for each the pipeline holds at once; an
+// accepted one goes back to the simulation once it is digitised. The
+// budgets are the measured 12.3 allocations and 12.8 KB an event plus a
+// tenth. Simulated events allocated afresh read 15.4 and 19.2 KB; the
+// parent commit, which also regrew the generator's lists particle by
+// particle and built a read raw event bank by bank, read 34.7 and 20.7 KB.
+func TestOnlineRecoAllocsPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector; scripts/verify.sh runs this gate without it")
+	}
+	const events, allocBudget, kbBudget = 2000, 13.5, 14.1
+	spec := streamSpec(t, 42, events)
+	wf := buildChain(t, spec, chain.Tuning{Workers: 2, Flow: eventflow.Options{BatchSize: 32}})
+	two := &workflow.Workflow{Name: "online-reconstruction", Steps: wf.Steps[:2]}
+	if two.Steps[0].Name != "online" || two.Steps[1].Name != "reconstruction" {
+		t.Fatalf("steps 0 and 1 of the chain are %q and %q, want online and reconstruction", two.Steps[0].Name, two.Steps[1].Name)
+	}
+	run := func() {
+		if _, err := two.Execute(context.Background(), nil, provenance.NewStore()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// On one processor, as testing.AllocsPerRun measures, and with the
+	// collector off, which would empty the sync.Pools the batches and the
+	// digitiser's scratch come from: the count is then what the chain asks
+	// for, not how far one stage ran ahead of another or when a collection
+	// happened to fall.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / events
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / events / 1024
+	t.Logf("online + reconstruction: %.1f allocations and %.1f KB per event", allocs, kb)
+	if allocs > allocBudget || kb > kbBudget {
+		t.Errorf("online + reconstruction: %.1f allocations and %.1f KB per event, budget %.1f and %.1f KB", allocs, kb, allocBudget, kbBudget)
 	}
 }
 
